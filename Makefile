@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-all
+.PHONY: test bench bench-all bench-e2e-smoke
 
 test:  ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -14,3 +14,6 @@ bench:  ## kernel microbenchmarks -> BENCH_kernels.json (perf trajectory across 
 
 bench-all:  ## every experiment benchmark (slow; regenerates all paper tables)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+bench-e2e-smoke:  ## smoke test of the end-to-end benchmark (BENCHMARK.json; quick sizes)
+	$(PYTHON) -m pytest benchmarks/e2e -q

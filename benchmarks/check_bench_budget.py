@@ -6,7 +6,7 @@ and enforces two ratios:
 * full fabric construction (``test_bench_forwarding_fabric``) must stay
   within ``FABRIC_BUDGET``x of full CHLM assignment
   (``test_bench_full_assignment``) — before the batched CSR kernels the
-  ratio was ~130x; the budget pins the two-orders-of-magnitude win;
+  fabric took ~3.7 s; the budget pins the two-orders-of-magnitude win;
 * one incremental fabric update (``test_bench_fabric_incremental``)
   must stay within ``INCREMENTAL_BUDGET``x of a simulator step
   (``test_bench_simulator_step``), the tentpole's steady-state target;
@@ -38,6 +38,24 @@ and enforces two ratios:
   that it never grows further; its end-to-end win (skipping the
   executor pipe's chunked transfer) is EXP-S1's job to demonstrate.
 
+Re-anchoring (array-native handoff metering).  Two gates divide by a
+benchmark that PR made several times faster, so their ratios rose with
+no change in the numerators; each budget was rescaled to allow the same
+numerator milliseconds as before (means from the committed
+``BENCH_kernels.json`` before -> after):
+
+* ``FABRIC_BUDGET`` 25 -> 230: ``full_assignment`` 31.24 -> 3.38 ms,
+  ``forwarding_fabric`` 61.18 -> 56.74 ms, ratio 1.96x -> 16.8x; the old
+  budget allowed 25 x 31.24 = 781 ms of fabric build = 231 x 3.38 ms.
+* ``INCREMENTAL_BUDGET`` 2 -> 5: ``simulator_step`` 43.89 -> 17.63 ms,
+  ``fabric_incremental`` 25.77 -> 25.44 ms, ratio 0.59x -> 1.44x; the
+  old budget allowed 2 x 43.89 = 87.8 ms = 4.98 x 17.63 ms.
+* ``CHAOS_BUDGET`` and ``SERVICE_BUDGET`` share that denominator but
+  their numerators contain the step itself and shrank with it (1.14x ->
+  1.00x, 1.10x -> 1.30x): unchanged, so both are stricter in
+  milliseconds than they were.  ``HIERARCHY_BUDGET``,
+  ``BATCH_QUERY_BUDGET`` and ``SHM_BUDGET`` are untouched.
+
 Exit status is non-zero on violation, so CI fails the build.
 
 Usage: ``python benchmarks/check_bench_budget.py [BENCH_kernels.json]``
@@ -48,8 +66,8 @@ from __future__ import annotations
 import json
 import sys
 
-FABRIC_BUDGET = 25.0
-INCREMENTAL_BUDGET = 2.0
+FABRIC_BUDGET = 230.0
+INCREMENTAL_BUDGET = 5.0
 CHAOS_BUDGET = 2.0
 SERVICE_BUDGET = 4.0
 HIERARCHY_BUDGET = 0.85

@@ -32,7 +32,6 @@ from repro.core.query import QueryResult, resolve
 from repro.core.servers import (
     ChainedAssignment,
     ServerAssignment,
-    assignment_with_chains,
     full_assignment,
     lm_levels,
     patch_assignment,
@@ -63,7 +62,6 @@ __all__ = [
     "resolve",
     "ChainedAssignment",
     "ServerAssignment",
-    "assignment_with_chains",
     "full_assignment",
     "patch_assignment",
     "lm_levels",

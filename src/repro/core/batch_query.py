@@ -9,10 +9,10 @@ already vectorizes, the hit test is an equality against the assignment
 table, and the round-trip charge is a hop count.  This module batches
 all of it:
 
-* :class:`BatchResolver` precomputes per-level server tables (dense
-  int64 arrays indexed by base-node position, ``-1`` = no entry) from a
-  :class:`~repro.core.servers.ServerAssignment` once, then resolves
-  whole int64 ``src``/``dst`` arrays with grouped-stage descents and
+* :class:`BatchResolver` reads the per-level server tables of a
+  :class:`~repro.core.servers.ServerAssignment` (dense int64 columns
+  indexed by base-node position, ``-1`` = no entry) and resolves whole
+  int64 ``src``/``dst`` arrays with segmented-stage descents and
   batched hop lookups.
 * :meth:`BatchResolver.resolve` is the lossless path: bit-identical to
   the scalar oracle (same packets, hit levels, servers, probe counts),
@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.query import QueryResult
 from repro.core.servers import (
     ServerAssignment,
+    _global_stage,
     _stage_salt,
     _vectorized_rendezvous_stage,
     lm_levels,
@@ -211,8 +212,8 @@ class BatchResolver:
     """Vectorized CHLM resolution against one (hierarchy, assignment)
     snapshot.
 
-    Construction cost is one pass over the assignment dict (the dense
-    per-level server tables) plus lazy per-level cluster groupings;
+    Construction cost is the per-level CSR cluster groupings (the
+    server tables are the assignment's own columns, read in place);
     every subsequent :meth:`resolve`/:meth:`plans` call is array ops
     only.  Non-rendezvous hash functions fall back to the scalar oracle
     per query (same results, no speedup)."""
@@ -235,34 +236,14 @@ class BatchResolver:
             depth: LazyClusters(h.levels[depth - 1].election)
             for depth in range(1, h.num_levels + 1)
         }
-        self._global_partition = {0: h.levels[-1].node_ids}
-        self._tables = self._server_tables()
-
-    # -- precomputation ---------------------------------------------------------
-
-    def _server_tables(self) -> dict[int, np.ndarray]:
-        """Dense per-level server tables: ``tables[level][base_pos]`` is
-        the level-``level`` server of the base node at ``base_pos``, or
-        -1 when the (stale) assignment has no such entry."""
-        tables = {
-            level: np.full(self._base.size, -1, dtype=np.int64)
+        if not np.array_equal(assignment.subjects, self._base):
+            raise ValueError("assignment and hierarchy cover different nodes")
+        # A stale assignment can lack a level the hierarchy has.
+        absent = np.full(self._base.size, -1, dtype=np.int64)
+        self._tables = {
+            level: assignment.tables.get(level, absent)
             for level in range(2, self._top + 1)
         }
-        servers = self._assignment.servers
-        if not servers:
-            return tables
-        count = len(servers)
-        subj = np.fromiter((k[0] for k in servers), dtype=np.int64, count=count)
-        lvl = np.fromiter((k[1] for k in servers), dtype=np.int64, count=count)
-        srv = np.fromiter(servers.values(), dtype=np.int64, count=count)
-        pos = np.searchsorted(self._base, subj)
-        known = (pos < self._base.size) & (
-            self._base[np.minimum(pos, self._base.size - 1)] == subj
-        )
-        for level, table in tables.items():
-            m = known & (lvl == level)
-            table[pos[m]] = srv[m]
-        return tables
 
     def hops(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Raw batched hop counts (see :func:`batch_hops`)."""
@@ -273,19 +254,14 @@ class BatchResolver:
         down s's cluster tree (the scalar ``_probe_server``), grouped."""
         h = self._h
         if level == h.num_levels + 1:
-            current = _vectorized_rendezvous_stage(
-                dsub,
-                np.zeros(dsub.size, dtype=np.int64),
-                self._global_partition,
-                _stage_salt(level, level),
-            )
+            current = _global_stage(h, dsub, level)
             start_depth = h.num_levels
         else:
             current = h.ancestry(level)[idx_s_sub]
             start_depth = level
         for depth in range(start_depth, 0, -1):
             current = _vectorized_rendezvous_stage(
-                dsub, current, self._lazy[depth], _stage_salt(level, depth)
+                dsub, current, self._lazy[depth].csr(), _stage_salt(level, depth)
             )
         return current
 
@@ -433,9 +409,7 @@ class BatchResolver:
                 round_trip[i, j] = 2 * max(self._hop_fn(s, cand), 0)
                 is_global = level == h.num_levels + 1
                 if is_global or h.cluster_of(s, level) == h.cluster_of(d, level):
-                    hit_ok[i, j] = (
-                        self._assignment.servers.get((d, level)) == cand
-                    )
+                    hit_ok[i, j] = self._assignment.server_of(d, level) == cand
 
     # -- update (re-registration) plans -----------------------------------------
 

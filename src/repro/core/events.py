@@ -49,6 +49,8 @@ __all__ = [
     "ReorgEvent",
     "HierarchyDiff",
     "diff_hierarchies",
+    "lowest_changed_levels",
+    "pure_moves",
 ]
 
 
@@ -171,6 +173,29 @@ def _edge_diffs(e0: np.ndarray, e1: np.ndarray):
     return up, down
 
 
+def lowest_changed_levels(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> np.ndarray:
+    """Per base node: lowest level where its cluster chain differs
+    (0 = unchanged through the comparable levels)."""
+    lcl = np.zeros(h0.n, dtype=np.int64)
+    for k in range(min(h0.num_levels, h1.num_levels), 0, -1):
+        lcl[h0.ancestry(k) != h1.ancestry(k)] = k
+    return lcl
+
+
+def pure_moves(
+    h0: ClusteredHierarchy, h1: ClusteredHierarchy, k: int,
+    moved: np.ndarray, origin: np.ndarray,
+) -> np.ndarray:
+    """:attr:`MigrationEvent.pure` for the base positions ``moved`` whose
+    level-``k`` cluster changed: the change originates at level 1 and
+    both clusters exist at level k in both snapshots."""
+    v0, v1 = h0.levels[k].node_ids, h1.levels[k].node_ids
+    pure = origin[moved] == 1
+    for cluster in (h0.ancestry(k)[moved], h1.ancestry(k)[moved]):
+        pure &= _isin_sorted(v0, cluster) & _isin_sorted(v1, cluster)
+    return pure
+
+
 def _electors_of(h: ClusteredHierarchy, level: int, head: int) -> list[int]:
     """Level-(level-1) nodes whose *raw* election points at ``head``."""
     election = h.levels[level - 1].election
@@ -240,9 +265,7 @@ def diff_hierarchies(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> Hierarch
     # --- node migration (per level) -------------------------------------------
     # Origin level per node: the lowest level where its ancestry changed.
     min_l = min(h0.num_levels, h1.num_levels)
-    origin = np.zeros(h0.n, dtype=np.int64)
-    for k in range(min_l, 0, -1):
-        origin[h0.ancestry(k) != h1.ancestry(k)] = k
+    origin = lowest_changed_levels(h0, h1)
 
     base_ids = h0.levels[0].node_ids
     for k in range(1, min_l + 1):
@@ -253,13 +276,7 @@ def diff_hierarchies(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> Hierarch
             continue
         old_c = a0[moved]
         new_c = a1[moved]
-        pure = (
-            (origin[moved] == 1)
-            & _isin_sorted(v0(k), old_c)
-            & _isin_sorted(v1(k), old_c)
-            & _isin_sorted(v0(k), new_c)
-            & _isin_sorted(v1(k), new_c)
-        )
+        pure = pure_moves(h0, h1, k, moved, origin)
         nodes = base_ids[moved]
         for i in range(moved.size):
             diff.migrations.append(

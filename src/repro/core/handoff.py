@@ -44,16 +44,22 @@ zero-loss engine) the metering is bit-identical to the lossless rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.core.events import EventKind, HierarchyDiff, diff_hierarchies
+from repro.core.batch_query import batch_hops
+from repro.core.events import (
+    EventKind,
+    HierarchyDiff,
+    diff_hierarchies,
+    lowest_changed_levels,
+    pure_moves,
+)
 from repro.core.servers import (
     ChainedAssignment,
     ServerAssignment,
-    assignment_with_chains,
     full_assignment,
     patch_assignment,
 )
@@ -111,20 +117,21 @@ class HandoffReport:
         return self.phi_packets + self.gamma_packets
 
 
-def _lowest_changed_levels(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> np.ndarray:
-    """Per base node: lowest level where its cluster chain differs
-    (0 = unchanged through the comparable levels)."""
-    n = h0.n
-    min_l = min(h0.num_levels, h1.num_levels)
-    lcl = np.zeros(n, dtype=np.int64)
-    for k in range(min_l, 0, -1):
-        changed = h0.ancestry(k) != h1.ancestry(k)
-        lcl[changed] = k
-    return lcl
+def _tally(level, packets, mask, packets_by_level, entries_by_level) -> None:
+    """Fold one level's charges under ``mask`` into a cause's ledgers."""
+    if mask.any():
+        packets_by_level[level] = int(packets[mask].sum())
+        entries_by_level[level] = int(mask.sum())
 
 
 class HandoffEngine:
     """Stateful handoff meter over a sequence of hierarchy snapshots.
+
+    The assignment is a dense ``level x n`` server table
+    (:class:`~repro.core.servers.ServerAssignment`), so one step's diff,
+    hop metering and cause classification are array operations per
+    level; only a lossy channel walks individual (changed or stale)
+    entries, because its RNG draw order is per entry.
 
     Parameters
     ----------
@@ -135,9 +142,9 @@ class HandoffEngine:
         :class:`~repro.hierarchy.delta.HierarchyDelta` to
         :meth:`observe`, the CHLM assignment is **patched** instead of
         recomputed — only descent chains through dirty clusters are
-        re-hashed, and only those keys (plus outstanding stale keys)
+        re-hashed, and only those rows (plus outstanding stale keys)
         enter the handoff diff.  The metering is bit-identical to the
-        full path: the delta's dirtiness claims are exact, so every key
+        full path: the delta's dirtiness claims are exact, so every row
         outside the candidate set provably kept its server.  Requires
         the rendezvous hash; other hashes silently use the full path.
     """
@@ -147,10 +154,10 @@ class HandoffEngine:
         self.incremental = bool(incremental)
         self._prev_h: ClusteredHierarchy | None = None
         self._prev_a: ServerAssignment | None = None
-        # Incremental state: the previous *intent* (hash output) chains.
-        # Distinct from _prev_a, which under loss reflects the effective
-        # holders; patch cleanliness is an intent-to-intent claim.
-        self._chains: ChainedAssignment | None = None
+        # The previous *intent* (hash output).  Distinct from _prev_a,
+        # which under loss reflects the effective holders; patch
+        # cleanliness is an intent-to-intent claim.
+        self._intent: ServerAssignment | None = None
         # Abandoned-transfer bookkeeping: (subject, level) -> abandon time.
         self._stale: dict[tuple[int, int], float] = {}
 
@@ -185,27 +192,23 @@ class HandoffEngine:
         routes every charge through the lossy channel; ``now`` is the
         simulation clock used to timestamp abandonments and measure
         staleness recovery.  ``delta`` (see the class docstring) enables
-        assignment patching and dirty-key candidate narrowing when the
+        assignment patching and dirty-row candidate narrowing when the
         engine was built with ``incremental=True``.
         """
-        use_chains = self.incremental and self.hash_fn == "rendezvous"
-        dirty_keys: list[tuple[int, int]] | None = None
+        dirty: dict[int, np.ndarray] | None = None
         if (
-            use_chains
+            self.incremental
             and delta is not None
             and not delta.full
-            and self._chains is not None
+            and isinstance(self._intent, ChainedAssignment)
         ):
-            self._chains, dirty_keys = patch_assignment(self._chains, h, delta)
-            assignment = self._chains.as_assignment()
-        elif use_chains:
-            self._chains = assignment_with_chains(h)
-            assignment = self._chains.as_assignment()
+            assignment, dirty = patch_assignment(self._intent, h, delta)
         else:
             assignment = full_assignment(h, self.hash_fn)
-        empty: HandoffReport | None = None
+        self._intent = assignment
         if self._prev_h is None or self._prev_a is None:
-            empty = HandoffReport(
+            self._prev_h, self._prev_a = h, assignment
+            return HandoffReport(
                 migration_packets={},
                 migration_entries={},
                 reorg_packets={},
@@ -216,18 +219,57 @@ class HandoffEngine:
                 reorg_event_counts={},
                 diff=HierarchyDiff(),
             )
-        if empty is not None:
-            self._prev_h, self._prev_a = h, assignment
-            return empty
 
         h0, a0 = self._prev_h, self._prev_a
         diff = diff_hierarchies(h0, h)
-        purity = {(ev.node, ev.level): ev.pure for ev in diff.migrations}
-        lcl = _lowest_changed_levels(h0, h)
-        base_ids = h.levels[0].node_ids
+        lcl = lowest_changed_levels(h0, h)
+        # A node's lowest-level change is a pure migration only when it
+        # originates at level 1 (MigrationEvent.pure at the origin level).
+        pure = np.zeros(lcl.size, dtype=bool)
+        moved1 = np.flatnonzero(lcl == 1)
+        if moved1.size:
+            pure[moved1] = pure_moves(h0, h, 1, moved1, lcl)
+        base = h.levels[0].node_ids
+        absent = np.full(base.size, -1, dtype=np.int64)
 
-        def pos_of(node: int) -> int:
-            return int(np.searchsorted(base_ids, node))
+        # Candidate rows per level.  Full path: every row of every level
+        # either side knows.  Incremental path: the patch's dirty rows
+        # (the only entries whose intent may have moved) plus outstanding
+        # stale keys (whose effective holder differs from an unchanged
+        # intent, or which await the old==new staleness-recovery rule).
+        if dirty is None:
+            rows = dict.fromkeys(a0.tables.keys() | assignment.tables.keys())
+        else:
+            rows = dict(dirty)
+            for level in {lvl for _, lvl in self._stale}:
+                held = [subj for subj, lvl in self._stale if lvl == level]
+                rows[level] = np.union1d(
+                    rows.get(level, absent[:0]), np.searchsorted(base, held)
+                )
+
+        # Per level: the entries whose server moved, the clamped hop
+        # count of each transfer (from the subject for a fresh placement
+        # on a level the hierarchy just grew) and its cause.
+        moves: dict[int, tuple] = {}
+        for level in sorted(rows):
+            idx = rows[level]
+            old = a0.tables.get(level, absent)
+            new = assignment.tables.get(level, absent)
+            if idx is None:
+                idx = np.flatnonzero((old != new) & (new >= 0))
+            else:
+                idx = idx[(old[idx] != new[idx]) & (new[idx] >= 0)]
+            if idx.size == 0:
+                continue
+            old, new = old[idx], new[idx]
+            fresh = old < 0
+            sender = np.where(fresh, base[idx], old)
+            hops = np.maximum(batch_hops(hop_fn, sender, new), 0)
+            by_subject = (lcl[idx] > 0) & (lcl[idx] <= level)
+            migration = ~fresh & np.where(
+                by_subject, pure[idx], pure[np.searchsorted(base, sender)]
+            )
+            moves[level] = (idx, old, hops, migration)
 
         migration_packets: dict[int, int] = {}
         migration_entries: dict[int, int] = {}
@@ -237,90 +279,62 @@ class HandoffEngine:
         abandoned = 0
         recovered = 0
         recovery_time = 0.0
-        # Effective post-step assignment: starts as the hash's intent,
-        # corrected wherever the channel abandoned a transfer.
-        eff = dict(assignment.servers) if delivery is not None else None
+        # Effective post-step columns: the hash's intent, copied and
+        # corrected wherever the channel abandons a transfer.
+        eff = dict(assignment.tables)
 
-        def charge(cause: str, level: int, packets: int) -> None:
-            if cause == "migration":
-                migration_packets[level] = migration_packets.get(level, 0) + packets
-                migration_entries[level] = migration_entries.get(level, 0) + 1
-            else:
-                reorg_packets[level] = reorg_packets.get(level, 0) + packets
-                reorg_entries[level] = reorg_entries.get(level, 0) + 1
-
-        def transfer(key: tuple[int, int], hops: int) -> int:
-            """Send one entry over the channel; returns packets to charge
-            and maintains the stale/effective bookkeeping."""
-            nonlocal retransmitted, abandoned, recovered, recovery_time
-            if delivery is None:
-                return hops
-            out = delivery.send(hops, level=key[1])
-            retransmitted += out.retransmitted
-            if out.delivered:
-                if key in self._stale:
-                    recovered += 1
-                    recovery_time += now - self._stale.pop(key)
-            else:
-                abandoned += 1
-                old = a0.servers.get(key)
-                if old is None:
-                    eff.pop(key, None)  # fresh placement failed: no holder
-                else:
-                    eff[key] = old  # entry stays on the outgoing server
-                self._stale.setdefault(key, now)
-            return out.packets
-
-        # Candidate keys.  Full path: every key either side knows.
-        # Incremental path: the patch's dirty keys (the only keys whose
-        # intent may have moved) plus outstanding stale keys (whose
-        # effective holder differs from an unchanged intent, or which
-        # await the old==new staleness-recovery rule).  Sorted iteration
-        # fixes the lossy-channel draw order, so both paths consume the
-        # RNG identically: clean non-candidate keys never touch it.
-        if dirty_keys is None:
-            keys = sorted(set(assignment.servers) | set(a0.servers))
-        else:
-            keys = sorted(set(dirty_keys) | set(self._stale))
-        for key in keys:
-            subject, level = key
-            old_srv = a0.servers.get(key)
-            new_srv = assignment.servers.get(key)
-            if old_srv == new_srv:
-                if old_srv is not None and key in self._stale:
-                    # The hash swung back to the actual holder: the entry
-                    # is authoritative again without any transfer.
-                    recovered += 1
-                    recovery_time += now - self._stale.pop(key)
-                continue
-            if new_srv is None:
-                # Hierarchy got shallower; entry expires without transfer.
-                self._stale.pop(key, None)
-                continue
-            if old_srv is None:
-                # Hierarchy got deeper; fresh placement from the subject.
-                packets = transfer(key, max(hop_fn(subject, new_srv), 0))
-                charge("reorg", level, packets)
-                continue
-            packets = transfer(key, max(hop_fn(old_srv, new_srv), 0))
-
-            subj_change = int(lcl[pos_of(subject)])
-            if 0 < subj_change <= level:
-                pure = purity.get((subject, subj_change), False)
-                charge("migration" if pure else "reorg", level, packets)
-                continue
-            srv_change = int(lcl[pos_of(old_srv)])
-            if srv_change > 0:
-                pure = purity.get((old_srv, srv_change), False)
-                charge("migration" if pure else "reorg", level, packets)
-                continue
-            charge("reorg", level, packets)
-
-        if delivery is not None and self._stale:
-            # Keys whose level vanished entirely can never recover.
-            self._stale = {
-                k: t for k, t in self._stale.items() if k in assignment.servers
+        if delivery is not None or self._stale:
+            # The channel draws per entry, so walk the moved and stale
+            # keys in ascending (subject, level) order — the order that
+            # fixes the RNG stream on both paths: clean non-candidate
+            # keys never touch it.
+            slot = {
+                (subj, level): i
+                for level, (idx, _, _, _) in moves.items()
+                for i, subj in enumerate(base[idx].tolist())
             }
+            for key in sorted(slot.keys() | self._stale.keys()):
+                subject, level = key
+                i = slot.get(key)
+                if i is None:
+                    if assignment.server_of(subject, level) is None:
+                        # Hierarchy got shallower; entry expires.
+                        if a0.server_of(subject, level) is not None:
+                            del self._stale[key]
+                    else:
+                        # The hash swung back to the actual holder: the
+                        # entry is authoritative again without a transfer.
+                        recovered += 1
+                        recovery_time += now - self._stale.pop(key)
+                    continue
+                if delivery is None:
+                    continue
+                idx, old, hops, _ = moves[level]
+                out = delivery.send(int(hops[i]), level=level)
+                retransmitted += out.retransmitted
+                hops[i] = out.packets  # what the channel actually cost
+                if out.delivered:
+                    if key in self._stale:
+                        recovered += 1
+                        recovery_time += now - self._stale.pop(key)
+                    continue
+                abandoned += 1
+                if eff[level] is assignment.tables[level]:
+                    eff[level] = eff[level].copy()
+                # The entry stays on the outgoing server (-1: a fresh
+                # placement failed, no holder).
+                eff[level][idx[i]] = old[i]
+                self._stale.setdefault(key, now)
+            if delivery is not None and self._stale:
+                # Keys whose level vanished entirely can never recover.
+                self._stale = {
+                    k: t for k, t in self._stale.items()
+                    if assignment.server_of(*k) is not None
+                }
+
+        for level, (_, _, packets, migration) in moves.items():
+            _tally(level, packets, migration, migration_packets, migration_entries)
+            _tally(level, packets, ~migration, reorg_packets, reorg_entries)
 
         # Registration: the level-k server stores the subject's
         # level-(k-1) cluster (the granularity a recursive query needs),
@@ -335,24 +349,23 @@ class HandoffEngine:
         # Levels 2..min_l plus the virtual global level (whose stored
         # component is the subject's top-level cluster).
         for level in range(2, min_l + 2):
-            component_changed = h0.ancestry(level - 1) != h.ancestry(level - 1)
-            for i in np.flatnonzero(component_changed).tolist():
-                v = int(base_ids[i])
-                key = (v, level)
-                srv_now = assignment.servers.get(key)
-                if srv_now is None or a0.servers.get(key) != srv_now:
-                    continue  # moved entries carry the fresh address
-                registration_events += 1
-                hops = max(hop_fn(v, srv_now), 0)
-                if delivery is not None:
-                    out = delivery.send(hops, level=level)
-                    retransmitted += out.retransmitted
-                    if not out.delivered:
-                        abandoned_regs += 1
-                    hops = out.packets
-                registration_packets[level] = registration_packets.get(
-                    level, 0
-                ) + hops
+            idx = np.flatnonzero(h0.ancestry(level - 1) != h.ancestry(level - 1))
+            srv = assignment.tables.get(level, absent)[idx]
+            # Moved entries carry the fresh address.
+            keep = (srv >= 0) & (a0.tables.get(level, absent)[idx] == srv)
+            if not keep.any():
+                continue
+            hops = np.maximum(batch_hops(hop_fn, base[idx[keep]], srv[keep]), 0)
+            registration_events += hops.size
+            if delivery is None:
+                registration_packets[level] = int(hops.sum())
+                continue
+            registration_packets[level] = 0
+            for hop_count in hops.tolist():
+                out = delivery.send(hop_count, level=level)
+                retransmitted += out.retransmitted
+                abandoned_regs += not out.delivered
+                registration_packets[level] += out.packets
 
         report = HandoffReport(
             migration_packets=migration_packets,
@@ -371,7 +384,7 @@ class HandoffEngine:
             recovery_time_total=recovery_time,
             stale_entries=len(self._stale),
         )
-        if eff is not None and eff != assignment.servers:
-            assignment = ServerAssignment(servers=eff)
+        if abandoned:
+            assignment = ServerAssignment(subjects=base, tables=eff)
         self._prev_h, self._prev_a = h, assignment
         return report

@@ -108,7 +108,7 @@ def resolve(
         is_global = level == h.num_levels + 1
         if is_global or h.cluster_of(s, level) == h.cluster_of(d, level):
             # The probe landed on d's actual level-k server.
-            actual = assignment.servers.get((d, level))
+            actual = assignment.server_of(d, level)
             if actual == candidate:
                 return QueryResult(
                     requester=s, target=d, hit_level=level, server=candidate,

@@ -20,12 +20,13 @@ knows the relevant cluster's internal hierarchy can recompute the server
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.core.hashing import HASH_REGISTRY
+from repro.core import hashing
 from repro.hierarchy.delta import HierarchyDelta, LazyClusters
 from repro.hierarchy.levels import ClusteredHierarchy
 
@@ -34,7 +35,6 @@ __all__ = [
     "ChainedAssignment",
     "select_server",
     "full_assignment",
-    "assignment_with_chains",
     "patch_assignment",
 ]
 
@@ -45,9 +45,9 @@ def _resolve_hash(hash_fn) -> HashFn:
     if callable(hash_fn):
         return hash_fn
     try:
-        return HASH_REGISTRY[hash_fn]
+        return hashing.HASH_REGISTRY[hash_fn]
     except KeyError:
-        known = ", ".join(sorted(HASH_REGISTRY))
+        known = ", ".join(sorted(hashing.HASH_REGISTRY))
         raise ValueError(f"unknown hash {hash_fn!r}; known: {known}") from None
 
 
@@ -109,122 +109,147 @@ def select_server(
 
 @dataclass(frozen=True)
 class ServerAssignment:
-    """Snapshot of every (subject, level) -> server mapping.
+    """Snapshot of every (subject, level) -> server mapping, stored as
+    one dense column per LM level.
 
-    ``servers[(subject, level)]`` is the level-0 ID of the LM server
-    storing ``subject``'s level-``level`` address entry.
+    ``tables[level][i]`` is the level-0 ID of the LM server storing the
+    level-``level`` address entry of base node ``subjects[i]`` (sorted
+    base IDs), or -1 when there is no such entry.  The columns are
+    shared between snapshots and must never be written in place.
     """
 
-    servers: dict[tuple[int, int], int]
+    subjects: np.ndarray
+    tables: dict[int, np.ndarray]
+
+    @classmethod
+    def from_mapping(
+        cls, servers: Mapping[tuple[int, int], int], subjects=None
+    ) -> "ServerAssignment":
+        """Build from a ``{(subject, level): server}`` mapping (tests and
+        hand-made assignments); ``subjects`` defaults to the keys'."""
+        if subjects is None:
+            subjects = sorted({subj for subj, _ in servers})
+        subjects = np.asarray(subjects, dtype=np.int64)
+        tables: dict[int, np.ndarray] = {}
+        for (subj, level), srv in servers.items():
+            table = tables.get(level)
+            if table is None:
+                table = tables[level] = np.full(subjects.size, -1, dtype=np.int64)
+            table[np.searchsorted(subjects, subj)] = srv
+        return cls(subjects=subjects, tables=tables)
+
+    @property
+    def servers(self) -> Mapping[tuple[int, int], int]:
+        """Read-only ``{(subject, level): server}`` view, rebuilt on every
+        access (O(entries)): for oracles, tests and examples — bind it to
+        a local; simulation steps read :attr:`tables`."""
+        out: dict[tuple[int, int], int] = {}
+        for level in sorted(self.tables):
+            table = self.tables[level]
+            idx = np.flatnonzero(table >= 0)
+            for subj, srv in zip(self.subjects[idx].tolist(), table[idx].tolist()):
+                out[(subj, level)] = srv
+        return MappingProxyType(out)
+
+    def server_of(self, subject: int, level: int) -> int | None:
+        """Server of one (subject, level) entry, or None."""
+        table = self.tables.get(level)
+        i = int(np.searchsorted(self.subjects, subject))
+        if table is None or i >= table.size or self.subjects[i] != subject:
+            return None
+        srv = int(table[i])
+        return srv if srv >= 0 else None
 
     def servers_of(self, subject: int) -> dict[int, int]:
         """Per-level server of one subject."""
         return {
-            lvl: srv for (subj, lvl), srv in self.servers.items() if subj == subject
+            lvl: srv
+            for lvl in sorted(self.tables)
+            if (srv := self.server_of(subject, lvl)) is not None
         }
 
     def load(self) -> dict[int, int]:
         """Entries stored per server — the Theta(log|V|) duty the paper
         uses to size handoff transfers."""
-        counts: dict[int, int] = {}
-        for srv in self.servers.values():
-            counts[srv] = counts.get(srv, 0) + 1
-        return counts
+        held = [t[t >= 0] for t in self.tables.values()]
+        counts = np.bincount(np.concatenate(held)) if held else np.zeros(0, int)
+        used = np.flatnonzero(counts)
+        return dict(zip(used.tolist(), counts[used].tolist()))
 
     def entries_served_by(self, server: int) -> list[tuple[int, int]]:
         """(subject, level) entries held at ``server``."""
-        return [key for key, srv in self.servers.items() if srv == server]
+        return [
+            (subj, level)
+            for level in sorted(self.tables)
+            for subj in self.subjects[self.tables[level] == server].tolist()
+        ]
 
 
 def _stage_salt(level: int, depth: int) -> int:
     return level * 1315423911 + depth * 2654435761
 
 
+_STAGE_CHUNK = 1 << 14
+"""Subjects hashed per block of the rendezvous stage: bounds the flat
+(subject, candidate) pair arrays (86 top-level candidates x 1e5 subjects
+would otherwise be ~70 MB per temporary)."""
+
+
 def _vectorized_rendezvous_stage(
-    subjects: np.ndarray, current: np.ndarray, partition: dict[int, np.ndarray], salt: int
+    subjects: np.ndarray, current: np.ndarray, partition, salt: int
 ) -> np.ndarray:
     """One descent stage for all subjects at once.
 
     ``current[i]`` is subject i's cluster at this depth; the winner among
-    that cluster's members replaces it.  Grouped by cluster so each group
-    is one (s x m) uint64 weight matrix.
+    that cluster's members replaces it.  ``partition`` is the level in
+    CSR form ``(heads, starts, members)`` (see
+    :meth:`~repro.hierarchy.delta.LazyClusters.csr`).  All (subject,
+    candidate) pairs of a block are hashed as one flat array and reduced
+    per subject segment; weight ties go to the *last* maximal member —
+    the largest ID, :func:`~repro.core.hashing.rendezvous_choice`'s rule.
     """
-    from repro.core.hashing import _GOLDEN, _SALT_CAND, mix64  # private reuse
-
-    out = np.empty_like(current)
-    order = np.argsort(current, kind="stable")
-    uniq, starts = np.unique(current[order], return_index=True)
-    groups = np.split(order, starts[1:])
-    salt_mix = mix64(np.uint64(salt))
+    heads, starts, members = partition
+    out = np.empty(subjects.size, dtype=np.int64)
+    if subjects.size == 0:
+        return out
+    row = np.searchsorted(heads, current)
+    if row.max() >= heads.size or np.any(heads[row] != current):
+        raise KeyError("descent entered a cluster the partition lacks")
+    first = starts[row]
+    count = starts[row + 1] - first
+    mix64 = hashing.mix64
     with np.errstate(over="ignore"):
-        for cid, grp in zip(uniq.tolist(), groups):
-            members = partition[int(cid)]
-            subj_keys = subjects[grp].astype(np.uint64) * _GOLDEN
-            cand_keys = members.astype(np.uint64) * _SALT_CAND
-            weights = mix64(subj_keys[:, np.newaxis] ^ salt_mix ^ cand_keys[np.newaxis, :])
-            out[grp] = members[np.argmax(weights, axis=1)]
+        subj_keys = subjects.astype(np.uint64) * hashing._GOLDEN
+        subj_keys ^= mix64(np.uint64(salt))
+        cand_keys = members.astype(np.uint64) * hashing._SALT_CAND
+    for lo in range(0, subjects.size, _STAGE_CHUNK):
+        hi = lo + _STAGE_CHUNK
+        cnt = count[lo:hi]
+        ends = np.cumsum(cnt)
+        seg = ends - cnt
+        pair = np.arange(ends[-1])
+        cand = pair + np.repeat(first[lo:hi] - seg, cnt)
+        weights = mix64(np.repeat(subj_keys[lo:hi], cnt) ^ cand_keys[cand])
+        best = np.repeat(np.maximum.reduceat(weights, seg), cnt)
+        pair[weights != best] = -1
+        out[lo:hi] = members[cand[np.maximum.reduceat(pair, seg)]]
     return out
 
 
-def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssignment:
-    """Compute the complete CHLM server assignment for a hierarchy.
-
-    One entry per (subject, level) for level = 2..``lm_levels(h)`` —
-    i.e. every real hierarchy level plus the virtual global level.  With
-    L = Theta(log|V|) levels this is the distributed database whose
-    per-node share is Theta(log|V|) entries (Section 3.2's closing
-    observation).
-
-    The default rendezvous hash runs a fully vectorized descent (grouped
-    weight matrices per cluster); other hashes fall back to the scalar
-    per-subject path.
-    """
-    servers: dict[tuple[int, int], int] = {}
-    top = lm_levels(h)
-    if top < 2:
-        return ServerAssignment(servers=servers)
-
-    partitions = {depth: h.clusters(depth) for depth in range(1, h.num_levels + 1)}
-    subjects = h.levels[0].node_ids
-    # The virtual global level: one implicit cluster holding every
-    # top-level node, keyed by a sentinel id.
-    global_partition = {0: h.levels[-1].node_ids}
-
-    if hash_fn == "rendezvous":
-        for level in range(2, top + 1):
-            if level == h.num_levels + 1:
-                current = np.zeros(subjects.size, dtype=np.int64)
-                current = _vectorized_rendezvous_stage(
-                    subjects, current, global_partition, _stage_salt(level, level)
-                )
-                start_depth = h.num_levels
-            else:
-                current = h.ancestry(level).copy()
-                start_depth = level
-            for depth in range(start_depth, 0, -1):
-                current = _vectorized_rendezvous_stage(
-                    subjects, current, partitions[depth], _stage_salt(level, depth)
-                )
-            for subj, srv in zip(subjects.tolist(), current.tolist()):
-                servers[(subj, level)] = srv
-        return ServerAssignment(servers=servers)
-
-    for subject in subjects.tolist():
-        for level in range(2, top + 1):
-            srv = select_server(h, subject, level, hash_fn)
-            if srv is not None:
-                servers[(subject, level)] = srv
-    return ServerAssignment(servers=servers)
+def _global_stage(h: ClusteredHierarchy, subjects: np.ndarray, level: int) -> np.ndarray:
+    """The virtual global level's first stage: every subject picks among
+    all top-level nodes (a one-row CSR partition keyed 0)."""
+    top = h.levels[-1].node_ids
+    one_row = (np.zeros(1, dtype=np.int64), np.array([0, top.size]), top)
+    return _vectorized_rendezvous_stage(
+        subjects, np.zeros(subjects.size, dtype=np.int64), one_row,
+        _stage_salt(level, level),
+    )
 
 
-# --------------------------------------------------------------------------
-# Incremental CHLM: descent chains + dirty-cluster patching
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ChainedAssignment:
-    """A server assignment plus the *descent chains* that produced it.
+@dataclass(frozen=True)
+class ChainedAssignment(ServerAssignment):
+    """A rendezvous assignment plus the *descent chains* that produced it.
 
     ``chains[level][depth]`` is the per-subject array of the level-
     ``depth`` cluster each subject's level-``level`` descent consulted
@@ -236,52 +261,55 @@ class ChainedAssignment:
     the cleanliness test :func:`patch_assignment` applies.
     """
 
-    servers: dict[tuple[int, int], int]
-    chains: dict[int, dict[int, np.ndarray]]
-    subjects: np.ndarray
-
-    def as_assignment(self) -> ServerAssignment:
-        """The plain :class:`ServerAssignment` view (shares the dict)."""
-        return ServerAssignment(servers=self.servers)
+    chains: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
 
 
-def assignment_with_chains(h: ClusteredHierarchy) -> ChainedAssignment:
-    """Rendezvous :func:`full_assignment` that also records chains.
+def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssignment:
+    """Compute the complete CHLM server assignment for a hierarchy.
 
-    The ``servers`` dict is built by the same grouped-stage descent, so
-    it is bit-identical to ``full_assignment(h, "rendezvous").servers``;
-    the chain arrays are the stage inputs the descent consumed anyway
-    (zero extra hashing).
+    One entry per (subject, level) for level = 2..``lm_levels(h)`` —
+    i.e. every real hierarchy level plus the virtual global level.  With
+    L = Theta(log|V|) levels this is the distributed database whose
+    per-node share is Theta(log|V|) entries (Section 3.2's closing
+    observation).
+
+    The default rendezvous hash runs a fully vectorized descent (one
+    segmented stage per depth) and returns a :class:`ChainedAssignment`:
+    the chains are the stage inputs the descent consumes anyway.  Other
+    hashes fall back to the scalar per-subject path.
     """
-    servers: dict[tuple[int, int], int] = {}
-    chains: dict[int, dict[int, np.ndarray]] = {}
     subjects = h.levels[0].node_ids
-    top = lm_levels(h)
-    if top < 2:
-        return ChainedAssignment(servers=servers, chains=chains,
-                                 subjects=subjects)
-    partitions = {depth: h.clusters(depth) for depth in range(1, h.num_levels + 1)}
-    global_partition = {0: h.levels[-1].node_ids}
-    for level in range(2, top + 1):
+    levels = range(2, lm_levels(h) + 1)
+    if hash_fn != "rendezvous":
+        tables = {lvl: np.full(subjects.size, -1, dtype=np.int64) for lvl in levels}
+        for i, subject in enumerate(subjects.tolist()):
+            for level, table in tables.items():
+                srv = select_server(h, subject, level, hash_fn)
+                if srv is not None:
+                    table[i] = srv
+        return ServerAssignment(subjects=subjects, tables=tables)
+
+    partitions = {
+        depth: LazyClusters(h.levels[depth - 1].election).csr()
+        for depth in range(1, h.num_levels + 1)
+    }
+    tables = {}
+    chains: dict[int, dict[int, np.ndarray]] = {}
+    for level in levels:
         if level == h.num_levels + 1:
-            current = np.zeros(subjects.size, dtype=np.int64)
-            current = _vectorized_rendezvous_stage(
-                subjects, current, global_partition, _stage_salt(level, level)
-            )
+            current = _global_stage(h, subjects, level)
             start_depth = h.num_levels
         else:
-            current = h.ancestry(level).copy()
+            current = h.ancestry(level)
             start_depth = level
-        lvl_chain: dict[int, np.ndarray] = {}
+        chains[level] = {}
         for depth in range(start_depth, 0, -1):
-            lvl_chain[depth] = current
+            chains[level][depth] = current
             current = _vectorized_rendezvous_stage(
                 subjects, current, partitions[depth], _stage_salt(level, depth)
             )
-        chains[level] = lvl_chain
-        for subj, srv in zip(subjects.tolist(), current.tolist()):
-            servers[(subj, level)] = srv
-    return ChainedAssignment(servers=servers, chains=chains, subjects=subjects)
+        tables[level] = current
+    return ChainedAssignment(subjects=subjects, tables=tables, chains=chains)
 
 
 def _dirty_mask(dirty_cells: np.ndarray, consulted: np.ndarray) -> np.ndarray:
@@ -296,7 +324,7 @@ def patch_assignment(
     prev: ChainedAssignment,
     h: ClusteredHierarchy,
     delta: HierarchyDelta,
-) -> tuple[ChainedAssignment, list[tuple[int, int]]]:
+) -> tuple[ChainedAssignment, dict[int, np.ndarray]]:
     """Patch a chained assignment onto the next hierarchy snapshot.
 
     A (subject, level) entry is *clean* when its descent entry point is
@@ -306,33 +334,28 @@ def patch_assignment(
     the server is untouched.  Everything else is re-descended as one
     vectorized batch per level over lazily grouped clusters.
 
-    Returns the new chained assignment plus the *dirty keys* — the only
-    keys whose server may differ from ``prev`` (a superset of the keys
-    that actually changed).  ``delta`` must not be ``full``.
+    Returns the new chained assignment plus the *dirty rows* — per level,
+    the ascending subject positions whose server may differ from
+    ``prev`` (a superset of the rows that actually changed; levels with
+    none are absent).  ``delta`` must not be ``full``.
     """
     if delta.full:
         raise ValueError("cannot patch across a full delta")
     num_levels = h.num_levels
-    top = lm_levels(h)
     subjects = prev.subjects
     lazy = {
         depth: LazyClusters(h.levels[depth - 1].election)
         for depth in range(1, num_levels + 1)
     }
-    new_servers = dict(prev.servers)
-    new_chains: dict[int, dict[int, np.ndarray]] = {}
-    dirty_keys: list[tuple[int, int]] = []
-    for level in range(2, top + 1):
+    tables = dict(prev.tables)
+    chains = dict(prev.chains)
+    dirty_rows: dict[int, np.ndarray] = {}
+    for level in range(2, lm_levels(h) + 1):
         old_chain = prev.chains[level]
         if level == num_levels + 1:
             start_depth = num_levels
             if delta.top_changed:
-                entry = _vectorized_rendezvous_stage(
-                    subjects,
-                    np.zeros(subjects.size, dtype=np.int64),
-                    {0: h.levels[-1].node_ids},
-                    _stage_salt(level, level),
-                )
+                entry = _global_stage(h, subjects, level)
                 dirty = entry != old_chain[start_depth]
             else:
                 entry = old_chain[start_depth]
@@ -347,25 +370,21 @@ def patch_assignment(
                 dirty |= _dirty_mask(cells, old_chain[depth])
         sub = np.flatnonzero(dirty)
         if sub.size == 0:
-            new_chains[level] = old_chain
             continue
         subs = subjects[sub]
         current = entry[sub]
-        lvl_chain: dict[int, np.ndarray] = {}
+        chains[level] = {}
         for depth in range(start_depth, 0, -1):
             arr = old_chain[depth].copy()
             arr[sub] = current
-            lvl_chain[depth] = arr
+            chains[level][depth] = arr
             current = _vectorized_rendezvous_stage(
-                subs, current, lazy[depth], _stage_salt(level, depth)
+                subs, current, lazy[depth].csr(), _stage_salt(level, depth)
             )
-        new_chains[level] = lvl_chain
-        for subj, srv in zip(subs.tolist(), current.tolist()):
-            key = (subj, level)
-            new_servers[key] = srv
-            dirty_keys.append(key)
+        tables[level] = prev.tables[level].copy()
+        tables[level][sub] = current
+        dirty_rows[level] = sub
     return (
-        ChainedAssignment(servers=new_servers, chains=new_chains,
-                          subjects=subjects),
-        dirty_keys,
+        ChainedAssignment(subjects=subjects, tables=tables, chains=chains),
+        dirty_rows,
     )

@@ -183,21 +183,16 @@ def check_invariants(
 
     dead_servers = 0
     unreachable_servers = 0
-    if assignment is not None and assignment.servers:
-        count = len(assignment.servers)
-        subjects = np.fromiter(
-            (k[0] for k in assignment.servers), dtype=np.int64, count=count
-        )
-        servers = np.fromiter(
-            assignment.servers.values(), dtype=np.int64, count=count
-        )
+    # One dense column per LM level, rows aligned with ``ids``.
+    for table in assignment.tables.values() if assignment is not None else ():
+        upos = np.flatnonzero(table >= 0)
+        servers = table[upos]
         spos = np.minimum(np.searchsorted(ids, servers), n - 1)
-        upos = np.minimum(np.searchsorted(ids, subjects), n - 1)
-        valid = (ids[spos] == servers) & (ids[upos] == subjects)
-        dead_servers = int((~valid).sum())
+        valid = ids[spos] == servers
+        dead_servers += int((~valid).sum())
         dead_servers += int((valid & ~alive[spos]).sum())
         both_up = valid & alive[spos] & alive[upos]
-        unreachable_servers = int(
+        unreachable_servers += int(
             (labels[spos[both_up]] != labels[upos[both_up]]).sum()
         )
 

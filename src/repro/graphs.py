@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "CompactGraph",
     "bfs_distances",
+    "multi_source_bfs",
     "bfs_path",
     "bfs_tree_path",
 ]
@@ -93,6 +94,22 @@ class CompactGraph:
         return self._sparse
 
 
+def multi_source_bfs(g: CompactGraph, sources) -> np.ndarray:
+    """Hop distances from every node ID in ``sources``: row ``i`` is the
+    distance from ``sources[i]`` to every node, -1 if unreachable.
+
+    One scipy unweighted-Dijkstra call for the whole batch, so the graph
+    is validated and converted once rather than once per source.
+    """
+    from scipy.sparse.csgraph import dijkstra
+
+    idx = [g.index_of(int(s)) for s in sources]
+    if not idx:
+        return np.empty((0, g.n), dtype=np.int64)
+    d = dijkstra(g.sparse(), directed=False, unweighted=True, indices=idx)
+    return np.where(np.isinf(d), -1, d).astype(np.int64)
+
+
 def bfs_distances(g: CompactGraph, source: int, restrict_idx=None) -> np.ndarray:
     """Hop distance from ``source`` (ID) to every node; -1 if unreachable.
 
@@ -102,13 +119,9 @@ def bfs_distances(g: CompactGraph, source: int, restrict_idx=None) -> np.ndarray
     Unrestricted queries run through scipy's C-level unweighted Dijkstra
     (single-source BFS); masked queries use the pure-Python traversal.
     """
-    s = g.index_of(source)
     if restrict_idx is None:
-        from scipy.sparse.csgraph import dijkstra
-
-        d = dijkstra(g.sparse(), directed=False, unweighted=True, indices=s)
-        dist = np.where(np.isinf(d), -1, d).astype(np.int64)
-        return dist
+        return multi_source_bfs(g, [source])[0]
+    s = g.index_of(source)
     dist = np.full(g.n, -1, dtype=np.int64)
     if not restrict_idx[s]:
         return dist

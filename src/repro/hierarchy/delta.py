@@ -44,36 +44,38 @@ __all__ = ["HierarchyDelta", "DeltaPlane", "LazyClusters", "compute_delta"]
 
 
 class LazyClusters:
-    """Mapping view of one level's partition, built lazily and without
-    the per-cluster python loop of :meth:`Election.clusters`.
+    """One level's partition in CSR form, built lazily and without the
+    per-cluster python loop of :meth:`Election.clusters`.
 
+    :meth:`csr` is what the segmented rendezvous kernel consumes;
     ``lazy[cid]`` returns the *same* sorted member array
     ``Election.clusters()[cid]`` would — the grouped slice of sorted
     ``node_ids`` is already ascending — but the grouping arrays are
     computed once on first access, and no per-cluster dict is
-    materialized.  This is what lets the incremental hash descent touch
-    only the clusters on dirty chains.
+    materialized.
     """
 
     def __init__(self, election: Election):
         self._election = election
-        self._heads: np.ndarray | None = None
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _build(self) -> None:
-        e = self._election
-        order = np.argsort(e.member_of, kind="stable")
-        heads, starts = np.unique(e.member_of[order], return_index=True)
-        self._members = e.node_ids[order]
-        self._heads = heads
-        self._starts = np.append(starts, e.node_ids.size)
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(heads, starts, members)``: cluster ``heads[i]`` (ascending)
+        owns ``members[starts[i]:starts[i + 1]]`` (ascending IDs)."""
+        if self._csr is None:
+            e = self._election
+            order = np.argsort(e.member_of, kind="stable")
+            heads, starts = np.unique(e.member_of[order], return_index=True)
+            self._csr = (heads, np.append(starts, e.node_ids.size),
+                         e.node_ids[order])
+        return self._csr
 
     def __getitem__(self, cid: int) -> np.ndarray:
-        if self._heads is None:
-            self._build()
-        i = int(np.searchsorted(self._heads, cid))
-        if i >= self._heads.size or self._heads[i] != cid:
+        heads, starts, members = self.csr()
+        i = int(np.searchsorted(heads, cid))
+        if i >= heads.size or heads[i] != cid:
             raise KeyError(cid)
-        return self._members[self._starts[i]:self._starts[i + 1]]
+        return members[starts[i]:starts[i + 1]]
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs import CompactGraph, bfs_distances
+from repro.graphs import CompactGraph, multi_source_bfs
 from repro.hierarchy.levels import ClusteredHierarchy
 
 __all__ = ["LevelStats", "hierarchy_stats", "mean_hop_count", "level_hop_counts"]
@@ -72,14 +72,10 @@ def mean_hop_count(
         return 0.0
     n_sources = min(n_sources, g.n)
     sources = rng.choice(g.node_ids, size=n_sources, replace=False)
-    total = 0.0
-    count = 0
-    for s in sources:
-        dist = bfs_distances(g, int(s))
-        reached = dist > 0
-        total += float(dist[reached].sum())
-        count += int(reached.sum())
-    return total / count if count else 0.0
+    dist = multi_source_bfs(g, sources)
+    reached = dist > 0
+    count = int(reached.sum())
+    return float(dist[reached].sum()) / count if count else 0.0
 
 
 def level_hop_counts(
@@ -108,23 +104,29 @@ def level_hop_counts(
             if heads.size <= clusters_per_level
             else rng.choice(heads, size=clusters_per_level, replace=False)
         )
-        total = 0.0
-        count = 0
+        # Draw every source first (the RNG order is the sampling order),
+        # then run the level's BFS sweeps as one batched call.
+        sources: list[int] = []
+        member_idx: list[np.ndarray] = []
         for head in chosen:
-            members = base_ids[anc == head]
+            members = np.flatnonzero(anc == head)
             if members.size < 2:
                 continue
             srcs = (
-                members
+                base_ids[members]
                 if members.size <= sources_per_cluster
-                else rng.choice(members, size=sources_per_cluster, replace=False)
+                else rng.choice(
+                    base_ids[members], size=sources_per_cluster, replace=False
+                )
             )
-            member_idx = np.searchsorted(base_ids, members)
-            for s in srcs:
-                dist = bfs_distances(g0, int(s))
-                d = dist[member_idx]
-                ok = d > 0
-                total += float(d[ok].sum())
-                count += int(ok.sum())
+            sources.extend(srcs.tolist())
+            member_idx.extend([members] * srcs.size)
+        total = 0
+        count = 0
+        for dist, idx in zip(multi_source_bfs(g0, sources), member_idx):
+            d = dist[idx]
+            ok = d > 0
+            total += int(d[ok].sum())
+            count += int(ok.sum())
         out[k] = total / count if count else 0.0
     return out

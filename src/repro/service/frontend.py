@@ -289,7 +289,7 @@ class ServiceFrontend:
         from repro.core.servers import lm_levels
 
         for level in range(2, lm_levels(snap.hierarchy) + 1):
-            srv = snap.assignment.servers.get((d, level))
+            srv = snap.assignment.server_of(d, level)
             if srv is None:
                 continue
             packets += self._send(d, srv, level, snap, delivery)

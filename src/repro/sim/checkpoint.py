@@ -26,10 +26,14 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
 """On-disk checkpoint layout version (bumped when fields change shape).
 
-Schema 3 added the event-driven hierarchy plane state (``delta_plane``,
+Schema 4 changed the shape of the pickled handoff ``engine``: its
+assignments are dense per-level server tables
+(:class:`~repro.core.servers.ServerAssignment` ``subjects``/``tables``,
+chains on the same object) instead of ``(subject, level)``-keyed dicts,
+which a schema-3 engine would not unpickle into.  Schema 3 added the event-driven hierarchy plane state (``delta_plane``,
 ``edge_cache``) so incremental runs resume bit-identically.  Schema 2
 replaced the ``down_until`` / ``now`` / ``failure_rng`` triplet with the
 ``chaos`` engine object.  Older-schema checkpoints are refused at load

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import (
     BatchResolver,
+    ServerAssignment,
     full_assignment,
     lm_levels,
     resolve,
@@ -99,11 +100,12 @@ class TestLosslessEquivalence:
         """Deleted (subject, level) entries — abandoned transfers leave
         holes — can never satisfy the hit test."""
         h, pts, _ = deployment(100, 4)
-        assignment = full_assignment(h)
+        servers = dict(full_assignment(h).servers)
         rng = np.random.default_rng(0)
-        keys = list(assignment.servers)
+        keys = list(servers)
         for k in rng.choice(len(keys), size=len(keys) // 3, replace=False):
-            del assignment.servers[keys[int(k)]]
+            del servers[keys[int(k)]]
+        assignment = ServerAssignment.from_mapping(servers, np.arange(100))
         src, dst = random_pairs(100, 200, 13)
         assert_batch_matches_scalar(
             h, assignment, src, dst, EuclideanHops(pts, R_TX))
@@ -111,7 +113,7 @@ class TestLosslessEquivalence:
     def test_chain_rehash_assignment(self):
         """The incremental plane's patched ChainedAssignment (dirty-chain
         re-hash) resolves identically to the scalar oracle."""
-        from repro.core import assignment_with_chains, patch_assignment
+        from repro.core import patch_assignment
 
         rng = np.random.default_rng(6)
         n = 120
@@ -119,7 +121,7 @@ class TestLosslessEquivalence:
         h = build_hierarchy(np.arange(n), unit_disk_edges(pts, R_TX),
                             max_levels=3, level_mode="radio",
                             positions=pts, r0=R_TX)
-        chained = assignment_with_chains(h)
+        chained = full_assignment(h)
         for _ in range(3):
             pts = pts + rng.normal(scale=0.6, size=pts.shape)
             h_next = build_hierarchy(np.arange(n), unit_disk_edges(pts, R_TX),
@@ -130,8 +132,7 @@ class TestLosslessEquivalence:
             h = h_next
             src, dst = random_pairs(n, 150, 21)
             assert_batch_matches_scalar(
-                h, chained.as_assignment(), src, dst,
-                EuclideanHops(pts, R_TX))
+                h, chained, src, dst, EuclideanHops(pts, R_TX))
 
     def test_naive_hash_fallback(self):
         """Non-rendezvous hashes take the scalar fallback — same API,
@@ -224,7 +225,7 @@ class TestUpdatePlans:
         """The front-end's `_update_packets` semantics, inlined."""
         packets = 0
         for level in range(2, lm_levels(h) + 1):
-            srv = assignment.servers.get((d, level))
+            srv = assignment.server_of(d, level)
             if srv is None:
                 continue
             hops = max(hop_fn(d, srv), 0)
@@ -236,12 +237,13 @@ class TestUpdatePlans:
 
     def test_costs_match_scalar(self):
         h, pts, _ = deployment(100, 8)
-        assignment = full_assignment(h)
+        servers = dict(full_assignment(h).servers)
         # knock out some entries so `present` does real work
         rng = np.random.default_rng(1)
-        keys = list(assignment.servers)
+        keys = list(servers)
         for k in rng.choice(len(keys), size=20, replace=False):
-            del assignment.servers[keys[int(k)]]
+            del servers[keys[int(k)]]
+        assignment = ServerAssignment.from_mapping(servers, np.arange(100))
         hop_fn = EuclideanHops(pts, R_TX)
         targets = rng.integers(0, 100, size=60).astype(np.int64)
         plans = BatchResolver(h, assignment, hop_fn).update_plans(targets)

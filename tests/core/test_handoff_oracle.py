@@ -1,0 +1,193 @@
+"""Array handoff engine vs the per-key dict oracle — equal in every field.
+
+Each case drives :class:`repro.core.HandoffEngine` (full-rebuild plane
+and event-driven plane) and ``handoff_oracle.OracleHandoffEngine`` over
+the same snapshot sequence and requires, after every step: the whole
+:class:`~repro.core.handoff.HandoffReport`, the stale-key set, the
+effective assignment, and the lossy channel's RNG state to be equal.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import HandoffEngine
+from repro.faults import DeliveryEngine, LossModel, RetryPolicy
+from repro.geometry import disc_for_density
+from repro.graphs import CompactGraph
+from repro.hierarchy import build_hierarchy, compute_delta
+from repro.radio import radius_for_degree, unit_disk_edges
+from repro.sim.hops import BfsHops, EuclideanHops
+
+from .handoff_oracle import OracleHandoffEngine
+
+N = 150
+DENSITY = 0.02
+R_TX = radius_for_degree(9.0, DENSITY)
+
+
+def drifting_points(seed, steps, drift=0.6):
+    rng = np.random.default_rng(seed)
+    pts = disc_for_density(N, DENSITY).sample(N, rng)
+    out = [pts]
+    for _ in range(steps - 1):
+        out.append(out[-1] + rng.normal(scale=drift, size=pts.shape))
+    return out
+
+
+def snapshot(pts, max_levels=3):
+    edges = unit_disk_edges(pts, R_TX)
+    h = build_hierarchy(np.arange(N), edges, max_levels=max_levels,
+                        level_mode="radio", positions=pts, r0=R_TX)
+    return h, pts, edges
+
+
+def euclidean(h, pts, edges):
+    return EuclideanHops(pts, R_TX)
+
+
+def bfs(h, pts, edges):
+    return BfsHops(CompactGraph(np.arange(N), edges))
+
+
+def plain_callable(h, pts, edges):
+    """No ``batch`` method; returns -1 sometimes (callers clamp)."""
+    return lambda u, v: (u * 7 + v * 13) % 5 - 1
+
+
+def channel(seed, rate, attempts):
+    return DeliveryEngine(loss=LossModel(rate=rate, level_coeff=0.1),
+                          retry=RetryPolicy(max_attempts=attempts),
+                          rng=np.random.default_rng(seed))
+
+
+def assert_tracks_oracle(snaps, incremental, hops=euclidean,
+                         hash_fn="rendezvous", loss_rates=None, attempts=1):
+    """Step both meters through ``snaps``; ``loss_rates[i]`` is the
+    channel's per-hop loss during step i (None = no channel at all)."""
+    eng = HandoffEngine(hash_fn=hash_fn, incremental=incremental)
+    ref = OracleHandoffEngine(hash_fn=hash_fn)
+    lossy = loss_rates is not None
+    d_eng = channel(5, 0.0, attempts) if lossy else None
+    d_ref = channel(5, 0.0, attempts) if lossy else None
+    prev_h = None
+    moved = stale_seen = recovered = 0
+    for step, (h, pts, edges) in enumerate(snaps):
+        if lossy:
+            d_eng.loss = d_ref.loss = LossModel(rate=loss_rates[step],
+                                                level_coeff=0.1)
+        now = 0.37 * step
+        got = eng.observe(h, hops(h, pts, edges), delivery=d_eng, now=now,
+                          delta=compute_delta(prev_h, h))
+        want = ref.observe(h, hops(h, pts, edges), delivery=d_ref, now=now)
+        assert got == want, step
+        assert eng.stale_keys == frozenset(ref.stale), step
+        assert dict(eng.assignment.servers) == ref.servers, step
+        if lossy:
+            assert (d_eng.rng.bit_generator.state
+                    == d_ref.rng.bit_generator.state), step
+            assert d_eng.stats == d_ref.stats, step
+        moved += got.total_handoff_packets
+        stale_seen += got.stale_entries
+        recovered += got.recovered_entries
+        prev_h = h
+    return moved, stale_seen, recovered
+
+
+PLANES = pytest.mark.parametrize("incremental", [False, True],
+                                 ids=["full", "event"])
+
+
+@PLANES
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plain(incremental, seed):
+    snaps = [snapshot(p) for p in drifting_points(seed, 6)]
+    moved, stale, _ = assert_tracks_oracle(snaps, incremental)
+    assert moved > 0 and stale == 0
+
+
+@PLANES
+def test_bfs_hops(incremental):
+    snaps = [snapshot(p) for p in drifting_points(3, 4)]
+    assert_tracks_oracle(snaps, incremental, hops=bfs)
+
+
+@PLANES
+def test_plain_callable_hop_fn(incremental):
+    snaps = [snapshot(p) for p in drifting_points(4, 4)]
+    moved, _, _ = assert_tracks_oracle(snaps, incremental, hops=plain_callable)
+    assert moved > 0
+
+
+@PLANES
+def test_naive_hash(incremental):
+    snaps = [snapshot(p) for p in drifting_points(5, 4)]
+    assert_tracks_oracle(snaps, incremental, hash_fn="naive",
+                         loss_rates=[0.2] * 4)
+
+
+@PLANES
+@pytest.mark.parametrize("seed", [0, 6])
+def test_lossy_with_retries(incremental, seed):
+    snaps = [snapshot(p) for p in drifting_points(seed, 6)]
+    moved, stale, recovered = assert_tracks_oracle(
+        snaps, incremental, loss_rates=[0.3] * 6, attempts=3)
+    assert moved > 0 and stale > 0 and recovered > 0
+
+
+@PLANES
+def test_abandoned_entries_are_retried_until_they_land(incremental):
+    """No retries and a bad channel: stale keys pile up, most of them
+    outside the next step's dirty rows, then drain once it clears."""
+    snaps = [snapshot(p) for p in drifting_points(7, 7, drift=0.4)]
+    _, stale, recovered = assert_tracks_oracle(
+        snaps, incremental, loss_rates=[0, 0.6, 0.6, 0.6, 0, 0, 0])
+    assert stale > 0 and recovered > 0
+
+
+@PLANES
+def test_hash_swings_back_to_the_holder(incremental):
+    """A -> B with (nearly) every transfer abandoned, then B -> A: the
+    intent returns to the servers still holding the entries, which
+    recover without any transfer."""
+    a, b = (snapshot(p) for p in drifting_points(8, 2, drift=1.5))
+    _, stale, recovered = assert_tracks_oracle(
+        [a, b, a, b, a], incremental, loss_rates=[0, 0.95, 0, 0.95, 0])
+    assert stale > 0 and recovered > 0
+
+
+@PLANES
+@pytest.mark.parametrize("loss_rates", [None, [0.5] * 6],
+                         ids=["lossless", "lossy"])
+def test_hierarchy_gets_deeper_and_shallower(incremental, loss_rates):
+    """Depth changes: fresh placements from the subject on a grown
+    level, silent expiry (and stale-key expiry) on a dropped one."""
+    depths = [3, 2, 3, 1, 3, 3]
+    snaps = [snapshot(p, max_levels=d)
+             for p, d in zip(drifting_points(9, 6, drift=0.3), depths)]
+    assert len({h.num_levels for h, _, _ in snaps}) > 1
+    moved, _, _ = assert_tracks_oracle(snaps, incremental,
+                                       loss_rates=loss_rates)
+    assert moved > 0
+
+
+@PLANES
+def test_channel_switched_off_with_stale_keys_outstanding(incremental):
+    """``delivery=None`` while keys are stale still runs the per-key
+    walk (recovery by swing-back, expiry) with lossless charges."""
+    snaps = [snapshot(p) for p in drifting_points(10, 3, drift=1.0)]
+    eng = HandoffEngine(incremental=incremental)
+    ref = OracleHandoffEngine()
+    prev_h = None
+    for step, (h, pts, edges) in enumerate(snaps + snaps[1::-1]):
+        lossy = step in (1, 2)
+        d_eng = channel(3, 0.9, 1) if lossy else None
+        d_ref = channel(3, 0.9, 1) if lossy else None
+        got = eng.observe(h, euclidean(h, pts, edges), delivery=d_eng,
+                          now=float(step), delta=compute_delta(prev_h, h))
+        want = ref.observe(h, euclidean(h, pts, edges), delivery=d_ref,
+                           now=float(step))
+        assert got == want, step
+        assert eng.stale_keys == frozenset(ref.stale), step
+        assert dict(eng.assignment.servers) == ref.servers, step
+        prev_h = h
+    assert want.stale_entries > 0 or want.recovered_entries > 0

@@ -65,10 +65,10 @@ class TestSelectServer:
 
 class TestFullAssignment:
     def test_matches_scalar_descent(self, h300):
-        a = full_assignment(h300)
+        servers = full_assignment(h300).servers
         for subject in range(0, 300, 41):
             for level in range(2, lm_levels(h300) + 1):
-                assert a.servers[(subject, level)] == select_server(
+                assert servers[(subject, level)] == select_server(
                     h300, subject, level
                 )
 
@@ -104,9 +104,10 @@ class TestFullAssignment:
 
     def test_entries_served_by(self, h300):
         a = full_assignment(h300)
-        some_server = next(iter(a.servers.values()))
+        servers = a.servers
+        some_server = next(iter(servers.values()))
         entries = a.entries_served_by(some_server)
-        assert all(a.servers[k] == some_server for k in entries)
+        assert set(entries) == {k for k, s in servers.items() if s == some_server}
         assert entries
 
     def test_naive_assignment_runs(self, h300):
@@ -127,9 +128,9 @@ class TestLoadBalanceComparison:
 class TestChainedAssignment:
     """Incremental CHLM: chains + dirty-cluster patching.
 
-    ``assignment_with_chains`` must reproduce ``full_assignment``'s
-    rendezvous servers exactly, and ``patch_assignment`` must keep that
-    equality over churn while only re-descending dirty keys."""
+    The rendezvous ``full_assignment`` records the chains its descent
+    consumed, and ``patch_assignment`` must keep equality with a fresh
+    ``full_assignment`` over churn while only re-descending dirty rows."""
 
     def _snapshots(self, seed, steps=6, n=120, drift=0.6):
         from repro.geometry import disc_for_density
@@ -148,39 +149,161 @@ class TestChainedAssignment:
         return out
 
     def test_chains_match_full_assignment(self):
-        from repro.core import assignment_with_chains
+        from repro.core import ChainedAssignment
 
         for h in self._snapshots(seed=0, steps=2):
-            chained = assignment_with_chains(h)
-            assert chained.servers == full_assignment(h, "rendezvous").servers
+            chained = full_assignment(h, "rendezvous")
+            assert isinstance(chained, ChainedAssignment)
+            assert sorted(chained.chains) == sorted(chained.tables)
+            for level, chain in chained.chains.items():
+                real = min(level, h.num_levels)
+                assert sorted(chain) == list(range(1, real + 1))
+                if level <= h.num_levels:
+                    assert np.array_equal(chain[level], h.ancestry(level))
+                # Each recorded cell is a level-`depth` cluster id.
+                for depth, cells in chain.items():
+                    assert np.isin(cells, h.levels[depth].node_ids).all()
+            servers = chained.servers
+            for subject in (0, 17, 119):
+                for level in chained.tables:
+                    assert servers[(subject, level)] == select_server(
+                        h, subject, level)
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_patching_matches_full_assignment_over_churn(self, seed):
-        from repro.core import assignment_with_chains, patch_assignment
+        from repro.core import patch_assignment
         from repro.hierarchy import compute_delta
 
         snaps = self._snapshots(seed=seed)
         prev_h = snaps[0]
-        chained = assignment_with_chains(prev_h)
+        chained = full_assignment(prev_h)
         for h in snaps[1:]:
             delta = compute_delta(prev_h, h)
             assert not delta.full
-            chained, dirty_keys = patch_assignment(chained, h, delta)
-            ref = full_assignment(h, "rendezvous").servers
-            assert chained.servers == ref
-            # Dirty keys are sound: every key that actually changed
-            # server (or appeared/vanished) is flagged.
-            prev_servers = assignment_with_chains(prev_h).servers
-            changed = {k for k in set(ref) | set(prev_servers)
-                       if prev_servers.get(k) != ref.get(k)}
-            assert changed <= set(dirty_keys)
+            prev_tables = chained.tables
+            chained, dirty_rows = patch_assignment(chained, h, delta)
+            ref = full_assignment(h, "rendezvous")
+            assert chained.servers == ref.servers
+            for level, chain in ref.chains.items():
+                for depth, cells in chain.items():
+                    assert np.array_equal(chained.chains[level][depth], cells)
+            # Dirty rows are sound: every row whose server actually
+            # changed is flagged.
+            for level, table in ref.tables.items():
+                changed = np.flatnonzero(prev_tables[level] != table)
+                assert np.isin(changed, dirty_rows.get(level, [])).all()
             prev_h = h
 
     def test_patch_rejects_full_delta(self):
-        from repro.core import assignment_with_chains, patch_assignment
+        from repro.core import patch_assignment
         from repro.hierarchy import compute_delta
 
         h = self._snapshots(seed=2, steps=1)[0]
-        chained = assignment_with_chains(h)
+        chained = full_assignment(h)
         with pytest.raises(ValueError):
             patch_assignment(chained, h, compute_delta(None, h))
+
+
+class TestRendezvousKernel:
+    """The segmented stage vs the scalar oracle ``rendezvous_choice``,
+    one subject at a time — including the tie-break rule."""
+
+    @staticmethod
+    def _csr(partition):
+        heads = np.array(sorted(partition), dtype=np.int64)
+        sizes = [len(partition[c]) for c in heads.tolist()]
+        members = np.concatenate(
+            [np.asarray(partition[c], dtype=np.int64) for c in heads.tolist()])
+        return heads, np.concatenate([[0], np.cumsum(sizes)]), members
+
+    @staticmethod
+    def _assert_matches_oracle(subjects, current, partition, salt):
+        from repro.core.hashing import rendezvous_choice
+        from repro.core.servers import _vectorized_rendezvous_stage
+
+        out = _vectorized_rendezvous_stage(
+            subjects, current, TestRendezvousKernel._csr(partition), salt)
+        assert out.dtype == np.int64 and out.shape == subjects.shape
+        for s, c, got in zip(subjects.tolist(), current.tolist(), out.tolist()):
+            assert got == rendezvous_choice(s, salt, partition[c]), (s, c)
+
+    @staticmethod
+    def _random_case(rng, subjects=200):
+        """Gappy cluster ids, ascending member lists, many singletons."""
+        heads = rng.choice(10_000, size=int(rng.integers(1, 30)), replace=False)
+        partition = {
+            int(c): np.sort(rng.choice(
+                100_000, size=int(rng.choice([1, 1, 2, 5, 40])), replace=False))
+            for c in heads
+        }
+        subj = rng.integers(0, 1 << 40, size=subjects).astype(np.int64)
+        current = rng.choice(heads, size=subjects).astype(np.int64)
+        return subj, current, partition
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fuzz_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        subj, current, partition = self._random_case(rng)
+        self._assert_matches_oracle(subj, current, partition, salt=seed * 977 + 3)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        """Blocks are an implementation detail: a block size that splits
+        the batch unevenly changes nothing."""
+        from repro.core import servers
+
+        subj, current, partition = self._random_case(np.random.default_rng(11))
+        whole = servers._vectorized_rendezvous_stage(
+            subj, current, self._csr(partition), 5)
+        monkeypatch.setattr(servers, "_STAGE_CHUNK", 7)
+        self._assert_matches_oracle(subj, current, partition, salt=5)
+        assert np.array_equal(whole, servers._vectorized_rendezvous_stage(
+            subj, current, self._csr(partition), 5))
+
+    def test_empty_batch(self):
+        empty = np.empty(0, dtype=np.int64)
+        self._assert_matches_oracle(empty, empty, {3: [1, 2]}, salt=1)
+
+    def test_one_row_global_partition(self):
+        from repro.core.hashing import rendezvous_choice
+        from repro.core.servers import _vectorized_rendezvous_stage
+
+        top = np.array([4, 9, 17, 23, 51], dtype=np.int64)
+        subj = np.arange(300, dtype=np.int64)
+        out = _vectorized_rendezvous_stage(
+            subj, np.zeros(300, dtype=np.int64), self._csr({0: top}), 99)
+        assert out.tolist() == [rendezvous_choice(s, 99, top) for s in range(300)]
+        assert set(out.tolist()) == set(top.tolist())  # every candidate wins
+
+    def test_unknown_cluster_rejected(self):
+        from repro.core.servers import _vectorized_rendezvous_stage
+
+        with pytest.raises(KeyError):
+            _vectorized_rendezvous_stage(
+                np.array([1]), np.array([8]), self._csr({3: [1, 2]}), 0)
+
+    def test_forced_ties_go_to_the_largest_id(self, monkeypatch):
+        """With every weight equal the oracle picks the largest candidate
+        ID; the kernel must pick the same member of each segment."""
+        monkeypatch.setattr(
+            "repro.core.hashing.mix64",
+            lambda x: np.zeros_like(np.asarray(x, dtype=np.uint64)))
+        from repro.core.servers import _vectorized_rendezvous_stage
+
+        subj, current, partition = self._random_case(np.random.default_rng(2))
+        self._assert_matches_oracle(subj, current, partition, salt=7)
+        out = _vectorized_rendezvous_stage(
+            subj, current, self._csr(partition), 7)
+        assert out.tolist() == [int(partition[c].max()) for c in current.tolist()]
+
+    def test_forced_ties_vectorized_descent_equals_scalar(self, monkeypatch, h300):
+        """End to end: under an all-ties hash the vectorized descent and
+        ``select_server`` still agree (they did not while the stage took
+        the first maximum and the oracle the largest ID)."""
+        monkeypatch.setattr(
+            "repro.core.hashing.mix64",
+            lambda x: np.zeros_like(np.asarray(x, dtype=np.uint64)))
+        servers = full_assignment(h300).servers
+        for subject in range(0, 300, 23):
+            for level in range(2, lm_levels(h300) + 1):
+                assert servers[(subject, level)] == select_server(
+                    h300, subject, level)

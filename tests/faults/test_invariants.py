@@ -1,10 +1,9 @@
 """Tests for per-step hierarchy invariant checking."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
+from repro.core import ServerAssignment
 from repro.faults import (
     InvariantReport,
     InvariantViolationError,
@@ -21,8 +20,9 @@ def two_triangles():
 
 
 def assignment(pairs):
-    """Duck-typed ServerAssignment: {(subject, ...): server}."""
-    return SimpleNamespace(servers={(s, 0): srv for s, srv in pairs})
+    """One-level ServerAssignment over the six nodes: subject -> server."""
+    return ServerAssignment.from_mapping(
+        {(s, 2): srv for s, srv in pairs}, subjects=np.arange(6))
 
 
 class TestReport:

@@ -108,3 +108,50 @@ class TestHopCounts:
         rng = np.random.default_rng(6)
         hks = level_hop_counts(h, g, rng)
         assert 0 < hks[1] < 3.0
+
+    @staticmethod
+    def _level_hop_counts_per_source(h, g0, rng, clusters_per_level=8,
+                                     sources_per_cluster=2):
+        """The one-BFS-per-source loop the batched sampler replaced."""
+        from repro.graphs import bfs_distances
+
+        out = {}
+        base_ids = h.levels[0].node_ids
+        for k in range(1, h.num_levels + 1):
+            anc = h.ancestry(k)
+            heads = np.unique(anc)
+            chosen = (heads if heads.size <= clusters_per_level else
+                      rng.choice(heads, size=clusters_per_level, replace=False))
+            total, count = 0.0, 0
+            for head in chosen:
+                members = base_ids[anc == head]
+                if members.size < 2:
+                    continue
+                srcs = (members if members.size <= sources_per_cluster else
+                        rng.choice(members, size=sources_per_cluster,
+                                   replace=False))
+                for s in srcs:
+                    d = bfs_distances(g0, int(s))[np.searchsorted(base_ids, members)]
+                    total += float(d[d > 0].sum())
+                    count += int((d > 0).sum())
+            out[k] = total / count if count else 0.0
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_sampling_equals_per_source_loop(self, seed):
+        """Same sources in the same RNG order, same means, same RNG
+        state afterwards — on a sparse (disconnected) deployment too."""
+        from repro.graphs import bfs_distances
+
+        g, h = make(300, seed=seed, degree=9.0 if seed else 4.0)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        assert level_hop_counts(h, g, rng_a) == \
+            self._level_hop_counts_per_source(h, g, rng_b)
+        got = mean_hop_count(g, rng_a, n_sources=8)
+        total, count = 0.0, 0
+        for s in rng_b.choice(g.node_ids, size=8, replace=False):
+            d = bfs_distances(g, int(s))
+            total += float(d[d > 0].sum())
+            count += int((d > 0).sum())
+        assert got == total / count
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state

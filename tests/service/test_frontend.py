@@ -62,7 +62,7 @@ def oracle_resolve(sc, snap, req, delivery):
     if req.kind == "update":
         packets = 0
         for level in range(2, lm_levels(snap.hierarchy) + 1):
-            srv = snap.assignment.servers.get((req.target, level))
+            srv = snap.assignment.server_of(req.target, level)
             if srv is None:
                 continue
             hops = max(snap.hop_fn(req.target, srv), 0)

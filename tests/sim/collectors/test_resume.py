@@ -122,6 +122,19 @@ class TestStaleCheckpointRejection:
         with pytest.raises(ValueError, match="schema"):
             load_checkpoint(path)
 
+    def test_schema_3_checkpoint_refused(self, tmp_path):
+        """Schema 3 pickled dict-keyed assignments inside the engine; a
+        file of that vintage must be refused, naming both schemas and
+        the stale file, never resumed."""
+        from repro.sim.checkpoint import CHECKPOINT_SCHEMA
+
+        assert CHECKPOINT_SCHEMA == 4
+        path = self._write_checkpoint(tmp_path, schema=3)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert "checkpoint schema 3 != 4" in str(err.value)
+        assert "stale file" in str(err.value) and str(path) in str(err.value)
+
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         with path.open("wb") as f:

@@ -63,3 +63,16 @@ class TestPaperMap:
             assert hasattr(repro.core, symbol)
         assert hasattr(repro.radio, "gupta_kumar_radius")
         assert hasattr(repro.gls, "GridHierarchy")
+
+
+class TestObservability:
+    def test_phase_table_lists_exactly_the_timer_phases(self):
+        """The documented phase table is `repro.obs.timers.PHASES`, in
+        pipeline order (it once silently omitted `delta`)."""
+        from repro.obs.timers import PHASES
+
+        text = (DOCS / "OBSERVABILITY.md").read_text()
+        table = text[text.index("| phase | covers |"):]
+        table = table[:table.index("\n\n")]
+        documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+        assert tuple(documented) == PHASES

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import DiscRegion
-from repro.graphs import CompactGraph, bfs_distances, bfs_path
+from repro.graphs import CompactGraph, bfs_distances, bfs_path, multi_source_bfs
 from repro.radio import unit_disk_edges
 
 
@@ -96,6 +96,12 @@ def test_bfs_matches_networkx_property(seed, n):
     ours = bfs_distances(g, src)
     for v in range(n):
         assert ours[v] == ref.get(v, -1)
+    # The batched call returns the same rows, one per source, in order.
+    batch = multi_source_bfs(g, [src, 0, src])
+    assert batch.shape == (3, n) and batch.dtype == np.int64
+    assert np.array_equal(batch[0], ours) and np.array_equal(batch[2], ours)
+    assert np.array_equal(batch[1], bfs_distances(g, 0))
+    assert multi_source_bfs(g, []).shape == (0, n)
     # Path length agrees with distance for a random reachable target.
     reach = [v for v in range(n) if v != src and ours[v] > 0]
     if reach:
