@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-all bench-e2e-smoke
+.PHONY: test bench bench-all bench-e2e-smoke bench-history
 
 test:  ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -17,3 +17,6 @@ bench-all:  ## every experiment benchmark (slow; regenerates all paper tables)
 
 bench-e2e-smoke:  ## smoke test of the end-to-end benchmark (BENCHMARK.json; quick sizes)
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+bench-history:  ## append one row per e2e workload to BENCH_history.jsonl (LABEL="PR n")
+	$(PYTHON) benchmarks/history.py --label "$(LABEL)"

@@ -23,7 +23,12 @@ and enforces two ratios:
   n=400) must stay *under* ``HIERARCHY_BUDGET``x (< 1) of the full
   re-election it replaces (``test_bench_hierarchy_full_rebuild``) —
   the event-driven plane only earns its complexity by being cheaper
-  than the rebuild.  Measured ~0.7x at introduction;
+  than the rebuild.  Measured ~0.7x at introduction; 0.43-0.66x in 11
+  of 14 ``make bench`` runs since the election state became two arrays
+  (the numerator moved, 1.29 -> 0.66-1.1 ms; the denominator did not,
+  1.75 -> 1.4-2.4 ms), and 0.83x, 0.91x and 1.51x in the other three,
+  where an outlier among the numerator's five rounds multiplied its
+  mean.  Budget unchanged;
 * the vectorized query resolver (``test_bench_batch_query``, 1000
   lookups) must stay under ``BATCH_QUERY_BUDGET``x (<= 0.05, i.e. a
   >= 20x speedup) of the scalar oracle *per query*

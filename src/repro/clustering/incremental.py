@@ -3,9 +3,10 @@
 The paper's ALCA is *asynchronous*: clusterhead status is re-evaluated
 only where the topology actually changed, not by a global re-election
 sweep.  :class:`IncrementalElection` is the computational mirror of that
-rule for one level: it holds the election state of a fixed node set and
-*patches* it from link deltas, touching only the closed neighborhoods of
-edge endpoints.
+rule for one level: it holds the election state of a fixed node set —
+the vote and support arrays, not a copy of the graph — and *patches* it
+from link deltas, re-voting only the endpoints of changed links over
+the edges that touch them.
 
 Correctness rests on two invariants of :func:`repro.clustering.lca.elect`:
 
@@ -40,6 +41,10 @@ __all__ = ["IncrementalElection"]
 class IncrementalElection:
     """Maintains one level's LCA election under link churn.
 
+    The only state is the vote array and its support counts; the
+    topology itself stays with the caller, who hands :meth:`apply` the
+    step's edge array next to the link events.
+
     Parameters
     ----------
     node_ids:
@@ -53,21 +58,19 @@ class IncrementalElection:
     def __init__(self, node_ids, edges):
         base = elect(node_ids, edges)
         self._ids = base.node_ids
-        self._elected = base.elected_head.copy()
+        # Sorted unique ids 0..n-1 are their own row numbers (level 0),
+        # which spares apply() two searches over the whole edge array.
+        self._dense = bool(self._ids[-1] == self._ids.size - 1
+                           and self._ids[0] == 0)
+        self._elected = base.elected_head
         # support[i] = number of nodes (self included) voting for ids[i].
-        self._support = np.zeros(self._ids.size, dtype=np.int64)
-        np.add.at(self._support, self._index(self._elected), 1)
-        # Adjacency as id -> set of neighbor ids (python sets: the churn
-        # working set is O(events * degree), never O(n)).
-        self._adj: dict[int, set[int]] = {int(v): set() for v in self._ids.tolist()}
-        for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2).tolist():
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+        self._support = np.bincount(self._rows(self._elected),
+                                    minlength=self._ids.size)
 
     # -- internals -----------------------------------------------------------
 
-    def _index(self, ids_arr: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._ids, ids_arr)
+    def _rows(self, ids_arr: np.ndarray) -> np.ndarray:
+        return ids_arr if self._dense else np.searchsorted(self._ids, ids_arr)
 
     @property
     def node_ids(self) -> np.ndarray:
@@ -75,39 +78,33 @@ class IncrementalElection:
 
     # -- event ingestion -----------------------------------------------------
 
-    def apply(self, ups, downs) -> None:
+    def apply(self, ups, downs, edges) -> None:
         """Apply one batch of link events (``(k, 2)`` ID-pair arrays).
 
-        Only the closed neighborhoods of event endpoints are re-voted;
-        the support array absorbs each vote change in O(1).
+        ``edges`` is the level's ``(m, 2)`` edge array *after* the
+        events and is the truth about the topology; ``ups``/``downs``
+        only say where it changed.  Their endpoints re-vote over the
+        edges that touch them, and the support array absorbs each vote
+        change.
         """
-        ups = np.asarray(ups, dtype=np.int64).reshape(-1, 2)
-        downs = np.asarray(downs, dtype=np.int64).reshape(-1, 2)
-        affected: set[int] = set()
-        for u, v in downs.tolist():
-            self._adj[u].discard(v)
-            self._adj[v].discard(u)
-            affected.add(u)
-            affected.add(v)
-        for u, v in ups.tolist():
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-            affected.add(u)
-            affected.add(v)
-        if not affected:
+        touched = np.concatenate([
+            np.asarray(ups, dtype=np.int64).reshape(-1),
+            np.asarray(downs, dtype=np.int64).reshape(-1),
+        ])
+        if touched.size == 0:
             return
-        nodes = np.fromiter(affected, dtype=np.int64, count=len(affected))
-        idx = self._index(nodes)
-        for w, i in zip(nodes.tolist(), idx.tolist()):
-            neigh = self._adj[w]
-            new_vote = max(neigh) if neigh else w
-            if new_vote < w:
-                new_vote = w
-            old_vote = int(self._elected[i])
-            if new_vote != old_vote:
-                self._support[self._index(np.int64(old_vote))] -= 1
-                self._support[self._index(np.int64(new_vote))] += 1
-                self._elected[i] = new_vote
+        marked = np.zeros(self._ids.size, dtype=bool)
+        marked[self._rows(touched)] = True
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        vote = np.where(marked, self._ids, self._elected)
+        for here, there in ((0, 1), (1, 0)):
+            rows = self._rows(e[:, here])
+            revote = marked[rows]
+            np.maximum.at(vote, rows[revote], e[revote, there])
+        moved = np.flatnonzero(vote != self._elected)
+        np.subtract.at(self._support, self._rows(self._elected[moved]), 1)
+        np.add.at(self._support, self._rows(vote[moved]), 1)
+        self._elected = vote
 
     # -- views ---------------------------------------------------------------
 

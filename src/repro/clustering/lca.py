@@ -99,8 +99,8 @@ def elect(node_ids, edges) -> Election:
     Parameters
     ----------
     node_ids:
-        Iterable of unique integer node IDs (any values; the election
-        compares them numerically, as in ID-based clustering).
+        Array or iterable of unique integer node IDs (any values; the
+        election compares them numerically, as in ID-based clustering).
     edges:
         ``(m, 2)`` array of undirected edges given as ID pairs.  Edges
         must reference IDs present in ``node_ids``; self-loops are
@@ -115,7 +115,9 @@ def elect(node_ids, edges) -> Election:
     Complexity is O(n log n + m) — one sort for ID lookup plus scatter
     passes over the edge array.
     """
-    ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
+    if not isinstance(node_ids, np.ndarray):
+        node_ids = list(node_ids)
+    ids = np.unique(np.asarray(node_ids, dtype=np.int64))
     if ids.size == 0:
         raise ValueError("election requires at least one node")
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)

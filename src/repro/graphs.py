@@ -1,11 +1,18 @@
-"""Shared lightweight graph kernels (adjacency lists + BFS).
+"""Shared lightweight graph kernels (CSR adjacency + BFS).
 
 Both the hierarchy statistics (h_k estimation) and the routing layer need
-many unweighted shortest-path queries per simulation step.  NetworkX is
-convenient but allocates heavily; this module keeps a compact
-adjacency-list representation (a list of sorted int arrays) and a plain
-deque BFS, which profiling shows is the fastest pure-Python option at the
-simulator's graph sizes (hundreds to a few thousands of nodes).
+many unweighted shortest-path queries per simulation step, on graphs from
+a few hundred to 10^5 nodes.  NetworkX is convenient but allocates
+heavily; :class:`CompactGraph` keeps the adjacency as two CSR arrays and
+serves distance queries three ways:
+
+* whole rows, any number of sources: one scipy C-level traversal per
+  batch (:func:`multi_source_bfs`);
+* rows of which the caller reads only a few columns (a source's own
+  cluster): a level-synchronous array flood that stops each source once
+  those columns are filled (:func:`multi_source_bfs` with ``targets``);
+* masked traversals and explicit paths (intra-cluster routing): a plain
+  deque BFS, which only ever runs on small restricted node sets.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ class CompactGraph:
     """
 
     def __init__(self, node_ids, edges):
-        self.node_ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
+        if not isinstance(node_ids, np.ndarray):
+            node_ids = list(node_ids)
+        self.node_ids = np.unique(np.asarray(node_ids, dtype=np.int64))
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n = self.node_ids.size
         if e.size:
@@ -57,6 +66,7 @@ class CompactGraph:
         np.cumsum(counts, out=offsets[1:])
         self._offsets = offsets
         self._sparse = None  # lazy scipy CSR for C-level BFS
+        self._components = None  # lazy per-node component labels
 
     @property
     def n(self) -> int:
@@ -68,6 +78,16 @@ class CompactGraph:
         if i >= self.n or self.node_ids[i] != v:
             raise KeyError(f"unknown node id {v}")
         return i
+
+    def index_of_many(self, ids) -> np.ndarray:
+        """Compact indices of an array of node IDs (KeyError if any absent)."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        idx = np.searchsorted(self.node_ids, ids)
+        if np.any(idx >= self.n) or np.any(
+            self.node_ids[np.minimum(idx, self.n - 1)] != ids
+        ):
+            raise KeyError("unknown node id(s)")
+        return idx
 
     def neighbors_idx(self, i: int) -> np.ndarray:
         """Neighbor *indices* of node index ``i``."""
@@ -93,21 +113,101 @@ class CompactGraph:
             )
         return self._sparse
 
+    def components(self) -> np.ndarray:
+        """Lazily-computed connected-component label of every node index."""
+        if self._components is None:
+            from scipy.sparse.csgraph import connected_components
 
-def multi_source_bfs(g: CompactGraph, sources) -> np.ndarray:
+            # The CSR holds both directions of every edge, so its strong
+            # components are the undirected ones and no transpose is built.
+            self._components = connected_components(
+                self.sparse(), directed=True, connection="strong"
+            )[1]
+        return self._components
+
+
+def multi_source_bfs(g: CompactGraph, sources, targets=None) -> np.ndarray:
     """Hop distances from every node ID in ``sources``: row ``i`` is the
     distance from ``sources[i]`` to every node, -1 if unreachable.
 
     One scipy unweighted-Dijkstra call for the whole batch, so the graph
-    is validated and converted once rather than once per source.
+    is validated and converted once rather than once per source.  The CSR
+    already holds both directions of every edge, hence ``directed=True``:
+    undirected mode would only add a transpose and a second validation.
+
+    ``targets``: optional sequence aligned with ``sources``; entry ``i``
+    holds the node IDs whose columns of row ``i`` the caller will read.
+    Row ``i`` is then exact at those columns and may read -1 anywhere
+    else, because the batch is served by :func:`_scoped_flood`, which
+    stops each source as soon as its targets are filled.
     """
+    idx = g.index_of_many(sources)
+    if idx.size == 0:
+        return np.empty((0, g.n), dtype=np.int64)
+    if targets is not None:
+        if len(targets) != idx.size:
+            raise ValueError("targets must align with sources")
+        return _scoped_flood(g, idx, [g.index_of_many(t) for t in targets])
     from scipy.sparse.csgraph import dijkstra
 
-    idx = [g.index_of(int(s)) for s in sources]
-    if not idx:
-        return np.empty((0, g.n), dtype=np.int64)
-    d = dijkstra(g.sparse(), directed=False, unweighted=True, indices=idx)
+    d = dijkstra(g.sparse(), directed=True, unweighted=True, indices=idx)
     return np.where(np.isinf(d), -1, d).astype(np.int64)
+
+
+def _scoped_flood(g: CompactGraph, sources_idx: np.ndarray,
+                  targets_idx: list[np.ndarray]) -> np.ndarray:
+    """Distance-only BFS from many sources at once, each stopped early.
+
+    Every source is one *label*; all labels expand one BFS level per
+    iteration over the CSR arrays (the frontier-gather technique of
+    :func:`repro.routing.bfs_kernels.labeled_next_hop`, without next
+    hops).  A label leaves the frontier once every target in its source's
+    component has a distance; targets in other components can never be
+    reached and must not keep the flood alive until the component is
+    exhausted.  BFS discovers nodes in distance order, so every filled
+    cell is the exact distance.
+    """
+    n = g.n
+    offsets, nbr = g._offsets, g._nbr
+    n_labels = sources_idx.size
+    comp = g.components()
+    dist = np.full(n_labels * n, -1, dtype=np.int64)
+    needed = np.zeros(n_labels * n, dtype=bool)
+    for j, t in enumerate(targets_idx):
+        needed[j * n + t[comp[t] == comp[sources_idx[j]]]] = True
+    f_labels = np.arange(n_labels, dtype=np.int64)
+    seeds = f_labels * n + sources_idx
+    dist[seeds] = 0
+    needed[seeds] = False
+    remaining = needed.reshape(n_labels, n).sum(axis=1)
+    live = remaining > 0
+    f_nodes, f_labels = sources_idx[live], f_labels[live]
+    level = 0
+    while f_nodes.size:
+        level += 1
+        starts = offsets[f_nodes]
+        counts = offsets[f_nodes + 1] - starts
+        # Gather every frontier node's CSR neighbor slice: position r
+        # within slice s lands at starts[s] + r.
+        cum = np.cumsum(counts)
+        pos = np.arange(int(cum[-1]), dtype=np.int64)
+        pos += np.repeat(starts - (cum - counts), counts)
+        keys = np.repeat(f_labels * n, counts) + nbr[pos]
+        keys = keys[dist[keys] < 0]
+        # One frontier entry per newly reached cell: tag each cell with
+        # the position of its last occurrence, keep that occurrence.
+        tag = np.arange(keys.size, dtype=np.int64)
+        dist[keys] = tag
+        keys = keys[dist[keys] == tag]
+        dist[keys] = level
+        f_labels = keys // n
+        f_nodes = keys - f_labels * n
+        hits = needed[keys]
+        if hits.any():
+            remaining -= np.bincount(f_labels[hits], minlength=n_labels)
+            keep = remaining[f_labels] > 0
+            f_nodes, f_labels = f_nodes[keep], f_labels[keep]
+    return dist.reshape(n_labels, n)
 
 
 def bfs_distances(g: CompactGraph, source: int, restrict_idx=None) -> np.ndarray:

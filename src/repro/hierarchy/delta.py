@@ -9,8 +9,9 @@ mirror of that model:
   computes the level-0 :class:`~repro.radio.linkevents.LinkDiff`
   implicitly (per-level encoded-key set diffs), and **patches** the
   recursive ALCA election level by level with
-  :class:`~repro.clustering.incremental.IncrementalElection` — re-voting
-  only the affected-node closure of added/removed edges.  The resulting
+  :class:`~repro.clustering.incremental.IncrementalElection` — which
+  keeps only vote and support arrays and re-votes the endpoints of
+  added/removed edges over the step's edge array.  The resulting
   :class:`~repro.hierarchy.levels.ClusteredHierarchy` is bit-identical
   to a from-scratch :func:`~repro.hierarchy.levels.build_hierarchy`
   (``tests/hierarchy/test_delta_plane.py`` fuzzes this over churn,
@@ -288,7 +289,7 @@ class DeltaPlane:
                 downs = decode_edges(
                     np.setdiff1d(st.keys, keys, assume_unique=True), self._n
                 )
-            st.inc.apply(ups, downs)
+            st.inc.apply(ups, downs, cur_edges)
             st.keys = keys
             st.snapshot = st.inc.snapshot()
             return st.snapshot

@@ -92,7 +92,8 @@ def level_hop_counts(
     members of the same cluster.  (The paper defines h_k as the level-0
     hop count across a level-k cluster; shortest paths may leave the
     cluster region, which matches strict hierarchical forwarding where
-    packets are not confined to cluster boundaries.)
+    packets are not confined to cluster boundaries.)  Only the distances
+    to a source's cluster-mates are read, so each BFS is scoped to them.
     """
     out: dict[int, float] = {}
     base_ids = h.levels[0].node_ids
@@ -123,7 +124,10 @@ def level_hop_counts(
             member_idx.extend([members] * srcs.size)
         total = 0
         count = 0
-        for dist, idx in zip(multi_source_bfs(g0, sources), member_idx):
+        rows = multi_source_bfs(
+            g0, sources, targets=[base_ids[idx] for idx in member_idx]
+        )
+        for dist, idx in zip(rows, member_idx):
             d = dist[idx]
             ok = d > 0
             total += int(d[ok].sum())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs import CompactGraph, bfs_distances, bfs_path
+from repro.graphs import CompactGraph, bfs_distances, bfs_path, multi_source_bfs
 
 __all__ = ["FlatRouter"]
 
@@ -33,6 +33,16 @@ class FlatRouter:
             cached = bfs_distances(self.g, s)
             self._dist_cache[s] = cached
         return cached
+
+    def prefetch(self, sources) -> None:
+        """Fill the cache for every uncached source ID with one batched
+        BFS call (the same rows :meth:`distances_from` would compute)."""
+        missing = [s for s in dict.fromkeys(int(s) for s in sources)
+                   if s not in self._dist_cache]
+        if missing:
+            self._dist_cache.update(
+                zip(missing, multi_source_bfs(self.g, missing))
+            )
 
     def hop_count(self, s: int, d: int) -> int:
         """Shortest-path hop count; -1 if unreachable."""

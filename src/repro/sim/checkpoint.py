@@ -26,15 +26,19 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 4
+CHECKPOINT_SCHEMA = 5
 """On-disk checkpoint layout version (bumped when fields change shape).
 
-Schema 4 changed the shape of the pickled handoff ``engine``: its
-assignments are dense per-level server tables
+Schema 5 shrank the pickled ``delta_plane``: each level's
+:class:`~repro.clustering.incremental.IncrementalElection` is its vote
+and support arrays only (no adjacency dict), which a schema-4 plane
+would not unpickle into.  Schema 4 changed the shape of the pickled
+handoff ``engine``: its assignments are dense per-level server tables
 (:class:`~repro.core.servers.ServerAssignment` ``subjects``/``tables``,
 chains on the same object) instead of ``(subject, level)``-keyed dicts,
-which a schema-3 engine would not unpickle into.  Schema 3 added the event-driven hierarchy plane state (``delta_plane``,
-``edge_cache``) so incremental runs resume bit-identically.  Schema 2
+which a schema-3 engine would not unpickle into.  Schema 3 added the
+event-driven hierarchy plane state (``delta_plane``, ``edge_cache``) so
+incremental runs resume bit-identically.  Schema 2
 replaced the ``down_until`` / ``now`` / ``failure_rng`` triplet with the
 ``chaos`` engine object.  Older-schema checkpoints are refused at load
 time (:func:`repro.persist.load_checkpoint`)."""

@@ -34,22 +34,21 @@ class BfsHops:
     def batch(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized hop counts for aligned ID arrays.
 
-        Groups by source and indexes each cached BFS distance row once —
-        bit-identical to the scalar call (exact BFS distances, -1 when
-        unreachable) and sharing the same per-source cache."""
+        Groups by source, computes the uncached sources' BFS rows in one
+        batched call, and indexes each cached row once — bit-identical to
+        the scalar call (exact BFS distances, -1 when unreachable) and
+        sharing the same per-source cache."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         out = np.empty(us.size, dtype=np.int64)
         if us.size == 0:
             return out
-        g = self._router.g
-        ids = g.node_ids
-        vi = np.searchsorted(ids, vs)
-        if np.any(vi >= ids.size) or np.any(ids[np.minimum(vi, ids.size - 1)] != vs):
-            raise KeyError("unknown node id(s) in hop batch")
+        vi = self._router.g.index_of_many(vs)
         order = np.argsort(us, kind="stable")
         uniq, starts = np.unique(us[order], return_index=True)
-        for s, grp in zip(uniq.tolist(), np.split(order, starts[1:])):
+        uniq = uniq.tolist()
+        self._router.prefetch(uniq)
+        for s, grp in zip(uniq, np.split(order, starts[1:])):
             out[grp] = self._router.distances_from(s)[vi[grp]]
         return out
 

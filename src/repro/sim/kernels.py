@@ -96,10 +96,8 @@ def count_drift(
 
 
 def giant_fraction(g: CompactGraph) -> float:
-    """Largest connected-component fraction via scipy's C-level union."""
+    """Largest connected-component fraction, from the graph's cached
+    (scipy C-level) component labels."""
     if g.n == 0:
         return 0.0
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(g.sparse(), directed=False)
-    return float(np.bincount(labels).max()) / g.n
+    return float(np.bincount(g.components()).max()) / g.n

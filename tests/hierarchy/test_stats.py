@@ -137,13 +137,16 @@ class TestHopCounts:
             out[k] = total / count if count else 0.0
         return out
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_batched_sampling_equals_per_source_loop(self, seed):
         """Same sources in the same RNG order, same means, same RNG
-        state afterwards — on a sparse (disconnected) deployment too."""
+        state afterwards — on a sparse (disconnected) deployment too,
+        and (seed 3) on a deeper hierarchy whose scoped floods stop at
+        very different radii per level."""
         from repro.graphs import bfs_distances
 
-        g, h = make(300, seed=seed, degree=9.0 if seed else 4.0)
+        g, h = make(2000 if seed == 3 else 300, seed=seed,
+                    degree=9.0 if seed else 4.0)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         assert level_hop_counts(h, g, rng_a) == \
             self._level_hop_counts_per_source(h, g, rng_b)

@@ -59,6 +59,23 @@ class TestResumeEqualsUninterrupted:
         assert (resumed.queries.success_series
                 == baseline.queries.success_series)
 
+    def test_resume_on_event_plane(self, tmp_path):
+        """The event-driven plane resumes from its pickled election
+        state, which is the vote and support arrays of each level."""
+        sc = _scenario(incremental_hierarchy=True)
+        baseline = Simulator(sc).run()
+        path = tmp_path / "event.ckpt"
+        Simulator(sc).run(checkpoint_every=5, checkpoint_path=str(path))
+        ck = load_checkpoint(path)
+        levels = ck.delta_plane._state
+        assert levels
+        for st in levels.values():
+            assert all(isinstance(v, (np.ndarray, bool))
+                       for v in vars(st.inc).values())
+        resumed_sim = Simulator.restore(ck)
+        assert 0 < resumed_sim.next_step < sc.steps
+        _assert_same_result(baseline, resumed_sim.run())
+
     def test_restore_accepts_checkpoint_object(self, tmp_path):
         sc = _scenario(steps=8)
         baseline = Simulator(sc).run()
@@ -122,18 +139,26 @@ class TestStaleCheckpointRejection:
         with pytest.raises(ValueError, match="schema"):
             load_checkpoint(path)
 
+    def _assert_schema_refused(self, tmp_path, schema):
+        from repro.sim.checkpoint import CHECKPOINT_SCHEMA
+
+        assert CHECKPOINT_SCHEMA == 5
+        path = self._write_checkpoint(tmp_path, schema=schema)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert f"checkpoint schema {schema} != 5" in str(err.value)
+        assert "stale file" in str(err.value) and str(path) in str(err.value)
+
     def test_schema_3_checkpoint_refused(self, tmp_path):
         """Schema 3 pickled dict-keyed assignments inside the engine; a
         file of that vintage must be refused, naming both schemas and
         the stale file, never resumed."""
-        from repro.sim.checkpoint import CHECKPOINT_SCHEMA
+        self._assert_schema_refused(tmp_path, 3)
 
-        assert CHECKPOINT_SCHEMA == 4
-        path = self._write_checkpoint(tmp_path, schema=3)
-        with pytest.raises(ValueError) as err:
-            load_checkpoint(path)
-        assert "checkpoint schema 3 != 4" in str(err.value)
-        assert "stale file" in str(err.value) and str(path) in str(err.value)
+    def test_schema_4_checkpoint_refused(self, tmp_path):
+        """Schema 4 pickled an adjacency dict inside every level's
+        incremental election; refused the same way."""
+        self._assert_schema_refused(tmp_path, 4)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -81,6 +81,76 @@ class TestBFS:
         assert (bfs_distances(g, 0, restrict_idx=allowed) == -1).all()
 
 
+class TestScopedBFS:
+    """``multi_source_bfs(..., targets=)`` must equal the full rows on
+    every target column, whatever it leaves in the other columns."""
+
+    @staticmethod
+    def _assert_target_columns_equal(g, sources, targets):
+        full = multi_source_bfs(g, sources)
+        scoped = multi_source_bfs(g, sources, targets=targets)
+        assert scoped.shape == full.shape and scoped.dtype == full.dtype
+        for row_f, row_s, t in zip(full, scoped, targets):
+            cols = g.index_of_many(t)
+            assert np.array_equal(row_s[cols], row_f[cols])
+        # Whatever else got filled on the way is exact too.
+        assert np.array_equal(scoped[scoped >= 0], full[scoped >= 0])
+        return scoped
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_disconnected_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(30, 200))
+        ids = np.sort(rng.choice(5 * n, size=n, replace=False))
+        # Few enough edges that the graph falls into many components,
+        # so most target sets contain unreachable ids.
+        pairs = ids[rng.integers(0, n, size=(int(n * rng.uniform(0.4, 1.5)), 2))]
+        g = CompactGraph(ids, pairs[pairs[:, 0] != pairs[:, 1]])
+        assert np.unique(g.components()).size > 1
+        sources = rng.choice(ids, size=9, replace=True).tolist()
+        sources[3] = sources[0]  # duplicate source, different targets
+        targets = [
+            rng.choice(ids, size=int(rng.integers(0, 25)), replace=False)
+            for _ in sources
+        ]
+        scoped = self._assert_target_columns_equal(g, sources, targets)
+        full = multi_source_bfs(g, sources)
+        assert any((full[i][g.index_of_many(t)] < 0).any()
+                   for i, t in enumerate(targets))
+        assert (scoped >= 0).sum() <= (full >= 0).sum()
+
+    def test_flood_stops_at_the_last_target(self):
+        g = CompactGraph(range(10), [[i, i + 1] for i in range(9)])
+        row = multi_source_bfs(g, [0], targets=[[1, 3]])[0]
+        assert row.tolist() == [0, 1, 2, 3, -1, -1, -1, -1, -1, -1]
+
+    def test_unreachable_target_does_not_flood_the_component(self):
+        edges = [[i, i + 1] for i in range(9)]  # path 0..9; node 10 isolated
+        g = CompactGraph(range(11), edges)
+        row = multi_source_bfs(g, [0], targets=[[2, 10]])[0]
+        assert row.tolist() == [0, 1, 2] + [-1] * 8
+        row = multi_source_bfs(g, [0], targets=[[10]])[0]
+        assert row.tolist() == [0] + [-1] * 10
+
+    def test_source_is_its_own_only_target(self):
+        g = CompactGraph(range(4), [[0, 1], [1, 2], [2, 3]])
+        rows = multi_source_bfs(g, [2, 2], targets=[[2], [2, 2]])
+        assert rows.tolist() == [[-1, -1, 0, -1]] * 2
+
+    def test_empty_inputs(self):
+        g = CompactGraph(range(4), [[0, 1], [2, 3]])
+        assert multi_source_bfs(g, [], targets=[]).shape == (0, 4)
+        rows = multi_source_bfs(g, [0, 3], targets=[[], np.empty(0, int)])
+        assert rows.tolist() == [[0, -1, -1, -1], [-1, -1, -1, 0]]
+
+    def test_misaligned_or_unknown_targets_rejected(self):
+        g = CompactGraph(range(4), [[0, 1], [2, 3]])
+        with pytest.raises(ValueError):
+            multi_source_bfs(g, [0, 1], targets=[[1]])
+        with pytest.raises(KeyError):
+            multi_source_bfs(g, [0], targets=[[7]])
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31), n=st.integers(2, 60))
 def test_bfs_matches_networkx_property(seed, n):
@@ -102,6 +172,9 @@ def test_bfs_matches_networkx_property(seed, n):
     assert np.array_equal(batch[0], ours) and np.array_equal(batch[2], ours)
     assert np.array_equal(batch[1], bfs_distances(g, 0))
     assert multi_source_bfs(g, []).shape == (0, n)
+    # Scoped to any target set, the target columns are the same.
+    t = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
+    assert np.array_equal(multi_source_bfs(g, [src], targets=[t])[0][t], ours[t])
     # Path length agrees with distance for a random reachable target.
     reach = [v for v in range(n) if v != src and ours[v] > 0]
     if reach:
