@@ -69,6 +69,45 @@ def test_bench_full_assignment(benchmark, deployment):
     assert len(a.servers) == N * h.num_levels
 
 
+@pytest.fixture(scope="module")
+def step_pair(deployment):
+    """Two snapshots one 1 m/s second apart (the event plane's regime)."""
+    pts0, r_tx, _ = deployment
+    heading = np.random.default_rng(1).uniform(0, 2 * np.pi, N)
+    pts1 = pts0 + np.stack([np.cos(heading), np.sin(heading)], axis=1)
+    return tuple(
+        build_hierarchy(np.arange(N), unit_disk_edges(pts, r_tx), max_levels=4,
+                        level_mode="radio", positions=pts, r0=r_tx)
+        for pts in (pts0, pts1)
+    )
+
+
+def test_bench_diff_hierarchies(benchmark, step_pair):
+    """Event detection between consecutive snapshots (struct-of-arrays
+    columns; no per-event objects)."""
+    from repro.core import diff_hierarchies
+
+    diff = benchmark.pedantic(diff_hierarchies, args=step_pair, rounds=30,
+                              warmup_rounds=2)
+    assert diff.mig_node.size > 0 and diff.reorg_kind.size > 0
+
+
+def test_bench_patch_assignment(benchmark, step_pair):
+    """Stage-wise CHLM patch across one step, vs test_bench_full_assignment
+    for the rebuild it replaces."""
+    from repro.core import patch_assignment
+    from repro.hierarchy import compute_delta
+
+    h0, h1 = step_pair
+    prev, delta = full_assignment(h0), compute_delta(h0, h1)
+    assert not delta.full
+    patched, dirty_rows = benchmark.pedantic(
+        patch_assignment, args=(prev, h1, delta), rounds=30, warmup_rounds=2)
+    assert dirty_rows and all(
+        np.array_equal(patched.tables[lvl], table)
+        for lvl, table in full_assignment(h1).tables.items())
+
+
 def test_bench_bfs_distances(benchmark, deployment):
     _, _, edges = deployment
     g = CompactGraph(np.arange(N), edges)
@@ -137,7 +176,14 @@ def test_bench_fabric_incremental(benchmark):
     assert stats.rows_reused > 0  # the update actually reused flood state
 
 
-def _hierarchy_bench_state(n=400, drift=0.15):
+HIERARCHY_N = 2000
+"""Size of the patch-vs-rebuild pair.  It ran at n=400 until the rebuild
+stopped row-sorting canonical edges; at that size the patch's fixed
+per-level cost now makes the two planes cost the same (0.87-0.98x),
+and the event-plane workloads run at n = 10^4 and 10^5."""
+
+
+def _hierarchy_bench_state(n=HIERARCHY_N, drift=0.15):
     """Two consecutive snapshots of a drifting deployment (the
     simulator's steady state): positions + canonical edge arrays."""
     region = disc_for_density(n, DENSITY)
@@ -153,7 +199,7 @@ def _hierarchy_bench_state(n=400, drift=0.15):
 def test_bench_hierarchy_full_rebuild(benchmark):
     """Baseline for the event plane: from-scratch build_hierarchy on the
     steady-state snapshot (what every non-incremental step pays)."""
-    n = 400
+    n = HIERARCHY_N
     r_tx, _, (pts1, e1) = _hierarchy_bench_state(n)
     h = benchmark(build_hierarchy, np.arange(n), e1, max_levels=3,
                   level_mode="radio", positions=pts1, r0=r_tx)
@@ -164,10 +210,11 @@ def test_bench_hierarchy_incremental(benchmark):
     """Steady-state hierarchy maintenance: one DeltaPlane.advance()
     under a small mobility drift — re-votes only the affected-node
     closure.  The budget gate (HIERARCHY_BUDGET < 1) pins this cheaper
-    than the full re-election it replaces."""
+    than the full re-election it replaces.  20 rounds, because the gate
+    compares means and one slow round in five used to multiply this one."""
     from repro.hierarchy import DeltaPlane
 
-    n = 400
+    n = HIERARCHY_N
     r_tx, (pts0, e0), (pts1, e1) = _hierarchy_bench_state(n)
 
     def make_state():
@@ -180,7 +227,7 @@ def test_bench_hierarchy_incremental(benchmark):
         plane.delta()  # the step's full cost includes the delta
         return h
 
-    h = benchmark.pedantic(one_advance, setup=make_state, rounds=5)
+    h = benchmark.pedantic(one_advance, setup=make_state, rounds=20)
     assert h.num_levels >= 2
 
 

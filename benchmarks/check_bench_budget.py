@@ -1,15 +1,20 @@
 """Assert the forwarding-fabric kernels stay inside their perf budget.
 
 Reads a pytest-benchmark JSON file (``BENCH_kernels.json`` by default)
-and enforces two ratios:
+and enforces these gates:
 
-* full fabric construction (``test_bench_forwarding_fabric``) must stay
-  within ``FABRIC_BUDGET``x of full CHLM assignment
-  (``test_bench_full_assignment``) — before the batched CSR kernels the
-  fabric took ~3.7 s; the budget pins the two-orders-of-magnitude win;
-* one incremental fabric update (``test_bench_fabric_incremental``)
-  must stay within ``INCREMENTAL_BUDGET``x of a simulator step
-  (``test_bench_simulator_step``), the tentpole's steady-state target;
+* full fabric construction (``test_bench_forwarding_fabric``) and one
+  incremental fabric update (``test_bench_fabric_incremental``) must
+  each stay within ``SELF_TOLERANCE``x of **their own mean in the
+  committed file** (``git show HEAD:BENCH_kernels.json``).  Both used to
+  be gated as ratios to another benchmark —
+  ``test_bench_full_assignment``, ``test_bench_simulator_step`` — and
+  those denominators kept getting faster (31.2 -> 3.4 ms and 43.9 ->
+  17.6 ms in one PR, then again), so the ratio budgets had to be
+  re-anchored (25 -> 230, 2 -> 5) with the numerators unchanged.  A
+  benchmark compared with its own previous value needs no re-anchoring;
+  the check is skipped where there is no committed file to compare with
+  (no git checkout, or a first run);
 * a fully chaotic step (``test_bench_chaos_step``: active crash
   episode + partition cut + per-step invariant checking) must stay
   within ``CHAOS_BUDGET``x of the plain step — fault injection and
@@ -19,16 +24,16 @@ and enforces two ratios:
   queued) must stay within ``SERVICE_BUDGET``x of the plain step —
   the front-end is an observer and must stay in the same cost class
   as the simulation it observes;
-* one steady-state hierarchy patch (``test_bench_hierarchy_incremental``,
-  n=400) must stay *under* ``HIERARCHY_BUDGET``x (< 1) of the full
-  re-election it replaces (``test_bench_hierarchy_full_rebuild``) —
-  the event-driven plane only earns its complexity by being cheaper
-  than the rebuild.  Measured ~0.7x at introduction; 0.43-0.66x in 11
-  of 14 ``make bench`` runs since the election state became two arrays
-  (the numerator moved, 1.29 -> 0.66-1.1 ms; the denominator did not,
-  1.75 -> 1.4-2.4 ms), and 0.83x, 0.91x and 1.51x in the other three,
-  where an outlier among the numerator's five rounds multiplied its
-  mean.  Budget unchanged;
+* one steady-state hierarchy patch (``test_bench_hierarchy_incremental``)
+  must stay *under* ``HIERARCHY_BUDGET``x (< 1) of the full re-election
+  it replaces (``test_bench_hierarchy_full_rebuild``) — the event-driven
+  plane only earns its complexity by being cheaper than the rebuild.
+  The pair runs at n=2000 (~0.69x).  It ran at n=400 until
+  ``canonical_edges`` stopped row-sorting canonical input: the rebuild
+  went 1.46 -> 0.72 ms there, the patch 0.79 -> 0.70 ms, and at 0.87-0.98x
+  that size no longer tells the two planes apart (the patch's fixed
+  per-level cost is most of it; 0.88x at n=1000, 0.62x at n=5000).
+  Budget unchanged;
 * the vectorized query resolver (``test_bench_batch_query``, 1000
   lookups) must stay under ``BATCH_QUERY_BUDGET``x (<= 0.05, i.e. a
   >= 20x speedup) of the scalar oracle *per query*
@@ -43,24 +48,6 @@ and enforces two ratios:
   that it never grows further; its end-to-end win (skipping the
   executor pipe's chunked transfer) is EXP-S1's job to demonstrate.
 
-Re-anchoring (array-native handoff metering).  Two gates divide by a
-benchmark that PR made several times faster, so their ratios rose with
-no change in the numerators; each budget was rescaled to allow the same
-numerator milliseconds as before (means from the committed
-``BENCH_kernels.json`` before -> after):
-
-* ``FABRIC_BUDGET`` 25 -> 230: ``full_assignment`` 31.24 -> 3.38 ms,
-  ``forwarding_fabric`` 61.18 -> 56.74 ms, ratio 1.96x -> 16.8x; the old
-  budget allowed 25 x 31.24 = 781 ms of fabric build = 231 x 3.38 ms.
-* ``INCREMENTAL_BUDGET`` 2 -> 5: ``simulator_step`` 43.89 -> 17.63 ms,
-  ``fabric_incremental`` 25.77 -> 25.44 ms, ratio 0.59x -> 1.44x; the
-  old budget allowed 2 x 43.89 = 87.8 ms = 4.98 x 17.63 ms.
-* ``CHAOS_BUDGET`` and ``SERVICE_BUDGET`` share that denominator but
-  their numerators contain the step itself and shrank with it (1.14x ->
-  1.00x, 1.10x -> 1.30x): unchanged, so both are stricter in
-  milliseconds than they were.  ``HIERARCHY_BUDGET``,
-  ``BATCH_QUERY_BUDGET`` and ``SHM_BUDGET`` are untouched.
-
 Exit status is non-zero on violation, so CI fails the build.
 
 Usage: ``python benchmarks/check_bench_budget.py [BENCH_kernels.json]``
@@ -69,10 +56,13 @@ Usage: ``python benchmarks/check_bench_budget.py [BENCH_kernels.json]``
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
+from pathlib import Path
 
-FABRIC_BUDGET = 230.0
-INCREMENTAL_BUDGET = 5.0
+SELF_TOLERANCE = 1.5
+SELF_GATED = ("test_bench_forwarding_fabric", "test_bench_fabric_incremental")
+COMMITTED = "BENCH_kernels.json"
 CHAOS_BUDGET = 2.0
 SERVICE_BUDGET = 4.0
 HIERARCHY_BUDGET = 0.85
@@ -99,14 +89,40 @@ def mean_of(benchmarks: list[dict], name: str) -> float | None:
     raise SystemExit(f"benchmark {name!r} missing from results")
 
 
+def committed_benchmarks() -> list[dict] | None:
+    """``COMMITTED`` as of HEAD, or None when git cannot produce it."""
+    try:
+        shown = subprocess.run(
+            ["git", "show", f"HEAD:{COMMITTED}"], text=True, check=True,
+            cwd=Path(__file__).resolve().parent.parent,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return json.loads(shown.stdout)["benchmarks"]
+
+
+def check_against_committed(benchmarks: list[dict]) -> bool:
+    """Gate ``SELF_GATED`` against their committed means; True on failure."""
+    committed = committed_benchmarks()
+    failed = False
+    for name in SELF_GATED:
+        if committed is None:
+            print(f"SKIP: {name} (no committed {COMMITTED} to compare with)")
+            continue
+        t, ref = mean_of(benchmarks, name), mean_of(committed, name)
+        ratio = t / ref
+        failed |= ratio > SELF_TOLERANCE
+        print(f"{'FAIL' if ratio > SELF_TOLERANCE else 'OK'}: {name} "
+              f"{t * 1e3:.1f} ms = {ratio:.3g}x its committed "
+              f"{ref * 1e3:.1f} ms (tolerance {SELF_TOLERANCE:g}x)")
+    return failed
+
+
 def main(path: str) -> int:
     with open(path) as f:
         benchmarks = json.load(f)["benchmarks"]
     checks = [
-        ("test_bench_forwarding_fabric", "test_bench_full_assignment",
-         FABRIC_BUDGET),
-        ("test_bench_fabric_incremental", "test_bench_simulator_step",
-         INCREMENTAL_BUDGET),
         ("test_bench_chaos_step", "test_bench_simulator_step",
          CHAOS_BUDGET),
         ("test_bench_service_step", "test_bench_simulator_step",
@@ -118,7 +134,7 @@ def main(path: str) -> int:
         ("test_bench_result_transport_shm", "test_bench_result_transport_pickle",
          SHM_BUDGET),
     ]
-    failed = False
+    failed = check_against_committed(benchmarks)
     for name, baseline, budget, *rest in checks:
         scale = rest[0] if rest else 1.0
         t, ref = mean_of(benchmarks, name), mean_of(benchmarks, baseline)

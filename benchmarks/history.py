@@ -15,6 +15,11 @@ Usage (``make bench-history`` runs the first form)::
 
 ``--checkout`` measures another working tree (its own ``run.py`` and
 ``src/``) and still appends to this repository's history file.
+
+A row measured on uncommitted changes (``dirty: true``) carries the
+commit it was based on, which it shares with its parent's row; its
+``tree`` field — the ``git write-tree`` hash of the working tree as
+``git add -A`` would stage it — is what tells the two apart.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,9 +38,19 @@ METRICS = ("wall_s", "setup_s", "peak_rss_mb", "pycalls_per_node_step",
            "ok_share")
 
 
-def git(checkout: Path, *args: str) -> str:
+def git(checkout: Path, *args: str, env: dict | None = None) -> str:
     return subprocess.run(["git", *args], cwd=checkout, text=True, check=True,
-                          stdout=subprocess.PIPE).stdout.strip()
+                          stdout=subprocess.PIPE, env=env).stdout.strip()
+
+
+def worktree_tree(checkout: Path) -> str:
+    """Tree hash of the working tree, staged into a throw-away index so
+    the checkout's own index is left alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git(checkout, "read-tree", "HEAD", env=env)
+        git(checkout, "add", "-A", env=env)
+        return git(checkout, "write-tree", env=env)[:7]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -106,6 +122,8 @@ def main() -> int:
         "label": args.label,
         "cores": os.cpu_count(),
     }
+    if stamp["dirty"]:
+        stamp["tree"] = worktree_tree(checkout)
     if args.quick:
         stamp["quick"] = True
     for workload in names:

@@ -261,7 +261,7 @@ class BatchResolver:
             start_depth = level
         for depth in range(start_depth, 0, -1):
             current = _vectorized_rendezvous_stage(
-                dsub, current, self._lazy[depth].csr(), _stage_salt(level, depth)
+                dsub, current, self._lazy[depth], _stage_salt(level, depth)
             )
         return current
 

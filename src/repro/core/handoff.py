@@ -50,19 +50,14 @@ from typing import Callable
 import numpy as np
 
 from repro.core.batch_query import batch_hops
-from repro.core.events import (
-    EventKind,
-    HierarchyDiff,
-    diff_hierarchies,
-    lowest_changed_levels,
-    pure_moves,
-)
+from repro.core.events import EventKind, HierarchyDiff, diff_hierarchies
 from repro.core.servers import (
     ChainedAssignment,
     ServerAssignment,
     full_assignment,
     patch_assignment,
 )
+from repro.graphs import IdIndex
 from repro.hierarchy.delta import HierarchyDelta
 from repro.hierarchy.levels import ClusteredHierarchy
 
@@ -141,12 +136,13 @@ class HandoffEngine:
         When True *and* the caller supplies a non-full
         :class:`~repro.hierarchy.delta.HierarchyDelta` to
         :meth:`observe`, the CHLM assignment is **patched** instead of
-        recomputed — only descent chains through dirty clusters are
-        re-hashed, and only those rows (plus outstanding stale keys)
-        enter the handoff diff.  The metering is bit-identical to the
-        full path: the delta's dirtiness claims are exact, so every row
-        outside the candidate set provably kept its server.  Requires
-        the rendezvous hash; other hashes silently use the full path.
+        recomputed — only descent stages whose input or consulted member
+        list changed are re-hashed, and only the rows whose server moved
+        (plus outstanding stale keys) enter the handoff diff.  The
+        metering is bit-identical to the full path: the delta's
+        dirtiness claims are exact, so every row outside the candidate
+        set provably kept its server.  Requires the rendezvous hash;
+        other hashes silently use the full path.
     """
 
     def __init__(self, hash_fn="rendezvous", incremental=False):
@@ -222,21 +218,24 @@ class HandoffEngine:
 
         h0, a0 = self._prev_h, self._prev_a
         diff = diff_hierarchies(h0, h)
-        lcl = lowest_changed_levels(h0, h)
-        # A node's lowest-level change is a pure migration only when it
-        # originates at level 1 (MigrationEvent.pure at the origin level).
-        pure = np.zeros(lcl.size, dtype=bool)
-        moved1 = np.flatnonzero(lcl == 1)
-        if moved1.size:
-            pure[moved1] = pure_moves(h0, h, 1, moved1, lcl)
         base = h.levels[0].node_ids
+        row_of = IdIndex(base).rows
+        # Per node: the lowest level its ancestry changed at (0: nowhere)
+        # — every migration event of a node carries it — and whether that
+        # change is a pure migration, which it can only be at level 1
+        # (MigrationEvent.pure at the origin level).
+        lcl = np.zeros(base.size, dtype=np.int64)
+        lcl[row_of(diff.mig_node)] = diff.mig_origin
+        pure = np.zeros(base.size, dtype=bool)
+        at_level1 = diff.mig_level == 1
+        pure[row_of(diff.mig_node[at_level1])] = diff.mig_pure[at_level1]
         absent = np.full(base.size, -1, dtype=np.int64)
 
         # Candidate rows per level.  Full path: every row of every level
         # either side knows.  Incremental path: the patch's dirty rows
-        # (the only entries whose intent may have moved) plus outstanding
-        # stale keys (whose effective holder differs from an unchanged
-        # intent, or which await the old==new staleness-recovery rule).
+        # (the entries whose intent moved) plus outstanding stale keys
+        # (whose effective holder differs from an unchanged intent, or
+        # which await the old==new staleness-recovery rule).
         if dirty is None:
             rows = dict.fromkeys(a0.tables.keys() | assignment.tables.keys())
         else:
@@ -244,7 +243,7 @@ class HandoffEngine:
             for level in {lvl for _, lvl in self._stale}:
                 held = [subj for subj, lvl in self._stale if lvl == level]
                 rows[level] = np.union1d(
-                    rows.get(level, absent[:0]), np.searchsorted(base, held)
+                    rows.get(level, absent[:0]), row_of(held)
                 )
 
         # Per level: the entries whose server moved, the clamped hop
@@ -267,7 +266,7 @@ class HandoffEngine:
             hops = np.maximum(batch_hops(hop_fn, sender, new), 0)
             by_subject = (lcl[idx] > 0) & (lcl[idx] <= level)
             migration = ~fresh & np.where(
-                by_subject, pure[idx], pure[np.searchsorted(base, sender)]
+                by_subject, pure[idx], pure[row_of(sender)]
             )
             moves[level] = (idx, old, hops, migration)
 

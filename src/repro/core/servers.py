@@ -27,6 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.core import hashing
+from repro.graphs import IdIndex
 from repro.hierarchy.delta import HierarchyDelta, LazyClusters
 from repro.hierarchy.levels import ClusteredHierarchy
 
@@ -201,19 +202,24 @@ def _vectorized_rendezvous_stage(
     """One descent stage for all subjects at once.
 
     ``current[i]`` is subject i's cluster at this depth; the winner among
-    that cluster's members replaces it.  ``partition`` is the level in
-    CSR form ``(heads, starts, members)`` (see
-    :meth:`~repro.hierarchy.delta.LazyClusters.csr`).  All (subject,
-    candidate) pairs of a block are hashed as one flat array and reduced
-    per subject segment; weight ties go to the *last* maximal member —
-    the largest ID, :func:`~repro.core.hashing.rendezvous_choice`'s rule.
+    that cluster's members replaces it.  ``partition`` is the level as a
+    :class:`~repro.hierarchy.delta.LazyClusters`, whose cluster-ID -> row
+    index every stage through it shares, or as a bare CSR tuple ``(heads,
+    starts, members)``, indexed here.  All (subject, candidate) pairs of
+    a block are hashed as one flat array and reduced per subject segment;
+    weight ties go to the *last* maximal member — the largest ID,
+    :func:`~repro.core.hashing.rendezvous_choice`'s rule.
     """
-    heads, starts, members = partition
     out = np.empty(subjects.size, dtype=np.int64)
     if subjects.size == 0:
         return out
-    row = np.searchsorted(heads, current)
-    if row.max() >= heads.size or np.any(heads[row] != current):
+    if isinstance(partition, LazyClusters):
+        index, partition = partition.index(), partition.csr()
+    else:
+        index = IdIndex(partition[0])
+    _, starts, members = partition
+    row = index.rows(current)
+    if row.min() < 0:
         raise KeyError("descent entered a cluster the partition lacks")
     first = starts[row]
     count = starts[row + 1] - first
@@ -289,8 +295,8 @@ def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssign
                     table[i] = srv
         return ServerAssignment(subjects=subjects, tables=tables)
 
-    partitions = {
-        depth: LazyClusters(h.levels[depth - 1].election).csr()
+    lazy = {
+        depth: LazyClusters(h.levels[depth - 1].election)
         for depth in range(1, h.num_levels + 1)
     }
     tables = {}
@@ -306,18 +312,10 @@ def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssign
         for depth in range(start_depth, 0, -1):
             chains[level][depth] = current
             current = _vectorized_rendezvous_stage(
-                subjects, current, partitions[depth], _stage_salt(level, depth)
+                subjects, current, lazy[depth], _stage_salt(level, depth)
             )
         tables[level] = current
     return ChainedAssignment(subjects=subjects, tables=tables, chains=chains)
-
-
-def _dirty_mask(dirty_cells: np.ndarray, consulted: np.ndarray) -> np.ndarray:
-    """Which subjects consulted a dirty cell (sorted-array membership)."""
-    pos = np.minimum(
-        np.searchsorted(dirty_cells, consulted), dirty_cells.size - 1
-    )
-    return dirty_cells[pos] == consulted
 
 
 def patch_assignment(
@@ -327,17 +325,22 @@ def patch_assignment(
 ) -> tuple[ChainedAssignment, dict[int, np.ndarray]]:
     """Patch a chained assignment onto the next hierarchy snapshot.
 
-    A (subject, level) entry is *clean* when its descent entry point is
-    unchanged (same level-``level`` ancestor; same global-stage winner
-    for the virtual level) and no consulted cell appears in the delta's
-    ``dirty_cells`` — then the recorded chain replays identically and
-    the server is untouched.  Everything else is re-descended as one
-    vectorized batch per level over lazily grouped clusters.
+    A recorded chain stores every stage's input *and* winner (the next
+    depth's input; the table below depth 1), so each stage is patched on
+    its own.  At depth ``d`` a row is re-hashed only when the cluster it
+    consults differs from the recorded one (its entry point moved, or
+    the stage above picked a different winner) or when the recorded
+    cluster is in ``delta.dirty_cells[d]`` (same cluster, changed member
+    list); every other row keeps its recorded winner.  A re-hashed row
+    whose winner comes out unchanged consults the recorded cluster again
+    one depth down, so it stays out of the deeper stages unless a dirty
+    cell pulls it back in.
 
     Returns the new chained assignment plus the *dirty rows* — per level,
-    the ascending subject positions whose server may differ from
-    ``prev`` (a superset of the rows that actually changed; levels with
-    none are absent).  ``delta`` must not be ``full``.
+    the ascending subject positions whose server differs from ``prev``
+    (exactly those; levels with none are absent).  Columns and chain
+    arrays nothing moved in are shared with ``prev``.  ``delta`` must
+    not be ``full``.
     """
     if delta.full:
         raise ValueError("cannot patch across a full delta")
@@ -347,43 +350,58 @@ def patch_assignment(
         depth: LazyClusters(h.levels[depth - 1].election)
         for depth in range(1, num_levels + 1)
     }
+    dirty_index = {
+        depth: IdIndex(delta.dirty_cells[depth])
+        for depth in range(1, num_levels + 1)
+        if delta.dirty_cells[depth].size
+    }
     tables = dict(prev.tables)
-    chains = dict(prev.chains)
+    chains: dict[int, dict[int, np.ndarray]] = {}
     dirty_rows: dict[int, np.ndarray] = {}
     for level in range(2, lm_levels(h) + 1):
         old_chain = prev.chains[level]
+        # `column` is this depth's input for every subject, `moved` the
+        # rows where it differs from the recorded one (None: nowhere).
         if level == num_levels + 1:
             start_depth = num_levels
+            moved = None
             if delta.top_changed:
-                entry = _global_stage(h, subjects, level)
-                dirty = entry != old_chain[start_depth]
-            else:
-                entry = old_chain[start_depth]
-                dirty = np.zeros(subjects.size, dtype=bool)
+                column = _global_stage(h, subjects, level)
+                moved = column != old_chain[start_depth]
         else:
             start_depth = level
-            entry = h.ancestry(level)
-            dirty = delta.level_changed[level].copy()
+            column = h.ancestry(level)
+            moved = delta.level_changed[level]
+        if moved is not None and not moved.any():
+            moved = None
+        new_chain = {}
         for depth in range(start_depth, 0, -1):
-            cells = delta.dirty_cells[depth]
-            if cells.size:
-                dirty |= _dirty_mask(cells, old_chain[depth])
-        sub = np.flatnonzero(dirty)
-        if sub.size == 0:
-            continue
-        subs = subjects[sub]
-        current = entry[sub]
-        chains[level] = {}
-        for depth in range(start_depth, 0, -1):
-            arr = old_chain[depth].copy()
-            arr[sub] = current
-            chains[level][depth] = arr
-            current = _vectorized_rendezvous_stage(
-                subs, current, lazy[depth].csr(), _stage_salt(level, depth)
+            recorded = old_chain[depth]
+            new_chain[depth] = column if moved is not None else recorded
+            rehash = moved
+            if depth in dirty_index:
+                consulted_dirty = dirty_index[depth].contains(recorded)
+                rehash = consulted_dirty if moved is None else moved | consulted_dirty
+            column = old_chain[depth - 1] if depth > 1 else prev.tables[level]
+            moved = None
+            if rehash is None:
+                continue
+            sub = np.flatnonzero(rehash)
+            winners = _vectorized_rendezvous_stage(
+                subjects[sub], new_chain[depth][sub], lazy[depth],
+                _stage_salt(level, depth),
             )
-        tables[level] = prev.tables[level].copy()
-        tables[level][sub] = current
-        dirty_rows[level] = sub
+            changed = winners != column[sub]
+            if changed.any():
+                sub = sub[changed]
+                column = column.copy()
+                column[sub] = winners[changed]
+                moved = np.zeros(subjects.size, dtype=bool)
+                moved[sub] = True
+        chains[level] = new_chain
+        if moved is not None:
+            tables[level] = column
+            dirty_rows[level] = sub
     return (
         ChainedAssignment(subjects=subjects, tables=tables, chains=chains),
         dirty_rows,

@@ -13,6 +13,11 @@ serves distance queries three ways:
   those columns are filled (:func:`multi_source_bfs` with ``targets``);
 * masked traversals and explicit paths (intra-cluster routing): a plain
   deque BFS, which only ever runs on small restricted node sets.
+
+:class:`IdIndex` is the ID -> row compaction itself, for the layers that
+map sorted level or cluster IDs to array rows without building a graph
+(hierarchy ancestry, CSR cluster partitions, the CHLM descent, handoff
+metering).
 """
 
 from __future__ import annotations
@@ -22,12 +27,58 @@ from collections import deque
 import numpy as np
 
 __all__ = [
+    "IdIndex",
     "CompactGraph",
     "bfs_distances",
     "multi_source_bfs",
     "bfs_path",
     "bfs_tree_path",
 ]
+
+
+_TABLE_SLACK = 1 << 17
+"""Lookup-table slots allowed beyond eight per ID (1 MiB of int64)."""
+
+
+class IdIndex:
+    """Row lookup over a sorted unique ID array.
+
+    Non-negative IDs whose range fits eight slots per ID plus
+    ``_TABLE_SLACK`` are served by one gather from an ``int64`` table —
+    node IDs ``0..n-1`` at any n, and every level's cluster heads drawn
+    from them up to n ~ 10^5; anything sparser (persistent elections mint
+    cluster IDs >= 10^7) by a sorted search.  The table costs one pass
+    over the ID range to build and answers random-order queries ~50x
+    faster than the search, so it pays for itself once it is shared by a
+    few lookups.
+    """
+
+    __slots__ = ("ids", "_table")
+
+    def __init__(self, ids: np.ndarray):
+        self.ids = ids
+        self._table = None
+        if ids.size and ids[0] >= 0 and ids[-1] < 8 * ids.size + _TABLE_SLACK:
+            self._table = np.full(int(ids[-1]) + 1, -1, dtype=np.int64)
+            self._table[ids] = np.arange(ids.size)
+
+    def rows(self, values) -> np.ndarray:
+        """Position of each value within ``ids``; -1 where absent."""
+        values = np.asarray(values, dtype=np.int64)
+        ids, table = self.ids, self._table
+        if values.size == 0 or ids.size == 0:
+            return np.full(values.shape, -1, dtype=np.int64)
+        if table is None:
+            pos = np.minimum(np.searchsorted(ids, values), ids.size - 1)
+            return np.where(ids[pos] == values, pos, -1)
+        if values.min() >= 0 and values.max() < table.size:
+            return table[values]
+        inside = (values >= 0) & (values < table.size)
+        return np.where(inside, table[np.where(inside, values, 0)], -1)
+
+    def contains(self, values) -> np.ndarray:
+        """Boolean membership of each value in ``ids``."""
+        return self.rows(values) >= 0
 
 
 class CompactGraph:
@@ -37,6 +88,10 @@ class CompactGraph:
     accept and return original IDs.
     """
 
+    _index = None
+    """Lazy :class:`IdIndex` over ``node_ids``.  Class-level default and
+    never pickled, so a checkpointed graph keeps its layout."""
+
     def __init__(self, node_ids, edges):
         if not isinstance(node_ids, np.ndarray):
             node_ids = list(node_ids)
@@ -44,14 +99,9 @@ class CompactGraph:
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n = self.node_ids.size
         if e.size:
-            ui = np.searchsorted(self.node_ids, e[:, 0])
-            vi = np.searchsorted(self.node_ids, e[:, 1])
-            if (
-                np.any(ui >= n)
-                or np.any(vi >= n)
-                or np.any(self.node_ids[np.minimum(ui, n - 1)] != e[:, 0])
-                or np.any(self.node_ids[np.minimum(vi, n - 1)] != e[:, 1])
-            ):
+            ui = self._rows(e[:, 0])
+            vi = self._rows(e[:, 1])
+            if ui.min() < 0 or vi.min() < 0:
                 raise ValueError("edges reference ids not in node_ids")
         else:
             ui = vi = np.empty(0, dtype=np.int64)
@@ -68,24 +118,30 @@ class CompactGraph:
         self._sparse = None  # lazy scipy CSR for C-level BFS
         self._components = None  # lazy per-node component labels
 
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_index"}
+
     @property
     def n(self) -> int:
         return int(self.node_ids.size)
 
+    def _rows(self, ids) -> np.ndarray:
+        """Compact index of each node ID, -1 where absent."""
+        if self._index is None:
+            self._index = IdIndex(self.node_ids)
+        return self._index.rows(ids)
+
     def index_of(self, v: int) -> int:
         """Compact index of node ID ``v`` (KeyError if absent)."""
-        i = int(np.searchsorted(self.node_ids, v))
-        if i >= self.n or self.node_ids[i] != v:
+        i = int(self._rows(v))
+        if i < 0:
             raise KeyError(f"unknown node id {v}")
         return i
 
     def index_of_many(self, ids) -> np.ndarray:
         """Compact indices of an array of node IDs (KeyError if any absent)."""
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        idx = np.searchsorted(self.node_ids, ids)
-        if np.any(idx >= self.n) or np.any(
-            self.node_ids[np.minimum(idx, self.n - 1)] != ids
-        ):
+        idx = self._rows(ids).reshape(-1)
+        if idx.size and idx.min() < 0:
             raise KeyError("unknown node id(s)")
         return idx
 

@@ -15,16 +15,31 @@ __all__ = ["canonical_edges", "contract_edges"]
 
 def canonical_edges(edges) -> np.ndarray:
     """Canonicalize an ID-pair edge array: per-row sorted, lexsorted rows,
-    duplicates and self-loops removed."""
+    duplicates and self-loops removed.  An int64 array that already is
+    canonical comes back as a read-only view of the input, not a copy —
+    the caller must not overwrite that buffer while the result is in use."""
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if e.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    e = np.sort(e, axis=1)
-    e = e[e[:, 0] != e[:, 1]]
-    if e.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    e = np.unique(e, axis=0)
-    return e
+    lo = np.minimum(e[:, 0], e[:, 1])
+    hi = np.maximum(e[:, 0], e[:, 1])
+    big = int(hi.max()) + 1
+    if int(lo.min()) < 0 or big >= 2**31:  # pragma: no cover - exotic id ranges
+        e = np.stack([lo, hi], axis=1)
+        return np.unique(e[lo != hi], axis=0)
+    # Rows as scalar keys: sorting keys sorts rows lexicographically.
+    keys = lo * big + hi
+    keys = keys[lo != hi]
+    if np.any(keys[1:] <= keys[:-1]):
+        # Sort and drop repeats (several times faster than np.unique's
+        # hash pass on int64 keys).
+        keys = np.sort(keys)
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    elif keys.size == e.shape[0] and np.array_equal(e[:, 0], lo):
+        # Already canonical (the unit-disk builder's output).
+        e.flags.writeable = False
+        return e
+    return np.stack([keys // big, keys % big], axis=1)
 
 
 def contract_edges(edges, node_ids: np.ndarray, member_of: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.clustering.incremental import IncrementalElection
 from repro.clustering.lca import Election
+from repro.graphs import IdIndex
 from repro.hierarchy.cluster_graph import contract_edges
 from repro.hierarchy.levels import ClusteredHierarchy, LevelTopology
 from repro.radio.unit_disk import decode_edges, encode_edges, unit_disk_edges
@@ -48,17 +49,20 @@ class LazyClusters:
     """One level's partition in CSR form, built lazily and without the
     per-cluster python loop of :meth:`Election.clusters`.
 
-    :meth:`csr` is what the segmented rendezvous kernel consumes;
-    ``lazy[cid]`` returns the *same* sorted member array
-    ``Election.clusters()[cid]`` would — the grouped slice of sorted
-    ``node_ids`` is already ascending — but the grouping arrays are
-    computed once on first access, and no per-cluster dict is
-    materialized.
+    :meth:`csr` is what the segmented rendezvous kernel consumes, and
+    :meth:`index` the cluster-ID -> CSR-row lookup every descent stage
+    through this partition shares; ``lazy[cid]`` returns the *same*
+    sorted member array ``Election.clusters()[cid]`` would — the grouped
+    slice of sorted ``node_ids`` is already ascending — but the grouping
+    arrays are computed once on first access, and no per-cluster dict is
+    materialized.  Instances live for one assignment pass; nothing is
+    cached on the (pickled) election.
     """
 
     def __init__(self, election: Election):
         self._election = election
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._index: IdIndex | None = None
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(heads, starts, members)``: cluster ``heads[i]`` (ascending)
@@ -66,15 +70,25 @@ class LazyClusters:
         if self._csr is None:
             e = self._election
             order = np.argsort(e.member_of, kind="stable")
-            heads, starts = np.unique(e.member_of[order], return_index=True)
-            self._csr = (heads, np.append(starts, e.node_ids.size),
-                         e.node_ids[order])
+            grouped = e.member_of[order]
+            # Segment boundaries of the sorted affiliation column.
+            starts = np.concatenate((
+                [0], np.flatnonzero(grouped[1:] != grouped[:-1]) + 1,
+                [grouped.size],
+            ))
+            self._csr = (grouped[starts[:-1]], starts, e.node_ids[order])
         return self._csr
 
+    def index(self) -> IdIndex:
+        """Row of a cluster ID within ``csr()``'s ``heads``."""
+        if self._index is None:
+            self._index = IdIndex(self.csr()[0])
+        return self._index
+
     def __getitem__(self, cid: int) -> np.ndarray:
-        heads, starts, members = self.csr()
-        i = int(np.searchsorted(heads, cid))
-        if i >= heads.size or heads[i] != cid:
+        _, starts, members = self.csr()
+        i = int(self.index().rows(np.int64(cid)))
+        if i < 0:
             raise KeyError(cid)
         return members[starts[i]:starts[i + 1]]
 
@@ -304,7 +318,9 @@ class DeltaPlane:
                 positions=None, diff=None) -> ClusteredHierarchy:
         """One step: patch the hierarchy onto the new canonical edge
         array (node IDs are ``0..n-1``; edges must be canonical — the
-        unit-disk builder's output, chaos-filtered or not).
+        unit-disk builder's output, chaos-filtered or not).  The array is
+        kept, not copied, as the returned hierarchy's level-0 edges, so
+        it must be a fresh one each step.
 
         ``diff`` is an optional exact level-0
         :class:`~repro.radio.linkevents.LinkDiff` of ``edges`` against

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.clustering.lca import Election, elect
 from repro.clustering.maxmin import maxmin_cluster
+from repro.graphs import IdIndex
 from repro.hierarchy.cluster_graph import canonical_edges, contract_edges
 
 __all__ = ["LevelTopology", "ClusteredHierarchy", "build_hierarchy"]
@@ -73,7 +74,7 @@ class ClusteredHierarchy:
         anc = [self._base_ids.copy()]
         for lvl in levels[:-1]:
             assert lvl.election is not None
-            idx = np.searchsorted(lvl.node_ids, anc[-1])
+            idx = IdIndex(lvl.node_ids).rows(anc[-1])
             anc.append(lvl.election.member_of[idx])
         self._anc = anc
 
@@ -177,7 +178,9 @@ def build_hierarchy(
     ----------
     node_ids, edges:
         The physical (level-0) topology; IDs are arbitrary unique ints,
-        edges are ID pairs.
+        edges are ID pairs.  An already canonical int64 edge array is
+        kept as a read-only view, not copied (:func:`canonical_edges`):
+        hand in a fresh array per snapshot, as the unit-disk builders do.
     max_levels:
         Stop after this many clustering applications (None = cluster
         until the topology stops shrinking: one node left, or no links).
@@ -207,7 +210,9 @@ def build_hierarchy(
         raise ValueError(f"unknown clustering algorithm {algorithm!r}")
     if level_mode not in ("contraction", "radio"):
         raise ValueError(f"unknown level_mode {level_mode!r}")
-    cur_ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
+    if not isinstance(node_ids, np.ndarray):
+        node_ids = list(node_ids)
+    cur_ids = np.unique(np.asarray(node_ids, dtype=np.int64))
     cur_edges = canonical_edges(edges)
     if level_mode == "radio":
         if positions is None or r0 is None:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from repro.core.events import EventKind
 from repro.sim.collectors.base import Collector
 from repro.sim.trace import EventTrace
 
 __all__ = ["TraceCollector"]
+
+# HierarchyDiff.reorg_kind holds positions in tuple(EventKind).
+_KIND_VALUES = tuple(kind.value for kind in EventKind)
 
 
 class TraceCollector(Collector):
@@ -23,16 +27,20 @@ class TraceCollector(Collector):
         trace = self.trace
         report = snap.report
         t = snap.t
-        for ev in report.diff.migrations:
-            if ev.pure:
-                trace.record(
-                    t, "migration", node=ev.node, level=ev.level,
-                    old=ev.old_cluster, new=ev.new_cluster,
-                )
-        for ev in report.diff.reorgs:
+        diff = report.diff
+        pure = diff.mig_pure
+        for node, level, old, new in zip(
+            diff.mig_node[pure].tolist(), diff.mig_level[pure].tolist(),
+            diff.mig_old[pure].tolist(), diff.mig_new[pure].tolist(),
+        ):
+            trace.record(t, "migration", node=node, level=level, old=old, new=new)
+        for kind, level, subject, other in zip(
+            diff.reorg_kind.tolist(), diff.reorg_level.tolist(),
+            diff.reorg_subject.tolist(), diff.reorg_other.tolist(),
+        ):
             trace.record(
-                t, f"reorg:{ev.kind.value}", level=ev.level,
-                subject=ev.subject, other=ev.other,
+                t, f"reorg:{_KIND_VALUES[kind]}", level=level,
+                subject=subject, other=None if other < 0 else other,
             )
         if report.total_handoff_packets:
             trace.record(

@@ -3,8 +3,27 @@
 import numpy as np
 import pytest
 
+from repro.clustering import elect
 from repro.core import EventKind, diff_hierarchies
-from repro.hierarchy import build_hierarchy
+from repro.core.events import HierarchyDiff, MigrationEvent, ReorgEvent
+from repro.geometry import disc_for_density
+from repro.hierarchy import (
+    ClusteredHierarchy,
+    DeltaPlane,
+    LevelTopology,
+    build_hierarchy,
+)
+from repro.hierarchy.persistent import PersistentHierarchyMaintainer
+from repro.radio import radius_for_degree, unit_disk_edges
+
+from .events_oracle import (
+    oracle_diff,
+    oracle_migration_counts,
+    oracle_reorg_counts,
+)
+
+DENSITY = 0.02
+R_TX = radius_for_degree(9.0, DENSITY)
 
 
 def H(ids, edges):
@@ -108,3 +127,211 @@ class TestEventCounts:
         assert sum(counts.values()) == len(d.reorgs)
         mig = d.migration_counts()
         assert all(isinstance(k, int) for k in mig)
+
+
+# -- struct-of-arrays detector vs the per-event oracle -------------------------
+
+
+def assert_equals_oracle(h0, h1):
+    """Object views equal the oracle's lists in order; both count dicts
+    equal the oracle's including key insertion order."""
+    d = diff_hierarchies(h0, h1)
+    migrations, reorgs = oracle_diff(h0, h1)
+    assert d.migrations == migrations
+    assert d.reorgs == reorgs
+    assert (list(d.migration_counts().items())
+            == list(oracle_migration_counts(migrations).items()))
+    assert (list(d.reorg_counts().items())
+            == list(oracle_reorg_counts(reorgs).items()))
+    return d
+
+
+def chaos_edges(rng, pts, step, down):
+    """Unit-disk edges under a crash burst (steps 3-5) and a half-plane
+    partition (step 6), as the simulator's chaos engine filters them."""
+    edges = unit_disk_edges(pts, R_TX)
+    if step == 3:
+        down[rng.choice(len(pts), size=len(pts) // 8, replace=False)] = True
+    if step == 6:
+        down[:] = False
+        cut = pts[:, 0] < np.median(pts[:, 0])
+        edges = edges[cut[edges[:, 0]] == cut[edges[:, 1]]]
+    if down.any():
+        edges = edges[~(down[edges[:, 0]] | down[edges[:, 1]])]
+    return edges
+
+
+def snapshot_sequence(seed, n, steps, drift, level_mode, max_levels, plane):
+    """Hierarchies of a drifting, crashing, partitioning network, built
+    by the full rebuild or patched by the event-driven plane."""
+    rng = np.random.default_rng(seed)
+    pts = disc_for_density(n, DENSITY).sample(n, rng)
+    radio = dict(positions=None, r0=None)
+    delta_plane = DeltaPlane(n, max_levels=max_levels, level_mode=level_mode,
+                             r0=R_TX if level_mode == "radio" else None)
+    down = np.zeros(n, dtype=bool)
+    out = []
+    for step in range(steps):
+        edges = chaos_edges(rng, pts, step, down)
+        if plane == "event":
+            out.append(delta_plane.advance(
+                edges, pts if level_mode == "radio" else None))
+        else:
+            if level_mode == "radio":
+                radio = dict(positions=pts, r0=R_TX)
+            out.append(build_hierarchy(np.arange(n), edges,
+                                       max_levels=max_levels,
+                                       level_mode=level_mode, **radio))
+        pts = pts + rng.normal(scale=drift, size=pts.shape)
+    return out
+
+
+class TestArraysEqualOracle:
+    @pytest.mark.parametrize("plane", ["full", "event"])
+    @pytest.mark.parametrize("level_mode", ["contraction", "radio"])
+    @pytest.mark.parametrize("seed,drift", [(0, 0.4), (5, 1.5)])
+    def test_churn_crash_partition(self, plane, level_mode, seed, drift):
+        snaps = snapshot_sequence(seed, n=140, steps=10, drift=drift,
+                                  level_mode=level_mode, max_levels=3,
+                                  plane=plane)
+        kinds = set()
+        for h0, h1 in zip(snaps, snaps[1:]):
+            kinds.update(assert_equals_oracle(h0, h1).reorg_kind.tolist())
+        assert len(kinds) >= 5  # links, promotions, demotions, (vii)
+
+    @pytest.mark.parametrize("level_mode", ["contraction", "radio"])
+    def test_hierarchy_gains_and_loses_levels(self, level_mode):
+        """Uncapped recursion: the crash burst and the partition change
+        the depth, so levels exist on one side of a diff only."""
+        snaps = snapshot_sequence(3, n=160, steps=10, drift=0.8,
+                                  level_mode=level_mode, max_levels=None,
+                                  plane="full")
+        depths = [h.num_levels for h in snaps]
+        assert len(set(depths)) > 1
+        grew = shrank = False
+        for h0, h1 in zip(snaps, snaps[1:]):
+            assert_equals_oracle(h0, h1)
+            grew |= h1.num_levels > h0.num_levels
+            shrank |= h1.num_levels < h0.num_levels
+        assert grew and shrank
+
+    def test_persistent_cluster_ids(self):
+        """Minted cluster IDs (>= 10^7) as level node IDs."""
+        n = 120
+        rng = np.random.default_rng(2)
+        pts = disc_for_density(n, DENSITY).sample(n, rng)
+        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=R_TX)
+        prev, events = None, 0
+        for _ in range(8):
+            h = maintainer.update(np.arange(n), unit_disk_edges(pts, R_TX),
+                                  positions=pts)
+            if prev is not None:
+                d = assert_equals_oracle(prev, h)
+                events += d.reorg_kind.size + d.mig_node.size
+            prev = h
+            pts = pts + rng.normal(scale=0.9, size=pts.shape)
+        assert int(prev.levels[1].node_ids.max()) >= 10**7
+        assert events > 0
+
+    def test_empty_diff(self):
+        d = HierarchyDiff()
+        assert d.migrations == [] and d.reorgs == []
+        assert d.migration_counts() == {} and d.reorg_counts() == {}
+        assert d == HierarchyDiff()
+
+    def test_equality_compares_columns(self):
+        snaps = snapshot_sequence(1, n=100, steps=3, drift=1.0,
+                                  level_mode="radio", max_levels=3,
+                                  plane="full")
+        a = diff_hierarchies(snaps[0], snaps[1])
+        assert a == diff_hierarchies(snaps[0], snaps[1])
+        assert a != diff_hierarchies(snaps[1], snaps[2])
+        assert a != HierarchyDiff()
+        assert a != "not a diff"
+
+
+def hand_built(*levels):
+    """Hierarchy from explicit per-level ``(ids, edges)`` pairs; each
+    level's IDs must be the clusterheads elected one level down."""
+    out = []
+    for k, (ids, edges) in enumerate(levels):
+        ids = np.asarray(ids, dtype=np.int64)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if out:
+            assert out[-1].election.clusterheads.tolist() == ids.tolist()
+        election = elect(ids, edges) if k < len(levels) - 1 else None
+        out.append(LevelTopology(k, ids, edges, election))
+    return ClusteredHierarchy(out)
+
+
+class TestElectorClassification:
+    """(iii) vs (v) and (iv) vs (vi): the smallest *newly arrived*
+    elector decides, among several electors of one head."""
+
+    BASE = [1, 2, 3, 10, 20, 30, 35, 40]
+
+    def before(self):
+        # Level 1: 10 elects 20; 30 and 35 elect 40.  Level 2 = {20, 40}.
+        return hand_built(
+            (self.BASE, [[1, 10], [2, 20], [3, 30]]),
+            ([10, 20, 30, 35, 40], [[10, 20], [30, 40], [35, 40]]),
+            ([20, 40], []),
+        )
+
+    def after(self):
+        # Node 3 left 30's cluster and now heads its own level-1 cluster;
+        # at level 1 both 3 (new) and 10 (old) elect 30, 35 is alone.
+        return hand_built(
+            (self.BASE, [[1, 10], [2, 20]]),
+            ([3, 10, 20, 30, 35, 40], [[3, 30], [10, 30]]),
+            ([20, 30, 35, 40], []),
+        )
+
+    def after_old_electors_only(self):
+        # 10 and 20 (both level-1 nodes before) elect 30; 20 is demoted.
+        return hand_built(
+            (self.BASE, [[1, 10], [2, 20], [3, 30]]),
+            ([10, 20, 30, 35, 40], [[10, 30], [20, 30], [35, 40]]),
+            ([30, 40], []),
+        )
+
+    @staticmethod
+    def level2(d, kinds):
+        return [r for r in d.reorgs if r.level == 2 and r.kind in kinds]
+
+    def test_promotion_by_a_newly_arrived_elector_is_recursive(self):
+        d = assert_equals_oracle(self.before(), self.after())
+        promoted = self.level2(d, (EventKind.ELECT_MIGRATION,
+                                   EventKind.ELECT_RECURSIVE))
+        assert promoted == [
+            # electors {3, 10}; 3 entered level 1 this step -> (v), other 3
+            ReorgEvent(EventKind.ELECT_RECURSIVE, 2, 30, 3),
+            # 35 elected only itself -> (iii) with no counterpart
+            ReorgEvent(EventKind.ELECT_MIGRATION, 2, 35, None),
+        ]
+        # Level 1 is never recursive; 3 has no elector but itself.
+        assert ReorgEvent(EventKind.ELECT_MIGRATION, 1, 3, None) in d.reorgs
+
+    def test_promotion_by_old_electors_is_plain(self):
+        d = assert_equals_oracle(self.before(), self.after_old_electors_only())
+        assert self.level2(d, (EventKind.ELECT_MIGRATION,
+                               EventKind.ELECT_RECURSIVE)) == [
+            ReorgEvent(EventKind.ELECT_MIGRATION, 2, 30, 10)]
+        assert self.level2(d, (EventKind.REJECT_MIGRATION,
+                               EventKind.REJECT_RECURSIVE)) == [
+            ReorgEvent(EventKind.REJECT_MIGRATION, 2, 20, 10)]
+
+    def test_demotion_when_an_elector_left_is_recursive(self):
+        d = assert_equals_oracle(self.after(), self.before())
+        assert self.level2(d, (EventKind.REJECT_MIGRATION,
+                               EventKind.REJECT_RECURSIVE)) == [
+            ReorgEvent(EventKind.REJECT_RECURSIVE, 2, 30, 3),
+            ReorgEvent(EventKind.REJECT_MIGRATION, 2, 35, None),
+        ]
+
+    def test_views_are_plain_python_objects(self):
+        d = diff_hierarchies(self.before(), self.after())
+        ev = d.migrations[0]
+        assert isinstance(ev, MigrationEvent)
+        assert type(ev.node) is int and type(ev.pure) is bool
+        assert all(type(r.subject) is int for r in d.reorgs)

@@ -204,6 +204,204 @@ class TestChainedAssignment:
             patch_assignment(chained, h, compute_delta(None, h))
 
 
+def assert_patch_equals_rebuild(prev, h, delta):
+    """Patch ``prev`` onto ``h`` and require the result to be
+    ``full_assignment(h)`` — every table, every ``chains[level][depth]``
+    array — with the dirty rows exactly the rows whose server differs,
+    and nothing of ``prev`` written in place."""
+    from repro.core import patch_assignment
+
+    before_tables = {lvl: t.copy() for lvl, t in prev.tables.items()}
+    before_chains = {lvl: {d: c.copy() for d, c in chain.items()}
+                     for lvl, chain in prev.chains.items()}
+    patched, dirty_rows = patch_assignment(prev, h, delta)
+    ref = full_assignment(h)
+    assert sorted(patched.tables) == sorted(ref.tables)
+    for level, table in ref.tables.items():
+        assert np.array_equal(patched.tables[level], table)
+        assert sorted(patched.chains[level]) == sorted(ref.chains[level])
+        for depth, cells in ref.chains[level].items():
+            assert np.array_equal(patched.chains[level][depth], cells)
+        changed = np.flatnonzero(before_tables[level] != table)
+        assert np.array_equal(
+            dirty_rows.get(level, np.empty(0, dtype=np.int64)), changed)
+    assert all(rows.size for rows in dirty_rows.values())
+    for level, table in before_tables.items():
+        assert np.array_equal(prev.tables[level], table)
+        for depth, cells in before_chains[level].items():
+            assert np.array_equal(prev.chains[level][depth], cells)
+    return patched, dirty_rows
+
+
+def cid_hierarchy(member_of_1, member_of_2):
+    """Six base nodes under hand-made (persistent-style) cluster IDs:
+    ``member_of_1`` affiliates the base nodes, ``member_of_2`` the
+    level-1 clusters; level 2 is the top."""
+    from repro.clustering import Election
+    from repro.hierarchy import ClusteredHierarchy, LevelTopology
+
+    def election(ids, member_of):
+        ids = np.asarray(ids, dtype=np.int64)
+        member_of = np.asarray(member_of, dtype=np.int64)
+        return Election(node_ids=ids, elected_head=member_of,
+                        member_of=member_of,
+                        elector_count=np.zeros(ids.size, dtype=np.int64),
+                        clusterheads=np.unique(member_of))
+
+    no_edges = np.empty((0, 2), dtype=np.int64)
+    e0 = election(np.arange(6), member_of_1)
+    e1 = election(e0.clusterheads, member_of_2)
+    return ClusteredHierarchy([
+        LevelTopology(0, e0.node_ids, no_edges, e0),
+        LevelTopology(1, e1.node_ids, no_edges, e1),
+        LevelTopology(2, e1.clusterheads, no_edges, None),
+    ])
+
+
+class TestStagewisePatch:
+    """``patch_assignment`` re-hashes stage by stage: only rows whose
+    consulted cluster moved or whose recorded cluster changed members,
+    and a row whose winner comes out unchanged goes no deeper."""
+
+    @staticmethod
+    def _count_stage_rows(monkeypatch, h):
+        """Rows sent to the stage kernel, keyed by (level, depth)."""
+        from repro.core import servers
+
+        depth_of = {servers._stage_salt(level, depth): (level, depth)
+                    for level in range(2, lm_levels(h) + 1)
+                    for depth in range(1, level + 1)}
+        rows: dict[tuple[int, int], int] = {}
+        real = servers._vectorized_rendezvous_stage
+
+        def counting(subjects, current, partition, salt):
+            key = depth_of[salt]
+            rows[key] = rows.get(key, 0) + subjects.size
+            return real(subjects, current, partition, salt)
+
+        monkeypatch.setattr(servers, "_vectorized_rendezvous_stage", counting)
+        return rows
+
+    def test_fuzz_over_consecutive_deltas(self):
+        from repro.hierarchy import compute_delta
+
+        n, density = 150, 0.02
+        r_tx = radius_for_degree(9.0, density)
+        rng = np.random.default_rng(3)
+        pts = disc_for_density(n, density).sample(n, rng)
+        prev_h = chained = None
+        patched = top_changed = shared = 0
+        for _ in range(70):
+            h = build_hierarchy(np.arange(n), unit_disk_edges(pts, r_tx),
+                                max_levels=3, level_mode="radio",
+                                positions=pts, r0=r_tx)
+            delta = compute_delta(prev_h, h)
+            if delta.full:
+                chained = full_assignment(h)
+            else:
+                old = chained
+                chained, _ = assert_patch_equals_rebuild(chained, h, delta)
+                patched += 1
+                top_changed += delta.top_changed
+                shared += sum(chained.chains[lvl][d] is old.chains[lvl][d]
+                              for lvl in old.chains for d in old.chains[lvl])
+            prev_h = h
+            pts = pts + rng.normal(scale=0.6, size=pts.shape)
+        assert patched >= 50 and 3 <= top_changed < patched
+        assert shared > 0  # untouched chain arrays are not copied
+
+    def test_persistent_cluster_ids_take_the_sorted_index(self):
+        """Minted cluster IDs >= 10^7 are too sparse for a lookup table."""
+        from repro.hierarchy import LazyClusters, compute_delta
+        from repro.hierarchy.persistent import PersistentHierarchyMaintainer
+
+        n, density = 120, 0.02
+        r_tx = radius_for_degree(9.0, density)
+        rng = np.random.default_rng(6)
+        pts = disc_for_density(n, density).sample(n, rng)
+        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=r_tx)
+        prev_h = chained = None
+        patched = 0
+        for _ in range(16):
+            h = maintainer.update(np.arange(n), unit_disk_edges(pts, r_tx),
+                                  positions=pts)
+            delta = compute_delta(prev_h, h)
+            if delta.full:
+                chained = full_assignment(h)
+            else:
+                chained, _ = assert_patch_equals_rebuild(chained, h, delta)
+                patched += 1
+            prev_h = h
+            pts = pts + rng.normal(scale=0.7, size=pts.shape)
+        assert patched >= 10
+        index = LazyClusters(prev_h.levels[0].election).index()
+        assert int(index.ids.min()) >= 10**7 and index._table is None
+
+    def test_renamed_cluster_with_the_same_members(self, monkeypatch):
+        """A head change that keeps the member set: every row re-hashes
+        at the renamed depth, every winner comes out unchanged, and no
+        row reaches the stage below."""
+        from repro.core import patch_assignment
+        from repro.hierarchy import compute_delta
+
+        cid = 10**7
+        affiliation = [cid + 1] * 3 + [cid + 2] * 3
+        h0 = cid_hierarchy(affiliation, [2 * cid, 2 * cid])
+        h1 = cid_hierarchy(affiliation, [2 * cid + 5, 2 * cid + 5])
+        delta = compute_delta(h0, h1)
+        assert delta.top_changed and delta.level_changed[2].all()
+        prev = full_assignment(h0)
+        rows = self._count_stage_rows(monkeypatch, h1)
+        patch_assignment(prev, h1, delta)
+        monkeypatch.undo()
+        # (3, 3) is the global stage over the renamed top-level node.
+        assert rows == {(2, 2): 6, (3, 3): 6, (3, 2): 6}
+        patched, dirty_rows = assert_patch_equals_rebuild(prev, h1, delta)
+        assert dirty_rows == {}
+        assert patched.tables[2] is prev.tables[2]
+        assert patched.chains[2][1] is prev.chains[2][1]
+        assert patched.chains[2][2].tolist() == [2 * cid + 5] * 6
+
+    def test_dirty_only_at_depth_one_hashes_no_upper_stage(self, monkeypatch):
+        """One node re-affiliating between two persisting level-1
+        clusters dirties depth 1 only: no stage above it sees a row."""
+        from repro.core import patch_assignment
+        from repro.hierarchy import compute_delta
+
+        cid = 10**7
+        h0 = cid_hierarchy([cid + 1] * 3 + [cid + 2] * 3, [2 * cid, 2 * cid])
+        h1 = cid_hierarchy([cid + 1] * 2 + [cid + 2] * 4, [2 * cid, 2 * cid])
+        delta = compute_delta(h0, h1)
+        assert [c.size for c in delta.dirty_cells] == [0, 2, 0]
+        assert not delta.top_changed and not delta.level_changed[2].any()
+        prev = full_assignment(h0)
+        rows = self._count_stage_rows(monkeypatch, h1)
+        patch_assignment(prev, h1, delta)
+        monkeypatch.undo()
+        assert rows == {(2, 1): 6, (3, 1): 6}
+        assert_patch_equals_rebuild(prev, h1, delta)
+
+    def test_unknown_cluster_still_raises(self):
+        """A recorded chain pointing at a cluster the partition lacks is
+        caught on the rows that get hashed."""
+        import dataclasses
+
+        from repro.core import patch_assignment
+        from repro.hierarchy import compute_delta
+
+        cid = 10**7
+        h = cid_hierarchy([cid + 1] * 3 + [cid + 2] * 3, [2 * cid, 2 * cid])
+        prev = full_assignment(h)
+        bogus = prev.chains[2][1].copy()
+        bogus[0] = cid + 9
+        prev = dataclasses.replace(
+            prev, chains={**prev.chains, 2: {**prev.chains[2], 1: bogus}})
+        delta = compute_delta(h, h)
+        delta.dirty_cells[1] = np.array([cid + 9])
+        with pytest.raises(KeyError, match="cluster the partition lacks"):
+            patch_assignment(prev, h, delta)
+
+
 class TestRendezvousKernel:
     """The segmented stage vs the scalar oracle ``rendezvous_choice``,
     one subject at a time — including the tie-break rule."""

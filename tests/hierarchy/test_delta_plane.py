@@ -175,6 +175,35 @@ class TestLazyClusters:
         with pytest.raises(KeyError):
             lazy[-1]
 
+    @pytest.mark.parametrize("member_of", [
+        [7, 7, 7, 7],                        # one cluster
+        [10**7 + 3, 10**7 + 1, 10**7 + 3],   # minted ids, unsorted
+        [5],                                 # one node
+        [1, 2, 3, 4],                        # all singletons
+    ])
+    def test_csr_boundaries(self, member_of):
+        """``heads``/``starts`` come from the run boundaries of the
+        sorted affiliation column — what ``np.unique(...,
+        return_index=True)`` would report — and the shared index maps a
+        head to its row on either lookup path."""
+        from repro.clustering import Election
+
+        member_of = np.asarray(member_of, dtype=np.int64)
+        ids = np.arange(member_of.size, dtype=np.int64) + 1
+        el = Election(node_ids=ids, elected_head=member_of,
+                      member_of=member_of,
+                      elector_count=np.zeros_like(ids),
+                      clusterheads=np.unique(member_of))
+        lazy = LazyClusters(el)
+        heads, starts, members = lazy.csr()
+        ref_heads, ref_starts = np.unique(np.sort(member_of), return_index=True)
+        assert np.array_equal(heads, ref_heads)
+        assert np.array_equal(starts, np.append(ref_starts, ids.size))
+        assert starts.dtype == np.int64
+        assert lazy.index().rows(heads).tolist() == list(range(heads.size))
+        for cid in heads.tolist():
+            assert np.array_equal(lazy[cid], ids[member_of == cid])
+
 
 class TestModesAndValidation:
     def test_adopt_mode_rejects_advance(self):

@@ -17,6 +17,29 @@ class TestCanonicalEdges:
 
     def test_empty(self):
         assert canonical_edges(np.empty((0, 2))).shape == (0, 2)
+        assert canonical_edges([[4, 4], [7, 7]]).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_row_unique(self, seed):
+        """Key-encoded canonicalization == the row-wise ``np.unique`` it
+        replaced, for canonical, shuffled, reversed and redundant input."""
+        rng = np.random.default_rng(seed)
+        pts = disc_for_density(200, 0.02).sample(200, rng)
+        base = unit_disk_edges(pts, radius_for_degree(9.0, 0.02))
+        ids = np.sort(rng.choice(10**7 + 10**4, size=200, replace=False))
+        loops = np.stack([ids[:5], ids[:5]], axis=1)
+        for e in (base, ids[base]):
+            for variant in (e, rng.permutation(e), e[::-1, ::-1],
+                            np.concatenate([e, e[:40, ::-1], loops])):
+                got = canonical_edges(variant)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, np.unique(np.sort(e, axis=1), axis=0))
+
+    def test_canonical_input_is_a_read_only_view(self):
+        e = unit_disk_edges(np.random.default_rng(0).random((50, 2)), 0.3)
+        got = canonical_edges(e)
+        assert np.shares_memory(got, e)
+        assert not got.flags.writeable and e.flags.writeable
 
 
 class TestContractEdges:

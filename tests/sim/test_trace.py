@@ -103,3 +103,34 @@ class TestSimulatorIntegration:
                       seed=1, max_levels=2)
         res = Simulator(sc, trace=True).run()
         assert len(res.trace) == 0
+
+    def test_trace_rows_equal_the_event_object_views(self):
+        """The collector reads the diff's columns; what it records is
+        what walking ``diff.migrations`` / ``diff.reorgs`` would."""
+        from repro.sim import Collector
+
+        class ViewRecorder(Collector):
+            def __init__(self):
+                self.expected = []
+
+            def on_step(self, snap):
+                diff = snap.report.diff
+                for ev in diff.migrations:
+                    if ev.pure:
+                        self.expected.append((snap.t, "migration", dict(
+                            node=ev.node, level=ev.level,
+                            old=ev.old_cluster, new=ev.new_cluster)))
+                for ev in diff.reorgs:
+                    self.expected.append((snap.t, f"reorg:{ev.kind.value}", dict(
+                        level=ev.level, subject=ev.subject, other=ev.other)))
+
+        sc = Scenario(n=120, steps=8, warmup=2, speed=3.0, seed=3, max_levels=3)
+        views = ViewRecorder()
+        res = Simulator(sc, trace=True, trace_capacity=None,
+                        collectors=[views]).run()
+        got = [(ev.t, ev.kind, ev.payload) for ev in res.trace
+               if ev.kind != "handoff"]
+        assert got == views.expected
+        kinds = {kind for _, kind, _ in got}
+        assert "migration" in kinds and len(kinds) >= 4
+        assert any(p["other"] is None for _, k, p in got if k.startswith("reorg"))

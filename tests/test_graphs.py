@@ -7,8 +7,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import DiscRegion
-from repro.graphs import CompactGraph, bfs_distances, bfs_path, multi_source_bfs
+from repro.graphs import (
+    CompactGraph,
+    IdIndex,
+    bfs_distances,
+    bfs_path,
+    multi_source_bfs,
+)
 from repro.radio import unit_disk_edges
+
+
+class TestIdIndex:
+    """Both lookup paths answer exactly like a sorted search."""
+
+    @staticmethod
+    def reference(ids, values):
+        pos = np.searchsorted(ids, values)
+        found = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == values)
+        return np.where(found, pos, -1)
+
+    @pytest.mark.parametrize("ids,dense", [
+        (np.arange(50), True),                          # rows are the ids
+        (np.array([3, 9, 4000, 99_999]), True),         # few ids, inside the slack
+        (np.array([5, 10**7 + 1, 10**7 + 2]), False),   # minted cluster ids
+        (np.array([-4, 0, 7]), False),                  # negative id
+        (np.arange(0, 9 * 2**18, 9), False),            # 9 slots per id > 8 + slack
+        (np.arange(0, 7 * 2**18, 7), True),             # wide, but 7 slots per id
+    ])
+    def test_rows_and_contains(self, ids, dense):
+        ids = ids.astype(np.int64)
+        index = IdIndex(ids)
+        assert (index._table is not None) == dense
+        rng = np.random.default_rng(0)
+        values = np.concatenate([
+            rng.choice(ids, size=40), ids[[0, -1]], ids[:3] + 1,
+            [ids[-1] + 1, ids[0] - 1, -1, 2**40],
+        ])
+        rows = index.rows(values)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, self.reference(ids, values))
+        assert np.array_equal(index.contains(values), rows >= 0)
+        inside = rng.choice(ids, size=25)
+        assert np.array_equal(ids[index.rows(inside)], inside)
+
+    def test_shapes_and_empties(self):
+        index = IdIndex(np.array([2, 5, 8]))
+        assert int(index.rows(np.int64(5))) == 1
+        assert int(index.rows(np.int64(6))) == -1
+        assert index.rows(np.empty(0, dtype=np.int64)).shape == (0,)
+        assert index.rows([[2, 8], [3, 5]]).tolist() == [[0, 2], [-1, 1]]
+        empty = IdIndex(np.empty(0, dtype=np.int64))
+        assert empty.rows([1, 2]).tolist() == [-1, -1]
+        assert not empty.contains([0]).any()
 
 
 class TestCompactGraph:
@@ -31,6 +81,25 @@ class TestCompactGraph:
     def test_bad_edges(self):
         with pytest.raises(ValueError):
             CompactGraph([1, 2], [[1, 5]])
+
+    def test_index_lookups(self):
+        g = CompactGraph([10, 500, 77], [[10, 500]])
+        assert g.index_of(77) == 1
+        assert g.index_of_many([500, 10, 500]).tolist() == [2, 0, 2]
+        assert g.index_of_many([]).shape == (0,)
+        with pytest.raises(KeyError):
+            g.index_of_many([10, 11])
+
+    def test_id_index_is_not_pickled(self):
+        """Checkpointed collectors hold graphs: the pickled layout is
+        the arrays only, and a restored graph rebuilds its index."""
+        import pickle
+
+        g = CompactGraph([10, 500, 77], [[10, 500]])
+        assert g._index is not None
+        restored = pickle.loads(pickle.dumps(g))
+        assert "_index" not in restored.__dict__
+        assert restored.neighbors(10).tolist() == [500]
 
     def test_empty_graph(self):
         g = CompactGraph([1, 2, 3], np.empty((0, 2)))
