@@ -393,51 +393,6 @@ def test_bench_batch_query(benchmark, query_state):
     assert len(res) == QUERIES_BATCH and res.hits.all()
 
 
-@pytest.fixture(scope="module")
-def transport_payload():
-    """A result-shaped payload (~48 MB of arrays plus a nested skeleton)
-    matching what a 1e5-node sweep task ships back to the parent."""
-    rng = np.random.default_rng(3)
-    return {
-        "positions": rng.standard_normal((2_000_000, 2)),
-        "series": np.arange(2_000_000, dtype=np.int64),
-        "meta": {"n": N, "levels": [0, 1, 2], "note": "x" * 256},
-    }
-
-
-def test_bench_result_transport_pickle(benchmark, transport_payload):
-    """Baseline result transport: full pickle round-trip (what the
-    executor pipe costs, minus the chunked pipe writes themselves)."""
-    import pickle
-
-    def roundtrip():
-        return pickle.loads(
-            pickle.dumps(transport_payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    out = benchmark.pedantic(roundtrip, rounds=5, iterations=1, warmup_rounds=1)
-    assert out["series"][-1] == transport_payload["series"][-1]
-
-
-def test_bench_result_transport_shm(benchmark, transport_payload):
-    """Shared-memory result transport: pack_result/unpack_result
-    round-trip through a /dev/shm segment.  The budget gate
-    (SHM_BUDGET) keeps this in the same cost class as in-process
-    pickling — the transport's actual win (skipping the executor
-    pipe's chunked copies) is measured end-to-end by EXP-S1."""
-    from repro.sim.shm import pack_result, shm_available, sweep_prefix, unpack_result
-
-    if not shm_available():
-        pytest.skip("POSIX shared memory unavailable")
-    prefix = sweep_prefix()
-
-    def roundtrip():
-        return unpack_result(pack_result(transport_payload, prefix))
-
-    out = benchmark.pedantic(roundtrip, rounds=5, iterations=1, warmup_rounds=1)
-    assert out["series"][-1] == transport_payload["series"][-1]
-
-
 def test_bench_parallel_sweep_small(benchmark):
     """A 2-worker sweep of 4 small scenarios — spawn + fan-out overhead
     included, the wide-grid building block."""

@@ -38,15 +38,7 @@ and enforces these gates:
   lookups) must stay under ``BATCH_QUERY_BUDGET``x (<= 0.05, i.e. a
   >= 20x speedup) of the scalar oracle *per query*
   (``test_bench_scalar_query`` runs 100 lookups; the check normalizes
-  by the per-benchmark query counts).  Measured ~130x at introduction;
-* the shared-memory result transport
-  (``test_bench_result_transport_shm``) must stay within
-  ``SHM_BUDGET``x of an in-process pickle round-trip on the same
-  ~48 MB payload (``test_bench_result_transport_pickle``).  The
-  segment path inherently stages two extra copies (worker write-in,
-  parent read-out), so ~2x in-process is expected — the budget pins
-  that it never grows further; its end-to-end win (skipping the
-  executor pipe's chunked transfer) is EXP-S1's job to demonstrate.
+  by the per-benchmark query counts).  Measured ~130x at introduction.
 
 Exit status is non-zero on violation, so CI fails the build.
 
@@ -67,7 +59,6 @@ CHAOS_BUDGET = 2.0
 SERVICE_BUDGET = 4.0
 HIERARCHY_BUDGET = 0.85
 BATCH_QUERY_BUDGET = 0.05
-SHM_BUDGET = 2.5
 
 # test_bench_batch_query resolves 1000 lookups per round while
 # test_bench_scalar_query resolves 100, so the raw wall-clock ratio is
@@ -75,17 +66,10 @@ SHM_BUDGET = 2.5
 _BATCH_QUERY_SCALE = 100 / 1000
 
 
-#: Benchmarks that legitimately skip on some hosts (no /dev/shm); their
-#: check is skipped rather than treated as a missing result.
-OPTIONAL = {"test_bench_result_transport_shm"}
-
-
-def mean_of(benchmarks: list[dict], name: str) -> float | None:
+def mean_of(benchmarks: list[dict], name: str) -> float:
     for b in benchmarks:
         if b["name"] == name:
             return float(b["stats"]["mean"])
-    if name in OPTIONAL:
-        return None
     raise SystemExit(f"benchmark {name!r} missing from results")
 
 
@@ -131,16 +115,11 @@ def main(path: str) -> int:
          HIERARCHY_BUDGET),
         ("test_bench_batch_query", "test_bench_scalar_query",
          BATCH_QUERY_BUDGET, _BATCH_QUERY_SCALE),
-        ("test_bench_result_transport_shm", "test_bench_result_transport_pickle",
-         SHM_BUDGET),
     ]
     failed = check_against_committed(benchmarks)
     for name, baseline, budget, *rest in checks:
         scale = rest[0] if rest else 1.0
         t, ref = mean_of(benchmarks, name), mean_of(benchmarks, baseline)
-        if t is None or ref is None:
-            print(f"SKIP: {name} (benchmark skipped on this host)")
-            continue
         ratio = t / ref * scale
         status = "OK" if ratio <= budget else "FAIL"
         if ratio > budget:

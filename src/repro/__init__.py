@@ -32,7 +32,7 @@ Subpackages
     Run telemetry: phase timers, run manifests, JSONL export, sweep
     profiling reports (OBSERVABILITY.md).
 ``repro.analysis``
-    Closed-form theory (Eqs. 3–24), shape fitting, sweeps.
+    Closed-form theory (Eqs. 3–24), shape fitting, report rendering.
 ``repro.experiments``
     One runnable module per reproduced figure/claim (see DESIGN.md).
 ``repro.app``

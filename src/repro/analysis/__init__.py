@@ -1,4 +1,4 @@
-"""Analysis layer: closed-form theory, shape fitting, scaling sweeps."""
+"""Analysis layer: closed-form theory, shape fitting, report rendering."""
 
 from repro.analysis.fitting import (
     SHAPES,
@@ -9,9 +9,7 @@ from repro.analysis.fitting import (
     flatness,
     shape_by_flatness,
 )
-from repro.analysis.parallel import parallel_sweep
 from repro.analysis.report import generate_report
-from repro.analysis.scaling import SweepPoint, sweep
 from repro.analysis.theory import (
     edges_per_node_prediction,
     expected_levels,
@@ -35,9 +33,6 @@ __all__ = [
     "fit_shape",
     "flatness",
     "shape_by_flatness",
-    "SweepPoint",
-    "sweep",
-    "parallel_sweep",
     "generate_report",
     "edges_per_node_prediction",
     "expected_levels",

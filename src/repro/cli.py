@@ -30,6 +30,87 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+# Flags that describe a Scenario: argparse dest -> Scenario field.  Each is
+# declared once, in one of the _add_*_args helpers or in the one subcommand
+# that owns it, and _scenario_from_args copies whichever of them a
+# subcommand declared -- so dropping a Scenario field is an edit here and
+# at its add_argument, nowhere else.
+_SCENARIO_FLAGS = {
+    "n": "n", "seed": "seed",
+    "steps": "steps", "warmup": "warmup", "speed": "speed", "dt": "dt",
+    "density": "density", "degree": "target_degree", "hops": "hop_mode",
+    "incremental_hierarchy": "incremental_hierarchy",
+    "verlet_skin": "verlet_skin",
+    "loss_rate": "loss_rate", "retry_attempts": "retry_attempts",
+    "mobility": "mobility", "election": "election_mode",
+    "invariant_mode": "invariant_mode",
+    "arrival_rate": "arrival_rate", "arrival_process": "arrival_process",
+    "admission_rate": "admission_rate", "service_workers": "service_workers",
+    "queue_capacity": "service_queue_capacity",
+    "update_fraction": "service_update_fraction", "scheme": "service_scheme",
+}
+
+
+def _add_run_args(p, *, steps: int, warmup: int, hops: str) -> None:
+    """Run length and deployment flags (simulate/serve/sweep/profile);
+    the keyword arguments are the subcommand's own defaults."""
+    p.add_argument("--steps", type=int, default=steps)
+    p.add_argument("--warmup", type=int, default=warmup)
+    p.add_argument("--speed", type=float, default=1.0)
+    p.add_argument("--dt", type=float, default=1.0)
+    p.add_argument("--density", type=float, default=0.02)
+    p.add_argument("--degree", type=float, default=9.0)
+    p.add_argument("--hops", default=hops,
+                   choices=["auto", "bfs", "euclidean"])
+
+
+def _add_single_run_args(p) -> None:
+    """Size, seed and depth of one scenario (simulate/serve)."""
+    p.add_argument("--preset", default=None,
+                   help="start from a named preset (see repro.sim.PRESETS)")
+    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--levels", type=int, default=None,
+                   help="hierarchy depth cap (default: log-scaled)")
+
+
+def _add_control_plane_args(p) -> None:
+    """Control-plane engine and loss flags (simulate/serve/sweep)."""
+    p.add_argument("--incremental-hierarchy",
+                   action=argparse.BooleanOptionalAction, default=False,
+                   help="event-driven control plane: patch the ALCA "
+                        "hierarchy and descent chains from link deltas "
+                        "instead of rebuilding per step (bit-identical "
+                        "results; requires memoryless LCA elections)")
+    p.add_argument("--verlet-skin", type=float, default=0.5,
+                   help="Verlet candidate-radius inflation for the "
+                        "incremental pipeline (rebuild after "
+                        "skin*R_tx/2 drift; bit-identical output)")
+    p.add_argument("--loss-rate", type=float, default=0.0,
+                   help="per-hop control-packet loss probability "
+                        "(default 0 = lossless)")
+    p.add_argument("--retry-attempts", type=int, default=4,
+                   help="max delivery attempts per control message "
+                        "when --loss-rate > 0 (default 4)")
+
+
+def _add_grid_args(p, *, ns: str) -> None:
+    """Grid axes, pool size and result cache (sweep/profile)."""
+    p.add_argument("--ns", default=ns,
+                   help=f"comma-separated node counts (default {ns})")
+    p.add_argument("--seeds", default="0,1",
+                   help="comma-separated seeds (default 0,1)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="process count (default: REPRO_SWEEP_WORKERS or serial)")
+    p.add_argument("--cache-dir", default=None,
+                   help="result cache directory "
+                        "(default: ~/.cache/repro/sweeps)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="always re-simulate, never touch the cache")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress per-task progress lines")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -50,41 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated seeds (default 0,1)")
 
     p_sim = sub.add_parser("simulate", help="run one scenario and print metrics")
-    p_sim.add_argument("--preset", default=None,
-                       help="start from a named preset (see repro.sim.PRESETS)")
-    p_sim.add_argument("--n", type=int, default=200)
-    p_sim.add_argument("--steps", type=int, default=50)
-    p_sim.add_argument("--warmup", type=int, default=10)
-    p_sim.add_argument("--speed", type=float, default=1.0)
-    p_sim.add_argument("--dt", type=float, default=1.0)
-    p_sim.add_argument("--density", type=float, default=0.02)
-    p_sim.add_argument("--degree", type=float, default=9.0)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--levels", type=int, default=None,
-                       help="hierarchy depth cap (default: log-scaled)")
+    _add_single_run_args(p_sim)
+    _add_run_args(p_sim, steps=50, warmup=10, hops="auto")
     p_sim.add_argument("--mobility", default="random_waypoint",
                        choices=["random_waypoint", "random_direction",
                                 "group", "stationary", "gauss_markov"])
     p_sim.add_argument("--election", default="memoryless",
                        choices=["memoryless", "sticky", "persistent"])
-    p_sim.add_argument("--hops", default="auto",
-                       choices=["auto", "bfs", "euclidean"])
-    p_sim.add_argument("--incremental-hierarchy",
-                       action=argparse.BooleanOptionalAction, default=False,
-                       help="event-driven control plane: patch the ALCA "
-                            "hierarchy and descent chains from link deltas "
-                            "instead of rebuilding per step (bit-identical "
-                            "results; requires memoryless LCA elections)")
-    p_sim.add_argument("--verlet-skin", type=float, default=0.5,
-                       help="Verlet candidate-radius inflation for the "
-                            "incremental pipeline (rebuild after "
-                            "skin*R_tx/2 drift; bit-identical output)")
-    p_sim.add_argument("--loss-rate", type=float, default=0.0,
-                       help="per-hop control-packet loss probability "
-                            "(default 0 = lossless)")
-    p_sim.add_argument("--retry-attempts", type=int, default=4,
-                       help="max delivery attempts per control message "
-                            "when --loss-rate > 0 (default 4)")
+    _add_control_plane_args(p_sim)
     p_sim.add_argument("--chaos", action="append", default=None,
                        metavar="SPEC",
                        help="schedule a fault episode (repeatable); SPEC is "
@@ -133,29 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="open-loop service run: drive lookups/updates at an arrival "
              "rate, report latency/throughput SLOs")
-    p_srv.add_argument("--preset", default=None,
-                       help="start from a named preset (see repro.sim.PRESETS)")
-    p_srv.add_argument("--n", type=int, default=200)
-    p_srv.add_argument("--steps", type=int, default=25)
-    p_srv.add_argument("--warmup", type=int, default=5)
-    p_srv.add_argument("--speed", type=float, default=1.0)
-    p_srv.add_argument("--dt", type=float, default=1.0)
-    p_srv.add_argument("--density", type=float, default=0.02)
-    p_srv.add_argument("--degree", type=float, default=9.0)
-    p_srv.add_argument("--seed", type=int, default=0)
-    p_srv.add_argument("--levels", type=int, default=None,
-                       help="hierarchy depth cap (default: log-scaled)")
-    p_srv.add_argument("--hops", default="euclidean",
-                       choices=["auto", "bfs", "euclidean"])
-    p_srv.add_argument("--incremental-hierarchy",
-                       action=argparse.BooleanOptionalAction, default=False,
-                       help="event-driven control plane: patch the ALCA "
-                            "hierarchy and descent chains from link deltas "
-                            "instead of rebuilding per step (bit-identical "
-                            "results)")
-    p_srv.add_argument("--verlet-skin", type=float, default=0.5,
-                       help="Verlet candidate-radius inflation for the "
-                            "incremental pipeline (bit-identical output)")
+    _add_single_run_args(p_srv)
+    _add_run_args(p_srv, steps=25, warmup=5, hops="euclidean")
+    _add_control_plane_args(p_srv)
     p_srv.add_argument("--arrival-rate", type=float, default=50.0,
                        help="mean service arrivals per simulated second "
                             "(default 50; must be > 0)")
@@ -175,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "rather than lookups (default 0.2)")
     p_srv.add_argument("--scheme", default="chlm", choices=["chlm", "gls"],
                        help="resolution scheme the service fronts (default chlm)")
-    p_srv.add_argument("--loss-rate", type=float, default=0.0,
-                       help="per-hop control-packet loss probability "
-                            "(default 0 = lossless)")
-    p_srv.add_argument("--retry-attempts", type=int, default=4,
-                       help="max delivery attempts per control message "
-                            "when --loss-rate > 0 (default 4)")
     p_srv.add_argument("--slo-report", default=None, metavar="PATH",
                        help="write the service SLO summary (latency "
                             "percentiles, throughput, shed/drop counts) to "
@@ -198,43 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser(
         "sweep",
         help="run a sizes x seeds scenario grid (parallel, result-cached)")
-    p_sw.add_argument("--ns", default="100,200,400",
-                      help="comma-separated node counts (default 100,200,400)")
-    p_sw.add_argument("--seeds", default="0,1",
-                      help="comma-separated seeds (default 0,1)")
-    p_sw.add_argument("--steps", type=int, default=40)
-    p_sw.add_argument("--warmup", type=int, default=10)
-    p_sw.add_argument("--speed", type=float, default=1.0)
-    p_sw.add_argument("--dt", type=float, default=1.0)
-    p_sw.add_argument("--density", type=float, default=0.02)
-    p_sw.add_argument("--degree", type=float, default=9.0)
-    p_sw.add_argument("--hops", default="euclidean",
-                      choices=["auto", "bfs", "euclidean"])
-    p_sw.add_argument("--incremental-hierarchy",
-                      action=argparse.BooleanOptionalAction, default=False,
-                      help="event-driven control plane for every task "
-                           "(bit-identical results; cached under a "
-                           "distinct key)")
-    p_sw.add_argument("--verlet-skin", type=float, default=0.5,
-                      help="Verlet candidate-radius inflation for the "
-                           "incremental pipeline (bit-identical output)")
-    p_sw.add_argument("--loss-rate", type=float, default=0.0,
-                      help="per-hop control-packet loss probability "
-                           "(default 0 = lossless)")
-    p_sw.add_argument("--retry-attempts", type=int, default=4,
-                      help="max delivery attempts per control message "
-                           "when --loss-rate > 0 (default 4)")
+    _add_grid_args(p_sw, ns="100,200,400")
+    _add_run_args(p_sw, steps=40, warmup=10, hops="euclidean")
+    _add_control_plane_args(p_sw)
     p_sw.add_argument("--task-timeout", type=float, default=None,
                       help="per-task wall-clock budget in seconds "
                            "(parallel mode; default: no timeout)")
     p_sw.add_argument("--task-retries", type=int, default=1,
                       help="re-runs granted to crashed/timed-out tasks "
                            "(default 1)")
-    p_sw.add_argument("--workers", type=int, default=None,
-                      help="process count (default: REPRO_SWEEP_WORKERS or serial)")
-    p_sw.add_argument("--cache-dir", default=None,
-                      help="result cache directory "
-                           "(default: ~/.cache/repro/sweeps)")
     p_sw.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                       help="write per-task checkpoints here so crashed or "
                            "timed-out tasks resume instead of restarting")
@@ -242,39 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="per-task checkpoint cadence in steps "
                            "(default 25; requires --checkpoint-dir)")
-    p_sw.add_argument("--no-cache", action="store_true",
-                      help="always re-simulate, never touch the cache")
     p_sw.add_argument("--json", default=None, metavar="PATH",
                       help="also write the aggregated points as JSON")
-    p_sw.add_argument("--quiet", action="store_true",
-                      help="suppress per-task progress lines")
 
     p_pr = sub.add_parser(
         "profile",
         help="profiled sweep: per-phase breakdown, cache hits, throughput")
-    p_pr.add_argument("--ns", default="100,200",
-                      help="comma-separated node counts (default 100,200)")
-    p_pr.add_argument("--seeds", default="0,1",
-                      help="comma-separated seeds (default 0,1)")
-    p_pr.add_argument("--steps", type=int, default=30)
-    p_pr.add_argument("--warmup", type=int, default=10)
-    p_pr.add_argument("--speed", type=float, default=1.0)
-    p_pr.add_argument("--dt", type=float, default=1.0)
-    p_pr.add_argument("--density", type=float, default=0.02)
-    p_pr.add_argument("--degree", type=float, default=9.0)
-    p_pr.add_argument("--hops", default="euclidean",
-                      choices=["auto", "bfs", "euclidean"])
-    p_pr.add_argument("--workers", type=int, default=None,
-                      help="process count (default: REPRO_SWEEP_WORKERS or serial)")
-    p_pr.add_argument("--cache-dir", default=None,
-                      help="result cache directory "
-                           "(default: ~/.cache/repro/sweeps)")
-    p_pr.add_argument("--no-cache", action="store_true",
-                      help="always re-simulate, never touch the cache")
+    _add_grid_args(p_pr, ns="100,200")
+    _add_run_args(p_pr, steps=30, warmup=10, hops="euclidean")
     p_pr.add_argument("--manifest", default=None, metavar="PATH",
                       help="write one run manifest per task as JSONL")
-    p_pr.add_argument("--quiet", action="store_true",
-                      help="suppress per-task progress lines")
 
     p_h = sub.add_parser("hierarchy", help="build and render a hierarchy")
     p_h.add_argument("--n", type=int, default=100)
@@ -352,30 +329,33 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    from repro.analysis import levels_for
-    from repro.sim import Scenario, Simulator
+def _scenario_from_args(args, **fields):
+    """The Scenario a subcommand's flags describe: every _SCENARIO_FLAGS
+    entry the subcommand declared, plus ``fields`` it computes itself."""
+    from repro.sim import Scenario, make_scenario
 
-    levels = args.levels if args.levels is not None else levels_for(args.n)
-    kwargs = dict(
-        n=args.n, steps=args.steps, warmup=args.warmup, speed=args.speed,
-        dt=args.dt, density=args.density, target_degree=args.degree,
-        seed=args.seed, max_levels=levels, mobility=args.mobility,
-        election_mode=args.election, hop_mode=args.hops,
-        loss_rate=args.loss_rate, retry_attempts=args.retry_attempts,
-        chaos=tuple(args.chaos or ()), invariant_mode=args.invariant_mode,
-        incremental_hierarchy=args.incremental_hierarchy,
-        verlet_skin=args.verlet_skin,
-    )
-    if args.preset:
-        from repro.sim import make_scenario
+    given = vars(args)
+    kwargs = {field: given[flag] for flag, field in _SCENARIO_FLAGS.items()
+              if flag in given}
+    kwargs.update(fields)
+    if "levels" in given:
+        from repro.analysis import levels_for
 
+        kwargs["max_levels"] = (levels_for(args.n) if args.levels is None
+                                else args.levels)
+    preset = given.get("preset")
+    if preset:
         # Preset supplies the regime; sizing/run-control flags override.
         for key in ("speed", "dt", "density", "mobility"):
             kwargs.pop(key, None)
-        sc = make_scenario(args.preset, **kwargs)
-    else:
-        sc = Scenario(**kwargs)
+        return make_scenario(preset, **kwargs)
+    return Scenario(**kwargs)
+
+
+def _cmd_simulate(args) -> int:
+    from repro.sim import Simulator
+
+    sc = _scenario_from_args(args, chaos=tuple(args.chaos or ()))
     if args.checkpoint_every is not None and not args.checkpoint:
         print("--checkpoint-every requires --checkpoint", file=sys.stderr)
         return 2
@@ -468,36 +448,12 @@ def _print_run(res, show_trace=False, trace_jsonl=None, show_profile=False):
 
 
 def _cmd_serve(args) -> int:
-    from repro.analysis import levels_for
-    from repro.sim import Scenario, run_scenario
+    from repro.sim import run_scenario
 
     if args.arrival_rate <= 0:
         print("serve needs --arrival-rate > 0", file=sys.stderr)
         return 2
-    levels = args.levels if args.levels is not None else levels_for(args.n)
-    kwargs = dict(
-        n=args.n, steps=args.steps, warmup=args.warmup, speed=args.speed,
-        dt=args.dt, density=args.density, target_degree=args.degree,
-        seed=args.seed, max_levels=levels, hop_mode=args.hops,
-        loss_rate=args.loss_rate, retry_attempts=args.retry_attempts,
-        arrival_rate=args.arrival_rate,
-        arrival_process=args.arrival_process,
-        admission_rate=args.admission_rate,
-        service_workers=args.service_workers,
-        service_queue_capacity=args.queue_capacity,
-        service_update_fraction=args.update_fraction,
-        service_scheme=args.scheme,
-        incremental_hierarchy=args.incremental_hierarchy,
-        verlet_skin=args.verlet_skin,
-    )
-    if args.preset:
-        from repro.sim import make_scenario
-
-        for key in ("speed", "dt", "density"):
-            kwargs.pop(key, None)
-        sc = make_scenario(args.preset, **kwargs)
-    else:
-        sc = Scenario(**kwargs)
+    sc = _scenario_from_args(args)
     res = run_scenario(sc)
     rep = res.extras["service"]
     admission = ("admit-all" if sc.admission_rate <= 0
@@ -564,24 +520,37 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    from repro.analysis import compare_shapes, levels_for
-    from repro.sim import Scenario, cached_sweep, default_cache_dir, print_progress
+def _grid_from_args(args):
+    """``(ns, seeds, cache_dir, base scenario)`` of a sweep/profile run,
+    or None (after a message) when an axis is empty."""
+    from repro.sim import default_cache_dir
 
     ns = tuple(int(x) for x in args.ns.split(",") if x.strip())
     seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
     if not ns or not seeds:
         print("need at least one size and one seed", file=sys.stderr)
-        return 2
+        return None
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    base = Scenario(
-        n=ns[0], steps=args.steps, warmup=args.warmup, speed=args.speed,
-        dt=args.dt, density=args.density, target_degree=args.degree,
-        hop_mode=args.hops,
-        loss_rate=args.loss_rate, retry_attempts=args.retry_attempts,
-        incremental_hierarchy=args.incremental_hierarchy,
-        verlet_skin=args.verlet_skin,
-    )
+    return ns, seeds, cache_dir, _scenario_from_args(args, n=ns[0])
+
+
+def _log_levels(sc, n):
+    """``scenario_for`` hook: depth cap log-scaled with the size axis."""
+    from dataclasses import replace
+
+    from repro.analysis import levels_for
+
+    return replace(sc, max_levels=levels_for(n))
+
+
+def _cmd_sweep(args) -> int:
+    from repro.analysis import compare_shapes, levels_for
+    from repro.sim import cached_sweep, print_progress
+
+    parsed = _grid_from_args(args)
+    if parsed is None:
+        return 2
+    ns, seeds, cache_dir, base = parsed
     lossy = base.faults_enabled
     metrics = {
         "phi": lambda r: r.phi,
@@ -591,14 +560,11 @@ def _cmd_sweep(args) -> int:
     if lossy:
         metrics["retx"] = lambda r: r.ledger.retransmission_rate
         metrics["abandon"] = lambda r: r.ledger.abandonment_rate
-    from dataclasses import replace
-
     if args.checkpoint_every is not None and not args.checkpoint_dir:
         print("--checkpoint-every requires --checkpoint-dir", file=sys.stderr)
         return 2
     points = cached_sweep(
-        ns, base, metrics, seeds=seeds,
-        scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
+        ns, base, metrics, seeds=seeds, scenario_for=_log_levels,
         workers=args.workers, cache_dir=cache_dir,
         progress=None if args.quiet else print_progress,
         task_timeout=args.task_timeout, task_retries=args.task_retries,
@@ -637,33 +603,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from dataclasses import replace
-
-    from repro.analysis import levels_for
     from repro.obs import RunManifest, SweepReport, write_jsonl
-    from repro.sim import (
-        Scenario,
-        default_cache_dir,
-        expand_grid,
-        print_progress,
-        run_sweep_detailed,
-    )
+    from repro.sim import expand_grid, print_progress, run_sweep_detailed
 
-    ns = tuple(int(x) for x in args.ns.split(",") if x.strip())
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    if not ns or not seeds:
-        print("need at least one size and one seed", file=sys.stderr)
+    parsed = _grid_from_args(args)
+    if parsed is None:
         return 2
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    base = Scenario(
-        n=ns[0], steps=args.steps, warmup=args.warmup, speed=args.speed,
-        dt=args.dt, density=args.density, target_degree=args.degree,
-        hop_mode=args.hops,
-    )
-    grid = expand_grid(
-        base, ns, seeds,
-        scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
-    )
+    ns, seeds, cache_dir, base = parsed
+    grid = expand_grid(base, ns, seeds, scenario_for=_log_levels)
     report = SweepReport()
 
     def _progress(p):

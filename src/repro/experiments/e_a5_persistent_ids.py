@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import flatness, levels_for, sweep
+from repro.analysis import flatness, levels_for
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario
+from repro.sim import Scenario, cached_sweep
 
 __all__ = ["run"]
 
@@ -41,7 +41,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
 
         base = Scenario(n=100, steps=steps, warmup=10, speed=1.0,
                         hop_mode="euclidean", election_mode=mode)
-        points = sweep(
+        points = cached_sweep(
             ns, base,
             metrics={"phi": lambda r: r.phi, "gamma": lambda r: r.gamma},
             seeds=seeds,

@@ -6,9 +6,9 @@ where log^2 |V| only spans a factor of ~2.  This study pushes the
 measured per-node handoff rate to |V| = 10^5 (a 4x span of log^2 |V|),
 which is only tractable on the vectorized substrate:
 
-* simulations run through the sweep runner with shared-memory result
-  transport (:mod:`repro.sim.shm`), so the ~100 MB result payloads at
-  the top sizes skip the executor pipe;
+* simulations run through the sweep runner (:mod:`repro.sim.sweep`),
+  which fans the grid over worker processes; a result is ~1.5 MiB
+  pickled at 10^5 nodes, so shipping it back costs milliseconds;
 * the hierarchy is maintained incrementally (``incremental_hierarchy``)
   with Verlet-cached candidate edges feeding link diffs straight into
   the delta plane;

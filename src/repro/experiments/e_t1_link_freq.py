@@ -13,9 +13,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.analysis import compare_shapes, f0_prediction, sweep
+from repro.analysis import compare_shapes, f0_prediction
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, run_scenario
+from repro.sim import Scenario, cached_sweep, run_scenario
 
 __all__ = ["run"]
 
@@ -26,7 +26,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     steps = 30 if quick else 80
     base = Scenario(n=100, steps=steps, warmup=10, speed=1.0, hop_mode="euclidean")
 
-    points = sweep(ns, base, metrics={"f0": lambda r: r.f0}, seeds=seeds)
+    points = cached_sweep(ns, base, metrics={"f0": lambda r: r.f0}, seeds=seeds)
 
     result = ExperimentResult(
         exp_id="EXP-T1",

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import compare_shapes, fit_shape, levels_for, sweep
+from repro.analysis import compare_shapes, fit_shape, levels_for
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, run_scenario
+from repro.sim import Scenario, cached_sweep, run_scenario
 
 __all__ = ["run"]
 
@@ -26,7 +26,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     steps = 12 if quick else 30
     base = Scenario(n=100, steps=steps, warmup=5, speed=1.0, hop_mode="euclidean")
 
-    points = sweep(
+    points = cached_sweep(
         ns, base,
         metrics={"h": lambda r: r.mean_h()},
         seeds=seeds,

@@ -23,11 +23,11 @@ import os
 import pickle
 from pathlib import Path
 
-from repro.analysis.scaling import SweepPoint
 from repro.core.events import EventKind
 from repro.sim.checkpoint import CHECKPOINT_SCHEMA, SimCheckpoint
-from repro.sim.metrics import SimResult
+from repro.sim.metrics import SimResult, SweepPoint
 from repro.sim.scenario import Scenario
+from repro.sim.sweep import CODE_VERSION
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -156,10 +156,6 @@ def load_checkpoint(path) -> SimCheckpoint:
     pickle raises — callers that want "fresh run on any failure"
     semantics (e.g. the sweep runner) catch broadly.
     """
-    # Imported here: sweep sits above this module in the import layering
-    # (persist -> analysis.scaling -> engine; sweep imports engine too).
-    from repro.sim.sweep import CODE_VERSION
-
     with Path(path).open("rb") as fh:
         ck = pickle.load(fh)
     if not isinstance(ck, SimCheckpoint):

@@ -10,7 +10,6 @@ component of a realized deployment.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.radio.unit_disk import unit_disk_edges, edges_to_graph
@@ -57,6 +56,8 @@ def is_connected(positions, r_tx: float) -> bool:
     n = pts.shape[0]
     if n <= 1:
         return True
+    import networkx as nx
+
     g = edges_to_graph(n, unit_disk_edges(pts, r_tx))
     return nx.is_connected(g)
 
@@ -67,6 +68,8 @@ def giant_component_fraction(positions, r_tx: float) -> float:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("empty deployment")
+    import networkx as nx
+
     g = edges_to_graph(n, unit_disk_edges(pts, r_tx))
     return max(len(c) for c in nx.connected_components(g)) / n
 
@@ -77,6 +80,8 @@ def largest_component_nodes(positions, r_tx: float) -> np.ndarray:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("empty deployment")
+    import networkx as nx
+
     g = edges_to_graph(n, unit_disk_edges(pts, r_tx))
     comp = max(nx.connected_components(g), key=len)
     return np.array(sorted(comp), dtype=np.int64)

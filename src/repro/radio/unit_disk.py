@@ -5,16 +5,22 @@ is at most the transmission radius ``r_tx``.  Neighbor discovery is the
 single hottest operation of the simulator, so edges are computed with a
 ``scipy.spatial.cKDTree`` (O(n log n)) and exposed as a raw ``(m, 2)``
 int array; the NetworkX view is built lazily only where graph algorithms
-need it.
+need it — and ``networkx`` itself is imported there, not at module top:
+no simulation path builds the view, and the import is ~90 ms of every
+CLI start.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.geometry.points import as_points
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
@@ -44,6 +50,8 @@ def edges_to_graph(n: int, edges: np.ndarray, positions=None) -> nx.Graph:
     Isolated nodes are preserved.  If ``positions`` is given, each node
     gets a ``pos`` attribute (tuple) for plotting and geographic lookups.
     """
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from(map(tuple, np.asarray(edges, dtype=np.int64)))

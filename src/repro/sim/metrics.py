@@ -10,7 +10,7 @@ from repro.clustering.state import StateStats
 from repro.core.accounting import OverheadLedger
 from repro.sim.scenario import Scenario
 
-__all__ = ["LevelSeries", "SimResult"]
+__all__ = ["LevelSeries", "SimResult", "SweepPoint"]
 
 
 @dataclass
@@ -212,3 +212,18 @@ class SimResult:
             self.state_stats[j].p_state1 if j in self.state_stats else 0.0
             for j in range(max_j + 1)
         ]
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """Aggregated results at one node count of a sweep
+    (:func:`repro.sim.sweep.cached_sweep`)."""
+
+    n: int
+    values: dict[str, float]
+    stds: dict[str, float]
+    seeds: int
+    results: tuple[SimResult, ...]
+
+    def __getitem__(self, key: str) -> float:
+        return self.values[key]

@@ -26,14 +26,12 @@ production scale:
   finished simulations; bump ``CODE_VERSION`` whenever simulator
   semantics change so stale artifacts can never be replayed.
 
-* **Zero-copy result transport**: parallel workers ship each
-  ``SimResult`` back through :mod:`repro.sim.shm` — the big trajectory
-  and series arrays go into one POSIX shared-memory segment per result
-  and only a small pickle skeleton crosses the executor pipe.  Enabled
-  automatically for parallel sweeps when ``/dev/shm`` works (force with
-  ``shm=True/False`` or ``REPRO_SWEEP_SHM=1/0``); both transports are
-  byte-identical in what they deliver and cache, and both meter their
-  serialization cost into ``SweepProgress.ser_seconds``.
+* **Result transport**: a parallel worker pickles its ``SimResult``
+  itself and ships the bytes through the executor pipe, so the cost is
+  metered (``SweepProgress.ser_seconds``: worker ``dumps`` + parent
+  ``loads``).  There is one transport because nothing measured needs a
+  second: a 10^5-node result is 1.5 MiB and costs milliseconds to ship
+  against seconds to simulate (table in docs/PERFORMANCE.md).
 
 Caching is opt-in (``cache_dir=...`` or ``REPRO_SWEEP_CACHE=1`` for the
 default location) so tests and one-off runs stay side-effect free.
@@ -60,7 +58,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.sim.metrics import SimResult
+from repro.sim.metrics import SimResult, SweepPoint
 from repro.sim.scenario import Scenario
 
 __all__ = [
@@ -170,9 +168,15 @@ def _cache_load(path: Path) -> SimResult | None:
 def _cache_store(path: Path, res: SimResult) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".tmp-{os.getpid()}")
-    with tmp.open("wb") as fh:
-        pickle.dump(res, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    tmp.replace(path)  # atomic: concurrent sweeps never see partial files
+    try:
+        with tmp.open("wb") as fh:
+            pickle.dump(res, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.replace(path)  # atomic: concurrent sweeps never see partial files
+    except BaseException:
+        # A failed or interrupted write never reaches the rename; without
+        # this the partial file would sit in the cache directory for ever.
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # -- grid expansion -----------------------------------------------------------------
@@ -186,9 +190,9 @@ def expand_grid(
 ) -> list[Scenario]:
     """Expand (sizes x seeds) into a deterministic scenario list.
 
-    Mirrors the loop of :func:`repro.analysis.scaling.sweep`: for each
-    ``n``, set it on the base, apply the optional ``scenario_for`` hook
-    (e.g. log-scaled ``max_levels``), then spawn one scenario per seed.
+    For each ``n``: set it on the base, apply the optional
+    ``scenario_for`` hook (e.g. log-scaled ``max_levels``), then spawn
+    one scenario per seed.
     ``ns=None`` keeps the base size and varies only the seed axis.
     """
     out: list[Scenario] = []
@@ -296,39 +300,37 @@ class _TaskOutcome:
     """A worker's result plus its telemetry (never cached or returned:
     :func:`run_sweep_detailed` unwraps it before storing).
 
-    With a transport in play, ``result`` is ``None`` and ``packed``
-    carries the serialized form (shm payload or pickle bytes) for the
-    parent to restore; ``ser_seconds`` holds the worker-side pack time
-    (the parent adds its unpack time before reporting).
+    From a pool worker, ``result`` is ``None`` and ``packed`` carries
+    its pickle bytes for the parent to restore; ``ser_seconds`` holds
+    the worker-side ``dumps`` time (the parent adds its ``loads`` time
+    before reporting).
     """
 
     result: SimResult | None
     seconds: float
     worker: int
     ser_seconds: float = 0.0
-    packed: object = None
+    packed: bytes | None = None
 
 
 def _run_task(args: tuple) -> _TaskOutcome:
     """Worker: one simulation (module-level so it pickles).
 
     The payload is ``(scenario, hop_sample_every, profile, ckpt_path,
-    ckpt_every, transport)``.  With a checkpoint path, the worker first
+    ckpt_every, prepickle)``.  With a checkpoint path, the worker first
     tries to resume from it — so a task whose previous attempt crashed
     or timed out restarts from its last checkpoint instead of from
     scratch.  Any load failure (missing file, corrupt bytes, version
     mismatch, wrong scenario) falls back to a fresh run; the checkpoint
     file is removed once the run completes.
 
-    ``transport`` shapes the return trip: ``None`` ships the result
-    object straight through the executor (serial mode); ``"pickle"``
-    pre-pickles it (metering the cost); ``"shm:<prefix>"`` packs it via
-    :func:`repro.sim.shm.pack_result`, which silently degrades to
-    pickle bytes if segment creation fails in this worker.
+    ``prepickle`` is set for pool workers: the result is pickled here
+    rather than implicitly by the executor, so the cost is metered.  An
+    in-process (serial) task returns the object itself.
     """
     from repro.sim.engine import Simulator
 
-    scenario, hop_sample_every, profile, ckpt_path, ckpt_every, transport = args
+    scenario, hop_sample_every, profile, ckpt_path, ckpt_every, prepickle = args
     t0 = time.perf_counter()
     sim = None
     if ckpt_path is not None:
@@ -351,15 +353,10 @@ def _run_task(args: tuple) -> _TaskOutcome:
     else:
         res = sim.run()
     seconds = time.perf_counter() - t0
-    if transport is None:
+    if not prepickle:
         return _TaskOutcome(result=res, seconds=seconds, worker=os.getpid())
     t_ser = time.perf_counter()
-    if transport.startswith("shm:"):
-        from repro.sim.shm import pack_result
-
-        packed = pack_result(res, transport[4:])
-    else:
-        packed = pickle.dumps(res, protocol=pickle.HIGHEST_PROTOCOL)
+    packed = pickle.dumps(res, protocol=pickle.HIGHEST_PROTOCOL)
     return _TaskOutcome(
         result=None, seconds=seconds, worker=os.getpid(),
         ser_seconds=time.perf_counter() - t_ser, packed=packed,
@@ -372,28 +369,6 @@ def _resolve_workers(workers: int | None, n_tasks: int) -> int:
     if workers <= 1:
         return 0
     return min(workers, n_tasks)
-
-
-def _resolve_shm(shm: bool | None, n_workers: int) -> bool:
-    """Decide the result transport for this sweep.
-
-    Explicit ``shm=`` wins; otherwise ``REPRO_SWEEP_SHM`` (``0``/empty
-    disables); otherwise auto — on for parallel sweeps.  Regardless of
-    the request, shm only engages when the sweep is actually parallel
-    (serial results never cross a pipe) and the host's POSIX shared
-    memory passes the availability probe.
-    """
-    if shm is None:
-        env = os.environ.get("REPRO_SWEEP_SHM")
-        if env is not None:
-            shm = env.strip().lower() not in ("", "0", "false", "no")
-        else:
-            shm = True
-    if not shm or n_workers == 0:
-        return False
-    from repro.sim.shm import shm_available
-
-    return shm_available()
 
 
 def _serial_round(fn, tasks: dict, on_result) -> dict[int, tuple[str, str]]:
@@ -548,7 +523,6 @@ def run_sweep_detailed(
     profile: bool = False,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
-    shm: bool | None = None,
 ) -> SweepRun:
     """Run every scenario fault-tolerantly; never raises on task failure.
 
@@ -595,16 +569,6 @@ def run_sweep_detailed(
     checkpoint_every:
         Checkpoint cadence in metered steps (default 25 when
         ``checkpoint_dir`` is set; ignored otherwise).
-    shm:
-        Result transport for parallel sweeps.  ``True`` ships each
-        result's large arrays through a POSIX shared-memory segment
-        (:mod:`repro.sim.shm`) instead of the executor pipe; ``False``
-        forces plain pickling; ``None`` (default) reads
-        ``REPRO_SWEEP_SHM``, else auto-enables when the sweep is
-        parallel and shared memory is available.  Results are
-        byte-identical either way — only ``SweepProgress.ser_seconds``
-        (and wall time) differ.  Orphaned segments from killed workers
-        are swept from ``/dev/shm`` when the sweep ends.
 
     Returns
     -------
@@ -659,10 +623,8 @@ def run_sweep_detailed(
         nonlocal done
         res, ser = out.result, out.ser_seconds
         if out.packed is not None:
-            from repro.sim.shm import unpack_result
-
             t_ser = time.perf_counter()
-            res = unpack_result(out.packed)
+            res = pickle.loads(out.packed)
             ser += time.perf_counter() - t_ser
         results[i] = res
         if cache is not None:
@@ -679,37 +641,19 @@ def run_sweep_detailed(
             ))
 
     n_workers = _resolve_workers(workers, len(pending))
-    transport = None
-    shm_prefix = None
-    if n_workers > 0:
-        if _resolve_shm(shm, n_workers):
-            from repro.sim.shm import sweep_prefix
-
-            shm_prefix = sweep_prefix()
-            transport = f"shm:{shm_prefix}"
-        else:
-            transport = "pickle"
-    try:
-        failures = _execute(
-            _run_task,
-            {
-                i: (scenarios[i], hop_sample_every, profile,
-                    _ckpt_path(scenarios[i]), checkpoint_every, transport)
-                for i in pending
-            },
-            workers=n_workers,
-            task_timeout=task_timeout,
-            task_retries=task_retries,
-            retry_backoff=retry_backoff,
-            on_result=_finish,
-        )
-    finally:
-        if shm_prefix is not None:
-            # Workers killed mid-flight (crash, timeout, Ctrl-C) leak
-            # the segments they had already published; reap them.
-            from repro.sim.shm import cleanup_segments
-
-            cleanup_segments(shm_prefix)
+    failures = _execute(
+        _run_task,
+        {
+            i: (scenarios[i], hop_sample_every, profile,
+                _ckpt_path(scenarios[i]), checkpoint_every, n_workers > 0)
+            for i in pending
+        },
+        workers=n_workers,
+        task_timeout=task_timeout,
+        task_retries=task_retries,
+        retry_backoff=retry_backoff,
+        on_result=_finish,
+    )
     errors = [
         TaskError(index=i, kind=kind, message=message, attempts=attempts,
                   scenario=scenarios[i])
@@ -732,7 +676,6 @@ def run_sweep(
     profile: bool = False,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
-    shm: bool | None = None,
 ) -> list[SimResult]:
     """Run every scenario; return results in input order.
 
@@ -757,7 +700,6 @@ def run_sweep(
         profile=profile,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
-        shm=shm,
     )
     if run.errors and on_error == "raise":
         raise SweepError(run)
@@ -780,20 +722,30 @@ def cached_sweep(
     profile: bool = False,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
-    shm: bool | None = None,
-) -> list["SweepPoint"]:
-    """Drop-in :func:`repro.analysis.scaling.sweep` on the sweep runner.
+) -> list[SweepPoint]:
+    """Run a (sizes x seeds) grid and aggregate named metrics per size.
 
-    Same aggregation (per-n means and stds of each metric), but the runs
-    go through :func:`run_sweep` — so they parallelize and hit the
-    result cache.  Output is bit-identical to the serial ``sweep`` for
-    the same grid.
+    Parameters
+    ----------
+    ns:
+        Node counts to sweep (``None`` keeps ``base.n``).
+    base:
+        Template scenario; ``n`` and ``seed`` are overridden per run.
+    metrics:
+        Named extractors applied to each :class:`SimResult`; each point
+        carries their per-n mean and standard deviation over the seeds.
+    seeds:
+        Seeds averaged at each point.
+    scenario_for:
+        Optional hook ``(scenario, n) -> scenario`` applied after setting
+        ``n`` (e.g. to scale ``max_levels`` with log n).
+    keep_results:
+        Retain the raw SimResults on each point (memory-heavy).
+
+    The runs go through :func:`run_sweep` (grid from :func:`expand_grid`),
+    which takes the remaining parameters — so they parallelize and hit
+    the result cache, bit-identically to a serial loop.
     """
-    # Imported here, not at module top: analysis sits above sim in the
-    # layering (analysis.scaling imports the engine), so a top-level
-    # import would be circular.
-    from repro.analysis.scaling import SweepPoint
-
     if not metrics:
         raise ValueError("need at least one metric")
     seeds = list(seeds)
@@ -814,7 +766,6 @@ def cached_sweep(
         profile=profile,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
-        shm=shm,
     )
     points = []
     per_n = len(seeds)

@@ -1,15 +1,14 @@
-"""Tests for the sweep harness."""
+"""Tests for per-size sweep aggregation (``cached_sweep`` -> ``SweepPoint``)."""
 
 import pytest
 
-from repro.analysis import sweep
-from repro.sim import Scenario
+from repro.sim import Scenario, cached_sweep
 
 
 @pytest.fixture(scope="module")
 def tiny_sweep():
     base = Scenario(n=60, steps=6, warmup=2, speed=2.0, hop_mode="euclidean")
-    return sweep(
+    return cached_sweep(
         [60, 120],
         base,
         metrics={"handoff": lambda r: r.handoff_rate, "f0": lambda r: r.f0},
@@ -32,7 +31,7 @@ class TestSweep:
 
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError):
-            sweep([10], Scenario(), metrics={})
+            cached_sweep([10], Scenario(), metrics={})
 
     def test_scenario_hook(self):
         seen = []
@@ -41,7 +40,7 @@ class TestSweep:
             seen.append(n)
             return sc
 
-        sweep(
+        cached_sweep(
             [60],
             Scenario(n=60, steps=3, warmup=1, hop_mode="euclidean"),
             metrics={"f0": lambda r: r.f0},

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import repro.sim.sweep as sweep_mod
-from repro.analysis import sweep
 from repro.sim import (
     Scenario,
     cached_sweep,
     expand_grid,
     parallel_map,
+    run_scenario,
     run_sweep,
     scenario_key,
 )
@@ -69,13 +69,30 @@ class TestDeterminism:
             assert np.array_equal(a.final_positions, b.final_positions)
 
     def test_cached_sweep_matches_analysis_sweep(self):
+        """The runner's aggregates equal an independent serial loop of
+        run_scenario + np.mean / np.std over the same (n, seed) grid."""
         metrics = {"total": lambda r: r.handoff_rate, "f0": lambda r: r.f0}
-        a = sweep([60, 90], BASE, metrics, seeds=(0, 1))
-        b = cached_sweep([60, 90], BASE, metrics, seeds=(0, 1), workers=2)
-        for p, q in zip(a, b):
-            assert p.n == q.n
-            assert p.values == q.values
-            assert p.stds == q.stds
+        points = cached_sweep([60, 90], BASE, metrics, seeds=(0, 1), workers=2)
+        assert [p.n for p in points] == [60, 90]
+        for p in points:
+            runs = [run_scenario(replace(BASE, n=p.n, seed=seed))
+                    for seed in (0, 1)]
+            for name, fn in metrics.items():
+                samples = [float(fn(r)) for r in runs]
+                assert p.values[name] == float(np.mean(samples))
+                assert p.stds[name] == float(np.std(samples))
+
+    def test_serial_and_parallel_caches_byte_identical(self, tmp_path):
+        """A result that crossed the executor pipe is stored exactly as
+        one that never left the process."""
+        grid = expand_grid(BASE, [60], seeds=(0, 1))
+        run_sweep(grid, workers=0, cache_dir=tmp_path / "serial")
+        run_sweep(grid, workers=2, cache_dir=tmp_path / "parallel")
+        entries = sorted(p.name for p in (tmp_path / "serial").glob("*.pkl"))
+        assert len(entries) == 2
+        for name in entries:
+            assert ((tmp_path / "serial" / name).read_bytes()
+                    == (tmp_path / "parallel" / name).read_bytes())
 
 
 class TestCache:
@@ -150,6 +167,26 @@ class TestCache:
         poisoned = cached_sweep([60], BASE, metrics, seeds=(0,),
                                 cache_dir=tmp_path)
         assert poisoned[0].values == clean[0].values
+
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """A store that dies mid-write (disk full, Ctrl-C) must not leave
+        its ``<key>.tmp-<pid>`` behind; the next sweep just re-runs."""
+        grid = expand_grid(BASE, [60], seeds=(0,))
+
+        def dump_then_die(obj, fh, protocol=None):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sweep_mod.pickle, "dump", dump_then_die)
+            with pytest.raises(OSError, match="disk full"):
+                run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        res = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        assert [p.suffix for p in tmp_path.iterdir()] == [".pkl"]
+        assert _fingerprint(res[0]) == _fingerprint(
+            run_sweep(grid, hop_sample_every=4)[0]
+        )
 
     def test_no_cache_dir_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
@@ -300,6 +337,21 @@ class TestProgressTelemetry:
         workers = {e.worker for e in events}
         assert None not in workers
         assert os.getpid() not in workers
+
+    def test_serial_sweep_has_no_transport(self):
+        events = []
+        run_sweep(expand_grid(BASE, [60], seeds=(0,)), workers=0,
+                  progress=events.append)
+        assert events[0].ser_seconds == 0.0
+
+    def test_parallel_sweep_meters_serialization(self):
+        """Pool workers pickle their own result, so the transport cost
+        (worker dumps + parent loads) reaches the progress callback."""
+        events = []
+        run_sweep(expand_grid(BASE, [60], seeds=(0, 1)), workers=2,
+                  progress=events.append)
+        assert len(events) == 2
+        assert all(e.ser_seconds > 0 for e in events)
 
     def test_cache_hits_report_load_time(self, tmp_path):
         grid = expand_grid(BASE, [60], seeds=(0,))

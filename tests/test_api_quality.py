@@ -2,8 +2,12 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,22 @@ class TestExports:
     def test_subpackage_list_accurate(self):
         for name in repro.__all__:
             importlib.import_module(f"repro.{name}")
+
+
+class TestLayering:
+    def test_analysis_does_not_import_the_simulator(self):
+        """``repro.analysis`` is theory/fitting/report; the sweep runner
+        and its ``SweepPoint`` live in ``repro.sim``, which may import
+        analysis but not the reverse.  Needs a fresh interpreter: this
+        process has long since imported ``repro.sim``."""
+        code = (
+            "import sys, repro.analysis; "
+            "bad = sorted(m for m in sys.modules if m.startswith('repro.sim')); "
+            "assert not bad, bad"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestGoldenDeterminism:

@@ -15,6 +15,21 @@ class TestParser:
         assert args.n == 200
         assert args.mobility == "random_waypoint"
 
+    @pytest.mark.parametrize("command, steps, warmup, hops", [
+        ("simulate", 50, 10, "auto"),
+        ("serve", 25, 5, "euclidean"),
+        ("sweep", 40, 10, "euclidean"),
+        ("profile", 30, 10, "euclidean"),
+    ])
+    def test_shared_flags_keep_each_subcommands_defaults(
+            self, command, steps, warmup, hops):
+        """The run flags are declared once for all four subcommands, but
+        each keeps its own defaults; the rest of the block is common."""
+        args = build_parser().parse_args([command])
+        assert (args.steps, args.warmup, args.hops) == (steps, warmup, hops)
+        assert (args.speed, args.dt, args.density, args.degree) == (
+            1.0, 1.0, 0.02, 9.0)
+
     def test_experiment_args(self):
         args = build_parser().parse_args(["experiment", "EXP-T9", "--full"])
         assert args.exp_id == "EXP-T9"

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis import sweep
 from repro.persist import (
     SCHEMA_VERSION,
     load_result_dict,
@@ -13,7 +12,8 @@ from repro.persist import (
     save_result,
     save_sweep,
 )
-from repro.sim import Scenario, run_scenario
+from repro.sim import Scenario, cached_sweep, run_scenario
+from repro.sim.metrics import SweepPoint
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +57,12 @@ class TestSweepRoundtrip:
     def points(self):
         base = Scenario(n=60, steps=4, warmup=1, speed=1.5,
                         hop_mode="euclidean", max_levels=2)
-        return sweep([60, 90], base, {"f0": lambda r: r.f0}, seeds=(0,))
+        return cached_sweep([60, 90], base, {"f0": lambda r: r.f0}, seeds=(0,))
 
     def test_roundtrip(self, points, tmp_path):
         p = save_sweep(points, tmp_path / "sweep.json", meta={"exp": "T1"})
         loaded = load_sweep(p)
+        assert all(isinstance(q, SweepPoint) for q in loaded)
         assert [q.n for q in loaded] == [60, 90]
         for a, b in zip(points, loaded):
             assert a.values == b.values
