@@ -1,0 +1,63 @@
+"""The one bit-identity fingerprint of a :class:`~repro.sim.metrics.SimResult`.
+
+Every equivalence suite (profiled vs plain, lossy knobs inert, service a
+pure observer, serial vs parallel sweeps, full-rebuild vs event-driven
+plane) asks the same question — *are these two runs the same numbers?* —
+so they share one answer: :func:`fingerprint` is the superset of the
+metered series each of them used to list privately, and
+:func:`fingerprint_sha256` condenses it to the digest the golden tests in
+``tests/sim/test_golden_fingerprints.py`` pin.
+"""
+
+import hashlib
+
+import numpy as np
+
+__all__ = ["fingerprint", "fingerprint_sha256"]
+
+
+def _items(d):
+    return tuple(sorted(d.items()))
+
+
+def fingerprint(res):
+    """Every metered series of a ``SimResult`` as one hashable tuple.
+
+    No tolerance anywhere: two fingerprints are equal iff every series,
+    every per-level breakdown and every (i)-(vii) event count is
+    bit-identical.
+    """
+    lg = res.ledger
+    ls = res.level_series
+    return (
+        res.phi, res.gamma, res.f0, res.handoff_rate,
+        res.mean_degree, res.giant_fraction, res.elapsed,
+        _items(ls.link_events), _items(ls.drift_link_events),
+        _items(ls.address_changes),
+        tuple(res.h_network),
+        tuple((k, tuple(v)) for k, v in sorted(res.h_levels.items())),
+        _items(lg.phi_k()), _items(lg.gamma_k()), _items(lg.f_k()),
+        tuple(sorted(
+            ((kind.value, lvl), count)
+            for (kind, lvl), count in lg.reorg_event_counts.items()
+        )),
+        lg.retransmitted_packets, lg.abandoned_entries,
+        lg.recovered_entries, lg.recovery_time_total,
+        tuple(lg.stale_series),
+    )
+
+
+def _plain(obj):
+    """Numpy scalars to python ones, so ``repr`` does not depend on the
+    numpy version's scalar formatting."""
+    if isinstance(obj, tuple):
+        return tuple(_plain(x) for x in obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
+
+
+def fingerprint_sha256(res) -> str:
+    """sha256 of the fingerprint's ``repr`` (floats print shortest
+    round-trip, so equal digests mean equal bits)."""
+    return hashlib.sha256(repr(_plain(fingerprint(res))).encode()).hexdigest()

@@ -9,6 +9,7 @@ consume an RNG draw or reorder a phase.
 
 from repro.obs import PHASES
 from repro.sim import Scenario, Simulator, run_scenario
+from tests.fingerprint import fingerprint
 
 SC = Scenario(n=80, steps=8, warmup=2, speed=1.5, seed=3,
               max_levels=3, hop_mode="euclidean")
@@ -18,25 +19,11 @@ LOSSY = Scenario(n=80, steps=8, warmup=2, speed=1.5, seed=3,
                  loss_rate=0.08, retry_attempts=3, queries_per_step=3)
 
 
-def _fingerprint(res):
-    """Every metered series of a SimResult, for bit-identity checks."""
-    return (
-        res.phi, res.gamma, res.f0, res.handoff_rate, res.mean_degree,
-        res.giant_fraction, res.elapsed,
-        dict(res.level_series.link_events),
-        dict(res.level_series.drift_link_events),
-        dict(res.level_series.address_changes),
-        res.h_network, res.h_levels,
-        res.ledger.phi_k(), res.ledger.gamma_k(), res.ledger.f_k(),
-        res.ledger.retransmitted_packets, res.ledger.abandoned_entries,
-    )
-
-
 class TestBitIdentity:
     def test_profiled_run_matches_plain_run(self):
         plain = run_scenario(SC, hop_sample_every=4)
         profiled = run_scenario(SC, hop_sample_every=4, profile=True)
-        assert _fingerprint(plain) == _fingerprint(profiled)
+        assert fingerprint(plain) == fingerprint(profiled)
         assert plain.timings is None
         assert profiled.timings is not None
 
@@ -45,14 +32,14 @@ class TestBitIdentity:
         must not perturb a single draw."""
         plain = run_scenario(LOSSY, hop_sample_every=4)
         profiled = run_scenario(LOSSY, hop_sample_every=4, profile=True)
-        assert _fingerprint(plain) == _fingerprint(profiled)
+        assert fingerprint(plain) == fingerprint(profiled)
         assert plain.queries.success_series == profiled.queries.success_series
 
     def test_profile_plus_trace_matches_plain_run(self):
         plain = Simulator(SC, hop_sample_every=4).run()
         instrumented = Simulator(SC, hop_sample_every=4, trace=True,
                                  profile=True).run()
-        assert _fingerprint(plain) == _fingerprint(instrumented)
+        assert fingerprint(plain) == fingerprint(instrumented)
         assert instrumented.trace is not None
 
 

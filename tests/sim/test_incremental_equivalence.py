@@ -15,26 +15,7 @@ import pytest
 
 from repro.sim import Scenario, run_scenario
 from repro.sim.engine import Simulator
-
-
-def _fingerprint(res):
-    lg = res.ledger
-    return (
-        res.phi, res.gamma, res.f0, res.handoff_rate,
-        res.mean_degree, res.giant_fraction,
-        tuple(sorted(lg.phi_k().items())),
-        tuple(sorted(lg.gamma_k().items())),
-        tuple(sorted(lg.f_k().items())),
-        tuple(sorted(
-            ((kind.value, lvl), count)
-            for (kind, lvl), count in lg.reorg_event_counts.items()
-        )),
-        lg.retransmitted_packets, lg.abandoned_entries,
-        lg.recovered_entries, lg.recovery_time_total,
-        tuple(lg.stale_series),
-        tuple(res.h_network),
-        tuple((k, tuple(v)) for k, v in sorted(res.h_levels.items())),
-    )
+from tests.fingerprint import fingerprint
 
 
 def _pair(sc, hop_sample_every=25):
@@ -50,13 +31,13 @@ class TestRegimeMatrix:
     def test_plain(self):
         off, on = _pair(Scenario(n=80, steps=8, warmup=2, seed=3,
                                  max_levels=3))
-        assert _fingerprint(off) == _fingerprint(on)
+        assert fingerprint(off) == fingerprint(on)
 
     def test_lossy_with_queries(self):
         off, on = _pair(Scenario(n=100, steps=12, warmup=3, seed=11,
                                  max_levels=3, loss_rate=0.08,
                                  retry_attempts=3, queries_per_step=4))
-        assert _fingerprint(off) == _fingerprint(on)
+        assert fingerprint(off) == fingerprint(on)
         assert off.queries.attempts == on.queries.attempts
         assert off.queries.success_series == on.queries.success_series
 
@@ -66,24 +47,24 @@ class TestRegimeMatrix:
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",
                    "partition:start=7,duration=3"),
         ))
-        assert _fingerprint(off) == _fingerprint(on)
+        assert fingerprint(off) == fingerprint(on)
         assert (off.extras["chaos"].total_violations
                 == on.extras["chaos"].total_violations)
 
     def test_sticky_elections(self):
         off, on = _pair(Scenario(n=80, steps=10, warmup=2, seed=5,
                                  max_levels=3, election_mode="sticky"))
-        assert _fingerprint(off) == _fingerprint(on)
+        assert fingerprint(off) == fingerprint(on)
 
     def test_persistent_elections(self):
         off, on = _pair(Scenario(n=80, steps=10, warmup=2, seed=9,
                                  max_levels=3, election_mode="persistent"))
-        assert _fingerprint(off) == _fingerprint(on)
+        assert fingerprint(off) == fingerprint(on)
 
     def test_contraction_levels(self):
         off, on = _pair(Scenario(n=80, steps=8, warmup=2, seed=13,
                                  max_levels=3, level_mode="contraction"))
-        assert _fingerprint(off) == _fingerprint(on)
+        assert fingerprint(off) == fingerprint(on)
 
 
 class TestResume:
@@ -102,7 +83,7 @@ class TestResume:
         assert resumed_sim._delta_plane is not None
         assert resumed_sim._edge_cache is not None
         resumed = resumed_sim.run()
-        assert _fingerprint(baseline) == _fingerprint(resumed)
+        assert fingerprint(baseline) == fingerprint(resumed)
 
     def test_resume_matches_full_rebuild_run(self, tmp_path):
         """Transitively: resumed-incremental == incremental == full."""
@@ -113,7 +94,7 @@ class TestResume:
         path = tmp_path / "inc2.ckpt"
         Simulator(inc).run(checkpoint_every=4, checkpoint_path=str(path))
         resumed = Simulator.restore(str(path)).run()
-        assert _fingerprint(full) == _fingerprint(resumed)
+        assert fingerprint(full) == fingerprint(resumed)
 
 
 class TestScenarioValidation:

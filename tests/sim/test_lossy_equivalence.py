@@ -18,20 +18,7 @@ from repro.geometry import disc_for_density
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.sim import Scenario, run_scenario
-
-
-def _fingerprint(res):
-    """Every metered series of a SimResult, for bit-identity checks."""
-    return (
-        res.phi, res.gamma, res.f0, res.handoff_rate, res.mean_degree,
-        res.giant_fraction,
-        dict(res.level_series.link_events),
-        dict(res.level_series.address_changes),
-        res.h_network, res.h_levels,
-        res.ledger.phi_k(), res.ledger.gamma_k(), res.ledger.f_k(),
-        res.ledger.retransmitted_packets, res.ledger.abandoned_entries,
-        res.ledger.recovered_entries, list(res.ledger.stale_series),
-    )
+from tests.fingerprint import fingerprint
 
 
 def _snapshots(n=120, steps=6, seed=0):
@@ -93,8 +80,8 @@ class TestZeroLossExactness:
                            loss_rate=0.0, retry_attempts=7,
                            retry_backoff=0.9, retry_jitter=0.5,
                            retry_timeout=42.0)
-        assert _fingerprint(run_scenario(base, hop_sample_every=4)) == \
-            _fingerprint(run_scenario(knobbed, hop_sample_every=4))
+        assert fingerprint(run_scenario(base, hop_sample_every=4)) == \
+            fingerprint(run_scenario(knobbed, hop_sample_every=4))
 
     def test_query_sampling_does_not_perturb_metered_series(self):
         """Queries draw from their own RNG stream, so sampling them must
@@ -106,7 +93,7 @@ class TestZeroLossExactness:
                            queries_per_step=4)
         a = run_scenario(quiet, hop_sample_every=4)
         b = run_scenario(sampled, hop_sample_every=4)
-        assert _fingerprint(a) == _fingerprint(b)
+        assert fingerprint(a) == fingerprint(b)
         assert a.queries is None and a.query_success_rate is None
         assert b.queries is not None
         assert b.queries.attempts == 8 * 4
@@ -125,7 +112,7 @@ class TestLossyBehavior:
 
     def test_seed_deterministic(self, result):
         again = run_scenario(LOSSY, hop_sample_every=4)
-        assert _fingerprint(result) == _fingerprint(again)
+        assert fingerprint(result) == fingerprint(again)
         assert result.queries.success_series == again.queries.success_series
 
     def test_retransmissions_metered(self, result):

@@ -17,20 +17,7 @@ import numpy as np
 import pytest
 
 from repro.sim import Scenario, Simulator, run_scenario
-
-
-def _fingerprint(res):
-    """Every core metered series of a SimResult, for bit-identity."""
-    return (
-        res.phi, res.gamma, res.f0, res.handoff_rate, res.mean_degree,
-        res.giant_fraction,
-        dict(res.level_series.link_events),
-        dict(res.level_series.address_changes),
-        res.h_network, res.h_levels,
-        res.ledger.phi_k(), res.ledger.gamma_k(), res.ledger.f_k(),
-        res.ledger.retransmitted_packets, res.ledger.abandoned_entries,
-        res.ledger.recovered_entries, list(res.ledger.stale_series),
-    )
+from tests.fingerprint import fingerprint
 
 
 def _service_fingerprint(rep):
@@ -66,14 +53,14 @@ class TestPureObserver:
                             arrival_process="hotspot")
         a = run_scenario(_scenario(), hop_sample_every=4)
         b = run_scenario(knobbed, hop_sample_every=4)
-        assert _fingerprint(a) == _fingerprint(b)
+        assert fingerprint(a) == fingerprint(b)
         assert "service" not in b.extras
 
     def test_service_on_leaves_core_metrics_bit_identical(self):
         """The strong contract: the front-end observes, never perturbs."""
         off = run_scenario(_scenario(), hop_sample_every=4)
         on = run_scenario(SERVED, hop_sample_every=4)
-        assert _fingerprint(off) == _fingerprint(on)
+        assert fingerprint(off) == fingerprint(on)
         assert np.array_equal(off.final_positions, on.final_positions)
         assert on.extras["service"].offered > 0
 
@@ -85,7 +72,7 @@ class TestPureObserver:
         off = run_scenario(lossy, hop_sample_every=4)
         on = run_scenario(replace(lossy, arrival_rate=40.0),
                           hop_sample_every=4)
-        assert _fingerprint(off) == _fingerprint(on)
+        assert fingerprint(off) == fingerprint(on)
         assert off.queries.success_series == on.queries.success_series
         assert on.extras["service"].offered > 0
 
@@ -158,7 +145,7 @@ class TestResume:
         resumed = resumed_sim.run()
         assert _service_fingerprint(baseline.extras["service"]) == \
             _service_fingerprint(resumed.extras["service"])
-        assert _fingerprint(baseline) == _fingerprint(resumed)
+        assert fingerprint(baseline) == fingerprint(resumed)
 
 
 class TestAcceptanceLoad:

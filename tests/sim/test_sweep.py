@@ -15,22 +15,10 @@ from repro.sim import (
     run_sweep,
     scenario_key,
 )
+from tests.fingerprint import fingerprint
 
 BASE = Scenario(n=60, steps=5, warmup=1, speed=1.5, hop_mode="euclidean",
                 max_levels=2)
-
-
-def _fingerprint(res):
-    """Every scalar metric stream of a SimResult, for bit-identity checks."""
-    return (
-        res.phi, res.gamma, res.f0, res.handoff_rate, res.mean_degree,
-        res.giant_fraction, res.elapsed,
-        dict(res.level_series.link_events),
-        dict(res.level_series.drift_link_events),
-        dict(res.level_series.address_changes),
-        res.h_network, res.h_levels,
-        res.ledger.phi_k(), res.ledger.gamma_k(), res.ledger.f_k(),
-    )
 
 
 def _double(x: float) -> float:
@@ -65,7 +53,7 @@ class TestDeterminism:
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert a.scenario == b.scenario
-            assert _fingerprint(a) == _fingerprint(b)
+            assert fingerprint(a) == fingerprint(b)
             assert np.array_equal(a.final_positions, b.final_positions)
 
     def test_cached_sweep_matches_analysis_sweep(self):
@@ -109,7 +97,7 @@ class TestCache:
         monkeypatch.setattr(sweep_mod, "_run_task", boom)
         second = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
         for a, b in zip(first, second):
-            assert _fingerprint(a) == _fingerprint(b)
+            assert fingerprint(a) == fingerprint(b)
 
     def test_progress_reports_cache_hits(self, tmp_path):
         grid = expand_grid(BASE, [60], seeds=(0,))
@@ -127,7 +115,7 @@ class TestCache:
         res = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
         assert res[0].phi >= 0  # re-simulated, and
         serial = run_sweep(grid, hop_sample_every=4)
-        assert _fingerprint(res[0]) == _fingerprint(serial[0])
+        assert fingerprint(res[0]) == fingerprint(serial[0])
 
     def test_truncated_entry_is_a_miss_and_self_heals(self, tmp_path):
         """A pickle cut off mid-write (crash during a non-atomic copy,
@@ -138,7 +126,7 @@ class TestCache:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         again = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
-        assert _fingerprint(again[0]) == _fingerprint(first[0])
+        assert fingerprint(again[0]) == fingerprint(first[0])
         assert path.read_bytes() == blob  # entry rewritten whole
 
     def test_wrong_object_type_is_a_miss(self, tmp_path):
@@ -150,7 +138,7 @@ class TestCache:
         path = tmp_path / f"{scenario_key(grid[0], 4)}.pkl"
         path.write_bytes(pickle.dumps({"not": "a SimResult"}))
         res = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
-        assert _fingerprint(res[0]) == _fingerprint(
+        assert fingerprint(res[0]) == fingerprint(
             run_sweep(grid, hop_sample_every=4)[0]
         )
 
@@ -184,7 +172,7 @@ class TestCache:
         assert list(tmp_path.iterdir()) == []
         res = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
         assert [p.suffix for p in tmp_path.iterdir()] == [".pkl"]
-        assert _fingerprint(res[0]) == _fingerprint(
+        assert fingerprint(res[0]) == fingerprint(
             run_sweep(grid, hop_sample_every=4)[0]
         )
 
@@ -381,7 +369,7 @@ class TestProfiledSweep:
         grid = expand_grid(BASE, [60], seeds=(0,))
         plain = run_sweep(grid, hop_sample_every=4)
         profiled = run_sweep(grid, hop_sample_every=4, profile=True)
-        assert _fingerprint(plain[0]) == _fingerprint(profiled[0])
+        assert fingerprint(plain[0]) == fingerprint(profiled[0])
         assert plain[0].timings is None
         assert profiled[0].timings.steps == BASE.steps
 
