@@ -212,19 +212,18 @@ def test_bench_hierarchy_incremental(benchmark):
     closure.  The budget gate (HIERARCHY_BUDGET < 1) pins this cheaper
     than the full re-election it replaces.  20 rounds, because the gate
     compares means and one slow round in five used to multiply this one."""
-    from repro.hierarchy import DeltaPlane
+    from repro.hierarchy import DeltaPlane, compute_delta
 
     n = HIERARCHY_N
     r_tx, (pts0, e0), (pts1, e1) = _hierarchy_bench_state(n)
 
     def make_state():
         plane = DeltaPlane(n, max_levels=3, level_mode="radio", r0=r_tx)
-        plane.advance(e0, pts0)
-        return (plane,), {}
+        return (plane, plane.advance(e0, pts0)), {}
 
-    def one_advance(plane):
+    def one_advance(plane, prev):
         h = plane.advance(e1, pts1)
-        plane.delta()  # the step's full cost includes the delta
+        compute_delta(prev, h)  # the step's full cost includes the delta
         return h
 
     h = benchmark.pedantic(one_advance, setup=make_state, rounds=20)

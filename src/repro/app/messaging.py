@@ -18,12 +18,15 @@ addresses and all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.core import HandoffEngine, resolve
 from repro.graphs import CompactGraph
-from repro.hierarchy.levels import ClusteredHierarchy, build_hierarchy
+from repro.hierarchy.delta import compute_delta
+from repro.hierarchy.levels import ClusteredHierarchy
+from repro.hierarchy.stepper import hierarchy_stepper
 from repro.radio.linkevents import LinkTracker
 from repro.radio.unit_disk import unit_disk_edges
 from repro.routing.fabric_cache import FabricCache
@@ -56,48 +59,41 @@ class MessagingService:
         Population size, unit-disk radius, hierarchy depth cap.
     hash_fn:
         CHLM hash forwarded to the handoff engine.
-    incremental:
-        When True (default) the forwarding fabric is maintained across
-        steps by a :class:`~repro.routing.fabric_cache.FabricCache` fed
-        with the step's link events, instead of being rebuilt from
-        scratch per snapshot.  Results are bit-identical either way.
     incremental_hierarchy:
-        When True, the *control plane* goes event-driven too: unit-disk
+        When True, the *control plane* goes event-driven: unit-disk
         edges come from a Verlet candidate cache, the ALCA hierarchy is
         patched per level from link deltas
         (:class:`~repro.hierarchy.delta.DeltaPlane`), the handoff engine
         re-hashes only dirty descent chains, and the fabric cache is fed
         the same dirty-cluster sets instead of re-diffing ancestry.
-        Results are bit-identical either way; requires the rendezvous
-        hash.
+        Results are bit-identical either way.  Read here only: the flag
+        picks the edge source and the hierarchy stepper, as in
+        :class:`~repro.sim.engine.Simulator`.
+
+    The forwarding fabric is maintained across steps by a
+    :class:`~repro.routing.fabric_cache.FabricCache` fed with the step's
+    link events.
     """
 
     def __init__(self, n: int, r_tx: float, max_levels: int | None = None,
-                 hash_fn: str = "rendezvous", incremental: bool = True,
+                 hash_fn: str = "rendezvous",
                  incremental_hierarchy: bool = False):
         if n <= 1 or r_tx <= 0:
             raise ValueError("need n > 1 and a positive radius")
-        if incremental_hierarchy and hash_fn != "rendezvous":
-            raise ValueError(
-                "incremental_hierarchy patches rendezvous descent chains; "
-                f"hash_fn={hash_fn!r} is not supported"
-            )
         self.n = int(n)
         self.r_tx = float(r_tx)
         self.max_levels = max_levels
-        self.incremental = bool(incremental)
-        self.incremental_hierarchy = bool(incremental_hierarchy)
-        self._engine = HandoffEngine(hash_fn=hash_fn,
-                                     incremental=self.incremental_hierarchy)
-        self._delta_plane = None
-        self._edge_cache = None
-        if self.incremental_hierarchy:
-            from repro.hierarchy.delta import DeltaPlane
+        self._engine = HandoffEngine(hash_fn=hash_fn)
+        self._stepper = hierarchy_stepper(self.n, self.r_tx,
+                                          max_levels=max_levels,
+                                          incremental=incremental_hierarchy)
+        self._event_plane = bool(incremental_hierarchy)
+        if self._event_plane:
             from repro.radio.edge_cache import VerletEdgeCache
 
-            self._delta_plane = DeltaPlane(self.n, max_levels=max_levels,
-                                           level_mode="radio", r0=self.r_tx)
-            self._edge_cache = VerletEdgeCache(self.r_tx)
+            self._edges = VerletEdgeCache(self.r_tx).edges
+        else:
+            self._edges = partial(unit_disk_edges, r_tx=self.r_tx)
         self._tracker = LinkTracker(self.n)
         self._fabric_cache = FabricCache()
         self._hierarchy: ClusteredHierarchy | None = None
@@ -122,36 +118,21 @@ class MessagingService:
         pts = np.asarray(positions, dtype=np.float64)
         if pts.shape[0] != self.n:
             raise ValueError("positions must cover all nodes")
-        if self._edge_cache is not None:
-            edges = self._edge_cache.edges(pts)
-        else:
-            edges = unit_disk_edges(pts, self.r_tx)
-        delta = None
-        if self._delta_plane is not None:
-            h = self._delta_plane.advance(edges, pts)
-            delta = self._delta_plane.delta()
-        else:
-            h = build_hierarchy(np.arange(self.n), edges,
-                                max_levels=self.max_levels,
-                                level_mode="radio", positions=pts,
-                                r0=self.r_tx)
+        edges = self._edges(pts)
+        h = self._stepper(edges, pts)
+        delta = compute_delta(self._hierarchy, h) if self._event_plane else None
         # Database = what was current before this update.
         self._db_hierarchy = self._hierarchy
         self._db_assignment = self._engine.assignment
         self._engine.observe(h, hop_fn, delta=delta)
         self._hierarchy = h
         self._graph = CompactGraph(np.arange(self.n), edges)
-        if self.incremental:
-            diff = self._tracker.observe(edges)
-            dirty = (
-                delta.dirty_sets()
-                if delta is not None and not delta.full
-                else None
-            )
-            self._fabric = self._fabric_cache.update(h, self._graph, diff,
-                                                     dirty=dirty)
-        else:
-            self._fabric = ForwardingFabric(h, self._graph)
+        dirty = (
+            delta.dirty_sets() if delta is not None and not delta.full else None
+        )
+        self._fabric = self._fabric_cache.update(
+            h, self._graph, self._tracker.observe(edges), dirty=dirty
+        )
 
     def send(self, s: int, d: int, hop_fn) -> SessionResult:
         """Attempt one session from ``s`` to ``d``.

@@ -40,7 +40,6 @@ _SCENARIO_FLAGS = {
     "steps": "steps", "warmup": "warmup", "speed": "speed", "dt": "dt",
     "density": "density", "degree": "target_degree", "hops": "hop_mode",
     "incremental_hierarchy": "incremental_hierarchy",
-    "verlet_skin": "verlet_skin",
     "loss_rate": "loss_rate", "retry_attempts": "retry_attempts",
     "mobility": "mobility", "election": "election_mode",
     "invariant_mode": "invariant_mode",
@@ -81,11 +80,7 @@ def _add_control_plane_args(p) -> None:
                    help="event-driven control plane: patch the ALCA "
                         "hierarchy and descent chains from link deltas "
                         "instead of rebuilding per step (bit-identical "
-                        "results; requires memoryless LCA elections)")
-    p.add_argument("--verlet-skin", type=float, default=0.5,
-                   help="Verlet candidate-radius inflation for the "
-                        "incremental pipeline (rebuild after "
-                        "skin*R_tx/2 drift; bit-identical output)")
+                        "results)")
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="per-hop control-packet loss probability "
                         "(default 0 = lossless)")

@@ -132,22 +132,21 @@ class HandoffEngine:
     ----------
     hash_fn:
         CHLM hash ("rendezvous" default, or "naive" / callable).
-    incremental:
-        When True *and* the caller supplies a non-full
-        :class:`~repro.hierarchy.delta.HierarchyDelta` to
-        :meth:`observe`, the CHLM assignment is **patched** instead of
-        recomputed — only descent stages whose input or consulted member
-        list changed are re-hashed, and only the rows whose server moved
-        (plus outstanding stale keys) enter the handoff diff.  The
-        metering is bit-identical to the full path: the delta's
-        dirtiness claims are exact, so every row outside the candidate
-        set provably kept its server.  Requires the rendezvous hash;
-        other hashes silently use the full path.
+
+    When the caller supplies a non-full
+    :class:`~repro.hierarchy.delta.HierarchyDelta` to :meth:`observe`
+    and the previous intent kept its descent chains (the rendezvous
+    hash does; any other hash takes the full path), the CHLM assignment
+    is **patched** instead of recomputed — only descent stages whose
+    input or consulted member list changed are re-hashed, and only the
+    rows whose server moved (plus outstanding stale keys) enter the
+    handoff diff.  The metering is bit-identical to the full path: the
+    delta's dirtiness claims are exact, so every row outside the
+    candidate set provably kept its server.
     """
 
-    def __init__(self, hash_fn="rendezvous", incremental=False):
+    def __init__(self, hash_fn="rendezvous"):
         self.hash_fn = hash_fn
-        self.incremental = bool(incremental)
         self._prev_h: ClusteredHierarchy | None = None
         self._prev_a: ServerAssignment | None = None
         # The previous *intent* (hash output).  Distinct from _prev_a,
@@ -187,14 +186,13 @@ class HandoffEngine:
         ``delivery`` (a :class:`~repro.faults.delivery.DeliveryEngine`)
         routes every charge through the lossy channel; ``now`` is the
         simulation clock used to timestamp abandonments and measure
-        staleness recovery.  ``delta`` (see the class docstring) enables
-        assignment patching and dirty-row candidate narrowing when the
-        engine was built with ``incremental=True``.
+        staleness recovery.  ``delta`` (see the class docstring), the
+        exact change summary from the previous ``h`` to this one,
+        enables assignment patching and dirty-row candidate narrowing.
         """
         dirty: dict[int, np.ndarray] | None = None
         if (
-            self.incremental
-            and delta is not None
+            delta is not None
             and not delta.full
             and isinstance(self._intent, ChainedAssignment)
         ):

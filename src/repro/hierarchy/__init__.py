@@ -7,7 +7,12 @@ from repro.hierarchy.delta import (
     LazyClusters,
     compute_delta,
 )
-from repro.hierarchy.levels import ClusteredHierarchy, LevelTopology, build_hierarchy
+from repro.hierarchy.levels import (
+    ClusteredHierarchy,
+    LevelTopology,
+    build_hierarchy,
+    recurse_levels,
+)
 from repro.hierarchy.maintain import HierarchyMaintainer
 from repro.hierarchy.persistent import (
     PersistentHierarchyMaintainer,
@@ -20,6 +25,7 @@ from repro.hierarchy.stats import (
     level_hop_counts,
     mean_hop_count,
 )
+from repro.hierarchy.stepper import hierarchy_stepper
 
 __all__ = [
     "canonical_edges",
@@ -31,6 +37,8 @@ __all__ = [
     "ClusteredHierarchy",
     "LevelTopology",
     "build_hierarchy",
+    "recurse_levels",
+    "hierarchy_stepper",
     "HierarchyMaintainer",
     "PersistentHierarchyMaintainer",
     "PersistentLevelMaintainer",

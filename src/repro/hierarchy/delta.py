@@ -38,9 +38,12 @@ import numpy as np
 from repro.clustering.incremental import IncrementalElection
 from repro.clustering.lca import Election
 from repro.graphs import IdIndex
-from repro.hierarchy.cluster_graph import contract_edges
-from repro.hierarchy.levels import ClusteredHierarchy, LevelTopology
-from repro.radio.unit_disk import decode_edges, encode_edges, unit_disk_edges
+from repro.hierarchy.levels import (
+    ClusteredHierarchy,
+    check_link_model,
+    recurse_levels,
+)
+from repro.radio.unit_disk import decode_edges, encode_edges
 
 __all__ = ["HierarchyDelta", "DeltaPlane", "LazyClusters", "compute_delta"]
 
@@ -219,39 +222,30 @@ class _LevelState:
 
 
 class DeltaPlane:
-    """Maintains the recursive ALCA hierarchy from link deltas.
+    """Maintains the memoryless ALCA hierarchy from link deltas.
 
-    Two operating modes:
+    :meth:`advance` takes the step's canonical edge array and runs the
+    shared level recursion (:func:`~repro.hierarchy.levels.recurse_levels`)
+    with an elector that *patches* each level's election in place,
+    producing a hierarchy bit-identical to :func:`build_hierarchy` on the
+    same topology.  A level whose node set changed (head churn) is
+    re-elected from scratch; a level whose node set *and* edges are
+    unchanged reuses last step's election object outright.
 
-    * **build** (``build=True``, memoryless LCA): :meth:`advance` takes
-      the step's canonical edge array and patches each level's election
-      in place, producing a hierarchy bit-identical to
-      :func:`build_hierarchy` on the same topology.  A level whose node
-      set changed (head churn) is re-elected from scratch; a level whose
-      node set *and* edges are unchanged reuses last step's election
-      object outright.
-    * **adopt** (``build=False``, sticky/persistent maintainers):
-      :meth:`adopt` registers an externally built hierarchy; the plane
-      then only tracks consecutive snapshots for :meth:`delta`.
-
-    Either way, :meth:`delta` yields the step's exact
-    :class:`HierarchyDelta` for the handoff engine and routing cache.
+    The plane keeps election state only.  What changed between two
+    snapshots is :func:`compute_delta`'s job, whichever way they were
+    built.
     """
 
     def __init__(self, n: int, max_levels: int | None = None,
-                 level_mode: str = "radio", r0: float | None = None,
-                 build: bool = True):
-        if level_mode not in ("radio", "contraction"):
-            raise ValueError(f"unknown level_mode {level_mode!r}")
-        if level_mode == "radio" and build and r0 is None:
-            raise ValueError("radio level_mode requires r0")
+                 level_mode: str = "radio", r0: float | None = None):
+        check_link_model(level_mode, r0)
         if n <= 1:
             raise ValueError("need at least two nodes")
         self._n = int(n)
         self._max_levels = max_levels
         self._level_mode = level_mode
-        self._r0 = None if r0 is None else float(r0)
-        self._build = bool(build)
+        self._r0 = r0
         self._base_ids = np.arange(self._n, dtype=np.int64)
         self._state: dict[int, _LevelState] = {}
         # True when the previous advance() never elected level 0 (empty
@@ -259,16 +253,6 @@ class DeltaPlane:
         # the last edge snapshot, and a caller-supplied one-step diff
         # must not be trusted against it.
         self._stale0 = True
-        self._h: ClusteredHierarchy | None = None
-        self._prev_h: ClusteredHierarchy | None = None
-        self._delta: HierarchyDelta | None = None
-
-    @property
-    def hierarchy(self) -> ClusteredHierarchy | None:
-        """Most recent snapshot (None before the first step)."""
-        return self._h
-
-    # -- build mode ----------------------------------------------------------
 
     def _level_election(self, k: int, cur_ids: np.ndarray,
                         cur_edges: np.ndarray,
@@ -329,72 +313,17 @@ class DeltaPlane:
         Pass ``None`` whenever the edges were post-processed (chaos
         filtering) or the previous step isn't comparable.
         """
-        if not self._build:
-            raise RuntimeError(
-                "this DeltaPlane adopts externally built hierarchies; "
-                "call adopt(h) instead"
-            )
-        cur_edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if self._level_mode == "radio":
-            if positions is None:
-                raise ValueError("radio level_mode requires positions")
-            pos = np.asarray(positions, dtype=np.float64)
-            if pos.shape[0] != self._n:
-                raise ValueError("positions must align with node ids")
         if self._stale0:
             diff = None
-        cur_ids = self._base_ids
-        levels: list[LevelTopology] = []
-        elected0 = False
-        k = 0
-        while True:
-            at_cap = self._max_levels is not None and k >= self._max_levels
-            if at_cap or cur_ids.size <= 1 or cur_edges.shape[0] == 0:
-                levels.append(LevelTopology(k, cur_ids, cur_edges,
-                                            election=None))
-                break
-            result = self._level_election(k, cur_ids, cur_edges,
-                                          diff=diff if k == 0 else None)
+        self._stale0 = True
+
+        def elector(k, ids, level_edges):
             if k == 0:
-                elected0 = True
-            heads = result.clusterheads
-            if heads.size == cur_ids.size:
-                # No aggregation possible; treat as top.
-                levels.append(LevelTopology(k, cur_ids, cur_edges,
-                                            election=None))
-                break
-            levels.append(LevelTopology(k, cur_ids, cur_edges,
-                                        election=result))
-            if self._level_mode == "radio":
-                head_idx = np.searchsorted(self._base_ids, heads)
-                r_k = self._r0 * float(np.sqrt(self._n / heads.size))
-                pair_idx = unit_disk_edges(pos[head_idx], r_k)
-                cur_edges = (
-                    heads[pair_idx]
-                    if pair_idx.size
-                    else np.empty((0, 2), dtype=np.int64)
-                )
-            else:
-                cur_edges = contract_edges(cur_edges, cur_ids,
-                                           result.member_of)
-            cur_ids = heads
-            k += 1
-        self._stale0 = not elected0
-        h = ClusteredHierarchy(levels)
-        self.adopt(h)
-        return h
+                self._stale0 = False
+            return self._level_election(k, ids, level_edges,
+                                        diff if k == 0 else None)
 
-    # -- adopt mode / shared -------------------------------------------------
-
-    def adopt(self, h: ClusteredHierarchy) -> None:
-        """Register the step's hierarchy (built here or externally)."""
-        self._prev_h = self._h
-        self._h = h
-        self._delta = None
-
-    def delta(self) -> HierarchyDelta:
-        """The exact delta between the two most recent snapshots
-        (``full=True`` before the second one exists)."""
-        if self._delta is None:
-            self._delta = compute_delta(self._prev_h, self._h)
-        return self._delta
+        return recurse_levels(
+            self._base_ids, edges, elector, max_levels=self._max_levels,
+            level_mode=self._level_mode, positions=positions, r0=self._r0,
+        )

@@ -13,6 +13,8 @@ and reorganization events.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -20,8 +22,15 @@ from repro.clustering.lca import Election, elect
 from repro.clustering.maxmin import maxmin_cluster
 from repro.graphs import IdIndex
 from repro.hierarchy.cluster_graph import canonical_edges, contract_edges
+from repro.radio.unit_disk import unit_disk_edges
 
-__all__ = ["LevelTopology", "ClusteredHierarchy", "build_hierarchy"]
+__all__ = [
+    "LevelTopology",
+    "ClusteredHierarchy",
+    "build_hierarchy",
+    "check_link_model",
+    "recurse_levels",
+]
 
 
 @dataclass(frozen=True)
@@ -162,6 +171,115 @@ class ClusteredHierarchy:
         return f"ClusteredHierarchy(L={self.num_levels}, sizes={sizes})"
 
 
+def check_link_model(level_mode: str, r0) -> None:
+    """Reject an unknown ``level_mode`` or a radio model without ``r0``."""
+    if level_mode not in ("contraction", "radio"):
+        raise ValueError(f"unknown level_mode {level_mode!r}")
+    if level_mode == "radio" and r0 is None:
+        raise ValueError("radio level_mode requires r0")
+
+
+def recurse_levels(
+    node_ids,
+    edges,
+    elector: Callable[[int, np.ndarray, np.ndarray], Election],
+    max_levels: int | None = None,
+    level_mode: str = "contraction",
+    positions=None,
+    r0: float | None = None,
+    located_at: Callable[[int, np.ndarray], np.ndarray] | None = None,
+) -> ClusteredHierarchy:
+    """The paper's one rule, applied recursively (Sec. 2.2, Fig. 1):
+    elect at level k, the heads become level k + 1, link them, repeat
+    until nothing aggregates.
+
+    Every hierarchy in the package comes out of this loop; what differs
+    between the memoryless build, the event-driven plane, the sticky and
+    persistent maintainers and the max-min baseline is only ``elector``,
+    called as ``elector(k, ids, edges)`` with level k's sorted IDs and
+    canonical edges and returning that level's
+    :class:`~repro.clustering.lca.Election` (whose ``clusterheads`` are
+    the level-(k+1) IDs and ``member_of`` the affiliations).
+
+    The recursion owns the stop rules — ``max_levels`` reached, one node
+    left, no links left, or an election that aggregates nothing; the
+    level that stops is the top and carries ``election=None`` — and the
+    derivation of E_{k+1} (``level_mode``, see :func:`build_hierarchy`).
+
+    ``node_ids`` (any iterable of unique ints) and ``edges`` (ID pairs)
+    are normalised here, once: an already canonical int64 edge array is
+    kept as a read-only view, not copied (:func:`canonical_edges`), so
+    hand in a fresh array per snapshot.  ``located_at(k, ids)`` names the
+    base node whose position each level-k ID takes in the radio model;
+    the default is the ID itself (clusters named by their head's node
+    ID), persistent cluster IDs supply their head chain.
+    """
+    check_link_model(level_mode, r0)
+    if not isinstance(node_ids, np.ndarray):
+        node_ids = list(node_ids)
+    base_ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+    if np.any(base_ids[1:] <= base_ids[:-1]):
+        # Skipped for sorted unique input such as the engine's arange:
+        # np.unique costs 27 ms at n = 1e5, every step.
+        base_ids = np.unique(base_ids)
+    cur_ids = base_ids
+    cur_edges = canonical_edges(edges)
+    if level_mode == "radio":
+        if positions is None:
+            raise ValueError("radio level_mode requires positions")
+        pos = np.asarray(positions, dtype=np.float64)
+        if pos.shape[0] != base_ids.size:
+            raise ValueError("positions must align with node_ids")
+    levels: list[LevelTopology] = []
+    k = 0
+    while True:
+        at_cap = max_levels is not None and k >= max_levels
+        if at_cap or cur_ids.size <= 1 or cur_edges.shape[0] == 0:
+            levels.append(LevelTopology(k, cur_ids, cur_edges, election=None))
+            break
+        election = elector(k, cur_ids, cur_edges)
+        heads = election.clusterheads
+        if heads.size == cur_ids.size:
+            # No aggregation possible; treat as top.
+            levels.append(LevelTopology(k, cur_ids, cur_edges, election=None))
+            break
+        levels.append(LevelTopology(k, cur_ids, cur_edges, election=election))
+        if level_mode == "radio":
+            at = heads if located_at is None else located_at(k + 1, heads)
+            r_k = float(r0) * float(np.sqrt(base_ids.size / heads.size))
+            pair_idx = unit_disk_edges(pos[np.searchsorted(base_ids, at)], r_k)
+            cur_edges = (
+                heads[pair_idx]
+                if pair_idx.size
+                else np.empty((0, 2), dtype=np.int64)
+            )
+        else:
+            cur_edges = contract_edges(cur_edges, cur_ids, election.member_of)
+        cur_ids = heads
+        k += 1
+    return ClusteredHierarchy(levels)
+
+
+def _lca_elector(k: int, ids: np.ndarray, edges: np.ndarray) -> Election:
+    return elect(ids, edges)
+
+
+def _maxmin_elector(d: int, k: int, ids: np.ndarray, edges: np.ndarray) -> Election:
+    """Max-min outcome as an Election-compatible record, so downstream
+    code treats both algorithms uniformly."""
+    mm = maxmin_cluster(ids, edges, d=d)
+    return Election(
+        node_ids=mm.node_ids,
+        elected_head=mm.head_choice,
+        member_of=mm.head_choice,
+        elector_count=np.bincount(
+            np.searchsorted(ids, mm.head_choice), minlength=ids.size
+        )
+        - np.isin(ids, mm.clusterheads).astype(np.int64),
+        clusterheads=mm.clusterheads,
+    )
+
+
 def build_hierarchy(
     node_ids,
     edges,
@@ -172,15 +290,15 @@ def build_hierarchy(
     positions=None,
     r0: float | None = None,
 ) -> ClusteredHierarchy:
-    """Cluster ``(node_ids, edges)`` recursively into a hierarchy.
+    """Cluster ``(node_ids, edges)`` recursively into a hierarchy,
+    electing every level from scratch (:func:`recurse_levels` with a
+    memoryless elector).
 
     Parameters
     ----------
     node_ids, edges:
         The physical (level-0) topology; IDs are arbitrary unique ints,
-        edges are ID pairs.  An already canonical int64 edge array is
-        kept as a read-only view, not copied (:func:`canonical_edges`):
-        hand in a fresh array per snapshot, as the unit-disk builders do.
+        edges are ID pairs.
     max_levels:
         Stop after this many clustering applications (None = cluster
         until the topology stops shrinking: one node left, or no links).
@@ -208,66 +326,8 @@ def build_hierarchy(
     """
     if algorithm not in ("lca", "maxmin"):
         raise ValueError(f"unknown clustering algorithm {algorithm!r}")
-    if level_mode not in ("contraction", "radio"):
-        raise ValueError(f"unknown level_mode {level_mode!r}")
-    if not isinstance(node_ids, np.ndarray):
-        node_ids = list(node_ids)
-    cur_ids = np.unique(np.asarray(node_ids, dtype=np.int64))
-    cur_edges = canonical_edges(edges)
-    if level_mode == "radio":
-        if positions is None or r0 is None:
-            raise ValueError("radio level_mode requires positions and r0")
-        pos = np.asarray(positions, dtype=np.float64)
-        if pos.shape[0] != cur_ids.size:
-            raise ValueError("positions must align with node_ids")
-        base_ids = cur_ids
-        n0 = cur_ids.size
-    levels: list[LevelTopology] = []
-    k = 0
-    while True:
-        at_cap = max_levels is not None and k >= max_levels
-        if at_cap or cur_ids.size <= 1 or cur_edges.shape[0] == 0:
-            levels.append(LevelTopology(k, cur_ids, cur_edges, election=None))
-            break
-        if algorithm == "lca":
-            result = elect(cur_ids, cur_edges)
-            member_of = result.member_of
-            heads = result.clusterheads
-        else:
-            mm = maxmin_cluster(cur_ids, cur_edges, d=maxmin_d)
-            member_of = mm.head_choice
-            heads = mm.clusterheads
-            # Store an Election-compatible record so downstream code can
-            # treat both algorithms uniformly.
-            result = Election(
-                node_ids=mm.node_ids,
-                elected_head=mm.head_choice,
-                member_of=mm.head_choice,
-                elector_count=np.bincount(
-                    np.searchsorted(cur_ids, mm.head_choice),
-                    minlength=cur_ids.size,
-                )
-                - np.isin(cur_ids, heads).astype(np.int64),
-                clusterheads=heads,
-            )
-        if heads.size == cur_ids.size:
-            # No aggregation possible; treat as top.
-            levels.append(LevelTopology(k, cur_ids, cur_edges, election=None))
-            break
-        levels.append(LevelTopology(k, cur_ids, cur_edges, election=result))
-        if level_mode == "radio":
-            from repro.radio.unit_disk import unit_disk_edges
-
-            head_idx = np.searchsorted(base_ids, heads)
-            r_k = float(r0) * float(np.sqrt(n0 / heads.size))
-            pair_idx = unit_disk_edges(pos[head_idx], r_k)
-            cur_edges = (
-                heads[pair_idx]
-                if pair_idx.size
-                else np.empty((0, 2), dtype=np.int64)
-            )
-        else:
-            cur_edges = contract_edges(cur_edges, cur_ids, member_of)
-        cur_ids = heads
-        k += 1
-    return ClusteredHierarchy(levels)
+    elector = (
+        _lca_elector if algorithm == "lca" else partial(_maxmin_elector, maxmin_d)
+    )
+    return recurse_levels(node_ids, edges, elector, max_levels=max_levels,
+                          level_mode=level_mode, positions=positions, r0=r0)

@@ -11,11 +11,13 @@ only the election dynamics differ from the memoryless
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.clustering.alca import AlcaMaintainer
-from repro.hierarchy.cluster_graph import canonical_edges, contract_edges
-from repro.hierarchy.levels import ClusteredHierarchy, LevelTopology
+from repro.clustering.lca import Election
+from repro.hierarchy.levels import (
+    ClusteredHierarchy,
+    check_link_model,
+    recurse_levels,
+)
 
 __all__ = ["HierarchyMaintainer"]
 
@@ -36,59 +38,20 @@ class HierarchyMaintainer:
 
     def __init__(self, max_levels: int | None = None,
                  level_mode: str = "radio", r0: float | None = None):
-        if level_mode not in ("radio", "contraction"):
-            raise ValueError(f"unknown level_mode {level_mode!r}")
-        if level_mode == "radio" and r0 is None:
-            raise ValueError("radio level_mode requires r0")
+        check_link_model(level_mode, r0)
         self.max_levels = max_levels
         self.level_mode = level_mode
         self.r0 = r0
         self._maintainers: list[AlcaMaintainer] = []
 
-    def _maintainer(self, k: int) -> AlcaMaintainer:
+    def _elect(self, k: int, ids, edges) -> Election:
         while len(self._maintainers) <= k:
             self._maintainers.append(AlcaMaintainer())
-        return self._maintainers[k]
+        return self._maintainers[k].update(ids, edges)
 
     def update(self, node_ids, edges, positions=None) -> ClusteredHierarchy:
         """Advance all levels to the new physical topology."""
-        cur_ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
-        cur_edges = canonical_edges(edges)
-        if self.level_mode == "radio":
-            if positions is None:
-                raise ValueError("radio level_mode requires positions")
-            pos = np.asarray(positions, dtype=np.float64)
-            if pos.shape[0] != cur_ids.size:
-                raise ValueError("positions must align with node_ids")
-            base_ids = cur_ids
-            n0 = cur_ids.size
-
-        levels: list[LevelTopology] = []
-        k = 0
-        while True:
-            at_cap = self.max_levels is not None and k >= self.max_levels
-            if at_cap or cur_ids.size <= 1 or cur_edges.shape[0] == 0:
-                levels.append(LevelTopology(k, cur_ids, cur_edges, election=None))
-                break
-            election = self._maintainer(k).update(cur_ids, cur_edges)
-            heads = election.clusterheads
-            if heads.size == cur_ids.size:
-                levels.append(LevelTopology(k, cur_ids, cur_edges, election=None))
-                break
-            levels.append(LevelTopology(k, cur_ids, cur_edges, election=election))
-            if self.level_mode == "radio":
-                from repro.radio.unit_disk import unit_disk_edges
-
-                head_idx = np.searchsorted(base_ids, heads)
-                r_k = float(self.r0) * float(np.sqrt(n0 / heads.size))
-                pair_idx = unit_disk_edges(pos[head_idx], r_k)
-                cur_edges = (
-                    heads[pair_idx]
-                    if pair_idx.size
-                    else np.empty((0, 2), dtype=np.int64)
-                )
-            else:
-                cur_edges = contract_edges(cur_edges, cur_ids, election.member_of)
-            cur_ids = heads
-            k += 1
-        return ClusteredHierarchy(levels)
+        return recurse_levels(
+            node_ids, edges, self._elect, max_levels=self.max_levels,
+            level_mode=self.level_mode, positions=positions, r0=self.r0,
+        )

@@ -40,8 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.lca import Election
-from repro.hierarchy.cluster_graph import canonical_edges
-from repro.hierarchy.levels import ClusteredHierarchy, LevelTopology
+from repro.hierarchy.levels import ClusteredHierarchy, recurse_levels
 
 __all__ = ["PersistentLevelMaintainer", "PersistentHierarchyMaintainer"]
 
@@ -227,54 +226,27 @@ class PersistentHierarchyMaintainer:
             )
         return self._levels[k]
 
-    def _position_of(self, level: int, node_id: int,
-                     pos_lookup: dict[int, np.ndarray]) -> np.ndarray:
-        """Physical position of a level-``level`` id (follow head chain)."""
-        cur = int(node_id)
-        for k in range(level - 1, -1, -1):
-            head = self._levels[k].head_of_cid(cur)
-            if head is None:
-                break
-            cur = head
-        return pos_lookup[cur]
+    def _elect(self, k: int, ids: np.ndarray, edges: np.ndarray) -> Election:
+        # Cids are minted from the first election on; that is where a
+        # physical ID inside a cid block would start to collide.
+        if k == 0 and int(ids[-1]) >= self.CID_BLOCK:
+            raise ValueError("node IDs must be below CID_BLOCK")
+        return self._level(k).update(ids, edges)
+
+    def _located_at(self, level: int, cids: np.ndarray) -> np.ndarray:
+        """Physical node standing for each level-``level`` cid (follow
+        the head chain down)."""
+        out = []
+        for cur in cids.tolist():
+            for k in range(level - 1, -1, -1):
+                cur = self._levels[k].head_of_cid(cur)
+            out.append(cur)
+        return np.asarray(out, dtype=np.int64)
 
     def update(self, node_ids, edges, positions) -> ClusteredHierarchy:
         """Advance all levels to the new physical topology."""
-        base_ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
-        if base_ids.size and int(base_ids.max()) >= self.CID_BLOCK:
-            raise ValueError("node IDs must be below CID_BLOCK")
-        pos = np.asarray(positions, dtype=np.float64)
-        if pos.shape[0] != base_ids.size:
-            raise ValueError("positions must align with node_ids")
-        pos_lookup = {int(v): pos[i] for i, v in enumerate(base_ids.tolist())}
-        n0 = base_ids.size
-
-        from repro.radio.unit_disk import unit_disk_edges
-
-        cur_ids = base_ids
-        cur_edges = canonical_edges(edges)
-        levels: list[LevelTopology] = []
-        k = 0
-        while True:
-            at_cap = self.max_levels is not None and k >= self.max_levels
-            if at_cap or cur_ids.size <= 1 or cur_edges.shape[0] == 0:
-                levels.append(LevelTopology(k, cur_ids, cur_edges, election=None))
-                break
-            election = self._level(k).update(cur_ids, cur_edges)
-            cids = election.clusterheads
-            if cids.size == cur_ids.size:
-                levels.append(LevelTopology(k, cur_ids, cur_edges, election=None))
-                break
-            levels.append(LevelTopology(k, cur_ids, cur_edges, election=election))
-            # Radio-model links between cluster head positions.
-            cid_pos = np.stack([
-                self._position_of(k + 1, int(c), pos_lookup) for c in cids
-            ])
-            r_k = self.r0 * float(np.sqrt(n0 / cids.size))
-            pair_idx = unit_disk_edges(cid_pos, r_k)
-            cur_edges = (
-                cids[pair_idx] if pair_idx.size else np.empty((0, 2), dtype=np.int64)
-            )
-            cur_ids = cids
-            k += 1
-        return ClusteredHierarchy(levels)
+        return recurse_levels(
+            node_ids, edges, self._elect, max_levels=self.max_levels,
+            level_mode="radio", positions=positions, r0=self.r0,
+            located_at=self._located_at,
+        )

@@ -3,7 +3,7 @@
 A :class:`SimCheckpoint` freezes *everything* a mid-run simulator needs
 to continue bit-identically: the mobility model (positions, waypoints,
 and its RNG), the handoff engine's assignment/staleness state, the
-maintainer (sticky/persistent elections), the delivery engine, the
+hierarchy stepper (every election that has memory), the delivery engine, the
 chaos engine (crash deadlines, episode state, and its RNG streams),
 and every collector object (which carry their
 own RNG streams).  All of it is pickled as one object, so references
@@ -26,9 +26,13 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 5
+CHECKPOINT_SCHEMA = 6
 """On-disk checkpoint layout version (bumped when fields change shape).
 
+Schema 6 carries the run's one hierarchy ``stepper``
+(:func:`repro.hierarchy.stepper.hierarchy_stepper`) where schema 5 had
+``maintainer`` and ``delta_plane``; the plane inside it no longer holds
+hierarchy snapshots, and the ``edge_cache`` tracks its build regime.
 Schema 5 shrank the pickled ``delta_plane``: each level's
 :class:`~repro.clustering.incremental.IncrementalElection` is its vote
 and support arrays only (no adjacency dict), which a schema-4 plane
@@ -68,8 +72,12 @@ class SimCheckpoint:
     engine:
         The :class:`~repro.core.handoff.HandoffEngine` (assignments,
         stale entries).
-    maintainer:
-        Sticky/persistent hierarchy maintainer, or None (memoryless).
+    stepper:
+        The run's hierarchy stepper
+        (:func:`repro.hierarchy.stepper.hierarchy_stepper`) with the
+        election state it owns: the sticky/persistent maintainer, or the
+        :class:`~repro.hierarchy.delta.DeltaPlane`'s per-level
+        incremental elections; a from-scratch build carries none.
     delivery:
         The lossy-control :class:`~repro.faults.DeliveryEngine`, or None.
     chaos:
@@ -85,13 +93,10 @@ class SimCheckpoint:
     trace:
         The simulator's :class:`~repro.sim.trace.EventTrace`, or None
         (the same object a :class:`TraceCollector` holds).
-    delta_plane:
-        The :class:`~repro.hierarchy.delta.DeltaPlane` (per-level
-        incremental election state and last two snapshots), or None
-        when ``incremental_hierarchy`` is off.
     edge_cache:
         The :class:`~repro.radio.edge_cache.VerletEdgeCache` (candidate
-        pairs + reference positions), or None.
+        pairs + reference positions), or None when
+        ``incremental_hierarchy`` is off.
     schema:
         :data:`CHECKPOINT_SCHEMA` at save time.
     """
@@ -103,13 +108,12 @@ class SimCheckpoint:
     started: bool
     model: Any
     engine: Any
-    maintainer: Any
+    stepper: Any
     delivery: Any
     chaos: Any
     prev_hierarchy: Any
     collectors: list
     timings: Any = None
     trace: Any = None
-    delta_plane: Any = None
     edge_cache: Any = None
     schema: int = field(default=CHECKPOINT_SCHEMA)

@@ -4,7 +4,8 @@ One step of the pipeline (Section 1.2's model, end to end):
 
 1. mobility advances node positions (random waypoint by default),
 2. the unit-disk graph is rebuilt (k-d tree),
-3. the ALCA hierarchy is re-elected recursively,
+3. the ALCA hierarchy is re-elected recursively (by the run's one
+   hierarchy stepper, :mod:`repro.hierarchy.stepper`),
 4. the CHLM handoff engine diffs server assignments and meters packets,
 5. the step's outputs are frozen into a
    :class:`~repro.sim.snapshot.StepSnapshot` and dispatched to the
@@ -31,7 +32,8 @@ import numpy as np
 
 from repro.core.handoff import HandoffEngine
 from repro.graphs import CompactGraph
-from repro.hierarchy.levels import build_hierarchy
+from repro.hierarchy.delta import compute_delta
+from repro.hierarchy.stepper import hierarchy_stepper
 from repro.mobility import make_model
 from repro.radio.unit_disk import unit_disk_edges
 from repro.sim.checkpoint import SimCheckpoint
@@ -129,46 +131,29 @@ class Simulator:
             rngs["mobility"],
             **scenario.mobility_kwargs,
         )
-        self._maintainer = None
-        if scenario.election_mode == "sticky":
-            from repro.hierarchy.maintain import HierarchyMaintainer
-
-            self._maintainer = HierarchyMaintainer(
-                max_levels=scenario.max_levels,
-                level_mode=scenario.level_mode,
-                r0=scenario.r_tx if scenario.level_mode == "radio" else None,
-            )
-        elif scenario.election_mode == "persistent":
-            from repro.hierarchy.persistent import PersistentHierarchyMaintainer
-
-            self._maintainer = PersistentHierarchyMaintainer(
-                max_levels=scenario.max_levels, r0=scenario.r_tx
-            )
-        # Event-driven hierarchy plane (incremental_hierarchy=True):
-        # Verlet edge maintenance, per-level election patching (or delta
-        # tracking around the maintainer), and dirty-chain handoff
-        # patching.  Consumes no RNG stream, so the two pipelines are
-        # bit-identical — the equivalence matrix in
+        # The one hierarchy stepper of the run (repro.hierarchy.stepper)
+        # and, on the event-driven plane (incremental_hierarchy=True),
+        # the Verlet edge cache feeding it.  The flag is read here only:
+        # it selects the edge source, patched vs from-scratch memoryless
+        # election, and whether a HierarchyDelta reaches the handoff
+        # engine.  Neither plane consumes an RNG stream, so the two
+        # pipelines are bit-identical — the equivalence matrix in
         # tests/sim/test_incremental_equivalence.py enforces it.
-        self._delta_plane = None
-        self._edge_cache = None
-        if scenario.incremental_hierarchy:
-            from repro.hierarchy.delta import DeltaPlane
-            from repro.radio.edge_cache import VerletEdgeCache
-
-            self._delta_plane = DeltaPlane(
-                scenario.n,
-                max_levels=scenario.max_levels,
-                level_mode=scenario.level_mode,
-                r0=scenario.r_tx if scenario.level_mode == "radio" else None,
-                build=self._maintainer is None,
-            )
-            self._edge_cache = VerletEdgeCache(scenario.r_tx,
-                                               skin=scenario.verlet_skin)
-        self._engine = HandoffEngine(
-            hash_fn=scenario.hash_fn,
+        self._stepper = hierarchy_stepper(
+            scenario.n, scenario.r_tx,
+            max_levels=scenario.max_levels,
+            level_mode=scenario.level_mode,
+            clustering=scenario.clustering,
+            maxmin_d=scenario.maxmin_d,
+            election_mode=scenario.election_mode,
             incremental=scenario.incremental_hierarchy,
         )
+        self._edge_cache = None
+        if scenario.incremental_hierarchy:
+            from repro.radio.edge_cache import VerletEdgeCache
+
+            self._edge_cache = VerletEdgeCache(scenario.r_tx)
+        self._engine = HandoffEngine(hash_fn=scenario.hash_fn)
         self._collectors = self._default_collectors(rngs)
         if collectors:
             self._collectors.extend(collectors)
@@ -259,39 +244,6 @@ class Simulator:
             diff = None
         return edges, diff
 
-    def _elect(self, positions: np.ndarray, edges: np.ndarray, diff=None):
-        """Hierarchy (re-)election on the current topology."""
-        if self._maintainer is not None:
-            if self.sc.election_mode == "persistent":
-                h = self._maintainer.update(
-                    np.arange(self.sc.n), edges, positions=positions
-                )
-            else:
-                h = self._maintainer.update(
-                    np.arange(self.sc.n),
-                    edges,
-                    positions=positions if self.sc.level_mode == "radio" else None,
-                )
-            if self._delta_plane is not None:
-                self._delta_plane.adopt(h)
-            return h
-        if self._delta_plane is not None:
-            return self._delta_plane.advance(
-                edges,
-                positions if self.sc.level_mode == "radio" else None,
-                diff=diff,
-            )
-        return build_hierarchy(
-            np.arange(self.sc.n),
-            edges,
-            max_levels=self.sc.max_levels,
-            algorithm=self.sc.clustering,
-            maxmin_d=self.sc.maxmin_d,
-            level_mode=self.sc.level_mode,
-            positions=positions if self.sc.level_mode == "radio" else None,
-            r0=self.sc.r_tx if self.sc.level_mode == "radio" else None,
-        )
-
     def _hop_fn(self, positions: np.ndarray, edges: np.ndarray):
         if self.sc.resolved_hop_mode == "bfs":
             return BfsHops(CompactGraph(np.arange(self.sc.n), edges))
@@ -307,7 +259,7 @@ class Simulator:
             self.model.step(sc.dt)
         positions = self.model.positions.copy()
         edges, diff = self._edges(positions)
-        hierarchy = self._elect(positions, edges, diff=diff)
+        hierarchy = self._stepper(edges, positions, diff)
         hop_fn = self._hop_fn(positions, edges)
         self._engine.observe(hierarchy, hop_fn)
         snap = StepSnapshot(
@@ -338,10 +290,10 @@ class Simulator:
         positions = self.model.positions.copy()
         if mark is not None:
             mark("mobility")
-        edges, diff0 = self._edges(positions)
+        edges, diff = self._edges(positions)
         if mark is not None:
             mark("rebuild")
-        hierarchy = self._elect(positions, edges, diff=diff0)
+        hierarchy = self._stepper(edges, positions, diff)
         if mark is not None:
             mark("hierarchy")
         # Event-plane phase: distill the two latest snapshots into the
@@ -349,8 +301,8 @@ class Simulator:
         # when the plane is off) so profiled runs always report the full
         # canonical phase set.
         delta = None
-        if self._delta_plane is not None:
-            delta = self._delta_plane.delta()
+        if self._edge_cache is not None:
+            delta = compute_delta(self._prev_hierarchy, hierarchy)
         if mark is not None:
             mark("delta")
         hop_fn = self._hop_fn(positions, edges)
@@ -469,7 +421,7 @@ class Simulator:
         With ``path``, the checkpoint is also written atomically via
         :func:`repro.persist.save_checkpoint`.  Everything needed for a
         bit-identical continuation is captured: mobility model + RNG,
-        handoff/maintainer/delivery state, the chaos engine (crash
+        handoff/stepper/delivery state, the chaos engine (crash
         deadlines, episode state, and both its RNG streams), and the
         collector objects (with their own RNG streams).
         """
@@ -483,14 +435,13 @@ class Simulator:
             started=self._started,
             model=self.model,
             engine=self._engine,
-            maintainer=self._maintainer,
+            stepper=self._stepper,
             delivery=self._delivery,
             chaos=self._chaos,
             prev_hierarchy=self._prev_hierarchy,
             collectors=self._collectors,
             timings=self.timings,
             trace=self.trace,
-            delta_plane=self._delta_plane,
             edge_cache=self._edge_cache,
         )
         if path is not None:
@@ -535,13 +486,12 @@ class Simulator:
             ck.scenario.loss_model() if ck.delivery is not None else None
         )
         sim.model = ck.model
-        sim._maintainer = ck.maintainer
+        sim._stepper = ck.stepper
         sim._engine = ck.engine
         sim._collectors = list(ck.collectors)
         sim._prev_hierarchy = ck.prev_hierarchy
         sim._started = ck.started
         sim._next_step = ck.next_step
-        sim._delta_plane = ck.delta_plane
         sim._edge_cache = ck.edge_cache
         return sim
 

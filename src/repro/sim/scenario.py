@@ -164,21 +164,15 @@ class Scenario:
         hierarchy is patched from link deltas instead of rebuilt, the
         unit-disk graph is maintained by a Verlet-style candidate cache,
         and the handoff engine re-hashes only dirty descent chains.
-        Guaranteed bit-identical to the full-rebuild pipeline (the
-        equivalence matrix in ``tests/sim/test_incremental_equivalence``
-        covers plain/lossy/chaos/resume); requires lca clustering and
-        the rendezvous hash.  Part of the scenario, so cached sweeps key
-        the two pipelines separately.
-    verlet_skin:
-        Candidate-radius inflation factor for the incremental pipeline's
-        Verlet edge cache (ignored otherwise).  Candidates live within
-        ``r_tx * (1 + skin)`` and the k-d tree is rebuilt only after any
-        node drifts ``skin * r_tx / 2`` from its build-time position, so
-        with per-step displacement ``s`` a rebuild amortizes over
-        ``~skin * r_tx / (2 s)`` steps; see docs/PERFORMANCE.md for the
-        arithmetic against the stock speeds.  Must be positive — zero
-        would rebuild every step.  Output is bit-identical for every
-        valid value; only rebuild frequency (and thus speed) changes.
+        Guaranteed bit-identical to the full-rebuild pipeline for every
+        scenario (the equivalence matrix in
+        ``tests/sim/test_incremental_equivalence`` covers plain / lossy /
+        chaos / stateful / max-min / naive-hash / resume): elections
+        with no patchable form (sticky, persistent, max-min) run as they
+        are and only their snapshots are diffed, and a hash that keeps
+        no descent chains is recomputed on the patched hierarchy.  Read
+        once, where the simulator is constructed.  Part of the scenario,
+        so cached sweeps key the two pipelines separately.
     seed:
         Root seed for all randomness.
     """
@@ -224,7 +218,6 @@ class Scenario:
     slo_window: int = 3
     hop_sample_every: int = 25
     incremental_hierarchy: bool = False
-    verlet_skin: float = 0.5
     seed: int = 0
 
     # Numeric fields screened for NaN/inf before any range check runs
@@ -237,7 +230,6 @@ class Scenario:
         "admission_rate", "service_workers", "service_queue_capacity",
         "service_hop_time", "service_update_fraction",
         "slo_success_threshold", "slo_window", "hop_sample_every",
-        "verlet_skin",
     )
 
     def __post_init__(self):
@@ -283,12 +275,6 @@ class Scenario:
             raise ValueError("persistent clusters require radio level_mode")
         if self.detour < 1.0:
             raise ValueError("detour factor must be >= 1")
-        if self.verlet_skin <= 0:
-            raise ValueError(
-                f"verlet_skin must be positive, got {self.verlet_skin!r} "
-                "(0 would rebuild the candidate tree every step; disable "
-                "incremental_hierarchy instead)"
-            )
         if self.failure_rate < 0:
             raise ValueError("failure rate must be non-negative")
         if self.repair_time <= 0:
@@ -379,17 +365,6 @@ class Scenario:
                 f"hop_sample_every must be >= 1, got "
                 f"{self.hop_sample_every!r} (1 samples every metered step)"
             )
-        if self.incremental_hierarchy:
-            if self.clustering != "lca":
-                raise ValueError(
-                    "incremental_hierarchy patches LCA elections; "
-                    f"clustering={self.clustering!r} has no delta plane"
-                )
-            if self.hash_fn != "rendezvous":
-                raise ValueError(
-                    "incremental_hierarchy patches rendezvous descent "
-                    f"chains; hash_fn={self.hash_fn!r} is not supported"
-                )
         # Chaos episodes: spec strings are parsed here (each episode
         # dataclass validates its own window/rates with actionable
         # messages), so a malformed schedule fails at construction, not

@@ -1,7 +1,8 @@
 """Array handoff engine vs the per-key dict oracle — equal in every field.
 
-Each case drives :class:`repro.core.HandoffEngine` (full-rebuild plane
-and event-driven plane) and ``handoff_oracle.OracleHandoffEngine`` over
+Each case drives :class:`repro.core.HandoffEngine` (recomputing every
+step with ``delta=None``, and patching from ``compute_delta`` as the
+event-driven plane does) and ``handoff_oracle.OracleHandoffEngine`` over
 the same snapshot sequence and requires, after every step: the whole
 :class:`~repro.core.handoff.HandoffReport`, the stale-key set, the
 effective assignment, and the lossy channel's RNG state to be equal.
@@ -60,11 +61,11 @@ def channel(seed, rate, attempts):
                           rng=np.random.default_rng(seed))
 
 
-def assert_tracks_oracle(snaps, incremental, hops=euclidean,
+def assert_tracks_oracle(snaps, with_delta, hops=euclidean,
                          hash_fn="rendezvous", loss_rates=None, attempts=1):
     """Step both meters through ``snaps``; ``loss_rates[i]`` is the
     channel's per-hop loss during step i (None = no channel at all)."""
-    eng = HandoffEngine(hash_fn=hash_fn, incremental=incremental)
+    eng = HandoffEngine(hash_fn=hash_fn)
     ref = OracleHandoffEngine(hash_fn=hash_fn)
     lossy = loss_rates is not None
     d_eng = channel(5, 0.0, attempts) if lossy else None
@@ -77,7 +78,7 @@ def assert_tracks_oracle(snaps, incremental, hops=euclidean,
                                                 level_coeff=0.1)
         now = 0.37 * step
         got = eng.observe(h, hops(h, pts, edges), delivery=d_eng, now=now,
-                          delta=compute_delta(prev_h, h))
+                          delta=compute_delta(prev_h, h) if with_delta else None)
         want = ref.observe(h, hops(h, pts, edges), delivery=d_ref, now=now)
         assert got == want, step
         assert eng.stale_keys == frozenset(ref.stale), step
@@ -93,89 +94,91 @@ def assert_tracks_oracle(snaps, incremental, hops=euclidean,
     return moved, stale_seen, recovered
 
 
-PLANES = pytest.mark.parametrize("incremental", [False, True],
+# "full": delta=None, every row recomputed and diffed; "event": the
+# exact delta of the two snapshots, dirty rows patched.
+PLANES = pytest.mark.parametrize("with_delta", [False, True],
                                  ids=["full", "event"])
 
 
 @PLANES
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_plain(incremental, seed):
+def test_plain(with_delta, seed):
     snaps = [snapshot(p) for p in drifting_points(seed, 6)]
-    moved, stale, _ = assert_tracks_oracle(snaps, incremental)
+    moved, stale, _ = assert_tracks_oracle(snaps, with_delta)
     assert moved > 0 and stale == 0
 
 
 @PLANES
-def test_bfs_hops(incremental):
+def test_bfs_hops(with_delta):
     snaps = [snapshot(p) for p in drifting_points(3, 4)]
-    assert_tracks_oracle(snaps, incremental, hops=bfs)
+    assert_tracks_oracle(snaps, with_delta, hops=bfs)
 
 
 @PLANES
-def test_plain_callable_hop_fn(incremental):
+def test_plain_callable_hop_fn(with_delta):
     snaps = [snapshot(p) for p in drifting_points(4, 4)]
-    moved, _, _ = assert_tracks_oracle(snaps, incremental, hops=plain_callable)
+    moved, _, _ = assert_tracks_oracle(snaps, with_delta, hops=plain_callable)
     assert moved > 0
 
 
 @PLANES
-def test_naive_hash(incremental):
+def test_naive_hash(with_delta):
     snaps = [snapshot(p) for p in drifting_points(5, 4)]
-    assert_tracks_oracle(snaps, incremental, hash_fn="naive",
+    assert_tracks_oracle(snaps, with_delta, hash_fn="naive",
                          loss_rates=[0.2] * 4)
 
 
 @PLANES
 @pytest.mark.parametrize("seed", [0, 6])
-def test_lossy_with_retries(incremental, seed):
+def test_lossy_with_retries(with_delta, seed):
     snaps = [snapshot(p) for p in drifting_points(seed, 6)]
     moved, stale, recovered = assert_tracks_oracle(
-        snaps, incremental, loss_rates=[0.3] * 6, attempts=3)
+        snaps, with_delta, loss_rates=[0.3] * 6, attempts=3)
     assert moved > 0 and stale > 0 and recovered > 0
 
 
 @PLANES
-def test_abandoned_entries_are_retried_until_they_land(incremental):
+def test_abandoned_entries_are_retried_until_they_land(with_delta):
     """No retries and a bad channel: stale keys pile up, most of them
     outside the next step's dirty rows, then drain once it clears."""
     snaps = [snapshot(p) for p in drifting_points(7, 7, drift=0.4)]
     _, stale, recovered = assert_tracks_oracle(
-        snaps, incremental, loss_rates=[0, 0.6, 0.6, 0.6, 0, 0, 0])
+        snaps, with_delta, loss_rates=[0, 0.6, 0.6, 0.6, 0, 0, 0])
     assert stale > 0 and recovered > 0
 
 
 @PLANES
-def test_hash_swings_back_to_the_holder(incremental):
+def test_hash_swings_back_to_the_holder(with_delta):
     """A -> B with (nearly) every transfer abandoned, then B -> A: the
     intent returns to the servers still holding the entries, which
     recover without any transfer."""
     a, b = (snapshot(p) for p in drifting_points(8, 2, drift=1.5))
     _, stale, recovered = assert_tracks_oracle(
-        [a, b, a, b, a], incremental, loss_rates=[0, 0.95, 0, 0.95, 0])
+        [a, b, a, b, a], with_delta, loss_rates=[0, 0.95, 0, 0.95, 0])
     assert stale > 0 and recovered > 0
 
 
 @PLANES
 @pytest.mark.parametrize("loss_rates", [None, [0.5] * 6],
                          ids=["lossless", "lossy"])
-def test_hierarchy_gets_deeper_and_shallower(incremental, loss_rates):
+def test_hierarchy_gets_deeper_and_shallower(with_delta, loss_rates):
     """Depth changes: fresh placements from the subject on a grown
     level, silent expiry (and stale-key expiry) on a dropped one."""
     depths = [3, 2, 3, 1, 3, 3]
     snaps = [snapshot(p, max_levels=d)
              for p, d in zip(drifting_points(9, 6, drift=0.3), depths)]
     assert len({h.num_levels for h, _, _ in snaps}) > 1
-    moved, _, _ = assert_tracks_oracle(snaps, incremental,
+    moved, _, _ = assert_tracks_oracle(snaps, with_delta,
                                        loss_rates=loss_rates)
     assert moved > 0
 
 
 @PLANES
-def test_channel_switched_off_with_stale_keys_outstanding(incremental):
+def test_channel_switched_off_with_stale_keys_outstanding(with_delta):
     """``delivery=None`` while keys are stale still runs the per-key
     walk (recovery by swing-back, expiry) with lossless charges."""
     snaps = [snapshot(p) for p in drifting_points(10, 3, drift=1.0)]
-    eng = HandoffEngine(incremental=incremental)
+    eng = HandoffEngine()
     ref = OracleHandoffEngine()
     prev_h = None
     for step, (h, pts, edges) in enumerate(snaps + snaps[1::-1]):
@@ -183,7 +186,8 @@ def test_channel_switched_off_with_stale_keys_outstanding(incremental):
         d_eng = channel(3, 0.9, 1) if lossy else None
         d_ref = channel(3, 0.9, 1) if lossy else None
         got = eng.observe(h, euclidean(h, pts, edges), delivery=d_eng,
-                          now=float(step), delta=compute_delta(prev_h, h))
+                          now=float(step),
+                          delta=compute_delta(prev_h, h) if with_delta else None)
         want = ref.observe(h, euclidean(h, pts, edges), delivery=d_ref,
                            now=float(step))
         assert got == want, step

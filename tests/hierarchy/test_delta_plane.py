@@ -206,25 +206,11 @@ class TestLazyClusters:
 
 
 class TestModesAndValidation:
-    def test_adopt_mode_rejects_advance(self):
-        plane = DeltaPlane(10, level_mode="contraction", build=False)
-        with pytest.raises(RuntimeError, match="adopt"):
-            plane.advance(np.empty((0, 2), dtype=np.int64))
-
-    def test_adopt_tracks_deltas(self):
-        h0, h1 = TestHierarchyDelta()._two_snapshots(seed=12)
-        plane = DeltaPlane(h0.n, level_mode="radio", build=False)
-        plane.adopt(h0)
-        assert plane.delta().full  # no predecessor yet
-        plane.adopt(h1)
-        d = plane.delta()
-        assert not d.full and d.h0 is h0 and d.h1 is h1
-
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="level_mode"):
             DeltaPlane(10, level_mode="bogus")
         with pytest.raises(ValueError, match="r0"):
-            DeltaPlane(10, level_mode="radio")  # build mode needs r0
+            DeltaPlane(10, level_mode="radio")
         with pytest.raises(ValueError, match="two nodes"):
             DeltaPlane(1, level_mode="contraction")
 

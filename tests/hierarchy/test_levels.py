@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import DiscRegion, disc_for_density
-from repro.hierarchy import build_hierarchy, canonical_edges, contract_edges
+from repro.clustering import Election
+from repro.hierarchy import (
+    build_hierarchy,
+    canonical_edges,
+    contract_edges,
+    recurse_levels,
+)
 from repro.radio import radius_for_degree, unit_disk_edges
 
 
@@ -59,6 +65,128 @@ class TestContractEdges:
     def test_unknown_id_raises(self):
         with pytest.raises(ValueError):
             contract_edges([[1, 5]], np.array([1, 2]), np.array([2, 2]))
+
+
+class PairUp:
+    """Stub elector: sorted IDs pair off, the larger of each pair heads
+    the cluster (a trailing odd one heads its own); halves every level,
+    whatever the edges.  Records the levels it was asked to elect."""
+
+    def __init__(self):
+        self.asked = []
+
+    def __call__(self, k, ids, edges):
+        self.asked.append(k)
+        head = ids[np.minimum(np.arange(ids.size) | 1, ids.size - 1)]
+        return Election(node_ids=ids, elected_head=head, member_of=head,
+                        elector_count=np.zeros_like(ids),
+                        clusterheads=np.unique(head))
+
+
+def everyone_a_head(k, ids, edges):
+    return Election(node_ids=ids, elected_head=ids, member_of=ids,
+                    elector_count=np.zeros_like(ids), clusterheads=ids)
+
+
+PATH8 = [[i, i + 1] for i in range(8 - 1)]
+
+
+class TestRecurseLevels:
+    """The stop rules and link derivation, once, for every elector."""
+
+    def test_recurses_until_one_node_is_left(self):
+        elector = PairUp()
+        h = recurse_levels(range(8), PATH8, elector)
+        assert h.level_sizes() == [8, 4, 2, 1]
+        assert elector.asked == [0, 1, 2]
+        assert [lvl.k for lvl in h.levels] == [0, 1, 2, 3]
+        assert [lvl.election is None for lvl in h.levels] == [
+            False, False, False, True]
+        # Contracted links: heads 1-3-5-7 stay a path.
+        assert h.levels[1].edges.tolist() == [[1, 3], [3, 5], [5, 7]]
+
+    @pytest.mark.parametrize("cap,sizes", [(0, [8]), (1, [8, 4]),
+                                           (2, [8, 4, 2])])
+    def test_max_levels_cap_ends_the_hierarchy(self, cap, sizes):
+        elector = PairUp()
+        h = recurse_levels(range(8), PATH8, elector, max_levels=cap)
+        assert h.level_sizes() == sizes
+        assert elector.asked == list(range(cap))  # the top is not elected
+        assert h.levels[-1].election is None
+
+    def test_single_node_is_its_own_top(self):
+        elector = PairUp()
+        h = recurse_levels([5], [], elector)
+        assert h.level_sizes() == [1] and h.levels[0].election is None
+        assert elector.asked == []
+
+    def test_no_edges_ends_the_hierarchy(self):
+        """Level 1 of two disjoint pairs has nodes but no links."""
+        elector = PairUp()
+        h = recurse_levels(range(4), [[0, 1], [2, 3]], elector)
+        assert h.level_sizes() == [4, 2]
+        assert h.levels[1].n_edges == 0 and h.levels[1].election is None
+        assert elector.asked == [0]
+
+    def test_no_aggregation_ends_the_hierarchy(self):
+        """heads == ids: the election is discarded and the level is the
+        top, not an infinite tower of identical levels."""
+        h = recurse_levels(range(8), PATH8, everyone_a_head)
+        assert h.level_sizes() == [8] and h.levels[0].election is None
+
+    def test_ids_and_edges_normalised_once(self):
+        seen = {}
+
+        def elector(k, ids, edges):
+            seen[k] = (ids, edges)
+            return PairUp()(k, ids, edges)
+
+        recurse_levels([3, 1, 2, 0], [[1, 0], [0, 1], [2, 3], [2, 1]],
+                       elector, max_levels=1)
+        ids, edges = seen[0]
+        assert ids.dtype == np.int64 and ids.tolist() == [0, 1, 2, 3]
+        assert edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+        # Sorted unique int64 input (the engine's arange) is not copied.
+        base = np.arange(6)
+        recurse_levels(base, PATH8[:5], elector, max_levels=1)
+        assert np.shares_memory(seen[0][0], base)
+
+    def test_radio_links_use_scaled_radius_and_located_at(self):
+        """r_k = r0 * sqrt(n0 / |V_k|); ``located_at`` says where a
+        level-k ID sits when it is not a base node ID itself."""
+        pos = np.column_stack((np.arange(8.0), np.zeros(8)))
+        h = recurse_levels(range(8), PATH8, PairUp(), max_levels=2,
+                           level_mode="radio", positions=pos, r0=1.0)
+        # Heads 1,3,5,7 are 2 apart; r_1 = sqrt(2) links none of them.
+        assert h.levels[1].n_edges == 0
+        h = recurse_levels(range(8), PATH8, PairUp(), max_levels=2,
+                           level_mode="radio", positions=pos, r0=1.5)
+        assert h.levels[1].edges.tolist() == [[1, 3], [3, 5], [5, 7]]
+        # Same IDs, placed at nodes 0..3 instead: now 1 apart.
+        asked = []
+
+        def located_at(k, ids):
+            asked.append((k, ids.tolist()))
+            return ids // 2
+
+        h = recurse_levels(range(8), PATH8, PairUp(), max_levels=2,
+                           level_mode="radio", positions=pos, r0=1.0,
+                           located_at=located_at)
+        assert asked == [(1, [1, 3, 5, 7]), (2, [3, 7])]
+        assert h.levels[1].edges.tolist() == [[1, 3], [3, 5], [5, 7]]
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="level_mode"):
+            recurse_levels(range(4), PATH8[:3], PairUp(), level_mode="psychic")
+        with pytest.raises(ValueError, match="r0"):
+            recurse_levels(range(4), PATH8[:3], PairUp(), level_mode="radio",
+                           positions=np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="positions"):
+            recurse_levels(range(4), PATH8[:3], PairUp(), level_mode="radio",
+                           r0=1.0)
+        with pytest.raises(ValueError, match="align"):
+            recurse_levels(range(4), PATH8[:3], PairUp(), level_mode="radio",
+                           positions=np.zeros((3, 2)), r0=1.0)
 
 
 class TestBuildHierarchy:

@@ -67,7 +67,7 @@ class TestResumeEqualsUninterrupted:
         path = tmp_path / "event.ckpt"
         Simulator(sc).run(checkpoint_every=5, checkpoint_path=str(path))
         ck = load_checkpoint(path)
-        levels = ck.delta_plane._state
+        levels = ck.stepper.__self__._state  # the DeltaPlane's
         assert levels
         for st in levels.values():
             assert all(isinstance(v, (np.ndarray, bool))
@@ -142,11 +142,11 @@ class TestStaleCheckpointRejection:
     def _assert_schema_refused(self, tmp_path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 5
+        assert CHECKPOINT_SCHEMA == 6
         path = self._write_checkpoint(tmp_path, schema=schema)
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 5" in str(err.value)
+        assert f"checkpoint schema {schema} != 6" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -159,6 +159,11 @@ class TestStaleCheckpointRejection:
         """Schema 4 pickled an adjacency dict inside every level's
         incremental election; refused the same way."""
         self._assert_schema_refused(tmp_path, 4)
+
+    def test_schema_5_checkpoint_refused(self, tmp_path):
+        """Schema 5 pickled ``maintainer`` and ``delta_plane`` where
+        schema 6 has the one ``stepper``; refused the same way."""
+        self._assert_schema_refused(tmp_path, 5)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

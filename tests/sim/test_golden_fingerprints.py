@@ -40,11 +40,11 @@ GOLDEN = {
         (False, True),
         "d5d871c47f4326789f1f0b4bff7595d379ba30414d1859a26f4f1a60393f5a90"),
     "maxmin-d2-radio": (
-        dict(seed=4, clustering="maxmin", maxmin_d=2), (False,),
+        dict(seed=4, clustering="maxmin", maxmin_d=2), (False, True),
         "377c055d2842576f1cdd1777f3613d9fe8b2f124284cd37f5c4552f2eae4ecbd"),
     "maxmin-d3-contraction": (
         dict(seed=6, clustering="maxmin", maxmin_d=3,
-             level_mode="contraction"), (False,),
+             level_mode="contraction"), (False, True),
         "c86c37abb65663d966b657f729f489780994d601f294db2aadf3752d3528ce0f"),
     "lossy-chaos": (
         dict(n=90, steps=12, warmup=3, seed=7, loss_rate=0.08,

@@ -4,8 +4,8 @@ The standing contract of every incremental feature in this repo:
 switched on, ``Scenario.incremental_hierarchy`` must produce **the same
 numbers** as the full per-step rebuild — every series, every per-level
 breakdown, every (i)-(vii) event count — across plain, lossy, chaos,
-stateful-election, and contraction regimes, and through a
-checkpoint/resume cycle.  No tolerance, no "statistically close":
+stateful-election, contraction, max-min and naive-hash regimes, and
+through a checkpoint/resume cycle.  No tolerance, no "statistically close":
 bit-identical.
 """
 
@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.hierarchy import DeltaPlane
 from repro.sim import Scenario, run_scenario
 from repro.sim.engine import Simulator
 from tests.fingerprint import fingerprint
@@ -66,12 +67,40 @@ class TestRegimeMatrix:
                                  max_levels=3, level_mode="contraction"))
         assert fingerprint(off) == fingerprint(on)
 
+    @pytest.mark.parametrize("fields", [
+        dict(seed=4, maxmin_d=2),
+        dict(seed=6, maxmin_d=3, level_mode="contraction"),
+        dict(n=90, steps=12, warmup=3, seed=7,
+             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",)),
+    ], ids=["d2-radio", "d3-contraction", "crash"])
+    def test_maxmin_clustering(self, fields):
+        """Max-min has no patchable election: it runs as it is behind
+        the Verlet edges, and the snapshots' delta feeds the dirty-chain
+        patch exactly as for the stateful maintainers."""
+        off, on = _pair(Scenario(**{
+            **dict(n=80, steps=8, warmup=2, max_levels=3,
+                   clustering="maxmin"), **fields}))
+        assert fingerprint(off) == fingerprint(on)
+
+    @pytest.mark.parametrize("fields", [
+        dict(n=80, steps=8, warmup=2, seed=3),
+        dict(n=100, steps=12, warmup=3, seed=11, loss_rate=0.08,
+             retry_attempts=3, queries_per_step=4),
+    ], ids=["lossless", "lossy-with-queries"])
+    def test_naive_hash(self, fields):
+        """A hash that keeps no descent chains is recomputed in full on
+        the patched hierarchy."""
+        off, on = _pair(Scenario(max_levels=3, hash_fn="naive", **fields))
+        assert fingerprint(off) == fingerprint(on)
+        if off.queries is not None:
+            assert off.queries.success_series == on.queries.success_series
+
 
 class TestResume:
     def test_resumed_incremental_run_is_bit_identical(self, tmp_path):
         """Interrupt an incremental run mid-flight; the resumed half
-        must reproduce the uninterrupted run exactly (the delta plane
-        and edge cache ride the checkpoint)."""
+        must reproduce the uninterrupted run exactly (the stepper's
+        delta plane and the edge cache ride the checkpoint)."""
         sc = Scenario(n=80, steps=12, warmup=3, seed=0, max_levels=3,
                       incremental_hierarchy=True)
         baseline = Simulator(sc).run()
@@ -80,7 +109,7 @@ class TestResume:
         Simulator(sc).run(checkpoint_every=5, checkpoint_path=str(path))
         resumed_sim = Simulator.restore(str(path))
         assert 0 < resumed_sim.next_step < sc.steps
-        assert resumed_sim._delta_plane is not None
+        assert isinstance(resumed_sim._stepper.__self__, DeltaPlane)
         assert resumed_sim._edge_cache is not None
         resumed = resumed_sim.run()
         assert fingerprint(baseline) == fingerprint(resumed)
@@ -98,16 +127,6 @@ class TestResume:
 
 
 class TestScenarioValidation:
-    def test_requires_lca_clustering(self):
-        with pytest.raises(ValueError, match="delta plane"):
-            Scenario(n=40, steps=4, clustering="maxmin",
-                     incremental_hierarchy=True)
-
-    def test_requires_rendezvous_hash(self):
-        with pytest.raises(ValueError, match="rendezvous"):
-            Scenario(n=40, steps=4, hash_fn="naive",
-                     incremental_hierarchy=True)
-
     def test_flag_changes_sweep_cache_key(self):
         """Incremental runs must never collide with full-rebuild cache
         entries (they are equivalent, but the cache must not *assume*

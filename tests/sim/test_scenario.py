@@ -18,8 +18,8 @@ class TestValidation:
             {"warmup": -1},
             {"hop_mode": "psychic"},
             {"detour": 0.5},
-            {"verlet_skin": 0.0},
-            {"verlet_skin": -0.5},
+            {"level_mode": "wormhole"},
+            {"election_mode": "hereditary"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -35,7 +35,7 @@ class TestValidation:
         ["density", "target_degree", "speed", "dt", "detour", "failure_rate",
          "repair_time", "loss_rate", "loss_level_coeff", "retry_attempts",
          "retry_backoff", "retry_backoff_factor", "retry_jitter",
-         "retry_timeout", "verlet_skin"],
+         "retry_timeout"],
     )
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_floats(self, field, bad):
@@ -183,36 +183,3 @@ class TestDerivedQuantities:
         sc = Scenario()
         with pytest.raises(Exception):
             sc.n = 5
-
-
-class TestVerletSkin:
-    def test_default_and_override(self):
-        assert Scenario().verlet_skin == pytest.approx(0.5)
-        assert Scenario(verlet_skin=1.2).verlet_skin == pytest.approx(1.2)
-
-    def test_skin_reaches_the_edge_cache(self):
-        from repro.sim.engine import Simulator
-
-        sim = Simulator(Scenario(n=60, steps=2, warmup=0, max_levels=2,
-                                 incremental_hierarchy=True,
-                                 verlet_skin=0.9))
-        assert sim._edge_cache._skin == pytest.approx(0.9)
-
-    def test_results_bit_identical_across_skins(self):
-        """The skin only moves the rebuild cadence; every metric stream
-        must be unaffected."""
-        import dataclasses
-        import pickle
-
-        from repro.sim.engine import run_scenario
-
-        base = dict(n=80, steps=6, warmup=1, speed=2.0, max_levels=2,
-                    hop_mode="euclidean", incremental_hierarchy=True)
-        r_small = run_scenario(Scenario(**base, verlet_skin=0.2))
-        r_large = run_scenario(Scenario(**base, verlet_skin=2.0))
-        for f in dataclasses.fields(r_small):
-            if f.name == "scenario":  # differs by construction
-                continue
-            a = pickle.dumps(getattr(r_small, f.name))
-            b = pickle.dumps(getattr(r_large, f.name))
-            assert a == b, f.name

@@ -246,6 +246,21 @@ class TestScenarioKey:
     def test_stable(self):
         assert scenario_key(BASE, 4) == scenario_key(replace(BASE), 4)
 
+    def test_golden_keys(self):
+        """The key is what on-disk sweep caches are filed under: a change
+        here — a ``Scenario`` field added, removed or re-defaulted, the
+        payload re-shaped, ``CODE_VERSION`` bumped — means every cache
+        written before it misses.  Re-pin only when that is intended."""
+        assert scenario_key(Scenario()) == (
+            "a630607f3c3c47ab5dd7179421f1c6d6"
+            "8587da751e0e348fa47cb3bf68667ce8")
+        busy = Scenario(
+            n=np.int64(120), speed=(1.0, 3.0), seed=5,
+            chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
+        assert scenario_key(busy) == (
+            "90518c54987650df2fce4361add09af2"
+            "5bb2ae4c6cd2d3f123b236b2b480011a")
+
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis
         (``n=np.int64(...)``) must hit the cache entries written by the
