@@ -209,8 +209,9 @@ def test_bench_hierarchy_full_rebuild(benchmark):
 def test_bench_hierarchy_incremental(benchmark):
     """Steady-state hierarchy maintenance: one DeltaPlane.advance()
     under a small mobility drift — re-votes only the affected-node
-    closure.  The budget gate (HIERARCHY_BUDGET < 1) pins this cheaper
-    than the full re-election it replaces.  20 rounds, because the gate
+    closure.  The budget check gates it on its own committed mean
+    (``SELF_GATED``); ``test_bench_hierarchy_full_rebuild`` beside it is
+    what a step pays without the plane.  20 rounds, because the gate
     compares means and one slow round in five used to multiply this one."""
     from repro.hierarchy import DeltaPlane, compute_delta
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.lca import Election
+from repro.graphs import sorted_unique_ids
 
 __all__ = ["AlcaMaintainer"]
 
@@ -69,7 +70,7 @@ class AlcaMaintainer:
         edges:
             Canonical ``(m, 2)`` ID-pair array for the current topology.
         """
-        ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
+        ids = sorted_unique_ids(node_ids)
         if ids.size == 0:
             raise ValueError("maintenance requires at least one node")
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)

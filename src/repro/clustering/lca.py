@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graphs import IdIndex, sorted_unique_ids
+
 __all__ = ["Election", "elect"]
 
 
@@ -112,12 +114,11 @@ def elect(node_ids, edges) -> Election:
 
     Notes
     -----
-    Complexity is O(n log n + m) — one sort for ID lookup plus scatter
-    passes over the edge array.
+    Complexity is O(n + m) for sorted IDs from a compact range — a
+    table lookup of the edge endpoints plus scatter passes over the edge
+    array; unsorted IDs add one sort, sparse ones a search per endpoint.
     """
-    if not isinstance(node_ids, np.ndarray):
-        node_ids = list(node_ids)
-    ids = np.unique(np.asarray(node_ids, dtype=np.int64))
+    ids = sorted_unique_ids(node_ids)
     if ids.size == 0:
         raise ValueError("election requires at least one node")
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -126,38 +127,34 @@ def elect(node_ids, edges) -> Election:
 
     # Compact indices for scatter ops.
     if e.size:
-        ui = np.searchsorted(ids, e[:, 0])
-        vi = np.searchsorted(ids, e[:, 1])
-        bad = (
-            (ui >= ids.size)
-            | (vi >= ids.size)
-            | (ids[np.minimum(ui, ids.size - 1)] != e[:, 0])
-            | (ids[np.minimum(vi, ids.size - 1)] != e[:, 1])
-        )
-        if np.any(bad):
+        index = IdIndex(ids)
+        ui = index.rows(e[:, 0])
+        vi = index.rows(e[:, 1])
+        if ui.min() < 0 or vi.min() < 0:
             raise ValueError("edges reference ids not in node_ids")
     else:
         ui = vi = np.empty(0, dtype=np.int64)
 
-    # elected_head[u] = max ID over the closed neighborhood of u.
-    elected = ids.copy()
+    # elected_head[u] = max ID over the closed neighborhood of u; the
+    # IDs are sorted, so that is the largest row.
+    elected_row = np.arange(ids.size)
     if e.size:
-        np.maximum.at(elected, ui, ids[vi])
-        np.maximum.at(elected, vi, ids[ui])
+        np.maximum.at(elected_row, ui, vi)
+        np.maximum.at(elected_row, vi, ui)
+    elected = ids[elected_row]
 
-    clusterheads = np.unique(elected)
+    is_head = np.zeros(ids.size, dtype=bool)
+    is_head[elected_row] = True
+    clusterheads = ids[is_head]
 
     # Affiliation: clusterheads anchor their own cluster.
-    is_head = np.isin(ids, clusterheads, assume_unique=True)
     member_of = np.where(is_head, ids, elected)
 
     # ALCA state: number of neighbors that elected this node.
     elector_count = np.zeros(ids.size, dtype=np.int64)
     if e.size:
-        u_elects_v = elected[ui] == ids[vi]
-        v_elects_u = elected[vi] == ids[ui]
-        np.add.at(elector_count, vi[u_elects_v], 1)
-        np.add.at(elector_count, ui[v_elects_u], 1)
+        np.add.at(elector_count, vi[elected_row[ui] == vi], 1)
+        np.add.at(elector_count, ui[elected_row[vi] == ui], 1)
 
     return Election(
         node_ids=ids,

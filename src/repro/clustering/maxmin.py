@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graphs import sorted_unique_ids
+
 __all__ = ["MaxMinResult", "maxmin_cluster"]
 
 
@@ -95,7 +97,7 @@ def maxmin_cluster(node_ids, edges, d: int = 2) -> MaxMinResult:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
+    ids = sorted_unique_ids(node_ids)
     if ids.size == 0:
         raise ValueError("clustering requires at least one node")
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)

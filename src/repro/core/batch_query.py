@@ -12,7 +12,7 @@ all of it:
 * :class:`BatchResolver` reads the per-level server tables of a
   :class:`~repro.core.servers.ServerAssignment` (dense int64 columns
   indexed by base-node position, ``-1`` = no entry) and resolves whole
-  int64 ``src``/``dst`` arrays with segmented-stage descents and
+  int64 ``src``/``dst`` arrays with dense-stage descents and
   batched hop lookups.
 * :meth:`BatchResolver.resolve` is the lossless path: bit-identical to
   the scalar oracle (same packets, hit levels, servers, probe counts),

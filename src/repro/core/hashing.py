@@ -26,17 +26,37 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SALT_CAND = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
-def mix64(x) -> np.ndarray:
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _mix_steps(v):
+    """The mixer proper, in place on an array (a numpy scalar, being
+    immutable, is rebound instead)."""
+    v ^= v >> _SHIFT1
+    v *= _MIX1
+    v ^= v >> _SHIFT2
+    v *= _MIX2
+    v ^= v >> _SHIFT3
+    return v
+
+
+def mix64(x, out=None) -> np.ndarray:
     """SplitMix64 finalizer: a fast, well-distributed 64-bit mixer.
 
     Accepts scalars or arrays; computes in uint64 with wraparound.
+    ``out`` is an optional uint64 array that receives the result; it may
+    be ``x`` itself, which is then mixed in place (the shifted copies
+    are the only temporaries).
     """
-    v = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        v = (v ^ (v >> np.uint64(30))) * _MIX1
-        v = (v ^ (v >> np.uint64(27))) * _MIX2
-        v = v ^ (v >> np.uint64(31))
-    return v
+    if out is None:
+        # A private copy to mix; `[()]` turns a 0-d one into a numpy
+        # scalar, several times faster to operate on — and only scalars
+        # warn about the wraparound.
+        with np.errstate(over="ignore"):
+            return _mix_steps(np.array(x, dtype=np.uint64)[()])
+    if out is not x:
+        out[...] = x
+    return _mix_steps(out)
 
 
 def rendezvous_choice(subject: int, salt: int, candidates) -> int | None:

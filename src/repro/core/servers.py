@@ -190,56 +190,96 @@ def _stage_salt(level: int, depth: int) -> int:
     return level * 1315423911 + depth * 2654435761
 
 
-_STAGE_CHUNK = 1 << 14
-"""Subjects hashed per block of the rendezvous stage: bounds the flat
-(subject, candidate) pair arrays (86 top-level candidates x 1e5 subjects
-would otherwise be ~70 MB per temporary)."""
+def _stage_salts(levels, depth: int) -> np.ndarray:
+    """One salt per level for the stages at ``depth``."""
+    return np.array(
+        [_stage_salt(level, depth) for level in levels], dtype=np.uint64
+    )
+
+
+_BLOCK_PAIRS = 1 << 14
+"""(row, candidate) pairs hashed per dense block: 128 KiB of uint64
+weights, so a block and the temporaries of its mix stay cache-resident
+(measured best between 2^13 and 2^14 at 10^3..10^5 rows) whatever the
+batch or the widest cluster."""
 
 
 def _vectorized_rendezvous_stage(
-    subjects: np.ndarray, current: np.ndarray, partition, salt: int
+    subjects: np.ndarray, current: np.ndarray, partition, salt
 ) -> np.ndarray:
-    """One descent stage for all subjects at once.
+    """One descent stage for every row of ``current`` at once.
 
-    ``current[i]`` is subject i's cluster at this depth; the winner among
-    that cluster's members replaces it.  ``partition`` is the level as a
+    ``current`` holds each row's cluster at this depth; the winner among
+    that cluster's members replaces it (the result has ``current``'s
+    shape).  ``subjects`` and ``salt`` broadcast against ``current``: a
+    scalar salt is one level's stage; a per-row salt array, or a
+    ``(levels, 1)`` salt column over ``(n,)`` subjects and a ``(levels,
+    n)`` ``current``, runs several levels' stages through this depth's
+    partition as one call.  ``partition`` is the level as a
     :class:`~repro.hierarchy.delta.LazyClusters`, whose cluster-ID -> row
     index every stage through it shares, or as a bare CSR tuple ``(heads,
-    starts, members)``, indexed here.  All (subject, candidate) pairs of
-    a block are hashed as one flat array and reduced per subject segment;
-    weight ties go to the *last* maximal member — the largest ID,
-    :func:`~repro.core.hashing.rendezvous_choice`'s rule.
+    starts, members)``, indexed here.
+
+    Rows are ordered by candidate count and hashed in dense ``(rows,
+    width)`` blocks of at most ``_BLOCK_PAIRS`` weights, candidates laid
+    out from the largest ID down, so the first maximal weight of a row is
+    :func:`~repro.core.hashing.rendezvous_choice`'s winner (ties go to
+    the largest ID).  A row narrower than its block repeats its smallest
+    member in the spare columns, which can never win ahead of the
+    original; single-member clusters are not hashed at all.
     """
-    out = np.empty(subjects.size, dtype=np.int64)
-    if subjects.size == 0:
-        return out
+    current = np.asarray(current, dtype=np.int64)
+    out = np.empty(current.size, dtype=np.int64)
+    if out.size == 0:
+        return out.reshape(current.shape)
     if isinstance(partition, LazyClusters):
         index, partition = partition.index(), partition.csr()
     else:
         index = IdIndex(partition[0])
     _, starts, members = partition
-    row = index.rows(current)
+    row = index.rows(current.reshape(-1))
     if row.min() < 0:
         raise KeyError("descent entered a cluster the partition lacks")
-    first = starts[row]
-    count = starts[row + 1] - first
+    # Rows in a stable order of (candidates - 1), a per-cluster value kept
+    # in the narrowest unsigned type: numpy radix-sorts 8- and 16-bit keys.
+    extra = np.diff(starts) - 1
+    extra = extra.astype(np.min_scalar_type(int(extra.max())))[row]
+    order = np.argsort(extra, kind="stable")
+    extra, row = extra[order], row[order]
+    # Positions in `members` of each row's largest and smallest candidate;
+    # `last` ends up holding the winner's (for a single-member row, which
+    # the loop skips, it already does).
+    last = starts[row + 1] - 1
+    first = last - extra
     mix64 = hashing.mix64
-    with np.errstate(over="ignore"):
-        subj_keys = subjects.astype(np.uint64) * hashing._GOLDEN
-        subj_keys ^= mix64(np.uint64(salt))
-        cand_keys = members.astype(np.uint64) * hashing._SALT_CAND
-    for lo in range(0, subjects.size, _STAGE_CHUNK):
-        hi = lo + _STAGE_CHUNK
-        cnt = count[lo:hi]
-        ends = np.cumsum(cnt)
-        seg = ends - cnt
-        pair = np.arange(ends[-1])
-        cand = pair + np.repeat(first[lo:hi] - seg, cnt)
-        weights = mix64(np.repeat(subj_keys[lo:hi], cnt) ^ cand_keys[cand])
-        best = np.repeat(np.maximum.reduceat(weights, seg), cnt)
-        pair[weights != best] = -1
-        out[lo:hi] = members[cand[np.maximum.reduceat(pair, seg)]]
-    return out
+    keys = np.asarray(subjects).astype(np.uint64) * hashing._GOLDEN
+    keys = keys ^ mix64(np.asarray(salt, dtype=np.uint64))
+    keys = np.broadcast_to(keys, current.shape).reshape(-1)[order]
+    cand_keys = members.astype(np.uint64) * hashing._SALT_CAND
+    cols = np.arange(int(extra[-1]) + 1)
+    lo = int(np.searchsorted(extra, 0, side="right"))
+    while lo < out.size:
+        narrowest = int(extra[lo]) + 1
+        hi = lo + (_BLOCK_PAIRS // narrowest or 1)
+        if hi > out.size:
+            hi = out.size
+        width = int(extra[hi - 1]) + 1
+        if (hi - lo) * width > _BLOCK_PAIRS:
+            hi = lo + (_BLOCK_PAIRS // width or 1)
+            width = int(extra[hi - 1]) + 1
+        highest = last[lo:hi]
+        cand = highest[:, None] - cols[:width]
+        if narrowest < width:
+            np.maximum(cand, first[lo:hi, None], out=cand)
+        weights = cand_keys[cand]
+        weights ^= keys[lo:hi, None]
+        best = mix64(weights, out=weights).argmax(axis=1)
+        if narrowest < width:
+            np.minimum(best, extra[lo:hi], out=best)
+        highest -= best
+        lo = hi
+    out[order] = members[last]
+    return out.reshape(current.shape)
 
 
 def _global_stage(h: ClusteredHierarchy, subjects: np.ndarray, level: int) -> np.ndarray:
@@ -279,10 +319,11 @@ def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssign
     per-node share is Theta(log|V|) entries (Section 3.2's closing
     observation).
 
-    The default rendezvous hash runs a fully vectorized descent (one
-    segmented stage per depth) and returns a :class:`ChainedAssignment`:
-    the chains are the stage inputs the descent consumes anyway.  Other
-    hashes fall back to the scalar per-subject path.
+    The default rendezvous hash runs a fully vectorized descent — one
+    kernel call per depth, hashing that depth's stage of every level at
+    once — and returns a :class:`ChainedAssignment`: the chains are the
+    stage inputs the descent consumes anyway.  Other hashes fall back to
+    the scalar per-subject path.
     """
     subjects = h.levels[0].node_ids
     levels = range(2, lm_levels(h) + 1)
@@ -295,26 +336,27 @@ def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssign
                     table[i] = srv
         return ServerAssignment(subjects=subjects, tables=tables)
 
-    lazy = {
-        depth: LazyClusters(h.levels[depth - 1].election)
-        for depth in range(1, h.num_levels + 1)
-    }
-    tables = {}
-    chains: dict[int, dict[int, np.ndarray]] = {}
-    for level in levels:
-        if level == h.num_levels + 1:
-            current = _global_stage(h, subjects, level)
-            start_depth = h.num_levels
-        else:
-            current = h.ancestry(level)
-            start_depth = level
-        chains[level] = {}
-        for depth in range(start_depth, 0, -1):
-            chains[level][depth] = current
-            current = _vectorized_rendezvous_stage(
-                subjects, current, lazy[depth], _stage_salt(level, depth)
-            )
-        tables[level] = current
+    num_levels = h.num_levels
+    chains: dict[int, dict[int, np.ndarray]] = {level: {} for level in levels}
+    # `current[level]` is each subject's cluster on its level-`level`
+    # descent; every level already under way shares a depth's partition,
+    # so their stages run as one call.
+    current: dict[int, np.ndarray] = {}
+    if levels:
+        current[num_levels + 1] = _global_stage(h, subjects, num_levels + 1)
+    for depth in range(num_levels, 0, -1):
+        if depth >= 2:
+            current[depth] = h.ancestry(depth)
+        active = sorted(current)
+        for level in active:
+            chains[level][depth] = current[level]
+        winners = _vectorized_rendezvous_stage(
+            subjects, np.stack([current[level] for level in active]),
+            LazyClusters(h.levels[depth - 1].election),
+            _stage_salts(active, depth)[:, None],
+        )
+        current.update(zip(active, winners))
+    tables = {level: current[level] for level in levels}
     return ChainedAssignment(subjects=subjects, tables=tables, chains=chains)
 
 
@@ -334,7 +376,9 @@ def patch_assignment(
     list); every other row keeps its recorded winner.  A re-hashed row
     whose winner comes out unchanged consults the recorded cluster again
     one depth down, so it stays out of the deeper stages unless a dirty
-    cell pulls it back in.
+    cell pulls it back in.  The loop runs depth by depth: the levels
+    under way at a depth share its partition, so their re-hashed rows go
+    through the kernel as one call.
 
     Returns the new chained assignment plus the *dirty rows* — per level,
     the ascending subject positions whose server differs from ``prev``
@@ -346,62 +390,71 @@ def patch_assignment(
         raise ValueError("cannot patch across a full delta")
     num_levels = h.num_levels
     subjects = prev.subjects
-    lazy = {
-        depth: LazyClusters(h.levels[depth - 1].election)
-        for depth in range(1, num_levels + 1)
-    }
-    dirty_index = {
-        depth: IdIndex(delta.dirty_cells[depth])
-        for depth in range(1, num_levels + 1)
-        if delta.dirty_cells[depth].size
-    }
     tables = dict(prev.tables)
-    chains: dict[int, dict[int, np.ndarray]] = {}
+    chains: dict[int, dict[int, np.ndarray]] = {
+        level: {} for level in range(2, lm_levels(h) + 1)
+    }
     dirty_rows: dict[int, np.ndarray] = {}
-    for level in range(2, lm_levels(h) + 1):
-        old_chain = prev.chains[level]
-        # `column` is this depth's input for every subject, `moved` the
-        # rows where it differs from the recorded one (None: nowhere).
-        if level == num_levels + 1:
-            start_depth = num_levels
-            moved = None
-            if delta.top_changed:
-                column = _global_stage(h, subjects, level)
-                moved = column != old_chain[start_depth]
-        else:
-            start_depth = level
-            column = h.ancestry(level)
-            moved = delta.level_changed[level]
-        if moved is not None and not moved.any():
-            moved = None
-        new_chain = {}
-        for depth in range(start_depth, 0, -1):
-            recorded = old_chain[depth]
-            new_chain[depth] = column if moved is not None else recorded
-            rehash = moved
-            if depth in dirty_index:
-                consulted_dirty = dirty_index[depth].contains(recorded)
-                rehash = consulted_dirty if moved is None else moved | consulted_dirty
-            column = old_chain[depth - 1] if depth > 1 else prev.tables[level]
-            moved = None
-            if rehash is None:
-                continue
-            sub = np.flatnonzero(rehash)
-            winners = _vectorized_rendezvous_stage(
-                subjects[sub], new_chain[depth][sub], lazy[depth],
-                _stage_salt(level, depth),
+    # Per level under way: `column[level]` is this depth's input for
+    # every subject, `moved[level]` the rows where it differs from the
+    # recorded one (None: nowhere).
+    column: dict[int, np.ndarray] = {}
+    moved: dict[int, np.ndarray | None] = {}
+    if num_levels:
+        top = num_levels + 1
+        column[top] = prev.chains[top][num_levels]
+        moved[top] = None
+        if delta.top_changed:
+            column[top] = _global_stage(h, subjects, top)
+            changed = column[top] != prev.chains[top][num_levels]
+            moved[top] = changed if changed.any() else None
+    for depth in range(num_levels, 0, -1):
+        if depth >= 2:
+            column[depth] = h.ancestry(depth)
+            changed = delta.level_changed[depth]
+            moved[depth] = changed if changed.any() else None
+        dirty = delta.dirty_cells[depth]
+        dirty_index = IdIndex(dirty) if dirty.size else None
+        active = sorted(column)
+        rehash: dict[int, np.ndarray] = {}
+        for level in active:
+            recorded = prev.chains[level][depth]
+            stale = moved[level]
+            chains[level][depth] = column[level] if stale is not None else recorded
+            if dirty_index is not None:
+                consulted_dirty = dirty_index.contains(recorded)
+                stale = consulted_dirty if stale is None else stale | consulted_dirty
+            if stale is not None and stale.any():
+                rehash[level] = np.flatnonzero(stale)
+            column[level] = (
+                prev.chains[level][depth - 1] if depth > 1 else prev.tables[level]
             )
-            changed = winners != column[sub]
-            if changed.any():
-                sub = sub[changed]
-                column = column.copy()
-                column[sub] = winners[changed]
-                moved = np.zeros(subjects.size, dtype=bool)
-                moved[sub] = True
-        chains[level] = new_chain
-        if moved is not None:
-            tables[level] = column
-            dirty_rows[level] = sub
+            moved[level] = None
+        if not rehash:
+            continue
+        sizes = [sub.size for sub in rehash.values()]
+        winners = _vectorized_rendezvous_stage(
+            np.concatenate([subjects[sub] for sub in rehash.values()]),
+            np.concatenate([chains[level][depth][sub]
+                            for level, sub in rehash.items()]),
+            LazyClusters(h.levels[depth - 1].election),
+            np.repeat(_stage_salts(rehash, depth), sizes),
+        )
+        for (level, sub), won in zip(
+            rehash.items(), np.split(winners, np.cumsum(sizes)[:-1])
+        ):
+            changed = won != column[level][sub]
+            if not changed.any():
+                continue
+            sub = sub[changed]
+            column[level] = column[level].copy()
+            column[level][sub] = won[changed]
+            if depth > 1:
+                moved[level] = np.zeros(subjects.size, dtype=bool)
+                moved[level][sub] = True
+            else:
+                tables[level] = column[level]
+                dirty_rows[level] = sub
     return (
         ChainedAssignment(subjects=subjects, tables=tables, chains=chains),
         dirty_rows,

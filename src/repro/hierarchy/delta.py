@@ -52,7 +52,7 @@ class LazyClusters:
     """One level's partition in CSR form, built lazily and without the
     per-cluster python loop of :meth:`Election.clusters`.
 
-    :meth:`csr` is what the segmented rendezvous kernel consumes, and
+    :meth:`csr` is what the dense rendezvous kernel consumes, and
     :meth:`index` the cluster-ID -> CSR-row lookup every descent stage
     through this partition shares; ``lazy[cid]`` returns the *same*
     sorted member array ``Election.clusters()[cid]`` would — the grouped

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.clustering.lca import Election, elect
 from repro.clustering.maxmin import maxmin_cluster
-from repro.graphs import IdIndex
+from repro.graphs import IdIndex, sorted_unique_ids
 from repro.hierarchy.cluster_graph import canonical_edges, contract_edges
 from repro.radio.unit_disk import unit_disk_edges
 
@@ -215,13 +215,7 @@ def recurse_levels(
     ID), persistent cluster IDs supply their head chain.
     """
     check_link_model(level_mode, r0)
-    if not isinstance(node_ids, np.ndarray):
-        node_ids = list(node_ids)
-    base_ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
-    if np.any(base_ids[1:] <= base_ids[:-1]):
-        # Skipped for sorted unique input such as the engine's arange:
-        # np.unique costs 27 ms at n = 1e5, every step.
-        base_ids = np.unique(base_ids)
+    base_ids = sorted_unique_ids(node_ids)
     cur_ids = base_ids
     cur_edges = canonical_edges(edges)
     if level_mode == "radio":

@@ -40,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.lca import Election
+from repro.graphs import sorted_unique_ids
 from repro.hierarchy.levels import ClusteredHierarchy, recurse_levels
 
 __all__ = ["PersistentLevelMaintainer", "PersistentHierarchyMaintainer"]
@@ -73,7 +74,7 @@ class PersistentLevelMaintainer:
 
     def update(self, node_ids, edges) -> Election:
         """Advance this level's clustering to the new topology."""
-        ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
+        ids = sorted_unique_ids(node_ids)
         if ids.size == 0:
             raise ValueError("maintenance requires at least one node")
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -103,8 +104,13 @@ class PersistentLevelMaintainer:
             else:
                 head[cid] = max(members)  # handover, cid persists
 
+        # Head node -> the cid it heads (a node heads at most one), kept
+        # in step with `head` below, so a node finds the heads in range
+        # among its own neighbors instead of scanning every cluster.
+        headed = {h: cid for cid, h in head.items()}
+
         def heads_in_range(v: int) -> list[int]:
-            return [c for c, h in head.items() if h in adj[v]]
+            return [headed[u] for u in adj[v] if u in headed]
 
         # Rule 2: stickiness / rehoming for surviving members.  Rehoming
         # prefers the *oldest* (smallest) cid in range: seniority is the
@@ -122,6 +128,7 @@ class PersistentLevelMaintainer:
             else:
                 new = self._new_cid()
                 head[new] = v
+                headed[v] = new
                 m2c[v] = new
 
         # New arrivals: same seniority rule.
@@ -134,6 +141,7 @@ class PersistentLevelMaintainer:
             else:
                 new = self._new_cid()
                 head[new] = v
+                headed[v] = new
                 m2c[v] = new
 
         # Rule 3: merges — the *younger* (larger) cid dissolves into an
@@ -163,6 +171,7 @@ class PersistentLevelMaintainer:
                 m2c[m] = min(near)
                 members_of.setdefault(m2c[m], set()).add(m)
             del head[cid]
+            del headed[h]
             members_of.pop(cid, None)
 
         self._m2c = m2c

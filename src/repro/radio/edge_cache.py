@@ -17,7 +17,8 @@ distance ``<= d + 2 * drift <= R_tx * (1 + SKIN)`` at build time (two
 triangle inequalities), so it is always in the candidate list — the
 filter can never miss an edge.  The filter compares the same float64
 squared distances the k-d tree does and keeps the candidate list's
-(row-sorted, lex-ordered) order, so the output array is bit-identical
+canonical order (``u < v``, ascending keys), so the output array is
+bit-identical
 to a fresh :func:`~repro.radio.unit_disk.unit_disk_edges` call
 (``tests/radio/test_edge_cache.py`` fuzzes this).
 

@@ -3,11 +3,12 @@
 A bidirectional link exists between u and v iff their Euclidean distance
 is at most the transmission radius ``r_tx``.  Neighbor discovery is the
 single hottest operation of the simulator, so edges are computed with a
-``scipy.spatial.cKDTree`` (O(n log n)) and exposed as a raw ``(m, 2)``
-int array; the NetworkX view is built lazily only where graph algorithms
-need it — and ``networkx`` itself is imported there, not at module top:
-no simulation path builds the view, and the import is ~90 ms of every
-CLI start.
+``scipy.spatial.cKDTree`` (O(n log n)), put in canonical order by one
+sort of their scalar keys (:func:`encode_edges`) and exposed as a raw
+``(m, 2)`` int array; the NetworkX view is built lazily only where graph
+algorithms need it — and ``networkx`` itself is imported there, not at
+module top: no simulation path builds the view, and the import is ~90 ms
+of every CLI start.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
     if pts.shape[0] < 2:
         return np.empty((0, 2), dtype=np.int64)
     tree = cKDTree(pts)
-    pairs = tree.query_pairs(r_tx, output_type="ndarray")
-    if pairs.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    pairs = np.sort(pairs.astype(np.int64), axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    # query_pairs returns each pair once with i < j (its documented
+    # contract, asserted in tests/radio/test_unit_disk.py), so the rows
+    # need no sorting and the scalar keys order them lexicographically.
+    n = pts.shape[0]
+    keys = encode_edges(tree.query_pairs(r_tx, output_type="ndarray"), n)
+    keys.sort()
+    return decode_edges(keys, n)
 
 
 def edges_to_graph(n: int, edges: np.ndarray, positions=None) -> nx.Graph:
@@ -92,4 +94,9 @@ def decode_edges(keys: np.ndarray, n: int) -> np.ndarray:
     k = np.asarray(keys, dtype=np.int64)
     if k.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    return np.stack([k // n, k % n], axis=1)
+    out = np.empty((k.size, 2), dtype=np.int64)
+    u, v = out[:, 0], out[:, 1]
+    np.floor_divide(k, n, out=u)
+    np.multiply(u, n, out=v)
+    np.subtract(k, v, out=v)
+    return out

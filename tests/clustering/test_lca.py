@@ -106,6 +106,38 @@ class TestArbitraryIds:
         assert set(r.clusterheads.tolist()) == {100, 5000}
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 25))
+def test_election_matches_brute_force_on_gappy_unsorted_ids(data, n):
+    """Every array of the outcome against a per-node loop, for IDs given
+    in any order from a sparse range and edges in any orientation."""
+    ids = data.draw(st.lists(st.integers(0, 10**8), min_size=n, max_size=n,
+                             unique=True))
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    edges = [e for e in data.draw(st.lists(pairs, max_size=3 * n))
+             if e[0] != e[1]]
+    r = elect(ids, np.array(edges).reshape(-1, 2))
+
+    adj = {v: {v} for v in ids}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    order = sorted(ids)
+    elected = {v: max(adj[v]) for v in order}
+    heads = sorted(set(elected.values()))
+    assert r.node_ids.tolist() == order
+    assert r.elected_head.tolist() == [elected[v] for v in order]
+    assert r.clusterheads.tolist() == heads
+    assert r.member_of.tolist() == [
+        v if v in heads else elected[v] for v in order]
+    # Parallel edges count once per listed edge, as the scatter does.
+    votes = {v: 0 for v in order}
+    for a, b in edges:
+        votes[b] += elected[a] == b
+        votes[a] += elected[b] == a
+    assert r.elector_count.tolist() == [votes[v] for v in order]
+
+
 def _closed_nbhd_max(n_ids, adj, u):
     return max([u] + list(adj[u]))
 

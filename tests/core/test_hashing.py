@@ -23,6 +23,17 @@ class TestMix64:
         for i, x in enumerate(xs):
             assert vec[i] == mix64(int(x))
 
+    def test_input_is_left_alone_and_out_receives_the_result(self):
+        xs = np.arange(50, dtype=np.uint64).reshape(10, 5)
+        before = xs.copy()
+        want = mix64(xs)
+        assert np.array_equal(xs, before) and not np.shares_memory(want, xs)
+        out = np.empty_like(xs)
+        assert mix64(xs, out=out) is out
+        assert np.array_equal(out, want) and np.array_equal(xs, before)
+        assert mix64(xs, out=xs) is xs  # in place
+        assert np.array_equal(xs, want)
+
     def test_avalanche(self):
         """Single-bit input flips should flip ~half the output bits."""
         a = int(mix64(0x1234))

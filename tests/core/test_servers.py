@@ -275,8 +275,12 @@ class TestStagewisePatch:
         real = servers._vectorized_rendezvous_stage
 
         def counting(subjects, current, partition, salt):
-            key = depth_of[salt]
-            rows[key] = rows.get(key, 0) + subjects.size
+            # One fused call per depth: a salt per row (the global stage
+            # passes a scalar).
+            salts, counts = np.unique(
+                np.broadcast_to(salt, np.shape(current)), return_counts=True)
+            for s, c in zip(salts.tolist(), counts.tolist()):
+                rows[depth_of[s]] = rows.get(depth_of[s], 0) + c
             return real(subjects, current, partition, salt)
 
         monkeypatch.setattr(servers, "_vectorized_rendezvous_stage", counting)
@@ -309,6 +313,44 @@ class TestStagewisePatch:
             pts = pts + rng.normal(scale=0.6, size=pts.shape)
         assert patched >= 50 and 3 <= top_changed < patched
         assert shared > 0  # untouched chain arrays are not copied
+
+    def test_churn_fuzz_on_four_levels(self):
+        """The depth-outer patch over mixed churn at n = 300 on four
+        levels — steps from a jitter that flips no link to one that moves
+        the top level — returns the tables, chains and dirty rows of a
+        rebuild; a sample of entries is also checked against the scalar
+        descent, so patch and rebuild cannot be wrong together."""
+        from repro.hierarchy import compute_delta
+
+        n, density = 300, 0.02
+        r_tx = radius_for_degree(9.0, density)
+        rng = np.random.default_rng(12)
+        pts = disc_for_density(n, density).sample(n, rng)
+        prev_h = chained = None
+        patched = top_changed = no_dirty_cell = rows_moved = 0
+        for step in range(64):
+            h = build_hierarchy(np.arange(n), unit_disk_edges(pts, r_tx),
+                                max_levels=4, level_mode="radio",
+                                positions=pts, r0=r_tx)
+            delta = compute_delta(prev_h, h)
+            if delta.full:
+                chained = full_assignment(h)
+            else:
+                chained, dirty_rows = assert_patch_equals_rebuild(
+                    chained, h, delta)
+                patched += 1
+                top_changed += delta.top_changed
+                no_dirty_cell += not any(c.size for c in delta.dirty_cells)
+                rows_moved += sum(r.size for r in dirty_rows.values())
+                for subject in rng.choice(n, size=4, replace=False).tolist():
+                    for level in range(2, lm_levels(h) + 1):
+                        assert chained.server_of(subject, level) == \
+                            select_server(h, subject, level)
+            prev_h = h
+            scale = (0.0, 1e-9, 0.2, 0.8, 2.5)[step % 5]
+            pts = pts + rng.normal(scale=scale, size=pts.shape)
+        assert patched >= 50 and rows_moved > 0
+        assert top_changed >= 1 and no_dirty_cell >= 1
 
     def test_persistent_cluster_ids_take_the_sorted_index(self):
         """Minted cluster IDs >= 10^7 are too sparse for a lookup table."""
@@ -452,10 +494,69 @@ class TestRendezvousKernel:
         subj, current, partition = self._random_case(np.random.default_rng(11))
         whole = servers._vectorized_rendezvous_stage(
             subj, current, self._csr(partition), 5)
-        monkeypatch.setattr(servers, "_STAGE_CHUNK", 7)
+        monkeypatch.setattr(servers, "_BLOCK_PAIRS", 7)
         self._assert_matches_oracle(subj, current, partition, salt=5)
         assert np.array_equal(whole, servers._vectorized_rendezvous_stage(
             subj, current, self._csr(partition), 5))
+
+    @staticmethod
+    def _every_size_case(k_max=24, per_size=5):
+        """One cluster of every size 1..k_max, ``per_size`` rows each, in
+        shuffled row order."""
+        rng = np.random.default_rng(17)
+        pool = rng.permutation(50_000)
+        partition, at = {}, 0
+        for size in range(1, k_max + 1):
+            partition[1000 + 7 * size] = np.sort(pool[at:at + size])
+            at += size
+        current = rng.permutation(np.repeat(sorted(partition), per_size))
+        subj = rng.integers(0, 1 << 40, size=current.size).astype(np.int64)
+        return subj, current.astype(np.int64), partition
+
+    @pytest.mark.parametrize("block", [1, 5, 24, 64, 1 << 14])
+    def test_every_cluster_size_across_block_boundaries(self, monkeypatch, block):
+        """Sizes 1..k_max in one batch: blocks narrower than a row (one
+        row each), blocks whose rows straddle two or more sizes (padded
+        rows), and one block for everything."""
+        from repro.core import servers
+
+        monkeypatch.setattr(servers, "_BLOCK_PAIRS", block)
+        subj, current, partition = self._every_size_case()
+        self._assert_matches_oracle(subj, current, partition, salt=31)
+
+    @pytest.mark.parametrize("block", [9, 1 << 14])
+    def test_per_row_salts_equal_the_per_level_calls(self, monkeypatch, block):
+        """One fused call — a salt per row, or a (levels, 1) salt column
+        over shared subjects — returns what one call per level does."""
+        from repro.core import servers
+
+        monkeypatch.setattr(servers, "_BLOCK_PAIRS", block)
+        stage = servers._vectorized_rendezvous_stage
+        subj, current, partition = self._every_size_case(k_max=12)
+        csr = self._csr(partition)
+        rng = np.random.default_rng(23)
+        salts = [servers._stage_salt(level, 2) for level in (2, 3, 5)]
+        columns = [rng.permutation(current) for _ in salts]
+        per_level = [stage(subj, col, csr, salt)
+                     for col, salt in zip(columns, salts)]
+        for col, salt, got in zip(columns, salts, per_level):
+            self._assert_matches_oracle(subj, col, partition, salt)
+
+        stacked = stage(subj, np.stack(columns), csr,
+                        np.array(salts, dtype=np.uint64)[:, None])
+        assert stacked.shape == (len(salts), subj.size)
+        assert np.array_equal(stacked, np.stack(per_level))
+
+        ragged = [slice(0, 7), slice(3, None), slice(10, 11)]
+        flat = stage(
+            np.concatenate([subj[r] for r in ragged]),
+            np.concatenate([col[r] for col, r in zip(columns, ragged)]),
+            csr,
+            np.repeat(np.array(salts, dtype=np.uint64),
+                      [subj[r].size for r in ragged]),
+        )
+        assert np.array_equal(flat, np.concatenate(
+            [won[r] for won, r in zip(per_level, ragged)]))
 
     def test_empty_batch(self):
         empty = np.empty(0, dtype=np.int64)
@@ -482,9 +583,19 @@ class TestRendezvousKernel:
     def test_forced_ties_go_to_the_largest_id(self, monkeypatch):
         """With every weight equal the oracle picks the largest candidate
         ID; the kernel must pick the same member of each segment."""
+        self._check_forced_ties(monkeypatch)
+
+    @pytest.mark.parametrize("block", [6, 50])
+    def test_forced_ties_in_padded_blocks(self, monkeypatch, block):
+        """The same where a short row's spare columns repeat its smallest
+        member: the copy ties with the original and must not win."""
+        monkeypatch.setattr("repro.core.servers._BLOCK_PAIRS", block)
+        self._check_forced_ties(monkeypatch)
+
+    def _check_forced_ties(self, monkeypatch):
         monkeypatch.setattr(
             "repro.core.hashing.mix64",
-            lambda x: np.zeros_like(np.asarray(x, dtype=np.uint64)))
+            lambda x, out=None: np.zeros_like(np.asarray(x, dtype=np.uint64)))
         from repro.core.servers import _vectorized_rendezvous_stage
 
         subj, current, partition = self._random_case(np.random.default_rng(2))
@@ -499,7 +610,7 @@ class TestRendezvousKernel:
         the first maximum and the oracle the largest ID)."""
         monkeypatch.setattr(
             "repro.core.hashing.mix64",
-            lambda x: np.zeros_like(np.asarray(x, dtype=np.uint64)))
+            lambda x, out=None: np.zeros_like(np.asarray(x, dtype=np.uint64)))
         servers = full_assignment(h300).servers
         for subject in range(0, 300, 23):
             for level in range(2, lm_levels(h300) + 1):

@@ -49,6 +49,70 @@ class TestUnitDiskEdges:
         assert set(map(tuple, e.tolist())) == expected
 
 
+def _brute_force_edges(pts, r):
+    """O(n^2) oracle: every i < j within ``r``, in lexicographic order,
+    on the float64 squared distances the k-d tree compares."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    out = []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dx, dy = pts[i] - pts[j]
+            if dx * dx + dy * dy <= r * r:
+                out.append([i, j])
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+class TestBruteForceOracle:
+    """``unit_disk_edges`` orders its pairs by one sort of scalar keys
+    and trusts ``query_pairs`` for ``i < j``; the output must still be
+    the canonical array, byte for byte."""
+
+    # Integer grid points and radii: coincident points and pairs at
+    # exactly r_tx (3-4-5 triangles) are common, and both the oracle's
+    # and the tree's squared distances are exact.
+    @settings(max_examples=120, deadline=None)
+    @given(
+        pts=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8)),
+            min_size=0, max_size=40),
+        r=st.sampled_from([1, 2, 5, 13]),
+    )
+    def test_matches_brute_force_exactly(self, pts, r):
+        pts = np.array(pts, dtype=np.float64).reshape(-1, 2)
+        e = unit_disk_edges(pts, float(r))
+        expected = _brute_force_edges(pts, float(r))
+        assert e.dtype == np.int64 and e.flags["C_CONTIGUOUS"]
+        assert e.shape == expected.shape
+        assert e.tobytes() == expected.tobytes()
+
+    def test_pair_at_exactly_r_tx_is_linked(self):
+        pts = [[0, 0], [3, 4], [6, 8.5]]
+        assert unit_disk_edges(pts, 5.0).tolist() == [[0, 1]]
+
+    def test_coincident_points_are_linked(self):
+        pts = [[1, 1], [1, 1], [1, 1], [9, 9]]
+        assert unit_disk_edges(pts, 0.5).tolist() == [[0, 1], [0, 2], [1, 2]]
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_inputs(self, n):
+        pts = np.zeros((n, 2))
+        e = unit_disk_edges(pts, 1.0)
+        assert e.dtype == np.int64
+        assert e.tolist() == ([[0, 1]] if n == 2 else [])
+
+    def test_query_pairs_returns_i_less_than_j(self):
+        """The contract the key sort relies on instead of row-sorting
+        each pair; a scipy that breaks it must fail here, loudly."""
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(5)
+        pts = rng.random((400, 2))
+        pairs = cKDTree(pts).query_pairs(0.12, output_type="ndarray")
+        assert pairs.shape[0] > 400
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        assert np.unique(pairs, axis=0).shape == pairs.shape
+
+
 class TestGraphView:
     def test_preserves_isolated_nodes(self):
         g = edges_to_graph(5, np.array([[0, 1]]))

@@ -32,6 +32,12 @@ GOLDEN = {
     "persistent-radio": (
         dict(seed=9, election_mode="persistent"), (False, True),
         "29ace23bb8972f690bf45975c1946094048b96a40e1d19fb1f7c81d055267efc"),
+    # Large enough that head hand-overs and cluster merges happen (5 and
+    # 90 cid deaths over the run), which the 80-node row barely sees.
+    "persistent-radio-large": (
+        dict(n=200, steps=12, max_levels=4, seed=21,
+             election_mode="persistent"), (False, True),
+        "3bfcbe513cac30e4b3e528a4e5d8582f1eea9ad9166645d897f728bf2da79cf0"),
     "memoryless-contraction": (
         dict(seed=13, level_mode="contraction"), (False, True),
         "d62c8a43792711e9b5efcbbba1a1010fbb48a4db9ea3870e644aa72c154d8af7"),

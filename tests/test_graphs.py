@@ -13,6 +13,7 @@ from repro.graphs import (
     bfs_distances,
     bfs_path,
     multi_source_bfs,
+    sorted_unique_ids,
 )
 from repro.radio import unit_disk_edges
 
@@ -59,6 +60,74 @@ class TestIdIndex:
         empty = IdIndex(np.empty(0, dtype=np.int64))
         assert empty.rows([1, 2]).tolist() == [-1, -1]
         assert not empty.contains([0]).any()
+
+
+class TestSortedUniqueIds:
+    def test_ascending_input_is_returned_as_it_came(self):
+        ids = np.array([3, 7, 8, 40], dtype=np.int64)
+        out = sorted_unique_ids(ids)
+        assert np.shares_memory(out, ids) and out.tolist() == [3, 7, 8, 40]
+
+    @pytest.mark.parametrize("raw", [
+        [5, 1, 3], [1, 1, 2], [2, 1, 1, 2], (9, 4), {4, 2}, range(3, 0, -1),
+    ])
+    def test_anything_else_is_sorted_and_deduplicated(self, raw):
+        out = sorted_unique_ids(raw)
+        assert out.dtype == np.int64
+        assert out.tolist() == sorted(set(raw))
+
+    def test_empty_and_single(self):
+        assert sorted_unique_ids([]).shape == (0,)
+        assert sorted_unique_ids(iter([4])).tolist() == [4]
+
+
+def _argsort_csr(node_ids, edges):
+    """The construction ``CompactGraph`` used before the counting sort,
+    kept as the oracle: both directions of every edge, stably sorted by
+    source row."""
+    ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ui, vi = np.searchsorted(ids, e[:, 0]), np.searchsorted(ids, e[:, 1])
+    src, dst = np.concatenate([ui, vi]), np.concatenate([vi, ui])
+    offsets = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=ids.size), out=offsets[1:])
+    return ids, dst[np.argsort(src, kind="stable")], offsets
+
+
+class TestCsrLayoutOracle:
+    """Neighbor order is observable (BFS tie-breaks, next hops): the
+    counting-sort build must reproduce the stable-argsort layout byte
+    for byte."""
+
+    @staticmethod
+    def _assert_same_layout(node_ids, edges):
+        g = CompactGraph(node_ids, edges)
+        ids, nbr, offsets = _argsort_csr(node_ids, edges)
+        for got, want in ((g.node_ids, ids), (g._nbr, nbr),
+                          (g._offsets, offsets)):
+            assert got.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30))
+    def test_random_graphs(self, data, n):
+        """Gappy IDs in any order, isolated nodes, edges in any order and
+        orientation, parallel edges included."""
+        ids = data.draw(st.lists(st.integers(0, 10_000), min_size=n,
+                                 max_size=n, unique=True))
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        edges = data.draw(st.lists(pairs, max_size=3 * n))
+        self._assert_same_layout(ids, np.array(edges).reshape(-1, 2))
+
+    def test_canonical_unit_disk_edges(self):
+        pts = DiscRegion(1.0).sample(300, np.random.default_rng(4))
+        self._assert_same_layout(np.arange(300), unit_disk_edges(pts, 0.15))
+
+    def test_isolated_nodes_at_both_ends(self):
+        self._assert_same_layout([0, 5, 9, 12, 40], [[9, 5], [12, 9]])
+
+    def test_no_edges(self):
+        self._assert_same_layout([3, 1, 2], np.empty((0, 2)))
 
 
 class TestCompactGraph:
