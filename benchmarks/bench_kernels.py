@@ -115,6 +115,26 @@ def test_bench_bfs_distances(benchmark, deployment):
     assert (d >= -1).all()
 
 
+def test_bench_bfs_hops_batch(benchmark):
+    """The exact hop meter on one snapshot: a fresh `BfsHops` and one
+    `batch` of ~1000 pairs drawn from all sources, i.e. the all-pairs
+    bit-parallel sweep plus one gather.  400 nodes, not the module's
+    N = 1000: `hop_mode="auto"` sends only n <= 500 to this meter."""
+    from repro.sim.hops import BfsHops
+
+    n = 400
+    rng = np.random.default_rng(0)
+    pts = disc_for_density(n, DENSITY).sample(n, rng)
+    g = CompactGraph(
+        np.arange(n), unit_disk_edges(pts, radius_for_degree(DEGREE, DENSITY)))
+    us, vs = rng.integers(0, n, size=(2, 1000))
+    assert np.unique(us).size > 300
+
+    hops = benchmark(lambda: BfsHops(g).batch(us, vs))
+    assert hops.shape == us.shape and (hops[us == vs] == 0).all()
+    assert hops.max() > 5
+
+
 def test_bench_forwarding_fabric(benchmark, deployment):
     from repro.routing import ForwardingFabric
 

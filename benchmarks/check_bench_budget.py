@@ -4,11 +4,13 @@ Reads a pytest-benchmark JSON file (``BENCH_kernels.json`` by default)
 and enforces these gates:
 
 * full fabric construction (``test_bench_forwarding_fabric``), one
-  incremental fabric update (``test_bench_fabric_incremental``) and one
+  incremental fabric update (``test_bench_fabric_incremental``), one
   steady-state hierarchy patch (``test_bench_hierarchy_incremental``)
-  must each stay within ``SELF_TOLERANCE``x of **their own mean in the
-  committed file** (``git show HEAD:BENCH_kernels.json``).  All three
-  used to be gated as ratios to another benchmark —
+  and one snapshot of exact hop metering
+  (``test_bench_bfs_hops_batch``) must each stay within
+  ``SELF_TOLERANCE``x of **their own mean in the committed file**
+  (``git show HEAD:BENCH_kernels.json``).  The first three used to be
+  gated as ratios to another benchmark —
   ``test_bench_full_assignment``, ``test_bench_simulator_step``,
   ``test_bench_hierarchy_full_rebuild`` — and those denominators kept
   getting faster (31.2 -> 3.4 ms and 43.9 -> 17.6 ms in one PR, then
@@ -16,8 +18,9 @@ and enforces these gates:
   does), so the ratio budgets had to be re-anchored (25 -> 230, 2 -> 5)
   with the numerators unchanged, or failed on a patch that had not
   moved.  A benchmark compared with its own previous value needs no
-  re-anchoring; the check is skipped where there is no committed file
-  to compare with (no git checkout, or a first run);
+  re-anchoring; the check is skipped where there is nothing committed
+  to compare with (no git checkout, a first run, or a benchmark the
+  committed file does not have yet);
 * a fully chaotic step (``test_bench_chaos_step``: active crash
   episode + partition cut + per-step invariant checking) must stay
   within ``CHAOS_BUDGET``x of the plain step — fault injection and
@@ -50,6 +53,7 @@ SELF_GATED = (
     "test_bench_forwarding_fabric",
     "test_bench_fabric_incremental",
     "test_bench_hierarchy_incremental",
+    "test_bench_bfs_hops_batch",
 )
 COMMITTED = "BENCH_kernels.json"
 CHAOS_BUDGET = 2.0
@@ -87,8 +91,8 @@ def check_against_committed(benchmarks: list[dict]) -> bool:
     committed = committed_benchmarks()
     failed = False
     for name in SELF_GATED:
-        if committed is None:
-            print(f"SKIP: {name} (no committed {COMMITTED} to compare with)")
+        if committed is None or all(b["name"] != name for b in committed):
+            print(f"SKIP: {name} (no committed {COMMITTED} row to compare with)")
             continue
         t, ref = mean_of(benchmarks, name), mean_of(committed, name)
         ratio = t / ref

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs import CompactGraph, bfs_distances, bfs_path, multi_source_bfs
+from repro.graphs import CompactGraph, bfs_distances, bfs_path
 
 __all__ = ["FlatRouter"]
 
@@ -34,21 +34,12 @@ class FlatRouter:
             self._dist_cache[s] = cached
         return cached
 
-    def prefetch(self, sources) -> None:
-        """Fill the cache for every uncached source ID with one batched
-        BFS call (the same rows :meth:`distances_from` would compute)."""
-        missing = [s for s in dict.fromkeys(int(s) for s in sources)
-                   if s not in self._dist_cache]
-        if missing:
-            self._dist_cache.update(
-                zip(missing, multi_source_bfs(self.g, missing))
-            )
-
     def hop_count(self, s: int, d: int) -> int:
         """Shortest-path hop count; -1 if unreachable."""
-        if s == d:
+        si, di = self.g.index_of(s), self.g.index_of(d)
+        if si == di:
             return 0
-        return int(self.distances_from(s)[self.g.index_of(d)])
+        return int(self.distances_from(s)[di])
 
     def path(self, s: int, d: int) -> list[int] | None:
         """Shortest path as a node-ID list, or None if unreachable."""

@@ -3,8 +3,10 @@
 Every overhead meter charges a transfer as the number of packet
 transmissions along its route.  Two providers:
 
-* :class:`BfsHops` — exact hop counts on the current unit-disk graph
-  (cached single-source BFS; the honest meter for small/medium runs);
+* :class:`BfsHops` — exact hop counts on the current unit-disk graph: a
+  lazily filled matrix of BFS rows, computed by the bit-parallel sweep
+  of :func:`repro.graphs.hop_rows` (about 1 ms for all pairs at
+  n = 300; the honest meter for small/medium runs);
 * :class:`EuclideanHops` — ``ceil(detour * distance / R_tx)``, the
   standard estimator for large sweeps.  It preserves the Theta(distance)
   scaling the paper's analysis depends on (h_k = Theta(sqrt(c_k))) at a
@@ -15,42 +17,62 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs import CompactGraph
-from repro.routing.flat import FlatRouter
+from repro.graphs import SOURCE_BLOCK, CompactGraph, hop_dtype, hop_rows
 
 __all__ = ["BfsHops", "EuclideanHops"]
 
 
 class BfsHops:
-    """Exact hop provider over one topology snapshot."""
+    """Exact hop provider over one topology snapshot.
+
+    Owns the snapshot's BFS rows as one compact integer matrix, filled
+    when first asked: every row at once while the whole graph fits one
+    sweep of :data:`~repro.graphs.SOURCE_BLOCK` sources (a sweep costs
+    the same for one source as for all of them), otherwise the rows of
+    the sources a call names and does not hold yet.  A snapshot nobody
+    queries runs no BFS.
+    """
 
     def __init__(self, g: CompactGraph):
-        self._router = FlatRouter(g)
+        self._g = g
+        self._rows = np.empty((0, g.n), dtype=hop_dtype(g.n))
+        # Row of ``_rows`` holding each source index; -1 = not held.
+        self._row_of = np.full(g.n, -1, dtype=np.int64)
+
+    def _held(self, ui: np.ndarray) -> np.ndarray:
+        """Rows of ``_rows`` for source indices ``ui``, computed first
+        where missing."""
+        at = self._row_of[ui]
+        if at.size and at.min() < 0:
+            n = self._g.n
+            absent = self._row_of < 0
+            missing = (np.flatnonzero(absent) if n <= SOURCE_BLOCK
+                       else np.unique(ui[at < 0]))
+            held = n - np.count_nonzero(absent)
+            top = held + missing.size
+            if top > len(self._rows):
+                # Grow geometrically: scalar callers add a row at a time.
+                grown = np.empty((min(n, max(top, 2 * held)), n),
+                                 dtype=self._rows.dtype)
+                grown[:held] = self._rows[:held]
+                self._rows = grown
+            self._rows[held:top] = hop_rows(self._g, missing)
+            self._row_of[missing] = np.arange(held, top)
+            at = self._row_of[ui]
+        return at
 
     def __call__(self, u: int, v: int) -> int:
         """Hop count u -> v; -1 when unreachable (caller clamps)."""
-        return self._router.hop_count(u, v)
+        return int(self.batch([u], [v])[0])
 
     def batch(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized hop counts for aligned ID arrays.
-
-        Groups by source, computes the uncached sources' BFS rows in one
-        batched call, and indexes each cached row once — bit-identical to
-        the scalar call (exact BFS distances, -1 when unreachable) and
-        sharing the same per-source cache."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        out = np.empty(us.size, dtype=np.int64)
-        if us.size == 0:
-            return out
-        vi = self._router.g.index_of_many(vs)
-        order = np.argsort(us, kind="stable")
-        uniq, starts = np.unique(us[order], return_index=True)
-        uniq = uniq.tolist()
-        self._router.prefetch(uniq)
-        for s, grp in zip(uniq, np.split(order, starts[1:])):
-            out[grp] = self._router.distances_from(s)[vi[grp]]
-        return out
+        """Vectorized hop counts for aligned ID arrays: exact BFS
+        distances, -1 when unreachable, ``KeyError`` for an ID the
+        snapshot does not have (also when ``u == v``)."""
+        ui = self._g.index_of_many(us)
+        vi = self._g.index_of_many(vs)
+        at = self._held(ui)  # may replace ``_rows``: look it up after
+        return self._rows[at, vi].astype(np.int64)
 
 
 class EuclideanHops:

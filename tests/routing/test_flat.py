@@ -36,17 +36,11 @@ class TestFlatRouter:
         assert d3 is not d1
         assert np.array_equal(d1, d3)
 
-    def test_prefetch_fills_the_same_cache(self, chain_router):
-        kept = chain_router.distances_from(3)
-        chain_router.prefetch([1, 3, 1, 4])
-        assert chain_router.distances_from(3) is kept  # not recomputed
-        assert sorted(chain_router._dist_cache) == [1, 3, 4]
-        fresh = FlatRouter(chain_router.g)
-        for s in (1, 4):
-            assert np.array_equal(chain_router.distances_from(s),
-                                  fresh.distances_from(s))
+    def test_unknown_id_raises_even_when_source_is_destination(self, chain_router):
         with pytest.raises(KeyError):
-            chain_router.prefetch([99])
+            chain_router.hop_count(9, 9)
+        with pytest.raises(KeyError):
+            chain_router.hop_count(0, 9)
 
     def test_table_size(self, chain_router):
         assert chain_router.table_size(2) == 4

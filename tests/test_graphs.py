@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graphs
 from repro.geometry import DiscRegion
 from repro.graphs import (
+    SOURCE_BLOCK,
     CompactGraph,
     IdIndex,
     bfs_distances,
     bfs_path,
+    hop_dtype,
+    hop_rows,
     multi_source_bfs,
     sorted_unique_ids,
 )
+from repro.hierarchy import mean_hop_count
 from repro.radio import unit_disk_edges
 
 
@@ -287,6 +292,127 @@ class TestScopedBFS:
             multi_source_bfs(g, [0, 1], targets=[[1]])
         with pytest.raises(KeyError):
             multi_source_bfs(g, [0], targets=[[7]])
+
+
+def _sparse_random_graph(rng, n):
+    """Non-contiguous IDs, few enough edges for several components and
+    isolated nodes."""
+    ids = np.sort(rng.choice(5 * n + 1, size=n, replace=False))
+    pairs = ids[rng.integers(0, max(n, 1), size=(int(n * rng.uniform(0.3, 1.6)), 2))]
+    return CompactGraph(ids, pairs[pairs[:, 0] != pairs[:, 1]])
+
+
+def _dijkstra_rows(g, sources):
+    """The oracle: scipy's traversal, one source per call so the call is
+    always on ``multi_source_bfs``'s few-source path."""
+    rows = [multi_source_bfs(g, [s])[0] for s in sources]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), g.n)
+
+
+class TestBitsetBFS:
+    """The bit-parallel kernel returns scipy Dijkstra's matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 90),
+           n_sources=st.sampled_from([1, 63, 64, 65, 130]))
+    def test_matches_dijkstra_property(self, seed, n, n_sources):
+        rng = np.random.default_rng(seed)
+        g = _sparse_random_graph(rng, n)
+        # Drawn with replacement and left unsorted: duplicates for sure
+        # once n_sources > n.
+        sources = rng.choice(g.node_ids, size=n_sources)
+        dtype = hop_dtype(g.n)
+        rows = repro.graphs._bitset_bfs(g, g.index_of_many(sources), dtype)
+        assert rows.dtype == dtype and rows.shape == (n_sources, g.n)
+        assert np.array_equal(rows, _dijkstra_rows(g, sources))
+        # The public call picks its kernel by itself and agrees either way.
+        public = multi_source_bfs(g, sources)
+        assert public.dtype == np.int64 and np.array_equal(public, rows)
+
+    @pytest.mark.parametrize("n_sources", [1, 63, 64, 65, SOURCE_BLOCK,
+                                           SOURCE_BLOCK + 1])
+    def test_word_and_block_boundaries(self, n_sources):
+        rng = np.random.default_rng(n_sources)
+        n = 600
+        pts = rng.uniform(0, np.sqrt(n), size=(n, 2))
+        g = CompactGraph(np.arange(n), unit_disk_edges(pts, 1.6))
+        assert np.unique(g.components()).size > 1
+        sources = rng.choice(n, size=n_sources, replace=False)
+        rows = repro.graphs._bitset_bfs(g, sources, hop_dtype(n))
+        oracle = _dijkstra_rows(g, sources)
+        assert np.array_equal(rows, oracle)
+        assert (oracle < 0).any() and oracle.max() > 8
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_graphs(self, n):
+        g = CompactGraph(range(n), [[0, 1]] if n == 2 else [])
+        assert repro.graphs._bitset_bfs(
+            g, np.empty(0, dtype=np.int64), hop_dtype(n)).shape == (0, n)
+        if n:
+            sources = np.arange(70) % n  # a word and a bit, all repeats
+            rows = repro.graphs._bitset_bfs(g, sources, hop_dtype(n))
+            assert np.array_equal(rows, _dijkstra_rows(g, sources))
+
+    def test_isolated_nodes_first_last_and_between(self):
+        # reduceat mis-reads empty neighbor slices unless they are left
+        # out: isolated nodes at both ends of the CSR and in the middle.
+        g = CompactGraph(range(8), [[1, 2], [2, 4], [5, 6]])
+        sources = np.arange(70) % 8
+        rows = repro.graphs._bitset_bfs(g, sources, hop_dtype(8))
+        assert np.array_equal(rows, _dijkstra_rows(g, sources))
+        assert rows[0].tolist() == [0] + [-1] * 7
+        assert rows[1].tolist() == [-1, 0, 1, -1, 2, -1, -1, -1]
+
+    def test_path_graph_needs_the_wider_dtype(self):
+        n = 300
+        g = CompactGraph(range(n), [[i, i + 1] for i in range(n - 1)])
+        rows = hop_rows(g, np.arange(n))
+        assert rows.dtype == np.int16
+        expected = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        assert np.array_equal(rows, expected) and rows.max() == n - 1
+
+    @pytest.mark.parametrize("n,dtype", [
+        (128, np.int8), (129, np.int16), (2**15, np.int16), (2**15 + 1, np.int32),
+    ])
+    def test_hop_dtype_holds_the_longest_path(self, n, dtype):
+        assert hop_dtype(n) == dtype
+        assert np.iinfo(dtype).max >= n - 1
+
+    def test_longest_path_in_the_narrowest_dtype(self):
+        n = 128
+        g = CompactGraph(range(n), [[i, i + 1] for i in range(n - 1)])
+        rows = hop_rows(g, np.arange(n))
+        assert rows.dtype == np.int8 and rows[0, -1] == 127 == rows.max()
+
+    def test_unknown_id_is_a_key_error_in_both_regimes(self):
+        g = CompactGraph(range(100), [[i, i + 1] for i in range(99)])
+        with pytest.raises(KeyError):
+            multi_source_bfs(g, [0, 100])
+        with pytest.raises(KeyError):
+            multi_source_bfs(g, list(range(80)) + [100])
+
+    def test_few_sources_never_reach_the_dense_sweep(self, monkeypatch):
+        """Regime pin: hop sampling draws 8 sources per sample (16 by
+        default), at any n — a dense sweep at n = 1e5 would cost ~300
+        levels over 9e5 CSR entries.  Only a full machine word of
+        *distinct* sources is handed to the bit-parallel kernel."""
+        def boom(*args):
+            raise AssertionError("dense sweep entered")
+
+        monkeypatch.setattr(repro.graphs, "_bitset_bfs", boom)
+        rng = np.random.default_rng(3)
+        n = 400
+        pts = rng.uniform(0, np.sqrt(n), size=(n, 2))
+        g = CompactGraph(np.arange(n), unit_disk_edges(pts, 1.8))
+        assert mean_hop_count(g, rng, n_sources=8) > 1
+        assert mean_hop_count(g, rng, n_sources=16) > 1
+        assert multi_source_bfs(g, np.arange(63)).shape == (63, n)
+        # 64 rows, 63 distinct sources: still not a word's worth.
+        assert multi_source_bfs(g, np.arange(64) % 63).shape == (64, n)
+        with pytest.raises(AssertionError, match="dense sweep"):
+            multi_source_bfs(g, np.arange(64))
+        with pytest.raises(AssertionError, match="dense sweep"):
+            mean_hop_count(g, rng, n_sources=64)
 
 
 @settings(max_examples=25, deadline=None)
