@@ -85,17 +85,11 @@ class InvariantReport:
 
 
 def _components(ids: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Connected-component label per node (aligned with ``ids``)."""
-    from scipy.sparse.csgraph import connected_components
-
+    """Connected-component label per node (aligned with ``ids``; labels
+    are only ever compared for equality)."""
     from repro.graphs import CompactGraph
 
-    if edges.size == 0:
-        return np.arange(ids.size)
-    _, labels = connected_components(
-        CompactGraph(ids, edges).sparse(), directed=False
-    )
-    return labels
+    return CompactGraph(ids, edges).components()
 
 
 def check_invariants(

@@ -6,8 +6,10 @@ a few hundred to 10^5 nodes.  NetworkX is convenient but allocates
 heavily; :class:`CompactGraph` keeps the adjacency as two CSR arrays and
 serves distance queries four ways:
 
-* whole rows from a few sources: one scipy C-level traversal per batch
-  (:func:`multi_source_bfs`, :func:`hop_rows`);
+* whole rows from a few sources: one scipy C-level BFS per source, its
+  visit order and BFS-tree predecessors decoded into hop counts by
+  pointer jumping (:func:`multi_source_bfs`, :func:`hop_rows`,
+  :func:`_bfs_depths`);
 * whole rows from a machine word of sources or more: a bit-parallel
   level sweep, one bit per source (:func:`_bitset_bfs`, which the same
   two entry points pick by themselves);
@@ -141,6 +143,11 @@ class CompactGraph:
         by_source.sort_indices()
         self._nbr = by_source.data
         self._offsets = by_source.indptr.astype(np.int64)
+        # Canonical edges (u < v, strictly ascending keys: every
+        # unit-disk edge array and every subset of one) cannot list a
+        # neighbor twice; anything else may, and sparse() merges repeats.
+        keys = ui * n + vi
+        self._simple = bool(np.all(ui < vi) and np.all(keys[1:] > keys[:-1]))
         self._sparse = None  # lazy scipy CSR for C-level BFS
         self._components = None  # lazy per-node component labels
 
@@ -185,14 +192,27 @@ class CompactGraph:
         return int(self._offsets[i + 1] - self._offsets[i])
 
     def sparse(self):
-        """Lazily-built ``scipy.sparse.csr_matrix`` adjacency view."""
+        """Lazily-built ``scipy.sparse.csr_matrix`` adjacency view.
+
+        Built once in the layout every ``scipy.sparse.csgraph`` routine
+        converts its input to — ``float64`` data, ``int32`` indices — so
+        their validation passes it through instead of copying the data
+        on every call (an ``int8`` view cost 10 ms per BFS at n = 1e5).
+        A graph built from repeated pairs or self-loops gets its repeated
+        entries merged: scipy's strong-components traversal never
+        returns on a CSR that lists a neighbor twice.
+        """
         if self._sparse is None:
             from scipy.sparse import csr_matrix
 
-            data = np.ones(self._nbr.size, dtype=np.int8)
+            data = np.ones(self._nbr.size, dtype=np.float64)
             self._sparse = csr_matrix(
-                (data, self._nbr, self._offsets), shape=(self.n, self.n)
+                (data, self._nbr.astype(np.int32),
+                 self._offsets.astype(np.int32)),
+                shape=(self.n, self.n),
             )
+            if not self._simple:
+                self._sparse.sum_duplicates()
         return self._sparse
 
     def components(self) -> np.ndarray:
@@ -256,25 +276,58 @@ def hop_rows(g: CompactGraph, sources_idx: np.ndarray,
     :func:`hop_dtype`, the compact form a hop matrix is stored in).
 
     Fewer distinct sources than bits in a machine word run as one scipy
-    unweighted-Dijkstra call (a C heap traversal per source; the CSR
-    already holds both directions of every edge, hence
-    ``directed=True``: undirected mode would only add a transpose and a
-    second validation).  A full word or more run as :func:`_bitset_bfs`,
-    whose sweep costs the same for 1 source as for 64: it is ahead of
-    Dijkstra from 64 sources up at every n measured (to 5000) and
-    behind it below that from n ~ 2000 — and far behind for the 8-16
+    C-level BFS per source (:func:`_bfs_depths`; ~2x scipy's unweighted
+    Dijkstra at n = 1e5, decode included).  A full word or more run as
+    :func:`_bitset_bfs`, whose sweep costs the same for 1 source as for
+    64: it is ahead from 64 sources up at every n measured (to 5000) and
+    behind below that from n ~ 2000 — and far behind for the 8-16
     sources hop sampling draws at n = 1e5, which therefore never reach
-    it.
+    it.  Both are exact; unreachable pairs read -1.
     """
     dtype = hop_dtype(g.n) if dtype is None else np.dtype(dtype)
     if (sources_idx.size >= _WORD_BITS
             and np.unique(sources_idx).size >= _WORD_BITS):
         return _bitset_bfs(g, sources_idx, dtype)
-    from scipy.sparse.csgraph import dijkstra
+    out = np.full((sources_idx.size, g.n), -1, dtype=dtype)
+    for row, s in zip(out, sources_idx):
+        order, depth = _bfs_depths(g, int(s))
+        row[order] = depth
+    return out
 
-    d = dijkstra(g.sparse(), directed=True, unweighted=True,
-                 indices=sources_idx)
-    return np.where(np.isinf(d), -1, d).astype(dtype)
+
+def _bfs_depths(g: CompactGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances from node index ``source`` to every node it reaches:
+    ``(order, depth)``, the reached indices in BFS order and their hop
+    counts.
+
+    scipy's ``breadth_first_order`` returns the visit order and the
+    BFS-tree predecessors; the depth of a node in that tree is its hop
+    distance.  The depths are decoded by pointer jumping over BFS-order
+    positions — each round adds the depth between a node and its current
+    ancestor, then doubles the ancestor step — so the decode is
+    log2(eccentricity) whole-array rounds rather than a loop per BFS
+    level.  The CSR holds both directions of every edge, hence
+    ``directed=True`` (undirected mode would only add a transpose).
+    """
+    from scipy.sparse.csgraph import breadth_first_order
+
+    order, pred = breadth_first_order(g.sparse(), source, directed=True,
+                                      return_predecessors=True)
+    order = order.astype(np.intp)
+    position = np.empty(g.n, dtype=np.intp)
+    position[order] = np.arange(order.size)
+    parent = pred[order]
+    parent[0] = source  # the root is its own ancestor
+    up = position[parent]
+    depth = np.ones(order.size, dtype=np.intp)
+    depth[0] = 0
+    # BFS lists a level's nodes after every node of the level before, so
+    # ``up`` is non-decreasing and stays so under jumping: once its last
+    # entry is the root (position 0), every entry is.
+    while up[-1]:
+        depth += depth[up]
+        up = up[up]
+    return order, depth
 
 
 def _bitset_bfs(g: CompactGraph, sources_idx: np.ndarray,
@@ -295,7 +348,8 @@ def _bitset_bfs(g: CompactGraph, sources_idx: np.ndarray,
     eccentricity).  Bits never set are unreachable pairs, -1.
 
     Repeated and unsorted sources are fine (a position is a bit); the
-    result is exactly :func:`hop_rows`'s Dijkstra matrix.
+    result is exactly the hop matrix of :func:`_bfs_depths`, one source
+    at a time.
     """
     n = g.n
     offsets, nbr = g._offsets, g._nbr
@@ -413,8 +467,8 @@ def bfs_distances(g: CompactGraph, source: int, restrict_idx=None) -> np.ndarray
     ``restrict_idx``: optional boolean mask over node indices; traversal
     only visits allowed nodes (used for intra-cluster routing).
 
-    Unrestricted queries run through scipy's C-level unweighted Dijkstra
-    (single-source BFS); masked queries use the pure-Python traversal.
+    Unrestricted queries run through scipy's C-level BFS
+    (:func:`hop_rows`); masked queries use the pure-Python traversal.
     """
     if restrict_idx is None:
         return multi_source_bfs(g, [source])[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs import CompactGraph, multi_source_bfs
+from repro.graphs import CompactGraph, hop_rows, multi_source_bfs
 from repro.hierarchy.levels import ClusteredHierarchy
 
 __all__ = ["LevelStats", "hierarchy_stats", "mean_hop_count", "level_hop_counts"]
@@ -66,16 +66,18 @@ def mean_hop_count(
     Samples ``n_sources`` source nodes; averages hop distance to all
     reachable nodes (excluding the source itself).  Unreachable pairs are
     skipped, so on a disconnected graph this measures the intra-component
-    mean.
+    mean.  The sums run over the compact hop rows in place; no int64
+    copy of the matrix is made.
     """
     if g.n < 2:
         return 0.0
     n_sources = min(n_sources, g.n)
     sources = rng.choice(g.node_ids, size=n_sources, replace=False)
-    dist = multi_source_bfs(g, sources)
+    dist = hop_rows(g, g.index_of_many(sources))
     reached = dist > 0
-    count = int(reached.sum())
-    return float(dist[reached].sum()) / count if count else 0.0
+    count = int(np.count_nonzero(reached))
+    total = int(dist.sum(where=reached, dtype=np.int64))
+    return float(total) / count if count else 0.0
 
 
 def level_hop_counts(

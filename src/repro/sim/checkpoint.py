@@ -26,10 +26,12 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 6
+CHECKPOINT_SCHEMA = 7
 """On-disk checkpoint layout version (bumped when fields change shape).
 
-Schema 6 carries the run's one hierarchy ``stepper``
+Schema 7 stores the ``edge_cache``'s candidate list as a ``(2, m)``
+array of two contiguous columns where schema 6 had ``(m, 2)`` pairs; a
+schema-6 list would be read as two wrong columns.  Schema 6 carries the run's one hierarchy ``stepper``
 (:func:`repro.hierarchy.stepper.hierarchy_stepper`) where schema 5 had
 ``maintainer`` and ``delta_plane``; the plane inside it no longer holds
 hierarchy snapshots, and the ``edge_cache`` tracks its build regime.

@@ -142,3 +142,54 @@ class TestPersistentCids:
         sizes = np.unique(anc1, return_counts=True)[1]
         assert rep.head_unreachable == int((sizes - 1).sum())
         assert res.phi >= 0.0
+
+
+def _same_partition(a, b) -> bool:
+    """Two label vectors name the same partition iff each label of one
+    maps to exactly one label of the other and vice versa."""
+    pairs = np.unique(np.stack([a, b], axis=1), axis=0)
+    return (np.unique(pairs[:, 0]).size == pairs.shape[0]
+            == np.unique(pairs[:, 1]).size)
+
+
+class TestComponentLabels:
+    """The checker's component labels come from the graph's own cached
+    components; they must partition the nodes exactly like scipy's
+    undirected ``connected_components`` over a fresh CSR."""
+
+    @staticmethod
+    def _oracle(ids, edges):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        e = np.searchsorted(ids, np.asarray(edges).reshape(-1, 2))
+        adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
+                         shape=(ids.size, ids.size))
+        return connected_components(adj, directed=False)[1]
+
+    @pytest.mark.parametrize("ids,edges", [
+        (np.arange(6), TRIANGLES),
+        (np.arange(4), np.empty((0, 2), dtype=np.int64)),   # no edges
+        (np.array([2, 7, 9, 40, 41]), [[7, 40]]),           # isolated nodes
+        (np.array([5]), np.empty((0, 2), dtype=np.int64)),
+    ])
+    def test_partition_equals_connected_components(self, ids, edges):
+        from repro.faults.invariants import _components
+
+        labels = _components(ids, np.asarray(edges, dtype=np.int64))
+        assert labels.shape == ids.shape
+        assert _same_partition(labels, self._oracle(ids, edges))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sparse_graphs(self, seed):
+        from repro.faults.invariants import _components
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        ids = np.sort(rng.choice(4 * n, size=n, replace=False))
+        pairs = ids[rng.integers(0, n, size=(int(n * rng.uniform(0.2, 1.2)), 2))]
+        edges = pairs[pairs[:, 0] != pairs[:, 1]]
+        labels = _components(ids, edges)
+        oracle = self._oracle(ids, edges)
+        assert np.unique(oracle).size > 1
+        assert _same_partition(labels, oracle)

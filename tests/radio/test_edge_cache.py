@@ -169,3 +169,60 @@ class TestLinkDiffEmission:
             ups, downs = self._setdiff_oracle(e0, e1, 60)
             assert np.array_equal(diff.ups, ups)
             assert np.array_equal(diff.downs, downs)
+
+
+class TestIntegerGridBoundary:
+    """Integer coordinates make every squared distance exact, so pairs at
+    exactly ``r_tx`` (axis-aligned and 3-4-5) and coincident points sit
+    on the boundary of the filter's ``<=`` in every regime."""
+
+    R = 5.0  # margin SKIN * R / 2 = 1.25
+
+    @staticmethod
+    def _grid():
+        xs, ys = np.meshgrid(np.arange(12.0), np.arange(12.0))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        return np.vstack([pts, pts[[0, 13, 77, 143]]])  # coincident copies
+
+    def _assert_exact(self, edges, pts):
+        ref = unit_disk_edges(pts, self.R)
+        assert edges.dtype == np.int64 and edges.shape == ref.shape
+        assert edges.ndim == 2 and edges.shape[1] == 2
+        assert edges.flags.c_contiguous
+        assert np.array_equal(edges, ref)
+        d2 = ((pts[edges[:, 0]] - pts[edges[:, 1]]) ** 2).sum(axis=1)
+        assert (d2 == self.R ** 2).any() and (d2 == 0).any()
+
+    def test_every_regime_equals_unit_disk_edges(self):
+        pts = self._grid()
+        n = len(pts)
+        cache = VerletEdgeCache(self.R)
+        # (node, integer move, regime the step must take)
+        walk = [
+            (None, (0, 0), "rebuild"),   # first call
+            (0, (1, 0), "filter"),       # drift 1 <= margin
+            (0, (1, 0), "rebuild"),      # drift 2 > margin, one step 1
+            (5, (0, 2), "plain"),        # one step of 2 outruns 1.25
+            (None, (0, 0), "rebuild"),   # a plain build leaves no list
+            (7, (0, -1), "filter"),
+            (20, (-1, 0), "filter"),     # back onto a coincident spot
+        ]
+        prev = None
+        for node, move, regime in walk:
+            if node is not None:
+                pts = pts.copy()
+                pts[node] += move
+            before = cache.rebuilds, cache.plain_builds
+            edges, diff = cache.edges_with_diff(pts)
+            grew = (cache.rebuilds - before[0], cache.plain_builds - before[1])
+            assert grew == {"filter": (0, 0), "rebuild": (1, 0),
+                            "plain": (0, 1)}[regime]
+            self._assert_exact(edges, pts)
+            if regime == "filter":
+                ups, downs = TestLinkDiffEmission._setdiff_oracle(prev, edges, n)
+                for got, want in ((diff.ups, ups), (diff.downs, downs)):
+                    assert got.dtype == np.int64 and got.flags.c_contiguous
+                    assert np.array_equal(got.reshape(-1, 2), want)
+            else:
+                assert diff is None
+            prev = edges

@@ -72,6 +72,10 @@ class TestResumeEqualsUninterrupted:
         for st in levels.values():
             assert all(isinstance(v, (np.ndarray, bool))
                        for v in vars(st.inc).values())
+        # The edge cache is mid-list: the resumed run filters the pickled
+        # candidate columns before its next rebuild.
+        u, v = ck.edge_cache._candidates
+        assert u.flags.c_contiguous and v.flags.c_contiguous and u.size
         resumed_sim = Simulator.restore(ck)
         assert 0 < resumed_sim.next_step < sc.steps
         _assert_same_result(baseline, resumed_sim.run())
@@ -142,11 +146,11 @@ class TestStaleCheckpointRejection:
     def _assert_schema_refused(self, tmp_path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 6
+        assert CHECKPOINT_SCHEMA == 7
         path = self._write_checkpoint(tmp_path, schema=schema)
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 6" in str(err.value)
+        assert f"checkpoint schema {schema} != 7" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -164,6 +168,12 @@ class TestStaleCheckpointRejection:
         """Schema 5 pickled ``maintainer`` and ``delta_plane`` where
         schema 6 has the one ``stepper``; refused the same way."""
         self._assert_schema_refused(tmp_path, 5)
+
+    def test_schema_6_checkpoint_refused(self, tmp_path):
+        """Schema 6 pickled the edge cache's candidate list as ``(m, 2)``
+        pairs where schema 7 keeps two contiguous columns; refused the
+        same way."""
+        self._assert_schema_refused(tmp_path, 6)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -303,10 +303,113 @@ def _sparse_random_graph(rng, n):
 
 
 def _dijkstra_rows(g, sources):
-    """The oracle: scipy's traversal, one source per call so the call is
-    always on ``multi_source_bfs``'s few-source path."""
-    rows = [multi_source_bfs(g, [s])[0] for s in sources]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), g.n)
+    """The oracle: scipy's unweighted Dijkstra in undirected mode, which
+    no production path calls — -1 where a pair is unreachable."""
+    from scipy.sparse.csgraph import dijkstra
+
+    idx = g.index_of_many(sources)
+    if idx.size == 0:
+        return np.empty((0, g.n), dtype=np.int64)
+    d = dijkstra(g.sparse(), directed=False, unweighted=True, indices=idx)
+    return np.where(np.isinf(d), -1, d).astype(np.int64).reshape(idx.size, g.n)
+
+
+class TestFewSourceBFS:
+    """Below a word of distinct sources ``hop_rows`` runs one scipy BFS
+    per source and decodes depths by pointer jumping; it must return the
+    Dijkstra oracle's matrix, in the compact dtype."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 40))
+    def test_matches_dijkstra_property(self, data, n):
+        """Gappy IDs, several components and isolated nodes, parallel
+        edges, sources repeated and in any order."""
+        ids = data.draw(st.lists(st.integers(0, 5_000), min_size=n,
+                                 max_size=n, unique=True))
+        edges = []
+        if n >= 2:
+            pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+            edges = [e for e in data.draw(st.lists(pairs, max_size=2 * n))
+                     if e[0] != e[1]]
+        g = CompactGraph(ids, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        sources = (data.draw(st.lists(st.sampled_from(ids), max_size=63))
+                   if n else [])
+        rows = hop_rows(g, g.index_of_many(sources))
+        assert rows.dtype == hop_dtype(g.n) and rows.shape == (len(sources), n)
+        assert np.array_equal(rows, _dijkstra_rows(g, sources))
+        assert np.array_equal(multi_source_bfs(g, sources), rows)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_graphs(self, n):
+        g = CompactGraph(range(n), [[0, 1]] if n == 2 else [])
+        assert hop_rows(g, np.empty(0, dtype=np.int64)).shape == (0, n)
+        sources = [0, n - 1, 0] if n else []
+        assert np.array_equal(multi_source_bfs(g, sources),
+                              _dijkstra_rows(g, sources))
+
+    def test_isolated_and_repeated_sources(self):
+        g = CompactGraph([3, 8, 20, 21, 40], [[8, 20], [20, 21]])
+        rows = multi_source_bfs(g, [40, 21, 3, 21, 8])
+        assert rows.tolist() == [
+            [-1, -1, -1, -1, 0],
+            [-1, 2, 1, 0, -1],
+            [0, -1, -1, -1, -1],
+            [-1, 2, 1, 0, -1],
+            [-1, 0, 1, 2, -1],
+        ]
+
+    def test_path_needs_int16_depths(self):
+        n = 300
+        g = CompactGraph(range(n), [[i, i + 1] for i in range(n - 1)])
+        sources = np.array([0, 299, 150, 7])
+        rows = hop_rows(g, sources)
+        assert rows.dtype == np.int16 and rows.max() == n - 1
+        assert np.array_equal(rows, np.abs(np.arange(n) - sources[:, None]))
+        assert np.array_equal(rows, _dijkstra_rows(g, sources))
+
+    def test_unit_disk_graph_with_components(self):
+        rng = np.random.default_rng(11)
+        n = 3_000
+        pts = rng.uniform(0, np.sqrt(n), size=(n, 2))
+        g = CompactGraph(np.arange(n), unit_disk_edges(pts, 1.2))
+        assert np.unique(g.components()).size > 1
+        sources = rng.choice(n, size=12, replace=False)
+        rows = hop_rows(g, sources)
+        oracle = _dijkstra_rows(g, sources)
+        assert np.array_equal(rows, oracle)
+        assert (oracle < 0).any() and oracle.max() > 20
+
+
+class TestSparseView:
+    def test_float64_int32_layout_built_once(self):
+        g = CompactGraph(range(4), [[0, 1], [1, 2]])
+        a = g.sparse()
+        assert a is g.sparse()
+        assert a.dtype == np.float64
+        assert a.indices.dtype == np.int32 and a.indptr.dtype == np.int32
+
+    @pytest.mark.parametrize("edges,n_components", [
+        ([[0, 1], [1, 0], [0, 1], [2, 3]], 3),  # one pair listed three times
+        ([[1, 1], [1, 2]], 4),                  # self-loop: twice in its row
+        ([[2, 3], [0, 1]], 3),                  # unique but not ascending
+    ])
+    def test_repeated_entries_are_merged(self, edges, n_components):
+        g = CompactGraph(range(5), edges)
+        assert not g._simple
+        a = g.sparse()
+        keys = np.repeat(np.arange(5), np.diff(a.indptr)) * 5 + a.indices
+        assert np.unique(keys).size == keys.size
+        # scipy's strong components would never return on a repeated
+        # entry; merged, they terminate and read the undirected partition.
+        labels = g.components()
+        assert np.unique(labels).size == n_components
+        assert all(labels[u] == labels[v] for u, v in edges)
+
+    def test_canonical_edges_are_simple(self):
+        pts = DiscRegion(1.0).sample(200, np.random.default_rng(2))
+        g = CompactGraph(np.arange(200), unit_disk_edges(pts, 0.2))
+        assert g._simple
+        assert CompactGraph([1, 2], np.empty((0, 2)))._simple
 
 
 class TestBitsetBFS:
