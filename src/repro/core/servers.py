@@ -197,6 +197,13 @@ def _stage_salts(levels, depth: int) -> np.ndarray:
     )
 
 
+def _subject_keys(subjects, salt) -> np.ndarray:
+    """Per-row hash keys of the (subject, stage salt) pairs: what every
+    candidate's ID key is mixed with (``rendezvous_choice``'s key)."""
+    keys = np.asarray(subjects).astype(np.uint64) * hashing._GOLDEN
+    return keys ^ hashing.mix64(np.asarray(salt, dtype=np.uint64))
+
+
 _BLOCK_PAIRS = 1 << 14
 """(row, candidate) pairs hashed per dense block: 128 KiB of uint64
 weights, so a block and the temporaries of its mix stay cache-resident
@@ -220,13 +227,16 @@ def _vectorized_rendezvous_stage(
     index every stage through it shares, or as a bare CSR tuple ``(heads,
     starts, members)``, indexed here.
 
-    Rows are ordered by candidate count and hashed in dense ``(rows,
-    width)`` blocks of at most ``_BLOCK_PAIRS`` weights, candidates laid
-    out from the largest ID down, so the first maximal weight of a row is
-    :func:`~repro.core.hashing.rendezvous_choice`'s winner (ties go to
-    the largest ID).  A row narrower than its block repeats its smallest
-    member in the spare columns, which can never win ahead of the
-    original; single-member clusters are not hashed at all.
+    Rows are ordered by candidate count and hashed in dense blocks of at
+    most ``_BLOCK_PAIRS`` weights, laid out candidate-major as ``(width,
+    rows)``: column ``c`` of a row is its ``c``-th largest member.  One
+    ``np.maximum.reduce`` over the columns gives each row's maximal
+    weight, and the winner is the largest member position holding it —
+    :func:`~repro.core.hashing.rendezvous_choice`'s rule, ties to the
+    largest ID.  A row narrower than its
+    block repeats its smallest member in the spare columns, a copy that
+    names the same position as the original; single-member clusters are
+    not hashed at all.
     """
     current = np.asarray(current, dtype=np.int64)
     out = np.empty(current.size, dtype=np.int64)
@@ -252,11 +262,10 @@ def _vectorized_rendezvous_stage(
     last = starts[row + 1] - 1
     first = last - extra
     mix64 = hashing.mix64
-    keys = np.asarray(subjects).astype(np.uint64) * hashing._GOLDEN
-    keys = keys ^ mix64(np.asarray(salt, dtype=np.uint64))
+    keys = _subject_keys(subjects, salt)
     keys = np.broadcast_to(keys, current.shape).reshape(-1)[order]
     cand_keys = members.astype(np.uint64) * hashing._SALT_CAND
-    cols = np.arange(int(extra[-1]) + 1)
+    cols = np.arange(int(extra[-1]) + 1)[:, None]
     lo = int(np.searchsorted(extra, 0, side="right"))
     while lo < out.size:
         narrowest = int(extra[lo]) + 1
@@ -268,15 +277,18 @@ def _vectorized_rendezvous_stage(
             hi = lo + (_BLOCK_PAIRS // width or 1)
             width = int(extra[hi - 1]) + 1
         highest = last[lo:hi]
-        cand = highest[:, None] - cols[:width]
+        cand = highest - cols[:width]
         if narrowest < width:
-            np.maximum(cand, first[lo:hi, None], out=cand)
+            np.maximum(cand, first[lo:hi], out=cand)
         weights = cand_keys[cand]
-        weights ^= keys[lo:hi, None]
-        best = mix64(weights, out=weights).argmax(axis=1)
-        if narrowest < width:
-            np.minimum(best, extra[lo:hi], out=best)
-        highest -= best
+        weights ^= keys[lo:hi]
+        weights = mix64(weights, out=weights)
+        # The largest candidate position holding its row's maximal weight:
+        # non-maximal positions are zeroed, and a padding copy sits on
+        # its row's smallest member, so ties go to the largest ID.
+        np.multiply(cand, weights == np.maximum.reduce(weights, axis=0),
+                    out=cand)
+        np.maximum.reduce(cand, axis=0, out=highest)
         lo = hi
     out[order] = members[last]
     return out.reshape(current.shape)
@@ -291,6 +303,47 @@ def _global_stage(h: ClusteredHierarchy, subjects: np.ndarray, level: int) -> np
         subjects, np.zeros(subjects.size, dtype=np.int64), one_row,
         _stage_salt(level, level),
     )
+
+
+def _challenge_stage(
+    keys: np.ndarray, holder: np.ndarray, cell: np.ndarray, arrivals
+) -> np.ndarray:
+    """Rendezvous winners of rows whose candidate set only gained members.
+
+    Row ``i`` (hash key ``keys[i]``, see :func:`_subject_keys`) held
+    ``holder[i]``, the winner over its cluster's old members, and the
+    cluster kept it; the cluster is position ``cell[i]`` of the CSR
+    ``arrivals = (starts, members)`` listing what it gained.  The winner
+    over the new members is then the (weight, ID)-largest of the holder
+    and those arrivals — the rule :func:`~repro.core.hashing.
+    rendezvous_choice` applies to the whole set.  Every row must have at
+    least one arrival.
+    """
+    starts, members = arrivals
+    mix64 = hashing.mix64
+    best = holder.copy()
+    top = best.astype(np.uint64) * hashing._SALT_CAND
+    top ^= keys
+    top = mix64(top, out=top)
+    # One round per arrival rank: `rows` (every row in the first round)
+    # still have an arrival to weigh, the one at `pos`.
+    pos, end = starts[cell], starts[cell + 1]
+    rows = slice(None)
+    while True:
+        cand = members[pos]
+        weight = cand.astype(np.uint64) * hashing._SALT_CAND
+        weight ^= keys[rows]
+        weight = mix64(weight, out=weight)
+        held, kept = top[rows], best[rows]
+        wins = (weight > held) | ((weight == held) & (cand > kept))
+        best[rows] = np.where(wins, cand, kept)
+        top[rows] = np.maximum(weight, held)
+        pos += 1
+        more = (pos < end).nonzero()[0]
+        if not more.size:
+            return best
+        rows = more if isinstance(rows, slice) else rows[more]
+        pos, end = pos[more], end[more]
 
 
 @dataclass(frozen=True)
@@ -369,16 +422,25 @@ def patch_assignment(
 
     A recorded chain stores every stage's input *and* winner (the next
     depth's input; the table below depth 1), so each stage is patched on
-    its own.  At depth ``d`` a row is re-hashed only when the cluster it
-    consults differs from the recorded one (its entry point moved, or
-    the stage above picked a different winner) or when the recorded
-    cluster is in ``delta.dirty_cells[d]`` (same cluster, changed member
-    list); every other row keeps its recorded winner.  A re-hashed row
-    whose winner comes out unchanged consults the recorded cluster again
-    one depth down, so it stays out of the deeper stages unless a dirty
-    cell pulls it back in.  The loop runs depth by depth: the levels
-    under way at a depth share its partition, so their re-hashed rows go
-    through the kernel as one call.
+    its own, and a row keeps its recorded winner (the *holder*) unless
+    the stage's candidate set changed under it:
+
+    * the cluster it consults at depth ``d`` differs from the recorded
+      one (its entry point moved, or the stage above picked a different
+      winner): the row is re-hashed over the whole cluster;
+    * it consults the same cluster, which is in ``delta.dirty_cells[d]``
+      (changed member list).  Rendezvous hashing disrupts minimally: if
+      the holder left the cluster the row is re-hashed in full;
+      otherwise the new winner is the (weight, ID)-largest of the holder
+      and the cluster's ``delta.arrivals[d]`` — one hash per arrival,
+      none when the cluster only shrank.
+
+    A row whose winner comes out unchanged consults the recorded cluster
+    again one depth down, so it stays out of the deeper stages unless a
+    dirty cell pulls it back in.  The loop runs depth by depth: the
+    levels under way at a depth share its partition, so their re-hashed
+    rows go through the kernel as one call, and their challenged holders
+    through :func:`_challenge_stage` as another.
 
     Returns the new chained assignment plus the *dirty rows* — per level,
     the ascending subject positions whose server differs from ``prev``
@@ -390,71 +452,141 @@ def patch_assignment(
         raise ValueError("cannot patch across a full delta")
     num_levels = h.num_levels
     subjects = prev.subjects
-    tables = dict(prev.tables)
     chains: dict[int, dict[int, np.ndarray]] = {
         level: {} for level in range(2, lm_levels(h) + 1)
     }
     dirty_rows: dict[int, np.ndarray] = {}
-    # Per level under way: `column[level]` is this depth's input for
-    # every subject, `moved[level]` the rows where it differs from the
-    # recorded one (None: nowhere).
-    column: dict[int, np.ndarray] = {}
-    moved: dict[int, np.ndarray | None] = {}
+    # Per level under way: the rows whose input at this depth differs
+    # from the recorded one, their new inputs, and the whole new input
+    # column when one exists (None: no row moved).
+    moved: dict[int, tuple | None] = {}
+    # Per (level, depth) chain array (depth 0: the table), the rows and
+    # values written over the recorded array.  The copies are made once
+    # the descent is done, after its temporaries are freed.
+    patches: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def entered(column: np.ndarray, rows: np.ndarray):
+        return (rows, column[rows], column) if rows.size else None
+
     if num_levels:
         top = num_levels + 1
-        column[top] = prev.chains[top][num_levels]
         moved[top] = None
         if delta.top_changed:
-            column[top] = _global_stage(h, subjects, top)
-            changed = column[top] != prev.chains[top][num_levels]
-            moved[top] = changed if changed.any() else None
+            won = _global_stage(h, subjects, top)
+            moved[top] = entered(
+                won, (won != prev.chains[top][num_levels]).nonzero()[0])
     for depth in range(num_levels, 0, -1):
         if depth >= 2:
-            column[depth] = h.ancestry(depth)
-            changed = delta.level_changed[depth]
-            moved[depth] = changed if changed.any() else None
+            moved[depth] = entered(h.ancestry(depth),
+                                   delta.level_changed[depth].nonzero()[0])
         dirty = delta.dirty_cells[depth]
-        dirty_index = IdIndex(dirty) if dirty.size else None
-        active = sorted(column)
-        rehash: dict[int, np.ndarray] = {}
-        for level in active:
+        election = h.levels[depth - 1].election
+        if dirty.size:
+            # Every recorded cell is a level-`depth` ID of `delta.h0`: an
+            # index spanning them answers with one table gather (when the
+            # IDs are dense enough for a table).
+            dirty_index = IdIndex(dirty, int(delta.h0.levels[depth].node_ids[-1]) + 1)
+            node_index = IdIndex(election.node_ids)
+            starts, _ = delta.arrivals[depth]
+            gained = starts[1:] > starts[:-1]
+        # Per level: rows re-hashed over the cluster they consult, and
+        # rows whose holder meets its cell's arrivals.
+        rehash: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        challenge: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        holders: dict[int, np.ndarray] = {}
+        for level in sorted(moved):
             recorded = prev.chains[level][depth]
-            stale = moved[level]
-            chains[level][depth] = column[level] if stale is not None else recorded
-            if dirty_index is not None:
-                consulted_dirty = dirty_index.contains(recorded)
-                stale = consulted_dirty if stale is None else stale | consulted_dirty
-            if stale is not None and stale.any():
-                rehash[level] = np.flatnonzero(stale)
-            column[level] = (
-                prev.chains[level][depth - 1] if depth > 1 else prev.tables[level]
-            )
+            holder = prev.chains[level][depth - 1] if depth > 1 else prev.tables[level]
+            holders[level] = holder
+            chains[level][depth] = recorded
+            full = consulted = None
+            if moved[level] is not None:
+                full, consulted, column = moved[level]
+                if column is None:
+                    patches[level, depth] = (full, consulted)
+                else:
+                    chains[level][depth] = column
             moved[level] = None
-        if not rehash:
+            if dirty.size:
+                # Rows that consult the same dirty cell as recorded: the
+                # holder stays unless it left, or an arrival outweighs it.
+                cell = dirty_index.rows(recorded)
+                if full is not None:
+                    cell[full] = -1
+                same = (cell >= 0).nonzero()[0]
+                cell = cell[same]
+                at = node_index.rows(holder[same])
+                stays = (election.member_of[at] == dirty[cell]) & (at >= 0)
+                lost = same[~stays]
+                if lost.size:
+                    full = lost if full is None else np.concatenate([full, lost])
+                    consulted = (recorded[lost] if consulted is None
+                                 else np.concatenate([consulted, recorded[lost]]))
+                pick = (stays & gained[cell]).nonzero()[0]
+                if pick.size:
+                    challenge[level] = (same[pick], cell[pick])
+            if full is not None:
+                rehash[level] = (full, consulted)
+        if not (rehash or challenge):
             continue
-        sizes = [sub.size for sub in rehash.values()]
-        winners = _vectorized_rendezvous_stage(
-            np.concatenate([subjects[sub] for sub in rehash.values()]),
-            np.concatenate([chains[level][depth][sub]
-                            for level, sub in rehash.items()]),
-            LazyClusters(h.levels[depth - 1].election),
-            np.repeat(_stage_salts(rehash, depth), sizes),
-        )
-        for (level, sub), won in zip(
-            rehash.items(), np.split(winners, np.cumsum(sizes)[:-1])
-        ):
-            changed = won != column[level][sub]
-            if not changed.any():
-                continue
-            sub = sub[changed]
-            column[level] = column[level].copy()
-            column[level][sub] = won[changed]
+        # Per level, the (rows, winners) of this depth's two calls where
+        # the winner is not the holder.
+        won: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+        def settle(calls: dict, winners: np.ndarray, was: np.ndarray) -> None:
+            """Keep, per level, the calls' rows whose winner changed."""
+            changed = winners != was
+            at = 0
+            for level, (sub, _) in calls.items():
+                end = at + sub.size
+                mine = changed[at:end].nonzero()[0]
+                if mine.size:
+                    won.setdefault(level, []).append(
+                        (sub[mine], winners[at:end][mine]))
+                at = end
+
+        def holders_of(calls: dict) -> np.ndarray:
+            return np.concatenate([holders[level][sub]
+                                   for level, (sub, _) in calls.items()])
+
+        def who(calls: dict) -> tuple[np.ndarray, np.ndarray]:
+            """The calls' subjects and per-row stage salts."""
+            return (np.concatenate([subjects[sub] for sub, _ in calls.values()]),
+                    np.repeat(_stage_salts(calls, depth),
+                              [sub.size for sub, _ in calls.values()]))
+
+        if rehash:
+            rows, salts = who(rehash)
+            settle(rehash, _vectorized_rendezvous_stage(
+                rows,
+                np.concatenate([where for _, where in rehash.values()]),
+                LazyClusters(election),
+                salts,
+            ), holders_of(rehash))
+        if challenge:
+            held = holders_of(challenge)
+            settle(challenge, _challenge_stage(
+                _subject_keys(*who(challenge)),
+                held,
+                np.concatenate([cell for _, cell in challenge.values()]),
+                delta.arrivals[depth],
+            ), held)
+        for level, parts in won.items():
+            sub = np.concatenate([sub for sub, _ in parts])
+            w = np.concatenate([w for _, w in parts])
             if depth > 1:
-                moved[level] = np.zeros(subjects.size, dtype=bool)
-                moved[level][sub] = True
+                moved[level] = (sub, w, None)
             else:
-                tables[level] = column[level]
-                dirty_rows[level] = sub
+                patches[level, 0] = (sub, w)
+                dirty_rows[level] = np.sort(sub)
+    tables = dict(prev.tables)
+    for (level, depth), (rows, values) in patches.items():
+        column = (prev.chains[level][depth] if depth else prev.tables[level]).copy()
+        column[rows] = values
+        if depth:
+            chains[level][depth] = column
+        else:
+            tables[level] = column
     return (
         ChainedAssignment(subjects=subjects, tables=tables, chains=chains),
         dirty_rows,

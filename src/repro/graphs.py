@@ -74,17 +74,21 @@ class IdIndex:
     cluster IDs >= 10^7) by a sorted search.  The table costs one pass
     over the ID range to build and answers random-order queries ~50x
     faster than the search, so it pays for itself once it is shared by a
-    few lookups.
+    few lookups.  ``span`` stretches the table over every value below it
+    (within the same budget), so queries known to stay under ``span``
+    skip the out-of-range path even when most of them miss.
     """
 
     __slots__ = ("ids", "_table")
 
-    def __init__(self, ids: np.ndarray):
+    def __init__(self, ids: np.ndarray, span: int = 0):
         self.ids = ids
         self._table = None
-        if ids.size and ids[0] >= 0 and ids[-1] < 8 * ids.size + _TABLE_SLACK:
-            self._table = np.full(int(ids[-1]) + 1, -1, dtype=np.int64)
-            self._table[ids] = np.arange(ids.size)
+        if ids.size and ids[0] >= 0:
+            size = max(int(ids[-1]) + 1, span)
+            if size <= 8 * ids.size + _TABLE_SLACK:
+                self._table = np.full(size, -1, dtype=np.int64)
+                self._table[ids] = np.arange(ids.size)
 
     def rows(self, values) -> np.ndarray:
         """Position of each value within ``ids``; -1 where absent."""

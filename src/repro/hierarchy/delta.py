@@ -20,10 +20,11 @@ mirror of that model:
 * :func:`compute_delta` distills two consecutive snapshots into a
   :class:`HierarchyDelta`: per-level changed-ancestry masks, the
   *dirty cells* whose member lists changed (exactly the clusters a CHLM
-  hash descent could consult differently), and the dirty-cluster sets
-  the routing cache (:class:`~repro.routing.fabric_cache.FabricCache`)
-  shares.  The handoff engine uses it to re-hash only dirty keys and
-  diff only dirty clusters.
+  hash descent could consult differently) with the members each one
+  gained, and the dirty-cluster sets the routing cache
+  (:class:`~repro.routing.fabric_cache.FabricCache`) shares.  The
+  handoff engine uses it to re-hash only dirty keys and diff only dirty
+  clusters.
 
 The delta plane never touches an RNG stream and is carried inside
 simulator checkpoints, so incremental runs resume bit-identically.
@@ -71,21 +72,28 @@ class LazyClusters:
         """``(heads, starts, members)``: cluster ``heads[i]`` (ascending)
         owns ``members[starts[i]:starts[i + 1]]`` (ascending IDs)."""
         if self._csr is None:
+            # The heads are the affiliation column's distinct values (a
+            # head is its own member), so grouping is a counting sort over
+            # their rows: a radix argsort of a narrow key, no ID compares.
             e = self._election
-            order = np.argsort(e.member_of, kind="stable")
-            grouped = e.member_of[order]
-            # Segment boundaries of the sorted affiliation column.
-            starts = np.concatenate((
-                [0], np.flatnonzero(grouped[1:] != grouped[:-1]) + 1,
-                [grouped.size],
-            ))
-            self._csr = (grouped[starts[:-1]], starts, e.node_ids[order])
+            heads = e.clusterheads
+            index = IdIndex(heads)
+            row = index.rows(e.member_of)
+            counts = np.bincount(row, minlength=heads.size) if row.min() >= 0 else None
+            if counts is None or not counts.all():
+                raise ValueError("clusterheads are not the affiliation's values")
+            order = np.argsort(row.astype(np.min_scalar_type(heads.size)),
+                               kind="stable")
+            starts = np.zeros(heads.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=starts[1:])
+            self._csr = (heads, starts, e.node_ids[order])
+            self._index = index
         return self._csr
 
     def index(self) -> IdIndex:
         """Row of a cluster ID within ``csr()``'s ``heads``."""
         if self._index is None:
-            self._index = IdIndex(self.csr()[0])
+            self.csr()
         return self._index
 
     def __getitem__(self, cid: int) -> np.ndarray:
@@ -114,6 +122,14 @@ class HierarchyDelta:
         level-d cluster IDs whose *member list* (of level-(d-1) IDs)
         changed.  A CHLM descent that consults no dirty cell and starts
         from an unchanged cluster provably picks the same server.
+    arrivals:
+        ``arrivals[d]`` is a CSR ``(starts, members)`` aligned with
+        ``dirty_cells[d]``: the level-(d-1) IDs that cell ``i`` gained
+        (moved in, or new to the level) are ``members[starts[i]:starts[i
+        + 1]]``, ascending; a cell that only shrank has none.  What a
+        cell lost is read off the new election, so no removal list is
+        kept.  Under rendezvous hashing a descent through a dirty cell
+        whose recorded winner stayed can only move to an arrival.
     top_changed:
         Whether the top-level node set changed (the virtual global
         level's candidate set).
@@ -124,6 +140,7 @@ class HierarchyDelta:
     full: bool
     level_changed: list[np.ndarray] = field(default_factory=list)
     dirty_cells: list[np.ndarray] = field(default_factory=list)
+    arrivals: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     top_changed: bool = False
 
     @property
@@ -152,16 +169,21 @@ class HierarchyDelta:
         return out
 
 
-def _dirty_cells_of(el0: Election, el1: Election) -> np.ndarray:
-    """Sorted cluster IDs whose member list differs between elections."""
+def _dirty_cells_of(
+    el0: Election, el1: Election
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Sorted cluster IDs whose member list differs between elections,
+    and their arrivals as a CSR ``(starts, members)`` aligned with them
+    (see :attr:`HierarchyDelta.arrivals`)."""
     ids0, ids1 = el0.node_ids, el1.node_ids
     if el0 is el1:
-        return np.empty(0, dtype=np.int64)
+        return _clean()
     if np.array_equal(ids0, ids1):
         moved = el0.member_of != el1.member_of
         if not moved.any():
-            return np.empty(0, dtype=np.int64)
-        parts = [el0.member_of[moved], el1.member_of[moved]]
+            return _clean()
+        to, who = el1.member_of[moved], ids1[moved]
+        cells = np.unique(np.concatenate([el0.member_of[moved], to]))
     else:
         in1 = np.isin(ids0, ids1, assume_unique=True)
         in0 = np.isin(ids1, ids0, assume_unique=True)
@@ -169,10 +191,25 @@ def _dirty_cells_of(el0: Election, el1: Election) -> np.ndarray:
         mo0 = el0.member_of[in1]
         mo1 = el1.member_of[np.searchsorted(ids1, common)]
         moved = mo0 != mo1
-        parts = [mo0[moved], mo1[moved],
-                 el0.member_of[~in1],  # departed ids: old cluster shrank
-                 el1.member_of[~in0]]  # arrived ids: new cluster grew
-    return np.unique(np.concatenate(parts))
+        # Members that moved in, and ids new to the level.
+        to = np.concatenate([mo1[moved], el1.member_of[~in0]])
+        who = np.concatenate([common[moved], ids1[~in0]])
+        cells = np.unique(np.concatenate([
+            mo0[moved], to,
+            el0.member_of[~in1],  # departed ids: old cluster shrank
+        ]))
+        order = np.argsort(who)
+        to, who = to[order], who[order]
+    # `who` is ascending: a stable sort by cell keeps it so per cell.
+    order = np.argsort(to, kind="stable")
+    starts = np.append(np.searchsorted(to[order], cells), to.size)
+    return cells, (starts, who[order])
+
+
+def _clean() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """No dirty cell and no arrival."""
+    empty = np.empty(0, dtype=np.int64)
+    return empty, (np.zeros(1, dtype=np.int64), empty)
 
 
 def compute_delta(h0: ClusteredHierarchy | None,
@@ -194,12 +231,15 @@ def compute_delta(h0: ClusteredHierarchy | None,
     level_changed = [np.zeros(h1.n, dtype=bool)]
     for k in range(1, num_levels + 1):
         level_changed.append(h0.ancestry(k) != h1.ancestry(k))
-    dirty_cells = [np.empty(0, dtype=np.int64)]
+    cells, arrived = _clean()
+    dirty_cells, arrivals = [cells], [arrived]
     for d in range(1, num_levels + 1):
         el0 = h0.levels[d - 1].election
         el1 = h1.levels[d - 1].election
         assert el0 is not None and el1 is not None
-        dirty_cells.append(_dirty_cells_of(el0, el1))
+        cells, arrived = _dirty_cells_of(el0, el1)
+        dirty_cells.append(cells)
+        arrivals.append(arrived)
     top_changed = not np.array_equal(
         h0.levels[-1].node_ids, h1.levels[-1].node_ids
     )
@@ -207,6 +247,7 @@ def compute_delta(h0: ClusteredHierarchy | None,
         h0=h0, h1=h1, full=False,
         level_changed=level_changed,
         dirty_cells=dirty_cells,
+        arrivals=arrivals,
         top_changed=top_changed,
     )
 

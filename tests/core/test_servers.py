@@ -234,9 +234,9 @@ def assert_patch_equals_rebuild(prev, h, delta):
 
 
 def cid_hierarchy(member_of_1, member_of_2):
-    """Six base nodes under hand-made (persistent-style) cluster IDs:
-    ``member_of_1`` affiliates the base nodes, ``member_of_2`` the
-    level-1 clusters; level 2 is the top."""
+    """Base nodes ``0..len(member_of_1) - 1`` under hand-made
+    (persistent-style) cluster IDs: ``member_of_1`` affiliates the base
+    nodes, ``member_of_2`` the level-1 clusters; level 2 is the top."""
     from repro.clustering import Election
     from repro.hierarchy import ClusteredHierarchy, LevelTopology
 
@@ -249,7 +249,7 @@ def cid_hierarchy(member_of_1, member_of_2):
                         clusterheads=np.unique(member_of))
 
     no_edges = np.empty((0, 2), dtype=np.int64)
-    e0 = election(np.arange(6), member_of_1)
+    e0 = election(np.arange(len(member_of_1)), member_of_1)
     e1 = election(e0.clusterheads, member_of_2)
     return ClusteredHierarchy([
         LevelTopology(0, e0.node_ids, no_edges, e0),
@@ -259,9 +259,12 @@ def cid_hierarchy(member_of_1, member_of_2):
 
 
 class TestStagewisePatch:
-    """``patch_assignment`` re-hashes stage by stage: only rows whose
-    consulted cluster moved or whose recorded cluster changed members,
-    and a row whose winner comes out unchanged goes no deeper."""
+    """``patch_assignment`` patches stage by stage with rendezvous
+    hashing's minimal disruption: a row re-hashes in full only when its
+    consulted cluster moved or its holder left the cluster; a holder
+    whose cluster gained members meets just the arrivals; a row whose
+    winner comes out unchanged goes no deeper.  Every case is checked
+    against ``full_assignment``."""
 
     @staticmethod
     def _count_stage_rows(monkeypatch, h):
@@ -405,8 +408,19 @@ class TestStagewisePatch:
         assert patched.chains[2][2].tolist() == [2 * cid + 5] * 6
 
     def test_dirty_only_at_depth_one_hashes_no_upper_stage(self, monkeypatch):
-        """One node re-affiliating between two persisting level-1
-        clusters dirties depth 1 only: no stage above it sees a row."""
+        """Node 2 re-affiliating from cluster c1 = cid + 1 = {0, 1, 2} to
+        c2 = cid + 2 = {3, 4, 5} dirties depth 1 only: no stage above it
+        sees a row.  At depth 1 the recorded assignment reads
+
+            level 2: cells (c2, c2, c1, c1, c1, c1), servers (4, 4, 0, 2, 0, 1)
+            level 3: cells (c1, c2, c2, c2, c1, c2), servers (2, 4, 4, 3, 2, 3)
+
+        for subjects 0..5.  Node 2 held (2, 3), (3, 0) and (3, 4) in c1
+        and left it: those three rows re-hash over c1 = {0, 1} — kernel
+        rows {(2, 1): 1, (3, 1): 2}.  The other c1 rows keep holders 0 and
+        1, which stayed, and c1 gained nobody: no hash.  The six c2 rows
+        keep holders 3 and 4 against the one arrival, node 2: one
+        challenge call of six rows, no kernel row."""
         from repro.core import patch_assignment
         from repro.hierarchy import compute_delta
 
@@ -415,12 +429,238 @@ class TestStagewisePatch:
         h1 = cid_hierarchy([cid + 1] * 2 + [cid + 2] * 4, [2 * cid, 2 * cid])
         delta = compute_delta(h0, h1)
         assert [c.size for c in delta.dirty_cells] == [0, 2, 0]
+        assert delta.arrivals[1][0].tolist() == [0, 0, 1]
+        assert delta.arrivals[1][1].tolist() == [2]
         assert not delta.top_changed and not delta.level_changed[2].any()
         prev = full_assignment(h0)
+        assert (prev.chains[2][1] - cid).tolist() == [2, 2, 1, 1, 1, 1]
+        assert prev.tables[2].tolist() == [4, 4, 0, 2, 0, 1]
+        assert (prev.chains[3][1] - cid).tolist() == [1, 2, 2, 2, 1, 2]
+        assert prev.tables[3].tolist() == [2, 4, 4, 3, 2, 3]
+        rows = self._count_stage_rows(monkeypatch, h1)
+        challenged = self._count_challenge_rows(monkeypatch)
+        patch_assignment(prev, h1, delta)
+        monkeypatch.undo()
+        assert rows == {(2, 1): 1, (3, 1): 2}
+        assert challenged == [(6, 1)]
+        assert_patch_equals_rebuild(prev, h1, delta)
+
+    @staticmethod
+    def _count_challenge_rows(monkeypatch):
+        """One ``(rows, most arrivals a row met)`` entry per call of the
+        arrivals-only challenge."""
+        from repro.core import servers
+
+        calls: list[tuple[int, int]] = []
+        real = servers._challenge_stage
+
+        def counting(keys, holder, cell, arrivals):
+            starts, _ = arrivals
+            calls.append((holder.size, int((starts[cell + 1] - starts[cell]).max())))
+            return real(keys, holder, cell, arrivals)
+
+        monkeypatch.setattr(servers, "_challenge_stage", counting)
+        return calls
+
+    @staticmethod
+    def _two_cells(cid, moves=None):
+        """Base nodes 0..4 in c1 = cid + 1 and 5..7 in c2 = cid + 2 under
+        one top cluster, with ``moves`` ({node: new cell}) applied."""
+        affiliation = [cid + 1] * 5 + [cid + 2] * 3
+        for node, cell in (moves or {}).items():
+            affiliation[node] = cell
+        return cid_hierarchy(affiliation, [2 * cid] * 2)
+
+    @staticmethod
+    def _consulting(prev, cell, depth=1):
+        """Per level, the rows whose descent consulted ``cell`` at
+        ``depth``."""
+        return {lvl: np.flatnonzero(prev.chains[lvl][depth] == cell)
+                for lvl in prev.tables}
+
+    # Small cluster IDs take IdIndex's lookup table, minted ones its search.
+    ids_both_ways = pytest.mark.parametrize("cid", [100, 10**7])
+
+    @ids_both_ways
+    def test_holder_leaving_its_cell_is_rehashed(self, monkeypatch, cid):
+        """A holder that leaves its depth-1 cell re-hashes exactly the rows
+        it held there; the rows of the cell it joins only meet it as an
+        arrival, and the other holders of its old cell are not hashed."""
+        from repro.core import patch_assignment
+        from repro.hierarchy import compute_delta
+
+        h0 = self._two_cells(cid)
+        prev = full_assignment(h0)
+        in_c1 = self._consulting(prev, cid + 1)
+        holder = int(prev.tables[2][in_c1[2][0]])
+        h1 = self._two_cells(cid, {holder: cid + 2})
+        delta = compute_delta(h0, h1)
+        held = {lvl: rows[prev.tables[lvl][rows] == holder]
+                for lvl, rows in in_c1.items()}
+        joined = sum(r.size for r in self._consulting(prev, cid + 2).values())
+        rows = self._count_stage_rows(monkeypatch, h1)
+        challenged = self._count_challenge_rows(monkeypatch)
+        patch_assignment(prev, h1, delta)
+        monkeypatch.undo()
+        assert rows == {(lvl, 1): r.size for lvl, r in held.items() if r.size}
+        assert challenged == [(joined, 1)]
+        patched, dirty_rows = assert_patch_equals_rebuild(prev, h1, delta)
+        for lvl, r in held.items():
+            assert np.isin(r, dirty_rows.get(lvl, [])).all()
+            assert not (patched.tables[lvl][r] == holder).any()
+
+    @ids_both_ways
+    def test_cell_that_only_shrank_hashes_nothing(self, monkeypatch, cid):
+        """A member that served no row leaves c1: every row consulting c1
+        keeps its holder without a hash — no kernel row at any stage — and
+        c2's rows meet it as their one arrival."""
+        from repro.core import patch_assignment
+        from repro.hierarchy import compute_delta
+
+        h0 = self._two_cells(cid)
+        prev = full_assignment(h0)
+        served = {int(s) for lvl, rows in self._consulting(prev, cid + 1).items()
+                  for s in prev.tables[lvl][rows]}
+        idle = [v for v in range(5) if v not in served]
+        assert idle
+        h1 = self._two_cells(cid, {idle[0]: cid + 2})
+        delta = compute_delta(h0, h1)
+        joined = sum(r.size for r in self._consulting(prev, cid + 2).values())
+        rows = self._count_stage_rows(monkeypatch, h1)
+        challenged = self._count_challenge_rows(monkeypatch)
+        patch_assignment(prev, h1, delta)
+        monkeypatch.undo()
+        assert rows == {}
+        assert challenged == [(joined, 1)]
+        patched, _ = assert_patch_equals_rebuild(prev, h1, delta)
+        for lvl, r in self._consulting(prev, cid + 1).items():
+            assert np.array_equal(patched.tables[lvl][r], prev.tables[lvl][r])
+
+    @ids_both_ways
+    def test_one_arrival_against_each_holder(self, cid):
+        """Each member of c2 joins c1 in turn.  A row consulting c1 moves
+        to the arrival exactly where the scalar oracle prefers it to the
+        row's holder; across the three moves the arrival both beats a
+        holder and loses to one."""
+        from repro.core.hashing import rendezvous_choice
+        from repro.core.servers import _stage_salt
+        from repro.hierarchy import compute_delta
+
+        h0 = self._two_cells(cid)
+        prev = full_assignment(h0)
+        outcomes = set()
+        for arrival in (5, 6, 7):
+            h1 = self._two_cells(cid, {arrival: cid + 1})
+            patched, _ = assert_patch_equals_rebuild(
+                prev, h1, compute_delta(h0, h1))
+            for lvl, rows in self._consulting(prev, cid + 1).items():
+                for r in rows.tolist():
+                    holder = int(prev.tables[lvl][r])
+                    won = rendezvous_choice(
+                        r, _stage_salt(lvl, 1), [holder, arrival]) == arrival
+                    assert patched.tables[lvl][r] == (arrival if won else holder)
+                    outcomes.add(won)
+        assert outcomes == {True, False}
+
+    @ids_both_ways
+    def test_several_arrivals(self, monkeypatch, cid):
+        """Nodes 5 and 6 join c1 together: each c1 row meets both in two
+        challenge rounds, and the result is the rebuild's."""
+        from repro.hierarchy import compute_delta
+
+        h0 = self._two_cells(cid)
+        prev = full_assignment(h0)
+        h1 = self._two_cells(cid, {5: cid + 1, 6: cid + 1})
+        delta = compute_delta(h0, h1)
+        assert delta.dirty_cells[1].tolist() == [cid + 1, cid + 2]
+        assert delta.arrivals[1][0].tolist() == [0, 2, 2]
+        assert delta.arrivals[1][1].tolist() == [5, 6]
+        stayed = sum(r.size for r in self._consulting(prev, cid + 1).values())
+        challenged = self._count_challenge_rows(monkeypatch)
+        assert_patch_equals_rebuild(prev, h1, delta)
+        assert challenged == [(stayed, 2)]
+
+    @pytest.mark.parametrize("arrival,wins", [(7, True), (0, False)])
+    def test_tie_between_holder_and_arrival_goes_to_the_larger_id(
+            self, monkeypatch, arrival, wins):
+        """With every weight forced equal each stage picks its largest
+        candidate: every descent enters c2 = {3, 4, 5} and is served by 5.
+        An arrival tying with holder 5 takes over if its ID is larger (7)
+        and not if smaller (0) — as in the rebuild."""
+        from repro.hierarchy import compute_delta
+
+        monkeypatch.setattr(
+            "repro.core.hashing.mix64",
+            lambda x, out=None: np.zeros_like(np.asarray(x, dtype=np.uint64)))
+        cid = 10**7
+        affiliation = [cid + 1] * 3 + [cid + 2] * 3 + [cid + 1] * 2
+        h0 = cid_hierarchy(affiliation, [2 * cid] * 2)
+        prev = full_assignment(h0)
+        assert all((t == 5).all() for t in prev.tables.values())
+        affiliation[arrival] = cid + 2
+        h1 = cid_hierarchy(affiliation, [2 * cid] * 2)
+        challenged = self._count_challenge_rows(monkeypatch)
+        patched, _ = assert_patch_equals_rebuild(
+            prev, h1, compute_delta(h0, h1))
+        assert challenged == [(16, 1)]
+        server = arrival if wins else 5
+        assert all((t == server).all() for t in patched.tables.values())
+
+    @ids_both_ways
+    def test_arrival_new_to_the_level(self, monkeypatch, cid):
+        """Nodes 6 and 7 split off c2 into a new cluster c3 = cid + 3, so
+        the top cell gains an ID level 1 never had.  Each depth-2 row
+        keeps its holder (c1 or c2, both stayed) against that arrival;
+        where c3 wins the row re-hashes over c3 at depth 1, and rows still
+        in c2 re-hash there only if 6 or 7 served them."""
+        from repro.core import patch_assignment
+        from repro.hierarchy import compute_delta
+
+        h0 = self._two_cells(cid)
+        h1 = cid_hierarchy([cid + 1] * 5 + [cid + 2] + [cid + 3] * 2,
+                           [2 * cid] * 3)
+        delta = compute_delta(h0, h1)
+        assert delta.dirty_cells[2].tolist() == [2 * cid]
+        assert delta.arrivals[2][1].tolist() == [cid + 3]
+        prev = full_assignment(h0)
+        rows = self._count_stage_rows(monkeypatch, h1)
+        challenged = self._count_challenge_rows(monkeypatch)
+        patch_assignment(prev, h1, delta)
+        monkeypatch.undo()
+        assert challenged[0] == (16, 1)  # depth 2: 8 subjects x levels 2, 3
+        patched, _ = assert_patch_equals_rebuild(prev, h1, delta)
+        expect = {}
+        for lvl in prev.tables:
+            now = patched.chains[lvl][1]
+            lost = (now == cid + 2) & np.isin(prev.tables[lvl], [6, 7])
+            count = int(np.count_nonzero((now == cid + 3) | lost))
+            if count:
+                expect[(lvl, 1)] = count
+        assert expect and rows == expect
+
+    @ids_both_ways
+    def test_holder_leaving_the_level(self, monkeypatch, cid):
+        """The reverse: c3 dissolves into c2, so its ID leaves level 1.
+        The depth-2 rows it held find no such node in the new election
+        and re-hash in full; the others keep their holders, since the top
+        cell only shrank."""
+        from repro.core import patch_assignment
+        from repro.hierarchy import compute_delta
+
+        h0 = cid_hierarchy([cid + 1] * 5 + [cid + 2] + [cid + 3] * 2,
+                           [2 * cid] * 3)
+        h1 = self._two_cells(cid)
+        delta = compute_delta(h0, h1)
+        assert delta.dirty_cells[2].tolist() == [2 * cid]
+        assert delta.arrivals[2][1].size == 0
+        prev = full_assignment(h0)
+        held = {lvl: r.size for lvl, r in self._consulting(prev, cid + 3).items()}
+        assert any(held.values())
         rows = self._count_stage_rows(monkeypatch, h1)
         patch_assignment(prev, h1, delta)
         monkeypatch.undo()
-        assert rows == {(2, 1): 6, (3, 1): 6}
+        assert {key: k for key, k in rows.items() if key[1] == 2} == {
+            (lvl, 2): k for lvl, k in held.items() if k}
         assert_patch_equals_rebuild(prev, h1, delta)
 
     def test_unknown_cluster_still_raises(self):
@@ -440,6 +680,7 @@ class TestStagewisePatch:
             prev, chains={**prev.chains, 2: {**prev.chains[2], 1: bogus}})
         delta = compute_delta(h, h)
         delta.dirty_cells[1] = np.array([cid + 9])
+        delta.arrivals[1] = (np.array([0, 0]), np.empty(0, dtype=np.int64))
         with pytest.raises(KeyError, match="cluster the partition lacks"):
             patch_assignment(prev, h, delta)
 
@@ -616,3 +857,82 @@ class TestRendezvousKernel:
             for level in range(2, lm_levels(h300) + 1):
                 assert servers[(subject, level)] == select_server(
                     h300, subject, level)
+
+    @staticmethod
+    def _coarse_mix(monkeypatch, levels):
+        """Reduce ``mix64`` to ``levels`` distinct weights: many rows hold
+        their maximal weight in two or more columns, and (mod 2) half of
+        all weights are a real 0."""
+        from repro.core import hashing
+
+        real = hashing.mix64
+        monkeypatch.setattr(
+            hashing, "mix64",
+            lambda x, out=None: real(np.asarray(x, dtype=np.uint64))
+            % np.uint64(levels))
+
+    @staticmethod
+    def _tied_rows(subjects, current, partition, salt):
+        """Rows whose maximal weight (under the current ``mix64``) is held
+        by two or more candidates."""
+        from repro.core import hashing
+
+        tied = 0
+        with np.errstate(over="ignore"):
+            salted = hashing.mix64(np.uint64(salt))
+            for s, c in zip(subjects.tolist(), current.tolist()):
+                cand = np.asarray(partition[c], dtype=np.uint64)
+                key = np.uint64(s) * hashing._GOLDEN ^ salted
+                weights = hashing.mix64(cand * hashing._SALT_CAND ^ key)
+                tied += np.count_nonzero(weights == weights.max()) > 1
+        return tied
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("block", [5, 24, 64, 1 << 14])
+    def test_two_maximal_columns_in_mixed_width_blocks(
+            self, monkeypatch, levels, block):
+        """Widths 1..24 across block boundaries with few distinct weights:
+        tied rows in padded mixed-width blocks, and (mod 2) a real weight
+        0 next to the padding, still go to the largest tied ID."""
+        from repro.core import servers
+
+        monkeypatch.setattr(servers, "_BLOCK_PAIRS", block)
+        self._coarse_mix(monkeypatch, levels)
+        subj, current, partition = self._every_size_case()
+        assert self._tied_rows(subj, current, partition, 31) > 20
+        self._assert_matches_oracle(subj, current, partition, salt=31)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("block", [5, 37, 1 << 14])
+    def test_two_maximal_columns_in_uniform_blocks(
+            self, monkeypatch, levels, block):
+        """Every cluster five wide, so no block is padded: rows with two or
+        more maximal columns against the oracle."""
+        from repro.core import servers
+
+        monkeypatch.setattr(servers, "_BLOCK_PAIRS", block)
+        self._coarse_mix(monkeypatch, levels)
+        rng = np.random.default_rng(29)
+        pool = rng.permutation(10_000)
+        partition = {3 * c + 1: np.sort(pool[5 * c:5 * c + 5]) for c in range(40)}
+        current = rng.choice(sorted(partition), size=400).astype(np.int64)
+        subj = rng.integers(0, 1 << 40, size=current.size).astype(np.int64)
+        assert self._tied_rows(subj, current, partition, 8) > 40
+        self._assert_matches_oracle(subj, current, partition, salt=8)
+
+    @pytest.mark.parametrize("block", [6, 50])
+    def test_real_zero_weight_next_to_padding(self, monkeypatch, block):
+        """All weights 0 in padded blocks: the padding repeats each short
+        row's smallest member, which ties with every real candidate and
+        must never win."""
+        from repro.core import servers
+
+        monkeypatch.setattr(servers, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(
+            "repro.core.hashing.mix64",
+            lambda x, out=None: np.zeros_like(np.asarray(x, dtype=np.uint64)))
+        subj, current, partition = self._every_size_case(k_max=9, per_size=3)
+        out = servers._vectorized_rendezvous_stage(
+            subj, current, self._csr(partition), 3)
+        assert out.tolist() == [int(partition[c].max()) for c in current.tolist()]
+        self._assert_matches_oracle(subj, current, partition, salt=3)

@@ -143,6 +143,27 @@ class TestHierarchyDelta:
             )
             assert d.dirty_cells[lvl].tolist() == expect
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_arrivals_are_exactly_the_members_gained(self, seed):
+        """``arrivals[d]`` lists, per dirty cell and ascending, the
+        level-(d-1) IDs its member list gained — moved in or new to the
+        level (the level node sets differ at some level here)."""
+        h0, h1 = self._two_snapshots(seed=seed, drift=1.5)
+        d = compute_delta(h0, h1)
+        assert d.arrivals[0][0].tolist() == [0] and d.arrivals[0][1].size == 0
+        new_ids = 0
+        for lvl in range(1, h1.num_levels + 1):
+            c0 = h0.levels[lvl - 1].election.clusters()
+            c1 = h1.levels[lvl - 1].election.clusters()
+            starts, members = d.arrivals[lvl]
+            assert starts.size == d.dirty_cells[lvl].size + 1
+            for i, cid in enumerate(d.dirty_cells[lvl].tolist()):
+                gained = np.setdiff1d(c1.get(cid, []), c0.get(cid, []))
+                assert members[starts[i]:starts[i + 1]].tolist() == gained.tolist()
+            new_ids += np.setdiff1d(h1.levels[lvl - 1].node_ids,
+                                    h0.levels[lvl - 1].node_ids).size
+        assert new_ids
+
     def test_dirty_sets_match_fabric_cache_format(self):
         h0, h1 = self._two_snapshots(seed=8)
         sets = compute_delta(h0, h1).dirty_sets()
@@ -203,6 +224,40 @@ class TestLazyClusters:
         assert lazy.index().rows(heads).tolist() == list(range(heads.size))
         for cid in heads.tolist():
             assert np.array_equal(lazy[cid], ids[member_of == cid])
+
+    @pytest.mark.parametrize("clusters", [200, 3000, 70_000])
+    def test_counting_sort_at_every_key_width(self, clusters):
+        """Head rows sort as 8-, 16- or 32-bit keys; the grouping is a
+        stable sort of the affiliation column whichever width."""
+        from repro.clustering import Election
+
+        rng = np.random.default_rng(clusters)
+        ids = np.sort(rng.choice(10 * clusters, size=2 * clusters, replace=False))
+        heads = np.sort(rng.choice(ids, size=clusters, replace=False))
+        member_of = heads[rng.integers(0, clusters, size=ids.size)]
+        member_of[np.searchsorted(ids, heads)] = heads
+        el = Election(node_ids=ids, elected_head=member_of, member_of=member_of,
+                      elector_count=np.zeros_like(ids), clusterheads=heads)
+        got_heads, starts, members = LazyClusters(el).csr()
+        order = np.argsort(member_of, kind="stable")
+        assert np.array_equal(got_heads, heads)
+        assert np.array_equal(members, ids[order])
+        assert np.array_equal(np.diff(starts), np.bincount(
+            np.searchsorted(heads, member_of), minlength=clusters))
+
+    @pytest.mark.parametrize("heads", [[7], [3, 7, 9]])
+    def test_heads_must_be_the_affiliation_values(self, heads):
+        """The CSR groups by the rows of ``clusterheads``: a member whose
+        cluster is not a head, or a head with no member, is refused."""
+        from repro.clustering import Election
+
+        member_of = np.array([7, 3, 7], dtype=np.int64)
+        ids = np.arange(3, dtype=np.int64)
+        el = Election(node_ids=ids, elected_head=member_of, member_of=member_of,
+                      elector_count=np.zeros_like(ids),
+                      clusterheads=np.array(heads, dtype=np.int64))
+        with pytest.raises(ValueError, match="affiliation"):
+            LazyClusters(el).csr()
 
 
 class TestModesAndValidation:

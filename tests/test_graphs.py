@@ -56,6 +56,20 @@ class TestIdIndex:
         inside = rng.choice(ids, size=25)
         assert np.array_equal(ids[index.rows(inside)], inside)
 
+    @pytest.mark.parametrize("ids,span,size", [
+        (np.array([3, 9]), 500, 500),                   # stretched to the span
+        (np.array([3, 9]), 4, 10),                      # a span inside the ids
+        (np.array([3, 9]), 2**18, None),                # past the budget: search
+        (np.array([10**7 + 1, 10**7 + 2]), 10**7 + 9, None),  # minted ids
+    ])
+    def test_span_stretches_the_table(self, ids, span, size):
+        """Values below ``span`` that miss answer -1 from the table."""
+        index = IdIndex(ids.astype(np.int64), span)
+        assert (None if index._table is None else index._table.size) == size
+        values = np.arange(span - 40, span)
+        assert np.array_equal(index.rows(values), self.reference(ids, values))
+        assert index.rows(ids).tolist() == [0, 1]
+
     def test_shapes_and_empties(self):
         index = IdIndex(np.array([2, 5, 8]))
         assert int(index.rows(np.int64(5))) == 1
