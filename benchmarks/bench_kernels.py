@@ -83,8 +83,9 @@ def step_pair(deployment):
 
 
 def test_bench_diff_hierarchies(benchmark, step_pair):
-    """Event detection between consecutive snapshots (struct-of-arrays
-    columns; no per-event objects)."""
+    """Event detection between consecutive snapshots: every level in one
+    level-stacked pass (struct-of-arrays columns; no per-event objects).
+    Self-gated in check_bench_budget.py."""
     from repro.core import diff_hierarchies
 
     diff = benchmark.pedantic(diff_hierarchies, args=step_pair, rounds=30,
@@ -317,31 +318,21 @@ def test_bench_simulator_step_profiled(benchmark):
 
 @pytest.fixture(scope="module")
 def snapshot_pair(deployment):
-    """Two consecutive unit-disk snapshots (one mobility step apart),
-    as the sorted encoded-key arrays the diff kernel consumes."""
+    """Two consecutive unit-disk edge lists (one mobility step apart)."""
     pts, r_tx, edges = deployment
     rng = np.random.default_rng(1)
     pts2 = pts + rng.normal(scale=r_tx * 0.1, size=pts.shape)
-    edges2 = unit_disk_edges(pts2, r_tx)
-    from repro.radio.unit_disk import encode_edges
-
-    k1 = np.sort(encode_edges(edges, N))
-    k2 = np.sort(encode_edges(edges2, N))
-    return k1, k2
+    return edges, unit_disk_edges(pts2, r_tx)
 
 
-def test_bench_edge_diff_kernel(benchmark, snapshot_pair):
-    from repro.sim.kernels import count_drift, diff_keys
+def test_bench_link_diff(benchmark, snapshot_pair):
+    """The step's level-0 diff where no Verlet diff is at hand (the
+    full-rebuild plane, chaos filtering): one merge of the two edge-key
+    arrays."""
+    from repro.radio.linkevents import link_diff
 
-    k1, k2 = snapshot_pair
-    ids = np.arange(N)
-
-    def diff_and_drift():
-        changed = diff_keys(k1, k2)
-        return count_drift(changed, N, ids, ids)
-
-    drift = benchmark(diff_and_drift)
-    assert drift > 0  # mobility produced link events
+    diff = benchmark(link_diff, *snapshot_pair, N)
+    assert diff.n_events > 0  # mobility produced link events
 
 
 def test_bench_giant_fraction(benchmark, deployment):

@@ -5,9 +5,10 @@ and enforces these gates:
 
 * full fabric construction (``test_bench_forwarding_fabric``), one
   incremental fabric update (``test_bench_fabric_incremental``), one
-  steady-state hierarchy patch (``test_bench_hierarchy_incremental``)
-  and one snapshot of exact hop metering
-  (``test_bench_bfs_hops_batch``) must each stay within
+  steady-state hierarchy patch (``test_bench_hierarchy_incremental``),
+  one snapshot of exact hop metering (``test_bench_bfs_hops_batch``)
+  and one level-stacked hierarchy diff (``test_bench_diff_hierarchies``)
+  must each stay within
   ``SELF_TOLERANCE``x of **their own mean in the committed file**
   (``git show HEAD:BENCH_kernels.json``).  The first three used to be
   gated as ratios to another benchmark —
@@ -54,6 +55,7 @@ SELF_GATED = (
     "test_bench_fabric_incremental",
     "test_bench_hierarchy_incremental",
     "test_bench_bfs_hops_batch",
+    "test_bench_diff_hierarchies",
 )
 COMMITTED = "BENCH_kernels.json"
 CHAOS_BUDGET = 2.0

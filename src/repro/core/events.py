@@ -27,15 +27,23 @@ in the same step, which is exactly the recursion the paper's Eq. (15)
 chain quantifies.
 
 Data layout: a :class:`HierarchyDiff` is a struct of arrays — six
-parallel columns per migration, four per reorganization event — filled
-one whole per-level chunk at a time, in the exact order the original
-per-element scan produced, so traces diff clean across the
-incremental/full hierarchy paths.  A 1 m/s step at n = 10^4 yields about
-1.3 events per node, so nothing on the simulation path loops over
-events: the count reductions work on the columns, and
-:class:`MigrationEvent` / :class:`ReorgEvent` objects exist only in the
-on-demand :attr:`HierarchyDiff.migrations` / :attr:`HierarchyDiff.reorgs`
-views (tests, examples, debugging).
+parallel columns per migration, four per reorganization event — in the
+exact order the original per-level, per-element scan produced, so traces
+diff clean across the incremental/full hierarchy paths.  It also carries
+the per-level link-change and drift counts the level series read, so a
+step diffs its two hierarchies once.
+
+Work layout: :func:`diff_hierarchies` handles every level in one pass,
+on level-tagged keys built from compacted rows, never from IDs
+(``k * W + row`` for a level-k node, ``(k * W + row_u) * W + row_v`` for
+a link; docs/ARCHITECTURE.md, "Data layout: hierarchy events"), so a
+step costs a fixed number of array operations whatever the depth L, and
+minted cluster IDs (>= 10^7) or base IDs above 2^31 need no other path.
+A 1 m/s step at n = 10^4 yields about 1.3 events per node, so nothing
+on the simulation path loops over events: :class:`MigrationEvent` /
+:class:`ReorgEvent` objects exist only in the on-demand
+:attr:`HierarchyDiff.migrations` / :attr:`HierarchyDiff.reorgs` views
+(tests, examples, debugging).
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ import numpy as np
 
 from repro.graphs import IdIndex
 from repro.hierarchy.levels import ClusteredHierarchy
+from repro.radio.linkevents import sorted_key_diff
 
 __all__ = [
     "EventKind",
@@ -54,8 +63,6 @@ __all__ = [
     "ReorgEvent",
     "HierarchyDiff",
     "diff_hierarchies",
-    "lowest_changed_levels",
-    "pure_moves",
 ]
 
 
@@ -73,7 +80,9 @@ class EventKind(Enum):
 
 
 _KINDS = tuple(EventKind)
-_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+# ``reorg_kind`` codes: positions in ``_KINDS``.
+(_LINK_UP, _LINK_DOWN, _ELECT_MIGRATION, _REJECT_MIGRATION, _ELECT_RECURSIVE,
+ _REJECT_RECURSIVE, _NEIGHBOR_ELECTED) = range(1, len(_KINDS))
 
 
 @dataclass(frozen=True)
@@ -110,8 +119,7 @@ class ReorgEvent:
     """The counterpart (u_k: link peer, elector, or new head)."""
 
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
+_NO_ONE = np.iinfo(np.int64).max
 
 
 def _no_ids() -> np.ndarray:
@@ -133,6 +141,12 @@ class HierarchyDiff:
     (same field meanings), row ``j`` of the ``reorg_*`` columns one
     :class:`ReorgEvent`: ``reorg_kind`` holds positions in
     ``tuple(EventKind)`` and ``reorg_other`` -1 for "no counterpart".
+
+    ``link_changes[k]`` counts the level-k links that appeared or
+    vanished, ``drift_changes[k]`` those of them whose two endpoints are
+    level-k nodes in both snapshots (Section 5.3.1's cluster migration;
+    the rest is election churn), for k = 1 .. the deeper snapshot's L
+    (entry 0 is unused and 0).  Both are empty on the baseline diff.
     """
 
     mig_node: np.ndarray = field(default_factory=_no_ids)
@@ -146,6 +160,8 @@ class HierarchyDiff:
     reorg_level: np.ndarray = field(default_factory=_no_ids)
     reorg_subject: np.ndarray = field(default_factory=_no_ids)
     reorg_other: np.ndarray = field(default_factory=_no_ids)
+    link_changes: np.ndarray = field(default_factory=_no_ids)
+    drift_changes: np.ndarray = field(default_factory=_no_ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HierarchyDiff):
@@ -195,213 +211,185 @@ class HierarchyDiff:
         }
 
 
-def _edge_diffs(e0: np.ndarray, e1: np.ndarray):
-    """(e1 - e0, e0 - e1) as edge arrays in ascending (u, v) lex order.
+def _election_events(h: ClusteredHierarchy, keys: np.ndarray,
+                     heads: np.ndarray, rows: IdIndex, width: int,
+                     member: np.ndarray, other_bit: int):
+    """``(recursive, other)`` columns of the (iii)/(v) promotions or the
+    (iv)/(vi) demotions: one event per head key in ``heads`` (ascending),
+    all levels at once.
 
-    Canonical edge arrays encode to unique keys ``u * big + v``; the
-    sorted key set-diffs decode back in exactly the order the legacy
-    ``sorted(set(tuples))`` scan produced.  Falls back to python sets
-    for ids large enough to overflow the encoding (never the case for
-    level node IDs drawn from base IDs, but kept for safety).
-    """
-    hi = max(
-        int(e0.max(initial=-1)),
-        int(e1.max(initial=-1)),
-    )
-    lo = min(int(e0.min(initial=0)), int(e1.min(initial=0)))
-    big = hi + 1
-    if lo < 0 or big >= 2**31:  # pragma: no cover - exotic id ranges
-        s0 = {tuple(e) for e in e0.tolist()}
-        s1 = {tuple(e) for e in e1.tolist()}
-        up = np.asarray(sorted(s1 - s0), dtype=np.int64).reshape(-1, 2)
-        down = np.asarray(sorted(s0 - s1), dtype=np.int64).reshape(-1, 2)
-        return up, down
-    k0 = e0[:, 0] * big + e0[:, 1]
-    k1 = e1[:, 0] * big + e1[:, 1]
-    up_k = np.setdiff1d(k1, k0, assume_unique=True)
-    down_k = np.setdiff1d(k0, k1, assume_unique=True)
-    up = np.stack([up_k // big, up_k % big], axis=1) if up_k.size else _EMPTY_EDGES
-    down = (
-        np.stack([down_k // big, down_k % big], axis=1)
-        if down_k.size
-        else _EMPTY_EDGES
-    )
-    return up, down
-
-
-def lowest_changed_levels(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> np.ndarray:
-    """Per base node: lowest level where its cluster chain differs
-    (0 = unchanged through the comparable levels)."""
-    lcl = np.zeros(h0.n, dtype=np.int64)
-    for k in range(min(h0.num_levels, h1.num_levels), 0, -1):
-        lcl[h0.ancestry(k) != h1.ancestry(k)] = k
-    return lcl
-
-
-def pure_moves(
-    h0: ClusteredHierarchy, h1: ClusteredHierarchy, k: int,
-    moved: np.ndarray, origin: np.ndarray,
-) -> np.ndarray:
-    """:attr:`MigrationEvent.pure` for the base positions ``moved`` whose
-    level-``k`` cluster changed: the change originates at level 1 and
-    both clusters exist at level k in both snapshots."""
-    pure = origin[moved] == 1
-    # Node-sized queries (most of a slow step's nodes sit in a level-1
-    # cell that changed): worth one lookup table per level node set.
-    in_v0 = IdIndex(h0.levels[k].node_ids).contains
-    in_v1 = IdIndex(h1.levels[k].node_ids).contains
-    for cluster in (h0.ancestry(k)[moved], h1.ancestry(k)[moved]):
-        pure &= in_v0(cluster) & in_v1(cluster)
-    return pure
-
-
-def _election_events(
-    kind_plain: EventKind,
-    kind_recursive: EventKind,
-    h_ref: ClusteredHierarchy,
-    k: int,
-    heads: np.ndarray,
-    below_other: np.ndarray,
-    below_same: np.ndarray,
-):
-    """(kind, subject, other) columns of the (iii)/(v) promotions or the
-    (iv)/(vi) demotions of ``heads`` (ascending), one event per head.
-
-    ``h_ref`` is the snapshot that *contains* the heads at level k (h1
-    for promotions, h0 for demotions); ``below_other`` is the other
-    snapshot's level-(k-1) node set and ``below_same`` is ``h_ref``'s.
+    ``h`` is the snapshot that *contains* the heads (h1 for promotions,
+    h0 for demotions) and ``keys`` its node keys, levels 1..L in order.
     A head's electors are the level-(k-1) nodes whose raw election
-    points at it, itself excluded.  The event is *recursive* when an
-    elector entered (resp. left) level k-1 in the same step; its
-    counterpart is then the smallest such elector, otherwise the
-    smallest elector, or none when nobody else elected the head.
+    points at it, itself excluded.  An elector *moved* when it is not a
+    level-(k-1) node of the other snapshot (its ``member`` code lacks
+    ``other_bit``); level-0 electors never are.  The event is recursive
+    when an elector moved; its counterpart is then the smallest such
+    elector, otherwise the smallest elector, or none when nobody else
+    elected the head.
     """
-    if heads.size == 0:
-        return _EMPTY_IDS, heads, heads
-    if k <= h_ref.num_levels:
-        election = h_ref.levels[k - 1].election
-        elected_head, node_ids = election.elected_head, election.node_ids
-    else:  # pragma: no cover - heads imply the level exists
-        elected_head = node_ids = _EMPTY_IDS
-    # One pass over the level for all heads: keep the electors of any
+    elections = [lvl.election for lvl in h.levels[:-1]]
+    voters = np.concatenate([e.node_ids for e in elections])
+    votes = np.concatenate([e.elected_head for e in elections])
+    tags = np.repeat(np.arange(1, len(elections) + 1) * width,
+                     [e.node_ids.size for e in elections])
+    seat = np.full(member.size, -1, dtype=np.int64)
+    seat[heads] = np.arange(heads.size)
+    # One pass over every level for every head: keep the electors of any
     # head, then reduce per head.
-    seg = IdIndex(heads).rows(elected_head)
-    cand = np.flatnonzero((seg >= 0) & (elected_head != node_ids))
-    seg, cand = seg[cand], node_ids[cand]
-    no_one = np.iinfo(np.int64).max
-    first_cand = np.full(heads.size, no_one)
+    seg = seat[tags + rows.rows(votes)]
+    at = ((seg >= 0) & (votes != voters)).nonzero()[0]
+    seg, cand = seg[at], voters[at]
+    first_cand = np.full(heads.size, _NO_ONE)
     np.minimum.at(first_cand, seg, cand)
-    moved = ~IdIndex(below_other).contains(cand)
-    first_moved = np.full(heads.size, no_one)
+    # Elector j >= 1 of the concatenation sits at level >= 1, where its
+    # key is the snapshot's node key (level 0 fills the first n places).
+    n = h.n
+    moved = at >= n
+    moved[moved] = (member[keys[at[moved] - n]] & other_bit) == 0
+    first_moved = np.full(heads.size, _NO_ONE)
     np.minimum.at(first_moved, seg[moved], cand[moved])
     recursive = np.zeros(heads.size, dtype=bool)
-    if k >= 2:
-        recursive[seg[moved & IdIndex(below_same).contains(cand)]] = True
+    recursive[seg[moved]] = True
     other = np.where(recursive, first_moved, first_cand)
-    other[other == no_one] = -1
-    kind = np.where(
-        recursive, _KIND_CODE[kind_recursive], _KIND_CODE[kind_plain]
-    )
-    return kind, heads, other
+    other[other == _NO_ONE] = -1
+    return recursive, other
 
 
 def diff_hierarchies(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> HierarchyDiff:
     """Detect all migration and reorganization events from h0 to h1.
 
-    Both snapshots must cover the same physical node set.
+    Both snapshots must cover the same physical node set, and every
+    level's edges must be canonical (``u < v`` rows in ascending order,
+    as :func:`~repro.hierarchy.levels.recurse_levels` builds them).
     """
-    if not np.array_equal(h0.levels[0].node_ids, h1.levels[0].node_ids):
+    base = h0.levels[0].node_ids
+    if not np.array_equal(base, h1.levels[0].node_ids):
         raise ValueError("snapshots cover different node sets")
+    diff = HierarchyDiff()
+    sides = (h0, h1)
     max_l = max(h0.num_levels, h1.num_levels)
+    if max_l == 0:
+        return diff
 
-    def v0(k: int) -> np.ndarray:
-        return h0.levels[k].node_ids if k < len(h0.levels) else _EMPTY_IDS
+    # --- level-tagged keys over one compaction of both snapshots ---------------
+    # Entry j of each list below is level tag[j] of snapshot 0, then of 1.
+    uppers = [lvl for h in sides for lvl in h.levels[1:]]
+    tag = np.array([lvl.k for lvl in uppers])
+    split = h0.num_levels
+    node_ids = np.concatenate([lvl.node_ids for lvl in uppers])
+    sizes = [lvl.node_ids.size for lvl in uppers]
+    # Sort + neighbour mask: numpy's np.unique on int64 is a hash pass
+    # that costs several times more here.
+    union = np.sort(node_ids)
+    union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+    width = union.size
+    rows = IdIndex(union)
+    node_key = np.repeat(tag * width, sizes)
+    node_key += rows.rows(node_ids)
+    n0 = sum(sizes[:split])
+    keys0, keys1 = node_key[:n0], node_key[n0:]
+    # Bit 1: a node of snapshot 0 at that level, bit 2: of snapshot 1.  The
+    # table spans tag max_l + 1, so "is my endpoint one level up" lookups
+    # (key + width) stay in range.
+    member = np.zeros((max_l + 2) * width, dtype=np.uint8)
+    member[keys0] = 1
+    member[keys1] += 2
 
-    def v1(k: int) -> np.ndarray:
-        return h1.levels[k].node_ids if k < len(h1.levels) else _EMPTY_IDS
+    ends = np.concatenate([lvl.edges for lvl in uppers])
+    sizes = [lvl.edges.shape[0] for lvl in uppers]
+    end_rows = rows.rows(ends)
+    u_key = np.repeat(tag * width, sizes)
+    u_key += end_rows[:, 0]
+    v_key = u_key - end_rows[:, 0] + end_rows[:, 1]
+    m0 = sum(sizes[:split])
+    edge_key = u_key * width + end_rows[:, 1]
+    up, down = sorted_key_diff(edge_key[:m0], edge_key[m0:])
+    up += m0
 
-    # --- node migration (per level) -------------------------------------------
-    # Origin level per node: the lowest level where its ancestry changed.
+    # --- per-level link and drift counts ----------------------------------------
+    changed = np.concatenate((down, up))
+    level_of = u_key[changed] // width
+    both = member == 3
+    drift = both[u_key[changed]] & both[v_key[changed]]
+    diff.link_changes = np.bincount(level_of, minlength=max_l + 1)
+    diff.drift_changes = np.bincount(level_of[drift], minlength=max_l + 1)
+
+    # --- node migration -----------------------------------------------------------
     min_l = min(h0.num_levels, h1.num_levels)
-    origin = lowest_changed_levels(h0, h1)
+    if min_l:
+        anc0 = h0.ancestries[1:min_l + 1]
+        anc1 = h1.ancestries[1:min_l + 1]
+        moved = np.array([a != b for a, b in zip(anc0, anc1)])
+        level, node = moved.nonzero()
+        cut = level.searchsorted(np.arange(min_l + 1)).tolist()
+        old, new = (
+            np.concatenate([a[node[lo:hi]] for a, lo, hi in zip(anc, cut, cut[1:])])
+            for anc in (anc0, anc1)
+        )
+        level += 1
+        # Origin: the lowest level the node's ancestry changed at.
+        lowest = np.full(base.size, min_l)
+        np.minimum.at(lowest, node, level)
+        origin = lowest[node]
+        persists = both[level * width + rows.rows(np.stack((old, new)))]
+        diff.mig_node, diff.mig_level = base[node], level
+        diff.mig_old, diff.mig_new = old, new
+        diff.mig_pure = (origin == 1) & persists[0] & persists[1]
+        diff.mig_origin = origin
 
-    base_ids = h0.levels[0].node_ids
-    # One (node, level, old, new, pure, origin) chunk per level.
-    migrations: list[tuple] = []
-    for k in range(1, min_l + 1):
-        a0 = h0.ancestry(k)
-        a1 = h1.ancestry(k)
-        moved = np.flatnonzero(a0 != a1)
-        if moved.size == 0:
-            continue
-        migrations.append((
-            base_ids[moved], np.full(moved.size, k), a0[moved], a1[moved],
-            pure_moves(h0, h1, k, moved, origin), origin[moved],
-        ))
+    # --- reorganization events: (i)/(ii), then (iii)-(vi), then (vii) -----------
+    # Every part comes out level-sorted; a stable sort on (part, level,
+    # side) interleaves them in the per-level order of the original scan.
+    group = 2 * (max_l + 2)
+    parts = []
 
-    # One (kind, level, subject, other) chunk per event source and level.
-    reorgs: list[tuple] = []
+    # (i)/(ii): the subject is the endpoint that is a level-(k+1) node on the
+    # link's side (v when both are).
+    pos = np.concatenate((up, down))
+    side_bit = np.repeat(np.array([2, 1], dtype=np.uint8), (up.size, down.size))
+    u_in = (member[u_key[pos] + width] & side_bit) > 0
+    v_in = (member[v_key[pos] + width] & side_bit) > 0
+    hit = (u_in | v_in).nonzero()[0]
+    pos, v_in = pos[hit], v_in[hit]
+    is_down = hit >= up.size
+    u, v = ends[pos, 0], ends[pos, 1]
+    level = u_key[pos] // width
+    parts.append((
+        np.where(is_down, _LINK_DOWN, _LINK_UP), level,
+        np.where(v_in, v, u), np.where(v_in, u, v), 2 * level + is_down,
+    ))
 
-    def emit(k: int, kind, subject: np.ndarray, other: np.ndarray) -> None:
-        if subject.size:
-            reorgs.append((
-                np.full(subject.size, kind), np.full(subject.size, k),
-                subject, other,
+    # (iii)-(vi): promotions (in snapshot 1 only) and demotions (0 only).
+    for h, keys, heads, plain, recursive_kind, other_bit, side in (
+        (h1, keys1, keys1[member[keys1] == 2],
+         _ELECT_MIGRATION, _ELECT_RECURSIVE, 1, 0),
+        (h0, keys0, keys0[member[keys0] == 1],
+         _REJECT_MIGRATION, _REJECT_RECURSIVE, 2, 1),
+    ):
+        if heads.size:
+            recursive, other = _election_events(
+                h, keys, heads, rows, width, member, other_bit)
+            level = heads // width
+            parts.append((
+                np.where(recursive, recursive_kind, plain), level,
+                union[heads - level * width], other, group + 2 * level + side,
             ))
 
-    # --- cluster link events (i)/(ii) -----------------------------------------
-    for k in range(1, max_l + 1):
-        e0 = h0.levels[k].edges if k <= h0.num_levels else _EMPTY_EDGES
-        e1 = h1.levels[k].edges if k <= h1.num_levels else _EMPTY_EDGES
-        up_edges, down_edges = _edge_diffs(e0, e1)
-        for edges, upper, kind in (
-            (up_edges, v1(k + 1), EventKind.LINK_UP),
-            (down_edges, v0(k + 1), EventKind.LINK_DOWN),
-        ):
-            if edges.shape[0] == 0:
-                continue
-            in_upper = IdIndex(upper).contains
-            u_in, v_in = in_upper(edges[:, 0]), in_upper(edges[:, 1])
-            # The subject is the endpoint that is a level-(k+1) node
-            # (v when both are).
-            hit = np.flatnonzero(u_in | v_in)
-            u, v, v_in = edges[hit, 0], edges[hit, 1], v_in[hit]
-            emit(k, _KIND_CODE[kind], np.where(v_in, v, u), np.where(v_in, u, v))
+    # (vii): a snapshot-1 link with exactly one endpoint promoted to level
+    # k + 1; the subject is the endpoint that was *not* elected.
+    u_new = member[u_key[m0:] + width] == 2
+    hit = (u_new ^ (member[v_key[m0:] + width] == 2)).nonzero()[0]
+    u_new, pos = u_new[hit], hit + m0
+    u, v = ends[pos, 0], ends[pos, 1]
+    level = u_key[pos] // width
+    parts.append((
+        np.full(pos.size, _NEIGHBOR_ELECTED), level,
+        np.where(u_new, v, u), np.where(u_new, u, v), 2 * group + 2 * level,
+    ))
 
-    # --- elections / rejections (iii)-(vi) --------------------------------------
-    for k in range(1, max_l + 1):
-        elected = np.setdiff1d(v1(k), v0(k), assume_unique=True)
-        rejected = np.setdiff1d(v0(k), v1(k), assume_unique=True)
-        emit(k, *_election_events(
-            EventKind.ELECT_MIGRATION, EventKind.ELECT_RECURSIVE,
-            h1, k, elected, below_other=v0(k - 1), below_same=v1(k - 1),
-        ))
-        emit(k, *_election_events(
-            EventKind.REJECT_MIGRATION, EventKind.REJECT_RECURSIVE,
-            h0, k, rejected, below_other=v1(k - 1), below_same=v0(k - 1),
-        ))
-
-    # --- neighbor elected to level k+1 (vii) --------------------------------------
-    for k in range(1, max_l + 1):
-        newly_up = np.setdiff1d(v1(k + 1), v0(k + 1), assume_unique=True)
-        if newly_up.size == 0 or k > h1.num_levels:
-            continue
-        e1 = h1.levels[k].edges
-        if e1.size == 0:
-            continue
-        is_new = IdIndex(newly_up).contains
-        u_new, v_new = is_new(e1[:, 0]), is_new(e1[:, 1])
-        # The subject is the endpoint that was *not* elected.
-        hit = np.flatnonzero(u_new ^ v_new)
-        u, v, u_new = e1[hit, 0], e1[hit, 1], u_new[hit]
-        emit(k, _KIND_CODE[EventKind.NEIGHBOR_ELECTED],
-             np.where(u_new, v, u), np.where(u_new, u, v))
-
-    diff = HierarchyDiff()
-    if migrations:
-        (diff.mig_node, diff.mig_level, diff.mig_old, diff.mig_new,
-         diff.mig_pure, diff.mig_origin) = map(np.concatenate, zip(*migrations))
-    if reorgs:
-        (diff.reorg_kind, diff.reorg_level, diff.reorg_subject,
-         diff.reorg_other) = map(np.concatenate, zip(*reorgs))
+    kind, level, subject, other, order = map(np.concatenate, zip(*parts))
+    order = order.argsort(kind="stable")
+    diff.reorg_kind, diff.reorg_level = kind[order], level[order]
+    diff.reorg_subject, diff.reorg_other = subject[order], other[order]
     return diff

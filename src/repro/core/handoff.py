@@ -112,21 +112,18 @@ class HandoffReport:
         return self.phi_packets + self.gamma_packets
 
 
-def _tally(level, packets, mask, packets_by_level, entries_by_level) -> None:
-    """Fold one level's charges under ``mask`` into a cause's ledgers."""
-    if mask.any():
-        packets_by_level[level] = int(packets[mask].sum())
-        entries_by_level[level] = int(mask.sum())
-
-
 class HandoffEngine:
     """Stateful handoff meter over a sequence of hierarchy snapshots.
 
     The assignment is a dense ``level x n`` server table
     (:class:`~repro.core.servers.ServerAssignment`), so one step's diff,
-    hop metering and cause classification are array operations per
-    level; only a lossy channel walks individual (changed or stale)
-    entries, because its RNG draw order is per entry.
+    hop metering and cause classification are array operations: the
+    step's one :func:`~repro.core.events.diff_hierarchies` (which the
+    level-series collector reads too, off the report), one hop batch for
+    every level's transfers and one for every level's registrations,
+    whose subjects are the diff's migration rows.  Only a lossy channel
+    walks individual (changed or stale) entries, because its RNG draw
+    order is per entry.
 
     Parameters
     ----------
@@ -244,29 +241,38 @@ class HandoffEngine:
                     rows.get(level, absent[:0]), row_of(held)
                 )
 
-        # Per level: the entries whose server moved, the clamped hop
-        # count of each transfer (from the subject for a fresh placement
-        # on a level the hierarchy just grew) and its cause.
-        moves: dict[int, tuple] = {}
+        # Per level: the entries whose server moved.
+        chunks = []
         for level in sorted(rows):
             idx = rows[level]
             old = a0.tables.get(level, absent)
             new = assignment.tables.get(level, absent)
             if idx is None:
-                idx = np.flatnonzero((old != new) & (new >= 0))
+                idx = ((old != new) & (new >= 0)).nonzero()[0]
             else:
                 idx = idx[(old[idx] != new[idx]) & (new[idx] >= 0)]
-            if idx.size == 0:
-                continue
-            old, new = old[idx], new[idx]
+            if idx.size:
+                chunks.append((level, idx, old[idx], new[idx]))
+        # All levels at once: the clamped hop count of each transfer (from
+        # the subject for a fresh placement on a level the hierarchy just
+        # grew) and its cause.  ``moves`` views each level's slice.
+        moves: dict[int, tuple] = {}
+        if chunks:
+            levels, idx, old, new = zip(*chunks)
+            sizes = [i.size for i in idx]
+            idx, old, new = map(np.concatenate, (idx, old, new))
             fresh = old < 0
             sender = np.where(fresh, base[idx], old)
             hops = np.maximum(batch_hops(hop_fn, sender, new), 0)
-            by_subject = (lcl[idx] > 0) & (lcl[idx] <= level)
+            subject_level = lcl[idx]
+            by_subject = (subject_level > 0) & (
+                subject_level <= np.repeat(levels, sizes))
             migration = ~fresh & np.where(
                 by_subject, pure[idx], pure[row_of(sender)]
             )
-            moves[level] = (idx, old, hops, migration)
+            ends = np.cumsum(sizes).tolist()
+            for level, a, b in zip(levels, [0, *ends], ends):
+                moves[level] = (idx[a:b], old[a:b], hops[a:b], migration[a:b])
 
         migration_packets: dict[int, int] = {}
         migration_entries: dict[int, int] = {}
@@ -306,10 +312,10 @@ class HandoffEngine:
                     continue
                 if delivery is None:
                     continue
-                idx, old, hops, _ = moves[level]
-                out = delivery.send(int(hops[i]), level=level)
+                moved_rows, moved_from, charge, _ = moves[level]
+                out = delivery.send(int(charge[i]), level=level)
                 retransmitted += out.retransmitted
-                hops[i] = out.packets  # what the channel actually cost
+                charge[i] = out.packets  # what the channel actually cost
                 if out.delivered:
                     if key in self._stale:
                         recovered += 1
@@ -320,7 +326,7 @@ class HandoffEngine:
                     eff[level] = eff[level].copy()
                 # The entry stays on the outgoing server (-1: a fresh
                 # placement failed, no holder).
-                eff[level][idx[i]] = old[i]
+                eff[level][moved_rows[i]] = moved_from[i]
                 self._stale.setdefault(key, now)
             if delivery is not None and self._stale:
                 # Keys whose level vanished entirely can never recover.
@@ -329,9 +335,22 @@ class HandoffEngine:
                     if assignment.server_of(*k) is not None
                 }
 
-        for level, (_, _, packets, migration) in moves.items():
-            _tally(level, packets, migration, migration_packets, migration_entries)
-            _tally(level, packets, ~migration, reorg_packets, reorg_entries)
+        if moves:
+            # Per level: migration packets and entries, reorg packets and
+            # entries (hops now hold what the channel charged); a cause
+            # enters a level's ledgers only when it has entries there.
+            charged = np.where(migration, hops, 0)
+            sums = np.add.reduceat(
+                np.stack((charged, migration, hops - charged, ~migration)),
+                [0, *ends[:-1]], axis=1,
+            ).tolist()
+            for level, mig_pkts, mig_n, reorg_pkts, reorg_n in zip(levels, *sums):
+                if mig_n:
+                    migration_packets[level] = mig_pkts
+                    migration_entries[level] = mig_n
+                if reorg_n:
+                    reorg_packets[level] = reorg_pkts
+                    reorg_entries[level] = reorg_n
 
         # Registration: the level-k server stores the subject's
         # level-(k-1) cluster (the granularity a recursive query needs),
@@ -339,30 +358,39 @@ class HandoffEngine:
         # This locality is what bounds registration at Theta(log|V|) in
         # the companion paper [17]: the level-(k-1) component changes
         # with frequency ~f_{k-1} and the update crosses ~h_k hops.
-        registration_packets: dict[int, int] = {}
-        registration_events = 0
-        abandoned_regs = 0
-        min_l = min(h0.num_levels, h.num_levels)
         # Levels 2..min_l plus the virtual global level (whose stored
-        # component is the subject's top-level cluster).
-        for level in range(2, min_l + 2):
-            idx = np.flatnonzero(h0.ancestry(level - 1) != h.ancestry(level - 1))
-            srv = assignment.tables.get(level, absent)[idx]
-            # Moved entries carry the fresh address.
-            keep = (srv >= 0) & (a0.tables.get(level, absent)[idx] == srv)
-            if not keep.any():
-                continue
-            hops = np.maximum(batch_hops(hop_fn, base[idx[keep]], srv[keep]), 0)
-            registration_events += hops.size
+        # component is the subject's top-level cluster); the subjects of
+        # level k are the diff's level-(k-1) migration rows.
+        min_l = min(h0.num_levels, h.num_levels)
+        idx = row_of(diff.mig_node)
+        cut = diff.mig_level.searchsorted(np.arange(1, min_l + 2)).tolist()
+        srv, held = (
+            np.concatenate([absent[:0], *(
+                a.tables.get(level, absent)[idx[lo:hi]]
+                for level, lo, hi in zip(range(2, min_l + 2), cut, cut[1:])
+            )])
+            for a in (assignment, a0)
+        )
+        # Moved entries carry the fresh address.
+        keep = ((srv >= 0) & (held == srv)).nonzero()[0]
+        hops = np.maximum(batch_hops(hop_fn, base[idx[keep]], srv[keep]), 0)
+        registration_events = hops.size
+        registration_packets: dict[int, int] = {}
+        abandoned_regs = 0
+        if hops.size:
+            reg_levels, first = np.unique(diff.mig_level[keep] + 1,
+                                          return_index=True)
             if delivery is None:
-                registration_packets[level] = int(hops.sum())
-                continue
-            registration_packets[level] = 0
-            for hop_count in hops.tolist():
-                out = delivery.send(hop_count, level=level)
-                retransmitted += out.retransmitted
-                abandoned_regs += not out.delivered
-                registration_packets[level] += out.packets
+                registration_packets = dict(zip(
+                    reg_levels.tolist(), np.add.reduceat(hops, first).tolist()))
+            else:
+                level_of = np.repeat(reg_levels, np.diff([*first, hops.size]))
+                registration_packets = dict.fromkeys(reg_levels.tolist(), 0)
+                for level, hop_count in zip(level_of.tolist(), hops.tolist()):
+                    out = delivery.send(hop_count, level=level)
+                    retransmitted += out.retransmitted
+                    abandoned_regs += not out.delivered
+                    registration_packets[level] += out.packets
 
         report = HandoffReport(
             migration_packets=migration_packets,

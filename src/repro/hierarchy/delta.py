@@ -5,9 +5,10 @@ The paper's ALCA reorganizes *by events* — its seven event types
 changes, not over global rebuilds.  This module is the stepping-plane
 mirror of that model:
 
-* :class:`DeltaPlane` consumes each step's canonical edge array,
-  computes the level-0 :class:`~repro.radio.linkevents.LinkDiff`
-  implicitly (per-level encoded-key set diffs), and **patches** the
+* :class:`DeltaPlane` consumes each step's canonical edge array and
+  its level-0 :class:`~repro.radio.linkevents.LinkDiff` (the step's
+  own, when the caller has one; above level 0, one merge of the
+  level's edge keys), and **patches** the
   recursive ALCA election level by level with
   :class:`~repro.clustering.incremental.IncrementalElection` — which
   keeps only vote and support arrays and re-votes the endpoints of
@@ -44,6 +45,7 @@ from repro.hierarchy.levels import (
     check_link_model,
     recurse_levels,
 )
+from repro.radio.linkevents import sorted_key_diff
 from repro.radio.unit_disk import decode_edges, encode_edges
 
 __all__ = ["HierarchyDelta", "DeltaPlane", "LazyClusters", "compute_delta"]
@@ -322,12 +324,9 @@ class DeltaPlane:
                 keys = encode_edges(cur_edges, self._n)
                 if np.array_equal(st.keys, keys):
                     return st.snapshot
-                ups = decode_edges(
-                    np.setdiff1d(keys, st.keys, assume_unique=True), self._n
-                )
-                downs = decode_edges(
-                    np.setdiff1d(st.keys, keys, assume_unique=True), self._n
-                )
+                up, down = sorted_key_diff(st.keys, keys)
+                ups = cur_edges[up]
+                downs = decode_edges(st.keys[down], self._n)
             st.inc.apply(ups, downs, cur_edges)
             st.keys = keys
             st.snapshot = st.inc.snapshot()

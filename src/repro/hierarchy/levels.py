@@ -128,6 +128,12 @@ class ClusteredHierarchy:
             raise ValueError(f"level {k} outside 0..{self.num_levels}")
         return self._anc[k]
 
+    @property
+    def ancestries(self) -> tuple[np.ndarray, ...]:
+        """``(ancestry(0), ..., ancestry(L))`` in one call, for code that
+        works on every level at once."""
+        return tuple(self._anc)
+
     def address(self, v: int) -> tuple[int, ...]:
         """Hierarchical address (top-level cluster, ..., level-1 cluster, v).
 

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.sim.collectors.base import Collector
-from repro.sim.kernels import (
-    EMPTY_IDS,
-    EMPTY_KEYS,
-    count_drift,
-    diff_keys,
-    level_edge_keys,
-)
 from repro.sim.metrics import LevelSeries
 
 __all__ = ["LevelSeriesCollector"]
@@ -18,44 +13,33 @@ __all__ = ["LevelSeriesCollector"]
 class LevelSeriesCollector(Collector):
     """Accumulates the per-level series behind g'_k and staleness.
 
-    Per step: diffs each level's edge-key set against the previous step
-    (total link events plus the drift subset between persisting nodes),
-    records level sizes/edge counts, and counts per-node address
-    component changes against the previous hierarchy's ancestry.
+    Per step: reads each level's link events (and the drift subset
+    between persisting nodes) and each level's address changes off the
+    step's :class:`~repro.core.events.HierarchyDiff` (``snap.report.diff``,
+    the one hierarchy diff the handoff meter already made), and records
+    level sizes and edge counts.
     """
 
     name = "levels"
     phase = "diff"
 
-    def __init__(self, n: int):
-        self._n = n
+    def __init__(self):
         self.series = LevelSeries()
-        self._prev_level_edges: dict = {}
-
-    def on_start(self, snap) -> None:
-        """Freeze the baseline per-level edge keys as the first reference."""
-        self._prev_level_edges = level_edge_keys(snap.hierarchy, self._n)
 
     def on_step(self, snap) -> None:
-        """Diff level edges, record shapes, and count address changes."""
-        n = self._n
+        """Accumulate link events, shapes and address changes."""
+        diff = snap.report.diff
+        links = diff.link_changes.tolist()
+        drift = diff.drift_changes.tolist()
+        for k in range(1, len(links)):
+            self.series.add_link_events(k, links[k], drift[k])
         hierarchy = snap.hierarchy
-        cur_level_edges = level_edge_keys(hierarchy, n)
-        prev_level_edges = self._prev_level_edges
-        for k in set(cur_level_edges) | set(prev_level_edges):
-            before, nodes_before = prev_level_edges.get(k, (EMPTY_KEYS, EMPTY_IDS))
-            after, nodes_after = cur_level_edges.get(k, (EMPTY_KEYS, EMPTY_IDS))
-            changed = diff_keys(before, after)
-            drift = count_drift(changed, n, nodes_before, nodes_after)
-            self.series.add_link_events(k, int(changed.size), drift)
-        self._prev_level_edges = cur_level_edges
-
         for lvl in hierarchy.levels:
             self.series.record_level(lvl.k, lvl.n_nodes, lvl.n_edges)
-        prev_h = snap.prev_hierarchy
-        for k in range(1, min(prev_h.num_levels, hierarchy.num_levels) + 1):
-            changed = int((prev_h.ancestry(k) != hierarchy.ancestry(k)).sum())
-            self.series.add_address_changes(k, changed)
+        top = min(snap.prev_hierarchy.num_levels, hierarchy.num_levels)
+        moved = np.bincount(diff.mig_level, minlength=top + 1).tolist()
+        for k in range(1, top + 1):
+            self.series.add_address_changes(k, moved[k])
 
     def finalize(self, elapsed: float) -> dict:
         """Contribute ``level_series`` to the result."""

@@ -11,9 +11,10 @@ __all__ = ["LinkEventCollector"]
 class LinkEventCollector(Collector):
     """Meters level-0 link events (Eq. 4's f_0) and the mean degree.
 
-    Observes the baseline edge set too, so the first metered step diffs
-    against the pre-run topology — exactly the inline behavior it
-    replaces.
+    Accumulates the step's one level-0 diff
+    (:attr:`~repro.sim.snapshot.StepSnapshot.link_diff`, taken against
+    the previous step's topology — the baseline's for the first metered
+    step) instead of diffing the edge list again.
     """
 
     name = "links"
@@ -24,13 +25,9 @@ class LinkEventCollector(Collector):
         self._degree_sum = 0.0
         self._steps = 0
 
-    def on_start(self, snap) -> None:
-        """Record the baseline edge set (the first diff's reference)."""
-        self._tracker.observe(snap.edges)
-
     def on_step(self, snap) -> None:
-        """Diff this step's edges against the last and accumulate degree."""
-        self._tracker.observe(snap.edges)
+        """Count this step's link changes and accumulate degree."""
+        self._tracker.record(snap.link_diff)
         self._degree_sum += 2.0 * len(snap.edges) / snap.scenario.n
         self._steps += 1
 

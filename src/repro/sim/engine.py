@@ -35,6 +35,7 @@ from repro.graphs import CompactGraph
 from repro.hierarchy.delta import compute_delta
 from repro.hierarchy.stepper import hierarchy_stepper
 from repro.mobility import make_model
+from repro.radio.linkevents import link_diff
 from repro.radio.unit_disk import unit_disk_edges
 from repro.sim.checkpoint import SimCheckpoint
 from repro.sim.hops import BfsHops, EuclideanHops
@@ -197,7 +198,7 @@ class Simulator:
         out.append(StateCollector())
         if self.trace is not None:
             out.append(TraceCollector(self.trace))
-        out.append(LevelSeriesCollector(n=sc.n))
+        out.append(LevelSeriesCollector())
         out.append(HopSampleCollector(rngs["sampling"], self.hop_sample_every))
         if sc.service_enabled:
             # Open-loop service plane (repro.service): draws only from
@@ -230,9 +231,9 @@ class Simulator:
         partition-severed links removed).
 
         Returns ``(edges, diff)``: the Verlet cache's free one-step
-        :class:`~repro.radio.linkevents.LinkDiff` rides along so the
-        delta plane can skip re-deriving it — dropped (``None``) when
-        chaos filtering rewrites the edge set after the cache.
+        :class:`~repro.radio.linkevents.LinkDiff` rides along — dropped
+        (``None``) when there is none or chaos filtering rewrites the
+        edge set after the cache, and the step then merges its own.
         """
         diff = None
         if self._edge_cache is not None:
@@ -291,6 +292,10 @@ class Simulator:
         if mark is not None:
             mark("mobility")
         edges, diff = self._edges(positions)
+        if diff is None:
+            # The step's one level-0 diff: a key merge against the edges
+            # the previous hierarchy was built on.
+            diff = link_diff(self._prev_hierarchy.levels[0].edges, edges, sc.n)
         if mark is not None:
             mark("rebuild")
         hierarchy = self._stepper(edges, positions, diff)
@@ -317,7 +322,7 @@ class Simulator:
             prev_hierarchy=self._prev_hierarchy, report=report,
             hop_fn=hop_fn, scenario=sc, assignment=self._engine.assignment,
             down=None if self._chaos is None else self._chaos.down_mask(),
-            delta=delta,
+            delta=delta, link_diff=diff,
         )
         if mark is not None:
             mark("handoff")

@@ -68,6 +68,13 @@ class StepSnapshot:
         (``None`` when the run does not use the event-driven hierarchy
         plane, and on the baseline snapshot).  Collectors may use its
         dirty sets to scope their own diffs.
+    link_diff:
+        The step's level-0 :class:`~repro.radio.linkevents.LinkDiff`
+        from the previous step's ``edges`` to this one's (``None`` on the
+        baseline snapshot).  It is computed once per step — the Verlet
+        cache's by-product when it has one, else one key merge — and
+        the hierarchy stepper sees the same object.  The levels above
+        have their diff in ``report.diff``.
     """
 
     t: float
@@ -82,3 +89,4 @@ class StepSnapshot:
     assignment: Any
     down: np.ndarray | None = None
     delta: Any = None
+    link_diff: Any = None

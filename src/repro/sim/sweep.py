@@ -78,12 +78,16 @@ __all__ = [
     "print_progress",
 ]
 
-CODE_VERSION = "5"
+CODE_VERSION = "6"
 """Simulator-semantics version baked into every cache key (and every
 checkpoint).  Bump this whenever a change alters what
 :func:`repro.sim.engine.run_scenario` returns for a given scenario; old
 cache entries then miss cleanly and old checkpoints refuse to resume.
 
+Version 6: persistent-election runs report the right level series
+(``drift_link_events`` was 0 and ``link_events`` could collide, because
+level link keys were encoded in base n and minted cluster IDs exceed it);
+every other scenario returns what version 5 did.
 Version 5: the handoff engine iterates candidate keys in sorted order,
 which re-orders lossy-channel RNG draws (lossless series unchanged)."""
 

@@ -1,26 +1,50 @@
 """Per-event reference detector for :func:`repro.core.diff_hierarchies`.
 
 The production detector fills :class:`~repro.core.events.HierarchyDiff`'s
-parallel arrays one whole per-level chunk at a time.  This is the loop it
-replaced, kept verbatim as the oracle: one ``MigrationEvent`` /
-``ReorgEvent`` object per change, every promoted or demoted head scanning
-its level for electors, and dict-accumulating count helpers.
+parallel arrays for every level in one level-stacked pass.  This is the
+per-level loop it replaced, kept as the oracle: python sets of ``(u, v)``
+tuples for the link diffs, one ``MigrationEvent`` / ``ReorgEvent``
+object per change, every promoted or demoted head scanning its level for
+electors, and dict-accumulating count helpers.
 ``tests/core/test_events.py`` requires the object views to equal these
 lists *in order* and the count dicts to be equal including key order.
 """
 
 import numpy as np
 
-from repro.core.events import (
-    EventKind,
-    MigrationEvent,
-    ReorgEvent,
-    _EMPTY_EDGES,
-    _EMPTY_IDS,
-    _edge_diffs,
-    lowest_changed_levels,
-    pure_moves,
-)
+from repro.core.events import EventKind, MigrationEvent, ReorgEvent
+
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
+_EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
+
+
+def _edge_diffs(e0, e1):
+    """(e1 - e0, e0 - e1) as edge arrays in ascending (u, v) lex order."""
+    s0 = {tuple(e) for e in e0.tolist()}
+    s1 = {tuple(e) for e in e1.tolist()}
+    up = np.asarray(sorted(s1 - s0), dtype=np.int64).reshape(-1, 2)
+    down = np.asarray(sorted(s0 - s1), dtype=np.int64).reshape(-1, 2)
+    return up, down
+
+
+def lowest_changed_levels(h0, h1):
+    """Per base node: lowest level where its cluster chain differs
+    (0 = unchanged through the comparable levels)."""
+    lcl = np.zeros(h0.n, dtype=np.int64)
+    for k in range(min(h0.num_levels, h1.num_levels), 0, -1):
+        lcl[h0.ancestry(k) != h1.ancestry(k)] = k
+    return lcl
+
+
+def pure_moves(h0, h1, k, moved, origin):
+    """``MigrationEvent.pure`` for the base positions ``moved`` whose
+    level-``k`` cluster changed: the change originates at level 1 and
+    both clusters exist at level k in both snapshots."""
+    pure = origin[moved] == 1
+    v0, v1 = h0.levels[k].node_ids, h1.levels[k].node_ids
+    for cluster in (h0.ancestry(k)[moved], h1.ancestry(k)[moved]):
+        pure &= _isin_sorted(v0, cluster) & _isin_sorted(v1, cluster)
+    return pure
 
 
 def _isin_sorted(sorted_ids, values):
@@ -74,6 +98,25 @@ def _election_events(reorgs, kind_plain, kind_recursive, h_ref, k, heads,
                 other=other,
             )
         )
+
+
+def oracle_link_counts(h0, h1):
+    """``{k: (links changed, of which drift)}`` for k = 1 .. the deeper
+    L, from python sets: drift links join two nodes that are level-k
+    nodes in both snapshots."""
+    out = {}
+    for k in range(1, max(h0.num_levels, h1.num_levels) + 1):
+        edges, nodes = [], []
+        for h in (h0, h1):
+            lvl = h.levels[k] if k <= h.num_levels else None
+            edges.append(set() if lvl is None
+                         else {tuple(e) for e in lvl.edges.tolist()})
+            nodes.append(set() if lvl is None else set(lvl.node_ids.tolist()))
+        changed = edges[0] ^ edges[1]
+        keep = nodes[0] & nodes[1]
+        out[k] = (len(changed),
+                  sum(u in keep and v in keep for u, v in changed))
+    return out
 
 
 def oracle_diff(h0, h1):

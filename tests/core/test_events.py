@@ -1,5 +1,8 @@
 """Tests for handoff-trigger event detection (Sections 4, 5.2)."""
 
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.radio import radius_for_degree, unit_disk_edges
 
 from .events_oracle import (
     oracle_diff,
+    oracle_link_counts,
     oracle_migration_counts,
     oracle_reorg_counts,
 )
@@ -134,7 +138,8 @@ class TestEventCounts:
 
 def assert_equals_oracle(h0, h1):
     """Object views equal the oracle's lists in order; both count dicts
-    equal the oracle's including key insertion order."""
+    equal the oracle's including key insertion order; the per-level link
+    and drift counts equal a python-set recount."""
     d = diff_hierarchies(h0, h1)
     migrations, reorgs = oracle_diff(h0, h1)
     assert d.migrations == migrations
@@ -143,6 +148,12 @@ def assert_equals_oracle(h0, h1):
             == list(oracle_migration_counts(migrations).items()))
     assert (list(d.reorg_counts().items())
             == list(oracle_reorg_counts(reorgs).items()))
+    counts = oracle_link_counts(h0, h1)
+    assert d.link_changes.size == (len(counts) + 1 if counts else 0)
+    assert {k: (int(d.link_changes[k]), int(d.drift_changes[k]))
+            for k in counts} == counts
+    if counts:
+        assert d.link_changes[0] == d.drift_changes[0] == 0
     return d
 
 
@@ -161,9 +172,11 @@ def chaos_edges(rng, pts, step, down):
     return edges
 
 
-def snapshot_sequence(seed, n, steps, drift, level_mode, max_levels, plane):
+def snapshot_sequence(seed, n, steps, drift, level_mode, max_levels, plane,
+                      ids=None):
     """Hierarchies of a drifting, crashing, partitioning network, built
-    by the full rebuild or patched by the event-driven plane."""
+    by the full rebuild or patched by the event-driven plane.  ``ids``
+    (full rebuild only) renames node i to ``ids[i]``."""
     rng = np.random.default_rng(seed)
     pts = disc_for_density(n, DENSITY).sample(n, rng)
     radio = dict(positions=None, r0=None)
@@ -179,7 +192,8 @@ def snapshot_sequence(seed, n, steps, drift, level_mode, max_levels, plane):
         else:
             if level_mode == "radio":
                 radio = dict(positions=pts, r0=R_TX)
-            out.append(build_hierarchy(np.arange(n), edges,
+            names = np.arange(n) if ids is None else ids
+            out.append(build_hierarchy(names, names[edges],
                                        max_levels=max_levels,
                                        level_mode=level_mode, **radio))
         pts = pts + rng.normal(scale=drift, size=pts.shape)
@@ -232,6 +246,20 @@ class TestArraysEqualOracle:
             pts = pts + rng.normal(scale=0.9, size=pts.shape)
         assert int(prev.levels[1].node_ids.max()) >= 10**7
         assert events > 0
+
+    @pytest.mark.parametrize("level_mode", ["contraction", "radio"])
+    def test_base_ids_above_2_31(self, level_mode):
+        """Sparse base IDs past int32, uncapped so the depth changes too.
+        The renaming is monotone, so every election is the dense run's;
+        keys are built from compacted rows, never from the IDs."""
+        ids = 2**33 + 7 * np.arange(160, dtype=np.int64)
+        snaps = snapshot_sequence(3, n=160, steps=10, drift=0.8,
+                                  level_mode=level_mode, max_levels=None,
+                                  plane="full", ids=ids)
+        assert len({h.num_levels for h in snaps}) > 1
+        assert int(snaps[0].levels[1].node_ids.min()) > 2**31
+        for h0, h1 in zip(snaps, snaps[1:]):
+            assert_equals_oracle(h0, h1)
 
     def test_empty_diff(self):
         d = HierarchyDiff()
@@ -335,3 +363,45 @@ class TestElectorClassification:
         assert isinstance(ev, MigrationEvent)
         assert type(ev.node) is int and type(ev.pure) is bool
         assert all(type(r.subject) is int for r in d.reorgs)
+
+    def shallow(self):
+        # The level-1 links of before() are gone, so level 2 never forms.
+        return hand_built(
+            (self.BASE, [[1, 10], [2, 20], [3, 30]]),
+            ([10, 20, 30, 35, 40], []),
+        )
+
+    def test_a_level_on_one_side_only(self):
+        """Level 2 exists in one snapshot only: its nodes are demoted
+        (or promoted) and level 1 loses (or gains) all its links."""
+        for h0, h1 in ((self.before(), self.shallow()),
+                       (self.shallow(), self.before())):
+            d = assert_equals_oracle(h0, h1)
+            assert d.link_changes.tolist() == [0, 3, 0]
+            assert d.drift_changes.tolist() == [0, 3, 0]
+            assert sorted({r.level for r in d.reorgs}) == [1, 2]
+
+
+def profiled_calls(fn, *args) -> int:
+    """Python and C calls ``fn(*args)`` makes, as cProfile counts them."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    fn(*args)
+    profiler.disable()
+    return pstats.Stats(profiler).total_calls
+
+
+class TestStackedPass:
+    def test_call_count_does_not_grow_with_depth(self):
+        """Every level is diffed in one pass: a 5-level pair costs the
+        calls a 2-level pair at the same n does, up to a small constant
+        (the per-level loops it replaced made ~50 calls per level)."""
+        calls, depth = {}, {}
+        for max_levels in (2, None):
+            h0, h1 = snapshot_sequence(0, n=400, steps=2, drift=2.0,
+                                       level_mode="contraction",
+                                       max_levels=max_levels, plane="full")
+            depth[max_levels] = min(h0.num_levels, h1.num_levels)
+            calls[max_levels] = profiled_calls(diff_hierarchies, h0, h1)
+        assert depth[2] == 2 and depth[None] >= 5
+        assert abs(calls[None] - calls[2]) <= 5

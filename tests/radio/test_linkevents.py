@@ -5,7 +5,13 @@ import pytest
 
 from repro.geometry import disc_for_density
 from repro.mobility import RandomWaypoint
-from repro.radio import LinkTracker, radius_for_degree, unit_disk_edges
+from repro.radio import (
+    LinkTracker,
+    encode_edges,
+    radius_for_degree,
+    unit_disk_edges,
+)
+from repro.radio.linkevents import link_diff, sorted_key_diff
 
 
 def edges(pairs):
@@ -71,6 +77,57 @@ class TestLinkTracker:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             LinkTracker(n=0)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0]], [[2, 2]], [[2, 3], [0, 1]], [[0, 1], [0, 1]],
+    ], ids=["reversed", "self-loop", "unsorted", "repeated"])
+    def test_non_canonical_input_is_refused(self, rows):
+        """``np.isin`` used to diff such input without a word, and
+        wrongly (a repeated or reversed row is not one link)."""
+        t = LinkTracker(n=4)
+        with pytest.raises(ValueError, match="canonical"):
+            t.observe(np.array(rows))
+        t.observe(edges([(0, 1)]))
+        with pytest.raises(ValueError, match="canonical"):
+            t.observe(np.array(rows))
+
+
+def random_canonical(rng, n, m):
+    """A canonical edge array: unique (u < v) rows, ascending."""
+    e = np.sort(rng.integers(0, n, size=(m, 2)), axis=1)
+    e = e[e[:, 0] != e[:, 1]]
+    return np.unique(e, axis=0).astype(np.int64).reshape(-1, 2)
+
+
+class TestMergeKernel:
+    """The one merge every snapshot diff runs equals the two ``np.isin``
+    set differences it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("m0,m1", [(0, 0), (0, 30), (30, 0), (40, 40),
+                                       (200, 150)])
+    def test_equals_isin(self, seed, m0, m1):
+        rng = np.random.default_rng(seed)
+        n = 60
+        e0, e1 = random_canonical(rng, n, m0), random_canonical(rng, n, m1)
+        k0, k1 = encode_edges(e0, n), encode_edges(e1, n)
+        up, down = sorted_key_diff(k0, k1)
+        assert k1[up].tolist() == k1[~np.isin(k1, k0, assume_unique=True)].tolist()
+        assert k0[down].tolist() == k0[~np.isin(k0, k1, assume_unique=True)].tolist()
+        diff = link_diff(e0, e1, n)
+        assert diff.ups.tolist() == e1[up].tolist()
+        assert diff.downs.tolist() == e0[down].tolist()
+        tracker = LinkTracker(n)
+        tracker.observe(e0)
+        seen = tracker.observe(e1)
+        assert seen.ups.tolist() == diff.ups.tolist()
+        assert seen.downs.tolist() == diff.downs.tolist()
+
+    def test_level_tagged_keys_beyond_int32(self):
+        keys = np.array([3, 2**40, 2**50 + 1, 2**60], dtype=np.int64)
+        up, down = sorted_key_diff(keys[:3], keys[1:])
+        assert keys[1:][up].tolist() == [2**60]
+        assert keys[:3][down].tolist() == [3]
 
 
 class TestStationaryNetworkHasNoEvents:

@@ -2,9 +2,12 @@
 pure-Python implementations they replaced.
 
 The reference implementations here are verbatim ports of the seed
-engine's set-based level diff and deque-BFS giant-component sweep; the
-kernels must agree on random graphs, including the empty-edge and
-single-node corners.
+engine's set-based level diff and deque-BFS giant-component sweep.  The
+giant-component kernel must agree with its reference on random graphs,
+including the empty-edge and single-node corners; the per-level key
+diff (``tests/sim/levels_oracle.py``, the level-series oracle since the
+simulator reads those counts off the step's one hierarchy diff) must
+agree with python sets.
 """
 
 from collections import deque
@@ -15,12 +18,12 @@ import pytest
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.radio.unit_disk import encode_edges
-from repro.sim.kernels import (
-    EMPTY_IDS,
+from repro.sim.kernels import giant_fraction
+
+from .levels_oracle import (
     EMPTY_KEYS,
     count_drift,
     diff_keys,
-    giant_fraction,
     level_edge_keys,
 )
 

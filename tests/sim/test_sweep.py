@@ -252,14 +252,14 @@ class TestScenarioKey:
         payload re-shaped, ``CODE_VERSION`` bumped — means every cache
         written before it misses.  Re-pin only when that is intended."""
         assert scenario_key(Scenario()) == (
-            "a630607f3c3c47ab5dd7179421f1c6d6"
-            "8587da751e0e348fa47cb3bf68667ce8")
+            "3acde6c9008ca40bf4ba7de71fb06914"
+            "0f560906e0a598aafdc253d2c877ca48")
         busy = Scenario(
             n=np.int64(120), speed=(1.0, 3.0), seed=5,
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
         assert scenario_key(busy) == (
-            "90518c54987650df2fce4361add09af2"
-            "5bb2ae4c6cd2d3f123b236b2b480011a")
+            "79d3508ae5a1e0bf419ccc294269f7d9"
+            "5824e1a8b9c5a8b159698cffd099f37f")
 
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis
