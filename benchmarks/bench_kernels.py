@@ -352,13 +352,12 @@ def test_bench_giant_fraction(benchmark, deployment):
 
 
 QUERIES_BATCH = 1000
-QUERIES_SCALAR = 100
 
 
 @pytest.fixture(scope="module")
 def query_state(deployment):
     """Hierarchy + CHLM assignment + hop oracle + a query workload on
-    the module deployment — shared by the scalar/batch resolver pair."""
+    the module deployment."""
     from repro.analysis import levels_for
     from repro.sim.hops import EuclideanHops
 
@@ -375,25 +374,9 @@ def query_state(deployment):
     return h, a, hop, src, dst
 
 
-def test_bench_scalar_query(benchmark, query_state):
-    """Per-query baseline: QUERIES_SCALAR lookups through the scalar
-    resolver (the bit-exact oracle the batch engine is checked against)."""
-    from repro.core import resolve
-
-    h, a, hop, src, dst = query_state
-    s, d = src[:QUERIES_SCALAR].tolist(), dst[:QUERIES_SCALAR].tolist()
-
-    def scalar_queries():
-        return [resolve(h, a, x, y, hop) for x, y in zip(s, d)]
-
-    out = benchmark(scalar_queries)
-    assert len(out) == QUERIES_SCALAR
-
-
 def test_bench_batch_query(benchmark, query_state):
-    """QUERIES_BATCH lookups through the vectorized resolver.  The
-    budget gate (BATCH_QUERY_BUDGET) pins the per-query cost at <= 1/20
-    of the scalar path."""
+    """QUERIES_BATCH lookups through the vectorized resolver, gated on
+    its own committed mean."""
     from repro.core import BatchResolver
 
     h, a, hop, src, dst = query_state

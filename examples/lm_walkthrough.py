@@ -19,8 +19,7 @@ from repro.core import (
     LMDatabase,
     full_assignment,
     lm_levels,
-    resolve,
-    select_server,
+    resolve_batch,
 )
 from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
@@ -54,9 +53,10 @@ def main():
     print(f"level-1 cluster head: {h.cluster_of(focal, 1)} "
           "(no LM server needed: full topology known inside level-1)")
 
+    assignment = full_assignment(h)
     for level in range(2, lm_levels(h) + 1):
         tag = "virtual global" if level == h.num_levels + 1 else f"level-{level}"
-        srv = select_server(h, focal, level)
+        srv = assignment.server_of(focal, level)
         if level <= h.num_levels:
             cluster = h.cluster_of(focal, level)
             print(f"{tag} server: hash descends inside cluster {cluster} "
@@ -65,7 +65,6 @@ def main():
             print(f"{tag} server: hash over the top-level cluster set "
                   f"-> node {srv}")
 
-    assignment = full_assignment(h)
     db = LMDatabase(h, assignment)
     print(f"\nnode {focal} itself serves {len(db.table_of(focal))} entries; "
           f"network mean {db.entries_per_node().mean():.1f} "
@@ -73,7 +72,7 @@ def main():
 
     g = CompactGraph(np.arange(n), edges)
     router = FlatRouter(g)
-    q = resolve(h, assignment, 5, focal, router.hop_count)
+    q = resolve_batch(h, assignment, [5], [focal], router.hop_count).result(0)
     print(f"query 5 -> {focal}: hit at level {q.hit_level} after {q.probes} "
           f"probe(s), {q.packets} packets; resolved address {q.address}")
 

@@ -15,7 +15,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import full_assignment, resolve
+from repro.core import full_assignment, resolve_batch
 from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy, hierarchy_stats
@@ -66,7 +66,7 @@ def main():
     assignment = full_assignment(h)
     print(f"\nCHLM placed {len(assignment.servers)} (subject, level) entries; "
           f"node {v}'s servers: {assignment.servers_of(v)}")
-    q = resolve(h, assignment, s, v, flat_router.hop_count)
+    q = resolve_batch(h, assignment, [s], [v], flat_router.hop_count).result(0)
     print(f"query: node {s} resolves node {v} at shared level {q.hit_level} "
           f"for {q.packets} packets -> address {q.address}")
 

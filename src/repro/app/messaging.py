@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core import HandoffEngine, resolve
+from repro.core import HandoffEngine, resolve_batch
 from repro.graphs import CompactGraph
 from repro.hierarchy.delta import compute_delta
 from repro.hierarchy.levels import ClusteredHierarchy
@@ -58,7 +58,8 @@ class MessagingService:
     n, r_tx, max_levels:
         Population size, unit-disk radius, hierarchy depth cap.
     hash_fn:
-        CHLM hash forwarded to the handoff engine.
+        CHLM hash the handoff engine places servers with and sessions
+        resolve with.
     incremental_hierarchy:
         When True, the *control plane* goes event-driven: unit-disk
         edges come from a Verlet candidate cache, the ALCA hierarchy is
@@ -144,7 +145,8 @@ class MessagingService:
             raise RuntimeError("observe() at least twice before sending")
         if s == d:
             return SessionResult(s, d, True, True, 0, 0, False)
-        q = resolve(self._db_hierarchy, self._db_assignment, s, d, hop_fn)
+        q = resolve_batch(self._db_hierarchy, self._db_assignment, [s], [d],
+                          hop_fn, self._engine.hash_fn).result(0)
         if q.hit_level < 0 or q.address is None:
             return SessionResult(s, d, False, False, q.packets, 0, False)
         current = self._hierarchy.address(d)

@@ -1,7 +1,7 @@
 """CHLM — Clustered Hierarchy Location Management (the paper's core).
 
 Server selection by hashed descent (Section 3.2), the distributed LM
-database, location queries, and the handoff engine measuring the
+database, batched location queries, and the handoff engine measuring the
 Theta(log^2 |V|) overhead bound of Sections 4-5.
 """
 
@@ -11,6 +11,7 @@ from repro.core.batch_query import (
     BatchQueryResult,
     BatchResolver,
     BatchUpdatePlans,
+    QueryResult,
     resolve_batch,
 )
 from repro.core.database import LMDatabase, LocationRecord
@@ -22,20 +23,13 @@ from repro.core.events import (
     diff_hierarchies,
 )
 from repro.core.handoff import HandoffEngine, HandoffReport
-from repro.core.hashing import (
-    HASH_REGISTRY,
-    mix64,
-    naive_circular_choice,
-    rendezvous_choice,
-)
-from repro.core.query import QueryResult, resolve
+from repro.core.hashing import mix64
 from repro.core.servers import (
     ChainedAssignment,
     ServerAssignment,
     full_assignment,
     lm_levels,
     patch_assignment,
-    select_server,
 )
 
 __all__ = [
@@ -44,6 +38,7 @@ __all__ = [
     "BatchQueryResult",
     "BatchResolver",
     "BatchUpdatePlans",
+    "QueryResult",
     "resolve_batch",
     "LMDatabase",
     "LocationRecord",
@@ -54,16 +49,10 @@ __all__ = [
     "diff_hierarchies",
     "HandoffEngine",
     "HandoffReport",
-    "HASH_REGISTRY",
     "mix64",
-    "naive_circular_choice",
-    "rendezvous_choice",
-    "QueryResult",
-    "resolve",
     "ChainedAssignment",
     "ServerAssignment",
     "full_assignment",
     "patch_assignment",
     "lm_levels",
-    "select_server",
 ]

@@ -1,32 +1,42 @@
-"""Vectorized CHLM location-query resolution.
+"""CHLM location queries, resolved in batches.
 
-:func:`repro.core.query.resolve` climbs one query at a time through
-per-level hashed descents — fine for a few hundred queries per step,
-hopeless for the service front-end's "millions of requests" regime
-(ROADMAP).  The per-query work is pure table lookups: the descent is the
-same grouped rendezvous stage :func:`repro.core.servers.full_assignment`
-already vectorizes, the hit test is an equality against the assignment
-table, and the round-trip charge is a hop count.  This module batches
-all of it:
+A requester ``s`` resolving target ``d`` climbs its own cluster
+hierarchy: at each level k = 2, 3, ..., it computes — purely from the
+hash and the internal hierarchy of *its own* level-k cluster — the node
+that *would be* d's level-k server if d shared that cluster, and asks
+it.  The probe hits at the lowest level m where s and d actually share a
+cluster (the true server stores d's address); lower probes miss.  The
+cost is the sum of probe round trips up to the hit; the paper argues
+this is of the order of the s-d hop count and is absorbed into the
+communication session it precedes (Section 6).
+
+Every query of a batch climbs at once: the descent is the stage kernel
+:func:`repro.core.servers.full_assignment` runs (either hash), the hit
+test is an equality against the assignment table, and the round-trip
+charge is a batched hop count.
 
 * :class:`BatchResolver` reads the per-level server tables of a
   :class:`~repro.core.servers.ServerAssignment` (dense int64 columns
   indexed by base-node position, ``-1`` = no entry) and resolves whole
-  int64 ``src``/``dst`` arrays with dense-stage descents and
-  batched hop lookups.
-* :meth:`BatchResolver.resolve` is the lossless path: bit-identical to
-  the scalar oracle (same packets, hit levels, servers, probe counts),
-  with early exit per level as queries hit.
+  int64 ``src``/``dst`` arrays.
+* :meth:`BatchResolver.resolve` is the lossless path, with early exit
+  per level as queries hit.
 * :meth:`BatchResolver.plans` precomputes *probe plans* — per-level
-  candidate/round-trip/hit-eligibility tables — so lossy runs keep their
-  per-request :class:`~repro.faults.DeliveryEngine` draws (identical RNG
-  consumption order) while all hashing and hop counting happens in
-  batch.
+  candidate/round-trip/hit-eligibility tables — for lossy runs (EXP-A10):
+  each request walks its plan through its own
+  :class:`~repro.faults.DeliveryEngine`, an abandoned probe gets no reply
+  and the requester climbs to the next level.  Against the handoff
+  engine's *effective* assignment, probes that land on a server whose
+  entry transfer was abandoned miss naturally, so stale state degrades
+  queries without extra modeling.  Callers meter the expanding-ring
+  fallback for queries that fail outright (see
+  :func:`repro.faults.expanding_ring_cost`).
 
-The scalar ``resolve`` stays the reference oracle under the repo's
-bit-identical-equivalence pattern (tests/core/test_batch_query.py fuzzes
-the two against each other, including stale/patched assignments and
-missing-server entries).
+The per-query scalar climb is the reference oracle under the repo's
+bit-identical-equivalence pattern: ``tests/core/descent_oracle.py``,
+which ``tests/core/test_batch_query.py`` fuzzes this module against,
+including stale/patched assignments, missing-server entries and the
+lossy replay's RNG draw order.
 """
 
 from __future__ import annotations
@@ -35,18 +45,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.query import QueryResult
 from repro.core.servers import (
     ServerAssignment,
     _global_stage,
     _stage_salt,
-    _vectorized_rendezvous_stage,
+    hash_stage,
     lm_levels,
 )
 from repro.hierarchy.delta import LazyClusters
 from repro.hierarchy.levels import ClusteredHierarchy
 
 __all__ = [
+    "QueryResult",
     "BatchQueryResult",
     "BatchProbePlans",
     "BatchUpdatePlans",
@@ -75,12 +85,31 @@ def batch_hops(hop_fn, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class QueryResult:
+    """Outcome of one location query."""
+
+    requester: int
+    target: int
+    hit_level: int
+    """Lowest shared cluster level where the query resolved (0 when
+    requester == target, -1 on failure)."""
+    server: int | None
+    """The server that answered (None on failure or trivial query)."""
+    address: tuple[int, ...] | None
+    """The resolved hierarchical address of the target."""
+    packets: int
+    """Total probe packets spent (round trips to each probed server)."""
+    probes: int
+    """Number of servers contacted."""
+
+
+@dataclass(frozen=True)
 class BatchQueryResult:
     """Array-of-structs outcome of one resolved batch.
 
-    ``hit_level[i]`` follows the scalar convention (0 trivial, 1 shared
-    level-1 cluster, k >= 2 the probed hit level, -1 failure); ``server``
-    uses -1 where the scalar result has ``None``.
+    ``hit_level[i]`` follows :class:`QueryResult`'s convention (0
+    trivial, 1 shared level-1 cluster, k >= 2 the probed hit level, -1
+    failure); ``server`` uses -1 where :class:`QueryResult` has ``None``.
     """
 
     requesters: np.ndarray
@@ -100,7 +129,7 @@ class BatchQueryResult:
         return self.hit_level >= 0
 
     def result(self, i: int) -> QueryResult:
-        """The scalar :class:`QueryResult` view of query ``i``."""
+        """The :class:`QueryResult` view of query ``i``."""
         level = int(self.hit_level[i])
         srv = int(self.server[i])
         d = int(self.targets[i])
@@ -115,7 +144,7 @@ class BatchQueryResult:
         )
 
     def results(self) -> list[QueryResult]:
-        """All queries as scalar :class:`QueryResult` views, in order."""
+        """All queries as :class:`QueryResult` views, in order."""
         return [self.result(i) for i in range(len(self))]
 
 
@@ -125,12 +154,10 @@ class BatchProbePlans:
 
     Row ``i`` holds query i's full climb: for each LM level (column j,
     level ``levels[j]``) the hashed candidate server, the lossless
-    round-trip charge, whether the scalar path would probe at all
-    (``probed``; False only for hash functions that can abstain), and
-    whether a *delivered* probe terminates there (``hit_ok``: the two
-    nodes share the level and the candidate is the actual assignment
-    entry).  :meth:`walk` replays one request through a delivery engine
-    with exactly the scalar ``resolve``'s send sequence.
+    round-trip charge, and whether a *delivered* probe terminates there
+    (``hit_ok``: the two nodes share the level and the candidate is the
+    actual assignment entry).  :meth:`walk` replays one request through
+    a delivery engine, one send per level climbed.
     """
 
     requesters: np.ndarray
@@ -138,7 +165,6 @@ class BatchProbePlans:
     levels: np.ndarray
     candidate: np.ndarray
     round_trip: np.ndarray
-    probed: np.ndarray
     hit_ok: np.ndarray
     trivial: np.ndarray
     level1: np.ndarray
@@ -150,18 +176,14 @@ class BatchProbePlans:
         """Replay query ``i`` through ``delivery`` (None = lossless).
 
         Returns ``(packets, hit_level, server, probes)`` with server -1
-        for None — the exact fields of the scalar result, minus the
-        address (callers that need it use the hierarchy)."""
+        for None — the fields of :class:`QueryResult`, minus the address
+        (callers that need it use the hierarchy)."""
         if self.trivial[i]:
             return 0, 0, -1, 0
         if self.level1[i]:
             return 0, 1, -1, 0
         packets = 0
-        probes = 0
         for j in range(self.levels.size):
-            if not self.probed[i, j]:
-                continue
-            probes += 1
             rt = int(self.round_trip[i, j])
             if delivery is None:
                 packets += rt
@@ -171,8 +193,8 @@ class BatchProbePlans:
                 if not out.delivered:
                     continue
             if self.hit_ok[i, j]:
-                return packets, int(self.levels[j]), int(self.candidate[i, j]), probes
-        return packets, -1, -1, probes
+                return packets, int(self.levels[j]), int(self.candidate[i, j]), j + 1
+        return packets, -1, -1, self.levels.size
 
 
 @dataclass(frozen=True)
@@ -215,8 +237,8 @@ class BatchResolver:
     Construction cost is the per-level CSR cluster groupings (the
     server tables are the assignment's own columns, read in place);
     every subsequent :meth:`resolve`/:meth:`plans` call is array ops
-    only.  Non-rendezvous hash functions fall back to the scalar oracle
-    per query (same results, no speedup)."""
+    only, for either hash (``hash_fn`` names the one the assignment was
+    placed with)."""
 
     def __init__(
         self,
@@ -226,10 +248,8 @@ class BatchResolver:
         hash_fn="rendezvous",
     ):
         self._h = h
-        self._assignment = assignment
         self._hop_fn = hop_fn
-        self._hash_fn = hash_fn
-        self._vectorized = hash_fn == "rendezvous"
+        self._stage = hash_stage(hash_fn)
         self._top = lm_levels(h)
         self._base = h.levels[0].node_ids
         self._lazy = {
@@ -249,91 +269,73 @@ class BatchResolver:
         """Raw batched hop counts (see :func:`batch_hops`)."""
         return batch_hops(self._hop_fn, us, vs)
 
-    def _descend(self, dsub: np.ndarray, idx_s_sub: np.ndarray, level: int) -> np.ndarray:
-        """Candidate servers for a sub-batch at one LM level: d hashed
-        down s's cluster tree (the scalar ``_probe_server``), grouped."""
-        h = self._h
-        if level == h.num_levels + 1:
-            current = _global_stage(h, dsub, level)
-            start_depth = h.num_levels
-        else:
-            current = h.ancestry(level)[idx_s_sub]
-            start_depth = level
-        for depth in range(start_depth, 0, -1):
-            current = _vectorized_rendezvous_stage(
-                dsub, current, self._lazy[depth], _stage_salt(level, depth)
-            )
-        return current
-
-    # -- lossless resolution ----------------------------------------------------
-
-    def resolve(self, src, dst) -> BatchQueryResult:
-        """Resolve the whole batch losslessly; bit-identical to calling
-        the scalar oracle per pair with ``delivery=None``."""
+    def _queries(self, src, dst):
+        """The validated batch: ``(src, dst, idx_s, idx_d, trivial,
+        level1)`` — base-node positions of both ends, the self-queries,
+        and the other pairs sharing a level-1 cluster (complete topology
+        is known inside it: no LM messaging, Section 3.2)."""
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
         if src.shape != dst.shape or src.ndim != 1:
             raise ValueError("src/dst must be aligned 1-D arrays")
-        if not self._vectorized:
-            return self._resolve_scalar(src, dst)
         h = self._h
+        idx_s, idx_d = h._base_index(src), h._base_index(dst)
+        trivial = src == dst
+        level1 = np.zeros(src.size, dtype=bool)
+        if h.num_levels >= 1:
+            anc1 = h.ancestry(1)
+            level1 = ~trivial & (anc1[idx_s] == anc1[idx_d])
+        return src, dst, idx_s, idx_d, trivial, level1
+
+    def _probe(self, level, src, dst, idx_s, idx_d):
+        """Every query's probe at one LM level: ``(candidate, round_trip,
+        hit)``.  The candidate is d hashed down *s's* level-``level``
+        cluster — at the virtual global level every node shares the
+        whole network, so it is d's true server — and a delivered probe
+        hits when the two share the cluster and the candidate is the
+        assignment's entry."""
+        h = self._h
+        if level == h.num_levels + 1:
+            current = _global_stage(h, dst, level, self._stage)
+            shared = True
+            start_depth = h.num_levels
+        else:
+            anc = h.ancestry(level)
+            current = anc[idx_s]
+            shared = current == anc[idx_d]
+            start_depth = level
+        for depth in range(start_depth, 0, -1):
+            current = self._stage(
+                dst, current, self._lazy[depth], _stage_salt(level, depth))
+        round_trip = 2 * np.maximum(self.hops(src, current), 0)
+        hit = shared & (self._tables[level][idx_d] == current)
+        return current, round_trip, hit
+
+    # -- lossless resolution ----------------------------------------------------
+
+    def resolve(self, src, dst) -> BatchQueryResult:
+        """Resolve the whole batch losslessly."""
+        src, dst, idx_s, idx_d, trivial, level1 = self._queries(src, dst)
         q = src.size
         hit_level = np.full(q, -1, dtype=np.int64)
         server = np.full(q, -1, dtype=np.int64)
         packets = np.zeros(q, dtype=np.int64)
         probes = np.zeros(q, dtype=np.int64)
-        idx_s = h._base_index(src) if q else np.empty(0, dtype=np.int64)
-        idx_d = h._base_index(dst) if q else np.empty(0, dtype=np.int64)
-        trivial = src == dst
         hit_level[trivial] = 0
-        active = ~trivial
-        if h.num_levels >= 1:
-            anc1 = h.ancestry(1)
-            level1 = active & (anc1[idx_s] == anc1[idx_d])
-            hit_level[level1] = 1
-            active &= ~level1
+        hit_level[level1] = 1
+        active = ~trivial & ~level1
         for level in range(2, self._top + 1):
             sub = np.flatnonzero(active)
             if sub.size == 0:
                 break
-            dsub = dst[sub]
-            candidate = self._descend(dsub, idx_s[sub], level)
-            rt = 2 * np.maximum(self.hops(src[sub], candidate), 0)
-            packets[sub] += rt
+            candidate, round_trip, hit = self._probe(
+                level, src[sub], dst[sub], idx_s[sub], idx_d[sub])
+            packets[sub] += round_trip
             probes[sub] += 1
-            if level == h.num_levels + 1:
-                shared = np.ones(sub.size, dtype=bool)
-            else:
-                anc = h.ancestry(level)
-                shared = anc[idx_s[sub]] == anc[idx_d[sub]]
-            actual = self._tables[level][idx_d[sub]]
-            hit = shared & (actual == candidate)
             won = sub[hit]
             hit_level[won] = level
             server[won] = candidate[hit]
             active[won] = False
-        return BatchQueryResult(
-            requesters=src, targets=dst, hit_level=hit_level,
-            server=server, packets=packets, probes=probes, _h=h,
-        )
-
-    def _resolve_scalar(self, src: np.ndarray, dst: np.ndarray) -> BatchQueryResult:
-        from repro.core.query import resolve
-
-        q = src.size
-        hit_level = np.full(q, -1, dtype=np.int64)
-        server = np.full(q, -1, dtype=np.int64)
-        packets = np.zeros(q, dtype=np.int64)
-        probes = np.zeros(q, dtype=np.int64)
-        for i in range(q):
-            qr = resolve(
-                self._h, self._assignment, int(src[i]), int(dst[i]),
-                self._hop_fn, hash_fn=self._hash_fn,
-            )
-            hit_level[i] = qr.hit_level
-            server[i] = -1 if qr.server is None else qr.server
-            packets[i] = qr.packets
-            probes[i] = qr.probes
         return BatchQueryResult(
             requesters=src, targets=dst, hit_level=hit_level,
             server=server, packets=packets, probes=probes, _h=self._h,
@@ -345,71 +347,21 @@ class BatchResolver:
         """Precompute every query's full climb (no early exit — a lost
         probe climbs past its would-be hit level, so lossy replay needs
         all levels)."""
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        if src.shape != dst.shape or src.ndim != 1:
-            raise ValueError("src/dst must be aligned 1-D arrays")
-        h = self._h
+        src, dst, idx_s, idx_d, trivial, level1 = self._queries(src, dst)
         q = src.size
         levels = np.arange(2, self._top + 1, dtype=np.int64)
-        nlev = levels.size
-        candidate = np.full((q, nlev), -1, dtype=np.int64)
-        round_trip = np.zeros((q, nlev), dtype=np.int64)
-        probed = np.zeros((q, nlev), dtype=bool)
-        hit_ok = np.zeros((q, nlev), dtype=bool)
-        trivial = src == dst
-        idx_s = h._base_index(src) if q else np.empty(0, dtype=np.int64)
-        idx_d = h._base_index(dst) if q else np.empty(0, dtype=np.int64)
-        level1 = np.zeros(q, dtype=bool)
-        if h.num_levels >= 1:
-            anc1 = h.ancestry(1)
-            level1 = ~trivial & (anc1[idx_s] == anc1[idx_d])
-        climbing = ~trivial & ~level1
-        sub = np.flatnonzero(climbing)
-        if sub.size:
-            if self._vectorized:
-                dsub = dst[sub]
-                for j, level in enumerate(levels.tolist()):
-                    cand = self._descend(dsub, idx_s[sub], level)
-                    rt = 2 * np.maximum(self.hops(src[sub], cand), 0)
-                    candidate[sub, j] = cand
-                    round_trip[sub, j] = rt
-                    probed[sub, j] = True
-                    if level == h.num_levels + 1:
-                        shared = np.ones(sub.size, dtype=bool)
-                    else:
-                        anc = h.ancestry(level)
-                        shared = anc[idx_s[sub]] == anc[idx_d[sub]]
-                    actual = self._tables[level][idx_d[sub]]
-                    hit_ok[sub, j] = shared & (actual == cand)
-            else:
-                self._plans_scalar(
-                    src, dst, sub, levels, candidate, round_trip, probed, hit_ok
-                )
+        candidate = np.full((q, levels.size), -1, dtype=np.int64)
+        round_trip = np.zeros((q, levels.size), dtype=np.int64)
+        hit_ok = np.zeros((q, levels.size), dtype=bool)
+        sub = np.flatnonzero(~trivial & ~level1)
+        for j, level in enumerate(levels.tolist()):
+            candidate[sub, j], round_trip[sub, j], hit_ok[sub, j] = self._probe(
+                level, src[sub], dst[sub], idx_s[sub], idx_d[sub])
         return BatchProbePlans(
             requesters=src, targets=dst, levels=levels, candidate=candidate,
-            round_trip=round_trip, probed=probed, hit_ok=hit_ok,
+            round_trip=round_trip, hit_ok=hit_ok,
             trivial=trivial, level1=level1,
         )
-
-    def _plans_scalar(
-        self, src, dst, sub, levels, candidate, round_trip, probed, hit_ok
-    ) -> None:
-        from repro.core.query import _probe_server
-
-        h = self._h
-        for i in sub.tolist():
-            s, d = int(src[i]), int(dst[i])
-            for j, level in enumerate(levels.tolist()):
-                cand = _probe_server(h, s, d, level, self._hash_fn)
-                if cand is None:
-                    continue
-                probed[i, j] = True
-                candidate[i, j] = cand
-                round_trip[i, j] = 2 * max(self._hop_fn(s, cand), 0)
-                is_global = level == h.num_levels + 1
-                if is_global or h.cluster_of(s, level) == h.cluster_of(d, level):
-                    hit_ok[i, j] = self._assignment.server_of(d, level) == cand
 
     # -- update (re-registration) plans -----------------------------------------
 
@@ -421,7 +373,7 @@ class BatchResolver:
         q = targets.size
         hops = np.zeros((q, levels.size), dtype=np.int64)
         present = np.zeros((q, levels.size), dtype=bool)
-        idx = self._h._base_index(targets) if q else np.empty(0, dtype=np.int64)
+        idx = self._h._base_index(targets)
         for j, level in enumerate(levels.tolist()):
             srv = self._tables[level][idx]
             m = srv >= 0

@@ -128,12 +128,12 @@ class HandoffEngine:
     Parameters
     ----------
     hash_fn:
-        CHLM hash ("rendezvous" default, or "naive" / callable).
+        CHLM hash, "rendezvous" (default) or "naive".
 
     When the caller supplies a non-full
     :class:`~repro.hierarchy.delta.HierarchyDelta` to :meth:`observe`
     and the previous intent kept its descent chains (the rendezvous
-    hash does; any other hash takes the full path), the CHLM assignment
+    hash does; the naive hash takes the full path), the CHLM assignment
     is **patched** instead of recomputed — only descent stages whose
     input or consulted member list changed are re-hashed, and only the
     rows whose server moved (plus outstanding stale keys) enter the

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -34,22 +34,10 @@ from repro.hierarchy.levels import ClusteredHierarchy
 __all__ = [
     "ServerAssignment",
     "ChainedAssignment",
-    "select_server",
+    "hash_stage",
     "full_assignment",
     "patch_assignment",
 ]
-
-HashFn = Callable[[int, int, "np.ndarray"], int | None]
-
-
-def _resolve_hash(hash_fn) -> HashFn:
-    if callable(hash_fn):
-        return hash_fn
-    try:
-        return hashing.HASH_REGISTRY[hash_fn]
-    except KeyError:
-        known = ", ".join(sorted(hashing.HASH_REGISTRY))
-        raise ValueError(f"unknown hash {hash_fn!r}; known: {known}") from None
 
 
 def lm_levels(h: ClusteredHierarchy) -> int:
@@ -65,47 +53,6 @@ def lm_levels(h: ClusteredHierarchy) -> int:
     shares at least the global level, which is what makes queries total.
     """
     return h.num_levels + 1
-
-
-def select_server(
-    h: ClusteredHierarchy,
-    subject: int,
-    level: int,
-    hash_fn="rendezvous",
-) -> int | None:
-    """Level-``level`` LM server of ``subject`` under hierarchy ``h``.
-
-    ``level`` ranges over 2..``lm_levels(h)``; the topmost value is the
-    virtual global level (see :func:`lm_levels`).  Returns the chosen
-    level-0 node ID, or None when the level does not exist for this
-    hierarchy.
-
-    The stage salt mixes the target level and descent depth so the same
-    subject hashes independently at each stage.
-    """
-    if level < 2:
-        raise ValueError("CHLM places servers for levels >= 2 only")
-    if level > lm_levels(h):
-        return None
-    hfn = _resolve_hash(hash_fn)
-    if level == h.num_levels + 1:
-        members = h.levels[-1].node_ids
-        choice = hfn(subject, _stage_salt(level, level), members)
-        if choice is None:  # pragma: no cover - top never empty
-            return None
-        current = int(choice)
-        start_depth = h.num_levels
-    else:
-        current = h.cluster_of(subject, level)
-        start_depth = level
-    # Descend: current = the level-`depth` cluster chosen so far.
-    for depth in range(start_depth, 0, -1):
-        members = h.clusters(depth)[current]
-        choice = hfn(subject, _stage_salt(level, depth), members)
-        if choice is None:  # pragma: no cover - members never empty
-            return None
-        current = int(choice)
-    return current
 
 
 @dataclass(frozen=True)
@@ -199,9 +146,24 @@ def _stage_salts(levels, depth: int) -> np.ndarray:
 
 def _subject_keys(subjects, salt) -> np.ndarray:
     """Per-row hash keys of the (subject, stage salt) pairs: what every
-    candidate's ID key is mixed with (``rendezvous_choice``'s key)."""
+    candidate's ID key is mixed with (see :mod:`repro.core.hashing`)."""
     keys = np.asarray(subjects).astype(np.uint64) * hashing._GOLDEN
     return keys ^ hashing.mix64(np.asarray(salt, dtype=np.uint64))
+
+
+def _stage_rows(current: np.ndarray, partition):
+    """``(row, starts, members)``: the CSR row of each (flattened) cluster
+    in ``current`` and the partition's CSR arrays (see
+    :func:`_vectorized_rendezvous_stage` for the two partition forms)."""
+    if isinstance(partition, LazyClusters):
+        index, partition = partition.index(), partition.csr()
+    else:
+        index = IdIndex(partition[0])
+    _, starts, members = partition
+    row = index.rows(current.reshape(-1))
+    if row.min() < 0:
+        raise KeyError("descent entered a cluster the partition lacks")
+    return row, starts, members
 
 
 _BLOCK_PAIRS = 1 << 14
@@ -232,8 +194,7 @@ def _vectorized_rendezvous_stage(
     rows)``: column ``c`` of a row is its ``c``-th largest member.  One
     ``np.maximum.reduce`` over the columns gives each row's maximal
     weight, and the winner is the largest member position holding it —
-    :func:`~repro.core.hashing.rendezvous_choice`'s rule, ties to the
-    largest ID.  A row narrower than its
+    the rendezvous rule, ties to the largest ID.  A row narrower than its
     block repeats its smallest member in the spare columns, a copy that
     names the same position as the original; single-member clusters are
     not hashed at all.
@@ -242,14 +203,7 @@ def _vectorized_rendezvous_stage(
     out = np.empty(current.size, dtype=np.int64)
     if out.size == 0:
         return out.reshape(current.shape)
-    if isinstance(partition, LazyClusters):
-        index, partition = partition.index(), partition.csr()
-    else:
-        index = IdIndex(partition[0])
-    _, starts, members = partition
-    row = index.rows(current.reshape(-1))
-    if row.min() < 0:
-        raise KeyError("descent entered a cluster the partition lacks")
+    row, starts, members = _stage_rows(current, partition)
     # Rows in a stable order of (candidates - 1), a per-cluster value kept
     # in the narrowest unsigned type: numpy radix-sorts 8- and 16-bit keys.
     extra = np.diff(starts) - 1
@@ -294,12 +248,71 @@ def _vectorized_rendezvous_stage(
     return out.reshape(current.shape)
 
 
-def _global_stage(h: ClusteredHierarchy, subjects: np.ndarray, level: int) -> np.ndarray:
-    """The virtual global level's first stage: every subject picks among
-    all top-level nodes (a one-row CSR partition keyed 0)."""
+_CIRCULAR_BITS = 20
+"""The naive hash compares IDs modulo ``2**_CIRCULAR_BITS`` (Eq. (5)'s
+ID space)."""
+
+
+def _vectorized_circular_stage(
+    subjects: np.ndarray, current: np.ndarray, partition, salt=None
+) -> np.ndarray:
+    """One Eq. (5) descent stage for every row of ``current`` at once.
+
+    The naive hash, EXP-T7's negative control: a row's winner is the
+    member of its cluster that follows the subject in circular ID space,
+    the least ``(member - subject) mod 2**_CIRCULAR_BITS``, where a member
+    congruent to the subject counts as the whole modulus (last) and ties
+    go to the smallest ID.  So the subject serves itself only when every
+    member is congruent to it, as in a cluster holding only the subject.
+    ``salt`` is ignored: Eq. (5) has no per-stage salt, which is part of
+    why it skews.  Arguments and result as in
+    :func:`_vectorized_rendezvous_stage`.
+
+    Every cluster's members are sorted by residue under a cluster-major
+    key (stably, so equal residues keep ascending IDs); a row's winner
+    is the first key above its subject's residue in its cluster or,
+    past the cluster's end, the cluster's first key.
+    """
+    current = np.asarray(current, dtype=np.int64)
+    if current.size == 0:
+        return np.empty(current.shape, dtype=np.int64)
+    row, starts, members = _stage_rows(current, partition)
+    low = (1 << _CIRCULAR_BITS) - 1
+    cluster = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    keys = (cluster << _CIRCULAR_BITS) | (members & low)
+    order = np.argsort(keys, kind="stable")
+    residue = np.broadcast_to(np.asarray(subjects, dtype=np.int64) & low,
+                              current.shape).reshape(-1)
+    at = np.searchsorted(keys[order], (row << _CIRCULAR_BITS) | residue,
+                         side="right")
+    at = np.where(at < starts[row + 1], at, starts[row])
+    return members[order[at]].reshape(current.shape)
+
+
+_STAGES = {
+    "rendezvous": _vectorized_rendezvous_stage,
+    "naive": _vectorized_circular_stage,
+}
+
+
+def hash_stage(hash_fn: str):
+    """The descent stage kernel of the CHLM hash named ``hash_fn``:
+    ``"rendezvous"`` (the default everywhere) or ``"naive"`` (Eq. (5)).
+    Raises ValueError on any other name."""
+    try:
+        return _STAGES[hash_fn]
+    except KeyError:
+        known = ", ".join(sorted(_STAGES))
+        raise ValueError(f"unknown hash {hash_fn!r}; known: {known}") from None
+
+
+def _global_stage(h: ClusteredHierarchy, subjects: np.ndarray, level: int,
+                  stage) -> np.ndarray:
+    """The virtual global level's first ``stage``: every subject picks
+    among all top-level nodes (a one-row CSR partition keyed 0)."""
     top = h.levels[-1].node_ids
     one_row = (np.zeros(1, dtype=np.int64), np.array([0, top.size]), top)
-    return _vectorized_rendezvous_stage(
+    return stage(
         subjects, np.zeros(subjects.size, dtype=np.int64), one_row,
         _stage_salt(level, level),
     )
@@ -315,9 +328,8 @@ def _challenge_stage(
     cluster kept it; the cluster is position ``cell[i]`` of the CSR
     ``arrivals = (starts, members)`` listing what it gained.  The winner
     over the new members is then the (weight, ID)-largest of the holder
-    and those arrivals — the rule :func:`~repro.core.hashing.
-    rendezvous_choice` applies to the whole set.  Every row must have at
-    least one arrival.
+    and those arrivals — the rendezvous rule applied to the whole set.
+    Every row must have at least one arrival.
     """
     starts, members = arrivals
     mix64 = hashing.mix64
@@ -372,23 +384,15 @@ def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssign
     per-node share is Theta(log|V|) entries (Section 3.2's closing
     observation).
 
-    The default rendezvous hash runs a fully vectorized descent — one
+    The descent is vectorized for either hash (:func:`hash_stage`): one
     kernel call per depth, hashing that depth's stage of every level at
-    once — and returns a :class:`ChainedAssignment`: the chains are the
-    stage inputs the descent consumes anyway.  Other hashes fall back to
-    the scalar per-subject path.
+    once.  The rendezvous hash returns a :class:`ChainedAssignment` — the
+    chains are the stage inputs the descent consumes anyway — since only
+    its minimal disruption lets :func:`patch_assignment` reuse them.
     """
+    stage = hash_stage(hash_fn)
     subjects = h.levels[0].node_ids
     levels = range(2, lm_levels(h) + 1)
-    if hash_fn != "rendezvous":
-        tables = {lvl: np.full(subjects.size, -1, dtype=np.int64) for lvl in levels}
-        for i, subject in enumerate(subjects.tolist()):
-            for level, table in tables.items():
-                srv = select_server(h, subject, level, hash_fn)
-                if srv is not None:
-                    table[i] = srv
-        return ServerAssignment(subjects=subjects, tables=tables)
-
     num_levels = h.num_levels
     chains: dict[int, dict[int, np.ndarray]] = {level: {} for level in levels}
     # `current[level]` is each subject's cluster on its level-`level`
@@ -396,21 +400,23 @@ def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssign
     # so their stages run as one call.
     current: dict[int, np.ndarray] = {}
     if levels:
-        current[num_levels + 1] = _global_stage(h, subjects, num_levels + 1)
+        current[num_levels + 1] = _global_stage(h, subjects, num_levels + 1, stage)
     for depth in range(num_levels, 0, -1):
         if depth >= 2:
             current[depth] = h.ancestry(depth)
         active = sorted(current)
         for level in active:
             chains[level][depth] = current[level]
-        winners = _vectorized_rendezvous_stage(
+        winners = stage(
             subjects, np.stack([current[level] for level in active]),
             LazyClusters(h.levels[depth - 1].election),
             _stage_salts(active, depth)[:, None],
         )
         current.update(zip(active, winners))
     tables = {level: current[level] for level in levels}
-    return ChainedAssignment(subjects=subjects, tables=tables, chains=chains)
+    if hash_fn == "rendezvous":
+        return ChainedAssignment(subjects=subjects, tables=tables, chains=chains)
+    return ServerAssignment(subjects=subjects, tables=tables)
 
 
 def patch_assignment(
@@ -472,7 +478,7 @@ def patch_assignment(
         top = num_levels + 1
         moved[top] = None
         if delta.top_changed:
-            won = _global_stage(h, subjects, top)
+            won = _global_stage(h, subjects, top, _vectorized_rendezvous_stage)
             moved[top] = entered(
                 won, (won != prev.chains[top][num_levels]).nonzero()[0])
     for depth in range(num_levels, 0, -1):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import levels_for
-from repro.core import resolve
+from repro.core import resolve_batch
 from repro.experiments.common import ExperimentResult
 from repro.sim import Scenario, Simulator
 from repro.sim.collectors import Collector
@@ -67,17 +67,15 @@ class StalenessCollector(Collector):
         """Resolve stale, grade against current, then advance the lag."""
         h_prev, a_prev = self._prev
         h_now = snap.hierarchy
-        n = snap.scenario.n
-        for _ in range(self._per_step):
-            s, d = (int(x) for x in self._rng.integers(0, n, size=2))
-            if s == d:
-                continue
-            q = resolve(h_prev, a_prev, s, d, snap.hop_fn)
+        pairs = self._rng.integers(0, snap.scenario.n, size=(self._per_step, 2))
+        src, dst = pairs[pairs[:, 0] != pairs[:, 1]].T
+        out = resolve_batch(h_prev, a_prev, src, dst, snap.hop_fn)
+        for q in out.results():
             self.total += 1
-            if q.hit_level < 0 or q.address is None:
+            if q.hit_level < 0:
                 self.counts["unresolved"] += 1
                 continue
-            current = h_now.address(d)
+            current = h_now.address(q.target)
             if q.address == current:
                 self.counts["exact"] += 1
             elif q.address[-2] == current[-2]:  # level-1 component holds

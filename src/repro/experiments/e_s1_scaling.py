@@ -14,8 +14,7 @@ which is only tractable on the vectorized substrate:
   the delta plane;
 * a query throughput probe at the largest size replays the final
   topology and resolves a batch of lookups through
-  :class:`repro.core.BatchResolver`, comparing against the scalar
-  resolver on a subsample.
+  :class:`repro.core.BatchResolver`.
 
 Few metered steps (the default ``steps=3``) keep the wall clock in
 minutes; the handoff *rate* is a per-second quantity, so short runs
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis import levels_for, phi_total_prediction
-from repro.core import BatchResolver, full_assignment, resolve
+from repro.core import BatchResolver, full_assignment
 from repro.experiments.common import ExperimentResult
 from repro.hierarchy import build_hierarchy
 from repro.radio import unit_disk_edges
@@ -42,12 +41,8 @@ from repro.sim.hops import EuclideanHops
 
 __all__ = ["run"]
 
-#: Probe size for the batched end of the throughput comparison.
+#: Lookups in the query throughput probe.
 BATCH_PROBE_QUERIES = 10_000
-#: Scalar-resolver subsample (full 10^4 scalar queries would dominate
-#: the experiment's wall clock — the per-query mean is stable long
-#: before that).
-SCALAR_PROBE_QUERIES = 200
 
 
 def _batch_probe(res) -> dict:
@@ -55,8 +50,7 @@ def _batch_probe(res) -> dict:
 
     Rebuilds the topology from ``SimResult.final_positions`` (no
     re-simulation), then times ``BATCH_PROBE_QUERIES`` lookups through
-    the batch resolver against ``SCALAR_PROBE_QUERIES`` through the
-    scalar oracle.
+    the batch resolver.
     """
     sc = res.scenario
     pts = res.final_positions
@@ -76,23 +70,12 @@ def _batch_probe(res) -> dict:
     t0 = time.perf_counter()
     batch = resolver.resolve(src, dst)
     batch_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for s, d in zip(src[:SCALAR_PROBE_QUERIES].tolist(),
-                    dst[:SCALAR_PROBE_QUERIES].tolist()):
-        resolve(hier, assignment, s, d, hop)
-    scalar_s = time.perf_counter() - t0
-
-    per_scalar = scalar_s / SCALAR_PROBE_QUERIES
-    per_batch = batch_s / BATCH_PROBE_QUERIES
     return {
         "n": sc.n,
         "queries": BATCH_PROBE_QUERIES,
         "batch_seconds": batch_s,
         "batch_qps": BATCH_PROBE_QUERIES / batch_s,
-        "scalar_us_per_query": per_scalar * 1e6,
-        "batch_us_per_query": per_batch * 1e6,
-        "speedup": per_scalar / per_batch,
+        "batch_us_per_query": batch_s / BATCH_PROBE_QUERIES * 1e6,
         "hit_fraction": float(np.mean(batch.hit_level >= 0)),
     }
 
@@ -151,10 +134,8 @@ def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
     probe = _batch_probe(results[(len(ns) - 1) * per_n])
     result.add_note(
         f"batch query probe at n={probe['n']}: "
-        f"{probe['batch_qps']:,.0f} queries/s batched "
-        f"({probe['batch_us_per_query']:.1f} us/query vs "
-        f"{probe['scalar_us_per_query']:.0f} us scalar, "
-        f"{probe['speedup']:.0f}x), hit fraction "
+        f"{probe['batch_qps']:,.0f} queries/s "
+        f"({probe['batch_us_per_query']:.1f} us/query), hit fraction "
         f"{probe['hit_fraction']:.3f}."
     )
 

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.analysis import fit_power, levels_for
-from repro.core import full_assignment, resolve
+from repro.core import full_assignment, resolve_batch
 from repro.experiments.common import ExperimentResult
 from repro.hierarchy import build_hierarchy
 from repro.radio import unit_disk_edges
@@ -44,17 +44,13 @@ def _query_probe(res) -> tuple[list[float], list[float]]:
     )
     assignment = full_assignment(hier)
     hop = EuclideanHops(pts, sc.r_tx)
-    rng = np.random.default_rng(sc.seed + 1000)
-    q_costs, q_ratios = [], []
-    for _ in range(30):
-        s, d = (int(x) for x in rng.integers(0, sc.n, size=2))
-        if s == d:
-            continue
-        q = resolve(hier, assignment, s, d, hop)
-        if q.hit_level >= 0:
-            q_costs.append(q.packets)
-            session = max(hop(s, d), 1)
-            q_ratios.append(q.packets / session)
+    pairs = np.random.default_rng(sc.seed + 1000).integers(0, sc.n, size=(30, 2))
+    src, dst = pairs[pairs[:, 0] != pairs[:, 1]].T
+    out = resolve_batch(hier, assignment, src, dst, hop)
+    hit = out.hits
+    q_costs = out.packets[hit].tolist()
+    sessions = np.maximum(hop.batch(src[hit], dst[hit]), 1).tolist()
+    q_ratios = [p / s for p, s in zip(q_costs, sessions)]
     return q_costs, q_ratios
 
 

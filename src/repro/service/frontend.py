@@ -247,7 +247,8 @@ class ServiceFrontend:
         )
 
     def _resolve(self, req: Request, snap, loss, retry) -> tuple[int, str]:
-        """One request against the snapshot: (packets charged, outcome).
+        """One GLS request against the snapshot: (packets charged,
+        outcome).
 
         Outcomes: ``"update"``, ``"direct"``, ``"fallback"`` (rescued by
         the expanding-ring flood), ``"failed"`` (unreachable)."""
@@ -255,14 +256,7 @@ class ServiceFrontend:
         if req.kind == "update":
             return self._update_packets(req.target, snap, delivery), "update"
         s, d = req.source, req.target
-        if self.sc.service_scheme == "gls":
-            packets, hit = self._gls_lookup(s, d, snap, delivery)
-        else:
-            from repro.core.query import resolve
-
-            qr = resolve(snap.hierarchy, snap.assignment, s, d, snap.hop_fn,
-                         hash_fn=self.sc.hash_fn, delivery=delivery)
-            packets, hit = qr.packets, qr.hit_level >= 0
+        packets, hit = self._gls_lookup(s, d, snap, delivery)
         if hit:
             return packets, "direct"
         target_hops = snap.hop_fn(s, d)
@@ -275,24 +269,15 @@ class ServiceFrontend:
         return packets, "failed"
 
     def _update_packets(self, d: int, snap, delivery) -> int:
-        """Re-registration cost: one message from ``d`` to each of its
+        """GLS re-registration cost: one message from ``d`` to each of its
         current location servers (per level)."""
         packets = 0
-        if self.sc.service_scheme == "gls":
-            assignment = self._gls.assignment
-            entries = (assignment.servers_of(d).items()
-                       if assignment is not None else ())
-            for level, servers in entries:
-                for srv in servers:
-                    packets += self._send(d, srv, level, snap, delivery)
-            return packets
-        from repro.core.servers import lm_levels
-
-        for level in range(2, lm_levels(snap.hierarchy) + 1):
-            srv = snap.assignment.server_of(d, level)
-            if srv is None:
-                continue
-            packets += self._send(d, srv, level, snap, delivery)
+        assignment = self._gls.assignment
+        entries = (assignment.servers_of(d).items()
+                   if assignment is not None else ())
+        for level, servers in entries:
+            for srv in servers:
+                packets += self._send(d, srv, level, snap, delivery)
         return packets
 
     def _send(self, u: int, v: int, level: int, snap, delivery) -> int:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.servers import hash_stage
 from repro.geometry.region import DiscRegion, disc_for_density
 from repro.radio.connectivity import radius_for_degree
 
@@ -269,6 +270,7 @@ class Scenario:
             raise ValueError(
                 "election_mode must be memoryless, sticky, or persistent"
             )
+        hash_stage(self.hash_fn)  # an unknown name raises here, not mid-run
         if self.election_mode != "memoryless" and self.clustering != "lca":
             raise ValueError("stateful elections require lca clustering")
         if self.election_mode == "persistent" and self.level_mode != "radio":

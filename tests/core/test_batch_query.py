@@ -1,10 +1,10 @@
 """Batch query engine vs the scalar oracle — bit-identical, always.
 
-`repro.core.batch_query` re-implements CHLM resolution with array ops;
-these tests fuzz it against `repro.core.query.resolve` over randomized
-hierarchies, stale/patched assignments, missing-server entries, and the
-lossy per-request replay path.  Equality is exact (`QueryResult ==`),
-never approximate.
+`repro.core.batch_query` resolves CHLM queries with array ops; these
+tests fuzz it against the per-query climb in `descent_oracle.resolve`
+over randomized hierarchies, both hashes, stale/patched assignments,
+missing-server entries, and the lossy per-request replay path.  Equality
+is exact (`QueryResult ==`), never approximate.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.core import (
     ServerAssignment,
     full_assignment,
     lm_levels,
-    resolve,
     resolve_batch,
 )
 from repro.core.batch_query import batch_hops
@@ -24,6 +23,8 @@ from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy, compute_delta
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.sim.hops import BfsHops, EuclideanHops
+
+from .descent_oracle import resolve
 
 DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
@@ -135,14 +136,15 @@ class TestLosslessEquivalence:
                 h, chained, src, dst, EuclideanHops(pts, R_TX))
 
     def test_naive_hash_fallback(self):
-        """Non-rendezvous hashes take the scalar fallback — same API,
-        same results."""
+        """The naive hash climbs through the same vectorized probes (its
+        Eq. (5) stage) — same API, the scalar oracle's exact results."""
         h, pts, _ = deployment(80, 2)
         assignment = full_assignment(h, "naive")
         src, dst = random_pairs(80, 80, 3)
-        assert_batch_matches_scalar(
+        out = assert_batch_matches_scalar(
             h, assignment, src, dst, EuclideanHops(pts, R_TX),
             hash_fn="naive")
+        assert out.hits.all()
 
     def test_resolver_reuse_and_validation(self):
         h, pts, _ = deployment(60, 1)
@@ -156,16 +158,17 @@ class TestLosslessEquivalence:
             resolver.resolve(np.array([0]), np.array([999]))
 
 
+def lossy_delivery(seed):
+    from repro.faults import DeliveryEngine, LossModel, RetryPolicy
+
+    return DeliveryEngine(
+        loss=LossModel(rate=0.25),
+        retry=RetryPolicy(max_attempts=3),
+        rng=np.random.default_rng(seed),
+    )
+
+
 class TestLossyPlans:
-    def _delivery(self, seed):
-        from repro.faults import DeliveryEngine, LossModel, RetryPolicy
-
-        return DeliveryEngine(
-            loss=LossModel(rate=0.25),
-            retry=RetryPolicy(max_attempts=3),
-            rng=np.random.default_rng(seed),
-        )
-
     @pytest.mark.parametrize("seed", [0, 1])
     def test_walk_matches_scalar_per_request(self, seed):
         """Per-request engines (the service front-end pattern): walking
@@ -178,9 +181,9 @@ class TestLossyPlans:
         plans = BatchResolver(h, assignment, hop_fn).plans(src, dst)
         for i in range(len(plans)):
             packets, hit_level, server, probes = plans.walk(
-                i, self._delivery(seed * 1000 + i))
+                i, lossy_delivery(seed * 1000 + i))
             ref = resolve(h, assignment, int(src[i]), int(dst[i]), hop_fn,
-                          delivery=self._delivery(seed * 1000 + i))
+                          delivery=lossy_delivery(seed * 1000 + i))
             assert (packets, hit_level, probes) == (
                 ref.packets, ref.hit_level, ref.probes)
             assert server == (-1 if ref.server is None else ref.server)
@@ -193,8 +196,8 @@ class TestLossyPlans:
         assignment = full_assignment(h)
         hop_fn = EuclideanHops(pts, R_TX)
         src, dst = random_pairs(100, 120, 77)
-        shared_a = self._delivery(123)
-        shared_b = self._delivery(123)
+        shared_a = lossy_delivery(123)
+        shared_b = lossy_delivery(123)
         plans = BatchResolver(h, assignment, hop_fn).plans(src, dst)
         for i in range(len(plans)):
             packets, hit_level, _, probes = plans.walk(i, shared_a)
@@ -218,6 +221,57 @@ class TestLossyPlans:
             assert hit_level == out.hit_level[i]
             assert server == out.server[i]
             assert probes == out.probes[i]
+
+
+class TestNaiveHash:
+    """``resolve_batch`` and ``plans(...).walk`` under the naive hash vs
+    the scalar oracle: memoryless and persistent (cluster IDs >= 10^7,
+    past the 2^20 modulus) hierarchies, a capped top level, and a stale
+    assignment."""
+
+    @staticmethod
+    def _assert_matches_scalar(h, assignment, pts, seed):
+        hop_fn = EuclideanHops(pts, R_TX)
+        n = h.levels[0].node_ids.size
+        src, dst = random_pairs(n, 120, seed)
+        out = assert_batch_matches_scalar(h, assignment, src, dst, hop_fn,
+                                          hash_fn="naive")
+        plans = BatchResolver(h, assignment, hop_fn, "naive").plans(src, dst)
+        for i in range(len(plans)):
+            walked = plans.walk(i, lossy_delivery(seed + i))
+            ref = resolve(h, assignment, int(src[i]), int(dst[i]), hop_fn,
+                          hash_fn="naive",
+                          delivery=lossy_delivery(seed + i))
+            assert walked == (ref.packets, ref.hit_level,
+                              -1 if ref.server is None else ref.server,
+                              ref.probes)
+        return out
+
+    @pytest.mark.parametrize("seed,max_levels", [(0, None), (1, 3), (6, 2)])
+    def test_memoryless(self, seed, max_levels):
+        h, pts, _ = deployment(150, seed, max_levels=max_levels)
+        out = self._assert_matches_scalar(h, full_assignment(h, "naive"), pts, seed)
+        assert out.hits.all()
+
+    def test_persistent(self):
+        from repro.hierarchy.persistent import PersistentHierarchyMaintainer
+
+        rng = np.random.default_rng(8)
+        pts = disc_for_density(120, DENSITY).sample(120, rng)
+        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=R_TX)
+        for step in range(3):
+            h = maintainer.update(np.arange(120), unit_disk_edges(pts, R_TX),
+                                  positions=pts)
+            assert int(h.levels[1].node_ids.min()) >= 10**7
+            self._assert_matches_scalar(h, full_assignment(h, "naive"), pts, step)
+            pts = pts + rng.normal(scale=0.7, size=pts.shape)
+
+    def test_stale_assignment(self):
+        h_old, _, _ = deployment(120, 4)
+        stale = full_assignment(h_old, "naive")
+        h_new, pts, _ = deployment(120, 4, drift_steps=3)
+        out = self._assert_matches_scalar(h_new, stale, pts, 11)
+        assert not out.hits.all()
 
 
 class TestUpdatePlans:

@@ -1,12 +1,13 @@
-"""Tests for CHLM hash functions."""
+"""Tests for the CHLM mixer and the scalar hash oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import mix64, naive_circular_choice, rendezvous_choice
-from repro.core.hashing import HASH_REGISTRY
+from repro.core import mix64
+
+from .descent_oracle import HASH_REGISTRY, naive_circular_choice, rendezvous_choice
 
 
 class TestMix64:

@@ -1,14 +1,17 @@
-"""Tests for CHLM queries and the materialized LM database."""
+"""Tests for CHLM queries (the scalar oracle climb) and the materialized
+LM database."""
 
 import numpy as np
 import pytest
 
-from repro.core import LMDatabase, full_assignment, resolve
+from repro.core import LMDatabase, full_assignment
 from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.routing import FlatRouter
+
+from .descent_oracle import resolve
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import full_assignment, lm_levels, select_server
+from repro.core import ServerAssignment, full_assignment, lm_levels
 from repro.geometry import disc_for_density
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
+
+from .descent_oracle import naive_circular_choice, rendezvous_choice, select_server
 
 
 def make_hierarchy(n, seed=0, density=0.02, degree=9.0):
@@ -22,6 +24,17 @@ def h300():
     h = make_hierarchy(300, seed=1)
     assert h.num_levels >= 2
     return h
+
+
+def assert_naive_matches_oracle(h, assignment):
+    """Every (subject, level) entry of a naive assignment is the scalar
+    Eq. (5) descent's, and every level 2..``lm_levels(h)`` has a column."""
+    levels = range(2, lm_levels(h) + 1)
+    assert sorted(assignment.tables) == list(levels)
+    for subject in h.levels[0].node_ids.tolist():
+        for level in levels:
+            assert assignment.server_of(subject, level) == select_server(
+                h, subject, level, "naive"), (subject, level)
 
 
 class TestSelectServer:
@@ -54,8 +67,8 @@ class TestSelectServer:
         assert select_server(h300, 42, 2) == select_server(h300, 42, 2)
 
     def test_unknown_hash(self, h300):
-        with pytest.raises(ValueError):
-            select_server(h300, 0, 2, hash_fn="md5")
+        with pytest.raises(ValueError, match="unknown hash 'md5'; known: naive, rendezvous"):
+            full_assignment(h300, hash_fn="md5")
 
     def test_naive_hash_works(self, h300):
         srv = select_server(h300, 10, 2, hash_fn="naive")
@@ -112,7 +125,8 @@ class TestFullAssignment:
 
     def test_naive_assignment_runs(self, h300):
         a = full_assignment(h300, hash_fn="naive")
-        assert len(a.servers) == 300 * h300.num_levels
+        assert type(a) is ServerAssignment  # no chains: never patched
+        assert_naive_matches_oracle(h300, a)
 
 
 class TestLoadBalanceComparison:
@@ -542,7 +556,6 @@ class TestStagewisePatch:
         to the arrival exactly where the scalar oracle prefers it to the
         row's holder; across the three moves the arrival both beats a
         holder and loses to one."""
-        from repro.core.hashing import rendezvous_choice
         from repro.core.servers import _stage_salt
         from repro.hierarchy import compute_delta
 
@@ -699,7 +712,6 @@ class TestRendezvousKernel:
 
     @staticmethod
     def _assert_matches_oracle(subjects, current, partition, salt):
-        from repro.core.hashing import rendezvous_choice
         from repro.core.servers import _vectorized_rendezvous_stage
 
         out = _vectorized_rendezvous_stage(
@@ -804,7 +816,6 @@ class TestRendezvousKernel:
         self._assert_matches_oracle(empty, empty, {3: [1, 2]}, salt=1)
 
     def test_one_row_global_partition(self):
-        from repro.core.hashing import rendezvous_choice
         from repro.core.servers import _vectorized_rendezvous_stage
 
         top = np.array([4, 9, 17, 23, 51], dtype=np.int64)
@@ -936,3 +947,110 @@ class TestRendezvousKernel:
             subj, current, self._csr(partition), 3)
         assert out.tolist() == [int(partition[c].max()) for c in current.tolist()]
         self._assert_matches_oracle(subj, current, partition, salt=3)
+
+
+class TestCircularStage:
+    """The vectorized Eq. (5) stage — the naive hash's only descent — vs
+    the scalar ``naive_circular_choice`` and ``select_server`` oracles.
+    IDs are compared modulo 2^20, so persistent cluster IDs (>= 10^7)
+    collide there; ties go to the smallest ID and a member congruent to
+    the subject (the subject itself, say) comes last."""
+
+    @staticmethod
+    def _assert_matches_oracle(subjects, current, partition):
+        from repro.core.servers import _vectorized_circular_stage
+
+        out = _vectorized_circular_stage(
+            subjects, current, TestRendezvousKernel._csr(partition))
+        assert out.dtype == np.int64 and out.shape == current.shape
+        flat = np.broadcast_to(subjects, current.shape).reshape(-1)
+        for s, c, got in zip(flat.tolist(), current.reshape(-1).tolist(),
+                             out.reshape(-1).tolist()):
+            assert got == naive_circular_choice(s, 0, partition[c]), (s, c)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fuzz_matches_oracle(self, seed):
+        """IDs over many multiples of 2^20, half of them on a few residues:
+        residue ties between members, members congruent to their row's
+        subject, and singleton clusters, some holding only the subject."""
+        rng = np.random.default_rng(seed)
+        wrap = np.int64(1 << 20)
+
+        def ids(size):
+            residue = np.where(rng.random(size) < 0.5, rng.integers(0, 40, size=size),
+                               rng.integers(0, wrap, size=size))
+            return residue + wrap * rng.integers(0, 12, size=size)
+
+        partition, heads = {}, rng.choice(10**8, size=25, replace=False)
+        for c in heads.tolist():
+            partition[c] = np.unique(ids(int(rng.choice([1, 1, 2, 3, 8, 30]))))
+        current = rng.choice(heads, size=400).astype(np.int64)
+        subj = ids(400).astype(np.int64)
+        # Rows whose cluster holds only their subject.
+        alone = [c for c, m in partition.items() if m.size == 1][:3]
+        for i, c in enumerate(alone):
+            current[i], subj[i] = c, partition[c][0]
+        self._assert_matches_oracle(subj, current, partition)
+
+    def test_stacked_levels_and_empty_batch(self):
+        """A ``(levels, n)`` call returns what one call per row does, and
+        the salt (the rendezvous stage's) is ignored."""
+        from repro.core.servers import _vectorized_circular_stage
+
+        rng = np.random.default_rng(3)
+        partition = {7: np.array([3, 9, 1 << 20, (1 << 21) + 9]),
+                     11: np.array([5]), 12: np.array([0, 2, 4])}
+        heads = np.array(sorted(partition))
+        current = rng.choice(heads, size=(3, 50)).astype(np.int64)
+        subj = rng.integers(0, 1 << 22, size=50).astype(np.int64)
+        self._assert_matches_oracle(subj, current, partition)
+        csr = TestRendezvousKernel._csr(partition)
+        salts = np.array([1, 2, 3], dtype=np.uint64)[:, None]
+        assert np.array_equal(_vectorized_circular_stage(subj, current, csr, salts),
+                              _vectorized_circular_stage(subj, current, csr))
+        empty = np.empty(0, dtype=np.int64)
+        assert _vectorized_circular_stage(empty, empty, csr).size == 0
+        with pytest.raises(KeyError):
+            _vectorized_circular_stage(np.array([1]), np.array([8]), csr)
+
+    @pytest.mark.parametrize("seed,max_levels", [(0, None), (2, None), (4, 2)])
+    def test_memoryless_full_assignment(self, seed, max_levels):
+        """Base IDs and head-named cluster IDs below 2^20; ``max_levels=2``
+        caps the top level, so the global stage picks among many nodes."""
+        density = 0.02
+        r_tx = radius_for_degree(9.0, density)
+        pts = disc_for_density(150, density).sample(150, np.random.default_rng(seed))
+        h = build_hierarchy(np.arange(150), unit_disk_edges(pts, r_tx),
+                            max_levels=max_levels, level_mode="radio",
+                            positions=pts, r0=r_tx)
+        if max_levels:
+            assert h.levels[-1].node_ids.size > 5
+        assert_naive_matches_oracle(h, full_assignment(h, "naive"))
+
+    def test_persistent_full_assignment(self):
+        """Minted cluster IDs >= 10^7 exceed the 2^20 modulus."""
+        from repro.hierarchy.persistent import PersistentHierarchyMaintainer
+
+        density = 0.02
+        r_tx = radius_for_degree(9.0, density)
+        rng = np.random.default_rng(5)
+        pts = disc_for_density(120, density).sample(120, rng)
+        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=r_tx)
+        for _ in range(4):
+            h = maintainer.update(np.arange(120), unit_disk_edges(pts, r_tx),
+                                  positions=pts)
+            assert int(h.levels[1].node_ids.min()) >= 10**7
+            assert_naive_matches_oracle(h, full_assignment(h, "naive"))
+            pts = pts + rng.normal(scale=0.7, size=pts.shape)
+
+    def test_hand_made_clusters(self):
+        """Singleton clusters, a cluster holding only its subject, level-1
+        IDs congruent mod 2^20 to each other and to base nodes."""
+        wrap = 1 << 20
+        c1, c2, c3 = 10 * wrap + 3, 11 * wrap + 3, 12 * wrap + 5
+        h = cid_hierarchy([c1, c2, c2, c3, c3, c3, c1, c2],
+                          [30 * wrap, 30 * wrap, 31 * wrap + 3])
+        assert_naive_matches_oracle(h, full_assignment(h, "naive"))
+        alone = cid_hierarchy([wrap + 7, 2 * wrap, 2 * wrap],
+                              [5 * wrap, 6 * wrap])
+        assert_naive_matches_oracle(alone, full_assignment(alone, "naive"))

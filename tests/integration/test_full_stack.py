@@ -8,7 +8,7 @@ from repro.core import (
     LMDatabase,
     full_assignment,
     lm_levels,
-    resolve,
+    resolve_batch,
 )
 from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
@@ -53,7 +53,7 @@ class TestStaticPipeline:
             s, d = (int(x) for x in rng.integers(0, 250, size=2))
             if s == d or flat.hop_count(s, d) < 0:
                 continue
-            q = resolve(h, assignment, s, d, flat.hop_count)
+            q = resolve_batch(h, assignment, [s], [d], flat.hop_count).result(0)
             assert q.hit_level >= 1, (s, d)
             assert q.address == h.address(d)
             # The resolved address suffices to route: last element is d.

@@ -55,8 +55,8 @@ def make_requests(sc, count, seed=1, update_fraction=0.3):
 
 def oracle_resolve(sc, snap, req, delivery):
     """The pre-batch `_resolve`: scalar per-request resolution."""
-    from repro.core.query import resolve
     from repro.core.servers import lm_levels
+    from tests.core.descent_oracle import resolve
     from repro.faults import expanding_ring_cost
 
     if req.kind == "update":

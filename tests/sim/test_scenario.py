@@ -69,6 +69,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Scenario(**kwargs)
 
+    def test_unknown_hash_rejected_at_construction(self):
+        """The name is checked when the scenario is built, with the same
+        message the assignment raises, not at the run's first step."""
+        with pytest.raises(ValueError,
+                           match="unknown hash 'md5'; known: naive, rendezvous"):
+            Scenario(n=50, steps=2, hash_fn="md5")
+        assert Scenario(n=50, steps=2, hash_fn="naive").hash_fn == "naive"
+
     def test_loss_rate_message_is_actionable(self):
         with pytest.raises(ValueError, match=r"loss_rate.*\[0, 1\)"):
             Scenario(loss_rate=1.2)

@@ -13,12 +13,12 @@ DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
 
 
-def make_service(n=150, speed=1.0, seed=0, warm_steps=2):
+def make_service(n=150, speed=1.0, seed=0, warm_steps=2, hash_fn="rendezvous"):
     region = disc_for_density(n, DENSITY)
     rng = np.random.default_rng(seed)
     model = (Stationary(n, region, rng) if speed == 0
              else RandomWaypoint(n, region, speed, rng))
-    svc = MessagingService(n, R_TX, max_levels=3)
+    svc = MessagingService(n, R_TX, max_levels=3, hash_fn=hash_fn)
     for _ in range(warm_steps):
         model.step(1.0)
         pts = model.positions.copy()
@@ -73,6 +73,21 @@ class TestSessions:
             assert not r.stale_address
             checked += 1
         assert checked > 20
+
+    @pytest.mark.parametrize("hash_fn", ["rendezvous", "naive"])
+    def test_fresh_database_resolves_every_session(self, hash_fn):
+        """With zero mobility the lagged database equals the current one,
+        so every session resolves, at the global level at the latest —
+        provided queries probe with the hash the servers were placed
+        with: rendezvous probes against naive placements resolve only
+        the pairs sharing a level-1 cluster."""
+        svc, model, rng = make_service(speed=0, hash_fn=hash_fn)
+        hop = EuclideanHops(model.positions.copy(), R_TX)
+        pairs = rng.integers(0, 150, size=(200, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        results = [svc.send(int(s), int(d), hop) for s, d in pairs]
+        assert len(results) > 150
+        assert all(r.resolved and not r.stale_address for r in results)
 
     def test_mobile_network_mostly_delivers(self):
         svc, model, rng = make_service(speed=1.0, warm_steps=3)

@@ -59,7 +59,7 @@ class TestPaperMap:
 
         for symbol in ("recursion_quantities", "StateTracker"):
             assert hasattr(repro.clustering, symbol)
-        for symbol in ("rendezvous_choice", "lm_levels", "resolve"):
+        for symbol in ("full_assignment", "lm_levels", "resolve_batch"):
             assert hasattr(repro.core, symbol)
         assert hasattr(repro.radio, "gupta_kumar_radius")
         assert hasattr(repro.gls, "GridHierarchy")
