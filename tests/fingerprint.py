@@ -20,12 +20,23 @@ def _items(d):
     return tuple(sorted(d.items()))
 
 
+def _state_stats(stats):
+    """Per-level ALCA state statistics (p_j, occupancy, transition
+    counts) as nested sorted tuples."""
+    return tuple(
+        (j, _items(s.occupancy), _items(s.transition_histogram),
+         s.p_state1, s.p_state1_heads, s.adjacent_fraction,
+         s.critical_crossings, s.samples)
+        for j, s in sorted(stats.items())
+    )
+
+
 def fingerprint(res):
     """Every metered series of a ``SimResult`` as one hashable tuple.
 
     No tolerance anywhere: two fingerprints are equal iff every series,
-    every per-level breakdown and every (i)-(vii) event count is
-    bit-identical.
+    every per-level breakdown, every (i)-(vii) event count and every
+    level's ALCA state statistics are bit-identical.
     """
     lg = res.ledger
     ls = res.level_series
@@ -44,6 +55,7 @@ def fingerprint(res):
         lg.retransmitted_packets, lg.abandoned_entries,
         lg.recovered_entries, lg.recovery_time_total,
         tuple(lg.stale_series),
+        _state_stats(res.state_stats),
     )
 
 
