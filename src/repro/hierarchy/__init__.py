@@ -24,6 +24,7 @@ from repro.hierarchy.stats import (
     hierarchy_stats,
     level_hop_counts,
     mean_hop_count,
+    sample_hop_counts,
 )
 from repro.hierarchy.stepper import hierarchy_stepper
 
@@ -48,4 +49,5 @@ __all__ = [
     "hierarchy_stats",
     "level_hop_counts",
     "mean_hop_count",
+    "sample_hop_counts",
 ]

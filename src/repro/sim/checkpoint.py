@@ -26,10 +26,13 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 7
+CHECKPOINT_SCHEMA = 8
 """On-disk checkpoint layout version (bumped when fields change shape).
 
-Schema 7 stores the ``edge_cache``'s candidate list as a ``(2, m)``
+Schema 8 pickles the ALCA state collector as one level-stacked
+:class:`~repro.clustering.state.StateTracker` (count arrays and the last
+snapshot's level-tagged states) where schema 7 held one tracker per
+level; a schema-7 collector would not unpickle into it.  Schema 7 stores the ``edge_cache``'s candidate list as a ``(2, m)``
 array of two contiguous columns where schema 6 had ``(m, 2)`` pairs; a
 schema-6 list would be read as two wrong columns.  Schema 6 carries the run's one hierarchy ``stepper``
 (:func:`repro.hierarchy.stepper.hierarchy_stepper`) where schema 5 had

@@ -1,7 +1,9 @@
 """Hop-count and giant-component sampling as a collector.
 
-This is the costliest observation (BFS from several sources), so it runs
-on a cadence: every ``hop_sample_every``-th metered step (step 0 always
+This is the costliest observation (BFS from several sources: every one
+of a sample's sources is drawn first, then one
+:func:`~repro.graphs.hop_sums` call measures them all), so it runs on a
+cadence: every ``hop_sample_every``-th metered step (step 0 always
 samples).  It owns the dedicated "sampling" RNG stream — sampling more
 or less often never perturbs any other series.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs import CompactGraph
-from repro.hierarchy.stats import level_hop_counts, mean_hop_count
+from repro.hierarchy.stats import sample_hop_counts
 from repro.sim.collectors.base import Collector
 from repro.sim.kernels import giant_fraction
 
@@ -39,11 +41,12 @@ class HopSampleCollector(Collector):
             return
         n = snap.scenario.n
         g = CompactGraph(np.arange(n), snap.edges)
-        self._h_network.append(mean_hop_count(g, self._rng, n_sources=8))
-        for k, val in level_hop_counts(
-            snap.hierarchy, g, self._rng,
+        h_network, h_levels = sample_hop_counts(
+            g, self._rng, n_sources=8, h=snap.hierarchy,
             clusters_per_level=6, sources_per_cluster=2,
-        ).items():
+        )
+        self._h_network.append(h_network)
+        for k, val in h_levels.items():
             if val > 0:
                 self._h_levels.setdefault(k, []).append(val)
         self._giant_sum += giant_fraction(g)

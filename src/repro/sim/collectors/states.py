@@ -10,19 +10,19 @@ __all__ = ["StateCollector"]
 
 class StateCollector(Collector):
     """Tracks per-level ALCA state occupancies (the p_j estimates of
-    Eqs. 15-22), observing the baseline and every metered step."""
+    Eqs. 15-22), observing every level of the baseline and of each
+    metered step in one stacked pass."""
 
     name = "states"
     phase = "diff"
 
     def __init__(self):
-        self._trackers: dict[int, StateTracker] = {}
+        self._tracker = StateTracker()
 
     def _observe(self, hierarchy) -> None:
-        for lvl in hierarchy.levels:
-            if lvl.election is None:
-                continue
-            self._trackers.setdefault(lvl.k, StateTracker()).observe(lvl.election)
+        # Only the top level carries no election.
+        self._tracker.observe([lvl.election for lvl in hierarchy.levels
+                               if lvl.election is not None])
 
     def on_start(self, snap) -> None:
         """Observe the baseline election states."""
@@ -34,8 +34,5 @@ class StateCollector(Collector):
 
     def finalize(self, elapsed: float) -> dict:
         """Contribute ``state_stats`` (levels with samples only)."""
-        return {
-            "state_stats": {
-                j: t.stats() for j, t in self._trackers.items() if t.samples > 0
-            }
-        }
+        tracker = self._tracker
+        return {"state_stats": tracker.stats() if tracker.samples else {}}

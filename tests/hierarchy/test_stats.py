@@ -11,6 +11,7 @@ from repro.hierarchy import (
     hierarchy_stats,
     level_hop_counts,
     mean_hop_count,
+    sample_hop_counts,
 )
 from repro.radio import radius_for_degree, unit_disk_edges
 
@@ -109,52 +110,89 @@ class TestHopCounts:
         hks = level_hop_counts(h, g, rng)
         assert 0 < hks[1] < 3.0
 
-    @staticmethod
-    def _level_hop_counts_per_source(h, g0, rng, clusters_per_level=8,
-                                     sources_per_cluster=2):
-        """The one-BFS-per-source loop the batched sampler replaced."""
-        from repro.graphs import bfs_distances
+    # seed -> (n, degree, hierarchy kind, max_levels, side of SWEEP_NODES)
+    CASES = {
+        0: (300, 4.0, "memoryless", None, "sweep"),   # sparse, disconnected
+        1: (300, 9.0, "memoryless", None, "sweep"),
+        2: (300, 9.0, "memoryless", None, "sweep"),
+        # Deeper hierarchy whose scoped floods stop at very different
+        # radii per level.
+        3: (3_500, 9.0, "memoryless", None, "floods"),
+        4: (300, 9.0, "persistent", 3, "sweep"),
+        5: (3_500, 9.0, "persistent", 4, "floods"),
+        6: (300, 9.0, "memoryless", 2, "sweep"),      # capped: a wide top
+        7: (3_500, 9.0, "memoryless", 3, "floods"),
+    }
 
-        out = {}
-        base_ids = h.levels[0].node_ids
-        for k in range(1, h.num_levels + 1):
-            anc = h.ancestry(k)
-            heads = np.unique(anc)
-            chosen = (heads if heads.size <= clusters_per_level else
-                      rng.choice(heads, size=clusters_per_level, replace=False))
-            total, count = 0.0, 0
-            for head in chosen:
-                members = base_ids[anc == head]
-                if members.size < 2:
-                    continue
-                srcs = (members if members.size <= sources_per_cluster else
-                        rng.choice(members, size=sources_per_cluster,
-                                   replace=False))
-                for s in srcs:
-                    d = bfs_distances(g0, int(s))[np.searchsorted(base_ids, members)]
-                    total += float(d[d > 0].sum())
-                    count += int((d > 0).sum())
-            out[k] = total / count if count else 0.0
-        return out
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_batched_sampling_equals_per_source_loop(self, seed):
+    @pytest.mark.parametrize("seed", sorted(CASES))
+    def test_batched_sampling_equals_per_source_loop(self, seed, monkeypatch):
         """Same sources in the same RNG order, same means, same RNG
-        state afterwards — on a sparse (disconnected) deployment too,
-        and (seed 3) on a deeper hierarchy whose scoped floods stop at
-        very different radii per level."""
-        from repro.graphs import bfs_distances
+        state afterwards as the one-BFS-per-source oracle, on both sides
+        of the one-sweep rule, on persistent cluster IDs (>= 10^7) and on
+        capped hierarchies, through the public pair and the one call."""
+        import repro.graphs
+        from tests.hierarchy.hop_oracle import hop_counts_per_source
 
-        g, h = make(2000 if seed == 3 else 300, seed=seed,
-                    degree=9.0 if seed else 4.0)
+        n, degree, kind, max_levels, side = self.CASES[seed]
+        g, h = make(n, seed=seed, degree=degree)
+        if kind == "persistent" or max_levels:
+            h = _rebuilt(kind, g, max_levels, seed, degree)
+        if kind == "persistent":
+            assert int(h.levels[1].node_ids.min()) >= 10**7
+        sweeps = []
+        real = repro.graphs._bitset_bfs
+        monkeypatch.setattr(repro.graphs, "_bitset_bfs",
+                            lambda *a: sweeps.append(a) or real(*a))
+
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         assert level_hop_counts(h, g, rng_a) == \
-            self._level_hop_counts_per_source(h, g, rng_b)
-        got = mean_hop_count(g, rng_a, n_sources=8)
-        total, count = 0.0, 0
-        for s in rng_b.choice(g.node_ids, size=8, replace=False):
-            d = bfs_distances(g, int(s))
-            total += float(d[d > 0].sum())
-            count += int((d > 0).sum())
-        assert got == total / count
+            hop_counts_per_source(g, rng_b, n_sources=0, h=h)[1]
+        assert mean_hop_count(g, rng_a, n_sources=8) == \
+            hop_counts_per_source(g, rng_b, n_sources=8)[0]
+        got = sample_hop_counts(g, rng_a, n_sources=8, h=h,
+                                clusters_per_level=6, sources_per_cluster=2)
+        assert got == hop_counts_per_source(
+            g, rng_b, n_sources=8, h=h, clusters_per_level=6,
+            sources_per_cluster=2)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert got[0] > 1 and any(v > 0 for v in got[1].values())
+        assert len(sweeps) == (3 if side == "sweep" else 0)
+
+    @pytest.mark.parametrize("kind", ["memoryless", "sticky", "persistent",
+                                      "maxmin"])
+    def test_level_ids_are_the_ancestry_heads(self, kind):
+        """The sampler reads a level's clusters off its node IDs instead
+        of sorting n ancestors: the two must be the same array."""
+        g, _ = make(400, seed=7)
+        for step in range(3):
+            h = _rebuilt(kind, g, None, step, 9.0)
+            assert h.num_levels >= 2
+            for k in range(h.num_levels + 1):
+                assert np.array_equal(h.levels[k].node_ids,
+                                      np.unique(h.ancestry(k)))
+
+
+def _rebuilt(kind, g, max_levels, seed, degree, density=0.02):
+    """The hierarchy of ``make``'s deployment built by another elector:
+    two updates of a maintainer (a second election over a jittered
+    deployment, so sticky and persistent state is exercised) or max-min."""
+    from repro.hierarchy.maintain import HierarchyMaintainer
+    from repro.hierarchy.persistent import PersistentHierarchyMaintainer
+
+    n = g.n
+    r0 = radius_for_degree(degree, density)
+    rng = np.random.default_rng(seed)
+    pts = disc_for_density(n, density).sample(n, rng)
+    if kind == "memoryless":
+        return build_hierarchy(np.arange(n), unit_disk_edges(pts, r0),
+                               max_levels=max_levels)
+    if kind == "maxmin":
+        return build_hierarchy(np.arange(n), unit_disk_edges(pts, r0),
+                               max_levels=max_levels, algorithm="maxmin")
+    maintainer = (PersistentHierarchyMaintainer if kind == "persistent"
+                  else HierarchyMaintainer)(max_levels=max_levels, r0=r0)
+    for _ in range(2):
+        h = maintainer.update(np.arange(n), unit_disk_edges(pts, r0),
+                              positions=pts)
+        pts = pts + rng.normal(scale=0.5, size=pts.shape)
+    return h

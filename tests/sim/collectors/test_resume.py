@@ -146,11 +146,11 @@ class TestStaleCheckpointRejection:
     def _assert_schema_refused(self, tmp_path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 7
+        assert CHECKPOINT_SCHEMA == 8
         path = self._write_checkpoint(tmp_path, schema=schema)
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 7" in str(err.value)
+        assert f"checkpoint schema {schema} != 8" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -174,6 +174,11 @@ class TestStaleCheckpointRejection:
         pairs where schema 7 keeps two contiguous columns; refused the
         same way."""
         self._assert_schema_refused(tmp_path, 6)
+
+    def test_schema_7_checkpoint_refused(self, tmp_path):
+        """Schema 7 pickled one ALCA state tracker per level where schema
+        8 keeps one level-stacked tracker; refused the same way."""
+        self._assert_schema_refused(tmp_path, 7)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

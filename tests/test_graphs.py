@@ -10,6 +10,7 @@ import repro.graphs
 from repro.geometry import DiscRegion
 from repro.graphs import (
     SOURCE_BLOCK,
+    SWEEP_NODES,
     CompactGraph,
     IdIndex,
     bfs_distances,
@@ -509,19 +510,37 @@ class TestBitsetBFS:
             multi_source_bfs(g, list(range(80)) + [100])
 
     def test_few_sources_never_reach_the_dense_sweep(self, monkeypatch):
-        """Regime pin: hop sampling draws 8 sources per sample (16 by
-        default), at any n — a dense sweep at n = 1e5 would cost ~300
-        levels over 9e5 CSR entries.  Only a full machine word of
-        *distinct* sources is handed to the bit-parallel kernel."""
+        """Regime pin, large side: a hop sample at n above
+        ``SWEEP_NODES`` (8 whole rows plus 2 sources in each of 6
+        clusters per level) never enters the dense sweep, which would cost
+        ~300 levels over 9e5 CSR entries at n = 1e5.  Its whole rows take
+        one scipy BFS each and its targeted rows one scoped flood per
+        level, none holding more labels than one level draws.  Outside
+        sampling, only a full machine word of *distinct* sources is handed
+        to the bit-parallel kernel."""
+        from repro.analysis import levels_for
+        from repro.hierarchy import build_hierarchy, sample_hop_counts
+
         def boom(*args):
             raise AssertionError("dense sweep entered")
 
+        floods = []
+        real_flood = repro.graphs._scoped_flood
         monkeypatch.setattr(repro.graphs, "_bitset_bfs", boom)
+        monkeypatch.setattr(repro.graphs, "_scoped_flood",
+                            lambda g, s, t: floods.append(s.size)
+                            or real_flood(g, s, t))
         rng = np.random.default_rng(3)
-        n = 400
+        n = SWEEP_NODES + 200
         pts = rng.uniform(0, np.sqrt(n), size=(n, 2))
-        g = CompactGraph(np.arange(n), unit_disk_edges(pts, 1.8))
-        assert mean_hop_count(g, rng, n_sources=8) > 1
+        edges = unit_disk_edges(pts, 1.5)
+        g = CompactGraph(np.arange(n), edges)
+        h = build_hierarchy(np.arange(n), edges, max_levels=levels_for(n))
+        h_net, h_levels = sample_hop_counts(g, rng, n_sources=8, h=h,
+                                            clusters_per_level=6,
+                                            sources_per_cluster=2)
+        assert h_net > 1 and all(v > 0 for v in h_levels.values())
+        assert len(floods) == h.num_levels and max(floods) <= 12
         assert mean_hop_count(g, rng, n_sources=16) > 1
         assert multi_source_bfs(g, np.arange(63)).shape == (63, n)
         # 64 rows, 63 distinct sources: still not a word's worth.
@@ -530,6 +549,36 @@ class TestBitsetBFS:
             multi_source_bfs(g, np.arange(64))
         with pytest.raises(AssertionError, match="dense sweep"):
             mean_hop_count(g, rng, n_sources=64)
+
+    @pytest.mark.parametrize("n", [400, SWEEP_NODES])
+    def test_small_hop_sample_takes_one_sweep(self, n, monkeypatch):
+        """Regime pin, small side: up to ``SWEEP_NODES`` (one word of
+        sources) a whole hop sample is one bit-parallel sweep, and no
+        per-source scipy BFS or scoped flood runs."""
+        from repro.hierarchy import build_hierarchy, sample_hop_counts
+
+        def boom(*args):
+            raise AssertionError("per-source or scoped BFS entered")
+
+        sweeps = []
+        real = repro.graphs._bitset_bfs
+        monkeypatch.setattr(repro.graphs, "_bitset_bfs",
+                            lambda g, s, d: sweeps.append(s.size)
+                            or real(g, s, d))
+        monkeypatch.setattr(repro.graphs, "_bfs_depths", boom)
+        monkeypatch.setattr(repro.graphs, "_scoped_flood", boom)
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0, np.sqrt(n), size=(n, 2))
+        edges = unit_disk_edges(pts, 1.5)
+        g = CompactGraph(np.arange(n), edges)
+        h = build_hierarchy(np.arange(n), edges, max_levels=3)
+        h_net, h_levels = sample_hop_counts(g, rng, n_sources=8, h=h,
+                                            clusters_per_level=6,
+                                            sources_per_cluster=2)
+        assert h_net > 1 and all(v > 0 for v in h_levels.values())
+        assert len(sweeps) == 1 and 8 < sweeps[0] <= 64
+        assert mean_hop_count(g, rng, n_sources=8) > 1
+        assert len(sweeps) == 2
 
 
 @settings(max_examples=25, deadline=None)
