@@ -78,12 +78,16 @@ __all__ = [
     "print_progress",
 ]
 
-CODE_VERSION = "6"
+CODE_VERSION = "7"
 """Simulator-semantics version baked into every cache key (and every
 checkpoint).  Bump this whenever a change alters what
 :func:`repro.sim.engine.run_scenario` returns for a given scenario; old
 cache entries then miss cleanly and old checkpoints refuse to resume.
 
+Version 7: ``state_stats`` counts ALCA transitions between consecutive
+snapshots only; a level missing from one snapshot (the hierarchy's depth
+dipped for a step) used to be diffed against its election from two
+steps back when it returned.  Only runs with such a dip change.
 Version 6: persistent-election runs report the right level series
 (``drift_link_events`` was 0 and ``link_events`` could collide, because
 level link keys were encoded in base n and minted cluster IDs exceed it);

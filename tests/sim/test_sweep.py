@@ -252,14 +252,14 @@ class TestScenarioKey:
         payload re-shaped, ``CODE_VERSION`` bumped — means every cache
         written before it misses.  Re-pin only when that is intended."""
         assert scenario_key(Scenario()) == (
-            "3acde6c9008ca40bf4ba7de71fb06914"
-            "0f560906e0a598aafdc253d2c877ca48")
+            "27104b004eae12570d770f8087e37c2c"
+            "92fbc0212ccb2b4ec8858a9fedd9f4bc")
         busy = Scenario(
             n=np.int64(120), speed=(1.0, 3.0), seed=5,
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
         assert scenario_key(busy) == (
-            "79d3508ae5a1e0bf419ccc294269f7d9"
-            "5824e1a8b9c5a8b159698cffd099f37f")
+            "2272289e7cbc1ec40fef4927ed12d941"
+            "b7b0ba21e771ec3ce4f6c8a2c7b75a85")
 
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis
