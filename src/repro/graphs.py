@@ -4,7 +4,7 @@ Both the hierarchy statistics (h_k estimation) and the routing layer need
 many unweighted shortest-path queries per simulation step, on graphs from
 a few hundred to 10^5 nodes.  NetworkX is convenient but allocates
 heavily; :class:`CompactGraph` keeps the adjacency as two CSR arrays and
-serves distance queries five ways:
+serves distance queries four ways:
 
 * whole rows from a few sources: one scipy C-level BFS per source, its
   visit order and BFS-tree predecessors decoded into hop counts by
@@ -13,13 +13,12 @@ serves distance queries five ways:
 * whole rows from a machine word of sources or more: a bit-parallel
   level sweep, one bit per source (:func:`_bitset_bfs`, which the same
   two entry points pick by themselves);
-* rows of which the caller reads only a few columns (a source's own
-  cluster): a level-synchronous array flood that stops each source once
-  those columns are filled (:func:`multi_source_bfs` with ``targets``);
 * a whole hop sample (a few whole rows plus a few cluster-scoped rows
   per level, reduced to sums): :func:`hop_sums`, which below
   :data:`SWEEP_NODES` runs every source in one bit-parallel sweep and
-  above it takes the scipy rows and one scoped flood per level;
+  above it takes one scipy row per whole row and one
+  :func:`_scoped_flood` per level, stopped once the columns it reads
+  are filled; a whole row that spans the giant component records it;
 * masked traversals and explicit paths (intra-cluster routing): a plain
   deque BFS, which only ever runs on small restricted node sets.
 
@@ -44,7 +43,6 @@ __all__ = [
     "hop_rows",
     "hop_sums",
     "bfs_path",
-    "bfs_tree_path",
 ]
 
 
@@ -125,43 +123,46 @@ class CompactGraph:
     """Lazy :class:`IdIndex` over ``node_ids``.  Class-level default and
     never pickled, so a checkpointed graph keeps its layout."""
 
+    _giant = None
+    """Boolean mask of the largest component, recorded by :func:`hop_sums`
+    the first time a whole BFS row reaches more than half the nodes.
+    Class-level default and never pickled, like ``_index``."""
+
     def __init__(self, node_ids, edges):
         self.node_ids = sorted_unique_ids(node_ids)
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n = self.node_ids.size
-        if e.size:
-            ui = self._rows(e[:, 0])
-            vi = self._rows(e[:, 1])
-            if ui.min() < 0 or vi.min() < 0:
-                raise ValueError("edges reference ids not in node_ids")
-        else:
-            ui = vi = np.empty(0, dtype=np.int64)
-        # CSR neighbor lists: each undirected edge in both directions,
-        # grouped by source with the input order kept inside a group
-        # (a node's neighbor order is observable: BFS ties, next hops).
-        # That is the canonical CSR of a matrix whose column index is the
-        # entry's position, which scipy's COO -> CSR conversion builds by
-        # counting sort, O(m), where a stable argsort compares.
+        ui, vi = self._rows(e[:, 0]), self._rows(e[:, 1])
+        if e.size and (ui.min() < 0 or vi.min() < 0):
+            raise ValueError("edges reference ids not in node_ids")
+        # Canonical edges (u < v, strictly ascending keys: every unit-disk
+        # edge array and every subset of one) go in as they stand; others
+        # are flipped to u < v, self-loops dropped, repeats merged.
+        keys = ui * n + vi
+        if not (np.all(ui < vi) and np.all(keys[1:] > keys[:-1])):
+            lo, hi = np.minimum(ui, vi), np.maximum(ui, vi)
+            ui, vi = np.divmod(np.unique((lo * n + hi)[lo < hi]), n)
+        # CSR neighbor lists (neighbor order decides BFS ties and next
+        # hops): node x lists row x of the edges' upper triangle, then
+        # column x, scipy's CSR -> CSC conversion (a C counting sort).
         from scipy.sparse import csr_matrix
 
-        src = np.concatenate([ui, vi])
-        by_source = csr_matrix(
-            (np.concatenate([vi, ui]), (src, np.arange(src.size))),
-            shape=(n, src.size),
-        )
-        by_source.sort_indices()
-        self._nbr = by_source.data
-        self._offsets = by_source.indptr.astype(np.int64)
-        # Canonical edges (u < v, strictly ascending keys: every
-        # unit-disk edge array and every subset of one) cannot list a
-        # neighbor twice; anything else may, and sparse() merges repeats.
-        keys = ui * n + vi
-        self._simple = bool(np.all(ui < vi) and np.all(keys[1:] > keys[:-1]))
+        fwd = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ui, minlength=n), out=fwd[1:])
+        lower = csr_matrix((np.ones(ui.size, dtype=np.int8), vi, fwd),
+                           shape=(n, n)).tocsc()
+        bwd = lower.indptr.astype(np.int64)
+        at = np.arange(ui.size)
+        self._nbr = np.empty(2 * ui.size, dtype=np.int64)
+        self._nbr[at + np.repeat(bwd[:-1], np.diff(fwd))] = vi
+        self._nbr[at + np.repeat(fwd[1:], np.diff(bwd))] = lower.indices
+        self._offsets = fwd + bwd
         self._sparse = None  # lazy scipy CSR for C-level BFS
         self._components = None  # lazy per-node component labels
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_index"}
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_index", "_giant")}
 
     @property
     def n(self) -> int:
@@ -207,8 +208,8 @@ class CompactGraph:
         converts its input to — ``float64`` data, ``int32`` indices — so
         their validation passes it through instead of copying the data
         on every call (an ``int8`` view cost 10 ms per BFS at n = 1e5).
-        A graph built from repeated pairs or self-loops gets its repeated
-        entries merged: scipy's strong-components traversal never
+        Every neighbor is listed once (the constructor canonicalises),
+        which scipy's strong-components traversal needs: it never
         returns on a CSR that lists a neighbor twice.
         """
         if self._sparse is None:
@@ -220,8 +221,6 @@ class CompactGraph:
                  self._offsets.astype(np.int32)),
                 shape=(self.n, self.n),
             )
-            if not self._simple:
-                self._sparse.sum_duplicates()
         return self._sparse
 
     def components(self) -> np.ndarray:
@@ -237,28 +236,15 @@ class CompactGraph:
         return self._components
 
 
-def multi_source_bfs(g: CompactGraph, sources, targets=None) -> np.ndarray:
+def multi_source_bfs(g: CompactGraph, sources) -> np.ndarray:
     """Hop distances from every node ID in ``sources``: row ``i`` is the
     distance from ``sources[i]`` to every node, -1 if unreachable.
 
     One traversal for the whole batch — :func:`hop_rows` says which —
     so the graph is validated and converted once rather than once per
     source.
-
-    ``targets``: optional sequence aligned with ``sources``; entry ``i``
-    holds the node IDs whose columns of row ``i`` the caller will read.
-    Row ``i`` is then exact at those columns and may read -1 anywhere
-    else, because the batch is served by :func:`_scoped_flood`, which
-    stops each source as soon as its targets are filled.
     """
-    idx = g.index_of_many(sources)
-    if idx.size == 0:
-        return np.empty((0, g.n), dtype=np.int64)
-    if targets is not None:
-        if len(targets) != idx.size:
-            raise ValueError("targets must align with sources")
-        return _scoped_flood(g, idx, [g.index_of_many(t) for t in targets])
-    return hop_rows(g, idx, np.int64)
+    return hop_rows(g, g.index_of_many(sources), np.int64)
 
 
 SOURCE_BLOCK = 512
@@ -298,10 +284,9 @@ def hop_rows(g: CompactGraph, sources_idx: np.ndarray,
     Dijkstra at n = 1e5, decode included).  A full word or more run as
     :func:`_bitset_bfs`, whose sweep costs the same for 1 source as for
     64: it is ahead from 64 sources up at every n measured (to 5000) and
-    behind below that from n ~ 2000 — and far behind for the 8 whole
-    rows a hop sample draws at n = 1e5, which therefore never reach it
-    (:func:`hop_sums` decides for a whole sample).  Both are exact;
-    unreachable pairs read -1.
+    behind below that from n ~ 2000 (:func:`hop_sums` decides for a
+    whole hop sample on its own).  Both are exact; unreachable pairs
+    read -1.
     """
     dtype = hop_dtype(g.n) if dtype is None else np.dtype(dtype)
     if (sources_idx.size >= _WORD_BITS
@@ -325,27 +310,44 @@ def hop_sums(g: CompactGraph, sources_idx: np.ndarray, targets: list,
     source itself (0) and unreachable nodes (-1) are not counted.
 
     While ``n x words`` is at most :data:`SWEEP_NODES` one
-    :func:`_bitset_bfs` sweep returns every row at once.  Above it the
-    whole rows run through :func:`hop_rows` (one scipy BFS each for a
-    few sources) and each group's targeted rows through one
-    :func:`_scoped_flood`, so a flood never carries more labels than one
-    group holds.
+    :func:`_bitset_bfs` sweep returns every row at once.  Above it each
+    whole row is one scipy BFS, summed as it is decoded, and each
+    group's targeted rows run through one :func:`_scoped_flood`, so a
+    flood never carries more labels than one group holds.  The first
+    whole row to reach more than half the nodes has found the largest
+    component: its mask is recorded on ``g`` for the floods and
+    :func:`repro.sim.kernels.giant_fraction`, which then need no
+    component labels.
     """
     n_groups = int(groups.max()) + 1 if groups.size else 0
+    whole = np.array([t is None for t in targets], dtype=bool)
     if g.n * -(-sources_idx.size // _WORD_BITS) <= SWEEP_NODES:
         rows = _bitset_bfs(g, sources_idx, hop_dtype(g.n))
+        reach = rows[whole] >= 0
+        spans = np.flatnonzero(2 * np.count_nonzero(reach, axis=1) > g.n)
+        if spans.size:
+            g._giant = reach[spans[0]]
         return _row_sums(rows, targets, groups, n_groups)
-    whole = np.array([t is None for t in targets], dtype=bool)
-    totals, counts = _row_sums(hop_rows(g, sources_idx[whole]),
-                               [None] * int(whole.sum()), groups[whole],
-                               n_groups)
-    for group in np.unique(groups[~whole]):
-        block = np.flatnonzero(~whole & (groups == group))
-        block_targets = [targets[i] for i in block]
-        rows = _scoped_flood(g, sources_idx[block], block_targets)
-        t, c = _row_sums(rows, block_targets, groups[block], n_groups)
-        totals += t
-        counts += c
+    totals = np.zeros(n_groups, dtype=np.int64)
+    counts = np.zeros(n_groups, dtype=np.int64)
+    for i in np.flatnonzero(whole):
+        order, depth = _bfs_depths(g, int(sources_idx[i]))
+        totals[groups[i]] += depth.sum()
+        counts[groups[i]] += order.size - 1
+        if g._giant is None and 2 * order.size > g.n:
+            g._giant = np.zeros(g.n, dtype=bool)
+            g._giant[order] = True
+    scoped = np.flatnonzero(~whole)
+    if scoped.size:
+        labels = g.components() if g._giant is None else g._giant
+        for group in np.unique(groups[scoped]):
+            block = scoped[groups[scoped] == group]
+            block_targets = [targets[i] for i in block]
+            rows = _scoped_flood(g, sources_idx[block], block_targets,
+                                 labels)
+            t, c = _row_sums(rows, block_targets, groups[block], n_groups)
+            totals += t
+            counts += c
     return totals, counts
 
 
@@ -486,26 +488,28 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
 
 
 def _scoped_flood(g: CompactGraph, sources_idx: np.ndarray,
-                  targets_idx: list[np.ndarray]) -> np.ndarray:
+                  targets_idx: list[np.ndarray],
+                  labels: np.ndarray) -> np.ndarray:
     """Distance-only BFS from many sources at once, each stopped early.
 
     Every source is one *label*; all labels expand one BFS level per
     iteration over the CSR arrays (the frontier-gather technique of
     :func:`repro.routing.bfs_kernels.labeled_next_hop`, without next
-    hops).  A label leaves the frontier once every target in its source's
-    component has a distance; targets in other components can never be
-    reached and must not keep the flood alive until the component is
-    exhausted.  BFS discovers nodes in distance order, so every filled
-    cell is the exact distance.
+    hops).  A label leaves the frontier once every target it can reach
+    has a distance.  ``labels`` (per node, constant on every component:
+    component labels or the giant's mask) says which: a target labelled
+    unlike its source is never waited for, and one labelled alike but
+    unreachable keeps its label only until the source's own (small)
+    component is exhausted.  BFS discovers nodes in distance order, so
+    every filled cell is the exact distance.
     """
     n = g.n
     offsets, nbr = g._offsets, g._nbr
     n_labels = sources_idx.size
-    comp = g.components()
     dist = np.full(n_labels * n, -1, dtype=np.int64)
     needed = np.zeros(n_labels * n, dtype=bool)
     for j, t in enumerate(targets_idx):
-        needed[j * n + t[comp[t] == comp[sources_idx[j]]]] = True
+        needed[j * n + t[labels[t] == labels[sources_idx[j]]]] = True
     f_labels = np.arange(n_labels, dtype=np.int64)
     seeds = f_labels * n + sources_idx
     dist[seeds] = 0
@@ -595,21 +599,6 @@ def bfs_path(g: CompactGraph, source: int, target: int, restrict_idx=None) -> li
         return None
     path_idx = [t]
     while path_idx[-1] != s:
-        path_idx.append(int(parent[path_idx[-1]]))
-    path_idx.reverse()
-    return [int(g.node_ids[i]) for i in path_idx]
-
-
-def bfs_tree_path(parent: np.ndarray, g: CompactGraph, target: int) -> list[int] | None:
-    """Extract a path from a parent array produced by a prior full BFS.
-
-    ``parent`` uses -1 for the source and -2 for unreached nodes.
-    """
-    t = g.index_of(target)
-    if parent[t] == -2:
-        return None
-    path_idx = [t]
-    while parent[path_idx[-1]] != -1:
         path_idx.append(int(parent[path_idx[-1]]))
     path_idx.reverse()
     return [int(g.node_ids[i]) for i in path_idx]

@@ -3,7 +3,8 @@
 A bidirectional link exists between u and v iff their Euclidean distance
 is at most the transmission radius ``r_tx``.  Neighbor discovery is the
 single hottest operation of the simulator, so edges are computed with a
-``scipy.spatial.cKDTree`` (O(n log n)), put in canonical order by one
+``scipy.spatial.cKDTree`` (O(n log n); built unbalanced, which halves the
+build and leaves the pair set as it is), put in canonical order by one
 sort of their scalar keys (:func:`encode_edges`) and exposed as a raw
 ``(m, 2)`` int array; the NetworkX view is built lazily only where graph
 algorithms need it — and ``networkx`` itself is imported there, not at
@@ -36,7 +37,9 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
         raise ValueError("transmission radius must be positive")
     if pts.shape[0] < 2:
         return np.empty((0, 2), dtype=np.int64)
-    tree = cKDTree(pts)
+    # Sliding-midpoint splits, no node shrinking: the tree's shape never
+    # changes the pairs found, and the key sort below fixes their order.
+    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
     # query_pairs returns each pair once with i < j (its documented
     # contract, asserted in tests/radio/test_unit_disk.py), so the rows
     # need no sorting and the scalar keys order them lexicographically.

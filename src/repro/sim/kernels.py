@@ -12,9 +12,9 @@ to the data it reads:
 * the levels above, link and drift counts included, are diffed once per
   step, all levels at a time, by :func:`repro.core.events.
   diff_hierarchies` (``StepSnapshot.report.diff``);
-* the largest-component fraction (here) runs through
-  ``scipy.sparse.csgraph.connected_components`` on the
-  :class:`~repro.graphs.CompactGraph`'s cached CSR adjacency.
+* the largest-component fraction (here) is read off the hop sample's
+  own BFS rows, or else counted from the
+  :class:`~repro.graphs.CompactGraph`'s cached component labels.
 
 Each kernel is equivalence-tested against a pure-Python reference:
 ``tests/sim/test_kernels.py`` (this module, and the per-level set diff
@@ -32,8 +32,11 @@ __all__ = ["giant_fraction"]
 
 
 def giant_fraction(g: CompactGraph) -> float:
-    """Largest connected-component fraction, from the graph's cached
-    (scipy C-level) component labels."""
+    """Largest connected-component fraction: the giant a hop sample's
+    whole row spanned (:func:`repro.graphs.hop_sums` records it), else
+    from the graph's cached (scipy C-level) component labels."""
     if g.n == 0:
         return 0.0
+    if g._giant is not None:
+        return float(np.count_nonzero(g._giant)) / g.n
     return float(np.bincount(g.components()).max()) / g.n

@@ -53,13 +53,40 @@ def _brute_force_edges(pts, r):
     """O(n^2) oracle: every i < j within ``r``, in lexicographic order,
     on the float64 squared distances the k-d tree compares."""
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    out = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dx, dy = pts[i] - pts[j]
-            if dx * dx + dy * dy <= r * r:
-                out.append([i, j])
-    return np.array(out, dtype=np.int64).reshape(-1, 2)
+    i, j = np.triu_indices(len(pts), k=1)
+    dx, dy = (pts[i] - pts[j]).T
+    keep = dx * dx + dy * dy <= r * r
+    return np.stack([i[keep], j[keep]], axis=1).astype(np.int64)
+
+
+def _clustered(n, seed):
+    """A group-mobility snapshot: members packed around a few reference
+    points that have moved for a while."""
+    from repro.mobility.group import ReferencePointGroup
+
+    model = ReferencePointGroup(n, DiscRegion(60.0), 2.0,
+                                np.random.default_rng(seed), n_groups=4,
+                                group_radius=8.0)
+    for _ in range(5):
+        model.step(1.0)
+    return model.positions
+
+
+def _collinear(n, seed):
+    """Points on one slanted line, some of them repeated."""
+    t = np.random.default_rng(seed).uniform(0, 40, size=n).round(1)
+    return np.stack([t, 0.5 * t + 3.0], axis=1)
+
+
+def _axis_aligned(n, seed):
+    """Points on one horizontal line: a tree dimension of zero width."""
+    x = np.random.default_rng(seed).uniform(0, 40, size=n)
+    return np.stack([x, np.full(n, 7.25)], axis=1)
+
+
+def _coincident(n, seed):
+    """Every point in one place."""
+    return np.full((n, 2), 3.5)
 
 
 class TestBruteForceOracle:
@@ -99,6 +126,20 @@ class TestBruteForceOracle:
         e = unit_disk_edges(pts, 1.0)
         assert e.dtype == np.int64
         assert e.tolist() == ([[0, 1]] if n == 2 else [])
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    @pytest.mark.parametrize("points", [_clustered, _collinear,
+                                        _axis_aligned, _coincident])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_degenerate_layouts(self, points, scale, seed):
+        """The unbalanced tree's sliding-midpoint splits on dense
+        clusters, one line, one coordinate and one point, at the radio
+        radius and at the Verlet candidate radius 1.5 r_tx."""
+        pts = points(300, seed)
+        r = 2.5 * scale
+        e = unit_disk_edges(pts, r)
+        expected = _brute_force_edges(pts, r)
+        assert e.shape[0] > 0 and e.tobytes() == expected.tobytes()
 
     def test_query_pairs_returns_i_less_than_j(self):
         """The contract the key sort relies on instead of row-sorting

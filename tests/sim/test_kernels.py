@@ -15,8 +15,10 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.graphs import CompactGraph
+from repro.geometry import disc_for_density
+from repro.graphs import SWEEP_NODES, CompactGraph
 from repro.hierarchy import build_hierarchy
+from repro.radio import radius_for_degree, unit_disk_edges
 from repro.radio.unit_disk import encode_edges
 from repro.sim.kernels import giant_fraction
 
@@ -191,3 +193,45 @@ class TestGiantFraction:
         e = np.array([[0, 1], [1, 2], [3, 4]])
         g = CompactGraph(np.arange(5), e)
         assert giant_fraction(g) == pytest.approx(3 / 5)
+
+
+class TestGiantShortcut:
+    """Regime pins for the giant component read off a hop sample's own
+    whole rows: a sample plus ``giant_fraction`` label the components
+    (scipy ``connected_components``) only on a graph none of those rows
+    spanned, on both sides of the one-sweep rule, and return the
+    per-source oracle's means and the labelled giant either way."""
+
+    @pytest.mark.parametrize("n", [400, SWEEP_NODES + 200])
+    @pytest.mark.parametrize("degree,fragmented", [(9.0, False),
+                                                   (2.0, True)])
+    def test_components_run_only_without_a_spanning_row(
+            self, n, degree, fragmented, monkeypatch):
+        import scipy.sparse.csgraph
+
+        from repro.analysis import levels_for
+        from repro.hierarchy import sample_hop_counts
+        from tests.hierarchy.hop_oracle import hop_counts_per_source
+
+        pts = disc_for_density(n, 0.02).sample(n, np.random.default_rng(n))
+        edges = unit_disk_edges(pts, radius_for_degree(degree, 0.02))
+        h = build_hierarchy(np.arange(n), edges, max_levels=levels_for(n))
+        g = CompactGraph(np.arange(n), edges)
+        calls = []
+        real = scipy.sparse.csgraph.connected_components
+        monkeypatch.setattr(scipy.sparse.csgraph, "connected_components",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_hop_counts(g, rng_a, n_sources=8, h=h,
+                                clusters_per_level=6, sources_per_cluster=2)
+        frac = giant_fraction(g)
+        assert len(calls) == fragmented
+        monkeypatch.undo()
+
+        fresh = CompactGraph(np.arange(n), edges)
+        assert got == hop_counts_per_source(
+            fresh, rng_b, n_sources=8, h=h, clusters_per_level=6,
+            sources_per_cluster=2)
+        sizes = np.bincount(fresh.components())
+        assert type(frac) is float and frac == sizes.max() / n
+        assert (2 * sizes.max() <= n) == fragmented

@@ -101,38 +101,54 @@ class TestSortedUniqueIds:
         assert sorted_unique_ids(iter([4])).tolist() == [4]
 
 
-def _argsort_csr(node_ids, edges):
-    """The construction ``CompactGraph`` used before the counting sort,
-    kept as the oracle: both directions of every edge, stably sorted by
-    source row."""
+def _coo_csr(node_ids, edges):
+    """The COO-route construction ``CompactGraph`` used before it built
+    its CSR from canonical edges, kept as the layout oracle: both
+    directions of every edge, grouped by source with the input order
+    kept inside a group (the CSR of a matrix whose column index is the
+    entry's position)."""
+    from scipy.sparse import csr_matrix
+
     ids = np.unique(np.asarray(list(node_ids), dtype=np.int64))
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     ui, vi = np.searchsorted(ids, e[:, 0]), np.searchsorted(ids, e[:, 1])
-    src, dst = np.concatenate([ui, vi]), np.concatenate([vi, ui])
-    offsets = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=ids.size), out=offsets[1:])
-    return ids, dst[np.argsort(src, kind="stable")], offsets
+    src = np.concatenate([ui, vi])
+    by_source = csr_matrix(
+        (np.concatenate([vi, ui]), (src, np.arange(src.size))),
+        shape=(ids.size, src.size),
+    )
+    by_source.sort_indices()
+    return ids, by_source.data, by_source.indptr.astype(np.int64)
+
+
+def _canonical(edges):
+    """``edges`` as every ``src/`` caller passes them: each pair once as
+    ``u < v``, self-loops dropped, in ascending order."""
+    pairs = {(min(u, v), max(u, v)) for u, v in np.asarray(edges).tolist()
+             if u != v}
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
 
 class TestCsrLayoutOracle:
     """Neighbor order is observable (BFS tie-breaks, next hops): the
-    counting-sort build must reproduce the stable-argsort layout byte
-    for byte."""
+    one-transpose build must reproduce the COO route's layout byte for
+    byte on canonical edges, and canonicalise anything else first."""
 
     @staticmethod
     def _assert_same_layout(node_ids, edges):
-        g = CompactGraph(node_ids, edges)
-        ids, nbr, offsets = _argsort_csr(node_ids, edges)
-        for got, want in ((g.node_ids, ids), (g._nbr, nbr),
-                          (g._offsets, offsets)):
-            assert got.dtype == np.int64
-            assert got.tobytes() == want.tobytes()
+        canonical = _canonical(edges)
+        want = _coo_csr(node_ids, canonical)
+        for g in (CompactGraph(node_ids, edges),
+                  CompactGraph(node_ids, canonical)):
+            for got, ref in zip((g.node_ids, g._nbr, g._offsets), want):
+                assert got.dtype == np.int64
+                assert got.tobytes() == ref.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(1, 30))
     def test_random_graphs(self, data, n):
         """Gappy IDs in any order, isolated nodes, edges in any order and
-        orientation, parallel edges included."""
+        orientation, parallel edges and self-loops included."""
         ids = data.draw(st.lists(st.integers(0, 10_000), min_size=n,
                                  max_size=n, unique=True))
         pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
@@ -141,7 +157,9 @@ class TestCsrLayoutOracle:
 
     def test_canonical_unit_disk_edges(self):
         pts = DiscRegion(1.0).sample(300, np.random.default_rng(4))
-        self._assert_same_layout(np.arange(300), unit_disk_edges(pts, 0.15))
+        edges = unit_disk_edges(pts, 0.15)
+        assert np.array_equal(_canonical(edges), edges)
+        self._assert_same_layout(np.arange(300), edges)
 
     def test_isolated_nodes_at_both_ends(self):
         self._assert_same_layout([0, 5, 9, 12, 40], [[9, 5], [12, 9]])
@@ -239,14 +257,22 @@ class TestBFS:
         assert (bfs_distances(g, 0, restrict_idx=allowed) == -1).all()
 
 
+def _flood(g, sources, targets, labels=None):
+    """:func:`repro.graphs._scoped_flood` by node ID, on the component
+    labels unless ``labels`` is given."""
+    return repro.graphs._scoped_flood(
+        g, g.index_of_many(sources), [g.index_of_many(t) for t in targets],
+        g.components() if labels is None else labels)
+
+
 class TestScopedBFS:
-    """``multi_source_bfs(..., targets=)`` must equal the full rows on
-    every target column, whatever it leaves in the other columns."""
+    """``_scoped_flood`` must equal the full rows on every target column,
+    whatever it leaves in the other columns, on either kind of labels."""
 
     @staticmethod
-    def _assert_target_columns_equal(g, sources, targets):
+    def _assert_target_columns_equal(g, sources, targets, labels=None):
         full = multi_source_bfs(g, sources)
-        scoped = multi_source_bfs(g, sources, targets=targets)
+        scoped = _flood(g, sources, targets, labels)
         assert scoped.shape == full.shape and scoped.dtype == full.dtype
         for row_f, row_s, t in zip(full, scoped, targets):
             cols = g.index_of_many(t)
@@ -264,7 +290,8 @@ class TestScopedBFS:
         # so most target sets contain unreachable ids.
         pairs = ids[rng.integers(0, n, size=(int(n * rng.uniform(0.4, 1.5)), 2))]
         g = CompactGraph(ids, pairs[pairs[:, 0] != pairs[:, 1]])
-        assert np.unique(g.components()).size > 1
+        comp = g.components()
+        assert np.unique(comp).size > 1
         sources = rng.choice(ids, size=9, replace=True).tolist()
         sources[3] = sources[0]  # duplicate source, different targets
         targets = [
@@ -276,37 +303,38 @@ class TestScopedBFS:
         assert any((full[i][g.index_of_many(t)] < 0).any()
                    for i, t in enumerate(targets))
         assert (scoped >= 0).sum() <= (full >= 0).sum()
+        # The largest component's mask is constant on every component
+        # too: sources outside it run until their own is exhausted.
+        largest = comp == np.bincount(comp).argmax()
+        self._assert_target_columns_equal(g, sources, targets, largest)
 
     def test_flood_stops_at_the_last_target(self):
         g = CompactGraph(range(10), [[i, i + 1] for i in range(9)])
-        row = multi_source_bfs(g, [0], targets=[[1, 3]])[0]
+        row = _flood(g, [0], [[1, 3]])[0]
         assert row.tolist() == [0, 1, 2, 3, -1, -1, -1, -1, -1, -1]
 
     def test_unreachable_target_does_not_flood_the_component(self):
         edges = [[i, i + 1] for i in range(9)]  # path 0..9; node 10 isolated
         g = CompactGraph(range(11), edges)
-        row = multi_source_bfs(g, [0], targets=[[2, 10]])[0]
+        row = _flood(g, [0], [[2, 10]])[0]
         assert row.tolist() == [0, 1, 2] + [-1] * 8
-        row = multi_source_bfs(g, [0], targets=[[10]])[0]
+        row = _flood(g, [0], [[10]])[0]
         assert row.tolist() == [0] + [-1] * 10
+        # Labelled alike, an unreachable target only lets the flood run
+        # until the source's component is exhausted.
+        row = _flood(g, [0], [[2, 10]], np.zeros(11, dtype=bool))[0]
+        assert row.tolist() == list(range(10)) + [-1]
 
     def test_source_is_its_own_only_target(self):
         g = CompactGraph(range(4), [[0, 1], [1, 2], [2, 3]])
-        rows = multi_source_bfs(g, [2, 2], targets=[[2], [2, 2]])
+        rows = _flood(g, [2, 2], [[2], [2, 2]])
         assert rows.tolist() == [[-1, -1, 0, -1]] * 2
 
     def test_empty_inputs(self):
         g = CompactGraph(range(4), [[0, 1], [2, 3]])
-        assert multi_source_bfs(g, [], targets=[]).shape == (0, 4)
-        rows = multi_source_bfs(g, [0, 3], targets=[[], np.empty(0, int)])
+        assert _flood(g, [], []).shape == (0, 4)
+        rows = _flood(g, [0, 3], [[], np.empty(0, int)])
         assert rows.tolist() == [[0, -1, -1, -1], [-1, -1, -1, 0]]
-
-    def test_misaligned_or_unknown_targets_rejected(self):
-        g = CompactGraph(range(4), [[0, 1], [2, 3]])
-        with pytest.raises(ValueError):
-            multi_source_bfs(g, [0, 1], targets=[[1]])
-        with pytest.raises(KeyError):
-            multi_source_bfs(g, [0], targets=[[7]])
 
 
 def _sparse_random_graph(rng, n):
@@ -410,7 +438,6 @@ class TestSparseView:
     ])
     def test_repeated_entries_are_merged(self, edges, n_components):
         g = CompactGraph(range(5), edges)
-        assert not g._simple
         a = g.sparse()
         keys = np.repeat(np.arange(5), np.diff(a.indptr)) * 5 + a.indices
         assert np.unique(keys).size == keys.size
@@ -421,10 +448,15 @@ class TestSparseView:
         assert all(labels[u] == labels[v] for u, v in edges)
 
     def test_canonical_edges_are_simple(self):
+        """Canonical edges list every neighbor once, both ways, and the
+        scipy view keeps the entries as they are."""
         pts = DiscRegion(1.0).sample(200, np.random.default_rng(2))
-        g = CompactGraph(np.arange(200), unit_disk_edges(pts, 0.2))
-        assert g._simple
-        assert CompactGraph([1, 2], np.empty((0, 2)))._simple
+        edges = unit_disk_edges(pts, 0.2)
+        a = CompactGraph(np.arange(200), edges).sparse()
+        keys = np.repeat(np.arange(200), np.diff(a.indptr)) * 200 + a.indices
+        assert a.nnz == 2 * len(edges) == np.unique(keys).size
+        assert (a != a.T).nnz == 0
+        assert CompactGraph([1, 2], np.empty((0, 2))).sparse().nnz == 0
 
 
 class TestBitsetBFS:
@@ -514,10 +546,11 @@ class TestBitsetBFS:
         ``SWEEP_NODES`` (8 whole rows plus 2 sources in each of 6
         clusters per level) never enters the dense sweep, which would cost
         ~300 levels over 9e5 CSR entries at n = 1e5.  Its whole rows take
-        one scipy BFS each and its targeted rows one scoped flood per
-        level, none holding more labels than one level draws.  Outside
-        sampling, only a full machine word of *distinct* sources is handed
-        to the bit-parallel kernel."""
+        one scipy BFS each, however many there are, and its targeted rows
+        one scoped flood per level, none holding more labels than one
+        level draws, all on the giant mask the whole rows recorded.
+        Outside sampling, only a full machine word of *distinct* sources
+        is handed to the bit-parallel kernel."""
         from repro.analysis import levels_for
         from repro.hierarchy import build_hierarchy, sample_hop_counts
 
@@ -527,9 +560,10 @@ class TestBitsetBFS:
         floods = []
         real_flood = repro.graphs._scoped_flood
         monkeypatch.setattr(repro.graphs, "_bitset_bfs", boom)
-        monkeypatch.setattr(repro.graphs, "_scoped_flood",
-                            lambda g, s, t: floods.append(s.size)
-                            or real_flood(g, s, t))
+        monkeypatch.setattr(
+            repro.graphs, "_scoped_flood",
+            lambda g, s, t, labels: floods.append((s.size, labels))
+            or real_flood(g, s, t, labels))
         rng = np.random.default_rng(3)
         n = SWEEP_NODES + 200
         pts = rng.uniform(0, np.sqrt(n), size=(n, 2))
@@ -540,15 +574,16 @@ class TestBitsetBFS:
                                             clusters_per_level=6,
                                             sources_per_cluster=2)
         assert h_net > 1 and all(v > 0 for v in h_levels.values())
-        assert len(floods) == h.num_levels and max(floods) <= 12
+        assert len(floods) == h.num_levels
+        assert all(size <= 12 and labels is g._giant
+                   for size, labels in floods)
         assert mean_hop_count(g, rng, n_sources=16) > 1
         assert multi_source_bfs(g, np.arange(63)).shape == (63, n)
         # 64 rows, 63 distinct sources: still not a word's worth.
         assert multi_source_bfs(g, np.arange(64) % 63).shape == (64, n)
         with pytest.raises(AssertionError, match="dense sweep"):
             multi_source_bfs(g, np.arange(64))
-        with pytest.raises(AssertionError, match="dense sweep"):
-            mean_hop_count(g, rng, n_sources=64)
+        assert mean_hop_count(g, rng, n_sources=64) > 1
 
     @pytest.mark.parametrize("n", [400, SWEEP_NODES])
     def test_small_hop_sample_takes_one_sweep(self, n, monkeypatch):
@@ -604,7 +639,7 @@ def test_bfs_matches_networkx_property(seed, n):
     assert multi_source_bfs(g, []).shape == (0, n)
     # Scoped to any target set, the target columns are the same.
     t = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
-    assert np.array_equal(multi_source_bfs(g, [src], targets=[t])[0][t], ours[t])
+    assert np.array_equal(_flood(g, [src], [t])[0][t], ours[t])
     # Path length agrees with distance for a random reachable target.
     reach = [v for v in range(n) if v != src and ours[v] > 0]
     if reach:
