@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-all bench-e2e-smoke bench-history
+.PHONY: test bench bench-e2e-smoke bench-history
 
 test:  ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -11,9 +11,6 @@ bench:  ## kernel microbenchmarks -> BENCH_kernels.json (perf trajectory across 
 		--benchmark-json=BENCH_kernels.json
 	@$(PYTHON) -c "import json; d=json.load(open('BENCH_kernels.json')); \
 		print('\n'.join(f\"{b['name']}: {b['stats']['mean']*1e3:.3f} ms\" for b in d['benchmarks']))"
-
-bench-all:  ## every experiment benchmark (slow; regenerates all paper tables)
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-e2e-smoke:  ## smoke test of the end-to-end benchmark (BENCHMARK.json; quick sizes)
 	$(PYTHON) -m pytest benchmarks/e2e -q

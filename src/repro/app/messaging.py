@@ -65,9 +65,7 @@ class MessagingService:
         edges come from a Verlet candidate cache, the ALCA hierarchy is
         patched per level from link deltas
         (:class:`~repro.hierarchy.delta.DeltaPlane`), the handoff engine
-        re-hashes only dirty descent chains, and the fabric cache is fed
-        the same dirty-cluster sets instead of re-diffing ancestry.
-        Results are bit-identical either way.  Read here only: the flag
+        re-hashes only dirty descent chains.  Results are bit-identical either way.  Read here only: the flag
         picks the edge source and the hierarchy stepper, as in
         :class:`~repro.sim.engine.Simulator`.
 
@@ -128,12 +126,8 @@ class MessagingService:
         self._engine.observe(h, hop_fn, delta=delta)
         self._hierarchy = h
         self._graph = CompactGraph(np.arange(self.n), edges)
-        dirty = (
-            delta.dirty_sets() if delta is not None and not delta.full else None
-        )
         self._fabric = self._fabric_cache.update(
-            h, self._graph, self._tracker.observe(edges), dirty=dirty
-        )
+            h, self._graph, self._tracker.observe(edges))
 
     def send(self, s: int, d: int, hop_fn) -> SessionResult:
         """Attempt one session from ``s`` to ``d``.

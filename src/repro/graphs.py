@@ -8,19 +8,20 @@ serves distance queries four ways:
 
 * whole rows from a few sources: one scipy C-level BFS per source, its
   visit order and BFS-tree predecessors decoded into hop counts by
-  pointer jumping (:func:`multi_source_bfs`, :func:`hop_rows`,
+  pointer jumping (:func:`hop_rows`, :func:`bfs_distances`,
   :func:`_bfs_depths`);
 * whole rows from a machine word of sources or more: a bit-parallel
-  level sweep, one bit per source (:func:`_bitset_bfs`, which the same
-  two entry points pick by themselves);
+  level sweep, one bit per source (:func:`_bitset_bfs`, which
+  :func:`hop_rows` picks by itself);
 * a whole hop sample (a few whole rows plus a few cluster-scoped rows
   per level, reduced to sums): :func:`hop_sums`, which below
   :data:`SWEEP_NODES` runs every source in one bit-parallel sweep and
   above it takes one scipy row per whole row and one
   :func:`_scoped_flood` per level, stopped once the columns it reads
   are filled; a whole row that spans the giant component records it;
-* masked traversals and explicit paths (intra-cluster routing): a plain
-  deque BFS, which only ever runs on small restricted node sets.
+* explicit paths, masked or not (strict hierarchical routing): a plain
+  deque BFS, which stops at the target and masks to small cluster node
+  sets.
 
 :class:`IdIndex` is the ID -> row compaction itself, for the layers that
 map sorted level or cluster IDs to array rows without building a graph
@@ -39,7 +40,6 @@ __all__ = [
     "IdIndex",
     "CompactGraph",
     "bfs_distances",
-    "multi_source_bfs",
     "hop_rows",
     "hop_sums",
     "bfs_path",
@@ -236,17 +236,6 @@ class CompactGraph:
         return self._components
 
 
-def multi_source_bfs(g: CompactGraph, sources) -> np.ndarray:
-    """Hop distances from every node ID in ``sources``: row ``i`` is the
-    distance from ``sources[i]`` to every node, -1 if unreachable.
-
-    One traversal for the whole batch — :func:`hop_rows` says which —
-    so the graph is validated and converted once rather than once per
-    source.
-    """
-    return hop_rows(g, g.index_of_many(sources), np.int64)
-
-
 SOURCE_BLOCK = 512
 """Sources one bit-parallel sweep carries: eight ``uint64`` words per
 node, which bounds a sweep's temporaries at 512 bits per CSR entry and
@@ -275,8 +264,8 @@ def hop_dtype(n: int) -> np.dtype:
 
 def hop_rows(g: CompactGraph, sources_idx: np.ndarray,
              dtype=None) -> np.ndarray:
-    """:func:`multi_source_bfs` by node *index*: one full distance row
-    per entry of ``sources_idx``, as ``dtype`` (default
+    """One full distance row per node *index* in ``sources_idx`` (row
+    ``i`` from ``sources_idx[i]``), as ``dtype`` (default
     :func:`hop_dtype`, the compact form a hop matrix is stored in).
 
     Fewer distinct sources than bits in a machine word run as one scipy
@@ -545,32 +534,10 @@ def _scoped_flood(g: CompactGraph, sources_idx: np.ndarray,
     return dist.reshape(n_labels, n)
 
 
-def bfs_distances(g: CompactGraph, source: int, restrict_idx=None) -> np.ndarray:
-    """Hop distance from ``source`` (ID) to every node; -1 if unreachable.
-
-    ``restrict_idx``: optional boolean mask over node indices; traversal
-    only visits allowed nodes (used for intra-cluster routing).
-
-    Unrestricted queries run through scipy's C-level BFS
-    (:func:`hop_rows`); masked queries use the pure-Python traversal.
-    """
-    if restrict_idx is None:
-        return multi_source_bfs(g, [source])[0]
-    s = g.index_of(source)
-    dist = np.full(g.n, -1, dtype=np.int64)
-    if not restrict_idx[s]:
-        return dist
-    dist[s] = 0
-    q = deque([s])
-    offsets, nbr = g._offsets, g._nbr
-    while q:
-        u = q.popleft()
-        du = dist[u] + 1
-        for w in nbr[offsets[u] : offsets[u + 1]]:
-            if dist[w] < 0 and (restrict_idx is None or restrict_idx[w]):
-                dist[w] = du
-                q.append(w)
-    return dist
+def bfs_distances(g: CompactGraph, source: int) -> np.ndarray:
+    """Hop distance from ``source`` (ID) to every node as int64; -1 if
+    unreachable.  One scipy C-level BFS (:func:`hop_rows`)."""
+    return hop_rows(g, g.index_of_many([source]), np.int64)[0]
 
 
 def bfs_path(g: CompactGraph, source: int, target: int, restrict_idx=None) -> list[int] | None:

@@ -22,10 +22,8 @@ mirror of that model:
   :class:`HierarchyDelta`: per-level changed-ancestry masks, the
   *dirty cells* whose member lists changed (exactly the clusters a CHLM
   hash descent could consult differently) with the members each one
-  gained, and the dirty-cluster sets the routing cache
-  (:class:`~repro.routing.fabric_cache.FabricCache`) shares.  The
-  handoff engine uses it to re-hash only dirty keys and diff only dirty
-  clusters.
+  gained.  The handoff engine uses it to re-hash only dirty keys and
+  diff only dirty clusters.
 
 The delta plane never touches an RNG stream and is carried inside
 simulator checkpoints, so incremental runs resume bit-identically.
@@ -154,21 +152,6 @@ class HierarchyDelta:
         for mask in self.level_changed[1:]:
             total = mask if total.size == 0 else (total | mask)
         return int(total.sum()) if total.size else 0
-
-    def dirty_sets(self) -> list[set[int]]:
-        """Per-level dirty-cluster sets in the exact format
-        :meth:`repro.routing.fabric_cache.FabricCache` computes
-        internally: old and new ancestors of every moved node.
-        """
-        if self.full or self.h0 is None or self.h1 is None:
-            raise ValueError("dirty_sets() is undefined for a full delta")
-        out: list[set[int]] = [set() for _ in range(self.h1.num_levels + 1)]
-        for k in range(1, self.h1.num_levels + 1):
-            moved = self.level_changed[k]
-            if moved.any():
-                out[k] = set(np.unique(self.h0.ancestry(k)[moved]).tolist())
-                out[k] |= set(np.unique(self.h1.ancestry(k)[moved]).tolist())
-        return out
 
 
 def _dirty_cells_of(

@@ -1,7 +1,6 @@
 """Routing substrate: strict hierarchical routing and the flat baseline."""
 
 from repro.routing.bfs_kernels import (
-    deque_next_hop,
     flood_rows_safe,
     labeled_next_hop,
     single_next_hop,
@@ -24,7 +23,6 @@ __all__ = [
     "ForwardingTable",
     "ForwardResult",
     "HierarchicalRouter",
-    "deque_next_hop",
     "flood_rows_safe",
     "labeled_next_hop",
     "single_next_hop",

@@ -5,9 +5,9 @@ a level-0 link event is flooded only within the clusters whose routes it
 can affect, so steady-state overhead per node stays O(alpha * L) instead
 of O(n).  :class:`FabricCache` is the computational mirror of that
 scoping: instead of rebuilding every flood from scratch each simulator
-step, it consumes the step's :class:`~repro.radio.linkevents.LinkDiff`
-plus the hierarchy's changed-cluster set and invalidates only the flood
-rows those events can actually touch.
+step, it consumes the step's :class:`~repro.radio.linkevents.LinkDiff`,
+diffs the two snapshots' ancestries for the changed clusters, and
+invalidates only the flood rows those events can actually touch.
 
 Invalidation rules (all conservative — reused rows are provably
 bit-identical to a fresh build, ``tests/routing/test_fabric_cache.py``):
@@ -46,13 +46,18 @@ from repro.graphs import CompactGraph
 from repro.hierarchy.levels import ClusteredHierarchy
 from repro.radio.linkevents import LinkDiff
 from repro.routing.bfs_kernels import flood_rows_safe
-from repro.routing.forwarding import (
-    L0_CACHE_ENTRIES,
-    NH_CACHE_ENTRIES,
-    ForwardingFabric,
-)
+from repro.routing.forwarding import ForwardingFabric
 
-__all__ = ["FabricCache", "FabricCacheStats"]
+__all__ = ["FabricCache", "FabricCacheStats", "MASS_INVALIDATE_FRACTION"]
+
+MASS_INVALIDATE_FRACTION = 1.0
+"""Link-event budget before incremental carry is abandoned: when a
+step's diff carries more than this fraction of the node count in
+up/down events (a mass crash, a dense partition severing or healing at
+once), nearly every flood row fails the safety rules anyway — the
+per-record scan costs more than the rebuild it avoids, so the cache
+rebuilds from scratch instead.  Carry is *correct* at any diff size (the
+rules are conservative); this is purely a cost cutoff."""
 
 
 @dataclass
@@ -83,22 +88,9 @@ class FabricCache:
     reusing every flood record of the previous one that the step's link
     events and cluster changes provably left bit-identical.  Passing
     ``diff=None`` (or changing the node set / hierarchy depth) forces a
-    full rebuild; ``mode="reference"`` always rebuilds eagerly with the
-    deque oracle, which gives tests a per-step ground truth.
+    full rebuild.
     """
 
-    mode: str = "vectorized"
-    l0_cache_entries: int = L0_CACHE_ENTRIES
-    nh_cache_entries: int = NH_CACHE_ENTRIES
-    mass_invalidate_fraction: float = 1.0
-    """Link-event budget before incremental carry is abandoned: when a
-    step's diff carries more than this fraction of the node count in
-    up/down events (a mass crash, a dense partition severing or healing
-    at once), nearly every flood row fails the safety rules anyway —
-    the per-record scan costs more than the rebuild it avoids, so the
-    cache rebuilds from scratch instead.  Carry is *correct* at any
-    diff size (the rules are conservative); this is purely a cost
-    cutoff.  Set to ``inf`` to always carry."""
     fabric: ForwardingFabric | None = None
     stats: FabricCacheStats = field(default_factory=FabricCacheStats)
     _h: ClusteredHierarchy | None = field(default=None, repr=False)
@@ -115,64 +107,50 @@ class FabricCache:
         self._h = None
 
     def update(self, h: ClusteredHierarchy, g: CompactGraph,
-               diff: LinkDiff | None = None,
-               dirty: list[set[int]] | None = None) -> ForwardingFabric:
+               diff: LinkDiff | None = None) -> ForwardingFabric:
         """Advance to a new snapshot; returns its forwarding fabric.
 
         Reuses every flood record the step's link events and cluster
         changes provably left bit-identical; the previous fabric must
         not be used afterwards (array ownership transfers).  Oversized
-        diffs (see ``mass_invalidate_fraction``) rebuild eagerly.
-
-        ``dirty`` lets the event-driven hierarchy plane share its
-        per-level dirty-cluster sets
-        (:meth:`repro.hierarchy.delta.HierarchyDelta.dirty_sets`) so the
-        ancestry diff is not recomputed here; the format — and the
-        resulting fabric — is identical to the internally computed one
-        (``tests/routing/test_fabric_cache.py`` asserts the equality).
+        diffs (see :data:`MASS_INVALIDATE_FRACTION`) rebuild from scratch.
         """
         prev, prev_h = self.fabric, self._h
         self.stats.updates += 1
         massive = (
             diff is not None
             and len(diff.ups) + len(diff.downs)
-            > self.mass_invalidate_fraction * g.node_ids.size
+            > MASS_INVALIDATE_FRACTION * g.node_ids.size
         )
         if massive and prev is not None:
             self.stats.mass_invalidations += 1
         fresh = (
             prev is None or prev_h is None or diff is None or massive
-            or self.mode != "vectorized" or prev.mode != "vectorized"
             or not np.array_equal(prev.g0.node_ids, g.node_ids)
             or prev_h.num_levels != h.num_levels
         )
         if fresh:
             self.stats.full_rebuilds += 1
-            fab = ForwardingFabric(h, g, mode=self.mode,
-                                   l0_cache_entries=self.l0_cache_entries,
-                                   nh_cache_entries=self.nh_cache_entries)
+            fab = ForwardingFabric(h, g)
         else:
-            inherited = self._carry(prev, prev_h, h, g, diff, dirty=dirty)
-            fab = ForwardingFabric(h, g, l0_cache_entries=self.l0_cache_entries,
-                                   nh_cache_entries=self.nh_cache_entries,
-                                   _inherited=inherited)
+            fab = ForwardingFabric(
+                h, g, _inherited=self._carry(prev, prev_h, h, g, diff))
         self.fabric, self._h = fab, h
         return fab
 
     def _carry(self, prev: ForwardingFabric, h_old: ClusteredHierarchy,
                h_new: ClusteredHierarchy, g: CompactGraph,
-               diff: LinkDiff, dirty: list[set[int]] | None = None) -> dict:
+               diff: LinkDiff) -> dict:
         ids = g.node_ids
         num_levels = h_new.num_levels
         anc_new = [h_new.ancestry(k) for k in range(num_levels + 1)]
-        if dirty is None:
-            anc_old = [h_old.ancestry(k) for k in range(num_levels + 1)]
-            dirty = [set() for _ in range(num_levels + 1)]
-            for k in range(1, num_levels + 1):
-                moved = anc_old[k] != anc_new[k]
-                if moved.any():
-                    dirty[k] = set(np.unique(anc_old[k][moved]).tolist())
-                    dirty[k] |= set(np.unique(anc_new[k][moved]).tolist())
+        dirty: list[set[int]] = [set() for _ in range(num_levels + 1)]
+        for k in range(1, num_levels + 1):
+            anc_old = h_old.ancestry(k)
+            moved = anc_old != anc_new[k]
+            if moved.any():
+                dirty[k] = set(np.unique(anc_old[moved]).tolist())
+                dirty[k] |= set(np.unique(anc_new[k][moved]).tolist())
 
         def to_idx(pairs: np.ndarray) -> np.ndarray:
             if len(pairs) == 0:

@@ -15,25 +15,19 @@ that hop-by-hop forwarding terminates without livelock and delivers
 wherever the centralized router does — the operational proof that the
 hierarchical address alone suffices.
 
-Construction strategy
----------------------
+Construction
+------------
 Every next hop comes from a multi-source BFS flood per routing target
-set.  Two implementations share the public API:
-
-* ``mode="vectorized"`` (default) — floods run through the batched CSR
-  kernels (:mod:`repro.routing.bfs_kernels`), one *labeled* flood per
-  cluster instead of one Python BFS per member, and tables materialize
-  **lazily per node**: ``forward()`` only ever touches the
-  ``_flood_toward`` arrays, so delivery-only workloads never pay full
-  table construction; ``table()`` assembles one node's map on demand;
-  ``table_sizes()`` forces everything (batching all remaining floods).
-* ``mode="reference"`` — the original eager deque-BFS build, kept as
-  the oracle the equivalence suite compares against.
-
-Both modes produce bit-identical :class:`ForwardingTable` contents and
-:class:`ForwardResult` paths (``tests/routing/test_bfs_kernels.py``).
-Cross-step reuse of flood records lives in
-:class:`~repro.routing.fabric_cache.FabricCache`.
+set, run through the batched CSR kernels
+(:mod:`repro.routing.bfs_kernels`): one *labeled* flood per cluster
+instead of one traversal per member.  Tables materialize **lazily per
+node**: ``forward()`` only ever touches the ``_flood_toward`` arrays, so
+delivery-only workloads never pay full table construction; ``table()``
+assembles one node's map on demand; ``table_sizes()`` forces everything
+(batching all remaining floods).  The tables and ``forward()`` paths are
+bit-identical to an eager deque-BFS build, the test oracle in
+``tests/routing/fabric_oracle.py``.  Cross-step reuse of flood records
+lives in :class:`~repro.routing.fabric_cache.FabricCache`.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import numpy as np
 
 from repro.graphs import CompactGraph
 from repro.hierarchy.levels import ClusteredHierarchy
-from repro.routing.bfs_kernels import deque_next_hop, labeled_next_hop, single_next_hop
+from repro.routing.bfs_kernels import labeled_next_hop, single_next_hop
 
 __all__ = [
     "ForwardingTable",
@@ -57,10 +51,15 @@ __all__ = [
 ]
 
 L0_CACHE_ENTRIES = 256
-"""Default bound on cached level-0 per-destination floods (LRU)."""
+"""LRU bound on cached level-0 per-destination floods, so long message
+workloads keep O(bound · n) flood state."""
 
 NH_CACHE_ENTRIES = 256
-"""Default bound on cached cluster-level unrestricted floods (LRU)."""
+"""LRU bound on cached cluster-level (k >= 1) unrestricted floods.
+Distinct (level, cluster-id) targets accumulate across a long
+mixed-level message stream — and across steps via
+:class:`~repro.routing.fabric_cache.FabricCache` carry as cluster IDs
+churn — so these need the same bound as level 0."""
 
 
 @dataclass(frozen=True)
@@ -130,35 +129,14 @@ class ForwardingFabric:
     multi-source BFS labels each node's neighbor toward the target —
     equivalent to each node learning distances from a link-state flood
     scoped to its cluster, as hierarchical link-state protocols do.
-
-    Parameters
-    ----------
-    mode:
-        ``"vectorized"`` (lazy batched kernels, default) or
-        ``"reference"`` (eager deque-BFS oracle).
-    l0_cache_entries:
-        LRU bound on cached level-0 per-destination floods, so long
-        message workloads keep O(bound · n) flood state.
-    nh_cache_entries:
-        LRU bound on cached cluster-level (k >= 1) unrestricted floods.
-        Distinct (level, cluster-id) targets accumulate across a long
-        mixed-level message stream — and across steps via
-        :class:`~repro.routing.fabric_cache.FabricCache` carry as
-        cluster IDs churn — so these need the same bound as level 0.
     """
 
     def __init__(self, h: ClusteredHierarchy, g0: CompactGraph,
-                 mode: str = "vectorized",
-                 l0_cache_entries: int = L0_CACHE_ENTRIES,
-                 nh_cache_entries: int = NH_CACHE_ENTRIES,
                  _inherited: dict | None = None):
         if not np.array_equal(h.levels[0].node_ids, g0.node_ids):
             raise ValueError("hierarchy and graph node sets differ")
-        if mode not in ("vectorized", "reference"):
-            raise ValueError(f"unknown fabric mode {mode!r}")
         self.h = h
         self.g0 = g0
-        self.mode = mode
         self._ids = g0.node_ids
         # id -> compact index, built once; forward() and the kernels use
         # it instead of per-hop searchsorted lookups.
@@ -174,87 +152,16 @@ class ForwardingFabric:
         self._nh_cache: OrderedDict[
             tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._l0_cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._l0_cache_entries = int(l0_cache_entries)
-        self._nh_cache_entries = int(nh_cache_entries)
         inherited_l0 = self._inherited.pop(("l0",), None)
         if inherited_l0:
             self._l0_cache.update(inherited_l0)
-            while len(self._l0_cache) > self._l0_cache_entries:
-                self._l0_cache.popitem(last=False)
+            self._trim_l0_cache()
         inherited_nh = self._inherited.pop(("nh",), None)
         if inherited_nh:
             self._nh_cache.update(inherited_nh)
             self._trim_nh_cache()
-        if mode == "reference":
-            self._build_reference()
 
-    # -- construction: reference (deque oracle) -----------------------------------
-
-    def _multi_source_next_hop(self, targets: np.ndarray,
-                               restrict_mask: np.ndarray | None = None) -> np.ndarray:
-        """Reference flood (see :func:`repro.routing.bfs_kernels.deque_next_hop`)."""
-        next_hop, _ = deque_next_hop(self.g0, targets, restrict_mask)
-        return next_hop
-
-    def _build_reference(self) -> None:
-        h, g = self.h, self.g0
-        ids = g.node_ids
-        intra: dict[int, dict[int, int]] = {int(v): {} for v in ids}
-        clusters: dict[int, dict[tuple[int, int], int]] = {int(v): {} for v in ids}
-
-        # Intra level-1 routes: per member target, next hops for its
-        # cluster peers.
-        if h.num_levels >= 1:
-            anc1 = h.ancestry(1)
-            for c1 in np.unique(anc1):
-                members = ids[anc1 == c1]
-                for target in members.tolist():
-                    nh = self._multi_source_next_hop(np.array([target]))
-                    for m in members.tolist():
-                        if m == target:
-                            continue
-                        mi = self._id2idx[m]
-                        if nh[mi] >= 0:
-                            intra[m][target] = int(ids[nh[mi]])
-
-        # Sibling cluster routes at each level.
-        for k in range(1, h.num_levels + 1):
-            anck = h.ancestry(k)
-            parent_level = min(k + 1, h.num_levels)
-            anc_parent = h.ancestry(parent_level) if k < h.num_levels else None
-            for ck in np.unique(anck):
-                target_members = ids[anck == ck]
-                # Confine routes toward a sibling cluster to the shared
-                # parent's membership; fall back to unrestricted routes
-                # for carriers the confined flood missed (parent subgraph
-                # disconnected).
-                if k < h.num_levels:
-                    some_member = int(target_members[0])
-                    parent = h.cluster_of(some_member, parent_level)
-                    parent_mask = anc_parent == parent
-                    carriers = ids[parent_mask & (anck != ck)]
-                    nh = self._multi_source_next_hop(target_members,
-                                                     restrict_mask=parent_mask)
-                    nh_fallback = None
-                else:
-                    carriers = ids[anck != ck]
-                    nh = self._multi_source_next_hop(target_members)
-                    nh_fallback = nh
-                for v in carriers.tolist():
-                    vi = self._id2idx[v]
-                    hop = nh[vi]
-                    if hop < 0 and nh_fallback is None:
-                        hop = self._flood_toward(k, int(ck))[vi]
-                    if hop >= 0:
-                        clusters[v][(k, int(ck))] = int(ids[hop])
-
-        self._tables = {
-            int(v): ForwardingTable(node=int(v), intra=intra[int(v)],
-                                    clusters=clusters[int(v)])
-            for v in ids
-        }
-
-    # -- construction: vectorized lazy records -------------------------------------
+    # -- construction: lazy flood records ------------------------------------------
 
     def _members_idx(self, k: int, ck: int) -> np.ndarray:
         """Indices of physical nodes whose level-k ancestor is ``ck``."""
@@ -355,7 +262,7 @@ class ForwardingFabric:
         :class:`FabricCache` — are not recomputed; freshly needed ones
         are folded into one labeled kernel call per kind/level.
         """
-        if self.mode == "reference" or self.h.num_levels == 0:
+        if self.h.num_levels == 0:
             return
         intra_keys = [("intra", int(c)) for c in np.unique(self._anc[1]).tolist()]
         missing = [k for k in intra_keys
@@ -451,13 +358,10 @@ class ForwardingFabric:
     # -- queries --------------------------------------------------------------------
 
     def table(self, v: int) -> ForwardingTable:
-        """The hierarchical map of node ``v`` (built on first use in
-        vectorized mode)."""
+        """The hierarchical map of node ``v`` (built on first use)."""
         v = int(v)
         t = self._tables.get(v)
         if t is None:
-            if self.mode == "reference":
-                raise KeyError(v)
             if v not in self._id2idx:
                 raise KeyError(v)
             t = self._assemble(v)
@@ -468,8 +372,6 @@ class ForwardingFabric:
         """Per-node map sizes (the EXP-T9 distribution); forces full
         construction."""
         self._force_all()
-        if self.mode == "reference":
-            return np.array([self._tables[int(v)].size for v in self._ids])
         # Count entries straight off the flood records — no per-node
         # dict assembly (tables themselves stay lazy).
         sizes = np.zeros(self._ids.size, dtype=np.int64)
@@ -504,8 +406,6 @@ class ForwardingFabric:
     # -- forwarding -----------------------------------------------------------------
 
     def _single_flood(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.mode == "reference":
-            return deque_next_hop(self.g0, targets)
         return single_next_hop(self.g0, targets)
 
     def _flood_toward(self, k: int, ck: int) -> np.ndarray:
@@ -518,15 +418,18 @@ class ForwardingFabric:
             if entry is None:
                 entry = self._single_flood(np.array([ck], dtype=np.int64))
                 self._l0_cache[ck] = entry
-                while len(self._l0_cache) > self._l0_cache_entries:
-                    self._l0_cache.popitem(last=False)
+                self._trim_l0_cache()
             else:
                 self._l0_cache.move_to_end(ck)
             return entry[0]
         return self._nh_lookup(k, ck)[0]
 
+    def _trim_l0_cache(self) -> None:
+        while len(self._l0_cache) > L0_CACHE_ENTRIES:
+            self._l0_cache.popitem(last=False)
+
     def _trim_nh_cache(self) -> None:
-        while len(self._nh_cache) > self._nh_cache_entries:
+        while len(self._nh_cache) > NH_CACHE_ENTRIES:
             self._nh_cache.popitem(last=False)
 
     def _nh_lookup(self, k: int, ck: int) -> tuple[np.ndarray, np.ndarray]:

@@ -33,19 +33,18 @@ class HierarchicalRouter:
     g0:
         Compact view of the physical (level-0) graph; node IDs must match
         ``hierarchy.levels[0].node_ids``.
-    confine:
-        If True (default), intra-cluster segments are confined to the
-        cluster's member set when possible, falling back to unrestricted
-        BFS when the confined search fails (strictness with a liveness
-        escape hatch).
+
+    Every segment is confined to the cluster it runs in — physical hops
+    to the cluster's members, cluster-graph hops to the siblings of the
+    shared parent — falling back to an unrestricted BFS when the
+    confined search fails (strictness with a liveness escape hatch).
     """
 
-    def __init__(self, hierarchy: ClusteredHierarchy, g0: CompactGraph, confine: bool = True):
+    def __init__(self, hierarchy: ClusteredHierarchy, g0: CompactGraph):
         if not np.array_equal(hierarchy.levels[0].node_ids, g0.node_ids):
             raise ValueError("hierarchy and graph node sets differ")
         self.h = hierarchy
         self.g0 = g0
-        self.confine = confine
         self._level_graphs: dict[int, CompactGraph] = {}
         self._gateways: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
 
@@ -131,7 +130,7 @@ class HierarchicalRouter:
 
     def _intra_bfs(self, s: int, d: int, k: int) -> list[int] | None:
         """Physical BFS between two nodes of the same level-k cluster."""
-        if self.confine and k <= self.h.num_levels:
+        if k <= self.h.num_levels:
             mask = self._members_mask(k, self.h.cluster_of(s, k))
             p = bfs_path(self.g0, s, d, restrict_idx=mask)
             if p is not None:
@@ -150,7 +149,8 @@ class HierarchicalRouter:
             return self._route_within(s, d, m - 1)
 
         level_g = self._level_graph(m - 1)
-        if self.confine and m <= self.h.num_levels:
+        cpath = None
+        if m <= self.h.num_levels:
             # Confine the cluster-graph search to siblings within the
             # shared level-m cluster.  At the virtual global level there
             # is no parent to confine to.
@@ -158,9 +158,7 @@ class HierarchicalRouter:
             sibling_ids = self.h.clusters(m)[parent]
             mask = np.isin(level_g.node_ids, sibling_ids)
             cpath = bfs_path(level_g, cs, cd, restrict_idx=mask)
-            if cpath is None:
-                cpath = bfs_path(level_g, cs, cd)
-        else:
+        if cpath is None:
             cpath = bfs_path(level_g, cs, cd)
         if cpath is None:
             # Hierarchy says they share a cluster but the cluster graph

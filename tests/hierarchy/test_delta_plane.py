@@ -115,8 +115,6 @@ class TestHierarchyDelta:
         assert compute_delta(None, h1).full
         assert compute_delta(h0, None).full
         assert not compute_delta(h0, h1).full
-        with pytest.raises(ValueError):
-            compute_delta(None, h1).dirty_sets()
 
     def test_level_changed_masks_are_exact(self):
         h0, h1 = self._two_snapshots(seed=2)
@@ -163,18 +161,6 @@ class TestHierarchyDelta:
             new_ids += np.setdiff1d(h1.levels[lvl - 1].node_ids,
                                     h0.levels[lvl - 1].node_ids).size
         assert new_ids
-
-    def test_dirty_sets_match_fabric_cache_format(self):
-        h0, h1 = self._two_snapshots(seed=8)
-        sets = compute_delta(h0, h1).dirty_sets()
-        assert len(sets) == h1.num_levels + 1
-        for k in range(1, h1.num_levels + 1):
-            moved = h0.ancestry(k) != h1.ancestry(k)
-            expect = set()
-            if moved.any():
-                expect = set(np.unique(h0.ancestry(k)[moved]).tolist())
-                expect |= set(np.unique(h1.ancestry(k)[moved]).tolist())
-            assert sets[k] == expect
 
     def test_identical_snapshots_have_empty_delta(self):
         h0, _ = self._two_snapshots(seed=3)

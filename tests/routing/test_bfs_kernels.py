@@ -1,8 +1,9 @@
 """Equivalence suite for the batched CSR BFS kernels.
 
 The vectorized forwarding fabric is only admissible because it is
-*bit-identical* to the deque-BFS reference: same next-hop arrays, same
-``ForwardingTable`` contents, same ``forward()`` paths.  These tests pin
+*bit-identical* to the deque-BFS reference (``fabric_oracle.py``): same
+next-hop arrays, same ``ForwardingTable`` contents, same ``forward()``
+paths.  These tests pin
 that equivalence over randomized topologies (including disconnected
 ones), hierarchy depths, confinement masks, scoped early stops, and the
 disconnected-parent fallback path.
@@ -19,13 +20,10 @@ from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.hierarchy.levels import ClusteredHierarchy, LevelTopology
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import ForwardingFabric
-from repro.routing.bfs_kernels import (
-    deque_next_hop,
-    flood_rows_safe,
-    labeled_next_hop,
-    single_next_hop,
-)
+from repro.routing import ForwardingFabric, forwarding
+from repro.routing.bfs_kernels import flood_rows_safe, labeled_next_hop, single_next_hop
+
+from .fabric_oracle import ReferenceFabric, deque_next_hop
 
 DENSITY = 0.02
 
@@ -202,7 +200,7 @@ class TestFabricEquivalence:
                                           (150, 4, 3)])
     def test_tables_sizes_paths_match_reference(self, n, L, seed):
         g, h = make_stack(n, seed, L=L)
-        ref = ForwardingFabric(h, g, mode="reference")
+        ref = ReferenceFabric(h, g)
         vec = ForwardingFabric(h, g)
         assert np.array_equal(ref.table_sizes(), vec.table_sizes())
         for v in range(n):
@@ -219,7 +217,7 @@ class TestFabricEquivalence:
         # Subcritical degree: disconnected parent subgraphs abound, so
         # the sibling-route fallback path is exercised heavily.
         g, h = make_stack(120, 5, L=3, degree=4.0)
-        ref = ForwardingFabric(h, g, mode="reference")
+        ref = ReferenceFabric(h, g)
         vec = ForwardingFabric(h, g)
         assert np.array_equal(ref.table_sizes(), vec.table_sizes())
         for v in range(120):
@@ -256,7 +254,7 @@ class TestFabricEquivalence:
                           edges=np.array([[0, 4]]), election=None),
         ])
         g = CompactGraph(ids, edges)
-        ref = ForwardingFabric(h, g, mode="reference")
+        ref = ReferenceFabric(h, g)
         vec = ForwardingFabric(h, g)
         # Cluster A={0,1} and B={2,3} share parent P={0..3} but are only
         # connected via C={4,5}: confined floods cannot route A toward B.
@@ -295,40 +293,47 @@ class TestLaziness:
         fab.table(0)  # memoized: no new records
         assert len(fab._records) == before
 
-    def test_l0_cache_bounded(self):
+    def test_l0_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(forwarding, "L0_CACHE_ENTRIES", 8)
         g, h = make_stack(100, 3)
-        fab = ForwardingFabric(h, g, l0_cache_entries=8)
+        fab = ForwardingFabric(h, g)
         rng = np.random.default_rng(1)
         for d in rng.integers(0, 100, size=50).tolist():
             fab.forward(0, int(d))
         assert len(fab._l0_cache) <= 8
 
-    def test_nh_cache_bounded_under_mixed_level_stream(self):
+    def test_nh_cache_bounded_under_mixed_level_stream(self, monkeypatch):
         # Regression: cluster-level (k >= 1) floods used to accumulate
         # without bound — only level 0 had the LRU.  A long message
         # stream crossing clusters at every level must stay inside both
         # budgets.
+        monkeypatch.setattr(forwarding, "L0_CACHE_ENTRIES", 8)
+        monkeypatch.setattr(forwarding, "NH_CACHE_ENTRIES", 4)
         g, h = make_stack(120, 3)
-        fab = ForwardingFabric(h, g, l0_cache_entries=8, nh_cache_entries=4)
+        fab = ForwardingFabric(h, g)
         rng = np.random.default_rng(3)
         for s, d in rng.integers(0, 120, size=(300, 2)).tolist():
             fab.forward(int(s), int(d))
         assert 0 < len(fab._nh_cache) <= 4
         assert len(fab._l0_cache) <= 8
 
-    def test_nh_cache_eviction_does_not_change_delivery(self):
+    def test_nh_cache_eviction_does_not_change_delivery(self, monkeypatch):
         # LRU eviction is a cost, never a behavior change: a tightly
-        # bounded fabric must forward exactly like an unbounded one.
+        # bounded fabric must forward exactly like a loosely bounded one.
         g, h = make_stack(100, 3)
-        loose = ForwardingFabric(h, g)
-        tight = ForwardingFabric(h, g, l0_cache_entries=2, nh_cache_entries=1)
-        rng = np.random.default_rng(4)
-        for s, d in rng.integers(0, 100, size=(60, 2)).tolist():
-            a = loose.forward(int(s), int(d))
-            b = tight.forward(int(s), int(d))
-            assert a.delivered == b.delivered
-            assert a.path == b.path
-        assert np.array_equal(loose.table_sizes(), tight.table_sizes())
+        pairs = np.random.default_rng(4).integers(0, 100, size=(60, 2)).tolist()
+
+        def run():
+            fab = ForwardingFabric(h, g)
+            return ([fab.forward(int(s), int(d)) for s, d in pairs],
+                    fab.table_sizes())
+
+        loose_paths, loose_sizes = run()
+        monkeypatch.setattr(forwarding, "L0_CACHE_ENTRIES", 2)
+        monkeypatch.setattr(forwarding, "NH_CACHE_ENTRIES", 1)
+        tight_paths, tight_sizes = run()
+        assert tight_paths == loose_paths
+        assert np.array_equal(loose_sizes, tight_sizes)
 
     def test_unknown_node_raises(self):
         g, h = make_stack(50, 0)
@@ -349,7 +354,7 @@ def test_fabric_equivalence_property(seed):
     g = CompactGraph(np.arange(n), edges)
     h = build_hierarchy(np.arange(n), edges, max_levels=3,
                         level_mode="radio", positions=pts, r0=r_tx)
-    ref = ForwardingFabric(h, g, mode="reference")
+    ref = ReferenceFabric(h, g)
     vec = ForwardingFabric(h, g)
     assert np.array_equal(ref.table_sizes(), vec.table_sizes())
     for v in rng.integers(0, n, size=10).tolist():

@@ -3,8 +3,9 @@
 The cache's contract is absolute: however much flood state it carries
 across a step, the resulting fabric must be bit-identical — tables,
 sizes, and forward paths — to one built from scratch on the new
-snapshot.  These tests drive it with drifting deployments, crafted
-link events, and the full messaging stack.
+snapshot by the deque-BFS oracle (``fabric_oracle.py``).  These tests
+drive it with drifting deployments, crafted link events, and the full
+messaging stack.
 """
 
 import numpy as np
@@ -17,8 +18,10 @@ from repro.hierarchy import build_hierarchy
 from repro.mobility import RandomWaypoint
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.radio.linkevents import LinkTracker
-from repro.routing import FabricCache, ForwardingFabric
+from repro.routing import FabricCache, ForwardingFabric, fabric_cache
 from repro.sim.hops import EuclideanHops
+
+from .fabric_oracle import ReferenceFabric
 
 DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
@@ -55,7 +58,7 @@ class TestIncrementalEquivalence:
         for step in range(5):
             h, g, edges = snapshot(n, pts)
             fab = cache.update(h, g, tracker.observe(edges))
-            ref = ForwardingFabric(h, g, mode="reference")
+            ref = ReferenceFabric(h, g)
             assert_fabrics_equal(fab, ref, n, 1000 + step)
             pts = pts + rng.normal(scale=drift, size=pts.shape)
         assert cache.stats.updates == 5
@@ -91,7 +94,7 @@ class TestIncrementalEquivalence:
                                 level_mode="radio", positions=pts, r0=R_TX)
             diff = tracker.observe(step_edges)
             fab = cache.update(h, g, diff)
-            ref = ForwardingFabric(h, g, mode="reference")
+            ref = ReferenceFabric(h, g)
             assert_fabrics_equal(fab, ref, n, 7)
 
 
@@ -124,7 +127,7 @@ class TestRebuildTriggers:
         fab = cache.update(h2, g, tracker.observe(edges))
         if h.num_levels != h2.num_levels:
             assert cache.stats.full_rebuilds == 2
-        ref = ForwardingFabric(h2, g, mode="reference")
+        ref = ReferenceFabric(h2, g)
         assert_fabrics_equal(fab, ref, 100, 3)
 
     def test_explicit_invalidate_forces_rebuild(self):
@@ -137,12 +140,12 @@ class TestRebuildTriggers:
         assert cache.fabric is None
         fab = cache.update(h, g, tracker.observe(edges))
         assert cache.stats.full_rebuilds == 2
-        assert_fabrics_equal(fab, ForwardingFabric(h, g, mode="reference"),
+        assert_fabrics_equal(fab, ReferenceFabric(h, g),
                              100, 5)
         # Invalidating an already-empty cache is a silent no-op.
         FabricCache().invalidate()
 
-    def test_massive_diff_abandons_carry(self):
+    def test_massive_diff_abandons_carry(self, monkeypatch):
         """A partition severing (then healing) the whole deployment at
         once floods the diff with more events than carry is worth; the
         cache must fall back to a full rebuild — and stay exact."""
@@ -153,18 +156,19 @@ class TestRebuildTriggers:
         side = pts[:, 0] > 0
         cut = edges[side[edges[:, 0]] == side[edges[:, 1]]]
         tracker = LinkTracker(n)
-        cache = FabricCache(mass_invalidate_fraction=0.25)
+        monkeypatch.setattr(fabric_cache, "MASS_INVALIDATE_FRACTION", 0.25)
+        cache = FabricCache()
         for step_edges in (edges, cut, edges):
             g = CompactGraph(np.arange(n), step_edges)
             h = build_hierarchy(np.arange(n), step_edges, max_levels=3,
                                 level_mode="radio", positions=pts, r0=R_TX)
             fab = cache.update(h, g, tracker.observe(step_edges))
             assert_fabrics_equal(
-                fab, ForwardingFabric(h, g, mode="reference"), n, 9)
+                fab, ReferenceFabric(h, g), n, 9)
         assert cache.stats.mass_invalidations == 2  # sever + heal
         assert cache.stats.full_rebuilds == 3
 
-    def test_mass_threshold_inf_always_carries(self):
+    def test_mass_threshold_inf_always_carries(self, monkeypatch):
         n = 100
         rng = np.random.default_rng(2)
         pts = disc_for_density(n, DENSITY).sample(n, rng)
@@ -172,25 +176,17 @@ class TestRebuildTriggers:
         side = pts[:, 0] > 0
         cut = edges[side[edges[:, 0]] == side[edges[:, 1]]]
         tracker = LinkTracker(n)
-        cache = FabricCache(mass_invalidate_fraction=float("inf"))
+        monkeypatch.setattr(fabric_cache, "MASS_INVALIDATE_FRACTION", float("inf"))
+        cache = FabricCache()
         for step_edges in (edges, cut, edges):
             g = CompactGraph(np.arange(n), step_edges)
             h = build_hierarchy(np.arange(n), step_edges, max_levels=3,
                                 level_mode="radio", positions=pts, r0=R_TX)
             fab = cache.update(h, g, tracker.observe(step_edges))
             assert_fabrics_equal(
-                fab, ForwardingFabric(h, g, mode="reference"), n, 13)
+                fab, ReferenceFabric(h, g), n, 13)
         assert cache.stats.mass_invalidations == 0
         assert cache.stats.full_rebuilds == 1
-
-    def test_reference_mode_always_rebuilds(self):
-        _, (h, g, edges) = self.make()
-        cache = FabricCache(mode="reference")
-        tracker = LinkTracker(100)
-        for _ in range(2):
-            fab = cache.update(h, g, tracker.observe(edges))
-        assert cache.stats.full_rebuilds == 2
-        assert fab.mode == "reference"
 
 
 class TestMessagingIntegration:
@@ -226,42 +222,21 @@ class TestMessagingIntegration:
         # tables), but the forward()-path flood caches do carry over.
         assert svc._fabric_cache.stats.floods_reused > 0
 
-
-class TestSharedDirtySets:
-    def test_delta_plane_dirty_sets_match_internal_diff(self):
-        """The event plane's ``HierarchyDelta.dirty_sets()`` must stand
-        in exactly for the ancestry diff ``_carry`` computes itself —
-        same sets, hence the same fabric, record for record."""
-        from repro.hierarchy import compute_delta
-
+    def test_event_plane_service_fabric_matches_reference(self):
+        """On the event-driven hierarchy plane the service's cache diffs
+        ancestries itself, exactly as on the full-rebuild plane: every
+        step's carried fabric equals a fresh oracle build."""
         n = 130
-        rng = np.random.default_rng(21)
-        pts = disc_for_density(n, DENSITY).sample(n, rng)
-        tr_a, tr_b = LinkTracker(n), LinkTracker(n)
-        cache_int = FabricCache()   # computes dirty sets internally
-        cache_ext = FabricCache()   # fed the delta plane's sets
-        prev_h = None
+        region = disc_for_density(n, DENSITY)
+        model = RandomWaypoint(n, region, 1.0, np.random.default_rng(21))
+        svc = MessagingService(n, R_TX, max_levels=3,
+                               incremental_hierarchy=True)
         for step in range(6):
-            h, g, edges = snapshot(n, pts)
-            delta = compute_delta(prev_h, h)
-            dirty = None if delta.full else delta.dirty_sets()
-            if prev_h is not None:
-                # The shared sets are literally what _carry derives.
-                expect = [set() for _ in range(h.num_levels + 1)]
-                for k in range(1, h.num_levels + 1):
-                    moved = prev_h.ancestry(k) != h.ancestry(k)
-                    if moved.any():
-                        expect[k] = set(np.unique(
-                            prev_h.ancestry(k)[moved]).tolist())
-                        expect[k] |= set(np.unique(
-                            h.ancestry(k)[moved]).tolist())
-                assert dirty == expect
-            fab_int = cache_int.update(h, g, tr_a.observe(edges))
-            fab_ext = cache_ext.update(h, g, tr_b.observe(edges),
-                                       dirty=dirty)
-            ref = ForwardingFabric(h, g, mode="reference")
-            assert_fabrics_equal(fab_ext, ref, n, 300 + step)
-            assert_fabrics_equal(fab_ext, fab_int, n, 600 + step)
-            prev_h = h
-            pts = pts + rng.normal(scale=0.4, size=pts.shape)
-        assert cache_ext.stats.records_reused > 0
+            model.step(1.0)
+            pts = model.positions.copy()
+            svc.observe(pts, EuclideanHops(pts, R_TX))
+            assert_fabrics_equal(svc._fabric,
+                                 ReferenceFabric(svc._hierarchy, svc._graph),
+                                 n, 300 + step)
+        assert svc._fabric_cache.stats.full_rebuilds == 1
+        assert svc._fabric_cache.stats.records_reused > 0

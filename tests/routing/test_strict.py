@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import DiscRegion, disc_for_density
-from repro.graphs import CompactGraph
+from repro.graphs import CompactGraph, bfs_path
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.routing import FlatRouter, HierarchicalRouter
@@ -80,6 +80,25 @@ class TestRealisticNetworks:
                 assert b in g.neighbors(a).tolist(), f"{a}->{b} not a link"
         assert checked > 20
 
+    def test_intra_cluster_routes_stay_in_the_cluster(self):
+        """Strictness: a route between two members of one level-1 cluster
+        uses only that cluster's members wherever they connect the pair,
+        even when an unrestricted shortest path leaves the cluster."""
+        g, h = make_network(150, seed=1)
+        r = HierarchicalRouter(h, g)
+        anc = h.ancestry(1)
+        confined = escapes = 0
+        for c in np.unique(anc).tolist():
+            members = np.flatnonzero(anc == c).tolist()  # IDs are indices
+            for s in members:
+                for d in members:
+                    if s == d or bfs_path(g, s, d, restrict_idx=anc == c) is None:
+                        continue
+                    p = r.path(s, d)
+                    assert set(p) <= set(members), (s, d, p)
+                    confined += 1
+                    escapes += not set(bfs_path(g, s, d)) <= set(members)
+        assert confined > 100 and escapes > 0
     def test_stretch_bounded(self):
         """Hierarchical routes may be longer than shortest paths but the
         stretch should be modest on average (constant-factor)."""
@@ -110,13 +129,6 @@ class TestRealisticNetworks:
         r2 = HierarchicalRouter(h, g)
         for s, d in [(0, 100), (5, 77), (30, 31)]:
             assert r1.path(s, d) == r2.path(s, d)
-
-    def test_unconfined_mode(self):
-        g, h = make_network(100, seed=6)
-        r = HierarchicalRouter(h, g, confine=False)
-        p = r.path(0, 99)
-        if p is not None:
-            assert p[0] == 0 and p[-1] == 99
 
 
 @settings(max_examples=15, deadline=None)

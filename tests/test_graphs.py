@@ -17,7 +17,6 @@ from repro.graphs import (
     bfs_path,
     hop_dtype,
     hop_rows,
-    multi_source_bfs,
     sorted_unique_ids,
 )
 from repro.hierarchy import mean_hop_count
@@ -246,15 +245,16 @@ class TestBFS:
         allowed = np.array([True, False, True, True])
         p = bfs_path(g, 0, 2, restrict_idx=allowed)
         assert p == [0, 3, 2]
-        d = bfs_distances(g, 0, restrict_idx=allowed)
-        assert d[1] == -1
-        assert d[2] == 2
 
     def test_restricted_source_blocked(self):
         g = CompactGraph(range(2), [[0, 1]])
         allowed = np.array([False, True])
         assert bfs_path(g, 0, 1, restrict_idx=allowed) is None
-        assert (bfs_distances(g, 0, restrict_idx=allowed) == -1).all()
+
+
+def _rows(g, sources):
+    """Whole int64 distance rows from the node IDs ``sources``."""
+    return hop_rows(g, g.index_of_many(sources), np.int64)
 
 
 def _flood(g, sources, targets, labels=None):
@@ -271,7 +271,7 @@ class TestScopedBFS:
 
     @staticmethod
     def _assert_target_columns_equal(g, sources, targets, labels=None):
-        full = multi_source_bfs(g, sources)
+        full = _rows(g, sources)
         scoped = _flood(g, sources, targets, labels)
         assert scoped.shape == full.shape and scoped.dtype == full.dtype
         for row_f, row_s, t in zip(full, scoped, targets):
@@ -299,7 +299,7 @@ class TestScopedBFS:
             for _ in sources
         ]
         scoped = self._assert_target_columns_equal(g, sources, targets)
-        full = multi_source_bfs(g, sources)
+        full = _rows(g, sources)
         assert any((full[i][g.index_of_many(t)] < 0).any()
                    for i, t in enumerate(targets))
         assert (scoped >= 0).sum() <= (full >= 0).sum()
@@ -380,19 +380,19 @@ class TestFewSourceBFS:
         rows = hop_rows(g, g.index_of_many(sources))
         assert rows.dtype == hop_dtype(g.n) and rows.shape == (len(sources), n)
         assert np.array_equal(rows, _dijkstra_rows(g, sources))
-        assert np.array_equal(multi_source_bfs(g, sources), rows)
+        assert np.array_equal(_rows(g, sources), rows)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tiny_graphs(self, n):
         g = CompactGraph(range(n), [[0, 1]] if n == 2 else [])
         assert hop_rows(g, np.empty(0, dtype=np.int64)).shape == (0, n)
         sources = [0, n - 1, 0] if n else []
-        assert np.array_equal(multi_source_bfs(g, sources),
+        assert np.array_equal(_rows(g, sources),
                               _dijkstra_rows(g, sources))
 
     def test_isolated_and_repeated_sources(self):
         g = CompactGraph([3, 8, 20, 21, 40], [[8, 20], [20, 21]])
-        rows = multi_source_bfs(g, [40, 21, 3, 21, 8])
+        rows = _rows(g, [40, 21, 3, 21, 8])
         assert rows.tolist() == [
             [-1, -1, -1, -1, 0],
             [-1, 2, 1, 0, -1],
@@ -475,8 +475,8 @@ class TestBitsetBFS:
         rows = repro.graphs._bitset_bfs(g, g.index_of_many(sources), dtype)
         assert rows.dtype == dtype and rows.shape == (n_sources, g.n)
         assert np.array_equal(rows, _dijkstra_rows(g, sources))
-        # The public call picks its kernel by itself and agrees either way.
-        public = multi_source_bfs(g, sources)
+        # hop_rows picks its kernel by itself and agrees either way.
+        public = _rows(g, sources)
         assert public.dtype == np.int64 and np.array_equal(public, rows)
 
     @pytest.mark.parametrize("n_sources", [1, 63, 64, 65, SOURCE_BLOCK,
@@ -537,9 +537,9 @@ class TestBitsetBFS:
     def test_unknown_id_is_a_key_error_in_both_regimes(self):
         g = CompactGraph(range(100), [[i, i + 1] for i in range(99)])
         with pytest.raises(KeyError):
-            multi_source_bfs(g, [0, 100])
+            _rows(g, [0, 100])
         with pytest.raises(KeyError):
-            multi_source_bfs(g, list(range(80)) + [100])
+            _rows(g, list(range(80)) + [100])
 
     def test_few_sources_never_reach_the_dense_sweep(self, monkeypatch):
         """Regime pin, large side: a hop sample at n above
@@ -578,11 +578,11 @@ class TestBitsetBFS:
         assert all(size <= 12 and labels is g._giant
                    for size, labels in floods)
         assert mean_hop_count(g, rng, n_sources=16) > 1
-        assert multi_source_bfs(g, np.arange(63)).shape == (63, n)
+        assert _rows(g, np.arange(63)).shape == (63, n)
         # 64 rows, 63 distinct sources: still not a word's worth.
-        assert multi_source_bfs(g, np.arange(64) % 63).shape == (64, n)
+        assert _rows(g, np.arange(64) % 63).shape == (64, n)
         with pytest.raises(AssertionError, match="dense sweep"):
-            multi_source_bfs(g, np.arange(64))
+            _rows(g, np.arange(64))
         assert mean_hop_count(g, rng, n_sources=64) > 1
 
     @pytest.mark.parametrize("n", [400, SWEEP_NODES])
@@ -632,11 +632,11 @@ def test_bfs_matches_networkx_property(seed, n):
     for v in range(n):
         assert ours[v] == ref.get(v, -1)
     # The batched call returns the same rows, one per source, in order.
-    batch = multi_source_bfs(g, [src, 0, src])
+    batch = _rows(g, [src, 0, src])
     assert batch.shape == (3, n) and batch.dtype == np.int64
     assert np.array_equal(batch[0], ours) and np.array_equal(batch[2], ours)
     assert np.array_equal(batch[1], bfs_distances(g, 0))
-    assert multi_source_bfs(g, []).shape == (0, n)
+    assert _rows(g, []).shape == (0, n)
     # Scoped to any target set, the target columns are the same.
     t = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
     assert np.array_equal(_flood(g, [src], [t])[0][t], ours[t])
