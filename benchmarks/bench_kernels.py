@@ -198,57 +198,20 @@ def test_bench_fabric_incremental(benchmark):
 
 
 HIERARCHY_N = 2000
-"""Size of the patch-vs-rebuild pair.  It ran at n=400 until the rebuild
-stopped row-sorting canonical edges; at that size the patch's fixed
-per-level cost now makes the two planes cost the same (0.87-0.98x),
-and the event-plane workloads run at n = 10^4 and 10^5."""
-
-
-def _hierarchy_bench_state(n=HIERARCHY_N, drift=0.15):
-    """Two consecutive snapshots of a drifting deployment (the
-    simulator's steady state): positions + canonical edge arrays."""
-    region = disc_for_density(n, DENSITY)
-    r_tx = radius_for_degree(DEGREE, DENSITY)
-    rng = np.random.default_rng(0)
-    pts0 = region.sample(n, rng)
-    pts1 = pts0 + rng.normal(scale=drift, size=pts0.shape)
-    e0 = unit_disk_edges(pts0, r_tx)
-    e1 = unit_disk_edges(pts1, r_tx)
-    return r_tx, (pts0, e0), (pts1, e1)
+"""Size of the hierarchy build benchmark."""
 
 
 def test_bench_hierarchy_full_rebuild(benchmark):
-    """Baseline for the event plane: from-scratch build_hierarchy on the
-    steady-state snapshot (what every non-incremental step pays)."""
+    """One step's hierarchy on either plane: from-scratch build_hierarchy
+    on a drifted steady-state snapshot."""
     n = HIERARCHY_N
-    r_tx, _, (pts1, e1) = _hierarchy_bench_state(n)
+    r_tx = radius_for_degree(DEGREE, DENSITY)
+    rng = np.random.default_rng(0)
+    pts0 = disc_for_density(n, DENSITY).sample(n, rng)
+    pts1 = pts0 + rng.normal(scale=0.15, size=pts0.shape)
+    e1 = unit_disk_edges(pts1, r_tx)
     h = benchmark(build_hierarchy, np.arange(n), e1, max_levels=3,
                   level_mode="radio", positions=pts1, r0=r_tx)
-    assert h.num_levels >= 2
-
-
-def test_bench_hierarchy_incremental(benchmark):
-    """Steady-state hierarchy maintenance: one DeltaPlane.advance()
-    under a small mobility drift — re-votes only the affected-node
-    closure.  The budget check gates it on its own committed mean
-    (``SELF_GATED``); ``test_bench_hierarchy_full_rebuild`` beside it is
-    what a step pays without the plane.  20 rounds, because the gate
-    compares means and one slow round in five used to multiply this one."""
-    from repro.hierarchy import DeltaPlane, compute_delta
-
-    n = HIERARCHY_N
-    r_tx, (pts0, e0), (pts1, e1) = _hierarchy_bench_state(n)
-
-    def make_state():
-        plane = DeltaPlane(n, max_levels=3, level_mode="radio", r0=r_tx)
-        return (plane, plane.advance(e0, pts0)), {}
-
-    def one_advance(plane, prev):
-        h = plane.advance(e1, pts1)
-        compute_delta(prev, h)  # the step's full cost includes the delta
-        return h
-
-    h = benchmark.pedantic(one_advance, setup=make_state, rounds=20)
     assert h.num_levels >= 2
 
 

@@ -5,21 +5,18 @@ and enforces these gates:
 
 * full fabric construction (``test_bench_forwarding_fabric``), one
   incremental fabric update (``test_bench_fabric_incremental``), one
-  steady-state hierarchy patch (``test_bench_hierarchy_incremental``),
-  one snapshot of exact hop metering (``test_bench_bfs_hops_batch``),
+  snapshot of exact hop metering (``test_bench_bfs_hops_batch``),
   one level-stacked hierarchy diff (``test_bench_diff_hierarchies``)
   and 1000 batched lookups (``test_bench_batch_query``) must each stay
   within
   ``SELF_TOLERANCE``x of **their own mean in the committed file**
-  (``git show HEAD:BENCH_kernels.json``).  The first three used to be
-  gated as ratios to another benchmark —
-  ``test_bench_full_assignment``, ``test_bench_simulator_step``,
-  ``test_bench_hierarchy_full_rebuild`` — and those denominators kept
-  getting faster (31.2 -> 3.4 ms and 43.9 -> 17.6 ms in one PR, then
-  again; the full rebuild whenever ``elect`` or ``unit_disk_edges``
-  does), so the ratio budgets had to be re-anchored (25 -> 230, 2 -> 5)
-  with the numerators unchanged, or failed on a patch that had not
-  moved.  A benchmark compared with its own previous value needs no
+  (``git show HEAD:BENCH_kernels.json``).  The two fabric benchmarks
+  used to be gated as ratios to another benchmark —
+  ``test_bench_full_assignment``, ``test_bench_simulator_step`` — and
+  those denominators kept getting faster (31.2 -> 3.4 ms and 43.9 ->
+  17.6 ms in one PR, then again), so the ratio budgets had to be
+  re-anchored (25 -> 230, 2 -> 5) with the numerators unchanged.  A
+  benchmark compared with its own previous value needs no
   re-anchoring; the check is skipped where there is nothing committed
   to compare with (no git checkout, a first run, or a benchmark the
   committed file does not have yet);
@@ -49,7 +46,6 @@ SELF_TOLERANCE = 1.5
 SELF_GATED = (
     "test_bench_forwarding_fabric",
     "test_bench_fabric_incremental",
-    "test_bench_hierarchy_incremental",
     "test_bench_bfs_hops_batch",
     "test_bench_diff_hierarchies",
     "test_bench_batch_query",

@@ -62,11 +62,11 @@ class MessagingService:
         resolve with.
     incremental_hierarchy:
         When True, the *control plane* goes event-driven: unit-disk
-        edges come from a Verlet candidate cache, the ALCA hierarchy is
-        patched per level from link deltas
-        (:class:`~repro.hierarchy.delta.DeltaPlane`), the handoff engine
-        re-hashes only dirty descent chains.  Results are bit-identical either way.  Read here only: the flag
-        picks the edge source and the hierarchy stepper, as in
+        edges come from a Verlet candidate cache and the handoff engine
+        re-hashes only the descent chains the step's
+        :class:`~repro.hierarchy.delta.HierarchyDelta` marks dirty.  The
+        hierarchy is elected from scratch on both planes, and results
+        are bit-identical either way.  Read here only, as in
         :class:`~repro.sim.engine.Simulator`.
 
     The forwarding fabric is maintained across steps by a
@@ -84,8 +84,7 @@ class MessagingService:
         self.max_levels = max_levels
         self._engine = HandoffEngine(hash_fn=hash_fn)
         self._stepper = hierarchy_stepper(self.n, self.r_tx,
-                                          max_levels=max_levels,
-                                          incremental=incremental_hierarchy)
+                                          max_levels=max_levels)
         self._event_plane = bool(incremental_hierarchy)
         if self._event_plane:
             from repro.radio.edge_cache import VerletEdgeCache

@@ -77,10 +77,10 @@ def _add_control_plane_args(p) -> None:
     """Control-plane engine and loss flags (simulate/serve/sweep)."""
     p.add_argument("--incremental-hierarchy",
                    action=argparse.BooleanOptionalAction, default=False,
-                   help="event-driven control plane: patch the ALCA "
-                        "hierarchy and descent chains from link deltas "
-                        "instead of rebuilding per step (bit-identical "
-                        "results)")
+                   help="event-driven control plane: Verlet-cached "
+                        "unit-disk edges and CHLM descent chains patched "
+                        "from the step's hierarchy delta instead of "
+                        "reassigned in full (bit-identical results)")
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="per-hop control-packet loss probability "
                         "(default 0 = lossless)")

@@ -3,7 +3,6 @@ d-hop baseline, and cluster-structure metrics (Section 2.2 of the paper).
 """
 
 from repro.clustering.alca import AlcaMaintainer
-from repro.clustering.incremental import IncrementalElection
 from repro.clustering.lca import Election, elect
 from repro.clustering.maxmin import MaxMinResult, maxmin_cluster
 from repro.clustering.metrics import (
@@ -21,7 +20,6 @@ from repro.clustering.state import (
 
 __all__ = [
     "AlcaMaintainer",
-    "IncrementalElection",
     "Election",
     "elect",
     "MaxMinResult",

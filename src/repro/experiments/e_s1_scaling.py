@@ -9,9 +9,9 @@ which is only tractable on the vectorized substrate:
 * simulations run through the sweep runner (:mod:`repro.sim.sweep`),
   which fans the grid over worker processes; a result is ~1.5 MiB
   pickled at 10^5 nodes, so shipping it back costs milliseconds;
-* the hierarchy is maintained incrementally (``incremental_hierarchy``)
-  with Verlet-cached candidate edges feeding link diffs straight into
-  the delta plane;
+* the control plane is event-driven (``incremental_hierarchy``):
+  Verlet-cached candidate edges, and server assignments patched only
+  along the descent chains each step's hierarchy delta marks dirty;
 * a query throughput probe at the largest size replays the final
   topology and resolves a batch of lookups through
   :class:`repro.core.BatchResolver`.

@@ -2,7 +2,6 @@
 
 from repro.hierarchy.cluster_graph import canonical_edges, contract_edges
 from repro.hierarchy.delta import (
-    DeltaPlane,
     HierarchyDelta,
     LazyClusters,
     compute_delta,
@@ -31,7 +30,6 @@ from repro.hierarchy.stepper import hierarchy_stepper
 __all__ = [
     "canonical_edges",
     "contract_edges",
-    "DeltaPlane",
     "HierarchyDelta",
     "LazyClusters",
     "compute_delta",

@@ -1,22 +1,11 @@
-"""Event-driven hierarchy plane: link deltas -> dirty clusters.
+"""Hierarchy deltas: two consecutive snapshots -> dirty clusters.
 
 The paper's ALCA reorganizes *by events* — its seven event types
 (i)-(vii) and the handoff bound are defined over discrete cluster-link
-changes, not over global rebuilds.  This module is the stepping-plane
-mirror of that model:
-
-* :class:`DeltaPlane` consumes each step's canonical edge array and
-  its level-0 :class:`~repro.radio.linkevents.LinkDiff` (the step's
-  own, when the caller has one; above level 0, one merge of the
-  level's edge keys), and **patches** the
-  recursive ALCA election level by level with
-  :class:`~repro.clustering.incremental.IncrementalElection` — which
-  keeps only vote and support arrays and re-votes the endpoints of
-  added/removed edges over the step's edge array.  The resulting
-  :class:`~repro.hierarchy.levels.ClusteredHierarchy` is bit-identical
-  to a from-scratch :func:`~repro.hierarchy.levels.build_hierarchy`
-  (``tests/hierarchy/test_delta_plane.py`` fuzzes this over churn,
-  crash, and partition bursts).
+changes.  Every hierarchy is elected from scratch
+(:func:`~repro.hierarchy.levels.build_hierarchy` or a stateful
+maintainer, through :func:`~repro.hierarchy.stepper.hierarchy_stepper`);
+what changed between two of them is this module's job:
 
 * :func:`compute_delta` distills two consecutive snapshots into a
   :class:`HierarchyDelta`: per-level changed-ancestry masks, the
@@ -24,9 +13,10 @@ mirror of that model:
   hash descent could consult differently) with the members each one
   gained.  The handoff engine uses it to re-hash only dirty keys and
   diff only dirty clusters.
+* :class:`LazyClusters` is one level's partition in CSR form, the
+  layout the dense rendezvous kernel reads.
 
-The delta plane never touches an RNG stream and is carried inside
-simulator checkpoints, so incremental runs resume bit-identically.
+Nothing here touches an RNG stream or keeps state between steps.
 """
 
 from __future__ import annotations
@@ -35,18 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.clustering.incremental import IncrementalElection
 from repro.clustering.lca import Election
 from repro.graphs import IdIndex
-from repro.hierarchy.levels import (
-    ClusteredHierarchy,
-    check_link_model,
-    recurse_levels,
-)
-from repro.radio.linkevents import sorted_key_diff
-from repro.radio.unit_disk import decode_edges, encode_edges
+from repro.hierarchy.levels import ClusteredHierarchy
 
-__all__ = ["HierarchyDelta", "DeltaPlane", "LazyClusters", "compute_delta"]
+__all__ = ["HierarchyDelta", "LazyClusters", "compute_delta"]
 
 
 class LazyClusters:
@@ -143,16 +126,6 @@ class HierarchyDelta:
     arrivals: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     top_changed: bool = False
 
-    @property
-    def n_changed(self) -> int:
-        """Base nodes whose ancestry changed at any level."""
-        if self.full:
-            return -1
-        total = np.zeros(0, dtype=bool)
-        for mask in self.level_changed[1:]:
-            total = mask if total.size == 0 else (total | mask)
-        return int(total.sum()) if total.size else 0
-
 
 def _dirty_cells_of(
     el0: Election, el1: Election
@@ -201,8 +174,8 @@ def compute_delta(h0: ClusteredHierarchy | None,
                   h1: ClusteredHierarchy | None) -> HierarchyDelta:
     """Distill two consecutive snapshots into a :class:`HierarchyDelta`.
 
-    Works for *any* construction path (incremental build, sticky or
-    persistent maintainers, full rebuild): the delta is computed from
+    Works for *any* construction path (from-scratch build, sticky or
+    persistent maintainers): the delta is computed from
     the snapshots themselves, so its dirtiness claims are exact by
     construction.
     """
@@ -235,118 +208,3 @@ def compute_delta(h0: ClusteredHierarchy | None,
         arrivals=arrivals,
         top_changed=top_changed,
     )
-
-
-@dataclass
-class _LevelState:
-    """Per-level incremental election state (ids, edge keys, voter)."""
-
-    ids: np.ndarray
-    keys: np.ndarray
-    inc: IncrementalElection
-    snapshot: Election
-
-
-class DeltaPlane:
-    """Maintains the memoryless ALCA hierarchy from link deltas.
-
-    :meth:`advance` takes the step's canonical edge array and runs the
-    shared level recursion (:func:`~repro.hierarchy.levels.recurse_levels`)
-    with an elector that *patches* each level's election in place,
-    producing a hierarchy bit-identical to :func:`build_hierarchy` on the
-    same topology.  A level whose node set changed (head churn) is
-    re-elected from scratch; a level whose node set *and* edges are
-    unchanged reuses last step's election object outright.
-
-    The plane keeps election state only.  What changed between two
-    snapshots is :func:`compute_delta`'s job, whichever way they were
-    built.
-    """
-
-    def __init__(self, n: int, max_levels: int | None = None,
-                 level_mode: str = "radio", r0: float | None = None):
-        check_link_model(level_mode, r0)
-        if n <= 1:
-            raise ValueError("need at least two nodes")
-        self._n = int(n)
-        self._max_levels = max_levels
-        self._level_mode = level_mode
-        self._r0 = r0
-        self._base_ids = np.arange(self._n, dtype=np.int64)
-        self._state: dict[int, _LevelState] = {}
-        # True when the previous advance() never elected level 0 (empty
-        # edge array, first call): state[0] is then stale relative to
-        # the last edge snapshot, and a caller-supplied one-step diff
-        # must not be trusted against it.
-        self._stale0 = True
-
-    def _level_election(self, k: int, cur_ids: np.ndarray,
-                        cur_edges: np.ndarray,
-                        diff=None) -> Election:
-        """Election at level k: patched when the node set held, rebuilt
-        otherwise, reused outright when nothing changed.
-
-        ``diff`` is an optional pre-computed
-        :class:`~repro.radio.linkevents.LinkDiff` between ``cur_edges``
-        and the edges of the previous call at this level (the Verlet
-        edge cache emits one for free).  When supplied, the two sorted
-        set differences below are skipped — the caller vouches that
-        ``diff`` is exact, which the engine guarantees by passing it
-        only when the cache's output reaches the plane unfiltered.
-        """
-        st = self._state.get(k)
-        if st is not None and (
-            st.ids is cur_ids or np.array_equal(st.ids, cur_ids)
-        ):
-            if diff is not None:
-                if diff.n_events == 0:
-                    return st.snapshot
-                ups, downs = diff.ups, diff.downs
-                keys = encode_edges(cur_edges, self._n)
-            else:
-                keys = encode_edges(cur_edges, self._n)
-                if np.array_equal(st.keys, keys):
-                    return st.snapshot
-                up, down = sorted_key_diff(st.keys, keys)
-                ups = cur_edges[up]
-                downs = decode_edges(st.keys[down], self._n)
-            st.inc.apply(ups, downs, cur_edges)
-            st.keys = keys
-            st.snapshot = st.inc.snapshot()
-            return st.snapshot
-        keys = encode_edges(cur_edges, self._n)
-        inc = IncrementalElection(cur_ids, cur_edges)
-        snap = inc.snapshot()
-        self._state[k] = _LevelState(ids=cur_ids, keys=keys, inc=inc,
-                                     snapshot=snap)
-        return snap
-
-    def advance(self, edges: np.ndarray,
-                positions=None, diff=None) -> ClusteredHierarchy:
-        """One step: patch the hierarchy onto the new canonical edge
-        array (node IDs are ``0..n-1``; edges must be canonical — the
-        unit-disk builder's output, chaos-filtered or not).  The array is
-        kept, not copied, as the returned hierarchy's level-0 edges, so
-        it must be a fresh one each step.
-
-        ``diff`` is an optional exact level-0
-        :class:`~repro.radio.linkevents.LinkDiff` of ``edges`` against
-        the previous call's (the Verlet cache's by-product); it spares
-        the plane re-deriving the same set differences from edge keys.
-        Pass ``None`` whenever the edges were post-processed (chaos
-        filtering) or the previous step isn't comparable.
-        """
-        if self._stale0:
-            diff = None
-        self._stale0 = True
-
-        def elector(k, ids, level_edges):
-            if k == 0:
-                self._stale0 = False
-            return self._level_election(k, ids, level_edges,
-                                        diff if k == 0 else None)
-
-        return recurse_levels(
-            self._base_ids, edges, elector, max_levels=self._max_levels,
-            level_mode=self._level_mode, positions=positions, r0=self._r0,
-        )

@@ -152,12 +152,21 @@ def load_checkpoint(path) -> SimCheckpoint:
     Validates the checkpoint schema and the simulator
     :data:`~repro.sim.sweep.CODE_VERSION`: a checkpoint from different
     simulator semantics raises ``ValueError`` (resuming it could not
-    reproduce the uninterrupted run).  Corrupt files raise whatever
-    pickle raises — callers that want "fresh run on any failure"
-    semantics (e.g. the sweep runner) catch broadly.
+    reproduce the uninterrupted run).  So does a file that names a class
+    or module this code no longer has: the pickle is read before its
+    schema field can be, and only an older schema could name one.
+    Corrupt files raise whatever pickle raises — callers that want
+    "fresh run on any failure" semantics (e.g. the sweep runner) catch
+    broadly.
     """
     with Path(path).open("rb") as fh:
-        ck = pickle.load(fh)
+        try:
+            ck = pickle.load(fh)
+        except (AttributeError, ImportError) as exc:
+            raise ValueError(
+                f"checkpoint schema predates {CHECKPOINT_SCHEMA}: it names "
+                f"code that no longer exists ({exc}) (stale file: {path})"
+            ) from exc
     if not isinstance(ck, SimCheckpoint):
         raise ValueError(f"not a simulator checkpoint: {path}")
     if ck.schema != CHECKPOINT_SCHEMA:

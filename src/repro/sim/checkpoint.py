@@ -26,31 +26,35 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 8
+CHECKPOINT_SCHEMA = 9
 """On-disk checkpoint layout version (bumped when fields change shape).
 
-Schema 8 pickles the ALCA state collector as one level-stacked
+Schema 9 pickles a memoryless ``stepper`` on either plane as the same
+from-scratch :func:`~repro.hierarchy.levels.build_hierarchy` partial,
+where an event-plane schema-8 file pickled a per-level patched-election
+plane whose class no longer exists; such a file fails to unpickle and
+is refused as stale (:func:`repro.persist.load_checkpoint`).  Schema 8
+pickles the ALCA state collector as one level-stacked
 :class:`~repro.clustering.state.StateTracker` (count arrays and the last
 snapshot's level-tagged states) where schema 7 held one tracker per
-level; a schema-7 collector would not unpickle into it.  Schema 7 stores the ``edge_cache``'s candidate list as a ``(2, m)``
-array of two contiguous columns where schema 6 had ``(m, 2)`` pairs; a
-schema-6 list would be read as two wrong columns.  Schema 6 carries the run's one hierarchy ``stepper``
-(:func:`repro.hierarchy.stepper.hierarchy_stepper`) where schema 5 had
-``maintainer`` and ``delta_plane``; the plane inside it no longer holds
-hierarchy snapshots, and the ``edge_cache`` tracks its build regime.
-Schema 5 shrank the pickled ``delta_plane``: each level's
-:class:`~repro.clustering.incremental.IncrementalElection` is its vote
-and support arrays only (no adjacency dict), which a schema-4 plane
-would not unpickle into.  Schema 4 changed the shape of the pickled
-handoff ``engine``: its assignments are dense per-level server tables
+level; a schema-7 collector would not unpickle into it.  Schema 7 stores
+the ``edge_cache``'s candidate list as a ``(2, m)`` array of two
+contiguous columns where schema 6 had ``(m, 2)`` pairs; a schema-6 list
+would be read as two wrong columns.  Schema 6 carries the run's one
+hierarchy ``stepper`` (:func:`repro.hierarchy.stepper.hierarchy_stepper`)
+where schema 5 had ``maintainer`` and ``delta_plane``, and the
+``edge_cache`` tracks its build regime.  Schema 5 shrank each level's
+pickled incremental election to its vote and support arrays (no
+adjacency dict).  Schema 4 changed the shape of the pickled handoff
+``engine``: its assignments are dense per-level server tables
 (:class:`~repro.core.servers.ServerAssignment` ``subjects``/``tables``,
 chains on the same object) instead of ``(subject, level)``-keyed dicts,
 which a schema-3 engine would not unpickle into.  Schema 3 added the
-event-driven hierarchy plane state (``delta_plane``, ``edge_cache``) so
-incremental runs resume bit-identically.  Schema 2
-replaced the ``down_until`` / ``now`` / ``failure_rng`` triplet with the
-``chaos`` engine object.  Older-schema checkpoints are refused at load
-time (:func:`repro.persist.load_checkpoint`)."""
+event-driven plane state (``delta_plane``, ``edge_cache``) so
+incremental runs resume bit-identically.  Schema 2 replaced the
+``down_until`` / ``now`` / ``failure_rng`` triplet with the ``chaos``
+engine object.  Older-schema checkpoints are refused at load time
+(:func:`repro.persist.load_checkpoint`)."""
 
 
 @dataclass
@@ -80,9 +84,8 @@ class SimCheckpoint:
     stepper:
         The run's hierarchy stepper
         (:func:`repro.hierarchy.stepper.hierarchy_stepper`) with the
-        election state it owns: the sticky/persistent maintainer, or the
-        :class:`~repro.hierarchy.delta.DeltaPlane`'s per-level
-        incremental elections; a from-scratch build carries none.
+        election state it owns: the sticky/persistent maintainer; a
+        from-scratch build carries none.
     delivery:
         The lossy-control :class:`~repro.faults.DeliveryEngine`, or None.
     chaos:

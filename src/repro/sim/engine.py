@@ -135,11 +135,12 @@ class Simulator:
         # The one hierarchy stepper of the run (repro.hierarchy.stepper)
         # and, on the event-driven plane (incremental_hierarchy=True),
         # the Verlet edge cache feeding it.  The flag is read here only:
-        # it selects the edge source, patched vs from-scratch memoryless
-        # election, and whether a HierarchyDelta reaches the handoff
-        # engine.  Neither plane consumes an RNG stream, so the two
-        # pipelines are bit-identical — the equivalence matrix in
-        # tests/sim/test_incremental_equivalence.py enforces it.
+        # it selects the edge source and whether a HierarchyDelta reaches
+        # the handoff engine (patched vs full CHLM assignment); both
+        # planes elect through the same stepper.  Neither plane consumes
+        # an RNG stream, so the two pipelines are bit-identical — the
+        # equivalence matrix in tests/sim/test_incremental_equivalence.py
+        # enforces it.
         self._stepper = hierarchy_stepper(
             scenario.n, scenario.r_tx,
             max_levels=scenario.max_levels,
@@ -147,7 +148,6 @@ class Simulator:
             clustering=scenario.clustering,
             maxmin_d=scenario.maxmin_d,
             election_mode=scenario.election_mode,
-            incremental=scenario.incremental_hierarchy,
         )
         self._edge_cache = None
         if scenario.incremental_hierarchy:
@@ -259,8 +259,8 @@ class Simulator:
         for _ in range(sc.warmup):
             self.model.step(sc.dt)
         positions = self.model.positions.copy()
-        edges, diff = self._edges(positions)
-        hierarchy = self._stepper(edges, positions, diff)
+        edges, _ = self._edges(positions)
+        hierarchy = self._stepper(edges, positions)
         hop_fn = self._hop_fn(positions, edges)
         self._engine.observe(hierarchy, hop_fn)
         snap = StepSnapshot(
@@ -298,7 +298,7 @@ class Simulator:
             diff = link_diff(self._prev_hierarchy.levels[0].edges, edges, sc.n)
         if mark is not None:
             mark("rebuild")
-        hierarchy = self._stepper(edges, positions, diff)
+        hierarchy = self._stepper(edges, positions)
         if mark is not None:
             mark("hierarchy")
         # Event-plane phase: distill the two latest snapshots into the

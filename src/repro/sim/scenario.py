@@ -160,20 +160,20 @@ class Scenario:
         (BFS from several sources); raise the cadence for wide sweeps
         (see docs/PERFORMANCE.md), lower it when h/h_k accuracy matters.
     incremental_hierarchy:
-        Run the event-driven hierarchy plane (see
-        :mod:`repro.hierarchy.delta` and docs/ARCHITECTURE.md): the ALCA
-        hierarchy is patched from link deltas instead of rebuilt, the
+        Run the event-driven control plane (see
+        :mod:`repro.hierarchy.delta` and docs/ARCHITECTURE.md): the
         unit-disk graph is maintained by a Verlet-style candidate cache,
-        and the handoff engine re-hashes only dirty descent chains.
-        Guaranteed bit-identical to the full-rebuild pipeline for every
-        scenario (the equivalence matrix in
+        and the handoff engine re-hashes only the descent chains the
+        step's :class:`~repro.hierarchy.delta.HierarchyDelta` marks
+        dirty instead of reassigning every server.  The hierarchy itself
+        comes from the same stepper on both planes.  Guaranteed
+        bit-identical to the full-rebuild pipeline for every scenario
+        (the equivalence matrix in
         ``tests/sim/test_incremental_equivalence`` covers plain / lossy /
-        chaos / stateful / max-min / naive-hash / resume): elections
-        with no patchable form (sticky, persistent, max-min) run as they
-        are and only their snapshots are diffed, and a hash that keeps
-        no descent chains is recomputed on the patched hierarchy.  Read
-        once, where the simulator is constructed.  Part of the scenario,
-        so cached sweeps key the two pipelines separately.
+        chaos / stateful / max-min / naive-hash / resume); a hash that
+        keeps no descent chains is recomputed in full.  Read once, where
+        the simulator is constructed.  Part of the scenario, so cached
+        sweeps key the two pipelines separately.
     seed:
         Root seed for all randomness.
     """

@@ -12,9 +12,9 @@ from repro.core.events import HierarchyDiff, MigrationEvent, ReorgEvent
 from repro.geometry import disc_for_density
 from repro.hierarchy import (
     ClusteredHierarchy,
-    DeltaPlane,
     LevelTopology,
     build_hierarchy,
+    hierarchy_stepper,
 )
 from repro.hierarchy.persistent import PersistentHierarchyMaintainer
 from repro.radio import radius_for_degree, unit_disk_edges
@@ -175,20 +175,20 @@ def chaos_edges(rng, pts, step, down):
 def snapshot_sequence(seed, n, steps, drift, level_mode, max_levels, plane,
                       ids=None):
     """Hierarchies of a drifting, crashing, partitioning network, built
-    by the full rebuild or patched by the event-driven plane.  ``ids``
-    (full rebuild only) renames node i to ``ids[i]``."""
+    by :func:`build_hierarchy` directly or by the hierarchy stepper a
+    simulator binds.  ``ids`` (direct build only) renames node i to
+    ``ids[i]``."""
     rng = np.random.default_rng(seed)
     pts = disc_for_density(n, DENSITY).sample(n, rng)
     radio = dict(positions=None, r0=None)
-    delta_plane = DeltaPlane(n, max_levels=max_levels, level_mode=level_mode,
-                             r0=R_TX if level_mode == "radio" else None)
+    stepper = hierarchy_stepper(n, R_TX, max_levels=max_levels,
+                                level_mode=level_mode)
     down = np.zeros(n, dtype=bool)
     out = []
     for step in range(steps):
         edges = chaos_edges(rng, pts, step, down)
         if plane == "event":
-            out.append(delta_plane.advance(
-                edges, pts if level_mode == "radio" else None))
+            out.append(stepper(edges, pts))
         else:
             if level_mode == "radio":
                 radio = dict(positions=pts, r0=R_TX)

@@ -1,12 +1,14 @@
-"""Event-driven hierarchy plane: bit-identity against the full rebuild.
+"""Event-driven plane: hierarchies, hierarchy deltas, partition layout.
 
-:class:`DeltaPlane` claims the strongest possible contract: the
-hierarchy it patches from link deltas is **bit-identical** — every
-level's node set, edge array, and all five election fields — to a
-from-scratch :func:`build_hierarchy` on the same topology.  The fuzz
-harnesses here drive it with drifting positions, crash bursts, and
-partitions; the delta tests pin :class:`HierarchyDelta`'s exactness
-claims (dirty cells = exactly the clusters whose member lists changed).
+Both control planes elect every hierarchy through the run's one
+:func:`hierarchy_stepper`; the event plane feeds it Verlet-cached edges
+and adds :func:`compute_delta`.  The bit-identity tests drive that
+hierarchy source against a from-scratch :func:`build_hierarchy` under
+drift, crash and partition bursts.  The delta tests pin
+:class:`HierarchyDelta`'s exactness claims (dirty cells = exactly the
+clusters whose member lists changed, arrivals = exactly the members they
+gained) on :func:`build_hierarchy` snapshots; the :class:`LazyClusters`
+tests pin the CSR partition the dense rendezvous kernel reads.
 """
 
 import numpy as np
@@ -15,12 +17,12 @@ import pytest
 from repro.clustering import elect
 from repro.geometry import disc_for_density
 from repro.hierarchy import (
-    DeltaPlane,
     LazyClusters,
     build_hierarchy,
     compute_delta,
+    hierarchy_stepper,
 )
-from repro.radio import radius_for_degree, unit_disk_edges
+from repro.radio import VerletEdgeCache, radius_for_degree, unit_disk_edges
 
 DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
@@ -42,19 +44,33 @@ def assert_hierarchies_identical(a, b):
             assert np.array_equal(ea.clusterheads, eb.clusterheads)
 
 
+def event_plane(n, level_mode):
+    """The event plane's hierarchy source: Verlet-cached edges, an
+    optional chaos filter, then the run's stepper."""
+    cache = VerletEdgeCache(R_TX)
+    step = hierarchy_stepper(n, R_TX, max_levels=3, level_mode=level_mode)
+
+    def advance(pts, keep=lambda edges: edges):
+        return step(keep(cache.edges(pts)), pts)
+    return advance
+
+
 class TestBuildModeBitIdentity:
+    """Step after step, the event plane's hierarchy is bit-identical to
+    the full plane's: fresh unit-disk edges through
+    :func:`build_hierarchy`."""
+
     @pytest.mark.parametrize("seed,drift", [(0, 0.3), (3, 0.8), (9, 2.0)])
     def test_radio_mode_matches_full_rebuild(self, seed, drift):
         n = 130
         rng = np.random.default_rng(seed)
         pts = disc_for_density(n, DENSITY).sample(n, rng)
-        plane = DeltaPlane(n, max_levels=3, level_mode="radio", r0=R_TX)
+        advance = event_plane(n, "radio")
         for _ in range(12):
-            edges = unit_disk_edges(pts, R_TX)
-            h = plane.advance(edges, pts)
-            ref = build_hierarchy(np.arange(n), edges, max_levels=3,
-                                  level_mode="radio", positions=pts,
-                                  r0=R_TX)
+            h = advance(pts)
+            ref = build_hierarchy(np.arange(n), unit_disk_edges(pts, R_TX),
+                                  max_levels=3, level_mode="radio",
+                                  positions=pts, r0=R_TX)
             assert_hierarchies_identical(h, ref)
             pts = pts + rng.normal(scale=drift, size=pts.shape)
 
@@ -62,40 +78,41 @@ class TestBuildModeBitIdentity:
         n = 100
         rng = np.random.default_rng(4)
         pts = disc_for_density(n, DENSITY).sample(n, rng)
-        plane = DeltaPlane(n, max_levels=3, level_mode="contraction")
+        advance = event_plane(n, "contraction")
         for _ in range(8):
-            edges = unit_disk_edges(pts, R_TX)
-            h = plane.advance(edges, pts)
-            ref = build_hierarchy(np.arange(n), edges, max_levels=3,
-                                  level_mode="contraction")
+            h = advance(pts)
+            ref = build_hierarchy(np.arange(n), unit_disk_edges(pts, R_TX),
+                                  max_levels=3, level_mode="contraction")
             assert_hierarchies_identical(h, ref)
             pts = pts + rng.normal(scale=0.6, size=pts.shape)
 
     def test_crash_and_partition_bursts(self):
         """Chaos-shaped topology changes: edges filtered by crashed
-        nodes and a severed half-plane, exactly what the simulator's
-        chaos engine feeds the plane."""
+        nodes and a severed half-plane after the edge source, as the
+        simulator's chaos engine filters them."""
         n = 110
         rng = np.random.default_rng(7)
         pts = disc_for_density(n, DENSITY).sample(n, rng)
-        plane = DeltaPlane(n, max_levels=3, level_mode="radio", r0=R_TX)
+        advance = event_plane(n, "radio")
         down = np.zeros(n, dtype=bool)
         for step in range(10):
-            edges = unit_disk_edges(pts, R_TX)
+            cut = None
             if step == 3:  # crash burst
                 down[rng.choice(n, size=12, replace=False)] = True
             if step == 6:  # repair + partition along x=median
                 down[:] = False
                 cut = pts[:, 0] < np.median(pts[:, 0])
-                keep = cut[edges[:, 0]] == cut[edges[:, 1]]
-                edges = edges[keep]
-            if down.any():
-                keep = ~(down[edges[:, 0]] | down[edges[:, 1]])
-                edges = edges[keep]
-            h = plane.advance(edges, pts)
-            ref = build_hierarchy(np.arange(n), edges, max_levels=3,
-                                  level_mode="radio", positions=pts,
-                                  r0=R_TX)
+
+            def keep(edges):
+                if cut is not None:
+                    edges = edges[cut[edges[:, 0]] == cut[edges[:, 1]]]
+                return edges[~(down[edges[:, 0]] | down[edges[:, 1]])]
+
+            h = advance(pts, keep)
+            ref = build_hierarchy(np.arange(n),
+                                  keep(unit_disk_edges(pts, R_TX)),
+                                  max_levels=3, level_mode="radio",
+                                  positions=pts, r0=R_TX)
             assert_hierarchies_identical(h, ref)
             pts = pts + rng.normal(scale=0.4, size=pts.shape)
 
@@ -123,7 +140,7 @@ class TestHierarchyDelta:
         for k in range(1, h1.num_levels + 1):
             assert np.array_equal(d.level_changed[k],
                                   h0.ancestry(k) != h1.ancestry(k))
-        assert d.n_changed >= 0
+        assert any(mask.any() for mask in d.level_changed[1:])
 
     def test_dirty_cells_are_exactly_changed_member_lists(self):
         """A level-d cell is dirty iff its member list (as a set of
@@ -165,7 +182,8 @@ class TestHierarchyDelta:
     def test_identical_snapshots_have_empty_delta(self):
         h0, _ = self._two_snapshots(seed=3)
         d = compute_delta(h0, h0)
-        assert not d.full and d.n_changed == 0 and not d.top_changed
+        assert not d.full and not d.top_changed
+        assert not any(mask.any() for mask in d.level_changed)
         for cells in d.dirty_cells:
             assert cells.size == 0
 
@@ -248,67 +266,15 @@ class TestLazyClusters:
 
 class TestModesAndValidation:
     def test_constructor_validation(self):
+        """The stepper refuses an unknown election mode when it is built
+        and an unknown level link model on its first step."""
+        with pytest.raises(ValueError, match="election_mode"):
+            hierarchy_stepper(10, R_TX, election_mode="bogus")
+        step = hierarchy_stepper(10, R_TX, level_mode="bogus")
         with pytest.raises(ValueError, match="level_mode"):
-            DeltaPlane(10, level_mode="bogus")
-        with pytest.raises(ValueError, match="r0"):
-            DeltaPlane(10, level_mode="radio")
-        with pytest.raises(ValueError, match="two nodes"):
-            DeltaPlane(1, level_mode="contraction")
+            step(np.array([[0, 1]], dtype=np.int64), np.zeros((10, 2)))
 
     def test_radio_advance_requires_positions(self):
-        plane = DeltaPlane(10, level_mode="radio", r0=1.0)
+        step = hierarchy_stepper(10, 1.0)
         with pytest.raises(ValueError, match="positions"):
-            plane.advance(np.array([[0, 1]], dtype=np.int64))
-
-
-class TestSuppliedLinkDiff:
-    """advance(diff=...) with the Verlet cache's free diff must produce
-    the same hierarchy as re-deriving the diff from edge keys."""
-
-    @pytest.mark.parametrize("seed", [0, 4])
-    def test_diff_fed_plane_bit_identical(self, seed):
-        from repro.radio import VerletEdgeCache
-
-        n = 110
-        rng = np.random.default_rng(seed)
-        pts = disc_for_density(n, DENSITY).sample(n, rng)
-        cache = VerletEdgeCache(R_TX)
-        with_diff = DeltaPlane(n, max_levels=3, r0=R_TX)
-        without = DeltaPlane(n, max_levels=3, r0=R_TX)
-        fed = 0
-        for _ in range(20):
-            edges, diff = cache.edges_with_diff(pts)
-            ha = with_diff.advance(edges, pts, diff=diff)
-            hb = without.advance(edges, pts)
-            assert_hierarchies_identical(ha, hb)
-            href = build_hierarchy(np.arange(n), edges, max_levels=3,
-                                   level_mode="radio", positions=pts,
-                                   r0=R_TX)
-            assert_hierarchies_identical(ha, href)
-            if diff is not None and diff.n_events:
-                fed += 1
-            pts = pts + rng.normal(scale=0.4, size=pts.shape)
-        assert fed > 5  # the diff path actually ran
-
-    def test_stale_level0_ignores_supplied_diff(self):
-        """If a step never elects level 0 (empty edge array), the next
-        step's one-step diff is against the wrong baseline and must be
-        dropped rather than applied."""
-        n = 40
-        rng = np.random.default_rng(2)
-        pts = disc_for_density(n, DENSITY).sample(n, rng)
-        edges = unit_disk_edges(pts, R_TX)
-        plane = DeltaPlane(n, max_levels=2, r0=R_TX)
-        plane.advance(edges, pts)
-        # Empty step: level 0 never elects, state[0] goes stale.
-        empty = np.empty((0, 2), dtype=np.int64)
-        plane.advance(empty, pts)
-        # Supply a bogus "diff" (old edges as ups): a correct plane
-        # ignores it and rebuilds from the real edge array.
-        from repro.radio.linkevents import LinkDiff
-
-        bogus = LinkDiff(ups=edges[:1], downs=np.empty((0, 2), np.int64))
-        h = plane.advance(edges, pts, diff=bogus)
-        href = build_hierarchy(np.arange(n), edges, max_levels=2,
-                               level_mode="radio", positions=pts, r0=R_TX)
-        assert_hierarchies_identical(h, href)
+            step(np.array([[0, 1]], dtype=np.int64), None)

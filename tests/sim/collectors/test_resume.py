@@ -4,6 +4,8 @@ rejected or ignored rather than trusted."""
 
 import dataclasses
 import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -60,25 +62,31 @@ class TestResumeEqualsUninterrupted:
                 == baseline.queries.success_series)
 
     def test_resume_on_event_plane(self, tmp_path):
-        """The event-driven plane resumes from its pickled election
-        state, which is the vote and support arrays of each level."""
+        """The event-driven plane resumes mid-run: the result equals the
+        uninterrupted run's, and the Verlet edge cache's rebuild counts
+        carry across the checkpoint (at 2 m/s every list lasts a few
+        steps, so the run rebuilds several times and never falls back to
+        the plain build)."""
         sc = _scenario(incremental_hierarchy=True)
-        baseline = Simulator(sc).run()
+        uninterrupted = Simulator(sc)
+        baseline = uninterrupted.run()
         path = tmp_path / "event.ckpt"
         Simulator(sc).run(checkpoint_every=5, checkpoint_path=str(path))
         ck = load_checkpoint(path)
-        levels = ck.stepper.__self__._state  # the DeltaPlane's
-        assert levels
-        for st in levels.values():
-            assert all(isinstance(v, (np.ndarray, bool))
-                       for v in vars(st.inc).values())
         # The edge cache is mid-list: the resumed run filters the pickled
         # candidate columns before its next rebuild.
         u, v = ck.edge_cache._candidates
         assert u.flags.c_contiguous and v.flags.c_contiguous and u.size
+        at_checkpoint = ck.edge_cache.rebuilds
         resumed_sim = Simulator.restore(ck)
         assert 0 < resumed_sim.next_step < sc.steps
         _assert_same_result(baseline, resumed_sim.run())
+        want = uninterrupted.checkpoint().edge_cache
+        got = resumed_sim.checkpoint().edge_cache
+        assert (got.rebuilds, got.plain_builds) == (want.rebuilds,
+                                                    want.plain_builds)
+        assert want.rebuilds > at_checkpoint > 0
+        assert want.plain_builds == 0
 
     def test_restore_accepts_checkpoint_object(self, tmp_path):
         sc = _scenario(steps=8)
@@ -146,11 +154,11 @@ class TestStaleCheckpointRejection:
     def _assert_schema_refused(self, tmp_path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 8
+        assert CHECKPOINT_SCHEMA == 9
         path = self._write_checkpoint(tmp_path, schema=schema)
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 8" in str(err.value)
+        assert f"checkpoint schema {schema} != 9" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -179,6 +187,41 @@ class TestStaleCheckpointRejection:
         """Schema 7 pickled one ALCA state tracker per level where schema
         8 keeps one level-stacked tracker; refused the same way."""
         self._assert_schema_refused(tmp_path, 7)
+
+    def test_schema_8_checkpoint_refused(self, tmp_path):
+        """Schema 8 pickled the event plane's per-level patched elections
+        where schema 9 keeps the from-scratch stepper on both planes;
+        refused the same way."""
+        self._assert_schema_refused(tmp_path, 8)
+
+    @pytest.mark.parametrize("module,name", [
+        ("repro.hierarchy.delta", "RetiredPlane"),
+        ("repro.clustering.retired", "RetiredElection"),
+    ], ids=["missing-class", "missing-module"])
+    def test_checkpoint_naming_missing_code_refused(self, tmp_path,
+                                                    monkeypatch, module,
+                                                    name):
+        """An old file can pickle a ``repro`` class (or module) this code
+        no longer has; unpickling it fails before the schema field can
+        be read, and that is reported as a stale checkpoint, not as the
+        bare ``AttributeError`` / ``ImportError``."""
+        retired = type(name, (), {"__module__": module})
+        if module in sys.modules:
+            monkeypatch.setattr(sys.modules[module], name, retired,
+                                raising=False)
+        else:
+            fake = types.ModuleType(module)
+            setattr(fake, name, retired)
+            monkeypatch.setitem(sys.modules, module, fake)
+        path = self._write_checkpoint(tmp_path)
+        save_checkpoint(dataclasses.replace(load_checkpoint(path),
+                                            stepper=retired()), path)
+        monkeypatch.undo()
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert "checkpoint schema" in str(err.value)
+        assert "stale file" in str(err.value) and str(path) in str(err.value)
+        assert name in str(err.value) or module in str(err.value)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -13,14 +13,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.hierarchy import DeltaPlane
 from repro.sim import Scenario, run_scenario
 from repro.sim.engine import Simulator
 from tests.fingerprint import fingerprint
 
 
 def _pair(sc, hop_sample_every=25):
-    """Run the scenario with the delta plane off and on."""
+    """Run the scenario with the event plane off and on."""
     off = run_scenario(replace(sc, incremental_hierarchy=False),
                        hop_sample_every=hop_sample_every)
     on = run_scenario(replace(sc, incremental_hierarchy=True),
@@ -74,9 +73,8 @@ class TestRegimeMatrix:
              chaos=("crash:start=2,duration=4,rate=0.04,repair=3",)),
     ], ids=["d2-radio", "d3-contraction", "crash"])
     def test_maxmin_clustering(self, fields):
-        """Max-min has no patchable election: it runs as it is behind
-        the Verlet edges, and the snapshots' delta feeds the dirty-chain
-        patch exactly as for the stateful maintainers."""
+        """Max-min clustering behind the Verlet edges: the snapshots'
+        delta feeds the dirty-chain patch as for every other election."""
         off, on = _pair(Scenario(**{
             **dict(n=80, steps=8, warmup=2, max_levels=3,
                    clustering="maxmin"), **fields}))
@@ -89,7 +87,7 @@ class TestRegimeMatrix:
     ], ids=["lossless", "lossy-with-queries"])
     def test_naive_hash(self, fields):
         """A hash that keeps no descent chains is recomputed in full on
-        the patched hierarchy."""
+        the event plane too."""
         off, on = _pair(Scenario(max_levels=3, hash_fn="naive", **fields))
         assert fingerprint(off) == fingerprint(on)
         if off.queries is not None:
@@ -99,20 +97,26 @@ class TestRegimeMatrix:
 class TestResume:
     def test_resumed_incremental_run_is_bit_identical(self, tmp_path):
         """Interrupt an incremental run mid-flight; the resumed half
-        must reproduce the uninterrupted run exactly (the stepper's
-        delta plane and the edge cache ride the checkpoint)."""
+        must reproduce the uninterrupted run exactly, and the Verlet edge
+        cache riding the checkpoint must end on the same build counts
+        (at the stock 5 m/s one step outruns the skin, so after the
+        baseline's one list build every metered step is a plain build)."""
         sc = Scenario(n=80, steps=12, warmup=3, seed=0, max_levels=3,
                       incremental_hierarchy=True)
-        baseline = Simulator(sc).run()
+        uninterrupted = Simulator(sc)
+        baseline = uninterrupted.run()
 
         path = tmp_path / "inc.ckpt"
         Simulator(sc).run(checkpoint_every=5, checkpoint_path=str(path))
         resumed_sim = Simulator.restore(str(path))
         assert 0 < resumed_sim.next_step < sc.steps
-        assert isinstance(resumed_sim._stepper.__self__, DeltaPlane)
-        assert resumed_sim._edge_cache is not None
         resumed = resumed_sim.run()
         assert fingerprint(baseline) == fingerprint(resumed)
+        want = uninterrupted.checkpoint().edge_cache
+        got = resumed_sim.checkpoint().edge_cache
+        assert (got.rebuilds, got.plain_builds) == (want.rebuilds,
+                                                    want.plain_builds)
+        assert want.plain_builds == sc.steps
 
     def test_resume_matches_full_rebuild_run(self, tmp_path):
         """Transitively: resumed-incremental == incremental == full."""
