@@ -219,10 +219,10 @@ def test_bench_simulator_step(benchmark):
     from repro.sim import Scenario, Simulator
 
     sc = Scenario(n=400, steps=1, warmup=0, speed=1.0, hop_mode="euclidean",
-                  max_levels=3, seed=0)
+                  max_levels=3, seed=0, hop_sample_every=10_000)
 
     def one_run():
-        return Simulator(sc, hop_sample_every=10_000).run()
+        return Simulator(sc).run()
 
     res = benchmark.pedantic(one_run, rounds=3, iterations=1, warmup_rounds=1)
     assert res.elapsed > 0
@@ -235,12 +235,12 @@ def test_bench_chaos_step(benchmark):
     from repro.sim import Scenario, Simulator
 
     sc = Scenario(n=400, steps=1, warmup=0, speed=1.0, hop_mode="euclidean",
-                  max_levels=3, seed=0,
+                  max_levels=3, seed=0, hop_sample_every=10_000,
                   chaos=("crash:rate=0.02,repair=10",
                          "partition:start=0,duration=100,angle=0.7"))
 
     def one_run():
-        return Simulator(sc, hop_sample_every=10_000).run()
+        return Simulator(sc).run()
 
     res = benchmark.pedantic(one_run, rounds=3, iterations=1, warmup_rounds=1)
     assert res.extras["chaos"] is not None
@@ -254,11 +254,11 @@ def test_bench_service_step(benchmark):
     from repro.sim import Scenario, Simulator
 
     sc = Scenario(n=400, steps=1, warmup=0, speed=1.0, hop_mode="euclidean",
-                  max_levels=3, seed=0,
+                  max_levels=3, seed=0, hop_sample_every=10_000,
                   arrival_rate=100.0, admission_rate=80.0)
 
     def one_run():
-        return Simulator(sc, hop_sample_every=10_000).run()
+        return Simulator(sc).run()
 
     res = benchmark.pedantic(one_run, rounds=3, iterations=1, warmup_rounds=1)
     assert res.extras["service"].offered > 0
@@ -270,10 +270,10 @@ def test_bench_simulator_step_profiled(benchmark):
     from repro.sim import Scenario, Simulator
 
     sc = Scenario(n=400, steps=1, warmup=0, speed=1.0, hop_mode="euclidean",
-                  max_levels=3, seed=0)
+                  max_levels=3, seed=0, hop_sample_every=10_000)
 
     def one_run():
-        return Simulator(sc, hop_sample_every=10_000, profile=True).run()
+        return Simulator(sc, profile=True).run()
 
     res = benchmark.pedantic(one_run, rounds=3, iterations=1, warmup_rounds=1)
     assert res.timings is not None and res.timings.steps == 1
@@ -356,11 +356,11 @@ def test_bench_parallel_sweep_small(benchmark):
     from repro.sim import Scenario, expand_grid, run_sweep
 
     base = Scenario(n=120, steps=5, warmup=1, speed=1.0,
-                    hop_mode="euclidean", max_levels=2)
+                    hop_mode="euclidean", max_levels=2, hop_sample_every=1000)
     grid = expand_grid(base, [120], seeds=(0, 1, 2, 3))
 
     def one_sweep():
-        return run_sweep(grid, hop_sample_every=1000, workers=2)
+        return run_sweep(grid, workers=2)
 
     results = benchmark.pedantic(one_sweep, rounds=1, iterations=1)
     assert len(results) == 4 and all(r.f0 > 0 for r in results)

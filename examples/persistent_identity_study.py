@@ -30,14 +30,13 @@ def main():
     n = 300
     steps = 60
     common = dict(n=n, steps=steps, warmup=10, speed=1.5, seed=6,
-                  max_levels=3, hop_mode="euclidean")
+                  max_levels=3, hop_mode="euclidean", hop_sample_every=10_000)
 
     print(f"{n} nodes, {steps} s, identical mobility; two naming disciplines\n")
     print(f"{'discipline':12s} {'phi':>8} {'gamma':>8} {'total':>8} "
           f"{'reg':>8} {'lvl-2 id changes':>17}")
     for mode in ("memoryless", "persistent"):
-        res = run_scenario(Scenario(election_mode=mode, **common),
-                           hop_sample_every=10_000)
+        res = run_scenario(Scenario(election_mode=mode, **common))
         # Level-2 identity churn: how many level-2 cluster IDs appeared or
         # disappeared per step, on average.
         id_changes = res.level_series.address_changes.get(2, 0) / steps

@@ -18,13 +18,11 @@ addresses and all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from repro.core import HandoffEngine, resolve_batch
 from repro.graphs import CompactGraph
-from repro.hierarchy.delta import compute_delta
 from repro.hierarchy.levels import ClusteredHierarchy
 from repro.hierarchy.stepper import hierarchy_stepper
 from repro.radio.linkevents import LinkTracker
@@ -60,14 +58,6 @@ class MessagingService:
     hash_fn:
         CHLM hash the handoff engine places servers with and sessions
         resolve with.
-    incremental_hierarchy:
-        When True, the *control plane* goes event-driven: unit-disk
-        edges come from a Verlet candidate cache and the handoff engine
-        re-hashes only the descent chains the step's
-        :class:`~repro.hierarchy.delta.HierarchyDelta` marks dirty.  The
-        hierarchy is elected from scratch on both planes, and results
-        are bit-identical either way.  Read here only, as in
-        :class:`~repro.sim.engine.Simulator`.
 
     The forwarding fabric is maintained across steps by a
     :class:`~repro.routing.fabric_cache.FabricCache` fed with the step's
@@ -75,8 +65,7 @@ class MessagingService:
     """
 
     def __init__(self, n: int, r_tx: float, max_levels: int | None = None,
-                 hash_fn: str = "rendezvous",
-                 incremental_hierarchy: bool = False):
+                 hash_fn: str = "rendezvous"):
         if n <= 1 or r_tx <= 0:
             raise ValueError("need n > 1 and a positive radius")
         self.n = int(n)
@@ -85,13 +74,6 @@ class MessagingService:
         self._engine = HandoffEngine(hash_fn=hash_fn)
         self._stepper = hierarchy_stepper(self.n, self.r_tx,
                                           max_levels=max_levels)
-        self._event_plane = bool(incremental_hierarchy)
-        if self._event_plane:
-            from repro.radio.edge_cache import VerletEdgeCache
-
-            self._edges = VerletEdgeCache(self.r_tx).edges
-        else:
-            self._edges = partial(unit_disk_edges, r_tx=self.r_tx)
         self._tracker = LinkTracker(self.n)
         self._fabric_cache = FabricCache()
         self._hierarchy: ClusteredHierarchy | None = None
@@ -116,13 +98,12 @@ class MessagingService:
         pts = np.asarray(positions, dtype=np.float64)
         if pts.shape[0] != self.n:
             raise ValueError("positions must cover all nodes")
-        edges = self._edges(pts)
+        edges = unit_disk_edges(pts, self.r_tx)
         h = self._stepper(edges, pts)
-        delta = compute_delta(self._hierarchy, h) if self._event_plane else None
         # Database = what was current before this update.
         self._db_hierarchy = self._hierarchy
         self._db_assignment = self._engine.assignment
-        self._engine.observe(h, hop_fn, delta=delta)
+        self._engine.observe(h, hop_fn)
         self._hierarchy = h
         self._graph = CompactGraph(np.arange(self.n), edges)
         self._fabric = self._fabric_cache.update(

@@ -599,7 +599,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro.obs import RunManifest, SweepReport, write_jsonl
-    from repro.sim import expand_grid, print_progress, run_sweep_detailed
+    from repro.sim import (
+        SweepError, SweepRun, expand_grid, print_progress, run_sweep,
+    )
 
     parsed = _grid_from_args(args)
     if parsed is None:
@@ -613,10 +615,12 @@ def _cmd_profile(args) -> int:
         if not args.quiet:
             print_progress(p)
 
-    run = run_sweep_detailed(
-        grid, workers=args.workers, cache_dir=cache_dir,
-        progress=_progress, profile=True,
-    )
+    try:
+        run = SweepRun(run_sweep(grid, workers=args.workers,
+                                 cache_dir=cache_dir, progress=_progress,
+                                 profile=True), errors=[])
+    except SweepError as exc:  # healthy tasks still get their report
+        run = exc.run
     report.finish(run)
     print(report.render())
     if args.manifest:

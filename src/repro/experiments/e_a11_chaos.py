@@ -46,7 +46,7 @@ def _scenario(n, steps, seed, chaos):
         n=n, steps=steps, warmup=5, speed=1.5, seed=seed,
         max_levels=3, target_degree=12.0, hop_mode="euclidean",
         queries_per_step=8, retry_attempts=2, loss_rate=0.02,
-        chaos=chaos, invariant_mode="count",
+        chaos=chaos, invariant_mode="count", hop_sample_every=10_000,
     )
 
 
@@ -78,8 +78,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     for name, chaos in regimes:
         totals, peaks, downs, ttrs, stales, succ = [], [], [], [], [], []
         for seed in seeds:
-            res = run_scenario(_scenario(n, steps, seed, chaos),
-                               hop_sample_every=10_000)
+            res = run_scenario(_scenario(n, steps, seed, chaos))
             rep = res.extras["chaos"]
             totals.append(rep.total_violations)
             peaks.append(rep.peak_violations)

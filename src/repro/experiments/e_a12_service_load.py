@@ -43,6 +43,7 @@ def _scenario(n, steps, seed, *, arrival_rate, admission_rate):
         max_levels=3, target_degree=12.0, hop_mode="euclidean",
         arrival_rate=arrival_rate, admission_rate=admission_rate,
         service_workers=4, service_queue_capacity=64,
+        hop_sample_every=10_000,
     )
 
 
@@ -71,7 +72,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         p50s, p95s, p99s, thru, peakq = [], [], [], [], []
         for seed in seeds:
             sc = _scenario(n, steps, seed, **knobs)
-            rep = run_scenario(sc, hop_sample_every=10_000).extras["service"]
+            rep = run_scenario(sc).extras["service"]
             offered.append(rep.offered)
             served.append(rep.served)
             shed.append(rep.shed)

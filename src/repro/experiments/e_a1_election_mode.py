@@ -42,8 +42,9 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                     n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
                     hop_mode="euclidean", max_levels=levels_for(n),
                     election_mode=mode,
+                    hop_sample_every=10_000,
                 )
-                res = run_scenario(sc, hop_sample_every=10_000)
+                res = run_scenario(sc)
                 phis.append(res.phi)
                 gammas.append(res.gamma)
                 rates = res.ledger.reorg_event_rates()

@@ -43,8 +43,9 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                 n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
                 hop_mode="euclidean", max_levels=levels_for(n),
                 level_mode=mode,
+                hop_sample_every=max(steps // 3, 1),
             )
-            res = run_scenario(sc, hop_sample_every=max(steps // 3, 1))
+            res = run_scenario(sc)
             gammas.append(res.gamma)
             for k, v in res.g_prime_k_drift().items():
                 gpd_acc.setdefault(k, []).append(v)

@@ -50,8 +50,9 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                 n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
                 hop_mode="euclidean", max_levels=levels_for(n),
                 failure_rate=rate, repair_time=15.0,
+                hop_sample_every=10_000,
             )
-            res = run_scenario(sc, hop_sample_every=10_000)
+            res = run_scenario(sc)
             phis.append(res.phi)
             gammas.append(res.gamma)
             crash_counts.append(rate * n)  # expected crashes per second

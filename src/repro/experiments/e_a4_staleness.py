@@ -40,8 +40,9 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
             sc = Scenario(
                 n=n, steps=steps, warmup=10, speed=mu, seed=seed,
                 hop_mode="euclidean", max_levels=levels_for(n),
+                hop_sample_every=10_000,
             )
-            res = run_scenario(sc, hop_sample_every=10_000)
+            res = run_scenario(sc)
             for k, t in res.component_lifetimes().items():
                 if np.isfinite(t):
                     life_acc.setdefault(k, []).append(t)

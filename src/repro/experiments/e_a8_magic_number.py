@@ -39,8 +39,9 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                 n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
                 target_degree=d, hop_mode="euclidean",
                 max_levels=levels_for(n),
+                hop_sample_every=max(steps // 3, 1),
             )
-            res = run_scenario(sc, hop_sample_every=max(steps // 3, 1))
+            res = run_scenario(sc)
             size1 = res.level_series.mean_size(1)
             acc.setdefault("giant", []).append(res.giant_fraction)
             acc.setdefault("h", []).append(res.mean_h())

@@ -41,8 +41,9 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
             sc = Scenario(
                 n=n, steps=steps, warmup=10, dt=dt, speed=1.0, seed=seed,
                 hop_mode="euclidean", max_levels=levels_for(n),
+                hop_sample_every=10_000,
             )
-            res = run_scenario(sc, hop_sample_every=10_000)
+            res = run_scenario(sc)
             for kind, entry in res.ledger.reorg_event_breakdown().items():
                 event_totals[kind] = event_totals.get(kind, 0) + int(entry["count"])
             p_vec = res.p_levels()

@@ -92,13 +92,13 @@ def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
     seeds = list(seeds)
 
     base = Scenario(n=1_000, steps=3, warmup=2, speed=1.0,
-                    hop_mode="euclidean", incremental_hierarchy=True)
+                    hop_mode="euclidean", incremental_hierarchy=True,
+                    hop_sample_every=10_000)
     scenarios = expand_grid(
         base, ns, seeds,
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
     )
-    results = run_sweep(scenarios, hop_sample_every=10_000,
-                        workers=workers, cache_dir=cache_dir)
+    results = run_sweep(scenarios, workers=workers, cache_dir=cache_dir)
 
     per_n = len(seeds)
     means, stds = [], []

@@ -56,9 +56,8 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     # Speed dependence: f_0 proportional to mu.
     speed_rows = []
     for mu in (0.5, 1.0, 2.0):
-        res = run_scenario(
-            replace(base, n=200, speed=mu, seed=99), hop_sample_every=10_000
-        )
+        res = run_scenario(replace(base, n=200, speed=mu, seed=99,
+                                   hop_sample_every=10_000))
         speed_rows.append((mu, res.f0))
     ratios = [f / mu for mu, f in speed_rows]
     result.add_note(

@@ -24,13 +24,13 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (100, 200, 400, 800) if quick else (100, 200, 400, 800, 1600)
     steps = 12 if quick else 30
-    base = Scenario(n=100, steps=steps, warmup=5, speed=1.0, hop_mode="euclidean")
+    base = Scenario(n=100, steps=steps, warmup=5, speed=1.0,
+                    hop_mode="euclidean", hop_sample_every=4)
 
     points = cached_sweep(
         ns, base,
         metrics={"h": lambda r: r.mean_h()},
         seeds=seeds,
-        hop_sample_every=4,
     )
 
     result = ExperimentResult(
@@ -52,8 +52,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     n_big = 800 if quick else 1600
     res = run_scenario(
         Scenario(n=n_big, steps=8, warmup=5, speed=1.0, hop_mode="euclidean",
-                 max_levels=levels_for(n_big), seed=11),
-        hop_sample_every=2,
+                 max_levels=levels_for(n_big), seed=11, hop_sample_every=2),
     )
     hks = res.mean_h_k()
     cks = {

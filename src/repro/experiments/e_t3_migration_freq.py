@@ -26,13 +26,12 @@ def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
     steps = 40 if quick else 100
 
     base = Scenario(n=400, steps=steps, warmup=10, speed=1.0,
-                    hop_mode="euclidean")
+                    hop_mode="euclidean", hop_sample_every=max(steps // 3, 1))
     scenarios = expand_grid(
         base, ns, seeds,
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
     )
-    results = run_sweep(scenarios, hop_sample_every=max(steps // 3, 1),
-                        workers=workers, cache_dir=cache_dir)
+    results = run_sweep(scenarios, workers=workers, cache_dir=cache_dir)
 
     result = ExperimentResult(
         exp_id="EXP-T3",

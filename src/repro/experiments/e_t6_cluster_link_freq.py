@@ -49,8 +49,9 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         sc = Scenario(
             n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
             hop_mode="euclidean", max_levels=levels_for(n),
+            hop_sample_every=max(steps // 3, 1),
         )
-        res = run_scenario(sc, hop_sample_every=max(steps // 3, 1))
+        res = run_scenario(sc)
         for k in res.level_series.levels():
             if k < 1:
                 continue

@@ -41,12 +41,14 @@ class RunManifest:
     Attributes
     ----------
     scenario_key:
-        The sweep cache key (SHA-256 over scenario, cadence, and
-        ``CODE_VERSION``) — the run's stable identity.
+        The sweep cache key (SHA-256 over the scenario and
+        ``CODE_VERSION``) — the run's stable identity, and the stem of
+        the file :func:`~repro.sim.sweep.run_sweep` caches it under.
     code_version:
         :data:`repro.sim.sweep.CODE_VERSION` at creation time.
     scenario:
-        The full scenario as a JSON-safe dict (numpy scalars normalized).
+        The full scenario as a JSON-safe dict (numpy scalars normalized),
+        every run setting included — the hop-sampling cadence too.
     platform:
         Interpreter/OS/package versions the run executed under.
     wall_seconds:
@@ -68,14 +70,8 @@ class RunManifest:
     schema: str = SCHEMA
 
     @classmethod
-    def from_result(cls, res, hop_sample_every: int | None = None) -> "RunManifest":
-        """Build a manifest from a finished :class:`SimResult`.
-
-        ``hop_sample_every`` must match the value the run used — it is
-        part of the cache key.  ``None`` (default) uses the scenario's
-        own ``hop_sample_every``, which is what every default-cadence
-        run and sweep uses.
-        """
+    def from_result(cls, res) -> "RunManifest":
+        """Build a manifest from a finished :class:`SimResult`."""
         # Imported here: obs must stay importable before repro.sim
         # finishes initializing (the engine lazily imports obs.timers).
         from repro.sim.sweep import CODE_VERSION, normalize_for_json, scenario_key
@@ -109,7 +105,7 @@ class RunManifest:
             if ttr is not None:
                 metrics["max_time_to_reconverge"] = float(ttr)
         return cls(
-            scenario_key=scenario_key(res.scenario, hop_sample_every),
+            scenario_key=scenario_key(res.scenario),
             code_version=CODE_VERSION,
             scenario=normalize_for_json(asdict(res.scenario)),
             platform=_platform_info(),

@@ -33,7 +33,6 @@ from repro.sim.sweep import (
     parallel_map,
     print_progress,
     run_sweep,
-    run_sweep_detailed,
     scenario_key,
 )
 from repro.sim.trace import EventTrace, TraceEvent
@@ -74,6 +73,5 @@ __all__ = [
     "parallel_map",
     "print_progress",
     "run_sweep",
-    "run_sweep_detailed",
     "scenario_key",
 ]

@@ -26,9 +26,13 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 9
+CHECKPOINT_SCHEMA = 10
 """On-disk checkpoint layout version (bumped when fields change shape).
 
+Schema 10 drops the ``hop_sample_every`` field (a run's cadence is its
+``scenario``'s, and the pickled scenario lost seven one-value fields)
+and the chaos collector's SLO settings (now module constants); a
+schema-9 file still unpickles and is refused by its schema field.
 Schema 9 pickles a memoryless ``stepper`` on either plane as the same
 from-scratch :func:`~repro.hierarchy.levels.build_hierarchy` partial,
 where an event-plane schema-8 file pickled a per-level patched-election
@@ -69,8 +73,6 @@ class SimCheckpoint:
     scenario:
         The run's scenario (restore re-derives nothing from it — it is
         carried for validation and resumed construction).
-    hop_sample_every:
-        The resolved sampling cadence the run was started with.
     next_step:
         First metered step the resumed run will execute.
     started:
@@ -111,7 +113,6 @@ class SimCheckpoint:
 
     code_version: str
     scenario: Scenario
-    hop_sample_every: int
     next_step: int
     started: bool
     model: Any

@@ -13,7 +13,8 @@ snapshot and aggregates the result into a :class:`ChaosReport`:
   **time-to-reconverge**: seconds from the episode's end until the
   hierarchy holds zero invariant violations (and, when the run samples
   queries, the query success rate has recrossed
-  ``slo_success_threshold``) for ``slo_window`` consecutive steps.
+  :data:`SLO_SUCCESS_THRESHOLD`) for :data:`SLO_WINDOW` consecutive
+  steps.
 
 The collector is strictly read-only and draws no randomness, so adding
 it never perturbs a run's metric series.  Its report lands in
@@ -29,6 +30,12 @@ from dataclasses import dataclass, field
 from repro.sim.collectors.base import Collector
 
 __all__ = ["ChaosCollector", "ChaosReport", "EpisodeSLO"]
+
+SLO_SUCCESS_THRESHOLD = 0.9
+"""Query success rate an episode's recovery must recross before the run
+counts as reconverged (binds only when the run samples queries)."""
+SLO_WINDOW = 3
+"""Consecutive converged steps required to declare recovery."""
 
 
 @dataclass(frozen=True)
@@ -99,13 +106,10 @@ class ChaosCollector(Collector):
     name = "chaos"
     phase = "diff"
 
-    def __init__(self, schedule, mode: str = "count", ledger=None,
-                 slo_success_threshold: float = 0.9, slo_window: int = 3):
+    def __init__(self, schedule, mode: str = "count", ledger=None):
         self._schedule = schedule
         self._strict = mode == "strict"
         self._ledger = ledger
-        self._threshold = float(slo_success_threshold)
-        self._window = int(slo_window)
         self.report = ChaosReport()
         self._dt = 1.0
         self._steps = 0
@@ -139,19 +143,19 @@ class ChaosCollector(Collector):
             return False
         if self._ledger is not None:
             series = self._ledger.success_series
-            if step < len(series) and series[step] < self._threshold:
+            if step < len(series) and series[step] < SLO_SUCCESS_THRESHOLD:
                 return False
         return True
 
     def _sustained_from(self, step: int) -> int | None:
-        """First step >= ``step`` opening a run of ``slo_window``
+        """First step >= ``step`` opening a run of :data:`SLO_WINDOW`
         recovered steps (a shorter all-recovered tail at the very end of
         the run counts — the run just ended converged)."""
         total = len(self.report.violations_series)
         run = 0
         for s in range(step, total):
             run = run + 1 if self._recovered(s) else 0
-            if run >= self._window or (run > 0 and s == total - 1):
+            if run >= SLO_WINDOW or (run > 0 and s == total - 1):
                 return s - run + 1
         return None
 

@@ -46,6 +46,10 @@ from repro.sim.snapshot import StepSnapshot
 
 __all__ = ["Simulator", "run_scenario"]
 
+TRACE_CAPACITY = 50_000
+"""Events a ``trace=True`` run keeps; older ones are evicted (and
+counted in ``EventTrace.dropped``)."""
+
 # SimResult fields a collector's finalize() dict may populate; anything
 # else a collector returns is routed to SimResult.extras.
 _RESULT_FIELDS = frozenset({
@@ -62,21 +66,22 @@ class Simulator:
     custom collectors after the scenario's default set — each sees every
     metered step exactly once and contributes to the result via
     ``finalize()`` (unknown keys land in ``SimResult.extras``).
+
+    Every setting of the run lives on the scenario (the hop-sampling
+    cadence included); ``trace=True`` records an
+    :class:`~repro.sim.trace.EventTrace` of the last
+    :data:`TRACE_CAPACITY` events, and ``profile=True`` meters phase
+    wall-clock times.
     """
 
-    def __init__(self, scenario: Scenario, hop_sample_every: int | None = None,
-                 trace: bool = False, trace_capacity: int | None = 50_000,
+    def __init__(self, scenario: Scenario, *, trace: bool = False,
                  profile: bool = False, collectors: list | None = None):
         self.sc = scenario
-        self.hop_sample_every = (
-            scenario.hop_sample_every if hop_sample_every is None
-            else max(int(hop_sample_every), 1)
-        )
         self.trace = None
         if trace:
             from repro.sim.trace import EventTrace
 
-            self.trace = EventTrace(capacity=trace_capacity)
+            self.trace = EventTrace(capacity=TRACE_CAPACITY)
         # Phase timers (repro.obs): wall-clock only, never an RNG stream,
         # so a profiled run replays bit-identically.  Imported lazily to
         # keep the engine importable while repro.obs initializes.
@@ -199,7 +204,7 @@ class Simulator:
         if self.trace is not None:
             out.append(TraceCollector(self.trace))
         out.append(LevelSeriesCollector())
-        out.append(HopSampleCollector(rngs["sampling"], self.hop_sample_every))
+        out.append(HopSampleCollector(rngs["sampling"], sc.hop_sample_every))
         if sc.service_enabled:
             # Open-loop service plane (repro.service): draws only from
             # the dedicated "service" stream and builds per-request
@@ -218,8 +223,6 @@ class Simulator:
                 self._chaos.schedule if self._chaos else None,
                 mode=sc.resolved_invariant_mode,
                 ledger=query_ledgers[0] if query_ledgers else None,
-                slo_success_threshold=sc.slo_success_threshold,
-                slo_window=sc.slo_window,
             ))
         return out
 
@@ -248,7 +251,7 @@ class Simulator:
     def _hop_fn(self, positions: np.ndarray, edges: np.ndarray):
         if self.sc.resolved_hop_mode == "bfs":
             return BfsHops(CompactGraph(np.arange(self.sc.n), edges))
-        return EuclideanHops(positions, self.sc.r_tx, self.sc.detour)
+        return EuclideanHops(positions, self.sc.r_tx)
 
     # -- pipeline phases ----------------------------------------------------------
 
@@ -435,7 +438,6 @@ class Simulator:
         ck = SimCheckpoint(
             code_version=CODE_VERSION,
             scenario=self.sc,
-            hop_sample_every=self.hop_sample_every,
             next_step=self._next_step,
             started=self._started,
             model=self.model,
@@ -481,7 +483,6 @@ class Simulator:
             ck = load_checkpoint(source)
         sim = cls.__new__(cls)
         sim.sc = ck.scenario
-        sim.hop_sample_every = ck.hop_sample_every
         sim.trace = ck.trace
         sim.timings = ck.timings
         sim._delivery = ck.delivery
@@ -501,15 +502,11 @@ class Simulator:
         return sim
 
 
-def run_scenario(scenario: Scenario, hop_sample_every: int | None = None,
-                 profile: bool = False) -> SimResult:
+def run_scenario(scenario: Scenario, *, profile: bool = False) -> SimResult:
     """Convenience wrapper: build a simulator and run it.
 
-    ``hop_sample_every=None`` (default) uses the scenario's own cadence
-    (``scenario.hop_sample_every``) — the same value sweep cache keys
-    hash, so direct runs and sweeps agree.  ``profile=True`` attaches
-    per-phase wall-clock timings (:class:`repro.obs.StepTimings`) to
-    ``result.timings`` — metrics stay bit-identical either way.
+    ``profile=True`` attaches per-phase wall-clock timings
+    (:class:`repro.obs.StepTimings`) to ``result.timings`` — metrics
+    stay bit-identical either way.
     """
-    return Simulator(scenario, hop_sample_every=hop_sample_every,
-                     profile=profile).run()
+    return Simulator(scenario, profile=profile).run()

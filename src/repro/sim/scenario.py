@@ -70,8 +70,6 @@ class Scenario:
     hop_mode:
         "bfs" for exact hop metering, "euclidean" for the fast distance
         estimator, "auto" to pick by size.
-    detour:
-        Euclidean estimator detour factor (hops ~ detour * dist / R_tx).
     failure_rate:
         Per-node crash rate (1/s).  The paper *excludes* node birth and
         death ("extremely rare"); nonzero rates quantify that excluded
@@ -84,18 +82,10 @@ class Scenario:
         assumes lossless delivery; nonzero rates inject the lossy
         channel of EXP-A10 (see ``repro.faults`` and ROBUSTNESS.md).
         0 disables fault injection entirely (bit-identical metering).
-    loss_level_coeff:
-        Optional level dependence of the channel: a level-k message sees
-        an effective per-hop loss of ``loss_rate * (1 + coeff * k)``.
     retry_attempts:
         Total delivery tries per control message, including the first
-        (1 disables retransmission).
-    retry_backoff:
-        Delay before the first retransmission, in seconds.
-    retry_backoff_factor:
-        Exponential backoff multiplier per further retransmission.
-    retry_jitter:
-        Multiplicative backoff jitter (0 disables).
+        (1 disables retransmission).  Retries back off by
+        :class:`~repro.faults.retry.RetryPolicy`'s default schedule.
     retry_timeout:
         Per-message give-up budget in seconds; messages whose
         accumulated backoff would exceed it are abandoned.
@@ -116,12 +106,6 @@ class Scenario:
         exactly when fault injection is on, ``"count"`` always checks,
         ``"strict"`` raises on the first violation, ``"off"`` never
         checks.
-    slo_success_threshold:
-        Query success rate an episode's recovery must recross before
-        the run counts as reconverged (only binds when the scenario
-        samples queries).
-    slo_window:
-        Consecutive converged steps required to declare recovery.
     arrival_rate:
         Open-loop service load in requests per simulated second
         (lookups plus updates), driven by ``repro.service``.  0
@@ -154,11 +138,12 @@ class Scenario:
         Location Service maintained alongside the run).
     hop_sample_every:
         Hop/giant-component sampling cadence: sample every k-th metered
-        step (step 0 always samples).  Part of the scenario — and thus
-        of the sweep cache key — so direct runs and sweeps agree on the
-        default.  Mean hop sampling is the costliest per-step observation
-        (BFS from several sources); raise the cadence for wide sweeps
-        (see docs/PERFORMANCE.md), lower it when h/h_k accuracy matters.
+        step (step 0 always samples).  The only place a run's cadence is
+        set, so the result, its manifest and its sweep cache key all
+        report the value the run used.  Mean hop sampling is the
+        costliest per-step observation (BFS from several sources); raise
+        the cadence for wide sweeps (see docs/PERFORMANCE.md), lower it
+        when h/h_k accuracy matters.
     incremental_hierarchy:
         Run the event-driven control plane (see
         :mod:`repro.hierarchy.delta` and docs/ARCHITECTURE.md): the
@@ -194,15 +179,10 @@ class Scenario:
     max_levels: int | None = None
     hash_fn: str = "rendezvous"
     hop_mode: str = "auto"
-    detour: float = 1.3
     failure_rate: float = 0.0
     repair_time: float = 20.0
     loss_rate: float = 0.0
-    loss_level_coeff: float = 0.0
     retry_attempts: int = 1
-    retry_backoff: float = 0.05
-    retry_backoff_factor: float = 2.0
-    retry_jitter: float = 0.1
     retry_timeout: float = 1.0
     queries_per_step: int = 0
     arrival_rate: float = 0.0
@@ -215,8 +195,6 @@ class Scenario:
     service_scheme: str = "chlm"
     chaos: tuple = ()
     invariant_mode: str = "auto"
-    slo_success_threshold: float = 0.9
-    slo_window: int = 3
     hop_sample_every: int = 25
     incremental_hierarchy: bool = False
     seed: int = 0
@@ -224,13 +202,11 @@ class Scenario:
     # Numeric fields screened for NaN/inf before any range check runs
     # (range checks silently pass on NaN: ``nan < 1`` is False).
     _NUMERIC_FIELDS = (
-        "density", "target_degree", "dt", "detour", "failure_rate",
-        "repair_time", "loss_rate", "loss_level_coeff", "retry_attempts",
-        "retry_backoff", "retry_backoff_factor", "retry_jitter",
-        "retry_timeout", "queries_per_step", "arrival_rate",
-        "admission_rate", "service_workers", "service_queue_capacity",
-        "service_hop_time", "service_update_fraction",
-        "slo_success_threshold", "slo_window", "hop_sample_every",
+        "density", "target_degree", "dt", "failure_rate", "repair_time",
+        "loss_rate", "retry_attempts", "retry_timeout", "queries_per_step",
+        "arrival_rate", "admission_rate", "service_workers",
+        "service_queue_capacity", "service_hop_time",
+        "service_update_fraction", "hop_sample_every",
     )
 
     def __post_init__(self):
@@ -275,8 +251,6 @@ class Scenario:
             raise ValueError("stateful elections require lca clustering")
         if self.election_mode == "persistent" and self.level_mode != "radio":
             raise ValueError("persistent clusters require radio level_mode")
-        if self.detour < 1.0:
-            raise ValueError("detour factor must be >= 1")
         if self.failure_rate < 0:
             raise ValueError("failure rate must be non-negative")
         if self.repair_time <= 0:
@@ -290,28 +264,10 @@ class Scenario:
                 f"{self.loss_rate!r} (1.0 would mean no control packet "
                 "ever survives a hop)"
             )
-        if self.loss_level_coeff < 0:
-            raise ValueError(
-                f"loss_level_coeff must be non-negative, got "
-                f"{self.loss_level_coeff!r}"
-            )
         if self.retry_attempts < 1:
             raise ValueError(
                 f"retry_attempts must be >= 1 (1 disables retries), got "
                 f"{self.retry_attempts!r}"
-            )
-        if self.retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be non-negative, got {self.retry_backoff!r}"
-            )
-        if self.retry_backoff_factor < 1.0:
-            raise ValueError(
-                f"retry_backoff_factor must be >= 1, got "
-                f"{self.retry_backoff_factor!r}"
-            )
-        if self.retry_jitter < 0:
-            raise ValueError(
-                f"retry_jitter must be non-negative, got {self.retry_jitter!r}"
             )
         if self.retry_timeout <= 0:
             raise ValueError(
@@ -393,17 +349,6 @@ class Scenario:
                 f"invariant_mode must be auto, count, strict, or off, "
                 f"got {self.invariant_mode!r}"
             )
-        if not 0.0 < self.slo_success_threshold <= 1.0:
-            raise ValueError(
-                f"slo_success_threshold must be a rate in (0, 1], got "
-                f"{self.slo_success_threshold!r} (0 would declare "
-                "recovery while every query still fails)"
-            )
-        if self.slo_window < 1:
-            raise ValueError(
-                f"slo_window must be >= 1 consecutive steps, got "
-                f"{self.slo_window!r}"
-            )
 
     # -- derived quantities -------------------------------------------------------
 
@@ -469,22 +414,18 @@ class Scenario:
         return FaultSchedule(episodes=episodes)
 
     def loss_model(self):
-        """The :class:`~repro.faults.loss.LossModel` these fields describe."""
+        """The :class:`~repro.faults.loss.LossModel` these fields describe
+        (level-independent: ``level_coeff`` keeps its default 0)."""
         from repro.faults import LossModel
 
-        return LossModel(rate=self.loss_rate, level_coeff=self.loss_level_coeff)
+        return LossModel(rate=self.loss_rate)
 
     def retry_policy(self):
         """The :class:`~repro.faults.retry.RetryPolicy` these fields describe."""
         from repro.faults import RetryPolicy
 
-        return RetryPolicy(
-            max_attempts=self.retry_attempts,
-            base_backoff=self.retry_backoff,
-            backoff_factor=self.retry_backoff_factor,
-            jitter=self.retry_jitter,
-            timeout=self.retry_timeout,
-        )
+        return RetryPolicy(max_attempts=self.retry_attempts,
+                           timeout=self.retry_timeout)
 
     def mean_step_displacement(self) -> float:
         """Expected node displacement per step, in units of R_tx."""

@@ -16,15 +16,14 @@ production scale:
 * **Crash tolerance**: a worker that raises, dies (``BrokenProcessPool``),
   or exceeds the per-task timeout is retried with exponential backoff up
   to a bounded attempt count; tasks that still fail are reported as
-  structured :class:`TaskError` records.  :func:`run_sweep_detailed`
-  always returns the partial results alongside the errors;
-  :func:`run_sweep` raises a :class:`SweepError` (carrying both) at the
-  *end* of the sweep unless ``on_error="partial"``.
+  structured :class:`TaskError` records.  :func:`run_sweep` raises a
+  :class:`SweepError` at the *end* of the sweep, carrying the partial
+  results alongside the errors (``exc.run``).
 * **Result caching**: completed runs are memoized on disk, keyed by a
-  stable SHA-256 of the scenario dataclass, the sampling cadence, and
-  :data:`CODE_VERSION`.  Re-running an experiment or benchmark reuses
-  finished simulations; bump ``CODE_VERSION`` whenever simulator
-  semantics change so stale artifacts can never be replayed.
+  stable SHA-256 of the scenario dataclass (the sampling cadence is one
+  of its fields) and :data:`CODE_VERSION`.  Re-running an experiment or
+  benchmark reuses finished simulations; bump ``CODE_VERSION`` whenever
+  simulator semantics change so stale artifacts can never be replayed.
 
 * **Result transport**: a parallel worker pickles its ``SimResult``
   itself and ships the bytes through the executor pipe, so the cost is
@@ -72,7 +71,6 @@ __all__ = [
     "default_cache_dir",
     "expand_grid",
     "run_sweep",
-    "run_sweep_detailed",
     "cached_sweep",
     "parallel_map",
     "print_progress",
@@ -94,6 +92,9 @@ level link keys were encoded in base n and minted cluster IDs exceed it);
 every other scenario returns what version 5 did.
 Version 5: the handoff engine iterates candidate keys in sorted order,
 which re-orders lossy-channel RNG draws (lossless series unchanged)."""
+
+RETRY_BACKOFF = 0.5
+"""Seconds slept before a sweep's first retry round; doubles per round."""
 
 
 # -- cache keys ---------------------------------------------------------------------
@@ -120,29 +121,20 @@ def normalize_for_json(obj):
     return obj
 
 
-def scenario_key(scenario: Scenario, hop_sample_every: int | None = None,
-                 profile: bool = False) -> str:
-    """Stable SHA-256 cache key for one (scenario, sampling-cadence) run.
+def scenario_key(scenario: Scenario, *, profile: bool = False) -> str:
+    """Stable SHA-256 cache key for one scenario's run.
 
     The key covers every scenario field (via a sorted JSON dump of the
     dataclass, numpy values normalized to native types so equal
-    scenarios hash equally), the hop-sampling cadence (``None`` resolves
-    to ``scenario.hop_sample_every``, so keys agree with direct
-    :func:`~repro.sim.engine.run_scenario` calls), and
+    scenarios hash equally; the hop-sampling cadence is one of them) and
     :data:`CODE_VERSION` — everything that determines the resulting
     :class:`~repro.sim.metrics.SimResult`.
     """
-    if hop_sample_every is None:
-        hop_sample_every = scenario.hop_sample_every
     spec = normalize_for_json(dataclasses.asdict(scenario))
-    payload = {
-        "scenario": spec,
-        "hop_sample_every": int(hop_sample_every),
-        "code_version": CODE_VERSION,
-    }
+    payload = {"scenario": spec, "code_version": CODE_VERSION}
     if profile:
         # Profiled results carry StepTimings; give them their own cache
-        # entries (added only when True so pre-existing keys still hit).
+        # entries (the unprofiled payload has no "profile" entry).
         payload["profile"] = True
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -306,7 +298,7 @@ class SweepError(RuntimeError):
 @dataclass(frozen=True)
 class _TaskOutcome:
     """A worker's result plus its telemetry (never cached or returned:
-    :func:`run_sweep_detailed` unwraps it before storing).
+    :func:`run_sweep` unwraps it before storing).
 
     From a pool worker, ``result`` is ``None`` and ``packed`` carries
     its pickle bytes for the parent to restore; ``ser_seconds`` holds
@@ -324,13 +316,13 @@ class _TaskOutcome:
 def _run_task(args: tuple) -> _TaskOutcome:
     """Worker: one simulation (module-level so it pickles).
 
-    The payload is ``(scenario, hop_sample_every, profile, ckpt_path,
-    ckpt_every, prepickle)``.  With a checkpoint path, the worker first
-    tries to resume from it — so a task whose previous attempt crashed
-    or timed out restarts from its last checkpoint instead of from
-    scratch.  Any load failure (missing file, corrupt bytes, version
-    mismatch, wrong scenario) falls back to a fresh run; the checkpoint
-    file is removed once the run completes.
+    The payload is ``(scenario, profile, ckpt_path, ckpt_every,
+    prepickle)``.  With a checkpoint path, the worker first tries to
+    resume from it — so a task whose previous attempt crashed or timed
+    out restarts from its last checkpoint instead of from scratch.  Any
+    load failure (missing file, corrupt bytes, version mismatch, wrong
+    scenario) falls back to a fresh run; the checkpoint file is removed
+    once the run completes.
 
     ``prepickle`` is set for pool workers: the result is pickled here
     rather than implicitly by the executor, so the cost is metered.  An
@@ -338,7 +330,7 @@ def _run_task(args: tuple) -> _TaskOutcome:
     """
     from repro.sim.engine import Simulator
 
-    scenario, hop_sample_every, profile, ckpt_path, ckpt_every, prepickle = args
+    scenario, profile, ckpt_path, ckpt_every, prepickle = args
     t0 = time.perf_counter()
     sim = None
     if ckpt_path is not None:
@@ -349,8 +341,7 @@ def _run_task(args: tuple) -> _TaskOutcome:
         if sim is not None and sim.sc != scenario:
             sim = None
     if sim is None:
-        sim = Simulator(scenario, hop_sample_every=hop_sample_every,
-                        profile=profile)
+        sim = Simulator(scenario, profile=profile)
     if ckpt_path is not None:
         res = sim.run(checkpoint_every=ckpt_every,
                       checkpoint_path=ckpt_path)
@@ -479,10 +470,10 @@ def _execute(
     workers: int,
     task_timeout: float | None,
     task_retries: int,
-    retry_backoff: float,
     on_result,
 ) -> dict[int, tuple[str, str, int]]:
-    """Attempt every payload, retrying failures with exponential backoff.
+    """Attempt every payload, retrying failures with exponential backoff
+    (:data:`RETRY_BACKOFF` seconds before the first retry round).
 
     Calls ``on_result(index, result, attempts)`` as each task completes;
     returns ``{index: (kind, message, attempts)}`` for tasks that failed
@@ -491,7 +482,7 @@ def _execute(
     remaining = dict(payloads)
     attempts = {i: 0 for i in payloads}
     errors: dict[int, tuple[str, str, int]] = {}
-    delay = retry_backoff
+    delay = RETRY_BACKOFF
 
     def _completed(i, res):
         on_result(i, res, attempts[i])
@@ -518,31 +509,29 @@ def _execute(
     return errors
 
 
-def run_sweep_detailed(
+def run_sweep(
     scenarios: Sequence[Scenario],
     *,
-    hop_sample_every: int | None = None,
     workers: int | None = None,
     cache_dir: str | Path | None = None,
     progress: Callable[[SweepProgress], None] | None = None,
     task_timeout: float | None = None,
     task_retries: int = 1,
-    retry_backoff: float = 0.5,
     profile: bool = False,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
-) -> SweepRun:
-    """Run every scenario fault-tolerantly; never raises on task failure.
+) -> list[SimResult]:
+    """Run every scenario fault-tolerantly; return results in input order.
+
+    Every run setting — the hop-sampling cadence included — comes from
+    its scenario, so a sweep's result equals
+    :func:`~repro.sim.engine.run_scenario` on the same scenario and is
+    cached under that scenario's :func:`scenario_key`.
 
     Parameters
     ----------
     scenarios:
         The task list, typically from :func:`expand_grid`.
-    hop_sample_every:
-        Hop-sampling cadence forwarded to the simulator (part of the
-        cache key).  ``None`` (default) uses each scenario's own
-        ``hop_sample_every`` field, so sweep cache keys agree with
-        direct :func:`~repro.sim.engine.run_scenario` calls.
     workers:
         Process count.  ``None`` reads ``REPRO_SWEEP_WORKERS`` (default
         serial); ``0``/``1`` run in-process.  Results are bit-identical
@@ -559,9 +548,8 @@ def run_sweep_detailed(
         enforced per round of the queue).  ``None`` disables.
     task_retries:
         Extra attempts after a task's first failure (crash, exception,
-        or timeout), with exponential backoff between rounds.
-    retry_backoff:
-        Initial inter-round backoff in seconds (doubles per round).
+        or timeout), with exponential backoff between rounds starting
+        at :data:`RETRY_BACKOFF` seconds.
     profile:
         Run every simulation with phase timers on, attaching
         :class:`repro.obs.StepTimings` to each result.  Metrics are
@@ -578,15 +566,18 @@ def run_sweep_detailed(
         Checkpoint cadence in metered steps (default 25 when
         ``checkpoint_dir`` is set; ignored otherwise).
 
-    Returns
-    -------
-    SweepRun
-        ``results`` in task order (``None`` holes for failed tasks) and
-        structured ``errors`` for every failure.
+    Raises
+    ------
+    SweepError
+        At the *end* of the sweep, once every healthy task has finished
+        (and been cached), when any task failed every attempt.  Its
+        ``run`` is the partial :class:`SweepRun`: results in task order
+        with ``None`` holes at failed indices, plus one
+        :class:`TaskError` per failure.
     """
     scenarios = list(scenarios)
     if not scenarios:
-        return SweepRun(results=[], errors=[])
+        return []
     if task_retries < 0:
         raise ValueError("task_retries must be non-negative")
     if cache_dir is None and os.environ.get("REPRO_SWEEP_CACHE"):
@@ -601,14 +592,14 @@ def run_sweep_detailed(
     def _ckpt_path(sc: Scenario) -> str | None:
         if ckpt_root is None:
             return None
-        return str(ckpt_root / f"{scenario_key(sc, hop_sample_every, profile)}.ckpt")
+        return str(ckpt_root / f"{scenario_key(sc, profile=profile)}.ckpt")
 
     t0 = time.perf_counter()
     results: list[SimResult | None] = [None] * len(scenarios)
     pending: list[int] = []
     done = cached = 0
     def _key_path(sc: Scenario) -> Path:
-        return cache / f"{scenario_key(sc, hop_sample_every, profile)}.pkl"
+        return cache / f"{scenario_key(sc, profile=profile)}.pkl"
 
     for i, sc in enumerate(scenarios):
         if cache is not None:
@@ -652,66 +643,22 @@ def run_sweep_detailed(
     failures = _execute(
         _run_task,
         {
-            i: (scenarios[i], hop_sample_every, profile,
-                _ckpt_path(scenarios[i]), checkpoint_every, n_workers > 0)
+            i: (scenarios[i], profile, _ckpt_path(scenarios[i]),
+                checkpoint_every, n_workers > 0)
             for i in pending
         },
         workers=n_workers,
         task_timeout=task_timeout,
         task_retries=task_retries,
-        retry_backoff=retry_backoff,
         on_result=_finish,
     )
-    errors = [
-        TaskError(index=i, kind=kind, message=message, attempts=attempts,
-                  scenario=scenarios[i])
-        for i, (kind, message, attempts) in sorted(failures.items())
-    ]
-    return SweepRun(results=results, errors=errors)
-
-
-def run_sweep(
-    scenarios: Sequence[Scenario],
-    *,
-    hop_sample_every: int | None = None,
-    workers: int | None = None,
-    cache_dir: str | Path | None = None,
-    progress: Callable[[SweepProgress], None] | None = None,
-    task_timeout: float | None = None,
-    task_retries: int = 1,
-    retry_backoff: float = 0.5,
-    on_error: str = "raise",
-    profile: bool = False,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int | None = None,
-) -> list[SimResult]:
-    """Run every scenario; return results in input order.
-
-    Thin wrapper over :func:`run_sweep_detailed`.  Tasks that fail after
-    retries are reported at the *end* of the sweep: ``on_error="raise"``
-    (default) raises :class:`SweepError` — carrying the partial
-    ``SweepRun`` as ``exc.run`` — once every healthy task has finished;
-    ``on_error="partial"`` returns the results list with ``None`` holes
-    at failed indices instead.
-    """
-    if on_error not in ("raise", "partial"):
-        raise ValueError('on_error must be "raise" or "partial"')
-    run = run_sweep_detailed(
-        scenarios,
-        hop_sample_every=hop_sample_every,
-        workers=workers,
-        cache_dir=cache_dir,
-        progress=progress,
-        task_timeout=task_timeout,
-        task_retries=task_retries,
-        retry_backoff=retry_backoff,
-        profile=profile,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-    )
-    if run.errors and on_error == "raise":
-        raise SweepError(run)
-    return run.results  # type: ignore[return-value]
+    if failures:
+        raise SweepError(SweepRun(results=results, errors=[
+            TaskError(index=i, kind=kind, message=message, attempts=attempts,
+                      scenario=scenarios[i])
+            for i, (kind, message, attempts) in sorted(failures.items())
+        ]))
+    return results  # type: ignore[return-value]
 
 
 def cached_sweep(
@@ -720,14 +667,12 @@ def cached_sweep(
     metrics: dict[str, Callable[[SimResult], float]],
     seeds=(0, 1),
     scenario_for: Callable[[Scenario, int], Scenario] | None = None,
-    hop_sample_every: int | None = None,
     workers: int | None = None,
     cache_dir: str | Path | None = None,
     keep_results: bool = False,
     progress: Callable[[SweepProgress], None] | None = None,
     task_timeout: float | None = None,
     task_retries: int = 1,
-    profile: bool = False,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
 ) -> list[SweepPoint]:
@@ -738,7 +683,9 @@ def cached_sweep(
     ns:
         Node counts to sweep (``None`` keeps ``base.n``).
     base:
-        Template scenario; ``n`` and ``seed`` are overridden per run.
+        Template scenario; ``n`` and ``seed`` are overridden per run,
+        every other setting (the hop-sampling cadence included) is
+        taken from it.
     metrics:
         Named extractors applied to each :class:`SimResult`; each point
         carries their per-n mean and standard deviation over the seeds.
@@ -765,13 +712,11 @@ def cached_sweep(
     scenarios = expand_grid(base, ns, seeds, scenario_for)
     results = run_sweep(
         scenarios,
-        hop_sample_every=hop_sample_every,
         workers=workers,
         cache_dir=cache_dir,
         progress=progress,
         task_timeout=task_timeout,
         task_retries=task_retries,
-        profile=profile,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
     )
@@ -817,8 +762,6 @@ def parallel_map(
     *,
     task_timeout: float | None = None,
     task_retries: int = 1,
-    retry_backoff: float = 0.5,
-    on_error: str = "raise",
 ) -> list:
     """Order-preserving, fault-tolerant map for non-Scenario grids
     (e.g. EXP-A9's speed x seed runs).
@@ -826,12 +769,9 @@ def parallel_map(
     ``fn`` must be module-level picklable; serial when ``workers``
     resolves below 2.  Failed items (worker exception, crash, or
     timeout) are retried ``task_retries`` times with exponential
-    backoff; ``on_error="raise"`` (default) then raises
-    :class:`SweepError` at the end, ``on_error="partial"`` leaves
-    ``None`` at the failed positions.
+    backoff, then reported as :class:`SweepError` at the end (its
+    ``run.results`` holds ``None`` at the failed positions).
     """
-    if on_error not in ("raise", "partial"):
-        raise ValueError('on_error must be "raise" or "partial"')
     items = list(items)
     results: list = [None] * len(items)
 
@@ -844,10 +784,9 @@ def parallel_map(
         workers=_resolve_workers(workers, len(items)),
         task_timeout=task_timeout,
         task_retries=task_retries,
-        retry_backoff=retry_backoff,
         on_result=_finish,
     )
-    if failures and on_error == "raise":
+    if failures:
         errors = [
             TaskError(index=i, kind=kind, message=message, attempts=attempts)
             for i, (kind, message, attempts) in sorted(failures.items())

@@ -1,5 +1,9 @@
 """Manifest and JSONL round-trip tests."""
 
+import dataclasses
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,46 +15,54 @@ from repro.obs import (
     trace_records,
     write_jsonl,
 )
-from repro.sim import Scenario, Simulator, run_scenario, scenario_key
+from repro.sim import (
+    Scenario,
+    SimCheckpoint,
+    Simulator,
+    cached_sweep,
+    run_scenario,
+    run_sweep,
+    scenario_key,
+)
 from repro.sim.sweep import CODE_VERSION
 
 SC = Scenario(n=60, steps=5, warmup=1, speed=1.5, seed=2,
-              max_levels=2, hop_mode="euclidean")
+              max_levels=2, hop_mode="euclidean", hop_sample_every=4)
 
 
 @pytest.fixture(scope="module")
 def profiled_result():
-    return run_scenario(SC, hop_sample_every=4, profile=True)
+    return run_scenario(SC, profile=True)
 
 
 class TestRunManifest:
     def test_from_result_provenance(self, profiled_result):
-        man = RunManifest.from_result(profiled_result, hop_sample_every=4)
-        assert man.scenario_key == scenario_key(SC, 4)
+        man = RunManifest.from_result(profiled_result)
+        assert man.scenario_key == scenario_key(SC)
         assert man.code_version == CODE_VERSION
         assert man.scenario["n"] == 60
         assert man.platform["python"]
         assert man.platform["numpy"] == np.__version__
 
     def test_from_result_cost_and_metrics(self, profiled_result):
-        man = RunManifest.from_result(profiled_result, hop_sample_every=4)
+        man = RunManifest.from_result(profiled_result)
         assert man.wall_seconds > 0
         assert man.phases == profiled_result.timings.totals
         assert man.metrics["phi"] == profiled_result.phi
         assert man.metrics["elapsed_sim_seconds"] == profiled_result.elapsed
 
     def test_unprofiled_result_gives_empty_cost(self):
-        res = run_scenario(SC, hop_sample_every=4)
-        man = RunManifest.from_result(res, hop_sample_every=4)
+        res = run_scenario(SC)
+        man = RunManifest.from_result(res)
         assert man.wall_seconds == 0.0
         assert man.phases == {}
 
     def test_json_round_trip(self, profiled_result):
-        man = RunManifest.from_result(profiled_result, hop_sample_every=4)
+        man = RunManifest.from_result(profiled_result)
         assert RunManifest.from_json(man.to_json()) == man
 
     def test_file_round_trip(self, profiled_result, tmp_path):
-        man = RunManifest.from_result(profiled_result, hop_sample_every=4)
+        man = RunManifest.from_result(profiled_result)
         path = man.write(tmp_path / "nested" / "run.json")
         assert RunManifest.read(path) == man
 
@@ -73,7 +85,7 @@ class TestJsonl:
         assert read_jsonl(path) == [{"n": 7, "x": 1.5}]
 
     def test_manifest_stream(self, profiled_result, tmp_path):
-        man = RunManifest.from_result(profiled_result, hop_sample_every=4)
+        man = RunManifest.from_result(profiled_result)
         path = tmp_path / "runs.jsonl"
         write_jsonl(path, [man.to_dict(), man.to_dict()])
         back = [RunManifest.from_dict(d) for d in read_jsonl(path)]
@@ -90,7 +102,7 @@ class TestJsonl:
 class TestTraceRoundTrip:
     @pytest.fixture(scope="class")
     def trace(self):
-        res = Simulator(SC, hop_sample_every=4, trace=True).run()
+        res = Simulator(SC, trace=True).run()
         assert len(res.trace) > 0
         return res.trace
 
@@ -129,7 +141,7 @@ class TestReorgBreakdown:
     def test_manifest_carries_event_taxonomy(self, profiled_result):
         """(i)-(vii) counts and rates surface as JSON-safe metrics, and
         agree with the ledger's own breakdown."""
-        m = RunManifest.from_result(profiled_result, hop_sample_every=4)
+        m = RunManifest.from_result(profiled_result)
         bd = profiled_result.ledger.reorg_event_breakdown()
         assert bd  # a mobile run produces reorg events
         for kind, entry in bd.items():
@@ -151,3 +163,40 @@ class TestReorgBreakdown:
             assert entry["count"] == expect
         assert sum(e["count"] for e in bd.values()) == \
             sum(lg.reorg_event_counts.values())
+
+
+class TestCadenceHasOneHome:
+    """A run's hop-sampling cadence is set on its ``Scenario`` and nowhere
+    else, so the result, its manifest and the sweep cache all report the
+    cadence the run used."""
+
+    SC = Scenario(n=60, steps=6, hop_sample_every=4)
+
+    def test_result_and_manifest_report_the_cadence(self):
+        res = run_scenario(self.SC)
+        assert res.scenario.hop_sample_every == 4
+        assert RunManifest.from_result(res).scenario["hop_sample_every"] == 4
+        # And the run sampled at it: metered steps 0 and 4 of 0..5.
+        assert len(res.h_network) == 2
+
+    def test_manifest_key_is_the_cache_file_stem(self, tmp_path):
+        (res,) = run_sweep([self.SC], cache_dir=tmp_path)
+        (entry,) = tmp_path.glob("*.pkl")
+        key = RunManifest.from_result(res).scenario_key
+        assert key == entry.stem == scenario_key(self.SC)
+        assert key != scenario_key(replace(self.SC, hop_sample_every=25))
+
+    def test_cadence_zero_is_refused_by_the_scenario(self):
+        with pytest.raises(ValueError, match="hop_sample_every must be >= 1"):
+            replace(self.SC, hop_sample_every=0)
+
+    @pytest.mark.parametrize("fn", [
+        Simulator.__init__, run_scenario, run_sweep, cached_sweep,
+        scenario_key, RunManifest.from_result,
+    ], ids=lambda fn: fn.__qualname__)
+    def test_no_entry_point_overrides_the_cadence(self, fn):
+        assert "hop_sample_every" not in inspect.signature(fn).parameters
+
+    def test_checkpoint_carries_no_cadence_of_its_own(self):
+        names = {f.name for f in dataclasses.fields(SimCheckpoint)}
+        assert "hop_sample_every" not in names

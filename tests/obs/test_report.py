@@ -6,13 +6,14 @@ from repro.obs import SweepReport
 from repro.sim import (
     Scenario,
     SweepProgress,
+    SweepRun,
     TaskError,
     expand_grid,
-    run_sweep_detailed,
+    run_sweep,
 )
 
 BASE = Scenario(n=60, steps=4, warmup=1, speed=1.5, hop_mode="euclidean",
-                max_levels=2)
+                max_levels=2, hop_sample_every=4)
 
 
 def _event(done, total, *, cached=0, from_cache=False, elapsed=1.0,
@@ -115,11 +116,9 @@ class TestRealSweep:
     @pytest.fixture(scope="class")
     def report(self):
         rep = SweepReport()
-        run = run_sweep_detailed(
-            expand_grid(BASE, [60, 90], seeds=(0, 1)),
-            hop_sample_every=4, profile=True, progress=rep,
-        )
-        rep.finish(run)
+        results = run_sweep(expand_grid(BASE, [60, 90], seeds=(0, 1)),
+                            profile=True, progress=rep)
+        rep.finish(SweepRun(results, errors=[]))
         return rep
 
     def test_counts(self, report):
@@ -168,27 +167,21 @@ class TestRealSweep:
         assert "invariants" not in rep.render()
 
     def test_real_chaotic_sweep_surfaces_violations(self):
-        from repro.sim import run_sweep_detailed as _rsd
-
         sc = Scenario(
             n=60, steps=6, warmup=1, speed=1.5, hop_mode="euclidean",
-            max_levels=2,
+            max_levels=2, hop_sample_every=4,
             chaos=("crash:start=1,duration=2,count=10,repair=4",),
         )
         rep = SweepReport()
-        run = _rsd([sc], hop_sample_every=4, progress=rep)
-        rep.finish(run)
+        rep.finish(SweepRun(run_sweep([sc], progress=rep), errors=[]))
         summary = rep.invariant_summary()
         assert summary["checked"] == 1
         assert summary["violations"] >= 0
 
     def test_unprofiled_results_skipped(self):
         rep = SweepReport()
-        run = run_sweep_detailed(
-            expand_grid(BASE, [60], seeds=(0,)), hop_sample_every=4,
-            progress=rep,
-        )
-        rep.finish(run)
+        results = run_sweep(expand_grid(BASE, [60], seeds=(0,)), progress=rep)
+        rep.finish(SweepRun(results, errors=[]))
         assert rep.per_n_phases() == {}
         assert "phase mean" not in rep.render()
 
@@ -199,8 +192,8 @@ class TestReorgEventSummary:
 
         from repro.sim import run_scenario
 
-        r1 = run_scenario(BASE, hop_sample_every=4)
-        r2 = run_scenario(replace(BASE, seed=5), hop_sample_every=4)
+        r1 = run_scenario(BASE)
+        r2 = run_scenario(replace(BASE, seed=5))
         rep = SweepReport()
         rep.results = [r1, r2]
         summary = rep.reorg_event_summary()

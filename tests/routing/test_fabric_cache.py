@@ -221,22 +221,3 @@ class TestMessagingIntegration:
         # Delivery-only workloads never materialize flood records (lazy
         # tables), but the forward()-path flood caches do carry over.
         assert svc._fabric_cache.stats.floods_reused > 0
-
-    def test_event_plane_service_fabric_matches_reference(self):
-        """On the event-driven hierarchy plane the service's cache diffs
-        ancestries itself, exactly as on the full-rebuild plane: every
-        step's carried fabric equals a fresh oracle build."""
-        n = 130
-        region = disc_for_density(n, DENSITY)
-        model = RandomWaypoint(n, region, 1.0, np.random.default_rng(21))
-        svc = MessagingService(n, R_TX, max_levels=3,
-                               incremental_hierarchy=True)
-        for step in range(6):
-            model.step(1.0)
-            pts = model.positions.copy()
-            svc.observe(pts, EuclideanHops(pts, R_TX))
-            assert_fabrics_equal(svc._fabric,
-                                 ReferenceFabric(svc._hierarchy, svc._graph),
-                                 n, 300 + step)
-        assert svc._fabric_cache.stats.full_rebuilds == 1
-        assert svc._fabric_cache.stats.records_reused > 0

@@ -152,13 +152,17 @@ class TestStaleCheckpointRejection:
             load_checkpoint(path)
 
     def _assert_schema_refused(self, tmp_path, schema):
+        self._assert_refused_as_stale(
+            self._write_checkpoint(tmp_path, schema=schema), schema)
+
+    @staticmethod
+    def _assert_refused_as_stale(path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 9
-        path = self._write_checkpoint(tmp_path, schema=schema)
+        assert CHECKPOINT_SCHEMA == 10
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 9" in str(err.value)
+        assert f"checkpoint schema {schema} != 10" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -188,11 +192,24 @@ class TestStaleCheckpointRejection:
         8 keeps one level-stacked tracker; refused the same way."""
         self._assert_schema_refused(tmp_path, 7)
 
-    def test_schema_8_checkpoint_refused(self, tmp_path):
+    @pytest.mark.parametrize("schema", [8, 9])
+    def test_schema_8_9_checkpoint_refused(self, tmp_path, schema):
         """Schema 8 pickled the event plane's per-level patched elections
-        where schema 9 keeps the from-scratch stepper on both planes;
-        refused the same way."""
-        self._assert_schema_refused(tmp_path, 8)
+        where schema 9 keeps the from-scratch stepper on both planes.
+        Both pickled a checkpoint ``hop_sample_every`` field and a
+        scenario with seven fields schema 10 turned into constants; a
+        file of that shape still unpickles, and is refused the same
+        way."""
+        path = self._write_checkpoint(tmp_path, schema=schema)
+        with path.open("rb") as fh:
+            ck = pickle.load(fh)
+        ck.__dict__["hop_sample_every"] = ck.scenario.hop_sample_every
+        ck.scenario.__dict__.update(
+            detour=1.3, loss_level_coeff=0.0, retry_backoff=0.05,
+            retry_backoff_factor=2.0, retry_jitter=0.1,
+            slo_success_threshold=0.9, slo_window=3)
+        save_checkpoint(ck, path)
+        self._assert_refused_as_stale(path, schema)
 
     @pytest.mark.parametrize("module,name", [
         ("repro.hierarchy.delta", "RetiredPlane"),
@@ -241,10 +258,10 @@ class TestStaleCheckpointRejection:
 class TestSweepCheckpointing:
     def test_run_task_falls_back_on_corrupt_checkpoint(self, tmp_path):
         sc = _scenario(steps=6)
-        baseline = _run_task((sc, None, False, None, None, None))
+        baseline = _run_task((sc, False, None, None, None))
         bad = tmp_path / "task.ckpt"
         bad.write_bytes(b"\x80\x04 not a checkpoint")
-        out = _run_task((sc, None, False, str(bad), 3, None))
+        out = _run_task((sc, False, str(bad), 3, None))
         _assert_same_result(baseline.result, out.result)
         # Completed task cleans up its checkpoint.
         assert not bad.exists()
@@ -254,8 +271,8 @@ class TestSweepCheckpointing:
         sc_b = _scenario(steps=6, seed=2)
         path = tmp_path / "mismatch.ckpt"
         Simulator(sc_a).run(checkpoint_every=2, checkpoint_path=str(path))
-        baseline = _run_task((sc_b, None, False, None, None, None))
-        out = _run_task((sc_b, None, False, str(path), 2, None))
+        baseline = _run_task((sc_b, False, None, None, None))
+        out = _run_task((sc_b, False, str(path), 2, None))
         _assert_same_result(baseline.result, out.result)
 
     def test_sweep_with_checkpoint_dir_matches_plain(self, tmp_path):

@@ -33,10 +33,10 @@ class TestEmptyScheduleEquivalence:
     def test_counting_collector_is_a_pure_observer(self):
         """invariant_mode="count" on a fault-free run must not perturb
         any series — the checker reads snapshots, draws nothing."""
-        base = dict(n=100, steps=20, warmup=3, speed=3.0, seed=7)
-        plain = run_scenario(Scenario(**base), hop_sample_every=10)
-        counted = run_scenario(Scenario(**base, invariant_mode="count"),
-                               hop_sample_every=10)
+        base = dict(n=100, steps=20, warmup=3, speed=3.0, seed=7,
+                    hop_sample_every=10)
+        plain = run_scenario(Scenario(**base))
+        counted = run_scenario(Scenario(**base, invariant_mode="count"))
         _same_run(plain, counted)
         assert counted.extras["chaos"].total_violations >= 0
         assert "chaos" not in plain.extras  # auto mode: off without faults
@@ -45,9 +45,8 @@ class TestEmptyScheduleEquivalence:
         base = dict(n=80, steps=12, warmup=3, speed=2.0, seed=7,
                     max_levels=3, loss_rate=0.15, retry_attempts=3,
                     queries_per_step=5)
-        plain = run_scenario(Scenario(**base), hop_sample_every=25)
-        counted = run_scenario(Scenario(**base, invariant_mode="count"),
-                               hop_sample_every=25)
+        plain = run_scenario(Scenario(**base))
+        counted = run_scenario(Scenario(**base, invariant_mode="count"))
         _same_run(plain, counted, queries=True)
 
     def test_empty_schedule_builds_no_engine(self):
@@ -61,10 +60,9 @@ class TestEmptyScheduleEquivalence:
         run exactly."""
         base = dict(n=80, steps=10, warmup=2, speed=2.0, seed=11,
                     max_levels=3)
-        plain = run_scenario(Scenario(**base), hop_sample_every=25)
+        plain = run_scenario(Scenario(**base))
         chaotic = run_scenario(
-            Scenario(**base, chaos=("crash:rate=0.02,repair=5",)),
-            hop_sample_every=25)
+            Scenario(**base, chaos=("crash:rate=0.02,repair=5",)))
         assert np.array_equal(plain.final_positions,
                               chaotic.final_positions)
         assert chaotic.extras["chaos"].peak_down > 0
@@ -77,21 +75,18 @@ class TestLegacyFailureEquivalence:
         """Scenario.failure_rate is exactly a whole-run CrashEpisode on
         the legacy "failures" stream — same draws, same numbers."""
         implicit = run_scenario(
-            Scenario(**self.BASE, failure_rate=0.01, repair_time=10.0),
-            hop_sample_every=25)
+            Scenario(**self.BASE, failure_rate=0.01, repair_time=10.0))
         explicit = run_scenario(
             Scenario(**self.BASE,
                      chaos=(CrashEpisode(rate=0.01, repair_time=10.0,
-                                         stream="failures"),)),
-            hop_sample_every=25)
+                                         stream="failures"),)))
         _same_run(implicit, explicit)
 
     def test_exp_a3_numbers_frozen(self):
         """The EXP-A3 crash model's output, pinned bit-for-bit across
         the port onto the chaos engine."""
         res = run_scenario(
-            Scenario(**self.BASE, failure_rate=0.01, repair_time=10.0),
-            hop_sample_every=25)
+            Scenario(**self.BASE, failure_rate=0.01, repair_time=10.0))
         assert res.phi == 0.5666666666666667
         assert res.gamma == 1.9858333333333333
         assert res.f0 == 3.135
@@ -103,8 +98,9 @@ class TestPartitionHealAcceptance:
     def report(self):
         sc = Scenario(n=100, steps=16, warmup=2, mobility="stationary",
                       seed=1, max_levels=3, target_degree=14.0,
+                      hop_sample_every=10_000,
                       chaos=("partition:start=4,duration=6,angle=0.3",))
-        return run_scenario(sc, hop_sample_every=10_000).extras["chaos"]
+        return run_scenario(sc).extras["chaos"]
 
     def test_violations_confined_to_the_cut_window(self, report):
         series = report.violations_series
@@ -126,9 +122,10 @@ class TestPartitionHealAcceptance:
         window elapses: TTR > 0 but finite."""
         sc = Scenario(n=100, steps=18, warmup=2, mobility="stationary",
                       seed=1, max_levels=3, target_degree=14.0,
+                      hop_sample_every=10_000,
                       chaos=("crash:start=4,duration=1,count=3,"
                              "targets=clusterheads,repair=6",))
-        rep = run_scenario(sc, hop_sample_every=10_000).extras["chaos"]
+        rep = run_scenario(sc).extras["chaos"]
         slo = rep.episodes[0]
         assert rep.peak_down == 3
         assert slo.time_to_reconverge is not None

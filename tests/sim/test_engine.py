@@ -8,8 +8,9 @@ from repro.sim import Scenario, Simulator, run_scenario
 
 @pytest.fixture(scope="module")
 def small_result():
-    sc = Scenario(n=100, steps=20, warmup=3, speed=3.0, seed=7)
-    return run_scenario(sc, hop_sample_every=10)
+    sc = Scenario(n=100, steps=20, warmup=3, speed=3.0, seed=7,
+                  hop_sample_every=10)
+    return run_scenario(sc)
 
 
 class TestBasicRun:
@@ -50,9 +51,10 @@ class TestBasicRun:
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        sc = Scenario(n=60, steps=8, warmup=2, speed=4.0, seed=42)
-        a = run_scenario(sc, hop_sample_every=4)
-        b = run_scenario(sc, hop_sample_every=4)
+        sc = Scenario(n=60, steps=8, warmup=2, speed=4.0, seed=42,
+                      hop_sample_every=4)
+        a = run_scenario(sc)
+        b = run_scenario(sc)
         assert a.phi == pytest.approx(b.phi)
         assert a.gamma == pytest.approx(b.gamma)
         assert a.f0 == pytest.approx(b.f0)

@@ -18,12 +18,10 @@ from repro.sim.engine import Simulator
 from tests.fingerprint import fingerprint
 
 
-def _pair(sc, hop_sample_every=25):
+def _pair(sc):
     """Run the scenario with the event plane off and on."""
-    off = run_scenario(replace(sc, incremental_hierarchy=False),
-                       hop_sample_every=hop_sample_every)
-    on = run_scenario(replace(sc, incremental_hierarchy=True),
-                      hop_sample_every=hop_sample_every)
+    off = run_scenario(replace(sc, incremental_hierarchy=False))
+    on = run_scenario(replace(sc, incremental_hierarchy=True))
     return off, on
 
 
@@ -121,7 +119,7 @@ class TestResume:
     def test_resume_matches_full_rebuild_run(self, tmp_path):
         """Transitively: resumed-incremental == incremental == full."""
         sc = Scenario(n=70, steps=10, warmup=2, seed=4, max_levels=3)
-        full = run_scenario(sc, hop_sample_every=25)
+        full = run_scenario(sc)
 
         inc = replace(sc, incremental_hierarchy=True)
         path = tmp_path / "inc2.ckpt"

@@ -9,6 +9,8 @@ regime: determinism, retransmission accounting, stale-server recovery,
 and query degradation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,25 +76,21 @@ class TestZeroLossExactness:
         """loss_rate=0 plus arbitrary retry settings must replay the
         default scenario exactly — the retry knobs are inert at zero."""
         base = Scenario(n=80, steps=8, warmup=2, speed=1.5, seed=3,
-                        max_levels=3, hop_mode="euclidean")
-        knobbed = Scenario(n=80, steps=8, warmup=2, speed=1.5, seed=3,
-                           max_levels=3, hop_mode="euclidean",
-                           loss_rate=0.0, retry_attempts=7,
-                           retry_backoff=0.9, retry_jitter=0.5,
-                           retry_timeout=42.0)
-        assert fingerprint(run_scenario(base, hop_sample_every=4)) == \
-            fingerprint(run_scenario(knobbed, hop_sample_every=4))
+                        max_levels=3, hop_mode="euclidean", hop_sample_every=4)
+        knobbed = replace(base, loss_rate=0.0, retry_attempts=7,
+                          retry_timeout=42.0)
+        assert fingerprint(run_scenario(base)) == \
+            fingerprint(run_scenario(knobbed))
 
     def test_query_sampling_does_not_perturb_metered_series(self):
         """Queries draw from their own RNG stream, so sampling them must
         leave phi/gamma/f0 and every handoff series untouched."""
         quiet = Scenario(n=80, steps=8, warmup=2, speed=1.5, seed=3,
-                         max_levels=3, hop_mode="euclidean")
-        sampled = Scenario(n=80, steps=8, warmup=2, speed=1.5, seed=3,
-                           max_levels=3, hop_mode="euclidean",
-                           queries_per_step=4)
-        a = run_scenario(quiet, hop_sample_every=4)
-        b = run_scenario(sampled, hop_sample_every=4)
+                         max_levels=3, hop_mode="euclidean",
+                         hop_sample_every=4)
+        sampled = replace(quiet, queries_per_step=4)
+        a = run_scenario(quiet)
+        b = run_scenario(sampled)
         assert fingerprint(a) == fingerprint(b)
         assert a.queries is None and a.query_success_rate is None
         assert b.queries is not None
@@ -102,16 +100,17 @@ class TestZeroLossExactness:
 
 LOSSY = Scenario(n=100, steps=12, warmup=2, speed=1.5, seed=11,
                  max_levels=3, hop_mode="euclidean",
-                 loss_rate=0.08, retry_attempts=3, queries_per_step=4)
+                 loss_rate=0.08, retry_attempts=3, queries_per_step=4,
+                 hop_sample_every=4)
 
 
 class TestLossyBehavior:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scenario(LOSSY, hop_sample_every=4)
+        return run_scenario(LOSSY)
 
     def test_seed_deterministic(self, result):
-        again = run_scenario(LOSSY, hop_sample_every=4)
+        again = run_scenario(LOSSY)
         assert fingerprint(result) == fingerprint(again)
         assert result.queries.success_series == again.queries.success_series
 
@@ -129,9 +128,7 @@ class TestLossyBehavior:
         assert led.mean_recovery_time >= LOSSY.dt
 
     def test_lossy_costs_more_than_lossless(self, result):
-        from dataclasses import replace
-
-        clean = run_scenario(replace(LOSSY, loss_rate=0.0), hop_sample_every=4)
+        clean = run_scenario(replace(LOSSY, loss_rate=0.0))
         assert result.handoff_rate > clean.handoff_rate
 
     def test_query_ledger_populated(self, result):
@@ -141,9 +138,7 @@ class TestLossyBehavior:
         assert q.total_packets > 0
 
     def test_rates_scale_with_loss(self):
-        from dataclasses import replace
-
-        mild = run_scenario(replace(LOSSY, loss_rate=0.02), hop_sample_every=4)
-        harsh = run_scenario(replace(LOSSY, loss_rate=0.25), hop_sample_every=4)
+        mild = run_scenario(replace(LOSSY, loss_rate=0.02))
+        harsh = run_scenario(replace(LOSSY, loss_rate=0.25))
         assert harsh.ledger.retransmission_rate > mild.ledger.retransmission_rate
         assert harsh.ledger.abandonment_rate >= mild.ledger.abandonment_rate

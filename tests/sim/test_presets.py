@@ -29,6 +29,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets_runnable(self, name):
         sc = make_scenario(name, n=60, steps=3, warmup=1,
-                           hop_mode="euclidean", max_levels=2, seed=1)
-        res = run_scenario(sc, hop_sample_every=10)
+                           hop_mode="euclidean", max_levels=2, seed=1,
+                           hop_sample_every=10)
+        res = run_scenario(sc)
         assert res.elapsed > 0

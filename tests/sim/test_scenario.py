@@ -1,9 +1,16 @@
 """Tests for scenario configuration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.sim import Scenario
+
+DELETED_FIELDS = {
+    "detour", "loss_level_coeff", "retry_backoff", "retry_backoff_factor",
+    "retry_jitter", "slo_success_threshold", "slo_window",
+}
 
 
 class TestValidation:
@@ -17,7 +24,7 @@ class TestValidation:
             {"steps": 0},
             {"warmup": -1},
             {"hop_mode": "psychic"},
-            {"detour": 0.5},
+            {"hop_sample_every": 0},  # the only way to ask for cadence 0
             {"level_mode": "wormhole"},
             {"election_mode": "hereditary"},
         ],
@@ -39,8 +46,23 @@ class TestValidation:
     )
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_floats(self, field, bad):
+        if field in DELETED_FIELDS:
+            # Now a module constant: no value for it is accepted at all.
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                Scenario(**{field: bad})
+            return
         with pytest.raises((ValueError, TypeError)):
             Scenario(**{field: bad})
+
+    def test_one_value_fields_are_gone(self):
+        """The seven fields no caller set to anything but their default
+        are constants of the code that reads them; 35 fields remain."""
+        names = {f.name for f in dataclasses.fields(Scenario)}
+        assert not names & DELETED_FIELDS
+        assert len(names) == 35
+        for field in DELETED_FIELDS:
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                Scenario(**{field: 1.0})
 
     def test_rejects_non_finite_speed_tuple(self):
         with pytest.raises(ValueError):
@@ -56,11 +78,11 @@ class TestValidation:
             {"loss_rate": -0.01},
             {"loss_rate": 1.0},   # certain loss: every message spins
             {"loss_rate": 1.5},
-            {"loss_level_coeff": -1.0},
+            {"failure_rate": -0.1},
             {"retry_attempts": 0},
-            {"retry_backoff": -0.1},
-            {"retry_backoff_factor": 0.5},
-            {"retry_jitter": -0.2},
+            {"repair_time": 0.0},
+            {"retry_attempts": -1},
+            {"retry_timeout": -1.0},
             {"retry_timeout": 0.0},
             {"queries_per_step": -1},
         ],
@@ -95,17 +117,15 @@ class TestValidation:
         assert Scenario(loss_rate=0.01).faults_enabled
 
     def test_fault_helpers_mirror_fields(self):
-        sc = Scenario(loss_rate=0.1, loss_level_coeff=0.2, retry_attempts=3,
-                      retry_backoff=0.5, retry_backoff_factor=3.0,
-                      retry_jitter=0.0, retry_timeout=9.0)
+        sc = Scenario(loss_rate=0.1, retry_attempts=3, retry_timeout=9.0)
         assert sc.loss_model().rate == 0.1
-        assert sc.loss_model().level_coeff == 0.2
+        assert sc.loss_model().level_coeff == 0.0
         policy = sc.retry_policy()
         assert policy.max_attempts == 3
-        assert policy.base_backoff == 0.5
-        assert policy.backoff_factor == 3.0
-        assert policy.jitter == 0.0
         assert policy.timeout == 9.0
+        # The backoff shape is RetryPolicy's own default.
+        assert (policy.base_backoff, policy.backoff_factor, policy.jitter) \
+            == (0.05, 2.0, 0.1)
 
 
 class TestChaosFields:
@@ -114,10 +134,10 @@ class TestChaosFields:
         {"chaos": ("meteor:start=1,duration=2",)},  # unknown kind
         {"chaos": ("partition:start=1,duration=-2",)},
         {"invariant_mode": "loose"},
-        {"slo_success_threshold": 0.0},
-        {"slo_success_threshold": 1.5},
-        {"slo_success_threshold": float("nan")},
-        {"slo_window": 0},
+        {"chaos": ("crash:start=-1,duration=2,rate=0.1",)},
+        {"chaos": ("burst:start=0,duration=2,rate=1.5",)},
+        {"chaos": ("partition:start=0,duration=2,angle=nan",)},
+        {"invariant_mode": "STRICT"},
     ])
     def test_rejects_bad_chaos_values(self, kwargs):
         with pytest.raises(ValueError):

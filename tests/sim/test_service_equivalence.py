@@ -33,7 +33,7 @@ def _service_fingerprint(rep):
 
 def _scenario(**over):
     base = dict(n=80, steps=8, warmup=2, speed=1.5, seed=3,
-                max_levels=3, hop_mode="euclidean")
+                max_levels=3, hop_mode="euclidean", hop_sample_every=4)
     base.update(over)
     return Scenario(**base)
 
@@ -51,15 +51,15 @@ class TestPureObserver:
                             service_hop_time=0.5,
                             service_update_fraction=0.9,
                             arrival_process="hotspot")
-        a = run_scenario(_scenario(), hop_sample_every=4)
-        b = run_scenario(knobbed, hop_sample_every=4)
+        a = run_scenario(_scenario())
+        b = run_scenario(knobbed)
         assert fingerprint(a) == fingerprint(b)
         assert "service" not in b.extras
 
     def test_service_on_leaves_core_metrics_bit_identical(self):
         """The strong contract: the front-end observes, never perturbs."""
-        off = run_scenario(_scenario(), hop_sample_every=4)
-        on = run_scenario(SERVED, hop_sample_every=4)
+        off = run_scenario(_scenario())
+        on = run_scenario(SERVED)
         assert fingerprint(off) == fingerprint(on)
         assert np.array_equal(off.final_positions, on.final_positions)
         assert on.extras["service"].offered > 0
@@ -69,9 +69,8 @@ class TestPureObserver:
         service still perturbs nothing — including the query ledger."""
         lossy = _scenario(loss_rate=0.08, retry_attempts=3,
                           queries_per_step=4)
-        off = run_scenario(lossy, hop_sample_every=4)
-        on = run_scenario(replace(lossy, arrival_rate=40.0),
-                          hop_sample_every=4)
+        off = run_scenario(lossy)
+        on = run_scenario(replace(lossy, arrival_rate=40.0))
         assert fingerprint(off) == fingerprint(on)
         assert off.queries.success_series == on.queries.success_series
         assert on.extras["service"].offered > 0
@@ -79,8 +78,8 @@ class TestPureObserver:
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
-        a = run_scenario(SERVED, hop_sample_every=4).extras["service"]
-        b = run_scenario(SERVED, hop_sample_every=4).extras["service"]
+        a = run_scenario(SERVED).extras["service"]
+        b = run_scenario(SERVED).extras["service"]
         assert _service_fingerprint(a) == _service_fingerprint(b)
         assert a.latency_histogram() == b.latency_histogram()
 
@@ -90,44 +89,43 @@ class TestDeterminism:
         queueing *does* depend on service_workers, so compare the
         arrival stream and resolution tallies, not latencies.)"""
         wide = replace(SERVED, service_workers=8)
-        a = run_scenario(SERVED, hop_sample_every=4).extras["service"]
-        b = run_scenario(wide, hop_sample_every=4).extras["service"]
+        a = run_scenario(SERVED).extras["service"]
+        b = run_scenario(wide).extras["service"]
         assert a.arrivals_series == b.arrivals_series
         assert a.offered == b.offered
         assert a.shed == b.shed
 
     def test_different_seed_different_workload(self):
-        a = run_scenario(SERVED, hop_sample_every=4).extras["service"]
-        b = run_scenario(replace(SERVED, seed=4),
-                         hop_sample_every=4).extras["service"]
+        a = run_scenario(SERVED).extras["service"]
+        b = run_scenario(replace(SERVED, seed=4)).extras["service"]
         assert _service_fingerprint(a) != _service_fingerprint(b)
 
 
 class TestBackpressure:
     def test_admission_sheds_excess_load(self):
-        rep = run_scenario(SERVED, hop_sample_every=4).extras["service"]
+        rep = run_scenario(SERVED).extras["service"]
         assert rep.shed > 0
         assert rep.served + rep.shed + rep.dropped == rep.offered
         # ~40/s offered vs 25/s admitted over 8 metered seconds.
         assert rep.shed == sum(rep.shed_series)
 
     def test_admit_all_never_sheds(self):
-        rep = run_scenario(replace(SERVED, admission_rate=0.0),
-                           hop_sample_every=4).extras["service"]
+        rep = run_scenario(
+            replace(SERVED, admission_rate=0.0)).extras["service"]
         assert rep.shed == 0
 
     def test_bounded_queue_drops_under_overload(self):
         crushed = _scenario(arrival_rate=120.0, service_workers=1,
                             service_queue_capacity=2,
                             service_hop_time=0.05)
-        rep = run_scenario(crushed, hop_sample_every=4).extras["service"]
+        rep = run_scenario(crushed).extras["service"]
         assert rep.dropped > 0
         assert rep.peak_queue_depth <= 2 + 1  # bound, +1 for the one in hand
         assert rep.served + rep.dropped == rep.offered
 
     def test_gls_scheme_serves(self):
-        rep = run_scenario(replace(SERVED, service_scheme="gls"),
-                           hop_sample_every=4).extras["service"]
+        rep = run_scenario(
+            replace(SERVED, service_scheme="gls")).extras["service"]
         assert rep.served > 0
         assert rep.updates > 0
         assert rep.direct_hits + rep.fallback_hits + rep.failed == rep.lookups
@@ -157,8 +155,8 @@ class TestAcceptanceLoad:
         sc = Scenario(n=500, steps=25, warmup=5, seed=0, max_levels=3,
                       hop_mode="euclidean", arrival_rate=500.0,
                       admission_rate=460.0, service_workers=16,
-                      service_hop_time=0.001)
-        return run_scenario(sc, hop_sample_every=10_000)
+                      service_hop_time=0.001, hop_sample_every=10_000)
+        return run_scenario(sc)
 
     def test_sustains_10k_requests(self, report):
         rep = report.extras["service"]
@@ -173,8 +171,7 @@ class TestAcceptanceLoad:
     def test_manifest_carries_service_slos(self, report):
         from repro.obs import RunManifest
 
-        metrics = RunManifest.from_result(
-            report, hop_sample_every=10_000).metrics
+        metrics = RunManifest.from_result(report).metrics
         assert metrics["service_offered"] >= 10_000
         assert metrics["service_p99_latency"] >= metrics["service_p50_latency"]
         assert metrics["service_throughput"] > 0

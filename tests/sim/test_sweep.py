@@ -18,7 +18,7 @@ from repro.sim import (
 from tests.fingerprint import fingerprint
 
 BASE = Scenario(n=60, steps=5, warmup=1, speed=1.5, hop_mode="euclidean",
-                max_levels=2)
+                max_levels=2, hop_sample_every=4)
 
 
 def _double(x: float) -> float:
@@ -48,8 +48,8 @@ class TestExpandGrid:
 class TestDeterminism:
     def test_parallel_bit_identical_to_serial(self):
         grid = expand_grid(BASE, [60, 90], seeds=(0, 1))
-        serial = run_sweep(grid, hop_sample_every=4, workers=0)
-        parallel = run_sweep(grid, hop_sample_every=4, workers=2)
+        serial = run_sweep(grid, workers=0)
+        parallel = run_sweep(grid, workers=2)
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert a.scenario == b.scenario
@@ -86,7 +86,7 @@ class TestDeterminism:
 class TestCache:
     def test_second_invocation_hits_cache(self, tmp_path, monkeypatch):
         grid = expand_grid(BASE, [60], seeds=(0, 1))
-        first = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        first = run_sweep(grid, cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.pkl"))) == 2
 
         # Any attempt to simulate now is a bug: results must come purely
@@ -95,37 +95,37 @@ class TestCache:
             raise AssertionError("cache miss: re-simulated a cached run")
 
         monkeypatch.setattr(sweep_mod, "_run_task", boom)
-        second = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        second = run_sweep(grid, cache_dir=tmp_path)
         for a, b in zip(first, second):
             assert fingerprint(a) == fingerprint(b)
 
     def test_progress_reports_cache_hits(self, tmp_path):
         grid = expand_grid(BASE, [60], seeds=(0,))
-        run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        run_sweep(grid, cache_dir=tmp_path)
         events = []
-        run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path,
+        run_sweep(grid, cache_dir=tmp_path,
                   progress=events.append)
         assert [e.from_cache for e in events] == [True]
         assert events[-1].done == events[-1].total == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         grid = expand_grid(BASE, [60], seeds=(0,))
-        key = scenario_key(grid[0], 4)
+        key = scenario_key(grid[0])
         (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
-        res = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        res = run_sweep(grid, cache_dir=tmp_path)
         assert res[0].phi >= 0  # re-simulated, and
-        serial = run_sweep(grid, hop_sample_every=4)
+        serial = run_sweep(grid)
         assert fingerprint(res[0]) == fingerprint(serial[0])
 
     def test_truncated_entry_is_a_miss_and_self_heals(self, tmp_path):
         """A pickle cut off mid-write (crash during a non-atomic copy,
         disk full...) must re-simulate, then overwrite the bad entry."""
         grid = expand_grid(BASE, [60], seeds=(0,))
-        first = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
-        path = tmp_path / f"{scenario_key(grid[0], 4)}.pkl"
+        first = run_sweep(grid, cache_dir=tmp_path)
+        path = tmp_path / f"{scenario_key(grid[0])}.pkl"
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        again = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        again = run_sweep(grid, cache_dir=tmp_path)
         assert fingerprint(again[0]) == fingerprint(first[0])
         assert path.read_bytes() == blob  # entry rewritten whole
 
@@ -135,11 +135,11 @@ class TestCache:
         import pickle
 
         grid = expand_grid(BASE, [60], seeds=(0,))
-        path = tmp_path / f"{scenario_key(grid[0], 4)}.pkl"
+        path = tmp_path / f"{scenario_key(grid[0])}.pkl"
         path.write_bytes(pickle.dumps({"not": "a SimResult"}))
-        res = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        res = run_sweep(grid, cache_dir=tmp_path)
         assert fingerprint(res[0]) == fingerprint(
-            run_sweep(grid, hop_sample_every=4)[0]
+            run_sweep(grid)[0]
         )
 
     def test_corrupt_entry_through_cached_sweep(self, tmp_path):
@@ -148,9 +148,7 @@ class TestCache:
         metrics = {"total": lambda r: r.handoff_rate}
         clean = cached_sweep([60], BASE, metrics, seeds=(0,))
         for sc in expand_grid(BASE, [60], seeds=(0,)):
-            # None resolves to the scenario's own cadence — the same key
-            # the cached_sweep default below computes.
-            bad = tmp_path / f"{scenario_key(sc, None)}.pkl"
+            bad = tmp_path / f"{scenario_key(sc)}.pkl"
             bad.write_bytes(b"\x80\x04garbage")
         poisoned = cached_sweep([60], BASE, metrics, seeds=(0,),
                                 cache_dir=tmp_path)
@@ -168,18 +166,18 @@ class TestCache:
         with monkeypatch.context() as patched:
             patched.setattr(sweep_mod.pickle, "dump", dump_then_die)
             with pytest.raises(OSError, match="disk full"):
-                run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+                run_sweep(grid, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
-        res = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        res = run_sweep(grid, cache_dir=tmp_path)
         assert [p.suffix for p in tmp_path.iterdir()] == [".pkl"]
         assert fingerprint(res[0]) == fingerprint(
-            run_sweep(grid, hop_sample_every=4)[0]
+            run_sweep(grid)[0]
         )
 
     def test_no_cache_dir_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        run_sweep(expand_grid(BASE, [60], seeds=(0,)), hop_sample_every=4)
+        run_sweep(expand_grid(BASE, [60], seeds=(0,)))
         assert not list(tmp_path.rglob("*.pkl"))
 
 
@@ -244,7 +242,7 @@ class TestMissingMetricAggregation:
 
 class TestScenarioKey:
     def test_stable(self):
-        assert scenario_key(BASE, 4) == scenario_key(replace(BASE), 4)
+        assert scenario_key(BASE) == scenario_key(replace(BASE))
 
     def test_golden_keys(self):
         """The key is what on-disk sweep caches are filed under: a change
@@ -252,14 +250,14 @@ class TestScenarioKey:
         payload re-shaped, ``CODE_VERSION`` bumped — means every cache
         written before it misses.  Re-pin only when that is intended."""
         assert scenario_key(Scenario()) == (
-            "27104b004eae12570d770f8087e37c2c"
-            "92fbc0212ccb2b4ec8858a9fedd9f4bc")
+            "f8b1ae6032de5c3ce8bc029f3a0c0451"
+            "79ef148f6d6359e21f1f214a7e9bc9d6")
         busy = Scenario(
             n=np.int64(120), speed=(1.0, 3.0), seed=5,
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
         assert scenario_key(busy) == (
-            "2272289e7cbc1ec40fef4927ed12d941"
-            "b7b0ba21e771ec3ce4f6c8a2c7b75a85")
+            "2a0730f4ea1d52dda7a4022653efc4e9"
+            "0fcb164c6c17c25fafdc366cc842d8b6")
 
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis
@@ -269,40 +267,41 @@ class TestScenarioKey:
         native = replace(BASE, n=60, speed=1.5, seed=0)
         numpied = replace(BASE, n=np.int64(60), speed=np.float64(1.5),
                           seed=np.int64(0))
-        assert scenario_key(numpied, 4) == scenario_key(native, 4)
+        assert scenario_key(numpied) == scenario_key(native)
 
     def test_numpy_key_hits_native_cache(self, tmp_path):
         """End to end: results cached under native-int keys replay for
         the numpy-typed equal grid (no silent re-simulation)."""
         native = expand_grid(BASE, [60], seeds=(0,))
-        run_sweep(native, hop_sample_every=4, cache_dir=tmp_path)
+        run_sweep(native, cache_dir=tmp_path)
         events = []
         numpied = [replace(BASE, n=np.int64(60), seed=np.int64(0))]
-        run_sweep(numpied, hop_sample_every=4, cache_dir=tmp_path,
+        run_sweep(numpied, cache_dir=tmp_path,
                   progress=events.append)
         assert [e.from_cache for e in events] == [True]
 
     def test_profile_gets_its_own_key(self):
-        assert scenario_key(BASE, 4, profile=True) != scenario_key(BASE, 4)
-        # profile=False keeps the historical payload, so existing caches
-        # still hit.
-        assert scenario_key(BASE, 4, profile=False) == scenario_key(BASE, 4)
+        assert scenario_key(BASE, profile=True) != scenario_key(BASE)
+        # profile=False is the plain payload, the one unprofiled runs use.
+        assert scenario_key(BASE, profile=False) == scenario_key(BASE)
 
     def test_every_field_matters(self):
-        baseline = scenario_key(BASE, 4)
+        baseline = scenario_key(BASE)
         changed = {
             "n": 61, "density": 0.03, "target_degree": 8.0, "speed": 2.0,
             "dt": 0.5, "steps": 6, "warmup": 2, "mobility": "stationary",
             "seed": 1, "hop_mode": "bfs", "max_levels": 3,
         }
         for field, value in changed.items():
-            assert scenario_key(replace(BASE, **{field: value}), 4) != baseline, field
+            changed_key = scenario_key(replace(BASE, **{field: value}))
+            assert changed_key != baseline, field
 
     def test_cadence_and_code_version_matter(self, monkeypatch):
-        assert scenario_key(BASE, 4) != scenario_key(BASE, 8)
-        before = scenario_key(BASE, 4)
+        assert scenario_key(BASE) != scenario_key(
+            replace(BASE, hop_sample_every=8))
+        before = scenario_key(BASE)
         monkeypatch.setattr(sweep_mod, "CODE_VERSION", "test-bump")
-        assert scenario_key(BASE, 4) != before
+        assert scenario_key(BASE) != before
 
 
 class TestParallelMap:
@@ -321,7 +320,7 @@ class TestProgressTelemetry:
     def test_task_seconds_is_per_task_not_sweep_total(self):
         grid = expand_grid(BASE, [60], seeds=(0, 1, 2))
         events = []
-        run_sweep(grid, hop_sample_every=4, progress=events.append)
+        run_sweep(grid, progress=events.append)
         assert len(events) == 3
         # Sweep elapsed is monotone; per-task durations are not cumulative.
         assert [e.elapsed for e in events] == sorted(e.elapsed for e in events)
@@ -335,7 +334,7 @@ class TestProgressTelemetry:
 
         grid = expand_grid(BASE, [60, 90], seeds=(0, 1))
         events = []
-        run_sweep(grid, hop_sample_every=4, workers=2,
+        run_sweep(grid, workers=2,
                   progress=events.append)
         workers = {e.worker for e in events}
         assert None not in workers
@@ -358,9 +357,9 @@ class TestProgressTelemetry:
 
     def test_cache_hits_report_load_time(self, tmp_path):
         grid = expand_grid(BASE, [60], seeds=(0,))
-        run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
+        run_sweep(grid, cache_dir=tmp_path)
         events = []
-        run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path,
+        run_sweep(grid, cache_dir=tmp_path,
                   progress=events.append)
         assert events[0].from_cache
         assert events[0].worker is None
@@ -382,26 +381,26 @@ class TestProgressTelemetry:
 class TestProfiledSweep:
     def test_profile_attaches_timings_and_keeps_metrics(self):
         grid = expand_grid(BASE, [60], seeds=(0,))
-        plain = run_sweep(grid, hop_sample_every=4)
-        profiled = run_sweep(grid, hop_sample_every=4, profile=True)
+        plain = run_sweep(grid)
+        profiled = run_sweep(grid, profile=True)
         assert fingerprint(plain[0]) == fingerprint(profiled[0])
         assert plain[0].timings is None
         assert profiled[0].timings.steps == BASE.steps
 
     def test_profiled_cache_entry_round_trips_timings(self, tmp_path):
         grid = expand_grid(BASE, [60], seeds=(0,))
-        first = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path,
+        first = run_sweep(grid, cache_dir=tmp_path,
                           profile=True)
         events = []
-        again = run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path,
+        again = run_sweep(grid, cache_dir=tmp_path,
                           profile=True, progress=events.append)
         assert [e.from_cache for e in events] == [True]
         assert again[0].timings.totals == first[0].timings.totals
 
     def test_profiled_and_plain_caches_are_disjoint(self, tmp_path):
         grid = expand_grid(BASE, [60], seeds=(0,))
-        run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path)
-        run_sweep(grid, hop_sample_every=4, cache_dir=tmp_path, profile=True)
+        run_sweep(grid, cache_dir=tmp_path)
+        run_sweep(grid, cache_dir=tmp_path, profile=True)
         assert len(list(tmp_path.glob("*.pkl"))) == 2
 
 
@@ -411,7 +410,7 @@ class TestRunSweepBasics:
 
     def test_results_in_task_order(self):
         grid = expand_grid(BASE, [90, 60], seeds=(1, 0))
-        res = run_sweep(grid, hop_sample_every=4, workers=2)
+        res = run_sweep(grid, workers=2)
         assert [(r.scenario.n, r.scenario.seed) for r in res] == [
             (90, 1), (90, 0), (60, 1), (60, 0),
         ]

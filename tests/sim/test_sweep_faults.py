@@ -19,13 +19,22 @@ from repro.sim import (
     expand_grid,
     parallel_map,
     run_sweep,
-    run_sweep_detailed,
 )
 
 GOOD = Scenario(n=60, steps=3, warmup=1, speed=1.5, hop_mode="euclidean",
-                max_levels=2)
-BAD = Scenario(n=60, steps=3, warmup=1, mobility="nope", max_levels=2)
+                max_levels=2, hop_sample_every=4)
+BAD = Scenario(n=60, steps=3, warmup=1, mobility="nope", max_levels=2,
+               hop_sample_every=4)
 """Constructs fine but raises inside the worker at model build time."""
+
+
+@pytest.fixture(autouse=True)
+def _no_retry_sleep(monkeypatch):
+    """Retry rounds back off by ``RETRY_BACKOFF`` seconds; these tests
+    retry on purpose, so they do it without sleeping."""
+    import repro.sim.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod, "RETRY_BACKOFF", 0.0)
 
 
 def _inc(x):
@@ -67,14 +76,12 @@ def _report_pid_then_finish(outdir):
 class TestCrashRecovery:
     def test_killed_worker_is_retried_and_succeeds(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
-        out = parallel_map(_die_once, [sentinel], workers=2,
-                           task_retries=1, retry_backoff=0.01)
+        out = parallel_map(_die_once, [sentinel], workers=2, task_retries=1)
         assert out == ["survived"]
 
     def test_killed_worker_yields_partial_results_and_error_record(self):
         with pytest.raises(SweepError) as ei:
-            parallel_map(_die_always, [7], workers=2,
-                         task_retries=1, retry_backoff=0.01)
+            parallel_map(_die_always, [7], workers=2, task_retries=1)
         run = ei.value.run
         assert isinstance(run, SweepRun) and not run.ok
         assert run.results == [None]
@@ -85,16 +92,16 @@ class TestCrashRecovery:
         assert "died" in err.message or "broke" in err.message
 
     def test_partial_mode_returns_none_holes(self):
-        out = parallel_map(_die_always, [7], workers=2, task_retries=0,
-                           retry_backoff=0.01, on_error="partial")
-        assert out == [None]
+        with pytest.raises(SweepError) as ei:
+            parallel_map(_die_always, [7], workers=2, task_retries=0)
+        assert ei.value.run.results == [None]
 
 
 class TestTimeout:
     def test_hung_worker_times_out_with_record(self):
         with pytest.raises(SweepError) as ei:
             parallel_map(_hang, [None], workers=2, task_timeout=0.5,
-                         task_retries=0, retry_backoff=0.01)
+                         task_retries=0)
         (err,) = ei.value.run.errors
         assert err.kind == "timeout"
         assert "task_timeout" in err.message
@@ -134,8 +141,7 @@ class TestInterruptTeardown:
 class TestExceptionRetries:
     def test_attempts_bounded_and_counted(self):
         with pytest.raises(SweepError) as ei:
-            parallel_map(_boom, [1], workers=0, task_retries=2,
-                         retry_backoff=0.0)
+            parallel_map(_boom, [1], workers=0, task_retries=2)
         (err,) = ei.value.run.errors
         assert err.kind == "exception"
         assert err.attempts == 3  # 1 + task_retries
@@ -144,15 +150,13 @@ class TestExceptionRetries:
     def test_healthy_items_unaffected_by_failures(self):
         out = parallel_map(_inc, [1, 2, 3], workers=0, task_retries=0)
         assert out == [2, 3, 4]
-        partial = parallel_map(_boom, [1, 2], workers=0, task_retries=0,
-                               retry_backoff=0.0, on_error="partial")
-        assert partial == [None, None]
+        with pytest.raises(SweepError) as ei:
+            parallel_map(_boom, [1, 2], workers=0, task_retries=0)
+        assert ei.value.run.results == [None, None]
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
-            run_sweep_detailed([GOOD], task_retries=-1)
-        with pytest.raises(ValueError):
-            run_sweep([GOOD], on_error="sometimes")
+            run_sweep([GOOD], task_retries=-1)
 
 
 class TestSweepPartialResults:
@@ -160,8 +164,9 @@ class TestSweepPartialResults:
     complete every healthy task and report the failure structurally."""
 
     def test_detailed_run_completes_healthy_tasks(self):
-        run = run_sweep_detailed([GOOD, BAD], hop_sample_every=4,
-                                 task_retries=0, retry_backoff=0.0)
+        with pytest.raises(SweepError) as ei:
+            run_sweep([GOOD, BAD], task_retries=0)
+        run = ei.value.run
         assert len(run.results) == 2
         assert run.results[0] is not None
         assert run.results[0].scenario == GOOD
@@ -175,31 +180,32 @@ class TestSweepPartialResults:
 
     def test_run_sweep_raises_at_end_with_partials_attached(self):
         with pytest.raises(SweepError) as ei:
-            run_sweep([GOOD, BAD], hop_sample_every=4, task_retries=0,
-                      retry_backoff=0.0)
+            run_sweep([GOOD, BAD], task_retries=0)
         run = ei.value.run
         assert run.results[0] is not None and run.results[1] is None
         assert "task 1" in str(ei.value)
 
     def test_run_sweep_partial_mode(self):
-        out = run_sweep([BAD, GOOD], hop_sample_every=4, task_retries=0,
-                        retry_backoff=0.0, on_error="partial")
+        with pytest.raises(SweepError) as ei:
+            run_sweep([BAD, GOOD], task_retries=0)
+        out = ei.value.run.results
         assert out[0] is None and out[1] is not None
 
     def test_failed_task_is_retried(self):
-        run = run_sweep_detailed([BAD], hop_sample_every=4, task_retries=2,
-                                 retry_backoff=0.0)
-        assert run.errors[0].attempts == 3
+        with pytest.raises(SweepError) as ei:
+            run_sweep([BAD], task_retries=2)
+        assert ei.value.run.errors[0].attempts == 3
 
     def test_parallel_grid_with_crasher_keeps_healthy_results(self):
         """Mixed grid through real processes: the healthy scenarios all
         finish (possibly via retry after the pool breaks) and match the
         serial run bit-for-bit."""
         grid = expand_grid(GOOD, [60], seeds=(0, 1)) + [BAD]
-        run = run_sweep_detailed(grid, hop_sample_every=4, workers=2,
-                                 task_retries=2, retry_backoff=0.01)
+        with pytest.raises(SweepError) as ei:
+            run_sweep(grid, workers=2, task_retries=2)
+        run = ei.value.run
         assert [r is not None for r in run.results] == [True, True, False]
-        serial = run_sweep(grid[:2], hop_sample_every=4, workers=0)
+        serial = run_sweep(grid[:2], workers=0)
         for got, want in zip(run.results[:2], serial):
             assert got.phi == want.phi and got.gamma == want.gamma
         assert run.errors[0].scenario == BAD

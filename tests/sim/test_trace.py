@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EventTrace, Scenario, Simulator
+from repro.sim import EventTrace, Scenario, Simulator, engine
 
 
 class TestEventTrace:
@@ -104,7 +104,7 @@ class TestSimulatorIntegration:
         res = Simulator(sc, trace=True).run()
         assert len(res.trace) == 0
 
-    def test_trace_rows_equal_the_event_object_views(self):
+    def test_trace_rows_equal_the_event_object_views(self, monkeypatch):
         """The collector reads the diff's columns; what it records is
         what walking ``diff.migrations`` / ``diff.reorgs`` would."""
         from repro.sim import Collector
@@ -126,8 +126,8 @@ class TestSimulatorIntegration:
 
         sc = Scenario(n=120, steps=8, warmup=2, speed=3.0, seed=3, max_levels=3)
         views = ViewRecorder()
-        res = Simulator(sc, trace=True, trace_capacity=None,
-                        collectors=[views]).run()
+        monkeypatch.setattr(engine, "TRACE_CAPACITY", None)  # keep every row
+        res = Simulator(sc, trace=True, collectors=[views]).run()
         got = [(ev.t, ev.kind, ev.payload) for ev in res.trace
                if ev.kind != "handoff"]
         assert got == views.expected

@@ -117,8 +117,8 @@ class TestGoldenDeterminism:
 
         res = run_scenario(
             Scenario(n=100, steps=10, warmup=5, speed=1.0, seed=2024,
-                     hop_mode="euclidean", max_levels=3),
-            hop_sample_every=10_000,
+                     hop_mode="euclidean", max_levels=3,
+                     hop_sample_every=10_000),
         )
         # Pinned from the reference implementation; loose enough for
         # benign float reorderings, tight enough to catch semantic drift.

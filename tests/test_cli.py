@@ -153,6 +153,36 @@ class TestProfileCommand:
         assert all(m.phases for m in manifests)
         assert {m.scenario["seed"] for m in manifests} == {0, 1}
 
+    def test_profile_reports_a_failed_task_and_exits_1(self, tmp_path,
+                                                        capsys, monkeypatch):
+        """One task of the grid fails every attempt: the sweep raises at
+        its end, and ``repro profile`` still renders the report (with the
+        failure) and writes manifests for the healthy tasks."""
+        import repro.sim.sweep as sweep_mod
+
+        real = sweep_mod._run_task
+
+        def fail_seed_1(args):
+            if args[0].seed == 1:
+                raise RuntimeError("injected task failure")
+            return real(args)
+
+        monkeypatch.setattr(sweep_mod, "_run_task", fail_seed_1)
+        monkeypatch.setattr(sweep_mod, "RETRY_BACKOFF", 0.0)
+        path = tmp_path / "runs.jsonl"
+        assert main(["profile", "--ns", "60", "--seeds", "0,1,2", "--steps",
+                     "4", "--warmup", "1", "--no-cache", "--quiet",
+                     "--manifest", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "2/3 done" in out
+        assert "0 retried-then-succeeded, 1 failed (exception=1)" in out
+        assert "phase mean ms/step" in out
+        assert "2 manifests written" in out
+        from repro.obs import RunManifest, read_jsonl
+
+        manifests = [RunManifest.from_dict(d) for d in read_jsonl(path)]
+        assert {m.scenario["seed"] for m in manifests} == {0, 2}
+
     def test_profile_rejects_empty_grid(self, capsys):
         assert main(["profile", "--ns", "", "--seeds", "0"]) == 2
         assert "at least one size" in capsys.readouterr().err
