@@ -39,7 +39,6 @@ _SCENARIO_FLAGS = {
     "n": "n", "seed": "seed",
     "steps": "steps", "warmup": "warmup", "speed": "speed", "dt": "dt",
     "density": "density", "degree": "target_degree", "hops": "hop_mode",
-    "incremental_hierarchy": "incremental_hierarchy",
     "loss_rate": "loss_rate", "retry_attempts": "retry_attempts",
     "mobility": "mobility", "election": "election_mode",
     "invariant_mode": "invariant_mode",
@@ -74,13 +73,7 @@ def _add_single_run_args(p) -> None:
 
 
 def _add_control_plane_args(p) -> None:
-    """Control-plane engine and loss flags (simulate/serve/sweep)."""
-    p.add_argument("--incremental-hierarchy",
-                   action=argparse.BooleanOptionalAction, default=False,
-                   help="event-driven control plane: Verlet-cached "
-                        "unit-disk edges and CHLM descent chains patched "
-                        "from the step's hierarchy delta instead of "
-                        "reassigned in full (bit-identical results)")
+    """Control-plane loss flags (simulate/serve/sweep)."""
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="per-hop control-packet loss probability "
                         "(default 0 = lossless)")
@@ -591,7 +584,6 @@ def _cmd_sweep(args) -> int:
             "ns": list(ns), "seeds": list(seeds), "steps": args.steps,
             "speed": args.speed, "dt": args.dt, "density": args.density,
             "target_degree": args.degree, "hop_mode": args.hops,
-            "incremental_hierarchy": args.incremental_hierarchy,
         })
         print(f"points written to {args.json}")
     return 0

@@ -227,7 +227,7 @@ class HandoffEngine:
         absent = np.full(base.size, -1, dtype=np.int64)
 
         # Candidate rows per level.  Full path: every row of every level
-        # either side knows.  Incremental path: the patch's dirty rows
+        # either side knows.  Patched path: the patch's dirty rows
         # (the entries whose intent moved) plus outstanding stale keys
         # (whose effective holder differs from an unchanged intent, or
         # which await the old==new staleness-recovery rule).

@@ -37,6 +37,7 @@ __all__ = [
     "hash_stage",
     "full_assignment",
     "patch_assignment",
+    "patch_pays",
 ]
 
 
@@ -417,6 +418,29 @@ def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssign
     if hash_fn == "rendezvous":
         return ChainedAssignment(subjects=subjects, tables=tables, chains=chains)
     return ServerAssignment(subjects=subjects, tables=tables)
+
+
+PATCH_MIN_NODES = 2000
+"""Below this many nodes the patch's fixed cost (the step's
+:func:`~repro.hierarchy.delta.compute_delta` and per-depth bookkeeping)
+outweighs the hashing it saves (docs/PERFORMANCE.md, "Patch or full,
+per step")."""
+
+PATCH_MAX_CHURN = 0.3
+"""Level-0 link churn above which most descent chains are dirty, and a
+full reassignment beats a patch at any size."""
+
+
+def patch_pays(n: int, churn: float) -> bool:
+    """Whether one step should patch its CHLM assignment
+    (:func:`patch_assignment`) rather than recompute it in full
+    (:func:`full_assignment`).
+
+    ``n`` is the node count and ``churn`` the step's level-0 link churn,
+    (ups + downs) / |E_prev|.  Both plans give the same assignment; this
+    only picks the cheaper one from what the step has already observed.
+    """
+    return n >= PATCH_MIN_NODES and churn < PATCH_MAX_CHURN
 
 
 def patch_assignment(

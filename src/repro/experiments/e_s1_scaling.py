@@ -9,9 +9,10 @@ which is only tractable on the vectorized substrate:
 * simulations run through the sweep runner (:mod:`repro.sim.sweep`),
   which fans the grid over worker processes; a result is ~1.5 MiB
   pickled at 10^5 nodes, so shipping it back costs milliseconds;
-* the control plane is event-driven (``incremental_hierarchy``):
-  Verlet-cached candidate edges, and server assignments patched only
-  along the descent chains each step's hierarchy delta marks dirty;
+* edges come from a Verlet candidate cache, and at n >= 2000 (where
+  :func:`repro.core.servers.patch_pays` says it pays at this 1 m/s
+  churn) server assignments are patched only along the descent chains
+  each step's hierarchy delta marks dirty;
 * a query throughput probe at the largest size replays the final
   topology and resolves a batch of lookups through
   :class:`repro.core.BatchResolver`.
@@ -92,8 +93,7 @@ def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
     seeds = list(seeds)
 
     base = Scenario(n=1_000, steps=3, warmup=2, speed=1.0,
-                    hop_mode="euclidean", incremental_hierarchy=True,
-                    hop_sample_every=10_000)
+                    hop_mode="euclidean", hop_sample_every=10_000)
     scenarios = expand_grid(
         base, ns, seeds,
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),

@@ -11,8 +11,9 @@ what changed between two of them is this module's job:
   :class:`HierarchyDelta`: per-level changed-ancestry masks, the
   *dirty cells* whose member lists changed (exactly the clusters a CHLM
   hash descent could consult differently) with the members each one
-  gained.  The handoff engine uses it to re-hash only dirty keys and
-  diff only dirty clusters.
+  gained.  On the steps :func:`~repro.core.servers.patch_pays` picks,
+  the handoff engine uses it to re-hash only dirty keys and diff only
+  dirty clusters.
 * :class:`LazyClusters` is one level's partition in CSR form, the
   layout the dense rendezvous kernel reads.
 

@@ -200,10 +200,10 @@ def recurse_levels(
     until nothing aggregates.
 
     Every hierarchy in the package comes out of this loop; what differs
-    between the memoryless build, the event-driven plane, the sticky and
-    persistent maintainers and the max-min baseline is only ``elector``,
-    called as ``elector(k, ids, edges)`` with level k's sorted IDs and
-    canonical edges and returning that level's
+    between the memoryless build, the sticky and persistent maintainers
+    and the max-min baseline is only ``elector``, called as
+    ``elector(k, ids, edges)`` with level k's sorted IDs and canonical
+    edges and returning that level's
     :class:`~repro.clustering.lca.Election` (whose ``clusterheads`` are
     the level-(k+1) IDs and ``member_of`` the affiliations).
 

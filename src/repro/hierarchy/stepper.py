@@ -4,7 +4,7 @@ Every driver of the stack (:class:`~repro.sim.engine.Simulator`,
 :class:`~repro.app.messaging.MessagingService`) turns a step's
 ``(edges, positions)`` into a :class:`ClusteredHierarchy` through the
 callable :func:`hierarchy_stepper` returns, and never branches on the
-election mode, the clustering algorithm or the control plane again.  All
+election mode or the clustering algorithm again.  All
 three implementations behind it share the level recursion
 (:func:`~repro.hierarchy.levels.recurse_levels`) and differ in their
 per-level elector only.
@@ -36,7 +36,7 @@ def hierarchy_stepper(n: int, r_tx: float, max_levels: int | None = None,
 
     ``election_mode`` picks the sticky or persistent maintainer;
     memoryless elections are built from scratch by
-    :func:`build_hierarchy` on either control plane.
+    :func:`build_hierarchy`.
 
     The result holds all election state that must survive from step to
     step and pickles with it, so it is what a checkpoint carries.

@@ -34,9 +34,10 @@ PHASES = (
 
 ``setup`` covers warmup stepping plus the unmetered baseline snapshot;
 the rest are the per-step phases of :meth:`repro.sim.engine.Simulator.run`.
-``delta`` is the event-plane phase (link-delta distillation into a
-:class:`~repro.hierarchy.delta.HierarchyDelta`); it is metered on every
-profiled run and reads as ~zero when ``incremental_hierarchy`` is off.
+``delta`` distills the step's
+:class:`~repro.hierarchy.delta.HierarchyDelta` for a patched CHLM
+assignment; it is metered on every profiled run and reads ~zero on the
+steps :func:`~repro.core.servers.patch_pays` sends to a full one.
 """
 
 

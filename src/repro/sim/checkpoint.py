@@ -26,39 +26,15 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 10
+CHECKPOINT_SCHEMA = 11
 """On-disk checkpoint layout version (bumped when fields change shape).
 
-Schema 10 drops the ``hop_sample_every`` field (a run's cadence is its
-``scenario``'s, and the pickled scenario lost seven one-value fields)
-and the chaos collector's SLO settings (now module constants); a
-schema-9 file still unpickles and is refused by its schema field.
-Schema 9 pickles a memoryless ``stepper`` on either plane as the same
-from-scratch :func:`~repro.hierarchy.levels.build_hierarchy` partial,
-where an event-plane schema-8 file pickled a per-level patched-election
-plane whose class no longer exists; such a file fails to unpickle and
-is refused as stale (:func:`repro.persist.load_checkpoint`).  Schema 8
-pickles the ALCA state collector as one level-stacked
-:class:`~repro.clustering.state.StateTracker` (count arrays and the last
-snapshot's level-tagged states) where schema 7 held one tracker per
-level; a schema-7 collector would not unpickle into it.  Schema 7 stores
-the ``edge_cache``'s candidate list as a ``(2, m)`` array of two
-contiguous columns where schema 6 had ``(m, 2)`` pairs; a schema-6 list
-would be read as two wrong columns.  Schema 6 carries the run's one
-hierarchy ``stepper`` (:func:`repro.hierarchy.stepper.hierarchy_stepper`)
-where schema 5 had ``maintainer`` and ``delta_plane``, and the
-``edge_cache`` tracks its build regime.  Schema 5 shrank each level's
-pickled incremental election to its vote and support arrays (no
-adjacency dict).  Schema 4 changed the shape of the pickled handoff
-``engine``: its assignments are dense per-level server tables
-(:class:`~repro.core.servers.ServerAssignment` ``subjects``/``tables``,
-chains on the same object) instead of ``(subject, level)``-keyed dicts,
-which a schema-3 engine would not unpickle into.  Schema 3 added the
-event-driven plane state (``delta_plane``, ``edge_cache``) so
-incremental runs resume bit-identically.  Schema 2 replaced the
-``down_until`` / ``now`` / ``failure_rng`` triplet with the ``chaos``
-engine object.  Older-schema checkpoints are refused at load time
-(:func:`repro.persist.load_checkpoint`)."""
+Schema 11 always carries the ``edge_cache`` (every run steps on it), and
+its pickled scenario lost the schema-10 control-plane switch.  A file of
+any other schema is refused at load time
+(:func:`repro.persist.load_checkpoint`) — by its schema field, or as
+stale when it pickles a class this code no longer has; CHANGES.md
+records what each earlier bump changed."""
 
 
 @dataclass
@@ -98,15 +74,14 @@ class SimCheckpoint:
         Last step's hierarchy (address-diff reference for collectors).
     collectors:
         Every registered collector object, in dispatch order.
+    edge_cache:
+        The :class:`~repro.radio.edge_cache.VerletEdgeCache` (candidate
+        pairs + reference positions).
     timings:
         Accumulated :class:`~repro.obs.timers.StepTimings`, or None.
     trace:
         The simulator's :class:`~repro.sim.trace.EventTrace`, or None
         (the same object a :class:`TraceCollector` holds).
-    edge_cache:
-        The :class:`~repro.radio.edge_cache.VerletEdgeCache` (candidate
-        pairs + reference positions), or None when
-        ``incremental_hierarchy`` is off.
     schema:
         :data:`CHECKPOINT_SCHEMA` at save time.
     """
@@ -122,7 +97,7 @@ class SimCheckpoint:
     chaos: Any
     prev_hierarchy: Any
     collectors: list
+    edge_cache: Any
     timings: Any = None
     trace: Any = None
-    edge_cache: Any = None
     schema: int = field(default=CHECKPOINT_SCHEMA)

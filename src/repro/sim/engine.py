@@ -3,10 +3,13 @@
 One step of the pipeline (Section 1.2's model, end to end):
 
 1. mobility advances node positions (random waypoint by default),
-2. the unit-disk graph is rebuilt (k-d tree),
+2. the unit-disk graph is rebuilt (a Verlet candidate cache over the
+   k-d tree, :mod:`repro.radio.edge_cache`),
 3. the ALCA hierarchy is re-elected recursively (by the run's one
    hierarchy stepper, :mod:`repro.hierarchy.stepper`),
-4. the CHLM handoff engine diffs server assignments and meters packets,
+4. the CHLM handoff engine patches or recomputes the server assignment
+   (:func:`~repro.core.servers.patch_pays` picks), diffs it and meters
+   packets,
 5. the step's outputs are frozen into a
    :class:`~repro.sim.snapshot.StepSnapshot` and dispatched to the
    registered collectors (:mod:`repro.sim.collectors`), which record
@@ -31,12 +34,13 @@ import time
 import numpy as np
 
 from repro.core.handoff import HandoffEngine
+from repro.core.servers import patch_pays
 from repro.graphs import CompactGraph
 from repro.hierarchy.delta import compute_delta
 from repro.hierarchy.stepper import hierarchy_stepper
 from repro.mobility import make_model
+from repro.radio.edge_cache import VerletEdgeCache
 from repro.radio.linkevents import link_diff
-from repro.radio.unit_disk import unit_disk_edges
 from repro.sim.checkpoint import SimCheckpoint
 from repro.sim.hops import BfsHops, EuclideanHops
 from repro.sim.metrics import SimResult
@@ -66,6 +70,10 @@ class Simulator:
     custom collectors after the scenario's default set — each sees every
     metered step exactly once and contributes to the result via
     ``finalize()`` (unknown keys land in ``SimResult.extras``).
+
+    One stepping path: Verlet-cached edges, and a CHLM assignment each
+    step patches or recomputes as :func:`~repro.core.servers.patch_pays`
+    picks — a choice of plan, never of result.
 
     Every setting of the run lives on the scenario (the hop-sampling
     cadence included); ``trace=True`` records an
@@ -138,14 +146,9 @@ class Simulator:
             **scenario.mobility_kwargs,
         )
         # The one hierarchy stepper of the run (repro.hierarchy.stepper)
-        # and, on the event-driven plane (incremental_hierarchy=True),
-        # the Verlet edge cache feeding it.  The flag is read here only:
-        # it selects the edge source and whether a HierarchyDelta reaches
-        # the handoff engine (patched vs full CHLM assignment); both
-        # planes elect through the same stepper.  Neither plane consumes
-        # an RNG stream, so the two pipelines are bit-identical — the
-        # equivalence matrix in tests/sim/test_incremental_equivalence.py
-        # enforces it.
+        # and the Verlet edge cache feeding it; neither consumes an RNG
+        # stream (the oracle in tests/sim/stepping_oracle.py steps with
+        # plain k-d edges and full reassignments, bit-identically).
         self._stepper = hierarchy_stepper(
             scenario.n, scenario.r_tx,
             max_levels=scenario.max_levels,
@@ -154,11 +157,7 @@ class Simulator:
             maxmin_d=scenario.maxmin_d,
             election_mode=scenario.election_mode,
         )
-        self._edge_cache = None
-        if scenario.incremental_hierarchy:
-            from repro.radio.edge_cache import VerletEdgeCache
-
-            self._edge_cache = VerletEdgeCache(scenario.r_tx)
+        self._edge_cache = VerletEdgeCache(scenario.r_tx)
         self._engine = HandoffEngine(hash_fn=scenario.hash_fn)
         self._collectors = self._default_collectors(rngs)
         if collectors:
@@ -229,24 +228,30 @@ class Simulator:
     # -- helpers ------------------------------------------------------------------
 
     def _edges(self, positions: np.ndarray):
-        """Unit-disk edges (k-d tree, or the bit-identical Verlet cache
-        on the incremental path) plus chaos filtering (crashed nodes and
-        partition-severed links removed).
+        """Unit-disk edges from the Verlet cache plus chaos filtering
+        (crashed nodes and partition-severed links removed).
 
-        Returns ``(edges, diff)``: the Verlet cache's free one-step
+        Returns ``(edges, diff)``: the cache's free one-step
         :class:`~repro.radio.linkevents.LinkDiff` rides along — dropped
         (``None``) when there is none or chaos filtering rewrites the
         edge set after the cache, and the step then merges its own.
         """
-        diff = None
-        if self._edge_cache is not None:
-            edges, diff = self._edge_cache.edges_with_diff(positions)
-        else:
-            edges = unit_disk_edges(positions, self.sc.r_tx)
+        edges, diff = self._edge_cache.edges_with_diff(positions)
         if self._chaos is not None:
             edges = self._chaos.filter_edges(edges, positions)
             diff = None
         return edges, diff
+
+    def _delta(self, hierarchy, diff):
+        """The step's :class:`~repro.hierarchy.delta.HierarchyDelta` when
+        :func:`~repro.core.servers.patch_pays` says patching the CHLM
+        assignment pays at this size and level-0 link churn; ``None``
+        (reassign every server) otherwise."""
+        prev = self._prev_hierarchy
+        churn = diff.n_events / max(len(prev.levels[0].edges), 1)
+        if not patch_pays(self.sc.n, churn):
+            return None
+        return compute_delta(prev, hierarchy)
 
     def _hop_fn(self, positions: np.ndarray, edges: np.ndarray):
         if self.sc.resolved_hop_mode == "bfs":
@@ -304,13 +309,9 @@ class Simulator:
         hierarchy = self._stepper(edges, positions)
         if mark is not None:
             mark("hierarchy")
-        # Event-plane phase: distill the two latest snapshots into the
-        # step's HierarchyDelta.  Metered unconditionally (zero-duration
-        # when the plane is off) so profiled runs always report the full
-        # canonical phase set.
-        delta = None
-        if self._edge_cache is not None:
-            delta = compute_delta(self._prev_hierarchy, hierarchy)
+        # Metered on every step (near zero on full-reassignment steps)
+        # so profiled runs always report the full canonical phase set.
+        delta = self._delta(hierarchy, diff)
         if mark is not None:
             mark("delta")
         hop_fn = self._hop_fn(positions, edges)
@@ -447,9 +448,9 @@ class Simulator:
             chaos=self._chaos,
             prev_hierarchy=self._prev_hierarchy,
             collectors=self._collectors,
+            edge_cache=self._edge_cache,
             timings=self.timings,
             trace=self.trace,
-            edge_cache=self._edge_cache,
         )
         if path is not None:
             from repro.persist import save_checkpoint

@@ -144,21 +144,6 @@ class Scenario:
         costliest per-step observation (BFS from several sources); raise
         the cadence for wide sweeps (see docs/PERFORMANCE.md), lower it
         when h/h_k accuracy matters.
-    incremental_hierarchy:
-        Run the event-driven control plane (see
-        :mod:`repro.hierarchy.delta` and docs/ARCHITECTURE.md): the
-        unit-disk graph is maintained by a Verlet-style candidate cache,
-        and the handoff engine re-hashes only the descent chains the
-        step's :class:`~repro.hierarchy.delta.HierarchyDelta` marks
-        dirty instead of reassigning every server.  The hierarchy itself
-        comes from the same stepper on both planes.  Guaranteed
-        bit-identical to the full-rebuild pipeline for every scenario
-        (the equivalence matrix in
-        ``tests/sim/test_incremental_equivalence`` covers plain / lossy /
-        chaos / stateful / max-min / naive-hash / resume); a hash that
-        keeps no descent chains is recomputed in full.  Read once, where
-        the simulator is constructed.  Part of the scenario, so cached
-        sweeps key the two pipelines separately.
     seed:
         Root seed for all randomness.
     """
@@ -196,7 +181,6 @@ class Scenario:
     chaos: tuple = ()
     invariant_mode: str = "auto"
     hop_sample_every: int = 25
-    incremental_hierarchy: bool = False
     seed: int = 0
 
     # Numeric fields screened for NaN/inf before any range check runs

@@ -64,16 +64,17 @@ class StepSnapshot:
         all-False).  Crashed nodes keep their identity but hold no
         links in ``edges``.
     delta:
-        The step's :class:`~repro.hierarchy.delta.HierarchyDelta`
-        (``None`` when the run does not use the event-driven hierarchy
-        plane, and on the baseline snapshot).  Collectors may use its
-        dirty sets to scope their own diffs.
+        The step's :class:`~repro.hierarchy.delta.HierarchyDelta` when
+        the step patched its CHLM assignment; ``None`` on steps
+        :func:`~repro.core.servers.patch_pays` sent to a full
+        reassignment, and on the baseline snapshot.  Collectors may use
+        its dirty sets to scope their own diffs.
     link_diff:
         The step's level-0 :class:`~repro.radio.linkevents.LinkDiff`
         from the previous step's ``edges`` to this one's (``None`` on the
         baseline snapshot).  It is computed once per step — the Verlet
         cache's by-product when it has one, else one key merge — and
-        the hierarchy stepper sees the same object.  The levels above
+        its churn feeds the patch-or-full choice.  The levels above
         have their diff in ``report.diff``.
     """
 

@@ -62,12 +62,12 @@ class TestResumeEqualsUninterrupted:
                 == baseline.queries.success_series)
 
     def test_resume_on_event_plane(self, tmp_path):
-        """The event-driven plane resumes mid-run: the result equals the
-        uninterrupted run's, and the Verlet edge cache's rebuild counts
-        carry across the checkpoint (at 2 m/s every list lasts a few
-        steps, so the run rebuilds several times and never falls back to
-        the plain build)."""
-        sc = _scenario(incremental_hierarchy=True)
+        """A run whose Verlet candidate lists outlive their step resumes
+        mid-run: the result equals the uninterrupted run's, and the edge
+        cache's rebuild counts carry across the checkpoint (at 2 m/s
+        every list lasts a few steps, so the run rebuilds several times
+        and never falls back to the plain build)."""
+        sc = _scenario()
         uninterrupted = Simulator(sc)
         baseline = uninterrupted.run()
         path = tmp_path / "event.ckpt"
@@ -159,10 +159,10 @@ class TestStaleCheckpointRejection:
     def _assert_refused_as_stale(path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 10
+        assert CHECKPOINT_SCHEMA == 11
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 10" in str(err.value)
+        assert f"checkpoint schema {schema} != 11" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -192,22 +192,26 @@ class TestStaleCheckpointRejection:
         8 keeps one level-stacked tracker; refused the same way."""
         self._assert_schema_refused(tmp_path, 7)
 
-    @pytest.mark.parametrize("schema", [8, 9])
+    @pytest.mark.parametrize("schema", [8, 9, 10])
     def test_schema_8_9_checkpoint_refused(self, tmp_path, schema):
         """Schema 8 pickled the event plane's per-level patched elections
         where schema 9 keeps the from-scratch stepper on both planes.
         Both pickled a checkpoint ``hop_sample_every`` field and a
-        scenario with seven fields schema 10 turned into constants; a
-        file of that shape still unpickles, and is refused the same
-        way."""
+        scenario with seven fields schema 10 turned into constants.  All
+        three pickled the ``incremental_hierarchy`` field schema 11
+        deleted, with ``edge_cache`` None when it was off.  A file of
+        that shape still unpickles, and is refused the same way."""
         path = self._write_checkpoint(tmp_path, schema=schema)
         with path.open("rb") as fh:
             ck = pickle.load(fh)
-        ck.__dict__["hop_sample_every"] = ck.scenario.hop_sample_every
-        ck.scenario.__dict__.update(
-            detour=1.3, loss_level_coeff=0.0, retry_backoff=0.05,
-            retry_backoff_factor=2.0, retry_jitter=0.1,
-            slo_success_threshold=0.9, slo_window=3)
+        ck.edge_cache = None
+        ck.scenario.__dict__["incremental_hierarchy"] = False
+        if schema < 10:
+            ck.__dict__["hop_sample_every"] = ck.scenario.hop_sample_every
+            ck.scenario.__dict__.update(
+                detour=1.3, loss_level_coeff=0.0, retry_backoff=0.05,
+                retry_backoff_factor=2.0, retry_jitter=0.1,
+                slo_success_threshold=0.9, slo_window=3)
         save_checkpoint(ck, path)
         self._assert_refused_as_stale(path, schema)
 

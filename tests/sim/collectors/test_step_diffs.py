@@ -1,10 +1,11 @@
 """The step's two diffs, as the collectors read them.
 
 * ``StepSnapshot.link_diff`` (level 0) must equal a python-set diff of
-  the previous and the current edge list on every step: on the full
-  plane, on the event plane (the Verlet cache's diff), on the event plane
-  under chaos (where that diff is dropped and the step merges its own),
-  and after a mid-run resume.
+  the previous and the current edge list on every step: at 3 m/s
+  (``full``: the Verlet cache's plain builds, so the step merges its own
+  diff), at 1 m/s (``event``: the cache's candidate-list diff), both
+  under chaos (where the cache's diff is dropped and the step merges its
+  own), and after a mid-run resume with and without patching forced.
 * The level series the simulator reads off ``snap.report.diff`` must
   equal the per-level re-diff oracle (``tests/sim/levels_oracle.py``)
   after every step, for every election mode and level model.
@@ -17,6 +18,7 @@ from repro.sim import Scenario, Simulator
 from repro.sim.collectors import Collector, LevelSeriesCollector
 
 from ..levels_oracle import OracleLevelSeriesCollector
+from ..stepping_oracle import force_patch
 
 CHAOS = ("crash:start=2,duration=4,rate=0.05,repair=3",
          "partition:start=7,duration=3")
@@ -64,8 +66,8 @@ def _scenario(**over):
 class TestLinkDiff:
     @pytest.mark.parametrize("case", [
         dict(),
-        dict(incremental_hierarchy=True, speed=1.0),
-        dict(incremental_hierarchy=True, speed=1.0, chaos=CHAOS),
+        dict(speed=1.0),
+        dict(speed=1.0, chaos=CHAOS),
         dict(chaos=CHAOS),
     ], ids=["full", "event", "event-chaos", "full-chaos"])
     def test_equals_a_set_diff_on_every_step(self, case):
@@ -82,9 +84,11 @@ class TestLinkDiff:
         # Each event charges both endpoints once.
         assert res.f0 == pytest.approx(2 * events / sc.n / res.elapsed)
 
-    @pytest.mark.parametrize("plane", [False, True])
-    def test_after_a_mid_run_resume(self, tmp_path, plane):
-        sc = _scenario(incremental_hierarchy=plane, speed=1.0)
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_after_a_mid_run_resume(self, tmp_path, monkeypatch, forced):
+        if forced:
+            force_patch(monkeypatch)
+        sc = _scenario(speed=1.0)
         path = tmp_path / "run.ckpt"
         whole = Simulator(sc, collectors=[LinkDiffProbe()]).run(
             checkpoint_every=5, checkpoint_path=str(path))

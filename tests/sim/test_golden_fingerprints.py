@@ -1,12 +1,14 @@
 """Exact goldens for the paths that have no second implementation.
 
 Sticky, persistent, contraction and max-min runs are otherwise compared
-only plane-against-plane (both sides move together under a refactor),
-and ``TestGoldenDeterminism`` pins one memoryless scenario to a few
-percent.  Each row here is the sha256 of the shared fingerprint
+only against the stepping oracle (both sides move together under a
+refactor), and ``TestGoldenDeterminism`` pins one memoryless scenario to
+a few percent.  Each row here is the sha256 of the shared fingerprint
 (``tests/fingerprint.py``) of one small scenario, recorded once and
-required to stay *exactly* that on both control planes — the two planes
-are bit-identical, so one digest serves both.
+required to stay *exactly* that twice: under the patch-or-full rule
+(``-full``: at these sizes it reassigns every server every step) and
+with patching forced on every step (``-event``) — the two plans are
+bit-identical, so one digest serves both.
 
 A digest may only change together with a ``CODE_VERSION`` bump (a metered
 series moved on purpose); regenerate with::
@@ -45,69 +47,62 @@ import pytest
 
 from repro.sim import Scenario, run_scenario
 from tests.fingerprint import fingerprint, fingerprint_sha256
+from tests.sim.stepping_oracle import force_patch
 
 BASE = dict(n=80, steps=8, warmup=2, max_levels=3, hop_sample_every=4)
 
-# name -> (scenario fields, planes it runs on, digest)
+# name -> (scenario fields, digest)
 GOLDEN = {
     "memoryless-radio": (
-        dict(seed=3), (False, True),
+        dict(seed=3),
         "680b20a052296d9f8ae2a17360ad69deb3bf19533b86cd15dad0248eb9c80233"),
     "sticky-radio": (
-        dict(seed=5, election_mode="sticky"), (False, True),
+        dict(seed=5, election_mode="sticky"),
         "131ef1bd52f83e281632ab6e2429c44574be32e498179c04d8209f23d4474471"),
     "persistent-radio": (
-        dict(seed=9, election_mode="persistent"), (False, True),
+        dict(seed=9, election_mode="persistent"),
         "ed73712880f546a0445a7dad2d4424f4fac7331feb13eaba5e0da4fe913d08c2"),
     # Large enough that head hand-overs and cluster merges happen (5 and
     # 90 cid deaths over the run), which the 80-node row barely sees.
     "persistent-radio-large": (
         dict(n=200, steps=12, max_levels=4, seed=21,
-             election_mode="persistent"), (False, True),
+             election_mode="persistent"),
         "51285ee835ef1dd0da2caba5bcf6f692a4eedfdf20004b3a25f3f8aa3c876252"),
     "memoryless-contraction": (
-        dict(seed=13, level_mode="contraction"), (False, True),
+        dict(seed=13, level_mode="contraction"),
         "234b65b6bc7230eeb512d0dbbffdd5b83922277e89f9c2d86b35314af003d3c5"),
     "sticky-contraction": (
         dict(seed=2, election_mode="sticky", level_mode="contraction"),
-        (False, True),
         "8c1e32b30dc9eaad4370649b09563b15644ed2dd31f531d62acd6893cc1b1cd2"),
     "maxmin-d2-radio": (
-        dict(seed=4, clustering="maxmin", maxmin_d=2), (False, True),
+        dict(seed=4, clustering="maxmin", maxmin_d=2),
         "0da5e9f9237998e7d5cc85f8fa6821ae6ec09f41e9017511de1e5eb36317bf29"),
     "maxmin-d3-contraction": (
         dict(seed=6, clustering="maxmin", maxmin_d=3,
-             level_mode="contraction"), (False, True),
+             level_mode="contraction"),
         "407c3b05c06861d4e697bf554e722b7576005cc4f28a49ddd7fe22b5529f9440"),
     "lossy-chaos": (
         dict(n=90, steps=12, warmup=3, seed=7, loss_rate=0.08,
              retry_attempts=3, queries_per_step=3,
              chaos=("crash:start=2,duration=4,rate=0.04,repair=3",
                     "partition:start=7,duration=3")),
-        (False, True),
         "33d3aa05b07d5e02767cd7abd6d6cbfcaaec3d850079d07cd9fce3177e5a4c42"),
 }
 
 
-def _scenario(name: str, event_plane: bool) -> Scenario:
-    fields, _, _ = GOLDEN[name]
-    return Scenario(**{**BASE, **fields,
-                       "incremental_hierarchy": event_plane})
+def _scenario(name: str) -> Scenario:
+    return Scenario(**{**BASE, **GOLDEN[name][0]})
 
 
-CASES = [
-    pytest.param(name, plane, id=f"{name}-{'event' if plane else 'full'}")
-    for name, (_, planes, _) in GOLDEN.items()
-    for plane in planes
-]
-
-
-@pytest.mark.parametrize("name,event_plane", CASES)
-def test_fingerprint_is_the_recorded_one(name, event_plane):
-    res = run_scenario(_scenario(name, event_plane))
-    assert fingerprint_sha256(res) == GOLDEN[name][2], fingerprint(res)
+@pytest.mark.parametrize("forced", [False, True], ids=["full", "event"])
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_fingerprint_is_the_recorded_one(name, forced, monkeypatch):
+    if forced:
+        force_patch(monkeypatch)
+    res = run_scenario(_scenario(name))
+    assert fingerprint_sha256(res) == GOLDEN[name][1], fingerprint(res)
 
 
 if __name__ == "__main__":  # regenerate the table's digests
     for name in GOLDEN:
-        print(name, fingerprint_sha256(run_scenario(_scenario(name, False))))
+        print(name, fingerprint_sha256(run_scenario(_scenario(name))))

@@ -56,10 +56,13 @@ class TestValidation:
 
     def test_one_value_fields_are_gone(self):
         """The seven fields no caller set to anything but their default
-        are constants of the code that reads them; 35 fields remain."""
+        are constants of the code that reads them, and the control-plane
+        switch is gone (the simulator picks its plan per step); 34
+        fields remain."""
         names = {f.name for f in dataclasses.fields(Scenario)}
         assert not names & DELETED_FIELDS
-        assert len(names) == 35
+        assert "incremental_hierarchy" not in names
+        assert len(names) == 34
         for field in DELETED_FIELDS:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 Scenario(**{field: 1.0})

@@ -250,14 +250,14 @@ class TestScenarioKey:
         payload re-shaped, ``CODE_VERSION`` bumped — means every cache
         written before it misses.  Re-pin only when that is intended."""
         assert scenario_key(Scenario()) == (
-            "f8b1ae6032de5c3ce8bc029f3a0c0451"
-            "79ef148f6d6359e21f1f214a7e9bc9d6")
+            "4490022f58250b44b9de04a0d490ae07"
+            "22c741f4282c6899b1a9067eaa97a2ef")
         busy = Scenario(
             n=np.int64(120), speed=(1.0, 3.0), seed=5,
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
         assert scenario_key(busy) == (
-            "2a0730f4ea1d52dda7a4022653efc4e9"
-            "0fcb164c6c17c25fafdc366cc842d8b6")
+            "a9c413e721e1751636862e254d0e425b"
+            "e86024246db08add7f90dc35ca0f36be")
 
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis
