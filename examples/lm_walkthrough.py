@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core import (
     HandoffEngine,
-    LMDatabase,
     full_assignment,
     lm_levels,
     resolve_batch,
@@ -65,10 +64,13 @@ def main():
             print(f"{tag} server: hash over the top-level cluster set "
                   f"-> node {srv}")
 
-    db = LMDatabase(h, assignment)
-    print(f"\nnode {focal} itself serves {len(db.table_of(focal))} entries; "
-          f"network mean {db.entries_per_node().mean():.1f} "
+    duty = assignment.entries_served_by(focal)
+    print(f"\nnode {focal} itself serves {len(duty)} entries; "
+          f"network mean {sum(assignment.load().values()) / n:.1f} "
           "(Theta(log n) duty per node)")
+    for subject, level in duty[:3]:
+        print(f"  level-{level} entry for node {subject}: "
+              f"address {h.address(subject)}")
 
     g = CompactGraph(np.arange(n), edges)
     router = FlatRouter(g)

@@ -6,7 +6,7 @@ Walks the full public API in one sitting:
 1. deploy nodes uniformly in a disc (the paper's model),
 2. form the unit-disk radio graph,
 3. build the recursive ALCA clustered hierarchy (Fig. 1),
-4. route with strict hierarchical routing vs flat shortest path,
+4. route hop by hop on hierarchical addresses vs flat shortest path,
 5. place CHLM location servers and resolve a location query,
 6. run the mobile simulator for a few seconds and read the handoff meter.
 
@@ -20,7 +20,7 @@ from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy, hierarchy_stats
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import FlatRouter, HierarchicalRouter, hierarchical_table_sizes
+from repro.routing import FlatRouter, ForwardingFabric, hierarchical_table_sizes
 from repro.sim import Scenario, run_scenario
 
 
@@ -49,12 +49,12 @@ def main():
     v = 123
     print(f"hierarchical address of node {v}: {h.address(v)}")
 
-    # 4. Routing: strict hierarchical vs flat.
+    # 4. Routing: hop-by-hop hierarchical forwarding vs flat.
     g = CompactGraph(np.arange(n), edges)
-    hier_router = HierarchicalRouter(h, g)
+    fabric = ForwardingFabric(h, g)
     flat_router = FlatRouter(g)
     s, d = 5, 250
-    hp = hier_router.hop_count(s, d)
+    hp = fabric.forward(s, d).hops
     fp = flat_router.hop_count(s, d)
     print(f"\nroute {s} -> {d}: hierarchical {hp} hops, flat {fp} hops "
           f"(stretch {hp / max(fp, 1):.2f})")

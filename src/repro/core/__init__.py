@@ -1,8 +1,8 @@
 """CHLM — Clustered Hierarchy Location Management (the paper's core).
 
-Server selection by hashed descent (Section 3.2), the distributed LM
-database, batched location queries, and the handoff engine measuring the
-Theta(log^2 |V|) overhead bound of Sections 4-5.
+Server selection by hashed descent (Section 3.2), batched location
+queries, and the handoff engine measuring the Theta(log^2 |V|) overhead
+bound of Sections 4-5.
 """
 
 from repro.core.accounting import OverheadLedger
@@ -14,7 +14,6 @@ from repro.core.batch_query import (
     QueryResult,
     resolve_batch,
 )
-from repro.core.database import LMDatabase, LocationRecord
 from repro.core.events import (
     EventKind,
     HierarchyDiff,
@@ -40,8 +39,6 @@ __all__ = [
     "BatchUpdatePlans",
     "QueryResult",
     "resolve_batch",
-    "LMDatabase",
-    "LocationRecord",
     "EventKind",
     "HierarchyDiff",
     "MigrationEvent",

@@ -540,14 +540,12 @@ def bfs_distances(g: CompactGraph, source: int) -> np.ndarray:
     return hop_rows(g, g.index_of_many([source]), np.int64)[0]
 
 
-def bfs_path(g: CompactGraph, source: int, target: int, restrict_idx=None) -> list[int] | None:
+def bfs_path(g: CompactGraph, source: int, target: int) -> list[int] | None:
     """Shortest path (list of IDs, inclusive) or None if unreachable."""
     s = g.index_of(source)
     t = g.index_of(target)
     if s == t:
         return [int(source)]
-    if restrict_idx is not None and (not restrict_idx[s] or not restrict_idx[t]):
-        return None
     parent = np.full(g.n, -2, dtype=np.int64)
     parent[s] = -1
     q = deque([s])
@@ -556,7 +554,7 @@ def bfs_path(g: CompactGraph, source: int, target: int, restrict_idx=None) -> li
     while q and not found:
         u = q.popleft()
         for w in nbr[offsets[u] : offsets[u + 1]]:
-            if parent[w] == -2 and (restrict_idx is None or restrict_idx[w]):
+            if parent[w] == -2:
                 parent[w] = u
                 if w == t:
                     found = True

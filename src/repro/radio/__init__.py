@@ -2,9 +2,6 @@
 
 from repro.radio.unit_disk import (
     unit_disk_edges,
-    unit_disk_graph,
-    edges_to_graph,
-    degree_counts,
     encode_edges,
     decode_edges,
 )
@@ -12,26 +9,17 @@ from repro.radio.connectivity import (
     radius_for_degree,
     gupta_kumar_radius,
     expected_degree,
-    is_connected,
-    giant_component_fraction,
-    largest_component_nodes,
 )
 from repro.radio.edge_cache import VerletEdgeCache
 from repro.radio.linkevents import LinkDiff, LinkTracker
 
 __all__ = [
     "unit_disk_edges",
-    "unit_disk_graph",
-    "edges_to_graph",
-    "degree_counts",
     "encode_edges",
     "decode_edges",
     "radius_for_degree",
     "gupta_kumar_radius",
     "expected_degree",
-    "is_connected",
-    "giant_component_fraction",
-    "largest_component_nodes",
     "VerletEdgeCache",
     "LinkDiff",
     "LinkTracker",

@@ -4,15 +4,13 @@ The paper (Section 1.2, citing Gupta & Kumar [3]) notes that to keep a
 random deployment connected the transmission radius must scale like
 Theta(sqrt(log n / n)) relative to the region side — equivalently, the
 average degree must grow like Theta(log n).  These helpers size ``r_tx``
-for a target degree or for asymptotic connectivity, and check the giant
-component of a realized deployment.
+for a target degree or for asymptotic connectivity; the giant component
+of a realized deployment is :func:`repro.sim.kernels.giant_fraction`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.radio.unit_disk import unit_disk_edges, edges_to_graph
 
 
 def radius_for_degree(target_degree: float, density: float) -> float:
@@ -48,40 +46,3 @@ def expected_degree(r_tx: float, density: float) -> float:
     if r_tx <= 0 or density <= 0:
         raise ValueError("radius and density must be positive")
     return float(density * np.pi * r_tx**2)
-
-
-def is_connected(positions, r_tx: float) -> bool:
-    """Whether the realized unit-disk graph is a single component."""
-    pts = np.asarray(positions, dtype=np.float64)
-    n = pts.shape[0]
-    if n <= 1:
-        return True
-    import networkx as nx
-
-    g = edges_to_graph(n, unit_disk_edges(pts, r_tx))
-    return nx.is_connected(g)
-
-
-def giant_component_fraction(positions, r_tx: float) -> float:
-    """Fraction of nodes in the largest connected component."""
-    pts = np.asarray(positions, dtype=np.float64)
-    n = pts.shape[0]
-    if n == 0:
-        raise ValueError("empty deployment")
-    import networkx as nx
-
-    g = edges_to_graph(n, unit_disk_edges(pts, r_tx))
-    return max(len(c) for c in nx.connected_components(g)) / n
-
-
-def largest_component_nodes(positions, r_tx: float) -> np.ndarray:
-    """Sorted node indices of the largest connected component."""
-    pts = np.asarray(positions, dtype=np.float64)
-    n = pts.shape[0]
-    if n == 0:
-        raise ValueError("empty deployment")
-    import networkx as nx
-
-    g = edges_to_graph(n, unit_disk_edges(pts, r_tx))
-    comp = max(nx.connected_components(g), key=len)
-    return np.array(sorted(comp), dtype=np.int64)

@@ -6,23 +6,16 @@ single hottest operation of the simulator, so edges are computed with a
 ``scipy.spatial.cKDTree`` (O(n log n); built unbalanced, which halves the
 build and leaves the pair set as it is), put in canonical order by one
 sort of their scalar keys (:func:`encode_edges`) and exposed as a raw
-``(m, 2)`` int array; the NetworkX view is built lazily only where graph
-algorithms need it — and ``networkx`` itself is imported there, not at
-module top: no simulation path builds the view, and the import is ~90 ms
-of every CLI start.
+``(m, 2)`` int array; graph algorithms run on
+:class:`~repro.graphs.CompactGraph`.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.geometry.points import as_points
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
@@ -47,41 +40,6 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
     keys = encode_edges(tree.query_pairs(r_tx, output_type="ndarray"), n)
     keys.sort()
     return decode_edges(keys, n)
-
-
-def edges_to_graph(n: int, edges: np.ndarray, positions=None) -> nx.Graph:
-    """NetworkX view of an edge array over nodes ``0..n-1``.
-
-    Isolated nodes are preserved.  If ``positions`` is given, each node
-    gets a ``pos`` attribute (tuple) for plotting and geographic lookups.
-    """
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(map(tuple, np.asarray(edges, dtype=np.int64)))
-    if positions is not None:
-        pts = as_points(positions)
-        if pts.shape[0] != n:
-            raise ValueError("positions length must equal node count")
-        nx.set_node_attributes(g, {i: tuple(pts[i]) for i in range(n)}, "pos")
-    return g
-
-
-def unit_disk_graph(positions, r_tx: float) -> nx.Graph:
-    """Convenience wrapper: positions -> NetworkX unit-disk graph."""
-    pts = as_points(positions)
-    return edges_to_graph(pts.shape[0], unit_disk_edges(pts, r_tx), pts)
-
-
-def degree_counts(n: int, edges: np.ndarray) -> np.ndarray:
-    """Per-node degree vector from an edge array."""
-    deg = np.zeros(n, dtype=np.int64)
-    if len(edges):
-        e = np.asarray(edges, dtype=np.int64)
-        np.add.at(deg, e[:, 0], 1)
-        np.add.at(deg, e[:, 1], 1)
-    return deg
 
 
 def encode_edges(edges: np.ndarray, n: int) -> np.ndarray:

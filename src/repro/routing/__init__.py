@@ -1,4 +1,4 @@
-"""Routing substrate: strict hierarchical routing and the flat baseline."""
+"""Routing substrate: hop-by-hop hierarchical forwarding and the flat baseline."""
 
 from repro.routing.bfs_kernels import (
     flood_rows_safe,
@@ -8,7 +8,6 @@ from repro.routing.bfs_kernels import (
 from repro.routing.fabric_cache import FabricCache, FabricCacheStats
 from repro.routing.flat import FlatRouter
 from repro.routing.forwarding import ForwardingFabric, ForwardingTable, ForwardResult
-from repro.routing.strict import HierarchicalRouter
 from repro.routing.tables import (
     flat_table_size,
     hierarchical_table_size,
@@ -22,7 +21,6 @@ __all__ = [
     "ForwardingFabric",
     "ForwardingTable",
     "ForwardResult",
-    "HierarchicalRouter",
     "flood_rows_safe",
     "labeled_next_hop",
     "single_next_hop",

@@ -3,7 +3,7 @@
 Every node knows a route to every other node — the O(|V|) routing-table
 regime that hierarchical routing is designed to escape (Kleinrock &
 Kamoun [7]).  Used as the comparison baseline for EXP-T9 and as the
-ground-truth hop count for the hierarchical router's stretch tests.
+ground-truth hop count for the forwarding fabric's stretch tests.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 Section 2.1 of the paper: "packet forwarding decisions are made solely
 on the hierarchical address of the destination node and every node has a
-O(log|V|) hierarchical map".  The :class:`HierarchicalRouter` computes
-whole paths centrally; this module instead *builds each node's map* and
+O(log|V|) hierarchical map".  This module *builds each node's map* and
 forwards packets one hop at a time, each node consulting only
 
 * its routes to the level-0 members of its level-1 cluster, and
@@ -12,7 +11,7 @@ forwards packets one hop at a time, each node consulting only
 
 which is exactly the O(alpha * L) state EXP-T9 counts.  The tests check
 that hop-by-hop forwarding terminates without livelock and delivers
-wherever the centralized router does — the operational proof that the
+wherever a flat shortest path exists — the operational proof that the
 hierarchical address alone suffices.
 
 Construction

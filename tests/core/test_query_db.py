@@ -1,10 +1,9 @@
-"""Tests for CHLM queries (the scalar oracle climb) and the materialized
-LM database."""
+"""Tests for CHLM queries (the scalar oracle climb)."""
 
 import numpy as np
 import pytest
 
-from repro.core import LMDatabase, full_assignment
+from repro.core import full_assignment
 from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
@@ -26,42 +25,6 @@ def net():
     assert h.num_levels >= 2
     g = CompactGraph(np.arange(n), edges)
     return h, g, full_assignment(h)
-
-
-class TestLMDatabase:
-    def test_total_entries(self, net):
-        h, g, a = net
-        db = LMDatabase(h, a)
-        assert db.total_entries == len(a.servers)
-
-    def test_tables_match_assignment(self, net):
-        h, g, a = net
-        db = LMDatabase(h, a)
-        for (subject, level), server in list(a.servers.items())[:50]:
-            rec = db.table_of(server).get((subject, level))
-            assert rec is not None
-            assert rec.address == h.address(subject)
-
-    def test_lookup_returns_highest_level(self, net):
-        h, g, a = net
-        db = LMDatabase(h, a)
-        # Find a server holding >= 2 levels of the same subject, if any.
-        for server, table in db._tables.items():
-            subjects = {}
-            for (subj, level) in table:
-                subjects.setdefault(subj, []).append(level)
-            for subj, levels in subjects.items():
-                rec = db.lookup(server, subj)
-                assert rec.level == max(levels)
-                return
-
-    def test_entries_per_node_mean(self, net):
-        h, g, a = net
-        db = LMDatabase(h, a)
-        per_node = db.entries_per_node()
-        assert per_node.sum() == db.total_entries
-        # Levels 2..L plus the virtual global level: L entries/subject.
-        assert per_node.mean() == pytest.approx(h.num_levels, abs=1e-9)
 
 
 class TestResolve:

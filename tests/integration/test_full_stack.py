@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     HandoffEngine,
-    LMDatabase,
     full_assignment,
     lm_levels,
     resolve_batch,
@@ -15,7 +14,7 @@ from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.mobility import RandomWaypoint
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import FlatRouter, HierarchicalRouter
+from repro.routing import FlatRouter, ForwardingFabric
 from repro.sim import Scenario, run_scenario
 
 
@@ -45,7 +44,7 @@ class TestStaticPipeline:
         pts, r_tx, edges, h = net
         g = CompactGraph(np.arange(250), edges)
         flat = FlatRouter(g)
-        hier = HierarchicalRouter(h, g)
+        fabric = ForwardingFabric(h, g)
         assignment = full_assignment(h)
         rng = np.random.default_rng(1)
         done = 0
@@ -58,17 +57,17 @@ class TestStaticPipeline:
             assert q.address == h.address(d)
             # The resolved address suffices to route: last element is d.
             assert q.address[-1] == d
-            path = hier.path(s, d)
-            assert path is not None and path[-1] == d
+            res = fabric.forward(s, d, address=q.address)
+            assert res.delivered and res.path[-1] == d
+            assert res.hops >= flat.hop_count(s, d)
             done += 1
         assert done > 15
 
     def test_database_and_assignment_agree(self, net):
         *_, h = net
         a = full_assignment(h)
-        db = LMDatabase(h, a)
-        assert db.total_entries == len(a.servers)
-        assert db.total_entries == 250 * (lm_levels(h) - 1)
+        assert sum(a.load().values()) == len(a.servers)
+        assert len(a.servers) == 250 * (lm_levels(h) - 1)
 
     def test_server_load_balance(self, net):
         *_, h = net

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import DiscRegion, pairwise_distances
-from repro.radio import (
-    decode_edges,
-    degree_counts,
-    edges_to_graph,
-    encode_edges,
-    unit_disk_edges,
-    unit_disk_graph,
-)
+from repro.radio import decode_edges, encode_edges, unit_disk_edges
 
 
 class TestUnitDiskEdges:
@@ -155,47 +148,14 @@ class TestBruteForceOracle:
 
 
 class TestGraphView:
-    def test_preserves_isolated_nodes(self):
-        g = edges_to_graph(5, np.array([[0, 1]]))
-        assert g.number_of_nodes() == 5
-        assert g.degree[4] == 0
-
-    def test_positions_attached(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        g = unit_disk_graph(pts, 2.0)
-        assert g.nodes[1]["pos"] == (1.0, 0.0)
-        assert g.has_edge(0, 1)
-
-    def test_position_length_mismatch(self):
-        with pytest.raises(ValueError):
-            edges_to_graph(3, np.empty((0, 2)), positions=np.zeros((2, 2)))
-
     def test_graph_equivalence_with_nx_rgg(self):
         """Cross-check against networkx's random geometric graph."""
         rng = np.random.default_rng(2)
         pts = rng.random((30, 2))
         r = 0.3
-        ours = unit_disk_graph(pts, r)
+        ours = unit_disk_edges(pts, r)
         ref = nx.random_geometric_graph(30, r, pos={i: pts[i] for i in range(30)})
-        assert set(ours.edges()) == {tuple(sorted(e)) for e in ref.edges()}
-
-
-class TestDegreeCounts:
-    def test_star(self):
-        e = np.array([[0, 1], [0, 2], [0, 3]])
-        deg = degree_counts(4, e)
-        assert deg.tolist() == [3, 1, 1, 1]
-
-    def test_empty(self):
-        assert degree_counts(3, np.empty((0, 2), dtype=np.int64)).tolist() == [0, 0, 0]
-
-    def test_matches_networkx(self):
-        rng = np.random.default_rng(3)
-        pts = rng.random((25, 2))
-        e = unit_disk_edges(pts, 0.4)
-        g = edges_to_graph(25, e)
-        deg = degree_counts(25, e)
-        assert deg.tolist() == [g.degree[i] for i in range(25)]
+        assert set(map(tuple, ours.tolist())) == {tuple(sorted(e)) for e in ref.edges()}
 
 
 class TestEdgeEncoding:

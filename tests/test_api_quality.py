@@ -1,9 +1,11 @@
 """API quality gates: documentation coverage and import hygiene."""
 
+import ast
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -106,6 +108,32 @@ class TestLayering:
         src = str(Path(repro.__file__).resolve().parents[1])
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                        env={**os.environ, "PYTHONPATH": src})
+
+    def test_no_module_imports_networkx(self):
+        """Graph work runs on ``CompactGraph`` and scipy; networkx is a
+        test oracle only, so no module under ``src/repro`` may import it,
+        not even lazily inside a function."""
+        pkg = Path(repro.__file__).resolve().parent
+        bad = []
+        for path in sorted(pkg.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] == "networkx" for n in names):
+                    bad.append(f"{path.relative_to(pkg)}:{node.lineno}")
+        assert not bad, bad
+
+    def test_runtime_dependencies_are_numpy_and_scipy(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(repro.__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as f:
+            deps = tomllib.load(f)["project"]["dependencies"]
+        names = sorted(re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in deps)
+        assert names == ["numpy", "scipy"]
 
 
 class TestGoldenDeterminism:

@@ -239,18 +239,6 @@ class TestBFS:
         g = CompactGraph(range(4), [[0, 1], [2, 3]])
         assert bfs_path(g, 0, 3) is None
 
-    def test_restricted_bfs(self):
-        # 0-1-2 and 0-3-2: forbid node 1, path must go through 3.
-        g = CompactGraph(range(4), [[0, 1], [1, 2], [0, 3], [3, 2]])
-        allowed = np.array([True, False, True, True])
-        p = bfs_path(g, 0, 2, restrict_idx=allowed)
-        assert p == [0, 3, 2]
-
-    def test_restricted_source_blocked(self):
-        g = CompactGraph(range(2), [[0, 1]])
-        allowed = np.array([False, True])
-        assert bfs_path(g, 0, 1, restrict_idx=allowed) is None
-
 
 def _rows(g, sources):
     """Whole int64 distance rows from the node IDs ``sources``."""
