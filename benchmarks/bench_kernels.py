@@ -246,24 +246,6 @@ def test_bench_chaos_step(benchmark):
     assert res.extras["chaos"] is not None
 
 
-def test_bench_service_step(benchmark):
-    """Same step with the open-loop service front-end live — workload
-    generation, admission, thread-pool resolution, and queueing for
-    ~100 requests.  The budget gate holds this within SERVICE_BUDGET x
-    of the plain step."""
-    from repro.sim import Scenario, Simulator
-
-    sc = Scenario(n=400, steps=1, warmup=0, speed=1.0, hop_mode="euclidean",
-                  max_levels=3, seed=0, hop_sample_every=10_000,
-                  arrival_rate=100.0, admission_rate=80.0)
-
-    def one_run():
-        return Simulator(sc).run()
-
-    res = benchmark.pedantic(one_run, rounds=3, iterations=1, warmup_rounds=1)
-    assert res.extras["service"].offered > 0
-
-
 def test_bench_simulator_step_profiled(benchmark):
     """Same step with phase timers on — tracks the instrumentation
     overhead (acceptance: within 5% of the plain step)."""

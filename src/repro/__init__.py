@@ -14,20 +14,17 @@ Subpackages
 ``repro.hierarchy``
     Recursive clustered hierarchies, addresses, per-level statistics.
 ``repro.routing``
-    Strict hierarchical routing, flat baseline, table accounting.
+    Hop-by-hop hierarchical forwarding, flat baseline, table accounting.
 ``repro.gls``
     Grid Location Service baseline (§3.1).
 ``repro.core``
-    CHLM: hashed server placement, LM database, queries, and the
+    CHLM: hashed server placement, batched queries, and the
     handoff engine measuring the Θ(log²|V|) bound (§3.2, §4, §5).
 ``repro.faults``
     Fault injection: lossy control plane, retry/backoff, attempt-level
     delivery accounting, expanding-ring degradation (ROBUSTNESS.md).
 ``repro.sim``
     The time-stepped simulator composing everything.
-``repro.service``
-    Open-loop location-service front-end: workload generation,
-    admission control, queueing, latency SLOs (docs/SERVICE.md).
 ``repro.obs``
     Run telemetry: phase timers, run manifests, JSONL export, sweep
     profiling reports (OBSERVABILITY.md).
@@ -60,7 +57,6 @@ __all__ = [
     "core",
     "faults",
     "sim",
-    "service",
     "obs",
     "analysis",
     "experiments",

@@ -9,8 +9,6 @@
     python -m repro simulate --n 300 --chaos partition:start=30,duration=20 \\
         --chaos-report chaos.json
     python -m repro resume run.ckpt
-    python -m repro serve --n 500 --steps 25 --arrival-rate 500 \\
-        --admission-rate 400 [--slo-report slo.json]
     python -m repro sweep --ns 200,400,800 --seeds 0,1,2 --workers 4
     python -m repro profile --ns 200,400 --seeds 0,1 [--manifest runs.jsonl]
     python -m repro hierarchy --n 120 [--seed 7]
@@ -42,15 +40,11 @@ _SCENARIO_FLAGS = {
     "loss_rate": "loss_rate", "retry_attempts": "retry_attempts",
     "mobility": "mobility", "election": "election_mode",
     "invariant_mode": "invariant_mode",
-    "arrival_rate": "arrival_rate", "arrival_process": "arrival_process",
-    "admission_rate": "admission_rate", "service_workers": "service_workers",
-    "queue_capacity": "service_queue_capacity",
-    "update_fraction": "service_update_fraction", "scheme": "service_scheme",
 }
 
 
 def _add_run_args(p, *, steps: int, warmup: int, hops: str) -> None:
-    """Run length and deployment flags (simulate/serve/sweep/profile);
+    """Run length and deployment flags (simulate/sweep/profile);
     the keyword arguments are the subcommand's own defaults."""
     p.add_argument("--steps", type=int, default=steps)
     p.add_argument("--warmup", type=int, default=warmup)
@@ -62,18 +56,8 @@ def _add_run_args(p, *, steps: int, warmup: int, hops: str) -> None:
                    choices=["auto", "bfs", "euclidean"])
 
 
-def _add_single_run_args(p) -> None:
-    """Size, seed and depth of one scenario (simulate/serve)."""
-    p.add_argument("--preset", default=None,
-                   help="start from a named preset (see repro.sim.PRESETS)")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=int, default=None,
-                   help="hierarchy depth cap (default: log-scaled)")
-
-
 def _add_control_plane_args(p) -> None:
-    """Control-plane loss flags (simulate/serve/sweep)."""
+    """Control-plane loss flags (simulate/sweep)."""
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="per-hop control-packet loss probability "
                         "(default 0 = lossless)")
@@ -119,7 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated seeds (default 0,1)")
 
     p_sim = sub.add_parser("simulate", help="run one scenario and print metrics")
-    _add_single_run_args(p_sim)
+    p_sim.add_argument("--preset", default=None,
+                       help="start from a named preset (see repro.sim.PRESETS)")
+    p_sim.add_argument("--n", type=int, default=200)
+    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--levels", type=int, default=None,
+                       help="hierarchy depth cap (default: log-scaled)")
     _add_run_args(p_sim, steps=50, warmup=10, hops="auto")
     p_sim.add_argument("--mobility", default="random_waypoint",
                        choices=["random_waypoint", "random_direction",
@@ -170,39 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--keep-checkpoint", action="store_true",
                        help="leave the checkpoint file in place after the run "
                             "completes (default: delete it)")
-
-    p_srv = sub.add_parser(
-        "serve",
-        help="open-loop service run: drive lookups/updates at an arrival "
-             "rate, report latency/throughput SLOs")
-    _add_single_run_args(p_srv)
-    _add_run_args(p_srv, steps=25, warmup=5, hops="euclidean")
-    _add_control_plane_args(p_srv)
-    p_srv.add_argument("--arrival-rate", type=float, default=50.0,
-                       help="mean service arrivals per simulated second "
-                            "(default 50; must be > 0)")
-    p_srv.add_argument("--arrival-process", default="poisson",
-                       choices=["poisson", "diurnal", "hotspot"],
-                       help="arrival process: homogeneous Poisson, diurnal "
-                            "sinusoid rate, or hotspot-skewed Zipf targets")
-    p_srv.add_argument("--admission-rate", type=float, default=0.0,
-                       help="token-bucket admission rate in requests per "
-                            "simulated second (default 0 = admit all)")
-    p_srv.add_argument("--service-workers", type=int, default=4,
-                       help="dispatcher worker count (default 4)")
-    p_srv.add_argument("--queue-capacity", type=int, default=512,
-                       help="waiting-request backlog bound (default 512)")
-    p_srv.add_argument("--update-fraction", type=float, default=0.2,
-                       help="fraction of requests that are re-registrations "
-                            "rather than lookups (default 0.2)")
-    p_srv.add_argument("--scheme", default="chlm", choices=["chlm", "gls"],
-                       help="resolution scheme the service fronts (default chlm)")
-    p_srv.add_argument("--slo-report", default=None, metavar="PATH",
-                       help="write the service SLO summary (latency "
-                            "percentiles, throughput, shed/drop counts) to "
-                            "this path as JSON")
-    p_srv.add_argument("--manifest", default=None, metavar="PATH",
-                       help="write a run manifest (JSON) to this path")
 
     p_rep = sub.add_parser("report", help="run experiments, emit a markdown report")
     p_rep.add_argument("--out", default=None, help="write the report to this file")
@@ -279,7 +235,6 @@ def _cmd_list() -> int:
         "EXP-A9": "extension — end-to-end sessions on the full stack",
         "EXP-A10": "extension — lossy control plane (retries, staleness)",
         "EXP-A11": "extension — chaos episodes, invariants, recovery SLOs",
-        "EXP-A12": "extension — open-loop service load, latency SLOs",
     }
     for eid in ALL_EXPERIMENTS:
         print(f"{eid:8s} {titles.get(eid, '')}")
@@ -297,22 +252,15 @@ def _cmd_info() -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments import ALL_EXPERIMENTS, run_experiment
 
-    fn = ALL_EXPERIMENTS.get(args.exp_id.upper())
-    if fn is None:
+    exp_id = args.exp_id.upper()
+    if exp_id not in ALL_EXPERIMENTS:
         print(f"unknown experiment {args.exp_id!r}; try 'repro list'",
               file=sys.stderr)
         return 2
     seeds = tuple(int(s) for s in args.seeds.split(",") if s != "")
-    kwargs = {"quick": not args.full}
-    if seeds:
-        kwargs["seeds"] = seeds
-    try:
-        result = fn(**kwargs)
-    except TypeError:
-        # Figure experiments take no seeds argument.
-        result = fn(quick=not args.full)
+    result = run_experiment(exp_id, quick=not args.full, seeds=seeds or None)
     print(result.to_text())
     return 0
 
@@ -433,48 +381,6 @@ def _print_run(res, show_trace=False, trace_jsonl=None, show_profile=False):
         print(f"\nphase breakdown (wall {res.timings.wall_seconds:.2f} s):")
         for line in res.timings.to_lines():
             print(" ", line)
-
-
-def _cmd_serve(args) -> int:
-    from repro.sim import run_scenario
-
-    if args.arrival_rate <= 0:
-        print("serve needs --arrival-rate > 0", file=sys.stderr)
-        return 2
-    sc = _scenario_from_args(args)
-    res = run_scenario(sc)
-    rep = res.extras["service"]
-    admission = ("admit-all" if sc.admission_rate <= 0
-                 else f"{sc.admission_rate:g}/s")
-    print(f"n={sc.n}  L<={sc.max_levels}  {sc.duration:.0f} s metered  "
-          f"(seed {sc.seed})")
-    print(f"  workload   = {sc.arrival_rate:g}/s {sc.arrival_process} "
-          f"({sc.service_scheme}), admission {admission}, "
-          f"{sc.service_workers} workers")
-    print(f"  offered    = {rep.offered}  served = {rep.served}  "
-          f"shed = {rep.shed}  dropped = {rep.dropped}")
-    print(f"  latency    = p50 {rep.p50:.4f} / p95 {rep.p95:.4f} / "
-          f"p99 {rep.p99:.4f} s  (mean wait {rep.mean_wait:.4f} s)")
-    print(f"  throughput = {rep.throughput:.1f} req/s  "
-          f"peak queue = {rep.peak_queue_depth}")
-    print(f"  lookups    = {rep.lookups} "
-          f"(direct {rep.direct_hits}, fallback {rep.fallback_hits}, "
-          f"failed {rep.failed})  updates = {rep.updates}")
-    print(f"  success    = {rep.success_rate:.3f}  "
-          f"dispatch wall = {rep.wall_seconds:.3f} s")
-    if args.slo_report:
-        import json
-
-        with open(args.slo_report, "w") as fh:
-            json.dump(rep.to_metrics(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"SLO report written to {args.slo_report}")
-    if args.manifest:
-        from repro.obs import RunManifest
-
-        path = RunManifest.from_result(res).write(args.manifest)
-        print(f"manifest written to {path}")
-    return 0
 
 
 def _cmd_resume(args) -> int:
@@ -673,8 +579,6 @@ def main(argv=None) -> int:
         return _cmd_simulate(args)
     if args.command == "resume":
         return _cmd_resume(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "profile":

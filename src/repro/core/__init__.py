@@ -10,7 +10,6 @@ from repro.core.batch_query import (
     BatchProbePlans,
     BatchQueryResult,
     BatchResolver,
-    BatchUpdatePlans,
     QueryResult,
     resolve_batch,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "BatchProbePlans",
     "BatchQueryResult",
     "BatchResolver",
-    "BatchUpdatePlans",
     "QueryResult",
     "resolve_batch",
     "EventKind",

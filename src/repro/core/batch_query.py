@@ -59,7 +59,6 @@ __all__ = [
     "QueryResult",
     "BatchQueryResult",
     "BatchProbePlans",
-    "BatchUpdatePlans",
     "BatchResolver",
     "resolve_batch",
 ]
@@ -197,39 +196,6 @@ class BatchProbePlans:
         return packets, -1, -1, self.levels.size
 
 
-@dataclass(frozen=True)
-class BatchUpdatePlans:
-    """Per-level re-registration plans for a batch of update targets.
-
-    Column j is LM level ``levels[j]``; ``present`` marks targets that
-    actually have a level-j server entry (stale assignments can lack
-    some), ``hops`` the already-clamped message cost to it."""
-
-    targets: np.ndarray
-    levels: np.ndarray
-    hops: np.ndarray
-    present: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.targets.size)
-
-    def costs(self) -> np.ndarray:
-        """Lossless packet totals per target (sum of per-level sends)."""
-        return np.where(self.present, self.hops, 0).sum(axis=1)
-
-    def walk(self, i: int, delivery) -> int:
-        """Replay target ``i``'s updates through a delivery engine,
-        preserving the scalar send order (levels ascending)."""
-        packets = 0
-        for j in range(self.levels.size):
-            if not self.present[i, j]:
-                continue
-            packets += delivery.send(
-                int(self.hops[i, j]), level=int(self.levels[j])
-            ).packets
-        return packets
-
-
 class BatchResolver:
     """Vectorized CHLM resolution against one (hierarchy, assignment)
     snapshot.
@@ -361,27 +327,6 @@ class BatchResolver:
             requesters=src, targets=dst, levels=levels, candidate=candidate,
             round_trip=round_trip, hit_ok=hit_ok,
             trivial=trivial, level1=level1,
-        )
-
-    # -- update (re-registration) plans -----------------------------------------
-
-    def update_plans(self, targets) -> BatchUpdatePlans:
-        """Per-level re-registration costs for a batch of subjects: one
-        message from each target to each of its current servers."""
-        targets = np.ascontiguousarray(targets, dtype=np.int64)
-        levels = np.arange(2, self._top + 1, dtype=np.int64)
-        q = targets.size
-        hops = np.zeros((q, levels.size), dtype=np.int64)
-        present = np.zeros((q, levels.size), dtype=bool)
-        idx = self._h._base_index(targets)
-        for j, level in enumerate(levels.tolist()):
-            srv = self._tables[level][idx]
-            m = srv >= 0
-            present[:, j] = m
-            if m.any():
-                hops[m, j] = np.maximum(self.hops(targets[m], srv[m]), 0)
-        return BatchUpdatePlans(
-            targets=targets, levels=levels, hops=hops, present=present
         )
 
 

@@ -5,6 +5,8 @@ See DESIGN.md Section 3 for the experiment index.  Each module exposes
 executes it and prints the table.
 """
 
+import inspect
+
 from repro.experiments import (
     e_a1_election_mode,
     e_a2_level_mode,
@@ -17,7 +19,6 @@ from repro.experiments import (
     e_a9_end_to_end,
     e_a10_lossy_control,
     e_a11_chaos,
-    e_a12_service_load,
     e_f1_hierarchy,
     e_f2_gls_grid,
     e_f3_alca_states,
@@ -60,8 +61,23 @@ ALL_EXPERIMENTS = {
     "EXP-A9": e_a9_end_to_end.run,
     "EXP-A10": e_a10_lossy_control.run,
     "EXP-A11": e_a11_chaos.run,
-    "EXP-A12": e_a12_service_load.run,
     "EXP-S1": e_s1_scaling.run,
 }
 
-__all__ = ["ExperimentResult", "ALL_EXPERIMENTS"]
+
+def run_experiment(exp_id: str, quick: bool = True,
+                   seeds=None) -> ExperimentResult:
+    """Run catalogue experiment ``exp_id`` on its quick or wide grid.
+
+    ``seeds`` reaches only an experiment whose ``run`` takes a
+    ``seeds`` parameter; the figure experiments draw one fixed instance
+    and run without it.  The choice is read from the signature, so an
+    error raised inside the experiment always propagates.
+    """
+    fn = ALL_EXPERIMENTS[exp_id]
+    if seeds is not None and "seeds" in inspect.signature(fn).parameters:
+        return fn(quick=quick, seeds=tuple(seeds))
+    return fn(quick=quick)
+
+
+__all__ = ["ExperimentResult", "ALL_EXPERIMENTS", "run_experiment"]

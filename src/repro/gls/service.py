@@ -111,14 +111,6 @@ class GridLocationService:
 
     # -- assignment ------------------------------------------------------------
 
-    @property
-    def assignment(self) -> GLSAssignment | None:
-        """The server assignment from the most recent :meth:`observe`
-        call, or None before the first observation.  Read-only view for
-        callers (e.g. the service front-end) that charge per-server
-        update traffic without re-deriving server placement."""
-        return self._prev
-
     def compute_assignment(self, positions) -> GLSAssignment:
         """Select every node's servers from current positions.
 

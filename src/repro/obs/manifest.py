@@ -92,9 +92,6 @@ class RunManifest:
             # (i)-(vii) taxonomy: which reorg event type dominates gamma.
             metrics[f"reorg_{kind}_count"] = int(entry["count"])
             metrics[f"reorg_{kind}_rate"] = float(entry["rate"])
-        service = getattr(res, "extras", {}).get("service")
-        if service is not None:
-            metrics.update(service.to_metrics())
         chaos = getattr(res, "extras", {}).get("chaos")
         if chaos is not None:
             ttr = chaos.max_time_to_reconverge()

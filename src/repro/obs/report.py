@@ -174,38 +174,6 @@ class SweepReport:
             "checked": checked, "flagged": flagged, "violations": violations
         }
 
-    def service_summary(self) -> dict[str, float]:
-        """Aggregate service-mode SLOs across results.
-
-        Scans each result's service report (``extras["service"]``,
-        attached by the
-        :class:`~repro.sim.collectors.service.ServiceCollector`) and
-        returns totals plus worst-case tail latency:
-        ``{"runs": ..., "offered": ..., "served": ..., "shed": ...,
-        "dropped": ..., "worst_p99": ...}``.  All zeros when no run in
-        the sweep carried a service report.
-        """
-        import math
-
-        runs = offered = served = shed = dropped = 0
-        worst_p99 = 0.0
-        for res in self.results:
-            rep = getattr(res, "extras", {}).get("service")
-            if rep is None:
-                continue
-            runs += 1
-            offered += int(rep.offered)
-            served += int(rep.served)
-            shed += int(rep.shed)
-            dropped += int(rep.dropped)
-            p99 = rep.p99
-            if not math.isnan(p99):
-                worst_p99 = max(worst_p99, float(p99))
-        return {
-            "runs": runs, "offered": offered, "served": served,
-            "shed": shed, "dropped": dropped, "worst_p99": worst_p99,
-        }
-
     def reorg_event_summary(self) -> dict[str, int]:
         """Aggregate (i)-(vii) reorganization event counts across results.
 
@@ -270,14 +238,6 @@ class SweepReport:
             lines.append(
                 f"invariants {inv['flagged']}/{inv['checked']} checked runs"
                 f" with violations ({inv['violations']} total)"
-            )
-        svc = self.service_summary()
-        if svc["runs"]:
-            lines.append(
-                f"service    {svc['served']}/{svc['offered']} served across"
-                f" {svc['runs']} runs ({svc['shed']} shed,"
-                f" {svc['dropped']} dropped,"
-                f" worst p99 {svc['worst_p99']:.4f} s)"
             )
         reorg = self.reorg_event_summary()
         if reorg:

@@ -9,7 +9,6 @@ from repro.sim.collectors import (
     LevelSeriesCollector,
     LinkEventCollector,
     QueryCollector,
-    ServiceCollector,
     StateCollector,
     TraceCollector,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "HopSampleCollector",
     "TraceCollector",
     "QueryCollector",
-    "ServiceCollector",
     "BfsHops",
     "EuclideanHops",
     "LevelSeries",

@@ -26,11 +26,12 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 11
+CHECKPOINT_SCHEMA = 12
 """On-disk checkpoint layout version (bumped when fields change shape).
 
-Schema 11 always carries the ``edge_cache`` (every run steps on it), and
-its pickled scenario lost the schema-10 control-plane switch.  A file of
+Schema 12 always carries the ``edge_cache`` (every run steps on it), and
+its pickled scenario has lost the schema-10 control-plane switch and the
+schema-11 service front-end fields.  A file of
 any other schema is refused at load time
 (:func:`repro.persist.load_checkpoint`) — by its schema field, or as
 stale when it pickles a class this code no longer has; CHANGES.md

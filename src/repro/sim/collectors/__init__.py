@@ -32,7 +32,6 @@ from repro.sim.collectors.levels import LevelSeriesCollector
 from repro.sim.collectors.links import LinkEventCollector
 from repro.sim.collectors.queries import QueryCollector
 from repro.sim.collectors.sampling import HopSampleCollector
-from repro.sim.collectors.service import ServiceCollector
 from repro.sim.collectors.states import StateCollector
 from repro.sim.collectors.tracing import TraceCollector
 
@@ -44,7 +43,6 @@ __all__ = [
     "LedgerCollector",
     "LinkEventCollector",
     "LevelSeriesCollector",
-    "ServiceCollector",
     "StateCollector",
     "HopSampleCollector",
     "TraceCollector",

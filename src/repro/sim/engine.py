@@ -98,13 +98,13 @@ class Simulator:
             from repro.obs.timers import StepTimings
 
             self.timings = StepTimings()
-        # "faults", "queries", "chaos", and "service" were appended in
-        # that order: SeedSequence.spawn is prefix-stable, so
-        # pre-existing scenarios replay bit-identically.
+        # "faults", "queries" and "chaos" were appended in that order:
+        # SeedSequence.spawn is prefix-stable, so pre-existing scenarios
+        # replay bit-identically.
         rngs = spawn_rngs(
             scenario.seed,
             ["placement", "mobility", "sampling", "failures", "faults",
-             "queries", "chaos", "service"],
+             "queries", "chaos"],
         )
         # Fault schedule (repro.faults.chaos): crash/recover, targeted
         # kills, partitions, burst loss.  The legacy failure_rate field
@@ -204,15 +204,6 @@ class Simulator:
             out.append(TraceCollector(self.trace))
         out.append(LevelSeriesCollector())
         out.append(HopSampleCollector(rngs["sampling"], sc.hop_sample_every))
-        if sc.service_enabled:
-            # Open-loop service plane (repro.service): draws only from
-            # the dedicated "service" stream and builds per-request
-            # delivery RNGs, so registering it leaves every other
-            # series bit-identical.
-            from repro.sim.collectors import ServiceCollector
-
-            out.append(ServiceCollector(sc, rngs["service"],
-                                        delivery=self._delivery))
         if sc.resolved_invariant_mode != "off":
             from repro.sim.collectors import ChaosCollector
 

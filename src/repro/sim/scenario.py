@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.servers import hash_stage
 from repro.geometry.region import DiscRegion, disc_for_density
+from repro.mobility import MODEL_REGISTRY
 from repro.radio.connectivity import radius_for_degree
 
 __all__ = ["Scenario"]
@@ -106,36 +107,6 @@ class Scenario:
         exactly when fault injection is on, ``"count"`` always checks,
         ``"strict"`` raises on the first violation, ``"off"`` never
         checks.
-    arrival_rate:
-        Open-loop service load in requests per simulated second
-        (lookups plus updates), driven by ``repro.service``.  0
-        (default) disables service mode entirely — the engine is then
-        bit-identical to one without the service plane.  Arrivals draw
-        only from the dedicated ``"service"`` RNG stream.
-    arrival_process:
-        Arrival process shape: ``"poisson"`` (homogeneous), ``"diurnal"``
-        (sinusoidally modulated rate), or ``"hotspot"`` (Poisson
-        arrivals with Zipf-skewed targets).
-    admission_rate:
-        Token-bucket admission limit in requests per simulated second;
-        arrivals past the bucket are shed before queueing.  0 (default)
-        admits everything.
-    service_workers:
-        Servers in the deterministic queueing model *and* threads in
-        the wall-clock dispatcher.
-    service_queue_capacity:
-        Bounded FIFO backlog; admitted requests arriving to a full
-        queue are dropped (backpressure).
-    service_hop_time:
-        Simulated seconds charged per control packet when converting a
-        request's packet count into service time.
-    service_update_fraction:
-        Fraction of arrivals that are location *updates* (re-register
-        the target's servers); the rest are lookups.
-    service_scheme:
-        Location scheme the front-end resolves against: ``"chlm"``
-        (default; the live CHLM assignment) or ``"gls"`` (a Grid
-        Location Service maintained alongside the run).
     hop_sample_every:
         Hop/giant-component sampling cadence: sample every k-th metered
         step (step 0 always samples).  The only place a run's cadence is
@@ -170,14 +141,6 @@ class Scenario:
     retry_attempts: int = 1
     retry_timeout: float = 1.0
     queries_per_step: int = 0
-    arrival_rate: float = 0.0
-    arrival_process: str = "poisson"
-    admission_rate: float = 0.0
-    service_workers: int = 4
-    service_queue_capacity: int = 512
-    service_hop_time: float = 0.002
-    service_update_fraction: float = 0.2
-    service_scheme: str = "chlm"
     chaos: tuple = ()
     invariant_mode: str = "auto"
     hop_sample_every: int = 25
@@ -188,9 +151,7 @@ class Scenario:
     _NUMERIC_FIELDS = (
         "density", "target_degree", "dt", "failure_rate", "repair_time",
         "loss_rate", "retry_attempts", "retry_timeout", "queries_per_step",
-        "arrival_rate", "admission_rate", "service_workers",
-        "service_queue_capacity", "service_hop_time",
-        "service_update_fraction", "hop_sample_every",
+        "hop_sample_every",
     )
 
     def __post_init__(self):
@@ -222,6 +183,26 @@ class Scenario:
             )
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
+        if self.mobility not in MODEL_REGISTRY:
+            raise ValueError(
+                f"unknown mobility model {self.mobility!r}; known: "
+                f"{', '.join(sorted(MODEL_REGISTRY))}"
+            )
+        if self.clustering not in ("lca", "maxmin"):
+            raise ValueError(
+                f"clustering must be lca or maxmin, got {self.clustering!r}"
+            )
+        if self.clustering == "maxmin" and self.maxmin_d < 1:
+            raise ValueError(
+                f"maxmin_d must be >= 1 under maxmin clustering, got "
+                f"{self.maxmin_d!r}"
+            )
+        if self.max_levels is not None and self.max_levels < 1:
+            raise ValueError(
+                f"max_levels must be >= 1 or None, got {self.max_levels!r} "
+                "(a one-level hierarchy has no LM servers, so phi and "
+                "gamma would be a silent 0)"
+            )
         if self.hop_mode not in ("bfs", "euclidean", "auto"):
             raise ValueError("hop_mode must be bfs, euclidean, or auto")
         if self.level_mode not in ("radio", "contraction"):
@@ -261,46 +242,6 @@ class Scenario:
             raise ValueError(
                 f"queries_per_step must be non-negative, got "
                 f"{self.queries_per_step!r}"
-            )
-        if self.arrival_rate < 0:
-            raise ValueError(
-                f"arrival_rate must be non-negative, got "
-                f"{self.arrival_rate!r} (0 disables service mode)"
-            )
-        if self.arrival_process not in ("poisson", "diurnal", "hotspot"):
-            raise ValueError(
-                f"arrival_process must be poisson, diurnal, or hotspot, "
-                f"got {self.arrival_process!r}"
-            )
-        if self.admission_rate < 0:
-            raise ValueError(
-                f"admission_rate must be non-negative, got "
-                f"{self.admission_rate!r} (0 admits everything)"
-            )
-        if self.service_workers < 1:
-            raise ValueError(
-                f"service_workers must be >= 1, got {self.service_workers!r}"
-            )
-        if self.service_queue_capacity < 1:
-            raise ValueError(
-                f"service_queue_capacity must be >= 1, got "
-                f"{self.service_queue_capacity!r} (an unbuffered service "
-                "would drop every request that finds all workers busy)"
-            )
-        if self.service_hop_time <= 0:
-            raise ValueError(
-                f"service_hop_time must be positive, got "
-                f"{self.service_hop_time!r}"
-            )
-        if not 0.0 <= self.service_update_fraction <= 1.0:
-            raise ValueError(
-                f"service_update_fraction must be in [0, 1], got "
-                f"{self.service_update_fraction!r}"
-            )
-        if self.service_scheme not in ("chlm", "gls"):
-            raise ValueError(
-                f"service_scheme must be chlm or gls, got "
-                f"{self.service_scheme!r}"
             )
         if self.hop_sample_every < 1:
             raise ValueError(
@@ -362,11 +303,6 @@ class Scenario:
     def faults_enabled(self) -> bool:
         """True when the control plane is lossy (EXP-A10 regime)."""
         return self.loss_rate > 0.0
-
-    @property
-    def service_enabled(self) -> bool:
-        """True when the open-loop service front-end runs (server mode)."""
-        return self.arrival_rate > 0.0
 
     @property
     def has_chaos(self) -> bool:

@@ -14,7 +14,6 @@ from repro.core import (
     BatchResolver,
     ServerAssignment,
     full_assignment,
-    lm_levels,
     resolve_batch,
 )
 from repro.core.batch_query import batch_hops
@@ -171,7 +170,7 @@ def lossy_delivery(seed):
 class TestLossyPlans:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_walk_matches_scalar_per_request(self, seed):
-        """Per-request engines (the service front-end pattern): walking
+        """Per-request engines (one delivery engine per query): walking
         a precomputed plan consumes the request RNG exactly like the
         scalar resolve, so packets/outcomes match bit-for-bit."""
         h, pts, _ = deployment(100, seed)
@@ -272,56 +271,6 @@ class TestNaiveHash:
         h_new, pts, _ = deployment(120, 4, drift_steps=3)
         out = self._assert_matches_scalar(h_new, stale, pts, 11)
         assert not out.hits.all()
-
-
-class TestUpdatePlans:
-    def _scalar_update(self, h, assignment, d, hop_fn, delivery=None):
-        """The front-end's `_update_packets` semantics, inlined."""
-        packets = 0
-        for level in range(2, lm_levels(h) + 1):
-            srv = assignment.server_of(d, level)
-            if srv is None:
-                continue
-            hops = max(hop_fn(d, srv), 0)
-            if delivery is None:
-                packets += hops
-            else:
-                packets += delivery.send(hops, level=level).packets
-        return packets
-
-    def test_costs_match_scalar(self):
-        h, pts, _ = deployment(100, 8)
-        servers = dict(full_assignment(h).servers)
-        # knock out some entries so `present` does real work
-        rng = np.random.default_rng(1)
-        keys = list(servers)
-        for k in rng.choice(len(keys), size=20, replace=False):
-            del servers[keys[int(k)]]
-        assignment = ServerAssignment.from_mapping(servers, np.arange(100))
-        hop_fn = EuclideanHops(pts, R_TX)
-        targets = rng.integers(0, 100, size=60).astype(np.int64)
-        plans = BatchResolver(h, assignment, hop_fn).update_plans(targets)
-        costs = plans.costs()
-        for i, d in enumerate(targets.tolist()):
-            assert costs[i] == self._scalar_update(h, assignment, d, hop_fn)
-
-    def test_lossy_walk_matches_scalar(self):
-        from repro.faults import DeliveryEngine, LossModel, RetryPolicy
-
-        h, pts, _ = deployment(100, 9)
-        assignment = full_assignment(h)
-        hop_fn = EuclideanHops(pts, R_TX)
-        targets = np.arange(40, dtype=np.int64)
-        plans = BatchResolver(h, assignment, hop_fn).update_plans(targets)
-
-        def eng(seed):
-            return DeliveryEngine(loss=LossModel(rate=0.3),
-                                  retry=RetryPolicy(max_attempts=2),
-                                  rng=np.random.default_rng(seed))
-
-        for i, d in enumerate(targets.tolist()):
-            assert plans.walk(i, eng(i)) == self._scalar_update(
-                h, assignment, d, hop_fn, delivery=eng(i))
 
 
 class TestBatchHops:

@@ -159,10 +159,10 @@ class TestStaleCheckpointRejection:
     def _assert_refused_as_stale(path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 11
+        assert CHECKPOINT_SCHEMA == 12
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 11" in str(err.value)
+        assert f"checkpoint schema {schema} != 12" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -192,20 +192,28 @@ class TestStaleCheckpointRejection:
         8 keeps one level-stacked tracker; refused the same way."""
         self._assert_schema_refused(tmp_path, 7)
 
-    @pytest.mark.parametrize("schema", [8, 9, 10])
+    @pytest.mark.parametrize("schema", [8, 9, 10, 11])
     def test_schema_8_9_checkpoint_refused(self, tmp_path, schema):
         """Schema 8 pickled the event plane's per-level patched elections
         where schema 9 keeps the from-scratch stepper on both planes.
         Both pickled a checkpoint ``hop_sample_every`` field and a
-        scenario with seven fields schema 10 turned into constants.  All
-        three pickled the ``incremental_hierarchy`` field schema 11
-        deleted, with ``edge_cache`` None when it was off.  A file of
-        that shape still unpickles, and is refused the same way."""
+        scenario with seven fields schema 10 turned into constants.  The
+        first three pickled the ``incremental_hierarchy`` field schema 11
+        deleted, with ``edge_cache`` None when it was off.  All four
+        pickled the eight service front-end fields schema 12 deleted.
+        A file of that shape still unpickles, and is refused the same
+        way."""
         path = self._write_checkpoint(tmp_path, schema=schema)
         with path.open("rb") as fh:
             ck = pickle.load(fh)
-        ck.edge_cache = None
-        ck.scenario.__dict__["incremental_hierarchy"] = False
+        ck.scenario.__dict__.update(
+            arrival_rate=0.0, arrival_process="poisson", admission_rate=0.0,
+            service_workers=4, service_queue_capacity=512,
+            service_hop_time=0.002, service_update_fraction=0.2,
+            service_scheme="chlm")
+        if schema < 11:
+            ck.edge_cache = None
+            ck.scenario.__dict__["incremental_hierarchy"] = False
         if schema < 10:
             ck.__dict__["hop_sample_every"] = ck.scenario.hop_sample_every
             ck.scenario.__dict__.update(

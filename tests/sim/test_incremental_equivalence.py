@@ -212,7 +212,7 @@ class TestPatchRule:
 
 
 class TestCliFlag:
-    @pytest.mark.parametrize("cmd", ["simulate", "serve", "sweep"])
+    @pytest.mark.parametrize("cmd", ["simulate", "sweep"])
     def test_flag_is_rejected(self, cmd, capsys):
         """The plane switch is gone: ``repro <cmd> --incremental-hierarchy``
         is a usage error (exit 2) on every subcommand that took it."""

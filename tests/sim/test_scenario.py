@@ -10,6 +10,10 @@ from repro.sim import Scenario
 DELETED_FIELDS = {
     "detour", "loss_level_coeff", "retry_backoff", "retry_backoff_factor",
     "retry_jitter", "slo_success_threshold", "slo_window",
+    # The open-loop service front-end and its knobs, retired whole.
+    "arrival_rate", "arrival_process", "admission_rate", "service_workers",
+    "service_queue_capacity", "service_hop_time", "service_update_fraction",
+    "service_scheme",
 }
 
 
@@ -27,6 +31,11 @@ class TestValidation:
             {"hop_sample_every": 0},  # the only way to ask for cadence 0
             {"level_mode": "wormhole"},
             {"election_mode": "hereditary"},
+            {"mobility": "teleport"},
+            {"clustering": "kmeans"},
+            {"clustering": "maxmin", "maxmin_d": 0},
+            {"max_levels": 0},  # would build and meter phi = gamma = 0
+            {"max_levels": -2},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -56,13 +65,13 @@ class TestValidation:
 
     def test_one_value_fields_are_gone(self):
         """The seven fields no caller set to anything but their default
-        are constants of the code that reads them, and the control-plane
-        switch is gone (the simulator picks its plan per step); 34
-        fields remain."""
+        are constants of the code that reads them, the control-plane
+        switch is gone (the simulator picks its plan per step), and so
+        are the eight service front-end fields; 26 fields remain."""
         names = {f.name for f in dataclasses.fields(Scenario)}
         assert not names & DELETED_FIELDS
         assert "incremental_hierarchy" not in names
-        assert len(names) == 34
+        assert len(names) == 26
         for field in DELETED_FIELDS:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 Scenario(**{field: 1.0})

@@ -250,14 +250,14 @@ class TestScenarioKey:
         payload re-shaped, ``CODE_VERSION`` bumped — means every cache
         written before it misses.  Re-pin only when that is intended."""
         assert scenario_key(Scenario()) == (
-            "4490022f58250b44b9de04a0d490ae07"
-            "22c741f4282c6899b1a9067eaa97a2ef")
+            "68b3bdc6f002a07133b630c0b93a2ff2"
+            "526adff617eb979a16428b6adeab2245")
         busy = Scenario(
             n=np.int64(120), speed=(1.0, 3.0), seed=5,
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
         assert scenario_key(busy) == (
-            "a9c413e721e1751636862e254d0e425b"
-            "e86024246db08add7f90dc35ca0f36be")
+            "b218b0756166319a42606542f75b2bc5"
+            "da2cfe957b008413766174ca2e8ab033")
 
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis

@@ -23,9 +23,10 @@ from repro.sim import (
 
 GOOD = Scenario(n=60, steps=3, warmup=1, speed=1.5, hop_mode="euclidean",
                 max_levels=2, hop_sample_every=4)
-BAD = Scenario(n=60, steps=3, warmup=1, mobility="nope", max_levels=2,
-               hop_sample_every=4)
-"""Constructs fine but raises inside the worker at model build time."""
+BAD = Scenario(n=60, steps=3, warmup=1, mobility_kwargs={"pause": -1.0},
+               max_levels=2, hop_sample_every=4)
+"""Constructs fine (``mobility_kwargs`` go to the model unchecked) but
+raises inside the worker at model build time."""
 
 
 @pytest.fixture(autouse=True)
@@ -176,7 +177,7 @@ class TestSweepPartialResults:
         assert isinstance(err, TaskError)
         assert err.index == 1 and err.kind == "exception"
         assert err.scenario == BAD
-        assert "unknown mobility" in err.message
+        assert "pause must be non-negative" in err.message
 
     def test_run_sweep_raises_at_end_with_partials_attached(self):
         with pytest.raises(SweepError) as ei:

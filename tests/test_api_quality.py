@@ -26,7 +26,6 @@ PACKAGES = [
     "repro.gls",
     "repro.core",
     "repro.sim",
-    "repro.service",
     "repro.analysis",
     "repro.experiments",
     "repro.app",
@@ -92,6 +91,12 @@ class TestExports:
     def test_subpackage_list_accurate(self):
         for name in repro.__all__:
             importlib.import_module(f"repro.{name}")
+
+    def test_service_tier_is_gone(self):
+        """The open-loop service front-end was retired whole."""
+        assert "service" not in repro.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service")
 
 
 class TestLayering:

@@ -17,13 +17,12 @@ class TestParser:
 
     @pytest.mark.parametrize("command, steps, warmup, hops", [
         ("simulate", 50, 10, "auto"),
-        ("serve", 25, 5, "euclidean"),
         ("sweep", 40, 10, "euclidean"),
         ("profile", 30, 10, "euclidean"),
     ])
     def test_shared_flags_keep_each_subcommands_defaults(
             self, command, steps, warmup, hops):
-        """The run flags are declared once for all four subcommands, but
+        """The run flags are declared once for all three subcommands, but
         each keeps its own defaults; the rest of the block is common."""
         args = build_parser().parse_args([command])
         assert (args.steps, args.warmup, args.hops) == (steps, warmup, hops)
@@ -238,47 +237,11 @@ class TestReportCommand:
         assert "phi" in capsys.readouterr().out
 
 
-class TestServeCommand:
-    def test_serve_prints_slos(self, capsys):
-        assert main([
-            "serve", "--n", "60", "--steps", "5", "--warmup", "1",
-            "--seed", "3", "--arrival-rate", "30",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "workload" in out
-        assert "p50" in out and "p99" in out
-        assert "throughput" in out
-
-    def test_serve_rejects_zero_rate(self, capsys):
-        assert main(["serve", "--n", "60", "--arrival-rate", "0"]) == 2
-        assert "--arrival-rate" in capsys.readouterr().err
-
-    def test_serve_writes_slo_report_and_manifest(self, tmp_path, capsys):
-        import json
-
-        slo = tmp_path / "slo.json"
-        man = tmp_path / "serve.json"
-        assert main([
-            "serve", "--n", "60", "--steps", "5", "--warmup", "1",
-            "--seed", "3", "--arrival-rate", "40",
-            "--admission-rate", "20",
-            "--slo-report", str(slo), "--manifest", str(man),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "SLO report written" in out
-        metrics = json.loads(slo.read_text())
-        assert metrics["service_offered"] > 0
-        assert metrics["service_shed"] > 0
-        assert "service_p99_latency" in metrics
-        from repro.obs import RunManifest
-
-        loaded = RunManifest.read(man)
-        assert loaded.metrics["service_offered"] == metrics["service_offered"]
-
-    def test_serve_gls_scheme(self, capsys):
-        assert main([
-            "serve", "--n", "60", "--steps", "4", "--warmup", "1",
-            "--seed", "3", "--arrival-rate", "25", "--scheme", "gls",
-            "--arrival-process", "hotspot",
-        ]) == 0
-        assert "gls" in capsys.readouterr().out
+class TestServeCommandIsGone:
+    def test_serve_is_an_unknown_command(self, capsys):
+        """The open-loop service front-end was retired with its
+        subcommand; argparse rejects ``serve`` with usage exit 2."""
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--n", "60"])
+        assert err.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
