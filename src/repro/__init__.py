@@ -24,7 +24,8 @@ Subpackages
     Fault injection: lossy control plane, retry/backoff, attempt-level
     delivery accounting, expanding-ring degradation (ROBUSTNESS.md).
 ``repro.sim``
-    The time-stepped simulator composing everything.
+    The time-stepped simulator composing everything: the one step loop
+    of the stack, which experiments extend with collectors.
 ``repro.obs``
     Run telemetry: phase timers, run manifests, JSONL export, sweep
     profiling reports (OBSERVABILITY.md).
@@ -32,8 +33,6 @@ Subpackages
     Closed-form theory (Eqs. 3–24), shape fitting, report rendering.
 ``repro.experiments``
     One runnable module per reproduced figure/claim (see DESIGN.md).
-``repro.app``
-    End-to-end messaging on the full stack (query -> forward).
 ``repro.viz``
     Dependency-free SVG rendering of networks and hierarchies.
 
@@ -60,6 +59,5 @@ __all__ = [
     "obs",
     "analysis",
     "experiments",
-    "app",
     "viz",
 ]

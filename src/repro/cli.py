@@ -454,17 +454,18 @@ def _cmd_sweep(args) -> int:
     if lossy:
         metrics["retx"] = lambda r: r.ledger.retransmission_rate
         metrics["abandon"] = lambda r: r.ledger.abandonment_rate
-    if args.checkpoint_every is not None and not args.checkpoint_dir:
-        print("--checkpoint-every requires --checkpoint-dir", file=sys.stderr)
+    try:
+        points = cached_sweep(
+            ns, base, metrics, seeds=seeds, scenario_for=_log_levels,
+            workers=args.workers, cache_dir=cache_dir,
+            progress=None if args.quiet else print_progress,
+            task_timeout=args.task_timeout, task_retries=args.task_retries,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+        )
+    except ValueError as exc:  # run-control arguments, checked at the call
+        print(f"sweep: {exc}", file=sys.stderr)
         return 2
-    points = cached_sweep(
-        ns, base, metrics, seeds=seeds, scenario_for=_log_levels,
-        workers=args.workers, cache_dir=cache_dir,
-        progress=None if args.quiet else print_progress,
-        task_timeout=args.task_timeout, task_retries=args.task_retries,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-    )
     header = (f"{'n':>6} {'L':>3} {'phi':>8} {'gamma':>8} {'total':>8} "
               f"{'total/log^2n':>13}")
     if lossy:

@@ -1,9 +1,19 @@
 """EXP-A9 (extension) — end-to-end session success on the full stack.
 
 The system-level number every component experiment feeds: a node opens
-a session to a peer known only by ID — CHLM query against a
-one-round-stale database, then hop-by-hop hierarchical forwarding using
-the *resolved* (possibly stale) address.  Sweeps node speed and reports
+a session to a peer known only by ID.  One delivery is
+
+1. **resolve** — a CHLM query for the destination's hierarchical
+   address (probing servers level by level, §3.2) against the
+   *previous* step's LM database, the one-update-round lag a real
+   network pays;
+2. **forward** — hop-by-hop strict hierarchical forwarding (§2.1) on
+   the current topology using the *resolved* (possibly stale) address,
+   not oracle knowledge.
+
+The sessions ride the :class:`~repro.sim.engine.Simulator` as a
+:class:`SessionCollector`, so the stack under them is the one every
+other experiment meters.  The experiment sweeps node speed and reports
 delivery rate, stale-address rate, and the per-session cost split
 (query packets vs data hops).
 
@@ -14,72 +24,119 @@ demonstrated as a working application rather than a bound.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.analysis import levels_for
-from repro.app import MessagingService
+from repro.core import resolve_batch
 from repro.experiments.common import ExperimentResult
-from repro.geometry import disc_for_density
-from repro.mobility import RandomWaypoint
-from repro.radio import radius_for_degree
-from repro.sim import parallel_map
-from repro.sim.hops import EuclideanHops
+from repro.graphs import CompactGraph
+from repro.routing.fabric_cache import FabricCache
+from repro.sim import Scenario, Simulator
+from repro.sim.collectors import Collector
+from repro.sim.engine import RNG_STREAMS
+from repro.sim.rng import spawn_rngs
 
-__all__ = ["run"]
+__all__ = ["Session", "SessionCollector", "run"]
 
 
-def _one_run(n: int, speed: float, steps: int, seed: int,
-             sessions_per_step: int = 8) -> dict[str, float]:
-    density = 0.02
-    r_tx = radius_for_degree(9.0, density)
-    region = disc_for_density(n, density)
-    rng = np.random.default_rng(seed)
-    model = RandomWaypoint(n, region, speed, rng)
-    svc = MessagingService(n, r_tx, max_levels=levels_for(n))
-    for _ in range(10):
-        model.step(1.0)
-    pts = model.positions.copy()
-    svc.observe(pts, EuclideanHops(pts, r_tx))
-    model.step(1.0)
-    pts = model.positions.copy()
-    svc.observe(pts, EuclideanHops(pts, r_tx))
+class Session(NamedTuple):
+    """Outcome of one session attempt."""
 
-    delivered = resolved = stale = total = 0
-    query_pkts: list[int] = []
-    data_hops: list[int] = []
-    for _ in range(steps):
-        model.step(1.0)
-        pts = model.positions.copy()
-        hop = EuclideanHops(pts, r_tx)
-        svc.observe(pts, hop)
-        for _ in range(sessions_per_step):
-            s, d = (int(x) for x in rng.integers(0, n, size=2))
-            if s == d:
+    source: int
+    target: int
+    resolved: bool
+    delivered: bool
+    stale_address: bool
+    """The resolved address differs from the target's current one (the
+    database lagged the topology)."""
+    query_packets: int
+    data_hops: int
+    """Hops the data travelled; 0 unless the session delivered."""
+
+
+class SessionCollector(Collector):
+    """Opens ``per_step`` sessions between random node pairs each metered
+    step and records how each one fared.
+
+    Pairs come from a "sessions" stream spawned after the engine's own
+    (:data:`~repro.sim.engine.RNG_STREAMS`), so adding the collector
+    moves no engine draw; self-pairs are skipped.  A step's sessions
+    resolve in one batch against the database the previous step left
+    (its hierarchy and effective assignment, held by reference: the
+    handoff engine copies any array it patches), then forward on a
+    fabric the step's ``link_diff`` carries forward.
+    """
+
+    name = "sessions"
+
+    def __init__(self, per_step: int = 8):
+        if per_step < 1:
+            raise ValueError(f"per_step must be >= 1, got {per_step!r}")
+        self.per_step = per_step
+        self.fabric_cache = FabricCache()
+        self.sessions: list[Session] = []
+        """Every session opened, in order."""
+        self._rng = None
+        self._db = None
+
+    def on_start(self, snap) -> None:
+        """Spawn the session stream and take the baseline as the first
+        queryable database."""
+        self._rng = spawn_rngs(
+            snap.scenario.seed, [*RNG_STREAMS, "sessions"])["sessions"]
+        self._db = (snap.hierarchy, snap.assignment)
+
+    def on_step(self, snap) -> None:
+        """Resolve and forward this step's sessions, then make this step's
+        state the database the next step queries."""
+        sc, h = snap.scenario, snap.hierarchy
+        fabric = self.fabric_cache.update(
+            h, CompactGraph(np.arange(sc.n), snap.edges), snap.link_diff)
+        pairs = self._rng.integers(0, sc.n, size=(self.per_step, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        db_h, db_a = self._db
+        q = resolve_batch(db_h, db_a, pairs[:, 0], pairs[:, 1],
+                          snap.hop_fn, sc.hash_fn)
+        for i, (s, d) in enumerate(pairs.tolist()):
+            packets = int(q.packets[i])
+            if q.hit_level[i] < 0:
+                self.sessions.append(
+                    Session(s, d, False, False, False, packets, 0))
                 continue
-            r = svc.send(s, d, hop)
-            total += 1
-            resolved += int(r.resolved)
-            delivered += int(r.delivered)
-            stale += int(r.stale_address)
-            query_pkts.append(r.query_packets)
-            if r.delivered:
-                data_hops.append(r.data_hops)
-    return {
-        "delivered": delivered / max(total, 1),
-        "resolved": resolved / max(total, 1),
-        "stale": stale / max(total, 1),
-        "query_pkts": float(np.mean(query_pkts)) if query_pkts else 0.0,
-        "data_hops": float(np.mean(data_hops)) if data_hops else 0.0,
-    }
+            address = db_h.address(d)
+            res = fabric.forward(s, d, address=address)
+            self.sessions.append(Session(
+                s, d, True, res.delivered, address != h.address(d),
+                packets, res.hops if res.delivered else 0,
+            ))
+        self._db = (h, snap.assignment)
+
+    def finalize(self, elapsed: float) -> dict:
+        """Session rates and mean costs, under ``extras["sessions"]``."""
+        sessions = self.sessions
+        total = max(len(sessions), 1)
+        hops = [s.data_hops for s in sessions if s.delivered]
+        return {"sessions": {
+            "delivered": len(hops) / total,
+            "resolved": sum(s.resolved for s in sessions) / total,
+            "stale": sum(s.stale_address for s in sessions) / total,
+            "query_pkts": (float(np.mean([s.query_packets for s in sessions]))
+                           if sessions else 0.0),
+            "data_hops": float(np.mean(hops)) if hops else 0.0,
+        }}
 
 
-def _one_run_task(args: tuple[int, float, int, int]) -> dict[str, float]:
-    """Picklable wrapper so the grid fans out via the sweep runner."""
-    return _one_run(*args)
+def _sessions(n: int, speed: float, steps: int, seed: int) -> dict:
+    sc = Scenario(n=n, speed=speed, steps=steps, warmup=10, seed=seed,
+                  max_levels=levels_for(n), hop_mode="euclidean",
+                  hop_sample_every=10_000)
+    res = Simulator(sc, collectors=[SessionCollector()]).run()
+    return res.extras["sessions"]
 
 
-def run(quick: bool = True, seeds=(0, 1),
-        workers: int | None = None) -> ExperimentResult:
+def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     n = 300 if quick else 800
     steps = 15 if quick else 40
@@ -91,15 +148,9 @@ def run(quick: bool = True, seeds=(0, 1),
         columns=["speed (m/s)", "delivered", "resolved", "stale addr",
                  "query pkts", "data hops"],
     )
-    tasks = [(n, mu, steps, seed) for mu in speeds for seed in seeds]
-    metrics = parallel_map(_one_run_task, tasks, workers=workers)
-    per_speed = len(list(seeds))
-    for i, mu in enumerate(speeds):
-        acc: dict[str, list[float]] = {}
-        for m in metrics[i * per_speed : (i + 1) * per_speed]:
-            for k, v in m.items():
-                acc.setdefault(k, []).append(v)
-        mean = {k: float(np.mean(v)) for k, v in acc.items()}
+    for mu in speeds:
+        runs = [_sessions(n, mu, steps, seed) for seed in seeds]
+        mean = {k: float(np.mean([r[k] for r in runs])) for k in runs[0]}
         result.add_row(mu, round(mean["delivered"], 3), round(mean["resolved"], 3),
                        round(mean["stale"], 3), round(mean["query_pkts"], 1),
                        round(mean["data_hops"], 1))

@@ -1,10 +1,10 @@
 """The one hierarchy stepper a run binds at construction.
 
-Every driver of the stack (:class:`~repro.sim.engine.Simulator`,
-:class:`~repro.app.messaging.MessagingService`) turns a step's
-``(edges, positions)`` into a :class:`ClusteredHierarchy` through the
-callable :func:`hierarchy_stepper` returns, and never branches on the
-election mode or the clustering algorithm again.  All
+The :class:`~repro.sim.engine.Simulator`, the one step loop of the
+stack, turns a step's ``(edges, positions)`` into a
+:class:`ClusteredHierarchy` through the callable
+:func:`hierarchy_stepper` returns, and never branches on the election
+mode or the clustering algorithm again.  All
 three implementations behind it share the level recursion
 (:func:`~repro.hierarchy.levels.recurse_levels`) and differ in their
 per-level elector only.

@@ -29,7 +29,6 @@ from repro.sim.sweep import (
     default_cache_dir,
     expand_grid,
     normalize_for_json,
-    parallel_map,
     print_progress,
     run_sweep,
     scenario_key,
@@ -68,7 +67,6 @@ __all__ = [
     "default_cache_dir",
     "expand_grid",
     "normalize_for_json",
-    "parallel_map",
     "print_progress",
     "run_sweep",
     "scenario_key",

@@ -54,6 +54,13 @@ TRACE_CAPACITY = 50_000
 """Events a ``trace=True`` run keeps; older ones are evicted (and
 counted in ``EventTrace.dropped``)."""
 
+RNG_STREAMS = ("placement", "mobility", "sampling", "failures", "faults",
+               "queries", "chaos")
+"""The engine's named RNG streams, in spawn order.  "faults", "queries"
+and "chaos" were appended in that order: ``SeedSequence.spawn`` is
+prefix-stable, so pre-existing scenarios replay bit-identically, and a
+caller-side collector may spawn its own stream after these."""
+
 # SimResult fields a collector's finalize() dict may populate; anything
 # else a collector returns is routed to SimResult.extras.
 _RESULT_FIELDS = frozenset({
@@ -98,14 +105,7 @@ class Simulator:
             from repro.obs.timers import StepTimings
 
             self.timings = StepTimings()
-        # "faults", "queries" and "chaos" were appended in that order:
-        # SeedSequence.spawn is prefix-stable, so pre-existing scenarios
-        # replay bit-identically.
-        rngs = spawn_rngs(
-            scenario.seed,
-            ["placement", "mobility", "sampling", "failures", "faults",
-             "queries", "chaos"],
-        )
+        rngs = spawn_rngs(scenario.seed, RNG_STREAMS)
         # Fault schedule (repro.faults.chaos): crash/recover, targeted
         # kills, partitions, burst loss.  The legacy failure_rate field
         # rides the same engine as a whole-run episode on the historical

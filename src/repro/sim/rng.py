@@ -8,12 +8,14 @@ other's streams.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = ["spawn_rngs"]
 
 
-def spawn_rngs(seed: int, names: list[str]) -> dict[str, np.random.Generator]:
+def spawn_rngs(seed: int, names: Sequence[str]) -> dict[str, np.random.Generator]:
     """Independent named generators from one root seed.
 
     Child sequences are derived with ``SeedSequence.spawn``, which

@@ -13,6 +13,9 @@ production scale:
   callback, and returns results in task order — bit-identical to a
   serial loop over the same scenarios (each run is independently
   seeded; no shared mutable state crosses the process boundary).
+  It is the one task runner: :func:`cached_sweep` aggregates per-size
+  metrics over it, and its run-control arguments are checked at the
+  call, before any task runs.
 * **Crash tolerance**: a worker that raises, dies (``BrokenProcessPool``),
   or exceeds the per-task timeout is retried with exponential backoff up
   to a bounded attempt count; tasks that still fail are reported as
@@ -72,7 +75,6 @@ __all__ = [
     "expand_grid",
     "run_sweep",
     "cached_sweep",
-    "parallel_map",
     "print_progress",
 ]
 
@@ -259,8 +261,8 @@ class TaskError:
     died), or ``"timeout"`` (exceeded ``task_timeout``)."""
     message: str
     attempts: int
-    scenario: Scenario | None = None
-    """The failed scenario (None for :func:`parallel_map` payloads)."""
+    scenario: Scenario
+    """The failed scenario."""
 
 
 @dataclass
@@ -544,8 +546,8 @@ def run_sweep(
         Callback invoked once per completed task (cache hits included),
         in completion order.
     task_timeout:
-        Per-task wall-clock allowance in seconds (parallel mode only;
-        enforced per round of the queue).  ``None`` disables.
+        Per-task wall-clock allowance in seconds, positive (parallel
+        mode only; enforced per round of the queue).  ``None`` disables.
     task_retries:
         Extra attempts after a task's first failure (crash, exception,
         or timeout), with exponential backoff between rounds starting
@@ -563,11 +565,15 @@ def run_sweep(
         instead of restarting from scratch.  Results are bit-identical
         either way; checkpoint files are removed as tasks complete.
     checkpoint_every:
-        Checkpoint cadence in metered steps (default 25 when
-        ``checkpoint_dir`` is set; ignored otherwise).
+        Checkpoint cadence in metered steps, at least 1 (default 25);
+        requires ``checkpoint_dir``.
 
     Raises
     ------
+    ValueError
+        At the call, before any task runs, for a negative
+        ``task_retries``, a non-positive ``task_timeout``, or a
+        ``checkpoint_every`` below 1 or without ``checkpoint_dir``.
     SweepError
         At the *end* of the sweep, once every healthy task has finished
         (and been cached), when any task failed every attempt.  Its
@@ -575,11 +581,18 @@ def run_sweep(
         with ``None`` holes at failed indices, plus one
         :class:`TaskError` per failure.
     """
+    if task_retries < 0:
+        raise ValueError("task_retries must be non-negative")
+    if task_timeout is not None and task_timeout <= 0:
+        raise ValueError("task_timeout must be positive (None disables it)")
+    if checkpoint_every is not None:
+        if checkpoint_dir is None:
+            raise ValueError("checkpoint_every requires checkpoint_dir")
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
     scenarios = list(scenarios)
     if not scenarios:
         return []
-    if task_retries < 0:
-        raise ValueError("task_retries must be non-negative")
     if cache_dir is None and os.environ.get("REPRO_SWEEP_CACHE"):
         cache_dir = default_cache_dir()
     cache = Path(cache_dir).expanduser() if cache_dir is not None else None
@@ -690,7 +703,7 @@ def cached_sweep(
         Named extractors applied to each :class:`SimResult`; each point
         carries their per-n mean and standard deviation over the seeds.
     seeds:
-        Seeds averaged at each point.
+        Seeds averaged at each point (at least one).
     scenario_for:
         Optional hook ``(scenario, n) -> scenario`` applied after setting
         ``n`` (e.g. to scale ``max_levels`` with log n).
@@ -704,6 +717,8 @@ def cached_sweep(
     if not metrics:
         raise ValueError("need at least one metric")
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     # Materialize the size axis exactly once.  expand_grid supports
     # ns=None (seed axis only) and any iterable; iterating ``ns`` again
     # below would crash on None and silently yield zero points for a
@@ -753,43 +768,3 @@ def _nan_skip(samples: "np.ndarray", agg) -> float:
     """Aggregate ``samples`` ignoring NaN; NaN when nothing measured."""
     kept = samples[~np.isnan(samples)]
     return float(agg(kept)) if kept.size else float("nan")
-
-
-def parallel_map(
-    fn,
-    items: Sequence,
-    workers: int | None = None,
-    *,
-    task_timeout: float | None = None,
-    task_retries: int = 1,
-) -> list:
-    """Order-preserving, fault-tolerant map for non-Scenario grids
-    (e.g. EXP-A9's speed x seed runs).
-
-    ``fn`` must be module-level picklable; serial when ``workers``
-    resolves below 2.  Failed items (worker exception, crash, or
-    timeout) are retried ``task_retries`` times with exponential
-    backoff, then reported as :class:`SweepError` at the end (its
-    ``run.results`` holds ``None`` at the failed positions).
-    """
-    items = list(items)
-    results: list = [None] * len(items)
-
-    def _finish(i: int, res, attempts: int) -> None:
-        results[i] = res
-
-    failures = _execute(
-        fn,
-        dict(enumerate(items)),
-        workers=_resolve_workers(workers, len(items)),
-        task_timeout=task_timeout,
-        task_retries=task_retries,
-        on_result=_finish,
-    )
-    if failures:
-        errors = [
-            TaskError(index=i, kind=kind, message=message, attempts=attempts)
-            for i, (kind, message, attempts) in sorted(failures.items())
-        ]
-        raise SweepError(SweepRun(results=results, errors=errors))
-    return results

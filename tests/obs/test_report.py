@@ -59,8 +59,10 @@ class TestSyntheticAggregation:
         class _Run:
             results = [object(), None, None]
             errors = [
-                TaskError(index=1, kind="timeout", message="m", attempts=2),
-                TaskError(index=2, kind="crash", message="m", attempts=2),
+                TaskError(index=1, kind="timeout", message="m", attempts=2,
+                          scenario=BASE),
+                TaskError(index=2, kind="crash", message="m", attempts=2,
+                          scenario=BASE),
             ]
 
         rep.finish(_Run())

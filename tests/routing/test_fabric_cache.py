@@ -4,22 +4,21 @@ The cache's contract is absolute: however much flood state it carries
 across a step, the resulting fabric must be bit-identical — tables,
 sizes, and forward paths — to one built from scratch on the new
 snapshot by the deque-BFS oracle (``fabric_oracle.py``).  These tests
-drive it with drifting deployments, crafted link events, and the full
-messaging stack.
+drive it with drifting deployments, crafted link events, and
+end-to-end sessions on the simulator.
 """
 
 import numpy as np
 import pytest
 
-from repro.app import MessagingService
+from repro.experiments.e_a9_end_to_end import SessionCollector
 from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
-from repro.mobility import RandomWaypoint
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.radio.linkevents import LinkTracker
 from repro.routing import FabricCache, ForwardingFabric, fabric_cache
-from repro.sim.hops import EuclideanHops
+from repro.sim import Scenario, Simulator
 
 from .fabric_oracle import ReferenceFabric
 
@@ -189,35 +188,29 @@ class TestRebuildTriggers:
         assert cache.stats.full_rebuilds == 1
 
 
+class _RebuildEveryStep:
+    """Stands in for a FabricCache: a fresh fabric every step."""
+
+    def update(self, h, g, diff=None):
+        return ForwardingFabric(h, g)
+
+
 class TestMessagingIntegration:
     def test_incremental_service_matches_rebuild_service(self):
-        """The service's carried-over fabric must produce exactly the
-        session outcomes of one rebuilt from scratch on the same
-        snapshot."""
-        n = 120
-        region = disc_for_density(n, DENSITY)
-        rng = np.random.default_rng(11)
-        model = RandomWaypoint(n, region, 1.0, rng)
-        svc = MessagingService(n, R_TX, max_levels=3)
-        pair_rng = np.random.default_rng(12)
-        compared = 0
-        for step in range(5):
-            model.step(1.0)
-            pts = model.positions.copy()
-            hop = EuclideanHops(pts, R_TX)
-            svc.observe(pts, hop)
-            if not svc.ready:
-                continue
-            carried = svc._fabric
-            rebuilt = ForwardingFabric(svc._hierarchy, svc._graph)
-            for _ in range(15):
-                s, d = (int(x) for x in pair_rng.integers(0, n, size=2))
-                svc._fabric = carried
-                got = svc.send(s, d, hop)
-                svc._fabric = rebuilt
-                assert got == svc.send(s, d, hop), (step, s, d)
-                compared += 1
-        assert compared > 0
+        """Sessions forwarded on a fabric the engine's own per-step
+        ``link_diff`` carries forward must have exactly the outcomes of
+        sessions forwarded on a fabric rebuilt from scratch each step."""
+        sc = Scenario(n=120, speed=0.5, steps=8, warmup=2, seed=11,
+                      max_levels=3, hop_mode="euclidean",
+                      hop_sample_every=10_000)
+        carried = SessionCollector(per_step=15)
+        rebuilt = SessionCollector(per_step=15)
+        rebuilt.fabric_cache = _RebuildEveryStep()
+        Simulator(sc, collectors=[carried, rebuilt]).run()
+        assert len(carried.sessions) > 100
+        assert carried.sessions == rebuilt.sessions
+        stats = carried.fabric_cache.stats
+        assert stats.full_rebuilds == 1 and stats.updates == sc.steps
         # Delivery-only workloads never materialize flood records (lazy
         # tables), but the forward()-path flood caches do carry over.
-        assert svc._fabric_cache.stats.floods_reused > 0
+        assert stats.floods_reused > 0

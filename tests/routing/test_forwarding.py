@@ -67,6 +67,28 @@ class TestConstruction:
         assert t.size == len(t.intra) + len(t.clusters)
 
 
+class TestResolvedAddresses:
+    """A session forwards on an address resolved from a lagged location
+    database, which may come from a shallower or deeper hierarchy."""
+
+    def test_stale_address_alignment(self, fabric200):
+        """forward() accepts addresses from a shallower/deeper snapshot."""
+        _, h, fab = fabric200
+        d = 40
+        addr = h.address(d)
+        # Truncated and extended variants must not crash.
+        short = addr[1:]
+        long = (addr[0],) + addr
+        for variant in (short, long):
+            res = fab.forward(0, d, address=tuple(variant))
+            assert res.path[0] == 0
+
+    def test_wrong_terminal_rejected(self, fabric200):
+        _, _, fab = fabric200
+        with pytest.raises(ValueError):
+            fab.forward(0, 40, address=(1, 2, 3))
+
+
 class TestDelivery:
     def test_full_delivery_on_connected_pairs(self, fabric200):
         g, h, fab = fabric200

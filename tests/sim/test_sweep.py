@@ -10,7 +10,6 @@ from repro.sim import (
     Scenario,
     cached_sweep,
     expand_grid,
-    parallel_map,
     run_scenario,
     run_sweep,
     scenario_key,
@@ -19,11 +18,6 @@ from tests.fingerprint import fingerprint
 
 BASE = Scenario(n=60, steps=5, warmup=1, speed=1.5, hop_mode="euclidean",
                 max_levels=2, hop_sample_every=4)
-
-
-def _double(x: float) -> float:
-    """Module-level so parallel_map can pickle it."""
-    return 2.0 * x
 
 
 class TestExpandGrid:
@@ -302,18 +296,6 @@ class TestScenarioKey:
         before = scenario_key(BASE)
         monkeypatch.setattr(sweep_mod, "CODE_VERSION", "test-bump")
         assert scenario_key(BASE) != before
-
-
-class TestParallelMap:
-    def test_order_preserved(self):
-        xs = [3.0, 1.0, 2.0]
-        assert parallel_map(_double, xs, workers=2) == [6.0, 2.0, 4.0]
-
-    def test_serial_fallback(self):
-        assert parallel_map(_double, [1.0], workers=0) == [2.0]
-
-    def test_empty(self):
-        assert parallel_map(_double, [], workers=4) == []
 
 
 class TestProgressTelemetry:

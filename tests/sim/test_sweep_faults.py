@@ -1,8 +1,10 @@
 """Crash, timeout, and retry tests for the fault-tolerant sweep runner.
 
-Worker functions live at module level so ``ProcessPoolExecutor`` can
-pickle them by qualified name; the crash tests genuinely SIGKILL the
-worker process, exercising the ``BrokenProcessPool`` path end to end.
+The crash, timeout and retry cases drive the runner's task executor
+(``repro.sim.sweep._execute``) with fake task functions.  They live at
+module level so ``ProcessPoolExecutor`` can pickle them by qualified
+name; the crash tests genuinely SIGKILL the worker process, exercising
+the ``BrokenProcessPool`` path end to end.
 """
 
 import os
@@ -16,10 +18,11 @@ from repro.sim import (
     SweepError,
     SweepRun,
     TaskError,
+    cached_sweep,
     expand_grid,
-    parallel_map,
     run_sweep,
 )
+from repro.sim.sweep import _execute
 
 GOOD = Scenario(n=60, steps=3, warmup=1, speed=1.5, hop_mode="euclidean",
                 max_levels=2, hop_sample_every=4)
@@ -36,6 +39,21 @@ def _no_retry_sleep(monkeypatch):
     import repro.sim.sweep as sweep_mod
 
     monkeypatch.setattr(sweep_mod, "RETRY_BACKOFF", 0.0)
+
+
+def execute(fn, items, *, workers, task_timeout=None, task_retries=1):
+    """Run ``fn`` over ``items`` through the sweep's task executor;
+    returns ``(results, errors)`` with ``None`` at failed positions and
+    ``errors`` as ``{index: (kind, message, attempts)}``."""
+    results = [None] * len(items)
+
+    def on_result(i, res, attempts):
+        results[i] = res
+
+    errors = _execute(fn, dict(enumerate(items)), workers=workers,
+                      task_timeout=task_timeout, task_retries=task_retries,
+                      on_result=on_result)
+    return results, errors
 
 
 def _inc(x):
@@ -77,35 +95,30 @@ def _report_pid_then_finish(outdir):
 class TestCrashRecovery:
     def test_killed_worker_is_retried_and_succeeds(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
-        out = parallel_map(_die_once, [sentinel], workers=2, task_retries=1)
-        assert out == ["survived"]
+        out, errors = execute(_die_once, [sentinel], workers=2, task_retries=1)
+        assert out == ["survived"] and errors == {}
 
     def test_killed_worker_yields_partial_results_and_error_record(self):
-        with pytest.raises(SweepError) as ei:
-            parallel_map(_die_always, [7], workers=2, task_retries=1)
-        run = ei.value.run
-        assert isinstance(run, SweepRun) and not run.ok
-        assert run.results == [None]
-        (err,) = run.errors
-        assert err.kind == "crash"
-        assert err.index == 0
-        assert err.attempts == 2  # first try + one retry
-        assert "died" in err.message or "broke" in err.message
+        out, errors = execute(_die_always, [7], workers=2, task_retries=1)
+        assert out == [None]
+        ((index, (kind, message, attempts)),) = errors.items()
+        assert kind == "crash"
+        assert index == 0
+        assert attempts == 2  # first try + one retry
+        assert "died" in message or "broke" in message
 
     def test_partial_mode_returns_none_holes(self):
-        with pytest.raises(SweepError) as ei:
-            parallel_map(_die_always, [7], workers=2, task_retries=0)
-        assert ei.value.run.results == [None]
+        out, errors = execute(_die_always, [7], workers=2, task_retries=0)
+        assert out == [None] and list(errors) == [0]
 
 
 class TestTimeout:
     def test_hung_worker_times_out_with_record(self):
-        with pytest.raises(SweepError) as ei:
-            parallel_map(_hang, [None], workers=2, task_timeout=0.5,
-                         task_retries=0)
-        (err,) = ei.value.run.errors
-        assert err.kind == "timeout"
-        assert "task_timeout" in err.message
+        _, errors = execute(_hang, [None], workers=2, task_timeout=0.5,
+                            task_retries=0)
+        ((kind, message, _),) = errors.values()
+        assert kind == "timeout"
+        assert "task_timeout" in message
 
 
 class TestInterruptTeardown:
@@ -141,23 +154,45 @@ class TestInterruptTeardown:
 
 class TestExceptionRetries:
     def test_attempts_bounded_and_counted(self):
-        with pytest.raises(SweepError) as ei:
-            parallel_map(_boom, [1], workers=0, task_retries=2)
-        (err,) = ei.value.run.errors
-        assert err.kind == "exception"
-        assert err.attempts == 3  # 1 + task_retries
-        assert "bad item 1" in err.message
+        _, errors = execute(_boom, [1], workers=0, task_retries=2)
+        ((kind, message, attempts),) = errors.values()
+        assert kind == "exception"
+        assert attempts == 3  # 1 + task_retries
+        assert "bad item 1" in message
 
     def test_healthy_items_unaffected_by_failures(self):
-        out = parallel_map(_inc, [1, 2, 3], workers=0, task_retries=0)
-        assert out == [2, 3, 4]
-        with pytest.raises(SweepError) as ei:
-            parallel_map(_boom, [1, 2], workers=0, task_retries=0)
-        assert ei.value.run.results == [None, None]
+        out, errors = execute(_inc, [1, 2, 3], workers=0, task_retries=0)
+        assert out == [2, 3, 4] and errors == {}
+        out, errors = execute(_boom, [1, 2], workers=0, task_retries=0)
+        assert out == [None, None] and sorted(errors) == [0, 1]
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([GOOD], task_retries=-1)
+
+
+class TestRunControlValidation:
+    """Bad run-control arguments fail at the call, before any task runs."""
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"checkpoint_every": 3}, "requires checkpoint_dir"),
+        ({"checkpoint_every": 0, "checkpoint_dir": "DIR"}, ">= 1"),
+        ({"task_timeout": 0.0}, "task_timeout"),
+        ({"task_timeout": -1.0, "workers": 2}, "task_timeout"),
+    ], ids=["every-without-dir", "every-zero", "timeout-zero",
+            "timeout-negative"])
+    def test_rejected_before_any_task(self, tmp_path, kwargs, match):
+        if kwargs.get("checkpoint_dir") == "DIR":
+            kwargs = {**kwargs, "checkpoint_dir": tmp_path / "ckpt"}
+        events = []
+        with pytest.raises(ValueError, match=match):
+            run_sweep([GOOD], progress=events.append, **kwargs)
+        assert events == []
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_cached_sweep_needs_a_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            cached_sweep(None, GOOD, {"phi": lambda r: r.phi}, seeds=())
 
 
 class TestSweepPartialResults:
@@ -168,6 +203,7 @@ class TestSweepPartialResults:
         with pytest.raises(SweepError) as ei:
             run_sweep([GOOD, BAD], task_retries=0)
         run = ei.value.run
+        assert isinstance(run, SweepRun)
         assert len(run.results) == 2
         assert run.results[0] is not None
         assert run.results[0].scenario == GOOD

@@ -28,7 +28,6 @@ PACKAGES = [
     "repro.sim",
     "repro.analysis",
     "repro.experiments",
-    "repro.app",
     "repro.viz",
 ]
 
@@ -97,6 +96,19 @@ class TestExports:
         assert "service" not in repro.__all__
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.service")
+
+    def test_second_step_loop_is_gone(self):
+        """The simulator is the one step loop of the stack: the messaging
+        layer that re-implemented it, and the map that fanned that copy
+        out, were deleted."""
+        import repro.sim
+
+        assert "app" not in repro.__all__
+        assert "repro.app" not in PACKAGES
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.app")
+        assert not hasattr(repro.sim, "parallel_map")
+        assert "parallel_map" not in repro.sim.__all__
 
 
 class TestLayering:

@@ -1,76 +1,100 @@
-"""Tests for the end-to-end messaging service."""
+"""Tests for end-to-end sessions on the full stack (EXP-A9's
+``SessionCollector`` riding the simulator)."""
 
 import numpy as np
 import pytest
 
-from repro.app import MessagingService, SessionResult
-from repro.geometry import disc_for_density
-from repro.mobility import RandomWaypoint, Stationary
-from repro.radio import radius_for_degree
-from repro.sim.hops import EuclideanHops
+from repro.experiments.e_a9_end_to_end import Session, SessionCollector
+from repro.graphs import CompactGraph
+from repro.radio import unit_disk_edges
+from repro.routing import FlatRouter
+from repro.sim import Scenario, Simulator
+from repro.sim.collectors import Collector
+from repro.sim.engine import RNG_STREAMS
+from repro.sim.rng import spawn_rngs
 
-DENSITY = 0.02
-R_TX = radius_for_degree(9.0, DENSITY)
+N = 150
 
 
-def make_service(n=150, speed=1.0, seed=0, warm_steps=2, hash_fn="rendezvous"):
-    region = disc_for_density(n, DENSITY)
-    rng = np.random.default_rng(seed)
-    model = (Stationary(n, region, rng) if speed == 0
-             else RandomWaypoint(n, region, speed, rng))
-    svc = MessagingService(n, R_TX, max_levels=3, hash_fn=hash_fn)
-    for _ in range(warm_steps):
-        model.step(1.0)
-        pts = model.positions.copy()
-        svc.observe(pts, EuclideanHops(pts, R_TX))
-    return svc, model, rng
+def scenario(mobility="random_waypoint", speed=1.0, steps=6, seed=0,
+             hash_fn="rendezvous"):
+    return Scenario(n=N, speed=speed, steps=steps, warmup=2, seed=seed,
+                    mobility=mobility, max_levels=3, hash_fn=hash_fn,
+                    hop_mode="euclidean", hop_sample_every=10_000)
+
+
+def run_sessions(sc, per_step=8):
+    collector = SessionCollector(per_step=per_step)
+    res = Simulator(sc, collectors=[collector]).run()
+    return collector, res
+
+
+class _Snapshots(Collector):
+    """Keeps every snapshot the engine dispatches, baseline first."""
+
+    def __init__(self):
+        self.snaps = []
+
+    def on_start(self, snap):
+        self.snaps.append(snap)
+
+    def on_step(self, snap):
+        self.snaps.append(snap)
 
 
 class TestConstruction:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MessagingService(1, R_TX)
-        with pytest.raises(ValueError):
-            MessagingService(10, 0.0)
+        with pytest.raises(ValueError, match="per_step"):
+            SessionCollector(per_step=0)
 
     def test_not_ready_before_two_observations(self):
-        svc, model, _ = make_service(warm_steps=0)
-        pts = model.positions.copy()
-        hop = EuclideanHops(pts, R_TX)
-        with pytest.raises(RuntimeError):
-            svc.send(0, 1, hop)
-        svc.observe(pts, hop)
-        assert not svc.ready  # database still empty (needs a lag round)
-        svc.observe(pts, hop)
-        assert svc.ready
+        """The baseline opens no session; the first metered step's
+        sessions resolve against the baseline's database (one round
+        stale) and forward on the step's own topology."""
+        snaps = _Snapshots()
+        Simulator(scenario(speed=8.0, steps=1),
+                  collectors=[snaps]).run()
+        base, step = snaps.snaps
+        c = SessionCollector(per_step=40)
+        c.on_start(base)
+        assert c.sessions == []
+        c.on_step(step)
+        assert c.sessions
+        for s in c.sessions:
+            assert s.resolved
+            lagged = base.hierarchy.address(s.target)
+            current = step.hierarchy.address(s.target)
+            assert s.stale_address == (tuple(lagged) != tuple(current))
+        assert any(s.stale_address for s in c.sessions)
 
 
 class TestSessions:
     def test_self_session_trivial(self):
-        svc, model, _ = make_service()
-        hop = EuclideanHops(model.positions, R_TX)
-        r = svc.send(3, 3, hop)
-        assert r.delivered and r.data_hops == 0 and r.query_packets == 0
+        """Self-pairs are skipped rather than opened, and the pairs come
+        from a stream spawned after the engine's own."""
+        sc = scenario(steps=2)
+        c, _ = run_sessions(sc, per_step=300)
+        rng = spawn_rngs(sc.seed, [*RNG_STREAMS, "sessions"])["sessions"]
+        drawn = [tuple(p) for _ in range(sc.steps)
+                 for p in rng.integers(0, N, size=(300, 2)).tolist()]
+        expected = [p for p in drawn if p[0] != p[1]]
+        assert len(expected) < len(drawn)
+        assert [(s.source, s.target) for s in c.sessions] == expected
 
     def test_static_network_all_deliver_exact(self):
         """With zero mobility the database is never stale and every
         connected pair delivers."""
-        svc, model, rng = make_service(speed=0, warm_steps=3)
-        pts = model.positions.copy()
-        hop = EuclideanHops(pts, R_TX)
-        from repro.graphs import CompactGraph
-        from repro.radio import unit_disk_edges
-        from repro.routing import FlatRouter
-
-        flat = FlatRouter(CompactGraph(np.arange(150), unit_disk_edges(pts, R_TX)))
+        sc = scenario(mobility="stationary", steps=6)
+        c, res = run_sessions(sc)
+        pts = res.final_positions
+        flat = FlatRouter(CompactGraph(np.arange(N),
+                                       unit_disk_edges(pts, sc.r_tx)))
         checked = 0
-        for _ in range(40):
-            s, d = (int(x) for x in rng.integers(0, 150, size=2))
-            if s == d or flat.hop_count(s, d) < 0:
+        for s in c.sessions:
+            assert not s.stale_address
+            if flat.hop_count(s.source, s.target) < 0:
                 continue
-            r = svc.send(s, d, hop)
-            assert r.resolved and r.delivered, (s, d)
-            assert not r.stale_address
+            assert s.resolved and s.delivered, s
             checked += 1
         assert checked > 20
 
@@ -81,61 +105,28 @@ class TestSessions:
         provided queries probe with the hash the servers were placed
         with: rendezvous probes against naive placements resolve only
         the pairs sharing a level-1 cluster."""
-        svc, model, rng = make_service(speed=0, hash_fn=hash_fn)
-        hop = EuclideanHops(model.positions.copy(), R_TX)
-        pairs = rng.integers(0, 150, size=(200, 2))
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        results = [svc.send(int(s), int(d), hop) for s, d in pairs]
-        assert len(results) > 150
-        assert all(r.resolved and not r.stale_address for r in results)
+        c, _ = run_sessions(scenario(mobility="stationary", steps=10,
+                                     hash_fn=hash_fn), per_step=20)
+        assert len(c.sessions) > 150
+        assert all(s.resolved and not s.stale_address for s in c.sessions)
 
     def test_mobile_network_mostly_delivers(self):
-        svc, model, rng = make_service(speed=1.0, warm_steps=3)
-        delivered = total = 0
-        for _ in range(8):
-            model.step(1.0)
-            pts = model.positions.copy()
-            hop = EuclideanHops(pts, R_TX)
-            svc.observe(pts, hop)
-            for _ in range(10):
-                s, d = (int(x) for x in rng.integers(0, 150, size=2))
-                if s == d:
-                    continue
-                r = svc.send(s, d, hop)
-                total += 1
-                delivered += int(r.delivered)
-        assert delivered / total > 0.6
+        c, res = run_sessions(scenario(speed=1.0, steps=8), per_step=10)
+        delivered = sum(s.delivered for s in c.sessions)
+        assert delivered / len(c.sessions) > 0.6
+        summary = res.extras["sessions"]
+        assert summary["delivered"] == delivered / len(c.sessions)
 
     def test_result_fields_consistent(self):
-        svc, model, rng = make_service(speed=1.0, warm_steps=3)
-        pts = model.positions.copy()
-        hop = EuclideanHops(pts, R_TX)
-        r = svc.send(0, 100, hop)
-        assert isinstance(r, SessionResult)
-        if not r.resolved:
-            assert not r.delivered
-        if r.delivered:
-            assert r.data_hops >= 0
-        assert r.query_packets >= 0
-
-
-class TestStaleAddressForwarding:
-    def test_stale_address_alignment(self):
-        """forward() accepts addresses from a shallower/deeper snapshot."""
-        svc, model, _ = make_service(warm_steps=3)
-        fab = svc._fabric
-        h = svc._hierarchy
-        d = 40
-        addr = h.address(d)
-        # Truncated and extended variants must not crash.
-        short = addr[1:]
-        long = (addr[0],) + addr
-        for variant in (short, long):
-            res = fab.forward(0, d, address=tuple(variant))
-            assert res.path[0] == 0
-
-    def test_wrong_terminal_rejected(self):
-        svc, model, _ = make_service(warm_steps=3)
-        fab = svc._fabric
-        with pytest.raises(ValueError):
-            fab.forward(0, 40, address=(1, 2, 3))
+        c, _ = run_sessions(scenario(speed=4.0, steps=6))
+        assert c.sessions
+        for s in c.sessions:
+            assert isinstance(s, Session)
+            assert s.source != s.target
+            assert s.query_packets >= 0
+            if not s.resolved:
+                assert not s.delivered and not s.stale_address
+            if s.delivered:
+                assert s.data_hops > 0
+            else:
+                assert s.data_hops == 0

@@ -114,6 +114,22 @@ class TestSweepCommand:
         assert main(["sweep", "--ns", "", "--seeds", "0"]) == 2
         assert "at least one size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,match", [
+        (["--checkpoint-every", "2"], "requires checkpoint_dir"),
+        (["--checkpoint-dir", "CKPT", "--checkpoint-every", "0"], ">= 1"),
+        (["--task-timeout", "0"], "task_timeout"),
+    ], ids=["every-without-dir", "every-zero", "timeout-zero"])
+    def test_sweep_rejects_bad_run_control(self, tmp_path, capsys, flags,
+                                           match):
+        """The runner's own check, printed as one line with exit 2."""
+        flags = [str(tmp_path / f) if f == "CKPT" else f for f in flags]
+        assert main(["sweep", "--ns", "60", "--seeds", "0", "--steps", "4",
+                     "--no-cache", "--quiet", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("sweep: ") and match in line
+
 
 class TestProfileCommand:
     def test_profile_prints_breakdown_and_stats(self, tmp_path, capsys):
