@@ -10,7 +10,7 @@ Subpackages
 ``repro.radio``
     Unit-disk links, connectivity sizing, link-event tracking (Eq. 4).
 ``repro.clustering``
-    LCA/ALCA election, the Fig. 3 state machine, max-min baseline.
+    LCA/ALCA election and the Fig. 3 state machine.
 ``repro.hierarchy``
     Recursive clustered hierarchies, addresses, per-level statistics.
 ``repro.routing``

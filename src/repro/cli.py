@@ -267,31 +267,41 @@ def _cmd_experiment(args) -> int:
 
 def _scenario_from_args(args, **fields):
     """The Scenario a subcommand's flags describe: every _SCENARIO_FLAGS
-    entry the subcommand declared, plus ``fields`` it computes itself."""
+    entry the subcommand declared, plus ``fields`` it computes itself.
+
+    A value the preset, the depth rule, the chaos parser or ``Scenario``
+    rejects is printed as one ``<command>: <message>`` line on stderr
+    and None is returned; the caller exits 2."""
+    from repro.analysis import levels_for
     from repro.sim import Scenario, make_scenario
 
     given = vars(args)
     kwargs = {field: given[flag] for flag, field in _SCENARIO_FLAGS.items()
               if flag in given}
     kwargs.update(fields)
-    if "levels" in given:
-        from repro.analysis import levels_for
-
-        kwargs["max_levels"] = (levels_for(args.n) if args.levels is None
-                                else args.levels)
     preset = given.get("preset")
     if preset:
         # Preset supplies the regime; sizing/run-control flags override.
         for key in ("speed", "dt", "density", "mobility"):
             kwargs.pop(key, None)
-        return make_scenario(preset, **kwargs)
-    return Scenario(**kwargs)
+    try:
+        if "levels" in given:
+            kwargs["max_levels"] = (levels_for(args.n) if args.levels is None
+                                    else args.levels)
+        if preset:
+            return make_scenario(preset, **kwargs)
+        return Scenario(**kwargs)
+    except (ValueError, TypeError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_simulate(args) -> int:
     from repro.sim import Simulator
 
     sc = _scenario_from_args(args, chaos=tuple(args.chaos or ()))
+    if sc is None:
+        return 2
     if args.checkpoint_every is not None and not args.checkpoint:
         print("--checkpoint-every requires --checkpoint", file=sys.stderr)
         return 2
@@ -416,7 +426,8 @@ def _cmd_resume(args) -> int:
 
 def _grid_from_args(args):
     """``(ns, seeds, cache_dir, base scenario)`` of a sweep/profile run,
-    or None (after a message) when an axis is empty."""
+    or None (after a message) when an axis is empty or a scenario value
+    is rejected."""
     from repro.sim import default_cache_dir
 
     ns = tuple(int(x) for x in args.ns.split(",") if x.strip())
@@ -425,7 +436,8 @@ def _grid_from_args(args):
         print("need at least one size and one seed", file=sys.stderr)
         return None
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    return ns, seeds, cache_dir, _scenario_from_args(args, n=ns[0])
+    base = _scenario_from_args(args, n=ns[0])
+    return None if base is None else (ns, seeds, cache_dir, base)
 
 
 def _log_levels(sc, n):

@@ -10,8 +10,8 @@ cost is the sum of probe round trips up to the hit; the paper argues
 this is of the order of the s-d hop count and is absorbed into the
 communication session it precedes (Section 6).
 
-Every query of a batch climbs at once: the descent is the stage kernel
-:func:`repro.core.servers.full_assignment` runs (either hash), the hit
+Every query of a batch climbs at once: the descent is the rendezvous
+stage kernel :func:`repro.core.servers.full_assignment` runs, the hit
 test is an equality against the assignment table, and the round-trip
 charge is a batched hop count.
 
@@ -49,7 +49,7 @@ from repro.core.servers import (
     ServerAssignment,
     _global_stage,
     _stage_salt,
-    hash_stage,
+    _vectorized_rendezvous_stage,
     lm_levels,
 )
 from repro.hierarchy.delta import LazyClusters
@@ -203,19 +203,16 @@ class BatchResolver:
     Construction cost is the per-level CSR cluster groupings (the
     server tables are the assignment's own columns, read in place);
     every subsequent :meth:`resolve`/:meth:`plans` call is array ops
-    only, for either hash (``hash_fn`` names the one the assignment was
-    placed with)."""
+    only."""
 
     def __init__(
         self,
         h: ClusteredHierarchy,
         assignment: ServerAssignment,
         hop_fn,
-        hash_fn="rendezvous",
     ):
         self._h = h
         self._hop_fn = hop_fn
-        self._stage = hash_stage(hash_fn)
         self._top = lm_levels(h)
         self._base = h.levels[0].node_ids
         self._lazy = {
@@ -262,7 +259,8 @@ class BatchResolver:
         assignment's entry."""
         h = self._h
         if level == h.num_levels + 1:
-            current = _global_stage(h, dst, level, self._stage)
+            current = _global_stage(h, dst, level,
+                                    _vectorized_rendezvous_stage)
             shared = True
             start_depth = h.num_levels
         else:
@@ -271,7 +269,7 @@ class BatchResolver:
             shared = current == anc[idx_d]
             start_depth = level
         for depth in range(start_depth, 0, -1):
-            current = self._stage(
+            current = _vectorized_rendezvous_stage(
                 dst, current, self._lazy[depth], _stage_salt(level, depth))
         round_trip = 2 * np.maximum(self.hops(src, current), 0)
         hit = shared & (self._tables[level][idx_d] == current)
@@ -336,8 +334,7 @@ def resolve_batch(
     src,
     dst,
     hop_fn,
-    hash_fn="rendezvous",
 ) -> BatchQueryResult:
     """One-shot batched resolution (see :class:`BatchResolver`); use the
     resolver directly to amortize table construction across calls."""
-    return BatchResolver(h, assignment, hop_fn, hash_fn).resolve(src, dst)
+    return BatchResolver(h, assignment, hop_fn).resolve(src, dst)

@@ -125,31 +125,26 @@ class HandoffEngine:
     walks individual (changed or stale) entries, because its RNG draw
     order is per entry.
 
-    Parameters
-    ----------
-    hash_fn:
-        CHLM hash, "rendezvous" (default) or "naive".
-
-    When the caller supplies a non-full
-    :class:`~repro.hierarchy.delta.HierarchyDelta` to :meth:`observe`
-    and the previous intent kept its descent chains (the rendezvous
-    hash does; the naive hash takes the full path), the CHLM assignment
-    is **patched** instead of recomputed — only descent stages whose
-    input or consulted member list changed are re-hashed, and only the
-    rows whose server moved (plus outstanding stale keys) enter the
-    handoff diff.  The metering is bit-identical to the full path: the
-    delta's dirtiness claims are exact, so every row outside the
-    candidate set provably kept its server.
+    Servers are placed with the rendezvous hash
+    (:func:`~repro.core.servers.full_assignment`).  When the caller
+    supplies a non-full :class:`~repro.hierarchy.delta.HierarchyDelta`
+    to :meth:`observe` after the baseline, the CHLM assignment is
+    **patched** from the previous intent's descent chains instead of
+    recomputed — only descent stages whose input or consulted member
+    list changed are re-hashed, and only the rows whose server moved
+    (plus outstanding stale keys) enter the handoff diff.  The metering
+    is bit-identical to the full path: the delta's dirtiness claims are
+    exact, so every row outside the candidate set provably kept its
+    server.
     """
 
-    def __init__(self, hash_fn="rendezvous"):
-        self.hash_fn = hash_fn
+    def __init__(self):
         self._prev_h: ClusteredHierarchy | None = None
         self._prev_a: ServerAssignment | None = None
         # The previous *intent* (hash output).  Distinct from _prev_a,
         # which under loss reflects the effective holders; patch
         # cleanliness is an intent-to-intent claim.
-        self._intent: ServerAssignment | None = None
+        self._intent: ChainedAssignment | None = None
         # Abandoned-transfer bookkeeping: (subject, level) -> abandon time.
         self._stale: dict[tuple[int, int], float] = {}
 
@@ -188,14 +183,10 @@ class HandoffEngine:
         enables assignment patching and dirty-row candidate narrowing.
         """
         dirty: dict[int, np.ndarray] | None = None
-        if (
-            delta is not None
-            and not delta.full
-            and isinstance(self._intent, ChainedAssignment)
-        ):
+        if delta is not None and not delta.full and self._intent is not None:
             assignment, dirty = patch_assignment(self._intent, h, delta)
         else:
-            assignment = full_assignment(h, self.hash_fn)
+            assignment = full_assignment(h)
         self._intent = assignment
         if self._prev_h is None or self._prev_a is None:
             self._prev_h, self._prev_a = h, assignment

@@ -97,8 +97,7 @@ class SessionCollector(Collector):
         pairs = self._rng.integers(0, sc.n, size=(self.per_step, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         db_h, db_a = self._db
-        q = resolve_batch(db_h, db_a, pairs[:, 0], pairs[:, 1],
-                          snap.hop_fn, sc.hash_fn)
+        q = resolve_batch(db_h, db_a, pairs[:, 0], pairs[:, 1], snap.hop_fn)
         for i, (s, d) in enumerate(pairs.tolist()):
             packets = int(q.packets[i])
             if q.hit_level[i] < 0:

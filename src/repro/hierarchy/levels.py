@@ -13,13 +13,11 @@ and reorganization events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from repro.clustering.lca import Election, elect
-from repro.clustering.maxmin import maxmin_cluster
 from repro.graphs import IdIndex, sorted_unique_ids
 from repro.hierarchy.cluster_graph import canonical_edges, contract_edges
 from repro.radio.unit_disk import unit_disk_edges
@@ -200,8 +198,8 @@ def recurse_levels(
     until nothing aggregates.
 
     Every hierarchy in the package comes out of this loop; what differs
-    between the memoryless build, the sticky and persistent maintainers
-    and the max-min baseline is only ``elector``, called as
+    between the memoryless build and the sticky and persistent
+    maintainers is only ``elector``, called as
     ``elector(k, ids, edges)`` with level k's sorted IDs and canonical
     edges and returning that level's
     :class:`~repro.clustering.lca.Election` (whose ``clusterheads`` are
@@ -264,28 +262,10 @@ def _lca_elector(k: int, ids: np.ndarray, edges: np.ndarray) -> Election:
     return elect(ids, edges)
 
 
-def _maxmin_elector(d: int, k: int, ids: np.ndarray, edges: np.ndarray) -> Election:
-    """Max-min outcome as an Election-compatible record, so downstream
-    code treats both algorithms uniformly."""
-    mm = maxmin_cluster(ids, edges, d=d)
-    return Election(
-        node_ids=mm.node_ids,
-        elected_head=mm.head_choice,
-        member_of=mm.head_choice,
-        elector_count=np.bincount(
-            np.searchsorted(ids, mm.head_choice), minlength=ids.size
-        )
-        - np.isin(ids, mm.clusterheads).astype(np.int64),
-        clusterheads=mm.clusterheads,
-    )
-
-
 def build_hierarchy(
     node_ids,
     edges,
     max_levels: int | None = None,
-    algorithm: str = "lca",
-    maxmin_d: int = 2,
     level_mode: str = "contraction",
     positions=None,
     r0: float | None = None,
@@ -302,9 +282,6 @@ def build_hierarchy(
     max_levels:
         Stop after this many clustering applications (None = cluster
         until the topology stops shrinking: one node left, or no links).
-    algorithm:
-        ``"lca"`` (the paper's ALCA; default) or ``"maxmin"`` (the
-        Amis et al. baseline, with radius ``maxmin_d``).
     level_mode:
         How level-k links (E_k, k >= 1) are derived:
 
@@ -324,10 +301,5 @@ def build_hierarchy(
     positions, r0:
         Only used (and required) for ``level_mode="radio"``.
     """
-    if algorithm not in ("lca", "maxmin"):
-        raise ValueError(f"unknown clustering algorithm {algorithm!r}")
-    elector = (
-        _lca_elector if algorithm == "lca" else partial(_maxmin_elector, maxmin_d)
-    )
-    return recurse_levels(node_ids, edges, elector, max_levels=max_levels,
+    return recurse_levels(node_ids, edges, _lca_elector, max_levels=max_levels,
                           level_mode=level_mode, positions=positions, r0=r0)

@@ -4,8 +4,7 @@ The :class:`~repro.sim.engine.Simulator`, the one step loop of the
 stack, turns a step's ``(edges, positions)`` into a
 :class:`ClusteredHierarchy` through the callable
 :func:`hierarchy_stepper` returns, and never branches on the election
-mode or the clustering algorithm again.  All
-three implementations behind it share the level recursion
+mode again.  All three implementations behind it share the level recursion
 (:func:`~repro.hierarchy.levels.recurse_levels`) and differ in their
 per-level elector only.
 """
@@ -29,8 +28,8 @@ def _step(update, node_ids, edges, positions):
 
 
 def hierarchy_stepper(n: int, r_tx: float, max_levels: int | None = None,
-                      level_mode: str = "radio", clustering: str = "lca",
-                      maxmin_d: int = 2, election_mode: str = "memoryless"):
+                      level_mode: str = "radio",
+                      election_mode: str = "memoryless"):
     """``step(edges, positions) -> ClusteredHierarchy`` for nodes
     ``0..n-1``.
 
@@ -50,6 +49,5 @@ def hierarchy_stepper(n: int, r_tx: float, max_levels: int | None = None,
         raise ValueError(f"unknown election_mode {election_mode!r}")
     else:
         update = partial(build_hierarchy, max_levels=max_levels,
-                         algorithm=clustering, maxmin_d=maxmin_d,
                          level_mode=level_mode, r0=r0)
     return partial(_step, update, np.arange(n))

@@ -8,6 +8,8 @@ that motivates hierarchical clustering, and :class:`Stationary` is the
 zero-mobility control under which handoff overhead must vanish; :class:`GaussMarkov` adds temporally correlated motion without RWP's turning discontinuities.
 """
 
+import inspect
+
 from repro.mobility.base import MobilityModel, resolve_speeds
 from repro.mobility.gauss_markov import GaussMarkov
 from repro.mobility.random_waypoint import RandomWaypoint
@@ -22,6 +24,20 @@ MODEL_REGISTRY = {
     "group": ReferencePointGroup,
     "stationary": Stationary,
 }
+
+
+def check_model_kwargs(name: str, kwargs) -> None:
+    """Raise ValueError unless every key of ``kwargs`` names a
+    constructor option of model ``name`` beyond the ones
+    :func:`make_model` fills itself (``n``, ``region``, ``speed``,
+    ``rng``)."""
+    params = inspect.signature(MODEL_REGISTRY[name]).parameters
+    options = set(params) - {"n", "region", "speed", "rng"}
+    unknown = sorted(set(kwargs) - options)
+    if unknown:
+        raise ValueError(
+            f"mobility_kwargs: {name} takes no {', '.join(map(repr, unknown))}"
+            f"; known: {', '.join(sorted(options)) or 'none'}")
 
 
 def make_model(name: str, n, region, speed, rng, **kwargs) -> MobilityModel:
@@ -49,5 +65,6 @@ __all__ = [
     "ReferencePointGroup",
     "Stationary",
     "MODEL_REGISTRY",
+    "check_model_kwargs",
     "make_model",
 ]

@@ -18,20 +18,30 @@ import numpy as np
 from repro.geometry.region import DeploymentRegion
 
 
-def resolve_speeds(speed, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Expand a speed spec into a per-node speed vector.
+def check_speed(speed) -> tuple[float, float]:
+    """The ``(low, high)`` bounds of a speed spec, or ValueError.
 
-    ``speed`` is either a positive scalar or a ``(low, high)`` tuple with
-    ``0 < low <= high``; ranges are sampled uniformly.
+    ``speed`` is either a positive finite scalar (``low == high``) or a
+    ``(low, high)`` pair of finite values with ``0 < low <= high``.
     """
+    pair = (speed, speed) if np.isscalar(speed) else tuple(speed)
+    if len(pair) != 2:
+        raise ValueError(
+            f"speed must be a scalar or a (low, high) pair, got {speed!r}")
+    lo, hi = float(pair[0]), float(pair[1])
+    if not (np.isfinite(hi) and 0 < lo <= hi):
+        raise ValueError(
+            f"speed must be positive and finite, or a (low, high) range "
+            f"with 0 < low <= high, got {speed!r}")
+    return lo, hi
+
+
+def resolve_speeds(speed, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Expand a speed spec (see :func:`check_speed`) into a per-node
+    speed vector; ranges are sampled uniformly."""
+    lo, hi = check_speed(speed)
     if np.isscalar(speed):
-        mu = float(speed)
-        if mu <= 0:
-            raise ValueError("speed must be positive")
-        return np.full(n, mu, dtype=np.float64)
-    lo, hi = (float(speed[0]), float(speed[1]))
-    if lo <= 0 or hi < lo:
-        raise ValueError("speed range must satisfy 0 < low <= high")
+        return np.full(n, lo, dtype=np.float64)
     return lo + rng.random(n) * (hi - lo)
 
 

@@ -70,9 +70,7 @@ class QueryCollector(Collector):
             ledger.close_step()
             return
         src, dst = self._draw_pairs(sc)
-        resolver = BatchResolver(
-            snap.hierarchy, snap.assignment, snap.hop_fn, hash_fn=sc.hash_fn
-        )
+        resolver = BatchResolver(snap.hierarchy, snap.assignment, snap.hop_fn)
         if self._delivery is None:
             out = resolver.resolve(src, dst)
             packets = out.packets

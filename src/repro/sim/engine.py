@@ -153,12 +153,10 @@ class Simulator:
             scenario.n, scenario.r_tx,
             max_levels=scenario.max_levels,
             level_mode=scenario.level_mode,
-            clustering=scenario.clustering,
-            maxmin_d=scenario.maxmin_d,
             election_mode=scenario.election_mode,
         )
         self._edge_cache = VerletEdgeCache(scenario.r_tx)
-        self._engine = HandoffEngine(hash_fn=scenario.hash_fn)
+        self._engine = HandoffEngine()
         self._collectors = self._default_collectors(rngs)
         if collectors:
             self._collectors.extend(collectors)

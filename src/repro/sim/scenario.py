@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.servers import hash_stage
 from repro.geometry.region import DiscRegion, disc_for_density
-from repro.mobility import MODEL_REGISTRY
+from repro.mobility import MODEL_REGISTRY, check_model_kwargs
+from repro.mobility.base import check_speed
 from repro.radio.connectivity import radius_for_degree
 
 __all__ = ["Scenario"]
@@ -23,6 +23,9 @@ __all__ = ["Scenario"]
 @dataclass(frozen=True)
 class Scenario:
     """Immutable description of one simulation run.
+
+    Every run clusters with ALCA (Sec. 2.2) and places LM servers with
+    the rendezvous CHLM hash (Sec. 3.2).
 
     Parameters
     ----------
@@ -35,7 +38,8 @@ class Scenario:
         Expected unit-disk degree; sets R_tx = sqrt(d / (pi * density)).
         The paper's reference [2] motivates values around 6-9.
     speed:
-        Node speed mu in m/s (scalar, or (low, high) uniform range).
+        Node speed mu in m/s (positive scalar, or (low, high) uniform
+        range with 0 < low <= high).
     dt:
         Step duration in seconds.  Should be small enough that a node
         moves a fraction of R_tx per step (the adjacent-transition regime
@@ -48,11 +52,7 @@ class Scenario:
         Mobility registry name ("random_waypoint", "random_direction",
         "group", "stationary").
     mobility_kwargs:
-        Extra arguments for the mobility model.
-    clustering:
-        "lca" (paper) or "maxmin" (baseline ablation).
-    maxmin_d:
-        Radius for max-min clustering.
+        Extra arguments for the mobility model's constructor.
     max_levels:
         Cap on hierarchy depth (None: recurse fully, L = Theta(log n)).
     level_mode:
@@ -66,8 +66,6 @@ class Scenario:
         EXP-A1); "persistent" additionally decouples cluster identity
         from the head role — cids survive head handover (the structural
         fix EXPERIMENTS.md identifies; see EXP-A5).
-    hash_fn:
-        CHLM hash ("rendezvous" or "naive").
     hop_mode:
         "bfs" for exact hop metering, "euclidean" for the fast distance
         estimator, "auto" to pick by size.
@@ -116,7 +114,7 @@ class Scenario:
         the cadence for wide sweeps (see docs/PERFORMANCE.md), lower it
         when h/h_k accuracy matters.
     seed:
-        Root seed for all randomness.
+        Root seed for all randomness (a non-negative integer).
     """
 
     n: int = 200
@@ -128,12 +126,9 @@ class Scenario:
     warmup: int = 10
     mobility: str = "random_waypoint"
     mobility_kwargs: dict = field(default_factory=dict)
-    clustering: str = "lca"
-    maxmin_d: int = 2
     level_mode: str = "radio"
     election_mode: str = "memoryless"
     max_levels: int | None = None
-    hash_fn: str = "rendezvous"
     hop_mode: str = "auto"
     failure_rate: float = 0.0
     repair_time: float = 20.0
@@ -146,15 +141,25 @@ class Scenario:
     hop_sample_every: int = 25
     seed: int = 0
 
-    # Numeric fields screened for NaN/inf before any range check runs
+    # Counts, checked to be integers before any range check runs
+    # (``max_levels`` may also be None).
+    _INTEGER_FIELDS = (
+        "n", "steps", "warmup", "max_levels", "retry_attempts",
+        "queries_per_step", "hop_sample_every", "seed",
+    )
+    # Float fields screened for NaN/inf before any range check runs
     # (range checks silently pass on NaN: ``nan < 1`` is False).
     _NUMERIC_FIELDS = (
         "density", "target_degree", "dt", "failure_rate", "repair_time",
-        "loss_rate", "retry_attempts", "retry_timeout", "queries_per_step",
-        "hop_sample_every",
+        "loss_rate", "retry_timeout",
     )
 
     def __post_init__(self):
+        for name in self._INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) and not (
+                    name == "max_levels" and value is None):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         for name in self._NUMERIC_FIELDS:
             value = getattr(self, name)
             if not np.isfinite(value):
@@ -162,17 +167,13 @@ class Scenario:
                     f"{name} must be a finite number, got {value!r} "
                     "(NaN/inf would silently poison every derived metric)"
                 )
-        speeds = (self.speed,) if np.isscalar(self.speed) else tuple(self.speed)
-        if not all(np.isfinite(v) for v in speeds):
-            raise ValueError(
-                f"speed must be finite (scalar or (low, high)), got {self.speed!r}"
-            )
+        check_speed(self.speed)
         if self.n <= 1:
             raise ValueError("need at least two nodes")
         if self.density <= 0:
             raise ValueError("density must be positive")
         if self.target_degree <= 0:
-            raise ValueError("target degree must be positive")
+            raise ValueError("target_degree must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.steps < 1:
@@ -183,20 +184,14 @@ class Scenario:
             )
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.mobility not in MODEL_REGISTRY:
             raise ValueError(
                 f"unknown mobility model {self.mobility!r}; known: "
                 f"{', '.join(sorted(MODEL_REGISTRY))}"
             )
-        if self.clustering not in ("lca", "maxmin"):
-            raise ValueError(
-                f"clustering must be lca or maxmin, got {self.clustering!r}"
-            )
-        if self.clustering == "maxmin" and self.maxmin_d < 1:
-            raise ValueError(
-                f"maxmin_d must be >= 1 under maxmin clustering, got "
-                f"{self.maxmin_d!r}"
-            )
+        check_model_kwargs(self.mobility, self.mobility_kwargs)
         if self.max_levels is not None and self.max_levels < 1:
             raise ValueError(
                 f"max_levels must be >= 1 or None, got {self.max_levels!r} "
@@ -211,9 +206,6 @@ class Scenario:
             raise ValueError(
                 "election_mode must be memoryless, sticky, or persistent"
             )
-        hash_stage(self.hash_fn)  # an unknown name raises here, not mid-run
-        if self.election_mode != "memoryless" and self.clustering != "lca":
-            raise ValueError("stateful elections require lca clustering")
         if self.election_mode == "persistent" and self.level_mode != "radio":
             raise ValueError("persistent clusters require radio level_mode")
         if self.failure_rate < 0:

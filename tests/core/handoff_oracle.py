@@ -20,14 +20,13 @@ from repro.core.handoff import HandoffReport
 class OracleHandoffEngine:
     """Dict-and-loop handoff meter (always the full, non-patched path)."""
 
-    def __init__(self, hash_fn="rendezvous"):
-        self.hash_fn = hash_fn
+    def __init__(self):
         self.prev_h = None
         self.servers = None  # effective {(subject, level): server}
         self.stale = {}
 
     def observe(self, h, hop_fn, delivery=None, now=0.0):
-        intent = dict(full_assignment(h, self.hash_fn).servers)
+        intent = dict(full_assignment(h).servers)
         if self.prev_h is None:
             self.prev_h, self.servers = h, intent
             return HandoffReport(

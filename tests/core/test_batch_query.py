@@ -48,11 +48,10 @@ def random_pairs(n, q, seed):
     return src.astype(np.int64), dst.astype(np.int64)
 
 
-def assert_batch_matches_scalar(h, assignment, src, dst, hop_fn, hash_fn="rendezvous"):
-    out = resolve_batch(h, assignment, src, dst, hop_fn, hash_fn=hash_fn)
+def assert_batch_matches_scalar(h, assignment, src, dst, hop_fn):
+    out = resolve_batch(h, assignment, src, dst, hop_fn)
     for i in range(len(out)):
-        ref = resolve(h, assignment, int(src[i]), int(dst[i]), hop_fn,
-                      hash_fn=hash_fn)
+        ref = resolve(h, assignment, int(src[i]), int(dst[i]), hop_fn)
         assert out.result(i) == ref, (i, int(src[i]), int(dst[i]))
     return out
 
@@ -134,17 +133,6 @@ class TestLosslessEquivalence:
             assert_batch_matches_scalar(
                 h, chained, src, dst, EuclideanHops(pts, R_TX))
 
-    def test_naive_hash_fallback(self):
-        """The naive hash climbs through the same vectorized probes (its
-        Eq. (5) stage) — same API, the scalar oracle's exact results."""
-        h, pts, _ = deployment(80, 2)
-        assignment = full_assignment(h, "naive")
-        src, dst = random_pairs(80, 80, 3)
-        out = assert_batch_matches_scalar(
-            h, assignment, src, dst, EuclideanHops(pts, R_TX),
-            hash_fn="naive")
-        assert out.hits.all()
-
     def test_resolver_reuse_and_validation(self):
         h, pts, _ = deployment(60, 1)
         resolver = BatchResolver(h, full_assignment(h), EuclideanHops(pts, R_TX))
@@ -220,57 +208,6 @@ class TestLossyPlans:
             assert hit_level == out.hit_level[i]
             assert server == out.server[i]
             assert probes == out.probes[i]
-
-
-class TestNaiveHash:
-    """``resolve_batch`` and ``plans(...).walk`` under the naive hash vs
-    the scalar oracle: memoryless and persistent (cluster IDs >= 10^7,
-    past the 2^20 modulus) hierarchies, a capped top level, and a stale
-    assignment."""
-
-    @staticmethod
-    def _assert_matches_scalar(h, assignment, pts, seed):
-        hop_fn = EuclideanHops(pts, R_TX)
-        n = h.levels[0].node_ids.size
-        src, dst = random_pairs(n, 120, seed)
-        out = assert_batch_matches_scalar(h, assignment, src, dst, hop_fn,
-                                          hash_fn="naive")
-        plans = BatchResolver(h, assignment, hop_fn, "naive").plans(src, dst)
-        for i in range(len(plans)):
-            walked = plans.walk(i, lossy_delivery(seed + i))
-            ref = resolve(h, assignment, int(src[i]), int(dst[i]), hop_fn,
-                          hash_fn="naive",
-                          delivery=lossy_delivery(seed + i))
-            assert walked == (ref.packets, ref.hit_level,
-                              -1 if ref.server is None else ref.server,
-                              ref.probes)
-        return out
-
-    @pytest.mark.parametrize("seed,max_levels", [(0, None), (1, 3), (6, 2)])
-    def test_memoryless(self, seed, max_levels):
-        h, pts, _ = deployment(150, seed, max_levels=max_levels)
-        out = self._assert_matches_scalar(h, full_assignment(h, "naive"), pts, seed)
-        assert out.hits.all()
-
-    def test_persistent(self):
-        from repro.hierarchy.persistent import PersistentHierarchyMaintainer
-
-        rng = np.random.default_rng(8)
-        pts = disc_for_density(120, DENSITY).sample(120, rng)
-        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=R_TX)
-        for step in range(3):
-            h = maintainer.update(np.arange(120), unit_disk_edges(pts, R_TX),
-                                  positions=pts)
-            assert int(h.levels[1].node_ids.min()) >= 10**7
-            self._assert_matches_scalar(h, full_assignment(h, "naive"), pts, step)
-            pts = pts + rng.normal(scale=0.7, size=pts.shape)
-
-    def test_stale_assignment(self):
-        h_old, _, _ = deployment(120, 4)
-        stale = full_assignment(h_old, "naive")
-        h_new, pts, _ = deployment(120, 4, drift_steps=3)
-        out = self._assert_matches_scalar(h_new, stale, pts, 11)
-        assert not out.hits.all()
 
 
 class TestBatchHops:

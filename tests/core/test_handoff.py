@@ -87,12 +87,6 @@ class TestHandoffEngine:
             rep = eng.observe(h, unit_hops)
             assert rep.total_handoff_packets == rep.phi_packets + rep.gamma_packets
 
-    def test_naive_hash_engine(self, mobile_run):
-        eng = HandoffEngine(hash_fn="naive")
-        for h in mobile_run[:3]:
-            eng.observe(h, unit_hops)
-        assert eng.assignment is not None
-
 
 class TestStationaryControl:
     def test_static_network_zero_overhead(self):

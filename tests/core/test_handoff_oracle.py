@@ -61,12 +61,12 @@ def channel(seed, rate, attempts):
                           rng=np.random.default_rng(seed))
 
 
-def assert_tracks_oracle(snaps, with_delta, hops=euclidean,
-                         hash_fn="rendezvous", loss_rates=None, attempts=1):
+def assert_tracks_oracle(snaps, with_delta, hops=euclidean, loss_rates=None,
+                         attempts=1):
     """Step both meters through ``snaps``; ``loss_rates[i]`` is the
     channel's per-hop loss during step i (None = no channel at all)."""
-    eng = HandoffEngine(hash_fn=hash_fn)
-    ref = OracleHandoffEngine(hash_fn=hash_fn)
+    eng = HandoffEngine()
+    ref = OracleHandoffEngine()
     lossy = loss_rates is not None
     d_eng = channel(5, 0.0, attempts) if lossy else None
     d_ref = channel(5, 0.0, attempts) if lossy else None
@@ -119,13 +119,6 @@ def test_plain_callable_hop_fn(with_delta):
     snaps = [snapshot(p) for p in drifting_points(4, 4)]
     moved, _, _ = assert_tracks_oracle(snaps, with_delta, hops=plain_callable)
     assert moved > 0
-
-
-@PLANES
-def test_naive_hash(with_delta):
-    snaps = [snapshot(p) for p in drifting_points(5, 4)]
-    assert_tracks_oracle(snaps, with_delta, hash_fn="naive",
-                         loss_rates=[0.2] * 4)
 
 
 @PLANES

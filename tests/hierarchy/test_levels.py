@@ -280,19 +280,6 @@ class TestBuildHierarchy:
         with pytest.raises(KeyError):
             h.address(99)
 
-    def test_maxmin_algorithm(self):
-        rng = np.random.default_rng(5)
-        pts = DiscRegion(8.0).sample(100, rng)
-        edges = unit_disk_edges(pts, 2.0)
-        h = build_hierarchy(np.arange(100), edges, algorithm="maxmin", maxmin_d=2)
-        assert h.num_levels >= 1
-        sizes = h.level_sizes()
-        assert all(a > b for a, b in zip(sizes, sizes[1:]))
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            build_hierarchy([1, 2], [[1, 2]], algorithm="kmeans")
-
     def test_disconnected_components(self):
         h = build_hierarchy([1, 2, 10, 11], [[1, 2], [10, 11]])
         assert h.cluster_of(1, 1) == 2

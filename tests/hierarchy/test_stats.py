@@ -158,8 +158,7 @@ class TestHopCounts:
         assert got[0] > 1 and any(v > 0 for v in got[1].values())
         assert len(sweeps) == (3 if side == "sweep" else 0)
 
-    @pytest.mark.parametrize("kind", ["memoryless", "sticky", "persistent",
-                                      "maxmin"])
+    @pytest.mark.parametrize("kind", ["memoryless", "sticky", "persistent"])
     def test_level_ids_are_the_ancestry_heads(self, kind):
         """The sampler reads a level's clusters off its node IDs instead
         of sorting n ancestors: the two must be the same array."""
@@ -175,7 +174,7 @@ class TestHopCounts:
 def _rebuilt(kind, g, max_levels, seed, degree, density=0.02):
     """The hierarchy of ``make``'s deployment built by another elector:
     two updates of a maintainer (a second election over a jittered
-    deployment, so sticky and persistent state is exercised) or max-min."""
+    deployment, so sticky and persistent state is exercised)."""
     from repro.hierarchy.maintain import HierarchyMaintainer
     from repro.hierarchy.persistent import PersistentHierarchyMaintainer
 
@@ -186,9 +185,6 @@ def _rebuilt(kind, g, max_levels, seed, degree, density=0.02):
     if kind == "memoryless":
         return build_hierarchy(np.arange(n), unit_disk_edges(pts, r0),
                                max_levels=max_levels)
-    if kind == "maxmin":
-        return build_hierarchy(np.arange(n), unit_disk_edges(pts, r0),
-                               max_levels=max_levels, algorithm="maxmin")
     maintainer = (PersistentHierarchyMaintainer if kind == "persistent"
                   else HierarchyMaintainer)(max_levels=max_levels, r0=r0)
     for _ in range(2):

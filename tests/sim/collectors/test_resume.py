@@ -159,10 +159,10 @@ class TestStaleCheckpointRejection:
     def _assert_refused_as_stale(path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 12
+        assert CHECKPOINT_SCHEMA == 13
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 12" in str(err.value)
+        assert f"checkpoint schema {schema} != 13" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -192,25 +192,31 @@ class TestStaleCheckpointRejection:
         8 keeps one level-stacked tracker; refused the same way."""
         self._assert_schema_refused(tmp_path, 7)
 
-    @pytest.mark.parametrize("schema", [8, 9, 10, 11])
+    @pytest.mark.parametrize("schema", [8, 9, 10, 11, 12])
     def test_schema_8_9_checkpoint_refused(self, tmp_path, schema):
         """Schema 8 pickled the event plane's per-level patched elections
         where schema 9 keeps the from-scratch stepper on both planes.
         Both pickled a checkpoint ``hop_sample_every`` field and a
         scenario with seven fields schema 10 turned into constants.  The
         first three pickled the ``incremental_hierarchy`` field schema 11
-        deleted, with ``edge_cache`` None when it was off.  All four
-        pickled the eight service front-end fields schema 12 deleted.
-        A file of that shape still unpickles, and is refused the same
-        way."""
+        deleted, with ``edge_cache`` None when it was off.  The first
+        four pickled the eight service front-end fields schema 12
+        deleted.  All five pickled the ``clustering``, ``maxmin_d`` and
+        ``hash_fn`` fields schema 13 deleted, and the engine's
+        ``hash_fn``.  A file of that shape still unpickles, and is
+        refused the same way."""
         path = self._write_checkpoint(tmp_path, schema=schema)
         with path.open("rb") as fh:
             ck = pickle.load(fh)
         ck.scenario.__dict__.update(
-            arrival_rate=0.0, arrival_process="poisson", admission_rate=0.0,
-            service_workers=4, service_queue_capacity=512,
-            service_hop_time=0.002, service_update_fraction=0.2,
-            service_scheme="chlm")
+            clustering="lca", maxmin_d=2, hash_fn="rendezvous")
+        ck.engine.__dict__["hash_fn"] = "rendezvous"
+        if schema < 12:
+            ck.scenario.__dict__.update(
+                arrival_rate=0.0, arrival_process="poisson",
+                admission_rate=0.0, service_workers=4,
+                service_queue_capacity=512, service_hop_time=0.002,
+                service_update_fraction=0.2, service_scheme="chlm")
         if schema < 11:
             ck.edge_cache = None
             ck.scenario.__dict__["incremental_hierarchy"] = False

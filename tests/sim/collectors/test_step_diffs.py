@@ -124,7 +124,6 @@ MODES = {
     "memoryless": dict(),
     "sticky": dict(election_mode="sticky"),
     "persistent": dict(election_mode="persistent"),
-    "maxmin": dict(clustering="maxmin", maxmin_d=2),
 }
 # Persistent clusters exist under the radio link model only.
 CASES = [

@@ -84,16 +84,6 @@ class TestModesAndVariants:
         res = run_scenario(sc)
         assert res.handoff_rate > 0
 
-    def test_maxmin_clustering(self):
-        sc = Scenario(n=80, steps=8, warmup=2, speed=3.0, clustering="maxmin", seed=6)
-        res = run_scenario(sc)
-        assert res.level_series.mean_size(1) < 80
-
-    def test_naive_hash(self):
-        sc = Scenario(n=80, steps=8, warmup=2, speed=3.0, hash_fn="naive", seed=7)
-        res = run_scenario(sc)
-        assert res.handoff_rate >= 0
-
     def test_max_levels_cap(self):
         sc = Scenario(n=100, steps=6, warmup=2, speed=3.0, max_levels=2, seed=8)
         res = run_scenario(sc)

@@ -1,6 +1,6 @@
 """Exact goldens for the paths that have no second implementation.
 
-Sticky, persistent, contraction and max-min runs are otherwise compared
+Sticky, persistent and contraction runs are otherwise compared
 only against the stepping oracle (both sides move together under a
 refactor), and ``TestGoldenDeterminism`` pins one memoryless scenario to
 a few percent.  Each row here is the sha256 of the shared fingerprint
@@ -41,6 +41,9 @@ snapshots only, so level 3 no longer diffs step 8's election against
 step 6's: its transition histogram ``{0: 1, 1: 2}`` -> ``{0: 1, 1: 1}``;
 digest ``96786434...7c2fd9bf`` -> ``51285ee8...3c876252``.  Every other
 field of that row, and every other row, is unchanged.
+
+The two max-min rows (``maxmin-d2-radio``, ``maxmin-d3-contraction``)
+were deleted with max-min clustering itself; every other digest stayed.
 """
 
 import pytest
@@ -74,13 +77,6 @@ GOLDEN = {
     "sticky-contraction": (
         dict(seed=2, election_mode="sticky", level_mode="contraction"),
         "8c1e32b30dc9eaad4370649b09563b15644ed2dd31f531d62acd6893cc1b1cd2"),
-    "maxmin-d2-radio": (
-        dict(seed=4, clustering="maxmin", maxmin_d=2),
-        "0da5e9f9237998e7d5cc85f8fa6821ae6ec09f41e9017511de1e5eb36317bf29"),
-    "maxmin-d3-contraction": (
-        dict(seed=6, clustering="maxmin", maxmin_d=3,
-             level_mode="contraction"),
-        "407c3b05c06861d4e697bf554e722b7576005cc4f28a49ddd7fe22b5529f9440"),
     "lossy-chaos": (
         dict(n=90, steps=12, warmup=3, seed=7, loss_rate=0.08,
              retry_attempts=3, queries_per_step=3,

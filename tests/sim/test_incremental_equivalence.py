@@ -7,8 +7,8 @@ every step (:func:`~tests.sim.stepping_oracle.force_patch`), must produce
 **the same numbers** as the oracle that steps with plain k-d edges and a
 full reassignment (:class:`~tests.sim.stepping_oracle.OracleSimulator`)
 — every series, every per-level breakdown, every (i)-(vii) event count —
-across plain, lossy, chaos, stateful-election, contraction, max-min and
-naive-hash regimes, and through a checkpoint/resume cycle.  No
+across plain, lossy, chaos, stateful-election and contraction regimes,
+and through a checkpoint/resume cycle.  No
 tolerance, no "statistically close": bit-identical.
 
 The patch-or-full rule itself (:func:`~repro.core.servers.patch_pays`)
@@ -83,33 +83,6 @@ class TestRegimeMatrix:
         off, on = pair(Scenario(n=80, steps=8, warmup=2, seed=13,
                                  max_levels=3, level_mode="contraction"))
         assert fingerprint(off) == fingerprint(on)
-
-    @pytest.mark.parametrize("fields", [
-        dict(seed=4, maxmin_d=2),
-        dict(seed=6, maxmin_d=3, level_mode="contraction"),
-        dict(n=90, steps=12, warmup=3, seed=7,
-             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",)),
-    ], ids=["d2-radio", "d3-contraction", "crash"])
-    def test_maxmin_clustering(self, pair, fields):
-        """Max-min clustering behind the Verlet edges: the snapshots'
-        delta feeds the dirty-chain patch as for every other election."""
-        off, on = pair(Scenario(**{
-            **dict(n=80, steps=8, warmup=2, max_levels=3,
-                   clustering="maxmin"), **fields}))
-        assert fingerprint(off) == fingerprint(on)
-
-    @pytest.mark.parametrize("fields", [
-        dict(n=80, steps=8, warmup=2, seed=3),
-        dict(n=100, steps=12, warmup=3, seed=11, loss_rate=0.08,
-             retry_attempts=3, queries_per_step=4),
-    ], ids=["lossless", "lossy-with-queries"])
-    def test_naive_hash(self, pair, fields):
-        """A hash that keeps no descent chains is recomputed in full
-        even on a step that carries a delta."""
-        off, on = pair(Scenario(max_levels=3, hash_fn="naive", **fields))
-        assert fingerprint(off) == fingerprint(on)
-        if off.queries is not None:
-            assert off.queries.success_series == on.queries.success_series
 
 
 class TestResume:

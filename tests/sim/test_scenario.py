@@ -14,6 +14,8 @@ DELETED_FIELDS = {
     "arrival_rate", "arrival_process", "admission_rate", "service_workers",
     "service_queue_capacity", "service_hop_time", "service_update_fraction",
     "service_scheme",
+    # One clustering algorithm (ALCA) and one run-path hash (rendezvous).
+    "clustering", "maxmin_d", "hash_fn",
 }
 
 
@@ -32,15 +34,37 @@ class TestValidation:
             {"level_mode": "wormhole"},
             {"election_mode": "hereditary"},
             {"mobility": "teleport"},
-            {"clustering": "kmeans"},
-            {"clustering": "maxmin", "maxmin_d": 0},
+            {"seed": -1},
+            {"speed": -1.0},
             {"max_levels": 0},  # would build and meter phi = gamma = 0
             {"max_levels": -2},
+            {"speed": 0.0},
+            {"speed": (5.0, 1.0)},
+            {"speed": (1.0, 2.0, 3.0)},  # the third value was dropped
+            {"mobility_kwargs": {"bogus": 1}},
+            {"mobility": "stationary", "mobility_kwargs": {"pause": 1.0}},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            Scenario(**kwargs)
+        """Each fails at construction with a message naming the field,
+        not inside the mobility model or mid-run."""
+        field = list(kwargs)[-1]
+        with pytest.raises(ValueError, match=field):
+            Scenario(**{"n": 60, "steps": 2, "warmup": 1, **kwargs})
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", 100.5), ("steps", 2.5), ("warmup", 1.5), ("seed", 1.5),
+        ("queries_per_step", 1.5), ("max_levels", 2.5),
+        ("hop_sample_every", 2.5), ("retry_attempts", 2.5), ("n", "100"),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            Scenario(**{"n": 60, "steps": 2, "warmup": 1, field: value})
+
+    def test_numpy_integers_accepted(self):
+        sc = Scenario(n=np.int64(60), steps=np.int32(2), seed=np.uint8(3),
+                      max_levels=np.int64(2))
+        assert sc.n == 60 and sc.seed == 3
 
     def test_defaults_valid(self):
         sc = Scenario()
@@ -67,11 +91,12 @@ class TestValidation:
         """The seven fields no caller set to anything but their default
         are constants of the code that reads them, the control-plane
         switch is gone (the simulator picks its plan per step), and so
-        are the eight service front-end fields; 26 fields remain."""
+        are the eight service front-end fields and the clustering and
+        hash choices; 23 fields remain."""
         names = {f.name for f in dataclasses.fields(Scenario)}
         assert not names & DELETED_FIELDS
         assert "incremental_hierarchy" not in names
-        assert len(names) == 26
+        assert len(names) == 23
         for field in DELETED_FIELDS:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 Scenario(**{field: 1.0})
@@ -102,14 +127,6 @@ class TestValidation:
     def test_rejects_bad_fault_fields(self, kwargs):
         with pytest.raises(ValueError):
             Scenario(**kwargs)
-
-    def test_unknown_hash_rejected_at_construction(self):
-        """The name is checked when the scenario is built, with the same
-        message the assignment raises, not at the run's first step."""
-        with pytest.raises(ValueError,
-                           match="unknown hash 'md5'; known: naive, rendezvous"):
-            Scenario(n=50, steps=2, hash_fn="md5")
-        assert Scenario(n=50, steps=2, hash_fn="naive").hash_fn == "naive"
 
     def test_loss_rate_message_is_actionable(self):
         with pytest.raises(ValueError, match=r"loss_rate.*\[0, 1\)"):

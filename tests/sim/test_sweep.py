@@ -244,14 +244,14 @@ class TestScenarioKey:
         payload re-shaped, ``CODE_VERSION`` bumped — means every cache
         written before it misses.  Re-pin only when that is intended."""
         assert scenario_key(Scenario()) == (
-            "68b3bdc6f002a07133b630c0b93a2ff2"
-            "526adff617eb979a16428b6adeab2245")
+            "451e798151cd2920eaba43d70855f919"
+            "0b7d456635075413a7ec82d6b48385af")
         busy = Scenario(
             n=np.int64(120), speed=(1.0, 3.0), seed=5,
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
         assert scenario_key(busy) == (
-            "b218b0756166319a42606542f75b2bc5"
-            "da2cfe957b008413766174ca2e8ab033")
+            "ce6bd9bd8115a7aeb8267c191e5049fc"
+            "87c4413c9c7184bdc30198c7e94e7fbd")
 
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis

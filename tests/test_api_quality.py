@@ -110,6 +110,29 @@ class TestExports:
         assert not hasattr(repro.sim, "parallel_map")
         assert "parallel_map" not in repro.sim.__all__
 
+    def test_one_clustering_algorithm(self):
+        """Every hierarchy is elected with ALCA: max-min clustering and
+        the parameters that chose it are gone."""
+        import repro.clustering
+        from repro.hierarchy import build_hierarchy
+        from repro.hierarchy.stepper import hierarchy_stepper
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.clustering.maxmin")
+        assert not hasattr(repro.clustering, "maxmin_cluster")
+        assert "maxmin_cluster" not in repro.clustering.__all__
+        for fn in (build_hierarchy, hierarchy_stepper):
+            params = inspect.signature(fn).parameters
+            assert not {"algorithm", "clustering", "maxmin_d"} & set(params), fn
+
+    def test_one_run_path_hash(self):
+        """The handoff meter and the query resolvers hash with rendezvous
+        only; the naive hash is reached through ``full_assignment``."""
+        from repro.core import BatchResolver, HandoffEngine, resolve_batch
+
+        for fn in (HandoffEngine, BatchResolver, resolve_batch):
+            assert "hash_fn" not in inspect.signature(fn).parameters, fn
+
 
 class TestLayering:
     def test_analysis_does_not_import_the_simulator(self):

@@ -16,10 +16,9 @@ from repro.sim.rng import spawn_rngs
 N = 150
 
 
-def scenario(mobility="random_waypoint", speed=1.0, steps=6, seed=0,
-             hash_fn="rendezvous"):
+def scenario(mobility="random_waypoint", speed=1.0, steps=6, seed=0):
     return Scenario(n=N, speed=speed, steps=steps, warmup=2, seed=seed,
-                    mobility=mobility, max_levels=3, hash_fn=hash_fn,
+                    mobility=mobility, max_levels=3,
                     hop_mode="euclidean", hop_sample_every=10_000)
 
 
@@ -98,15 +97,11 @@ class TestSessions:
             checked += 1
         assert checked > 20
 
-    @pytest.mark.parametrize("hash_fn", ["rendezvous", "naive"])
-    def test_fresh_database_resolves_every_session(self, hash_fn):
+    def test_fresh_database_resolves_every_session(self):
         """With zero mobility the lagged database equals the current one,
-        so every session resolves, at the global level at the latest —
-        provided queries probe with the hash the servers were placed
-        with: rendezvous probes against naive placements resolve only
-        the pairs sharing a level-1 cluster."""
-        c, _ = run_sessions(scenario(mobility="stationary", steps=10,
-                                     hash_fn=hash_fn), per_step=20)
+        so every session resolves, at the global level at the latest."""
+        c, _ = run_sessions(scenario(mobility="stationary", steps=10),
+                            per_step=20)
         assert len(c.sessions) > 150
         assert all(s.resolved and not s.stale_address for s in c.sessions)
 

@@ -86,6 +86,32 @@ class TestCommands:
         assert "cluster" in out
 
 
+class TestBadScenarioValues:
+    """A value the preset, the depth rule, the chaos parser or
+    ``Scenario`` rejects is one ``<command>: <message>`` line on stderr
+    and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv,match", [
+        (["simulate", "--density", "0"], "density"),
+        (["simulate", "--speed", "-1"], "speed"),
+        (["simulate", "--preset", "nope"], "unknown preset 'nope'"),
+        (["simulate", "--chaos", "bogus"], "episode kind 'bogus'"),
+        (["simulate", "--n", "1"], "n >= 2"),
+        (["sweep", "--density", "0"], "density"),
+        (["sweep", "--speed", "-1"], "speed"),
+        (["profile", "--speed", "0"], "speed"),
+    ], ids=["simulate-density", "simulate-speed", "simulate-preset",
+            "simulate-chaos", "simulate-n", "sweep-density", "sweep-speed",
+            "profile-speed"])
+    def test_one_line_and_exit_2(self, capsys, argv, match):
+        extra = ["--ns", "60", "--seeds", "0", "--no-cache", "--quiet"]
+        assert main(argv + (extra if argv[0] != "simulate" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"{argv[0]}: ") and match in line
+
+
 class TestSweepCommand:
     def test_sweep_runs_and_caches(self, tmp_path, capsys):
         args = ["sweep", "--ns", "60,90", "--seeds", "0", "--steps", "4",

@@ -35,6 +35,18 @@ class TestResolveSpeeds:
         with pytest.raises(ValueError):
             resolve_speeds((3.0, 1.0), 5, rng)
 
+    @pytest.mark.parametrize("speed", [(1.0, 2.0, 3.0), -1.0, float("nan")])
+    def test_one_rule_with_scenario(self, speed):
+        """``Scenario`` applies this same check at construction: a third
+        value is an error, not silently dropped."""
+        from repro.sim import Scenario
+
+        with pytest.raises(ValueError, match="speed") as direct:
+            resolve_speeds(speed, 5, np.random.default_rng(0))
+        with pytest.raises(ValueError) as built:
+            Scenario(speed=speed)
+        assert str(direct.value) == str(built.value)
+
 
 class TestHopProviders:
     def test_euclidean_validation(self):
