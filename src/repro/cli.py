@@ -43,6 +43,16 @@ _SCENARIO_FLAGS = {
 }
 
 
+class _Typed(argparse.Action):
+    """argparse's ``store`` that also notes the flag's dest in
+    ``namespace.typed``, so a preset yields only to flags typed on the
+    command line, never to a default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.typed = getattr(namespace, "typed", frozenset()) | {self.dest}
+
+
 def _add_run_args(p, *, steps: int, warmup: int, hops: str) -> None:
     """Run length and deployment flags (simulate/sweep/profile);
     the keyword arguments are the subcommand's own defaults."""
@@ -103,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated seeds (default 0,1)")
 
     p_sim = sub.add_parser("simulate", help="run one scenario and print metrics")
+    p_sim.register("action", None, _Typed)  # the action of a plain flag
     p_sim.add_argument("--preset", default=None,
                        help="start from a named preset (see repro.sim.PRESETS)")
     p_sim.add_argument("--n", type=int, default=200)
@@ -273,17 +284,17 @@ def _scenario_from_args(args, **fields):
     rejects is printed as one ``<command>: <message>`` line on stderr
     and None is returned; the caller exits 2."""
     from repro.analysis import levels_for
-    from repro.sim import Scenario, make_scenario
+    from repro.sim import PRESETS, Scenario, make_scenario
 
     given = vars(args)
-    kwargs = {field: given[flag] for flag, field in _SCENARIO_FLAGS.items()
-              if flag in given}
-    kwargs.update(fields)
     preset = given.get("preset")
-    if preset:
-        # Preset supplies the regime; sizing/run-control flags override.
-        for key in ("speed", "dt", "density", "mobility"):
-            kwargs.pop(key, None)
+    # A preset sets its regime; one of its values yields to a flag only
+    # when that flag was typed.
+    regime = PRESETS.get(preset, {})
+    typed = given.get("typed", frozenset())
+    kwargs = {field: given[flag] for flag, field in _SCENARIO_FLAGS.items()
+              if flag in given and (field not in regime or flag in typed)}
+    kwargs.update(fields)
     try:
         if "levels" in given:
             kwargs["max_levels"] = (levels_for(args.n) if args.levels is None
@@ -299,7 +310,8 @@ def _scenario_from_args(args, **fields):
 def _cmd_simulate(args) -> int:
     from repro.sim import Simulator
 
-    sc = _scenario_from_args(args, chaos=tuple(args.chaos or ()))
+    chaos = {"chaos": tuple(args.chaos)} if args.chaos else {}
+    sc = _scenario_from_args(args, **chaos)
     if sc is None:
         return 2
     if args.checkpoint_every is not None and not args.checkpoint:

@@ -187,7 +187,7 @@ class BatchProbePlans:
             if delivery is None:
                 packets += rt
             else:
-                out = delivery.send(rt, level=int(self.levels[j]))
+                out = delivery.send(rt)
                 packets += out.packets
                 if not out.delivered:
                     continue

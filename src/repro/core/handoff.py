@@ -304,7 +304,7 @@ class HandoffEngine:
                 if delivery is None:
                     continue
                 moved_rows, moved_from, charge, _ = moves[level]
-                out = delivery.send(int(charge[i]), level=level)
+                out = delivery.send(int(charge[i]))
                 retransmitted += out.retransmitted
                 charge[i] = out.packets  # what the channel actually cost
                 if out.delivered:
@@ -378,7 +378,7 @@ class HandoffEngine:
                 level_of = np.repeat(reg_levels, np.diff([*first, hops.size]))
                 registration_packets = dict.fromkeys(reg_levels.tolist(), 0)
                 for level, hop_count in zip(level_of.tolist(), hops.tolist()):
-                    out = delivery.send(hop_count, level=level)
+                    out = delivery.send(hop_count)
                     retransmitted += out.retransmitted
                     abandoned_regs += not out.delivered
                     registration_packets[level] += out.packets

@@ -9,13 +9,12 @@ reorganization handoff the paper's taxonomy describes; the experiment
 measures how fast the excluded effect grows with the failure rate, and
 at what rate it starts to rival mobility-induced handoff.
 
-The crash model behind ``failure_rate`` is now served by the chaos
-engine (``repro.faults.chaos``): the scenario field expands to a
-whole-run ``CrashEpisode`` on the historical ``"failures"`` RNG
-stream, so this experiment's numbers are unchanged — they are frozen
-bit-for-bit in ``tests/sim/test_chaos_equivalence.py``.  EXP-A11
-generalizes the model to scheduled episodes, partitions, and loss
-bursts with invariant checking and recovery SLOs.
+Each failing run schedules one whole-run ``CrashEpisode(rate=...,
+repair_time=15)`` in ``Scenario.chaos``; its draws come from the
+``"chaos"`` RNG stream.  The last column is measured: the mean number
+of nodes down per metered step, from the chaos report's
+``down_series``.  EXP-A11 generalizes the model to scheduled episodes,
+partitions, and loss bursts with invariant checking and recovery SLOs.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import numpy as np
 
 from repro.analysis import levels_for
 from repro.experiments.common import ExperimentResult
+from repro.faults import CrashEpisode
 from repro.sim import Scenario, run_scenario
 
 __all__ = ["run"]
@@ -40,22 +40,24 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         exp_id="EXP-A3",
         title="Extension: handoff under node failure (the paper's excluded factor)",
         columns=["failure rate (1/s)", "phi", "gamma", "total",
-                 "vs control", "mean crashes/step"],
+                 "vs control", "mean nodes down/step"],
     )
     control = None
     for rate in rates:
-        phis, gammas, crash_counts = [], [], []
+        chaos = (CrashEpisode(rate=rate, repair_time=15.0),) if rate else ()
+        phis, gammas, downs = [], [], []
         for seed in seeds:
             sc = Scenario(
                 n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
                 hop_mode="euclidean", max_levels=levels_for(n),
-                failure_rate=rate, repair_time=15.0,
-                hop_sample_every=10_000,
+                chaos=chaos, hop_sample_every=10_000,
             )
             res = run_scenario(sc)
             phis.append(res.phi)
             gammas.append(res.gamma)
-            crash_counts.append(rate * n)  # expected crashes per second
+            # The control run schedules no episode, so has no report.
+            report = res.extras.get("chaos")
+            downs.append(np.mean(report.down_series) if report else 0.0)
         phi = float(np.mean(phis))
         gamma = float(np.mean(gammas))
         total = phi + gamma
@@ -64,17 +66,18 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         result.add_row(
             rate, round(phi, 3), round(gamma, 3), round(total, 3),
             f"{total / max(control, 1e-9):.2f}x",
-            round(float(np.mean(crash_counts)), 2),
+            round(float(np.mean(downs)), 1),
         )
     result.add_note(
-        "Finding: at realistic rates, failures *reduce* the per-node "
-        "handoff rate.  A crash does cost a burst of forced "
-        "elections/rejections, but a crashed node then sits frozen for "
-        "the whole repair window, contributing zero churn — and the "
-        "frozen fraction (rate * repair_time) outweighs the bursts until "
-        "crash rates approach the link-churn rate.  The paper's exclusion "
-        "of birth/death is therefore *conservative*: adding rare failures "
-        "cannot break the Theta(log^2 n) bound."
+        "Finding: failures reduce phi.  A crashed node sits frozen for "
+        "the whole repair window, contributing zero mobility churn, so "
+        "phi falls as the frozen fraction (the nodes-down column over n) "
+        "grows.  gamma absorbs each crash's burst of forced "
+        "elections/rejections and moves a few percent either way, so the "
+        "total stays below the control or within a few percent of it, "
+        "and is not monotone in the rate over two seeds.  The paper's "
+        "exclusion of birth/death is therefore *conservative*: adding "
+        "rare failures does not break the Theta(log^2 n) bound."
     )
     return result
 

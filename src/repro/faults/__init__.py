@@ -3,10 +3,10 @@
 The paper's Theta(log^2 |V|) handoff bound assumes every LM control
 packet is delivered.  This package drops that assumption:
 
-* :class:`LossModel` — seeded Bernoulli per-hop loss (route length and,
-  optionally, hierarchy level grade the effective channel),
-* :class:`RetryPolicy` — bounded retransmission with exponential
-  backoff, jitter, and a per-message timeout,
+* :class:`LossModel` — seeded Bernoulli per-hop loss (route length
+  grades the effective channel),
+* :class:`RetryPolicy` — bounded retransmission on a fixed
+  exponential-backoff schedule with jitter, and a per-message timeout,
 * :class:`DeliveryEngine` — attempt-level accounting (delivered /
   retransmitted / abandoned packets) replacing the lossless
   ``charge = hops`` rule,
@@ -15,10 +15,11 @@ packet is delivered.  This package drops that assumption:
 
 The chaos layer builds on that plane:
 
-* :mod:`repro.faults.chaos` — a declarative, seed-deterministic
-  :class:`FaultSchedule` of timed episodes (crash/recover, targeted
-  clusterhead kills, geographic partitions, burst-loss windows) and the
-  :class:`ChaosEngine` that injects them into the simulator pipeline,
+* :mod:`repro.faults.chaos` — seed-deterministic timed episodes
+  (crash/recover, targeted clusterhead kills, geographic partitions,
+  burst-loss windows), given as the tuple ``Scenario.chaos`` — the one
+  way to inject faults — and the :class:`ChaosEngine` that injects
+  them into the simulator pipeline,
 * :mod:`repro.faults.invariants` — per-step hierarchy invariant
   checking (:func:`check_invariants`), feeding the recovery-SLO layer
   (:class:`repro.sim.collectors.ChaosCollector`).
@@ -33,7 +34,6 @@ schedule is bit-identical to a chaos-free run
 from repro.faults.chaos import (
     ChaosEngine,
     CrashEpisode,
-    FaultSchedule,
     LossBurstEpisode,
     PartitionEpisode,
     parse_episode,
@@ -53,7 +53,6 @@ __all__ = [
     "CrashEpisode",
     "Delivery",
     "DeliveryEngine",
-    "FaultSchedule",
     "FaultStats",
     "InvariantReport",
     "InvariantViolationError",

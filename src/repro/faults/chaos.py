@@ -1,9 +1,8 @@
 """Deterministic chaos engine: scheduled fault episodes.
 
 The paper excludes node birth/death ("assumed here to be extremely
-rare") and never models partitions; EXP-A3 poked at crashes with inline
-logic.  This module makes fault injection a first-class, *declarative*
-layer: a :class:`FaultSchedule` of timed episodes —
+rare") and never models partitions.  This module is the one way to
+inject faults: ``Scenario.chaos`` holds a tuple of timed episodes —
 
 * :class:`CrashEpisode` — Poisson crash/recover, scripted node kills,
   or targeted clusterhead kills, each with its own repair time;
@@ -14,18 +13,15 @@ layer: a :class:`FaultSchedule` of timed episodes —
   channel's per-hop loss rate is ramped on top of the scenario's base
   :class:`~repro.faults.loss.LossModel`.
 
-All randomness is drawn from a dedicated ``"chaos"`` RNG stream
-(appended after the existing streams, so schedules leave every other
-stream untouched: an *empty* schedule is bit-identical to the
-pre-chaos engine).  The legacy ``Scenario.failure_rate`` crash model is
-expressed as a whole-run :class:`CrashEpisode` with
-``stream="failures"``, which replays the historical draw order exactly
-(EXP-A3 numbers are preserved; see ``tests/sim/test_chaos_equivalence``).
+All randomness is drawn from the dedicated ``"chaos"`` RNG stream
+(spawned after the other streams, so episodes leave every other stream
+untouched: an *empty* schedule is bit-identical to the pre-chaos
+engine).
 
 Episode timing convention: an episode is *active* during simulated time
 ``start <= t < start + duration``, where ``t`` is the chaos clock
-*after* the step's advance — the same "clock first, then sample"
-ordering the legacy failure path used.  See docs/ROBUSTNESS.md.
+*after* the step's advance ("clock first, then sample").  See
+docs/ROBUSTNESS.md.
 """
 
 from __future__ import annotations
@@ -35,20 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.loss import LossModel
+from repro.faults.loss import MAX_HOP_LOSS, LossModel
 
 __all__ = [
     "CrashEpisode",
     "PartitionEpisode",
     "LossBurstEpisode",
-    "FaultSchedule",
     "ChaosEngine",
     "parse_episode",
 ]
-
-#: Effective per-hop loss is capped just below certain loss, matching
-#: repro.faults.loss.MAX_HOP_LOSS's "never fully opaque" convention.
-MAX_BURST_RATE = 0.999
 
 
 def _check_window(kind: str, start: float, duration: float) -> None:
@@ -88,9 +79,7 @@ class CrashEpisode:
     step's level-1 clusterheads — the paper's most disruptive single
     failure, forcing a reorganization handoff per kill.  Crashed nodes
     keep their identity but lose all links until ``repair_time`` has
-    elapsed.  ``stream="failures"`` replays the legacy
-    ``Scenario.failure_rate`` draw order (internal; new schedules keep
-    the default ``"chaos"`` stream).
+    elapsed.
     """
 
     start: float = 0.0
@@ -100,7 +89,6 @@ class CrashEpisode:
     count: int = 0
     repair_time: float = 20.0
     targets: str = "any"
-    stream: str = "chaos"
 
     def __post_init__(self):
         _check_window("CrashEpisode", self.start, self.duration)
@@ -119,11 +107,6 @@ class CrashEpisode:
             raise ValueError(
                 f"CrashEpisode targets must be 'any' or 'clusterheads', "
                 f"got {self.targets!r}"
-            )
-        if self.stream not in ("chaos", "failures"):
-            raise ValueError(
-                f"CrashEpisode stream must be 'chaos' or 'failures', "
-                f"got {self.stream!r}"
             )
         if self.count < 0:
             raise ValueError(
@@ -200,8 +183,8 @@ class LossBurstEpisode:
     """Burst-loss window: ramp the control channel's per-hop loss.
 
     While active, ``rate`` is *added* to the scenario's base
-    ``loss_rate`` (the sum capped at :data:`MAX_BURST_RATE`), degrading
-    every handoff transfer and query probe through the existing
+    ``loss_rate`` (the sum capped at :data:`~repro.faults.MAX_HOP_LOSS`),
+    degrading every handoff transfer and query probe through the existing
     :class:`~repro.faults.DeliveryEngine` path.  Works with a lossless
     base scenario too — the delivery engine is then built solely for
     the burst windows.
@@ -232,85 +215,25 @@ class LossBurstEpisode:
 Episode = CrashEpisode | PartitionEpisode | LossBurstEpisode
 
 
-@dataclass(frozen=True)
-class FaultSchedule:
-    """A declarative, validated sequence of fault episodes.
-
-    Purely descriptive (hashable, picklable, sweep-cache-key friendly);
-    the per-run mutable state lives in :class:`ChaosEngine`.  An empty
-    schedule injects nothing and is guaranteed bit-identical to a run
-    without any chaos machinery.
-    """
-
-    episodes: tuple[Episode, ...] = ()
-
-    def __post_init__(self):
-        for ep in self.episodes:
-            if not isinstance(
-                ep, (CrashEpisode, PartitionEpisode, LossBurstEpisode)
-            ):
-                raise TypeError(
-                    f"FaultSchedule episodes must be Crash/Partition/"
-                    f"LossBurst episodes, got {type(ep).__name__}"
-                )
-
-    def __bool__(self) -> bool:
-        return bool(self.episodes)
-
-    def __len__(self) -> int:
-        return len(self.episodes)
-
-    @property
-    def needs_delivery(self) -> bool:
-        """True when some episode modulates the lossy control plane
-        (the simulator then builds a DeliveryEngine even at base
-        loss_rate 0)."""
-        return any(isinstance(ep, LossBurstEpisode) for ep in self.episodes)
-
-    @property
-    def crash_episodes(self) -> tuple[CrashEpisode, ...]:
-        return tuple(e for e in self.episodes if isinstance(e, CrashEpisode))
-
-    @property
-    def partition_episodes(self) -> tuple[PartitionEpisode, ...]:
-        return tuple(
-            e for e in self.episodes if isinstance(e, PartitionEpisode)
-        )
-
-    @property
-    def burst_episodes(self) -> tuple[LossBurstEpisode, ...]:
-        return tuple(
-            e for e in self.episodes if isinstance(e, LossBurstEpisode)
-        )
-
-    @classmethod
-    def from_specs(cls, specs) -> "FaultSchedule":
-        """Build a schedule from CLI episode spec strings
-        (see :func:`parse_episode`)."""
-        return cls(episodes=tuple(parse_episode(s) for s in specs))
-
-
 class ChaosEngine:
-    """Per-run mutable state of one :class:`FaultSchedule`.
+    """Per-run mutable state of one episode tuple (``Scenario.chaos``,
+    already parsed and validated).
 
     Owned by the simulator; advanced once per step *before* the
-    unit-disk rebuild (clock first, then sampling — the legacy failure
-    ordering).  Picklable wholesale, so checkpoint/resume mid-episode
-    is bit-identical to an uninterrupted run.
+    unit-disk rebuild (clock first, then sampling).  Picklable
+    wholesale, so checkpoint/resume mid-episode is bit-identical to an
+    uninterrupted run.
     """
 
-    def __init__(self, n: int, schedule: FaultSchedule,
-                 rng: np.random.Generator,
-                 legacy_rng: np.random.Generator | None = None):
+    def __init__(self, n: int, episodes: tuple[Episode, ...],
+                 rng: np.random.Generator):
         self.n = int(n)
-        self.schedule = schedule
+        self.episodes = episodes
         self._rng = rng
-        self._legacy_rng = legacy_rng
         self.now = 0.0
         self.down_until = np.full(self.n, -math.inf)
         self._fired: set[int] = set()   # episode idx of one-shot kills done
         self._active_cuts: tuple[int, ...] = ()
-        self.partition_changed = False
 
     # -- stepping -----------------------------------------------------------
 
@@ -320,10 +243,9 @@ class ChaosEngine:
         step's hierarchy — clusterhead targeting kills the heads the
         network currently depends on."""
         self.now += dt
-        for idx, ep in enumerate(self.schedule.episodes):
+        for idx, ep in enumerate(self.episodes):
             if not isinstance(ep, CrashEpisode) or not ep.active(self.now):
                 continue
-            rng = self._legacy_rng if ep.stream == "failures" else self._rng
             up = self.down_until < self.now
             eligible = up
             if ep.targets == "clusterheads":
@@ -331,9 +253,9 @@ class ChaosEngine:
             if ep.rate > 0:
                 # One full-length draw per active step, independent of
                 # the eligible count — the draw order then never depends
-                # on network state (and matches the legacy path exactly).
+                # on network state.
                 p = -np.expm1(-ep.rate * dt)
-                crashing = eligible & (rng.random(self.n) < p)
+                crashing = eligible & (self._rng.random(self.n) < p)
                 if np.any(crashing):
                     self.down_until[crashing] = self.now + ep.repair_time
             if idx not in self._fired and (ep.nodes or ep.count > 0):
@@ -349,15 +271,13 @@ class ChaosEngine:
                     pool = np.flatnonzero(eligible)
                     take = min(ep.count, pool.size)
                     if take > 0:
-                        kill[rng.permutation(pool)[:take]] = True
+                        kill[self._rng.permutation(pool)[:take]] = True
                 if np.any(kill):
                     self.down_until[kill] = self.now + ep.repair_time
-        cuts = tuple(
-            i for i, ep in enumerate(self.schedule.episodes)
+        self._active_cuts = tuple(
+            i for i, ep in enumerate(self.episodes)
             if isinstance(ep, PartitionEpisode) and ep.active(self.now)
         )
-        self.partition_changed = cuts != self._active_cuts
-        self._active_cuts = cuts
 
     def _head_mask(self, hierarchy) -> np.ndarray:
         """Boolean mask of current level-1 clusterheads (all-True when
@@ -388,28 +308,22 @@ class ChaosEngine:
         for i in self._active_cuts:
             if edges.size == 0:
                 break
-            ep = self.schedule.episodes[i]
+            ep = self.episodes[i]
             side = positions @ ep.normal() > ep.offset
             edges = edges[side[edges[:, 0]] == side[edges[:, 1]]]
         return edges
-
-    def partition_active(self) -> bool:
-        """Whether any geographic cut is currently severing links."""
-        return bool(self._active_cuts)
 
     def loss_model(self, base: LossModel | None) -> LossModel | None:
         """The effective loss model for the current step: the base rate
         plus every active burst's added rate (capped)."""
         extra = sum(
-            ep.rate for ep in self.schedule.burst_episodes
-            if ep.active(self.now)
+            ep.rate for ep in self.episodes
+            if isinstance(ep, LossBurstEpisode) and ep.active(self.now)
         )
         if extra <= 0:
             return base
-        rate = min((base.rate if base is not None else 0.0) + extra,
-                   MAX_BURST_RATE)
-        coeff = base.level_coeff if base is not None else 0.0
-        return LossModel(rate=rate, level_coeff=coeff)
+        return LossModel(rate=min(
+            (base.rate if base is not None else 0.0) + extra, MAX_HOP_LOSS))
 
 
 # -- CLI episode grammar -----------------------------------------------------

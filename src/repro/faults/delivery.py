@@ -63,10 +63,6 @@ class FaultStats:
     retransmitted_packets: int = 0
     backoff_time: float = 0.0
 
-    @property
-    def delivery_ratio(self) -> float:
-        return self.delivered / self.messages if self.messages else 1.0
-
     def observe(self, d: Delivery) -> None:
         """Fold one delivery outcome into the totals."""
         self.messages += 1
@@ -100,7 +96,7 @@ class DeliveryEngine:
     rng: np.random.Generator
     stats: FaultStats = field(default_factory=FaultStats)
 
-    def send(self, hops: int, level: int = 0) -> Delivery:
+    def send(self, hops: int) -> Delivery:
         """Deliver one message over ``hops`` hops, retrying per policy."""
         hops = max(int(hops), 0)
         if hops == 0:
@@ -113,7 +109,7 @@ class DeliveryEngine:
         delivered = False
         while True:
             attempt += 1
-            ok, tx = self.loss.attempt(hops, level, self.rng)
+            ok, tx = self.loss.attempt(hops, self.rng)
             packets += tx
             if ok:
                 delivered = True

@@ -3,10 +3,7 @@
 A control message routed over ``h`` hops is ``h`` independent packet
 transmissions; each is lost with a Bernoulli probability.  Route-length
 dependence therefore falls out for free — a transfer across the network
-(many hops) fails far more often than one inside a level-1 cluster —
-and an optional level coefficient adds the paper-motivated effect that
-high-level control traffic (between distant clusterheads, relayed over
-contended links) sees a worse effective channel than local traffic.
+(many hops) fails far more often than one inside a level-1 cluster.
 
 The zero-rate model is an exact no-op: it draws nothing from the RNG
 and reports full delivery, so a lossless configuration is bit-identical
@@ -23,46 +20,34 @@ import numpy as np
 __all__ = ["LossModel", "MAX_HOP_LOSS"]
 
 MAX_HOP_LOSS = 0.999
-"""Per-hop loss probability ceiling; keeps expected attempt counts finite."""
+"""Per-hop loss probability ceiling, also for a base rate plus burst
+windows; keeps expected attempt counts finite."""
 
 
 @dataclass(frozen=True)
 class LossModel:
-    """Seeded Bernoulli per-hop loss, optionally level-graded.
+    """Seeded Bernoulli per-hop loss.
 
     Parameters
     ----------
     rate:
-        Base per-hop loss probability in ``[0, 1)``.
-    level_coeff:
-        Per-level inflation: a message at hierarchy level ``k`` sees an
-        effective per-hop rate ``rate * (1 + level_coeff * k)``, capped
-        at :data:`MAX_HOP_LOSS`.  ``0`` (default) makes the channel
-        level-blind.
+        Per-hop loss probability in ``[0, 1)``.
     """
 
     rate: float = 0.0
-    level_coeff: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.rate) or not (0.0 <= self.rate < 1.0):
             raise ValueError(
                 f"loss rate must be a finite probability in [0, 1), got {self.rate!r}"
             )
-        if not math.isfinite(self.level_coeff) or self.level_coeff < 0:
-            raise ValueError(
-                f"level_coeff must be finite and non-negative, got {self.level_coeff!r}"
-            )
 
-    def hop_loss(self, level: int = 0) -> float:
-        """Effective per-hop loss probability for a level-``level`` message."""
-        if self.rate <= 0.0:
-            return 0.0
-        return min(self.rate * (1.0 + self.level_coeff * max(level, 0)), MAX_HOP_LOSS)
+    def hop_loss(self) -> float:
+        """Effective per-hop loss probability (the rate, capped at
+        :data:`MAX_HOP_LOSS`)."""
+        return min(self.rate, MAX_HOP_LOSS)
 
-    def attempt(
-        self, hops: int, level: int, rng: np.random.Generator
-    ) -> tuple[bool, int]:
+    def attempt(self, hops: int, rng: np.random.Generator) -> tuple[bool, int]:
         """Simulate one end-to-end attempt over ``hops`` hops.
 
         Returns ``(delivered, transmissions)``: the number of packet
@@ -73,7 +58,7 @@ class LossModel:
         """
         if hops <= 0:
             return True, 0
-        p = self.hop_loss(level)
+        p = self.hop_loss()
         if p <= 0.0:
             return True, hops
         lost = rng.random(hops) < p
@@ -81,9 +66,3 @@ class LossModel:
         if hit.size == 0:
             return True, hops
         return False, int(hit[0]) + 1
-
-    def attempt_success_probability(self, hops: int, level: int = 0) -> float:
-        """Closed-form P(one attempt delivers) — for tests and analysis."""
-        if hops <= 0:
-            return 1.0
-        return (1.0 - self.hop_loss(level)) ** hops

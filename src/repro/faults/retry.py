@@ -2,10 +2,9 @@
 
 The policy is deliberately small: it answers two questions the delivery
 engine asks — "may I try again?" (bounded by ``max_attempts`` and the
-per-message ``timeout``) and "how long do I wait first?" (exponential
-backoff with multiplicative jitter).  Jitter draws from the caller's
-RNG stream only when enabled, so a jitter-free policy is deterministic
-per attempt index.
+per-message ``timeout``) and "how long do I wait first?" (a fixed
+exponential schedule, :data:`BASE_BACKOFF` · :data:`BACKOFF_FACTOR`^(k-1),
+scaled by a multiplicative jitter drawn from the caller's RNG stream).
 """
 
 from __future__ import annotations
@@ -17,6 +16,16 @@ import numpy as np
 
 __all__ = ["RetryPolicy"]
 
+BASE_BACKOFF = 0.05
+"""Delay before the first retry, in seconds."""
+
+BACKOFF_FACTOR = 2.0
+"""Multiplier per further retry (exponential backoff)."""
+
+JITTER = 0.1
+"""Uniform multiplicative jitter: each delay is scaled by
+``1 + JITTER * U[0, 1)``."""
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -26,23 +35,12 @@ class RetryPolicy:
     ----------
     max_attempts:
         Total tries including the first (``1`` disables retries).
-    base_backoff:
-        Delay before the first retry, in seconds.
-    backoff_factor:
-        Multiplier per further retry (exponential backoff).
-    jitter:
-        Uniform multiplicative jitter: each delay is scaled by
-        ``1 + jitter * U[0, 1)``.  ``0`` disables jitter (and the RNG
-        draw).
     timeout:
         Per-message give-up budget, in seconds: once accumulated backoff
         would exceed it, the message is abandoned.
     """
 
     max_attempts: int = 1
-    base_backoff: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.1
     timeout: float = 1.0
 
     def __post_init__(self):
@@ -50,30 +48,14 @@ class RetryPolicy:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts!r}"
             )
-        for name in ("base_backoff", "backoff_factor", "jitter", "timeout"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.base_backoff < 0:
-            raise ValueError(f"base_backoff must be >= 0, got {self.base_backoff!r}")
-        if self.backoff_factor < 1.0:
+        if not math.isfinite(self.timeout) or self.timeout <= 0:
             raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
+                f"timeout must be finite and positive, got {self.timeout!r}"
             )
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter!r}")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
-
-    @property
-    def retries_enabled(self) -> bool:
-        return self.max_attempts > 1
 
     def backoff(self, attempt: int, rng: np.random.Generator) -> float:
         """Delay before retry number ``attempt`` (1 = first retry)."""
         if attempt < 1:
             raise ValueError("attempt index is 1-based")
-        delay = self.base_backoff * self.backoff_factor ** (attempt - 1)
-        if self.jitter > 0:
-            delay *= 1.0 + self.jitter * float(rng.random())
-        return delay
+        delay = BASE_BACKOFF * BACKOFF_FACTOR ** (attempt - 1)
+        return delay * (1.0 + JITTER * float(rng.random()))

@@ -178,14 +178,14 @@ class GridLocationService:
         abandoned_handoffs = 0
         abandoned_updates = 0
 
-        def send(u: int, v: int, level: int) -> tuple[int, bool]:
+        def send(u: int, v: int) -> tuple[int, bool]:
             """Packets actually spent moving one message u -> v, and
             whether it arrived."""
             nonlocal retransmitted
             hops = max(hop_fn(u, v), 0)
             if delivery is None:
                 return hops, True
-            out = delivery.send(hops, level=level)
+            out = delivery.send(hops)
             retransmitted += out.retransmitted
             return out.packets, out.delivered
 
@@ -194,18 +194,18 @@ class GridLocationService:
                 old_servers = self._prev.servers.get(key, ())
                 if old_servers == new_servers:
                     continue
-                subject, lvl = key
+                subject = key[0]
                 removed = sorted(set(old_servers) - set(new_servers))
                 added = sorted(set(new_servers) - set(old_servers))
                 for r, a in zip(removed, added):
                     handoff_events += 1
-                    pkts, ok = send(r, a, lvl)
+                    pkts, ok = send(r, a)
                     handoff_packets += pkts
                     if not ok:
                         abandoned_handoffs += 1
                 for a in added[len(removed):]:
                     handoff_events += 1
-                    pkts, ok = send(subject, a, lvl)
+                    pkts, ok = send(subject, a)
                     handoff_packets += pkts
                     if not ok:
                         abandoned_handoffs += 1
@@ -223,7 +223,7 @@ class GridLocationService:
                             update_events += 1
                             all_ok = True
                             for srv in assignment.servers.get((v, level), ()):
-                                pkts, ok = send(v, srv, level)
+                                pkts, ok = send(v, srv)
                                 update_packets += pkts
                                 all_ok = all_ok and ok
                             if not all_ok:

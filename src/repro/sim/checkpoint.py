@@ -26,13 +26,15 @@ from repro.sim.scenario import Scenario
 
 __all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
 
-CHECKPOINT_SCHEMA = 13
+CHECKPOINT_SCHEMA = 14
 """On-disk checkpoint layout version (bumped when fields change shape).
 
-Schema 13 always carries the ``edge_cache`` (every run steps on it), and
+Schema 14 always carries the ``edge_cache`` (every run steps on it), and
 its pickled scenario has lost the schema-10 control-plane switch, the
-schema-11 service front-end fields and the schema-12 clustering-algorithm
-and hash choices.  A file of any other schema is refused at load time
+schema-11 service front-end fields, the schema-12 clustering-algorithm
+and hash choices and the schema-13 legacy crash-rate and repair-time
+fields; its pickled chaos engine holds the episode tuple itself.  A file of any
+other schema is refused at load time
 (:func:`repro.persist.load_checkpoint`) — by its schema field, or as
 stale when it pickles a class this code no longer has; CHANGES.md
 records what each earlier bump changed."""

@@ -43,7 +43,7 @@ class EpisodeSLO:
     """Recovery measurement for one scheduled episode."""
 
     index: int
-    """Position in the fault schedule."""
+    """Position in ``Scenario.chaos``."""
     kind: str
     """Episode kind: "crash", "partition", or "burst"."""
     start: float
@@ -106,8 +106,8 @@ class ChaosCollector(Collector):
     name = "chaos"
     phase = "diff"
 
-    def __init__(self, schedule, mode: str = "count", ledger=None):
-        self._schedule = schedule
+    def __init__(self, episodes, mode: str = "count", ledger=None):
+        self._episodes = episodes
         self._strict = mode == "strict"
         self._ledger = ledger
         self.report = ChaosReport()
@@ -197,8 +197,7 @@ class ChaosCollector(Collector):
                 run = 0
         if run:
             rep.stale_windows.append(run)
-        episodes = getattr(self._schedule, "episodes", self._schedule) or ()
         rep.episodes = [
-            self._episode_slo(i, ep) for i, ep in enumerate(episodes)
+            self._episode_slo(i, ep) for i, ep in enumerate(self._episodes)
         ]
         return {"chaos": rep}

@@ -59,7 +59,10 @@ RNG_STREAMS = ("placement", "mobility", "sampling", "failures", "faults",
 """The engine's named RNG streams, in spawn order.  "faults", "queries"
 and "chaos" were appended in that order: ``SeedSequence.spawn`` is
 prefix-stable, so pre-existing scenarios replay bit-identically, and a
-caller-side collector may spawn its own stream after these."""
+caller-side collector may spawn its own stream after these.  Nothing
+draws from "failures" any more; it keeps its position because spawn
+assigns child seeds by index, and removing it would reseed every stream
+after it."""
 
 # SimResult fields a collector's finalize() dict may populate; anything
 # else a collector returns is routed to SimResult.extras.
@@ -106,29 +109,23 @@ class Simulator:
 
             self.timings = StepTimings()
         rngs = spawn_rngs(scenario.seed, RNG_STREAMS)
-        # Fault schedule (repro.faults.chaos): crash/recover, targeted
-        # kills, partitions, burst loss.  The legacy failure_rate field
-        # rides the same engine as a whole-run episode on the historical
-        # "failures" stream; with no fault injection at all the engine
+        from repro.faults import ChaosEngine, DeliveryEngine, LossBurstEpisode
+
+        # Fault episodes (repro.faults.chaos): crash/recover, targeted
+        # kills, partitions, burst loss.  With none scheduled the engine
         # is never built and the pipeline is bit-identical to the
         # chaos-free simulator.
-        schedule = scenario.fault_schedule()
         self._chaos = None
-        if schedule:
-            from repro.faults import ChaosEngine
-
-            self._chaos = ChaosEngine(
-                scenario.n, schedule, rngs["chaos"],
-                legacy_rng=rngs["failures"],
-            )
+        if scenario.chaos:
+            self._chaos = ChaosEngine(scenario.n, scenario.chaos,
+                                      rngs["chaos"])
         # Lossy control plane (EXP-A10): built when the scenario asks
         # for loss — or schedules burst-loss windows — so lossless runs
         # never touch the fault path.
         self._delivery = None
         self._base_loss = None
-        if scenario.faults_enabled or schedule.needs_delivery:
-            from repro.faults import DeliveryEngine
-
+        if scenario.faults_enabled or any(
+                isinstance(ep, LossBurstEpisode) for ep in scenario.chaos):
             self._base_loss = scenario.loss_model()
             self._delivery = DeliveryEngine(
                 loss=self._base_loss,
@@ -208,7 +205,7 @@ class Simulator:
             query_ledgers = [c.ledger for c in out
                              if isinstance(c, QueryCollector)]
             out.append(ChaosCollector(
-                self._chaos.schedule if self._chaos else None,
+                sc.chaos,
                 mode=sc.resolved_invariant_mode,
                 ledger=query_ledgers[0] if query_ledgers else None,
             ))

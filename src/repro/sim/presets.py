@@ -8,6 +8,7 @@ defaults; explicit keyword arguments always win.
 
 from __future__ import annotations
 
+from repro.faults.chaos import CrashEpisode
 from repro.sim.scenario import Scenario
 
 __all__ = ["PRESETS", "make_scenario"]
@@ -44,7 +45,7 @@ PRESETS: dict[str, dict] = {
     # Static sensor field with occasional node failure.
     "sensor-field": dict(
         mobility="stationary", density=0.03, target_degree=8.0,
-        failure_rate=0.002, repair_time=30.0, dt=1.0,
+        chaos=(CrashEpisode(rate=0.002, repair_time=30.0),), dt=1.0,
     ),
 }
 

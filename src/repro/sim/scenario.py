@@ -69,13 +69,6 @@ class Scenario:
     hop_mode:
         "bfs" for exact hop metering, "euclidean" for the fast distance
         estimator, "auto" to pick by size.
-    failure_rate:
-        Per-node crash rate (1/s).  The paper *excludes* node birth and
-        death ("extremely rare"); nonzero rates quantify that excluded
-        factor (EXP-A3).  A crashed node keeps its identity but loses
-        all links until repaired.
-    repair_time:
-        Downtime per crash, in seconds.
     loss_rate:
         Per-hop control-packet loss probability in [0, 1).  The paper
         assumes lossless delivery; nonzero rates inject the lossy
@@ -93,12 +86,17 @@ class Scenario:
         resolved through the lossy stack with expanding-ring fallback).
         0 (default) samples none, leaving all metered series untouched.
     chaos:
-        Fault schedule: a tuple of :mod:`repro.faults.chaos` episodes
-        (``CrashEpisode`` / ``PartitionEpisode`` / ``LossBurstEpisode``)
-        or their ``"kind:key=value,..."`` spec strings (parsed at
-        construction).  Empty (default) injects nothing and is
-        guaranteed bit-identical to a chaos-free engine.  All episode
+        The one way to inject faults: a tuple of :mod:`repro.faults.chaos`
+        episodes (``CrashEpisode`` / ``PartitionEpisode`` /
+        ``LossBurstEpisode``) or their ``"kind:key=value,..."`` spec
+        strings (parsed at construction).  The paper *excludes* node
+        birth and death ("extremely rare"); a whole-run
+        ``CrashEpisode(rate=..., repair_time=...)`` quantifies that
+        excluded factor (EXP-A3).  Empty (default) injects nothing and
+        is guaranteed bit-identical to a chaos-free engine.  All episode
         randomness comes from the dedicated ``"chaos"`` RNG stream.
+        Clusterhead-targeted crashes need head-named clusters, so they
+        are rejected under ``election_mode="persistent"``.
     invariant_mode:
         Per-step hierarchy invariant checking (see
         :mod:`repro.faults.invariants`): ``"auto"`` (default) checks
@@ -130,8 +128,6 @@ class Scenario:
     election_mode: str = "memoryless"
     max_levels: int | None = None
     hop_mode: str = "auto"
-    failure_rate: float = 0.0
-    repair_time: float = 20.0
     loss_rate: float = 0.0
     retry_attempts: int = 1
     retry_timeout: float = 1.0
@@ -150,8 +146,7 @@ class Scenario:
     # Float fields screened for NaN/inf before any range check runs
     # (range checks silently pass on NaN: ``nan < 1`` is False).
     _NUMERIC_FIELDS = (
-        "density", "target_degree", "dt", "failure_rate", "repair_time",
-        "loss_rate", "retry_timeout",
+        "density", "target_degree", "dt", "loss_rate", "retry_timeout",
     )
 
     def __post_init__(self):
@@ -208,13 +203,6 @@ class Scenario:
             )
         if self.election_mode == "persistent" and self.level_mode != "radio":
             raise ValueError("persistent clusters require radio level_mode")
-        if self.failure_rate < 0:
-            raise ValueError("failure rate must be non-negative")
-        if self.repair_time <= 0:
-            raise ValueError(
-                f"repair time must be positive, got {self.repair_time!r} "
-                "(a crashed node needs a finite downtime to recover from)"
-            )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(
                 f"loss_rate must be a probability in [0, 1), got "
@@ -259,6 +247,14 @@ class Scenario:
                     f"chaos entries must be fault episodes or "
                     f"'kind:key=value,...' specs, got {ep!r}"
                 )
+            if (isinstance(ep, CrashEpisode) and ep.targets == "clusterheads"
+                    and self.election_mode == "persistent"):
+                raise ValueError(
+                    "a crash episode with targets='clusterheads' cannot "
+                    "run under election_mode='persistent': persistent "
+                    "level-1 ids are cluster ids, not node ids, so the "
+                    "kill would hit nobody"
+                )
             episodes.append(ep)
         object.__setattr__(self, "chaos", tuple(episodes))
         if self.invariant_mode not in ("auto", "count", "strict", "off"):
@@ -298,9 +294,8 @@ class Scenario:
 
     @property
     def has_chaos(self) -> bool:
-        """True when any fault injection runs: a scheduled episode or
-        the legacy Poisson crash field."""
-        return bool(self.chaos) or self.failure_rate > 0.0
+        """True when a fault episode is scheduled."""
+        return bool(self.chaos)
 
     @property
     def resolved_invariant_mode(self) -> str:
@@ -309,25 +304,8 @@ class Scenario:
             return self.invariant_mode
         return "count" if self.has_chaos else "off"
 
-    def fault_schedule(self):
-        """The effective :class:`~repro.faults.chaos.FaultSchedule`:
-        scheduled episodes plus the legacy ``failure_rate`` crash
-        process (expressed as a whole-run episode on the historical
-        ``"failures"`` RNG stream, preserving EXP-A3 bit-identically).
-        """
-        from repro.faults.chaos import CrashEpisode, FaultSchedule
-
-        episodes = tuple(self.chaos)
-        if self.failure_rate > 0.0:
-            episodes += (CrashEpisode(
-                rate=self.failure_rate, repair_time=self.repair_time,
-                stream="failures",
-            ),)
-        return FaultSchedule(episodes=episodes)
-
     def loss_model(self):
-        """The :class:`~repro.faults.loss.LossModel` these fields describe
-        (level-independent: ``level_coeff`` keeps its default 0)."""
+        """The :class:`~repro.faults.loss.LossModel` these fields describe."""
         from repro.faults import LossModel
 
         return LossModel(rate=self.loss_rate)

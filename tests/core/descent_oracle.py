@@ -147,7 +147,7 @@ def resolve(h: ClusteredHierarchy, assignment: ServerAssignment, s: int,
         round_trip = 2 * max(hop_fn(s, candidate), 0)
         probes += 1
         if delivery is not None:
-            out = delivery.send(round_trip, level=level)
+            out = delivery.send(round_trip)
             packets += out.packets
             if not out.delivered:
                 continue  # probe (or its reply) lost: climb to next level

@@ -60,7 +60,7 @@ class OracleHandoffEngine:
         def transfer(key, hops):
             if delivery is None:
                 return hops
-            out = delivery.send(hops, level=key[1])
+            out = delivery.send(hops)
             tally["retransmitted"] += out.retransmitted
             if out.delivered:
                 if key in self.stale:
@@ -120,7 +120,7 @@ class OracleHandoffEngine:
                 registration_events += 1
                 hops = max(hop_fn(v, srv_now), 0)
                 if delivery is not None:
-                    out = delivery.send(hops, level=level)
+                    out = delivery.send(hops)
                     tally["retransmitted"] += out.retransmitted
                     if not out.delivered:
                         tally["abandoned_regs"] += 1

@@ -56,7 +56,7 @@ def plain_callable(h, pts, edges):
 
 
 def channel(seed, rate, attempts):
-    return DeliveryEngine(loss=LossModel(rate=rate, level_coeff=0.1),
+    return DeliveryEngine(loss=LossModel(rate=rate),
                           retry=RetryPolicy(max_attempts=attempts),
                           rng=np.random.default_rng(seed))
 
@@ -74,8 +74,7 @@ def assert_tracks_oracle(snaps, with_delta, hops=euclidean, loss_rates=None,
     moved = stale_seen = recovered = 0
     for step, (h, pts, edges) in enumerate(snaps):
         if lossy:
-            d_eng.loss = d_ref.loss = LossModel(rate=loss_rates[step],
-                                                level_coeff=0.1)
+            d_eng.loss = d_ref.loss = LossModel(rate=loss_rates[step])
         now = 0.37 * step
         got = eng.observe(h, hops(h, pts, edges), delivery=d_eng, now=now,
                           delta=compute_delta(prev_h, h) if with_delta else None)

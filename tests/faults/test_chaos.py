@@ -10,17 +10,16 @@ import pytest
 from repro.faults import (
     ChaosEngine,
     CrashEpisode,
-    FaultSchedule,
     LossBurstEpisode,
     PartitionEpisode,
     parse_episode,
 )
 from repro.faults.loss import LossModel
+from repro.sim import Scenario, Simulator
 
 
 def engine(n=20, episodes=(), seed=0):
-    return ChaosEngine(n, FaultSchedule(tuple(episodes)),
-                       np.random.default_rng(seed))
+    return ChaosEngine(n, tuple(episodes), np.random.default_rng(seed))
 
 
 class TestEpisodeValidation:
@@ -36,7 +35,7 @@ class TestEpisodeValidation:
         {"rate": 0.1, "repair_time": 0.0},
         {"rate": 0.1, "repair_time": float("inf")},
         {"rate": 0.1, "targets": "everyone"},
-        {"rate": 0.1, "stream": "mobility"},
+        {"rate": float("nan")},
         {"count": -2},
         {"nodes": (3, -1)},
         {},  # no rate, nodes, or count: can never crash anything
@@ -76,20 +75,22 @@ class TestEpisodeValidation:
 
     def test_schedule_rejects_non_episodes(self):
         with pytest.raises(TypeError, match="episodes"):
-            FaultSchedule(("crash:rate=0.1",))
+            Scenario(chaos=(LossModel(rate=0.1),))
 
     def test_schedule_properties(self):
+        """The simulator builds a chaos engine for any episode, and a
+        delivery engine on a lossless base only for a burst window."""
         crash = CrashEpisode(rate=0.1)
         cut = PartitionEpisode(duration=5.0)
         burst = LossBurstEpisode(rate=0.3)
-        sched = FaultSchedule((crash, cut, burst))
-        assert bool(sched) and len(sched) == 3
-        assert sched.crash_episodes == (crash,)
-        assert sched.partition_episodes == (cut,)
-        assert sched.burst_episodes == (burst,)
-        assert sched.needs_delivery
-        assert not FaultSchedule((crash,)).needs_delivery
-        assert not FaultSchedule()
+        base = dict(n=40, steps=2, warmup=0)
+        sim = Simulator(Scenario(**base, chaos=(crash, cut, burst)))
+        assert sim._chaos.episodes == (crash, cut, burst)
+        assert sim._delivery is not None
+        sim = Simulator(Scenario(**base, chaos=(crash, cut)))
+        assert sim._chaos is not None and sim._delivery is None
+        sim = Simulator(Scenario(**base))
+        assert sim._chaos is None and sim._delivery is None
 
 
 class TestParseEpisode:
@@ -123,9 +124,11 @@ class TestParseEpisode:
             parse_episode(spec)
 
     def test_from_specs_round_trip(self):
-        sched = FaultSchedule.from_specs(
-            ["crash:rate=0.1", "burst:rate=0.5,start=3,duration=2"])
-        assert len(sched) == 2 and sched.needs_delivery
+        specs = ("crash:rate=0.1", "burst:rate=0.5,start=3,duration=2")
+        assert Scenario(chaos=specs).chaos == (
+            CrashEpisode(rate=0.1),
+            LossBurstEpisode(start=3.0, duration=2.0, rate=0.5),
+        )
 
 
 class TestCrashMechanics:
@@ -208,7 +211,6 @@ class TestPartitionMechanics:
         pos = np.array([[-1.0, 0.0], [-2.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
         edges = np.array([[0, 1], [2, 3], [0, 2], [1, 3]])
         eng.advance(1.0)
-        assert eng.partition_active()
         kept = eng.filter_edges(edges, pos)
         assert kept.tolist() == [[0, 1], [2, 3]]
 
@@ -219,13 +221,10 @@ class TestPartitionMechanics:
         edges = np.array([[0, 1]])
         eng.advance(1.0)
         assert eng.filter_edges(edges, pos).size == 0
-        assert eng.partition_changed
         eng.advance(1.0)
-        assert not eng.partition_active()
-        assert eng.partition_changed  # the heal is a change too
         assert eng.filter_edges(edges, pos).tolist() == [[0, 1]]
         eng.advance(1.0)
-        assert not eng.partition_changed
+        assert eng.filter_edges(edges, pos).tolist() == [[0, 1]]
 
     def test_offset_and_angle_shift_the_cut(self):
         ep = PartitionEpisode(start=0.0, angle=math.pi / 2, offset=3.0)
@@ -247,13 +246,11 @@ class TestBurstLoss:
         assert eng.loss_model(None) is None
 
     def test_active_burst_adds_to_base_rate(self):
-        base = LossModel(rate=0.1, level_coeff=0.02)
+        base = LossModel(rate=0.1)
         eng = engine(episodes=[LossBurstEpisode(start=1.0, duration=3.0,
                                                 rate=0.4)])
         eng.advance(1.0)
-        eff = eng.loss_model(base)
-        assert eff.rate == pytest.approx(0.5)
-        assert eff.level_coeff == pytest.approx(0.02)
+        assert eng.loss_model(base).rate == pytest.approx(0.5)
         assert eng.loss_model(None).rate == pytest.approx(0.4)
 
     def test_overlapping_bursts_cap(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.faults import DeliveryEngine, LossModel, RetryPolicy
+from repro.faults.retry import BACKOFF_FACTOR, BASE_BACKOFF, JITTER
 
 
 class TestRetryPolicyValidation:
@@ -11,10 +12,10 @@ class TestRetryPolicyValidation:
         "kwargs",
         [
             {"max_attempts": 0},
-            {"base_backoff": -0.1},
-            {"base_backoff": float("nan")},
-            {"backoff_factor": 0.5},
-            {"jitter": -0.1},
+            {"max_attempts": -2},
+            {"timeout": float("nan")},
+            {"timeout": -1.0},
+            {"timeout": float("-inf")},
             {"timeout": 0.0},
             {"timeout": float("inf")},
         ],
@@ -23,33 +24,27 @@ class TestRetryPolicyValidation:
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
 
-    def test_retries_enabled(self):
-        assert not RetryPolicy(max_attempts=1).retries_enabled
-        assert RetryPolicy(max_attempts=2).retries_enabled
-
 
 class TestBackoff:
     def test_exponential_without_jitter(self):
-        p = RetryPolicy(max_attempts=5, base_backoff=0.1, backoff_factor=2.0,
-                        jitter=0.0)
+        """Divided by its jitter factor, retry k waits BASE_BACKOFF *
+        BACKOFF_FACTOR^(k-1); each retry takes exactly one jitter draw
+        from the caller's stream."""
+        assert (BASE_BACKOFF, BACKOFF_FACTOR, JITTER) == (0.05, 2.0, 0.1)
+        p = RetryPolicy(max_attempts=5)
         rng = np.random.default_rng(0)
-        assert p.backoff(1, rng) == pytest.approx(0.1)
-        assert p.backoff(2, rng) == pytest.approx(0.2)
-        assert p.backoff(3, rng) == pytest.approx(0.4)
-
-    def test_no_jitter_no_rng_draw(self):
-        p = RetryPolicy(max_attempts=2, jitter=0.0)
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        p.backoff(1, rng)
-        assert rng.bit_generator.state == before
+        u = np.random.default_rng(0).random(3)
+        for k in (1, 2, 3):
+            unjittered = p.backoff(k, rng) / (1.0 + JITTER * u[k - 1])
+            assert unjittered == pytest.approx(
+                BASE_BACKOFF * BACKOFF_FACTOR ** (k - 1))
 
     def test_jitter_bounded(self):
-        p = RetryPolicy(max_attempts=2, base_backoff=1.0, jitter=0.25)
+        p = RetryPolicy(max_attempts=2)
         rng = np.random.default_rng(4)
         for _ in range(100):
             d = p.backoff(1, rng)
-            assert 1.0 <= d < 1.25
+            assert BASE_BACKOFF <= d < BASE_BACKOFF * (1.0 + JITTER)
 
     def test_attempt_index_one_based(self):
         with pytest.raises(ValueError):
@@ -77,8 +72,7 @@ class TestDeliveryEngine:
         assert out.delivered and out.packets == 0
 
     def test_retries_bounded_by_max_attempts(self):
-        eng = _engine(0.95, max_attempts=3, timeout=1e9, base_backoff=0.0,
-                      jitter=0.0)
+        eng = _engine(0.95, max_attempts=3, timeout=1e9)
         for _ in range(50):
             out = eng.send(20)
             assert out.attempts <= 3
@@ -87,10 +81,9 @@ class TestDeliveryEngine:
                 assert out.retransmitted == out.packets > 0
 
     def test_timeout_abandons_before_max_attempts(self):
-        # First backoff alone (1.0s+) blows the 0.5s budget, so the
+        # First backoff alone (0.05 s+) blows the 0.04 s budget, so the
         # engine abandons after a single attempt despite max_attempts=10.
-        eng = _engine(0.999, max_attempts=10, base_backoff=1.0, jitter=0.0,
-                      timeout=0.5)
+        eng = _engine(0.999, max_attempts=10, timeout=0.04)
         out = eng.send(30)
         assert not out.delivered
         assert out.attempts == 1
@@ -111,7 +104,7 @@ class TestDeliveryEngine:
         s = eng.stats
         assert s.messages == 40
         assert s.delivered + s.abandoned == 40
-        assert 0.0 < s.delivery_ratio < 1.0
+        assert 0 < s.delivered < s.messages
         assert s.packets >= s.retransmitted_packets
 
     def test_seed_deterministic(self):

@@ -117,7 +117,7 @@ class TestResumeEqualsUninterrupted:
         Simulator(sc).run(checkpoint_every=5, checkpoint_path=str(path))
         resumed_sim = Simulator.restore(str(path))
         assert resumed_sim._chaos is not None
-        assert resumed_sim._chaos.partition_active()  # mid-episode
+        assert resumed_sim._chaos._active_cuts  # mid-episode
         resumed = resumed_sim.run()
         _assert_same_result(baseline, resumed)
         a, b = baseline.extras["chaos"], resumed.extras["chaos"]
@@ -159,10 +159,10 @@ class TestStaleCheckpointRejection:
     def _assert_refused_as_stale(path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 13
+        assert CHECKPOINT_SCHEMA == 14
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 13" in str(err.value)
+        assert f"checkpoint schema {schema} != 14" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -192,7 +192,7 @@ class TestStaleCheckpointRejection:
         8 keeps one level-stacked tracker; refused the same way."""
         self._assert_schema_refused(tmp_path, 7)
 
-    @pytest.mark.parametrize("schema", [8, 9, 10, 11, 12])
+    @pytest.mark.parametrize("schema", [8, 9, 10, 11, 12, 13])
     def test_schema_8_9_checkpoint_refused(self, tmp_path, schema):
         """Schema 8 pickled the event plane's per-level patched elections
         where schema 9 keeps the from-scratch stepper on both planes.
@@ -201,16 +201,19 @@ class TestStaleCheckpointRejection:
         first three pickled the ``incremental_hierarchy`` field schema 11
         deleted, with ``edge_cache`` None when it was off.  The first
         four pickled the eight service front-end fields schema 12
-        deleted.  All five pickled the ``clustering``, ``maxmin_d`` and
-        ``hash_fn`` fields schema 13 deleted, and the engine's
-        ``hash_fn``.  A file of that shape still unpickles, and is
-        refused the same way."""
+        deleted.  The first five pickled the ``clustering``, ``maxmin_d``
+        and ``hash_fn`` fields schema 13 deleted, and the engine's
+        ``hash_fn``.  All six pickled the legacy crash fields
+        ``failure_rate`` and ``repair_time`` schema 14 deleted.  A file
+        of that shape still unpickles, and is refused the same way."""
         path = self._write_checkpoint(tmp_path, schema=schema)
         with path.open("rb") as fh:
             ck = pickle.load(fh)
-        ck.scenario.__dict__.update(
-            clustering="lca", maxmin_d=2, hash_fn="rendezvous")
-        ck.engine.__dict__["hash_fn"] = "rendezvous"
+        ck.scenario.__dict__.update(failure_rate=0.0, repair_time=20.0)
+        if schema < 13:
+            ck.scenario.__dict__.update(
+                clustering="lca", maxmin_d=2, hash_fn="rendezvous")
+            ck.engine.__dict__["hash_fn"] = "rendezvous"
         if schema < 12:
             ck.scenario.__dict__.update(
                 arrival_rate=0.0, arrival_process="poisson",

@@ -3,16 +3,14 @@
 The standing contract of every fault feature in this repo: switched
 off, it must be *bit-identical* to an engine that never had it.  These
 tests pin (1) empty schedules and invariant counting as pure observers,
-(2) the legacy ``Scenario.failure_rate`` model riding the chaos engine
-without changing a single draw (EXP-A3's numbers are frozen here), and
-(3) the partition-heal acceptance scenario: finite time-to-reconverge
-with zero invariant violations after convergence.
+and (2) the partition-heal acceptance scenario: finite time-to-reconverge
+with zero invariant violations after convergence.  The chaos-stream crash
+draws themselves are pinned by the ``lossy-chaos`` golden fingerprint.
 """
 
 import numpy as np
 import pytest
 
-from repro.faults import CrashEpisode
 from repro.sim import Scenario, run_scenario
 from repro.sim.engine import Simulator
 
@@ -66,31 +64,6 @@ class TestEmptyScheduleEquivalence:
         assert np.array_equal(plain.final_positions,
                               chaotic.final_positions)
         assert chaotic.extras["chaos"].peak_down > 0
-
-
-class TestLegacyFailureEquivalence:
-    BASE = dict(n=80, steps=15, warmup=3, speed=2.0, seed=3, max_levels=3)
-
-    def test_failure_rate_equals_explicit_legacy_episode(self):
-        """Scenario.failure_rate is exactly a whole-run CrashEpisode on
-        the legacy "failures" stream — same draws, same numbers."""
-        implicit = run_scenario(
-            Scenario(**self.BASE, failure_rate=0.01, repair_time=10.0))
-        explicit = run_scenario(
-            Scenario(**self.BASE,
-                     chaos=(CrashEpisode(rate=0.01, repair_time=10.0,
-                                         stream="failures"),)))
-        _same_run(implicit, explicit)
-
-    def test_exp_a3_numbers_frozen(self):
-        """The EXP-A3 crash model's output, pinned bit-for-bit across
-        the port onto the chaos engine."""
-        res = run_scenario(
-            Scenario(**self.BASE, failure_rate=0.01, repair_time=10.0))
-        assert res.phi == 0.5666666666666667
-        assert res.gamma == 1.9858333333333333
-        assert res.f0 == 3.135
-        assert float(res.final_positions.sum()) == 55.38491027503877
 
 
 class TestPartitionHealAcceptance:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import repro.sim.hops
-from repro.faults import ChaosEngine, CrashEpisode, FaultSchedule, PartitionEpisode
+from repro.faults import ChaosEngine, CrashEpisode, PartitionEpisode
 from repro.graphs import SOURCE_BLOCK, CompactGraph
 from repro.radio import unit_disk_edges
 from repro.routing import FlatRouter
@@ -82,12 +82,12 @@ class TestEquivalence:
         n = 300
         pts, edges = _snapshot(n, seed=9)
         crashed = (3, 50, 51, 299)
-        chaos = ChaosEngine(n, FaultSchedule((
+        chaos = ChaosEngine(n, (
             CrashEpisode(nodes=crashed, repair_time=100.0),
             PartitionEpisode(angle=0.3, offset=float(np.sqrt(n)) / 2),
-        )), np.random.default_rng(0))
+        ), np.random.default_rng(0))
         chaos.advance(1.0)
-        assert chaos.partition_active() and chaos.down_mask().sum() == len(crashed)
+        assert chaos.down_mask().sum() == len(crashed)
         cut = chaos.filter_edges(edges, pts)
         assert 0 < len(cut) < len(edges)
         g = CompactGraph(np.arange(n), cut)

@@ -56,7 +56,7 @@ class TestZeroLossExactness:
         state_before = rng.bit_generator.state
         lossless = DeliveryEngine(
             loss=LossModel(rate=0.0),
-            retry=RetryPolicy(max_attempts=8, jitter=0.5),
+            retry=RetryPolicy(max_attempts=8),
             rng=rng,
         )
         faulted = HandoffEngine()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import CrashEpisode
 from repro.sim import PRESETS, Scenario, make_scenario, run_scenario
 
 
@@ -23,7 +24,8 @@ class TestPresets:
     def test_expected_regimes(self):
         assert make_scenario("squads").mobility == "group"
         assert make_scenario("sensor-field").mobility == "stationary"
-        assert make_scenario("sensor-field").failure_rate > 0
+        (crash,) = make_scenario("sensor-field").chaos
+        assert isinstance(crash, CrashEpisode) and crash.rate > 0
         assert make_scenario("vehicular").mobility == "gauss_markov"
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -33,3 +35,10 @@ class TestPresets:
                            hop_sample_every=10)
         res = run_scenario(sc)
         assert res.elapsed > 0
+
+    def test_sensor_field_crashes_nodes(self):
+        """The preset's whole-run crash episode takes nodes down in a
+        short run."""
+        sc = make_scenario("sensor-field", n=200, steps=20, warmup=1,
+                           hop_mode="euclidean", seed=0)
+        assert run_scenario(sc).extras["chaos"].peak_down > 0

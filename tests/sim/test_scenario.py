@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.faults import LossModel, RetryPolicy
 from repro.sim import Scenario
 
 DELETED_FIELDS = {
@@ -16,6 +17,8 @@ DELETED_FIELDS = {
     "service_scheme",
     # One clustering algorithm (ALCA) and one run-path hash (rendezvous).
     "clustering", "maxmin_d", "hash_fn",
+    # One way to inject faults: crashes are a CrashEpisode in ``chaos``.
+    "failure_rate", "repair_time",
 }
 
 
@@ -92,11 +95,11 @@ class TestValidation:
         are constants of the code that reads them, the control-plane
         switch is gone (the simulator picks its plan per step), and so
         are the eight service front-end fields and the clustering and
-        hash choices; 23 fields remain."""
+        hash choices, and the legacy crash fields; 21 fields remain."""
         names = {f.name for f in dataclasses.fields(Scenario)}
         assert not names & DELETED_FIELDS
         assert "incremental_hierarchy" not in names
-        assert len(names) == 23
+        assert len(names) == 21
         for field in DELETED_FIELDS:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 Scenario(**{field: 1.0})
@@ -115,9 +118,9 @@ class TestValidation:
             {"loss_rate": -0.01},
             {"loss_rate": 1.0},   # certain loss: every message spins
             {"loss_rate": 1.5},
-            {"failure_rate": -0.1},
+            {"chaos": ("crash:rate=-0.1",)},
             {"retry_attempts": 0},
-            {"repair_time": 0.0},
+            {"chaos": ("crash:rate=0.1,repair=0",)},
             {"retry_attempts": -1},
             {"retry_timeout": -1.0},
             {"retry_timeout": 0.0},
@@ -147,14 +150,8 @@ class TestValidation:
 
     def test_fault_helpers_mirror_fields(self):
         sc = Scenario(loss_rate=0.1, retry_attempts=3, retry_timeout=9.0)
-        assert sc.loss_model().rate == 0.1
-        assert sc.loss_model().level_coeff == 0.0
-        policy = sc.retry_policy()
-        assert policy.max_attempts == 3
-        assert policy.timeout == 9.0
-        # The backoff shape is RetryPolicy's own default.
-        assert (policy.base_backoff, policy.backoff_factor, policy.jitter) \
-            == (0.05, 2.0, 0.1)
+        assert sc.loss_model() == LossModel(rate=0.1)
+        assert sc.retry_policy() == RetryPolicy(max_attempts=3, timeout=9.0)
 
 
 class TestChaosFields:
@@ -187,22 +184,28 @@ class TestChaosFields:
 
     def test_invariant_mode_resolution(self):
         assert Scenario().resolved_invariant_mode == "off"
-        assert Scenario(failure_rate=0.01).resolved_invariant_mode == "count"
+        assert Scenario(
+            chaos=("crash:rate=0.01",)).resolved_invariant_mode == "count"
         assert Scenario(
             chaos=("burst:rate=0.3,start=1,duration=2",)
         ).resolved_invariant_mode == "count"
         assert Scenario(invariant_mode="strict").resolved_invariant_mode \
             == "strict"
-        assert Scenario(failure_rate=0.01,
+        assert Scenario(chaos=("crash:rate=0.01",),
                         invariant_mode="off").resolved_invariant_mode == "off"
 
-    def test_fault_schedule_appends_legacy_episode(self):
-        sched = Scenario(failure_rate=0.02, repair_time=7.0).fault_schedule()
-        assert len(sched) == 1
-        ep = sched.episodes[0]
-        assert ep.rate == 0.02 and ep.repair_time == 7.0
-        assert ep.stream == "failures"
-        assert not Scenario().fault_schedule()
+    def test_clusterhead_kill_rejected_under_persistent_elections(self):
+        """Persistent level-1 ids are cluster ids, not node ids, so a
+        clusterhead-targeted crash would kill nobody; the scenario says
+        so at construction, naming both settings."""
+        spec = "crash:start=3,duration=1,count=5,targets=clusterheads"
+        with pytest.raises(ValueError,
+                           match="targets='clusterheads'.*persistent"):
+            Scenario(election_mode="persistent", chaos=(spec,))
+        for mode in ("memoryless", "sticky"):
+            assert Scenario(election_mode=mode, chaos=(spec,)).chaos
+        assert Scenario(election_mode="persistent",
+                        chaos=("crash:start=3,duration=1,count=5",)).chaos
 
 
 class TestDerivedQuantities:

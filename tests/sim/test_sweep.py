@@ -244,14 +244,14 @@ class TestScenarioKey:
         payload re-shaped, ``CODE_VERSION`` bumped — means every cache
         written before it misses.  Re-pin only when that is intended."""
         assert scenario_key(Scenario()) == (
-            "451e798151cd2920eaba43d70855f919"
-            "0b7d456635075413a7ec82d6b48385af")
+            "75cbed3bad45cacb014761e18147d627"
+            "4c61e26efa0e2f1204e1f44d6c822f59")
         busy = Scenario(
             n=np.int64(120), speed=(1.0, 3.0), seed=5,
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
         assert scenario_key(busy) == (
-            "ce6bd9bd8115a7aeb8267c191e5049fc"
-            "87c4413c9c7184bdc30198c7e94e7fbd")
+            "1452056dc2cef2cc5b66fd27e29d6459"
+            "09db51b658bfd67cdf4257ec3525674d")
 
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis

@@ -133,6 +133,32 @@ class TestExports:
         for fn in (HandoffEngine, BatchResolver, resolve_batch):
             assert "hash_fn" not in inspect.signature(fn).parameters, fn
 
+    def test_one_way_to_inject_faults(self):
+        """Faults are injected only through ``Scenario.chaos``: the legacy
+        crash fields, the episode-tuple wrapper, the per-episode RNG
+        stream choice and the fault settings no run set are gone."""
+        import dataclasses
+
+        import repro.faults
+        from repro.faults import (
+            ChaosEngine, CrashEpisode, DeliveryEngine, LossModel, RetryPolicy,
+        )
+        from repro.sim import Scenario
+
+        def fields(cls):
+            return tuple(f.name for f in dataclasses.fields(cls))
+
+        assert not {"failure_rate", "repair_time"} & set(fields(Scenario))
+        assert "stream" not in fields(CrashEpisode)
+        assert not hasattr(repro.faults, "FaultSchedule")
+        assert "FaultSchedule" not in repro.faults.__all__
+        assert fields(LossModel) == ("rate",)
+        assert fields(RetryPolicy) == ("max_attempts", "timeout")
+        assert list(inspect.signature(ChaosEngine).parameters) == [
+            "n", "episodes", "rng"]
+        assert list(inspect.signature(DeliveryEngine.send).parameters) == [
+            "self", "hops"]
+
 
 class TestLayering:
     def test_analysis_does_not_import_the_simulator(self):

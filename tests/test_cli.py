@@ -86,6 +86,54 @@ class TestCommands:
         assert "cluster" in out
 
 
+class TestPresetFlags:
+    """A preset sets its regime; a flag overrides one of its values only
+    when it is typed on the command line."""
+
+    @staticmethod
+    def simulated(monkeypatch, argv):
+        """The Scenario ``repro simulate`` would run for ``argv``."""
+        import repro.sim
+
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(sc, **_):
+            seen.append(sc)
+            raise Stop
+
+        monkeypatch.setattr(repro.sim, "Simulator", capture)
+        with pytest.raises(Stop):
+            main(["simulate", *argv])
+        return seen[0]
+
+    @pytest.mark.parametrize("preset, degree", [
+        ("campus", 8.0), ("vehicular", 10.0), ("sensor-field", 8.0)])
+    def test_untyped_defaults_leave_the_preset_alone(self, monkeypatch,
+                                                     preset, degree):
+        sc = self.simulated(monkeypatch, ["--preset", preset])
+        assert sc.target_degree == degree
+
+    def test_typed_flags_override_the_preset(self, monkeypatch):
+        sc = self.simulated(monkeypatch, [
+            "--preset", "campus", "--speed", "3", "--density", "0.1",
+            "--degree", "9"])
+        assert (sc.speed, sc.density, sc.target_degree) == (3.0, 0.1, 9.0)
+        assert sc.mobility == "gauss_markov"  # not typed: the preset's
+
+    def test_preset_crash_episode_survives(self, monkeypatch):
+        from repro.faults import CrashEpisode
+
+        sc = self.simulated(monkeypatch, ["--preset", "sensor-field"])
+        assert sc.chaos == (CrashEpisode(rate=0.002, repair_time=30.0),)
+        typed = self.simulated(monkeypatch, [
+            "--preset", "sensor-field", "--chaos", "burst:rate=0.2"])
+        assert [type(ep).__name__ for ep in typed.chaos] == [
+            "LossBurstEpisode"]
+
+
 class TestBadScenarioValues:
     """A value the preset, the depth rule, the chaos parser or
     ``Scenario`` rejects is one ``<command>: <message>`` line on stderr
