@@ -27,7 +27,14 @@ from repro.analysis import (
     levels_for,
     shape_by_flatness,
 )
-from repro.sim import Scenario, cached_sweep, default_cache_dir, print_progress
+from repro.sim import (
+    Scenario,
+    default_cache_dir,
+    expand_grid,
+    print_progress,
+    run_sweep,
+    sweep_points,
+)
 
 METRICS = {
     "phi": lambda r: r.phi,
@@ -50,15 +57,17 @@ def main():
     print(f"sweeping n in {ns} with {len(seeds)} seeds, {steps} steps each"
           f" ({'parallel' if use_parallel else 'serial'}"
           f"{', cached' if use_cache else ''})...")
-    points = cached_sweep(
-        ns, base,
-        metrics=METRICS,
-        seeds=seeds,
+    grid = expand_grid(
+        base, ns, seeds,
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
+    )
+    results = run_sweep(
+        grid,
         workers=workers,
         cache_dir=default_cache_dir() if use_cache else None,
         progress=print_progress,
     )
+    points = sweep_points(results, METRICS)
 
     print(f"\n{'n':>6} {'L':>3} {'phi':>8} {'gamma':>8} {'total':>8} "
           f"{'total/log^2n':>13} {'total/sqrt(n)':>14}")

@@ -9,8 +9,8 @@
     python -m repro simulate --n 300 --chaos partition:start=30,duration=20 \\
         --chaos-report chaos.json
     python -m repro resume run.ckpt
-    python -m repro sweep --ns 200,400,800 --seeds 0,1,2 --workers 4
-    python -m repro profile --ns 200,400 --seeds 0,1 [--manifest runs.jsonl]
+    python -m repro sweep --ns 200,400,800 --seeds 0,1,2 --workers 4 \\
+        [--manifest runs.jsonl]
     python -m repro hierarchy --n 120 [--seed 7]
     python -m repro info
 
@@ -54,8 +54,8 @@ class _Typed(argparse.Action):
 
 
 def _add_run_args(p, *, steps: int, warmup: int, hops: str) -> None:
-    """Run length and deployment flags (simulate/sweep/profile);
-    the keyword arguments are the subcommand's own defaults."""
+    """Run length and deployment flags (simulate/sweep); the keyword
+    arguments are the subcommand's own defaults."""
     p.add_argument("--steps", type=int, default=steps)
     p.add_argument("--warmup", type=int, default=warmup)
     p.add_argument("--speed", type=float, default=1.0)
@@ -74,23 +74,6 @@ def _add_control_plane_args(p) -> None:
     p.add_argument("--retry-attempts", type=int, default=4,
                    help="max delivery attempts per control message "
                         "when --loss-rate > 0 (default 4)")
-
-
-def _add_grid_args(p, *, ns: str) -> None:
-    """Grid axes, pool size and result cache (sweep/profile)."""
-    p.add_argument("--ns", default=ns,
-                   help=f"comma-separated node counts (default {ns})")
-    p.add_argument("--seeds", default="0,1",
-                   help="comma-separated seeds (default 0,1)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: REPRO_SWEEP_WORKERS or serial)")
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory "
-                        "(default: ~/.cache/repro/sweeps)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="always re-simulate, never touch the cache")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-task progress lines")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,8 +163,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser(
         "sweep",
-        help="run a sizes x seeds scenario grid (parallel, result-cached)")
-    _add_grid_args(p_sw, ns="100,200,400")
+        help="run a sizes x seeds scenario grid (parallel, result-cached, "
+             "profiled)")
+    p_sw.add_argument("--ns", default="100,200,400",
+                      help="comma-separated node counts (default 100,200,400)")
+    p_sw.add_argument("--seeds", default="0,1",
+                      help="comma-separated seeds (default 0,1)")
+    p_sw.add_argument("--workers", type=int, default=None,
+                      help="process count "
+                           "(default: REPRO_SWEEP_WORKERS or serial)")
+    p_sw.add_argument("--cache-dir", default=None,
+                      help="result cache directory "
+                           "(default: ~/.cache/repro/sweeps)")
+    p_sw.add_argument("--no-cache", action="store_true",
+                      help="always re-simulate, never touch the cache")
+    p_sw.add_argument("--quiet", action="store_true",
+                      help="suppress per-task progress lines")
     _add_run_args(p_sw, steps=40, warmup=10, hops="euclidean")
     _add_control_plane_args(p_sw)
     p_sw.add_argument("--task-timeout", type=float, default=None,
@@ -197,16 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="per-task checkpoint cadence in steps "
                            "(default 25; requires --checkpoint-dir)")
-    p_sw.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the aggregated points as JSON")
-
-    p_pr = sub.add_parser(
-        "profile",
-        help="profiled sweep: per-phase breakdown, cache hits, throughput")
-    _add_grid_args(p_pr, ns="100,200")
-    _add_run_args(p_pr, steps=30, warmup=10, hops="euclidean")
-    p_pr.add_argument("--manifest", default=None, metavar="PATH",
-                      help="write one run manifest per task as JSONL")
+    p_sw.add_argument("--manifest", default=None, metavar="PATH",
+                      help="write one run manifest per finished task "
+                           "as JSONL")
 
     p_h = sub.add_parser("hierarchy", help="build and render a hierarchy")
     p_h.add_argument("--n", type=int, default=100)
@@ -219,36 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
+    import inspect
+
     from repro.experiments import ALL_EXPERIMENTS
 
-    titles = {
-        "EXP-F1": "Fig. 1 — example clustered hierarchy",
-        "EXP-F2": "Fig. 2 — GLS grid hierarchy",
-        "EXP-F3": "Fig. 3 — ALCA states + q1 (the paper's future work)",
-        "EXP-T1": "Eq. 4 — f0 = Theta(1)",
-        "EXP-T2": "Eq. 3 — hop-count scaling",
-        "EXP-T3": "Eqs. 7-9 — f_k = Theta(1/h_k)",
-        "EXP-T4": "Sec. 4 — phi = O(log^2 n)  [headline]",
-        "EXP-T5": "Sec. 5 — gamma = O(log^2 n) + event taxonomy",
-        "EXP-T6": "Eqs. 13-14 — cluster-link structure",
-        "EXP-T7": "Sec. 3.2 — hash load equitability",
-        "EXP-T8": "GLS vs CHLM overhead",
-        "EXP-T9": "Sec. 2.1 — routing state",
-        "EXP-T10": "Sec. 6 — overhead budget",
-        "EXP-A1": "ablation — memoryless vs sticky elections",
-        "EXP-A2": "ablation — radio vs contraction level links",
-        "EXP-A3": "extension — handoff under node failure",
-        "EXP-A4": "extension — address-component lifetimes / staleness",
-        "EXP-A5": "extension — persistent cluster IDs recover gamma",
-        "EXP-A6": "extension — query correctness under lag",
-        "EXP-A7": "extension — routing state vs stretch tradeoff",
-        "EXP-A8": "extension — degree sensitivity (magic number)",
-        "EXP-A9": "extension — end-to-end sessions on the full stack",
-        "EXP-A10": "extension — lossy control plane (retries, staleness)",
-        "EXP-A11": "extension — chaos episodes, invariants, recovery SLOs",
-    }
-    for eid in ALL_EXPERIMENTS:
-        print(f"{eid:8s} {titles.get(eid, '')}")
+    for eid, run in ALL_EXPERIMENTS.items():
+        # The title is the first line of the module docstring, less the id.
+        doc = inspect.getmodule(run).__doc__
+        title = doc.strip().splitlines()[0].removeprefix(eid).lstrip(" —")
+        print(f"{eid:8s} {title}")
     return 0
 
 
@@ -270,10 +239,25 @@ def _cmd_experiment(args) -> int:
         print(f"unknown experiment {args.exp_id!r}; try 'repro list'",
               file=sys.stderr)
         return 2
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s != "")
+    seeds = _ints(args, "seeds")
+    if seeds is None:
+        return 2
     result = run_experiment(exp_id, quick=not args.full, seeds=seeds or None)
     print(result.to_text())
     return 0
+
+
+def _ints(args, flag: str):
+    """The comma-separated integers of ``--<flag>`` (blanks skipped), or
+    None after printing ``<command>: <message>`` on stderr when one is
+    not an integer; the caller exits 2."""
+    text = getattr(args, flag)
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        print(f"{args.command}: --{flag} takes comma-separated integers, "
+              f"got {text!r}", file=sys.stderr)
+        return None
 
 
 def _scenario_from_args(args, **fields):
@@ -436,22 +420,6 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def _grid_from_args(args):
-    """``(ns, seeds, cache_dir, base scenario)`` of a sweep/profile run,
-    or None (after a message) when an axis is empty or a scenario value
-    is rejected."""
-    from repro.sim import default_cache_dir
-
-    ns = tuple(int(x) for x in args.ns.split(",") if x.strip())
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    if not ns or not seeds:
-        print("need at least one size and one seed", file=sys.stderr)
-        return None
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    base = _scenario_from_args(args, n=ns[0])
-    return None if base is None else (ns, seeds, cache_dir, base)
-
-
 def _log_levels(sc, n):
     """``scenario_for`` hook: depth cap log-scaled with the size axis."""
     from dataclasses import replace
@@ -463,12 +431,45 @@ def _log_levels(sc, n):
 
 def _cmd_sweep(args) -> int:
     from repro.analysis import compare_shapes, levels_for
-    from repro.sim import cached_sweep, print_progress
+    from repro.obs import RunManifest, SweepReport, write_jsonl
+    from repro.sim import (
+        SweepError, SweepRun, default_cache_dir, expand_grid, print_progress,
+        run_sweep, sweep_points,
+    )
 
-    parsed = _grid_from_args(args)
-    if parsed is None:
+    ns, seeds = _ints(args, "ns"), _ints(args, "seeds")
+    if ns is None or seeds is None:
         return 2
-    ns, seeds, cache_dir, base = parsed
+    if not ns or not seeds:
+        print("sweep: need at least one size and one seed", file=sys.stderr)
+        return 2
+    base = _scenario_from_args(args, n=ns[0])
+    if base is None:
+        return 2
+    report = SweepReport()
+
+    def _progress(p):
+        report.record(p)
+        if not args.quiet:
+            print_progress(p)
+
+    try:
+        run = SweepRun(run_sweep(
+            expand_grid(base, ns, seeds, scenario_for=_log_levels),
+            workers=args.workers,
+            cache_dir=None if args.no_cache
+            else (args.cache_dir or default_cache_dir()),
+            progress=_progress,
+            task_timeout=args.task_timeout, task_retries=args.task_retries,
+            profile=True,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+        ), errors=[])
+    except SweepError as exc:  # the healthy tasks still get reported
+        run = exc.run
+    except ValueError as exc:  # run-control arguments, checked at the call
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     lossy = base.faults_enabled
     metrics = {
         "phi": lambda r: r.phi,
@@ -478,18 +479,7 @@ def _cmd_sweep(args) -> int:
     if lossy:
         metrics["retx"] = lambda r: r.ledger.retransmission_rate
         metrics["abandon"] = lambda r: r.ledger.abandonment_rate
-    try:
-        points = cached_sweep(
-            ns, base, metrics, seeds=seeds, scenario_for=_log_levels,
-            workers=args.workers, cache_dir=cache_dir,
-            progress=None if args.quiet else print_progress,
-            task_timeout=args.task_timeout, task_retries=args.task_retries,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-        )
-    except ValueError as exc:  # run-control arguments, checked at the call
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+    points = sweep_points(run.results, metrics)
     header = (f"{'n':>6} {'L':>3} {'phi':>8} {'gamma':>8} {'total':>8} "
               f"{'total/log^2n':>13}")
     if lossy:
@@ -508,51 +498,14 @@ def _cmd_sweep(args) -> int:
         fits = compare_shapes(xs, ys, shapes=("log2", "sqrt", "log", "linear"))
         print(f"AIC best shape: {fits[0].shape}; "
               f"ranking: {[f.shape for f in fits]}")
-    if args.json:
-        from repro.persist import save_sweep
-
-        save_sweep(points, args.json, meta={
-            "ns": list(ns), "seeds": list(seeds), "steps": args.steps,
-            "speed": args.speed, "dt": args.dt, "density": args.density,
-            "target_degree": args.degree, "hop_mode": args.hops,
-        })
-        print(f"points written to {args.json}")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    from repro.obs import RunManifest, SweepReport, write_jsonl
-    from repro.sim import (
-        SweepError, SweepRun, expand_grid, print_progress, run_sweep,
-    )
-
-    parsed = _grid_from_args(args)
-    if parsed is None:
-        return 2
-    ns, seeds, cache_dir, base = parsed
-    grid = expand_grid(base, ns, seeds, scenario_for=_log_levels)
-    report = SweepReport()
-
-    def _progress(p):
-        report.record(p)
-        if not args.quiet:
-            print_progress(p)
-
-    try:
-        run = SweepRun(run_sweep(grid, workers=args.workers,
-                                 cache_dir=cache_dir, progress=_progress,
-                                 profile=True), errors=[])
-    except SweepError as exc:  # healthy tasks still get their report
-        run = exc.run
     report.finish(run)
+    print()
     print(report.render())
     if args.manifest:
-        manifests = [
-            RunManifest.from_result(r).to_dict()
-            for r in run.results if r is not None
-        ]
-        write_jsonl(args.manifest, manifests)
-        print(f"{len(manifests)} manifests written to {args.manifest}")
+        count = write_jsonl(args.manifest, [
+            RunManifest.from_result(r).to_dict() for r in report.results
+        ])
+        print(f"{count} manifests written to {args.manifest}")
     return 0 if run.ok else 1
 
 
@@ -581,7 +534,9 @@ def _cmd_report(args) -> int:
     exp_ids = None
     if args.experiments:
         exp_ids = [e.strip().upper() for e in args.experiments.split(",") if e.strip()]
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s != "")
+    seeds = _ints(args, "seeds")
+    if seeds is None:
+        return 2
     text = generate_report(exp_ids=exp_ids, quick=not args.full,
                            seeds=seeds, out_path=args.out)
     if args.out:
@@ -606,8 +561,6 @@ def main(argv=None) -> int:
         return _cmd_resume(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
     if args.command == "hierarchy":
         return _cmd_hierarchy(args)
     if args.command == "report":

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.analysis import flatness, levels_for
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, cached_sweep
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
 
@@ -41,11 +41,13 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
 
         base = Scenario(n=100, steps=steps, warmup=10, speed=1.0,
                         hop_mode="euclidean", election_mode=mode)
-        points = cached_sweep(
-            ns, base,
-            metrics={"phi": lambda r: r.phi, "gamma": lambda r: r.gamma},
-            seeds=seeds,
+        grid = expand_grid(
+            base, ns, seeds,
             scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
+        )
+        points = sweep_points(
+            run_sweep(grid),
+            {"phi": lambda r: r.phi, "gamma": lambda r: r.gamma},
         )
         curves[mode] = [p["gamma"] for p in points]
         for p in points:

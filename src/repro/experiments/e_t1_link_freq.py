@@ -15,7 +15,9 @@ import numpy as np
 
 from repro.analysis import compare_shapes, f0_prediction
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, cached_sweep, run_scenario
+from repro.sim import (
+    Scenario, expand_grid, run_scenario, run_sweep, sweep_points,
+)
 
 __all__ = ["run"]
 
@@ -26,7 +28,8 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     steps = 30 if quick else 80
     base = Scenario(n=100, steps=steps, warmup=10, speed=1.0, hop_mode="euclidean")
 
-    points = cached_sweep(ns, base, metrics={"f0": lambda r: r.f0}, seeds=seeds)
+    points = sweep_points(run_sweep(expand_grid(base, ns, seeds)),
+                          {"f0": lambda r: r.f0})
 
     result = ExperimentResult(
         exp_id="EXP-T1",

@@ -15,7 +15,9 @@ import numpy as np
 
 from repro.analysis import compare_shapes, fit_shape, levels_for
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, cached_sweep, run_scenario
+from repro.sim import (
+    Scenario, expand_grid, run_scenario, run_sweep, sweep_points,
+)
 
 __all__ = ["run"]
 
@@ -27,11 +29,8 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     base = Scenario(n=100, steps=steps, warmup=5, speed=1.0,
                     hop_mode="euclidean", hop_sample_every=4)
 
-    points = cached_sweep(
-        ns, base,
-        metrics={"h": lambda r: r.mean_h()},
-        seeds=seeds,
-    )
+    points = sweep_points(run_sweep(expand_grid(base, ns, seeds)),
+                          {"h": lambda r: r.mean_h()})
 
     result = ExperimentResult(
         exp_id="EXP-T2",

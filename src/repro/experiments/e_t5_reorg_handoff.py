@@ -20,7 +20,7 @@ from repro.analysis import (
 )
 from repro.core import EventKind
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, cached_sweep
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
 
@@ -32,14 +32,14 @@ def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
     steps = 40 if quick else 100
     base = Scenario(n=100, steps=steps, warmup=10, speed=1.0, hop_mode="euclidean")
 
-    points = cached_sweep(
-        ns, base,
-        metrics={"gamma": lambda r: r.gamma},
-        seeds=seeds,
+    grid = expand_grid(
+        base, ns, seeds,
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
+    )
+    points = sweep_points(
+        run_sweep(grid, workers=workers, cache_dir=cache_dir),
+        {"gamma": lambda r: r.gamma},
         keep_results=True,
-        workers=workers,
-        cache_dir=cache_dir,
     )
 
     result = ExperimentResult(

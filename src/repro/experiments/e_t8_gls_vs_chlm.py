@@ -1,5 +1,4 @@
-"""EXP-T8 — GLS (Section 3.1) vs CHLM (Section 3.2) under identical
-mobility.
+"""EXP-T8 — GLS (Sec. 3.1) vs CHLM (Sec. 3.2) under identical mobility.
 
 Runs both location services over the *same* random-waypoint trace on a
 square region (GLS needs the grid; CHLM clusters the same deployment)

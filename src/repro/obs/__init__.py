@@ -7,20 +7,19 @@ The observability layer for the simulator and sweep runner:
   (bit-identical metrics; timing never touches an RNG stream).
 * :class:`~repro.obs.manifest.RunManifest` — provenance + cost record
   (scenario hash, ``CODE_VERSION``, platform, phase breakdown) for one
-  run, serialized as JSON.
-* JSONL export (:mod:`repro.obs.export`) — traces, manifests, and
-  counter records as JSON Lines for offline analysis.
+  run, serialized as JSON: the one per-run record (``repro simulate
+  --manifest`` writes one, ``repro sweep --manifest`` one per task).
+* JSONL export (:mod:`repro.obs.export`) — traces and manifests as
+  JSON Lines for offline analysis.
 * :class:`~repro.obs.report.SweepReport` — sweep-level aggregation
   (throughput, ETA, cache-hit rate, retry/timeout counts, per-n phase
-  breakdowns) behind the ``repro profile`` CLI.
+  breakdowns): the report block ``repro sweep`` prints under its table.
 
 See docs/OBSERVABILITY.md for usage and schemas.
 """
 
 from repro.obs.export import (
-    jsonl_dumps,
     read_jsonl,
-    result_counters,
     trace_from_records,
     trace_records,
     write_jsonl,
@@ -34,10 +33,8 @@ __all__ = [
     "StepTimings",
     "RunManifest",
     "SweepReport",
-    "jsonl_dumps",
     "write_jsonl",
     "read_jsonl",
     "trace_records",
     "trace_from_records",
-    "result_counters",
 ]

@@ -1,4 +1,4 @@
-"""JSONL export/import for traces, manifests, and counters.
+"""JSONL export/import for traces and run manifests.
 
 JSON Lines is the interchange format for offline analysis: one JSON
 object per line, streamable, greppable, and append-safe.  This module
@@ -13,12 +13,10 @@ from pathlib import Path
 from typing import IO, Iterable
 
 __all__ = [
-    "jsonl_dumps",
     "write_jsonl",
     "read_jsonl",
     "trace_records",
     "trace_from_records",
-    "result_counters",
 ]
 
 TRACE_SCHEMA = "repro.trace/v1"
@@ -32,23 +30,19 @@ def _json_default(obj):
     return str(obj)
 
 
-def jsonl_dumps(records: Iterable[dict]) -> str:
-    """Serialize records as JSON Lines text (one compact object per line)."""
-    return "".join(
-        json.dumps(r, sort_keys=True, default=_json_default) + "\n"
-        for r in records
-    )
-
-
 def write_jsonl(path_or_file: str | Path | IO[str],
                 records: Iterable[dict]) -> int:
-    """Write records as JSONL to a path or open text file.
+    """Write records as JSONL (one compact, key-sorted object per line)
+    to a path or open text file.
 
     Returns the number of records written.  Paths get parent directories
     created; open files are written in place (and left open).
     """
     records = list(records)
-    text = jsonl_dumps(records)
+    text = "".join(
+        json.dumps(r, sort_keys=True, default=_json_default) + "\n"
+        for r in records
+    )
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
@@ -105,32 +99,3 @@ def trace_from_records(records: list[dict]):
             payload=dict(rec.get("payload", {})),
         ))
     return trace
-
-
-# -- counters ----------------------------------------------------------------------
-
-
-def result_counters(res) -> dict:
-    """One flat JSON-safe record of a run's headline counters.
-
-    The streaming complement of :class:`~repro.obs.manifest.RunManifest`:
-    manifests carry provenance, counter records carry the numbers you
-    plot — suitable for appending one line per run to a shared JSONL.
-    """
-    rec = {
-        "n": int(res.scenario.n),
-        "seed": int(res.scenario.seed),
-        "steps": int(res.scenario.steps),
-        "phi": float(res.phi),
-        "gamma": float(res.gamma),
-        "handoff_rate": float(res.handoff_rate),
-        "f0": float(res.f0),
-        "mean_degree": float(res.mean_degree),
-        "giant_fraction": float(res.giant_fraction),
-        "mean_h": float(res.mean_h()),
-    }
-    timings = getattr(res, "timings", None)
-    if timings is not None:
-        rec["wall_seconds"] = float(timings.wall_seconds)
-        rec["phases"] = {k: float(v) for k, v in timings.totals.items()}
-    return rec

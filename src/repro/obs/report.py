@@ -5,7 +5,7 @@
 stream of :class:`~repro.sim.sweep.SweepProgress` events into live
 throughput/ETA/cache statistics, and — once the sweep finishes — joins
 the results and error records into per-n phase breakdowns and
-retry/timeout counts for the ``repro profile`` CLI.
+retry/timeout counts for the report block ``repro sweep`` prints.
 """
 
 from __future__ import annotations
@@ -191,14 +191,6 @@ class SweepReport:
             for kind, entry in ledger.reorg_event_breakdown().items():
                 out[kind] = out.get(kind, 0) + int(entry["count"])
         return out
-
-    def flagged_results(self) -> list:
-        """Results whose hierarchy invariants were violated at least once."""
-        return [
-            res for res in self.results
-            if getattr(res, "extras", {}).get("chaos") is not None
-            and getattr(res, "extras", {})["chaos"].total_violations > 0
-        ]
 
     # -- rendering ----------------------------------------------------------------
 

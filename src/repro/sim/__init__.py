@@ -25,13 +25,13 @@ from repro.sim.sweep import (
     SweepProgress,
     SweepRun,
     TaskError,
-    cached_sweep,
     default_cache_dir,
     expand_grid,
     normalize_for_json,
     print_progress,
     run_sweep,
     scenario_key,
+    sweep_points,
 )
 from repro.sim.trace import EventTrace, TraceEvent
 
@@ -63,11 +63,11 @@ __all__ = [
     "SweepProgress",
     "SweepRun",
     "TaskError",
-    "cached_sweep",
     "default_cache_dir",
     "expand_grid",
     "normalize_for_json",
     "print_progress",
     "run_sweep",
     "scenario_key",
+    "sweep_points",
 ]

@@ -1,4 +1,4 @@
-"""Checkpoint container for long simulation runs.
+"""Checkpoints for long simulation runs: the container and its file.
 
 A :class:`SimCheckpoint` freezes *everything* a mid-run simulator needs
 to continue bit-identically: the mobility model (positions, waypoints,
@@ -13,18 +13,23 @@ simulator and the query collector — stay shared after restore.
 Checkpoints are code-version-stamped: loading a checkpoint written by a
 different :data:`repro.sim.sweep.CODE_VERSION` fails loudly (a resumed
 run must equal an uninterrupted one, which only holds within one
-simulator version).  See :func:`repro.persist.save_checkpoint` /
-:func:`repro.persist.load_checkpoint` for the on-disk format.
+simulator version).  :func:`save_checkpoint` writes one file
+atomically; :func:`load_checkpoint` reads it back and validates it.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 from repro.sim.scenario import Scenario
+from repro.sim.sweep import CODE_VERSION, write_pickle
 
-__all__ = ["CHECKPOINT_SCHEMA", "SimCheckpoint"]
+__all__ = [
+    "CHECKPOINT_SCHEMA", "SimCheckpoint", "save_checkpoint", "load_checkpoint",
+]
 
 CHECKPOINT_SCHEMA = 14
 """On-disk checkpoint layout version (bumped when fields change shape).
@@ -35,7 +40,7 @@ schema-11 service front-end fields, the schema-12 clustering-algorithm
 and hash choices and the schema-13 legacy crash-rate and repair-time
 fields; its pickled chaos engine holds the episode tuple itself.  A file of any
 other schema is refused at load time
-(:func:`repro.persist.load_checkpoint`) — by its schema field, or as
+(:func:`load_checkpoint`) — by its schema field, or as
 stale when it pickles a class this code no longer has; CHANGES.md
 records what each earlier bump changed."""
 
@@ -104,3 +109,52 @@ class SimCheckpoint:
     timings: Any = None
     trace: Any = None
     schema: int = field(default=CHECKPOINT_SCHEMA)
+
+
+def save_checkpoint(ck: SimCheckpoint, path) -> Path:
+    """Write a simulator checkpoint atomically; returns the path.
+
+    The checkpoint is pickled as a single object (shared references —
+    e.g. the delivery engine held by both the engine state and a query
+    collector — stay shared on load) through
+    :func:`repro.sim.sweep.write_pickle`, so a crash mid-write leaves
+    the previous checkpoint intact and no tmp file behind.
+    """
+    return write_pickle(path, ck)
+
+
+def load_checkpoint(path) -> SimCheckpoint:
+    """Load a checkpoint written by :func:`save_checkpoint`.
+
+    Validates the checkpoint schema and the simulator
+    :data:`~repro.sim.sweep.CODE_VERSION`: a checkpoint from different
+    simulator semantics raises ``ValueError`` (resuming it could not
+    reproduce the uninterrupted run).  So does a file that names a class
+    or module this code no longer has: the pickle is read before its
+    schema field can be, and only an older schema could name one.
+    Corrupt files raise whatever pickle raises — callers that want
+    "fresh run on any failure" semantics (e.g. the sweep runner) catch
+    broadly.
+    """
+    with Path(path).open("rb") as fh:
+        try:
+            ck = pickle.load(fh)
+        except (AttributeError, ImportError) as exc:
+            raise ValueError(
+                f"checkpoint schema predates {CHECKPOINT_SCHEMA}: it names "
+                f"code that no longer exists ({exc}) (stale file: {path})"
+            ) from exc
+    if not isinstance(ck, SimCheckpoint):
+        raise ValueError(f"not a simulator checkpoint: {path}")
+    if ck.schema != CHECKPOINT_SCHEMA:
+        raise ValueError(
+            f"checkpoint schema {ck.schema!r} != {CHECKPOINT_SCHEMA} "
+            f"(stale file: {path})"
+        )
+    if ck.code_version != CODE_VERSION:
+        raise ValueError(
+            f"checkpoint written by simulator version {ck.code_version!r}, "
+            f"this is {CODE_VERSION!r} — a resumed run would not match an "
+            f"uninterrupted one (stale file: {path})"
+        )
+    return ck

@@ -41,7 +41,11 @@ from repro.hierarchy.stepper import hierarchy_stepper
 from repro.mobility import make_model
 from repro.radio.edge_cache import VerletEdgeCache
 from repro.radio.linkevents import link_diff
-from repro.sim.checkpoint import SimCheckpoint
+from repro.sim.checkpoint import (
+    SimCheckpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.sim.hops import BfsHops, EuclideanHops
 from repro.sim.metrics import SimResult
 from repro.sim.rng import spawn_rngs
@@ -414,7 +418,7 @@ class Simulator:
         :class:`~repro.sim.checkpoint.SimCheckpoint`.
 
         With ``path``, the checkpoint is also written atomically via
-        :func:`repro.persist.save_checkpoint`.  Everything needed for a
+        :func:`~repro.sim.checkpoint.save_checkpoint`.  Everything needed for a
         bit-identical continuation is captured: mobility model + RNG,
         handoff/stepper/delivery state, the chaos engine (crash
         deadlines, episode state, and both its RNG streams), and the
@@ -439,8 +443,6 @@ class Simulator:
             trace=self.trace,
         )
         if path is not None:
-            from repro.persist import save_checkpoint
-
             save_checkpoint(ck, path)
         return ck
 
@@ -465,8 +467,6 @@ class Simulator:
                     "resumed run would not match an uninterrupted one"
                 )
         else:
-            from repro.persist import load_checkpoint
-
             ck = load_checkpoint(source)
         sim = cls.__new__(cls)
         sim.sc = ck.scenario

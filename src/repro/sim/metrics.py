@@ -217,7 +217,7 @@ class SimResult:
 @dataclass(frozen=True)
 class SweepPoint:
     """Aggregated results at one node count of a sweep
-    (:func:`repro.sim.sweep.cached_sweep`)."""
+    (:func:`repro.sim.sweep.sweep_points`)."""
 
     n: int
     values: dict[str, float]

@@ -13,9 +13,9 @@ production scale:
   callback, and returns results in task order — bit-identical to a
   serial loop over the same scenarios (each run is independently
   seeded; no shared mutable state crosses the process boundary).
-  It is the one task runner: :func:`cached_sweep` aggregates per-size
-  metrics over it, and its run-control arguments are checked at the
-  call, before any task runs.
+  It is the one task runner: :func:`sweep_points` aggregates per-size
+  metrics over its results, and its run-control arguments are checked
+  at the call, before any task runs.
 * **Crash tolerance**: a worker that raises, dies (``BrokenProcessPool``),
   or exceeds the per-task timeout is retried with exponential backoff up
   to a bounded attempt count; tasks that still fail are reported as
@@ -74,7 +74,7 @@ __all__ = [
     "default_cache_dir",
     "expand_grid",
     "run_sweep",
-    "cached_sweep",
+    "sweep_points",
     "print_progress",
 ]
 
@@ -167,18 +167,27 @@ def _cache_load(path: Path) -> SimResult | None:
     return res if isinstance(res, SimResult) else None
 
 
-def _cache_store(path: Path, res: SimResult) -> None:
+def write_pickle(path: str | Path, obj) -> Path:
+    """Pickle ``obj`` to ``path`` atomically; returns the path.
+
+    The bytes go to ``<path>.tmp-<pid>`` first and are renamed over
+    ``path`` only once complete, so a reader — a concurrent sweep, a
+    resume — sees the old file or the new one, never a partial one.  A
+    failed or interrupted write (disk full, Ctrl-C) removes its tmp
+    file and leaves any earlier ``path`` intact.  The sweep cache and
+    :func:`repro.sim.checkpoint.save_checkpoint` both write through it.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp-{os.getpid()}")
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     try:
         with tmp.open("wb") as fh:
-            pickle.dump(res, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(path)  # atomic: concurrent sweeps never see partial files
+            pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.replace(path)
     except BaseException:
-        # A failed or interrupted write never reaches the rename; without
-        # this the partial file would sit in the cache directory for ever.
         tmp.unlink(missing_ok=True)
         raise
+    return path
 
 
 # -- grid expansion -----------------------------------------------------------------
@@ -195,8 +204,12 @@ def expand_grid(
     For each ``n``: set it on the base, apply the optional
     ``scenario_for`` hook (e.g. log-scaled ``max_levels``), then spawn
     one scenario per seed.
-    ``ns=None`` keeps the base size and varies only the seed axis.
+    ``ns=None`` keeps the base size and varies only the seed axis; an
+    empty seed axis is refused, since it would expand to no task.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     out: list[Scenario] = []
     for n in [base.n] if ns is None else ns:
         sc_n = replace(base, n=int(n))
@@ -640,7 +653,7 @@ def run_sweep(
             ser += time.perf_counter() - t_ser
         results[i] = res
         if cache is not None:
-            _cache_store(_key_path(scenarios[i]), res)
+            write_pickle(_key_path(scenarios[i]), res)
         done += 1
         if progress is not None:
             progress(SweepProgress(
@@ -674,76 +687,32 @@ def run_sweep(
     return results  # type: ignore[return-value]
 
 
-def cached_sweep(
-    ns,
-    base: Scenario,
+def sweep_points(
+    results: Sequence[SimResult | None],
     metrics: dict[str, Callable[[SimResult], float]],
-    seeds=(0, 1),
-    scenario_for: Callable[[Scenario, int], Scenario] | None = None,
-    workers: int | None = None,
-    cache_dir: str | Path | None = None,
+    *,
     keep_results: bool = False,
-    progress: Callable[[SweepProgress], None] | None = None,
-    task_timeout: float | None = None,
-    task_retries: int = 1,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int | None = None,
 ) -> list[SweepPoint]:
-    """Run a (sizes x seeds) grid and aggregate named metrics per size.
+    """Aggregate named metrics per node count over a sweep's results.
 
-    Parameters
-    ----------
-    ns:
-        Node counts to sweep (``None`` keeps ``base.n``).
-    base:
-        Template scenario; ``n`` and ``seed`` are overridden per run,
-        every other setting (the hop-sampling cadence included) is
-        taken from it.
-    metrics:
-        Named extractors applied to each :class:`SimResult`; each point
-        carries their per-n mean and standard deviation over the seeds.
-    seeds:
-        Seeds averaged at each point (at least one).
-    scenario_for:
-        Optional hook ``(scenario, n) -> scenario`` applied after setting
-        ``n`` (e.g. to scale ``max_levels`` with log n).
-    keep_results:
-        Retain the raw SimResults on each point (memory-heavy).
-
-    The runs go through :func:`run_sweep` (grid from :func:`expand_grid`),
-    which takes the remaining parameters — so they parallelize and hit
-    the result cache, bit-identically to a serial loop.
+    Results are grouped by ``res.scenario.n`` in first-appearance order
+    (the size-major order of :func:`expand_grid`); ``None`` holes — the
+    failed tasks of a :class:`SweepError`'s partial run — are skipped.
+    Each point carries every metric's mean and standard deviation over
+    its group, and the raw results when ``keep_results`` is set
+    (memory-heavy).  A metric may return None for "not measured in this
+    run" (e.g. ``query_success_rate`` when a cell samples no queries):
+    that sample is missing, not zero, and a point that measured nothing
+    reports NaN.
     """
     if not metrics:
         raise ValueError("need at least one metric")
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    # Materialize the size axis exactly once.  expand_grid supports
-    # ns=None (seed axis only) and any iterable; iterating ``ns`` again
-    # below would crash on None and silently yield zero points for a
-    # generator already consumed by expand_grid.
-    ns = [base.n] if ns is None else [int(n) for n in ns]
-    scenarios = expand_grid(base, ns, seeds, scenario_for)
-    results = run_sweep(
-        scenarios,
-        workers=workers,
-        cache_dir=cache_dir,
-        progress=progress,
-        task_timeout=task_timeout,
-        task_retries=task_retries,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-    )
+    groups: dict[int, list[SimResult]] = {}
+    for res in results:
+        if res is not None:
+            groups.setdefault(int(res.scenario.n), []).append(res)
     points = []
-    per_n = len(seeds)
-    for i, n in enumerate(ns):
-        chunk = results[i * per_n : (i + 1) * per_n]
-        # A metric may return None for "not measured in this run" (e.g.
-        # query_success_rate when a cell samples no queries).  Those
-        # samples are *missing*, not zero: they become NaN and are
-        # skipped by the aggregation, so a mixed grid's mean reflects
-        # only the cells that actually measured the quantity.
+    for n, chunk in groups.items():
         samples = {
             name: np.array(
                 [np.nan if (v := fn(res)) is None else float(v)
@@ -754,10 +723,10 @@ def cached_sweep(
         }
         points.append(
             SweepPoint(
-                n=int(n),
+                n=n,
                 values={k: _nan_skip(v, np.mean) for k, v in samples.items()},
                 stds={k: _nan_skip(v, np.std) for k, v in samples.items()},
-                seeds=per_n,
+                seeds=len(chunk),
                 results=tuple(chunk) if keep_results else (),
             )
         )

@@ -1,18 +1,16 @@
-"""Tests for per-size sweep aggregation (``cached_sweep`` -> ``SweepPoint``)."""
+"""Tests for per-size sweep aggregation (``sweep_points`` -> ``SweepPoint``)."""
 
 import pytest
 
-from repro.sim import Scenario, cached_sweep
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 
 @pytest.fixture(scope="module")
 def tiny_sweep():
     base = Scenario(n=60, steps=6, warmup=2, speed=2.0, hop_mode="euclidean")
-    return cached_sweep(
-        [60, 120],
-        base,
-        metrics={"handoff": lambda r: r.handoff_rate, "f0": lambda r: r.f0},
-        seeds=(0, 1),
+    return sweep_points(
+        run_sweep(expand_grid(base, [60, 120], seeds=(0, 1))),
+        {"handoff": lambda r: r.handoff_rate, "f0": lambda r: r.f0},
         keep_results=True,
     )
 
@@ -30,8 +28,8 @@ class TestSweep:
         assert all(len(p.results) == 2 for p in tiny_sweep)
 
     def test_empty_metrics_rejected(self):
-        with pytest.raises(ValueError):
-            cached_sweep([10], Scenario(), metrics={})
+        with pytest.raises(ValueError, match="metric"):
+            sweep_points([], {})
 
     def test_scenario_hook(self):
         seen = []
@@ -40,11 +38,9 @@ class TestSweep:
             seen.append(n)
             return sc
 
-        cached_sweep(
-            [60],
+        grid = expand_grid(
             Scenario(n=60, steps=3, warmup=1, hop_mode="euclidean"),
-            metrics={"f0": lambda r: r.f0},
-            seeds=(0,),
-            scenario_for=hook,
+            [60], seeds=(0,), scenario_for=hook,
         )
-        assert seen == [60]
+        (point,) = sweep_points(run_sweep(grid), {"f0": lambda r: r.f0})
+        assert seen == [60] and point.n == 60

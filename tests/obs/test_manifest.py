@@ -10,7 +10,6 @@ import pytest
 from repro.obs import (
     RunManifest,
     read_jsonl,
-    result_counters,
     trace_from_records,
     trace_records,
     write_jsonl,
@@ -19,10 +18,10 @@ from repro.sim import (
     Scenario,
     SimCheckpoint,
     Simulator,
-    cached_sweep,
     run_scenario,
     run_sweep,
     scenario_key,
+    sweep_points,
 )
 from repro.sim.sweep import CODE_VERSION
 
@@ -90,13 +89,6 @@ class TestJsonl:
         write_jsonl(path, [man.to_dict(), man.to_dict()])
         back = [RunManifest.from_dict(d) for d in read_jsonl(path)]
         assert back == [man, man]
-
-    def test_result_counters_record(self, profiled_result):
-        rec = result_counters(profiled_result)
-        assert rec["n"] == 60 and rec["seed"] == 2
-        assert rec["phi"] == profiled_result.phi
-        assert rec["wall_seconds"] > 0
-        assert set(rec["phases"]) == set(profiled_result.timings.totals)
 
 
 class TestTraceRoundTrip:
@@ -191,7 +183,7 @@ class TestCadenceHasOneHome:
             replace(self.SC, hop_sample_every=0)
 
     @pytest.mark.parametrize("fn", [
-        Simulator.__init__, run_scenario, run_sweep, cached_sweep,
+        Simulator.__init__, run_scenario, run_sweep, sweep_points,
         scenario_key, RunManifest.from_result,
     ], ids=lambda fn: fn.__qualname__)
     def test_no_entry_point_overrides_the_cadence(self, fn):

@@ -10,8 +10,8 @@ import types
 import numpy as np
 import pytest
 
-from repro.persist import load_checkpoint, save_checkpoint
 from repro.sim import Scenario, SimCheckpoint, Simulator
+from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.sweep import CODE_VERSION, _run_task, run_sweep
 
 
@@ -274,6 +274,31 @@ class TestStaleCheckpointRejection:
         with pytest.raises(ValueError):
             Simulator.restore(stale)
         assert CODE_VERSION == good.code_version
+
+
+class TestAtomicCheckpointWrite:
+    def test_failed_save_leaves_no_tmp_and_keeps_the_last(self, tmp_path,
+                                                           monkeypatch):
+        """A save interrupted mid-pickle (Ctrl-C) removes its
+        ``run.ckpt.tmp-<pid>``; the checkpoint it was replacing is
+        intact and still resumes."""
+        sc = _scenario(steps=8)
+        path = tmp_path / "run.ckpt"
+        Simulator(sc).run(checkpoint_every=3, checkpoint_path=str(path))
+        before = path.read_bytes()
+
+        def dump_then_interrupt(obj, fh, protocol=None):
+            fh.write(b"partial")
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patched:
+            patched.setattr(pickle, "dump", dump_then_interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                save_checkpoint(load_checkpoint(path), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
+        assert path.read_bytes() == before
+        _assert_same_result(Simulator(sc).run(),
+                            Simulator.restore(path).run())
 
 
 class TestSweepCheckpointing:

@@ -8,11 +8,11 @@ import pytest
 import repro.sim.sweep as sweep_mod
 from repro.sim import (
     Scenario,
-    cached_sweep,
     expand_grid,
     run_scenario,
     run_sweep,
     scenario_key,
+    sweep_points,
 )
 from tests.fingerprint import fingerprint
 
@@ -51,10 +51,11 @@ class TestDeterminism:
             assert np.array_equal(a.final_positions, b.final_positions)
 
     def test_cached_sweep_matches_analysis_sweep(self):
-        """The runner's aggregates equal an independent serial loop of
-        run_scenario + np.mean / np.std over the same (n, seed) grid."""
+        """The parallel runner's aggregates equal an independent serial
+        loop of run_scenario + np.mean / np.std over the same grid."""
         metrics = {"total": lambda r: r.handoff_rate, "f0": lambda r: r.f0}
-        points = cached_sweep([60, 90], BASE, metrics, seeds=(0, 1), workers=2)
+        grid = expand_grid(BASE, [60, 90], seeds=(0, 1))
+        points = sweep_points(run_sweep(grid, workers=2), metrics)
         assert [p.n for p in points] == [60, 90]
         for p in points:
             runs = [run_scenario(replace(BASE, n=p.n, seed=seed))
@@ -137,20 +138,20 @@ class TestCache:
         )
 
     def test_corrupt_entry_through_cached_sweep(self, tmp_path):
-        """End-to-end: cached_sweep over a poisoned cache still returns
+        """End-to-end: a sweep over a poisoned cache still returns
         correct aggregates."""
         metrics = {"total": lambda r: r.handoff_rate}
-        clean = cached_sweep([60], BASE, metrics, seeds=(0,))
-        for sc in expand_grid(BASE, [60], seeds=(0,)):
+        grid = expand_grid(BASE, [60], seeds=(0,))
+        clean = sweep_points(run_sweep(grid), metrics)
+        for sc in grid:
             bad = tmp_path / f"{scenario_key(sc)}.pkl"
             bad.write_bytes(b"\x80\x04garbage")
-        poisoned = cached_sweep([60], BASE, metrics, seeds=(0,),
-                                cache_dir=tmp_path)
+        poisoned = sweep_points(run_sweep(grid, cache_dir=tmp_path), metrics)
         assert poisoned[0].values == clean[0].values
 
     def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
         """A store that dies mid-write (disk full, Ctrl-C) must not leave
-        its ``<key>.tmp-<pid>`` behind; the next sweep just re-runs."""
+        its ``<key>.pkl.tmp-<pid>`` behind; the next sweep just re-runs."""
         grid = expand_grid(BASE, [60], seeds=(0,))
 
         def dump_then_die(obj, fh, protocol=None):
@@ -175,33 +176,51 @@ class TestCache:
         assert not list(tmp_path.rglob("*.pkl"))
 
 
+def _points(ns, seeds, metrics, **kwargs):
+    """``sweep_points`` over a serial ``run_sweep`` of BASE's grid."""
+    return sweep_points(run_sweep(expand_grid(BASE, ns, seeds)), metrics,
+                        **kwargs)
+
+
 class TestCachedSweepShapes:
-    """Regressions: ``expand_grid`` accepts ns=None and any iterable, so
-    ``cached_sweep`` must too (it used to crash on None and return zero
-    points for a generator consumed during grid expansion)."""
+    """Regressions: ``expand_grid`` accepts ns=None and any iterable, and
+    the points follow it (an aggregator that re-read the size axis used
+    to crash on None and return zero points for a generator consumed
+    during grid expansion)."""
 
     METRICS = {"total": lambda r: r.handoff_rate}
 
     def test_ns_none_falls_back_to_base_size(self):
-        points = cached_sweep(None, BASE, self.METRICS, seeds=(0, 1))
+        points = _points(None, (0, 1), self.METRICS)
         assert [p.n for p in points] == [BASE.n]
         assert points[0].seeds == 2
-        explicit = cached_sweep([BASE.n], BASE, self.METRICS, seeds=(0, 1))
+        explicit = _points([BASE.n], (0, 1), self.METRICS)
         assert points[0].values == explicit[0].values
 
     def test_generator_ns_yields_every_point(self):
-        lazy = cached_sweep((n for n in [60, 90]), BASE, self.METRICS,
-                            seeds=(0,))
-        eager = cached_sweep([60, 90], BASE, self.METRICS, seeds=(0,))
+        lazy = _points((n for n in [60, 90]), (0,), self.METRICS)
+        eager = _points([60, 90], (0,), self.METRICS)
         assert [p.n for p in lazy] == [60, 90]
         assert [(p.n, p.values) for p in lazy] == \
             [(p.n, p.values) for p in eager]
 
     def test_numpy_ns_axis(self):
-        points = cached_sweep(np.array([60, 90]), BASE, self.METRICS,
-                              seeds=(0,))
+        points = _points(np.array([60, 90]), (0,), self.METRICS)
         assert [p.n for p in points] == [60, 90]
         assert all(type(p.n) is int for p in points)
+
+    def test_groups_by_size_in_first_appearance_order(self):
+        """Points follow the results' sizes, not a sorted axis, and a
+        failed task's ``None`` hole is skipped rather than counted."""
+        results = run_sweep(expand_grid(BASE, [90, 60], seeds=(0, 1)))
+        points = sweep_points(results, self.METRICS, keep_results=True)
+        assert [(p.n, p.seeds) for p in points] == [(90, 2), (60, 2)]
+        holed = [results[0], None, results[2], results[3]]
+        big, small = sweep_points(holed, self.METRICS, keep_results=True)
+        assert big.seeds == 1 and big.results == (results[0],)
+        assert big.values["total"] == results[0].handoff_rate
+        assert small.values == points[1].values
+        assert sweep_points([None, None], self.METRICS) == []
 
 
 class TestMissingMetricAggregation:
@@ -220,8 +239,9 @@ class TestMissingMetricAggregation:
         def per_n(sc, n):
             return replace(sc, queries_per_step=3 if n == 60 else 0)
 
-        lo, hi = cached_sweep([60, 90], BASE, self.METRICS, seeds=(0, 1),
-                              scenario_for=per_n, keep_results=True)
+        grid = expand_grid(BASE, [60, 90], seeds=(0, 1), scenario_for=per_n)
+        lo, hi = sweep_points(run_sweep(grid), self.METRICS,
+                              keep_results=True)
         rates = [r.query_success_rate for r in lo.results]
         assert all(r is not None for r in rates)
         assert lo.values["succ"] == float(np.mean(rates))
@@ -398,5 +418,5 @@ class TestRunSweepBasics:
         ]
 
     def test_cached_sweep_rejects_empty_metrics(self):
-        with pytest.raises(ValueError):
-            cached_sweep([60], BASE, {}, seeds=(0,))
+        with pytest.raises(ValueError, match="metric"):
+            sweep_points([], {})

@@ -18,7 +18,6 @@ from repro.sim import (
     SweepError,
     SweepRun,
     TaskError,
-    cached_sweep,
     expand_grid,
     run_sweep,
 )
@@ -191,8 +190,10 @@ class TestRunControlValidation:
         assert not (tmp_path / "ckpt").exists()
 
     def test_cached_sweep_needs_a_seed(self):
+        """An empty seed axis would expand to no task: the grid refuses
+        it rather than yield a sweep with no points."""
         with pytest.raises(ValueError, match="seed"):
-            cached_sweep(None, GOOD, {"phi": lambda r: r.phi}, seeds=())
+            expand_grid(GOOD, None, seeds=())
 
 
 class TestSweepPartialResults:

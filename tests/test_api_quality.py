@@ -159,6 +159,32 @@ class TestExports:
         assert list(inspect.signature(DeliveryEngine.send).parameters) == [
             "self", "hops"]
 
+    def test_one_sweep_command_and_one_run_record(self, capsys):
+        """``run_sweep`` is the one sweep entry point (``sweep_points``
+        only aggregates its results), ``repro sweep`` the one sweep
+        command, and ``RunManifest`` the one per-run record: the JSON
+        artifact module, the wrapper sweep, the counter record and the
+        ``profile`` subcommand are gone."""
+        import repro.obs
+        from repro.cli import main
+        from repro.sim import sweep_points
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.persist")
+        gone = {"cached_sweep", "result_counters", "save_sweep", "load_sweep"}
+        obs_modules = [repro.obs] + [
+            importlib.import_module(f"repro.obs.{info.name}")
+            for info in pkgutil.iter_modules(repro.obs.__path__)]
+        for mod in [*iter_modules(), *obs_modules]:
+            exported = set(getattr(mod, "__all__", ())) | set(vars(mod))
+            assert not gone & exported, mod.__name__
+        assert list(inspect.signature(sweep_points).parameters) == [
+            "results", "metrics", "keep_results"]
+        with pytest.raises(SystemExit) as err:
+            main(["profile"])
+        assert err.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+
 
 class TestLayering:
     def test_analysis_does_not_import_the_simulator(self):

@@ -18,11 +18,10 @@ class TestParser:
     @pytest.mark.parametrize("command, steps, warmup, hops", [
         ("simulate", 50, 10, "auto"),
         ("sweep", 40, 10, "euclidean"),
-        ("profile", 30, 10, "euclidean"),
     ])
     def test_shared_flags_keep_each_subcommands_defaults(
             self, command, steps, warmup, hops):
-        """The run flags are declared once for all three subcommands, but
+        """The run flags are declared once for both subcommands, but
         each keeps its own defaults; the rest of the block is common."""
         args = build_parser().parse_args([command])
         assert (args.steps, args.warmup, args.hops) == (steps, warmup, hops)
@@ -41,6 +40,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "EXP-T4" in out
         assert "EXP-A2" in out
+
+    def test_every_listed_experiment_has_a_title(self, capsys):
+        """Titles come from the experiment modules' docstrings, so every
+        catalogue entry has one, and each is a whole sentence."""
+        from repro.experiments import ALL_EXPERIMENTS
+
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(ALL_EXPERIMENTS)
+        for line in lines:
+            eid, title = line.split(maxsplit=1)
+            assert not title.startswith(eid) and title.endswith("."), line
 
     def test_info(self, capsys):
         assert main(["info"]) == 0
@@ -147,10 +158,8 @@ class TestBadScenarioValues:
         (["simulate", "--n", "1"], "n >= 2"),
         (["sweep", "--density", "0"], "density"),
         (["sweep", "--speed", "-1"], "speed"),
-        (["profile", "--speed", "0"], "speed"),
     ], ids=["simulate-density", "simulate-speed", "simulate-preset",
-            "simulate-chaos", "simulate-n", "sweep-density", "sweep-speed",
-            "profile-speed"])
+            "simulate-chaos", "simulate-n", "sweep-density", "sweep-speed"])
     def test_one_line_and_exit_2(self, capsys, argv, match):
         extra = ["--ns", "60", "--seeds", "0", "--no-cache", "--quiet"]
         assert main(argv + (extra if argv[0] != "simulate" else [])) == 2
@@ -160,6 +169,30 @@ class TestBadScenarioValues:
         assert line.startswith(f"{argv[0]}: ") and match in line
 
 
+class TestBadAxisValues:
+    """An integer axis with a non-integer in it: one ``<command>:`` line
+    on stderr and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--ns", "60,abc", "--seeds", "0"], "--ns"),
+        (["sweep", "--ns", "60", "--seeds", "0,x"], "--seeds"),
+        (["experiment", "EXP-F1", "--seeds", "x"], "--seeds"),
+        (["report", "--experiments", "EXP-F1", "--seeds", "x"], "--seeds"),
+    ], ids=["sweep-ns", "sweep-seeds", "experiment-seeds", "report-seeds"])
+    def test_one_line_and_exit_2(self, capsys, argv, flag):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            f"{argv[0]}: {flag} takes comma-separated integers"), line
+
+
+def _table(out: str) -> str:
+    """The aggregate table ``repro sweep`` prints above its report."""
+    return out.split("\n\n")[0]
+
+
 class TestSweepCommand:
     def test_sweep_runs_and_caches(self, tmp_path, capsys):
         args = ["sweep", "--ns", "60,90", "--seeds", "0", "--steps", "4",
@@ -167,22 +200,26 @@ class TestSweepCommand:
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "total/log^2n" in first
+        assert "0 cached, 0% hit rate" in first
         assert len(list(tmp_path.glob("*.pkl"))) == 2
         # Second invocation replays from the cache, identical table.
         assert main(args) == 0
-        assert capsys.readouterr().out == first
+        second = capsys.readouterr().out
+        assert _table(second) == _table(first)
+        assert "2 cached, 100% hit rate" in second
 
-    def test_sweep_json_output(self, tmp_path, capsys):
-        out_file = tmp_path / "points.json"
+    def test_sweep_manifest_output(self, tmp_path, capsys):
+        out_file = tmp_path / "runs.jsonl"
         assert main(["sweep", "--ns", "60", "--seeds", "0", "--steps", "4",
                      "--warmup", "1", "--no-cache", "--quiet",
-                     "--json", str(out_file)]) == 0
-        assert "points written" in capsys.readouterr().out
-        from repro.persist import load_sweep
+                     "--manifest", str(out_file)]) == 0
+        assert "1 manifests written" in capsys.readouterr().out
+        from repro.obs import RunManifest, read_jsonl
 
-        points = load_sweep(out_file)
-        assert points[0].n == 60
-        assert set(points[0].values) == {"phi", "gamma", "total"}
+        (man,) = [RunManifest.from_dict(d) for d in read_jsonl(out_file)]
+        assert man.scenario["n"] == 60
+        assert {"phi", "gamma", "handoff_rate"} <= set(man.metrics)
+        assert man.phases
 
     def test_sweep_rejects_empty_grid(self, capsys):
         assert main(["sweep", "--ns", "", "--seeds", "0"]) == 2
@@ -206,11 +243,19 @@ class TestSweepCommand:
 
 
 class TestProfileCommand:
+    """The profiled sweep: ``repro sweep`` prints its aggregate table,
+    then the :class:`~repro.obs.SweepReport` block."""
+
     def test_profile_prints_breakdown_and_stats(self, tmp_path, capsys):
-        assert main(["profile", "--ns", "60,90", "--seeds", "0", "--steps",
+        assert main(["sweep", "--ns", "60,90", "--seeds", "0", "--steps",
                      "4", "--warmup", "1", "--cache-dir", str(tmp_path),
                      "--quiet"]) == 0
         out = capsys.readouterr().out
+        # Profiling leaves the table's rows unchanged, byte for byte.
+        assert _table(out) == (
+            "     n   L      phi    gamma    total  total/log^2n\n"
+            "    60   2   0.4333   1.3125   1.7458       0.10414\n"
+            "    90   3   0.6111   2.5028   3.1139       0.15379")
         assert "hit rate" in out
         assert "tasks/min" in out
         assert "phase mean ms/step" in out
@@ -219,7 +264,7 @@ class TestProfileCommand:
             assert phase in out
 
     def test_profile_second_run_hits_cache(self, tmp_path, capsys):
-        args = ["profile", "--ns", "60", "--seeds", "0", "--steps", "4",
+        args = ["sweep", "--ns", "60", "--seeds", "0", "--steps", "4",
                 "--warmup", "1", "--cache-dir", str(tmp_path), "--quiet"]
         assert main(args) == 0
         capsys.readouterr()
@@ -231,7 +276,7 @@ class TestProfileCommand:
 
     def test_profile_writes_manifests(self, tmp_path, capsys):
         path = tmp_path / "runs.jsonl"
-        assert main(["profile", "--ns", "60", "--seeds", "0,1", "--steps",
+        assert main(["sweep", "--ns", "60", "--seeds", "0,1", "--steps",
                      "4", "--warmup", "1", "--no-cache", "--quiet",
                      "--manifest", str(path)]) == 0
         assert "2 manifests written" in capsys.readouterr().out
@@ -245,8 +290,9 @@ class TestProfileCommand:
     def test_profile_reports_a_failed_task_and_exits_1(self, tmp_path,
                                                         capsys, monkeypatch):
         """One task of the grid fails every attempt: the sweep raises at
-        its end, and ``repro profile`` still renders the report (with the
-        failure) and writes manifests for the healthy tasks."""
+        its end, and ``repro sweep`` still prints the healthy tasks' table
+        row and the report (with the failure), writes their manifests
+        and exits 1."""
         import repro.sim.sweep as sweep_mod
 
         real = sweep_mod._run_task
@@ -259,10 +305,12 @@ class TestProfileCommand:
         monkeypatch.setattr(sweep_mod, "_run_task", fail_seed_1)
         monkeypatch.setattr(sweep_mod, "RETRY_BACKOFF", 0.0)
         path = tmp_path / "runs.jsonl"
-        assert main(["profile", "--ns", "60", "--seeds", "0,1,2", "--steps",
+        assert main(["sweep", "--ns", "60", "--seeds", "0,1,2", "--steps",
                      "4", "--warmup", "1", "--no-cache", "--quiet",
                      "--manifest", str(path)]) == 1
         out = capsys.readouterr().out
+        (row,) = _table(out).splitlines()[1:]
+        assert row.split()[:2] == ["60", "2"]
         assert "2/3 done" in out
         assert "0 retried-then-succeeded, 1 failed (exception=1)" in out
         assert "phase mean ms/step" in out
@@ -273,8 +321,8 @@ class TestProfileCommand:
         assert {m.scenario["seed"] for m in manifests} == {0, 2}
 
     def test_profile_rejects_empty_grid(self, capsys):
-        assert main(["profile", "--ns", "", "--seeds", "0"]) == 2
-        assert "at least one size" in capsys.readouterr().err
+        assert main(["sweep", "--ns", "60", "--seeds", ""]) == 2
+        assert "one seed" in capsys.readouterr().err
 
     def test_simulate_profile_flag(self, capsys):
         assert main([
