@@ -157,46 +157,6 @@ def test_bench_forwarding_fabric(benchmark, deployment):
     assert fab.table_sizes().mean() > 0
 
 
-def test_bench_fabric_incremental(benchmark):
-    """Steady-state fabric maintenance: one FabricCache.update() under a
-    small mobility drift (n=400, matching the simulator-step bench scale).
-    Acceptance: within ~2x of a simulator step."""
-    from repro.radio.linkevents import LinkTracker
-    from repro.routing import FabricCache
-
-    n = 400
-    region = disc_for_density(n, DENSITY)
-    r_tx = radius_for_degree(DEGREE, DENSITY)
-    rng = np.random.default_rng(0)
-    pts = region.sample(n, rng)
-
-    def make_state():
-        tracker = LinkTracker(n)
-        cache = FabricCache()
-        p = pts
-        snaps = []
-        for _ in range(2):
-            edges = unit_disk_edges(p, r_tx)
-            g = CompactGraph(np.arange(n), edges)
-            h = build_hierarchy(np.arange(n), edges, max_levels=3,
-                                level_mode="radio", positions=p, r0=r_tx)
-            snaps.append((h, g, edges))
-            p = p + rng.normal(scale=0.15, size=p.shape)
-        h0, g0, e0 = snaps[0]
-        cache.update(h0, g0, tracker.observe(e0))
-        cache.fabric.table_sizes()
-        return (cache, tracker, snaps[1]), {}
-
-    def one_update(cache, tracker, snap):
-        h, g, edges = snap
-        fab = cache.update(h, g, tracker.observe(edges))
-        fab.table_sizes()
-        return cache.stats
-
-    stats = benchmark.pedantic(one_update, setup=make_state, rounds=5)
-    assert stats.rows_reused > 0  # the update actually reused flood state
-
-
 HIERARCHY_N = 2000
 """Size of the hierarchy build benchmark."""
 

@@ -221,11 +221,11 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_info() -> int:
+def _cmd_info(description: str) -> int:
     import repro
 
     print(f"repro {repro.__version__}")
-    print(__doc__.strip().splitlines()[0])
+    print(description)
     for pkg in repro.__all__:
         print(f"  repro.{pkg}")
     return 0
@@ -548,11 +548,12 @@ def _cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "info":
-        return _cmd_info()
+        return _cmd_info(parser.description)
     if args.command == "experiment":
         return _cmd_experiment(args)
     if args.command == "simulate":

@@ -1,15 +1,9 @@
-"""Clustering substrate: LCA/ALCA election, the ALCA state machine, and
-cluster-structure metrics (Section 2.2 of the paper).
+"""Clustering substrate: LCA/ALCA election and the ALCA state machine
+(Section 2.2 of the paper).
 """
 
 from repro.clustering.alca import AlcaMaintainer
 from repro.clustering.lca import Election, elect
-from repro.clustering.metrics import (
-    ClusterSizeStats,
-    aggregation_factors,
-    arity,
-    cluster_size_stats,
-)
 from repro.clustering.state import (
     RecursionQuantities,
     StateStats,
@@ -21,10 +15,6 @@ __all__ = [
     "AlcaMaintainer",
     "Election",
     "elect",
-    "ClusterSizeStats",
-    "aggregation_factors",
-    "arity",
-    "cluster_size_stats",
     "RecursionQuantities",
     "StateStats",
     "StateTracker",

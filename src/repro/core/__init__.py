@@ -16,8 +16,6 @@ from repro.core.batch_query import (
 from repro.core.events import (
     EventKind,
     HierarchyDiff,
-    MigrationEvent,
-    ReorgEvent,
     diff_hierarchies,
 )
 from repro.core.handoff import HandoffEngine, HandoffReport
@@ -39,8 +37,6 @@ __all__ = [
     "resolve_batch",
     "EventKind",
     "HierarchyDiff",
-    "MigrationEvent",
-    "ReorgEvent",
     "diff_hierarchies",
     "HandoffEngine",
     "HandoffReport",

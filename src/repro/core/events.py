@@ -40,10 +40,7 @@ a link; docs/ARCHITECTURE.md, "Data layout: hierarchy events"), so a
 step costs a fixed number of array operations whatever the depth L, and
 minted cluster IDs (>= 10^7) or base IDs above 2^31 need no other path.
 A 1 m/s step at n = 10^4 yields about 1.3 events per node, so nothing
-on the simulation path loops over events: :class:`MigrationEvent` /
-:class:`ReorgEvent` objects exist only in the on-demand
-:attr:`HierarchyDiff.migrations` / :attr:`HierarchyDiff.reorgs` views
-(tests, examples, debugging).
+loops over events: every consumer reads the columns.
 """
 
 from __future__ import annotations
@@ -59,8 +56,6 @@ from repro.radio.linkevents import sorted_key_diff
 
 __all__ = [
     "EventKind",
-    "MigrationEvent",
-    "ReorgEvent",
     "HierarchyDiff",
     "diff_hierarchies",
 ]
@@ -85,40 +80,6 @@ _KINDS = tuple(EventKind)
  _REJECT_RECURSIVE, _NEIGHBOR_ELECTED) = range(1, len(_KINDS))
 
 
-@dataclass(frozen=True)
-class MigrationEvent:
-    """A node's level-k cluster changed between snapshots."""
-
-    node: int
-    level: int
-    old_cluster: int
-    new_cluster: int
-    pure: bool
-    """True when this is Section 4's *node migration*: both clusters
-    exist in both snapshots ("the level-k topology remains intact") AND
-    the change originates from the node's own re-affiliation (its level-1
-    cluster changed).  When a whole level-(k-1) cluster re-affiliates,
-    every member's level-k ancestry flips at once — the paper counts that
-    as ONE cluster-migration reorganization event (kinds i/ii), so those
-    per-node flips are impure here and their handoff cost lands in gamma.
-    """
-    origin_level: int = 1
-    """Lowest level at which the node's ancestry changed — 1 for an
-    individual move, > 1 when an ancestor cluster re-affiliated."""
-
-
-@dataclass(frozen=True)
-class ReorgEvent:
-    """A cluster reorganization event of kind (i)-(vii) at ``level``."""
-
-    kind: EventKind
-    level: int
-    subject: int
-    """The cluster/node the event is about (v_k in the paper)."""
-    other: int | None = None
-    """The counterpart (u_k: link peer, elector, or new head)."""
-
-
 _NO_ONE = np.iinfo(np.int64).max
 
 
@@ -137,10 +98,23 @@ def _first_seen_counts(keys: np.ndarray) -> tuple[list[int], list[int]]:
 class HierarchyDiff:
     """All events between two hierarchy snapshots, as parallel arrays.
 
-    Row ``i`` of the ``mig_*`` columns is one :class:`MigrationEvent`
-    (same field meanings), row ``j`` of the ``reorg_*`` columns one
-    :class:`ReorgEvent`: ``reorg_kind`` holds positions in
-    ``tuple(EventKind)`` and ``reorg_other`` -1 for "no counterpart".
+    Row ``i`` of the ``mig_*`` columns is one node migration: ``node``'s
+    level-``level`` cluster changed from ``old`` to ``new``; ``origin``
+    is the lowest level at which the node's ancestry changed (1 for an
+    individual move, > 1 when an ancestor cluster re-affiliated).
+    ``pure`` marks Section 4's *node migration*: both clusters exist in
+    both snapshots ("the level-k topology remains intact") and the
+    change originates at level 1.  When a whole level-(k-1) cluster
+    re-affiliates, every member's level-k ancestry flips at once; the
+    paper counts that as ONE cluster-migration reorganization event
+    (kinds i/ii), so those per-node flips are impure and their handoff
+    cost lands in gamma.
+
+    Row ``j`` of the ``reorg_*`` columns is one reorganization event of
+    kind (i)-(vii) at ``reorg_level``: ``reorg_kind`` holds positions in
+    ``tuple(EventKind)``, ``reorg_subject`` the cluster/node the event
+    is about (v_k in the paper), ``reorg_other`` its counterpart (u_k:
+    link peer, elector, or new head) or -1 for none.
 
     ``link_changes[k]`` counts the level-k links that appeared or
     vanished, ``drift_changes[k]`` those of them whose two endpoints are
@@ -170,30 +144,6 @@ class HierarchyDiff:
             np.array_equal(getattr(self, f.name), getattr(other, f.name))
             for f in fields(self)
         )
-
-    @property
-    def migrations(self) -> list[MigrationEvent]:
-        """Object view of the migration columns, built on every access."""
-        return [
-            MigrationEvent(*row)
-            for row in zip(
-                self.mig_node.tolist(), self.mig_level.tolist(),
-                self.mig_old.tolist(), self.mig_new.tolist(),
-                self.mig_pure.tolist(), self.mig_origin.tolist(),
-            )
-        ]
-
-    @property
-    def reorgs(self) -> list[ReorgEvent]:
-        """Object view of the reorg columns, built on every access."""
-        return [
-            ReorgEvent(_KINDS[kind], level, subject,
-                       None if other < 0 else other)
-            for kind, level, subject, other in zip(
-                self.reorg_kind.tolist(), self.reorg_level.tolist(),
-                self.reorg_subject.tolist(), self.reorg_other.tolist(),
-            )
-        ]
 
     def migration_counts(self) -> dict[int, int]:
         """Pure migration events per level (f_k numerators)."""

@@ -159,11 +159,6 @@ class HandoffEngine:
         """
         return self._prev_a
 
-    @property
-    def stale_keys(self) -> frozenset[tuple[int, int]]:
-        """(subject, level) entries whose last transfer was abandoned."""
-        return frozenset(self._stale)
-
     def observe(
         self,
         h: ClusteredHierarchy,
@@ -209,7 +204,7 @@ class HandoffEngine:
         # Per node: the lowest level its ancestry changed at (0: nowhere)
         # — every migration event of a node carries it — and whether that
         # change is a pure migration, which it can only be at level 1
-        # (MigrationEvent.pure at the origin level).
+        # (``HierarchyDiff.mig_pure`` at the origin level).
         lcl = np.zeros(base.size, dtype=np.int64)
         lcl[row_of(diff.mig_node)] = diff.mig_origin
         pure = np.zeros(base.size, dtype=bool)

@@ -70,23 +70,6 @@ class ServerAssignment:
     subjects: np.ndarray
     tables: dict[int, np.ndarray]
 
-    @classmethod
-    def from_mapping(
-        cls, servers: Mapping[tuple[int, int], int], subjects=None
-    ) -> "ServerAssignment":
-        """Build from a ``{(subject, level): server}`` mapping (tests and
-        hand-made assignments); ``subjects`` defaults to the keys'."""
-        if subjects is None:
-            subjects = sorted({subj for subj, _ in servers})
-        subjects = np.asarray(subjects, dtype=np.int64)
-        tables: dict[int, np.ndarray] = {}
-        for (subj, level), srv in servers.items():
-            table = tables.get(level)
-            if table is None:
-                table = tables[level] = np.full(subjects.size, -1, dtype=np.int64)
-            table[np.searchsorted(subjects, subj)] = srv
-        return cls(subjects=subjects, tables=tables)
-
     @property
     def servers(self) -> Mapping[tuple[int, int], int]:
         """Read-only ``{(subject, level): server}`` view, rebuilt on every

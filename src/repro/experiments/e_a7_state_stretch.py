@@ -21,8 +21,7 @@ from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.radio.linkevents import LinkTracker
-from repro.routing import FabricCache, FlatRouter, ForwardingFabric
+from repro.routing import FlatRouter, ForwardingFabric
 
 __all__ = ["run"]
 
@@ -62,17 +61,13 @@ def _measure(n: int, L: int, seed: int, pairs: int = 150) -> dict[str, float]:
 
 def _measure_steady(n: int, L: int, seed: int, steps: int = 6,
                     pairs: int = 40, drift: float = 0.2) -> dict[str, float]:
-    """Steady-state variant: the fabric is *maintained* across drifting
-    snapshots by a :class:`FabricCache` fed with each step's link events
-    (instead of rebuilt per snapshot), measuring the same delivery /
-    stretch quantities plus how much flood state the cache reused."""
+    """Steady-state variant: the same delivery / stretch quantities over
+    drifting snapshots, with one fabric built per snapshot."""
     density = 0.02
     r_tx = radius_for_degree(9.0, density)
     region = disc_for_density(n, density)
     rng = np.random.default_rng(seed)
     pts = region.sample(n, rng)
-    tracker = LinkTracker(n)
-    cache = FabricCache()
     stretches: list[float] = []
     states: list[float] = []
     delivered = attempted = 0
@@ -81,7 +76,7 @@ def _measure_steady(n: int, L: int, seed: int, steps: int = 6,
         g = CompactGraph(np.arange(n), edges)
         h = build_hierarchy(np.arange(n), edges, max_levels=L,
                             level_mode="radio", positions=pts, r0=r_tx)
-        fabric = cache.update(h, g, tracker.observe(edges))
+        fabric = ForwardingFabric(h, g)
         states.append(float(fabric.table_sizes().mean()))
         flat = FlatRouter(g)
         for _ in range(pairs):
@@ -95,14 +90,10 @@ def _measure_steady(n: int, L: int, seed: int, steps: int = 6,
                 delivered += 1
                 stretches.append(res.hops / fp)
         pts = pts + rng.normal(scale=drift, size=pts.shape)
-    st = cache.stats
-    total_rows = st.rows_reused + st.rows_stale
     return {
         "state": float(np.mean(states)),
         "delivery": delivered / max(attempted, 1),
         "stretch_mean": float(np.mean(stretches)) if stretches else float("nan"),
-        "rows_reused_frac": st.rows_reused / max(total_rows, 1),
-        "full_rebuilds": float(st.full_rebuilds),
     }
 
 
@@ -147,16 +138,13 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
             f"stretch {m['stretch_mean']:.2f} "
             "(deeper hierarchies trade state for stretch)"
         )
-    # Steady state under mobility: the incrementally maintained fabric
-    # (bit-identical to per-step rebuilds) with its reuse fraction.
+    # Steady state under mobility: a fabric per drifting snapshot.
     n0 = ns[0]
     m = _measure_steady(n0, levels_for(n0), seeds[0])
     result.add_note(
-        f"steady state (incremental fabric, n={n0}): "
+        f"steady state (fabric per snapshot, n={n0}): "
         f"state {m['state']:.1f}/node, delivery {m['delivery']:.3f}, "
-        f"stretch {m['stretch_mean']:.2f}, "
-        f"{100 * m['rows_reused_frac']:.0f}% of flood rows reused across steps, "
-        f"{m['full_rebuilds']:.0f} full rebuild(s)"
+        f"stretch {m['stretch_mean']:.2f}"
     )
     return result
 

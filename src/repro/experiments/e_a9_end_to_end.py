@@ -32,7 +32,7 @@ from repro.analysis import levels_for
 from repro.core import resolve_batch
 from repro.experiments.common import ExperimentResult
 from repro.graphs import CompactGraph
-from repro.routing.fabric_cache import FabricCache
+from repro.routing import ForwardingFabric
 from repro.sim import Scenario, Simulator
 from repro.sim.collectors import Collector
 from repro.sim.engine import RNG_STREAMS
@@ -66,7 +66,7 @@ class SessionCollector(Collector):
     resolve in one batch against the database the previous step left
     (its hierarchy and effective assignment, held by reference: the
     handoff engine copies any array it patches), then forward on a
-    fabric the step's ``link_diff`` carries forward.
+    fabric built for the step's topology.
     """
 
     name = "sessions"
@@ -75,7 +75,6 @@ class SessionCollector(Collector):
         if per_step < 1:
             raise ValueError(f"per_step must be >= 1, got {per_step!r}")
         self.per_step = per_step
-        self.fabric_cache = FabricCache()
         self.sessions: list[Session] = []
         """Every session opened, in order."""
         self._rng = None
@@ -92,8 +91,7 @@ class SessionCollector(Collector):
         """Resolve and forward this step's sessions, then make this step's
         state the database the next step queries."""
         sc, h = snap.scenario, snap.hierarchy
-        fabric = self.fabric_cache.update(
-            h, CompactGraph(np.arange(sc.n), snap.edges), snap.link_diff)
+        fabric = ForwardingFabric(h, CompactGraph(np.arange(sc.n), snap.edges))
         pairs = self._rng.integers(0, sc.n, size=(self.per_step, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         db_h, db_a = self._db

@@ -18,9 +18,10 @@ which is only tractable on the vectorized substrate:
   :class:`repro.core.BatchResolver`.
 
 Few metered steps (the default ``steps=3``) keep the wall clock in
-minutes; the handoff *rate* is a per-second quantity, so short runs
-measure it at full precision — only seed-to-seed variance suffers,
-which the multi-seed mean absorbs.
+minutes, but they measure an early-transient rate, not the stationary
+one: the per-node rate keeps rising long after the warm-up (at
+n = 6 400 it is still rising after 100 steps), so these rows understate
+the settled rate.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The paper assumes nodes placed by a two-dimensional uniform random
 distribution over a circular region whose area grows proportionally with
 the node count so that *density stays fixed* (Section 1.2).  This package
-provides the deployment regions, uniform samplers, and vectorized distance
-kernels used by every other subsystem.
+provides the deployment regions and uniform samplers used by every other
+subsystem.
 """
 
 from repro.geometry.region import (
@@ -14,15 +14,7 @@ from repro.geometry.region import (
     disc_for_density,
     square_for_density,
 )
-from repro.geometry.points import (
-    as_points,
-    bounding_box,
-    centroid,
-    pairwise_distances,
-    distances_to,
-    displacement,
-    path_length,
-)
+from repro.geometry.points import as_points
 
 __all__ = [
     "DeploymentRegion",
@@ -31,10 +23,4 @@ __all__ = [
     "disc_for_density",
     "square_for_density",
     "as_points",
-    "bounding_box",
-    "centroid",
-    "pairwise_distances",
-    "distances_to",
-    "displacement",
-    "path_length",
 ]

@@ -1,9 +1,4 @@
-"""Vectorized point-set helpers.
-
-All functions accept array-likes of shape ``(n, 2)`` (or ``(2,)`` for a
-single point) and avoid Python-level loops; the hot paths of the simulator
-(mobility stepping, link detection) call these every step.
-"""
+"""Point-set input coercion shared by the regions and the GLS grid."""
 
 from __future__ import annotations
 
@@ -28,57 +23,3 @@ def as_points(xy) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (n, 2) points, got shape {pts.shape}")
     return pts
-
-
-def pairwise_distances(points) -> np.ndarray:
-    """Full ``(n, n)`` Euclidean distance matrix.
-
-    Quadratic in memory; intended for analysis on modest point sets.  The
-    radio package uses a k-d tree instead for neighbor queries.
-    """
-    pts = as_points(points)
-    diff = pts[:, np.newaxis, :] - pts[np.newaxis, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
-def distances_to(points, target) -> np.ndarray:
-    """Euclidean distance from each point to a single ``target`` point."""
-    pts = as_points(points)
-    tgt = np.asarray(target, dtype=np.float64).reshape(2)
-    diff = pts - tgt
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def displacement(before, after) -> np.ndarray:
-    """Per-point Euclidean displacement between two snapshots."""
-    a = as_points(before)
-    b = as_points(after)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = b - a
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def centroid(points) -> np.ndarray:
-    """Arithmetic mean of the point set, shape ``(2,)``."""
-    pts = as_points(points)
-    if pts.shape[0] == 0:
-        raise ValueError("centroid of an empty point set is undefined")
-    return pts.mean(axis=0)
-
-
-def bounding_box(points) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned bounding box ``(lower, upper)`` of the point set."""
-    pts = as_points(points)
-    if pts.shape[0] == 0:
-        raise ValueError("bounding box of an empty point set is undefined")
-    return pts.min(axis=0), pts.max(axis=0)
-
-
-def path_length(points) -> float:
-    """Total polyline length visiting the points in order."""
-    pts = as_points(points)
-    if pts.shape[0] < 2:
-        return 0.0
-    seg = np.diff(pts, axis=0)
-    return float(np.sqrt(np.einsum("ij,ij->i", seg, seg)).sum())

@@ -1,13 +1,11 @@
 """Grid Location Service (GLS) — the baseline LM scheme of Section 3.1."""
 
 from repro.gls.grid import GridHierarchy
-from repro.gls.servers import circular_distance, select_server, select_server_sorted
+from repro.gls.servers import select_server_sorted
 from repro.gls.service import GLSAssignment, GLSStepReport, GridLocationService
 
 __all__ = [
     "GridHierarchy",
-    "circular_distance",
-    "select_server",
     "select_server_sorted",
     "GLSAssignment",
     "GLSStepReport",

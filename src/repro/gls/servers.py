@@ -14,39 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["circular_distance", "select_server", "select_server_sorted"]
-
-
-def circular_distance(v: int, z, modulus: int) -> np.ndarray:
-    """``(z - v) mod modulus`` with z == v mapped to ``modulus`` (worst).
-
-    The modulus must exceed every ID in play so distinct IDs never
-    collide in circular space.
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    z_arr = np.asarray(z, dtype=np.int64)
-    d = np.mod(z_arr - v, modulus)
-    return np.where(d == 0, modulus, d)
-
-
-def select_server(v: int, candidates, modulus: int) -> int | None:
-    """Least-ID-greater-than-v (circular) among ``candidates``.
-
-    Returns None when there are no candidates other than ``v`` itself.
-    """
-    cand = np.asarray(list(candidates), dtype=np.int64)
-    if cand.size == 0:
-        return None
-    d = circular_distance(v, cand, modulus)
-    best = int(np.argmin(d))
-    if d[best] >= modulus:
-        return None  # only v itself present
-    return int(cand[best])
+__all__ = ["select_server_sorted"]
 
 
 def select_server_sorted(v: int, sorted_candidates: np.ndarray, modulus: int) -> int | None:
-    """Same as :func:`select_server` but O(log n) on a pre-sorted array.
+    """Least-ID-greater-than-v (circular) among the sorted candidates,
+    in O(log n); None when there is no candidate other than ``v``.
 
     The least ID strictly greater than ``v`` is the first element after
     ``v``'s insertion point; wrap to the smallest candidate if none —

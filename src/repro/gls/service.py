@@ -248,41 +248,3 @@ class GridLocationService:
             abandoned_updates=abandoned_updates,
         )
 
-    # -- queries ------------------------------------------------------------------
-
-    def query_cost(self, s: int, d: int, positions, hop_fn: HopFn) -> int:
-        """Packet cost for ``s`` to resolve ``d``'s location.
-
-        The requester climbs its own grid squares until one contains a
-        server of ``d`` (or ``d`` itself), then the answer leg runs from
-        that server toward ``d`` — matching the paper's claim that query
-        overhead is of the order of the requester-target hop count.
-        Returns -1 when resolution fails at every level.
-        """
-        if self._prev is None:
-            raise RuntimeError("observe() must run before queries")
-        pts = as_points(positions)
-        idx = {int(v): i for i, v in enumerate(self.node_ids.tolist())}
-        if s not in idx or d not in idx:
-            raise KeyError("unknown node id")
-        if s == d:
-            return 0
-        d_servers = {
-            srv
-            for (subj, _lvl), tup in self._prev.servers.items()
-            if subj == d
-            for srv in tup
-        }
-        d_servers.add(d)
-        for level in range(1, self.grid.L + 1):
-            s_sq = self.grid.square_of(pts[idx[s]], level)[0]
-            hits = [
-                w
-                for w in d_servers
-                if np.array_equal(self.grid.square_of(pts[idx[w]], level)[0], s_sq)
-            ]
-            if hits:
-                # Deterministic choice: the circularly closest ID to d.
-                w = min(hits, key=lambda z: (z - d) % self.modulus)
-                return max(hop_fn(s, w), 0) + max(hop_fn(w, d), 0)
-        return -1

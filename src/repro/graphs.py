@@ -4,7 +4,7 @@ Both the hierarchy statistics (h_k estimation) and the routing layer need
 many unweighted shortest-path queries per simulation step, on graphs from
 a few hundred to 10^5 nodes.  NetworkX is convenient but allocates
 heavily; :class:`CompactGraph` keeps the adjacency as two CSR arrays and
-serves distance queries four ways:
+serves distance queries three ways:
 
 * whole rows from a few sources: one scipy C-level BFS per source, its
   visit order and BFS-tree predecessors decoded into hop counts by
@@ -18,10 +18,7 @@ serves distance queries four ways:
   :data:`SWEEP_NODES` runs every source in one bit-parallel sweep and
   above it takes one scipy row per whole row and one
   :func:`_scoped_flood` per level, stopped once the columns it reads
-  are filled; a whole row that spans the giant component records it;
-* explicit paths, masked or not (strict hierarchical routing): a plain
-  deque BFS, which stops at the target and masks to small cluster node
-  sets.
+  are filled; a whole row that spans the giant component records it.
 
 :class:`IdIndex` is the ID -> row compaction itself, for the layers that
 map sorted level or cluster IDs to array rows without building a graph
@@ -30,8 +27,6 @@ metering).
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -42,7 +37,6 @@ __all__ = [
     "bfs_distances",
     "hop_rows",
     "hop_sums",
-    "bfs_path",
 ]
 
 
@@ -538,32 +532,3 @@ def bfs_distances(g: CompactGraph, source: int) -> np.ndarray:
     """Hop distance from ``source`` (ID) to every node as int64; -1 if
     unreachable.  One scipy C-level BFS (:func:`hop_rows`)."""
     return hop_rows(g, g.index_of_many([source]), np.int64)[0]
-
-
-def bfs_path(g: CompactGraph, source: int, target: int) -> list[int] | None:
-    """Shortest path (list of IDs, inclusive) or None if unreachable."""
-    s = g.index_of(source)
-    t = g.index_of(target)
-    if s == t:
-        return [int(source)]
-    parent = np.full(g.n, -2, dtype=np.int64)
-    parent[s] = -1
-    q = deque([s])
-    offsets, nbr = g._offsets, g._nbr
-    found = False
-    while q and not found:
-        u = q.popleft()
-        for w in nbr[offsets[u] : offsets[u + 1]]:
-            if parent[w] == -2:
-                parent[w] = u
-                if w == t:
-                    found = True
-                    break
-                q.append(w)
-    if not found:
-        return None
-    path_idx = [t]
-    while path_idx[-1] != s:
-        path_idx.append(int(parent[path_idx[-1]]))
-    path_idx.reverse()
-    return [int(g.node_ids[i]) for i in path_idx]

@@ -21,8 +21,6 @@ from repro.hierarchy.render import render_hierarchy, render_summary
 from repro.hierarchy.stats import (
     LevelStats,
     hierarchy_stats,
-    level_hop_counts,
-    mean_hop_count,
     sample_hop_counts,
 )
 from repro.hierarchy.stepper import hierarchy_stepper
@@ -45,7 +43,5 @@ __all__ = [
     "render_summary",
     "LevelStats",
     "hierarchy_stats",
-    "level_hop_counts",
-    "mean_hop_count",
     "sample_hop_counts",
 ]

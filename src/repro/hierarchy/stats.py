@@ -30,8 +30,6 @@ from repro.hierarchy.levels import ClusteredHierarchy
 __all__ = [
     "LevelStats",
     "hierarchy_stats",
-    "mean_hop_count",
-    "level_hop_counts",
     "sample_hop_counts",
 ]
 
@@ -67,36 +65,6 @@ def hierarchy_stats(h: ClusteredHierarchy) -> list[LevelStats]:
         )
         prev = lvl.n_nodes
     return out
-
-
-def mean_hop_count(
-    g: CompactGraph,
-    rng: np.random.Generator,
-    n_sources: int = 16,
-) -> float:
-    """Network-wide mean shortest-path hop count by BFS sampling.
-
-    Samples ``n_sources`` source nodes; averages hop distance to all
-    reachable nodes (excluding the source itself).  Unreachable pairs are
-    skipped, so on a disconnected graph this measures the intra-component
-    mean.  :func:`sample_hop_counts` without a hierarchy.
-    """
-    return sample_hop_counts(g, rng, n_sources=n_sources)[0]
-
-
-def level_hop_counts(
-    h: ClusteredHierarchy,
-    g0: CompactGraph,
-    rng: np.random.Generator,
-    clusters_per_level: int = 8,
-    sources_per_cluster: int = 2,
-) -> dict[int, float]:
-    """Estimate h_k for each level k = 1..L: :func:`sample_hop_counts`
-    without network sources."""
-    return sample_hop_counts(
-        g0, rng, n_sources=0, h=h, clusters_per_level=clusters_per_level,
-        sources_per_cluster=sources_per_cluster,
-    )[1]
 
 
 def sample_hop_counts(

@@ -5,11 +5,7 @@ from repro.radio.unit_disk import (
     encode_edges,
     decode_edges,
 )
-from repro.radio.connectivity import (
-    radius_for_degree,
-    gupta_kumar_radius,
-    expected_degree,
-)
+from repro.radio.connectivity import radius_for_degree
 from repro.radio.edge_cache import VerletEdgeCache
 from repro.radio.linkevents import LinkDiff, LinkTracker
 
@@ -18,8 +14,6 @@ __all__ = [
     "encode_edges",
     "decode_edges",
     "radius_for_degree",
-    "gupta_kumar_radius",
-    "expected_degree",
     "VerletEdgeCache",
     "LinkDiff",
     "LinkTracker",

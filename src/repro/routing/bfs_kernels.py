@@ -18,10 +18,6 @@ The traversal runs as *labeled, level-synchronous* array kernels over
   Python and no sorting anywhere in the hot loop.
 * :func:`single_next_hop` is one such flood toward an ID-space target
   set.
-* :func:`flood_rows_safe` is the invalidation rule for cross-step reuse
-  (:class:`~repro.routing.fabric_cache.FabricCache`): given a flood's
-  distance/next-hop rows and a batch of link events, it reports which
-  rows provably survive the events bit-identically.
 
 Bit-identity with the deque BFS holds by construction: a FIFO BFS
 with all sources at distance 0 is level-synchronous, so the deque's
@@ -38,7 +34,6 @@ from repro.graphs import CompactGraph
 __all__ = [
     "labeled_next_hop",
     "single_next_hop",
-    "flood_rows_safe",
 ]
 
 
@@ -71,8 +66,7 @@ def labeled_next_hop(
         only valid at needed columns: beyond the stop horizon ``dist``
         reads -1 for nodes a full flood would have reached — but every
         needed column matches the full flood bit-for-bit, and undiscovered
-        nodes provably sit strictly beyond every needed node, which is
-        what :func:`flood_rows_safe` relies on.
+        nodes provably sit strictly beyond every needed node.
 
     Returns
     -------
@@ -172,58 +166,3 @@ def single_next_hop(
         restrict_mask=restrict_mask,
     )
     return nh[0], dist[0]
-
-
-def flood_rows_safe(
-    dist: np.ndarray,
-    next_hop: np.ndarray,
-    ups_idx: np.ndarray,
-    downs_idx: np.ndarray,
-    restrict_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Which flood rows provably survive a batch of link events?
-
-    A row (one label's ``dist``/``next_hop`` pair) is *safe* when
-    re-running its BFS on the post-event graph provably yields the
-    bit-identical result, so the cached arrays can be reused:
-
-    * link **up** (u, v): safe iff ``dist[u] == dist[v]`` — BFS never
-      traverses equal-level edges, so neither distances nor parents (nor
-      discovery order) change; this covers both-unreached too.  Any
-      distance gap is conservatively unsafe (a gap of 1 could re-order
-      parent selection, a larger gap shortens paths).
-    * link **down** (u, v): safe iff both endpoints were unreached, or
-      both reached and the edge was not a BFS tree edge
-      (``next_hop[deeper] != shallower``) — removing a non-parent
-      candidate never changes the first-discoverer choice.
-    * with ``restrict_mask`` (sources assumed inside the mask), events
-      with either endpoint outside the mask are irrelevant: the edge
-      could never be traversed.
-
-    Parameters are index-space: ``ups_idx``/``downs_idx`` are ``(m, 2)``
-    node-index pairs.  ``dist``/``next_hop`` may be ``(n,)`` or
-    ``(rows, n)``; returns a ``(rows,)`` bool array.
-    """
-    dist = np.atleast_2d(dist)
-    next_hop = np.atleast_2d(next_hop)
-    safe = np.ones(dist.shape[0], dtype=bool)
-    ups_idx = np.asarray(ups_idx, dtype=np.int64).reshape(-1, 2)
-    downs_idx = np.asarray(downs_idx, dtype=np.int64).reshape(-1, 2)
-    if ups_idx.size:
-        u, v = ups_idx[:, 0], ups_idx[:, 1]
-        ok = dist[:, u] == dist[:, v]
-        if restrict_mask is not None:
-            ok |= ~(restrict_mask[u] & restrict_mask[v])[None, :]
-        safe &= ok.all(axis=1)
-    if downs_idx.size:
-        u, v = downs_idx[:, 0], downs_idx[:, 1]
-        du, dv = dist[:, u], dist[:, v]
-        both_unreached = (du == -1) & (dv == -1)
-        tree = ((du - dv == 1) & (next_hop[:, u] == v[None, :])) | (
-            (dv - du == 1) & (next_hop[:, v] == u[None, :])
-        )
-        ok = both_unreached | ((du >= 0) & (dv >= 0) & ~tree)
-        if restrict_mask is not None:
-            ok |= ~(restrict_mask[u] & restrict_mask[v])[None, :]
-        safe &= ok.all(axis=1)
-    return safe

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs import CompactGraph, bfs_distances, bfs_path
+from repro.graphs import CompactGraph, bfs_distances
 
 __all__ = ["FlatRouter"]
 
@@ -40,15 +40,6 @@ class FlatRouter:
         if si == di:
             return 0
         return int(self.distances_from(s)[di])
-
-    def path(self, s: int, d: int) -> list[int] | None:
-        """Shortest path as a node-ID list, or None if unreachable."""
-        return bfs_path(self.g, s, d)
-
-    def table_size(self, v: int) -> int:
-        """Routing-table entries at ``v``: one per other node."""
-        self.g.index_of(v)  # validate
-        return self.g.n - 1
 
     def clear_cache(self) -> None:
         """Drop all cached BFS results (after a topology change)."""

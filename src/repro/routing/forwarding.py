@@ -25,8 +25,8 @@ delivery-only workloads never pay full table construction; ``table()``
 assembles one node's map on demand; ``table_sizes()`` forces everything
 (batching all remaining floods).  The tables and ``forward()`` paths are
 bit-identical to an eager deque-BFS build, the test oracle in
-``tests/routing/fabric_oracle.py``.  Cross-step reuse of flood records
-lives in :class:`~repro.routing.fabric_cache.FabricCache`.
+``tests/routing/fabric_oracle.py``.  A fabric serves one topology
+snapshot: callers that follow a moving network build one per snapshot.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ workloads keep O(bound · n) flood state."""
 NH_CACHE_ENTRIES = 256
 """LRU bound on cached cluster-level (k >= 1) unrestricted floods.
 Distinct (level, cluster-id) targets accumulate across a long
-mixed-level message stream — and across steps via
-:class:`~repro.routing.fabric_cache.FabricCache` carry as cluster IDs
-churn — so these need the same bound as level 0."""
+mixed-level message stream, so these need the same bound as level 0."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class ForwardResult:
 
 @dataclass
 class FloodRecord:
-    """One batched flood: a labeled next-hop/dist row per target set.
+    """One batched flood: a labeled next-hop row per target set.
 
     Three kinds, keyed in ``ForwardingFabric._records``:
 
@@ -107,16 +105,11 @@ class FloodRecord:
       ``parent``, sources = the child's members, confined to the
       parent's membership mask.
     * ``("top",)`` — label per top-level cluster, unrestricted.
-
-    ``stale`` marks rows :class:`FabricCache` invalidated; they are
-    recomputed (and the flag cleared) the first time the record is used.
     """
 
     label_ids: np.ndarray  # (rows,) member IDs (intra) or cluster IDs
     next_hop: np.ndarray  # (rows, n) neighbor index or -1
-    dist: np.ndarray  # (rows, n) hop distance or -1
     mask: np.ndarray | None = None  # (n,) bool confinement (sib only)
-    stale: np.ndarray | None = None  # (rows,) bool, set by FabricCache
 
 
 class ForwardingFabric:
@@ -130,8 +123,7 @@ class ForwardingFabric:
     scoped to its cluster, as hierarchical link-state protocols do.
     """
 
-    def __init__(self, h: ClusteredHierarchy, g0: CompactGraph,
-                 _inherited: dict | None = None):
+    def __init__(self, h: ClusteredHierarchy, g0: CompactGraph):
         if not np.array_equal(h.levels[0].node_ids, g0.node_ids):
             raise ValueError("hierarchy and graph node sets differ")
         self.h = h
@@ -143,22 +135,12 @@ class ForwardingFabric:
         self._anc = [h.ancestry(k) for k in range(h.num_levels + 1)]
         self._tables: dict[int, ForwardingTable] = {}
         self._records: dict[tuple, FloodRecord] = {}
-        self._inherited: dict = dict(_inherited) if _inherited else {}
         # Unrestricted next-hop floods consulted by forward() (and the
         # disconnected-parent fallback): cluster-level entries are
         # bounded by the cluster count; level-0 per-destination entries
         # live in a separate LRU so message workloads stay bounded.
-        self._nh_cache: OrderedDict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._l0_cache: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        inherited_l0 = self._inherited.pop(("l0",), None)
-        if inherited_l0:
-            self._l0_cache.update(inherited_l0)
-            self._trim_l0_cache()
-        inherited_nh = self._inherited.pop(("nh",), None)
-        if inherited_nh:
-            self._nh_cache.update(inherited_nh)
-            self._trim_nh_cache()
+        self._nh_cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._l0_cache: OrderedDict[int, np.ndarray] = OrderedDict()
 
     # -- construction: lazy flood records ------------------------------------------
 
@@ -168,58 +150,37 @@ class ForwardingFabric:
 
     def _flood_record(self, key: tuple) -> FloodRecord:
         rec = self._records.get(key)
-        if rec is not None:
-            return rec
-        rec = self._inherited.pop(key, None)
-        if rec is not None and rec.stale is not None and rec.stale.any():
-            rows = np.flatnonzero(rec.stale)
-            nh, dist = self._flood_rows(key, rec.label_ids[rows], rec.mask)
-            rec.next_hop[rows] = nh
-            rec.dist[rows] = dist
         if rec is None:
-            rec = self._build_record(key)
-        rec.stale = None
-        self._records[key] = rec
+            rec = self._records[key] = self._build_record(key)
         return rec
 
     def _build_record(self, key: tuple) -> FloodRecord:
+        """Run one record's floods in one labeled kernel call."""
+        n = self.g0.n
         if key[0] == "intra":
-            label_ids = self._ids[self._members_idx(1, key[1])]
-            mask = None
-        elif key[0] == "sib":
-            k, parent = key[1], key[2]
-            mask = self._anc[k + 1] == parent
-            label_ids = np.unique(self._anc[k][mask])
-        else:  # ("top",)
-            label_ids = np.unique(self._anc[self.h.num_levels])
-            mask = None
-        nh, dist = self._flood_rows(key, label_ids, mask)
-        return FloodRecord(label_ids=label_ids, next_hop=nh, dist=dist, mask=mask)
-
-    def _flood_rows(self, key: tuple, label_ids: np.ndarray,
-                    mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Run the floods for a subset of a record's labels (one labeled
-        kernel call), returning ``(rows, n)`` next-hop/dist arrays."""
-        if key[0] == "intra":
-            sources = np.searchsorted(self._ids, label_ids)
-            labels = np.arange(label_ids.size, dtype=np.int64)
+            members = self._members_idx(1, key[1])
+            labels = np.arange(members.size, dtype=np.int64)
             # Scoped flood: only cluster peers ever read these rows, so
             # each flood stops once its whole member set is discovered.
-            members = self._members_idx(1, key[1])
-            needed = np.zeros(label_ids.size * self.g0.n, dtype=bool)
-            needed[(labels[:, None] * self.g0.n + members[None, :]).ravel()] = True
-            return labeled_next_hop(self.g0, sources, labels, label_ids.size,
-                                    needed=needed)
-        else:
-            k = key[1] if key[0] == "sib" else self.h.num_levels
-            anck = self._anc[k]
-            sources_per = [np.flatnonzero(anck == ck) for ck in label_ids]
-            sources = (np.concatenate(sources_per) if sources_per
-                       else np.empty(0, dtype=np.int64))
-            labels = np.repeat(np.arange(label_ids.size, dtype=np.int64),
-                               [s.size for s in sources_per])
-        return labeled_next_hop(self.g0, sources, labels, label_ids.size,
-                                restrict_mask=mask)
+            needed = np.zeros(members.size * n, dtype=bool)
+            needed[(labels[:, None] * n + members[None, :]).ravel()] = True
+            nh, _ = labeled_next_hop(self.g0, members, labels, members.size,
+                                     needed=needed)
+            return FloodRecord(label_ids=self._ids[members], next_hop=nh)
+        if key[0] == "sib":
+            k, mask = key[1], self._anc[key[1] + 1] == key[2]
+            label_ids = np.unique(self._anc[k][mask])
+        else:  # ("top",)
+            k, mask = self.h.num_levels, None
+            label_ids = np.unique(self._anc[k])
+        sources_per = [np.flatnonzero(self._anc[k] == ck) for ck in label_ids]
+        sources = (np.concatenate(sources_per) if sources_per
+                   else np.empty(0, dtype=np.int64))
+        labels = np.repeat(np.arange(label_ids.size, dtype=np.int64),
+                           [s.size for s in sources_per])
+        nh, _ = labeled_next_hop(self.g0, sources, labels, label_ids.size,
+                                 restrict_mask=mask)
+        return FloodRecord(label_ids=label_ids, next_hop=nh, mask=mask)
 
     def _assemble(self, v: int) -> ForwardingTable:
         h, ids = self.h, self._ids
@@ -257,15 +218,13 @@ class ForwardingFabric:
     def _force_all(self) -> None:
         """Materialize every flood record (batched per kind/level).
 
-        Records already built — or inherited from a previous step via
-        :class:`FabricCache` — are not recomputed; freshly needed ones
-        are folded into one labeled kernel call per kind/level.
+        Records already built are not recomputed; the missing ones are
+        folded into one labeled kernel call per kind/level.
         """
         if self.h.num_levels == 0:
             return
         intra_keys = [("intra", int(c)) for c in np.unique(self._anc[1]).tolist()]
-        missing = [k for k in intra_keys
-                   if k not in self._records and k not in self._inherited]
+        missing = [k for k in intra_keys if k not in self._records]
         if missing:
             groups = [self._members_idx(1, key[1]) for key in missing]
             sources = np.concatenate(groups)
@@ -276,23 +235,21 @@ class ForwardingFabric:
                 labs = np.arange(start, start + idx.size, dtype=np.int64)
                 needed[(labs[:, None] * n + idx[None, :]).ravel()] = True
                 start += idx.size
-            nh, dist = labeled_next_hop(
+            nh, _ = labeled_next_hop(
                 self.g0, sources, np.arange(sources.size, dtype=np.int64),
                 sources.size, needed=needed)
             start = 0
             for key, idx in zip(missing, groups):
                 end = start + idx.size
                 self._records[key] = FloodRecord(
-                    label_ids=self._ids[idx], next_hop=nh[start:end],
-                    dist=dist[start:end])
+                    label_ids=self._ids[idx], next_hop=nh[start:end])
                 start = end
         for key in intra_keys:
             self._flood_record(key)
         for k in range(1, self.h.num_levels):
             sib_keys = [("sib", k, int(p))
                         for p in np.unique(self._anc[k + 1]).tolist()]
-            missing = [key for key in sib_keys
-                       if key not in self._records and key not in self._inherited]
+            missing = [key for key in sib_keys if key not in self._records]
             if missing:
                 self._batch_sibs(k, missing)
             for key in sib_keys:
@@ -317,15 +274,14 @@ class ForwardingFabric:
                 labels.append(np.full(idx.size, lab, dtype=np.int64))
                 masks.append(pmask)
                 lab += 1
-        nh, dist = labeled_next_hop(
+        nh, _ = labeled_next_hop(
             self.g0, np.concatenate(sources), np.concatenate(labels), lab,
             restrict_mask=np.array(masks))
         start = 0
         for key, label_ids, pmask in per_parent:
             end = start + label_ids.size
             self._records[key] = FloodRecord(
-                label_ids=label_ids, next_hop=nh[start:end],
-                dist=dist[start:end], mask=pmask)
+                label_ids=label_ids, next_hop=nh[start:end], mask=pmask)
             start = end
 
     def _batch_fallbacks(self) -> None:
@@ -349,9 +305,9 @@ class ForwardingFabric:
             sources = np.concatenate(groups)
             labels = np.repeat(np.arange(len(cks), dtype=np.int64),
                                [g.size for g in groups])
-            nh, dist = labeled_next_hop(self.g0, sources, labels, len(cks))
+            nh, _ = labeled_next_hop(self.g0, sources, labels, len(cks))
             for j, ck in enumerate(cks):
-                self._nh_cache[(k, ck)] = (nh[j], dist[j])
+                self._nh_cache[(k, ck)] = nh[j]
         self._trim_nh_cache()
 
     # -- queries --------------------------------------------------------------------
@@ -393,8 +349,8 @@ class ForwardingFabric:
                     # have evicted the entry, so recompute on miss.
                     carriers = rec.mask & (anck != ck)
                     if np.any(rec.next_hop[j][carriers] < 0):
-                        entry = self._nh_lookup(k, ck)
-                        eff[j] = np.where(eff[j] < 0, entry[0][cols], eff[j])
+                        fallback = self._nh_lookup(k, ck)
+                        eff[j] = np.where(eff[j] < 0, fallback[cols], eff[j])
                 own = rec.label_ids[:, None] == self._anc[k][cols][None, :]
                 sizes[cols] += ((eff >= 0) & ~own).sum(axis=0)
             else:  # top
@@ -404,8 +360,8 @@ class ForwardingFabric:
 
     # -- forwarding -----------------------------------------------------------------
 
-    def _single_flood(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return single_next_hop(self.g0, targets)
+    def _single_flood(self, targets: np.ndarray) -> np.ndarray:
+        return single_next_hop(self.g0, targets)[0]
 
     def _flood_toward(self, k: int, ck: int) -> np.ndarray:
         """Unrestricted next-hop array toward the members of cluster
@@ -413,15 +369,15 @@ class ForwardingFabric:
         target set (level 0 in a bounded LRU)."""
         k, ck = int(k), int(ck)
         if k == 0:
-            entry = self._l0_cache.get(ck)
-            if entry is None:
-                entry = self._single_flood(np.array([ck], dtype=np.int64))
-                self._l0_cache[ck] = entry
+            nh = self._l0_cache.get(ck)
+            if nh is None:
+                nh = self._single_flood(np.array([ck], dtype=np.int64))
+                self._l0_cache[ck] = nh
                 self._trim_l0_cache()
             else:
                 self._l0_cache.move_to_end(ck)
-            return entry[0]
-        return self._nh_lookup(k, ck)[0]
+            return nh
+        return self._nh_lookup(k, ck)
 
     def _trim_l0_cache(self) -> None:
         while len(self._l0_cache) > L0_CACHE_ENTRIES:
@@ -431,17 +387,17 @@ class ForwardingFabric:
         while len(self._nh_cache) > NH_CACHE_ENTRIES:
             self._nh_cache.popitem(last=False)
 
-    def _nh_lookup(self, k: int, ck: int) -> tuple[np.ndarray, np.ndarray]:
+    def _nh_lookup(self, k: int, ck: int) -> np.ndarray:
         """Cached unrestricted flood toward cluster (k, ck), recomputed
         on an LRU miss — eviction is a cost, never a behavior change."""
-        entry = self._nh_cache.get((k, ck))
-        if entry is None:
-            entry = self._single_flood(self.h.members0(k, ck))
-            self._nh_cache[(k, ck)] = entry
+        nh = self._nh_cache.get((k, ck))
+        if nh is None:
+            nh = self._single_flood(self.h.members0(k, ck))
+            self._nh_cache[(k, ck)] = nh
             self._trim_nh_cache()
         else:
             self._nh_cache.move_to_end((k, ck))
-        return entry
+        return nh
 
     def _target(self, at_idx: int, address: tuple[int, ...]) -> tuple[int, int]:
         """Current routing target from the destination address: the

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.hierarchy.levels import ClusteredHierarchy
 
-__all__ = ["hierarchical_table_size", "hierarchical_table_sizes", "flat_table_size"]
+__all__ = ["hierarchical_table_sizes", "flat_table_size"]
 
 
 def flat_table_size(n: int) -> int:
@@ -22,26 +22,6 @@ def flat_table_size(n: int) -> int:
     if n <= 0:
         raise ValueError("node count must be positive")
     return n - 1
-
-
-def hierarchical_table_size(h: ClusteredHierarchy, v: int) -> int:
-    """Hierarchical map size at node ``v``.
-
-    Counts peers in the level-1 cluster plus sibling clusters at every
-    higher level (own entries excluded at each level).
-    """
-    total = 0
-    if h.num_levels == 0:
-        return 0
-    # Level-0 peers within the level-1 cluster.
-    c1 = h.cluster_of(v, 1)
-    total += int(h.members0(1, c1).size) - 1
-    # Sibling level-k clusters within the level-(k+1) cluster.
-    for k in range(1, h.num_levels):
-        clusters = h.clusters(k + 1)
-        parent = h.cluster_of(v, k + 1)
-        total += int(clusters[parent].size) - 1
-    return total
 
 
 def hierarchical_table_sizes(h: ClusteredHierarchy) -> np.ndarray:

@@ -167,14 +167,6 @@ class SimResult:
                 out[k] = events / (mean_links * self.elapsed)
         return out
 
-    def g_k(self) -> dict[int, float]:
-        """Level-k link state change frequency per node per second."""
-        out = {}
-        for k, events in sorted(self.level_series.link_events.items()):
-            if self.elapsed > 0:
-                out[k] = events / (self.scenario.n * self.elapsed)
-        return out
-
     def component_lifetimes(self) -> dict[int, float]:
         """Mean lifetime (seconds) of a node's level-k address component.
 
@@ -191,17 +183,6 @@ class SimResult:
             else:
                 out[k] = float("inf")
         return out
-
-    def staleness_fraction(self, update_lag: float | None = None) -> dict[int, float]:
-        """Fraction of time a level-k LM entry is stale given a fixed
-        propagation/update lag (default: one simulation step)."""
-        lag = self.scenario.dt if update_lag is None else update_lag
-        if lag <= 0:
-            raise ValueError("update lag must be positive")
-        return {
-            k: min(lag / t, 1.0) if t > 0 else 1.0
-            for k, t in self.component_lifetimes().items()
-        }
 
     def p_levels(self) -> list[float]:
         """p_j vector for the Eq. (15)-(22) recursion quantities."""

@@ -317,11 +317,3 @@ class Scenario:
         return RetryPolicy(max_attempts=self.retry_attempts,
                            timeout=self.retry_timeout)
 
-    def mean_step_displacement(self) -> float:
-        """Expected node displacement per step, in units of R_tx."""
-        mu = (
-            float(self.speed)
-            if np.isscalar(self.speed)
-            else (self.speed[0] + self.speed[1]) / 2.0
-        )
-        return mu * self.dt / self.r_tx

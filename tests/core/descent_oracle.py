@@ -21,8 +21,33 @@ import numpy as np
 
 from repro.core import QueryResult, ServerAssignment, hashing, lm_levels
 from repro.core.servers import _stage_salt
-from repro.gls.servers import select_server as eq5_successor
 from repro.hierarchy.levels import ClusteredHierarchy
+
+
+def eq5_successor(v: int, candidates, modulus: int) -> int | None:
+    """Eq. (5) by a linear scan: the candidate z != v minimising
+    ``(z - v) mod modulus``, or None when there is none."""
+    cand = np.asarray(list(candidates), dtype=np.int64)
+    d = np.mod(cand - v, modulus)
+    d[d == 0] = modulus
+    if cand.size == 0 or d.min() >= modulus:
+        return None
+    return int(cand[np.argmin(d)])
+
+
+def assignment_from_mapping(servers, subjects=None) -> ServerAssignment:
+    """A hand-made :class:`ServerAssignment` from a ``{(subject, level):
+    server}`` mapping; ``subjects`` defaults to the keys'."""
+    if subjects is None:
+        subjects = sorted({subj for subj, _ in servers})
+    subjects = np.asarray(subjects, dtype=np.int64)
+    tables: dict[int, np.ndarray] = {}
+    for (subj, level), srv in servers.items():
+        table = tables.get(level)
+        if table is None:
+            table = tables[level] = np.full(subjects.size, -1, dtype=np.int64)
+        table[np.searchsorted(subjects, subj)] = srv
+    return ServerAssignment(subjects=subjects, tables=tables)
 
 
 def rendezvous_choice(subject: int, salt: int, candidates) -> int | None:

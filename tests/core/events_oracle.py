@@ -6,16 +6,77 @@ per-level loop it replaced, kept as the oracle: python sets of ``(u, v)``
 tuples for the link diffs, one ``MigrationEvent`` / ``ReorgEvent``
 object per change, every promoted or demoted head scanning its level for
 electors, and dict-accumulating count helpers.
-``tests/core/test_events.py`` requires the object views to equal these
+``tests/core/test_events.py`` requires the object views of a diff's
+columns (:func:`migration_events`, :func:`reorg_events`) to equal these
 lists *in order* and the count dicts to be equal including key order.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.events import EventKind, MigrationEvent, ReorgEvent
+from repro.core.events import EventKind, HierarchyDiff
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class MigrationEvent:
+    """A node's level-k cluster changed between snapshots."""
+
+    node: int
+    level: int
+    old_cluster: int
+    new_cluster: int
+    pure: bool
+    """True when this is Section 4's *node migration*: both clusters
+    exist in both snapshots ("the level-k topology remains intact") AND
+    the change originates from the node's own re-affiliation (its level-1
+    cluster changed).  When a whole level-(k-1) cluster re-affiliates,
+    every member's level-k ancestry flips at once — the paper counts that
+    as ONE cluster-migration reorganization event (kinds i/ii), so those
+    per-node flips are impure here and their handoff cost lands in gamma.
+    """
+    origin_level: int = 1
+    """Lowest level at which the node's ancestry changed — 1 for an
+    individual move, > 1 when an ancestor cluster re-affiliated."""
+
+
+@dataclass(frozen=True)
+class ReorgEvent:
+    """A cluster reorganization event of kind (i)-(vii) at ``level``."""
+
+    kind: EventKind
+    level: int
+    subject: int
+    """The cluster/node the event is about (v_k in the paper)."""
+    other: int | None = None
+    """The counterpart (u_k: link peer, elector, or new head)."""
+
+
+def migration_events(diff: HierarchyDiff) -> list[MigrationEvent]:
+    """Object view of a diff's migration columns, one event per row."""
+    return [
+        MigrationEvent(*row)
+        for row in zip(
+            diff.mig_node.tolist(), diff.mig_level.tolist(),
+            diff.mig_old.tolist(), diff.mig_new.tolist(),
+            diff.mig_pure.tolist(), diff.mig_origin.tolist(),
+        )
+    ]
+
+
+def reorg_events(diff: HierarchyDiff) -> list[ReorgEvent]:
+    """Object view of a diff's reorg columns, one event per row."""
+    kinds = tuple(EventKind)
+    return [
+        ReorgEvent(kinds[kind], level, subject, None if other < 0 else other)
+        for kind, level, subject, other in zip(
+            diff.reorg_kind.tolist(), diff.reorg_level.tolist(),
+            diff.reorg_subject.tolist(), diff.reorg_other.tolist(),
+        )
+    ]
 
 
 def _edge_diffs(e0, e1):

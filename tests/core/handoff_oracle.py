@@ -16,6 +16,8 @@ from repro.core import full_assignment
 from repro.core.events import HierarchyDiff, diff_hierarchies
 from repro.core.handoff import HandoffReport
 
+from .events_oracle import migration_events
+
 
 class OracleHandoffEngine:
     """Dict-and-loop handoff meter (always the full, non-patched path)."""
@@ -37,7 +39,7 @@ class OracleHandoffEngine:
             )
         h0, old_servers = self.prev_h, self.servers
         diff = diff_hierarchies(h0, h)
-        purity = {(ev.node, ev.level): ev.pure for ev in diff.migrations}
+        purity = {(ev.node, ev.level): ev.pure for ev in migration_events(diff)}
         min_l = min(h0.num_levels, h.num_levels)
         lcl = np.zeros(h0.n, dtype=np.int64)
         for k in range(min_l, 0, -1):

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import (
     BatchResolver,
-    ServerAssignment,
     full_assignment,
     resolve_batch,
 )
@@ -23,7 +22,7 @@ from repro.hierarchy import build_hierarchy, compute_delta
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.sim.hops import BfsHops, EuclideanHops
 
-from .descent_oracle import resolve
+from .descent_oracle import assignment_from_mapping, resolve
 
 DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
@@ -104,7 +103,7 @@ class TestLosslessEquivalence:
         keys = list(servers)
         for k in rng.choice(len(keys), size=len(keys) // 3, replace=False):
             del servers[keys[int(k)]]
-        assignment = ServerAssignment.from_mapping(servers, np.arange(100))
+        assignment = assignment_from_mapping(servers, np.arange(100))
         src, dst = random_pairs(100, 200, 13)
         assert_batch_matches_scalar(
             h, assignment, src, dst, EuclideanHops(pts, R_TX))

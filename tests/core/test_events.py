@@ -8,7 +8,7 @@ import pytest
 
 from repro.clustering import elect
 from repro.core import EventKind, diff_hierarchies
-from repro.core.events import HierarchyDiff, MigrationEvent, ReorgEvent
+from repro.core.events import HierarchyDiff
 from repro.geometry import disc_for_density
 from repro.hierarchy import (
     ClusteredHierarchy,
@@ -20,10 +20,14 @@ from repro.hierarchy.persistent import PersistentHierarchyMaintainer
 from repro.radio import radius_for_degree, unit_disk_edges
 
 from .events_oracle import (
+    MigrationEvent,
+    ReorgEvent,
+    migration_events,
     oracle_diff,
     oracle_link_counts,
     oracle_migration_counts,
     oracle_reorg_counts,
+    reorg_events,
 )
 
 DENSITY = 0.02
@@ -38,8 +42,8 @@ class TestMigrationDetection:
     def test_no_change_no_events(self):
         h = H([1, 2, 3], [[1, 2], [2, 3]])
         d = diff_hierarchies(h, h)
-        assert not d.migrations
-        assert not d.reorgs
+        assert not migration_events(d)
+        assert not reorg_events(d)
 
     def test_pure_migration_between_persisting_clusters(self):
         """Node 1 moves from cluster 5's area to cluster 9's: both heads
@@ -51,7 +55,7 @@ class TestMigrationDetection:
         h0 = H([1, 2, 4, 5, 9], [[1, 5], [2, 5], [4, 9], [5, 9]])
         h1 = H([1, 2, 4, 5, 9], [[1, 9], [2, 5], [4, 9], [5, 9]])
         d = diff_hierarchies(h0, h1)
-        lvl1 = [m for m in d.migrations if m.level == 1 and m.node == 1]
+        lvl1 = [m for m in migration_events(d) if m.level == 1 and m.node == 1]
         assert len(lvl1) == 1
         ev = lvl1[0]
         assert ev.old_cluster == 5 and ev.new_cluster == 9
@@ -65,11 +69,11 @@ class TestMigrationDetection:
         h0 = H([1, 4, 5, 9], [[1, 5], [4, 9], [5, 9]])
         h1 = H([1, 4, 5, 9], [[1, 9], [4, 9], [5, 9]])
         d = diff_hierarchies(h0, h1)
-        moved = [m for m in d.migrations if m.node in (1, 5) and m.level == 1]
+        moved = [m for m in migration_events(d) if m.node in (1, 5) and m.level == 1]
         assert moved
         assert not any(m.pure for m in moved)
         # And 5's rejection shows up as a reorg event.
-        kinds = {r.kind for r in d.reorgs if r.subject == 5}
+        kinds = {r.kind for r in reorg_events(d) if r.subject == 5}
         assert EventKind.REJECT_MIGRATION in kinds or EventKind.REJECT_RECURSIVE in kinds
 
     def test_node_set_mismatch(self):
@@ -89,7 +93,7 @@ class TestElectionRejection:
         h1 = H([1, 3, 4, 5], [[1, 5], [3, 5], [4, 5]])
         d = diff_hierarchies(h0, h1)
         # 4 was a head (elected by 3), now loses status.
-        rej = [r for r in d.reorgs if r.subject == 4 and r.level == 1]
+        rej = [r for r in reorg_events(d) if r.subject == 4 and r.level == 1]
         assert any(r.kind in (EventKind.REJECT_MIGRATION, EventKind.REJECT_RECURSIVE)
                    for r in rej)
 
@@ -101,7 +105,7 @@ class TestElectionRejection:
         h1 = H([1, 5, 9], [[1, 9], [5, 9]])
         d = diff_hierarchies(h0, h1)
         # 5 joins 9's cluster: migration at level 1 (cluster change 5->9).
-        assert any(m.node == 5 for m in d.migrations)
+        assert any(m.node == 5 for m in migration_events(d))
 
     def test_link_events_at_level1(self):
         """Level-1 cluster link changes touching a level-2 node produce
@@ -110,7 +114,7 @@ class TestElectionRejection:
         h0 = H([1, 5, 4, 9], [[1, 5], [4, 9], [5, 9]])
         h1 = H([1, 5, 4, 9], [[1, 5], [4, 9]])
         d = diff_hierarchies(h0, h1)
-        downs = [r for r in d.reorgs if r.kind is EventKind.LINK_DOWN and r.level == 1]
+        downs = [r for r in reorg_events(d) if r.kind is EventKind.LINK_DOWN and r.level == 1]
         assert downs
         assert {downs[0].subject, downs[0].other} == {5, 9}
 
@@ -118,7 +122,7 @@ class TestElectionRejection:
         h0 = H([1, 5, 4, 9], [[1, 5], [4, 9]])
         h1 = H([1, 5, 4, 9], [[1, 5], [4, 9], [5, 9]])
         d = diff_hierarchies(h0, h1)
-        ups = [r for r in d.reorgs if r.kind is EventKind.LINK_UP and r.level == 1]
+        ups = [r for r in reorg_events(d) if r.kind is EventKind.LINK_UP and r.level == 1]
         assert ups
 
 
@@ -128,7 +132,7 @@ class TestEventCounts:
         h1 = H([1, 5, 4, 9], [[1, 5], [4, 9]])
         d = diff_hierarchies(h0, h1)
         counts = d.reorg_counts()
-        assert sum(counts.values()) == len(d.reorgs)
+        assert sum(counts.values()) == len(reorg_events(d))
         mig = d.migration_counts()
         assert all(isinstance(k, int) for k in mig)
 
@@ -142,8 +146,8 @@ def assert_equals_oracle(h0, h1):
     and drift counts equal a python-set recount."""
     d = diff_hierarchies(h0, h1)
     migrations, reorgs = oracle_diff(h0, h1)
-    assert d.migrations == migrations
-    assert d.reorgs == reorgs
+    assert migration_events(d) == migrations
+    assert reorg_events(d) == reorgs
     assert (list(d.migration_counts().items())
             == list(oracle_migration_counts(migrations).items()))
     assert (list(d.reorg_counts().items())
@@ -263,7 +267,7 @@ class TestArraysEqualOracle:
 
     def test_empty_diff(self):
         d = HierarchyDiff()
-        assert d.migrations == [] and d.reorgs == []
+        assert migration_events(d) == [] and reorg_events(d) == []
         assert d.migration_counts() == {} and d.reorg_counts() == {}
         assert d == HierarchyDiff()
 
@@ -325,7 +329,7 @@ class TestElectorClassification:
 
     @staticmethod
     def level2(d, kinds):
-        return [r for r in d.reorgs if r.level == 2 and r.kind in kinds]
+        return [r for r in reorg_events(d) if r.level == 2 and r.kind in kinds]
 
     def test_promotion_by_a_newly_arrived_elector_is_recursive(self):
         d = assert_equals_oracle(self.before(), self.after())
@@ -338,7 +342,7 @@ class TestElectorClassification:
             ReorgEvent(EventKind.ELECT_MIGRATION, 2, 35, None),
         ]
         # Level 1 is never recursive; 3 has no elector but itself.
-        assert ReorgEvent(EventKind.ELECT_MIGRATION, 1, 3, None) in d.reorgs
+        assert ReorgEvent(EventKind.ELECT_MIGRATION, 1, 3, None) in reorg_events(d)
 
     def test_promotion_by_old_electors_is_plain(self):
         d = assert_equals_oracle(self.before(), self.after_old_electors_only())
@@ -359,10 +363,10 @@ class TestElectorClassification:
 
     def test_views_are_plain_python_objects(self):
         d = diff_hierarchies(self.before(), self.after())
-        ev = d.migrations[0]
+        ev = migration_events(d)[0]
         assert isinstance(ev, MigrationEvent)
         assert type(ev.node) is int and type(ev.pure) is bool
-        assert all(type(r.subject) is int for r in d.reorgs)
+        assert all(type(r.subject) is int for r in reorg_events(d))
 
     def shallow(self):
         # The level-1 links of before() are gone, so level 2 never forms.
@@ -379,7 +383,7 @@ class TestElectorClassification:
             d = assert_equals_oracle(h0, h1)
             assert d.link_changes.tolist() == [0, 3, 0]
             assert d.drift_changes.tolist() == [0, 3, 0]
-            assert sorted({r.level for r in d.reorgs}) == [1, 2]
+            assert sorted({r.level for r in reorg_events(d)}) == [1, 2]
 
 
 def profiled_calls(fn, *args) -> int:

@@ -38,10 +38,6 @@ class TestStretchHelper:
         assert m["delivery"] > 0.85
         assert 1.0 <= m["stretch_mean"] < 2.5
         assert 0 < m["state"] < 120 - 1
-        # Only the baseline snapshot builds from scratch; later steps
-        # reuse at least some flood rows.
-        assert m["full_rebuilds"] == 1
-        assert m["rows_reused_frac"] > 0
 
 
 class TestGlsComparisonHelper:

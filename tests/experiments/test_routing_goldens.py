@@ -1,7 +1,7 @@
 """Exact golden tables for the routing experiments.
 
-EXP-A7 (state vs stretch, including the steady-state ``FabricCache``
-reuse counts), EXP-A9 (end-to-end sessions over the forwarding fabric)
+EXP-A7 (state vs stretch, including the steady-state run that builds
+one fabric per drifting snapshot), EXP-A9 (end-to-end sessions over the forwarding fabric)
 and EXP-T9 (map sizes) are the end-to-end outputs of ``repro.routing``;
 no benchmark workload builds a router, so these pins are what proves a
 routing refactor left every number where it was.  One seed, quick grid.
@@ -23,9 +23,8 @@ A7_NOTES = [
     "state for stretch)",
     "n=800, L=5: state 18.2/node, stretch 1.19 (deeper hierarchies trade "
     "state for stretch)",
-    "steady state (incremental fabric, n=200): state 15.2/node, delivery "
-    "1.000, stretch 1.18, 36% of flood rows reused across steps, 1 full "
-    "rebuild(s)",
+    "steady state (fabric per snapshot, n=200): state 15.2/node, delivery "
+    "1.000, stretch 1.18",
 ]
 A9_ROWS = [
     [0.5, 0.942, 1.0, 0.075, 21.2, 7.6],

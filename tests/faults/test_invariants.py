@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import ServerAssignment
 from repro.faults import (
     InvariantReport,
     InvariantViolationError,
     check_invariants,
 )
 from repro.hierarchy import build_hierarchy
+from tests.core.descent_oracle import assignment_from_mapping
 
 TRIANGLES = np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])
 
@@ -21,7 +21,7 @@ def two_triangles():
 
 def assignment(pairs):
     """One-level ServerAssignment over the six nodes: subject -> server."""
-    return ServerAssignment.from_mapping(
+    return assignment_from_mapping(
         {(s, 2): srv for s, srv in pairs}, subjects=np.arange(6))
 
 

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry import (
-    as_points,
-    bounding_box,
-    centroid,
-    displacement,
-    distances_to,
-    pairwise_distances,
-    path_length,
-)
+from repro.geometry import as_points
 
 
 class TestAsPoints:
@@ -35,77 +27,3 @@ class TestAsPoints:
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             as_points(np.zeros((2, 2, 2)))
-
-
-class TestPairwiseDistances:
-    def test_symmetric_zero_diagonal(self):
-        rng = np.random.default_rng(0)
-        pts = rng.random((10, 2))
-        d = pairwise_distances(pts)
-        assert np.allclose(d, d.T)
-        assert np.allclose(np.diag(d), 0.0)
-
-    def test_known_values(self):
-        d = pairwise_distances([[0, 0], [3, 4]])
-        assert d[0, 1] == pytest.approx(5.0)
-
-    def test_matches_norm(self):
-        rng = np.random.default_rng(1)
-        pts = rng.random((6, 2)) * 10
-        d = pairwise_distances(pts)
-        ref = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        assert np.allclose(d, ref)
-
-
-class TestDistancesTo:
-    def test_single_target(self):
-        d = distances_to([[0, 0], [0, 2], [1, 0]], (0, 0))
-        assert np.allclose(d, [0.0, 2.0, 1.0])
-
-    def test_matches_pairwise(self):
-        rng = np.random.default_rng(2)
-        pts = rng.random((8, 2))
-        assert np.allclose(distances_to(pts, pts[3]), pairwise_distances(pts)[3])
-
-
-class TestDisplacement:
-    def test_zero_for_identical(self):
-        pts = np.ones((5, 2))
-        assert np.allclose(displacement(pts, pts), 0.0)
-
-    def test_known_shift(self):
-        a = np.zeros((3, 2))
-        b = np.full((3, 2), [3.0, 4.0])
-        assert np.allclose(displacement(a, b), 5.0)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            displacement(np.zeros((3, 2)), np.zeros((4, 2)))
-
-
-class TestCentroidAndBox:
-    def test_centroid(self):
-        c = centroid([[0, 0], [2, 0], [0, 2], [2, 2]])
-        assert np.allclose(c, [1.0, 1.0])
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid(np.empty((0, 2)))
-
-    def test_bounding_box(self):
-        lo, hi = bounding_box([[1, 5], [-2, 3], [0, 7]])
-        assert np.allclose(lo, [-2, 3])
-        assert np.allclose(hi, [1, 7])
-
-    def test_bounding_box_empty_raises(self):
-        with pytest.raises(ValueError):
-            bounding_box(np.empty((0, 2)))
-
-
-class TestPathLength:
-    def test_empty_and_single(self):
-        assert path_length(np.empty((0, 2))) == 0.0
-        assert path_length([[1.0, 1.0]]) == 0.0
-
-    def test_l_shape(self):
-        assert path_length([[0, 0], [3, 0], [3, 4]]) == pytest.approx(7.0)

@@ -1,45 +1,36 @@
 """Tests for Eq. (5) server selection."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gls import circular_distance, select_server, select_server_sorted
+from repro.gls import select_server_sorted
+from tests.core.descent_oracle import eq5_successor as select_server
 
 
-class TestCircularDistance:
-    def test_basic(self):
-        assert circular_distance(5, [6], 100)[0] == 1
-        assert circular_distance(5, [4], 100)[0] == 99
-        assert circular_distance(5, [5], 100)[0] == 100  # self is worst
-
-    def test_wraparound(self):
-        assert circular_distance(99, [0], 100)[0] == 1
-
-    def test_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            circular_distance(1, [2], 0)
+def select(v, candidates, modulus=100):
+    return select_server_sorted(
+        v, np.sort(np.asarray(candidates, dtype=np.int64)), modulus)
 
 
 class TestSelectServer:
     def test_least_greater(self):
-        assert select_server(5, [3, 7, 9], 100) == 7
+        assert select(5, [3, 7, 9]) == 7
 
     def test_wraps(self):
-        assert select_server(9, [3, 7], 100) == 3
+        assert select(9, [3, 7]) == 3
 
     def test_self_excluded(self):
-        assert select_server(5, [5, 8], 100) == 8
-        assert select_server(5, [5], 100) is None
+        assert select(5, [5, 8]) == 8
+        assert select(5, [5]) is None
 
     def test_empty(self):
-        assert select_server(5, [], 100) is None
+        assert select(5, []) is None
 
     def test_deterministic_unambiguous(self):
         """Feature (a): selection depends only on the candidate set."""
         cands = [12, 44, 3, 91]
-        assert select_server(50, cands, 100) == select_server(50, sorted(cands), 100)
+        assert select(50, cands) == select(50, cands[::-1]) == 91
 
 
 @settings(max_examples=100, deadline=None)

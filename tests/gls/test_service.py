@@ -94,38 +94,3 @@ class TestObserve:
             rep = svc.observe(pts, euclidean_hops(pts))
             total += rep.total_packets
         assert total > 0
-
-    def test_queries_require_observation(self, small_service):
-        rng = np.random.default_rng(6)
-        pts = SquareRegion(4.0).sample(8, rng)
-        with pytest.raises(RuntimeError):
-            small_service.query_cost(0, 1, pts, euclidean_hops(pts))
-
-
-class TestQuery:
-    def test_query_resolves(self):
-        grid = GridHierarchy((0.0, 0.0), l=2.0, L=3)
-        ids = np.arange(40)
-        svc = GridLocationService(grid=grid, node_ids=ids)
-        rng = np.random.default_rng(7)
-        pts = SquareRegion(8.0).sample(40, rng)
-        svc.observe(pts, euclidean_hops(pts))
-        hop_fn = euclidean_hops(pts)
-        costs = [svc.query_cost(int(s), int(d), pts, hop_fn)
-                 for s, d in rng.integers(0, 40, size=(20, 2))]
-        assert all(c >= 0 for c in costs)
-
-    def test_query_self_free(self):
-        grid = GridHierarchy((0.0, 0.0), l=2.0, L=2)
-        svc = GridLocationService(grid=grid, node_ids=np.arange(5))
-        pts = SquareRegion(4.0).sample(5, np.random.default_rng(8))
-        svc.observe(pts, euclidean_hops(pts))
-        assert svc.query_cost(2, 2, pts, euclidean_hops(pts)) == 0
-
-    def test_unknown_node(self):
-        grid = GridHierarchy((0.0, 0.0), l=2.0, L=2)
-        svc = GridLocationService(grid=grid, node_ids=np.arange(5))
-        pts = SquareRegion(4.0).sample(5, np.random.default_rng(9))
-        svc.observe(pts, euclidean_hops(pts))
-        with pytest.raises(KeyError):
-            svc.query_cost(0, 99, pts, euclidean_hops(pts))

@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.clustering import aggregation_factors, arity, cluster_size_stats
 from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
-from repro.hierarchy import (
-    build_hierarchy,
-    hierarchy_stats,
-    level_hop_counts,
-    mean_hop_count,
-    sample_hop_counts,
-)
+from repro.hierarchy import build_hierarchy, hierarchy_stats, sample_hop_counts
 from repro.radio import radius_for_degree, unit_disk_edges
 
 
@@ -24,36 +17,6 @@ def make(n, seed=0, density=0.02, degree=9.0):
     g = CompactGraph(np.arange(n), edges)
     h = build_hierarchy(np.arange(n), edges)
     return g, h
-
-
-class TestClusterMetrics:
-    def test_cluster_size_stats(self):
-        stats = cluster_size_stats({1: np.array([1, 2, 3]), 9: np.array([9])})
-        assert stats.n_nodes == 4
-        assert stats.n_clusters == 2
-        assert stats.mean_size == pytest.approx(2.0)
-        assert stats.max_size == 3
-        assert stats.min_size == 1
-        assert stats.arity == pytest.approx(2.0)
-
-    def test_empty_partition(self):
-        with pytest.raises(ValueError):
-            cluster_size_stats({})
-
-    def test_arity(self):
-        assert arity(100, 25) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            arity(0, 5)
-
-    def test_aggregation_factors(self):
-        c = aggregation_factors([100, 25, 5])
-        assert c.tolist() == [1.0, 4.0, 20.0]
-
-    def test_aggregation_validation(self):
-        with pytest.raises(ValueError):
-            aggregation_factors([])
-        with pytest.raises(ValueError):
-            aggregation_factors([10, 20])  # increasing
 
 
 class TestHierarchyStats:
@@ -85,19 +48,20 @@ class TestHopCounts:
     def test_mean_hop_count_chain(self):
         g = CompactGraph(range(4), [[0, 1], [1, 2], [2, 3]])
         # Exhaustive: all sources sampled.
-        val = mean_hop_count(g, np.random.default_rng(0), n_sources=4)
+        val = sample_hop_counts(g, np.random.default_rng(0), n_sources=4)[0]
         # All pairs distances: mean = (1+2+3 + 1+1+2 + ...) -> exactly
         # (2*(1+2+3) + 2*(1+1+2)) / 12 = (12 + 8)/12
         assert val == pytest.approx(20 / 12)
 
     def test_mean_hop_count_trivial(self):
         g = CompactGraph([1], np.empty((0, 2)))
-        assert mean_hop_count(g, np.random.default_rng(0)) == 0.0
+        assert sample_hop_counts(g, np.random.default_rng(0))[0] == 0.0
 
     def test_level_hop_counts_increase_with_level(self):
         g, h = make(400, seed=3)
         rng = np.random.default_rng(4)
-        hks = level_hop_counts(h, g, rng, clusters_per_level=10, sources_per_cluster=3)
+        _, hks = sample_hop_counts(g, rng, n_sources=0, h=h, clusters_per_level=10,
+                                   sources_per_cluster=3)
         assert set(hks) == set(range(1, h.num_levels + 1))
         vals = [hks[k] for k in sorted(hks) if hks[k] > 0]
         # h_k grows with k (clusters get geographically larger).
@@ -107,7 +71,7 @@ class TestHopCounts:
         """Level-1 clusters are 1-hop: intra-cluster distances ~1-2."""
         g, h = make(300, seed=5)
         rng = np.random.default_rng(6)
-        hks = level_hop_counts(h, g, rng)
+        _, hks = sample_hop_counts(g, rng, n_sources=0, h=h)
         assert 0 < hks[1] < 3.0
 
     # seed -> (n, degree, hierarchy kind, max_levels, side of SWEEP_NODES)
@@ -129,7 +93,8 @@ class TestHopCounts:
         """Same sources in the same RNG order, same means, same RNG
         state afterwards as the one-BFS-per-source oracle, on both sides
         of the one-sweep rule, on persistent cluster IDs (>= 10^7) and on
-        capped hierarchies, through the public pair and the one call."""
+        capped hierarchies, for level-only, network-only and combined
+        samples."""
         import repro.graphs
         from tests.hierarchy.hop_oracle import hop_counts_per_source
 
@@ -145,10 +110,10 @@ class TestHopCounts:
                             lambda *a: sweeps.append(a) or real(*a))
 
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        assert level_hop_counts(h, g, rng_a) == \
-            hop_counts_per_source(g, rng_b, n_sources=0, h=h)[1]
-        assert mean_hop_count(g, rng_a, n_sources=8) == \
-            hop_counts_per_source(g, rng_b, n_sources=8)[0]
+        assert sample_hop_counts(g, rng_a, n_sources=0, h=h) == \
+            hop_counts_per_source(g, rng_b, n_sources=0, h=h)
+        assert sample_hop_counts(g, rng_a, n_sources=8) == \
+            hop_counts_per_source(g, rng_b, n_sources=8)
         got = sample_hop_counts(g, rng_a, n_sources=8, h=h,
                                 clusters_per_level=6, sources_per_cluster=2)
         assert got == hop_counts_per_source(

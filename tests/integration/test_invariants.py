@@ -14,6 +14,7 @@ from repro.geometry import disc_for_density
 from repro.hierarchy import build_hierarchy
 from repro.mobility import RandomWaypoint
 from repro.radio import radius_for_degree, unit_disk_edges
+from tests.core.events_oracle import migration_events
 
 DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
@@ -88,7 +89,7 @@ class TestHandoffAccountingInvariants:
         for h in trajectory(90, seed=14, steps=6):
             rep = engine.observe(h, hop)
             if prev_h is not None:
-                for ev in rep.diff.migrations:
+                for ev in migration_events(rep.diff):
                     if ev.level <= min(prev_h.num_levels, h.num_levels):
                         i = int(np.searchsorted(h.levels[0].node_ids, ev.node))
                         assert prev_h.ancestry(ev.level)[i] != h.ancestry(ev.level)[i]

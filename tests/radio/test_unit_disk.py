@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import DiscRegion, pairwise_distances
+from repro.geometry import DiscRegion
 from repro.radio import decode_edges, encode_edges, unit_disk_edges
 
 
@@ -37,7 +37,7 @@ class TestUnitDiskEdges:
         pts = rng.random((40, 2)) * 5
         r = 1.2
         e = unit_disk_edges(pts, r)
-        d = pairwise_distances(pts)
+        d = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
         expected = {(i, j) for i in range(40) for j in range(i + 1, 40) if d[i, j] <= r}
         assert set(map(tuple, e.tolist())) == expected
 
@@ -196,6 +196,6 @@ def test_unit_disk_symmetry_property(seed, r):
     rng = np.random.default_rng(seed)
     pts = DiscRegion(1.0).sample(20, rng)
     e = unit_disk_edges(pts, r)
-    d = pairwise_distances(pts)
+    d = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
     brute = {(i, j) for i in range(20) for j in range(i + 1, 20) if d[i, j] <= r}
     assert set(map(tuple, e.tolist())) == brute

@@ -4,8 +4,8 @@
 with the batched, level-synchronous CSR kernels and materializes tables
 lazily.  This module is the original construction it must reproduce bit
 for bit: one pure-Python deque BFS per routing target set, every table
-built eagerly at construction.  The equivalence suites compare against
-it (``test_bfs_kernels.py``, ``test_fabric_cache.py``).
+built eagerly at construction.  The equivalence suite
+(``test_bfs_kernels.py``) compares against it.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class ReferenceFabric(ForwardingFabric):
         super().__init__(h, g0)
         self._build_reference()
 
-    def _single_flood(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return deque_next_hop(self.g0, targets)
+    def _single_flood(self, targets: np.ndarray) -> np.ndarray:
+        return deque_next_hop(self.g0, targets)[0]
 
     def _next_hop(self, targets: np.ndarray,
                   restrict_mask: np.ndarray | None = None) -> np.ndarray:

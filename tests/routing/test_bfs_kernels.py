@@ -21,7 +21,7 @@ from repro.hierarchy import build_hierarchy
 from repro.hierarchy.levels import ClusteredHierarchy, LevelTopology
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.routing import ForwardingFabric, forwarding
-from repro.routing.bfs_kernels import flood_rows_safe, labeled_next_hop, single_next_hop
+from repro.routing.bfs_kernels import labeled_next_hop, single_next_hop
 
 from .fabric_oracle import ReferenceFabric, deque_next_hop
 
@@ -117,82 +117,6 @@ class TestKernelVsOracle:
         nh, dist = labeled_next_hop(
             g, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 2)
         assert nh.shape == (2, 30) and (nh == -1).all() and (dist == -1).all()
-
-
-class TestEventSafety:
-    """``flood_rows_safe`` must never keep a row a re-run would change."""
-
-    def path_graph(self, n=6):
-        edges = np.array([[i, i + 1] for i in range(n - 1)])
-        return CompactGraph(np.arange(n), edges)
-
-    def test_up_between_equal_levels_safe(self):
-        # star-ish: 0-1, 0-2; adding 1-2 joins two dist-1 nodes.
-        g = CompactGraph(np.arange(3), [[0, 1], [0, 2]])
-        nh, dist = deque_next_hop(g, np.array([0]))
-        assert flood_rows_safe(dist, nh, np.array([[1, 2]]), np.empty((0, 2)))[0]
-
-    def test_up_across_levels_unsafe(self):
-        g = self.path_graph()
-        nh, dist = deque_next_hop(g, np.array([0]))
-        assert not flood_rows_safe(dist, nh, np.array([[0, 3]]), np.empty((0, 2)))[0]
-
-    def test_down_tree_edge_unsafe(self):
-        g = self.path_graph()
-        nh, dist = deque_next_hop(g, np.array([0]))
-        assert not flood_rows_safe(dist, nh, np.empty((0, 2)), np.array([[2, 3]]))[0]
-
-    def test_down_non_tree_edge_safe(self):
-        # cycle 0-1-2-3-0: toward target 0, edge 1-2 or 2-3 is non-tree
-        # for exactly one orientation of the tie-break.
-        g = CompactGraph(np.arange(4), [[0, 1], [1, 2], [2, 3], [0, 3]])
-        nh, dist = deque_next_hop(g, np.array([0]))
-        # node 2 has dist 2 and one parent; the unused dist-1 edge is safe.
-        parent = nh[2]
-        other = 3 if parent == 1 else 1
-        assert flood_rows_safe(dist, nh, np.empty((0, 2)),
-                               np.array([[2, other]]))[0]
-        assert not flood_rows_safe(dist, nh, np.empty((0, 2)),
-                                   np.array([[2, parent]]))[0]
-
-    def test_down_both_unreached_safe(self):
-        g = CompactGraph(np.arange(4), [[0, 1], [2, 3]])
-        nh, dist = deque_next_hop(g, np.array([0]))
-        assert flood_rows_safe(dist, nh, np.empty((0, 2)), np.array([[2, 3]]))[0]
-
-    def test_mask_exempts_outside_events(self):
-        g = self.path_graph()
-        mask = np.array([True, True, True, False, False, False])
-        nh, dist = deque_next_hop(g, np.array([0]), restrict_mask=mask)
-        # 3-4 lies outside the mask: irrelevant however drastic.
-        assert flood_rows_safe(dist, nh, np.empty((0, 2)), np.array([[3, 4]]),
-                               restrict_mask=mask)[0]
-        assert flood_rows_safe(dist, nh, np.array([[3, 4]]), np.empty((0, 2)),
-                               restrict_mask=mask)[0]
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31))
-    def test_safe_rows_survive_events_bit_identically(self, seed):
-        """Property: rows marked safe are bit-identical on the post-event
-        graph; this is the soundness contract FabricCache relies on."""
-        rng = np.random.default_rng(seed)
-        n = 60
-        r_tx = radius_for_degree(6.0, DENSITY)
-        pts = DiscRegion(31.0).sample(n, rng)
-        e_old = unit_disk_edges(pts, r_tx)
-        pts2 = pts + rng.normal(scale=0.4, size=pts.shape)
-        e_new = unit_disk_edges(pts2, r_tx)
-        g_old = CompactGraph(np.arange(n), e_old)
-        g_new = CompactGraph(np.arange(n), e_new)
-        old = set(map(tuple, e_old.tolist()))
-        new = set(map(tuple, e_new.tolist()))
-        ups = np.array(sorted(new - old)).reshape(-1, 2)
-        downs = np.array(sorted(old - new)).reshape(-1, 2)
-        targets = np.sort(rng.choice(n, size=2, replace=False))
-        nh, dist = deque_next_hop(g_old, targets)
-        if flood_rows_safe(dist, nh, ups, downs)[0]:
-            nh2, dist2 = deque_next_hop(g_new, targets)
-            assert np.array_equal(nh, nh2) and np.array_equal(dist, dist2)
 
 
 class TestFabricEquivalence:

@@ -19,13 +19,9 @@ class TestFlatRouter:
         assert chain_router.hop_count(0, 0) == 0
         assert chain_router.hop_count(2, 3) == 1
 
-    def test_path(self, chain_router):
-        assert chain_router.path(0, 3) == [0, 1, 2, 3]
-
     def test_unreachable(self):
         r = FlatRouter(CompactGraph(range(4), [[0, 1], [2, 3]]))
         assert r.hop_count(0, 3) == -1
-        assert r.path(0, 3) is None
 
     def test_cache_consistency(self, chain_router):
         d1 = chain_router.distances_from(0)
@@ -41,11 +37,6 @@ class TestFlatRouter:
             chain_router.hop_count(9, 9)
         with pytest.raises(KeyError):
             chain_router.hop_count(0, 9)
-
-    def test_table_size(self, chain_router):
-        assert chain_router.table_size(2) == 4
-        with pytest.raises(KeyError):
-            chain_router.table_size(99)
 
 
 class TestFlatTableSize:

@@ -42,11 +42,9 @@ class TestBasicRun:
         p = small_result.p_levels()
         assert p and all(0 <= x <= 1 for x in p)
 
-    def test_g_prime_and_g_k(self, small_result):
+    def test_g_prime_k(self, small_result):
         gp = small_result.g_prime_k()
-        gk = small_result.g_k()
         assert all(v >= 0 for v in gp.values())
-        assert all(v >= 0 for v in gk.values())
 
 
 class TestDeterminism:

@@ -142,14 +142,6 @@ class TestComponentLifetimes:
         assert lifetimes
         assert all(t > 0 for t in lifetimes.values())
 
-    def test_staleness_in_unit_interval(self, result):
-        stale = result.staleness_fraction()
-        assert all(0 <= v <= 1 for v in stale.values())
-
-    def test_staleness_lag_validation(self, result):
-        with pytest.raises(ValueError):
-            result.staleness_fraction(update_lag=0.0)
-
     def test_stationary_infinite_lifetime(self):
         res = run_scenario(Scenario(n=60, steps=6, warmup=0,
                                     mobility="stationary", seed=9,

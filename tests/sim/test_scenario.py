@@ -233,12 +233,6 @@ class TestDerivedQuantities:
     def test_duration(self):
         assert Scenario(steps=50, dt=0.5).duration == pytest.approx(25.0)
 
-    def test_mean_step_displacement(self):
-        sc = Scenario(speed=2.0, dt=1.0)
-        assert sc.mean_step_displacement() == pytest.approx(2.0 / sc.r_tx)
-        sc2 = Scenario(speed=(1.0, 3.0), dt=1.0)
-        assert sc2.mean_step_displacement() == pytest.approx(2.0 / sc2.r_tx)
-
     def test_frozen(self):
         sc = Scenario()
         with pytest.raises(Exception):

@@ -106,8 +106,9 @@ class TestSimulatorIntegration:
 
     def test_trace_rows_equal_the_event_object_views(self, monkeypatch):
         """The collector reads the diff's columns; what it records is
-        what walking ``diff.migrations`` / ``diff.reorgs`` would."""
+        what walking the diff's event object views would."""
         from repro.sim import Collector
+        from tests.core.events_oracle import migration_events, reorg_events
 
         class ViewRecorder(Collector):
             def __init__(self):
@@ -115,12 +116,12 @@ class TestSimulatorIntegration:
 
             def on_step(self, snap):
                 diff = snap.report.diff
-                for ev in diff.migrations:
+                for ev in migration_events(diff):
                     if ev.pure:
                         self.expected.append((snap.t, "migration", dict(
                             node=ev.node, level=ev.level,
                             old=ev.old_cluster, new=ev.new_cluster)))
-                for ev in diff.reorgs:
+                for ev in reorg_events(diff):
                     self.expected.append((snap.t, f"reorg:{ev.kind.value}", dict(
                         level=ev.level, subject=ev.subject, other=ev.other)))
 

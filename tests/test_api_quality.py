@@ -15,6 +15,15 @@ import pytest
 
 import repro
 
+THEORY_CLOSED_FORMS = frozenset({
+    "f_k_prediction", "phi_k_prediction", "gamma_k_prediction",
+    "g_prime_k_prediction", "edges_per_node_prediction", "hop_count_level",
+    "hop_count_network", "migration_distance",
+})
+"""The paper's closed forms in ``repro.analysis.theory`` that no run
+calls yet; they stay exported until the experiments print predicted
+beside measured values."""
+
 PACKAGES = [
     "repro",
     "repro.geometry",
@@ -30,6 +39,42 @@ PACKAGES = [
     "repro.experiments",
     "repro.viz",
 ]
+
+
+def referenced_names(root: Path) -> set[str]:
+    """Names the code under ``src/``, ``examples/`` and ``benchmarks/``
+    uses: every attribute read, and every bare name that its file binds
+    by ``from … import`` or at module level.  Imports, ``__all__``
+    strings and definitions are not uses, and neither is a use inside
+    the body of the function or class that defines the name."""
+    used: set[str] = set()
+    for top in ("src", "examples", "benchmarks"):
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            bound = {n.name for n in tree.body
+                     if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            bound |= {t.id for n in tree.body if isinstance(n, ast.Assign)
+                      for t in n.targets if isinstance(t, ast.Name)}
+            own_bodies = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    bound |= {a.asname or a.name for a in node.names}
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef)):
+                    own_bodies.append((node.name, node.lineno, node.end_lineno))
+            for node in ast.walk(tree):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Name) and node.id in bound:
+                    name = node.id
+                else:
+                    continue
+                if not any(name == def_name and first <= node.lineno <= last
+                           for def_name, first, last in own_bodies):
+                    used.add(name)
+    return used
 
 
 def iter_modules():
@@ -80,6 +125,23 @@ class TestDocumentation:
 
 
 class TestExports:
+    def test_every_export_has_a_caller(self):
+        """An exported name is used by the library, an example or a
+        benchmark, not only by its tests; oracles a test needs live
+        under ``tests/``."""
+        used = referenced_names(Path(repro.__file__).resolve().parents[2])
+        uncalled = set()
+        for mod in iter_modules():
+            if mod.__name__ == "repro":
+                continue  # the root lists subpackages, loaded lazily
+            for name in getattr(mod, "__all__", []):
+                if name not in used:
+                    home = getattr(getattr(mod, name), "__module__", mod.__name__)
+                    uncalled.add(f"{home}.{name}")
+        # Equality, so a closed form that gains a caller leaves the list.
+        assert uncalled == {
+            f"repro.analysis.theory.{name}" for name in THEORY_CLOSED_FORMS}
+
     def test_all_lists_resolve(self):
         for mod in iter_modules():
             if mod.__name__ == "repro":

@@ -55,9 +55,12 @@ class TestCommands:
 
     def test_info(self, capsys):
         assert main(["info"]) == 0
-        out = capsys.readouterr().out
-        assert "repro" in out
-        assert "repro.core" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("repro ")
+        # What ``repro --help`` shows, not the cli module's docstring.
+        assert lines[1] == build_parser().description
+        assert lines[1].startswith("Reproduction of Sucec & Marsic")
+        assert "  repro.core" in lines
 
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "EXP-Z9"]) == 2

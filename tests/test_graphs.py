@@ -14,12 +14,11 @@ from repro.graphs import (
     CompactGraph,
     IdIndex,
     bfs_distances,
-    bfs_path,
     hop_dtype,
     hop_rows,
     sorted_unique_ids,
 )
-from repro.hierarchy import mean_hop_count
+from repro.hierarchy import sample_hop_counts
 from repro.radio import unit_disk_edges
 
 
@@ -223,21 +222,6 @@ class TestBFS:
         g = CompactGraph(range(4), [[0, 1], [2, 3]])
         d = bfs_distances(g, 0)
         assert d.tolist() == [0, 1, -1, -1]
-
-    def test_path_exact(self):
-        g = CompactGraph(range(5), [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
-        p = bfs_path(g, 0, 3)
-        assert p in ([0, 1, 2, 3], [0, 4, 3])
-        assert len(p) == 4 or len(p) == 3
-        assert bfs_path(g, 0, 3) == p  # deterministic
-
-    def test_path_same_node(self):
-        g = CompactGraph([1, 2], [[1, 2]])
-        assert bfs_path(g, 1, 1) == [1]
-
-    def test_path_unreachable(self):
-        g = CompactGraph(range(4), [[0, 1], [2, 3]])
-        assert bfs_path(g, 0, 3) is None
 
 
 def _rows(g, sources):
@@ -565,13 +549,13 @@ class TestBitsetBFS:
         assert len(floods) == h.num_levels
         assert all(size <= 12 and labels is g._giant
                    for size, labels in floods)
-        assert mean_hop_count(g, rng, n_sources=16) > 1
+        assert sample_hop_counts(g, rng, n_sources=16)[0] > 1
         assert _rows(g, np.arange(63)).shape == (63, n)
         # 64 rows, 63 distinct sources: still not a word's worth.
         assert _rows(g, np.arange(64) % 63).shape == (64, n)
         with pytest.raises(AssertionError, match="dense sweep"):
             _rows(g, np.arange(64))
-        assert mean_hop_count(g, rng, n_sources=64) > 1
+        assert sample_hop_counts(g, rng, n_sources=64)[0] > 1
 
     @pytest.mark.parametrize("n", [400, SWEEP_NODES])
     def test_small_hop_sample_takes_one_sweep(self, n, monkeypatch):
@@ -600,7 +584,7 @@ class TestBitsetBFS:
                                             sources_per_cluster=2)
         assert h_net > 1 and all(v > 0 for v in h_levels.values())
         assert len(sweeps) == 1 and 8 < sweeps[0] <= 64
-        assert mean_hop_count(g, rng, n_sources=8) > 1
+        assert sample_hop_counts(g, rng, n_sources=8)[0] > 1
         assert len(sweeps) == 2
 
 
@@ -628,12 +612,3 @@ def test_bfs_matches_networkx_property(seed, n):
     # Scoped to any target set, the target columns are the same.
     t = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
     assert np.array_equal(_flood(g, [src], [t])[0][t], ours[t])
-    # Path length agrees with distance for a random reachable target.
-    reach = [v for v in range(n) if v != src and ours[v] > 0]
-    if reach:
-        t = reach[int(rng.integers(len(reach)))]
-        p = bfs_path(g, src, t)
-        assert p[0] == src and p[-1] == t
-        assert len(p) - 1 == ours[t]
-        for a, b in zip(p, p[1:]):
-            assert nxg.has_edge(a, b)
