@@ -7,7 +7,7 @@
     python -m repro simulate --n 300 --steps 60 --speed 1.5 [--trace]
     python -m repro simulate --n 300 --checkpoint run.ckpt --checkpoint-every 20
     python -m repro simulate --n 300 --chaos partition:start=30,duration=20 \\
-        --chaos-report chaos.json
+        --trace --manifest run.json
     python -m repro resume run.ckpt
     python -m repro sweep --ns 200,400,800 --seeds 0,1,2 --workers 4 \\
         [--manifest runs.jsonl]
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -123,17 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hierarchy invariant checking: auto enables "
                             "counting whenever faults are injected; strict "
                             "raises on the first violation (default auto)")
-    p_sim.add_argument("--chaos-report", default=None, metavar="PATH",
-                       help="write the chaos report (invariant series, "
-                            "episode SLOs) to this path as JSON")
     p_sim.add_argument("--trace", action="store_true",
-                       help="print the tail of the event trace")
+                       help="record the event trace; print its tail")
     p_sim.add_argument("--profile", action="store_true",
                        help="meter pipeline phases; print the breakdown")
     p_sim.add_argument("--manifest", default=None, metavar="PATH",
-                       help="write a run manifest (JSON) to this path")
-    p_sim.add_argument("--trace-jsonl", default=None, metavar="PATH",
-                       help="with --trace: also write the full trace as JSONL")
+                       help="write the run manifest (JSON, with the event "
+                            "trace and chaos report) to this path")
     p_sim.add_argument("--checkpoint", default=None, metavar="PATH",
                        help="write periodic checkpoints to this path "
                             "(resume later with 'repro resume PATH')")
@@ -236,8 +233,8 @@ def _cmd_experiment(args) -> int:
 
     exp_id = args.exp_id.upper()
     if exp_id not in ALL_EXPERIMENTS:
-        print(f"unknown experiment {args.exp_id!r}; try 'repro list'",
-              file=sys.stderr)
+        print(f"experiment: unknown experiment {args.exp_id!r}; "
+              "try 'repro list'", file=sys.stderr)
         return 2
     seeds = _ints(args, "seeds")
     if seeds is None:
@@ -291,21 +288,35 @@ def _scenario_from_args(args, **fields):
         return None
 
 
+def _checkpoint_every_ok(args, path) -> bool:
+    """Whether ``--checkpoint-every`` suits a run checkpointing to
+    ``path``; if not, print one ``<command>: <message>`` line on stderr
+    (the caller exits 2)."""
+    every = args.checkpoint_every
+    if every is None:
+        return True
+    if not path:
+        message = "--checkpoint-every requires --checkpoint"
+    elif every < 1:
+        message = f"--checkpoint-every must be >= 1, got {every}"
+    else:
+        return True
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return False
+
+
 def _cmd_simulate(args) -> int:
-    from repro.sim import Simulator
+    from repro.sim import Simulator, TraceCollector
 
     chaos = {"chaos": tuple(args.chaos)} if args.chaos else {}
     sc = _scenario_from_args(args, **chaos)
-    if sc is None:
+    if sc is None or not _checkpoint_every_ok(args, args.checkpoint):
         return 2
-    if args.checkpoint_every is not None and not args.checkpoint:
-        print("--checkpoint-every requires --checkpoint", file=sys.stderr)
-        return 2
-    sim = Simulator(sc, trace=args.trace, profile=args.profile)
+    sim = Simulator(sc, profile=args.profile,
+                    collectors=[TraceCollector()] if args.trace else None)
     res = sim.run(checkpoint_every=args.checkpoint_every,
                   checkpoint_path=args.checkpoint)
-    _print_run(res, show_trace=args.trace, trace_jsonl=args.trace_jsonl,
-               show_profile=args.profile)
+    _print_run(res)
     if args.checkpoint:
         # The run finished, so the crash-protection checkpoint is stale;
         # an interrupted run leaves it behind for 'repro resume'.
@@ -320,24 +331,24 @@ def _cmd_simulate(args) -> int:
 
         path = RunManifest.from_result(res).write(args.manifest)
         print(f"manifest written to {path}")
-    if args.chaos_report:
-        chaos = res.extras.get("chaos")
-        if chaos is None:
-            print("--chaos-report: run collected no chaos data "
-                  "(is invariant checking off?)", file=sys.stderr)
-            return 2
-        import dataclasses
-        import json
-
-        with open(args.chaos_report, "w") as fh:
-            json.dump(dataclasses.asdict(chaos), fh, indent=2)
-            fh.write("\n")
-        print(f"chaos report written to {args.chaos_report}")
     return 0
 
 
-def _print_run(res, show_trace=False, trace_jsonl=None, show_profile=False):
-    """Print the standard per-run metric block (simulate and resume)."""
+def _print_trace(trace: dict) -> None:
+    """The last 20 events of a trace and its counts by kind."""
+    print("\nevent trace (last 20):")
+    for ev in trace["events"][-20:]:
+        items = ", ".join(f"{k}={v}" for k, v in sorted(ev["payload"].items()))
+        print(f"  [t={ev['t']:8.2f}] {ev['kind']:18s} {items}")
+    if trace["dropped"]:
+        print(f"  ... ({trace['dropped']} events dropped at capacity)")
+    counts = Counter(ev["kind"] for ev in trace["events"])
+    print(f"  summary: {dict(sorted(counts.items()))}")
+
+
+def _print_run(res):
+    """Print the standard per-run metric block (simulate and resume),
+    with the event trace and phase breakdown when the run kept them."""
     sc = res.scenario
     levels = "auto" if sc.max_levels is None else sc.max_levels
     print(f"n={sc.n}  L<={levels}  mu={sc.speed} m/s  "
@@ -375,15 +386,9 @@ def _print_run(res, show_trace=False, trace_jsonl=None, show_profile=False):
                   f"peak {ep.peak_violations} violations, "
                   f"{ep.peak_down} down, recovery "
                   f"{'not reached' if t is None else f'{t:.1f} s'}")
-    if show_trace and res.trace is not None:
-        print("\nevent trace (last 20):")
-        for line in res.trace.to_lines(limit=20):
-            print(" ", line)
-        print(f"  summary: {res.trace.summary()}")
-        if trace_jsonl:
-            count = res.trace.to_jsonl(trace_jsonl)
-            print(f"  trace written to {trace_jsonl} ({count} records)")
-    if show_profile and res.timings is not None:
+    if "trace" in res.extras:
+        _print_trace(res.extras["trace"])
+    if res.timings is not None:
         print(f"\nphase breakdown (wall {res.timings.wall_seconds:.2f} s):")
         for line in res.timings.to_lines():
             print(" ", line)
@@ -394,13 +399,17 @@ def _cmd_resume(args) -> int:
 
     from repro.sim import Simulator
 
+    if not _checkpoint_every_ok(args, args.checkpoint):
+        return 2
     if not os.path.exists(args.checkpoint):
-        print(f"no such checkpoint: {args.checkpoint}", file=sys.stderr)
+        print(f"resume: no such checkpoint: {args.checkpoint}",
+              file=sys.stderr)
         return 2
     try:
         sim = Simulator.restore(args.checkpoint)
     except (ValueError, OSError) as exc:
-        print(f"cannot resume from {args.checkpoint}: {exc}", file=sys.stderr)
+        print(f"resume: cannot resume from {args.checkpoint}: {exc}",
+              file=sys.stderr)
         return 2
     sc = sim.sc
     print(f"resuming at step {sim.next_step}/{sc.steps} "
@@ -410,8 +419,7 @@ def _cmd_resume(args) -> int:
                       checkpoint_path=args.checkpoint)
     else:
         res = sim.run()
-    _print_run(res, show_trace=res.trace is not None,
-               show_profile=res.timings is not None)
+    _print_run(res)
     if not args.keep_checkpoint:
         try:
             os.remove(args.checkpoint)

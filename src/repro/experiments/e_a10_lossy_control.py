@@ -57,7 +57,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                 sc = Scenario(
                     n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
                     hop_mode="euclidean", max_levels=levels_for(n),
-                    loss_rate=rate, retry_attempts=4, retry_timeout=2.0,
+                    loss_rate=rate, retry_attempts=4,
                     queries_per_step=5, hop_sample_every=10_000,
                 )
                 res = run_scenario(sc)

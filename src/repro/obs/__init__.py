@@ -9,8 +9,11 @@ The observability layer for the simulator and sweep runner:
   (scenario hash, ``CODE_VERSION``, platform, phase breakdown) for one
   run, serialized as JSON: the one per-run record (``repro simulate
   --manifest`` writes one, ``repro sweep --manifest`` one per task).
-* JSONL export (:mod:`repro.obs.export`) — traces and manifests as
-  JSON Lines for offline analysis.
+  Its optional ``trace`` and ``chaos`` sections carry the run's event
+  trace (:class:`~repro.sim.collectors.TraceCollector`) and chaos
+  report (:class:`~repro.sim.collectors.ChaosReport`).
+* JSONL export (:mod:`repro.obs.export`) — manifests as JSON Lines
+  for offline analysis.
 * :class:`~repro.obs.report.SweepReport` — sweep-level aggregation
   (throughput, ETA, cache-hit rate, retry/timeout counts, per-n phase
   breakdowns): the report block ``repro sweep`` prints under its table.
@@ -18,12 +21,7 @@ The observability layer for the simulator and sweep runner:
 See docs/OBSERVABILITY.md for usage and schemas.
 """
 
-from repro.obs.export import (
-    read_jsonl,
-    trace_from_records,
-    trace_records,
-    write_jsonl,
-)
+from repro.obs.export import write_jsonl
 from repro.obs.manifest import RunManifest
 from repro.obs.report import SweepReport
 from repro.obs.timers import PHASES, StepTimings
@@ -34,7 +32,4 @@ __all__ = [
     "RunManifest",
     "SweepReport",
     "write_jsonl",
-    "read_jsonl",
-    "trace_records",
-    "trace_from_records",
 ]

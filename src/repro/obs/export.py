@@ -1,9 +1,9 @@
-"""JSONL export/import for traces and run manifests.
+"""JSONL export for run manifests.
 
 JSON Lines is the interchange format for offline analysis: one JSON
-object per line, streamable, greppable, and append-safe.  This module
-owns the generic reader/writer plus the trace round-trip
-(:class:`~repro.sim.trace.EventTrace` delegates its ``to_jsonl`` here).
+object per line, streamable, greppable, and append-safe.  ``repro sweep
+--manifest`` streams one :class:`~repro.obs.manifest.RunManifest` per
+task through :func:`write_jsonl`.
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ import json
 from pathlib import Path
 from typing import IO, Iterable
 
-__all__ = [
-    "write_jsonl",
-    "read_jsonl",
-    "trace_records",
-    "trace_from_records",
-]
-
-TRACE_SCHEMA = "repro.trace/v1"
+__all__ = ["write_jsonl"]
 
 
 def _json_default(obj):
@@ -50,52 +43,3 @@ def write_jsonl(path_or_file: str | Path | IO[str],
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     return len(records)
-
-
-def read_jsonl(path_or_file: str | Path | IO[str]) -> list[dict]:
-    """Read a JSONL file back into a list of dicts (blank lines skipped)."""
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        text = Path(path_or_file).read_text()
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-# -- trace round-trip --------------------------------------------------------------
-
-
-def trace_records(trace) -> list[dict]:
-    """Flatten an :class:`~repro.sim.trace.EventTrace` into JSONL records.
-
-    The first record is a header carrying the schema, capacity, and
-    dropped-event count; each following record is one event.
-    """
-    head = {
-        "schema": TRACE_SCHEMA,
-        "capacity": trace.capacity,
-        "dropped": trace.dropped,
-        "events": len(trace.events),
-    }
-    out = [head]
-    for ev in trace.events:
-        out.append({"t": ev.t, "kind": ev.kind, "payload": dict(ev.payload)})
-    return out
-
-
-def trace_from_records(records: list[dict]):
-    """Rebuild an :class:`EventTrace` from :func:`trace_records` output."""
-    from repro.sim.trace import EventTrace, TraceEvent
-
-    if not records or records[0].get("schema") != TRACE_SCHEMA:
-        raise ValueError(
-            f"not a {TRACE_SCHEMA} stream: missing or unknown header record"
-        )
-    head = records[0]
-    trace = EventTrace(capacity=head.get("capacity"),
-                       dropped=int(head.get("dropped", 0)))
-    for rec in records[1:]:
-        trace.events.append(TraceEvent(
-            t=float(rec["t"]), kind=str(rec["kind"]),
-            payload=dict(rec.get("payload", {})),
-        ))
-    return trace

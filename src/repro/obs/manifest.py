@@ -3,9 +3,13 @@
 A manifest captures *provenance* (scenario hash, ``CODE_VERSION``,
 package versions, platform) and *cost* (wall time, per-phase breakdown)
 next to the headline metrics, so a result file on disk can always answer
-"what produced this, and where did the time go?".  Manifests are plain
-JSON; a list of them streams naturally as JSONL via
-:func:`repro.obs.export.write_jsonl`.
+"what produced this, and where did the time go?".  Two optional
+sections make it the run's one record: ``trace`` (the event trace a
+:class:`~repro.sim.collectors.TraceCollector` kept) and ``chaos`` (the
+:class:`~repro.sim.collectors.ChaosReport`); both are empty when the run
+has no such data, which is also how a file written without them reads
+back.  Manifests are plain JSON; a list of them streams naturally as
+JSONL via :func:`repro.obs.export.write_jsonl`.
 """
 
 from __future__ import annotations
@@ -58,6 +62,13 @@ class RunManifest:
         (empty when the run was not profiled).
     metrics:
         Headline scalar metrics (phi, gamma, handoff rate, f0, ...).
+    trace:
+        The event trace: ``capacity``, ``dropped`` and ``events`` (one
+        ``{"t", "kind", "payload"}`` dict each); empty when the run
+        recorded none.
+    chaos:
+        ``dataclasses.asdict`` of the run's chaos report (invariant
+        series, episode SLOs); empty when the run collected none.
     """
 
     scenario_key: str
@@ -67,6 +78,8 @@ class RunManifest:
     wall_seconds: float = 0.0
     phases: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
+    trace: dict = field(default_factory=dict)
+    chaos: dict = field(default_factory=dict)
     schema: str = SCHEMA
 
     @classmethod
@@ -88,11 +101,18 @@ class RunManifest:
         }
         if res.query_success_rate is not None:
             metrics["query_success_rate"] = float(res.query_success_rate)
+        if res.scenario.faults_enabled:
+            metrics["retransmission_rate"] = float(
+                res.ledger.retransmission_rate)
+            metrics["abandonment_rate"] = float(res.ledger.abandonment_rate)
+            metrics["mean_recovery_time"] = float(
+                res.ledger.mean_recovery_time)
         for kind, entry in res.ledger.reorg_event_breakdown().items():
             # (i)-(vii) taxonomy: which reorg event type dominates gamma.
             metrics[f"reorg_{kind}_count"] = int(entry["count"])
             metrics[f"reorg_{kind}_rate"] = float(entry["rate"])
-        chaos = getattr(res, "extras", {}).get("chaos")
+        extras = getattr(res, "extras", {})
+        chaos = extras.get("chaos")
         if chaos is not None:
             ttr = chaos.max_time_to_reconverge()
             metrics["invariant_violations"] = int(chaos.total_violations)
@@ -109,6 +129,8 @@ class RunManifest:
             wall_seconds=float(timings.wall_seconds) if timings else 0.0,
             phases=dict(timings.totals) if timings else {},
             metrics=metrics,
+            trace=extras.get("trace", {}),
+            chaos={} if chaos is None else asdict(chaos),
         )
 
     # -- serialization ------------------------------------------------------------
@@ -133,6 +155,8 @@ class RunManifest:
             wall_seconds=float(d.get("wall_seconds", 0.0)),
             phases={str(k): float(v) for k, v in d.get("phases", {}).items()},
             metrics=dict(d.get("metrics", {})),
+            trace=dict(d.get("trace", {})),
+            chaos=dict(d.get("chaos", {})),
         )
 
     @classmethod

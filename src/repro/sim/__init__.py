@@ -33,7 +33,6 @@ from repro.sim.sweep import (
     scenario_key,
     sweep_points,
 )
-from repro.sim.trace import EventTrace, TraceEvent
 
 __all__ = [
     "Simulator",
@@ -56,8 +55,6 @@ __all__ = [
     "PRESETS",
     "make_scenario",
     "Scenario",
-    "EventTrace",
-    "TraceEvent",
     "CODE_VERSION",
     "SweepError",
     "SweepProgress",

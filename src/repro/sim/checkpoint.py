@@ -31,14 +31,17 @@ __all__ = [
     "CHECKPOINT_SCHEMA", "SimCheckpoint", "save_checkpoint", "load_checkpoint",
 ]
 
-CHECKPOINT_SCHEMA = 14
+CHECKPOINT_SCHEMA = 15
 """On-disk checkpoint layout version (bumped when fields change shape).
 
-Schema 14 always carries the ``edge_cache`` (every run steps on it), and
-its pickled scenario has lost the schema-10 control-plane switch, the
+Schema 15 always carries the ``edge_cache`` (every run steps on it) and
+no separate ``trace`` field (an event trace is a
+:class:`~repro.sim.collectors.TraceCollector` in ``collectors``); its
+pickled scenario has lost the schema-10 control-plane switch, the
 schema-11 service front-end fields, the schema-12 clustering-algorithm
-and hash choices and the schema-13 legacy crash-rate and repair-time
-fields; its pickled chaos engine holds the episode tuple itself.  A file of any
+and hash choices, the schema-13 legacy crash-rate and repair-time
+fields and the schema-14 ``retry_timeout``; its pickled chaos engine
+holds the episode tuple itself.  A file of any
 other schema is refused at load time
 (:func:`load_checkpoint`) — by its schema field, or as
 stale when it pickles a class this code no longer has; CHANGES.md
@@ -87,9 +90,6 @@ class SimCheckpoint:
         pairs + reference positions).
     timings:
         Accumulated :class:`~repro.obs.timers.StepTimings`, or None.
-    trace:
-        The simulator's :class:`~repro.sim.trace.EventTrace`, or None
-        (the same object a :class:`TraceCollector` holds).
     schema:
         :data:`CHECKPOINT_SCHEMA` at save time.
     """
@@ -107,7 +107,6 @@ class SimCheckpoint:
     collectors: list
     edge_cache: Any
     timings: Any = None
-    trace: Any = None
     schema: int = field(default=CHECKPOINT_SCHEMA)
 
 

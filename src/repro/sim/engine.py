@@ -54,10 +54,6 @@ from repro.sim.snapshot import StepSnapshot
 
 __all__ = ["Simulator", "run_scenario"]
 
-TRACE_CAPACITY = 50_000
-"""Events a ``trace=True`` run keeps; older ones are evicted (and
-counted in ``EventTrace.dropped``)."""
-
 RNG_STREAMS = ("placement", "mobility", "sampling", "failures", "faults",
                "queries", "chaos")
 """The engine's named RNG streams, in spawn order.  "faults", "queries"
@@ -72,7 +68,7 @@ after it."""
 # else a collector returns is routed to SimResult.extras.
 _RESULT_FIELDS = frozenset({
     "ledger", "f0", "level_series", "state_stats", "h_network", "h_levels",
-    "mean_degree", "giant_fraction", "trace", "queries",
+    "mean_degree", "giant_fraction", "queries",
 })
 
 
@@ -90,20 +86,13 @@ class Simulator:
     picks — a choice of plan, never of result.
 
     Every setting of the run lives on the scenario (the hop-sampling
-    cadence included); ``trace=True`` records an
-    :class:`~repro.sim.trace.EventTrace` of the last
-    :data:`TRACE_CAPACITY` events, and ``profile=True`` meters phase
-    wall-clock times.
+    cadence included); ``profile=True`` meters phase wall-clock times,
+    and ``collectors=[TraceCollector()]`` records the event trace.
     """
 
-    def __init__(self, scenario: Scenario, *, trace: bool = False,
-                 profile: bool = False, collectors: list | None = None):
+    def __init__(self, scenario: Scenario, *, profile: bool = False,
+                 collectors: list | None = None):
         self.sc = scenario
-        self.trace = None
-        if trace:
-            from repro.sim.trace import EventTrace
-
-            self.trace = EventTrace(capacity=TRACE_CAPACITY)
         # Phase timers (repro.obs): wall-clock only, never an RNG stream,
         # so a profiled run replays bit-identically.  Imported lazily to
         # keep the engine importable while repro.obs initializes.
@@ -113,7 +102,7 @@ class Simulator:
 
             self.timings = StepTimings()
         rngs = spawn_rngs(scenario.seed, RNG_STREAMS)
-        from repro.faults import ChaosEngine, DeliveryEngine, LossBurstEpisode
+        from repro.faults import ChaosEngine, DeliveryEngine
 
         # Fault episodes (repro.faults.chaos): crash/recover, targeted
         # kills, partitions, burst loss.  With none scheduled the engine
@@ -128,8 +117,7 @@ class Simulator:
         # never touch the fault path.
         self._delivery = None
         self._base_loss = None
-        if scenario.faults_enabled or any(
-                isinstance(ep, LossBurstEpisode) for ep in scenario.chaos):
+        if scenario.faults_enabled:
             self._base_loss = scenario.loss_model()
             self._delivery = DeliveryEngine(
                 loss=self._base_loss,
@@ -188,7 +176,6 @@ class Simulator:
             LinkEventCollector,
             QueryCollector,
             StateCollector,
-            TraceCollector,
         )
 
         sc = self.sc
@@ -199,8 +186,6 @@ class Simulator:
         if sc.queries_per_step > 0:
             out.append(QueryCollector(rngs["queries"], delivery=self._delivery))
         out.append(StateCollector())
-        if self.trace is not None:
-            out.append(TraceCollector(self.trace))
         out.append(LevelSeriesCollector())
         out.append(HopSampleCollector(rngs["sampling"], sc.hop_sample_every))
         if sc.resolved_invariant_mode != "off":
@@ -440,7 +425,6 @@ class Simulator:
             collectors=self._collectors,
             edge_cache=self._edge_cache,
             timings=self.timings,
-            trace=self.trace,
         )
         if path is not None:
             save_checkpoint(ck, path)
@@ -470,7 +454,6 @@ class Simulator:
             ck = load_checkpoint(source)
         sim = cls.__new__(cls)
         sim.sc = ck.scenario
-        sim.trace = ck.trace
         sim.timings = ck.timings
         sim._delivery = ck.delivery
         sim._chaos = ck.chaos

@@ -96,9 +96,6 @@ class SimResult:
     mean_degree: float
     giant_fraction: float
     elapsed: float
-    trace: "object | None" = None
-    """Optional :class:`~repro.sim.trace.EventTrace` (set when the
-    simulator ran with ``trace=True``)."""
     final_positions: np.ndarray | None = None
     """Node positions at the last metered step — lets post-run analyses
     (e.g. EXP-T10's query-cost probe) rebuild the final topology from a

@@ -73,14 +73,13 @@ class Scenario:
         Per-hop control-packet loss probability in [0, 1).  The paper
         assumes lossless delivery; nonzero rates inject the lossy
         channel of EXP-A10 (see ``repro.faults`` and ROBUSTNESS.md).
-        0 disables fault injection entirely (bit-identical metering).
+        0 with no burst-loss episode in ``chaos`` disables the lossy
+        control plane entirely (bit-identical metering).
     retry_attempts:
         Total delivery tries per control message, including the first
-        (1 disables retransmission).  Retries back off by
-        :class:`~repro.faults.retry.RetryPolicy`'s default schedule.
-    retry_timeout:
-        Per-message give-up budget in seconds; messages whose
-        accumulated backoff would exceed it are abandoned.
+        (1 disables retransmission).  Retries back off and give up by
+        :class:`~repro.faults.retry.RetryPolicy`'s default schedule and
+        per-message budget.
     queries_per_step:
         Location queries sampled per metered step (random s-d pairs,
         resolved through the lossy stack with expanding-ring fallback).
@@ -130,7 +129,6 @@ class Scenario:
     hop_mode: str = "auto"
     loss_rate: float = 0.0
     retry_attempts: int = 1
-    retry_timeout: float = 1.0
     queries_per_step: int = 0
     chaos: tuple = ()
     invariant_mode: str = "auto"
@@ -146,7 +144,7 @@ class Scenario:
     # Float fields screened for NaN/inf before any range check runs
     # (range checks silently pass on NaN: ``nan < 1`` is False).
     _NUMERIC_FIELDS = (
-        "density", "target_degree", "dt", "loss_rate", "retry_timeout",
+        "density", "target_degree", "dt", "loss_rate",
     )
 
     def __post_init__(self):
@@ -213,10 +211,6 @@ class Scenario:
             raise ValueError(
                 f"retry_attempts must be >= 1 (1 disables retries), got "
                 f"{self.retry_attempts!r}"
-            )
-        if self.retry_timeout <= 0:
-            raise ValueError(
-                f"retry_timeout must be positive, got {self.retry_timeout!r}"
             )
         if self.queries_per_step < 0:
             raise ValueError(
@@ -289,8 +283,12 @@ class Scenario:
 
     @property
     def faults_enabled(self) -> bool:
-        """True when the control plane is lossy (EXP-A10 regime)."""
-        return self.loss_rate > 0.0
+        """True when the control plane is lossy (EXP-A10 regime): a
+        base loss rate, or any burst-loss episode in ``chaos``."""
+        from repro.faults import LossBurstEpisode
+
+        return self.loss_rate > 0.0 or any(
+            isinstance(ep, LossBurstEpisode) for ep in self.chaos)
 
     @property
     def has_chaos(self) -> bool:
@@ -314,6 +312,5 @@ class Scenario:
         """The :class:`~repro.faults.retry.RetryPolicy` these fields describe."""
         from repro.faults import RetryPolicy
 
-        return RetryPolicy(max_attempts=self.retry_attempts,
-                           timeout=self.retry_timeout)
+        return RetryPolicy(max_attempts=self.retry_attempts)
 

@@ -1,7 +1,7 @@
 """Telemetry must be pure observation.
 
 The acceptance bar mirrors ``tests/sim/test_lossy_equivalence.py``:
-with phase timers (and trace + JSONL export) enabled, every metered
+with phase timers (and the event trace) enabled, every metered
 series in the SimResult must be bit-identical to an uninstrumented run
 of the same scenario — profiling may only *watch* the pipeline, never
 consume an RNG draw or reorder a phase.
@@ -10,7 +10,7 @@ consume an RNG draw or reorder a phase.
 from dataclasses import replace
 
 from repro.obs import PHASES
-from repro.sim import Scenario, Simulator, run_scenario
+from repro.sim import Scenario, Simulator, TraceCollector, run_scenario
 from tests.fingerprint import fingerprint
 
 SC = Scenario(n=80, steps=8, warmup=2, speed=1.5, seed=3,
@@ -40,9 +40,10 @@ class TestBitIdentity:
 
     def test_profile_plus_trace_matches_plain_run(self):
         plain = Simulator(SC).run()
-        instrumented = Simulator(SC, trace=True, profile=True).run()
+        instrumented = Simulator(SC, profile=True,
+                                 collectors=[TraceCollector()]).run()
         assert fingerprint(plain) == fingerprint(instrumented)
-        assert instrumented.trace is not None
+        assert instrumented.extras["trace"]["events"]
 
 
 class TestTimingsContent:

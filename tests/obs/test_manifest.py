@@ -7,23 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.obs import (
-    RunManifest,
-    read_jsonl,
-    trace_from_records,
-    trace_records,
-    write_jsonl,
-)
+from repro.obs import RunManifest, write_jsonl
 from repro.sim import (
     Scenario,
     SimCheckpoint,
     Simulator,
+    TraceCollector,
     run_scenario,
     run_sweep,
     scenario_key,
     sweep_points,
 )
 from repro.sim.sweep import CODE_VERSION
+from tests.jsonl import read_jsonl
 
 SC = Scenario(n=60, steps=5, warmup=1, speed=1.5, seed=2,
               max_levels=2, hop_mode="euclidean", hop_sample_every=4)
@@ -65,6 +61,22 @@ class TestRunManifest:
         path = man.write(tmp_path / "nested" / "run.json")
         assert RunManifest.read(path) == man
 
+    def test_burst_loss_run_records_its_loss(self):
+        """Loss that comes only from a burst episode is loss all the
+        same: the manifest records the retransmission, abandonment and
+        recovery metrics, as it does for a base loss rate."""
+        res = run_scenario(replace(
+            SC, chaos=("burst:start=1,duration=3,rate=0.4",)))
+        metrics = RunManifest.from_result(res).metrics
+        assert metrics["retransmission_rate"] == \
+            res.ledger.retransmission_rate > 0
+        assert metrics["abandonment_rate"] == res.ledger.abandonment_rate
+        assert metrics["mean_recovery_time"] == res.ledger.mean_recovery_time
+
+    def test_lossless_run_records_no_loss_metrics(self, profiled_result):
+        metrics = RunManifest.from_result(profiled_result).metrics
+        assert "retransmission_rate" not in metrics
+
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
             RunManifest.from_dict({"schema": "repro.manifest/v999",
@@ -92,41 +104,43 @@ class TestJsonl:
 
 
 class TestTraceRoundTrip:
+    """The event trace and the chaos report are manifest sections."""
+
     @pytest.fixture(scope="class")
-    def trace(self):
-        res = Simulator(SC, trace=True).run()
-        assert len(res.trace) > 0
-        return res.trace
+    def traced(self):
+        res = Simulator(
+            replace(SC, chaos=("partition:start=1,duration=2",)),
+            collectors=[TraceCollector()]).run()
+        assert res.extras["trace"]["events"] and "chaos" in res.extras
+        return res
 
-    def test_records_round_trip(self, trace):
-        again = trace_from_records(trace_records(trace))
-        assert again.events == trace.events
-        assert again.capacity == trace.capacity
-        assert again.dropped == trace.dropped
+    def test_records_round_trip(self, traced):
+        """The ``trace`` section is the collector's records; the
+        ``chaos`` section is ``asdict`` of the run's chaos report."""
+        man = RunManifest.from_result(traced)
+        assert man.trace == traced.extras["trace"]
+        assert man.chaos == dataclasses.asdict(traced.extras["chaos"])
+        assert man.chaos["episodes"][0]["kind"] == "partition"
 
-    def test_jsonl_file_round_trip(self, trace, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        count = trace.to_jsonl(path)
-        assert count == len(trace.events) + 1  # header record
-        again = type(trace).from_jsonl(path)
-        assert again.summary() == trace.summary()
-        assert [e.t for e in again] == [e.t for e in trace]
+    def test_jsonl_file_round_trip(self, traced, tmp_path):
+        man = RunManifest.from_result(traced)
+        assert RunManifest.read(man.write(tmp_path / "run.json")) == man
 
-    def test_open_file_handles(self, trace, tmp_path):
-        path = tmp_path / "trace.jsonl"
+    def test_open_file_handles(self, traced, tmp_path):
+        man = RunManifest.from_result(traced)
+        path = tmp_path / "runs.jsonl"
         with path.open("w") as fh:
-            trace.to_jsonl(fh)
-        with path.open() as fh:
-            again = type(trace).from_jsonl(fh)
-        assert again.events == trace.events
+            assert write_jsonl(fh, [man.to_dict()]) == 1
+        assert [RunManifest.from_dict(d) for d in read_jsonl(path)] == [man]
 
-    def test_reader_rejects_headerless_stream(self, tmp_path):
-        from repro.sim.trace import EventTrace
-
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"t": 1.0, "kind": "x", "payload": {}}\n')
-        with pytest.raises(ValueError, match="header"):
-            EventTrace.from_jsonl(path)
+    def test_manifest_without_sections_reads_back_empty(self, traced):
+        """A manifest written before the sections existed reads back
+        with both empty, under the same schema string."""
+        old = RunManifest.from_result(traced).to_dict()
+        del old["trace"], old["chaos"]
+        back = RunManifest.from_dict(old)
+        assert back.trace == {} and back.chaos == {}
+        assert back.schema == "repro.manifest/v1"
 
 
 class TestReorgBreakdown:

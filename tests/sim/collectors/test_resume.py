@@ -97,6 +97,24 @@ class TestResumeEqualsUninterrupted:
         assert isinstance(ck, SimCheckpoint)
         _assert_same_result(baseline, Simulator.restore(ck).run())
 
+    def test_trace_survives_resume(self, tmp_path):
+        """The event trace is collector state like any other: a run
+        checkpointed mid-way and resumed has the straight run's trace,
+        and so the same manifest ``trace`` section."""
+        from repro.obs import RunManifest
+        from repro.sim import TraceCollector
+
+        sc = _scenario()
+        straight = Simulator(sc, collectors=[TraceCollector()]).run()
+        path = tmp_path / "traced.ckpt"
+        Simulator(sc, collectors=[TraceCollector()]).run(
+            checkpoint_every=5, checkpoint_path=str(path))
+        resumed = Simulator.restore(str(path)).run()
+        assert straight.extras["trace"]["events"]
+        assert resumed.extras["trace"] == straight.extras["trace"]
+        assert (RunManifest.from_result(resumed).trace
+                == RunManifest.from_result(straight).trace)
+
     def test_checkpoint_every_requires_path(self):
         with pytest.raises(ValueError):
             Simulator(_scenario()).run(checkpoint_every=5)
@@ -159,10 +177,10 @@ class TestStaleCheckpointRejection:
     def _assert_refused_as_stale(path, schema):
         from repro.sim.checkpoint import CHECKPOINT_SCHEMA
 
-        assert CHECKPOINT_SCHEMA == 14
+        assert CHECKPOINT_SCHEMA == 15
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 14" in str(err.value)
+        assert f"checkpoint schema {schema} != 15" in str(err.value)
         assert "stale file" in str(err.value) and str(path) in str(err.value)
 
     def test_schema_3_checkpoint_refused(self, tmp_path):
@@ -192,7 +210,7 @@ class TestStaleCheckpointRejection:
         8 keeps one level-stacked tracker; refused the same way."""
         self._assert_schema_refused(tmp_path, 7)
 
-    @pytest.mark.parametrize("schema", [8, 9, 10, 11, 12, 13])
+    @pytest.mark.parametrize("schema", [8, 9, 10, 11, 12, 13, 14])
     def test_schema_8_9_checkpoint_refused(self, tmp_path, schema):
         """Schema 8 pickled the event plane's per-level patched elections
         where schema 9 keeps the from-scratch stepper on both planes.
@@ -204,12 +222,17 @@ class TestStaleCheckpointRejection:
         deleted.  The first five pickled the ``clustering``, ``maxmin_d``
         and ``hash_fn`` fields schema 13 deleted, and the engine's
         ``hash_fn``.  All six pickled the legacy crash fields
-        ``failure_rate`` and ``repair_time`` schema 14 deleted.  A file
-        of that shape still unpickles, and is refused the same way."""
+        ``failure_rate`` and ``repair_time`` schema 14 deleted.  All
+        seven pickled the checkpoint ``trace`` field and the scenario
+        ``retry_timeout`` schema 15 deleted.  A file of that shape still
+        unpickles, and is refused the same way."""
         path = self._write_checkpoint(tmp_path, schema=schema)
         with path.open("rb") as fh:
             ck = pickle.load(fh)
-        ck.scenario.__dict__.update(failure_rate=0.0, repair_time=20.0)
+        ck.__dict__["trace"] = None
+        ck.scenario.__dict__["retry_timeout"] = 1.0
+        if schema < 14:
+            ck.scenario.__dict__.update(failure_rate=0.0, repair_time=20.0)
         if schema < 13:
             ck.scenario.__dict__.update(
                 clustering="lca", maxmin_d=2, hash_fn="rendezvous")

@@ -73,12 +73,11 @@ class TestZeroLossExactness:
         assert rng.bit_generator.state == state_before
 
     def test_simulation_bit_identical_with_inert_fault_knobs(self):
-        """loss_rate=0 plus arbitrary retry settings must replay the
-        default scenario exactly — the retry knobs are inert at zero."""
+        """loss_rate=0 plus an arbitrary retry setting must replay the
+        default scenario exactly — the retry knob is inert at zero."""
         base = Scenario(n=80, steps=8, warmup=2, speed=1.5, seed=3,
                         max_levels=3, hop_mode="euclidean", hop_sample_every=4)
-        knobbed = replace(base, loss_rate=0.0, retry_attempts=7,
-                          retry_timeout=42.0)
+        knobbed = replace(base, loss_rate=0.0, retry_attempts=7)
         assert fingerprint(run_scenario(base)) == \
             fingerprint(run_scenario(knobbed))
 

@@ -19,6 +19,8 @@ DELETED_FIELDS = {
     "clustering", "maxmin_d", "hash_fn",
     # One way to inject faults: crashes are a CrashEpisode in ``chaos``.
     "failure_rate", "repair_time",
+    # A give-up budget no run's backoff reached: RetryPolicy's default.
+    "retry_timeout",
 }
 
 
@@ -95,11 +97,12 @@ class TestValidation:
         are constants of the code that reads them, the control-plane
         switch is gone (the simulator picks its plan per step), and so
         are the eight service front-end fields and the clustering and
-        hash choices, and the legacy crash fields; 21 fields remain."""
+        hash choices, the legacy crash fields and the retry budget no
+        run's backoff reached; 20 fields remain."""
         names = {f.name for f in dataclasses.fields(Scenario)}
         assert not names & DELETED_FIELDS
         assert "incremental_hierarchy" not in names
-        assert len(names) == 21
+        assert len(names) == 20
         for field in DELETED_FIELDS:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 Scenario(**{field: 1.0})
@@ -122,8 +125,8 @@ class TestValidation:
             {"retry_attempts": 0},
             {"chaos": ("crash:rate=0.1,repair=0",)},
             {"retry_attempts": -1},
-            {"retry_timeout": -1.0},
-            {"retry_timeout": 0.0},
+            {"chaos": ("burst:start=1,duration=2,rate=1.5",)},
+            {"chaos": ("burst:start=-1,duration=2,rate=0.2",)},
             {"queries_per_step": -1},
         ],
     )
@@ -148,10 +151,19 @@ class TestValidation:
         assert not Scenario(retry_attempts=5).faults_enabled
         assert Scenario(loss_rate=0.01).faults_enabled
 
+    def test_burst_loss_alone_enables_faults(self):
+        """A burst-loss episode makes the control plane lossy with no
+        base rate, so the run reports its loss like any lossy run; other
+        episodes do not."""
+        assert Scenario(chaos=("burst:start=2,duration=5,rate=0.4",)
+                        ).faults_enabled
+        assert not Scenario(chaos=("partition:start=2,duration=5",)
+                            ).faults_enabled
+
     def test_fault_helpers_mirror_fields(self):
-        sc = Scenario(loss_rate=0.1, retry_attempts=3, retry_timeout=9.0)
+        sc = Scenario(loss_rate=0.1, retry_attempts=3)
         assert sc.loss_model() == LossModel(rate=0.1)
-        assert sc.retry_policy() == RetryPolicy(max_attempts=3, timeout=9.0)
+        assert sc.retry_policy() == RetryPolicy(max_attempts=3)
 
 
 class TestChaosFields:

@@ -264,14 +264,14 @@ class TestScenarioKey:
         payload re-shaped, ``CODE_VERSION`` bumped — means every cache
         written before it misses.  Re-pin only when that is intended."""
         assert scenario_key(Scenario()) == (
-            "75cbed3bad45cacb014761e18147d627"
-            "4c61e26efa0e2f1204e1f44d6c822f59")
+            "1d07093e1993d2cdb08116fa59ded6ea"
+            "c586bfd1c673c08bcd95e62327f4eac4")
         busy = Scenario(
             n=np.int64(120), speed=(1.0, 3.0), seed=5,
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
         assert scenario_key(busy) == (
-            "1452056dc2cef2cc5b66fd27e29d6459"
-            "09db51b658bfd67cdf4257ec3525674d")
+            "bba7ef8ae834847442cddc5c26e88740"
+            "2da98b1161ab9c3a79e35d4621698f8d")
 
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis

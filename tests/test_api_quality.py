@@ -34,7 +34,9 @@ PACKAGES = [
     "repro.routing",
     "repro.gls",
     "repro.core",
+    "repro.faults",
     "repro.sim",
+    "repro.obs",
     "repro.analysis",
     "repro.experiments",
     "repro.viz",
@@ -246,6 +248,42 @@ class TestExports:
             main(["profile"])
         assert err.value.code == 2
         assert "invalid choice: 'profile'" in capsys.readouterr().err
+
+    def test_one_run_record(self, capsys):
+        """The event trace and the chaos report are ``RunManifest``
+        sections: the trace module and its JSONL schema, the engine's
+        trace flag and the result and checkpoint fields that carried it,
+        and the CLI's separate trace and chaos-report files are gone."""
+        import dataclasses
+
+        import repro.obs
+        import repro.obs.export
+        import repro.sim
+        import repro.sim.engine
+        from repro.cli import main
+        from repro.obs import RunManifest
+        from repro.sim import SimCheckpoint, Simulator, SimResult
+
+        def fields(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.trace")
+        gone = {"EventTrace", "TraceEvent", "trace_records",
+                "trace_from_records", "read_jsonl", "TRACE_SCHEMA"}
+        for mod in (repro.sim, repro.obs, repro.obs.export):
+            assert not gone & (set(mod.__all__) | set(vars(mod))), mod
+        assert not hasattr(repro.sim.engine, "TRACE_CAPACITY")
+        assert list(inspect.signature(Simulator).parameters) == [
+            "scenario", "profile", "collectors"]
+        assert "trace" not in fields(SimResult)
+        assert "trace" not in fields(SimCheckpoint)
+        assert {"trace", "chaos"} <= fields(RunManifest)
+        for flag in ("--trace-jsonl", "--chaos-report"):
+            with pytest.raises(SystemExit) as err:
+                main(["simulate", flag, "x"])
+            assert err.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestLayering:

@@ -150,8 +150,9 @@ class TestPresetFlags:
 
 class TestBadScenarioValues:
     """A value the preset, the depth rule, the chaos parser or
-    ``Scenario`` rejects is one ``<command>: <message>`` line on stderr
-    and exit 2, never a traceback."""
+    ``Scenario`` rejects, a bad checkpoint cadence, an unknown
+    experiment and an unusable checkpoint are each one ``<command>:
+    <message>`` line on stderr and exit 2, never a traceback."""
 
     @pytest.mark.parametrize("argv,match", [
         (["simulate", "--density", "0"], "density"),
@@ -161,11 +162,28 @@ class TestBadScenarioValues:
         (["simulate", "--n", "1"], "n >= 2"),
         (["sweep", "--density", "0"], "density"),
         (["sweep", "--speed", "-1"], "speed"),
+        (["simulate", "--checkpoint", "{tmp}/run.ckpt",
+          "--checkpoint-every", "0"], "--checkpoint-every must be >= 1"),
+        (["simulate", "--checkpoint-every", "5"],
+         "--checkpoint-every requires --checkpoint"),
+        (["resume", "{tmp}/missing.ckpt", "--checkpoint-every", "0"],
+         "--checkpoint-every must be >= 1"),
+        (["experiment", "EXP-NOPE"], "unknown experiment 'EXP-NOPE'"),
+        (["resume", "{tmp}/missing.ckpt"], "no such checkpoint"),
+        (["resume", "{tmp}/junk.ckpt"], "cannot resume from"),
     ], ids=["simulate-density", "simulate-speed", "simulate-preset",
-            "simulate-chaos", "simulate-n", "sweep-density", "sweep-speed"])
-    def test_one_line_and_exit_2(self, capsys, argv, match):
+            "simulate-chaos", "simulate-n", "sweep-density", "sweep-speed",
+            "simulate-checkpoint-every-0", "simulate-checkpoint-every-alone",
+            "resume-checkpoint-every-0", "experiment-unknown",
+            "resume-missing", "resume-not-a-checkpoint"])
+    def test_one_line_and_exit_2(self, capsys, tmp_path, argv, match):
+        import pickle
+
+        with (tmp_path / "junk.ckpt").open("wb") as fh:
+            pickle.dump({"not": "a checkpoint"}, fh)
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         extra = ["--ns", "60", "--seeds", "0", "--no-cache", "--quiet"]
-        assert main(argv + (extra if argv[0] != "simulate" else [])) == 2
+        assert main(argv + (extra if argv[0] == "sweep" else [])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
@@ -217,7 +235,8 @@ class TestSweepCommand:
                      "--warmup", "1", "--no-cache", "--quiet",
                      "--manifest", str(out_file)]) == 0
         assert "1 manifests written" in capsys.readouterr().out
-        from repro.obs import RunManifest, read_jsonl
+        from repro.obs import RunManifest
+        from tests.jsonl import read_jsonl
 
         (man,) = [RunManifest.from_dict(d) for d in read_jsonl(out_file)]
         assert man.scenario["n"] == 60
@@ -283,7 +302,8 @@ class TestProfileCommand:
                      "4", "--warmup", "1", "--no-cache", "--quiet",
                      "--manifest", str(path)]) == 0
         assert "2 manifests written" in capsys.readouterr().out
-        from repro.obs import RunManifest, read_jsonl
+        from repro.obs import RunManifest
+        from tests.jsonl import read_jsonl
 
         manifests = [RunManifest.from_dict(d) for d in read_jsonl(path)]
         assert len(manifests) == 2
@@ -318,7 +338,8 @@ class TestProfileCommand:
         assert "0 retried-then-succeeded, 1 failed (exception=1)" in out
         assert "phase mean ms/step" in out
         assert "2 manifests written" in out
-        from repro.obs import RunManifest, read_jsonl
+        from repro.obs import RunManifest
+        from tests.jsonl import read_jsonl
 
         manifests = [RunManifest.from_dict(d) for d in read_jsonl(path)]
         assert {m.scenario["seed"] for m in manifests} == {0, 2}
@@ -336,23 +357,58 @@ class TestProfileCommand:
         assert "phase breakdown" in out
         assert "per step" in out
 
-    def test_simulate_manifest_and_trace_jsonl(self, tmp_path, capsys):
+    def test_simulate_manifest_carries_trace_and_chaos(self, tmp_path,
+                                                       capsys):
+        """A traced chaos run writes one file: the manifest, with the
+        event trace and the chaos report as sections."""
         man = tmp_path / "run.json"
-        trc = tmp_path / "trace.jsonl"
         assert main([
             "simulate", "--n", "60", "--steps", "5", "--warmup", "1",
             "--seed", "3", "--hops", "euclidean", "--trace", "--profile",
-            "--manifest", str(man), "--trace-jsonl", str(trc),
+            "--chaos", "partition:start=1,duration=2",
+            "--manifest", str(man),
         ]) == 0
         out = capsys.readouterr().out
         assert "manifest written" in out
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
         from repro.obs import RunManifest
-        from repro.sim import EventTrace
 
         loaded = RunManifest.read(man)
         assert loaded.scenario["n"] == 60
         assert loaded.wall_seconds > 0
-        assert len(EventTrace.from_jsonl(trc)) >= 0
+        assert loaded.trace["events"]
+        assert loaded.trace["capacity"] > 0 and loaded.trace["dropped"] == 0
+        assert [ep["kind"] for ep in loaded.chaos["episodes"]] == [
+            "partition"]
+        assert len(loaded.chaos["violations_series"]) == 5
+
+    def test_resume_prints_the_restored_trace(self, tmp_path, capsys):
+        """``repro resume`` prints the event trace when the checkpointed
+        collectors hold one, and none otherwise."""
+        from repro.sim import Scenario, Simulator, TraceCollector
+
+        sc = Scenario(n=60, steps=6, warmup=1, seed=3, hop_mode="euclidean")
+        for collectors, traced in (([TraceCollector()], True), ([], False)):
+            path = tmp_path / "run.ckpt"
+            Simulator(sc, collectors=collectors).run(
+                checkpoint_every=2, checkpoint_path=str(path))
+            assert main(["resume", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert ("event trace (last 20):" in out) is traced
+            assert not path.exists()
+
+    def test_simulate_reports_burst_only_loss(self, capsys):
+        """A run whose only loss is a burst episode prints the lossy
+        control plane's retransmission, abandonment and recovery."""
+        assert main([
+            "simulate", "--n", "60", "--steps", "5", "--warmup", "1",
+            "--seed", "3", "--hops", "euclidean",
+            "--chaos", "burst:start=1,duration=3,rate=0.4",
+        ]) == 0
+        out = capsys.readouterr().out
+        for label in ("retransmission =", "abandonment    =",
+                      "mean recovery  ="):
+            assert label in out
 
 
 class TestReportCommand:

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs import RunManifest, read_jsonl, write_jsonl
+from repro.obs import RunManifest, write_jsonl
 from repro.obs.manifest import SCHEMA
 from repro.sim import (
     Scenario,
@@ -19,6 +19,7 @@ from repro.sim import (
     run_sweep,
     sweep_points,
 )
+from tests.jsonl import read_jsonl
 
 
 @pytest.fixture(scope="module")
