@@ -17,7 +17,8 @@ from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import FlatRouter, ForwardingFabric
+from repro.routing import ForwardingFabric
+from repro.sim import BfsHops
 
 
 def main():
@@ -33,7 +34,7 @@ def main():
                         level_mode="radio", positions=pts, r0=r_tx)
 
     fabric = ForwardingFabric(h, g)
-    flat = FlatRouter(g)
+    flat = BfsHops(g)
 
     sizes = fabric.table_sizes()
     print(f"{n} nodes, L = {h.num_levels} levels")
@@ -45,7 +46,7 @@ def main():
     res = fabric.forward(s, d)
     print(f"\npacket {s} -> {d} (address {h.address(d)}):")
     print(f"  delivered: {res.delivered} in {res.hops} hops "
-          f"(shortest path: {flat.hop_count(s, d)})")
+          f"(shortest path: {flat(s, d)})")
     print(f"  path: {' -> '.join(map(str, res.path))}")
 
     # Bulk statistics.
@@ -53,7 +54,7 @@ def main():
     stretches = []
     for _ in range(400):
         s, d = (int(x) for x in rng.integers(0, n, size=2))
-        fp = flat.hop_count(s, d)
+        fp = flat(s, d)
         if fp <= 0:
             continue
         attempted += 1

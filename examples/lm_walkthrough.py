@@ -25,7 +25,7 @@ from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.mobility import RandomWaypoint
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import FlatRouter
+from repro.sim import BfsHops
 
 
 def build(pts, r_tx, n):
@@ -73,22 +73,22 @@ def main():
               f"address {h.address(subject)}")
 
     g = CompactGraph(np.arange(n), edges)
-    router = FlatRouter(g)
-    q = resolve_batch(h, assignment, [5], [focal], router.hop_count).result(0)
+    hops = BfsHops(g)
+    q = resolve_batch(h, assignment, [5], [focal], hops).result(0)
     print(f"query 5 -> {focal}: hit at level {q.hit_level} after {q.probes} "
           f"probe(s), {q.packets} packets; resolved address {q.address}")
 
     # Now move and watch the handoff.
     print("\n=== handoff in motion ===")
     engine = HandoffEngine()
-    engine.observe(h, router.hop_count)
+    engine.observe(h, hops)
     before = engine.assignment.servers_of(focal)
     for step in range(1, 31):
         model.step(1.0)
         pts = model.positions.copy()
         edges, h = build(pts, r_tx, n)
-        router = FlatRouter(CompactGraph(np.arange(n), edges))
-        report = engine.observe(h, router.hop_count)
+        hops = BfsHops(CompactGraph(np.arange(n), edges))
+        report = engine.observe(h, hops)
         after = engine.assignment.servers_of(focal)
         if after != before:
             moved = {lvl: (before.get(lvl), after.get(lvl))

@@ -20,8 +20,8 @@ from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy, hierarchy_stats
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import FlatRouter, ForwardingFabric, hierarchical_table_sizes
-from repro.sim import Scenario, run_scenario
+from repro.routing import ForwardingFabric, hierarchical_table_sizes
+from repro.sim import BfsHops, Scenario, run_scenario
 
 
 def main():
@@ -52,10 +52,10 @@ def main():
     # 4. Routing: hop-by-hop hierarchical forwarding vs flat.
     g = CompactGraph(np.arange(n), edges)
     fabric = ForwardingFabric(h, g)
-    flat_router = FlatRouter(g)
+    flat_hops = BfsHops(g)
     s, d = 5, 250
     hp = fabric.forward(s, d).hops
-    fp = flat_router.hop_count(s, d)
+    fp = flat_hops(s, d)
     print(f"\nroute {s} -> {d}: hierarchical {hp} hops, flat {fp} hops "
           f"(stretch {hp / max(fp, 1):.2f})")
     table = hierarchical_table_sizes(h)
@@ -66,7 +66,7 @@ def main():
     assignment = full_assignment(h)
     print(f"\nCHLM placed {len(assignment.servers)} (subject, level) entries; "
           f"node {v}'s servers: {assignment.servers_of(v)}")
-    q = resolve_batch(h, assignment, [s], [v], flat_router.hop_count).result(0)
+    q = resolve_batch(h, assignment, [s], [v], flat_hops).result(0)
     print(f"query: node {s} resolves node {v} at shared level {q.hit_level} "
           f"for {q.packets} packets -> address {q.address}")
 

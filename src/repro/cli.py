@@ -145,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpoint file written by simulate --checkpoint")
     p_res.add_argument("--checkpoint-every", type=int, default=None,
                        metavar="N",
-                       help="keep checkpointing to the same file every N steps "
-                            "while finishing the run")
+                       help="checkpoint cadence in steps while finishing the "
+                            "run, to the same file (default 25)")
     p_res.add_argument("--keep-checkpoint", action="store_true",
                        help="leave the checkpoint file in place after the run "
                             "completes (default: delete it)")
@@ -414,11 +414,8 @@ def _cmd_resume(args) -> int:
     sc = sim.sc
     print(f"resuming at step {sim.next_step}/{sc.steps} "
           f"from {args.checkpoint}")
-    if args.checkpoint_every is not None:
-        res = sim.run(checkpoint_every=args.checkpoint_every,
-                      checkpoint_path=args.checkpoint)
-    else:
-        res = sim.run()
+    res = sim.run(checkpoint_every=args.checkpoint_every,
+                  checkpoint_path=args.checkpoint)
     _print_run(res)
     if not args.keep_checkpoint:
         try:

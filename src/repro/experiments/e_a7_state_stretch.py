@@ -21,7 +21,8 @@ from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import FlatRouter, ForwardingFabric
+from repro.routing import ForwardingFabric
+from repro.sim import BfsHops
 
 __all__ = ["run"]
 
@@ -37,13 +38,13 @@ def _measure(n: int, L: int, seed: int, pairs: int = 150) -> dict[str, float]:
     h = build_hierarchy(np.arange(n), edges, max_levels=L,
                         level_mode="radio", positions=pts, r0=r_tx)
     fabric = ForwardingFabric(h, g)
-    flat = FlatRouter(g)
+    flat = BfsHops(g)
 
     stretches = []
     delivered = attempted = 0
     for _ in range(pairs):
         s, d = (int(x) for x in rng.integers(0, n, size=2))
-        fp = flat.hop_count(s, d)
+        fp = flat(s, d)
         if fp <= 0:
             continue
         attempted += 1
@@ -78,10 +79,10 @@ def _measure_steady(n: int, L: int, seed: int, steps: int = 6,
                             level_mode="radio", positions=pts, r0=r_tx)
         fabric = ForwardingFabric(h, g)
         states.append(float(fabric.table_sizes().mean()))
-        flat = FlatRouter(g)
+        flat = BfsHops(g)
         for _ in range(pairs):
             s, d = (int(x) for x in rng.integers(0, n, size=2))
-            fp = flat.hop_count(s, d)
+            fp = flat(s, d)
             if fp <= 0:
                 continue
             attempted += 1

@@ -82,8 +82,8 @@ def _batch_probe(res) -> dict:
     }
 
 
-def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
-        cache_dir=None, report_path=None) -> ExperimentResult:
+def run(quick: bool = True, seeds=(0, 1),
+        report_path=None) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring).
 
     ``report_path`` (optional) additionally writes the table rows and
@@ -99,7 +99,7 @@ def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
         base, ns, seeds,
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
     )
-    results = run_sweep(scenarios, workers=workers, cache_dir=cache_dir)
+    results = run_sweep(scenarios)
 
     per_n = len(seeds)
     means, stds = [], []

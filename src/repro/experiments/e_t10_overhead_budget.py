@@ -54,8 +54,7 @@ def _query_probe(res) -> tuple[list[float], list[float]]:
     return q_costs, q_ratios
 
 
-def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
-        cache_dir=None) -> ExperimentResult:
+def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (200, 400, 800) if quick else (200, 400, 800, 1600, 3200)
     steps = 40 if quick else 100
@@ -66,7 +65,7 @@ def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
         base, ns, seeds,
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
     )
-    results = run_sweep(scenarios, workers=workers, cache_dir=cache_dir)
+    results = run_sweep(scenarios)
 
     result = ExperimentResult(
         exp_id="EXP-T10",

@@ -19,8 +19,7 @@ from repro.sim import Scenario, expand_grid, run_sweep
 __all__ = ["run"]
 
 
-def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
-        cache_dir=None) -> ExperimentResult:
+def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (400, 800) if quick else (400, 800, 1600, 3200)
     steps = 40 if quick else 100
@@ -31,7 +30,7 @@ def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
         base, ns, seeds,
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
     )
-    results = run_sweep(scenarios, workers=workers, cache_dir=cache_dir)
+    results = run_sweep(scenarios)
 
     result = ExperimentResult(
         exp_id="EXP-T3",

@@ -26,8 +26,7 @@ from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 __all__ = ["run"]
 
 
-def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
-        cache_dir=None) -> ExperimentResult:
+def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (100, 200, 400, 800, 1600) if quick else (100, 200, 400, 800, 1600, 3200, 6400)
     steps = 40 if quick else 100
@@ -38,7 +37,7 @@ def run(quick: bool = True, seeds=(0, 1), workers: int | None = None,
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
     )
     points = sweep_points(
-        run_sweep(grid, workers=workers, cache_dir=cache_dir),
+        run_sweep(grid),
         {"phi": lambda r: r.phi},
         keep_results=True,
     )

@@ -7,7 +7,7 @@ from repro.radio.unit_disk import (
 )
 from repro.radio.connectivity import radius_for_degree
 from repro.radio.edge_cache import VerletEdgeCache
-from repro.radio.linkevents import LinkDiff, LinkTracker
+from repro.radio.linkevents import LinkDiff
 
 __all__ = [
     "unit_disk_edges",
@@ -16,5 +16,4 @@ __all__ = [
     "radius_for_degree",
     "VerletEdgeCache",
     "LinkDiff",
-    "LinkTracker",
 ]

@@ -1,7 +1,6 @@
 """Simulation engine: scenario config, phased step pipeline, pluggable
 collectors, checkpoint/resume, result views."""
 
-from repro.sim.checkpoint import SimCheckpoint
 from repro.sim.collectors import (
     Collector,
     HopSampleCollector,
@@ -38,7 +37,6 @@ __all__ = [
     "Simulator",
     "run_scenario",
     "StepSnapshot",
-    "SimCheckpoint",
     "Collector",
     "LedgerCollector",
     "LinkEventCollector",

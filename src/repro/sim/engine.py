@@ -29,7 +29,11 @@ to an uninterrupted one with the same seed.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import pickle
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -41,16 +45,12 @@ from repro.hierarchy.stepper import hierarchy_stepper
 from repro.mobility import make_model
 from repro.radio.edge_cache import VerletEdgeCache
 from repro.radio.linkevents import link_diff
-from repro.sim.checkpoint import (
-    SimCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.sim.hops import BfsHops, EuclideanHops
 from repro.sim.metrics import SimResult
 from repro.sim.rng import spawn_rngs
 from repro.sim.scenario import Scenario
 from repro.sim.snapshot import StepSnapshot
+from repro.sim.sweep import CODE_VERSION, write_pickle
 
 __all__ = ["Simulator", "run_scenario"]
 
@@ -70,6 +70,32 @@ _RESULT_FIELDS = frozenset({
     "ledger", "f0", "level_series", "state_stats", "h_network", "h_levels",
     "mean_degree", "giant_fraction", "queries",
 })
+
+CHECKPOINT_MAGIC = b"repro-checkpoint"
+"""First word of every checkpoint file's header line."""
+
+
+@functools.cache
+def code_stamp() -> str:
+    """``CODE_VERSION`` plus a sha256 over the ``repro`` package's
+    ``.py`` sources (each file's package-relative path, then its
+    bytes), worked out once per process.
+
+    Every checkpoint header carries the stamp of the code that wrote
+    it, and only code with the same stamp resumes it: "same code" is
+    the one rule under which a resumed run provably equals an
+    uninterrupted one, and no number has to be bumped by hand for it.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix()
+                      for p in root.rglob("*.py")):
+        digest.update(rel.encode() + b"\0" + (root / rel).read_bytes())
+    return f"{CODE_VERSION}+{digest.hexdigest()}"
+
+
+def _checkpoint_header() -> bytes:
+    return CHECKPOINT_MAGIC + b" " + code_stamp().encode() + b"\n"
 
 
 class Simulator:
@@ -398,78 +424,43 @@ class Simulator:
 
     # -- checkpoint / resume -------------------------------------------------------
 
-    def checkpoint(self, path=None) -> SimCheckpoint:
-        """Freeze the full mid-run state into a
-        :class:`~repro.sim.checkpoint.SimCheckpoint`.
+    def checkpoint(self, path) -> Path:
+        """Write this simulator to ``path`` atomically; returns the path.
 
-        With ``path``, the checkpoint is also written atomically via
-        :func:`~repro.sim.checkpoint.save_checkpoint`.  Everything needed for a
-        bit-identical continuation is captured: mobility model + RNG,
-        handoff/stepper/delivery state, the chaos engine (crash
-        deadlines, episode state, and both its RNG streams), and the
-        collector objects (with their own RNG streams).
+        The file is one header line — :data:`CHECKPOINT_MAGIC` and this
+        code's :func:`code_stamp` — then one pickle of the simulator
+        itself, so all of its state comes back, and references shared
+        inside it (the delivery engine a query collector also holds)
+        stay shared.  It is written through
+        :func:`~repro.sim.sweep.write_pickle`, so an interrupted write
+        leaves the previous checkpoint intact.
         """
-        from repro.sim.sweep import CODE_VERSION
-
-        ck = SimCheckpoint(
-            code_version=CODE_VERSION,
-            scenario=self.sc,
-            next_step=self._next_step,
-            started=self._started,
-            model=self.model,
-            engine=self._engine,
-            stepper=self._stepper,
-            delivery=self._delivery,
-            chaos=self._chaos,
-            prev_hierarchy=self._prev_hierarchy,
-            collectors=self._collectors,
-            edge_cache=self._edge_cache,
-            timings=self.timings,
-        )
-        if path is not None:
-            save_checkpoint(ck, path)
-        return ck
+        return write_pickle(path, self, header=_checkpoint_header())
 
     @classmethod
-    def restore(cls, source) -> "Simulator":
-        """Rebuild a mid-run simulator from a checkpoint (path or
-        :class:`~repro.sim.checkpoint.SimCheckpoint` object).
+    def restore(cls, path) -> "Simulator":
+        """The simulator a :meth:`checkpoint` file holds, ready to
+        :meth:`run` on from the step it was written at; the resumed run
+        yields the uninterrupted run's result.
 
-        The returned simulator continues exactly where the checkpoint
-        was taken: calling :meth:`run` yields a result identical to the
-        uninterrupted run.  Checkpoints from a different
-        :data:`~repro.sim.sweep.CODE_VERSION` are rejected.
+        The header is compared before anything is unpickled: a file
+        with another stamp, a checkpoint from before stamps, or junk
+        raises ``ValueError`` naming both stamps and the file, and its
+        payload never runs.
         """
-        if isinstance(source, SimCheckpoint):
-            from repro.sim.sweep import CODE_VERSION
-
-            ck = source
-            if ck.code_version != CODE_VERSION:
+        want = _checkpoint_header()
+        with Path(path).open("rb") as fh:
+            got = fh.readline(256)
+            if got != want:
+                prefix = CHECKPOINT_MAGIC + b" "
+                theirs = (got[len(prefix):].strip().decode("ascii", "replace")
+                          if got.startswith(prefix) else "(none)")
                 raise ValueError(
-                    f"checkpoint was written by simulator version "
-                    f"{ck.code_version!r}, this is {CODE_VERSION!r} — a "
-                    "resumed run would not match an uninterrupted one"
+                    f"checkpoint stamp {theirs} != {code_stamp()}: only the "
+                    f"code that wrote a checkpoint resumes it (stale file: "
+                    f"{path})"
                 )
-        else:
-            ck = load_checkpoint(source)
-        sim = cls.__new__(cls)
-        sim.sc = ck.scenario
-        sim.timings = ck.timings
-        sim._delivery = ck.delivery
-        sim._chaos = ck.chaos
-        # Derived from the scenario, not checkpointed state.
-        sim._base_loss = (
-            ck.scenario.loss_model() if ck.delivery is not None else None
-        )
-        sim.model = ck.model
-        sim._stepper = ck.stepper
-        sim._engine = ck.engine
-        sim._collectors = list(ck.collectors)
-        sim._prev_hierarchy = ck.prev_hierarchy
-        sim._started = ck.started
-        sim._next_step = ck.next_step
-        sim._edge_cache = ck.edge_cache
-        return sim
+            return pickle.load(fh)
 
 
 def run_scenario(scenario: Scenario, *, profile: bool = False) -> SimResult:

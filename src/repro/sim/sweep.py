@@ -79,10 +79,11 @@ __all__ = [
 ]
 
 CODE_VERSION = "7"
-"""Simulator-semantics version baked into every cache key (and every
-checkpoint).  Bump this whenever a change alters what
+"""Simulator-semantics version baked into every cache key (and into the
+code stamp of every checkpoint, :func:`repro.sim.engine.code_stamp`).
+Bump this whenever a change alters what
 :func:`repro.sim.engine.run_scenario` returns for a given scenario; old
-cache entries then miss cleanly and old checkpoints refuse to resume.
+cache entries then miss cleanly.
 
 Version 7: ``state_stats`` counts ALCA transitions between consecutive
 snapshots only; a level missing from one snapshot (the hierarchy's depth
@@ -167,21 +168,24 @@ def _cache_load(path: Path) -> SimResult | None:
     return res if isinstance(res, SimResult) else None
 
 
-def write_pickle(path: str | Path, obj) -> Path:
-    """Pickle ``obj`` to ``path`` atomically; returns the path.
+def write_pickle(path: str | Path, obj, header: bytes = b"") -> Path:
+    """Pickle ``obj`` to ``path`` atomically, after ``header``; returns
+    the path.
 
     The bytes go to ``<path>.tmp-<pid>`` first and are renamed over
     ``path`` only once complete, so a reader — a concurrent sweep, a
     resume — sees the old file or the new one, never a partial one.  A
     failed or interrupted write (disk full, Ctrl-C) removes its tmp
     file and leaves any earlier ``path`` intact.  The sweep cache and
-    :func:`repro.sim.checkpoint.save_checkpoint` both write through it.
+    :meth:`repro.sim.engine.Simulator.checkpoint` (whose ``header`` is
+    its code stamp) both write through it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     try:
         with tmp.open("wb") as fh:
+            fh.write(header)
             pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
         tmp.replace(path)
     except BaseException:
@@ -335,7 +339,7 @@ def _run_task(args: tuple) -> _TaskOutcome:
     prepickle)``.  With a checkpoint path, the worker first tries to
     resume from it — so a task whose previous attempt crashed or timed
     out restarts from its last checkpoint instead of from scratch.  Any
-    load failure (missing file, corrupt bytes, version mismatch, wrong
+    load failure (missing file, corrupt bytes, another code stamp, wrong
     scenario) falls back to a fresh run; the checkpoint file is removed
     once the run completes.
 

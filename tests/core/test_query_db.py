@@ -8,7 +8,7 @@ from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import FlatRouter
+from repro.sim import BfsHops
 
 from .descent_oracle import resolve
 
@@ -30,22 +30,22 @@ def net():
 class TestResolve:
     def test_self_query(self, net):
         h, g, a = net
-        fr = FlatRouter(g)
-        res = resolve(h, a, 5, 5, fr.hop_count)
+        hops = BfsHops(g)
+        res = resolve(h, a, 5, 5, hops)
         assert res.hit_level == 0
         assert res.packets == 0
         assert res.address == h.address(5)
 
     def test_random_pairs_resolve(self, net):
         h, g, a = net
-        fr = FlatRouter(g)
+        hops = BfsHops(g)
         rng = np.random.default_rng(3)
         resolved = 0
         for _ in range(40):
             s, d = (int(x) for x in rng.integers(0, 250, size=2))
-            if fr.hop_count(s, d) < 0:
+            if hops(s, d) < 0:
                 continue  # different components: legitimately unresolvable
-            res = resolve(h, a, s, d, fr.hop_count)
+            res = resolve(h, a, s, d, hops)
             assert res.hit_level >= 0, (s, d)
             assert res.address == h.address(d)
             resolved += 1
@@ -53,13 +53,13 @@ class TestResolve:
 
     def test_hit_level_is_lowest_common(self, net):
         h, g, a = net
-        fr = FlatRouter(g)
+        hops = BfsHops(g)
         rng = np.random.default_rng(4)
         for _ in range(20):
             s, d = (int(x) for x in rng.integers(0, 250, size=2))
-            if s == d or fr.hop_count(s, d) < 0:
+            if s == d or hops(s, d) < 0:
                 continue
-            res = resolve(h, a, s, d, fr.hop_count)
+            res = resolve(h, a, s, d, hops)
             if res.hit_level <= 1:
                 assert h.cluster_of(s, max(res.hit_level, 1)) == h.cluster_of(
                     d, max(res.hit_level, 1)
@@ -73,16 +73,16 @@ class TestResolve:
         """Probe cost should be bounded and related to the s-d distance
         scale (the paper: absorbed in the session)."""
         h, g, a = net
-        fr = FlatRouter(g)
+        hops = BfsHops(g)
         rng = np.random.default_rng(5)
         ratios = []
         for _ in range(40):
             s, d = (int(x) for x in rng.integers(0, 250, size=2))
-            hops = fr.hop_count(s, d)
-            if s == d or hops <= 0:
+            dist = hops(s, d)
+            if s == d or dist <= 0:
                 continue
-            res = resolve(h, a, s, d, fr.hop_count)
+            res = resolve(h, a, s, d, hops)
             if res.hit_level >= 2:
-                ratios.append(res.packets / hops)
+                ratios.append(res.packets / dist)
         assert ratios
         assert np.median(ratios) < 12.0

@@ -14,8 +14,8 @@ from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.mobility import RandomWaypoint
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import FlatRouter, ForwardingFabric
-from repro.sim import Scenario, run_scenario
+from repro.routing import ForwardingFabric
+from repro.sim import BfsHops, Scenario, run_scenario
 
 
 DENSITY = 0.02
@@ -43,23 +43,23 @@ class TestStaticPipeline:
         hierarchical route, end to end."""
         pts, r_tx, edges, h = net
         g = CompactGraph(np.arange(250), edges)
-        flat = FlatRouter(g)
+        flat = BfsHops(g)
         fabric = ForwardingFabric(h, g)
         assignment = full_assignment(h)
         rng = np.random.default_rng(1)
         done = 0
         for _ in range(30):
             s, d = (int(x) for x in rng.integers(0, 250, size=2))
-            if s == d or flat.hop_count(s, d) < 0:
+            if s == d or flat(s, d) < 0:
                 continue
-            q = resolve_batch(h, assignment, [s], [d], flat.hop_count).result(0)
+            q = resolve_batch(h, assignment, [s], [d], flat).result(0)
             assert q.hit_level >= 1, (s, d)
             assert q.address == h.address(d)
             # The resolved address suffices to route: last element is d.
             assert q.address[-1] == d
             res = fabric.forward(s, d, address=q.address)
             assert res.delivered and res.path[-1] == d
-            assert res.hops >= flat.hop_count(s, d)
+            assert res.hops >= flat(s, d)
             done += 1
         assert done > 15
 

@@ -10,7 +10,6 @@ import pytest
 from repro.obs import RunManifest, write_jsonl
 from repro.sim import (
     Scenario,
-    SimCheckpoint,
     Simulator,
     TraceCollector,
     run_scenario,
@@ -204,5 +203,6 @@ class TestCadenceHasOneHome:
         assert "hop_sample_every" not in inspect.signature(fn).parameters
 
     def test_checkpoint_carries_no_cadence_of_its_own(self):
-        names = {f.name for f in dataclasses.fields(SimCheckpoint)}
-        assert "hop_sample_every" not in names
+        """A checkpoint is the pickled simulator, which reads the
+        cadence off its scenario and keeps no copy."""
+        assert "hop_sample_every" not in vars(Simulator(self.SC))

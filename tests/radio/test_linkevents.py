@@ -1,17 +1,15 @@
-"""Tests for link state change tracking (the measured f_0 of Eq. (4))."""
+"""Tests for link state change detection (the measured f_0 of Eq. (4))."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.geometry import disc_for_density
 from repro.mobility import RandomWaypoint
-from repro.radio import (
-    LinkTracker,
-    encode_edges,
-    radius_for_degree,
-    unit_disk_edges,
-)
+from repro.radio import encode_edges, radius_for_degree, unit_disk_edges
 from repro.radio.linkevents import link_diff, sorted_key_diff
+from repro.sim import LinkEventCollector
 
 
 def edges(pairs):
@@ -20,76 +18,40 @@ def edges(pairs):
     )
 
 
-class TestLinkTracker:
-    def test_first_observation_is_baseline(self):
-        t = LinkTracker(n=5)
-        diff = t.observe(edges([(0, 1), (1, 2)]))
-        assert diff.n_events == 0
-        assert t.steps == 0
-
+class TestLinkDiff:
     def test_detects_up_and_down(self):
-        t = LinkTracker(n=5)
-        t.observe(edges([(0, 1), (1, 2)]))
-        diff = t.observe(edges([(1, 2), (2, 3)]))
+        diff = link_diff(edges([(0, 1), (1, 2)]), edges([(1, 2), (2, 3)]), 5)
         assert diff.ups.tolist() == [[2, 3]]
         assert diff.downs.tolist() == [[0, 1]]
         assert diff.n_events == 2
-        assert t.total_ups == 1 and t.total_downs == 1
 
     def test_no_change(self):
-        t = LinkTracker(n=4)
         e = edges([(0, 3)])
-        t.observe(e)
-        diff = t.observe(e)
-        assert diff.n_events == 0
-
-    def test_per_node_attribution(self):
-        t = LinkTracker(n=4)
-        t.observe(edges([(0, 1)]))
-        t.observe(edges([(2, 3)]))  # 0-1 down, 2-3 up
-        assert t.per_node_events.tolist() == [1, 1, 1, 1]
+        assert link_diff(e, e, 4).n_events == 0
 
     def test_empty_snapshots(self):
-        t = LinkTracker(n=3)
         empty = np.empty((0, 2), dtype=np.int64)
-        t.observe(empty)
-        diff = t.observe(empty)
-        assert diff.n_events == 0
+        assert link_diff(empty, empty, 3).n_events == 0
+
+
+def _snap(before, after, n):
+    """The two fields of a step snapshot the link collector reads."""
+    return SimpleNamespace(link_diff=link_diff(before, after, n), edges=after,
+                           scenario=SimpleNamespace(n=n))
+
+
+class TestLinkEventCollector:
+    def test_per_node_attribution(self):
+        """One link down and one up over 4 nodes charge each node once:
+        f_0 = 2 events * 2 endpoints / 4 nodes per second."""
+        c = LinkEventCollector(n=4)
+        c.on_step(_snap(edges([(0, 1)]), edges([(2, 3)]), 4))
+        assert c.finalize(1.0)["f0"] == 1.0
 
     def test_frequency_normalization(self):
-        t = LinkTracker(n=2)
-        t.observe(edges([(0, 1)]))
-        t.observe(np.empty((0, 2), dtype=np.int64))
-        assert t.events_per_node_per_second(2.0) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            t.events_per_node_per_second(0.0)
-
-    def test_reset(self):
-        t = LinkTracker(n=3)
-        t.observe(edges([(0, 1)]))
-        t.observe(edges([(1, 2)]))
-        t.reset()
-        assert t.total_ups == 0 and t.total_downs == 0
-        assert t.per_node_events.sum() == 0
-        # Next observe is a fresh baseline.
-        assert t.observe(edges([(0, 2)])).n_events == 0
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            LinkTracker(n=0)
-
-    @pytest.mark.parametrize("rows", [
-        [[1, 0]], [[2, 2]], [[2, 3], [0, 1]], [[0, 1], [0, 1]],
-    ], ids=["reversed", "self-loop", "unsorted", "repeated"])
-    def test_non_canonical_input_is_refused(self, rows):
-        """``np.isin`` used to diff such input without a word, and
-        wrongly (a repeated or reversed row is not one link)."""
-        t = LinkTracker(n=4)
-        with pytest.raises(ValueError, match="canonical"):
-            t.observe(np.array(rows))
-        t.observe(edges([(0, 1)]))
-        with pytest.raises(ValueError, match="canonical"):
-            t.observe(np.array(rows))
+        c = LinkEventCollector(n=2)
+        c.on_step(_snap(edges([(0, 1)]), np.empty((0, 2), dtype=np.int64), 2))
+        assert c.finalize(2.0)["f0"] == pytest.approx(0.5)
 
 
 def random_canonical(rng, n, m):
@@ -117,11 +79,6 @@ class TestMergeKernel:
         diff = link_diff(e0, e1, n)
         assert diff.ups.tolist() == e1[up].tolist()
         assert diff.downs.tolist() == e0[down].tolist()
-        tracker = LinkTracker(n)
-        tracker.observe(e0)
-        seen = tracker.observe(e1)
-        assert seen.ups.tolist() == diff.ups.tolist()
-        assert seen.downs.tolist() == diff.downs.tolist()
 
     def test_level_tagged_keys_beyond_int32(self):
         keys = np.array([3, 2**40, 2**50 + 1, 2**60], dtype=np.int64)
@@ -136,10 +93,8 @@ class TestStationaryNetworkHasNoEvents:
         region = disc_for_density(100, 0.01)
         pts = region.sample(100, rng)
         e = unit_disk_edges(pts, radius_for_degree(8.0, 0.01))
-        t = LinkTracker(n=100)
-        t.observe(e)
         for _ in range(5):
-            assert t.observe(e).n_events == 0
+            assert link_diff(e, e, 100).n_events == 0
 
 
 class TestMobileNetworkHasEvents:
@@ -150,12 +105,14 @@ class TestMobileNetworkHasEvents:
         rng = np.random.default_rng(1)
         model = RandomWaypoint(n, region, 10.0, rng)
         r = radius_for_degree(8.0, density)
-        t = LinkTracker(n=n)
-        t.observe(unit_disk_edges(model.positions, r))
+        prev = unit_disk_edges(model.positions, r)
+        ups = downs = 0
         for _ in range(20):
             model.step(1.0)
-            t.observe(unit_disk_edges(model.positions, r))
-        assert t.total_ups > 0 and t.total_downs > 0
+            e = unit_disk_edges(model.positions, r)
+            diff = link_diff(prev, e, n)
+            ups, downs, prev = ups + len(diff.ups), downs + len(diff.downs), e
+        assert ups > 0 and downs > 0
         # Over a long window ups ~ downs (stationarity).
-        ratio = t.total_ups / max(t.total_downs, 1)
+        ratio = ups / max(downs, 1)
         assert 0.3 < ratio < 3.0

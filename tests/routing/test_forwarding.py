@@ -14,7 +14,8 @@ from repro.geometry import DiscRegion, disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
-from repro.routing import FlatRouter, ForwardingFabric
+from repro.routing import ForwardingFabric
+from repro.sim import BfsHops
 
 
 DENSITY = 0.02
@@ -92,13 +93,13 @@ class TestResolvedAddresses:
 class TestDelivery:
     def test_full_delivery_on_connected_pairs(self, fabric200):
         g, h, fab = fabric200
-        flat = FlatRouter(g)
+        flat = BfsHops(g)
         rng = np.random.default_rng(2)
         delivered = 0
         for _ in range(80):
             s, d = (int(x) for x in rng.integers(0, 200, size=2))
             res = fab.forward(s, d)
-            if flat.hop_count(s, d) < 0:
+            if flat(s, d) < 0:
                 assert not res.delivered
                 continue
             assert res.delivered, (s, d, res.reason)
@@ -114,11 +115,11 @@ class TestDelivery:
         never many times — and never twice within the same segment, so
         there is no A-B ping-pong."""
         g, h, fab = fabric200
-        flat = FlatRouter(g)
+        flat = BfsHops(g)
         rng = np.random.default_rng(3)
         for _ in range(60):
             s, d = (int(x) for x in rng.integers(0, 200, size=2))
-            if flat.hop_count(s, d) < 0:
+            if flat(s, d) < 0:
                 continue
             res = fab.forward(s, d)
             counts = {}
@@ -137,12 +138,12 @@ class TestDelivery:
 
     def test_stretch_modest(self, fabric200):
         g, h, fab = fabric200
-        flat = FlatRouter(g)
+        flat = BfsHops(g)
         rng = np.random.default_rng(4)
         stretches = []
         for _ in range(60):
             s, d = (int(x) for x in rng.integers(0, 200, size=2))
-            fp = flat.hop_count(s, d)
+            fp = flat(s, d)
             if fp <= 0:
                 continue
             res = fab.forward(s, d)
@@ -151,11 +152,11 @@ class TestDelivery:
 
     def test_ttl_respected(self, fabric200):
         g, h, fab = fabric200
-        flat = FlatRouter(g)
+        flat = BfsHops(g)
         rng = np.random.default_rng(5)
         for _ in range(20):
             s, d = (int(x) for x in rng.integers(0, 200, size=2))
-            if flat.hop_count(s, d) < 2:
+            if flat(s, d) < 2:
                 continue
             res = fab.forward(s, d, ttl=1)
             assert not res.delivered
@@ -176,11 +177,11 @@ def test_forwarding_delivery_property(seed):
     h = build_hierarchy(np.arange(n), edges, max_levels=3,
                         level_mode="radio", positions=pts, r0=R_TX)
     fab = ForwardingFabric(h, g)
-    flat = FlatRouter(g)
+    flat = BfsHops(g)
     for _ in range(15):
         s, d = (int(x) for x in rng.integers(0, n, size=2))
         res = fab.forward(s, d)
-        if flat.hop_count(s, d) < 0:
+        if flat(s, d) < 0:
             assert not res.delivered
         else:
             assert res.delivered, (seed, s, d, res.reason)

@@ -2,16 +2,13 @@
 from an uninterrupted one, and stale/corrupt checkpoints must be
 rejected or ignored rather than trusted."""
 
-import dataclasses
 import pickle
-import sys
-import types
 
 import numpy as np
 import pytest
 
-from repro.sim import Scenario, SimCheckpoint, Simulator
-from repro.sim.checkpoint import load_checkpoint, save_checkpoint
+from repro.sim import Scenario, Simulator
+from repro.sim.engine import CHECKPOINT_MAGIC, code_stamp
 from repro.sim.sweep import CODE_VERSION, _run_task, run_sweep
 
 
@@ -72,30 +69,20 @@ class TestResumeEqualsUninterrupted:
         baseline = uninterrupted.run()
         path = tmp_path / "event.ckpt"
         Simulator(sc).run(checkpoint_every=5, checkpoint_path=str(path))
-        ck = load_checkpoint(path)
+        resumed_sim = Simulator.restore(path)
         # The edge cache is mid-list: the resumed run filters the pickled
         # candidate columns before its next rebuild.
-        u, v = ck.edge_cache._candidates
+        u, v = resumed_sim._edge_cache._candidates
         assert u.flags.c_contiguous and v.flags.c_contiguous and u.size
-        at_checkpoint = ck.edge_cache.rebuilds
-        resumed_sim = Simulator.restore(ck)
+        at_checkpoint = resumed_sim._edge_cache.rebuilds
         assert 0 < resumed_sim.next_step < sc.steps
         _assert_same_result(baseline, resumed_sim.run())
-        want = uninterrupted.checkpoint().edge_cache
-        got = resumed_sim.checkpoint().edge_cache
+        want = uninterrupted._edge_cache
+        got = resumed_sim._edge_cache
         assert (got.rebuilds, got.plain_builds) == (want.rebuilds,
                                                     want.plain_builds)
         assert want.rebuilds > at_checkpoint > 0
         assert want.plain_builds == 0
-
-    def test_restore_accepts_checkpoint_object(self, tmp_path):
-        sc = _scenario(steps=8)
-        baseline = Simulator(sc).run()
-        path = tmp_path / "obj.ckpt"
-        Simulator(sc).run(checkpoint_every=3, checkpoint_path=str(path))
-        ck = load_checkpoint(path)
-        assert isinstance(ck, SimCheckpoint)
-        _assert_same_result(baseline, Simulator.restore(ck).run())
 
     def test_trace_survives_resume(self, tmp_path):
         """The event trace is collector state like any other: a run
@@ -148,155 +135,60 @@ class TestResumeEqualsUninterrupted:
                 == resumed.queries.success_series)
 
 
+def _write_checkpoint(tmp_path):
+    path = tmp_path / "x.ckpt"
+    Simulator(_scenario(steps=8)).run(checkpoint_every=3,
+                                      checkpoint_path=str(path))
+    return path
+
+
+class _Detonator:
+    """A payload that fails the test if anything ever unpickles it."""
+
+    def __reduce__(self):
+        return pytest.fail, ("a refused checkpoint's payload was unpickled",)
+
+
+def _assert_refused(path, theirs):
+    with pytest.raises(ValueError) as err:
+        Simulator.restore(path)
+    message = str(err.value)
+    assert f"checkpoint stamp {theirs} != {code_stamp()}" in message
+    assert f"stale file: {path}" in message
+
+
 class TestStaleCheckpointRejection:
-    def _write_checkpoint(self, tmp_path, **replace):
-        sc = _scenario(steps=8)
-        path = tmp_path / "x.ckpt"
-        Simulator(sc).run(checkpoint_every=3, checkpoint_path=str(path))
-        ck = load_checkpoint(path)
-        if replace:
-            ck = dataclasses.replace(ck, **replace)
-            save_checkpoint(ck, path)
-        return path
+    def test_code_stamp_is_derived_from_the_code(self, tmp_path):
+        """``CODE_VERSION``, then a sha256 of the package sources; the
+        file header carries it after the magic word."""
+        version, digest = code_stamp().split("+")
+        assert version == CODE_VERSION and len(digest) == 64
+        int(digest, 16)
+        with _write_checkpoint(tmp_path).open("rb") as fh:
+            assert fh.readline() == (CHECKPOINT_MAGIC + b" "
+                                     + code_stamp().encode() + b"\n")
 
     def test_code_version_mismatch_rejected(self, tmp_path):
-        path = self._write_checkpoint(tmp_path, code_version="stale-0")
-        with pytest.raises(ValueError, match="simulator version"):
-            load_checkpoint(path)
+        """A file stamped by other code is refused before its payload is
+        unpickled, naming both stamps and the stale file."""
+        path = tmp_path / "other.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + b" 6+abc123\n"
+                         + pickle.dumps(_Detonator()))
+        _assert_refused(path, "6+abc123")
 
-    def test_schema_mismatch_rejected(self, tmp_path):
-        path = self._write_checkpoint(tmp_path, schema=999)
-        with pytest.raises(ValueError, match="schema"):
-            load_checkpoint(path)
-
-    def _assert_schema_refused(self, tmp_path, schema):
-        self._assert_refused_as_stale(
-            self._write_checkpoint(tmp_path, schema=schema), schema)
-
-    @staticmethod
-    def _assert_refused_as_stale(path, schema):
-        from repro.sim.checkpoint import CHECKPOINT_SCHEMA
-
-        assert CHECKPOINT_SCHEMA == 15
-        with pytest.raises(ValueError) as err:
-            load_checkpoint(path)
-        assert f"checkpoint schema {schema} != 15" in str(err.value)
-        assert "stale file" in str(err.value) and str(path) in str(err.value)
-
-    def test_schema_3_checkpoint_refused(self, tmp_path):
-        """Schema 3 pickled dict-keyed assignments inside the engine; a
-        file of that vintage must be refused, naming both schemas and
-        the stale file, never resumed."""
-        self._assert_schema_refused(tmp_path, 3)
-
-    def test_schema_4_checkpoint_refused(self, tmp_path):
-        """Schema 4 pickled an adjacency dict inside every level's
-        incremental election; refused the same way."""
-        self._assert_schema_refused(tmp_path, 4)
-
-    def test_schema_5_checkpoint_refused(self, tmp_path):
-        """Schema 5 pickled ``maintainer`` and ``delta_plane`` where
-        schema 6 has the one ``stepper``; refused the same way."""
-        self._assert_schema_refused(tmp_path, 5)
-
-    def test_schema_6_checkpoint_refused(self, tmp_path):
-        """Schema 6 pickled the edge cache's candidate list as ``(m, 2)``
-        pairs where schema 7 keeps two contiguous columns; refused the
-        same way."""
-        self._assert_schema_refused(tmp_path, 6)
-
-    def test_schema_7_checkpoint_refused(self, tmp_path):
-        """Schema 7 pickled one ALCA state tracker per level where schema
-        8 keeps one level-stacked tracker; refused the same way."""
-        self._assert_schema_refused(tmp_path, 7)
-
-    @pytest.mark.parametrize("schema", [8, 9, 10, 11, 12, 13, 14])
-    def test_schema_8_9_checkpoint_refused(self, tmp_path, schema):
-        """Schema 8 pickled the event plane's per-level patched elections
-        where schema 9 keeps the from-scratch stepper on both planes.
-        Both pickled a checkpoint ``hop_sample_every`` field and a
-        scenario with seven fields schema 10 turned into constants.  The
-        first three pickled the ``incremental_hierarchy`` field schema 11
-        deleted, with ``edge_cache`` None when it was off.  The first
-        four pickled the eight service front-end fields schema 12
-        deleted.  The first five pickled the ``clustering``, ``maxmin_d``
-        and ``hash_fn`` fields schema 13 deleted, and the engine's
-        ``hash_fn``.  All six pickled the legacy crash fields
-        ``failure_rate`` and ``repair_time`` schema 14 deleted.  All
-        seven pickled the checkpoint ``trace`` field and the scenario
-        ``retry_timeout`` schema 15 deleted.  A file of that shape still
-        unpickles, and is refused the same way."""
-        path = self._write_checkpoint(tmp_path, schema=schema)
-        with path.open("rb") as fh:
-            ck = pickle.load(fh)
-        ck.__dict__["trace"] = None
-        ck.scenario.__dict__["retry_timeout"] = 1.0
-        if schema < 14:
-            ck.scenario.__dict__.update(failure_rate=0.0, repair_time=20.0)
-        if schema < 13:
-            ck.scenario.__dict__.update(
-                clustering="lca", maxmin_d=2, hash_fn="rendezvous")
-            ck.engine.__dict__["hash_fn"] = "rendezvous"
-        if schema < 12:
-            ck.scenario.__dict__.update(
-                arrival_rate=0.0, arrival_process="poisson",
-                admission_rate=0.0, service_workers=4,
-                service_queue_capacity=512, service_hop_time=0.002,
-                service_update_fraction=0.2, service_scheme="chlm")
-        if schema < 11:
-            ck.edge_cache = None
-            ck.scenario.__dict__["incremental_hierarchy"] = False
-        if schema < 10:
-            ck.__dict__["hop_sample_every"] = ck.scenario.hop_sample_every
-            ck.scenario.__dict__.update(
-                detour=1.3, loss_level_coeff=0.0, retry_backoff=0.05,
-                retry_backoff_factor=2.0, retry_jitter=0.1,
-                slo_success_threshold=0.9, slo_window=3)
-        save_checkpoint(ck, path)
-        self._assert_refused_as_stale(path, schema)
-
-    @pytest.mark.parametrize("module,name", [
-        ("repro.hierarchy.delta", "RetiredPlane"),
-        ("repro.clustering.retired", "RetiredElection"),
-    ], ids=["missing-class", "missing-module"])
-    def test_checkpoint_naming_missing_code_refused(self, tmp_path,
-                                                    monkeypatch, module,
-                                                    name):
-        """An old file can pickle a ``repro`` class (or module) this code
-        no longer has; unpickling it fails before the schema field can
-        be read, and that is reported as a stale checkpoint, not as the
-        bare ``AttributeError`` / ``ImportError``."""
-        retired = type(name, (), {"__module__": module})
-        if module in sys.modules:
-            monkeypatch.setattr(sys.modules[module], name, retired,
-                                raising=False)
-        else:
-            fake = types.ModuleType(module)
-            setattr(fake, name, retired)
-            monkeypatch.setitem(sys.modules, module, fake)
-        path = self._write_checkpoint(tmp_path)
-        save_checkpoint(dataclasses.replace(load_checkpoint(path),
-                                            stepper=retired()), path)
-        monkeypatch.undo()
-        with pytest.raises(ValueError) as err:
-            load_checkpoint(path)
-        assert "checkpoint schema" in str(err.value)
-        assert "stale file" in str(err.value) and str(path) in str(err.value)
-        assert name in str(err.value) or module in str(err.value)
+    def test_restore_rejects_stale_object(self, tmp_path):
+        """A checkpoint from before stamps — a bare pickle of the old
+        ``SimCheckpoint`` object — is refused unread."""
+        path = tmp_path / "pre-stamp.ckpt"
+        path.write_bytes(pickle.dumps(_Detonator()))
+        _assert_refused(path, "(none)")
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
-        with path.open("wb") as f:
-            pickle.dump({"not": "a checkpoint"}, f)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    def test_restore_rejects_stale_object(self, tmp_path):
-        good = load_checkpoint(self._write_checkpoint(tmp_path))
-        stale = dataclasses.replace(good, code_version="stale-0")
-        with pytest.raises(ValueError):
-            Simulator.restore(stale)
-        assert CODE_VERSION == good.code_version
+        path.write_bytes(b"junk, and no newline at all")
+        _assert_refused(path, "(none)")
+        path.write_bytes(b"")
+        _assert_refused(path, "(none)")
 
 
 class TestAtomicCheckpointWrite:
@@ -317,7 +209,7 @@ class TestAtomicCheckpointWrite:
         with monkeypatch.context() as patched:
             patched.setattr(pickle, "dump", dump_then_interrupt)
             with pytest.raises(KeyboardInterrupt):
-                save_checkpoint(load_checkpoint(path), path)
+                Simulator.restore(path).checkpoint(path)
         assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
         assert path.read_bytes() == before
         _assert_same_result(Simulator(sc).run(),

@@ -101,7 +101,6 @@ class TestFailureMechanics:
         structurally absent — nothing to draw from, filter, or pickle."""
         sim = self._sim()
         assert sim._chaos is None
-        assert sim.checkpoint().chaos is None
 
     def test_crash_schedule_seed_deterministic(self):
         def schedule(seed):

@@ -1,14 +1,14 @@
-"""`BfsHops`: the hop matrix agrees with the scalar link-state oracle
-(`FlatRouter`), pair by pair, and is filled only when asked."""
+"""`BfsHops`: the hop matrix agrees with a scalar link-state oracle (one
+`bfs_distances` row per source), pair by pair, and is filled only when
+asked."""
 
 import numpy as np
 import pytest
 
 import repro.sim.hops
 from repro.faults import ChaosEngine, CrashEpisode, PartitionEpisode
-from repro.graphs import SOURCE_BLOCK, CompactGraph
+from repro.graphs import SOURCE_BLOCK, CompactGraph, bfs_distances
 from repro.radio import unit_disk_edges
-from repro.routing import FlatRouter
 from repro.sim.hops import BfsHops
 
 
@@ -28,14 +28,26 @@ def _pairs(rng, n, size):
     return us, vs
 
 
+def _oracle(g):
+    """Scalar hop count u -> v from one cached BFS row per source."""
+    rows = {}
+
+    def hop_count(u, v):
+        if u not in rows:
+            rows[u] = bfs_distances(g, u)
+        return int(rows[u][g.index_of(v)])
+
+    return hop_count
+
+
 def _assert_matches_oracle(g, us, vs):
     hops = BfsHops(g)
     got = hops.batch(us, vs)
     assert got.dtype == np.int64 and got.shape == us.shape
-    oracle = FlatRouter(g)
+    oracle = _oracle(g)
     scalar = BfsHops(g)
     for u, v, h in zip(us.tolist(), vs.tolist(), got.tolist()):
-        assert h == oracle.hop_count(u, v) == scalar(u, v) == hops(u, v)
+        assert h == oracle(u, v) == scalar(u, v) == hops(u, v)
     return got
 
 
@@ -68,14 +80,14 @@ class TestEquivalence:
         n = 700
         _, edges = _snapshot(n, seed=5)
         g = CompactGraph(np.arange(n), edges)
-        hops, oracle = BfsHops(g), FlatRouter(g)
+        hops, oracle = BfsHops(g), _oracle(g)
         rng = np.random.default_rng(2)
         # Few sources (scipy rows), then many (bit-parallel rows), then a
         # mix of held and new ones: one store, whatever filled it.
         for size in (30, 900, 200):
             us, vs = rng.integers(0, n, size=size), rng.integers(0, n, size=size)
             got = hops.batch(us, vs).tolist()
-            assert got == [oracle.hop_count(u, v)
+            assert got == [oracle(u, v)
                            for u, v in zip(us.tolist(), vs.tolist())]
 
     def test_chaos_filtered_edges(self):

@@ -104,8 +104,8 @@ class TestResume:
         assert 0 < resumed_sim.next_step < sc.steps
         resumed = resumed_sim.run()
         assert fingerprint(baseline) == fingerprint(resumed)
-        want = uninterrupted.checkpoint().edge_cache
-        got = resumed_sim.checkpoint().edge_cache
+        want = uninterrupted._edge_cache
+        got = resumed_sim._edge_cache
         assert (got.rebuilds, got.plain_builds) == (want.rebuilds,
                                                     want.plain_builds)
         assert want.plain_builds == sc.steps

@@ -252,8 +252,8 @@ class TestExports:
     def test_one_run_record(self, capsys):
         """The event trace and the chaos report are ``RunManifest``
         sections: the trace module and its JSONL schema, the engine's
-        trace flag and the result and checkpoint fields that carried it,
-        and the CLI's separate trace and chaos-report files are gone."""
+        trace flag and the result field that carried it, and the CLI's
+        separate trace and chaos-report files are gone."""
         import dataclasses
 
         import repro.obs
@@ -262,7 +262,7 @@ class TestExports:
         import repro.sim.engine
         from repro.cli import main
         from repro.obs import RunManifest
-        from repro.sim import SimCheckpoint, Simulator, SimResult
+        from repro.sim import Simulator, SimResult
 
         def fields(cls):
             return {f.name for f in dataclasses.fields(cls)}
@@ -277,13 +277,30 @@ class TestExports:
         assert list(inspect.signature(Simulator).parameters) == [
             "scenario", "profile", "collectors"]
         assert "trace" not in fields(SimResult)
-        assert "trace" not in fields(SimCheckpoint)
         assert {"trace", "chaos"} <= fields(RunManifest)
         for flag in ("--trace-jsonl", "--chaos-report"):
             with pytest.raises(SystemExit) as err:
                 main(["simulate", flag, "x"])
             assert err.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_the_simulator_is_its_own_checkpoint(self):
+        """A checkpoint is the pickled ``Simulator`` behind a derived code
+        stamp: the checkpoint module, its container, its reader and
+        writer and its hand-bumped schema number are gone, as are the
+        exact-hop and link-event helpers only tests called."""
+        import repro.sim
+
+        for gone in ("repro.sim.checkpoint", "repro.routing.flat"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(gone)
+        names = {"SimCheckpoint", "save_checkpoint", "load_checkpoint",
+                 "CHECKPOINT_SCHEMA", "FlatRouter", "LinkTracker"}
+        for mod in iter_modules():
+            exported = set(getattr(mod, "__all__", ())) | set(vars(mod))
+            assert not names & exported, mod.__name__
+        assert list(inspect.signature(repro.sim.Simulator.checkpoint)
+                    .parameters) == ["self", "path"]
 
 
 class TestLayering:

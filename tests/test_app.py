@@ -7,8 +7,7 @@ import pytest
 from repro.experiments.e_a9_end_to_end import Session, SessionCollector
 from repro.graphs import CompactGraph
 from repro.radio import unit_disk_edges
-from repro.routing import FlatRouter
-from repro.sim import Scenario, Simulator
+from repro.sim import BfsHops, Scenario, Simulator
 from repro.sim.collectors import Collector
 from repro.sim.engine import RNG_STREAMS
 from repro.sim.rng import spawn_rngs
@@ -86,12 +85,12 @@ class TestSessions:
         sc = scenario(mobility="stationary", steps=6)
         c, res = run_sessions(sc)
         pts = res.final_positions
-        flat = FlatRouter(CompactGraph(np.arange(N),
+        flat = BfsHops(CompactGraph(np.arange(N),
                                        unit_disk_edges(pts, sc.r_tx)))
         checked = 0
         for s in c.sessions:
             assert not s.stale_address
-            if flat.hop_count(s.source, s.target) < 0:
+            if flat(s.source, s.target) < 0:
                 continue
             assert s.resolved and s.delivered, s
             checked += 1

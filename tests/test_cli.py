@@ -189,6 +189,33 @@ class TestBadScenarioValues:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"{argv[0]}: ") and match in line
 
+    def test_pre_stamp_checkpoint_is_one_line_and_exit_2(
+            self, capsys, tmp_path, monkeypatch):
+        """A checkpoint written before checkpoints carried a code stamp —
+        a bare pickle of ``repro.sim.checkpoint.SimCheckpoint``, a module
+        this code no longer has — is refused as stale."""
+        import pickle
+        import sys
+        import types
+
+        old = types.ModuleType("repro.sim.checkpoint")
+        old.SimCheckpoint = type("SimCheckpoint", (),
+                                 {"__module__": old.__name__})
+        ck = old.SimCheckpoint()
+        ck.__dict__.update(code_version="7", schema=15, next_step=3)
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, old.__name__, old)
+            payload = pickle.dumps(ck)
+        path = tmp_path / "pre-stamp.ckpt"
+        path.write_bytes(payload)
+        assert main(["resume", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"resume: cannot resume from {path}: ")
+        assert "checkpoint stamp (none) != 7+" in line
+        assert path.exists()
+
 
 class TestBadAxisValues:
     """An integer axis with a non-integer in it: one ``<command>:`` line
@@ -396,6 +423,20 @@ class TestProfileCommand:
             out = capsys.readouterr().out
             assert ("event trace (last 20):" in out) is traced
             assert not path.exists()
+
+    def test_resume_keeps_checkpointing(self, tmp_path, capsys):
+        """``repro resume`` without ``--checkpoint-every`` protects the
+        rest of the run as ``simulate --checkpoint`` does: every 25
+        steps, to the file it resumed from."""
+        from repro.sim import Scenario, Simulator
+
+        sc = Scenario(n=60, steps=30, warmup=1, seed=3, hop_mode="euclidean")
+        path = tmp_path / "run.ckpt"
+        Simulator(sc).run(checkpoint_every=20, checkpoint_path=str(path))
+        assert Simulator.restore(path).next_step == 20
+        assert main(["resume", str(path), "--keep-checkpoint"]) == 0
+        assert "resuming at step 20/30" in capsys.readouterr().out
+        assert Simulator.restore(path).next_step == 25
 
     def test_simulate_reports_burst_only_loss(self, capsys):
         """A run whose only loss is a burst episode prints the lossy
