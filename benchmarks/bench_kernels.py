@@ -66,7 +66,7 @@ def test_bench_full_assignment(benchmark, deployment):
     )
     a = benchmark(full_assignment, h)
     # Levels 2..L plus the virtual global level: L entries per subject.
-    assert len(a.servers) == N * h.num_levels
+    assert sum(a.load().values()) == N * h.num_levels
 
 
 @pytest.fixture(scope="module")

@@ -64,7 +64,7 @@ def main():
 
     # 5. CHLM location management.
     assignment = full_assignment(h)
-    print(f"\nCHLM placed {len(assignment.servers)} (subject, level) entries; "
+    print(f"\nCHLM placed {sum(assignment.load().values())} (subject, level) entries; "
           f"node {v}'s servers: {assignment.servers_of(v)}")
     q = resolve_batch(h, assignment, [s], [v], flat_hops).result(0)
     print(f"query: node {s} resolves node {v} at shared level {q.hit_level} "

@@ -21,7 +21,6 @@ from repro.core.events import (
 from repro.core.handoff import HandoffEngine, HandoffReport
 from repro.core.hashing import mix64
 from repro.core.servers import (
-    ChainedAssignment,
     ServerAssignment,
     full_assignment,
     lm_levels,
@@ -41,7 +40,6 @@ __all__ = [
     "HandoffEngine",
     "HandoffReport",
     "mix64",
-    "ChainedAssignment",
     "ServerAssignment",
     "full_assignment",
     "patch_assignment",

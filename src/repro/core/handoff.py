@@ -51,12 +51,7 @@ import numpy as np
 
 from repro.core.batch_query import batch_hops
 from repro.core.events import EventKind, HierarchyDiff, diff_hierarchies
-from repro.core.servers import (
-    ChainedAssignment,
-    ServerAssignment,
-    full_assignment,
-    patch_assignment,
-)
+from repro.core.servers import ServerAssignment, full_assignment, patch_assignment
 from repro.graphs import IdIndex
 from repro.hierarchy.delta import HierarchyDelta
 from repro.hierarchy.levels import ClusteredHierarchy
@@ -128,23 +123,25 @@ class HandoffEngine:
     Servers are placed with the rendezvous hash
     (:func:`~repro.core.servers.full_assignment`).  When the caller
     supplies a non-full :class:`~repro.hierarchy.delta.HierarchyDelta`
-    to :meth:`observe` after the baseline, the CHLM assignment is
-    **patched** from the previous intent's descent chains instead of
-    recomputed — only descent stages whose input or consulted member
-    list changed are re-hashed, and only the rows whose server moved
-    (plus outstanding stale keys) enter the handoff diff.  The metering
-    is bit-identical to the full path: the delta's dirtiness claims are
-    exact, so every row outside the candidate set provably kept its
-    server.
+    to :meth:`observe` whose ``h0`` is the previous snapshot itself, the
+    CHLM assignment is **patched**
+    (:func:`~repro.core.servers.patch_assignment`) instead of recomputed:
+    the previous intent's descents are read back from its server tables
+    and that snapshot, only descent stages whose input or consulted
+    member list changed are re-hashed, and only the rows whose server
+    moved (plus outstanding stale keys) enter the handoff diff.  Any
+    other delta takes the full path.  The metering is bit-identical to
+    the full path: the delta's dirtiness claims are exact, so every row
+    outside the candidate set provably kept its server.
     """
 
     def __init__(self):
         self._prev_h: ClusteredHierarchy | None = None
         self._prev_a: ServerAssignment | None = None
-        # The previous *intent* (hash output).  Distinct from _prev_a,
-        # which under loss reflects the effective holders; patch
-        # cleanliness is an intent-to-intent claim.
-        self._intent: ChainedAssignment | None = None
+        # The previous *intent*: the hash output over _prev_h.  Distinct
+        # from _prev_a, which under loss reflects the effective holders;
+        # patch cleanliness is an intent-to-intent claim.
+        self._intent: ServerAssignment | None = None
         # Abandoned-transfer bookkeeping: (subject, level) -> abandon time.
         self._stale: dict[tuple[int, int], float] = {}
 
@@ -175,10 +172,12 @@ class HandoffEngine:
         simulation clock used to timestamp abandonments and measure
         staleness recovery.  ``delta`` (see the class docstring), the
         exact change summary from the previous ``h`` to this one,
-        enables assignment patching and dirty-row candidate narrowing.
+        enables assignment patching and dirty-row candidate narrowing
+        when its ``h0`` is that previous ``h`` object.
         """
         dirty: dict[int, np.ndarray] | None = None
-        if delta is not None and not delta.full and self._intent is not None:
+        if (delta is not None and not delta.full
+                and self._intent is not None and delta.h0 is self._prev_h):
             assignment, dirty = patch_assignment(self._intent, h, delta)
         else:
             assignment = full_assignment(h)

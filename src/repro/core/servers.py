@@ -20,9 +20,7 @@ knows the relevant cluster's internal hierarchy can recompute the server
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +31,6 @@ from repro.hierarchy.levels import ClusteredHierarchy
 
 __all__ = [
     "ServerAssignment",
-    "ChainedAssignment",
     "hash_stage",
     "full_assignment",
     "patch_assignment",
@@ -69,19 +66,6 @@ class ServerAssignment:
 
     subjects: np.ndarray
     tables: dict[int, np.ndarray]
-
-    @property
-    def servers(self) -> Mapping[tuple[int, int], int]:
-        """Read-only ``{(subject, level): server}`` view, rebuilt on every
-        access (O(entries)): for oracles, tests and examples — bind it to
-        a local; simulation steps read :attr:`tables`."""
-        out: dict[tuple[int, int], int] = {}
-        for level in sorted(self.tables):
-            table = self.tables[level]
-            idx = np.flatnonzero(table >= 0)
-            for subj, srv in zip(self.subjects[idx].tolist(), table[idx].tolist()):
-                out[(subj, level)] = srv
-        return MappingProxyType(out)
 
     def server_of(self, subject: int, level: int) -> int | None:
         """Server of one (subject, level) entry, or None."""
@@ -342,23 +326,6 @@ def _challenge_stage(
         pos, end = pos[more], end[more]
 
 
-@dataclass(frozen=True)
-class ChainedAssignment(ServerAssignment):
-    """A rendezvous assignment plus the *descent chains* that produced it.
-
-    ``chains[level][depth]`` is the per-subject array of the level-
-    ``depth`` cluster each subject's level-``level`` descent consulted
-    when it entered that depth (for the virtual global level, depth
-    ``num_levels`` holds the winner of the global stage).  Because the
-    descent is a pure function of (subject, consulted cells), a recorded
-    chain whose entry point is unchanged and whose every consulted cell
-    kept its member list provably re-derives the same server — that is
-    the cleanliness test :func:`patch_assignment` applies.
-    """
-
-    chains: dict[int, dict[int, np.ndarray]] = field(default_factory=dict)
-
-
 def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssignment:
     """Compute the complete CHLM server assignment for a hierarchy.
 
@@ -370,15 +337,14 @@ def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssign
 
     The descent is vectorized for either hash (:func:`hash_stage`): one
     kernel call per depth, hashing that depth's stage of every level at
-    once.  The rendezvous hash returns a :class:`ChainedAssignment` — the
-    chains are the stage inputs the descent consumes anyway — since only
-    its minimal disruption lets :func:`patch_assignment` reuse them.
+    once.  Only the servers are kept: every cell a descent consulted is
+    an ancestor of its server, which is how :func:`patch_assignment`
+    reads them back.
     """
     stage = hash_stage(hash_fn)
     subjects = h.levels[0].node_ids
     levels = range(2, lm_levels(h) + 1)
     num_levels = h.num_levels
-    chains: dict[int, dict[int, np.ndarray]] = {level: {} for level in levels}
     # `current[level]` is each subject's cluster on its level-`level`
     # descent; every level already under way shares a depth's partition,
     # so their stages run as one call.
@@ -389,18 +355,42 @@ def full_assignment(h: ClusteredHierarchy, hash_fn="rendezvous") -> ServerAssign
         if depth >= 2:
             current[depth] = h.ancestry(depth)
         active = sorted(current)
-        for level in active:
-            chains[level][depth] = current[level]
         winners = stage(
             subjects, np.stack([current[level] for level in active]),
             LazyClusters(h.levels[depth - 1].election),
             _stage_salts(active, depth)[:, None],
         )
         current.update(zip(active, winners))
-    tables = {level: current[level] for level in levels}
-    if hash_fn == "rendezvous":
-        return ChainedAssignment(subjects=subjects, tables=tables, chains=chains)
-    return ServerAssignment(subjects=subjects, tables=tables)
+    return ServerAssignment(
+        subjects=subjects, tables={level: current[level] for level in levels})
+
+
+class _DescentCells:
+    """The cells every descent of an assignment consulted, read back
+    from its server tables.
+
+    A stage's winner is a member of the cell it consulted, so the server
+    a descent ends on lies inside every cell above it: the cell the
+    level-``level`` descent over ``h0`` entered at depth ``d`` is the
+    server's level-``d`` ancestor in ``h0`` — for the virtual global
+    level, depth ``num_levels`` is the global stage's winner — and depth
+    0 is the server itself.  ``tables`` must be
+    ``full_assignment(h0).tables``.  One gather per level finds the
+    servers' rows among ``h0``'s base nodes (:attr:`server_rows`), and
+    one per call reads the cells.
+    """
+
+    def __init__(self, h0: ClusteredHierarchy, tables: dict[int, np.ndarray]):
+        self.h0, self.tables = h0, tables
+        rows_of = IdIndex(h0.levels[0].node_ids).rows
+        self.server_rows = {level: rows_of(table) for level, table in tables.items()}
+
+    def __call__(self, level: int, depth: int, rows=slice(None)) -> np.ndarray:
+        """The level-``depth`` cells of the level-``level`` descents at
+        subject positions ``rows``."""
+        if not depth:
+            return self.tables[level][rows]
+        return self.h0.ancestry(depth)[self.server_rows[level][rows]]
 
 
 PATCH_MIN_NODES = 2000
@@ -427,16 +417,18 @@ def patch_pays(n: int, churn: float) -> bool:
 
 
 def patch_assignment(
-    prev: ChainedAssignment,
+    prev: ServerAssignment,
     h: ClusteredHierarchy,
     delta: HierarchyDelta,
-) -> tuple[ChainedAssignment, dict[int, np.ndarray]]:
-    """Patch a chained assignment onto the next hierarchy snapshot.
+) -> tuple[ServerAssignment, dict[int, np.ndarray]]:
+    """Patch the rendezvous assignment of ``delta.h0`` onto the next
+    hierarchy snapshot ``h``.
 
-    A recorded chain stores every stage's input *and* winner (the next
-    depth's input; the table below depth 1), so each stage is patched on
-    its own, and a row keeps its recorded winner (the *holder*) unless
-    the stage's candidate set changed under it:
+    ``prev`` must be ``full_assignment(delta.h0)`` (or a patch equal to
+    it): every descent stage's input and winner (the *holder*) is read
+    back from its tables (:class:`_DescentCells`), so each stage is
+    patched on its own, and a row keeps its holder unless the stage's
+    candidate set changed under it:
 
     * the cluster it consults at depth ``d`` differs from the recorded
       one (its entry point moved, or the stage above picked a different
@@ -455,31 +447,24 @@ def patch_assignment(
     rows go through the kernel as one call, and their challenged holders
     through :func:`_challenge_stage` as another.
 
-    Returns the new chained assignment plus the *dirty rows* — per level,
-    the ascending subject positions whose server differs from ``prev``
-    (exactly those; levels with none are absent).  Columns and chain
-    arrays nothing moved in are shared with ``prev``.  ``delta`` must
-    not be ``full``.
+    Returns the new assignment plus the *dirty rows* — per level, the
+    ascending subject positions whose server differs from ``prev``
+    (exactly those; levels with none are absent).  Columns nothing moved
+    in are shared with ``prev``.  ``delta`` must not be ``full``.
     """
     if delta.full:
         raise ValueError("cannot patch across a full delta")
-    num_levels = h.num_levels
+    h0, num_levels = delta.h0, h.num_levels
     subjects = prev.subjects
-    chains: dict[int, dict[int, np.ndarray]] = {
-        level: {} for level in range(2, lm_levels(h) + 1)
-    }
+    cells = _DescentCells(h0, prev.tables)
+    tables = dict(prev.tables)
     dirty_rows: dict[int, np.ndarray] = {}
     # Per level under way: the rows whose input at this depth differs
-    # from the recorded one, their new inputs, and the whole new input
-    # column when one exists (None: no row moved).
+    # from the recorded one and their new inputs (None: no row moved).
     moved: dict[int, tuple | None] = {}
-    # Per (level, depth) chain array (depth 0: the table), the rows and
-    # values written over the recorded array.  The copies are made once
-    # the descent is done, after its temporaries are freed.
-    patches: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def entered(column: np.ndarray, rows: np.ndarray):
-        return (rows, column[rows], column) if rows.size else None
+        return (rows, column[rows]) if rows.size else None
 
     if num_levels:
         top = num_levels + 1
@@ -487,7 +472,7 @@ def patch_assignment(
         if delta.top_changed:
             won = _global_stage(h, subjects, top, _vectorized_rendezvous_stage)
             moved[top] = entered(
-                won, (won != prev.chains[top][num_levels]).nonzero()[0])
+                won, (won != cells(top, num_levels)).nonzero()[0])
     for depth in range(num_levels, 0, -1):
         if depth >= 2:
             moved[depth] = entered(h.ancestry(depth),
@@ -495,46 +480,45 @@ def patch_assignment(
         dirty = delta.dirty_cells[depth]
         election = h.levels[depth - 1].election
         if dirty.size:
-            # Every recorded cell is a level-`depth` ID of `delta.h0`: an
-            # index spanning them answers with one table gather (when the
-            # IDs are dense enough for a table).
-            dirty_index = IdIndex(dirty, int(delta.h0.levels[depth].node_ids[-1]) + 1)
-            node_index = IdIndex(election.node_ids)
+            # Per base node of h0, as the server a descent ended on: the
+            # position in `dirty` of the cell that descent entered here
+            # (-1: clean), and whether its holder, the node's level-
+            # (depth - 1) ancestor, is still a member of that cell in h.
+            # Every recorded cell is a level-`depth` ID of h0: an index
+            # spanning them answers with one table gather (when the IDs
+            # are dense enough for a table).
+            entered_cell = h0.ancestry(depth)
+            dirty_of = IdIndex(dirty, int(h0.levels[depth].node_ids[-1]) + 1
+                               ).rows(entered_cell)
+            at = IdIndex(election.node_ids).rows(h0.ancestry(depth - 1))
+            kept = (election.member_of[at] == entered_cell) & (at >= 0)
             starts, _ = delta.arrivals[depth]
             gained = starts[1:] > starts[:-1]
         # Per level: rows re-hashed over the cluster they consult, and
         # rows whose holder meets its cell's arrivals.
         rehash: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         challenge: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        holders: dict[int, np.ndarray] = {}
         for level in sorted(moved):
-            recorded = prev.chains[level][depth]
-            holder = prev.chains[level][depth - 1] if depth > 1 else prev.tables[level]
-            holders[level] = holder
-            chains[level][depth] = recorded
             full = consulted = None
             if moved[level] is not None:
-                full, consulted, column = moved[level]
-                if column is None:
-                    patches[level, depth] = (full, consulted)
-                else:
-                    chains[level][depth] = column
+                full, consulted = moved[level]
             moved[level] = None
             if dirty.size:
                 # Rows that consult the same dirty cell as recorded: the
                 # holder stays unless it left, or an arrival outweighs it.
-                cell = dirty_index.rows(recorded)
+                server_rows = cells.server_rows[level]
+                cell = dirty_of[server_rows]
                 if full is not None:
                     cell[full] = -1
                 same = (cell >= 0).nonzero()[0]
                 cell = cell[same]
-                at = node_index.rows(holder[same])
-                stays = (election.member_of[at] == dirty[cell]) & (at >= 0)
+                stays = kept[server_rows[same]]
                 lost = same[~stays]
                 if lost.size:
+                    left = dirty[cell[~stays]]
                     full = lost if full is None else np.concatenate([full, lost])
-                    consulted = (recorded[lost] if consulted is None
-                                 else np.concatenate([consulted, recorded[lost]]))
+                    consulted = (left if consulted is None
+                                 else np.concatenate([consulted, left]))
                 pick = (stays & gained[cell]).nonzero()[0]
                 if pick.size:
                     challenge[level] = (same[pick], cell[pick])
@@ -559,7 +543,7 @@ def patch_assignment(
                 at = end
 
         def holders_of(calls: dict) -> np.ndarray:
-            return np.concatenate([holders[level][sub]
+            return np.concatenate([cells(level, depth - 1, sub)
                                    for level, (sub, _) in calls.items()])
 
         def who(calls: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -588,19 +572,9 @@ def patch_assignment(
             sub = np.concatenate([sub for sub, _ in parts])
             w = np.concatenate([w for _, w in parts])
             if depth > 1:
-                moved[level] = (sub, w, None)
+                moved[level] = (sub, w)
             else:
-                patches[level, 0] = (sub, w)
+                tables[level] = column = prev.tables[level].copy()
+                column[sub] = w
                 dirty_rows[level] = np.sort(sub)
-    tables = dict(prev.tables)
-    for (level, depth), (rows, values) in patches.items():
-        column = (prev.chains[level][depth] if depth else prev.tables[level]).copy()
-        column[rows] = values
-        if depth:
-            chains[level][depth] = column
-        else:
-            tables[level] = column
-    return (
-        ChainedAssignment(subjects=subjects, tables=tables, chains=chains),
-        dirty_rows,
-    )
+    return ServerAssignment(subjects=subjects, tables=tables), dirty_rows

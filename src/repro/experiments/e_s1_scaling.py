@@ -12,7 +12,9 @@ which is only tractable on the vectorized substrate:
 * edges come from a Verlet candidate cache, and at n >= 2000 (where
   :func:`repro.core.servers.patch_pays` says it pays at this 1 m/s
   churn) server assignments are patched only along the descent chains
-  each step's hierarchy delta marks dirty;
+  each step's hierarchy delta marks dirty — chains read back from the
+  previous servers and hierarchy, never stored, so a 10^5-node step
+  holds no per-depth copy of them;
 * a query throughput probe at the largest size replays the final
   topology and resolves a batch of lookups through
   :class:`repro.core.BatchResolver`.

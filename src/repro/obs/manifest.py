@@ -1,8 +1,8 @@
 """Run manifests: a portable, JSON-safe record of one simulation run.
 
 A manifest captures *provenance* (scenario hash, ``CODE_VERSION``,
-package versions, platform) and *cost* (wall time, per-phase breakdown)
-next to the headline metrics, so a result file on disk can always answer
+package versions, platform) and *cost* (wall time, per-phase breakdown,
+peak RSS) next to the headline metrics, so a result file on disk can always answer
 "what produced this, and where did the time go?".  Two optional
 sections make it the run's one record: ``trace`` (the event trace a
 :class:`~repro.sim.collectors.TraceCollector` kept) and ``chaos`` (the
@@ -60,6 +60,11 @@ class RunManifest:
     phases:
         Per-phase wall-clock totals from :class:`~repro.obs.timers.StepTimings`
         (empty when the run was not profiled).
+    peak_rss_mb:
+        The process's peak resident set size in MiB when the run ended
+        (:attr:`~repro.obs.timers.StepTimings.peak_rss_mb`; 0 when the
+        run was not profiled, and in manifests written before it was
+        recorded).
     metrics:
         Headline scalar metrics (phi, gamma, handoff rate, f0, ...).
     trace:
@@ -77,6 +82,7 @@ class RunManifest:
     platform: dict = field(default_factory=dict)
     wall_seconds: float = 0.0
     phases: dict = field(default_factory=dict)
+    peak_rss_mb: float = 0.0
     metrics: dict = field(default_factory=dict)
     trace: dict = field(default_factory=dict)
     chaos: dict = field(default_factory=dict)
@@ -128,6 +134,7 @@ class RunManifest:
             platform=_platform_info(),
             wall_seconds=float(timings.wall_seconds) if timings else 0.0,
             phases=dict(timings.totals) if timings else {},
+            peak_rss_mb=float(timings.peak_rss_mb) if timings else 0.0,
             metrics=metrics,
             trace=extras.get("trace", {}),
             chaos={} if chaos is None else asdict(chaos),
@@ -154,6 +161,7 @@ class RunManifest:
             platform=dict(d.get("platform", {})),
             wall_seconds=float(d.get("wall_seconds", 0.0)),
             phases={str(k): float(v) for k, v in d.get("phases", {}).items()},
+            peak_rss_mb=float(d.get("peak_rss_mb", 0.0)),
             metrics=dict(d.get("metrics", {})),
             trace=dict(d.get("trace", {})),
             chaos=dict(d.get("chaos", {})),

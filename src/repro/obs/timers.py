@@ -11,12 +11,19 @@ Design constraints (enforced by ``tests/obs/test_equivalence.py``):
 * Timing uses :func:`time.perf_counter` only — never an RNG stream, so a
   profiled run is bit-identical to an unprofiled one.
 * When profiling is off the simulator holds no ``StepTimings`` at all;
-  the per-phase cost is a single ``is None`` check.
+  the per-phase cost is a single ``is None`` check, and the peak-RSS
+  read at the end of a profiled run is skipped too.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+
+try:
+    import resource
+except ImportError:  # not on Windows: the peak reads 0 there
+    resource = None
 
 __all__ = ["PHASES", "StepTimings"]
 
@@ -55,11 +62,17 @@ class StepTimings:
     wall_seconds:
         Total wall time of the run (set once by the simulator; covers
         setup + loop + result assembly).
+    peak_rss_mb:
+        Peak resident set size in MiB, read once from ``ru_maxrss`` when
+        the run ends (:meth:`note_peak_rss`).  It is the *process's*
+        peak so far, not the run's own: whatever the process ran before,
+        in the same worker, counts too.  0 where it cannot be read.
     """
 
     totals: dict[str, float] = field(default_factory=dict)
     steps: int = 0
     wall_seconds: float = 0.0
+    peak_rss_mb: float = 0.0
 
     def add(self, phase: str, seconds: float) -> None:
         """Accumulate ``seconds`` of wall time into ``phase``."""
@@ -68,6 +81,15 @@ class StepTimings:
     def tick_step(self) -> None:
         """Mark one metered step complete."""
         self.steps += 1
+
+    def note_peak_rss(self) -> None:
+        """Read the process's peak RSS (``ru_maxrss``: KiB on Linux,
+        bytes on macOS) into :attr:`peak_rss_mb`, keeping the larger."""
+        if resource is None:
+            return
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak /= 1 << (20 if sys.platform == "darwin" else 10)
+        self.peak_rss_mb = max(self.peak_rss_mb, float(peak))
 
     # -- views --------------------------------------------------------------------
 
@@ -95,11 +117,12 @@ class StepTimings:
 
     def merge(self, other: "StepTimings") -> None:
         """Fold another run's timings into this accumulator (used for
-        per-n aggregation across seeds)."""
+        per-n aggregation across seeds); the peak RSS is the larger."""
         for k, v in other.totals.items():
             self.add(k, v)
         self.steps += other.steps
         self.wall_seconds += other.wall_seconds
+        self.peak_rss_mb = max(self.peak_rss_mb, other.peak_rss_mb)
 
     # -- serialization ------------------------------------------------------------
 
@@ -109,6 +132,7 @@ class StepTimings:
             "totals": {k: float(v) for k, v in self.totals.items()},
             "steps": int(self.steps),
             "wall_seconds": float(self.wall_seconds),
+            "peak_rss_mb": float(self.peak_rss_mb),
         }
 
     @classmethod
@@ -117,6 +141,7 @@ class StepTimings:
             totals={str(k): float(v) for k, v in d.get("totals", {}).items()},
             steps=int(d.get("steps", 0)),
             wall_seconds=float(d.get("wall_seconds", 0.0)),
+            peak_rss_mb=float(d.get("peak_rss_mb", 0.0)),
         )
 
     def to_lines(self) -> list[str]:

@@ -420,6 +420,7 @@ class Simulator:
                     t_last = time.perf_counter()
         if timings is not None:
             timings.wall_seconds += time.perf_counter() - t_wall
+            timings.note_peak_rss()
         return self._assemble()
 
     # -- checkpoint / resume -------------------------------------------------------

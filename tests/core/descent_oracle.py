@@ -8,7 +8,9 @@ depth's rows per kernel call.  This module is the loop they replaced,
 kept as the oracle: one subject, one stage, one candidate list at a
 time, straight from Section 3.2 and Eq. (5).  ``test_servers.py``,
 ``test_batch_query.py``, ``test_hashing.py`` and the front-end oracle
-compare production against it exactly.
+compare production against it exactly.  :func:`recorded_chains` is the
+vectorized descent again, keeping every cell it consults: the record
+``patch_assignment`` once stored and now reads back from the servers.
 
 :func:`rendezvous_choice` reads :func:`repro.core.hashing.mix64` off the
 module at every call, so a test that monkeypatches the mixer (to force
@@ -20,7 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import QueryResult, ServerAssignment, hashing, lm_levels
-from repro.core.servers import _stage_salt
+from repro.core.servers import (
+    _global_stage,
+    _stage_salt,
+    _stage_salts,
+    _vectorized_rendezvous_stage,
+)
+from repro.hierarchy.delta import LazyClusters
 from repro.hierarchy.levels import ClusteredHierarchy
 
 
@@ -48,6 +56,52 @@ def assignment_from_mapping(servers, subjects=None) -> ServerAssignment:
             table = tables[level] = np.full(subjects.size, -1, dtype=np.int64)
         table[np.searchsorted(subjects, subj)] = srv
     return ServerAssignment(subjects=subjects, tables=tables)
+
+
+def server_map(assignment: ServerAssignment) -> dict[tuple[int, int], int]:
+    """The ``{(subject, level): server}`` mapping of an assignment's
+    entries (the inverse of :func:`assignment_from_mapping`)."""
+    out: dict[tuple[int, int], int] = {}
+    for level in sorted(assignment.tables):
+        table = assignment.tables[level]
+        idx = np.flatnonzero(table >= 0)
+        for subj, srv in zip(assignment.subjects[idx].tolist(),
+                             table[idx].tolist()):
+            out[(subj, level)] = srv
+    return out
+
+
+def recorded_chains(h: ClusteredHierarchy) -> dict[int, dict[int, np.ndarray]]:
+    """The rendezvous descent of every (subject, level), recording the
+    cells it consults: ``chains[level][depth]`` is the per-subject array
+    of the level-``depth`` cluster the level-``level`` descent entered
+    at that depth (for the virtual global level, depth ``num_levels``
+    holds the global stage's winner), and ``chains[level][0]`` the
+    server.  The vectorized descent of ``full_assignment``, with every
+    stage's input kept."""
+    subjects = h.levels[0].node_ids
+    num_levels = h.num_levels
+    levels = range(2, lm_levels(h) + 1)
+    chains: dict[int, dict[int, np.ndarray]] = {level: {} for level in levels}
+    current: dict[int, np.ndarray] = {}
+    if levels:
+        current[num_levels + 1] = _global_stage(
+            h, subjects, num_levels + 1, _vectorized_rendezvous_stage)
+    for depth in range(num_levels, 0, -1):
+        if depth >= 2:
+            current[depth] = h.ancestry(depth)
+        active = sorted(current)
+        for level in active:
+            chains[level][depth] = current[level]
+        winners = _vectorized_rendezvous_stage(
+            subjects, np.stack([current[level] for level in active]),
+            LazyClusters(h.levels[depth - 1].election),
+            _stage_salts(active, depth)[:, None],
+        )
+        current.update(zip(active, winners))
+    for level in levels:
+        chains[level][0] = current[level]
+    return chains
 
 
 def rendezvous_choice(subject: int, salt: int, candidates) -> int | None:

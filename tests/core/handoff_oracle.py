@@ -16,6 +16,7 @@ from repro.core import full_assignment
 from repro.core.events import HierarchyDiff, diff_hierarchies
 from repro.core.handoff import HandoffReport
 
+from .descent_oracle import server_map
 from .events_oracle import migration_events
 
 
@@ -28,7 +29,7 @@ class OracleHandoffEngine:
         self.stale = {}
 
     def observe(self, h, hop_fn, delivery=None, now=0.0):
-        intent = dict(full_assignment(h).servers)
+        intent = server_map(full_assignment(h))
         if self.prev_h is None:
             self.prev_h, self.servers = h, intent
             return HandoffReport(

@@ -22,7 +22,7 @@ from repro.hierarchy import build_hierarchy, compute_delta
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.sim.hops import BfsHops, EuclideanHops
 
-from .descent_oracle import assignment_from_mapping, resolve
+from .descent_oracle import assignment_from_mapping, resolve, server_map
 
 DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
@@ -98,7 +98,7 @@ class TestLosslessEquivalence:
         """Deleted (subject, level) entries — abandoned transfers leave
         holes — can never satisfy the hit test."""
         h, pts, _ = deployment(100, 4)
-        servers = dict(full_assignment(h).servers)
+        servers = server_map(full_assignment(h))
         rng = np.random.default_rng(0)
         keys = list(servers)
         for k in rng.choice(len(keys), size=len(keys) // 3, replace=False):
@@ -109,7 +109,7 @@ class TestLosslessEquivalence:
             h, assignment, src, dst, EuclideanHops(pts, R_TX))
 
     def test_chain_rehash_assignment(self):
-        """The incremental plane's patched ChainedAssignment (dirty-chain
+        """The incremental plane's patched assignment (dirty-chain
         re-hash) resolves identically to the scalar oracle."""
         from repro.core import patch_assignment
 

@@ -8,6 +8,8 @@ from repro.geometry import disc_for_density
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
 
+from .descent_oracle import server_map
+
 
 def unit_hops(u, v):
     """Hop stub: every transfer costs 1 packet (u != v)."""
@@ -66,7 +68,7 @@ class TestHandoffEngine:
         prev = None
         for h in mobile_run:
             rep = eng.observe(h, unit_hops)
-            cur = eng.assignment.servers
+            cur = server_map(eng.assignment)
             if prev is not None:
                 changed = sum(
                     1
@@ -86,6 +88,65 @@ class TestHandoffEngine:
         for h in mobile_run:
             rep = eng.observe(h, unit_hops)
             assert rep.total_handoff_packets == rep.phi_packets + rep.gamma_packets
+
+
+class TestPatchPrecondition:
+    """The engine patches its assignment only from a delta whose ``h0``
+    is the snapshot it observed last: the patch reads the previous
+    descents back from that snapshot."""
+
+    @staticmethod
+    def _metered(report):
+        return (report.migration_packets, report.migration_entries,
+                report.reorg_packets, report.reorg_entries,
+                report.registration_packets, report.registration_events,
+                report.migration_events, report.reorg_event_counts)
+
+    def test_delta_from_another_hierarchy_takes_the_full_path(
+            self, monkeypatch):
+        """An equal copy of the previous snapshot, and another snapshot
+        of the run, as the delta's ``h0``: no patch, and the report and
+        assignment of an engine given no delta."""
+        import pickle
+
+        from repro.core import handoff
+        from repro.hierarchy import compute_delta
+
+        n, density = 150, 0.02
+        r = radius_for_degree(9.0, density)
+        rng = np.random.default_rng(4)
+        pts = disc_for_density(n, density).sample(n, rng)
+        snaps = []
+        for _ in range(3):
+            snaps.append(build_hierarchy(np.arange(n), unit_disk_edges(pts, r),
+                                         max_levels=3))
+            pts = pts + rng.normal(scale=1.0, size=pts.shape)
+        h0, h1, other = snaps
+        ref = HandoffEngine()
+        ref.observe(h0, unit_hops)
+        expect = ref.observe(h1, unit_hops)
+        assert expect.total_handoff_packets > 0
+        patched = HandoffEngine()
+        patched.observe(h0, unit_hops)
+        delta = compute_delta(h0, h1)
+        assert not delta.full
+        assert self._metered(patched.observe(h1, unit_hops, delta=delta)) \
+            == self._metered(expect)
+
+        def refuse(*args):
+            raise AssertionError("patched from a foreign delta")
+
+        for foreign in (pickle.loads(pickle.dumps(h0)), other):
+            delta = compute_delta(foreign, h1)
+            assert not delta.full
+            eng = HandoffEngine()
+            eng.observe(h0, unit_hops)
+            monkeypatch.setattr(handoff, "patch_assignment", refuse)
+            got = eng.observe(h1, unit_hops, delta=delta)
+            monkeypatch.undo()
+            assert self._metered(got) == self._metered(expect)
+            for level, table in ref.assignment.tables.items():
+                assert np.array_equal(eng.assignment.tables[level], table)
 
 
 class TestStationaryControl:

@@ -19,6 +19,7 @@ from repro.hierarchy import build_hierarchy, compute_delta
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.sim.hops import BfsHops, EuclideanHops
 
+from .descent_oracle import server_map
 from .handoff_oracle import OracleHandoffEngine
 
 N = 150
@@ -81,7 +82,7 @@ def assert_tracks_oracle(snaps, with_delta, hops=euclidean, loss_rates=None,
         want = ref.observe(h, hops(h, pts, edges), delivery=d_ref, now=now)
         assert got == want, step
         assert frozenset(eng._stale) == frozenset(ref.stale), step
-        assert dict(eng.assignment.servers) == ref.servers, step
+        assert server_map(eng.assignment) == ref.servers, step
         if lossy:
             assert (d_eng.rng.bit_generator.state
                     == d_ref.rng.bit_generator.state), step
@@ -184,6 +185,6 @@ def test_channel_switched_off_with_stale_keys_outstanding(with_delta):
                            now=float(step))
         assert got == want, step
         assert frozenset(eng._stale) == frozenset(ref.stale), step
-        assert dict(eng.assignment.servers) == ref.servers, step
+        assert server_map(eng.assignment) == ref.servers, step
         prev_h = h
     assert want.stale_entries > 0 or want.recovered_entries > 0

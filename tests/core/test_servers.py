@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core import ServerAssignment, full_assignment, lm_levels
+from repro.core.servers import _DescentCells
 from repro.geometry import disc_for_density
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
 
-from .descent_oracle import naive_circular_choice, rendezvous_choice, select_server
+from .descent_oracle import (
+    naive_circular_choice,
+    recorded_chains,
+    rendezvous_choice,
+    select_server,
+    server_map,
+)
 
 
 def make_hierarchy(n, seed=0, density=0.02, degree=9.0):
@@ -78,7 +85,7 @@ class TestSelectServer:
 
 class TestFullAssignment:
     def test_matches_scalar_descent(self, h300):
-        servers = full_assignment(h300).servers
+        servers = server_map(full_assignment(h300))
         for subject in range(0, 300, 41):
             for level in range(2, lm_levels(h300) + 1):
                 assert servers[(subject, level)] == select_server(
@@ -89,15 +96,15 @@ class TestFullAssignment:
         a = full_assignment(h300)
         # Levels 2..L plus the virtual global level: L entries each.
         expected = 300 * h300.num_levels
-        assert len(a.servers) == expected
+        assert len(server_map(a)) == expected
 
     def test_shallow_hierarchy_has_global_level_only(self):
         h = build_hierarchy([1, 2], [[1, 2]])
         assert h.num_levels == 1
         a = full_assignment(h)
         # Only the virtual global level (level 2) exists.
-        assert set(lvl for _, lvl in a.servers) == {2}
-        assert len(a.servers) == 2
+        assert set(lvl for _, lvl in server_map(a)) == {2}
+        assert len(server_map(a)) == 2
 
     def test_load_is_logarithmic_scale(self, h300):
         """Each node serves Theta(log|V|) entries on average (Section
@@ -117,7 +124,7 @@ class TestFullAssignment:
 
     def test_entries_served_by(self, h300):
         a = full_assignment(h300)
-        servers = a.servers
+        servers = server_map(a)
         some_server = next(iter(servers.values()))
         entries = a.entries_served_by(some_server)
         assert set(entries) == {k for k, s in servers.items() if s == some_server}
@@ -125,7 +132,7 @@ class TestFullAssignment:
 
     def test_naive_assignment_runs(self, h300):
         a = full_assignment(h300, hash_fn="naive")
-        assert type(a) is ServerAssignment  # no chains: never patched
+        assert type(a) is ServerAssignment
         assert_naive_matches_oracle(h300, a)
 
 
@@ -139,12 +146,29 @@ class TestLoadBalanceComparison:
         assert max(ren.values()) < max(nai.values())
 
 
-class TestChainedAssignment:
-    """Incremental CHLM: chains + dirty-cluster patching.
+def assert_cells_are_recorded(h, assignment):
+    """Every cell the rendezvous descents over ``h`` consulted, as
+    ``_DescentCells`` reads it back from ``assignment``'s servers,
+    equals the one the recording descent kept — every (level, depth),
+    depth 0 being the server."""
+    chains = recorded_chains(h)
+    assert sorted(chains) == sorted(assignment.tables)
+    cells = _DescentCells(h, assignment.tables)
+    for level, chain in chains.items():
+        assert sorted(chain) == list(range(min(level, h.num_levels) + 1))
+        for depth, recorded in chain.items():
+            assert np.array_equal(cells(level, depth), recorded), (level, depth)
+            rows = np.arange(0, recorded.size, 3)
+            assert np.array_equal(cells(level, depth, rows), recorded[rows])
 
-    The rendezvous ``full_assignment`` records the chains its descent
-    consumed, and ``patch_assignment`` must keep equality with a fresh
-    ``full_assignment`` over churn while only re-descending dirty rows."""
+
+class TestChainedAssignment:
+    """Incremental CHLM: descent chains + dirty-cluster patching.
+
+    The chain a rendezvous descent consumed is read back from its server
+    (``_DescentCells``) rather than stored, and ``patch_assignment``
+    must keep equality with a fresh ``full_assignment`` over churn while
+    only re-descending dirty rows."""
 
     def _snapshots(self, seed, steps=6, n=120, drift=0.6):
         from repro.geometry import disc_for_density
@@ -163,21 +187,17 @@ class TestChainedAssignment:
         return out
 
     def test_chains_match_full_assignment(self):
-        from repro.core import ChainedAssignment
-
         for h in self._snapshots(seed=0, steps=2):
             chained = full_assignment(h, "rendezvous")
-            assert isinstance(chained, ChainedAssignment)
-            assert sorted(chained.chains) == sorted(chained.tables)
-            for level, chain in chained.chains.items():
-                real = min(level, h.num_levels)
-                assert sorted(chain) == list(range(1, real + 1))
+            chains = recorded_chains(h)
+            for level, chain in chains.items():
                 if level <= h.num_levels:
                     assert np.array_equal(chain[level], h.ancestry(level))
                 # Each recorded cell is a level-`depth` cluster id.
                 for depth, cells in chain.items():
                     assert np.isin(cells, h.levels[depth].node_ids).all()
-            servers = chained.servers
+            assert_cells_are_recorded(h, chained)
+            servers = server_map(chained)
             for subject in (0, 17, 119):
                 for level in chained.tables:
                     assert servers[(subject, level)] == select_server(
@@ -197,10 +217,8 @@ class TestChainedAssignment:
             prev_tables = chained.tables
             chained, dirty_rows = patch_assignment(chained, h, delta)
             ref = full_assignment(h, "rendezvous")
-            assert chained.servers == ref.servers
-            for level, chain in ref.chains.items():
-                for depth, cells in chain.items():
-                    assert np.array_equal(chained.chains[level][depth], cells)
+            assert server_map(chained) == server_map(ref)
+            assert_cells_are_recorded(h, chained)
             # Dirty rows are sound: every row whose server actually
             # changed is flagged.
             for level, table in ref.tables.items():
@@ -218,32 +236,84 @@ class TestChainedAssignment:
             patch_assignment(chained, h, compute_delta(None, h))
 
 
+class TestDescentCells:
+    """``_DescentCells`` reads every cell of every rendezvous descent
+    back from the servers; the recording descent (``recorded_chains``)
+    is its oracle, over every (level, depth)."""
+
+    @pytest.mark.parametrize("seed,max_levels", [(0, None), (3, 2), (5, 4)])
+    def test_memoryless_hierarchies(self, seed, max_levels):
+        """Drifting unit-disk networks; ``max_levels=2`` caps the top
+        level, so the global stage picks among many nodes."""
+        n, density = 200, 0.02
+        r_tx = radius_for_degree(9.0, density)
+        rng = np.random.default_rng(seed)
+        pts = disc_for_density(n, density).sample(n, rng)
+        for _ in range(4):
+            h = build_hierarchy(np.arange(n), unit_disk_edges(pts, r_tx),
+                                max_levels=max_levels, level_mode="radio",
+                                positions=pts, r0=r_tx)
+            assert_cells_are_recorded(h, full_assignment(h))
+            pts = pts + rng.normal(scale=1.5, size=pts.shape)
+        if max_levels == 2:
+            assert h.levels[-1].node_ids.size > 5
+
+    def test_persistent_hierarchies(self):
+        """Minted cluster IDs >= 10^7: the ancestries the cells are read
+        from hold IDs no base node has."""
+        from repro.hierarchy.persistent import PersistentHierarchyMaintainer
+
+        n, density = 150, 0.02
+        r_tx = radius_for_degree(9.0, density)
+        rng = np.random.default_rng(8)
+        pts = disc_for_density(n, density).sample(n, rng)
+        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=r_tx)
+        for _ in range(6):
+            h = maintainer.update(np.arange(n), unit_disk_edges(pts, r_tx),
+                                  positions=pts)
+            assert int(h.levels[1].node_ids.min()) >= 10**7
+            assert_cells_are_recorded(h, full_assignment(h))
+            pts = pts + rng.normal(scale=0.7, size=pts.shape)
+
+    def test_singleton_clusters_and_the_global_level(self):
+        """Singleton cells at depths 1 and 2, a one-node top level (the
+        global stage has one candidate), and a one-level hierarchy whose
+        only LM level is the virtual global one."""
+        cid = 10**7
+        for top in ([2 * cid] * 3 + [2 * cid + 7], [2 * cid] * 4):
+            h = cid_hierarchy(
+                [cid + 1, cid + 2, cid + 2, cid + 3, cid + 3, cid + 3, cid + 4],
+                top)
+            assert_cells_are_recorded(h, full_assignment(h))
+        h = build_hierarchy([1, 2, 5], [[1, 2]])
+        assert h.num_levels == 1 and lm_levels(h) == 2
+        assert_cells_are_recorded(h, full_assignment(h))
+
+
 def assert_patch_equals_rebuild(prev, h, delta):
     """Patch ``prev`` onto ``h`` and require the result to be
-    ``full_assignment(h)`` — every table, every ``chains[level][depth]``
-    array — with the dirty rows exactly the rows whose server differs,
-    and nothing of ``prev`` written in place."""
+    ``full_assignment(h)`` — every table, and so every cell its descents
+    consulted, read back (``_DescentCells``) equal to the recording
+    descent's — with the dirty rows exactly the rows whose server
+    differs, the columns of the other levels shared with ``prev``, and
+    nothing of ``prev`` written in place."""
     from repro.core import patch_assignment
 
     before_tables = {lvl: t.copy() for lvl, t in prev.tables.items()}
-    before_chains = {lvl: {d: c.copy() for d, c in chain.items()}
-                     for lvl, chain in prev.chains.items()}
     patched, dirty_rows = patch_assignment(prev, h, delta)
     ref = full_assignment(h)
     assert sorted(patched.tables) == sorted(ref.tables)
     for level, table in ref.tables.items():
         assert np.array_equal(patched.tables[level], table)
-        assert sorted(patched.chains[level]) == sorted(ref.chains[level])
-        for depth, cells in ref.chains[level].items():
-            assert np.array_equal(patched.chains[level][depth], cells)
         changed = np.flatnonzero(before_tables[level] != table)
         assert np.array_equal(
             dirty_rows.get(level, np.empty(0, dtype=np.int64)), changed)
+        if level not in dirty_rows and level in prev.tables:
+            assert patched.tables[level] is prev.tables[level]
+    assert_cells_are_recorded(h, patched)
     assert all(rows.size for rows in dirty_rows.values())
     for level, table in before_tables.items():
         assert np.array_equal(prev.tables[level], table)
-        for depth, cells in before_chains[level].items():
-            assert np.array_equal(prev.chains[level][depth], cells)
     return patched, dirty_rows
 
 
@@ -311,7 +381,7 @@ class TestStagewisePatch:
         rng = np.random.default_rng(3)
         pts = disc_for_density(n, density).sample(n, rng)
         prev_h = chained = None
-        patched = top_changed = shared = 0
+        patched = top_changed = 0
         for _ in range(70):
             h = build_hierarchy(np.arange(n), unit_disk_edges(pts, r_tx),
                                 max_levels=3, level_mode="radio",
@@ -320,16 +390,12 @@ class TestStagewisePatch:
             if delta.full:
                 chained = full_assignment(h)
             else:
-                old = chained
                 chained, _ = assert_patch_equals_rebuild(chained, h, delta)
                 patched += 1
                 top_changed += delta.top_changed
-                shared += sum(chained.chains[lvl][d] is old.chains[lvl][d]
-                              for lvl in old.chains for d in old.chains[lvl])
             prev_h = h
             pts = pts + rng.normal(scale=0.6, size=pts.shape)
         assert patched >= 50 and 3 <= top_changed < patched
-        assert shared > 0  # untouched chain arrays are not copied
 
     def test_churn_fuzz_on_four_levels(self):
         """The depth-outer patch over mixed churn at n = 300 on four
@@ -418,8 +484,7 @@ class TestStagewisePatch:
         patched, dirty_rows = assert_patch_equals_rebuild(prev, h1, delta)
         assert dirty_rows == {}
         assert patched.tables[2] is prev.tables[2]
-        assert patched.chains[2][1] is prev.chains[2][1]
-        assert patched.chains[2][2].tolist() == [2 * cid + 5] * 6
+        assert _DescentCells(h1, patched.tables)(2, 2).tolist() == [2 * cid + 5] * 6
 
     def test_dirty_only_at_depth_one_hashes_no_upper_stage(self, monkeypatch):
         """Node 2 re-affiliating from cluster c1 = cid + 1 = {0, 1, 2} to
@@ -447,9 +512,10 @@ class TestStagewisePatch:
         assert delta.arrivals[1][1].tolist() == [2]
         assert not delta.top_changed and not delta.level_changed[2].any()
         prev = full_assignment(h0)
-        assert (prev.chains[2][1] - cid).tolist() == [2, 2, 1, 1, 1, 1]
+        cells = _DescentCells(h0, prev.tables)
+        assert (cells(2, 1) - cid).tolist() == [2, 2, 1, 1, 1, 1]
         assert prev.tables[2].tolist() == [4, 4, 0, 2, 0, 1]
-        assert (prev.chains[3][1] - cid).tolist() == [1, 2, 2, 2, 1, 2]
+        assert (cells(3, 1) - cid).tolist() == [1, 2, 2, 2, 1, 2]
         assert prev.tables[3].tolist() == [2, 4, 4, 3, 2, 3]
         rows = self._count_stage_rows(monkeypatch, h1)
         challenged = self._count_challenge_rows(monkeypatch)
@@ -486,10 +552,11 @@ class TestStagewisePatch:
         return cid_hierarchy(affiliation, [2 * cid] * 2)
 
     @staticmethod
-    def _consulting(prev, cell, depth=1):
-        """Per level, the rows whose descent consulted ``cell`` at
-        ``depth``."""
-        return {lvl: np.flatnonzero(prev.chains[lvl][depth] == cell)
+    def _consulting(h0, prev, cell, depth=1):
+        """Per level, the rows whose descent over ``h0`` consulted
+        ``cell`` at ``depth`` (``prev`` is ``full_assignment(h0)``)."""
+        cells = _DescentCells(h0, prev.tables)
+        return {lvl: np.flatnonzero(cells(lvl, depth) == cell)
                 for lvl in prev.tables}
 
     # Small cluster IDs take IdIndex's lookup table, minted ones its search.
@@ -505,13 +572,13 @@ class TestStagewisePatch:
 
         h0 = self._two_cells(cid)
         prev = full_assignment(h0)
-        in_c1 = self._consulting(prev, cid + 1)
+        in_c1 = self._consulting(h0, prev, cid + 1)
         holder = int(prev.tables[2][in_c1[2][0]])
         h1 = self._two_cells(cid, {holder: cid + 2})
         delta = compute_delta(h0, h1)
         held = {lvl: rows[prev.tables[lvl][rows] == holder]
                 for lvl, rows in in_c1.items()}
-        joined = sum(r.size for r in self._consulting(prev, cid + 2).values())
+        joined = sum(r.size for r in self._consulting(h0, prev, cid + 2).values())
         rows = self._count_stage_rows(monkeypatch, h1)
         challenged = self._count_challenge_rows(monkeypatch)
         patch_assignment(prev, h1, delta)
@@ -533,13 +600,13 @@ class TestStagewisePatch:
 
         h0 = self._two_cells(cid)
         prev = full_assignment(h0)
-        served = {int(s) for lvl, rows in self._consulting(prev, cid + 1).items()
+        served = {int(s) for lvl, rows in self._consulting(h0, prev, cid + 1).items()
                   for s in prev.tables[lvl][rows]}
         idle = [v for v in range(5) if v not in served]
         assert idle
         h1 = self._two_cells(cid, {idle[0]: cid + 2})
         delta = compute_delta(h0, h1)
-        joined = sum(r.size for r in self._consulting(prev, cid + 2).values())
+        joined = sum(r.size for r in self._consulting(h0, prev, cid + 2).values())
         rows = self._count_stage_rows(monkeypatch, h1)
         challenged = self._count_challenge_rows(monkeypatch)
         patch_assignment(prev, h1, delta)
@@ -547,7 +614,7 @@ class TestStagewisePatch:
         assert rows == {}
         assert challenged == [(joined, 1)]
         patched, _ = assert_patch_equals_rebuild(prev, h1, delta)
-        for lvl, r in self._consulting(prev, cid + 1).items():
+        for lvl, r in self._consulting(h0, prev, cid + 1).items():
             assert np.array_equal(patched.tables[lvl][r], prev.tables[lvl][r])
 
     @ids_both_ways
@@ -566,7 +633,7 @@ class TestStagewisePatch:
             h1 = self._two_cells(cid, {arrival: cid + 1})
             patched, _ = assert_patch_equals_rebuild(
                 prev, h1, compute_delta(h0, h1))
-            for lvl, rows in self._consulting(prev, cid + 1).items():
+            for lvl, rows in self._consulting(h0, prev, cid + 1).items():
                 for r in rows.tolist():
                     holder = int(prev.tables[lvl][r])
                     won = rendezvous_choice(
@@ -588,7 +655,7 @@ class TestStagewisePatch:
         assert delta.dirty_cells[1].tolist() == [cid + 1, cid + 2]
         assert delta.arrivals[1][0].tolist() == [0, 2, 2]
         assert delta.arrivals[1][1].tolist() == [5, 6]
-        stayed = sum(r.size for r in self._consulting(prev, cid + 1).values())
+        stayed = sum(r.size for r in self._consulting(h0, prev, cid + 1).values())
         challenged = self._count_challenge_rows(monkeypatch)
         assert_patch_equals_rebuild(prev, h1, delta)
         assert challenged == [(stayed, 2)]
@@ -643,8 +710,9 @@ class TestStagewisePatch:
         assert challenged[0] == (16, 1)  # depth 2: 8 subjects x levels 2, 3
         patched, _ = assert_patch_equals_rebuild(prev, h1, delta)
         expect = {}
+        cells = _DescentCells(h1, patched.tables)
         for lvl in prev.tables:
-            now = patched.chains[lvl][1]
+            now = cells(lvl, 1)
             lost = (now == cid + 2) & np.isin(prev.tables[lvl], [6, 7])
             count = int(np.count_nonzero((now == cid + 3) | lost))
             if count:
@@ -667,7 +735,7 @@ class TestStagewisePatch:
         assert delta.dirty_cells[2].tolist() == [2 * cid]
         assert delta.arrivals[2][1].size == 0
         prev = full_assignment(h0)
-        held = {lvl: r.size for lvl, r in self._consulting(prev, cid + 3).items()}
+        held = {lvl: r.size for lvl, r in self._consulting(h0, prev, cid + 3).items()}
         assert any(held.values())
         rows = self._count_stage_rows(monkeypatch, h1)
         patch_assignment(prev, h1, delta)
@@ -677,8 +745,11 @@ class TestStagewisePatch:
         assert_patch_equals_rebuild(prev, h1, delta)
 
     def test_unknown_cluster_still_raises(self):
-        """A recorded chain pointing at a cluster the partition lacks is
-        caught on the rows that get hashed."""
+        """A recorded cell the partition lacks is caught on the rows that
+        get hashed: a forged delta claims ``h`` follows a hierarchy whose
+        cell c9 = cid + 9 (nodes 0..2) only went dirty, where ``h`` has
+        no such cluster, so the holders in c9 "left" it and re-hash
+        there."""
         import dataclasses
 
         from repro.core import patch_assignment
@@ -686,14 +757,12 @@ class TestStagewisePatch:
 
         cid = 10**7
         h = cid_hierarchy([cid + 1] * 3 + [cid + 2] * 3, [2 * cid, 2 * cid])
-        prev = full_assignment(h)
-        bogus = prev.chains[2][1].copy()
-        bogus[0] = cid + 9
-        prev = dataclasses.replace(
-            prev, chains={**prev.chains, 2: {**prev.chains[2], 1: bogus}})
-        delta = compute_delta(h, h)
+        forged = cid_hierarchy([cid + 9] * 3 + [cid + 2] * 3, [2 * cid, 2 * cid])
+        prev = full_assignment(forged)
+        delta = dataclasses.replace(compute_delta(h, h), h0=forged)
         delta.dirty_cells[1] = np.array([cid + 9])
         delta.arrivals[1] = (np.array([0, 0]), np.empty(0, dtype=np.int64))
+        assert (_DescentCells(forged, prev.tables)(2, 1) == cid + 9).any()
         with pytest.raises(KeyError, match="cluster the partition lacks"):
             patch_assignment(prev, h, delta)
 
@@ -863,7 +932,7 @@ class TestRendezvousKernel:
         monkeypatch.setattr(
             "repro.core.hashing.mix64",
             lambda x, out=None: np.zeros_like(np.asarray(x, dtype=np.uint64)))
-        servers = full_assignment(h300).servers
+        servers = server_map(full_assignment(h300))
         for subject in range(0, 300, 23):
             for level in range(2, lm_levels(h300) + 1):
                 assert servers[(subject, level)] == select_server(

@@ -11,6 +11,7 @@ from repro.hierarchy import (
     PersistentLevelMaintainer,
 )
 from repro.radio import radius_for_degree, unit_disk_edges
+from tests.core.descent_oracle import server_map
 
 DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
@@ -162,8 +163,9 @@ class TestHierarchyMaintainer:
             h = m.update(np.arange(n), edges, positions=pts)
             a = full_assignment(h)
             # Servers are physical nodes, never cids.
-            assert all(0 <= srv < n for srv in a.servers.values())
-            assert len(a.servers) == n * (lm_levels(h) - 1)
+            servers = server_map(a)
+            assert all(0 <= srv < n for srv in servers.values())
+            assert len(servers) == n * (lm_levels(h) - 1)
             engine.observe(h, hop)
 
 

@@ -16,6 +16,7 @@ from repro.mobility import RandomWaypoint
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.routing import ForwardingFabric
 from repro.sim import BfsHops, Scenario, run_scenario
+from tests.core.descent_oracle import server_map
 
 
 DENSITY = 0.02
@@ -66,8 +67,8 @@ class TestStaticPipeline:
     def test_database_and_assignment_agree(self, net):
         *_, h = net
         a = full_assignment(h)
-        assert sum(a.load().values()) == len(a.servers)
-        assert len(a.servers) == 250 * (lm_levels(h) - 1)
+        assert sum(a.load().values()) == len(server_map(a))
+        assert len(server_map(a)) == 250 * (lm_levels(h) - 1)
 
     def test_server_load_balance(self, net):
         *_, h = net
@@ -136,5 +137,5 @@ class TestScaleSanity:
         pts1, r1, e1, h_small = deploy(80, seed=5)
         assert lm_levels(h_small) >= 2
         a = full_assignment(h_small)
-        subjects = {s for s, _ in a.servers}
+        subjects = {s for s, _ in server_map(a)}
         assert subjects == set(range(80))

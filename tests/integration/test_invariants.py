@@ -14,6 +14,7 @@ from repro.geometry import disc_for_density
 from repro.hierarchy import build_hierarchy
 from repro.mobility import RandomWaypoint
 from repro.radio import radius_for_degree, unit_disk_edges
+from tests.core.descent_oracle import server_map
 from tests.core.events_oracle import migration_events
 
 DENSITY = 0.02
@@ -39,7 +40,7 @@ class TestServerPlacementInvariant:
         subject's cluster — the property queries depend on."""
         for h in trajectory(100, seed=11, steps=6):
             a = full_assignment(h)
-            for (subject, level), server in a.servers.items():
+            for (subject, level), server in server_map(a).items():
                 if level > h.num_levels:
                     continue  # global level: whole network
                 members = h.members0(level, h.cluster_of(subject, level))
@@ -50,7 +51,7 @@ class TestServerPlacementInvariant:
             a = full_assignment(h)
             expected_levels = set(range(2, lm_levels(h) + 1))
             per_subject: dict[int, set[int]] = {}
-            for (subject, level) in a.servers:
+            for (subject, level) in server_map(a):
                 per_subject.setdefault(subject, set()).add(level)
             for v in range(80):
                 assert per_subject.get(v, set()) == expected_levels
@@ -110,4 +111,4 @@ def test_assignment_pure_function_property(seed):
                         level_mode="radio", positions=pts, r0=R_TX)
     a = full_assignment(h)
     b = full_assignment(h)
-    assert a.servers == b.servers
+    assert server_map(a) == server_map(b)

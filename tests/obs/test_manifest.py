@@ -50,6 +50,23 @@ class TestRunManifest:
         man = RunManifest.from_result(res)
         assert man.wall_seconds == 0.0
         assert man.phases == {}
+        assert man.peak_rss_mb == 0.0
+
+    def test_profiled_run_records_the_process_peak_rss(self, profiled_result):
+        """The peak is read once, at the end of the run, from
+        ``ru_maxrss``: at least this process's footprint, and no more
+        than its peak now."""
+        resource = pytest.importorskip("resource")
+        man = RunManifest.from_result(profiled_result)
+        assert man.peak_rss_mb == profiled_result.timings.peak_rss_mb
+        now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert 10 < man.peak_rss_mb <= now
+
+    def test_manifest_without_peak_rss_reads_back(self, profiled_result):
+        """A manifest written before the peak was recorded loads with 0."""
+        old = RunManifest.from_result(profiled_result).to_dict()
+        del old["peak_rss_mb"]
+        assert RunManifest.from_dict(old).peak_rss_mb == 0.0
 
     def test_json_round_trip(self, profiled_result):
         man = RunManifest.from_result(profiled_result)

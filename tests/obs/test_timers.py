@@ -45,13 +45,34 @@ class TestAccumulation:
         assert a.steps == 3
         assert a.wall_seconds == pytest.approx(4.0)
 
+    def test_merge_keeps_the_larger_peak_rss(self):
+        a = StepTimings(peak_rss_mb=80.0)
+        a.merge(StepTimings(peak_rss_mb=120.0))
+        a.merge(StepTimings(peak_rss_mb=90.0))
+        assert a.peak_rss_mb == 120.0
+
+    def test_note_peak_rss_keeps_the_larger(self):
+        pytest.importorskip("resource")
+        t = StepTimings()
+        t.note_peak_rss()
+        assert t.peak_rss_mb > 10
+        t.peak_rss_mb = 1e9
+        t.note_peak_rss()
+        assert t.peak_rss_mb == 1e9
+
 
 class TestSerialization:
     def test_dict_round_trip(self):
         t = StepTimings(totals={"mobility": 1.25, "handoff": 0.5},
-                        steps=7, wall_seconds=2.5)
+                        steps=7, wall_seconds=2.5, peak_rss_mb=97.5)
         again = StepTimings.from_dict(t.to_dict())
         assert again == t
+
+    def test_timings_without_peak_rss_load(self):
+        """Timings written before the peak was recorded load with 0."""
+        old = StepTimings(totals={"mobility": 1.0}, steps=1).to_dict()
+        del old["peak_rss_mb"]
+        assert StepTimings.from_dict(old).peak_rss_mb == 0.0
 
     def test_from_dict_defaults(self):
         assert StepTimings.from_dict({}) == StepTimings()
