@@ -61,6 +61,31 @@ __all__ = ["HandoffReport", "HandoffEngine"]
 HopFn = Callable[[int, int], int]
 
 
+def _moved_entries(rows: dict, old_tables: dict, new_tables: dict,
+                   absent: np.ndarray):
+    """The candidate ``rows`` (per level; ``None``: every row) whose
+    server moved to a holder, concatenated in ascending level order:
+    ``(levels, sizes, idx, old, new)`` — row, outgoing and incoming
+    server — or ``None`` when none moved.  The per-level pieces die
+    here, before the caller charges the transfers."""
+    chunks = []
+    for level in sorted(rows):
+        idx = rows[level]
+        old = old_tables.get(level, absent)
+        new = new_tables.get(level, absent)
+        if idx is None:
+            idx = ((old != new) & (new >= 0)).nonzero()[0]
+        else:
+            idx = idx[(old[idx] != new[idx]) & (new[idx] >= 0)]
+        if idx.size:
+            chunks.append((level, idx, old[idx], new[idx]))
+    if not chunks:
+        return None
+    levels, idx, old, new = zip(*chunks)
+    return (levels, [i.size for i in idx],
+            *map(np.concatenate, (idx, old, new)))
+
+
 @dataclass(frozen=True)
 class HandoffReport:
     """Packet accounting for one step.
@@ -226,26 +251,13 @@ class HandoffEngine:
                     rows.get(level, absent[:0]), row_of(held)
                 )
 
-        # Per level: the entries whose server moved.
-        chunks = []
-        for level in sorted(rows):
-            idx = rows[level]
-            old = a0.tables.get(level, absent)
-            new = assignment.tables.get(level, absent)
-            if idx is None:
-                idx = ((old != new) & (new >= 0)).nonzero()[0]
-            else:
-                idx = idx[(old[idx] != new[idx]) & (new[idx] >= 0)]
-            if idx.size:
-                chunks.append((level, idx, old[idx], new[idx]))
         # All levels at once: the clamped hop count of each transfer (from
         # the subject for a fresh placement on a level the hierarchy just
         # grew) and its cause.  ``moves`` views each level's slice.
         moves: dict[int, tuple] = {}
-        if chunks:
-            levels, idx, old, new = zip(*chunks)
-            sizes = [i.size for i in idx]
-            idx, old, new = map(np.concatenate, (idx, old, new))
+        moved = _moved_entries(rows, a0.tables, assignment.tables, absent)
+        if moved is not None:
+            levels, sizes, idx, old, new = moved
             fresh = old < 0
             sender = np.where(fresh, base[idx], old)
             hops = np.maximum(batch_hops(hop_fn, sender, new), 0)

@@ -3,8 +3,10 @@
 Both the hierarchy statistics (h_k estimation) and the routing layer need
 many unweighted shortest-path queries per simulation step, on graphs from
 a few hundred to 10^5 nodes.  NetworkX is convenient but allocates
-heavily; :class:`CompactGraph` keeps the adjacency as two CSR arrays and
-serves distance queries three ways:
+heavily; :class:`CompactGraph` keeps the adjacency as two CSR arrays —
+int64 offsets and one read-only int32 neighbor list, which is also the
+``indices`` of its scipy view, so scipy never holds a copy — and serves
+distance queries three ways:
 
 * whole rows from a few sources: one scipy C-level BFS per source, its
   visit order and BFS-tree predecessors decoded into hop counts by
@@ -18,7 +20,8 @@ serves distance queries three ways:
   :data:`SWEEP_NODES` runs every source in one bit-parallel sweep and
   above it takes one scipy row per whole row and one
   :func:`_scoped_flood` per level, stopped once the columns it reads
-  are filled; a whole row that spans the giant component records it.
+  are filled and summed before the next starts; a whole row that spans
+  the giant component records it.
 
 :class:`IdIndex` is the ID -> row compaction itself, for the layers that
 map sorted level or cluster IDs to array rows without building a graph
@@ -106,6 +109,15 @@ class IdIndex:
         return self.rows(values) >= 0
 
 
+def _canonical(ui: np.ndarray, vi: np.ndarray, n: int) -> bool:
+    """Whether edge rows ``(ui, vi)`` of an ``n``-node graph list every
+    edge once as ``u < v`` in strictly ascending ``(u, v)`` order."""
+    if not np.all(ui < vi):
+        return False
+    keys = ui * n + vi
+    return bool(np.all(keys[1:] > keys[:-1]))
+
+
 class CompactGraph:
     """Immutable adjacency-list graph over arbitrary integer IDs.
 
@@ -122,41 +134,60 @@ class CompactGraph:
     the first time a whole BFS row reaches more than half the nodes.
     Class-level default and never pickled, like ``_index``."""
 
+    _sparse = None
+    """Lazy scipy CSR view (:meth:`sparse`).  Class-level default and
+    never pickled: a restored graph rebuilds it over its own neighbor
+    list rather than carrying a copy."""
+
     def __init__(self, node_ids, edges):
         self.node_ids = sorted_unique_ids(node_ids)
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n = self.node_ids.size
-        ui, vi = self._rows(e[:, 0]), self._rows(e[:, 1])
-        if e.size and (ui.min() < 0 or vi.min() < 0):
+        if n >= 1 << 31:
+            raise ValueError(f"{n} nodes: int32 neighbor lists hold < 2**31")
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if n and self.node_ids[0] == 0 and self.node_ids[-1] == n - 1:
+            # IDs 0..n-1 are their own rows: no gather, a range check.
+            ui, vi = e[:, 0], e[:, 1]
+            unknown = e.size and (e.min() < 0 or e.max() >= n)
+        else:
+            ui, vi = self._rows(e[:, 0]), self._rows(e[:, 1])
+            unknown = e.size and (ui.min() < 0 or vi.min() < 0)
+        if unknown:
             raise ValueError("edges reference ids not in node_ids")
         # Canonical edges (u < v, strictly ascending keys: every unit-disk
         # edge array and every subset of one) go in as they stand; others
         # are flipped to u < v, self-loops dropped, repeats merged.
-        keys = ui * n + vi
-        if not (np.all(ui < vi) and np.all(keys[1:] > keys[:-1])):
+        if not _canonical(ui, vi, n):
             lo, hi = np.minimum(ui, vi), np.maximum(ui, vi)
             ui, vi = np.divmod(np.unique((lo * n + hi)[lo < hi]), n)
         # CSR neighbor lists (neighbor order decides BFS ties and next
         # hops): node x lists row x of the edges' upper triangle, then
         # column x, scipy's CSR -> CSC conversion (a C counting sort).
+        # ``ahead`` marks the row slots of every list, so each part fills
+        # its slots in order with one masked copy.
         from scipy.sparse import csr_matrix
 
         fwd = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ui, minlength=n), out=fwd[1:])
         lower = csr_matrix((np.ones(ui.size, dtype=np.int8), vi, fwd),
                            shape=(n, n)).tocsc()
-        bwd = lower.indptr.astype(np.int64)
-        at = np.arange(ui.size)
-        self._nbr = np.empty(2 * ui.size, dtype=np.int64)
-        self._nbr[at + np.repeat(bwd[:-1], np.diff(fwd))] = vi
-        self._nbr[at + np.repeat(fwd[1:], np.diff(bwd))] = lower.indices
-        self._offsets = fwd + bwd
-        self._sparse = None  # lazy scipy CSR for C-level BFS
+        ahead = np.repeat(np.tile([True, False], n),
+                          np.column_stack((np.diff(fwd),
+                                           np.diff(lower.indptr))).ravel())
+        self._nbr = np.empty(2 * ui.size, dtype=np.int32)
+        self._nbr[ahead] = vi
+        self._nbr[~ahead] = lower.indices
+        self._nbr.flags.writeable = False
+        self._offsets = fwd + lower.indptr
         self._components = None  # lazy per-node component labels
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("_index", "_giant")}
+                if k not in ("_index", "_giant", "_sparse")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._nbr.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -202,6 +233,8 @@ class CompactGraph:
         converts its input to — ``float64`` data, ``int32`` indices — so
         their validation passes it through instead of copying the data
         on every call (an ``int8`` view cost 10 ms per BFS at n = 1e5).
+        Its ``indices`` *are* the graph's read-only neighbor list, not a
+        copy: a routine that tried to reorder them in place would raise.
         Every neighbor is listed once (the constructor canonicalises),
         which scipy's strong-components traversal needs: it never
         returns on a CSR that lists a neighbor twice.
@@ -211,8 +244,7 @@ class CompactGraph:
 
             data = np.ones(self._nbr.size, dtype=np.float64)
             self._sparse = csr_matrix(
-                (data, self._nbr.astype(np.int32),
-                 self._offsets.astype(np.int32)),
+                (data, self._nbr, self._offsets.astype(np.int32)),
                 shape=(self.n, self.n),
             )
         return self._sparse
@@ -326,9 +358,11 @@ def hop_sums(g: CompactGraph, sources_idx: np.ndarray, targets: list,
         for group in np.unique(groups[scoped]):
             block = scoped[groups[scoped] == group]
             block_targets = [targets[i] for i in block]
-            rows = _scoped_flood(g, sources_idx[block], block_targets,
-                                 labels)
-            t, c = _row_sums(rows, block_targets, groups[block], n_groups)
+            # The flood goes straight into its sums, so one group's rows
+            # are alive at a time.
+            t, c = _row_sums(
+                _scoped_flood(g, sources_idx[block], block_targets, labels),
+                block_targets, groups[block], n_groups)
             totals += t
             counts += c
     return totals, counts
@@ -485,11 +519,16 @@ def _scoped_flood(g: CompactGraph, sources_idx: np.ndarray,
     unreachable keeps its label only until the source's own (small)
     component is exhausted.  BFS discovers nodes in distance order, so
     every filled cell is the exact distance.
+
+    The distances are int32 whenever a level's dedup tags (one per
+    gathered neighbor slot, at most ``n_labels`` times the CSR's size)
+    fit it, which is every graph this runs on.
     """
     n = g.n
     offsets, nbr = g._offsets, g._nbr
     n_labels = sources_idx.size
-    dist = np.full(n_labels * n, -1, dtype=np.int64)
+    dtype = np.int32 if n_labels * nbr.size < 1 << 31 else np.int64
+    dist = np.full(n_labels * n, -1, dtype=dtype)
     needed = np.zeros(n_labels * n, dtype=bool)
     for j, t in enumerate(targets_idx):
         needed[j * n + t[labels[t] == labels[sources_idx[j]]]] = True
@@ -514,7 +553,7 @@ def _scoped_flood(g: CompactGraph, sources_idx: np.ndarray,
         keys = keys[dist[keys] < 0]
         # One frontier entry per newly reached cell: tag each cell with
         # the position of its last occurrence, keep that occurrence.
-        tag = np.arange(keys.size, dtype=np.int64)
+        tag = np.arange(keys.size, dtype=dtype)
         dist[keys] = tag
         keys = keys[dist[keys] == tag]
         dist[keys] = level

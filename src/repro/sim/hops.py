@@ -15,6 +15,8 @@ transmissions along its route.  Two providers:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.graphs import SOURCE_BLOCK, CompactGraph, hop_dtype, hop_rows
@@ -88,26 +90,41 @@ class EuclideanHops:
         self._detour = float(detour)
 
     def __call__(self, u: int, v: int) -> int:
+        """:meth:`batch` for one pair, in Python floats: the same IEEE
+        operations in the same order, so the same count.  (A BLAS dot,
+        as in ``np.linalg.norm``, may fuse the multiply-add and round
+        once, which moves ``ceil`` for pairs a whole number of hops
+        apart.)"""
         if u == v:
             return 0
-        d = float(np.linalg.norm(self._pts[u] - self._pts[v]))
-        return max(int(np.ceil(self._detour * d / self._r)), 1)
+        (xu, yu), (xv, yv) = self._pts[u].tolist(), self._pts[v].tolist()
+        dx, dy = xu - xv, yu - yv
+        d = math.sqrt(dx * dx + dy * dy)
+        return max(math.ceil(self._detour * d / self._r), 1)
 
     def batch(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized estimator for aligned ID arrays.
 
-        ``sqrt(dx*dx + dy*dy)`` runs the identical IEEE operation
-        sequence as the scalar ``np.linalg.norm`` on a 2-vector, so the
-        results are bit-identical, not merely close."""
+        ``sqrt(dx*dx + dy*dy)``, ``* detour``, ``/ r_tx``, ``ceil``,
+        ``max 1`` is the scalar call's IEEE operation sequence, so the
+        results are bit-identical, not merely close.  It runs in place
+        over two work arrays, ``d`` and ``w``, so a call holds about
+        three pair-sized arrays at once rather than ten."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        pu = self._pts[us]
-        pv = self._pts[vs]
-        dx = pu[:, 0] - pv[:, 0]
-        dy = pu[:, 1] - pv[:, 1]
-        dist = np.sqrt(dx * dx + dy * dy)
-        hops = np.maximum(
-            np.ceil(self._detour * dist / self._r), 1.0
-        ).astype(np.int64)
+        pts = self._pts
+        d = pts[us, 0]
+        d -= pts[vs, 0]
+        d *= d
+        w = pts[us, 1]
+        w -= pts[vs, 1]
+        w *= w
+        d += w
+        np.sqrt(d, out=d)
+        d *= self._detour
+        d /= self._r
+        np.ceil(d, out=d)
+        np.maximum(d, 1.0, out=d)
+        hops = d.astype(np.int64)
         hops[us == vs] = 0
         return hops

@@ -221,6 +221,34 @@ class TestBatchHops:
         for i in range(500):
             assert got[i] == hop_fn(int(us[i]), int(vs[i]))
 
+    @pytest.mark.parametrize("r_tx,detour", [(2.5, 1.3), (1.0, 1.0),
+                                              (0.7, 1.7)])
+    def test_euclidean_bit_identical_at_hop_boundaries(self, r_tx, detour):
+        """Pairs whose ``detour * distance / r_tx`` is a whole number,
+        give or take the last bit, are where ``ceil`` reads every
+        rounding of the in-place sequence; ``u == v`` reads 0, and
+        coincident distinct nodes 1."""
+        step = r_tx / detour
+        k = np.arange(40)
+        angle = np.linspace(0.0, np.pi / 2, 7)
+        ring = (k[:, None, None] * step * np.stack(
+            (np.cos(angle), np.sin(angle)), axis=-1)[None]).reshape(-1, 2)
+        origin = np.array([[3.0, -1.0]])
+        pts = np.concatenate((origin, origin + ring, origin))
+        hop_fn = EuclideanHops(pts, r_tx, detour=detour)
+        last = len(pts) - 1
+        us = np.concatenate((np.zeros(len(pts), np.int64), np.arange(last)))
+        vs = np.concatenate((np.arange(len(pts)), np.arange(last)))
+        got = hop_fn.batch(us, vs)
+        want = [hop_fn(int(u), int(v)) for u, v in zip(us, vs)]
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert got[len(pts):].tolist() == [0] * last
+        assert got[0] == 0 and got[last] == 1  # u == v; coincident
+        # The multiples land on both sides of the integers.
+        dx, dy = (pts[1:-1] - origin).T
+        ratio = detour * np.sqrt(dx * dx + dy * dy) / r_tx
+        assert (ratio > k.repeat(7)).any() and (ratio < k.repeat(7)).any()
+
     def test_bfs_matches_and_flags_unreachable(self):
         # two disconnected components -> -1 across the cut
         edges = np.array([[0, 1], [1, 2], [3, 4]])

@@ -9,11 +9,14 @@ from repro.hierarchy import build_hierarchy, hierarchy_stats, sample_hop_counts
 from repro.radio import radius_for_degree, unit_disk_edges
 
 
-def make(n, seed=0, density=0.02, degree=9.0):
+def deployment_edges(n, seed=0, density=0.02, degree=9.0):
     region = disc_for_density(n, density)
-    rng = np.random.default_rng(seed)
-    pts = region.sample(n, rng)
-    edges = unit_disk_edges(pts, radius_for_degree(degree, density))
+    pts = region.sample(n, np.random.default_rng(seed))
+    return unit_disk_edges(pts, radius_for_degree(degree, density))
+
+
+def make(n, seed=0, density=0.02, degree=9.0):
+    edges = deployment_edges(n, seed, density, degree)
     g = CompactGraph(np.arange(n), edges)
     h = build_hierarchy(np.arange(n), edges)
     return g, h
@@ -109,15 +112,16 @@ class TestHopCounts:
         monkeypatch.setattr(repro.graphs, "_bitset_bfs",
                             lambda *a: sweeps.append(a) or real(*a))
 
+        ids, edges = np.arange(n), deployment_edges(n, seed, degree=degree)
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         assert sample_hop_counts(g, rng_a, n_sources=0, h=h) == \
-            hop_counts_per_source(g, rng_b, n_sources=0, h=h)
+            hop_counts_per_source(ids, edges, rng_b, n_sources=0, h=h)
         assert sample_hop_counts(g, rng_a, n_sources=8) == \
-            hop_counts_per_source(g, rng_b, n_sources=8)
+            hop_counts_per_source(ids, edges, rng_b, n_sources=8)
         got = sample_hop_counts(g, rng_a, n_sources=8, h=h,
                                 clusters_per_level=6, sources_per_cluster=2)
         assert got == hop_counts_per_source(
-            g, rng_b, n_sources=8, h=h, clusters_per_level=6,
+            ids, edges, rng_b, n_sources=8, h=h, clusters_per_level=6,
             sources_per_cluster=2)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert got[0] > 1 and any(v > 0 for v in got[1].values())

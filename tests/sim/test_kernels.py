@@ -228,10 +228,10 @@ class TestGiantShortcut:
         assert len(calls) == fragmented
         monkeypatch.undo()
 
-        fresh = CompactGraph(np.arange(n), edges)
         assert got == hop_counts_per_source(
-            fresh, rng_b, n_sources=8, h=h, clusters_per_level=6,
-            sources_per_cluster=2)
+            np.arange(n), edges, rng_b, n_sources=8, h=h,
+            clusters_per_level=6, sources_per_cluster=2)
+        fresh = CompactGraph(np.arange(n), edges)
         sizes = np.bincount(fresh.components())
         assert type(frac) is float and frac == sizes.max() / n
         assert (2 * sizes.max() <= n) == fragmented

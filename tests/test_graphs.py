@@ -1,5 +1,7 @@
 """Tests for the compact graph kernels."""
 
+from types import SimpleNamespace
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -129,8 +131,9 @@ def _canonical(edges):
 
 class TestCsrLayoutOracle:
     """Neighbor order is observable (BFS tie-breaks, next hops): the
-    one-transpose build must reproduce the COO route's layout byte for
-    byte on canonical edges, and canonicalise anything else first."""
+    one-transpose build must reproduce the COO route's layout value for
+    value on canonical edges, and canonicalise anything else first.  The
+    neighbor list is int32; the IDs and offsets stay int64."""
 
     @staticmethod
     def _assert_same_layout(node_ids, edges):
@@ -138,9 +141,10 @@ class TestCsrLayoutOracle:
         want = _coo_csr(node_ids, canonical)
         for g in (CompactGraph(node_ids, edges),
                   CompactGraph(node_ids, canonical)):
-            for got, ref in zip((g.node_ids, g._nbr, g._offsets), want):
-                assert got.dtype == np.int64
-                assert got.tobytes() == ref.tobytes()
+            got = (g.node_ids, g._nbr, g._offsets)
+            assert [a.dtype for a in got] == [np.int64, np.int32, np.int64]
+            for a, ref in zip(got, want):
+                assert np.array_equal(a, ref)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(1, 30))
@@ -164,6 +168,58 @@ class TestCsrLayoutOracle:
 
     def test_no_edges(self):
         self._assert_same_layout([3, 1, 2], np.empty((0, 2)))
+
+    def test_ids_that_are_their_own_rows(self):
+        """IDs 0..n-1 skip the row lookup: same layout, and edges
+        outside the range are still refused."""
+        self._assert_same_layout(range(6), [[5, 0], [2, 1], [0, 5], [3, 3]])
+        for bad in ([[0, 6]], [[-1, 2]]):
+            with pytest.raises(ValueError, match="not in node_ids"):
+                CompactGraph(range(6), bad)
+
+
+class TestSharedNeighborList:
+    """One int32 neighbor list: the scipy view indexes it, nothing
+    writes it."""
+
+    @staticmethod
+    def _graph():
+        pts = DiscRegion(1.0).sample(400, np.random.default_rng(3))
+        return CompactGraph(np.arange(400), unit_disk_edges(pts, 0.12))
+
+    def test_scipy_view_shares_the_read_only_list(self):
+        g = self._graph()
+        a = g.sparse()
+        assert np.shares_memory(a.indices, g._nbr)
+        assert not g._nbr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.indices[0] = 0
+
+    def test_traversals_leave_the_list_unchanged(self):
+        g = self._graph()
+        before = g._nbr.tobytes()
+        repro.graphs._bfs_depths(g, 0)
+        assert np.unique(g.components()).size > 1
+        bfs_distances(g, 399)
+        assert g._nbr.tobytes() == before
+
+    def test_a_restored_graph_is_read_only_too(self):
+        import pickle
+
+        g = self._graph()
+        g.sparse()
+        restored = pickle.loads(pickle.dumps(g))
+        assert not restored._nbr.flags.writeable
+        assert np.shares_memory(restored.sparse().indices, restored._nbr)
+        assert restored._nbr.tobytes() == g._nbr.tobytes()
+
+    def test_two_to_the_31_nodes_are_refused(self, monkeypatch):
+        # A stand-in ID array reports the size, so nothing that large
+        # is allocated.
+        huge = SimpleNamespace(size=1 << 31)
+        monkeypatch.setattr(repro.graphs, "sorted_unique_ids", lambda _: huge)
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            CompactGraph(huge, [[0, 1]])
 
 
 class TestCompactGraph:
@@ -245,7 +301,7 @@ class TestScopedBFS:
     def _assert_target_columns_equal(g, sources, targets, labels=None):
         full = _rows(g, sources)
         scoped = _flood(g, sources, targets, labels)
-        assert scoped.shape == full.shape and scoped.dtype == full.dtype
+        assert scoped.shape == full.shape and scoped.dtype == np.int32
         for row_f, row_s, t in zip(full, scoped, targets):
             cols = g.index_of_many(t)
             assert np.array_equal(row_s[cols], row_f[cols])
