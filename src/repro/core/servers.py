@@ -119,19 +119,24 @@ def _subject_keys(subjects, salt) -> np.ndarray:
     return keys ^ hashing.mix64(np.asarray(salt, dtype=np.uint64))
 
 
-def _stage_rows(current: np.ndarray, partition):
-    """``(row, starts, members)``: the CSR row of each (flattened) cluster
-    in ``current`` and the partition's CSR arrays (see
-    :func:`_vectorized_rendezvous_stage` for the two partition forms)."""
+def _stage_partition(partition):
+    """``(index, starts, members)`` of a stage's partition, either form
+    (see :func:`_vectorized_rendezvous_stage`): the cluster-ID -> CSR
+    row index and the partition's CSR arrays."""
     if isinstance(partition, LazyClusters):
         index, partition = partition.index(), partition.csr()
     else:
         index = IdIndex(partition[0])
     _, starts, members = partition
+    return index, starts, members
+
+
+def _stage_rows(current: np.ndarray, index: IdIndex) -> np.ndarray:
+    """The CSR row of each (flattened) cluster in ``current``."""
     row = index.rows(current.reshape(-1))
-    if row.min() < 0:
+    if np.minimum.reduce(row) < 0:
         raise KeyError("descent entered a cluster the partition lacks")
-    return row, starts, members
+    return row
 
 
 _BLOCK_PAIRS = 1 << 14
@@ -139,6 +144,12 @@ _BLOCK_PAIRS = 1 << 14
 weights, so a block and the temporaries of its mix stay cache-resident
 (measured best between 2^13 and 2^14 at 10^3..10^5 rows) whatever the
 batch or the widest cluster."""
+
+_STAGE_ROWS = 1 << 16
+"""Rows one pass of :func:`_vectorized_rendezvous_stage` orders and
+hashes: a pass's temporaries (order, keys, candidate positions, the
+blocks) come to about 4 MiB however many rows a call names, beside the
+call's one array of CSR rows."""
 
 
 def _vectorized_rendezvous_stage(
@@ -157,8 +168,15 @@ def _vectorized_rendezvous_stage(
     index every stage through it shares, or as a bare CSR tuple ``(heads,
     starts, members)``, indexed here.
 
-    Rows are ordered by candidate count and hashed in dense blocks of at
-    most ``_BLOCK_PAIRS`` weights, laid out candidate-major as ``(width,
+    The partition, and every row's place in it, are looked up once per
+    call; the rows go through in passes of at most ``_STAGE_ROWS`` (whole
+    columns of ``current``'s last axis), and each pass's hash keys are
+    built from the columns of ``subjects`` and ``salt`` it reads (the
+    salt mixed once, on its own shape), so a pass's temporaries are its
+    own rows' only.  A row's winner depends on nothing but its row, so
+    the passes change no result.  Within a pass, rows are ordered by
+    candidate count and hashed in dense blocks of at most
+    ``_BLOCK_PAIRS`` weights, laid out candidate-major as ``(width,
     rows)``: column ``c`` of a row is its ``c``-th largest member.  One
     ``np.maximum.reduce`` over the columns gives each row's maximal
     weight, and the winner is the largest member position holding it —
@@ -168,32 +186,58 @@ def _vectorized_rendezvous_stage(
     not hashed at all.
     """
     current = np.asarray(current, dtype=np.int64)
-    out = np.empty(current.size, dtype=np.int64)
-    if out.size == 0:
-        return out.reshape(current.shape)
-    row, starts, members = _stage_rows(current, partition)
-    # Rows in a stable order of (candidates - 1), a per-cluster value kept
-    # in the narrowest unsigned type: numpy radix-sorts 8- and 16-bit keys.
-    extra = np.diff(starts) - 1
-    extra = extra.astype(np.min_scalar_type(int(extra.max())))[row]
-    order = np.argsort(extra, kind="stable")
-    extra, row = extra[order], row[order]
-    # Positions in `members` of each row's largest and smallest candidate;
-    # `last` ends up holding the winner's (for a single-member row, which
-    # the loop skips, it already does).
-    last = starts[row + 1] - 1
-    first = last - extra
-    mix64 = hashing.mix64
-    keys = _subject_keys(subjects, salt)
-    keys = np.broadcast_to(keys, current.shape).reshape(-1)[order]
+    if current.size == 0:
+        return np.empty(current.shape, dtype=np.int64)
+    index, starts, members = _stage_partition(partition)
+    # (candidates - 1) per cluster in the narrowest unsigned type: numpy
+    # radix-sorts 8- and 16-bit keys.
+    extra_of = starts[1:] - starts[:-1] - 1
+    extra_of = extra_of.astype(np.min_scalar_type(int(extra_of.max())))
     cand_keys = members.astype(np.uint64) * hashing._SALT_CAND
+    subjects = np.asarray(subjects)
+    mixed = hashing.mix64(np.asarray(salt, dtype=np.uint64))
+    rows = current if current.ndim else current.reshape(1)
+    # Which of the two vary along the rows' last axis (the rest broadcast
+    # whole into every pass).
+    sliced = [x.ndim > 0 and x.shape[-1] > 1 for x in (subjects, mixed)]
+    row = _stage_rows(rows, index).reshape(rows.shape)
+    width = max(_STAGE_ROWS * rows.shape[-1] // rows.size, 1)
+    won = []
+    for c in range(0, rows.shape[-1], width):
+        cols = slice(c, c + width)
+        part = row[..., cols]
+        keys = np.empty(part.shape, dtype=np.uint64)
+        keys[...] = subjects[..., cols] if sliced[0] else subjects
+        keys *= hashing._GOLDEN
+        keys ^= mixed[..., cols] if sliced[1] else mixed
+        won.append(_rendezvous_rows(
+            part.ravel(), keys.ravel(), starts, members, extra_of, cand_keys,
+        ).reshape(part.shape))
+    out = won[0] if len(won) == 1 else np.concatenate(won, axis=-1)
+    return out.reshape(current.shape)
+
+
+def _rendezvous_rows(row, keys, starts, members, extra_of, cand_keys):
+    """Winners of one pass of :func:`_vectorized_rendezvous_stage`: row
+    ``i`` consults CSR row ``row[i]`` with hash key ``keys[i]``.  The
+    winners are written over ``row`` (which may be a view of the call's
+    rows: a pass overwrites only its own), and it is returned."""
+    extra = extra_of[row]
+    order = extra.argsort(kind="stable")
+    extra, keys = extra[order], keys[order]
+    # Positions in `members` of each row's largest candidate; `last` ends
+    # up holding the winner's (for a single-member row, which the loop
+    # skips, it already does).
+    last = starts[1:][row[order]]
+    last -= 1
+    mix64 = hashing.mix64
     cols = np.arange(int(extra[-1]) + 1)[:, None]
-    lo = int(np.searchsorted(extra, 0, side="right"))
-    while lo < out.size:
+    lo = int(extra.searchsorted(0, side="right"))
+    while lo < row.size:
         narrowest = int(extra[lo]) + 1
         hi = lo + (_BLOCK_PAIRS // narrowest or 1)
-        if hi > out.size:
-            hi = out.size
+        if hi > row.size:
+            hi = row.size
         width = int(extra[hi - 1]) + 1
         if (hi - lo) * width > _BLOCK_PAIRS:
             hi = lo + (_BLOCK_PAIRS // width or 1)
@@ -201,7 +245,8 @@ def _vectorized_rendezvous_stage(
         highest = last[lo:hi]
         cand = highest - cols[:width]
         if narrowest < width:
-            np.maximum(cand, first[lo:hi], out=cand)
+            # Spare columns repeat the row's smallest candidate.
+            np.maximum(cand, highest - extra[lo:hi], out=cand)
         weights = cand_keys[cand]
         weights ^= keys[lo:hi]
         weights = mix64(weights, out=weights)
@@ -212,8 +257,8 @@ def _vectorized_rendezvous_stage(
                     out=cand)
         np.maximum.reduce(cand, axis=0, out=highest)
         lo = hi
-    out[order] = members[last]
-    return out.reshape(current.shape)
+    row[order] = members[last]
+    return row
 
 
 _CIRCULAR_BITS = 20
@@ -244,7 +289,8 @@ def _vectorized_circular_stage(
     current = np.asarray(current, dtype=np.int64)
     if current.size == 0:
         return np.empty(current.shape, dtype=np.int64)
-    row, starts, members = _stage_rows(current, partition)
+    index, starts, members = _stage_partition(partition)
+    row = _stage_rows(current, index)
     low = (1 << _CIRCULAR_BITS) - 1
     cluster = np.repeat(np.arange(starts.size - 1), np.diff(starts))
     keys = (cluster << _CIRCULAR_BITS) | (members & low)

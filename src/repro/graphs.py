@@ -162,23 +162,26 @@ class CompactGraph:
             ui, vi = np.divmod(np.unique((lo * n + hi)[lo < hi]), n)
         # CSR neighbor lists (neighbor order decides BFS ties and next
         # hops): node x lists row x of the edges' upper triangle, then
-        # column x, scipy's CSR -> CSC conversion (a C counting sort).
-        # ``ahead`` marks the row slots of every list, so each part fills
-        # its slots in order with one masked copy.
-        from scipy.sparse import csr_matrix
-
+        # column x, both ascending.  The columns are one sort of the
+        # edges keyed (v << 32 | u), whose low halves, read in order, are
+        # the triangle transposed.  ``ahead`` marks the row slots of
+        # every list, so each part fills its slots in order with one
+        # masked copy.
         fwd = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ui, minlength=n), out=fwd[1:])
-        lower = csr_matrix((np.ones(ui.size, dtype=np.int8), vi, fwd),
-                           shape=(n, n)).tocsc()
+        back = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(vi, minlength=n), out=back[1:])
+        col = vi << 32
+        col |= ui
+        col.sort()
         ahead = np.repeat(np.tile([True, False], n),
                           np.column_stack((np.diff(fwd),
-                                           np.diff(lower.indptr))).ravel())
+                                           np.diff(back))).ravel())
         self._nbr = np.empty(2 * ui.size, dtype=np.int32)
         self._nbr[ahead] = vi
-        self._nbr[~ahead] = lower.indices
+        self._nbr[~ahead] = col.astype(np.int32)  # wraps to the low half
         self._nbr.flags.writeable = False
-        self._offsets = fwd + lower.indptr
+        self._offsets = fwd + back
         self._components = None  # lazy per-node component labels
 
     def __getstate__(self):

@@ -2,20 +2,44 @@
 
 A bidirectional link exists between u and v iff their Euclidean distance
 is at most the transmission radius ``r_tx``.  Neighbor discovery is the
-single hottest operation of the simulator, so edges are computed with a
-``scipy.spatial.cKDTree`` (O(n log n); built unbalanced, which halves the
-build and leaves the pair set as it is), put in canonical order by one
-sort of their scalar keys (:func:`encode_edges`) and exposed as a raw
-``(m, 2)`` int array; graph algorithms run on
-:class:`~repro.graphs.CompactGraph`.
+single hottest operation of the simulator, so edges come from an exact
+cell grid in numpy (:func:`unit_disk_edges`, O(n + candidates)): points
+are binned into square cells of side just above ``r_tx``, each point is
+paired with the later points of its own cell and with the points of its
+four forward neighbour cells, and a pair is kept iff its float64 squared
+distance is at most ``r_tx ** 2``.  The kept pairs are put in canonical
+order by one sort of their scalar keys and exposed as a raw ``(m, 2)``
+int array; graph algorithms run on :class:`~repro.graphs.CompactGraph`.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.geometry.points import as_points
+
+PAIR_CHUNK = 1 << 15
+"""Candidate pairs one pass of the distance filter holds, plus at most
+one point's own: about 1.5 MiB of temporaries however many points a
+call names."""
+
+_BIAS = float(1 << 30)
+"""Added to every scaled coordinate, so cell numbers are positive and
+truncation is ``floor``; scaled coordinates stay within ``±2**29``."""
+
+# A cell key is one int64 over the two int32 cell numbers: the one in
+# the high half is the major axis, the other the minor axis (which is
+# which depends on the byte order and does not matter: the search below
+# is symmetric).  Past the key of a point's cell (major M, minor m):
+# ``+2`` ends cell (M, m + 1); ``2**32 - 1`` and ``2**32 + 2`` bound
+# cells (M + 1, m - 1 .. m + 1).  Minor numbers are below 2**31, so
+# m - 1 and m + 2 never reach another major row's occupied cells.
+_FORWARD = np.array([2, (1 << 32) - 1, (1 << 32) + 2], dtype=np.int64)
+
+_HIGH = int(sys.byteorder == "little")
+"""Index of an int64's high int32 half in its two-element int32 view."""
 
 
 def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
@@ -23,23 +47,93 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
 
     Returns an ``(m, 2)`` int64 array of node-index pairs with
     ``u < v`` for every row, sorted lexicographically — a canonical form
-    that makes snapshot diffs (link events) cheap.
+    that makes snapshot diffs (link events) cheap.  An infinite
+    ``r_tx`` links every pair.
     """
-    pts = as_points(positions)
-    if r_tx <= 0:
-        raise ValueError("transmission radius must be positive")
-    if pts.shape[0] < 2:
-        return np.empty((0, 2), dtype=np.int64)
-    # Sliding-midpoint splits, no node shrinking: the tree's shape never
-    # changes the pairs found, and the key sort below fixes their order.
-    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-    # query_pairs returns each pair once with i < j (its documented
-    # contract, asserted in tests/radio/test_unit_disk.py), so the rows
-    # need no sorting and the scalar keys order them lexicographically.
+    pts = np.ascontiguousarray(as_points(positions))
+    r = float(r_tx)
+    if not r > 0:  # also NaN, which no comparison would reject
+        raise ValueError(f"transmission radius must be positive, got {r_tx!r}")
     n = pts.shape[0]
-    keys = encode_edges(tree.query_pairs(r_tx, output_type="ndarray"), n)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    # NaN when a coordinate is (np.maximum propagates it), inf when one is.
+    ext = float(np.maximum.reduce(np.abs(pts), axis=None))
+    if not ext < np.inf:
+        raise ValueError("positions must be finite")
+    # Cells of side just above r (wider only where the extent needs more
+    # than 2**29 cells per axis): a pair within r is in one cell or two
+    # adjacent ones, with a margin that covers the rounding of the
+    # scaled coordinates.  An infinite r puts every point in one cell.
+    side = r * (1.0 + 2.0 ** -16)
+    if side < ext * 2.0 ** -29:
+        side = ext * 2.0 ** -29
+    cell = pts * (1.0 / side)
+    cell += _BIAS
+    key = cell.astype(np.int32).view(np.int64)[:, 0]
+    order = key.argsort()
+    key = key[order]
+    z = pts.view(np.complex128)[:, 0][order]  # x + iy in cell order
+    # Point p (in cell order) meets two runs of the sorted keys: the rest
+    # of its cell with cell (M, m + 1), [p + 1, ends[p, 0]), and cells
+    # (M + 1, m - 1 .. m + 1), [bounds[p, 1], ends[p, 1]).
+    bounds = key.searchsorted(key[:, None] + _FORWARD)
+    ends = bounds[:, ::2]
+    lengths = ends.copy()
+    lengths[:, 0] -= np.arange(1, n + 1)
+    lengths[:, 1] -= bounds[:, 1]
+    runs = lengths.ravel()
+    filled = np.add.accumulate(runs)
+    # Candidate j of run i is point ``shift[i] + j`` (j counted over all
+    # runs): one repeat and one ramp list every candidate.
+    shift = (ends - filled.reshape(n, 2)).ravel()
+    per_point = lengths[:, 0] + lengths[:, 1]
+    total = int(filled[-1])
+    # Passes end at the last point whose candidates end within each
+    # multiple of PAIR_CHUNK, so a pass holds at most PAIR_CHUNK plus
+    # one point's candidates.
+    cuts, span = [0, n], total
+    if total > PAIR_CHUNK:
+        cuts[1:1] = filled[1::2].searchsorted(
+            np.arange(PAIR_CHUNK, total, PAIR_CHUNK), "right").tolist()
+        span = min(total, PAIR_CHUNK + int(np.maximum.reduce(per_point)))
+    ramp = np.arange(span)
+    owner = np.arange(n)
+    rr = r * r
+    kept = []
+    for a, b in zip(cuts, cuts[1:]):
+        if b == a:
+            continue
+        lo = int(filled[2 * a - 1]) if a else 0
+        hi = int(filled[2 * b - 1])
+        q = shift[2 * a:2 * b].repeat(runs[2 * a:2 * b])
+        q += ramp[:hi - lo]
+        if lo:
+            q += lo
+        p = owner[a:b].repeat(per_point[a:b])
+        # dx * dx + dy * dy <= r * r in float64, the comparison the
+        # Verlet filter makes (radio/edge_cache.py).
+        d = z[q]
+        d -= z[p]
+        dx, dy = d.real, d.imag
+        dx *= dx
+        dy *= dy
+        dx += dy
+        at = (dx <= rr).nonzero()[0]
+        u = order[p[at]]
+        v = order[q[at]]
+        k = np.minimum(u, v)
+        k <<= 32
+        k |= np.maximum(u, v)
+        kept.append(k)
+    # (min << 32 | max) orders pairs as (u, v) lexicographically.
+    keys = kept[0] if len(kept) == 1 else np.concatenate(kept)
     keys.sort()
-    return decode_edges(keys, n)
+    halves = keys.view(np.int32).reshape(-1, 2)
+    out = np.empty(halves.shape, dtype=np.int64)
+    out[:, 0] = halves[:, _HIGH]
+    out[:, 1] = halves[:, 1 - _HIGH]
+    return out
 
 
 def encode_edges(edges: np.ndarray, n: int) -> np.ndarray:
@@ -49,15 +143,3 @@ def encode_edges(edges: np.ndarray, n: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     return e[:, 0] * np.int64(n) + e[:, 1]
 
-
-def decode_edges(keys: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`encode_edges`."""
-    k = np.asarray(keys, dtype=np.int64)
-    if k.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    out = np.empty((k.size, 2), dtype=np.int64)
-    u, v = out[:, 0], out[:, 1]
-    np.floor_divide(k, n, out=u)
-    np.multiply(u, n, out=v)
-    np.subtract(k, v, out=v)
-    return out

@@ -4,7 +4,7 @@ One step of the pipeline (Section 1.2's model, end to end):
 
 1. mobility advances node positions (random waypoint by default),
 2. the unit-disk graph is rebuilt (a Verlet candidate cache over the
-   k-d tree, :mod:`repro.radio.edge_cache`),
+   cell-grid search, :mod:`repro.radio.edge_cache`),
 3. the ALCA hierarchy is re-elected recursively (by the run's one
    hierarchy stepper, :mod:`repro.hierarchy.stepper`),
 4. the CHLM handoff engine patches or recomputes the server assignment
@@ -163,7 +163,7 @@ class Simulator:
         # The one hierarchy stepper of the run (repro.hierarchy.stepper)
         # and the Verlet edge cache feeding it; neither consumes an RNG
         # stream (the oracle in tests/sim/stepping_oracle.py steps with
-        # plain k-d edges and full reassignments, bit-identically).
+        # plain unit-disk edges and full reassignments, bit-identically).
         self._stepper = hierarchy_stepper(
             scenario.n, scenario.r_tx,
             max_levels=scenario.max_levels,

@@ -880,6 +880,31 @@ class TestRendezvousKernel:
         assert np.array_equal(flat, np.concatenate(
             [won[r] for won, r in zip(per_level, ragged)]))
 
+    @pytest.mark.parametrize("rows", [1, 7, 50])
+    def test_row_passes_change_nothing(self, monkeypatch, rows):
+        """A call's rows go through in passes of whole columns of its
+        last axis; passes of one column, or narrower than the (levels,
+        n) stack is tall, return what one pass does, for a scalar salt,
+        per-row salts and a (levels, 1) salt column."""
+        from repro.core import servers
+
+        stage = servers._vectorized_rendezvous_stage
+        subj, current, partition = self._every_size_case(k_max=12)
+        csr = self._csr(partition)
+        rng = np.random.default_rng(29)
+        salts = np.array([servers._stage_salt(level, 3) for level in (2, 4, 6)],
+                         dtype=np.uint64)
+        stack = np.stack([rng.permutation(current) for _ in salts])
+        per_row = rng.choice(salts, size=subj.size)
+        calls = [(subj, current, 5), (subj, current, per_row),
+                 (subj, stack, salts[:, None])]
+        whole = [stage(*call[:2], csr, call[2]) for call in calls]
+        monkeypatch.setattr(servers, "_STAGE_ROWS", rows)
+        for (s, c, salt), want in zip(calls, whole):
+            got = stage(s, c, csr, salt)
+            assert got.shape == c.shape and np.array_equal(got, want)
+        self._assert_matches_oracle(subj, current, partition, salt=5)
+
     def test_empty_batch(self):
         empty = np.empty(0, dtype=np.int64)
         self._assert_matches_oracle(empty, empty, {3: [1, 2]}, salt=1)

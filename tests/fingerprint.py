@@ -1,7 +1,7 @@
 """The one bit-identity fingerprint of a :class:`~repro.sim.metrics.SimResult`.
 
 Every equivalence suite (profiled vs plain, lossy knobs inert, serial
-vs parallel sweeps, production stepping vs the k-d /
+vs parallel sweeps, production stepping vs the plain-edges /
 full-reassignment oracle) asks the same question — *are these two
 runs the same numbers?* — so they share one answer: :func:`fingerprint`
 is the superset of the metered series each of them used to list

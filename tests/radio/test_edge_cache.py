@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from repro.geometry import disc_for_density
-from repro.radio import VerletEdgeCache, radius_for_degree, unit_disk_edges
+from repro.radio import (
+    VerletEdgeCache,
+    encode_edges,
+    radius_for_degree,
+    unit_disk_edges,
+)
+
+from .edge_keys import decode_edges
 
 DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
@@ -72,6 +79,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="r_tx"):
             VerletEdgeCache(0.0)
 
+    def test_rejects_nan_radius(self):
+        """``nan <= 0`` is False: a NaN radius used to be accepted and
+        then link nothing."""
+        with pytest.raises(ValueError, match="r_tx must be positive, got nan"):
+            VerletEdgeCache(float("nan"))
+
+    def test_candidates_are_int32_and_edges_int64(self):
+        """The candidate list holds node indices in half the bytes; what
+        the cache hands out is still the int64 edge array."""
+        rng = np.random.default_rng(4)
+        pts = disc_for_density(200, DENSITY).sample(200, rng)
+        cache = VerletEdgeCache(R_TX)
+        cache.edges(pts)
+        edges, diff = cache.edges_with_diff(pts + 0.1)
+        assert cache._candidates.dtype == np.int32
+        assert cache._candidates.flags["C_CONTIGUOUS"]
+        assert edges.dtype == np.int64 and edges.flags["C_CONTIGUOUS"]
+        assert diff is not None
+        assert diff.ups.dtype == diff.downs.dtype == np.int64
+        assert np.array_equal(edges, unit_disk_edges(pts + 0.1, R_TX))
+
     def test_empty_candidate_list(self):
         """Nodes too far apart: no candidates, still exact."""
         pts = np.array([[0.0, 0.0], [100.0 * R_TX, 0.0]])
@@ -86,8 +114,6 @@ class TestLinkDiffEmission:
 
     @staticmethod
     def _setdiff_oracle(prev, cur, n):
-        from repro.radio.unit_disk import decode_edges, encode_edges
-
         pk, ck = encode_edges(prev, n), encode_edges(cur, n)
         ups = decode_edges(np.setdiff1d(ck, pk, assume_unique=True), n)
         downs = decode_edges(np.setdiff1d(pk, ck, assume_unique=True), n)

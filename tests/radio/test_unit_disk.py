@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import DiscRegion
-from repro.radio import decode_edges, encode_edges, unit_disk_edges
+from repro.radio import encode_edges, unit_disk_edges
+
+from .edge_keys import decode_edges
 
 
 class TestUnitDiskEdges:
@@ -32,6 +34,24 @@ class TestUnitDiskEdges:
         with pytest.raises(ValueError):
             unit_disk_edges([[0, 0], [1, 1]], 0.0)
 
+    @pytest.mark.parametrize("r", [float("nan"), np.nan, -1.0, -np.inf])
+    def test_nan_or_negative_radius_is_named(self, r):
+        """NaN passes ``r <= 0``; it used to return no links at all."""
+        with pytest.raises(ValueError,
+                           match="radius must be positive, got (nan|-)"):
+            unit_disk_edges([[0, 0], [1, 1]], r)
+
+    def test_infinite_radius_links_every_pair(self):
+        pts = np.random.default_rng(3).random((25, 2)) * 1e6
+        i, j = np.triu_indices(25, k=1)
+        e = unit_disk_edges(pts, np.inf)
+        assert e.tolist() == np.stack([i, j], axis=1).tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_are_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            unit_disk_edges([[0, 0], [1, bad], [2, 2]], 1.0)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         pts = rng.random((40, 2)) * 5
@@ -44,7 +64,7 @@ class TestUnitDiskEdges:
 
 def _brute_force_edges(pts, r):
     """O(n^2) oracle: every i < j within ``r``, in lexicographic order,
-    on the float64 squared distances the k-d tree compares."""
+    on the float64 squared distances the grid and the k-d tree compare."""
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
     i, j = np.triu_indices(len(pts), k=1)
     dx, dy = (pts[i] - pts[j]).T
@@ -83,9 +103,10 @@ def _coincident(n, seed):
 
 
 class TestBruteForceOracle:
-    """``unit_disk_edges`` orders its pairs by one sort of scalar keys
-    and trusts ``query_pairs`` for ``i < j``; the output must still be
-    the canonical array, byte for byte."""
+    """``unit_disk_edges`` bins points into cells, pairs each with its
+    own and forward neighbour cells and orders the kept pairs by one sort
+    of scalar keys; the output must still be the canonical array, byte
+    for byte."""
 
     # Integer grid points and radii: coincident points and pairs at
     # exactly r_tx (3-4-5 triangles) are common, and both the oracle's
@@ -125,9 +146,9 @@ class TestBruteForceOracle:
                                         _axis_aligned, _coincident])
     @pytest.mark.parametrize("seed", range(3))
     def test_degenerate_layouts(self, points, scale, seed):
-        """The unbalanced tree's sliding-midpoint splits on dense
-        clusters, one line, one coordinate and one point, at the radio
-        radius and at the Verlet candidate radius 1.5 r_tx."""
+        """Dense clusters (crowded cells), one line, one coordinate and
+        one point (a single cell), at the radio radius and at the Verlet
+        candidate radius 1.5 r_tx."""
         pts = points(300, seed)
         r = 2.5 * scale
         e = unit_disk_edges(pts, r)
@@ -135,8 +156,9 @@ class TestBruteForceOracle:
         assert e.shape[0] > 0 and e.tobytes() == expected.tobytes()
 
     def test_query_pairs_returns_i_less_than_j(self):
-        """The contract the key sort relies on instead of row-sorting
-        each pair; a scipy that breaks it must fail here, loudly."""
+        """The contract the k-d tree oracle below relies on instead of
+        row-sorting each pair; a scipy that breaks it must fail here,
+        loudly."""
         from scipy.spatial import cKDTree
 
         rng = np.random.default_rng(5)
@@ -145,6 +167,115 @@ class TestBruteForceOracle:
         assert pairs.shape[0] > 400
         assert (pairs[:, 0] < pairs[:, 1]).all()
         assert np.unique(pairs, axis=0).shape == pairs.shape
+
+
+def _kdtree_edges(pts, r):
+    """The k-d tree oracle (the implementation before the cell grid):
+    ``cKDTree.query_pairs`` (``i < j``, see the test above), one key
+    sort."""
+    from scipy.spatial import cKDTree
+
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    n = len(pts)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(r, output_type="ndarray").astype(np.int64)
+    keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
+def _uniform(n, seed):
+    """The engine's placement: uniform on a disc at unit density."""
+    from repro.geometry.region import disc_for_density
+
+    return disc_for_density(n, 1.0).sample(n, np.random.default_rng(seed))
+
+
+def _integer_grid(n, seed):
+    """Integer points: coincident points and pairs at exactly r (3-4-5
+    triangles) everywhere."""
+    return np.random.default_rng(seed).integers(0, 12, size=(n, 2)).astype(float)
+
+
+def _exact_pairs(n, seed):
+    """Pairs at exactly r = 5 along both axes and the diagonal, from
+    every cell boundary the grid could draw."""
+    base = np.random.default_rng(seed).integers(-20, 20, size=(n // 4 + 1, 2))
+    steps = np.array([[0, 0], [5, 0], [0, 5], [3, 4]])
+    return (base[:, None, :] + steps).reshape(-1, 2)[:n].astype(float)
+
+
+class TestGridAgainstKdTree:
+    """The cell grid returns the k-d tree's edge array byte for byte,
+    and the O(n^2) oracle's, on every layout the simulator and the
+    tests produce."""
+
+    LAYOUTS = [_uniform, _integer_grid, _exact_pairs, _clustered,
+               _collinear, _axis_aligned, _coincident]
+
+    @staticmethod
+    def _check(pts, r):
+        e = unit_disk_edges(pts, r)
+        assert e.dtype == np.int64 and e.flags["C_CONTIGUOUS"]
+        assert e.shape[1:] == (2,)
+        want = _kdtree_edges(pts, r)
+        assert e.shape == want.shape and e.tobytes() == want.tobytes()
+        if len(pts) <= 400:
+            brute = _brute_force_edges(pts, r)
+            assert e.shape == brute.shape and e.tobytes() == brute.tobytes()
+        return e
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 300])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_layouts(self, layout, n, scale):
+        r = {_uniform: 1.7, _integer_grid: 2.0, _exact_pairs: 5.0}.get(
+            layout, 2.5) * scale
+        self._check(layout(max(n, 4), n)[:n], r)
+
+    def test_level_radii(self):
+        """The radio level graphs: head subsets of a uniform snapshot at
+        r0 * sqrt(n / |heads|), down to a handful of heads."""
+        from repro.radio import radius_for_degree
+
+        n = 2000
+        pts = _uniform(n, 7)
+        r0 = radius_for_degree(9.0, 1.0)
+        rng = np.random.default_rng(8)
+        for heads in (600, 150, 40, 12, 3, 2):
+            at = np.sort(rng.choice(n, size=heads, replace=False))
+            self._check(pts[at], r0 * np.sqrt(n / heads))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_candidate_passes(self, monkeypatch, chunk):
+        """Passes smaller than one point's candidates, and passes that
+        end anywhere inside a point's runs, change nothing."""
+        import repro.radio.unit_disk as ud
+
+        monkeypatch.setattr(ud, "PAIR_CHUNK", chunk)
+        for layout in (_uniform, _coincident, _integer_grid):
+            self._check(layout(150, 2), 2.0)
+
+    def test_many_passes_at_scale(self):
+        pts = _uniform(20_000, 9)
+        e = self._check(pts, 1.5 * 1.7)
+        assert e.shape[0] > 10 * (1 << 14)  # more than ten default passes
+
+    @pytest.mark.parametrize("r", [1e-12, 1e6, 1e300])
+    def test_extreme_radii(self, r):
+        """Radii far below the extent (cells widened to keep cell numbers
+        in range) and far above it (one cell: all pairs)."""
+        pts = _uniform(200, 4) * 1e3
+        self._check(pts, r)
+        self._check(np.vstack([pts, pts[:5]]), r)  # coincident pairs too
+
+    def test_any_memory_layout(self):
+        pts = _uniform(120, 5)
+        want = _kdtree_edges(pts, 1.7)
+        for view in (np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2],
+                     pts.tolist()):
+            assert unit_disk_edges(view, 1.7).tobytes() == want.tobytes()
 
 
 class TestGraphView:

@@ -7,6 +7,10 @@ mark and resets its peak, so a phase's figure is the most it allocated
 on top of what it was handed.  A phase marked more than once a step (a
 collector's own phase) reports its largest segment.  Tracing slows a
 run several-fold and never changes its results.
+
+The modules a run imports on first use (``scipy.sparse.csgraph``, for
+BFS rows on large graphs) are imported before tracing starts: a
+module's one-time import is not the phase's working memory.
 """
 
 import tracemalloc
@@ -36,6 +40,8 @@ class PhasePeaks(StepTimings):
 
 def traced_phase_peaks(scenario, collectors=None):
     """Run ``scenario`` under ``tracemalloc``: ``(result, {phase: MiB})``."""
+    import scipy.sparse.csgraph  # noqa: F401  (see the module docstring)
+
     sim = Simulator(scenario, profile=True, collectors=collectors)
     sim.timings = peaks = PhasePeaks()
     started = not tracemalloc.is_tracing()

@@ -1,6 +1,6 @@
 """The reference stepping path the simulator must reproduce.
 
-:class:`OracleSimulator` takes every step's edges from a fresh k-d
+:class:`OracleSimulator` takes every step's edges from a fresh plain
 build (:func:`~repro.radio.unit_disk.unit_disk_edges`) and never builds a
 :class:`~repro.hierarchy.delta.HierarchyDelta`, so the handoff engine
 reassigns every CHLM server from scratch each step.  The production
@@ -21,7 +21,7 @@ __all__ = ["DeltaProbe", "OracleSimulator", "force_patch", "run_oracle"]
 
 
 class OracleSimulator(Simulator):
-    """Plain k-d edges and a full CHLM reassignment on every step."""
+    """Plain unit-disk edges and a full CHLM reassignment on every step."""
 
     def _edges(self, positions):
         edges = unit_disk_edges(positions, self.sc.r_tx)

@@ -4,7 +4,7 @@ edges.
 The standing contract of every incremental feature in this repo: the
 production :class:`~repro.sim.engine.Simulator`, with patching forced on
 every step (:func:`~tests.sim.stepping_oracle.force_patch`), must produce
-**the same numbers** as the oracle that steps with plain k-d edges and a
+**the same numbers** as the oracle that steps with plain unit-disk edges and a
 full reassignment (:class:`~tests.sim.stepping_oracle.OracleSimulator`)
 — every series, every per-level breakdown, every (i)-(vii) event count —
 across plain, lossy, chaos, stateful-election and contraction regimes,

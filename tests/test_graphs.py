@@ -178,6 +178,22 @@ class TestCsrLayoutOracle:
                 CompactGraph(range(6), bad)
 
 
+class TestColumnSortAtScale:
+    """The columns come from one sort of ``(v << 32 | u)`` keys; node
+    indices past 16 bits, gappy IDs among them, keep the COO route's
+    layout."""
+
+    def test_more_nodes_than_sixteen_bits(self):
+        n = 70_000
+        pts = DiscRegion(1.0).sample(n, np.random.default_rng(6))
+        ids = np.arange(n) * 3 + 5
+        edges = ids[unit_disk_edges(pts, 0.009)]
+        g = CompactGraph(ids, edges)
+        for got, want in zip((g.node_ids, g._nbr, g._offsets),
+                             _coo_csr(ids, edges)):
+            assert np.array_equal(got, want)
+
+
 class TestSharedNeighborList:
     """One int32 neighbor list: the scipy view indexes it, nothing
     writes it."""
