@@ -48,6 +48,7 @@ were deleted with max-min clustering itself; every other digest stayed.
 
 import pytest
 
+from repro.analysis import levels_for
 from repro.sim import Scenario, run_scenario
 from tests.fingerprint import fingerprint, fingerprint_sha256
 from tests.sim.stepping_oracle import force_patch
@@ -99,6 +100,27 @@ def test_fingerprint_is_the_recorded_one(name, forced, monkeypatch):
     assert fingerprint_sha256(res) == GOLDEN[name][1], fingerprint(res)
 
 
+# One step of the ``scale_1e5`` benchmark shape (seed 1).  Every row
+# above runs at n <= 200, where a product of two node IDs still fits
+# int32; this one is past 46 341 nodes, where ``u * n + v`` left in
+# int32 wraps silently, so it guards every composite key the step
+# forms from int32 IDs.
+SCALE_1E5 = dict(n=100_000, steps=1, seed=1, speed=1.0, max_levels=6,
+                 hop_mode="euclidean", hop_sample_every=10_000, warmup=2)
+SCALE_1E5_DIGEST = (
+    "bf86a5c6b796143622fa10d21de79347d83ebcacdb139c0a12f0824db4d6ae02")
+SCALE_1E5_HANDOFF_RATE = 16.50252
+
+
+def test_one_step_at_1e5_is_the_recorded_one():
+    assert levels_for(SCALE_1E5["n"]) == SCALE_1E5["max_levels"]
+    res = run_scenario(Scenario(**SCALE_1E5))
+    assert res.handoff_rate == SCALE_1E5_HANDOFF_RATE
+    assert fingerprint_sha256(res) == SCALE_1E5_DIGEST, fingerprint(res)
+
+
 if __name__ == "__main__":  # regenerate the table's digests
     for name in GOLDEN:
         print(name, fingerprint_sha256(run_scenario(_scenario(name))))
+    res = run_scenario(Scenario(**SCALE_1E5))
+    print("scale-1e5", fingerprint_sha256(res), res.handoff_rate)
