@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.lca import Election
-from repro.graphs import sorted_unique_ids
+from repro.graphs import id_array, sorted_unique_ids
 
 __all__ = ["AlcaMaintainer"]
 
@@ -73,7 +73,7 @@ class AlcaMaintainer:
         ids = sorted_unique_ids(node_ids)
         if ids.size == 0:
             raise ValueError("maintenance requires at least one node")
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        e = id_array(edges, "edge endpoint").reshape(-1, 2)
 
         id_set = set(ids.tolist())
         adj: dict[int, set[int]] = {v: set() for v in id_set}
@@ -164,9 +164,9 @@ class AlcaMaintainer:
 
     def _snapshot(self, ids: np.ndarray, adj: dict[int, set[int]]) -> Election:
         head = self._head
-        member_of = np.array([head[int(v)] for v in ids], dtype=np.int64)
+        member_of = id_array([head[v] for v in ids.tolist()])
         clusterheads = np.unique(member_of)
-        elector_count = np.zeros(ids.size, dtype=np.int64)
+        elector_count = np.zeros(ids.size, dtype=np.int32)
         index = {int(v): i for i, v in enumerate(ids.tolist())}
         for v in ids.tolist():
             h = head[int(v)]

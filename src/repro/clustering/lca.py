@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs import IdIndex, sorted_unique_ids
+from repro.graphs import IdIndex, id_array, sorted_unique_ids
 
 __all__ = ["Election", "elect"]
 
@@ -33,7 +33,9 @@ __all__ = ["Election", "elect"]
 class Election:
     """Result of one LCA election round on a single level.
 
-    All per-node arrays are aligned with ``node_ids`` (which is sorted).
+    All per-node arrays are aligned with ``node_ids`` (which is sorted)
+    and, as :func:`elect` builds them, int32 like every ID and row
+    array of a step.
 
     Attributes
     ----------
@@ -101,12 +103,13 @@ def elect(node_ids, edges) -> Election:
     Parameters
     ----------
     node_ids:
-        Array or iterable of unique integer node IDs (any values; the
-        election compares them numerically, as in ID-based clustering).
+        Array or iterable of unique integer node IDs (any int32 values;
+        the election compares them numerically, as in ID-based
+        clustering).  An ID outside int32 raises ``ValueError``.
     edges:
         ``(m, 2)`` array of undirected edges given as ID pairs.  Edges
         must reference IDs present in ``node_ids``; self-loops are
-        rejected.
+        rejected.  An int32 array is read as it is, not copied.
 
     Returns
     -------
@@ -121,7 +124,7 @@ def elect(node_ids, edges) -> Election:
     ids = sorted_unique_ids(node_ids)
     if ids.size == 0:
         raise ValueError("election requires at least one node")
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = id_array(edges, "edge endpoint").reshape(-1, 2)
     if e.size and np.any(e[:, 0] == e[:, 1]):
         raise ValueError("self-loops are not valid links")
 
@@ -133,15 +136,15 @@ def elect(node_ids, edges) -> Election:
         if ui.min() < 0 or vi.min() < 0:
             raise ValueError("edges reference ids not in node_ids")
     else:
-        ui = vi = np.empty(0, dtype=np.int64)
+        ui = vi = np.empty(0, dtype=np.int32)
 
     # elected_head[u] = max ID over the closed neighborhood of u; the
     # IDs are sorted, so that is the largest row.
-    elected_row = np.arange(ids.size)
+    elected_row = np.arange(ids.size, dtype=np.int32)
     if e.size:
         np.maximum.at(elected_row, ui, vi)
         np.maximum.at(elected_row, vi, ui)
-    elected = ids[elected_row]
+    elected = ids.take(elected_row)
 
     is_head = np.zeros(ids.size, dtype=bool)
     is_head[elected_row] = True
@@ -151,10 +154,13 @@ def elect(node_ids, edges) -> Election:
     member_of = np.where(is_head, ids, elected)
 
     # ALCA state: number of neighbors that elected this node.
-    elector_count = np.zeros(ids.size, dtype=np.int64)
+    # (``ufunc.at`` runs its fast loop only when the values have the
+    # array's dtype: an int32 one, not a Python int, which is int64.)
+    elector_count = np.zeros(ids.size, dtype=np.int32)
     if e.size:
-        np.add.at(elector_count, vi[elected_row[ui] == vi], 1)
-        np.add.at(elector_count, ui[elected_row[vi] == ui], 1)
+        one = np.int32(1)
+        np.add.at(elector_count, vi[elected_row.take(ui) == vi], one)
+        np.add.at(elector_count, ui[elected_row.take(vi) == ui], one)
 
     return Election(
         node_ids=ids,

@@ -68,9 +68,9 @@ def batch_hops(hop_fn, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Hop counts for aligned ID arrays, via the provider's vectorized
     ``batch`` method when it has one (BfsHops/EuclideanHops do), else a
     scalar fallback loop.  Returns raw counts (may be -1 = unreachable;
-    callers clamp exactly like the scalar path)."""
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
+    callers clamp exactly like the scalar path).  Integer ID arrays of
+    any width (int32 ones included) are passed on as they are."""
+    us, vs = np.asarray(us), np.asarray(vs)
     if us.size == 0:
         return np.empty(0, dtype=np.int64)
     batch = getattr(hop_fn, "batch", None)
@@ -222,7 +222,7 @@ class BatchResolver:
         if not np.array_equal(assignment.subjects, self._base):
             raise ValueError("assignment and hierarchy cover different nodes")
         # A stale assignment can lack a level the hierarchy has.
-        absent = np.full(self._base.size, -1, dtype=np.int64)
+        absent = np.full(self._base.size, -1, dtype=np.int32)
         self._tables = {
             level: assignment.tables.get(level, absent)
             for level in range(2, self._top + 1)

@@ -38,7 +38,8 @@ on level-tagged keys built from compacted rows, never from IDs
 (``k * W + row`` for a level-k node, ``(k * W + row_u) * W + row_v`` for
 a link; docs/ARCHITECTURE.md, "Data layout: hierarchy events"), so a
 step costs a fixed number of array operations whatever the depth L, and
-minted cluster IDs (>= 10^7) or base IDs above 2^31 need no other path.
+minted cluster IDs (>= 10^7) or base IDs near the top of int32 need no
+other path: the IDs and rows are int32, the keys int64.
 A 1 m/s step at n = 10^4 yields about 1.3 events per node, so nothing
 loops over events: every consumer reads the columns.
 """
@@ -183,13 +184,14 @@ def _election_events(h: ClusteredHierarchy, keys: np.ndarray,
     votes = np.concatenate([e.elected_head for e in elections])
     tags = np.repeat(np.arange(1, len(elections) + 1) * width,
                      [e.node_ids.size for e in elections])
-    seat = np.full(member.size, -1, dtype=np.int64)
-    seat[heads] = np.arange(heads.size)
+    seat = np.full(member.size, -1, dtype=np.int32)
+    seat[heads] = np.arange(heads.size, dtype=np.int32)
     # One pass over every level for every head: keep the electors of any
     # head, then reduce per head.
     seg = seat[tags + rows.rows(votes)]
     at = ((seg >= 0) & (votes != voters)).nonzero()[0]
-    seg, cand = seg[at], voters[at]
+    # int64 like the sentinel: ``ufunc.at`` is fast only without a cast.
+    seg, cand = seg[at], voters[at].astype(np.int64)
     first_cand = np.full(heads.size, _NO_ONE)
     np.minimum.at(first_cand, seg, cand)
     # Elector j >= 1 of the concatenation sits at level >= 1, where its
@@ -225,7 +227,7 @@ def diff_hierarchies(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> Hierarch
     # --- level-tagged keys over one compaction of both snapshots ---------------
     # Entry j of each list below is level tag[j] of snapshot 0, then of 1.
     uppers = [lvl for h in sides for lvl in h.levels[1:]]
-    tag = np.array([lvl.k for lvl in uppers])
+    tag = np.array([lvl.k for lvl in uppers], dtype=np.int64)
     split = h0.num_levels
     node_ids = np.concatenate([lvl.node_ids for lvl in uppers])
     sizes = [lvl.node_ids.size for lvl in uppers]
@@ -246,22 +248,29 @@ def diff_hierarchies(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> Hierarch
     member[keys0] = 1
     member[keys1] += 2
 
-    ends = np.concatenate([lvl.edges for lvl in uppers])
+    # A link's key is the only per-link array kept: its level and its
+    # endpoints' node keys are decoded from it where they are read.
     sizes = [lvl.edges.shape[0] for lvl in uppers]
-    end_rows = rows.rows(ends)
-    u_key = np.repeat(tag * width, sizes)
-    u_key += end_rows[:, 0]
-    v_key = u_key - end_rows[:, 0] + end_rows[:, 1]
+    end_rows = rows.rows(np.concatenate([lvl.edges for lvl in uppers]))
+    edge_key = np.repeat(tag * width, sizes)
+    edge_key += end_rows[:, 0]
+    edge_key *= width
+    edge_key += end_rows[:, 1]
+    del end_rows
     m0 = sum(sizes[:split])
-    edge_key = u_key * width + end_rows[:, 1]
     up, down = sorted_key_diff(edge_key[:m0], edge_key[m0:])
     up += m0
 
+    def link_ends(pos):
+        """``(level, u_key, v_key)`` of the links at ``pos``."""
+        u_key, v_row = np.divmod(edge_key[pos], width)
+        level = u_key // width
+        return level, u_key, v_row + level * width
+
     # --- per-level link and drift counts ----------------------------------------
-    changed = np.concatenate((down, up))
-    level_of = u_key[changed] // width
+    level_of, u_key, v_key = link_ends(np.concatenate((down, up)))
     both = member == 3
-    drift = both[u_key[changed]] & both[v_key[changed]]
+    drift = both[u_key] & both[v_key]
     diff.link_changes = np.bincount(level_of, minlength=max_l + 1)
     diff.drift_changes = np.bincount(level_of[drift], minlength=max_l + 1)
 
@@ -298,13 +307,13 @@ def diff_hierarchies(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> Hierarch
     # link's side (v when both are).
     pos = np.concatenate((up, down))
     side_bit = np.repeat(np.array([2, 1], dtype=np.uint8), (up.size, down.size))
-    u_in = (member[u_key[pos] + width] & side_bit) > 0
-    v_in = (member[v_key[pos] + width] & side_bit) > 0
+    level, u_key, v_key = link_ends(pos)
+    u_in = (member[u_key + width] & side_bit) > 0
+    v_in = (member[v_key + width] & side_bit) > 0
     hit = (u_in | v_in).nonzero()[0]
-    pos, v_in = pos[hit], v_in[hit]
+    v_in, level = v_in[hit], level[hit]
     is_down = hit >= up.size
-    u, v = ends[pos, 0], ends[pos, 1]
-    level = u_key[pos] // width
+    u, v = union[u_key[hit] - level * width], union[v_key[hit] - level * width]
     parts.append((
         np.where(is_down, _LINK_DOWN, _LINK_UP), level,
         np.where(v_in, v, u), np.where(v_in, u, v), 2 * level + is_down,
@@ -328,13 +337,13 @@ def diff_hierarchies(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> Hierarch
 
     # (vii): a snapshot-1 link with exactly one endpoint promoted to level
     # k + 1; the subject is the endpoint that was *not* elected.
-    u_new = member[u_key[m0:] + width] == 2
-    hit = (u_new ^ (member[v_key[m0:] + width] == 2)).nonzero()[0]
-    u_new, pos = u_new[hit], hit + m0
-    u, v = ends[pos, 0], ends[pos, 1]
-    level = u_key[pos] // width
+    level, u_key, v_key = link_ends(slice(m0, None))
+    u_new = member[u_key + width] == 2
+    hit = (u_new ^ (member[v_key + width] == 2)).nonzero()[0]
+    u_new, level = u_new[hit], level[hit]
+    u, v = union[u_key[hit] - level * width], union[v_key[hit] - level * width]
     parts.append((
-        np.full(pos.size, _NEIGHBOR_ELECTED), level,
+        np.full(hit.size, _NEIGHBOR_ELECTED), level,
         np.where(u_new, v, u), np.where(u_new, u, v), 2 * group + 2 * level,
     ))
 

@@ -229,12 +229,12 @@ class HandoffEngine:
         # — every migration event of a node carries it — and whether that
         # change is a pure migration, which it can only be at level 1
         # (``HierarchyDiff.mig_pure`` at the origin level).
-        lcl = np.zeros(base.size, dtype=np.int64)
+        lcl = np.zeros(base.size, dtype=np.int32)
         lcl[row_of(diff.mig_node)] = diff.mig_origin
         pure = np.zeros(base.size, dtype=bool)
         at_level1 = diff.mig_level == 1
         pure[row_of(diff.mig_node[at_level1])] = diff.mig_pure[at_level1]
-        absent = np.full(base.size, -1, dtype=np.int64)
+        absent = np.full(base.size, -1, dtype=np.int32)
 
         # Candidate rows per level.  Full path: every row of every level
         # either side knows.  Patched path: the patch's dirty rows
@@ -260,7 +260,8 @@ class HandoffEngine:
             levels, sizes, idx, old, new = moved
             fresh = old < 0
             sender = np.where(fresh, base[idx], old)
-            hops = np.maximum(batch_hops(hop_fn, sender, new), 0)
+            hops = batch_hops(hop_fn, sender, new)
+            np.maximum(hops, 0, out=hops)
             subject_level = lcl[idx]
             by_subject = (subject_level > 0) & (
                 subject_level <= np.repeat(levels, sizes))
@@ -336,12 +337,14 @@ class HandoffEngine:
             # Per level: migration packets and entries, reorg packets and
             # entries (hops now hold what the channel charged); a cause
             # enters a level's ledgers only when it has entries there.
-            charged = np.where(migration, hops, 0)
-            sums = np.add.reduceat(
-                np.stack((charged, migration, hops - charged, ~migration)),
-                [0, *ends[:-1]], axis=1,
-            ).tolist()
-            for level, mig_pkts, mig_n, reorg_pkts, reorg_n in zip(levels, *sums):
+            # One reduction per column, not a stack of four entry-sized
+            # copies.
+            charged, counted, total = (
+                np.add.reduceat(col, [0, *ends[:-1]], dtype=np.int64)
+                for col in (np.where(migration, hops, 0), migration, hops))
+            for level, mig_pkts, mig_n, reorg_pkts, reorg_n in zip(
+                    levels, charged.tolist(), counted.tolist(),
+                    (total - charged).tolist(), (sizes - counted).tolist()):
                 if mig_n:
                     migration_packets[level] = mig_pkts
                     migration_entries[level] = mig_n

@@ -60,8 +60,9 @@ class ServerAssignment:
 
     ``tables[level][i]`` is the level-0 ID of the LM server storing the
     level-``level`` address entry of base node ``subjects[i]`` (sorted
-    base IDs), or -1 when there is no such entry.  The columns are
-    shared between snapshots and must never be written in place.
+    base IDs), or -1 when there is no such entry.  The columns are int32,
+    like the IDs they hold, shared between snapshots, and must never be
+    written in place.
     """
 
     subjects: np.ndarray
@@ -185,9 +186,9 @@ def _vectorized_rendezvous_stage(
     names the same position as the original; single-member clusters are
     not hashed at all.
     """
-    current = np.asarray(current, dtype=np.int64)
+    current = np.asarray(current)
     if current.size == 0:
-        return np.empty(current.shape, dtype=np.int64)
+        return np.empty(current.shape, dtype=np.int32)
     index, starts, members = _stage_partition(partition)
     # (candidates - 1) per cluster in the narrowest unsigned type: numpy
     # radix-sorts 8- and 16-bit keys.
@@ -286,11 +287,11 @@ def _vectorized_circular_stage(
     is the first key above its subject's residue in its cluster or,
     past the cluster's end, the cluster's first key.
     """
-    current = np.asarray(current, dtype=np.int64)
+    current = np.asarray(current)
     if current.size == 0:
-        return np.empty(current.shape, dtype=np.int64)
+        return np.empty(current.shape, dtype=np.int32)
     index, starts, members = _stage_partition(partition)
-    row = _stage_rows(current, index)
+    row = _stage_rows(current, index).astype(np.int64)
     low = (1 << _CIRCULAR_BITS) - 1
     cluster = np.repeat(np.arange(starts.size - 1), np.diff(starts))
     keys = (cluster << _CIRCULAR_BITS) | (members & low)
@@ -325,9 +326,9 @@ def _global_stage(h: ClusteredHierarchy, subjects: np.ndarray, level: int,
     """The virtual global level's first ``stage``: every subject picks
     among all top-level nodes (a one-row CSR partition keyed 0)."""
     top = h.levels[-1].node_ids
-    one_row = (np.zeros(1, dtype=np.int64), np.array([0, top.size]), top)
+    one_row = (np.zeros(1, dtype=np.int32), np.array([0, top.size]), top)
     return stage(
-        subjects, np.zeros(subjects.size, dtype=np.int64), one_row,
+        subjects, np.zeros(subjects.size, dtype=np.int32), one_row,
         _stage_salt(level, level),
     )
 
@@ -422,8 +423,8 @@ class _DescentCells:
     level, depth ``num_levels`` is the global stage's winner — and depth
     0 is the server itself.  ``tables`` must be
     ``full_assignment(h0).tables``.  One gather per level finds the
-    servers' rows among ``h0``'s base nodes (:attr:`server_rows`), and
-    one per call reads the cells.
+    servers' int32 rows among ``h0``'s base nodes (:attr:`server_rows`),
+    and one per call reads the cells.
     """
 
     def __init__(self, h0: ClusteredHierarchy, tables: dict[int, np.ndarray]):

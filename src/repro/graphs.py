@@ -34,6 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "id_array",
+    "is_canonical",
     "sorted_unique_ids",
     "IdIndex",
     "CompactGraph",
@@ -43,32 +45,61 @@ __all__ = [
 ]
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def id_array(values, what: str = "node ID") -> np.ndarray:
+    """``values`` (an array or nested list of ints) as an int32 array:
+    node IDs and rows are int32 throughout, and only keys that combine
+    two of them are int64 (docs/ARCHITECTURE.md, "Data layout: IDs and
+    keys").
+
+    int32 input comes back as it is, not copied.  A value outside int32
+    raises ``ValueError`` naming it (``what`` says what it is) rather
+    than wrapping; non-integer input is truncated to int64 first.
+    """
+    a = np.asarray(values)
+    if a.dtype == np.int32:
+        return a
+    if a.dtype.kind not in "iu":
+        a = np.asarray(a, dtype=np.int64)
+    if a.size and (a.dtype.itemsize > 4 or a.dtype == np.uint32):
+        lo, hi = a.min(), a.max()
+        if lo < _INT32.min or hi > _INT32.max:
+            bad = int(lo) if lo < _INT32.min else int(hi)
+            raise ValueError(f"{what} {bad} is outside int32")
+    return a.astype(np.int32)
+
+
 def sorted_unique_ids(node_ids) -> np.ndarray:
     """``node_ids`` (any iterable of ints) as a sorted duplicate-free
-    int64 array.
+    int32 array (:func:`id_array`: an ID outside int32 raises
+    ``ValueError``).
 
-    Strictly ascending input — the engine's ``arange``, every level's
-    clusterheads — is returned as it came, not copied: the check is one
-    pass where ``np.unique`` costs 21-27 ms at n = 1e5, per level graph
-    and per step.
+    Strictly ascending int32 input — the engine's ``arange``, every
+    level's clusterheads — is returned as it came, not copied: the check
+    is one pass where ``np.unique`` costs 21-27 ms at n = 1e5, per level
+    graph and per step.
     """
     if not isinstance(node_ids, np.ndarray):
         node_ids = list(node_ids)
-    ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+    ids = id_array(node_ids).reshape(-1)
     if np.any(ids[1:] <= ids[:-1]):
         ids = np.unique(ids)
     return ids
 
 
 _TABLE_SLACK = 1 << 17
-"""Lookup-table slots allowed beyond eight per ID (1 MiB of int64)."""
+"""Lookup-table slots allowed beyond eight per ID (512 KiB of int32)."""
 
 
 class IdIndex:
     """Row lookup over a sorted unique ID array.
 
-    Non-negative IDs whose range fits eight slots per ID plus
-    ``_TABLE_SLACK`` are served by one gather from an ``int64`` table —
+    Rows are int32, like the IDs (:func:`id_array`), and int32 queries
+    are read as they are, not widened.  Non-negative IDs
+    whose range fits eight slots per ID plus ``_TABLE_SLACK`` are served
+    by one gather from an ``int32`` table —
     node IDs ``0..n-1`` at any n, and every level's cluster heads drawn
     from them up to n ~ 10^5; anything sparser (persistent elections mint
     cluster IDs >= 10^7) by a sorted search.  The table costs one pass
@@ -87,35 +118,43 @@ class IdIndex:
         if ids.size and ids[0] >= 0:
             size = max(int(ids[-1]) + 1, span)
             if size <= 8 * ids.size + _TABLE_SLACK:
-                self._table = np.full(size, -1, dtype=np.int64)
-                self._table[ids] = np.arange(ids.size)
+                self._table = np.full(size, -1, dtype=np.int32)
+                self._table[ids] = np.arange(ids.size, dtype=np.int32)
 
     def rows(self, values) -> np.ndarray:
-        """Position of each value within ``ids``; -1 where absent."""
-        values = np.asarray(values, dtype=np.int64)
+        """Position of each value within ``ids`` as int32; -1 where
+        absent."""
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu" or values.dtype == np.uint64:
+            values = values.astype(np.int64)  # what ``take`` can index by
         ids, table = self.ids, self._table
         if values.size == 0 or ids.size == 0:
-            return np.full(values.shape, -1, dtype=np.int64)
+            return np.full(values.shape, -1, dtype=np.int32)
         if table is None:
-            pos = np.minimum(np.searchsorted(ids, values), ids.size - 1)
-            return np.where(ids[pos] == values, pos, -1)
+            pos = np.minimum(np.searchsorted(ids, values), ids.size - 1,
+                             dtype=np.int32)
+            return np.where(ids[pos] == values, pos, np.int32(-1))
         if values.min() >= 0 and values.max() < table.size:
-            return table[values]
+            # ``take`` gathers by int32 indices at half the cost of
+            # fancy indexing, which first widens them to intp.
+            return table.take(values)
         inside = (values >= 0) & (values < table.size)
-        return np.where(inside, table[np.where(inside, values, 0)], -1)
+        return np.where(inside, table.take(np.where(inside, values, 0)),
+                        np.int32(-1))
 
     def contains(self, values) -> np.ndarray:
         """Boolean membership of each value in ``ids``."""
         return self.rows(values) >= 0
 
 
-def _canonical(ui: np.ndarray, vi: np.ndarray, n: int) -> bool:
-    """Whether edge rows ``(ui, vi)`` of an ``n``-node graph list every
-    edge once as ``u < v`` in strictly ascending ``(u, v)`` order."""
+def is_canonical(ui: np.ndarray, vi: np.ndarray) -> bool:
+    """Whether edge rows ``(ui, vi)`` list every edge once as ``u < v``
+    in strictly ascending ``(u, v)`` order (compared pairwise, so no
+    int64 key array is built)."""
     if not np.all(ui < vi):
         return False
-    keys = ui * n + vi
-    return bool(np.all(keys[1:] > keys[:-1]))
+    tie = ui[1:] == ui[:-1]
+    return bool(np.all(np.where(tie, vi[1:] > vi[:-1], ui[1:] > ui[:-1])))
 
 
 class CompactGraph:
@@ -144,7 +183,7 @@ class CompactGraph:
         n = self.node_ids.size
         if n >= 1 << 31:
             raise ValueError(f"{n} nodes: int32 neighbor lists hold < 2**31")
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        e = id_array(edges, "edge endpoint").reshape(-1, 2)
         if n and self.node_ids[0] == 0 and self.node_ids[-1] == n - 1:
             # IDs 0..n-1 are their own rows: no gather, a range check.
             ui, vi = e[:, 0], e[:, 1]
@@ -157,9 +196,13 @@ class CompactGraph:
         # Canonical edges (u < v, strictly ascending keys: every unit-disk
         # edge array and every subset of one) go in as they stand; others
         # are flipped to u < v, self-loops dropped, repeats merged.
-        if not _canonical(ui, vi, n):
-            lo, hi = np.minimum(ui, vi), np.maximum(ui, vi)
-            ui, vi = np.divmod(np.unique((lo * n + hi)[lo < hi]), n)
+        if not is_canonical(ui, vi):
+            lo = np.minimum(ui, vi).astype(np.int64)
+            hi = np.maximum(ui, vi)
+            keys = lo * n
+            keys += hi
+            ui, vi = np.divmod(np.unique(keys[lo < hi]), n)
+            ui, vi = ui.astype(np.int32), vi.astype(np.int32)
         # CSR neighbor lists (neighbor order decides BFS ties and next
         # hops): node x lists row x of the edges' upper triangle, then
         # column x, both ascending.  The columns are one sort of the
@@ -171,7 +214,8 @@ class CompactGraph:
         np.cumsum(np.bincount(ui, minlength=n), out=fwd[1:])
         back = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(vi, minlength=n), out=back[1:])
-        col = vi << 32
+        col = vi.astype(np.int64)
+        col <<= 32
         col |= ui
         col.sort()
         ahead = np.repeat(np.tile([True, False], n),
@@ -238,14 +282,18 @@ class CompactGraph:
         on every call (an ``int8`` view cost 10 ms per BFS at n = 1e5).
         Its ``indices`` *are* the graph's read-only neighbor list, not a
         copy: a routine that tried to reorder them in place would raise.
-        Every neighbor is listed once (the constructor canonicalises),
-        which scipy's strong-components traversal needs: it never
-        returns on a CSR that lists a neighbor twice.
+        Its ``data`` is one read-only ``1.0`` broadcast over every entry
+        (stride 0), not an array of ones: the traversals read only the
+        structure, and a stored copy cost 8 bytes per entry (7.2 MiB at
+        n = 1e5), the largest array a hop sample held.  Every neighbor is
+        listed once (the constructor canonicalises), which scipy's
+        strong-components traversal needs: it never returns on a CSR that
+        lists a neighbor twice.
         """
         if self._sparse is None:
             from scipy.sparse import csr_matrix
 
-            data = np.ones(self._nbr.size, dtype=np.float64)
+            data = np.broadcast_to(np.float64(1.0), self._nbr.shape)
             self._sparse = csr_matrix(
                 (data, self._nbr, self._offsets.astype(np.int32)),
                 shape=(self.n, self.n),
@@ -534,7 +582,9 @@ def _scoped_flood(g: CompactGraph, sources_idx: np.ndarray,
     dist = np.full(n_labels * n, -1, dtype=dtype)
     needed = np.zeros(n_labels * n, dtype=bool)
     for j, t in enumerate(targets_idx):
-        needed[j * n + t[labels[t] == labels[sources_idx[j]]]] = True
+        # int64 before the label offset: past 2**31 cells it would wrap.
+        needed[t[labels[t] == labels[sources_idx[j]]].astype(np.int64)
+               + j * n] = True
     f_labels = np.arange(n_labels, dtype=np.int64)
     seeds = f_labels * n + sources_idx
     dist[seeds] = 0

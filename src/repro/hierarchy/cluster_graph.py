@@ -10,36 +10,46 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs import id_array, is_canonical
+
 __all__ = ["canonical_edges", "contract_edges"]
 
 
 def canonical_edges(edges) -> np.ndarray:
     """Canonicalize an ID-pair edge array: per-row sorted, lexsorted rows,
-    duplicates and self-loops removed.  An int64 array that already is
-    canonical comes back as a read-only view of the input, not a copy —
-    the caller must not overwrite that buffer while the result is in use."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    duplicates and self-loops removed, as int32 (an ID outside int32
+    raises ``ValueError``).  An int32 array that already is canonical
+    comes back as a read-only view of the input, not a copy — the caller
+    must not overwrite that buffer while the result is in use."""
+    e = id_array(edges, "edge endpoint").reshape(-1, 2)
     if e.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    lo = np.minimum(e[:, 0], e[:, 1])
-    hi = np.maximum(e[:, 0], e[:, 1])
-    big = int(hi.max()) + 1
-    if int(lo.min()) < 0 or big >= 2**31:  # pragma: no cover - exotic id ranges
-        e = np.stack([lo, hi], axis=1)
-        return np.unique(e[lo != hi], axis=0)
-    # Rows as scalar keys: sorting keys sorts rows lexicographically.
-    keys = lo * big + hi
-    keys = keys[lo != hi]
-    if np.any(keys[1:] <= keys[:-1]):
-        # Sort and drop repeats (several times faster than np.unique's
-        # hash pass on int64 keys).
-        keys = np.sort(keys)
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    elif keys.size == e.shape[0] and np.array_equal(e[:, 0], lo):
+        return np.empty((0, 2), dtype=np.int32)
+    if is_canonical(e[:, 0], e[:, 1]):
         # Already canonical (the unit-disk builder's output).
         e.flags.writeable = False
         return e
-    return np.stack([keys // big, keys % big], axis=1)
+    lo = np.minimum(e[:, 0], e[:, 1])
+    hi = np.maximum(e[:, 0], e[:, 1])
+    if int(lo.min()) < 0:  # pragma: no cover - exotic id ranges
+        e = np.stack([lo, hi], axis=1)
+        return np.unique(e[lo != hi], axis=0)
+    # Rows as int64 scalar keys: sorting keys sorts rows lexicographically.
+    big = int(hi.max()) + 1
+    keys = lo.astype(np.int64)
+    keys *= big
+    keys += hi
+    keys = keys[lo != hi]
+    # Sort and drop repeats (several times faster than np.unique's hash
+    # pass on int64 keys).
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    out = np.empty((keys.size, 2), dtype=np.int32)
+    np.floor_divide(keys, big, out=out[:, 0], casting="unsafe")
+    np.remainder(keys, big, out=out[:, 1], casting="unsafe")
+    return out
 
 
 def contract_edges(edges, node_ids: np.ndarray, member_of: np.ndarray) -> np.ndarray:
@@ -59,9 +69,9 @@ def contract_edges(edges, node_ids: np.ndarray, member_of: np.ndarray) -> np.nda
     Canonical ``(m', 2)`` array of head-ID pairs: one edge per adjacent
     cluster pair.
     """
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = id_array(edges, "edge endpoint").reshape(-1, 2)
     if e.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int32)
     ui = np.searchsorted(node_ids, e[:, 0])
     vi = np.searchsorted(node_ids, e[:, 1])
     if (

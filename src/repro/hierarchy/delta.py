@@ -168,7 +168,7 @@ def _dirty_cells_of(
 
 def _clean() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """No dirty cell and no arrival."""
-    empty = np.empty(0, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int32)
     return empty, (np.zeros(1, dtype=np.int64), empty)
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from repro.clustering.lca import Election, elect
-from repro.graphs import IdIndex, sorted_unique_ids
+from repro.graphs import IdIndex, id_array, sorted_unique_ids
 from repro.hierarchy.cluster_graph import canonical_edges, contract_edges
 from repro.radio.unit_disk import unit_disk_edges
 
@@ -76,13 +76,16 @@ class ClusteredHierarchy:
         if not levels:
             raise ValueError("hierarchy needs at least the physical level")
         self.levels = levels
-        self._base_ids = levels[0].node_ids
-        # Ancestor maps: _anc[k][i] = level-k cluster (ID) of base node i.
-        anc = [self._base_ids.copy()]
+        # IDs are int32 (a base ID outside it raises ValueError; cluster
+        # IDs come from elections, which refuse them).
+        self._base_ids = id_array(levels[0].node_ids)
+        # Ancestor maps: _anc[k][i] = level-k cluster (ID) of base node i;
+        # level 0 is the base ID array itself.
+        anc = [self._base_ids]
         for lvl in levels[:-1]:
             assert lvl.election is not None
             idx = IdIndex(lvl.node_ids).rows(anc[-1])
-            anc.append(lvl.election.member_of[idx])
+            anc.append(lvl.election.member_of.take(idx))
         self._anc = anc
 
     # -- basic shape ----------------------------------------------------------
@@ -121,7 +124,8 @@ class ClusteredHierarchy:
 
     def ancestry(self, k: int) -> np.ndarray:
         """Level-k cluster ID for *every* physical node (aligned with
-        ``levels[0].node_ids``)."""
+        ``levels[0].node_ids``), as int32; ``ancestry(0)`` is the base ID
+        array itself.  Shared with the snapshot: never write into it."""
         if not 0 <= k <= self.num_levels:
             raise ValueError(f"level {k} outside 0..{self.num_levels}")
         return self._anc[k]
@@ -211,12 +215,13 @@ def recurse_levels(
     derivation of E_{k+1} (``level_mode``, see :func:`build_hierarchy`).
 
     ``node_ids`` (any iterable of unique ints) and ``edges`` (ID pairs)
-    are normalised here, once: an already canonical int64 edge array is
-    kept as a read-only view, not copied (:func:`canonical_edges`), so
-    hand in a fresh array per snapshot.  ``located_at(k, ids)`` names the
-    base node whose position each level-k ID takes in the radio model;
-    the default is the ID itself (clusters named by their head's node
-    ID), persistent cluster IDs supply their head chain.
+    are normalised here, once, to int32: an already canonical int32 edge
+    array is kept as a read-only view, not copied
+    (:func:`canonical_edges`), so hand in a fresh array per snapshot.
+    ``located_at(k, ids)`` names the base node whose position each
+    level-k ID takes in the radio model; the default is the ID itself
+    (clusters named by their head's node ID), persistent cluster IDs
+    supply their head chain.
     """
     check_link_model(level_mode, r0)
     base_ids = sorted_unique_ids(node_ids)
@@ -246,11 +251,7 @@ def recurse_levels(
             at = heads if located_at is None else located_at(k + 1, heads)
             r_k = float(r0) * float(np.sqrt(base_ids.size / heads.size))
             pair_idx = unit_disk_edges(pos[np.searchsorted(base_ids, at)], r_k)
-            cur_edges = (
-                heads[pair_idx]
-                if pair_idx.size
-                else np.empty((0, 2), dtype=np.int64)
-            )
+            cur_edges = heads[pair_idx]
         else:
             cur_edges = contract_edges(cur_edges, cur_ids, election.member_of)
         cur_ids = heads

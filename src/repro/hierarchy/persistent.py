@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.lca import Election
-from repro.graphs import sorted_unique_ids
+from repro.graphs import id_array, sorted_unique_ids
 from repro.hierarchy.levels import ClusteredHierarchy, recurse_levels
 
 __all__ = ["PersistentLevelMaintainer", "PersistentHierarchyMaintainer"]
@@ -77,7 +77,7 @@ class PersistentLevelMaintainer:
         ids = sorted_unique_ids(node_ids)
         if ids.size == 0:
             raise ValueError("maintenance requires at least one node")
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        e = id_array(edges, "edge endpoint").reshape(-1, 2)
         id_set = set(ids.tolist())
         adj: dict[int, set[int]] = {v: set() for v in id_set}
         for a, b in e.tolist():
@@ -179,12 +179,13 @@ class PersistentLevelMaintainer:
         return self._snapshot(ids)
 
     def _snapshot(self, ids: np.ndarray) -> Election:
-        member_of = np.array([self._m2c[int(v)] for v in ids], dtype=np.int64)
+        member_of = id_array([self._m2c[v] for v in ids.tolist()],
+                             "cluster ID")
         cids = np.unique(member_of)
         # Fig.-3-style state: the head's elector count is its membership
         # size minus itself; non-heads are 0.  (States are per lower-level
         # id so the array aligns with node_ids.)
-        elector_count = np.zeros(ids.size, dtype=np.int64)
+        elector_count = np.zeros(ids.size, dtype=np.int32)
         sizes: dict[int, int] = {}
         for c in member_of.tolist():
             sizes[c] = sizes.get(c, 0) + 1
@@ -218,7 +219,11 @@ class PersistentHierarchyMaintainer:
 
     CID_BLOCK = 10_000_000
     """Cid range per level: level k allocates from (k+1) * CID_BLOCK.
-    Physical node IDs must stay below CID_BLOCK."""
+    Physical node IDs must stay below CID_BLOCK.  So while no level
+    mints CID_BLOCK cids, every cid of an L-level hierarchy stays below
+    (L + 2) * CID_BLOCK, which is below 2**31 up to L = 212: cids are
+    IDs, and IDs are int32 (an election that would mint one past it
+    raises ``ValueError`` naming it)."""
 
     def __init__(self, max_levels: int | None = None, r0: float | None = None):
         if r0 is None or r0 <= 0:
@@ -250,7 +255,7 @@ class PersistentHierarchyMaintainer:
             for k in range(level - 1, -1, -1):
                 cur = self._levels[k].head_of_cid(cur)
             out.append(cur)
-        return np.asarray(out, dtype=np.int64)
+        return id_array(out)
 
     def update(self, node_ids, edges, positions) -> ClusteredHierarchy:
         """Advance all levels to the new physical topology."""

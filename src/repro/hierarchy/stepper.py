@@ -50,4 +50,8 @@ def hierarchy_stepper(n: int, r_tx: float, max_levels: int | None = None,
     else:
         update = partial(build_hierarchy, max_levels=max_levels,
                          level_mode=level_mode, r0=r0)
-    return partial(_step, update, np.arange(n))
+    # The run's base IDs, shared by every snapshot (each one's
+    # ancestry(0)): read-only, so no consumer can write into all of them.
+    node_ids = np.arange(n, dtype=np.int32)
+    node_ids.flags.writeable = False
+    return partial(_step, update, node_ids)

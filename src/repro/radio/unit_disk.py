@@ -45,7 +45,8 @@ _HIGH = int(sys.byteorder == "little")
 def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
     """Edge array of the unit-disk graph.
 
-    Returns an ``(m, 2)`` int64 array of node-index pairs with
+    Returns a C-contiguous ``(m, 2)`` int32 array of node-index pairs
+    (indices are below 2**31) with
     ``u < v`` for every row, sorted lexicographically — a canonical form
     that makes snapshot diffs (link events) cheap.  An infinite
     ``r_tx`` links every pair.
@@ -56,7 +57,7 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
         raise ValueError(f"transmission radius must be positive, got {r_tx!r}")
     n = pts.shape[0]
     if n < 2:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int32)
     # NaN when a coordinate is (np.maximum propagates it), inf when one is.
     ext = float(np.maximum.reduce(np.abs(pts), axis=None))
     if not ext < np.inf:
@@ -129,17 +130,24 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
     # (min << 32 | max) orders pairs as (u, v) lexicographically.
     keys = kept[0] if len(kept) == 1 else np.concatenate(kept)
     keys.sort()
+    # The sorted keys' int32 halves are the edges: swapped in place into
+    # (u, v) order where the high half comes second.
     halves = keys.view(np.int32).reshape(-1, 2)
-    out = np.empty(halves.shape, dtype=np.int64)
-    out[:, 0] = halves[:, _HIGH]
-    out[:, 1] = halves[:, 1 - _HIGH]
-    return out
+    if _HIGH:
+        low = halves[:, 0].copy()
+        halves[:, 0] = halves[:, 1]
+        halves[:, 1] = low
+    return halves
 
 
 def encode_edges(edges: np.ndarray, n: int) -> np.ndarray:
-    """Encode canonical edges as scalar keys ``u * n + v`` for set diffs."""
-    e = np.asarray(edges, dtype=np.int64)
+    """Encode canonical edges as int64 scalar keys ``u * n + v`` for set
+    diffs (the endpoints may be int32: the product is formed in int64)."""
+    e = np.asarray(edges).reshape(-1, 2)
     if e.size == 0:
         return np.empty(0, dtype=np.int64)
-    return e[:, 0] * np.int64(n) + e[:, 1]
+    keys = e[:, 0].astype(np.int64)
+    keys *= n
+    keys += e[:, 1]
+    return keys
 

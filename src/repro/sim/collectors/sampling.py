@@ -40,7 +40,7 @@ class HopSampleCollector(Collector):
         if snap.step % self._every != 0:
             return
         n = snap.scenario.n
-        g = CompactGraph(np.arange(n), snap.edges)
+        g = CompactGraph(np.arange(n, dtype=np.int32), snap.edges)
         h_network, h_levels = sample_hop_counts(
             g, self._rng, n_sources=8, h=snap.hierarchy,
             clusters_per_level=6, sources_per_cluster=2,

@@ -256,7 +256,8 @@ class Simulator:
 
     def _hop_fn(self, positions: np.ndarray, edges: np.ndarray):
         if self.sc.resolved_hop_mode == "bfs":
-            return BfsHops(CompactGraph(np.arange(self.sc.n), edges))
+            return BfsHops(CompactGraph(
+                np.arange(self.sc.n, dtype=np.int32), edges))
         return EuclideanHops(positions, self.sc.r_tx)
 
     # -- pipeline phases ----------------------------------------------------------

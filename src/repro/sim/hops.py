@@ -109,9 +109,9 @@ class EuclideanHops:
         ``max 1`` is the scalar call's IEEE operation sequence, so the
         results are bit-identical, not merely close.  It runs in place
         over two work arrays, ``d`` and ``w``, so a call holds about
-        three pair-sized arrays at once rather than ten."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        three pair-sized arrays at once rather than ten.  Integer ID
+        arrays of any width index the positions as they are."""
+        us, vs = np.asarray(us), np.asarray(vs)
         pts = self._pts
         d = pts[us, 0]
         d -= pts[vs, 0]

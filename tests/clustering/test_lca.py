@@ -93,6 +93,24 @@ class TestValidation:
         r = elect([1, 1, 2], [[1, 2]])
         assert r.node_ids.tolist() == [1, 2]
 
+    def test_ids_outside_int32_are_refused(self):
+        """IDs are int32: one past it is named, never wrapped."""
+        with pytest.raises(ValueError, match="node ID 2147483648 is outside int32"):
+            elect([1, 2**31], [[1, 2**31]])
+        with pytest.raises(ValueError,
+                           match="edge endpoint 4294967297 is outside int32"):
+            elect([1, 2], [[1, 2**32 + 1]])
+
+    def test_per_node_arrays_are_int32(self):
+        """Every array of an election is int32, and int32 edges are read
+        in place."""
+        edges = np.array([[1, 2], [2, 9]], dtype=np.int32)
+        r = elect(np.array([1, 2, 9]), edges)
+        for a in (r.node_ids, r.elected_head, r.member_of, r.elector_count,
+                  r.clusterheads):
+            assert a.dtype == np.int32
+        assert r.member_of.tolist() == [2, 2, 9]
+
 
 class TestArbitraryIds:
     def test_noncontiguous_ids(self):

@@ -252,18 +252,28 @@ class TestArraysEqualOracle:
         assert events > 0
 
     @pytest.mark.parametrize("level_mode", ["contraction", "radio"])
-    def test_base_ids_above_2_31(self, level_mode):
-        """Sparse base IDs past int32, uncapped so the depth changes too.
-        The renaming is monotone, so every election is the dense run's;
-        keys are built from compacted rows, never from the IDs."""
-        ids = 2**33 + 7 * np.arange(160, dtype=np.int64)
+    def test_base_ids_at_the_int32_top(self, level_mode):
+        """Sparse base IDs ending at the largest int32, uncapped so the
+        depth changes too.  The renaming is monotone, so every election is
+        the dense run's; keys are built from compacted rows, never from
+        the IDs, so no product of two IDs wraps.  (IDs past int32 are
+        refused at construction: ``test_base_ids_past_int32_are_refused``.)"""
+        ids = 2**31 - 1 - 7 * np.arange(160, dtype=np.int64)[::-1]
         snaps = snapshot_sequence(3, n=160, steps=10, drift=0.8,
                                   level_mode=level_mode, max_levels=None,
                                   plane="full", ids=ids)
         assert len({h.num_levels for h in snaps}) > 1
-        assert int(snaps[0].levels[1].node_ids.min()) > 2**31
+        assert int(snaps[0].levels[1].node_ids.min()) > 2**31 - 7 * 160
+        assert int(snaps[0].levels[1].node_ids.max()) == 2**31 - 1
         for h0, h1 in zip(snaps, snaps[1:]):
             assert_equals_oracle(h0, h1)
+
+    def test_base_ids_past_int32_are_refused(self):
+        ids = 2**33 + 7 * np.arange(160, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"node ID \d+ is outside int32"):
+            snapshot_sequence(3, n=160, steps=1, drift=0.8,
+                              level_mode="radio", max_levels=None,
+                              plane="full", ids=ids)
 
     def test_empty_diff(self):
         d = HierarchyDiff()

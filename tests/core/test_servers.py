@@ -773,10 +773,10 @@ class TestRendezvousKernel:
 
     @staticmethod
     def _csr(partition):
-        heads = np.array(sorted(partition), dtype=np.int64)
+        heads = np.array(sorted(partition), dtype=np.int32)
         sizes = [len(partition[c]) for c in heads.tolist()]
         members = np.concatenate(
-            [np.asarray(partition[c], dtype=np.int64) for c in heads.tolist()])
+            [np.asarray(partition[c], dtype=np.int32) for c in heads.tolist()])
         return heads, np.concatenate([[0], np.cumsum(sizes)]), members
 
     @staticmethod
@@ -785,7 +785,7 @@ class TestRendezvousKernel:
 
         out = _vectorized_rendezvous_stage(
             subjects, current, TestRendezvousKernel._csr(partition), salt)
-        assert out.dtype == np.int64 and out.shape == subjects.shape
+        assert out.dtype == np.int32 and out.shape == subjects.shape
         for s, c, got in zip(subjects.tolist(), current.tolist(), out.tolist()):
             assert got == rendezvous_choice(s, salt, partition[c]), (s, c)
 
@@ -1056,7 +1056,7 @@ class TestCircularStage:
 
         out = _vectorized_circular_stage(
             subjects, current, TestRendezvousKernel._csr(partition))
-        assert out.dtype == np.int64 and out.shape == current.shape
+        assert out.dtype == np.int32 and out.shape == current.shape
         flat = np.broadcast_to(subjects, current.shape).reshape(-1)
         for s, c, got in zip(flat.tolist(), current.reshape(-1).tolist(),
                              out.reshape(-1).tolist()):

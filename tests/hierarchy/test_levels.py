@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.geometry import DiscRegion, disc_for_density
 from repro.clustering import Election
 from repro.hierarchy import (
+    ClusteredHierarchy,
+    LevelTopology,
     build_hierarchy,
     canonical_edges,
     contract_edges,
@@ -38,7 +40,7 @@ class TestCanonicalEdges:
             for variant in (e, rng.permutation(e), e[::-1, ::-1],
                             np.concatenate([e, e[:40, ::-1], loops])):
                 got = canonical_edges(variant)
-                assert got.dtype == np.int64
+                assert got.dtype == np.int32
                 assert np.array_equal(got, np.unique(np.sort(e, axis=1), axis=0))
 
     def test_canonical_input_is_a_read_only_view(self):
@@ -144,10 +146,11 @@ class TestRecurseLevels:
         recurse_levels([3, 1, 2, 0], [[1, 0], [0, 1], [2, 3], [2, 1]],
                        elector, max_levels=1)
         ids, edges = seen[0]
-        assert ids.dtype == np.int64 and ids.tolist() == [0, 1, 2, 3]
+        assert ids.dtype == np.int32 and ids.tolist() == [0, 1, 2, 3]
+        assert edges.dtype == np.int32
         assert edges.tolist() == [[0, 1], [1, 2], [2, 3]]
-        # Sorted unique int64 input (the engine's arange) is not copied.
-        base = np.arange(6)
+        # Sorted unique int32 input (the engine's arange) is not copied.
+        base = np.arange(6, dtype=np.int32)
         recurse_levels(base, PATH8[:5], elector, max_levels=1)
         assert np.shares_memory(seen[0][0], base)
 
@@ -244,6 +247,25 @@ class TestBuildHierarchy:
             anc = h.ancestry(k)
             for v in range(0, 60, 11):
                 assert anc[v] == h.cluster_of(v, k)
+
+    def test_ancestries_are_int32_and_level_0_is_the_base_ids(self):
+        rng = np.random.default_rng(3)
+        base = np.arange(60, dtype=np.int32)
+        h = build_hierarchy(base, unit_disk_edges(
+            DiscRegion(8.0).sample(60, rng), 2.0))
+        assert h.num_levels >= 2
+        assert h.ancestry(0) is h.levels[0].node_ids
+        assert np.shares_memory(h.ancestry(0), base)
+        assert all(a.dtype == np.int32 for a in h.ancestries)
+
+    def test_ids_outside_int32_are_refused(self):
+        """A hand-built snapshot whose base IDs do not fit int32 fails at
+        construction, naming the ID, rather than wrapping (cluster IDs
+        are refused by the elections that mint them)."""
+        wide = np.array([0, 2**31], dtype=np.int64)
+        with pytest.raises(ValueError, match="node ID 2147483648 is outside int32"):
+            ClusteredHierarchy([LevelTopology(
+                0, wide, np.empty((0, 2), dtype=np.int64), None)])
 
     def test_members0_roundtrip(self):
         rng = np.random.default_rng(4)

@@ -85,9 +85,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="r_tx must be positive, got nan"):
             VerletEdgeCache(float("nan"))
 
-    def test_candidates_are_int32_and_edges_int64(self):
-        """The candidate list holds node indices in half the bytes; what
-        the cache hands out is still the int64 edge array."""
+    def test_candidates_and_edges_are_int32(self):
+        """The candidate list and the edges and link diffs the cache
+        hands out are int32, the dtype ``unit_disk_edges`` returns: node
+        indices are below 2**31."""
         rng = np.random.default_rng(4)
         pts = disc_for_density(200, DENSITY).sample(200, rng)
         cache = VerletEdgeCache(R_TX)
@@ -95,9 +96,9 @@ class TestValidation:
         edges, diff = cache.edges_with_diff(pts + 0.1)
         assert cache._candidates.dtype == np.int32
         assert cache._candidates.flags["C_CONTIGUOUS"]
-        assert edges.dtype == np.int64 and edges.flags["C_CONTIGUOUS"]
+        assert edges.dtype == np.int32 and edges.flags["C_CONTIGUOUS"]
         assert diff is not None
-        assert diff.ups.dtype == diff.downs.dtype == np.int64
+        assert diff.ups.dtype == diff.downs.dtype == np.int32
         assert np.array_equal(edges, unit_disk_edges(pts + 0.1, R_TX))
 
     def test_empty_candidate_list(self):
@@ -212,7 +213,7 @@ class TestIntegerGridBoundary:
 
     def _assert_exact(self, edges, pts):
         ref = unit_disk_edges(pts, self.R)
-        assert edges.dtype == np.int64 and edges.shape == ref.shape
+        assert edges.dtype == np.int32 and edges.shape == ref.shape
         assert edges.ndim == 2 and edges.shape[1] == 2
         assert edges.flags.c_contiguous
         assert np.array_equal(edges, ref)
@@ -247,7 +248,7 @@ class TestIntegerGridBoundary:
             if regime == "filter":
                 ups, downs = TestLinkDiffEmission._setdiff_oracle(prev, edges, n)
                 for got, want in ((diff.ups, ups), (diff.downs, downs)):
-                    assert got.dtype == np.int64 and got.flags.c_contiguous
+                    assert got.dtype == np.int32 and got.flags.c_contiguous
                     assert np.array_equal(got.reshape(-1, 2), want)
             else:
                 assert diff is None

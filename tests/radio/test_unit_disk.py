@@ -69,7 +69,7 @@ def _brute_force_edges(pts, r):
     i, j = np.triu_indices(len(pts), k=1)
     dx, dy = (pts[i] - pts[j]).T
     keep = dx * dx + dy * dy <= r * r
-    return np.stack([i[keep], j[keep]], axis=1).astype(np.int64)
+    return np.stack([i[keep], j[keep]], axis=1).astype(np.int32)
 
 
 def _clustered(n, seed):
@@ -122,7 +122,7 @@ class TestBruteForceOracle:
         pts = np.array(pts, dtype=np.float64).reshape(-1, 2)
         e = unit_disk_edges(pts, float(r))
         expected = _brute_force_edges(pts, float(r))
-        assert e.dtype == np.int64 and e.flags["C_CONTIGUOUS"]
+        assert e.dtype == np.int32 and e.flags["C_CONTIGUOUS"]
         assert e.shape == expected.shape
         assert e.tobytes() == expected.tobytes()
 
@@ -138,7 +138,7 @@ class TestBruteForceOracle:
     def test_tiny_inputs(self, n):
         pts = np.zeros((n, 2))
         e = unit_disk_edges(pts, 1.0)
-        assert e.dtype == np.int64
+        assert e.dtype == np.int32
         assert e.tolist() == ([[0, 1]] if n == 2 else [])
 
     @pytest.mark.parametrize("scale", [1.0, 1.5])
@@ -178,11 +178,11 @@ def _kdtree_edges(pts, r):
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
     n = len(pts)
     if n < 2:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int32)
     tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
     pairs = tree.query_pairs(r, output_type="ndarray").astype(np.int64)
     keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
-    return np.stack(np.divmod(keys, n), axis=1)
+    return np.stack(np.divmod(keys, n), axis=1).astype(np.int32)
 
 
 def _uniform(n, seed):
@@ -217,7 +217,7 @@ class TestGridAgainstKdTree:
     @staticmethod
     def _check(pts, r):
         e = unit_disk_edges(pts, r)
-        assert e.dtype == np.int64 and e.flags["C_CONTIGUOUS"]
+        assert e.dtype == np.int32 and e.flags["C_CONTIGUOUS"]
         assert e.shape[1:] == (2,)
         want = _kdtree_edges(pts, r)
         assert e.shape == want.shape and e.tobytes() == want.tobytes()

@@ -48,7 +48,7 @@ class LinkDiffProbe(Collector):
         diff = snap.link_diff
         assert diff.ups.tolist() == [list(e) for e in sorted(after - before)]
         assert diff.downs.tolist() == [list(e) for e in sorted(before - after)]
-        assert diff.ups.dtype == diff.downs.dtype == np.int64
+        assert diff.ups.dtype == diff.downs.dtype == np.int32
         self.prev = snap.edges
         self.checked += 1
         self.events += diff.n_events

@@ -1,4 +1,4 @@
-"""Memory guards: traced heap peaks of one run's phases at n = 2e4.
+"""Memory guards: traced heap of one run's phases at n = 2e4.
 
 The hop sample builds its own graph and floods each level's clusters;
 at this size it used to take 10.2 MiB above its entry (an int64
@@ -8,7 +8,13 @@ flood at a time.  Set-up (placement, the first edges, hierarchy and the
 full server assignment) took 16.2 MiB while each rendezvous stage held
 ~9 row-sized arrays over every level's rows at once and the Verlet
 candidates were int64; it takes 12.2 MiB with the stage run in bounded
-passes and int32 candidates.  Each bound sits between the two.
+passes and int32 candidates.
+
+The handoff phase held 11.0 MiB at its entry and peaked at 17.3 MiB
+while node IDs were int64 through the step (edges, elections,
+ancestries, server tables); with IDs and rows int32 and only composite
+keys int64 it holds 6.7 and peaks at 11.4 MiB.  Each bound sits between
+the two figures it separates.
 """
 
 import pytest
@@ -20,6 +26,8 @@ from .phase_peaks import traced_phase_peaks
 
 SAMPLING_BOUND_MIB = 7.5
 SETUP_BOUND_MIB = 13.5
+HANDOFF_ENTRY_BOUND_MIB = 9.0
+HANDOFF_TOP_BOUND_MIB = 14.0
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +41,23 @@ def peaks_at_2e4():
 def test_hop_sampling_traced_peak_at_2e4(peaks_at_2e4):
     result, peaks = peaks_at_2e4
     assert result.h_network and result.h_levels  # the step sampled
-    assert peaks["sampling"] <= SAMPLING_BOUND_MIB, peaks
+    assert peaks["sampling"].above <= SAMPLING_BOUND_MIB, peaks
 
 
 def test_setup_traced_peak_at_2e4(peaks_at_2e4):
     _, peaks = peaks_at_2e4
-    assert peaks["setup"] <= SETUP_BOUND_MIB, peaks
+    assert peaks["setup"].above <= SETUP_BOUND_MIB, peaks
+
+
+def test_handoff_held_at_entry_at_2e4(peaks_at_2e4):
+    """What the step hands the handoff phase: two hierarchies, their
+    level-0 edges, the server tables, the Verlet list."""
+    _, peaks = peaks_at_2e4
+    assert peaks["handoff"].entry <= HANDOFF_ENTRY_BOUND_MIB, peaks
+
+
+def test_handoff_traced_peak_at_2e4(peaks_at_2e4):
+    """The handoff phase's traced peak: its entry plus the patch, the
+    hierarchy diff and the charges on top."""
+    _, peaks = peaks_at_2e4
+    assert peaks["handoff"].top <= HANDOFF_TOP_BOUND_MIB, peaks

@@ -42,7 +42,7 @@ class TestIdIndex:
         (np.arange(0, 7 * 2**18, 7), True),             # wide, but 7 slots per id
     ])
     def test_rows_and_contains(self, ids, dense):
-        ids = ids.astype(np.int64)
+        ids = ids.astype(np.int32)
         index = IdIndex(ids)
         assert (index._table is not None) == dense
         rng = np.random.default_rng(0)
@@ -50,8 +50,9 @@ class TestIdIndex:
             rng.choice(ids, size=40), ids[[0, -1]], ids[:3] + 1,
             [ids[-1] + 1, ids[0] - 1, -1, 2**40],
         ])
-        rows = index.rows(values)
-        assert rows.dtype == np.int64
+        rows = index.rows(values)  # int64 queries, one past int32
+        assert rows.dtype == np.int32
+        assert index.rows(values[:40].astype(np.int32)).dtype == np.int32
         assert np.array_equal(rows, self.reference(ids, values))
         assert np.array_equal(index.contains(values), rows >= 0)
         inside = rng.choice(ids, size=25)
@@ -65,7 +66,7 @@ class TestIdIndex:
     ])
     def test_span_stretches_the_table(self, ids, span, size):
         """Values below ``span`` that miss answer -1 from the table."""
-        index = IdIndex(ids.astype(np.int64), span)
+        index = IdIndex(ids.astype(np.int32), span)
         assert (None if index._table is None else index._table.size) == size
         values = np.arange(span - 40, span)
         assert np.array_equal(index.rows(values), self.reference(ids, values))
@@ -84,16 +85,28 @@ class TestIdIndex:
 
 class TestSortedUniqueIds:
     def test_ascending_input_is_returned_as_it_came(self):
-        ids = np.array([3, 7, 8, 40], dtype=np.int64)
+        ids = np.array([3, 7, 8, 40], dtype=np.int32)
         out = sorted_unique_ids(ids)
         assert np.shares_memory(out, ids) and out.tolist() == [3, 7, 8, 40]
+
+    def test_wider_input_is_narrowed_to_int32(self):
+        out = sorted_unique_ids(np.array([-2**31, 3, 2**31 - 1], np.int64))
+        assert out.dtype == np.int32
+        assert out.tolist() == [-2**31, 3, 2**31 - 1]
+
+    @pytest.mark.parametrize("bad", [2**31, -2**31 - 1, 2**40])
+    def test_ids_outside_int32_are_refused(self, bad):
+        with pytest.raises(ValueError, match=f"node ID {bad} is outside int32"):
+            sorted_unique_ids([1, bad, 2])
+        with pytest.raises(ValueError, match=f"node ID {bad} is outside int32"):
+            sorted_unique_ids(np.array([1, bad], dtype=np.int64))
 
     @pytest.mark.parametrize("raw", [
         [5, 1, 3], [1, 1, 2], [2, 1, 1, 2], (9, 4), {4, 2}, range(3, 0, -1),
     ])
     def test_anything_else_is_sorted_and_deduplicated(self, raw):
         out = sorted_unique_ids(raw)
-        assert out.dtype == np.int64
+        assert out.dtype == np.int32
         assert out.tolist() == sorted(set(raw))
 
     def test_empty_and_single(self):
@@ -133,7 +146,7 @@ class TestCsrLayoutOracle:
     """Neighbor order is observable (BFS tie-breaks, next hops): the
     one-transpose build must reproduce the COO route's layout value for
     value on canonical edges, and canonicalise anything else first.  The
-    neighbor list is int32; the IDs and offsets stay int64."""
+    neighbor list and the IDs are int32; the offsets stay int64."""
 
     @staticmethod
     def _assert_same_layout(node_ids, edges):
@@ -142,7 +155,7 @@ class TestCsrLayoutOracle:
         for g in (CompactGraph(node_ids, edges),
                   CompactGraph(node_ids, canonical)):
             got = (g.node_ids, g._nbr, g._offsets)
-            assert [a.dtype for a in got] == [np.int64, np.int32, np.int64]
+            assert [a.dtype for a in got] == [np.int32, np.int32, np.int64]
             for a, ref in zip(got, want):
                 assert np.array_equal(a, ref)
 
@@ -239,6 +252,25 @@ class TestSharedNeighborList:
 
 
 class TestCompactGraph:
+    def test_ids_outside_int32_are_refused(self):
+        """IDs are int32: a node ID or an edge endpoint past it is named,
+        never wrapped."""
+        with pytest.raises(ValueError, match="node ID 2147483648 is outside int32"):
+            CompactGraph([0, 2**31], [[0, 2**31]])
+        with pytest.raises(ValueError,
+                           match="edge endpoint -2147483649 is outside int32"):
+            CompactGraph([0, 1], [[0, -2**31 - 1]])
+
+    def test_non_canonical_edges_past_46341_nodes(self):
+        """Canonicalising keys ``u * n + v`` are formed in int64: with
+        int32 rows they would wrap from n = 46 341 on."""
+        n = 50_000
+        g = CompactGraph(np.arange(n, dtype=np.int32),
+                         [[n - 1, n - 2], [1, 0], [0, 1], [n - 2, 7]])
+        assert g.neighbors(n - 2).tolist() == [n - 1, 7]
+        assert g.neighbors(n - 1).tolist() == [n - 2]
+        assert g.degree(0) == g.degree(1) == 1
+
     def test_neighbors(self):
         g = CompactGraph([1, 2, 3], [[1, 2], [2, 3]])
         assert sorted(g.neighbors(2).tolist()) == [1, 3]
@@ -474,6 +506,15 @@ class TestSparseView:
         assert a is g.sparse()
         assert a.dtype == np.float64
         assert a.indices.dtype == np.int32 and a.indptr.dtype == np.int32
+
+    def test_data_is_one_broadcast_value(self):
+        """The all-ones data holds no per-entry bytes: a read-only
+        stride-0 view, which scipy's traversals read as it is."""
+        g = CompactGraph(range(5), [[0, 1], [1, 2], [3, 4]])
+        a = g.sparse()
+        assert a.data.strides == (0,) and not a.data.flags.writeable
+        assert a.data.size == a.nnz == 6 and (a.data == 1.0).all()
+        assert np.unique(g.components()).size == 2
 
     @pytest.mark.parametrize("edges,n_components", [
         ([[0, 1], [1, 0], [0, 1], [2, 3]], 3),  # one pair listed three times
