@@ -231,9 +231,8 @@ def snapshot_pair(deployment):
 
 
 def test_bench_link_diff(benchmark, snapshot_pair):
-    """The step's level-0 diff where no Verlet diff is at hand (the
-    full-rebuild plane, chaos filtering): one merge of the two edge-key
-    arrays."""
+    """The step's level-0 diff, run once per step: one ``searchsorted``
+    of the new edge keys into the old ones."""
     from repro.radio.linkevents import link_diff
 
     diff = benchmark(link_diff, *snapshot_pair, N)

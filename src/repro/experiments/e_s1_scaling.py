@@ -9,7 +9,7 @@ which is only tractable on the vectorized substrate:
 * simulations run through the sweep runner (:mod:`repro.sim.sweep`),
   which fans the grid over worker processes; a result is ~1.5 MiB
   pickled at 10^5 nodes, so shipping it back costs milliseconds;
-* edges come from a Verlet candidate cache, and at n >= 2000 (where
+* edges come from a numpy cell grid each step, and at n >= 2000 (where
   :func:`repro.core.servers.patch_pays` says it pays at this 1 m/s
   churn) server assignments are patched only along the descent chains
   each step's hierarchy delta marks dirty — chains read back from the

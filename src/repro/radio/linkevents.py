@@ -8,14 +8,15 @@ disappeared (downs); the simulator's link collector
 (:class:`~repro.sim.collectors.LinkEventCollector`) sums their counts
 into this quantity.
 
-Every link diff in the package is one merge of two ascending key
-arrays (:func:`sorted_key_diff`): the two inputs are concatenated and
-argsorted stably, which is a single linear merge of two sorted runs, and
-keys seen once are the changes.  Level-0 keys are ``u * n + v``
-(:func:`link_diff`, which the simulator runs once per step when the
-Verlet cache has no diff to hand over); the hierarchy diff
-(:func:`repro.core.events.diff_hierarchies`) feeds the same kernel
-level-tagged keys of every cluster level at once.
+The simulator builds a fresh unit-disk graph every step and runs
+:func:`link_diff` once per step against the edges the previous
+hierarchy was built on.  Level-0 keys are ``u * n + v``, and the links
+that survive are found by one ``searchsorted`` of the new keys into the
+old ones, so the diff holds the two key arrays and one array of
+positions, not a merged copy of both.  The hierarchy diff
+(:func:`repro.core.events.diff_hierarchies`) feeds level-tagged keys of
+every cluster level at once to :func:`sorted_key_diff`, one merge of the
+two ascending key arrays.
 """
 
 from __future__ import annotations
@@ -69,6 +70,22 @@ def link_diff(before: np.ndarray, after: np.ndarray, n: int) -> LinkDiff:
     """The :class:`LinkDiff` from one canonical edge array of nodes
     ``0..n-1`` to the next (rows ``u < v``, lexicographically ascending,
     as :func:`~repro.radio.unit_disk.unit_disk_edges` emits them).  The
-    rows come out in that order too."""
-    up, down = sorted_key_diff(encode_edges(before, n), encode_edges(after, n))
-    return LinkDiff(ups=after[up], downs=before[down])
+    rows come out in that order too.
+
+    Each new key is looked up among the old ones by one
+    ``searchsorted``: a new key is an up unless it is found there, and
+    an old key is a down unless some new key found it.
+    """
+    old = encode_edges(before, n)
+    new = encode_edges(after, n)
+    at = old.searchsorted(new)
+    if old.size:
+        # A key past the last old one clips onto it, which differs.
+        found = old.take(at, mode="clip") == new
+    else:
+        found = np.zeros(new.size, dtype=bool)
+    kept = np.zeros(old.size, dtype=bool)
+    kept[at[found]] = True
+    # Rows gathered by index: a boolean mask over (m, 2) rows is slower.
+    return LinkDiff(ups=after[(~found).nonzero()[0]],
+                    downs=before[(~kept).nonzero()[0]])

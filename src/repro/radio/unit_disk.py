@@ -69,25 +69,63 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
     side = r * (1.0 + 2.0 ** -16)
     if side < ext * 2.0 ** -29:
         side = ext * 2.0 ** -29
+    kept = _kept_keys(pts, r, side)
+    # (min << 32 | max) orders pairs as (u, v) lexicographically.
+    keys = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    del kept
+    keys.sort()
+    # The sorted keys' int32 halves are the edges: swapped in place into
+    # (u, v) order where the high half comes second.
+    halves = keys.view(np.int32).reshape(-1, 2)
+    if _HIGH:
+        low = halves[:, 0].copy()
+        halves[:, 0] = halves[:, 1]
+        halves[:, 1] = low
+    return halves
+
+
+def _kept_keys(pts: np.ndarray, r: float, side: float) -> list:
+    """The pairs of ``pts`` within ``r``, as a list of int64 key arrays
+    ``min << 32 | max`` (one per pass, unsorted), from cells of ``side``.
+
+    Its working arrays are freed when it returns, before the caller
+    joins the passes' keys, so the two never add up."""
+    n = pts.shape[0]
     cell = pts * (1.0 / side)
     cell += _BIAS
     key = cell.astype(np.int32).view(np.int64)[:, 0]
+    del cell
     order = key.argsort()
     key = key[order]
-    z = pts.view(np.complex128)[:, 0][order]  # x + iy in cell order
-    # Point p (in cell order) meets two runs of the sorted keys: the rest
-    # of its cell with cell (M, m + 1), [p + 1, ends[p, 0]), and cells
-    # (M + 1, m - 1 .. m + 1), [bounds[p, 1], ends[p, 1]).
-    bounds = key.searchsorted(key[:, None] + _FORWARD)
-    ends = bounds[:, ::2]
-    lengths = ends.copy()
-    lengths[:, 0] -= np.arange(1, n + 1)
-    lengths[:, 1] -= bounds[:, 1]
+    # Cell c (in cell order) holds the points [cut[c], cut[c + 1]).  Its
+    # point p meets two runs of the sorted keys: the rest of its cell
+    # with cell (M, m + 1), [p + 1, bounds[c, 0]), and cells
+    # (M + 1, m - 1 .. m + 1), [bounds[c, 1], bounds[c, 2]).  The bounds
+    # are searched once per occupied cell, among the occupied cells'
+    # keys, one ascending row of needles per offset, then repeated over
+    # the cell's points.
+    cut = np.empty(n + 1, dtype=bool)
+    cut[0] = cut[n] = True
+    cut[1:n] = key[1:] != key[:-1]
+    cut = cut.nonzero()[0]
+    cells = key[cut[:-1]]
+    del key
+    bounds = cut[cells.searchsorted(_FORWARD[:, None] + cells)].T
+    np.subtract(bounds[:, 2], bounds[:, 1], out=bounds[:, 1])
+    # Per point: the first run's end, the second run's length and end.
+    bounds = bounds.repeat(cut[1:] - cut[:-1], axis=0)
+    lengths = bounds[:, :2].copy()
+    owner = np.arange(n)
+    lengths[:, 0] -= owner
+    lengths[:, 0] -= 1
     runs = lengths.ravel()
     filled = np.add.accumulate(runs)
     # Candidate j of run i is point ``shift[i] + j`` (j counted over all
     # runs): one repeat and one ramp list every candidate.
-    shift = (ends - filled.reshape(n, 2)).ravel()
+    ends = bounds[:, ::2]
+    ends -= filled.reshape(n, 2)
+    shift = ends.ravel()
+    del bounds, ends
     per_point = lengths[:, 0] + lengths[:, 1]
     total = int(filled[-1])
     # Passes end at the last point whose candidates end within each
@@ -99,7 +137,7 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
             np.arange(PAIR_CHUNK, total, PAIR_CHUNK), "right").tolist()
         span = min(total, PAIR_CHUNK + int(np.maximum.reduce(per_point)))
     ramp = np.arange(span)
-    owner = np.arange(n)
+    z = pts.view(np.complex128)[:, 0][order]  # x + iy in cell order
     rr = r * r
     kept = []
     for a, b in zip(cuts, cuts[1:]):
@@ -112,8 +150,7 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
         if lo:
             q += lo
         p = owner[a:b].repeat(per_point[a:b])
-        # dx * dx + dy * dy <= r * r in float64, the comparison the
-        # Verlet filter makes (radio/edge_cache.py).
+        # dx * dx + dy * dy <= r * r in float64.
         d = z[q]
         d -= z[p]
         dx, dy = d.real, d.imag
@@ -127,17 +164,7 @@ def unit_disk_edges(positions, r_tx: float) -> np.ndarray:
         k <<= 32
         k |= np.maximum(u, v)
         kept.append(k)
-    # (min << 32 | max) orders pairs as (u, v) lexicographically.
-    keys = kept[0] if len(kept) == 1 else np.concatenate(kept)
-    keys.sort()
-    # The sorted keys' int32 halves are the edges: swapped in place into
-    # (u, v) order where the high half comes second.
-    halves = keys.view(np.int32).reshape(-1, 2)
-    if _HIGH:
-        low = halves[:, 0].copy()
-        halves[:, 0] = halves[:, 1]
-        halves[:, 1] = low
-    return halves
+    return kept
 
 
 def encode_edges(edges: np.ndarray, n: int) -> np.ndarray:

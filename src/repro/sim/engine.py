@@ -3,8 +3,9 @@
 One step of the pipeline (Section 1.2's model, end to end):
 
 1. mobility advances node positions (random waypoint by default),
-2. the unit-disk graph is rebuilt (a Verlet candidate cache over the
-   cell-grid search, :mod:`repro.radio.edge_cache`),
+2. the unit-disk graph is rebuilt (the cell-grid search,
+   :func:`repro.radio.unit_disk.unit_disk_edges`) and diffed against
+   the previous step's (:func:`repro.radio.linkevents.link_diff`),
 3. the ALCA hierarchy is re-elected recursively (by the run's one
    hierarchy stepper, :mod:`repro.hierarchy.stepper`),
 4. the CHLM handoff engine patches or recomputes the server assignment
@@ -43,8 +44,8 @@ from repro.graphs import CompactGraph
 from repro.hierarchy.delta import compute_delta
 from repro.hierarchy.stepper import hierarchy_stepper
 from repro.mobility import make_model
-from repro.radio.edge_cache import VerletEdgeCache
 from repro.radio.linkevents import link_diff
+from repro.radio.unit_disk import unit_disk_edges
 from repro.sim.hops import BfsHops, EuclideanHops
 from repro.sim.metrics import SimResult
 from repro.sim.rng import spawn_rngs
@@ -107,8 +108,8 @@ class Simulator:
     metered step exactly once and contributes to the result via
     ``finalize()`` (unknown keys land in ``SimResult.extras``).
 
-    One stepping path: Verlet-cached edges, and a CHLM assignment each
-    step patches or recomputes as :func:`~repro.core.servers.patch_pays`
+    One stepping path: a fresh unit-disk graph, and a CHLM assignment
+    each step patches or recomputes as :func:`~repro.core.servers.patch_pays`
     picks — a choice of plan, never of result.
 
     Every setting of the run lives on the scenario (the hop-sampling
@@ -160,17 +161,17 @@ class Simulator:
             rngs["mobility"],
             **scenario.mobility_kwargs,
         )
-        # The one hierarchy stepper of the run (repro.hierarchy.stepper)
-        # and the Verlet edge cache feeding it; neither consumes an RNG
-        # stream (the oracle in tests/sim/stepping_oracle.py steps with
-        # plain unit-disk edges and full reassignments, bit-identically).
+        # The one hierarchy stepper of the run (repro.hierarchy.stepper);
+        # it consumes no RNG stream (the oracle in
+        # tests/sim/stepping_oracle.py steps with full reassignments,
+        # bit-identically).
         self._stepper = hierarchy_stepper(
             scenario.n, scenario.r_tx,
             max_levels=scenario.max_levels,
             level_mode=scenario.level_mode,
             election_mode=scenario.election_mode,
         )
-        self._edge_cache = VerletEdgeCache(scenario.r_tx)
+        self._r_tx = scenario.r_tx
         self._engine = HandoffEngine()
         self._collectors = self._default_collectors(rngs)
         if collectors:
@@ -228,20 +229,13 @@ class Simulator:
 
     # -- helpers ------------------------------------------------------------------
 
-    def _edges(self, positions: np.ndarray):
-        """Unit-disk edges from the Verlet cache plus chaos filtering
-        (crashed nodes and partition-severed links removed).
-
-        Returns ``(edges, diff)``: the cache's free one-step
-        :class:`~repro.radio.linkevents.LinkDiff` rides along — dropped
-        (``None``) when there is none or chaos filtering rewrites the
-        edge set after the cache, and the step then merges its own.
-        """
-        edges, diff = self._edge_cache.edges_with_diff(positions)
+    def _edges(self, positions: np.ndarray) -> np.ndarray:
+        """Unit-disk edges plus chaos filtering (crashed nodes and
+        partition-severed links removed)."""
+        edges = unit_disk_edges(positions, self._r_tx)
         if self._chaos is not None:
             edges = self._chaos.filter_edges(edges, positions)
-            diff = None
-        return edges, diff
+        return edges
 
     def _delta(self, hierarchy, diff):
         """The step's :class:`~repro.hierarchy.delta.HierarchyDelta` when
@@ -269,7 +263,7 @@ class Simulator:
         for _ in range(sc.warmup):
             self.model.step(sc.dt)
         positions = self.model.positions.copy()
-        edges, _ = self._edges(positions)
+        edges = self._edges(positions)
         hierarchy = self._stepper(edges, positions)
         hop_fn = self._hop_fn(positions, edges)
         self._engine.observe(hierarchy, hop_fn)
@@ -301,11 +295,10 @@ class Simulator:
         positions = self.model.positions.copy()
         if mark is not None:
             mark("mobility")
-        edges, diff = self._edges(positions)
-        if diff is None:
-            # The step's one level-0 diff: a key merge against the edges
-            # the previous hierarchy was built on.
-            diff = link_diff(self._prev_hierarchy.levels[0].edges, edges, sc.n)
+        edges = self._edges(positions)
+        # The step's one level-0 diff, against the edges the previous
+        # hierarchy was built on.
+        diff = link_diff(self._prev_hierarchy.levels[0].edges, edges, sc.n)
         if mark is not None:
             mark("rebuild")
         hierarchy = self._stepper(edges, positions)

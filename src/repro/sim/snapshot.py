@@ -72,9 +72,9 @@ class StepSnapshot:
     link_diff:
         The step's level-0 :class:`~repro.radio.linkevents.LinkDiff`
         from the previous step's ``edges`` to this one's (``None`` on the
-        baseline snapshot).  It is computed once per step — the Verlet
-        cache's by-product when it has one, else one key merge — and
-        its churn feeds the patch-or-full choice.  The levels above
+        baseline snapshot).  It is computed once per step
+        (:func:`~repro.radio.linkevents.link_diff`), and its churn feeds
+        the patch-or-full choice.  The levels above
         have their diff in ``report.diff``.
     """
 

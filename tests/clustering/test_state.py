@@ -132,8 +132,7 @@ class TestStackedAgainstPerLevelOracle:
             "partition:start=8,duration=3")),
         # Minted cluster IDs >= 10^7 at every upper level.
         dict(n=150, steps=14, seed=5, election_mode="persistent"),
-        # The same at 1 m/s, where the Verlet candidate lists serve the
-        # edges instead of the plain grid build.
+        # The same at 1 m/s, where few links change per step.
         dict(n=150, steps=14, seed=5, election_mode="persistent",
              speed=1.0),
     ], ids=["chaos", "persistent", "persistent-event"])

@@ -1,14 +1,17 @@
 """Event-driven plane: hierarchies, hierarchy deltas, partition layout.
 
 Both control planes elect every hierarchy through the run's one
-:func:`hierarchy_stepper`; the event plane feeds it Verlet-cached edges
-and adds :func:`compute_delta`.  The bit-identity tests drive that
-hierarchy source against a from-scratch :func:`build_hierarchy` under
-drift, crash and partition bursts.  The delta tests pin
-:class:`HierarchyDelta`'s exactness claims (dirty cells = exactly the
-clusters whose member lists changed, arrivals = exactly the members they
-gained) on :func:`build_hierarchy` snapshots; the :class:`LazyClusters`
-tests pin the CSR partition the dense rendezvous kernel reads.
+:func:`hierarchy_stepper`; the event plane feeds it fresh unit-disk
+edges, diffs them against the previous hierarchy's level-0 edges
+(:func:`link_diff`) and adds :func:`compute_delta`.  The bit-identity
+tests drive that hierarchy source against a from-scratch
+:func:`build_hierarchy` under drift, crash and partition bursts, and
+check each step's diff against a set diff of the reference edges.  The
+delta tests pin :class:`HierarchyDelta`'s exactness claims (dirty
+cells = exactly the clusters whose member lists changed, arrivals =
+exactly the members they gained) on :func:`build_hierarchy` snapshots;
+the :class:`LazyClusters` tests pin the CSR partition the dense
+rendezvous kernel reads.
 """
 
 import numpy as np
@@ -22,7 +25,8 @@ from repro.hierarchy import (
     compute_delta,
     hierarchy_stepper,
 )
-from repro.radio import VerletEdgeCache, radius_for_degree, unit_disk_edges
+from repro.radio import radius_for_degree, unit_disk_edges
+from repro.radio.linkevents import link_diff
 
 DENSITY = 0.02
 R_TX = radius_for_degree(9.0, DENSITY)
@@ -45,14 +49,38 @@ def assert_hierarchies_identical(a, b):
 
 
 def event_plane(n, level_mode):
-    """The event plane's hierarchy source: Verlet-cached edges, an
-    optional chaos filter, then the run's stepper."""
-    cache = VerletEdgeCache(R_TX)
+    """The event plane's hierarchy source: fresh unit-disk edges, an
+    optional chaos filter, the step's level-0 diff against the previous
+    hierarchy's edges (``None`` on the first call), then the run's
+    stepper.  ``advance`` returns ``(hierarchy, diff)``."""
     step = hierarchy_stepper(n, R_TX, max_levels=3, level_mode=level_mode)
+    prev = None
 
     def advance(pts, keep=lambda edges: edges):
-        return step(keep(cache.edges(pts)), pts)
+        nonlocal prev
+        edges = keep(unit_disk_edges(pts, R_TX))
+        diff = None if prev is None else link_diff(
+            prev.levels[0].edges, edges, n)
+        prev = step(edges, pts)
+        return prev, diff
     return advance
+
+
+class SetDiffCheck:
+    """Compares each step's diff with a python-set diff of the reference
+    hierarchies' consecutive level-0 edges."""
+
+    def __init__(self):
+        self.prev = None
+
+    def __call__(self, diff, ref):
+        cur = {tuple(e) for e in ref.levels[0].edges.tolist()}
+        if self.prev is None:
+            assert diff is None
+        else:
+            assert diff.ups.tolist() == sorted(map(list, cur - self.prev))
+            assert diff.downs.tolist() == sorted(map(list, self.prev - cur))
+        self.prev = cur
 
 
 class TestBuildModeBitIdentity:
@@ -65,25 +93,27 @@ class TestBuildModeBitIdentity:
         n = 130
         rng = np.random.default_rng(seed)
         pts = disc_for_density(n, DENSITY).sample(n, rng)
-        advance = event_plane(n, "radio")
+        advance, check = event_plane(n, "radio"), SetDiffCheck()
         for _ in range(12):
-            h = advance(pts)
+            h, diff = advance(pts)
             ref = build_hierarchy(np.arange(n), unit_disk_edges(pts, R_TX),
                                   max_levels=3, level_mode="radio",
                                   positions=pts, r0=R_TX)
             assert_hierarchies_identical(h, ref)
+            check(diff, ref)
             pts = pts + rng.normal(scale=drift, size=pts.shape)
 
     def test_contraction_mode_matches_full_rebuild(self):
         n = 100
         rng = np.random.default_rng(4)
         pts = disc_for_density(n, DENSITY).sample(n, rng)
-        advance = event_plane(n, "contraction")
+        advance, check = event_plane(n, "contraction"), SetDiffCheck()
         for _ in range(8):
-            h = advance(pts)
+            h, diff = advance(pts)
             ref = build_hierarchy(np.arange(n), unit_disk_edges(pts, R_TX),
                                   max_levels=3, level_mode="contraction")
             assert_hierarchies_identical(h, ref)
+            check(diff, ref)
             pts = pts + rng.normal(scale=0.6, size=pts.shape)
 
     def test_crash_and_partition_bursts(self):
@@ -93,7 +123,7 @@ class TestBuildModeBitIdentity:
         n = 110
         rng = np.random.default_rng(7)
         pts = disc_for_density(n, DENSITY).sample(n, rng)
-        advance = event_plane(n, "radio")
+        advance, check = event_plane(n, "radio"), SetDiffCheck()
         down = np.zeros(n, dtype=bool)
         for step in range(10):
             cut = None
@@ -108,12 +138,13 @@ class TestBuildModeBitIdentity:
                     edges = edges[cut[edges[:, 0]] == cut[edges[:, 1]]]
                 return edges[~(down[edges[:, 0]] | down[edges[:, 1]])]
 
-            h = advance(pts, keep)
+            h, diff = advance(pts, keep)
             ref = build_hierarchy(np.arange(n),
                                   keep(unit_disk_edges(pts, R_TX)),
                                   max_levels=3, level_mode="radio",
                                   positions=pts, r0=R_TX)
             assert_hierarchies_identical(h, ref)
+            check(diff, ref)
             pts = pts + rng.normal(scale=0.4, size=pts.shape)
 
 

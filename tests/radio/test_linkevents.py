@@ -11,6 +11,8 @@ from repro.radio import encode_edges, radius_for_degree, unit_disk_edges
 from repro.radio.linkevents import link_diff, sorted_key_diff
 from repro.sim import LinkEventCollector
 
+from .edge_keys import decode_edges
+
 
 def edges(pairs):
     return np.array(sorted(tuple(sorted(p)) for p in pairs), dtype=np.int64).reshape(
@@ -85,6 +87,88 @@ class TestMergeKernel:
         up, down = sorted_key_diff(keys[:3], keys[1:])
         assert keys[1:][up].tolist() == [2**60]
         assert keys[:3][down].tolist() == [3]
+
+
+def setdiff_oracle(prev, cur, n):
+    """``(ups, downs)`` of two canonical edge arrays by ``np.setdiff1d``
+    on their keys, each in ascending key order."""
+    pk, ck = encode_edges(prev, n), encode_edges(cur, n)
+    ups = decode_edges(np.setdiff1d(ck, pk, assume_unique=True), n)
+    downs = decode_edges(np.setdiff1d(pk, ck, assume_unique=True), n)
+    return ups, downs
+
+
+class TestSetDiffOracle:
+    """``link_diff`` equals the set differences of the two key arrays,
+    rows in ascending key order, in the dtype of the edges it was
+    given."""
+
+    @staticmethod
+    def _check(before, after, n):
+        diff = link_diff(before, after, n)
+        ups, downs = setdiff_oracle(before, after, n)
+        for got, want, src in ((diff.ups, ups, after),
+                               (diff.downs, downs, before)):
+            assert got.dtype == src.dtype and got.flags["C_CONTIGUOUS"]
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        return diff
+
+    @pytest.mark.parametrize("side", ["before", "after", "both"])
+    def test_empty_snapshots(self, side):
+        e = unit_disk_edges(np.random.default_rng(0).random((40, 2)), 0.2)
+        empty = np.empty((0, 2), dtype=np.int32)
+        before = empty if side in ("before", "both") else e
+        after = empty if side in ("after", "both") else e
+        diff = self._check(before, after, 40)
+        assert diff.n_events == len(before) + len(after)
+
+    def test_identical_snapshots(self):
+        e = unit_disk_edges(np.random.default_rng(1).random((60, 2)), 0.2)
+        assert self._check(e, e.copy(), 60).n_events == 0
+
+    def test_disjoint_snapshots(self):
+        """Every old link goes down and every new one comes up."""
+        rng = np.random.default_rng(2)
+        before = random_canonical(rng, 30, 80)
+        keys = np.setdiff1d(np.arange(30 * 30), encode_edges(before, 30))
+        keys = keys[keys // 30 < keys % 30][::3]
+        after = decode_edges(keys, 30)
+        diff = self._check(before, after, 30)
+        assert diff.n_events == len(before) + len(after)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_walk_matches_setdiff_oracle(self, seed):
+        """Consecutive unit-disk snapshots of a random walk, slow enough
+        that most links survive a step and fast enough that some flip."""
+        n = 100
+        density = 0.02
+        r = radius_for_degree(9.0, density)
+        rng = np.random.default_rng(seed)
+        pts = disc_for_density(n, density).sample(n, rng)
+        prev = unit_disk_edges(pts, r)
+        events = 0
+        for _ in range(25):
+            pts = pts + rng.normal(scale=0.4, size=pts.shape)
+            cur = unit_disk_edges(pts, r)
+            diff = self._check(prev, cur, n)
+            assert diff.n_events < len(prev) + len(cur)
+            events += diff.n_events
+            prev = cur
+        assert events > 25
+
+    def test_keys_past_int32(self):
+        """Past 46 341 nodes ``u * n + v`` exceeds 2**31: the keys are
+        int64 even when the edges are int32."""
+        n = 100_000
+        rng = np.random.default_rng(3)
+        before = random_canonical(rng, n, 500).astype(np.int32)
+        after = np.concatenate([before[::2], random_canonical(rng, n, 300)])
+        after = decode_edges(np.unique(encode_edges(after, n)), n)
+        after = after.astype(np.int32)
+        assert encode_edges(after, n).max() > 2**31
+        diff = self._check(before, after, n)
+        assert 0 < diff.n_events < len(before) + len(after)
 
 
 class TestStationaryNetworkHasNoEvents:

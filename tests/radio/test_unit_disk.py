@@ -147,13 +147,36 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("seed", range(3))
     def test_degenerate_layouts(self, points, scale, seed):
         """Dense clusters (crowded cells), one line, one coordinate and
-        one point (a single cell), at the radio radius and at the Verlet
-        candidate radius 1.5 r_tx."""
+        one point (a single cell), at the radio radius and at 1.5 r_tx."""
         pts = points(300, seed)
         r = 2.5 * scale
         e = unit_disk_edges(pts, r)
         expected = _brute_force_edges(pts, r)
         assert e.shape[0] > 0 and e.tobytes() == expected.tobytes()
+
+    def test_integer_grid_boundary_walk(self):
+        """A 12 x 12 integer grid with four coincident copies at r = 5:
+        pairs at exactly r (axis-aligned and 3-4-5) and at distance 0
+        sit on the boundary of the ``<=`` on every step of a walk that
+        moves one node by whole units, back onto a coincident spot at
+        the end."""
+        r = 5.0
+        xs, ys = np.meshgrid(np.arange(12.0), np.arange(12.0))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        pts = np.vstack([pts, pts[[0, 13, 77, 143]]])
+        walk = [(None, (0, 0)), (0, (1, 0)), (0, (1, 0)), (5, (0, 2)),
+                (7, (0, -1)), (20, (-1, 0))]
+        for node, move in walk:
+            if node is not None:
+                pts = pts.copy()
+                pts[node] += move
+            e = unit_disk_edges(pts, r)
+            expected = _brute_force_edges(pts, r)
+            assert e.dtype == np.int32 and e.flags["C_CONTIGUOUS"]
+            assert e.shape == expected.shape
+            assert e.tobytes() == expected.tobytes()
+            d2 = ((pts[e[:, 0]] - pts[e[:, 1]]) ** 2).sum(axis=1)
+            assert (d2 == r * r).any() and (d2 == 0).any()
 
     def test_query_pairs_returns_i_less_than_j(self):
         """The contract the k-d tree oracle below relies on instead of

@@ -59,30 +59,15 @@ class TestResumeEqualsUninterrupted:
                 == baseline.queries.success_series)
 
     def test_resume_on_event_plane(self, tmp_path):
-        """A run whose Verlet candidate lists outlive their step resumes
-        mid-run: the result equals the uninterrupted run's, and the edge
-        cache's rebuild counts carry across the checkpoint (at 2 m/s
-        every list lasts a few steps, so the run rebuilds several times
-        and never falls back to the plain build)."""
+        """A slow run (2 m/s, few links flip per step) resumes mid-run:
+        the result equals the uninterrupted run's."""
         sc = _scenario()
-        uninterrupted = Simulator(sc)
-        baseline = uninterrupted.run()
+        baseline = Simulator(sc).run()
         path = tmp_path / "event.ckpt"
         Simulator(sc).run(checkpoint_every=5, checkpoint_path=str(path))
         resumed_sim = Simulator.restore(path)
-        # The edge cache is mid-list: the resumed run filters the pickled
-        # candidate columns before its next rebuild.
-        u, v = resumed_sim._edge_cache._candidates
-        assert u.flags.c_contiguous and v.flags.c_contiguous and u.size
-        at_checkpoint = resumed_sim._edge_cache.rebuilds
         assert 0 < resumed_sim.next_step < sc.steps
         _assert_same_result(baseline, resumed_sim.run())
-        want = uninterrupted._edge_cache
-        got = resumed_sim._edge_cache
-        assert (got.rebuilds, got.plain_builds) == (want.rebuilds,
-                                                    want.plain_builds)
-        assert want.rebuilds > at_checkpoint > 0
-        assert want.plain_builds == 0
 
     def test_trace_survives_resume(self, tmp_path):
         """The event trace is collector state like any other: a run

@@ -2,10 +2,9 @@
 
 * ``StepSnapshot.link_diff`` (level 0) must equal a python-set diff of
   the previous and the current edge list on every step: at 3 m/s
-  (``full``: the Verlet cache's plain builds, so the step merges its own
-  diff), at 1 m/s (``event``: the cache's candidate-list diff), both
-  under chaos (where the cache's diff is dropped and the step merges its
-  own), and after a mid-run resume with and without patching forced.
+  (``full``) and at 1 m/s (``event``, few links flip per step), both
+  under chaos (where crashes and partitions filter the edges before the
+  diff), and after a mid-run resume with and without patching forced.
 * The level series the simulator reads off ``snap.report.diff`` must
   equal the per-level re-diff oracle (``tests/sim/levels_oracle.py``)
   after every step, for every election mode and level model.

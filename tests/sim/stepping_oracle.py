@@ -1,11 +1,11 @@
 """The reference stepping path the simulator must reproduce.
 
 :class:`OracleSimulator` takes every step's edges from a fresh plain
-build (:func:`~repro.radio.unit_disk.unit_disk_edges`) and never builds a
+build (:func:`~repro.radio.unit_disk.unit_disk_edges`), as the
+production :class:`~repro.sim.engine.Simulator` does, but never builds a
 :class:`~repro.hierarchy.delta.HierarchyDelta`, so the handoff engine
 reassigns every CHLM server from scratch each step.  The production
-:class:`~repro.sim.engine.Simulator` uses the Verlet edge cache and
-patches the assignment on the steps
+simulator patches the assignment on the steps
 :func:`~repro.core.servers.patch_pays` picks; :func:`force_patch` makes
 it patch on every step, the path an equivalence test wants exercised.
 """
@@ -27,7 +27,7 @@ class OracleSimulator(Simulator):
         edges = unit_disk_edges(positions, self.sc.r_tx)
         if self._chaos is not None:
             edges = self._chaos.filter_edges(edges, positions)
-        return edges, None
+        return edges
 
     def _delta(self, hierarchy, diff):
         return None

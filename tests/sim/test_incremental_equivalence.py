@@ -1,5 +1,4 @@
-"""Equivalence matrix for the patched CHLM assignment and the Verlet
-edges.
+"""Equivalence matrix for the patched CHLM assignment.
 
 The standing contract of every incremental feature in this repo: the
 production :class:`~repro.sim.engine.Simulator`, with patching forced on
@@ -89,14 +88,10 @@ class TestResume:
     def test_resumed_incremental_run_is_bit_identical(self, tmp_path,
                                                       monkeypatch):
         """Interrupt a patching run mid-flight; the resumed half must
-        reproduce the uninterrupted run exactly, and the Verlet edge
-        cache riding the checkpoint must end on the same build counts
-        (at the stock 5 m/s one step outruns the skin, so after the
-        baseline's one list build every metered step is a plain build)."""
+        reproduce the uninterrupted run exactly."""
         force_patch(monkeypatch)
         sc = Scenario(n=80, steps=12, warmup=3, seed=0, max_levels=3)
-        uninterrupted = Simulator(sc)
-        baseline = uninterrupted.run()
+        baseline = Simulator(sc).run()
 
         path = tmp_path / "inc.ckpt"
         Simulator(sc).run(checkpoint_every=5, checkpoint_path=str(path))
@@ -104,11 +99,6 @@ class TestResume:
         assert 0 < resumed_sim.next_step < sc.steps
         resumed = resumed_sim.run()
         assert fingerprint(baseline) == fingerprint(resumed)
-        want = uninterrupted._edge_cache
-        got = resumed_sim._edge_cache
-        assert (got.rebuilds, got.plain_builds) == (want.rebuilds,
-                                                    want.plain_builds)
-        assert want.plain_builds == sc.steps
 
     def test_resume_matches_full_rebuild_run(self, tmp_path, monkeypatch):
         """Transitively: resumed production == production == oracle."""
@@ -164,9 +154,9 @@ class TestPatchRule:
         assert fingerprint(res) == fingerprint(run_oracle(sc))
 
     def test_chaos_run_decides_from_the_merged_diff(self, monkeypatch):
-        """Chaos filtering drops the Verlet cache's diff, so a chaos run
-        measures its churn on the step's own key merge — and still
-        patches at a size and churn past the threshold."""
+        """A chaos run measures its churn on the diff of its filtered
+        edges, one ``link_diff`` per step — and still patches at a size
+        and churn past the threshold."""
         merged = []
 
         def spy(before, after, n):
