@@ -1,8 +1,10 @@
 """Experiment harness — one module per reproduced figure/claim.
 
 See DESIGN.md Section 3 for the experiment index.  Each module exposes
-``run(quick=True, ...) -> ExperimentResult``; the corresponding benchmark
-executes it and prints the table.
+``run(quick=True, ...) -> ExperimentResult``; ``repro experiment`` and
+:func:`repro.analysis.report.generate_report` run it and print the
+table.  EXP-T3, T4, T5, T6, T10, A1, A2 and A5 read their runs from one
+grid, :mod:`repro.experiments.study`.
 """
 
 import inspect

@@ -1,8 +1,9 @@
 """Shared infrastructure for the experiment harness.
 
 Each experiment module exposes ``run(quick=True, seeds=...) ->
-ExperimentResult``; benchmarks execute them and print the same rows the
-paper's evaluation would tabulate (see DESIGN.md's experiment index).
+ExperimentResult``; ``repro experiment`` and ``generate_report`` run
+them and print the same rows the paper's evaluation would tabulate (see
+DESIGN.md's experiment index).
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import levels_for
 from repro.core import EventKind
+from repro.experiments import study
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, run_scenario
 
 __all__ = ["run"]
 
@@ -24,7 +23,8 @@ __all__ = ["run"]
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (200, 400) if quick else (200, 400, 800, 1600)
-    steps = 40 if quick else 100
+    modes = ("memoryless", "sticky")
+    by_mode = {mode: study.runs(mode, ns, quick, seeds) for mode in modes}
 
     result = ExperimentResult(
         exp_id="EXP-A1",
@@ -35,16 +35,9 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     deltas = []
     for n in ns:
         per_mode = {}
-        for mode in ("memoryless", "sticky"):
+        for mode in modes:
             phis, gammas, links, elects = [], [], [], []
-            for seed in seeds:
-                sc = Scenario(
-                    n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
-                    hop_mode="euclidean", max_levels=levels_for(n),
-                    election_mode=mode,
-                    hop_sample_every=10_000,
-                )
-                res = run_scenario(sc)
+            for res in by_mode[mode][n]:
                 phis.append(res.phi)
                 gammas.append(res.gamma)
                 rates = res.ledger.reorg_event_rates()

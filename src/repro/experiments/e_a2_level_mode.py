@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import levels_for
+from repro.experiments import study
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, run_scenario
 
 __all__ = ["run"]
 
@@ -25,7 +24,6 @@ __all__ = ["run"]
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     n = 800 if quick else 1600
-    steps = 40 if quick else 100
 
     result = ExperimentResult(
         exp_id="EXP-A2",
@@ -34,18 +32,11 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                  "drift * h_k", "gamma"],
     )
     summaries = {}
-    for mode in ("radio", "contraction"):
+    for mode, arm in (("radio", "memoryless"), ("contraction", "contraction")):
         gpd_acc: dict[int, list[float]] = {}
         hk_acc: dict[int, list[float]] = {}
         gammas = []
-        for seed in seeds:
-            sc = Scenario(
-                n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
-                hop_mode="euclidean", max_levels=levels_for(n),
-                level_mode=mode,
-                hop_sample_every=max(steps // 3, 1),
-            )
-            res = run_scenario(sc)
+        for res in study.runs(arm, (n,), quick, seeds)[n]:
             gammas.append(res.gamma)
             for k, v in res.g_prime_k_drift().items():
                 gpd_acc.setdefault(k, []).append(v)

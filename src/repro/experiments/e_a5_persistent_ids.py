@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import flatness, levels_for
+from repro.analysis import flatness
+from repro.experiments import study
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
-    ns = (100, 200, 400, 800, 1600) if quick else (100, 200, 400, 800, 1600, 3200, 6400)
-    steps = 40 if quick else 100
+    ns = study.sizes(quick)
 
     result = ExperimentResult(
         exp_id="EXP-A5",
@@ -37,22 +36,13 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     )
     curves: dict[str, list[float]] = {}
     for mode in ("memoryless", "persistent"):
-        from dataclasses import replace
-
-        base = Scenario(n=100, steps=steps, warmup=10, speed=1.0,
-                        hop_mode="euclidean", election_mode=mode)
-        grid = expand_grid(
-            base, ns, seeds,
-            scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
-        )
-        points = sweep_points(
-            run_sweep(grid),
-            {"phi": lambda r: r.phi, "gamma": lambda r: r.gamma},
-        )
-        curves[mode] = [p["gamma"] for p in points]
-        for p in points:
-            result.add_row(p.n, mode, round(p["phi"], 3), round(p["gamma"], 3),
-                           round(p["gamma"] / np.log(p.n) ** 2, 4))
+        curves[mode] = []
+        for n, runs in study.runs(mode, ns, quick, seeds).items():
+            phi = float(np.mean([res.phi for res in runs]))
+            gamma = float(np.mean([res.gamma for res in runs]))
+            curves[mode].append(gamma)
+            result.add_row(n, mode, round(phi, 3), round(gamma, 3),
+                           round(gamma / np.log(n) ** 2, 4))
 
     for mode, ys in curves.items():
         cv_log2 = flatness(list(ns), ys, "log2")

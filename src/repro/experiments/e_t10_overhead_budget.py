@@ -7,27 +7,23 @@ The conclusion argues the total control budget decomposes into
 * queries: order of the requester-target hop count, once per session —
   "absorbed in the associated session".
 
-This experiment meters all three from one simulation per size and
-reports their shares, plus the measured query cost relative to the
-session path length it precedes.  The simulations run through the
-sweep runner (:mod:`repro.sim.sweep`), so they parallelize across
-workers and memoize in the result cache; the query-cost probe replays
-the final topology from ``SimResult.final_positions`` without
-re-simulating.
+This experiment meters all three from the scaling study's runs
+(:mod:`repro.experiments.study`) and reports their shares, plus the
+measured query cost relative to the session path length it precedes.
+The query-cost probe replays the final topology from
+``SimResult.final_positions`` without re-simulating.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from repro.analysis import fit_power, levels_for
+from repro.analysis import fit_power
 from repro.core import full_assignment, resolve_batch
+from repro.experiments import study
 from repro.experiments.common import ExperimentResult
 from repro.hierarchy import build_hierarchy
 from repro.radio import unit_disk_edges
-from repro.sim import Scenario, expand_grid, run_sweep
 from repro.sim.hops import EuclideanHops
 
 __all__ = ["run"]
@@ -39,7 +35,7 @@ def _query_probe(res) -> tuple[list[float], list[float]]:
     pts = res.final_positions
     edges = unit_disk_edges(pts, sc.r_tx)
     hier = build_hierarchy(
-        np.arange(sc.n), edges, max_levels=levels_for(sc.n),
+        np.arange(sc.n), edges, max_levels=sc.max_levels,
         level_mode="radio", positions=pts, r0=sc.r_tx,
     )
     assignment = full_assignment(hier)
@@ -57,15 +53,7 @@ def _query_probe(res) -> tuple[list[float], list[float]]:
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (200, 400, 800) if quick else (200, 400, 800, 1600, 3200)
-    steps = 40 if quick else 100
-
-    base = Scenario(n=200, steps=steps, warmup=10, speed=1.0,
-                    hop_mode="euclidean", hop_sample_every=10_000)
-    scenarios = expand_grid(
-        base, ns, seeds,
-        scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
-    )
-    results = run_sweep(scenarios)
+    by_n = study.runs("memoryless", ns, quick, seeds)
 
     result = ExperimentResult(
         exp_id="EXP-T10",
@@ -74,13 +62,11 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                  "query pkts (mean)", "query/session-path"],
     )
     handoffs, regs = [], []
-    per_n = len(list(seeds))
-    for i, n in enumerate(ns):
-        chunk = results[i * per_n : (i + 1) * per_n]
-        h_rates = [res.handoff_rate for res in chunk]
-        r_rates = [res.ledger.registration_rate for res in chunk]
+    for n, runs in by_n.items():
+        h_rates = [res.handoff_rate for res in runs]
+        r_rates = [res.ledger.registration_rate for res in runs]
         q_costs, q_ratios = [], []
-        for res in chunk:
+        for res in runs:
             costs, ratios = _query_probe(res)
             q_costs.extend(costs)
             q_ratios.extend(ratios)

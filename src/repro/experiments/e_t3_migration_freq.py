@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import replace
-
-from repro.analysis import fit_shape, levels_for
+from repro.analysis import fit_shape
+from repro.experiments import study
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, expand_grid, run_sweep
 
 __all__ = ["run"]
 
@@ -22,15 +20,7 @@ __all__ = ["run"]
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (400, 800) if quick else (400, 800, 1600, 3200)
-    steps = 40 if quick else 100
-
-    base = Scenario(n=400, steps=steps, warmup=10, speed=1.0,
-                    hop_mode="euclidean", hop_sample_every=max(steps // 3, 1))
-    scenarios = expand_grid(
-        base, ns, seeds,
-        scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
-    )
-    results = run_sweep(scenarios)
+    by_n = study.runs("memoryless", ns, quick, seeds)
 
     result = ExperimentResult(
         exp_id="EXP-T3",
@@ -38,11 +28,10 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["n", "level k", "f_k (events/node/s)", "h_k", "f_k * h_k"],
     )
     products = []
-    per_n = len(list(seeds))
-    for i, n in enumerate(ns):
+    for n, runs in by_n.items():
         fk_acc: dict[int, list[float]] = {}
         hk_acc: dict[int, list[float]] = {}
-        for res in results[i * per_n : (i + 1) * per_n]:
+        for res in runs:
             for k, v in res.ledger.f_k().items():
                 fk_acc.setdefault(k, []).append(v)
             for k, v in res.mean_h_k().items():

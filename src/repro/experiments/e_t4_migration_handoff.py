@@ -9,8 +9,6 @@ O(log n) per level.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.analysis import (
@@ -20,41 +18,30 @@ from repro.analysis import (
     levels_for,
     shape_by_flatness,
 )
+from repro.experiments import study
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
-    ns = (100, 200, 400, 800, 1600) if quick else (100, 200, 400, 800, 1600, 3200, 6400)
-    steps = 40 if quick else 100
-    base = Scenario(n=100, steps=steps, warmup=10, speed=1.0, hop_mode="euclidean")
-
-    grid = expand_grid(
-        base, ns, seeds,
-        scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
-    )
-    points = sweep_points(
-        run_sweep(grid),
-        {"phi": lambda r: r.phi},
-        keep_results=True,
-    )
+    by_n = study.runs("memoryless", study.sizes(quick), quick, seeds)
+    xs = list(by_n)
+    phis = [[res.phi for res in runs] for runs in by_n.values()]
+    ys = [float(np.mean(phi)) for phi in phis]
 
     result = ExperimentResult(
         exp_id="EXP-T4",
         title="Migration handoff phi vs |V| (Section 4: O(log^2 |V|))",
         columns=["n", "L", "phi (pkts/node/s)", "std", "phi / log^2 n"],
     )
-    for p in points:
+    for n, phi, mean in zip(xs, phis, ys):
         result.add_row(
-            p.n, levels_for(p.n), round(p["phi"], 4), round(p.stds["phi"], 4),
-            round(p["phi"] / np.log(p.n) ** 2, 5),
+            n, levels_for(n), round(mean, 4), round(float(np.std(phi)), 4),
+            round(mean / np.log(n) ** 2, 5),
         )
 
-    xs = [p.n for p in points]
-    ys = [p["phi"] for p in points]
     fits = compare_shapes(xs, ys, shapes=("log2", "sqrt", "log", "linear"))
     result.add_note(
         f"AIC best shape: {fits[0].shape}; ranking: {[f.shape for f in fits]}"
@@ -73,10 +60,10 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     # The bound's two factors, checked separately: phi_k = O(log n) per
     # level, and L = Theta(log n) levels.
     per_level: dict[int, list[tuple[int, float]]] = {}
-    for p in points:
-        for res in p.results:
+    for n, runs in by_n.items():
+        for res in runs:
             for k, v in res.ledger.phi_k().items():
-                per_level.setdefault(k, []).append((p.n, v))
+                per_level.setdefault(k, []).append((n, v))
     for k in sorted(per_level):
         pts_k = per_level[k]
         if len({n for n, _ in pts_k}) >= 3:
@@ -89,13 +76,12 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                 f"phi_k at level {k} across n: log-fit R^2={f_log.r2:.2f}, "
                 f"better shape: {winner} (paper: O(log n) per level)"
             )
-    big = points[-1]
-    if big.results:
-        phi_k = big.results[0].ledger.phi_k()
-        result.add_note(
-            f"phi_k at n={big.n}: "
-            + ", ".join(f"k={k}: {v:.3f}" for k, v in phi_k.items())
-        )
+    big = xs[-1]
+    phi_k = by_n[big][0].ledger.phi_k()
+    result.add_note(
+        f"phi_k at n={big}: "
+        + ", ".join(f"k={k}: {v:.3f}" for k, v in phi_k.items())
+    )
     return result
 
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import fit_shape, levels_for
+from repro.analysis import fit_shape
+from repro.experiments import study
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, run_scenario
 
 __all__ = ["run"]
 
@@ -29,7 +29,6 @@ __all__ = ["run"]
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     n = 800 if quick else 3200
-    steps = 40 if quick else 100
 
     result = ExperimentResult(
         exp_id="EXP-T6",
@@ -45,13 +44,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     def put(key: str, k: int, value: float) -> None:
         acc[key].setdefault(k, []).append(value)
 
-    for seed in seeds:
-        sc = Scenario(
-            n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
-            hop_mode="euclidean", max_levels=levels_for(n),
-            hop_sample_every=max(steps // 3, 1),
-        )
-        res = run_scenario(sc)
+    for res in study.runs("memoryless", (n,), quick, seeds)[n]:
         for k in res.level_series.levels():
             if k < 1:
                 continue

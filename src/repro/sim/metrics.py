@@ -201,7 +201,6 @@ class SweepPoint:
     values: dict[str, float]
     stds: dict[str, float]
     seeds: int
-    results: tuple[SimResult, ...]
 
     def __getitem__(self, key: str) -> float:
         return self.values[key]

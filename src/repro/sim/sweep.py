@@ -694,8 +694,6 @@ def run_sweep(
 def sweep_points(
     results: Sequence[SimResult | None],
     metrics: dict[str, Callable[[SimResult], float]],
-    *,
-    keep_results: bool = False,
 ) -> list[SweepPoint]:
     """Aggregate named metrics per node count over a sweep's results.
 
@@ -703,8 +701,7 @@ def sweep_points(
     (the size-major order of :func:`expand_grid`); ``None`` holes — the
     failed tasks of a :class:`SweepError`'s partial run — are skipped.
     Each point carries every metric's mean and standard deviation over
-    its group, and the raw results when ``keep_results`` is set
-    (memory-heavy).  A metric may return None for "not measured in this
+    its group.  A metric may return None for "not measured in this
     run" (e.g. ``query_success_rate`` when a cell samples no queries):
     that sample is missing, not zero, and a point that measured nothing
     reports NaN.
@@ -731,7 +728,6 @@ def sweep_points(
                 values={k: _nan_skip(v, np.mean) for k, v in samples.items()},
                 stds={k: _nan_skip(v, np.std) for k, v in samples.items()},
                 seeds=len(chunk),
-                results=tuple(chunk) if keep_results else (),
             )
         )
     return points

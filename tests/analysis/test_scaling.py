@@ -11,7 +11,6 @@ def tiny_sweep():
     return sweep_points(
         run_sweep(expand_grid(base, [60, 120], seeds=(0, 1))),
         {"handoff": lambda r: r.handoff_rate, "f0": lambda r: r.f0},
-        keep_results=True,
     )
 
 
@@ -23,9 +22,6 @@ class TestSweep:
             assert set(p.values) == {"handoff", "f0"}
             assert p["f0"] > 0
             assert p.stds["f0"] >= 0
-
-    def test_results_kept(self, tiny_sweep):
-        assert all(len(p.results) == 2 for p in tiny_sweep)
 
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError, match="metric"):

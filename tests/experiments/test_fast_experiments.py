@@ -1,8 +1,8 @@
 """Functional tests for the fast (static-snapshot) experiments.
 
-The heavy sweeps are exercised by the benchmarks; here we run the cheap
-experiments end to end and assert their *claims*, not just that they
-produce rows.
+The scaling sweeps are pinned in ``test_scaling_goldens.py``; here we
+run the cheap experiments end to end and assert their *claims*, not
+just that they produce rows.
 """
 
 import pytest

@@ -213,11 +213,11 @@ class TestCachedSweepShapes:
         """Points follow the results' sizes, not a sorted axis, and a
         failed task's ``None`` hole is skipped rather than counted."""
         results = run_sweep(expand_grid(BASE, [90, 60], seeds=(0, 1)))
-        points = sweep_points(results, self.METRICS, keep_results=True)
+        points = sweep_points(results, self.METRICS)
         assert [(p.n, p.seeds) for p in points] == [(90, 2), (60, 2)]
         holed = [results[0], None, results[2], results[3]]
-        big, small = sweep_points(holed, self.METRICS, keep_results=True)
-        assert big.seeds == 1 and big.results == (results[0],)
+        big, small = sweep_points(holed, self.METRICS)
+        assert big.seeds == 1
         assert big.values["total"] == results[0].handoff_rate
         assert small.values == points[1].values
         assert sweep_points([None, None], self.METRICS) == []
@@ -240,18 +240,18 @@ class TestMissingMetricAggregation:
             return replace(sc, queries_per_step=3 if n == 60 else 0)
 
         grid = expand_grid(BASE, [60, 90], seeds=(0, 1), scenario_for=per_n)
-        lo, hi = sweep_points(run_sweep(grid), self.METRICS,
-                              keep_results=True)
-        rates = [r.query_success_rate for r in lo.results]
+        results = run_sweep(grid)
+        lo, hi = sweep_points(results, self.METRICS)
+        rates = [r.query_success_rate for r in results[:2]]
         assert all(r is not None for r in rates)
         assert lo.values["succ"] == float(np.mean(rates))
-        assert all(r.query_success_rate is None for r in hi.results)
+        assert all(r.query_success_rate is None for r in results[2:])
         assert np.isnan(hi.values["succ"])
         assert np.isnan(hi.stds["succ"])
         # Metrics measured everywhere aggregate exactly as before.
-        for p in (lo, hi):
+        for p, chunk in ((lo, results[:2]), (hi, results[2:])):
             assert p.values["phi"] == float(
-                np.mean([r.phi for r in p.results]))
+                np.mean([r.phi for r in chunk]))
 
 
 class TestScenarioKey:

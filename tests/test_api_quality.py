@@ -243,7 +243,7 @@ class TestExports:
             exported = set(getattr(mod, "__all__", ())) | set(vars(mod))
             assert not gone & exported, mod.__name__
         assert list(inspect.signature(sweep_points).parameters) == [
-            "results", "metrics", "keep_results"]
+            "results", "metrics"]
         with pytest.raises(SystemExit) as err:
             main(["profile"])
         assert err.value.code == 2
