@@ -363,13 +363,15 @@ def _print_run(res):
     print(f"  gamma_k = {res.ledger.gamma_k()}")
     print(f"  f_k     = {res.ledger.f_k()}")
     if sc.faults_enabled:
+        from repro.core.handoff import ABANDONED, RECOVERED
+
+        flat = res.ledger.flat()
         print(f"  retransmission = {res.ledger.retransmission_rate:.4f} "
               f"pkts/node/s")
         print(f"  abandonment    = {res.ledger.abandonment_rate:.5f} "
               f"entries/node/s")
         print(f"  mean recovery  = {res.ledger.mean_recovery_time:.2f} s "
-              f"({res.ledger.recovered_entries} recovered, "
-              f"{res.ledger.abandoned_entries} abandoned)")
+              f"({flat[RECOVERED]} recovered, {flat[ABANDONED]} abandoned)")
     chaos = res.extras.get("chaos")
     if chaos is not None:
         ttr = chaos.max_time_to_reconverge()

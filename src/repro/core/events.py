@@ -88,13 +88,6 @@ def _no_ids() -> np.ndarray:
     return np.empty(0, dtype=np.int64)
 
 
-def _first_seen_counts(keys: np.ndarray) -> tuple[list[int], list[int]]:
-    """Distinct keys in order of first occurrence, with their counts."""
-    uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return uniq[order].tolist(), counts[order].tolist()
-
-
 @dataclass(eq=False)
 class HierarchyDiff:
     """All events between two hierarchy snapshots, as parallel arrays.
@@ -146,20 +139,13 @@ class HierarchyDiff:
             for f in fields(self)
         )
 
-    def migration_counts(self) -> dict[int, int]:
-        """Pure migration events per level (f_k numerators)."""
-        return dict(zip(*_first_seen_counts(self.mig_level[self.mig_pure])))
-
-    def reorg_counts(self) -> dict[tuple[EventKind, int], int]:
-        """Reorg events per (kind, level)."""
-        if self.reorg_kind.size == 0:
-            return {}
-        span = int(self.reorg_level.max()) + 1
-        keys, counts = _first_seen_counts(self.reorg_kind * span + self.reorg_level)
-        return {
-            (_KINDS[key // span], key % span): count
-            for key, count in zip(keys, counts)
-        }
+    def event_counts(self, width: int) -> np.ndarray:
+        """Events per kind and level, ``[kind, level]`` for levels
+        ``0 .. width - 1``: row ``i`` counts kind ``tuple(EventKind)[i]``,
+        so row 0 counts the pure migrations (the f_k numerators)."""
+        keys = np.concatenate((self.mig_level[self.mig_pure],
+                               self.reorg_kind * width + self.reorg_level))
+        return np.bincount(keys, minlength=len(_KINDS) * width).reshape(-1, width)
 
 
 def _election_events(h: ClusteredHierarchy, keys: np.ndarray,

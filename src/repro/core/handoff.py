@@ -86,46 +86,45 @@ def _moved_entries(rows: dict, old_tables: dict, new_tables: dict,
             *map(np.concatenate, (idx, old, new)))
 
 
-@dataclass(frozen=True)
+# Columns of a step's count table, ``HandoffReport.counts[column, level]``
+# for levels 0 .. L+1 (L: the deeper snapshot's depth): charged transfers
+# by cause, registration packets, then events by kind.  ``EVENTS + i``
+# counts kind ``tuple(EventKind)[i]``: ``EVENTS`` itself the pure
+# migrations (the f_k numerators), ``EVENTS + 1`` .. ``EVENTS + 7`` the
+# reorganisations (i)-(vii).
+MIG_PACKETS, MIG_ENTRIES, REORG_PACKETS, REORG_ENTRIES, REG_PACKETS, EVENTS = range(6)
+COLUMNS = EVENTS + len(EventKind)
+# Entries of the level-free count vector, ``HandoffReport.flat``.
+REG_EVENTS, RETRANSMITTED, ABANDONED, ABANDONED_REGS, RECOVERED, STALE = range(6)
+
+
+@dataclass(frozen=True, eq=False)
 class HandoffReport:
     """Packet accounting for one step.
 
-    All ``dict[int, int]`` maps are keyed by hierarchy level.
+    ``counts`` (int64, ``COLUMNS x (L + 2)``) holds the per-level counts.
+    ``flat`` (int64) holds the level-free ones: registration events,
+    retransmitted packets (extra transmissions beyond the lossless
+    charge), abandoned entry transfers (each leaves a stale server) and
+    registrations, previously-stale entries whose transfer landed this
+    step, and the stale (subject, level) keys outstanding after it.
     """
 
-    migration_packets: dict[int, int]
-    migration_entries: dict[int, int]
-    reorg_packets: dict[int, int]
-    reorg_entries: dict[int, int]
-    registration_packets: dict[int, int]
-    registration_events: int
-    migration_events: dict[int, int]
-    """Pure level-k node migration event counts (the f_k numerator)."""
-    reorg_event_counts: dict[tuple[EventKind, int], int]
-    """Raw reorganization events (i)-(vii) by (kind, level)."""
+    counts: np.ndarray
+    flat: np.ndarray
     diff: HierarchyDiff
-    retransmitted_packets: int = 0
-    """Extra transmissions beyond the lossless charge (0 without faults)."""
-    abandoned_entries: int = 0
-    """Entry transfers given up this step (each leaves a stale server)."""
-    abandoned_registrations: int = 0
-    """Address refreshes given up this step."""
-    recovered_entries: int = 0
-    """Previously-stale entries whose transfer finally landed this step."""
     recovery_time_total: float = 0.0
     """Summed abandon-to-recovery durations of this step's recoveries."""
-    stale_entries: int = 0
-    """Stale (subject, level) keys outstanding after this step."""
 
     @property
     def phi_packets(self) -> int:
         """Total migration-handoff packets this step (phi numerator)."""
-        return sum(self.migration_packets.values())
+        return int(self.counts[MIG_PACKETS].sum())
 
     @property
     def gamma_packets(self) -> int:
         """Total reorganization-handoff packets this step (gamma)."""
-        return sum(self.reorg_packets.values())
+        return int(self.counts[REORG_PACKETS].sum())
 
     @property
     def total_handoff_packets(self) -> int:
@@ -210,19 +209,14 @@ class HandoffEngine:
         if self._prev_h is None or self._prev_a is None:
             self._prev_h, self._prev_a = h, assignment
             return HandoffReport(
-                migration_packets={},
-                migration_entries={},
-                reorg_packets={},
-                reorg_entries={},
-                registration_packets={},
-                registration_events=0,
-                migration_events={},
-                reorg_event_counts={},
-                diff=HierarchyDiff(),
-            )
+                counts=np.zeros((COLUMNS, h.num_levels + 2), dtype=np.int64),
+                flat=np.zeros(STALE + 1, dtype=np.int64), diff=HierarchyDiff())
 
         h0, a0 = self._prev_h, self._prev_a
         diff = diff_hierarchies(h0, h)
+        width = max(h0.num_levels, h.num_levels) + 2
+        counts = np.zeros((COLUMNS, width), dtype=np.int64)
+        counts[EVENTS:] = diff.event_counts(width)
         base = h.levels[0].node_ids
         row_of = IdIndex(base).rows
         # Per node: the lowest level its ancestry changed at (0: nowhere)
@@ -272,10 +266,6 @@ class HandoffEngine:
             for level, a, b in zip(levels, [0, *ends], ends):
                 moves[level] = (idx[a:b], old[a:b], hops[a:b], migration[a:b])
 
-        migration_packets: dict[int, int] = {}
-        migration_entries: dict[int, int] = {}
-        reorg_packets: dict[int, int] = {}
-        reorg_entries: dict[int, int] = {}
         retransmitted = 0
         abandoned = 0
         recovered = 0
@@ -335,22 +325,13 @@ class HandoffEngine:
 
         if moves:
             # Per level: migration packets and entries, reorg packets and
-            # entries (hops now hold what the channel charged); a cause
-            # enters a level's ledgers only when it has entries there.
-            # One reduction per column, not a stack of four entry-sized
-            # copies.
+            # entries (hops now hold what the channel charged).  One
+            # reduction per column, not a stack of four entry-sized copies.
             charged, counted, total = (
                 np.add.reduceat(col, [0, *ends[:-1]], dtype=np.int64)
                 for col in (np.where(migration, hops, 0), migration, hops))
-            for level, mig_pkts, mig_n, reorg_pkts, reorg_n in zip(
-                    levels, charged.tolist(), counted.tolist(),
-                    (total - charged).tolist(), (sizes - counted).tolist()):
-                if mig_n:
-                    migration_packets[level] = mig_pkts
-                    migration_entries[level] = mig_n
-                if reorg_n:
-                    reorg_packets[level] = reorg_pkts
-                    reorg_entries[level] = reorg_n
+            counts[:REG_PACKETS, levels] = (
+                charged, counted, total - charged, sizes - counted)
 
         # Registration: the level-k server stores the subject's
         # level-(k-1) cluster (the granularity a recursive query needs),
@@ -374,40 +355,24 @@ class HandoffEngine:
         # Moved entries carry the fresh address.
         keep = ((srv >= 0) & (held == srv)).nonzero()[0]
         hops = np.maximum(batch_hops(hop_fn, base[idx[keep]], srv[keep]), 0)
-        registration_events = hops.size
-        registration_packets: dict[int, int] = {}
         abandoned_regs = 0
         if hops.size:
-            reg_levels, first = np.unique(diff.mig_level[keep] + 1,
-                                          return_index=True)
-            if delivery is None:
-                registration_packets = dict(zip(
-                    reg_levels.tolist(), np.add.reduceat(hops, first).tolist()))
-            else:
-                level_of = np.repeat(reg_levels, np.diff([*first, hops.size]))
-                registration_packets = dict.fromkeys(reg_levels.tolist(), 0)
-                for level, hop_count in zip(level_of.tolist(), hops.tolist()):
+            if delivery is not None:
+                for i, hop_count in enumerate(hops.tolist()):
                     out = delivery.send(hop_count)
                     retransmitted += out.retransmitted
                     abandoned_regs += not out.delivered
-                    registration_packets[level] += out.packets
+                    hops[i] = out.packets
+            reg_levels, first = np.unique(diff.mig_level[keep] + 1,
+                                          return_index=True)
+            counts[REG_PACKETS, reg_levels] = np.add.reduceat(hops, first)
 
         report = HandoffReport(
-            migration_packets=migration_packets,
-            migration_entries=migration_entries,
-            reorg_packets=reorg_packets,
-            reorg_entries=reorg_entries,
-            registration_packets=registration_packets,
-            registration_events=registration_events,
-            migration_events=diff.migration_counts(),
-            reorg_event_counts=diff.reorg_counts(),
+            counts=counts,
+            flat=np.array([hops.size, retransmitted, abandoned, abandoned_regs,
+                           recovered, len(self._stale)], dtype=np.int64),
             diff=diff,
-            retransmitted_packets=retransmitted,
-            abandoned_entries=abandoned,
-            abandoned_registrations=abandoned_regs,
-            recovered_entries=recovered,
             recovery_time_total=recovery_time,
-            stale_entries=len(self._stale),
         )
         if abandoned:
             assignment = ServerAssignment(subjects=base, tables=eff)

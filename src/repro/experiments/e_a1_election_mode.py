@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import EventKind
 from repro.experiments import study
 from repro.experiments.common import ExperimentResult
 
@@ -40,15 +39,10 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
             for res in by_mode[mode][n]:
                 phis.append(res.phi)
                 gammas.append(res.gamma)
-                rates = res.ledger.reorg_event_rates()
-                links.append(sum(
-                    v for (kind, _), v in rates.items()
-                    if kind in (EventKind.LINK_UP, EventKind.LINK_DOWN)
-                ))
-                elects.append(sum(
-                    v for (kind, _), v in rates.items()
-                    if kind in (EventKind.ELECT_MIGRATION, EventKind.ELECT_RECURSIVE)
-                ))
+                rate = {k: e["rate"]
+                        for k, e in res.ledger.reorg_event_breakdown().items()}
+                links.append(rate.get("i", 0.0) + rate.get("ii", 0.0))
+                elects.append(rate.get("iii", 0.0) + rate.get("v", 0.0))
             row = (
                 float(np.mean(phis)), float(np.mean(gammas)),
                 float(np.mean(phis)) + float(np.mean(gammas)),

@@ -57,14 +57,11 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     # Event taxonomy at the largest size.
     big = xs[-1]
     res = by_n[big][0]
-    rates = res.ledger.reorg_event_rates()
-    by_kind: dict[str, float] = {}
-    for (kind, level), rate in rates.items():
-        by_kind[kind.value] = by_kind.get(kind.value, 0.0) + rate
+    rate = {k: e["rate"] for k, e in res.ledger.reorg_event_breakdown().items()}
     order = [k.value for k in EventKind if k is not EventKind.MIGRATION]
     result.add_note(
         f"event rates at n={big} by kind (events/node/s): "
-        + ", ".join(f"({k}) {by_kind.get(k, 0.0):.4f}" for k in order)
+        + ", ".join(f"({k}) {rate.get(k, 0.0):.4f}" for k in order)
     )
     gk = res.ledger.gamma_k()
     result.add_note(

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.analysis import levels_for
 from repro.core import HandoffEngine
+from repro.core.handoff import REG_PACKETS
 from repro.experiments.common import ExperimentResult
 from repro.geometry import square_for_density
 from repro.gls import GridHierarchy, GridLocationService
@@ -65,7 +66,7 @@ def _one_run(n: int, steps: int, warmup: int, seed: int) -> dict[str, float]:
         totals["gls_handoff"] += g.handoff_packets
         totals["gls_update"] += g.update_packets
         totals["chlm_handoff"] += c.total_handoff_packets
-        totals["chlm_reg"] += sum(c.registration_packets.values())
+        totals["chlm_reg"] += int(c.counts[REG_PACKETS].sum())
     norm = n * steps * dt
     return {k: v / norm for k, v in totals.items()}
 

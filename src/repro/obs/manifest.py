@@ -3,12 +3,13 @@
 A manifest captures *provenance* (scenario hash, ``CODE_VERSION``,
 package versions, platform) and *cost* (wall time, per-phase breakdown,
 peak RSS) next to the headline metrics, so a result file on disk can always answer
-"what produced this, and where did the time go?".  Two optional
+"what produced this, and where did the time go?".  ``series`` holds the
+per-step packet counts the headline rates sum, and two optional
 sections make it the run's one record: ``trace`` (the event trace a
 :class:`~repro.sim.collectors.TraceCollector` kept) and ``chaos`` (the
-:class:`~repro.sim.collectors.ChaosReport`); both are empty when the run
-has no such data, which is also how a file written without them reads
-back.  Manifests are plain JSON; a list of them streams naturally as
+:class:`~repro.sim.collectors.ChaosReport`); all three are empty when
+the run has no such data, which is also how a file written without them
+reads back.  Manifests are plain JSON; a list of them streams naturally as
 JSONL via :func:`repro.obs.export.write_jsonl`.
 """
 
@@ -67,6 +68,11 @@ class RunManifest:
         recorded).
     metrics:
         Headline scalar metrics (phi, gamma, handoff rate, f0, ...).
+    series:
+        Per metered step, the migration (``"migration_packets"``) and
+        reorganisation (``"reorg_packets"``) handoff packets of each
+        level 0 .. L+1, as integers from the ledger; dividing a step's
+        sum by n·dt gives its phi or gamma.
     trace:
         The event trace: ``capacity``, ``dropped`` and ``events`` (one
         ``{"t", "kind", "payload"}`` dict each); empty when the run
@@ -84,6 +90,7 @@ class RunManifest:
     phases: dict = field(default_factory=dict)
     peak_rss_mb: float = 0.0
     metrics: dict = field(default_factory=dict)
+    series: dict = field(default_factory=dict)
     trace: dict = field(default_factory=dict)
     chaos: dict = field(default_factory=dict)
     schema: str = SCHEMA
@@ -93,6 +100,7 @@ class RunManifest:
         """Build a manifest from a finished :class:`SimResult`."""
         # Imported here: obs must stay importable before repro.sim
         # finishes initializing (the engine lazily imports obs.timers).
+        from repro.core.handoff import MIG_PACKETS, REORG_PACKETS
         from repro.sim.sweep import CODE_VERSION, normalize_for_json, scenario_key
 
         timings = getattr(res, "timings", None)
@@ -136,6 +144,11 @@ class RunManifest:
             phases=dict(timings.totals) if timings else {},
             peak_rss_mb=float(timings.peak_rss_mb) if timings else 0.0,
             metrics=metrics,
+            series={
+                name: [t[column].tolist() for t in res.ledger.tables]
+                for name, column in (("migration_packets", MIG_PACKETS),
+                                     ("reorg_packets", REORG_PACKETS))
+            },
             trace=extras.get("trace", {}),
             chaos={} if chaos is None else asdict(chaos),
         )
@@ -163,6 +176,7 @@ class RunManifest:
             phases={str(k): float(v) for k, v in d.get("phases", {}).items()},
             peak_rss_mb=float(d.get("peak_rss_mb", 0.0)),
             metrics=dict(d.get("metrics", {})),
+            series=dict(d.get("series", {})),
             trace=dict(d.get("trace", {})),
             chaos=dict(d.get("chaos", {})),
         )

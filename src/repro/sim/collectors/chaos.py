@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.handoff import STALE
 from repro.sim.collectors.base import Collector
 
 __all__ = ["ChaosCollector", "ChaosReport", "EpisodeSLO"]
@@ -131,7 +132,7 @@ class ChaosCollector(Collector):
         rep.violations_series.append(inv.violations)
         rep.orphan_series.append(inv.orphaned)
         rep.down_series.append(0 if down is None else int(down.sum()))
-        stale = snap.report.stale_entries if snap.report is not None else 0
+        stale = snap.report.flat[STALE] if snap.report is not None else 0
         rep.stale_series.append(int(stale))
 
     # -- SLO computation -----------------------------------------------------

@@ -78,13 +78,16 @@ __all__ = [
     "print_progress",
 ]
 
-CODE_VERSION = "7"
+CODE_VERSION = "8"
 """Simulator-semantics version baked into every cache key (and into the
 code stamp of every checkpoint, :func:`repro.sim.engine.code_stamp`).
 Bump this whenever a change alters what
 :func:`repro.sim.engine.run_scenario` returns for a given scenario; old
 cache entries then miss cleanly.
 
+Version 8: the ledger keeps one count table; every number equals version
+7's.  A cached version-7 result would still unpickle, with a ledger
+that has none of the table's fields.
 Version 7: ``state_stats`` counts ALCA transitions between consecutive
 snapshots only; a level missing from one snapshot (the hierarchy's depth
 dipped for a step) used to be diffed against its election from two

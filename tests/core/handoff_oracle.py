@@ -5,7 +5,8 @@ operations.  This is the loop it replaced, kept as the oracle: one step
 is metered from two ``{(subject, level): server}`` mappings, one key at
 a time in ascending ``(subject, level)`` order, with scalar hop calls, a
 purity dict built from the migration events, and one ``delivery.send``
-per transfer.  ``tests/core/test_handoff_oracle.py`` requires every
+per transfer.  Its per-level totals are packed into the report's count
+table at the end.  ``tests/core/test_handoff_oracle.py`` requires every
 :class:`~repro.core.handoff.HandoffReport` field, the stale set, the
 effective assignment and the channel's RNG state to match it exactly.
 """
@@ -13,11 +14,21 @@ effective assignment and the channel's RNG state to match it exactly.
 import numpy as np
 
 from repro.core import full_assignment
-from repro.core.events import HierarchyDiff, diff_hierarchies
-from repro.core.handoff import HandoffReport
+from repro.core.events import EventKind, HierarchyDiff, diff_hierarchies
+from repro.core.handoff import (
+    COLUMNS, EVENTS, MIG_ENTRIES, MIG_PACKETS, REG_PACKETS, REORG_ENTRIES,
+    REORG_PACKETS, STALE, HandoffReport,
+)
 
 from .descent_oracle import server_map
-from .events_oracle import migration_events
+from .events_oracle import (
+    migration_events,
+    oracle_migration_counts,
+    oracle_reorg_counts,
+    reorg_events,
+)
+
+_KIND_ROW = {kind: i for i, kind in enumerate(EventKind)}
 
 
 class OracleHandoffEngine:
@@ -33,10 +44,8 @@ class OracleHandoffEngine:
         if self.prev_h is None:
             self.prev_h, self.servers = h, intent
             return HandoffReport(
-                migration_packets={}, migration_entries={}, reorg_packets={},
-                reorg_entries={}, registration_packets={},
-                registration_events=0, migration_events={},
-                reorg_event_counts={}, diff=HierarchyDiff(),
+                counts=np.zeros((COLUMNS, h.num_levels + 2), dtype=np.int64),
+                flat=np.zeros(STALE + 1, dtype=np.int64), diff=HierarchyDiff(),
             )
         h0, old_servers = self.prev_h, self.servers
         diff = diff_hierarchies(h0, h)
@@ -134,20 +143,24 @@ class OracleHandoffEngine:
 
         self.prev_h = h
         self.servers = eff if eff is not None else intent
+        counts = np.zeros((COLUMNS, max(h0.num_levels, h.num_levels) + 2),
+                          dtype=np.int64)
+        for column, per_level in (
+                (MIG_PACKETS, packets["migration"]),
+                (MIG_ENTRIES, entries["migration"]),
+                (REORG_PACKETS, packets["reorg"]),
+                (REORG_ENTRIES, entries["reorg"]),
+                (REG_PACKETS, registration_packets),
+                (EVENTS, oracle_migration_counts(migration_events(diff)))):
+            for level, count in per_level.items():
+                counts[column, level] = count
+        for (kind, level), count in oracle_reorg_counts(reorg_events(diff)).items():
+            counts[EVENTS + _KIND_ROW[kind], level] = count
         return HandoffReport(
-            migration_packets=packets["migration"],
-            migration_entries=entries["migration"],
-            reorg_packets=packets["reorg"],
-            reorg_entries=entries["reorg"],
-            registration_packets=registration_packets,
-            registration_events=registration_events,
-            migration_events=diff.migration_counts(),
-            reorg_event_counts=diff.reorg_counts(),
+            counts=counts,
+            flat=np.array([registration_events, tally["retransmitted"],
+                           tally["abandoned"], tally["abandoned_regs"],
+                           tally["recovered"], len(self.stale)], dtype=np.int64),
             diff=diff,
-            retransmitted_packets=tally["retransmitted"],
-            abandoned_entries=tally["abandoned"],
-            abandoned_registrations=tally["abandoned_regs"],
-            recovered_entries=tally["recovered"],
             recovery_time_total=tally["recovery_time"],
-            stale_entries=len(self.stale),
         )

@@ -131,27 +131,30 @@ class TestEventCounts:
         h0 = H([1, 5, 4, 9], [[1, 5], [4, 9], [5, 9]])
         h1 = H([1, 5, 4, 9], [[1, 5], [4, 9]])
         d = diff_hierarchies(h0, h1)
-        counts = d.reorg_counts()
-        assert sum(counts.values()) == len(reorg_events(d))
-        mig = d.migration_counts()
-        assert all(isinstance(k, int) for k in mig)
+        width = max(h0.num_levels, h1.num_levels) + 2
+        counts = d.event_counts(width)
+        assert counts.shape == (len(EventKind), width)
+        assert counts[1:].sum() == len(reorg_events(d))
+        assert counts[0].sum() == sum(m.pure for m in migration_events(d))
 
 
 # -- struct-of-arrays detector vs the per-event oracle -------------------------
 
 
 def assert_equals_oracle(h0, h1):
-    """Object views equal the oracle's lists in order; both count dicts
-    equal the oracle's including key insertion order; the per-level link
-    and drift counts equal a python-set recount."""
+    """Object views equal the oracle's lists in order; the per-(kind,
+    level) event counts equal the oracle's count dicts; the per-level
+    link and drift counts equal a python-set recount."""
     d = diff_hierarchies(h0, h1)
     migrations, reorgs = oracle_diff(h0, h1)
     assert migration_events(d) == migrations
     assert reorg_events(d) == reorgs
-    assert (list(d.migration_counts().items())
-            == list(oracle_migration_counts(migrations).items()))
-    assert (list(d.reorg_counts().items())
-            == list(oracle_reorg_counts(reorgs).items()))
+    counts = d.event_counts(max(h0.num_levels, h1.num_levels) + 2)
+    assert ({k: c for k, c in enumerate(counts[0].tolist()) if c}
+            == oracle_migration_counts(migrations))
+    kinds = tuple(EventKind)
+    assert ({(kinds[i], k): c for (i, k), c in np.ndenumerate(counts) if i and c}
+            == oracle_reorg_counts(reorgs))
     counts = oracle_link_counts(h0, h1)
     assert d.link_changes.size == (len(counts) + 1 if counts else 0)
     assert {k: (int(d.link_changes[k]), int(d.drift_changes[k]))
@@ -278,7 +281,7 @@ class TestArraysEqualOracle:
     def test_empty_diff(self):
         d = HierarchyDiff()
         assert migration_events(d) == [] and reorg_events(d) == []
-        assert d.migration_counts() == {} and d.reorg_counts() == {}
+        assert not d.event_counts(3).any()
         assert d == HierarchyDiff()
 
     def test_equality_compares_columns(self):

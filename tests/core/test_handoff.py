@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import HandoffEngine, OverheadLedger
+from repro.core.handoff import (
+    MIG_ENTRIES, REG_EVENTS, REG_PACKETS, REORG_ENTRIES,
+)
 from repro.geometry import disc_for_density
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
@@ -51,7 +54,7 @@ class TestHandoffEngine:
         eng.observe(mobile_run[0], unit_hops)
         rep = eng.observe(mobile_run[0], unit_hops)
         assert rep.total_handoff_packets == 0
-        assert rep.registration_events == 0
+        assert rep.flat[REG_EVENTS] == 0
 
     def test_mobility_produces_handoff(self, mobile_run):
         eng = HandoffEngine()
@@ -75,10 +78,7 @@ class TestHandoffEngine:
                     for k in set(prev) | set(cur)
                     if prev.get(k) != cur.get(k) and cur.get(k) is not None
                 )
-                metered = (
-                    sum(rep.migration_entries.values())
-                    + sum(rep.reorg_entries.values())
-                )
+                metered = rep.counts[[MIG_ENTRIES, REORG_ENTRIES]].sum()
                 assert metered == changed
             prev = dict(cur)
 
@@ -97,10 +97,7 @@ class TestPatchPrecondition:
 
     @staticmethod
     def _metered(report):
-        return (report.migration_packets, report.migration_entries,
-                report.reorg_packets, report.reorg_entries,
-                report.registration_packets, report.registration_events,
-                report.migration_events, report.reorg_event_counts)
+        return report.counts.tolist(), report.flat.tolist()
 
     def test_delta_from_another_hierarchy_takes_the_full_path(
             self, monkeypatch):
@@ -163,7 +160,7 @@ class TestStationaryControl:
         for _ in range(3):
             rep = eng.observe(h, unit_hops)
             assert rep.total_handoff_packets == 0
-            assert sum(rep.registration_packets.values()) == 0
+            assert rep.counts[REG_PACKETS].sum() == 0
 
 
 class TestOverheadLedger:
@@ -189,6 +186,20 @@ class TestOverheadLedger:
         rep = eng.observe(mobile_run[0], unit_hops)
         with pytest.raises(ValueError):
             ledger.record(rep, dt=0.0)
+
+    def test_per_level_keys_are_the_levels_with_entries(self):
+        """A level with reorganisation entries but no migration entries
+        is a key of gamma_k and not of phi_k."""
+        from repro.sim import Scenario, run_scenario
+
+        ledger = run_scenario(Scenario(n=120, steps=2, warmup=1, seed=0,
+                                       speed=0.2)).ledger
+        table = ledger.table()
+        migrated = set(table[MIG_ENTRIES].nonzero()[0].tolist())
+        reorganised = set(table[REORG_ENTRIES].nonzero()[0].tolist())
+        assert reorganised - migrated  # the case under test
+        assert set(ledger.phi_k()) == migrated
+        assert set(ledger.gamma_k()) == reorganised
 
     def test_event_rates_exposed(self, mobile_run):
         eng = HandoffEngine()

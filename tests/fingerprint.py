@@ -13,6 +13,9 @@ import hashlib
 
 import numpy as np
 
+from repro.core.events import EventKind
+from repro.core.handoff import ABANDONED, EVENTS, RECOVERED, RETRANSMITTED
+
 __all__ = ["fingerprint", "fingerprint_sha256"]
 
 
@@ -40,6 +43,8 @@ def fingerprint(res):
     """
     lg = res.ledger
     ls = res.level_series
+    reorgs = lg.table()[EVENTS + 1:]
+    flat = lg.flat().tolist()
     return (
         res.phi, res.gamma, res.f0, res.handoff_rate,
         res.mean_degree, res.giant_fraction, res.elapsed,
@@ -50,10 +55,11 @@ def fingerprint(res):
         _items(lg.phi_k()), _items(lg.gamma_k()), _items(lg.f_k()),
         tuple(sorted(
             ((kind.value, lvl), count)
-            for (kind, lvl), count in lg.reorg_event_counts.items()
+            for kind, row in zip(tuple(EventKind)[1:], reorgs)
+            for lvl, count in enumerate(row.tolist()) if count
         )),
-        lg.retransmitted_packets, lg.abandoned_entries,
-        lg.recovered_entries, lg.recovery_time_total,
+        flat[RETRANSMITTED], flat[ABANDONED],
+        flat[RECOVERED], lg.recovery_time_total,
         tuple(lg.stale_series),
         _state_stats(res.state_stats),
     )

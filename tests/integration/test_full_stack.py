@@ -9,6 +9,7 @@ from repro.core import (
     lm_levels,
     resolve_batch,
 )
+from repro.core.handoff import MIG_PACKETS, REORG_PACKETS
 from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
 from repro.hierarchy import build_hierarchy
@@ -106,8 +107,8 @@ class TestMobilePipeline:
             total_phi += rep.phi_packets
             total_gamma += rep.gamma_packets
             # Per-report consistency.
-            assert rep.phi_packets == sum(rep.migration_packets.values())
-            assert rep.gamma_packets == sum(rep.reorg_packets.values())
+            assert rep.phi_packets == rep.counts[MIG_PACKETS].sum()
+            assert rep.gamma_packets == rep.counts[REORG_PACKETS].sum()
         assert total_phi + total_gamma > 0
 
     def test_simulator_matches_manual_loop(self):
@@ -117,7 +118,7 @@ class TestMobilePipeline:
         a = run_scenario(sc)
         b = run_scenario(sc)
         assert a.phi == b.phi
-        assert a.ledger.migration_packets == b.ledger.migration_packets
+        assert np.array_equal(a.ledger.table(), b.ledger.table())
 
     def test_hop_modes_agree_in_shape(self):
         """Euclidean metering should track BFS metering within a small

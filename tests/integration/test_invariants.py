@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HandoffEngine, full_assignment, lm_levels
+from repro.core.handoff import MIG_ENTRIES, REORG_ENTRIES
 from repro.geometry import disc_for_density
 from repro.hierarchy import build_hierarchy
 from repro.mobility import RandomWaypoint
@@ -71,10 +72,7 @@ class TestHandoffAccountingInvariants:
         prev_entries = None
         for h in trajectory(n, seed=13, steps=6):
             rep = engine.observe(h, hop)
-            total_entries = (
-                sum(rep.migration_entries.values())
-                + sum(rep.reorg_entries.values())
-            )
+            total_entries = rep.counts[[MIG_ENTRIES, REORG_ENTRIES]].sum()
             assert rep.total_handoff_packets == total_entries  # unit hops
             assert rep.total_handoff_packets >= 0
 

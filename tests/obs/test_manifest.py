@@ -2,11 +2,14 @@
 
 import dataclasses
 import inspect
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.events import EventKind
+from repro.core.handoff import EVENTS
 from repro.obs import RunManifest, write_jsonl
 from repro.sim import (
     Scenario,
@@ -151,12 +154,37 @@ class TestTraceRoundTrip:
 
     def test_manifest_without_sections_reads_back_empty(self, traced):
         """A manifest written before the sections existed reads back
-        with both empty, under the same schema string."""
+        with all three empty, under the same schema string."""
         old = RunManifest.from_result(traced).to_dict()
-        del old["trace"], old["chaos"]
+        del old["series"], old["trace"], old["chaos"]
         back = RunManifest.from_dict(old)
-        assert back.trace == {} and back.chaos == {}
+        assert back.series == back.trace == back.chaos == {}
         assert back.schema == "repro.manifest/v1"
+
+
+class TestSeries:
+    """The ``series`` section: each metered step's migration and
+    reorganisation packets per level, straight from the ledger."""
+
+    def test_steps_sum_to_the_per_level_rates(self, profiled_result):
+        lg = profiled_result.ledger
+        series = RunManifest.from_result(profiled_result).series
+        scale = lg.n_nodes * lg.elapsed
+        for name, rates in (("migration_packets", lg.phi_k()),
+                            ("reorg_packets", lg.gamma_k())):
+            steps = series[name]
+            assert len(steps) == len(lg.tables) == profiled_result.scenario.steps
+            assert all(type(v) is int for row in steps for v in row)
+            totals = [sum(level) for level in itertools.zip_longest(*steps, fillvalue=0)]
+            assert rates and {k: totals[k] / scale for k in rates} == rates
+            assert not any(t for k, t in enumerate(totals) if k not in rates)
+
+    def test_round_trips_through_json(self, profiled_result):
+        import json
+
+        man = RunManifest.from_result(profiled_result)
+        assert man.series["reorg_packets"]
+        assert RunManifest.from_dict(json.loads(man.to_json())).series == man.series
 
 
 class TestReorgBreakdown:
@@ -179,12 +207,10 @@ class TestReorgBreakdown:
     def test_breakdown_sums_levels(self, profiled_result):
         lg = profiled_result.ledger
         bd = lg.reorg_event_breakdown()
-        for kind, entry in bd.items():
-            expect = sum(v for (k, _lvl), v in lg.reorg_event_counts.items()
-                         if k.value == kind)
-            assert entry["count"] == expect
-        assert sum(e["count"] for e in bd.values()) == \
-            sum(lg.reorg_event_counts.values())
+        assert bd
+        for column, kind in enumerate(tuple(EventKind)[1:], start=EVENTS + 1):
+            expect = sum(int(t[column].sum()) for t in lg.tables)
+            assert bd.get(kind.value, {"count": 0})["count"] == expect
 
 
 class TestCadenceHasOneHome:

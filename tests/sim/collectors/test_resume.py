@@ -23,8 +23,8 @@ def _assert_same_result(a, b):
     assert a.gamma == b.gamma
     assert a.f0 == b.f0
     assert a.ledger.stale_series == b.ledger.stale_series
-    assert a.ledger.migration_packets == b.ledger.migration_packets
-    assert a.ledger.reorg_packets == b.ledger.reorg_packets
+    assert len(a.ledger.tables) == len(b.ledger.tables)
+    assert all(map(np.array_equal, a.ledger.tables, b.ledger.tables))
     assert np.array_equal(a.final_positions, b.final_positions)
 
 

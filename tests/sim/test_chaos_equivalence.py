@@ -27,6 +27,26 @@ def _same_run(a, b, queries=False):
         assert a.queries.success_series == b.queries.success_series
 
 
+def test_ledger_rows_sum_to_its_totals():
+    """A lossy chaos run: the ledger's per-step rows sum to the totals
+    every rate reads, and their stale column is the chaos report's."""
+    from repro.core.handoff import STALE
+
+    res = run_scenario(Scenario(
+        n=80, steps=12, warmup=2, speed=2.0, seed=3, max_levels=3,
+        loss_rate=0.3, retry_attempts=1,
+        chaos=("crash:start=2,duration=6,rate=0.05,repair=3",)))
+    lg = res.ledger
+    assert len(lg.tables) == len(lg.flats) == 12
+    width = lg.table().shape[1]
+    rows = [np.pad(t, ((0, 0), (0, width - t.shape[1]))) for t in lg.tables]
+    assert np.array_equal(np.sum(rows, axis=0), lg.table())
+    assert np.array_equal(np.sum(lg.flats, axis=0), lg.flat())
+    stale = [int(f[STALE]) for f in lg.flats]
+    assert max(stale) > 0
+    assert stale == lg.stale_series == res.extras["chaos"].stale_series
+
+
 class TestEmptyScheduleEquivalence:
     def test_counting_collector_is_a_pure_observer(self):
         """invariant_mode="count" on a fault-free run must not perturb

@@ -264,14 +264,14 @@ class TestScenarioKey:
         payload re-shaped, ``CODE_VERSION`` bumped — means every cache
         written before it misses.  Re-pin only when that is intended."""
         assert scenario_key(Scenario()) == (
-            "1d07093e1993d2cdb08116fa59ded6ea"
-            "c586bfd1c673c08bcd95e62327f4eac4")
+            "f02777942fb8522ec47d822eca4a9557"
+            "134eed36393587bd6061c5344969dfb5")
         busy = Scenario(
             n=np.int64(120), speed=(1.0, 3.0), seed=5,
             chaos=("crash:start=2,duration=4,rate=0.04,repair=3",))
         assert scenario_key(busy) == (
-            "bba7ef8ae834847442cddc5c26e88740"
-            "2da98b1161ab9c3a79e35d4621698f8d")
+            "76d5300867d37c8a9d3d1e84cce72dd4"
+            "0955585931b3ab3f22b479f898481cc6")
 
     def test_numpy_fields_hash_like_native(self):
         """Regression: a scenario built from an ``np.arange`` size axis

@@ -198,6 +198,8 @@ class TestBadScenarioValues:
         import sys
         import types
 
+        from repro.sim.sweep import CODE_VERSION
+
         old = types.ModuleType("repro.sim.checkpoint")
         old.SimCheckpoint = type("SimCheckpoint", (),
                                  {"__module__": old.__name__})
@@ -213,7 +215,7 @@ class TestBadScenarioValues:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith(f"resume: cannot resume from {path}: ")
-        assert "checkpoint stamp (none) != 7+" in line
+        assert f"checkpoint stamp (none) != {CODE_VERSION}+" in line
         assert path.exists()
 
 
