@@ -24,13 +24,25 @@ regime where the paper's per-level accounting concentrates its cost.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.analysis import levels_for
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, run_scenario
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
+
+METRICS = {
+    "phi": lambda r: r.phi,
+    "gamma": lambda r: r.gamma,
+    "retx": lambda r: r.ledger.retransmission_rate,
+    "abandon": lambda r: r.ledger.abandonment_rate,
+    "recovery": lambda r: r.ledger.mean_recovery_time,
+    "query_ok": lambda r: r.query_success_rate,
+    "degraded": lambda r: r.queries.degraded_fraction,
+}
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
@@ -47,40 +59,27 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                  "retx rate", "abandon rate", "recovery (s)", "query ok",
                  "degraded"],
     )
+    base = Scenario(steps=steps, warmup=10, speed=1.0, hop_mode="euclidean",
+                    retry_attempts=4, queries_per_step=5,
+                    hop_sample_every=10_000)
+    grid = [
+        sc for rate in rates for sc in expand_grid(
+            replace(base, loss_rate=rate), ns, seeds,
+            scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
+        )
+    ]
     # {loss: {n: mean total}} for the shape notes.
     totals: dict[float, dict[int, float]] = {}
-    for rate in rates:
-        for n in ns:
-            phis, gammas, retxs, abandons, recoveries = [], [], [], [], []
-            query_ok, degraded = [], []
-            for seed in seeds:
-                sc = Scenario(
-                    n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
-                    hop_mode="euclidean", max_levels=levels_for(n),
-                    loss_rate=rate, retry_attempts=4,
-                    queries_per_step=5, hop_sample_every=10_000,
-                )
-                res = run_scenario(sc)
-                phis.append(res.phi)
-                gammas.append(res.gamma)
-                retxs.append(res.ledger.retransmission_rate)
-                abandons.append(res.ledger.abandonment_rate)
-                recoveries.append(res.ledger.mean_recovery_time)
-                query_ok.append(res.query_success_rate)
-                degraded.append(res.queries.degraded_fraction)
-            phi = float(np.mean(phis))
-            gamma = float(np.mean(gammas))
-            total = phi + gamma
-            totals.setdefault(rate, {})[n] = total
-            result.add_row(
-                rate, n, round(phi, 3), round(gamma, 3), round(total, 3),
-                round(total / np.log(n) ** 2, 5),
-                round(float(np.mean(retxs)), 4),
-                round(float(np.mean(abandons)), 4),
-                round(float(np.mean(recoveries)), 2),
-                f"{float(np.mean(query_ok)):.3f}",
-                f"{float(np.mean(degraded)):.3f}",
-            )
+    for p in sweep_points(run_sweep(grid), METRICS):
+        rate, n = p.scenario.loss_rate, p.n
+        total = p["phi"] + p["gamma"]
+        totals.setdefault(rate, {})[n] = total
+        result.add_row(
+            rate, n, round(p["phi"], 3), round(p["gamma"], 3), round(total, 3),
+            round(total / np.log(n) ** 2, 5), round(p["retx"], 4),
+            round(p["abandon"], 4), round(p["recovery"], 2),
+            f"{p['query_ok']:.3f}", f"{p['degraded']:.3f}",
+        )
 
     _add_shape_notes(result, totals, ns)
     return result

@@ -29,25 +29,36 @@ success.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
 from repro.faults import CrashEpisode, LossBurstEpisode, PartitionEpisode
-from repro.sim import Scenario, run_scenario
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
 
 
-def _scenario(n, steps, seed, chaos):
-    # Dense deployment: keeps the natural-fragmentation baseline small
-    # relative to the fault signal (it cannot be driven to zero — one
-    # stray node strands every pointer it serves).
-    return Scenario(
-        n=n, steps=steps, warmup=5, speed=1.5, seed=seed,
-        max_levels=3, target_degree=12.0, hop_mode="euclidean",
-        queries_per_step=8, retry_attempts=2, loss_rate=0.02,
-        chaos=chaos, invariant_mode="count", hop_sample_every=10_000,
-    )
+def _time_to_reconverge(res) -> float:
+    ttr = res.extras["chaos"].max_time_to_reconverge()
+    if ttr is None:
+        # Control: nothing to recover from.  Fault regime: the run
+        # ended still broken — report an infinite SLO.
+        return np.inf if res.scenario.chaos else 0.0
+    return ttr
+
+
+METRICS = {
+    "violations": lambda r: r.extras["chaos"].total_violations,
+    "peak": lambda r: r.extras["chaos"].peak_violations,
+    "down": lambda r: r.extras["chaos"].peak_down,
+    "ttr": _time_to_reconverge,
+    "stale": lambda r: r.extras["chaos"].max_stale_window,
+    # None means "no queries sampled", not "all queries failed": a
+    # missing sample, kept out of the mean instead of zeroed.
+    "success": lambda r: r.query_success_rate,
+}
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
@@ -75,34 +86,23 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["regime", "violations", "peak", "peak down",
                  "reconverge (s)", "stale window", "query success"],
     )
-    for name, chaos in regimes:
-        totals, peaks, downs, ttrs, stales, succ = [], [], [], [], [], []
-        for seed in seeds:
-            res = run_scenario(_scenario(n, steps, seed, chaos))
-            rep = res.extras["chaos"]
-            totals.append(rep.total_violations)
-            peaks.append(rep.peak_violations)
-            downs.append(rep.peak_down)
-            ttr = rep.max_time_to_reconverge()
-            if ttr is None:
-                # Control: nothing to recover from.  Fault regime: the
-                # run ended still broken — report an infinite SLO.
-                ttr = np.inf if chaos else 0.0
-            ttrs.append(ttr)
-            stales.append(rep.max_stale_window)
-            # None means "no queries sampled", not "all queries
-            # failed": keep it out of the mean instead of zeroing it.
-            rate = res.query_success_rate
-            succ.append(np.nan if rate is None else rate)
+    # Dense deployment: keeps the natural-fragmentation baseline small
+    # relative to the fault signal (it cannot be driven to zero — one
+    # stray node strands every pointer it serves).
+    base = Scenario(
+        n=n, steps=steps, warmup=5, speed=1.5,
+        max_levels=3, target_degree=12.0, hop_mode="euclidean",
+        queries_per_step=8, retry_attempts=2, loss_rate=0.02,
+        invariant_mode="count", hop_sample_every=10_000,
+    )
+    grid = [sc for _, chaos in regimes
+            for sc in expand_grid(replace(base, chaos=chaos), None, seeds)]
+    points = sweep_points(run_sweep(grid), METRICS)
+    for (name, _), p in zip(regimes, points):
         result.add_row(
-            name,
-            round(float(np.mean(totals)), 1),
-            round(float(np.mean(peaks)), 1),
-            round(float(np.mean(downs)), 1),
-            round(float(np.mean(ttrs)), 1),
-            round(float(np.mean(stales)), 1),
-            "n/a" if np.all(np.isnan(succ))
-            else f"{float(np.nanmean(succ)):.3f}",
+            name, round(p["violations"], 1), round(p["peak"], 1),
+            round(p["down"], 1), round(p["ttr"], 1), round(p["stale"], 1),
+            "n/a" if np.isnan(p["success"]) else f"{p['success']:.3f}",
         )
     result.add_note(
         "Finding: every fault regime reconverges in finite time once its "

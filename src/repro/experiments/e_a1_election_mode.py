@@ -11,19 +11,33 @@ difference on identical mobility traces.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments import study
 from repro.experiments.common import ExperimentResult
+from repro.sim import sweep_points
 
 __all__ = ["run"]
+
+
+def _event_rate(res, *kinds) -> float:
+    """Summed rate of the reorganisation event kinds ``kinds``."""
+    rate = res.ledger.reorg_event_breakdown()
+    return sum(rate[k]["rate"] for k in kinds if k in rate)
+
+
+METRICS = {
+    "phi": lambda r: r.phi,
+    "gamma": lambda r: r.gamma,
+    "links": lambda r: _event_rate(r, "i", "ii"),
+    "elections": lambda r: _event_rate(r, "iii", "v"),
+}
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (200, 400) if quick else (200, 400, 800, 1600)
     modes = ("memoryless", "sticky")
-    by_mode = {mode: study.runs(mode, ns, quick, seeds) for mode in modes}
+    by_mode = {mode: sweep_points(study.runs(mode, ns, quick, seeds), METRICS)
+               for mode in modes}
 
     result = ExperimentResult(
         exp_id="EXP-A1",
@@ -32,22 +46,12 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                  "link events i+ii (/node/s)", "elections iii+v (/node/s)"],
     )
     deltas = []
-    for n in ns:
+    for i, n in enumerate(ns):
         per_mode = {}
         for mode in modes:
-            phis, gammas, links, elects = [], [], [], []
-            for res in by_mode[mode][n]:
-                phis.append(res.phi)
-                gammas.append(res.gamma)
-                rate = {k: e["rate"]
-                        for k, e in res.ledger.reorg_event_breakdown().items()}
-                links.append(rate.get("i", 0.0) + rate.get("ii", 0.0))
-                elects.append(rate.get("iii", 0.0) + rate.get("v", 0.0))
-            row = (
-                float(np.mean(phis)), float(np.mean(gammas)),
-                float(np.mean(phis)) + float(np.mean(gammas)),
-                float(np.mean(links)), float(np.mean(elects)),
-            )
+            p = by_mode[mode][i]
+            row = (p["phi"], p["gamma"], p["phi"] + p["gamma"], p["links"],
+                   p["elections"])
             per_mode[mode] = row
             result.add_row(n, mode, round(row[0], 3), round(row[1], 3),
                            round(row[2], 3), round(row[3], 4), round(row[4], 4))

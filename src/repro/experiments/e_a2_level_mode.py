@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.experiments import study
 from repro.experiments.common import ExperimentResult
+from repro.sim import sweep_points
 
 __all__ = ["run"]
 
@@ -32,21 +33,16 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                  "drift * h_k", "gamma"],
     )
     summaries = {}
+    metrics = {
+        "gamma": lambda r: r.gamma,
+        "gpd": lambda r: r.g_prime_k_drift(),
+        "hk": lambda r: r.mean_h_k(),
+    }
     for mode, arm in (("radio", "memoryless"), ("contraction", "contraction")):
-        gpd_acc: dict[int, list[float]] = {}
-        hk_acc: dict[int, list[float]] = {}
-        gammas = []
-        for res in study.runs(arm, (n,), quick, seeds)[n]:
-            gammas.append(res.gamma)
-            for k, v in res.g_prime_k_drift().items():
-                gpd_acc.setdefault(k, []).append(v)
-            for k, v in res.mean_h_k().items():
-                hk_acc.setdefault(k, []).append(v)
-        gamma = float(np.mean(gammas))
+        (p,) = sweep_points(study.runs(arm, (n,), quick, seeds), metrics)
         prods = []
-        for k in sorted(gpd_acc):
-            gpd = float(np.mean(gpd_acc[k]))
-            hk = float(np.mean(hk_acc.get(k, [np.nan])))
+        for k, gpd in p["gpd"].items():
+            hk = p["hk"].get(k, np.nan)
             prod = gpd * hk if np.isfinite(hk) else float("nan")
             if np.isfinite(prod) and gpd > 0:
                 prods.append(prod)
@@ -54,7 +50,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                 mode, k, round(gpd, 4),
                 round(hk, 2) if np.isfinite(hk) else "n/a",
                 round(prod, 3) if np.isfinite(prod) else "n/a",
-                round(gamma, 3),
+                round(p["gamma"], 3),
             )
         if len(prods) >= 2:
             summaries[mode] = max(prods) / min(prods)

@@ -19,14 +19,23 @@ partitions, and loss bursts with invariant checking and recovery SLOs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.analysis import levels_for
 from repro.experiments.common import ExperimentResult
 from repro.faults import CrashEpisode
-from repro.sim import Scenario, run_scenario
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
+
+
+def _mean_down(res) -> float:
+    """Mean nodes down per metered step (the control run schedules no
+    episode, so has no report)."""
+    report = res.extras.get("chaos")
+    return np.mean(report.down_series) if report else 0.0
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
@@ -42,31 +51,24 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["failure rate (1/s)", "phi", "gamma", "total",
                  "vs control", "mean nodes down/step"],
     )
-    control = None
-    for rate in rates:
-        chaos = (CrashEpisode(rate=rate, repair_time=15.0),) if rate else ()
-        phis, gammas, downs = [], [], []
-        for seed in seeds:
-            sc = Scenario(
-                n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
-                hop_mode="euclidean", max_levels=levels_for(n),
-                chaos=chaos, hop_sample_every=10_000,
-            )
-            res = run_scenario(sc)
-            phis.append(res.phi)
-            gammas.append(res.gamma)
-            # The control run schedules no episode, so has no report.
-            report = res.extras.get("chaos")
-            downs.append(np.mean(report.down_series) if report else 0.0)
-        phi = float(np.mean(phis))
-        gamma = float(np.mean(gammas))
-        total = phi + gamma
-        if control is None:
-            control = total
+    base = Scenario(n=n, steps=steps, warmup=10, speed=1.0,
+                    hop_mode="euclidean", max_levels=levels_for(n),
+                    hop_sample_every=10_000)
+    grid = [
+        sc for rate in rates for sc in expand_grid(replace(
+            base,
+            chaos=(CrashEpisode(rate=rate, repair_time=15.0),) if rate else (),
+        ), None, seeds)
+    ]
+    points = sweep_points(run_sweep(grid), {
+        "phi": lambda r: r.phi, "gamma": lambda r: r.gamma, "down": _mean_down,
+    })
+    control = points[0]["phi"] + points[0]["gamma"]
+    for rate, p in zip(rates, points):
+        total = p["phi"] + p["gamma"]
         result.add_row(
-            rate, round(phi, 3), round(gamma, 3), round(total, 3),
-            f"{total / max(control, 1e-9):.2f}x",
-            round(float(np.mean(downs)), 1),
+            rate, round(p["phi"], 3), round(p["gamma"], 3), round(total, 3),
+            f"{total / max(control, 1e-9):.2f}x", round(p["down"], 1),
         )
     result.add_note(
         "Finding: failures reduce phi.  A crashed node sits frozen for "

@@ -12,13 +12,21 @@ nearby levels.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.analysis import levels_for
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, run_scenario
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
+
+
+def _finite_lifetimes(res) -> dict[int, float]:
+    """Component lifetimes of the levels where some change was seen."""
+    return {k: t for k, t in res.component_lifetimes().items()
+            if np.isfinite(t)}
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
@@ -33,30 +41,21 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["speed (m/s)", "level k", "component lifetime (s)",
                  "staleness @ dt lag", "lifetime * speed"],
     )
-    per_speed: dict[float, dict[int, float]] = {}
-    for mu in speeds:
-        life_acc: dict[int, list[float]] = {}
-        for seed in seeds:
-            sc = Scenario(
-                n=n, steps=steps, warmup=10, speed=mu, seed=seed,
-                hop_mode="euclidean", max_levels=levels_for(n),
-                hop_sample_every=10_000,
-            )
-            res = run_scenario(sc)
-            for k, t in res.component_lifetimes().items():
-                if np.isfinite(t):
-                    life_acc.setdefault(k, []).append(t)
-        lifetimes = {k: float(np.mean(v)) for k, v in life_acc.items()}
-        per_speed[mu] = lifetimes
-        for k in sorted(lifetimes):
-            t = lifetimes[k]
+    base = Scenario(n=n, steps=steps, warmup=10, hop_mode="euclidean",
+                    max_levels=levels_for(n), hop_sample_every=10_000)
+    grid = [sc for mu in speeds
+            for sc in expand_grid(replace(base, speed=mu), None, seeds)]
+    points = sweep_points(run_sweep(grid), {"life": _finite_lifetimes})
+    per_speed = {mu: p["life"] for mu, p in zip(speeds, points)}
+    for mu, lifetimes in per_speed.items():
+        for k, t in lifetimes.items():
             result.add_row(mu, k, round(t, 1), round(min(1.0 / t, 1.0), 4),
                            round(t * mu, 1))
 
     for mu, lifetimes in per_speed.items():
-        ordered = [lifetimes[k] for k in sorted(lifetimes)]
         result.add_note(
-            f"mu={mu}: lifetimes by level {['%.0f' % v for v in ordered]}"
+            f"mu={mu}: lifetimes by level "
+            f"{['%.0f' % v for v in lifetimes.values()]}"
         )
     result.add_note(
         "Finding: lifetimes are level-FLAT, not growing ~h_k as pure "

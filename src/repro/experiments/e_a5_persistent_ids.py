@@ -21,6 +21,7 @@ import numpy as np
 from repro.analysis import flatness
 from repro.experiments import study
 from repro.experiments.common import ExperimentResult
+from repro.sim import sweep_points
 
 __all__ = ["run"]
 
@@ -37,12 +38,12 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     curves: dict[str, list[float]] = {}
     for mode in ("memoryless", "persistent"):
         curves[mode] = []
-        for n, runs in study.runs(mode, ns, quick, seeds).items():
-            phi = float(np.mean([res.phi for res in runs]))
-            gamma = float(np.mean([res.gamma for res in runs]))
-            curves[mode].append(gamma)
-            result.add_row(n, mode, round(phi, 3), round(gamma, 3),
-                           round(gamma / np.log(n) ** 2, 4))
+        for p in sweep_points(study.runs(mode, ns, quick, seeds), {
+            "phi": lambda r: r.phi, "gamma": lambda r: r.gamma,
+        }):
+            curves[mode].append(p["gamma"])
+            result.add_row(p.n, mode, round(p["phi"], 3), round(p["gamma"], 3),
+                           round(p["gamma"] / np.log(p.n) ** 2, 4))
 
     for mode, ys in curves.items():
         cv_log2 = flatness(list(ns), ys, "log2")

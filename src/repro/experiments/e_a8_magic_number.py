@@ -11,13 +11,28 @@ tabulates the whole chain, locating the sweet spot the reference names.
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
 from repro.analysis import levels_for
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, run_scenario
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
+
+
+def _alpha1(res) -> float:
+    """Level-1 aggregation: nodes per level-1 cluster."""
+    size1 = res.level_series.mean_size(1)
+    return res.scenario.n / size1 if size1 else 0.0
+
+
+METRICS = {
+    "giant": lambda r: r.giant_fraction,
+    "h": lambda r: r.mean_h(),
+    "f0": lambda r: r.f0,
+    "alpha1": _alpha1,
+    "handoff": lambda r: r.handoff_rate,
+}
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
@@ -32,23 +47,12 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["target degree", "giant frac", "h (hops)", "f_0",
                  "alpha_1", "handoff (pkts/node/s)"],
     )
-    for d in degrees:
-        acc: dict[str, list[float]] = {}
-        for seed in seeds:
-            sc = Scenario(
-                n=n, steps=steps, warmup=10, speed=1.0, seed=seed,
-                target_degree=d, hop_mode="euclidean",
-                max_levels=levels_for(n),
-                hop_sample_every=max(steps // 3, 1),
-            )
-            res = run_scenario(sc)
-            size1 = res.level_series.mean_size(1)
-            acc.setdefault("giant", []).append(res.giant_fraction)
-            acc.setdefault("h", []).append(res.mean_h())
-            acc.setdefault("f0", []).append(res.f0)
-            acc.setdefault("alpha1", []).append(n / size1 if size1 else 0.0)
-            acc.setdefault("handoff", []).append(res.handoff_rate)
-        m = {k: float(np.mean(v)) for k, v in acc.items()}
+    base = Scenario(n=n, steps=steps, warmup=10, speed=1.0,
+                    hop_mode="euclidean", max_levels=levels_for(n),
+                    hop_sample_every=max(steps // 3, 1))
+    grid = [sc for d in degrees
+            for sc in expand_grid(replace(base, target_degree=d), None, seeds)]
+    for d, m in zip(degrees, sweep_points(run_sweep(grid), METRICS)):
         result.add_row(d, round(m["giant"], 3), round(m["h"], 2),
                        round(m["f0"], 3), round(m["alpha1"], 2),
                        round(m["handoff"], 3))

@@ -14,10 +14,12 @@ this experiment is that future work.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis import levels_for
 from repro.clustering import recursion_quantities
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, run_scenario
+from repro.sim import Scenario, expand_grid, run_sweep
 
 __all__ = ["run"]
 
@@ -36,28 +38,28 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     )
     q1_values = []
     event_totals: dict[str, int] = {}
-    for n in ns:
-        for seed in seeds:
-            sc = Scenario(
-                n=n, steps=steps, warmup=10, dt=dt, speed=1.0, seed=seed,
-                hop_mode="euclidean", max_levels=levels_for(n),
-                hop_sample_every=10_000,
+    base = Scenario(steps=steps, warmup=10, dt=dt, speed=1.0,
+                    hop_mode="euclidean", hop_sample_every=10_000)
+    grid = expand_grid(
+        base, ns, seeds,
+        scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
+    )
+    for res in run_sweep(grid):
+        n, seed = res.scenario.n, res.scenario.seed
+        for kind, entry in res.ledger.reorg_event_breakdown().items():
+            event_totals[kind] = event_totals.get(kind, 0) + int(entry["count"])
+        p_vec = res.p_levels()
+        for j, stats in sorted(res.state_stats.items()):
+            occ = [round(stats.occupancy.get(s, 0.0), 3) for s in range(4)]
+            result.add_row(
+                n, j, round(stats.p_state1, 4),
+                round(stats.adjacent_fraction, 3),
+                stats.critical_crossings, str(occ),
             )
-            res = run_scenario(sc)
-            for kind, entry in res.ledger.reorg_event_breakdown().items():
-                event_totals[kind] = event_totals.get(kind, 0) + int(entry["count"])
-            p_vec = res.p_levels()
-            for j, stats in sorted(res.state_stats.items()):
-                occ = [round(stats.occupancy.get(s, 0.0), 3) for s in range(4)]
-                result.add_row(
-                    n, j, round(stats.p_state1, 4),
-                    round(stats.adjacent_fraction, 3),
-                    stats.critical_crossings, str(occ),
-                )
-            k = len(p_vec)
-            if k >= 2:
-                rq = recursion_quantities(p_vec, k)
-                q1_values.append((n, seed, float(rq.q[0]), rq.q1_over_Q_lower_bound))
+        k = len(p_vec)
+        if k >= 2:
+            rq = recursion_quantities(p_vec, k)
+            q1_values.append((n, seed, float(rq.q[0]), rq.q1_over_Q_lower_bound))
 
     for n, seed, q1, bound in q1_values:
         result.add_note(

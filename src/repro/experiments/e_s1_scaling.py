@@ -40,7 +40,7 @@ from repro.core import BatchResolver, full_assignment
 from repro.experiments.common import ExperimentResult
 from repro.hierarchy import build_hierarchy
 from repro.radio import unit_disk_edges
-from repro.sim import Scenario, expand_grid, run_sweep
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 from repro.sim.hops import EuclideanHops
 
 __all__ = ["run"]
@@ -102,14 +102,9 @@ def run(quick: bool = True, seeds=(0, 1),
         scenario_for=lambda sc, n: replace(sc, max_levels=levels_for(n)),
     )
     results = run_sweep(scenarios)
-
-    per_n = len(seeds)
-    means, stds = [], []
-    for i in range(len(ns)):
-        chunk = results[i * per_n : (i + 1) * per_n]
-        rates = [res.handoff_rate for res in chunk]
-        means.append(float(np.mean(rates)))
-        stds.append(float(np.std(rates)))
+    points = sweep_points(results, {"rate": lambda r: r.handoff_rate})
+    means = [p["rate"] for p in points]
+    stds = [p.stds["rate"] for p in points]
 
     # Least-squares coefficient for the Eq. (6c) reference curve
     # c * log^2 n (single free parameter, fitted over the whole grid).
@@ -134,7 +129,7 @@ def run(quick: bool = True, seeds=(0, 1),
         "(1.0 = perfect Eq. 6c scaling)."
     )
 
-    probe = _batch_probe(results[(len(ns) - 1) * per_n])
+    probe = _batch_probe(results[-len(seeds)])  # first run at the largest n
     result.add_note(
         f"batch query probe at n={probe['n']}: "
         f"{probe['batch_qps']:,.0f} queries/s "

@@ -24,6 +24,7 @@ from repro.experiments import study
 from repro.experiments.common import ExperimentResult
 from repro.hierarchy import build_hierarchy
 from repro.radio import unit_disk_edges
+from repro.sim import sweep_points
 from repro.sim.hops import EuclideanHops
 
 __all__ = ["run"]
@@ -53,7 +54,7 @@ def _query_probe(res) -> tuple[list[float], list[float]]:
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (200, 400, 800) if quick else (200, 400, 800, 1600, 3200)
-    by_n = study.runs("memoryless", ns, quick, seeds)
+    runs = study.runs("memoryless", ns, quick, seeds)
 
     result = ExperimentResult(
         exp_id="EXP-T10",
@@ -61,22 +62,20 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["n", "handoff (pkts/node/s)", "registration", "handoff/reg",
                  "query pkts (mean)", "query/session-path"],
     )
-    handoffs, regs = [], []
-    for n, runs in by_n.items():
-        h_rates = [res.handoff_rate for res in runs]
-        r_rates = [res.ledger.registration_rate for res in runs]
-        q_costs, q_ratios = [], []
-        for res in runs:
-            costs, ratios = _query_probe(res)
-            q_costs.extend(costs)
-            q_ratios.extend(ratios)
-        handoff = float(np.mean(h_rates))
-        reg = float(np.mean(r_rates))
-        handoffs.append(handoff)
-        regs.append(reg)
+    points = sweep_points(runs, {
+        "handoff": lambda r: r.handoff_rate,
+        "reg": lambda r: r.ledger.registration_rate,
+    })
+    handoffs = [p["handoff"] for p in points]
+    regs = [p["reg"] for p in points]
+    for p in points:
+        # Query cost is a mean over every query of every run at this n.
+        probes = [_query_probe(r) for r in runs if r.scenario.n == p.n]
+        q_costs = [c for costs, _ in probes for c in costs]
+        q_ratios = [q for _, ratios in probes for q in ratios]
         result.add_row(
-            n, round(handoff, 3), round(reg, 3),
-            round(handoff / max(reg, 1e-9), 2),
+            p.n, round(p["handoff"], 3), round(p["reg"], 3),
+            round(p["handoff"] / max(p["reg"], 1e-9), 2),
             round(float(np.mean(q_costs)), 2) if q_costs else "n/a",
             round(float(np.mean(q_ratios)), 2) if q_ratios else "n/a",
         )

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from repro.analysis import compare_shapes, f0_prediction
 from repro.experiments.common import ExperimentResult
-from repro.sim import (
-    Scenario, expand_grid, run_scenario, run_sweep, sweep_points,
-)
+from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
 
 __all__ = ["run"]
 
@@ -57,12 +53,10 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     )
 
     # Speed dependence: f_0 proportional to mu.
-    speed_rows = []
-    for mu in (0.5, 1.0, 2.0):
-        res = run_scenario(replace(base, n=200, speed=mu, seed=99,
-                                   hop_sample_every=10_000))
-        speed_rows.append((mu, res.f0))
-    ratios = [f / mu for mu, f in speed_rows]
+    speeds = (0.5, 1.0, 2.0)
+    runs = run_sweep([replace(base, n=200, speed=mu, seed=99,
+                              hop_sample_every=10_000) for mu in speeds])
+    ratios = [res.f0 / mu for mu, res in zip(speeds, runs)]
     result.add_note(
         "f_0 / mu at n=200 for mu in {0.5, 1, 2}: "
         + ", ".join(f"{r:.3f}" for r in ratios)

@@ -13,6 +13,7 @@ import numpy as np
 from repro.analysis import fit_shape
 from repro.experiments import study
 from repro.experiments.common import ExperimentResult
+from repro.sim import sweep_points
 
 __all__ = ["run"]
 
@@ -20,7 +21,9 @@ __all__ = ["run"]
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (400, 800) if quick else (400, 800, 1600, 3200)
-    by_n = study.runs("memoryless", ns, quick, seeds)
+    points = sweep_points(study.runs("memoryless", ns, quick, seeds), {
+        "fk": lambda r: r.ledger.f_k(), "hk": lambda r: r.mean_h_k(),
+    })
 
     result = ExperimentResult(
         exp_id="EXP-T3",
@@ -28,22 +31,14 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["n", "level k", "f_k (events/node/s)", "h_k", "f_k * h_k"],
     )
     products = []
-    for n, runs in by_n.items():
-        fk_acc: dict[int, list[float]] = {}
-        hk_acc: dict[int, list[float]] = {}
-        for res in runs:
-            for k, v in res.ledger.f_k().items():
-                fk_acc.setdefault(k, []).append(v)
-            for k, v in res.mean_h_k().items():
-                hk_acc.setdefault(k, []).append(v)
-        for k in sorted(fk_acc):
-            fk = float(np.mean(fk_acc[k]))
-            hk = float(np.mean(hk_acc.get(k, [np.nan])))
+    for p in points:
+        for k, fk in p["fk"].items():
+            hk = p["hk"].get(k, np.nan)
             prod = fk * hk if np.isfinite(hk) else float("nan")
-            result.add_row(n, k, round(fk, 4), round(hk, 2),
+            result.add_row(p.n, k, round(fk, 4), round(hk, 2),
                            round(prod, 4) if np.isfinite(prod) else "n/a")
             if np.isfinite(prod):
-                products.append((n, k, fk, hk, prod))
+                products.append((p.n, k, fk, hk, prod))
 
     # Shape check: f_k against 1/h_k within the deepest run.
     deepest_n = ns[-1]

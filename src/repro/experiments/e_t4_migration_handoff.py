@@ -20,26 +20,27 @@ from repro.analysis import (
 )
 from repro.experiments import study
 from repro.experiments.common import ExperimentResult
+from repro.sim import sweep_points
 
 __all__ = ["run"]
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
-    by_n = study.runs("memoryless", study.sizes(quick), quick, seeds)
-    xs = list(by_n)
-    phis = [[res.phi for res in runs] for runs in by_n.values()]
-    ys = [float(np.mean(phi)) for phi in phis]
+    runs = study.runs("memoryless", study.sizes(quick), quick, seeds)
+    points = sweep_points(runs, {"phi": lambda r: r.phi})
+    xs = [p.n for p in points]
+    ys = [p["phi"] for p in points]
 
     result = ExperimentResult(
         exp_id="EXP-T4",
         title="Migration handoff phi vs |V| (Section 4: O(log^2 |V|))",
         columns=["n", "L", "phi (pkts/node/s)", "std", "phi / log^2 n"],
     )
-    for n, phi, mean in zip(xs, phis, ys):
+    for p in points:
         result.add_row(
-            n, levels_for(n), round(mean, 4), round(float(np.std(phi)), 4),
-            round(mean / np.log(n) ** 2, 5),
+            p.n, levels_for(p.n), round(p["phi"], 4), round(p.stds["phi"], 4),
+            round(p["phi"] / np.log(p.n) ** 2, 5),
         )
 
     fits = compare_shapes(xs, ys, shapes=("log2", "sqrt", "log", "linear"))
@@ -60,10 +61,9 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     # The bound's two factors, checked separately: phi_k = O(log n) per
     # level, and L = Theta(log n) levels.
     per_level: dict[int, list[tuple[int, float]]] = {}
-    for n, runs in by_n.items():
-        for res in runs:
-            for k, v in res.ledger.phi_k().items():
-                per_level.setdefault(k, []).append((n, v))
+    for res in runs:
+        for k, v in res.ledger.phi_k().items():
+            per_level.setdefault(k, []).append((res.scenario.n, v))
     for k in sorted(per_level):
         pts_k = per_level[k]
         if len({n for n, _ in pts_k}) >= 3:
@@ -77,7 +77,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                 f"better shape: {winner} (paper: O(log n) per level)"
             )
     big = xs[-1]
-    phi_k = by_n[big][0].ledger.phi_k()
+    phi_k = next(r for r in runs if r.scenario.n == big).ledger.phi_k()
     result.add_note(
         f"phi_k at n={big}: "
         + ", ".join(f"k={k}: {v:.3f}" for k, v in phi_k.items())

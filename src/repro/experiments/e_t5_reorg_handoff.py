@@ -19,26 +19,27 @@ from repro.analysis import (
 from repro.core import EventKind
 from repro.experiments import study
 from repro.experiments.common import ExperimentResult
+from repro.sim import sweep_points
 
 __all__ = ["run"]
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
-    by_n = study.runs("memoryless", study.sizes(quick), quick, seeds)
-    xs = list(by_n)
-    gammas = [[res.gamma for res in runs] for runs in by_n.values()]
-    ys = [float(np.mean(gamma)) for gamma in gammas]
+    runs = study.runs("memoryless", study.sizes(quick), quick, seeds)
+    points = sweep_points(runs, {"gamma": lambda r: r.gamma})
+    xs = [p.n for p in points]
+    ys = [p["gamma"] for p in points]
 
     result = ExperimentResult(
         exp_id="EXP-T5",
         title="Reorganization handoff gamma vs |V| (Section 5: O(log^2 |V|))",
         columns=["n", "L", "gamma (pkts/node/s)", "std", "gamma / log^2 n"],
     )
-    for n, gamma, mean in zip(xs, gammas, ys):
+    for p in points:
         result.add_row(
-            n, levels_for(n), round(mean, 4), round(float(np.std(gamma)), 4),
-            round(mean / np.log(n) ** 2, 5),
+            p.n, levels_for(p.n), round(p["gamma"], 4),
+            round(p.stds["gamma"], 4), round(p["gamma"] / np.log(p.n) ** 2, 5),
         )
 
     fits = compare_shapes(xs, ys, shapes=("log2", "sqrt", "log", "linear"))
@@ -56,7 +57,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
 
     # Event taxonomy at the largest size.
     big = xs[-1]
-    res = by_n[big][0]
+    res = next(r for r in runs if r.scenario.n == big)
     rate = {k: e["rate"] for k, e in res.ledger.reorg_event_breakdown().items()}
     order = [k.value for k in EventKind if k is not EventKind.MIGRATION]
     result.add_note(

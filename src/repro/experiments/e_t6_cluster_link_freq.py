@@ -22,8 +22,26 @@ import numpy as np
 from repro.analysis import fit_shape
 from repro.experiments import study
 from repro.experiments.common import ExperimentResult
+from repro.sim import sweep_points
 
 __all__ = ["run"]
+
+
+def _levels(res) -> dict[int, tuple[float, float]]:
+    """(mean |V_k|, mean |E_k|) of each level k >= 1 that had clusters."""
+    ls = res.level_series
+    return {k: (ls.mean_size(k), ls.mean_edges(k)) for k in ls.levels()
+            if k >= 1 and ls.mean_size(k) > 0}
+
+
+METRICS = {
+    "ek": lambda r: {k: e / r.scenario.n for k, (_, e) in _levels(r).items()},
+    "ck": lambda r: {k: r.scenario.n / v for k, (v, _) in _levels(r).items()},
+    "vk": lambda r: {k: v for k, (v, _) in _levels(r).items()},
+    "gp": lambda r: r.g_prime_k(),
+    "gpd": lambda r: r.g_prime_k_drift(),
+    "hk": lambda r: r.mean_h_k(),
+}
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
@@ -36,44 +54,16 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["level k", "c_k", "|V_k|", "|E_k|/|V|", "(|E_k|/|V|)*c_k",
                  "g'_k drift", "g'_k all", "drift*h_k", "h_k"],
     )
+    (p,) = sweep_points(study.runs("memoryless", (n,), quick, seeds), METRICS)
 
-    acc: dict[str, dict[int, list[float]]] = {
-        key: {} for key in ("ek", "ck", "vk", "gp", "gpd", "hk")
-    }
-
-    def put(key: str, k: int, value: float) -> None:
-        acc[key].setdefault(k, []).append(value)
-
-    for res in study.runs("memoryless", (n,), quick, seeds)[n]:
-        for k in res.level_series.levels():
-            if k < 1:
-                continue
-            size = res.level_series.mean_size(k)
-            if size <= 0:
-                continue
-            put("ek", k, res.level_series.mean_edges(k) / n)
-            put("ck", k, n / size)
-            put("vk", k, size)
-        for k, v in res.g_prime_k().items():
-            put("gp", k, v)
-        for k, v in res.g_prime_k_drift().items():
-            put("gpd", k, v)
-        for k, v in res.mean_h_k().items():
-            put("hk", k, v)
-
-    def mean_of(key: str, k: int) -> float:
-        vals = acc[key].get(k)
-        return float(np.mean(vals)) if vals else float("nan")
+    def r(x, digits=4):
+        return round(x, digits) if np.isfinite(x) else "n/a"
 
     rows = []
-    for k in sorted(acc["ek"]):
-        ek, ck, vk = mean_of("ek", k), mean_of("ck", k), mean_of("vk", k)
-        gp, gpd, hk = mean_of("gp", k), mean_of("gpd", k), mean_of("hk", k)
+    for k, ek in p["ek"].items():
+        ck, vk = p["ck"][k], p["vk"][k]
+        gp, gpd, hk = (p[key].get(k, np.nan) for key in ("gp", "gpd", "hk"))
         drift_hk = gpd * hk if np.isfinite(gpd) and np.isfinite(hk) else float("nan")
-
-        def r(x, digits=4):
-            return round(x, digits) if np.isfinite(x) else "n/a"
-
         result.add_row(k, r(ck, 1), r(vk, 1), r(ek), r(ek * ck, 2),
                        r(gpd), r(gp), r(drift_hk, 3), r(hk, 2))
         rows.append((k, ck, vk, ek, gpd, gp, hk))

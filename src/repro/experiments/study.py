@@ -5,7 +5,7 @@ O(log^2 |V|) (Sec. 5), are checked by one kind of run: random waypoint
 at 1 m/s with L = levels_for(n), swept over n.  EXP-T3, T4, T5, T6,
 T10, A1, A2 and A5 are table views over that grid: each asks
 :func:`runs` for the cells it tabulates and never builds a scenario of
-its own.
+its own; :func:`~repro.sim.sweep.sweep_points` takes their seed means.
 
 * **Arms** are one-field overrides of the base run: ``memoryless`` (the
   base), ``sticky`` and ``persistent`` (``election_mode``), and
@@ -49,8 +49,9 @@ def sizes(quick: bool) -> tuple[int, ...]:
 
 
 def runs(arm: str, ns: Sequence[int], quick: bool,
-         seeds: Sequence[int]) -> dict[int, list[SimResult]]:
-    """Each n's runs of ``arm``, in seed order.
+         seeds: Sequence[int]) -> list[SimResult]:
+    """The runs of ``arm``, n-major and in seed order within each n (the
+    order of :func:`~repro.sim.sweep.expand_grid`).
 
     Runs last 40 metered steps (``quick``) or 100, after 10 of warm-up.
     Cells this process does not hold yet run in one
@@ -67,7 +68,5 @@ def runs(arm: str, ns: Sequence[int], quick: bool,
     keys = [scenario_key(sc) for sc in grid]
     todo = {key: sc for key, sc in zip(keys, grid) if key not in _DONE}
     _DONE.update(zip(todo, run_sweep(list(todo.values()))))
-    out: dict[int, list[SimResult]] = {}
-    for sc, key in zip(grid, keys):
-        out.setdefault(sc.n, []).append(_DONE[key])
-    return out
+    return [_DONE[key] for key in keys]
+

@@ -72,14 +72,16 @@ class RunManifest:
         Per metered step, the migration (``"migration_packets"``) and
         reorganisation (``"reorg_packets"``) handoff packets of each
         level 0 .. L+1, as integers from the ledger; dividing a step's
-        sum by n·dt gives its phi or gamma.
+        sum by n·dt gives its phi or gamma.  ``"stale_entries"`` is the
+        ledger's count of stale LM entries outstanding after each step.
     trace:
         The event trace: ``capacity``, ``dropped`` and ``events`` (one
         ``{"t", "kind", "payload"}`` dict each); empty when the run
         recorded none.
     chaos:
         ``dataclasses.asdict`` of the run's chaos report (invariant
-        series, episode SLOs); empty when the run collected none.
+        series, stale windows, episode SLOs); empty when the run
+        collected none.
     """
 
     scenario_key: str
@@ -145,9 +147,10 @@ class RunManifest:
             peak_rss_mb=float(timings.peak_rss_mb) if timings else 0.0,
             metrics=metrics,
             series={
-                name: [t[column].tolist() for t in res.ledger.tables]
-                for name, column in (("migration_packets", MIG_PACKETS),
-                                     ("reorg_packets", REORG_PACKETS))
+                **{name: [t[column].tolist() for t in res.ledger.tables]
+                   for name, column in (("migration_packets", MIG_PACKETS),
+                                        ("reorg_packets", REORG_PACKETS))},
+                "stale_entries": res.ledger.stale_series,
             },
             trace=extras.get("trace", {}),
             chaos={} if chaos is None else asdict(chaos),

@@ -5,10 +5,10 @@ scenario forces ``invariant_mode``), this collector runs the
 :func:`repro.faults.invariants.check_invariants` sweep on every metered
 snapshot and aggregates the result into a :class:`ChaosReport`:
 
-* per-step series — invariant violations, orphaned nodes, down nodes,
-  stale LM entries;
+* per-step series — invariant violations, orphaned nodes, down nodes;
 * stale-location windows — lengths of maximal step runs during which
-  the handoff engine carried stale entries;
+  the handoff engine carried stale entries (the per-step counts are the
+  ledger's ``stale_series``);
 * per-episode SLOs — for every scheduled episode, the measured
   **time-to-reconverge**: seconds from the episode's end until the
   hierarchy holds zero invariant violations (and, when the run samples
@@ -70,7 +70,6 @@ class ChaosReport:
     violations_series: list[int] = field(default_factory=list)
     orphan_series: list[int] = field(default_factory=list)
     down_series: list[int] = field(default_factory=list)
-    stale_series: list[int] = field(default_factory=list)
     episodes: list[EpisodeSLO] = field(default_factory=list)
     stale_windows: list[int] = field(default_factory=list)
     """Lengths (in steps) of maximal windows with stale LM entries."""
@@ -114,6 +113,7 @@ class ChaosCollector(Collector):
         self.report = ChaosReport()
         self._dt = 1.0
         self._steps = 0
+        self._stale_run = 0  # steps in the current run with stale entries
 
     def on_start(self, snap) -> None:
         self._dt = snap.scenario.dt
@@ -132,8 +132,11 @@ class ChaosCollector(Collector):
         rep.violations_series.append(inv.violations)
         rep.orphan_series.append(inv.orphaned)
         rep.down_series.append(0 if down is None else int(down.sum()))
-        stale = snap.report.flat[STALE] if snap.report is not None else 0
-        rep.stale_series.append(int(stale))
+        if snap.report is not None and snap.report.flat[STALE] > 0:
+            self._stale_run += 1
+        elif self._stale_run:
+            rep.stale_windows.append(self._stale_run)
+            self._stale_run = 0
 
     # -- SLO computation -----------------------------------------------------
 
@@ -189,15 +192,8 @@ class ChaosCollector(Collector):
 
     def finalize(self, elapsed: float) -> dict:
         rep = self.report
-        run = 0
-        for stale in rep.stale_series:
-            if stale > 0:
-                run += 1
-            elif run:
-                rep.stale_windows.append(run)
-                run = 0
-        if run:
-            rep.stale_windows.append(run)
+        if self._stale_run:
+            rep.stale_windows.append(self._stale_run)
         rep.episodes = [
             self._episode_slo(i, ep) for i, ep in enumerate(self._episodes)
         ]

@@ -194,13 +194,19 @@ class SimResult:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregated results at one node count of a sweep
-    (:func:`repro.sim.sweep.sweep_points`)."""
+    """Seed means and stds of named metrics for one scenario of a sweep
+    (:func:`repro.sim.sweep.sweep_points`), which is its first run's;
+    a per-level metric holds ``{level: mean}`` and ``{level: std}``."""
 
-    n: int
-    values: dict[str, float]
-    stds: dict[str, float]
+    scenario: Scenario
+    values: dict[str, float | dict[int, float]]
+    stds: dict[str, float | dict[int, float]]
     seeds: int
 
-    def __getitem__(self, key: str) -> float:
+    @property
+    def n(self) -> int:
+        """The scenario's node count."""
+        return self.scenario.n
+
+    def __getitem__(self, key: str):
         return self.values[key]

@@ -13,9 +13,9 @@ production scale:
   callback, and returns results in task order — bit-identical to a
   serial loop over the same scenarios (each run is independently
   seeded; no shared mutable state crosses the process boundary).
-  It is the one task runner: :func:`sweep_points` aggregates per-size
-  metrics over its results, and its run-control arguments are checked
-  at the call, before any task runs.
+  It is the one task runner: :func:`sweep_points` averages metrics
+  over the seeds of each scenario in its results, and its run-control
+  arguments are checked at the call, before any task runs.
 * **Crash tolerance**: a worker that raises, dies (``BrokenProcessPool``),
   or exceeds the per-task timeout is retried with exponential backoff up
   to a bounded attempt count; tasks that still fail are reported as
@@ -696,47 +696,52 @@ def run_sweep(
 
 def sweep_points(
     results: Sequence[SimResult | None],
-    metrics: dict[str, Callable[[SimResult], float]],
+    metrics: dict[str, Callable[[SimResult], object]],
 ) -> list[SweepPoint]:
-    """Aggregate named metrics per node count over a sweep's results.
+    """Average named metrics over the seeds of each scenario in a sweep.
 
-    Results are grouped by ``res.scenario.n`` in first-appearance order
-    (the size-major order of :func:`expand_grid`); ``None`` holes — the
-    failed tasks of a :class:`SweepError`'s partial run — are skipped.
-    Each point carries every metric's mean and standard deviation over
-    its group.  A metric may return None for "not measured in this
-    run" (e.g. ``query_success_rate`` when a cell samples no queries):
-    that sample is missing, not zero, and a point that measured nothing
-    reports NaN.
+    Results whose scenarios differ only in ``seed`` form one point, in
+    first-appearance order; ``None`` holes — the failed tasks of a
+    :class:`SweepError`'s partial run — are skipped.  Each point carries
+    every metric's mean and standard deviation over its group.  A metric
+    may return None for "not measured in this run" (e.g.
+    ``query_success_rate`` when a cell samples no queries): that sample
+    is missing, not zero, and a point that measured nothing reports NaN.
+    A metric may also return a ``{level: value}`` dict (``mean_h_k``,
+    ``ledger.f_k``, ...); each level is then averaged over the runs that
+    report it.
     """
     if not metrics:
         raise ValueError("need at least one metric")
-    groups: dict[int, list[SimResult]] = {}
+    groups: dict[str, list[SimResult]] = {}
     for res in results:
         if res is not None:
-            groups.setdefault(int(res.scenario.n), []).append(res)
+            key = scenario_key(replace(res.scenario, seed=0))
+            groups.setdefault(key, []).append(res)
     points = []
-    for n, chunk in groups.items():
-        samples = {
-            name: np.array(
-                [np.nan if (v := fn(res)) is None else float(v)
-                 for res in chunk],
-                dtype=float,
-            )
-            for name, fn in metrics.items()
-        }
-        points.append(
-            SweepPoint(
-                n=n,
-                values={k: _nan_skip(v, np.mean) for k, v in samples.items()},
-                stds={k: _nan_skip(v, np.std) for k, v in samples.items()},
-                seeds=len(chunk),
-            )
-        )
+    for chunk in groups.values():
+        samples = {name: [fn(res) for res in chunk]
+                   for name, fn in metrics.items()}
+        points.append(SweepPoint(
+            scenario=chunk[0].scenario,
+            values={name: _reduce(v, np.mean) for name, v in samples.items()},
+            stds={name: _reduce(v, np.std) for name, v in samples.items()},
+            seeds=len(chunk),
+        ))
     return points
 
 
-def _nan_skip(samples: "np.ndarray", agg) -> float:
-    """Aggregate ``samples`` ignoring NaN; NaN when nothing measured."""
-    kept = samples[~np.isnan(samples)]
-    return float(agg(kept)) if kept.size else float("nan")
+def _reduce(samples: list, agg):
+    """``agg`` over ``samples`` without their None and NaN entries (NaN
+    when nothing was measured); level by level, in ascending order, when
+    the samples are ``{level: value}`` dicts."""
+    if any(isinstance(v, dict) for v in samples):
+        levels = sorted({k for v in samples if v for k in v})
+        return {k: _reduce([v.get(k) for v in samples if v], agg)
+                for k in levels}
+    kept = np.array([v for v in samples if v is not None], dtype=float)
+    kept = kept[~np.isnan(kept)]
+    if not kept.size:
+        return float("nan")
+    with np.errstate(invalid="ignore"):  # the std of an infinite sample
+        return float(agg(kept))

@@ -49,9 +49,9 @@ def test_eight_quick_tables_simulate_each_cell_once(simulated):
 
 def test_runs_come_in_seed_order_and_are_kept(simulated):
     first = study.runs("sticky", (100,), True, (3, 2))
-    assert list(first) == [100]
-    assert [res.scenario.seed for res in first[100]] == [3, 2]
-    assert {res.scenario.election_mode for res in first[100]} == {"sticky"}
+    assert [(res.scenario.n, res.scenario.seed) for res in first] == [
+        (100, 3), (100, 2)]
+    assert {res.scenario.election_mode for res in first} == {"sticky"}
     again = study.runs("sticky", (100,), True, (2,))
-    assert again[100][0] is first[100][1]
+    assert again[0] is first[1]
     assert len(simulated) == 2

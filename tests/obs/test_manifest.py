@@ -179,6 +179,13 @@ class TestSeries:
             assert rates and {k: totals[k] / scale for k in rates} == rates
             assert not any(t for k, t in enumerate(totals) if k not in rates)
 
+    def test_stale_entries_are_the_ledgers_stale_column(self, profiled_result):
+        lg = profiled_result.ledger
+        stale = RunManifest.from_result(profiled_result).series["stale_entries"]
+        assert stale == lg.stale_series
+        assert len(stale) == len(lg.flats) == profiled_result.scenario.steps
+        assert all(type(v) is int for v in stale)
+
     def test_round_trips_through_json(self, profiled_result):
         import json
 

@@ -113,7 +113,7 @@ class TestResumeEqualsUninterrupted:
         a, b = baseline.extras["chaos"], resumed.extras["chaos"]
         assert a.violations_series == b.violations_series
         assert a.down_series == b.down_series
-        assert a.stale_series == b.stale_series
+        assert a.stale_windows == b.stale_windows
         assert [e.time_to_reconverge for e in a.episodes] == \
                [e.time_to_reconverge for e in b.episodes]
         assert (baseline.queries.success_series

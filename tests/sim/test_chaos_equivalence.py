@@ -8,6 +8,8 @@ with zero invariant violations after convergence.  The chaos-stream crash
 draws themselves are pinned by the ``lossy-chaos`` golden fingerprint.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,8 @@ def _same_run(a, b, queries=False):
 
 def test_ledger_rows_sum_to_its_totals():
     """A lossy chaos run: the ledger's per-step rows sum to the totals
-    every rate reads, and their stale column is the chaos report's."""
+    every rate reads, and the chaos report's stale windows are the runs
+    of steps where their stale column is non-zero."""
     from repro.core.handoff import STALE
 
     res = run_scenario(Scenario(
@@ -44,7 +47,10 @@ def test_ledger_rows_sum_to_its_totals():
     assert np.array_equal(np.sum(lg.flats, axis=0), lg.flat())
     stale = [int(f[STALE]) for f in lg.flats]
     assert max(stale) > 0
-    assert stale == lg.stale_series == res.extras["chaos"].stale_series
+    assert stale == lg.stale_series
+    windows = [len(list(run)) for stale, run in
+               itertools.groupby(lg.stale_series, bool) if stale]
+    assert windows == res.extras["chaos"].stale_windows
 
 
 class TestEmptyScheduleEquivalence:

@@ -223,6 +223,45 @@ class TestCachedSweepShapes:
         assert sweep_points([None, None], self.METRICS) == []
 
 
+class TestSeedGroups:
+    """``sweep_points`` averages over the seeds of each scenario: runs
+    that differ in any other field are separate points, and a per-level
+    metric is averaged level by level."""
+
+    def test_scenarios_differing_beyond_the_seed_are_separate_points(self):
+        sticky = replace(BASE, election_mode="sticky")
+        results = run_sweep([*expand_grid(sticky, None, (0, 1)),
+                             *expand_grid(BASE, None, (0, 1))])
+        first, second = sweep_points(results, {"phi": lambda r: r.phi})
+        assert (first.n, second.n) == (BASE.n, BASE.n)
+        assert first.scenario == replace(sticky, seed=0)
+        assert second.scenario == replace(BASE, seed=0)
+        assert first.seeds == second.seeds == 2
+        assert first["phi"] == float(np.mean([r.phi for r in results[:2]]))
+        assert second["phi"] == float(np.mean([r.phi for r in results[2:]]))
+
+    def test_per_level_metric_skips_the_seeds_without_a_level(self):
+        results = run_sweep(expand_grid(BASE, None, (0, 1)))
+
+        def per_level(r):
+            if r.scenario.seed == 0:
+                return {2: r.gamma, 1: r.phi}
+            return {1: r.phi}
+
+        (point,) = sweep_points(results, {"lv": per_level})
+        assert list(point["lv"]) == list(point.stds["lv"]) == [1, 2]
+        phis = [r.phi for r in results]
+        assert point["lv"][1] == float(np.mean(phis))
+        assert point.stds["lv"][1] == float(np.std(phis))
+        assert point["lv"][2] == results[0].gamma
+        assert point.stds["lv"][2] == 0.0
+
+    def test_n_reads_the_scenario(self):
+        (point,) = _points([90], (3,), {"phi": lambda r: r.phi})
+        assert point.n == point.scenario.n == 90
+        assert point.scenario.seed == 3
+
+
 class TestMissingMetricAggregation:
     """Regression: a metric returning None ("not measured in this run")
     used to crash ``float()`` or get zeroed via ``or 0.0`` wrappers,

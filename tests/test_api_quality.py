@@ -249,6 +249,28 @@ class TestExports:
         assert err.value.code == 2
         assert "invalid choice: 'profile'" in capsys.readouterr().err
 
+    def test_experiments_run_their_grids_through_run_sweep(self):
+        """No ``repro.experiments`` module calls ``run_scenario`` inside a
+        loop or a comprehension: every grid of runs goes through one
+        ``run_sweep`` call, so it gets the worker pool, the result cache
+        and the checkpoints."""
+        import repro.experiments
+
+        loops = (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                 ast.DictComp, ast.GeneratorExp)
+        root = Path(repro.experiments.__path__[0])
+        offenders = set()
+        for path in sorted(root.glob("*.py")):
+            for loop in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(loop, loops):
+                    continue
+                for node in ast.walk(loop):
+                    if isinstance(node, ast.Call) and "run_scenario" in (
+                            getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None)):
+                        offenders.add(f"{path.stem}:{node.lineno}")
+        assert not offenders, sorted(offenders)
+
     def test_one_run_record(self, capsys):
         """The event trace and the chaos report are ``RunManifest``
         sections: the trace module and its JSONL schema, the engine's
