@@ -13,25 +13,18 @@ Run:  python examples/forwarding_demo.py
 
 import numpy as np
 
-from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
-from repro.hierarchy import build_hierarchy
-from repro.radio import radius_for_degree, unit_disk_edges
 from repro.routing import ForwardingFabric
-from repro.sim import BfsHops
+from repro.sim import BfsHops, Scenario, static_snapshot
 
 
 def main():
     n = 250
-    density = 0.02
-    region = disc_for_density(n, density)
+    sc = Scenario(n=n, max_levels=3)
     rng = np.random.default_rng(21)
-    pts = region.sample(n, rng)
-    r_tx = radius_for_degree(9.0, density)
-    edges = unit_disk_edges(pts, r_tx)
-    g = CompactGraph(np.arange(n), edges)
-    h = build_hierarchy(np.arange(n), edges, max_levels=3,
-                        level_mode="radio", positions=pts, r0=r_tx)
+    snap = static_snapshot(sc, sc.region.sample(n, rng))
+    g = CompactGraph(np.arange(n), snap.edges)
+    h = snap.hierarchy
 
     fabric = ForwardingFabric(h, g)
     flat = BfsHops(g)

@@ -13,24 +13,18 @@ import sys
 
 import numpy as np
 
-from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
-from repro.hierarchy import build_hierarchy
-from repro.radio import radius_for_degree, unit_disk_edges
 from repro.routing import ForwardingFabric
+from repro.sim import Scenario, static_snapshot
 from repro.viz import render_network_svg
 
 
 def main():
     outdir = sys.argv[1] if len(sys.argv) > 1 else "."
-    n, density = 220, 0.02
-    region = disc_for_density(n, density)
-    rng = np.random.default_rng(8)
-    pts = region.sample(n, rng)
-    r_tx = radius_for_degree(9.0, density)
-    edges = unit_disk_edges(pts, r_tx)
-    h = build_hierarchy(np.arange(n), edges, max_levels=3,
-                        level_mode="radio", positions=pts, r0=r_tx)
+    n = 220
+    sc = Scenario(n=n, max_levels=3)
+    snap = static_snapshot(sc, sc.region.sample(n, np.random.default_rng(8)))
+    pts, edges, h = snap.positions, snap.edges, snap.hierarchy
 
     p1 = f"{outdir}/network_hierarchy.svg"
     render_network_svg(pts, edges, hierarchy=h, hull_level=1, path=p1)

@@ -517,17 +517,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hierarchy(args) -> int:
-    from repro.geometry import disc_for_density
-    from repro.hierarchy import build_hierarchy, render_hierarchy, render_summary
-    from repro.radio import radius_for_degree, unit_disk_edges
+    from repro.hierarchy import render_hierarchy, render_summary
+    from repro.sim import static_snapshot
 
-    region = disc_for_density(args.n, args.density)
-    rng = np.random.default_rng(args.seed)
-    pts = region.sample(args.n, rng)
-    r_tx = radius_for_degree(args.degree, args.density)
-    edges = unit_disk_edges(pts, r_tx)
-    h = build_hierarchy(np.arange(args.n), edges, level_mode="radio",
-                        positions=pts, r0=r_tx)
+    sc = _scenario_from_args(args)
+    if sc is None:
+        return 2
+    pts = sc.region.sample(sc.n, np.random.default_rng(sc.seed))
+    h = static_snapshot(sc, pts).hierarchy
     print(render_summary(h))
     if args.tree:
         print()

@@ -9,8 +9,11 @@ DESIGN.md's experiment index).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-__all__ = ["ExperimentResult"]
+from repro.sim import Scenario
+
+__all__ = ["ExperimentResult", "SeedRecord"]
 
 
 def _fmt(value) -> str:
@@ -21,6 +24,15 @@ def _fmt(value) -> str:
             return f"{value:.3g}"
         return f"{value:.4g}"
     return str(value)
+
+
+class SeedRecord(NamedTuple):
+    """One seed's measurements, by name, with the scenario that ran them,
+    so a table that measures outside the simulator still averages its
+    seeds with :func:`~repro.sim.sweep_points`."""
+
+    scenario: Scenario
+    values: dict[str, float]
 
 
 @dataclass

@@ -34,7 +34,7 @@ import numpy as np
 from repro.analysis import levels_for
 from repro.core import resolve_batch
 from repro.experiments.common import ExperimentResult
-from repro.sim import Scenario, Simulator
+from repro.sim import Scenario, SimResult, Simulator, sweep_points
 from repro.sim.collectors import Collector
 
 __all__ = ["run", "StalenessCollector"]
@@ -93,15 +93,14 @@ class StalenessCollector(Collector):
         }
 
 
-def _one_run(n: int, speed: float, steps: int, seed: int) -> dict[str, float]:
+def _one_run(n: int, speed: float, steps: int, seed: int) -> SimResult:
     sc = Scenario(
         n=n, steps=steps, warmup=10, speed=speed, dt=1.0,
         density=0.02, target_degree=9.0, seed=seed,
         max_levels=levels_for(n), hop_mode="euclidean",
     )
     collector = StalenessCollector(np.random.default_rng(seed))
-    res = Simulator(sc, collectors=[collector]).run()
-    return res.extras["staleness"]
+    return Simulator(sc, collectors=[collector]).run()
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
@@ -109,6 +108,8 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     n = 300 if quick else 800
     steps = 15 if quick else 40
     speeds = (0.5, 1.0, 2.0, 4.0)
+    results = [_one_run(n, mu, steps, seed) for mu in speeds for seed in seeds]
+    points = sweep_points(results, {"grade": lambda r: r.extras["staleness"]})
 
     result = ExperimentResult(
         exp_id="EXP-A6",
@@ -116,15 +117,10 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["speed (m/s)", "exact", "exact+routable", "stale",
                  "unresolved"],
     )
-    for mu in speeds:
-        acc: dict[str, list[float]] = {}
-        for seed in seeds:
-            rates = _one_run(n, mu, steps, seed)
-            for k, v in rates.items():
-                acc.setdefault(k, []).append(v)
-        m = {k: float(np.mean(v)) for k, v in acc.items()}
+    for p in points:
+        m = p["grade"]
         result.add_row(
-            mu, round(m["exact"], 3),
+            p.scenario.speed, round(m["exact"], 3),
             round(m["exact"] + m["routable"], 3),
             round(m["stale"], 3), round(m["unresolved"], 3),
         )

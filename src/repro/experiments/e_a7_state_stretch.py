@@ -16,34 +16,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import levels_for
-from repro.experiments.common import ExperimentResult
-from repro.geometry import disc_for_density
+from repro.experiments.common import ExperimentResult, SeedRecord
 from repro.graphs import CompactGraph
-from repro.hierarchy import build_hierarchy
-from repro.radio import radius_for_degree, unit_disk_edges
 from repro.routing import ForwardingFabric
-from repro.sim import BfsHops
+from repro.sim import BfsHops, Scenario, static_snapshot, sweep_points
 
 __all__ = ["run"]
 
 
-def _measure(n: int, L: int, seed: int, pairs: int = 150) -> dict[str, float]:
-    density = 0.02
-    r_tx = radius_for_degree(9.0, density)
-    region = disc_for_density(n, density)
-    rng = np.random.default_rng(seed)
-    pts = region.sample(n, rng)
-    edges = unit_disk_edges(pts, r_tx)
-    g = CompactGraph(np.arange(n), edges)
-    h = build_hierarchy(np.arange(n), edges, max_levels=L,
-                        level_mode="radio", positions=pts, r0=r_tx)
-    fabric = ForwardingFabric(h, g)
+def _measure(sc: Scenario, pairs: int = 150) -> dict[str, float]:
+    rng = np.random.default_rng(sc.seed)
+    snap = static_snapshot(sc, sc.region.sample(sc.n, rng))
+    g = CompactGraph(np.arange(sc.n), snap.edges)
+    fabric = ForwardingFabric(snap.hierarchy, g)
     flat = BfsHops(g)
 
     stretches = []
     delivered = attempted = 0
     for _ in range(pairs):
-        s, d = (int(x) for x in rng.integers(0, n, size=2))
+        s, d = (int(x) for x in rng.integers(0, sc.n, size=2))
         fp = flat(s, d)
         if fp <= 0:
             continue
@@ -60,28 +51,23 @@ def _measure(n: int, L: int, seed: int, pairs: int = 150) -> dict[str, float]:
     }
 
 
-def _measure_steady(n: int, L: int, seed: int, steps: int = 6,
-                    pairs: int = 40, drift: float = 0.2) -> dict[str, float]:
+def _measure_steady(sc: Scenario, steps: int = 6, pairs: int = 40,
+                    drift: float = 0.2) -> dict[str, float]:
     """Steady-state variant: the same delivery / stretch quantities over
     drifting snapshots, with one fabric built per snapshot."""
-    density = 0.02
-    r_tx = radius_for_degree(9.0, density)
-    region = disc_for_density(n, density)
-    rng = np.random.default_rng(seed)
-    pts = region.sample(n, rng)
+    rng = np.random.default_rng(sc.seed)
+    pts = sc.region.sample(sc.n, rng)
     stretches: list[float] = []
     states: list[float] = []
     delivered = attempted = 0
     for _ in range(steps):
-        edges = unit_disk_edges(pts, r_tx)
-        g = CompactGraph(np.arange(n), edges)
-        h = build_hierarchy(np.arange(n), edges, max_levels=L,
-                            level_mode="radio", positions=pts, r0=r_tx)
-        fabric = ForwardingFabric(h, g)
+        snap = static_snapshot(sc, pts)
+        g = CompactGraph(np.arange(sc.n), snap.edges)
+        fabric = ForwardingFabric(snap.hierarchy, g)
         states.append(float(fabric.table_sizes().mean()))
         flat = BfsHops(g)
         for _ in range(pairs):
-            s, d = (int(x) for x in rng.integers(0, n, size=2))
+            s, d = (int(x) for x in rng.integers(0, sc.n, size=2))
             fp = flat(s, d)
             if fp <= 0:
                 continue
@@ -101,6 +87,10 @@ def _measure_steady(n: int, L: int, seed: int, steps: int = 6,
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (200, 400, 800) if quick else (200, 400, 800, 1600, 3200)
+    scenarios = [Scenario(n=n, max_levels=levels_for(n), seed=seed)
+                 for n in ns for seed in seeds]
+    records = [SeedRecord(sc, _measure(sc)) for sc in scenarios]
+    points = sweep_points(records, {"route": lambda r: r.values})
 
     result = ExperimentResult(
         exp_id="EXP-A7",
@@ -109,19 +99,14 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
                  "delivery", "stretch mean", "stretch p95"],
     )
     reductions, stretches = [], []
-    for n in ns:
-        L = levels_for(n)
-        acc: dict[str, list[float]] = {}
-        for seed in seeds:
-            m = _measure(n, L, seed)
-            for k, v in m.items():
-                acc.setdefault(k, []).append(v)
-        mean = {k: float(np.nanmean(v)) for k, v in acc.items()}
+    for p in points:
+        n, mean = p.n, p["route"]
         reduction = (n - 1) / max(mean["state"], 1e-9)
         reductions.append(reduction)
         stretches.append(mean["stretch_mean"])
         result.add_row(
-            n, L, round(mean["state"], 1), f"{reduction:.0f}x smaller",
+            n, p.scenario.max_levels, round(mean["state"], 1),
+            f"{reduction:.0f}x smaller",
             round(mean["delivery"], 3), round(mean["stretch_mean"], 2),
             round(mean["stretch_p95"], 2),
         )
@@ -133,7 +118,7 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     # Depth sensitivity at the largest size.
     n = ns[-1]
     for L in (2, levels_for(n) + 1):
-        m = _measure(n, L, seeds[0])
+        m = _measure(Scenario(n=n, max_levels=L, seed=seeds[0]))
         result.add_note(
             f"n={n}, L={L}: state {m['state']:.1f}/node, "
             f"stretch {m['stretch_mean']:.2f} "
@@ -141,7 +126,8 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         )
     # Steady state under mobility: a fabric per drifting snapshot.
     n0 = ns[0]
-    m = _measure_steady(n0, levels_for(n0), seeds[0])
+    m = _measure_steady(
+        Scenario(n=n0, max_levels=levels_for(n0), seed=seeds[0]))
     result.add_note(
         f"steady state (fabric per snapshot, n={n0}): "
         f"state {m['state']:.1f}/node, delivery {m['delivery']:.3f}, "

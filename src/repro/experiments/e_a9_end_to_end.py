@@ -33,7 +33,7 @@ from repro.core import resolve_batch
 from repro.experiments.common import ExperimentResult
 from repro.graphs import CompactGraph
 from repro.routing import ForwardingFabric
-from repro.sim import Scenario, Simulator
+from repro.sim import Scenario, SimResult, Simulator, sweep_points
 from repro.sim.collectors import Collector
 from repro.sim.engine import RNG_STREAMS
 from repro.sim.rng import spawn_rngs
@@ -125,12 +125,11 @@ class SessionCollector(Collector):
         }}
 
 
-def _sessions(n: int, speed: float, steps: int, seed: int) -> dict:
+def _sessions(n: int, speed: float, steps: int, seed: int) -> SimResult:
     sc = Scenario(n=n, speed=speed, steps=steps, warmup=10, seed=seed,
                   max_levels=levels_for(n), hop_mode="euclidean",
                   hop_sample_every=10_000)
-    res = Simulator(sc, collectors=[SessionCollector()]).run()
-    return res.extras["sessions"]
+    return Simulator(sc, collectors=[SessionCollector()]).run()
 
 
 def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
@@ -138,6 +137,8 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     n = 300 if quick else 800
     steps = 15 if quick else 40
     speeds = (0.5, 1.0, 2.0, 4.0)
+    results = [_sessions(n, mu, steps, seed) for mu in speeds for seed in seeds]
+    points = sweep_points(results, {"sessions": lambda r: r.extras["sessions"]})
 
     result = ExperimentResult(
         exp_id="EXP-A9",
@@ -145,12 +146,11 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["speed (m/s)", "delivered", "resolved", "stale addr",
                  "query pkts", "data hops"],
     )
-    for mu in speeds:
-        runs = [_sessions(n, mu, steps, seed) for seed in seeds]
-        mean = {k: float(np.mean([r[k] for r in runs])) for k in runs[0]}
-        result.add_row(mu, round(mean["delivered"], 3), round(mean["resolved"], 3),
-                       round(mean["stale"], 3), round(mean["query_pkts"], 1),
-                       round(mean["data_hops"], 1))
+    for p in points:
+        mean = p["sessions"]
+        result.add_row(p.scenario.speed, round(mean["delivered"], 3),
+                       round(mean["resolved"], 3), round(mean["stale"], 3),
+                       round(mean["query_pkts"], 1), round(mean["data_hops"], 1))
     result.add_note(
         "Pipeline per session: CHLM query against a one-round-stale "
         "database, then hop-by-hop forwarding with the *resolved* address "

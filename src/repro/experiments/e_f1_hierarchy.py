@@ -11,25 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.geometry import disc_for_density
-from repro.hierarchy import build_hierarchy, hierarchy_stats
-from repro.radio import radius_for_degree, unit_disk_edges
+from repro.hierarchy import hierarchy_stats
+from repro.sim import Scenario, static_snapshot
 
 __all__ = ["run"]
 
 
 def run(quick: bool = True, n: int = 100, seed: int = 7) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
-    density = 0.02
-    degree = 9.0
-    region = disc_for_density(n, density)
-    rng = np.random.default_rng(seed)
-    pts = region.sample(n, rng)
-    r_tx = radius_for_degree(degree, density)
-    edges = unit_disk_edges(pts, r_tx)
-    h = build_hierarchy(
-        np.arange(n), edges, level_mode="radio", positions=pts, r0=r_tx
-    )
+    sc = Scenario(n=n, seed=seed)
+    pts = sc.region.sample(n, np.random.default_rng(seed))
+    h = static_snapshot(sc, pts).hierarchy
 
     result = ExperimentResult(
         exp_id="EXP-F1",

@@ -38,9 +38,9 @@ import numpy as np
 from repro.analysis import levels_for, phi_total_prediction
 from repro.core import BatchResolver, full_assignment
 from repro.experiments.common import ExperimentResult
-from repro.hierarchy import build_hierarchy
-from repro.radio import unit_disk_edges
-from repro.sim import Scenario, expand_grid, run_sweep, sweep_points
+from repro.sim import (
+    Scenario, expand_grid, run_sweep, static_snapshot, sweep_points,
+)
 from repro.sim.hops import EuclideanHops
 
 __all__ = ["run"]
@@ -58,11 +58,7 @@ def _batch_probe(res) -> dict:
     """
     sc = res.scenario
     pts = res.final_positions
-    edges = unit_disk_edges(pts, sc.r_tx)
-    hier = build_hierarchy(
-        np.arange(sc.n), edges, max_levels=levels_for(sc.n),
-        level_mode="radio", positions=pts, r0=sc.r_tx,
-    )
+    hier = static_snapshot(sc, pts).hierarchy
     assignment = full_assignment(hier)
     hop = EuclideanHops(pts, sc.r_tx)
     rng = np.random.default_rng(sc.seed + 2000)

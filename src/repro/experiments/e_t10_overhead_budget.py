@@ -22,9 +22,7 @@ from repro.analysis import fit_power
 from repro.core import full_assignment, resolve_batch
 from repro.experiments import study
 from repro.experiments.common import ExperimentResult
-from repro.hierarchy import build_hierarchy
-from repro.radio import unit_disk_edges
-from repro.sim import sweep_points
+from repro.sim import static_snapshot, sweep_points
 from repro.sim.hops import EuclideanHops
 
 __all__ = ["run"]
@@ -34,11 +32,7 @@ def _query_probe(res) -> tuple[list[float], list[float]]:
     """Query cost on a run's final snapshot: (packet counts, ratios)."""
     sc = res.scenario
     pts = res.final_positions
-    edges = unit_disk_edges(pts, sc.r_tx)
-    hier = build_hierarchy(
-        np.arange(sc.n), edges, max_levels=sc.max_levels,
-        level_mode="radio", positions=pts, r0=sc.r_tx,
-    )
+    hier = static_snapshot(sc, pts).hierarchy
     assignment = full_assignment(hier)
     hop = EuclideanHops(pts, sc.r_tx)
     pairs = np.random.default_rng(sc.seed + 1000).integers(0, sc.n, size=(30, 2))

@@ -15,59 +15,46 @@ import numpy as np
 from repro.analysis import levels_for
 from repro.core import HandoffEngine
 from repro.core.handoff import REG_PACKETS
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, SeedRecord
 from repro.geometry import square_for_density
 from repro.gls import GridHierarchy, GridLocationService
-from repro.hierarchy import build_hierarchy
 from repro.mobility import RandomWaypoint
-from repro.radio import radius_for_degree, unit_disk_edges
+from repro.sim import Scenario, static_snapshot, sweep_points
 from repro.sim.hops import EuclideanHops
 
 __all__ = ["run"]
 
 
-def _one_run(n: int, steps: int, warmup: int, seed: int) -> dict[str, float]:
-    density = 0.02
-    degree = 9.0
-    speed = 1.0
-    dt = 1.0
-    region = square_for_density(n, density)
-    r_tx = radius_for_degree(degree, density)
-    rng = np.random.default_rng(seed)
-    model = RandomWaypoint(n, region, speed, rng)
-    for _ in range(warmup):
-        model.step(dt)
+def _one_run(sc: Scenario) -> dict[str, float]:
+    n, r_tx = sc.n, sc.r_tx
+    region = square_for_density(n, sc.density)
+    rng = np.random.default_rng(sc.seed)
+    model = RandomWaypoint(n, region, sc.speed, rng)
+    for _ in range(sc.warmup):
+        model.step(sc.dt)
 
     grid = GridHierarchy.for_region(region, l=2.0 * r_tx)
     gls = GridLocationService(grid=grid, node_ids=np.arange(n))
     chlm = HandoffEngine()
-    L = levels_for(n)
-
-    def build(pts):
-        edges = unit_disk_edges(pts, r_tx)
-        return build_hierarchy(
-            np.arange(n), edges, max_levels=L,
-            level_mode="radio", positions=pts, r0=r_tx,
-        )
 
     # Baselines.
     pts = model.positions.copy()
     hop = EuclideanHops(pts, r_tx)
     gls.observe(pts, hop)
-    chlm.observe(build(pts), hop)
+    chlm.observe(static_snapshot(sc, pts).hierarchy, hop)
 
     totals = {"gls_handoff": 0, "gls_update": 0, "chlm_handoff": 0, "chlm_reg": 0}
-    for _ in range(steps):
-        model.step(dt)
+    for _ in range(sc.steps):
+        model.step(sc.dt)
         pts = model.positions.copy()
         hop = EuclideanHops(pts, r_tx)
         g = gls.observe(pts, hop)
-        c = chlm.observe(build(pts), hop)
+        c = chlm.observe(static_snapshot(sc, pts).hierarchy, hop)
         totals["gls_handoff"] += g.handoff_packets
         totals["gls_update"] += g.update_packets
         totals["chlm_handoff"] += c.total_handoff_packets
         totals["chlm_reg"] += int(c.counts[REG_PACKETS].sum())
-    norm = n * steps * dt
+    norm = n * sc.duration
     return {k: v / norm for k, v in totals.items()}
 
 
@@ -75,6 +62,11 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (150, 300, 600) if quick else (150, 300, 600, 1200, 2400)
     steps = 30 if quick else 80
+    scenarios = [Scenario(n=n, speed=1.0, steps=steps, warmup=10,
+                          max_levels=levels_for(n), seed=seed)
+                 for n in ns for seed in seeds]
+    records = [SeedRecord(sc, _one_run(sc)) for sc in scenarios]
+    points = sweep_points(records, {"rates": lambda r: r.values})
 
     result = ExperimentResult(
         exp_id="EXP-T8",
@@ -82,17 +74,12 @@ def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
         columns=["n", "CHLM handoff", "CHLM reg", "CHLM total",
                  "GLS handoff", "GLS update", "GLS total", "GLS/CHLM"],
     )
-    for n in ns:
-        acc: dict[str, list[float]] = {}
-        for seed in seeds:
-            rates = _one_run(n, steps, warmup=10, seed=seed)
-            for k, v in rates.items():
-                acc.setdefault(k, []).append(v)
-        m = {k: float(np.mean(v)) for k, v in acc.items()}
+    for p in points:
+        m = p["rates"]
         chlm_total = m["chlm_handoff"] + m["chlm_reg"]
         gls_total = m["gls_handoff"] + m["gls_update"]
         result.add_row(
-            n, round(m["chlm_handoff"], 3), round(m["chlm_reg"], 3),
+            p.n, round(m["chlm_handoff"], 3), round(m["chlm_reg"], 3),
             round(chlm_total, 3), round(m["gls_handoff"], 3),
             round(m["gls_update"], 3), round(gls_total, 3),
             round(gls_total / max(chlm_total, 1e-9), 2),

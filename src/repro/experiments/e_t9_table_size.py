@@ -13,19 +13,26 @@ import numpy as np
 
 from repro.analysis import compare_shapes, levels_for
 from repro.experiments.common import ExperimentResult
-from repro.geometry import disc_for_density
-from repro.hierarchy import build_hierarchy
-from repro.radio import radius_for_degree, unit_disk_edges
 from repro.routing import flat_table_size, hierarchical_table_sizes
+from repro.sim import Scenario, static_snapshot, sweep_points
 
 __all__ = ["run"]
 
 
-def run(quick: bool = True, seeds=(0, 1, 2)) -> ExperimentResult:
+def _map_sizes(snap) -> dict[str, float]:
+    """Mean and largest per-node map size on ``snap``."""
+    sizes = hierarchical_table_sizes(snap.hierarchy)
+    return {"mean": sizes.mean(), "max": sizes.max()}
+
+
+def run(quick: bool = True, seeds=(0, 1)) -> ExperimentResult:
     """Run this experiment; returns the printable table (see module docstring)."""
     ns = (100, 200, 400, 800, 1600) if quick else (100, 200, 400, 800, 1600, 3200, 6400)
-    density = 0.02
-    degree = 9.0
+    scenarios = [Scenario(n=n, max_levels=levels_for(n), seed=seed)
+                 for n in ns for seed in seeds]
+    snaps = [static_snapshot(sc, sc.region.sample(
+        sc.n, np.random.default_rng(sc.seed))) for sc in scenarios]
+    points = sweep_points(snaps, {"map": _map_sizes})
 
     result = ExperimentResult(
         exp_id="EXP-T9",
@@ -34,27 +41,12 @@ def run(quick: bool = True, seeds=(0, 1, 2)) -> ExperimentResult:
                  "hier/flat", "hier / log n"],
     )
     means = []
-    for n in ns:
-        samples = []
-        maxes = []
-        for seed in seeds:
-            region = disc_for_density(n, density)
-            rng = np.random.default_rng(seed)
-            pts = region.sample(n, rng)
-            r_tx = radius_for_degree(degree, density)
-            edges = unit_disk_edges(pts, r_tx)
-            h = build_hierarchy(
-                np.arange(n), edges, max_levels=levels_for(n),
-                level_mode="radio", positions=pts, r0=r_tx,
-            )
-            sizes = hierarchical_table_sizes(h)
-            samples.append(sizes.mean())
-            maxes.append(sizes.max())
-        mean = float(np.mean(samples))
+    for p in points:
+        n, mean = p.n, p["map"]["mean"]
         means.append(mean)
         flat = flat_table_size(n)
         result.add_row(
-            n, flat, round(mean, 1), int(np.mean(maxes)),
+            n, flat, round(mean, 1), int(p["map"]["max"]),
             round(mean / flat, 4), round(mean / np.log(n), 2),
         )
 

@@ -17,7 +17,7 @@ from repro.sim.metrics import LevelSeries, SimResult
 from repro.sim.presets import PRESETS, make_scenario
 from repro.sim.rng import spawn_rngs
 from repro.sim.scenario import Scenario
-from repro.sim.snapshot import StepSnapshot
+from repro.sim.snapshot import StepSnapshot, static_snapshot
 from repro.sim.sweep import (
     CODE_VERSION,
     SweepError,
@@ -37,6 +37,7 @@ __all__ = [
     "Simulator",
     "run_scenario",
     "StepSnapshot",
+    "static_snapshot",
     "Collector",
     "LedgerCollector",
     "LinkEventCollector",

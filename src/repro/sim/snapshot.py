@@ -10,6 +10,11 @@ measurement plane: collectors read it, never the engine.
 The snapshot is immutable by convention (frozen dataclass); the arrays
 and hierarchy objects it references are the engine's working copies and
 must not be mutated by collectors.
+
+:func:`static_snapshot` is the same pipeline without time: one network
+frozen at given positions, the unit-disk links and hierarchy a
+scenario's radio settings give them.  Every table that measures a
+static deployment (server load, map size, stretch, ...) builds it here.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.hierarchy import build_hierarchy
+from repro.radio import unit_disk_edges
 from repro.sim.scenario import Scenario
 
-__all__ = ["StepSnapshot"]
+__all__ = ["StaticSnapshot", "StepSnapshot", "static_snapshot"]
 
 
 @dataclass(frozen=True)
@@ -91,3 +98,35 @@ class StepSnapshot:
     down: np.ndarray | None = None
     delta: Any = None
     link_diff: Any = None
+
+
+@dataclass(frozen=True)
+class StaticSnapshot:
+    """A network frozen at ``positions`` (:func:`static_snapshot`).
+
+    It carries its ``scenario``, so a list of them (one per seed) goes
+    straight to :func:`~repro.sim.sweep.sweep_points`.
+    """
+
+    scenario: Scenario
+    positions: np.ndarray
+    edges: np.ndarray
+    hierarchy: Any
+
+
+def static_snapshot(scenario: Scenario, positions) -> StaticSnapshot:
+    """The unit-disk links at ``scenario.r_tx`` between ``positions``
+    (node ``i`` at row ``i``) and the hierarchy elected on them, with the
+    scenario's depth cap and level links.
+
+    Placement is the caller's: ``scenario.region.sample(scenario.n, rng)``
+    draws the paper's uniform disc, and the caller keeps ``rng`` for any
+    further draws (query pairs, drift).
+    """
+    edges = unit_disk_edges(positions, scenario.r_tx)
+    hierarchy = build_hierarchy(
+        np.arange(scenario.n), edges, max_levels=scenario.max_levels,
+        level_mode=scenario.level_mode, positions=positions,
+        r0=scenario.r_tx,
+    )
+    return StaticSnapshot(scenario, positions, edges, hierarchy)

@@ -56,7 +56,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -694,12 +694,22 @@ def run_sweep(
     return results  # type: ignore[return-value]
 
 
+class _Measured(Protocol):
+    """Anything that carries the scenario it measured."""
+
+    scenario: Scenario
+
+
 def sweep_points(
-    results: Sequence[SimResult | None],
-    metrics: dict[str, Callable[[SimResult], object]],
+    results: Sequence[_Measured | None],
+    metrics: dict[str, Callable[[_Measured], object]],
 ) -> list[SweepPoint]:
     """Average named metrics over the seeds of each scenario in a sweep.
 
+    A result is anything that carries its ``scenario``: a
+    :class:`~repro.sim.metrics.SimResult`, a
+    :class:`~repro.sim.snapshot.StaticSnapshot`, or a per-seed record
+    that pairs a table's own measurements with the scenario they ran.
     Results whose scenarios differ only in ``seed`` form one point, in
     first-appearance order; ``None`` holes — the failed tasks of a
     :class:`SweepError`'s partial run — are skipped.  Each point carries
@@ -707,13 +717,13 @@ def sweep_points(
     may return None for "not measured in this run" (e.g.
     ``query_success_rate`` when a cell samples no queries): that sample
     is missing, not zero, and a point that measured nothing reports NaN.
-    A metric may also return a ``{level: value}`` dict (``mean_h_k``,
-    ``ledger.f_k``, ...); each level is then averaged over the runs that
-    report it.
+    A metric may also return a dict keyed by level (``mean_h_k``,
+    ``ledger.f_k``, ...) or by name (several statistics computed at
+    once); each key is then averaged over the runs that report it.
     """
     if not metrics:
         raise ValueError("need at least one metric")
-    groups: dict[str, list[SimResult]] = {}
+    groups: dict[str, list[_Measured]] = {}
     for res in results:
         if res is not None:
             key = scenario_key(replace(res.scenario, seed=0))
@@ -733,8 +743,8 @@ def sweep_points(
 
 def _reduce(samples: list, agg):
     """``agg`` over ``samples`` without their None and NaN entries (NaN
-    when nothing was measured); level by level, in ascending order, when
-    the samples are ``{level: value}`` dicts."""
+    when nothing was measured); key by key, in ascending order, when the
+    samples are dicts."""
     if any(isinstance(v, dict) for v in samples):
         levels = sorted({k for v in samples if v for k in v})
         return {k: _reduce([v.get(k) for v in samples if v], agg)

@@ -2,10 +2,32 @@
 
 import pytest
 
-from repro.experiments.e_a6_query_staleness import _one_run as staleness_run
-from repro.experiments.e_a7_state_stretch import _measure as stretch_measure
-from repro.experiments.e_a7_state_stretch import _measure_steady as steady_measure
-from repro.experiments.e_t8_gls_vs_chlm import _one_run as gls_run
+from repro.analysis import levels_for
+from repro.experiments.e_a6_query_staleness import _one_run
+from repro.experiments.e_a7_state_stretch import _measure, _measure_steady
+from repro.experiments.e_t8_gls_vs_chlm import _one_run as _gls_one_run
+from repro.sim import Scenario
+
+
+def staleness_run(n, speed, steps, seed):
+    """EXP-A6's grade fractions for one run."""
+    return _one_run(n, speed, steps, seed).extras["staleness"]
+
+
+def stretch_measure(n, L, seed, **kwargs):
+    """EXP-A7's per-seed measures on one static network."""
+    return _measure(Scenario(n=n, max_levels=L, seed=seed), **kwargs)
+
+
+def steady_measure(n, L, seed, **kwargs):
+    """EXP-A7's measures over drifting snapshots."""
+    return _measure_steady(Scenario(n=n, max_levels=L, seed=seed), **kwargs)
+
+
+def gls_run(n, steps, warmup, seed):
+    """EXP-T8's per-node rates for one run of its trace."""
+    return _gls_one_run(Scenario(n=n, speed=1.0, steps=steps, warmup=warmup,
+                                 max_levels=levels_for(n), seed=seed))
 
 
 class TestStalenessHelper:

@@ -271,6 +271,59 @@ class TestExports:
                         offenders.add(f"{path.stem}:{node.lineno}")
         assert not offenders, sorted(offenders)
 
+    def test_experiments_average_seeds_in_sweep_points(self):
+        """No ``repro.experiments`` module loops ``for seed in ...`` in a
+        statement: a table builds its per-seed runs, snapshots or records
+        in one comprehension and averages them in ``sweep_points``, so
+        every seed mean comes from one reducer."""
+        import repro.experiments
+
+        root = Path(repro.experiments.__path__[0])
+        offenders = [
+            f"{path.stem}:{node.lineno}"
+            for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.For)
+            and isinstance(node.target, ast.Name) and node.target.id == "seed"
+        ]
+        assert not offenders, offenders
+
+    def test_static_networks_are_built_by_static_snapshot(self):
+        """The experiments and the CLI build a network frozen at given
+        positions only through ``repro.sim.static_snapshot``, which reads
+        the radio settings off the scenario."""
+        import repro.cli
+        import repro.experiments
+
+        builders = {"build_hierarchy", "unit_disk_edges",
+                    "disc_for_density", "radius_for_degree"}
+        paths = [*sorted(Path(repro.experiments.__path__[0]).glob("*.py")),
+                 Path(repro.cli.__file__)]
+        offenders = [
+            f"{path.stem}:{node.lineno}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Name) and node.id in builders)
+            or (isinstance(node, ast.alias) and node.name in builders)
+        ]
+        assert not offenders, offenders
+
+    def test_experiment_seeds_default_to_the_cli_default(self):
+        """Every catalogue ``run`` that takes ``seeds`` defaults to the
+        seeds ``repro experiment`` passes when none are given."""
+        from repro.cli import build_parser
+        from repro.experiments import ALL_EXPERIMENTS
+
+        args = build_parser().parse_args(["experiment", "EXP-T1"])
+        cli_seeds = tuple(int(s) for s in args.seeds.split(","))
+        wrong = {
+            eid: param.default
+            for eid, fn in ALL_EXPERIMENTS.items()
+            if (param := inspect.signature(fn).parameters.get("seeds"))
+            and tuple(param.default) != cli_seeds
+        }
+        assert not wrong, wrong
+
     def test_one_run_record(self, capsys):
         """The event trace and the chaos report are ``RunManifest``
         sections: the trace module and its JSONL schema, the engine's
