@@ -21,6 +21,7 @@ use; the CLI adds no behavior of its own.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import Counter
 
@@ -262,8 +263,9 @@ def _scenario_from_args(args, **fields):
     entry the subcommand declared, plus ``fields`` it computes itself.
 
     A value the preset, the depth rule, the chaos parser or ``Scenario``
-    rejects is printed as one ``<command>: <message>`` line on stderr
-    and None is returned; the caller exits 2."""
+    rejects is printed as one ``<command>: <message>`` line on stderr,
+    naming the flag where the field's name is not the flag's (``--degree``
+    for ``target_degree``), and None is returned; the caller exits 2."""
     from repro.analysis import levels_for
     from repro.sim import PRESETS, Scenario, make_scenario
 
@@ -284,7 +286,11 @@ def _scenario_from_args(args, **fields):
             return make_scenario(preset, **kwargs)
         return Scenario(**kwargs)
     except (ValueError, TypeError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        message = str(exc)
+        for flag, field in _SCENARIO_FLAGS.items():
+            if flag != field and flag in given:
+                message = re.sub(rf"\b{field}\b", f"--{flag}", message)
+        print(f"{args.command}: {message}", file=sys.stderr)
         return None
 
 

@@ -172,14 +172,20 @@ class TestBadScenarioValues:
         (["resume", "{tmp}/missing.ckpt"], "no such checkpoint"),
         (["resume", "{tmp}/junk.ckpt"], "cannot resume from"),
         (["hierarchy", "--density", "0"], "density must be positive"),
-        (["hierarchy", "--degree", "-3"], "target_degree must be positive"),
+        (["hierarchy", "--degree", "-3"], "--degree must be positive"),
         (["hierarchy", "--n", "1"], "at least two nodes"),
+        (["simulate", "--degree", "-3"], "--degree must be positive"),
+        (["sweep", "--degree", "-3"], "--degree must be positive"),
+        (["simulate", "--election", "persistent", "--chaos",
+          "crash:start=1,duration=1,count=1,targets=clusterheads"],
+         "cannot run under --election='persistent'"),
     ], ids=["simulate-density", "simulate-speed", "simulate-preset",
             "simulate-chaos", "simulate-n", "sweep-density", "sweep-speed",
             "simulate-checkpoint-every-0", "simulate-checkpoint-every-alone",
             "resume-checkpoint-every-0", "experiment-unknown",
             "resume-missing", "resume-not-a-checkpoint",
-            "hierarchy-density", "hierarchy-degree", "hierarchy-n"])
+            "hierarchy-density", "hierarchy-degree", "hierarchy-n",
+            "simulate-degree", "sweep-degree", "simulate-election"])
     def test_one_line_and_exit_2(self, capsys, tmp_path, argv, match):
         import pickle
 
