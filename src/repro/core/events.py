@@ -244,7 +244,7 @@ def diff_hierarchies(h0: ClusteredHierarchy, h1: ClusteredHierarchy) -> Hierarch
     edge_key += end_rows[:, 1]
     del end_rows
     m0 = sum(sizes[:split])
-    up, down = sorted_key_diff(edge_key[:m0], edge_key[m0:])
+    up, down = sorted_key_diff(edge_key.copy(), m0)
     up += m0
 
     def link_ends(pos):

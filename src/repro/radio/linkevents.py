@@ -10,13 +10,10 @@ into this quantity.
 
 The simulator builds a fresh unit-disk graph every step and runs
 :func:`link_diff` once per step against the edges the previous
-hierarchy was built on.  Level-0 keys are ``u * n + v``, and the links
-that survive are found by one ``searchsorted`` of the new keys into the
-old ones, so the diff holds the two key arrays and one array of
-positions, not a merged copy of both.  The hierarchy diff
-(:func:`repro.core.events.diff_hierarchies`) feeds level-tagged keys of
-every cluster level at once to :func:`sorted_key_diff`, one merge of the
-two ascending key arrays.
+hierarchy was built on.  Level-0 keys are ``u * n + v``; the hierarchy
+diff (:func:`repro.core.events.diff_hierarchies`) builds level-tagged
+keys of every cluster level at once.  Both diff their two ascending key
+runs with :func:`sorted_key_diff`, one merge of the two.
 """
 
 from __future__ import annotations
@@ -43,49 +40,48 @@ class LinkDiff:
         return int(len(self.ups) + len(self.downs))
 
 
-def sorted_key_diff(before: np.ndarray, after: np.ndarray):
-    """``(appeared, vanished)``: positions in ``after`` of the keys
-    ``before`` lacks and positions in ``before`` of the keys ``after``
-    lacks, each in ascending key order.
+def sorted_key_diff(keys: np.ndarray, split: int):
+    """``(appeared, vanished)`` between two key sets held in one int64
+    array, ``keys[:split]`` before and ``keys[split:]`` after: positions
+    in ``after`` of the keys ``before`` lacks and positions in
+    ``before`` of the keys ``after`` lacks, each in ascending key order.
 
-    Both inputs must be strictly ascending int64 arrays.  The stable
-    argsort of their concatenation merges the two runs in linear time,
-    so one call replaces the two sort-based ``np.isin`` passes a pair
-    of set differences costs.
+    Each half must be strictly ascending, with keys in ``[0, 2**62)``;
+    ``keys`` is overwritten.  Each key is shifted up one bit and its
+    side (0 before, 1 after) put in the freed lowest bit, so one stable
+    sort merges the two ascending runs in linear time: a key both sides
+    hold lands as two neighbours, and the keys left alone are the
+    changes.  A lone key's position in its own side is the number of
+    pairs before it in the merge (each holds one key of its side) plus
+    the number of lone keys of its side before it.
     """
-    both = np.concatenate((before, after))
-    order = both.argsort(kind="stable")
-    ranked = both[order]
-    repeat = ranked[1:] == ranked[:-1]
-    single = np.empty(both.size, dtype=bool)
-    single[:1] = True
-    single[1:] = ~repeat
-    single[:-1] &= ~repeat
-    at = order[single]
-    vanished = at[at < before.size]
-    return at[at >= before.size] - before.size, vanished
+    keys <<= 1
+    keys[split:] |= 1
+    keys.sort(kind="stable")
+    # The side bits, cast chunk by chunk: no second int64 array.
+    side = np.empty(keys.size, dtype=np.uint8)
+    np.bitwise_and(keys, 1, out=side, casting="unsafe")
+    keys >>= 1
+    twin = keys[1:] == keys[:-1]
+    single = np.ones(keys.size, dtype=bool)
+    single[1:] &= ~twin
+    single[:-1] &= ~twin
+    at = single.nonzero()[0]
+    new = side[at].view(bool)
+    at -= np.arange(at.size)
+    at >>= 1  # pairs before each lone key
+    appeared, vanished = at[new], at[~new]
+    appeared += np.arange(appeared.size)
+    vanished += np.arange(vanished.size)
+    return appeared, vanished
 
 
 def link_diff(before: np.ndarray, after: np.ndarray, n: int) -> LinkDiff:
     """The :class:`LinkDiff` from one canonical edge array of nodes
     ``0..n-1`` to the next (rows ``u < v``, lexicographically ascending,
     as :func:`~repro.radio.unit_disk.unit_disk_edges` emits them).  The
-    rows come out in that order too.
-
-    Each new key is looked up among the old ones by one
-    ``searchsorted``: a new key is an up unless it is found there, and
-    an old key is a down unless some new key found it.
-    """
-    old = encode_edges(before, n)
-    new = encode_edges(after, n)
-    at = old.searchsorted(new)
-    if old.size:
-        # A key past the last old one clips onto it, which differs.
-        found = old.take(at, mode="clip") == new
-    else:
-        found = np.zeros(new.size, dtype=bool)
-    kept = np.zeros(old.size, dtype=bool)
-    kept[at[found]] = True
+    rows come out in that order too."""
+    keys = encode_edges(np.concatenate((before, after)), n)
+    up, down = sorted_key_diff(keys, before.shape[0])
     # Rows gathered by index: a boolean mask over (m, 2) rows is slower.
-    return LinkDiff(ups=after[(~found).nonzero()[0]],
-                    downs=before[(~kept).nonzero()[0]])
+    return LinkDiff(ups=after[up], downs=before[down])

@@ -75,7 +75,7 @@ class TestMergeKernel:
         n = 60
         e0, e1 = random_canonical(rng, n, m0), random_canonical(rng, n, m1)
         k0, k1 = encode_edges(e0, n), encode_edges(e1, n)
-        up, down = sorted_key_diff(k0, k1)
+        up, down = sorted_key_diff(np.concatenate((k0, k1)), k0.size)
         assert k1[up].tolist() == k1[~np.isin(k1, k0, assume_unique=True)].tolist()
         assert k0[down].tolist() == k0[~np.isin(k0, k1, assume_unique=True)].tolist()
         diff = link_diff(e0, e1, n)
@@ -84,7 +84,7 @@ class TestMergeKernel:
 
     def test_level_tagged_keys_beyond_int32(self):
         keys = np.array([3, 2**40, 2**50 + 1, 2**60], dtype=np.int64)
-        up, down = sorted_key_diff(keys[:3], keys[1:])
+        up, down = sorted_key_diff(np.concatenate((keys[:3], keys[1:])), 3)
         assert keys[1:][up].tolist() == [2**60]
         assert keys[:3][down].tolist() == [3]
 
