@@ -34,7 +34,25 @@ import numpy as np
 from repro.clustering.lca import Election
 from repro.graphs import id_array, sorted_unique_ids
 
-__all__ = ["AlcaMaintainer"]
+__all__ = ["AlcaMaintainer", "adjacency"]
+
+
+def adjacency(node_ids, edges) -> tuple[np.ndarray, dict[int, set[int]]]:
+    """``(ids, adj)`` of one level's topology for a stateful elector:
+    the sorted unique IDs and each ID's neighbour set.  Rejects an empty
+    level, self-loops and edges to IDs outside ``node_ids``."""
+    ids = sorted_unique_ids(node_ids)
+    if ids.size == 0:
+        raise ValueError("maintenance requires at least one node")
+    adj: dict[int, set[int]] = {v: set() for v in ids.tolist()}
+    for a, b in id_array(edges, "edge endpoint").reshape(-1, 2).tolist():
+        if a == b:
+            raise ValueError("self-loops are not valid links")
+        if a not in adj or b not in adj:
+            raise ValueError("edges reference ids not in node_ids")
+        adj[a].add(b)
+        adj[b].add(a)
+    return ids, adj
 
 
 class AlcaMaintainer:
@@ -54,10 +72,6 @@ class AlcaMaintainer:
         """Current affiliation map (copy)."""
         return dict(self._head)
 
-    def reset(self) -> None:
-        """Forget all affiliation state (next update elects afresh)."""
-        self._head.clear()
-
     # -- update -------------------------------------------------------------------
 
     def update(self, node_ids, edges) -> Election:
@@ -70,25 +84,12 @@ class AlcaMaintainer:
         edges:
             Canonical ``(m, 2)`` ID-pair array for the current topology.
         """
-        ids = sorted_unique_ids(node_ids)
-        if ids.size == 0:
-            raise ValueError("maintenance requires at least one node")
-        e = id_array(edges, "edge endpoint").reshape(-1, 2)
-
-        id_set = set(ids.tolist())
-        adj: dict[int, set[int]] = {v: set() for v in id_set}
-        for a, b in e.tolist():
-            if a == b:
-                raise ValueError("self-loops are not valid links")
-            if a not in id_set or b not in id_set:
-                raise ValueError("edges reference ids not in node_ids")
-            adj[a].add(b)
-            adj[b].add(a)
+        ids, adj = adjacency(node_ids, edges)
 
         # Drop state of departed nodes; forget affiliations whose head
         # left the level.
         head = {v: h for v, h in self._head.items()
-                if v in id_set and h in id_set}
+                if v in adj and h in adj}
 
         def is_head(x: int) -> bool:
             return head.get(x) == x
@@ -103,7 +104,7 @@ class AlcaMaintainer:
         for v, h in head.items():
             if v != h:
                 members_of.setdefault(h, []).append(v)
-        for h in sorted(x for x in id_set if is_head(x)):
+        for h in sorted(x for x in adj if is_head(x)):
             if not is_head(h):
                 continue
             bigger = [w for w in adj[h] if is_head(w) and w > h]
@@ -124,7 +125,7 @@ class AlcaMaintainer:
         # history elects the max of its closed neighborhood, promoting
         # it if needed.  On a fresh maintainer this reproduces the
         # one-shot LCA exactly.
-        for v in sorted(id_set):
+        for v in sorted(adj):
             if v in head:
                 continue
             winner = max([v] + list(adj[v]))
@@ -136,7 +137,7 @@ class AlcaMaintainer:
         # while the head is in range and still a head; otherwise it
         # joins the largest in-range head, falling back to a fresh LCA
         # election.
-        for v in sorted(id_set):
+        for v in sorted(adj):
             h = head[v]
             if (h == v and is_head(v)) or (h in adj[v] and is_head(h)):
                 continue
@@ -149,20 +150,18 @@ class AlcaMaintainer:
                 if winner != v:
                     head[v] = winner
 
-        # Consolidation: promotions above may have demoted nobody, but a
-        # member's head could have been turned into a member by a later
-        # fresh election is impossible (fresh elections only promote).
-        # Still, verify the invariant defensively.
-        for v in id_set:
+        # Fresh elections only promote, so every member's head is still
+        # an adjacent head; verify the invariant defensively.
+        for v in adj:
             h = head[v]
             assert h == v or (h in adj[v] and head[h] == h), (v, h)
 
         self._head = head
-        return self._snapshot(ids, adj)
+        return self._snapshot(ids)
 
     # -- snapshot -----------------------------------------------------------------
 
-    def _snapshot(self, ids: np.ndarray, adj: dict[int, set[int]]) -> Election:
+    def _snapshot(self, ids: np.ndarray) -> Election:
         head = self._head
         member_of = id_array([head[v] for v in ids.tolist()])
         clusterheads = np.unique(member_of)

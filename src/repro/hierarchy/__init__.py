@@ -13,17 +13,13 @@ from repro.hierarchy.levels import (
     recurse_levels,
 )
 from repro.hierarchy.maintain import HierarchyMaintainer
-from repro.hierarchy.persistent import (
-    PersistentHierarchyMaintainer,
-    PersistentLevelMaintainer,
-)
+from repro.hierarchy.persistent import PersistentLevelMaintainer
 from repro.hierarchy.render import render_hierarchy, render_summary
 from repro.hierarchy.stats import (
     LevelStats,
     hierarchy_stats,
     sample_hop_counts,
 )
-from repro.hierarchy.stepper import hierarchy_stepper
 
 __all__ = [
     "canonical_edges",
@@ -35,9 +31,7 @@ __all__ = [
     "LevelTopology",
     "build_hierarchy",
     "recurse_levels",
-    "hierarchy_stepper",
     "HierarchyMaintainer",
-    "PersistentHierarchyMaintainer",
     "PersistentLevelMaintainer",
     "render_hierarchy",
     "render_summary",

@@ -2,10 +2,9 @@
 
 The paper's ALCA reorganizes *by events* — its seven event types
 (i)-(vii) and the handoff bound are defined over discrete cluster-link
-changes.  Every hierarchy is elected from scratch
-(:func:`~repro.hierarchy.levels.build_hierarchy` or a stateful
-maintainer, through the simulator's one
-:func:`~repro.hierarchy.stepper.hierarchy_stepper`); what changed
+changes.  Every hierarchy is elected whole, from scratch or by the
+per-level electors of the simulator's one
+:class:`~repro.hierarchy.maintain.HierarchyMaintainer`; what changed
 between two of them is this module's job:
 
 * :func:`compute_delta` distills two consecutive snapshots into a

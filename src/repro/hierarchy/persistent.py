@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.clustering.alca import adjacency
 from repro.clustering.lca import Election
-from repro.graphs import id_array, sorted_unique_ids
-from repro.hierarchy.levels import ClusteredHierarchy, recurse_levels
+from repro.graphs import id_array
 
-__all__ = ["PersistentLevelMaintainer", "PersistentHierarchyMaintainer"]
+__all__ = ["PersistentLevelMaintainer"]
 
 
 class PersistentLevelMaintainer:
@@ -67,28 +67,10 @@ class PersistentLevelMaintainer:
         self._next_cid += 1
         return cid
 
-    @property
-    def clusters(self) -> dict[int, int]:
-        """Current cid -> head-id map (copy)."""
-        return dict(self._head)
-
     def update(self, node_ids, edges) -> Election:
         """Advance this level's clustering to the new topology."""
-        ids = sorted_unique_ids(node_ids)
-        if ids.size == 0:
-            raise ValueError("maintenance requires at least one node")
-        e = id_array(edges, "edge endpoint").reshape(-1, 2)
-        id_set = set(ids.tolist())
-        adj: dict[int, set[int]] = {v: set() for v in id_set}
-        for a, b in e.tolist():
-            if a == b:
-                raise ValueError("self-loops are not valid links")
-            if a not in id_set or b not in id_set:
-                raise ValueError("edges reference ids not in node_ids")
-            adj[a].add(b)
-            adj[b].add(a)
-
-        m2c = {v: c for v, c in self._m2c.items() if v in id_set}
+        ids, adj = adjacency(node_ids, edges)
+        m2c = {v: c for v, c in self._m2c.items() if v in adj}
         members_of: dict[int, set[int]] = {}
         for v, c in m2c.items():
             members_of.setdefault(c, set()).add(v)
@@ -116,7 +98,7 @@ class PersistentLevelMaintainer:
         # prefers the *oldest* (smallest) cid in range: seniority is the
         # stable choice — preferring young cids makes members chase every
         # freshly founded cluster and thrashes identities.
-        for v in sorted(id_set):
+        for v in sorted(adj):
             cid = m2c.get(v)
             if cid is not None and cid in head:
                 h = head[cid]
@@ -132,7 +114,7 @@ class PersistentLevelMaintainer:
                 m2c[v] = new
 
         # New arrivals: same seniority rule.
-        for v in sorted(id_set):
+        for v in sorted(adj):
             if v in m2c:
                 continue
             near = heads_in_range(v)
@@ -204,63 +186,3 @@ class PersistentLevelMaintainer:
     def head_of_cid(self, cid: int) -> int | None:
         """Current head (lower-level ID) of a cid, or None if dead."""
         return self._head.get(int(cid))
-
-
-class PersistentHierarchyMaintainer:
-    """Multi-level hierarchy with persistent cluster identities.
-
-    The level-k node set consists of level-k *cids* rather than head
-    node IDs; positions for the radio-model level links are resolved by
-    following each cid's head chain down to a physical node.
-
-    Note: because cids are synthetic, ``ClusteredHierarchy.
-    highest_level_of`` is not meaningful under this maintainer.
-    """
-
-    CID_BLOCK = 10_000_000
-    """Cid range per level: level k allocates from (k+1) * CID_BLOCK.
-    Physical node IDs must stay below CID_BLOCK.  So while no level
-    mints CID_BLOCK cids, every cid of an L-level hierarchy stays below
-    (L + 2) * CID_BLOCK, which is below 2**31 up to L = 212: cids are
-    IDs, and IDs are int32 (an election that would mint one past it
-    raises ``ValueError`` naming it)."""
-
-    def __init__(self, max_levels: int | None = None, r0: float | None = None):
-        if r0 is None or r0 <= 0:
-            raise ValueError("persistent maintenance requires a positive r0")
-        self.max_levels = max_levels
-        self.r0 = float(r0)
-        self._levels: list[PersistentLevelMaintainer] = []
-
-    def _level(self, k: int) -> PersistentLevelMaintainer:
-        while len(self._levels) <= k:
-            idx = len(self._levels)
-            self._levels.append(
-                PersistentLevelMaintainer(cid_start=(idx + 1) * self.CID_BLOCK)
-            )
-        return self._levels[k]
-
-    def _elect(self, k: int, ids: np.ndarray, edges: np.ndarray) -> Election:
-        # Cids are minted from the first election on; that is where a
-        # physical ID inside a cid block would start to collide.
-        if k == 0 and int(ids[-1]) >= self.CID_BLOCK:
-            raise ValueError("node IDs must be below CID_BLOCK")
-        return self._level(k).update(ids, edges)
-
-    def _located_at(self, level: int, cids: np.ndarray) -> np.ndarray:
-        """Physical node standing for each level-``level`` cid (follow
-        the head chain down)."""
-        out = []
-        for cur in cids.tolist():
-            for k in range(level - 1, -1, -1):
-                cur = self._levels[k].head_of_cid(cur)
-            out.append(cur)
-        return id_array(out)
-
-    def update(self, node_ids, edges, positions) -> ClusteredHierarchy:
-        """Advance all levels to the new physical topology."""
-        return recurse_levels(
-            node_ids, edges, self._elect, max_levels=self.max_levels,
-            level_mode="radio", positions=positions, r0=self.r0,
-            located_at=self._located_at,
-        )

@@ -7,7 +7,7 @@ One step of the pipeline (Section 1.2's model, end to end):
    :func:`repro.radio.unit_disk.unit_disk_edges`) and diffed against
    the previous step's (:func:`repro.radio.linkevents.link_diff`),
 3. the ALCA hierarchy is re-elected recursively (by the run's one
-   hierarchy stepper, :mod:`repro.hierarchy.stepper`),
+   hierarchy maintainer, :mod:`repro.hierarchy.maintain`),
 4. the CHLM handoff engine patches or recomputes the server assignment
    (:func:`~repro.core.servers.patch_pays` picks), diffs it and meters
    packets,
@@ -42,7 +42,7 @@ from repro.core.handoff import HandoffEngine
 from repro.core.servers import patch_pays
 from repro.graphs import CompactGraph
 from repro.hierarchy.delta import compute_delta
-from repro.hierarchy.stepper import hierarchy_stepper
+from repro.hierarchy.maintain import HierarchyMaintainer
 from repro.mobility import make_model
 from repro.radio.linkevents import link_diff
 from repro.radio.unit_disk import unit_disk_edges
@@ -161,11 +161,11 @@ class Simulator:
             rngs["mobility"],
             **scenario.mobility_kwargs,
         )
-        # The one hierarchy stepper of the run (repro.hierarchy.stepper);
+        # The one hierarchy maintainer of the run (repro.hierarchy.maintain);
         # it consumes no RNG stream (the oracle in
         # tests/sim/stepping_oracle.py steps with full reassignments,
         # bit-identically).
-        self._stepper = hierarchy_stepper(
+        self._maintainer = HierarchyMaintainer(
             scenario.n, scenario.r_tx,
             max_levels=scenario.max_levels,
             level_mode=scenario.level_mode,
@@ -264,7 +264,7 @@ class Simulator:
             self.model.step(sc.dt)
         positions = self.model.positions.copy()
         edges = self._edges(positions)
-        hierarchy = self._stepper(edges, positions)
+        hierarchy = self._maintainer.update(edges, positions)
         hop_fn = self._hop_fn(positions, edges)
         self._engine.observe(hierarchy, hop_fn)
         snap = StepSnapshot(
@@ -301,7 +301,7 @@ class Simulator:
         diff = link_diff(self._prev_hierarchy.levels[0].edges, edges, sc.n)
         if mark is not None:
             mark("rebuild")
-        hierarchy = self._stepper(edges, positions)
+        hierarchy = self._maintainer.update(edges, positions)
         if mark is not None:
             mark("hierarchy")
         # Metered on every step (near zero on full-reassignment steps)

@@ -12,11 +12,10 @@ from repro.core.events import HierarchyDiff
 from repro.geometry import disc_for_density
 from repro.hierarchy import (
     ClusteredHierarchy,
+    HierarchyMaintainer,
     LevelTopology,
     build_hierarchy,
-    hierarchy_stepper,
 )
-from repro.hierarchy.persistent import PersistentHierarchyMaintainer
 from repro.radio import radius_for_degree, unit_disk_edges
 
 from .events_oracle import (
@@ -182,20 +181,20 @@ def chaos_edges(rng, pts, step, down):
 def snapshot_sequence(seed, n, steps, drift, level_mode, max_levels, plane,
                       ids=None):
     """Hierarchies of a drifting, crashing, partitioning network, built
-    by :func:`build_hierarchy` directly or by the hierarchy stepper a
+    by :func:`build_hierarchy` directly or by the hierarchy maintainer a
     simulator binds.  ``ids`` (direct build only) renames node i to
     ``ids[i]``."""
     rng = np.random.default_rng(seed)
     pts = disc_for_density(n, DENSITY).sample(n, rng)
     radio = dict(positions=None, r0=None)
-    stepper = hierarchy_stepper(n, R_TX, max_levels=max_levels,
-                                level_mode=level_mode)
+    maintainer = HierarchyMaintainer(n, R_TX, max_levels=max_levels,
+                                     level_mode=level_mode)
     down = np.zeros(n, dtype=bool)
     out = []
     for step in range(steps):
         edges = chaos_edges(rng, pts, step, down)
         if plane == "event":
-            out.append(stepper(edges, pts))
+            out.append(maintainer.update(edges, pts))
         else:
             if level_mode == "radio":
                 radio = dict(positions=pts, r0=R_TX)
@@ -241,11 +240,11 @@ class TestArraysEqualOracle:
         n = 120
         rng = np.random.default_rng(2)
         pts = disc_for_density(n, DENSITY).sample(n, rng)
-        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=R_TX)
+        maintainer = HierarchyMaintainer(n, R_TX, max_levels=3,
+                                         election_mode="persistent")
         prev, events = None, 0
         for _ in range(8):
-            h = maintainer.update(np.arange(n), unit_disk_edges(pts, R_TX),
-                                  positions=pts)
+            h = maintainer.update(unit_disk_edges(pts, R_TX), positions=pts)
             if prev is not None:
                 d = assert_equals_oracle(prev, h)
                 events += d.reorg_kind.size + d.mig_node.size

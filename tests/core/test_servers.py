@@ -261,16 +261,16 @@ class TestDescentCells:
     def test_persistent_hierarchies(self):
         """Minted cluster IDs >= 10^7: the ancestries the cells are read
         from hold IDs no base node has."""
-        from repro.hierarchy.persistent import PersistentHierarchyMaintainer
+        from repro.hierarchy import HierarchyMaintainer
 
         n, density = 150, 0.02
         r_tx = radius_for_degree(9.0, density)
         rng = np.random.default_rng(8)
         pts = disc_for_density(n, density).sample(n, rng)
-        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=r_tx)
+        maintainer = HierarchyMaintainer(n, r_tx, max_levels=3,
+                                         election_mode="persistent")
         for _ in range(6):
-            h = maintainer.update(np.arange(n), unit_disk_edges(pts, r_tx),
-                                  positions=pts)
+            h = maintainer.update(unit_disk_edges(pts, r_tx), positions=pts)
             assert int(h.levels[1].node_ids.min()) >= 10**7
             assert_cells_are_recorded(h, full_assignment(h))
             pts = pts + rng.normal(scale=0.7, size=pts.shape)
@@ -438,18 +438,18 @@ class TestStagewisePatch:
     def test_persistent_cluster_ids_take_the_sorted_index(self):
         """Minted cluster IDs >= 10^7 are too sparse for a lookup table."""
         from repro.hierarchy import LazyClusters, compute_delta
-        from repro.hierarchy.persistent import PersistentHierarchyMaintainer
+        from repro.hierarchy import HierarchyMaintainer
 
         n, density = 120, 0.02
         r_tx = radius_for_degree(9.0, density)
         rng = np.random.default_rng(6)
         pts = disc_for_density(n, density).sample(n, rng)
-        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=r_tx)
+        maintainer = HierarchyMaintainer(n, r_tx, max_levels=3,
+                                         election_mode="persistent")
         prev_h = chained = None
         patched = 0
         for _ in range(16):
-            h = maintainer.update(np.arange(n), unit_disk_edges(pts, r_tx),
-                                  positions=pts)
+            h = maintainer.update(unit_disk_edges(pts, r_tx), positions=pts)
             delta = compute_delta(prev_h, h)
             if delta.full:
                 chained = full_assignment(h)
@@ -1123,16 +1123,16 @@ class TestCircularStage:
 
     def test_persistent_full_assignment(self):
         """Minted cluster IDs >= 10^7 exceed the 2^20 modulus."""
-        from repro.hierarchy.persistent import PersistentHierarchyMaintainer
+        from repro.hierarchy import HierarchyMaintainer
 
         density = 0.02
         r_tx = radius_for_degree(9.0, density)
         rng = np.random.default_rng(5)
         pts = disc_for_density(120, density).sample(120, rng)
-        maintainer = PersistentHierarchyMaintainer(max_levels=3, r0=r_tx)
+        maintainer = HierarchyMaintainer(120, r_tx, max_levels=3,
+                                         election_mode="persistent")
         for _ in range(4):
-            h = maintainer.update(np.arange(120), unit_disk_edges(pts, r_tx),
-                                  positions=pts)
+            h = maintainer.update(unit_disk_edges(pts, r_tx), positions=pts)
             assert int(h.levels[1].node_ids.min()) >= 10**7
             assert_naive_matches_oracle(h, full_assignment(h, "naive"))
             pts = pts + rng.normal(scale=0.7, size=pts.shape)

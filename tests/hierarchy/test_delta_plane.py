@@ -1,7 +1,7 @@
 """Event-driven plane: hierarchies, hierarchy deltas, partition layout.
 
 Both control planes elect every hierarchy through the run's one
-:func:`hierarchy_stepper`; the event plane feeds it fresh unit-disk
+:class:`HierarchyMaintainer`; the event plane feeds it fresh unit-disk
 edges, diffs them against the previous hierarchy's level-0 edges
 (:func:`link_diff`) and adds :func:`compute_delta`.  The bit-identity
 tests drive that hierarchy source against a from-scratch
@@ -20,10 +20,10 @@ import pytest
 from repro.clustering import elect
 from repro.geometry import disc_for_density
 from repro.hierarchy import (
+    HierarchyMaintainer,
     LazyClusters,
     build_hierarchy,
     compute_delta,
-    hierarchy_stepper,
 )
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.radio.linkevents import link_diff
@@ -52,8 +52,9 @@ def event_plane(n, level_mode):
     """The event plane's hierarchy source: fresh unit-disk edges, an
     optional chaos filter, the step's level-0 diff against the previous
     hierarchy's edges (``None`` on the first call), then the run's
-    stepper.  ``advance`` returns ``(hierarchy, diff)``."""
-    step = hierarchy_stepper(n, R_TX, max_levels=3, level_mode=level_mode)
+    maintainer.  ``advance`` returns ``(hierarchy, diff)``."""
+    step = HierarchyMaintainer(n, R_TX, max_levels=3,
+                               level_mode=level_mode).update
     prev = None
 
     def advance(pts, keep=lambda edges: edges):
@@ -297,15 +298,18 @@ class TestLazyClusters:
 
 class TestModesAndValidation:
     def test_constructor_validation(self):
-        """The stepper refuses an unknown election mode when it is built
-        and an unknown level link model on its first step."""
+        """The maintainer refuses an unknown election mode, an unknown
+        level link model and persistent IDs without the radio model when
+        it is built."""
         with pytest.raises(ValueError, match="election_mode"):
-            hierarchy_stepper(10, R_TX, election_mode="bogus")
-        step = hierarchy_stepper(10, R_TX, level_mode="bogus")
+            HierarchyMaintainer(10, R_TX, election_mode="bogus")
         with pytest.raises(ValueError, match="level_mode"):
-            step(np.array([[0, 1]], dtype=np.int64), np.zeros((10, 2)))
+            HierarchyMaintainer(10, R_TX, level_mode="bogus")
+        with pytest.raises(ValueError, match="radio level_mode"):
+            HierarchyMaintainer(10, R_TX, level_mode="contraction",
+                                election_mode="persistent")
 
     def test_radio_advance_requires_positions(self):
-        step = hierarchy_stepper(10, 1.0)
+        m = HierarchyMaintainer(10, 1.0)
         with pytest.raises(ValueError, match="positions"):
-            step(np.array([[0, 1]], dtype=np.int64), None)
+            m.update(np.array([[0, 1]], dtype=np.int64), None)

@@ -15,19 +15,21 @@ R_TX = radius_for_degree(9.0, DENSITY)
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
-            HierarchyMaintainer(level_mode="quantum")
+            HierarchyMaintainer(2, R_TX, level_mode="quantum",
+                                election_mode="sticky")
         with pytest.raises(ValueError):
-            HierarchyMaintainer(level_mode="radio", r0=None)
+            HierarchyMaintainer(2, None, level_mode="radio",
+                                election_mode="sticky")
 
     def test_radio_requires_positions(self):
-        m = HierarchyMaintainer(level_mode="radio", r0=R_TX)
+        m = HierarchyMaintainer(2, R_TX, election_mode="sticky")
         with pytest.raises(ValueError):
-            m.update([1, 2], [[1, 2]], positions=None)
+            m.update([[0, 1]], positions=None)
 
     def test_positions_alignment(self):
-        m = HierarchyMaintainer(level_mode="radio", r0=R_TX)
+        m = HierarchyMaintainer(2, R_TX, election_mode="sticky")
         with pytest.raises(ValueError):
-            m.update([1, 2], [[1, 2]], positions=np.zeros((3, 2)))
+            m.update([[0, 1]], positions=np.zeros((3, 2)))
 
 
 class TestSnapshots:
@@ -41,9 +43,9 @@ class TestSnapshots:
 
     def test_produces_valid_hierarchy(self, deployment):
         n, region, rng, pts = deployment
-        m = HierarchyMaintainer(max_levels=3, level_mode="radio", r0=R_TX)
+        m = HierarchyMaintainer(n, R_TX, max_levels=3, election_mode="sticky")
         edges = unit_disk_edges(pts, R_TX)
-        h = m.update(np.arange(n), edges, positions=pts)
+        h = m.update(edges, positions=pts)
         assert h.num_levels >= 1
         sizes = h.level_sizes()
         assert sizes[0] == n
@@ -59,13 +61,13 @@ class TestSnapshots:
         """Under jitter, sticky maintenance changes fewer level-1
         clusterheads than from-scratch rebuilding."""
         n, region, rng, pts = deployment
-        m = HierarchyMaintainer(max_levels=3, level_mode="radio", r0=R_TX)
+        m = HierarchyMaintainer(n, R_TX, max_levels=3, election_mode="sticky")
         sticky_flips = scratch_flips = 0
         prev_s = prev_b = None
         for _ in range(15):
             pts = region.clamp(pts + rng.normal(scale=0.5, size=pts.shape))
             edges = unit_disk_edges(pts, R_TX)
-            hs = m.update(np.arange(n), edges, positions=pts)
+            hs = m.update(edges, positions=pts)
             hb = build_hierarchy(np.arange(n), edges, max_levels=3,
                                  level_mode="radio", positions=pts, r0=R_TX)
             heads_s = set(hs.levels[1].node_ids.tolist())
@@ -78,9 +80,10 @@ class TestSnapshots:
 
     def test_contraction_mode(self, deployment):
         n, region, rng, pts = deployment
-        m = HierarchyMaintainer(max_levels=2, level_mode="contraction")
+        m = HierarchyMaintainer(n, R_TX, max_levels=2, level_mode="contraction",
+                                election_mode="sticky")
         edges = unit_disk_edges(pts, R_TX)
-        h = m.update(np.arange(n), edges)
+        h = m.update(edges)
         assert h.num_levels >= 1
 
     def test_static_topology_fixed_point(self, deployment):
@@ -89,11 +92,11 @@ class TestSnapshots:
         pruning (adjacent heads merge), and from then on nothing changes
         — like a real asynchronous protocol stabilizing."""
         n, region, rng, pts = deployment
-        m = HierarchyMaintainer(max_levels=3, level_mode="radio", r0=R_TX)
+        m = HierarchyMaintainer(n, R_TX, max_levels=3, election_mode="sticky")
         edges = unit_disk_edges(pts, R_TX)
-        m.update(np.arange(n), edges, positions=pts)
-        h2 = m.update(np.arange(n), edges, positions=pts)
-        h3 = m.update(np.arange(n), edges, positions=pts)
+        m.update(edges, positions=pts)
+        h2 = m.update(edges, positions=pts)
+        h3 = m.update(edges, positions=pts)
         assert h2.num_levels == h3.num_levels
         for k in range(h2.num_levels + 1):
             assert np.array_equal(h2.ancestry(k), h3.ancestry(k))

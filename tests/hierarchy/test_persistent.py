@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import DiscRegion, disc_for_density
-from repro.hierarchy import (
-    PersistentHierarchyMaintainer,
-    PersistentLevelMaintainer,
-)
+from repro.hierarchy import HierarchyMaintainer, PersistentLevelMaintainer
 from repro.radio import radius_for_degree, unit_disk_edges
 from tests.core.descent_oracle import server_map
 
@@ -92,22 +89,22 @@ class TestLevelMaintainer:
 class TestHierarchyMaintainer:
     def test_requires_r0(self):
         with pytest.raises(ValueError):
-            PersistentHierarchyMaintainer(r0=None)
+            HierarchyMaintainer(10, None, election_mode="persistent")
 
     def test_node_ids_must_be_below_block(self):
-        m = PersistentHierarchyMaintainer(max_levels=2, r0=R_TX)
-        big = PersistentHierarchyMaintainer.CID_BLOCK + 1
+        big = HierarchyMaintainer.CID_BLOCK + 1
         with pytest.raises(ValueError):
-            m.update([1, big], E([[1, big]]), positions=np.zeros((2, 2)))
+            HierarchyMaintainer(big + 1, R_TX, max_levels=2,
+                                election_mode="persistent")
 
     def test_produces_consistent_hierarchy(self):
         n = 120
         region = disc_for_density(n, DENSITY)
         rng = np.random.default_rng(0)
         pts = region.sample(n, rng)
-        m = PersistentHierarchyMaintainer(max_levels=3, r0=R_TX)
+        m = HierarchyMaintainer(n, R_TX, max_levels=3, election_mode="persistent")
         edges = unit_disk_edges(pts, R_TX)
-        h = m.update(np.arange(n), edges, positions=pts)
+        h = m.update(edges, positions=pts)
         assert h.num_levels >= 1
         # Refinement invariant.
         for k in range(h.num_levels):
@@ -126,13 +123,13 @@ class TestHierarchyMaintainer:
         region = disc_for_density(n, DENSITY)
         rng = np.random.default_rng(1)
         pts = region.sample(n, rng)
-        m = PersistentHierarchyMaintainer(max_levels=3, r0=R_TX)
+        m = HierarchyMaintainer(n, R_TX, max_levels=3, election_mode="persistent")
         flips_persistent = flips_named = 0
         prev_p = prev_n = None
         for _ in range(15):
             pts = region.clamp(pts + rng.normal(scale=0.8, size=pts.shape))
             edges = unit_disk_edges(pts, R_TX)
-            hp = m.update(np.arange(n), edges, positions=pts)
+            hp = m.update(edges, positions=pts)
             hn = build_hierarchy(np.arange(n), edges, max_levels=3,
                                  level_mode="radio", positions=pts, r0=R_TX)
             ids_p = set(np.unique(hp.ancestry(2)).tolist())
@@ -151,7 +148,7 @@ class TestHierarchyMaintainer:
         region = disc_for_density(n, DENSITY)
         rng = np.random.default_rng(2)
         pts = region.sample(n, rng)
-        m = PersistentHierarchyMaintainer(max_levels=3, r0=R_TX)
+        m = HierarchyMaintainer(n, R_TX, max_levels=3, election_mode="persistent")
         engine = HandoffEngine()
 
         def hop(u, v):
@@ -160,7 +157,7 @@ class TestHierarchyMaintainer:
         for _ in range(4):
             pts = region.clamp(pts + rng.normal(scale=1.0, size=pts.shape))
             edges = unit_disk_edges(pts, R_TX)
-            h = m.update(np.arange(n), edges, positions=pts)
+            h = m.update(edges, positions=pts)
             a = full_assignment(h)
             # Servers are physical nodes, never cids.
             servers = server_map(a)

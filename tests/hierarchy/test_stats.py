@@ -145,7 +145,6 @@ def _rebuilt(kind, g, max_levels, seed, degree, density=0.02):
     two updates of a maintainer (a second election over a jittered
     deployment, so sticky and persistent state is exercised)."""
     from repro.hierarchy.maintain import HierarchyMaintainer
-    from repro.hierarchy.persistent import PersistentHierarchyMaintainer
 
     n = g.n
     r0 = radius_for_degree(degree, density)
@@ -154,10 +153,9 @@ def _rebuilt(kind, g, max_levels, seed, degree, density=0.02):
     if kind == "memoryless":
         return build_hierarchy(np.arange(n), unit_disk_edges(pts, r0),
                                max_levels=max_levels)
-    maintainer = (PersistentHierarchyMaintainer if kind == "persistent"
-                  else HierarchyMaintainer)(max_levels=max_levels, r0=r0)
+    maintainer = HierarchyMaintainer(n, r0, max_levels=max_levels,
+                                     election_mode=kind)
     for _ in range(2):
-        h = maintainer.update(np.arange(n), unit_disk_edges(pts, r0),
-                              positions=pts)
+        h = maintainer.update(unit_disk_edges(pts, r0), positions=pts)
         pts = pts + rng.normal(scale=0.5, size=pts.shape)
     return h

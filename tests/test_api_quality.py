@@ -178,16 +178,25 @@ class TestExports:
         """Every hierarchy is elected with ALCA: max-min clustering and
         the parameters that chose it are gone."""
         import repro.clustering
-        from repro.hierarchy import build_hierarchy
-        from repro.hierarchy.stepper import hierarchy_stepper
+        from repro.hierarchy import HierarchyMaintainer, build_hierarchy
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.clustering.maxmin")
         assert not hasattr(repro.clustering, "maxmin_cluster")
         assert "maxmin_cluster" not in repro.clustering.__all__
-        for fn in (build_hierarchy, hierarchy_stepper):
+        for fn in (build_hierarchy, HierarchyMaintainer):
             params = inspect.signature(fn).parameters
             assert not {"algorithm", "clustering", "maxmin_d"} & set(params), fn
+
+    def test_one_hierarchy_maintainer(self):
+        """Every election mode steps through one maintainer class: the
+        stepper module and the persistent-only wrapper are gone."""
+        import repro.hierarchy
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.hierarchy.stepper")
+        for name in ("hierarchy_stepper", "PersistentHierarchyMaintainer"):
+            assert not hasattr(repro.hierarchy, name), name
 
     def test_one_run_path_hash(self):
         """The handoff meter and the query resolvers hash with rendezvous
