@@ -94,16 +94,18 @@ def test_bench_diff_hierarchies(benchmark, step_pair):
 
 
 def test_bench_patch_assignment(benchmark, step_pair):
-    """Stage-wise CHLM patch across one step, vs test_bench_full_assignment
-    for the rebuild it replaces."""
-    from repro.core import patch_assignment
-    from repro.hierarchy import compute_delta
+    """Stage-wise CHLM patch across one step, its dirty cells included,
+    vs test_bench_full_assignment for the rebuild it replaces.  The
+    step's hierarchy diff, which the handoff engine computes on every
+    step either way, is not timed."""
+    from repro.core import diff_hierarchies, patch_assignment
 
     h0, h1 = step_pair
-    prev, delta = full_assignment(h0), compute_delta(h0, h1)
-    assert not delta.full
+    assert h0.num_levels == h1.num_levels
+    prev, diff = full_assignment(h0), diff_hierarchies(h0, h1)
     patched, dirty_rows = benchmark.pedantic(
-        patch_assignment, args=(prev, h1, delta), rounds=30, warmup_rounds=2)
+        patch_assignment, args=(prev, h0, h1, diff), rounds=30,
+        warmup_rounds=2)
     assert dirty_rows and all(
         np.array_equal(patched.tables[lvl], table)
         for lvl, table in full_assignment(h1).tables.items())

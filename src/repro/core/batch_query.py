@@ -46,13 +46,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.servers import (
+    LazyClusters,
     ServerAssignment,
     _global_stage,
     _stage_salt,
     _vectorized_rendezvous_stage,
     lm_levels,
 )
-from repro.hierarchy.delta import LazyClusters
 from repro.hierarchy.levels import ClusteredHierarchy
 
 __all__ = [

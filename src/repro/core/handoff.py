@@ -51,10 +51,15 @@ import numpy as np
 
 from repro.core.batch_query import batch_hops
 from repro.core.events import EventKind, HierarchyDiff, diff_hierarchies
-from repro.core.servers import ServerAssignment, full_assignment, patch_assignment
+from repro.core.servers import (
+    ServerAssignment,
+    full_assignment,
+    patch_assignment,
+    patch_pays,
+)
 from repro.graphs import IdIndex
-from repro.hierarchy.delta import HierarchyDelta
 from repro.hierarchy.levels import ClusteredHierarchy
+from repro.radio.linkevents import LinkDiff
 
 __all__ = ["HandoffReport", "HandoffEngine"]
 
@@ -146,17 +151,19 @@ class HandoffEngine:
 
     Servers are placed with the rendezvous hash
     (:func:`~repro.core.servers.full_assignment`).  When the caller
-    supplies a non-full :class:`~repro.hierarchy.delta.HierarchyDelta`
-    to :meth:`observe` whose ``h0`` is the previous snapshot itself, the
-    CHLM assignment is **patched**
-    (:func:`~repro.core.servers.patch_assignment`) instead of recomputed:
-    the previous intent's descents are read back from its server tables
-    and that snapshot, only descent stages whose input or consulted
-    member list changed are re-hashed, and only the rows whose server
-    moved (plus outstanding stale keys) enter the handoff diff.  Any
-    other delta takes the full path.  The metering is bit-identical to
-    the full path: the delta's dirtiness claims are exact, so every row
-    outside the candidate set provably kept its server.
+    passes the step's level-0 :class:`~repro.radio.linkevents.LinkDiff`
+    to :meth:`observe`, the hierarchy kept its depth, and
+    :func:`~repro.core.servers.patch_pays` says it pays at this size and
+    link churn, the CHLM assignment is **patched**
+    (:func:`~repro.core.servers.patch_assignment`) from the step's one
+    hierarchy diff instead of recomputed: the previous intent's descents
+    are read back from its server tables and the previous snapshot, only
+    descent stages whose input or consulted member list changed are
+    re-hashed, and only the rows whose server moved (plus outstanding
+    stale keys) enter the handoff diff.  The metering is bit-identical
+    to the full path: the diff's migration rows and the dirty cells are
+    exact, so every row outside the candidate set provably kept its
+    server.
     """
 
     def __init__(self):
@@ -186,7 +193,7 @@ class HandoffEngine:
         hop_fn: HopFn,
         delivery=None,
         now: float = 0.0,
-        delta: HierarchyDelta | None = None,
+        links: LinkDiff | None = None,
     ) -> HandoffReport:
         """Meter one step against the previous snapshot.
 
@@ -194,26 +201,28 @@ class HandoffEngine:
         ``delivery`` (a :class:`~repro.faults.delivery.DeliveryEngine`)
         routes every charge through the lossy channel; ``now`` is the
         simulation clock used to timestamp abandonments and measure
-        staleness recovery.  ``delta`` (see the class docstring), the
-        exact change summary from the previous ``h`` to this one,
-        enables assignment patching and dirty-row candidate narrowing
-        when its ``h0`` is that previous ``h`` object.
+        staleness recovery.  ``links``, the level-0 link changes from
+        the previous ``h``'s edges to this one's, lets the step patch
+        its assignment (see the class docstring); without it every
+        server is reassigned.
         """
-        dirty: dict[int, np.ndarray] | None = None
-        if (delta is not None and not delta.full
-                and self._intent is not None and delta.h0 is self._prev_h):
-            assignment, dirty = patch_assignment(self._intent, h, delta)
-        else:
-            assignment = full_assignment(h)
-        self._intent = assignment
-        if self._prev_h is None or self._prev_a is None:
-            self._prev_h, self._prev_a = h, assignment
+        h0, a0 = self._prev_h, self._prev_a
+        if h0 is None or a0 is None:
+            self._prev_h = h
+            self._prev_a = self._intent = full_assignment(h)
             return HandoffReport(
                 counts=np.zeros((COLUMNS, h.num_levels + 2), dtype=np.int64),
                 flat=np.zeros(STALE + 1, dtype=np.int64), diff=HierarchyDiff())
 
-        h0, a0 = self._prev_h, self._prev_a
         diff = diff_hierarchies(h0, h)
+        dirty: dict[int, np.ndarray] | None = None
+        if (links is not None and h.num_levels == h0.num_levels
+                and patch_pays(h.n, links.n_events
+                               / max(len(h0.levels[0].edges), 1))):
+            assignment, dirty = patch_assignment(self._intent, h0, h, diff)
+        else:
+            assignment = full_assignment(h)
+        self._intent = assignment
         width = max(h0.num_levels, h.num_levels) + 2
         counts = np.zeros((COLUMNS, width), dtype=np.int64)
         counts[EVENTS:] = diff.event_counts(width)

@@ -24,12 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.clustering.lca import Election
 from repro.core import hashing
+from repro.core.events import HierarchyDiff
 from repro.graphs import IdIndex
-from repro.hierarchy.delta import HierarchyDelta, LazyClusters
 from repro.hierarchy.levels import ClusteredHierarchy
 
 __all__ = [
+    "LazyClusters",
     "ServerAssignment",
     "hash_stage",
     "full_assignment",
@@ -120,6 +122,61 @@ def _subject_keys(subjects, salt) -> np.ndarray:
     return keys ^ hashing.mix64(np.asarray(salt, dtype=np.uint64))
 
 
+class LazyClusters:
+    """One level's partition in CSR form, built lazily and without the
+    per-cluster python loop of :meth:`Election.clusters`.
+
+    :meth:`csr` is what the dense rendezvous kernel consumes, and
+    :meth:`index` the cluster-ID -> CSR-row lookup every descent stage
+    through this partition shares; ``lazy[cid]`` returns the *same*
+    sorted member array ``Election.clusters()[cid]`` would — the grouped
+    slice of sorted ``node_ids`` is already ascending — but the grouping
+    arrays are computed once on first access, and no per-cluster dict is
+    materialized.  Instances live for one assignment pass; nothing is
+    cached on the (pickled) election.
+    """
+
+    def __init__(self, election: Election):
+        self._election = election
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._index: IdIndex | None = None
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(heads, starts, members)``: cluster ``heads[i]`` (ascending)
+        owns ``members[starts[i]:starts[i + 1]]`` (ascending IDs)."""
+        if self._csr is None:
+            # The heads are the affiliation column's distinct values (a
+            # head is its own member), so grouping is a counting sort over
+            # their rows: a radix argsort of a narrow key, no ID compares.
+            e = self._election
+            heads = e.clusterheads
+            index = IdIndex(heads)
+            row = index.rows(e.member_of)
+            counts = np.bincount(row, minlength=heads.size) if row.min() >= 0 else None
+            if counts is None or not counts.all():
+                raise ValueError("clusterheads are not the affiliation's values")
+            order = np.argsort(row.astype(np.min_scalar_type(heads.size)),
+                               kind="stable")
+            starts = np.zeros(heads.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=starts[1:])
+            self._csr = (heads, starts, e.node_ids[order])
+            self._index = index
+        return self._csr
+
+    def index(self) -> IdIndex:
+        """Row of a cluster ID within ``csr()``'s ``heads``."""
+        if self._index is None:
+            self.csr()
+        return self._index
+
+    def __getitem__(self, cid: int) -> np.ndarray:
+        _, starts, members = self.csr()
+        i = int(self.index().rows(np.int64(cid)))
+        if i < 0:
+            raise KeyError(cid)
+        return members[starts[i]:starts[i + 1]]
+
+
 def _stage_partition(partition):
     """``(index, starts, members)`` of a stage's partition, either form
     (see :func:`_vectorized_rendezvous_stage`): the cluster-ID -> CSR
@@ -165,7 +222,7 @@ def _vectorized_rendezvous_stage(
     ``(levels, 1)`` salt column over ``(n,)`` subjects and a ``(levels,
     n)`` ``current``, runs several levels' stages through this depth's
     partition as one call.  ``partition`` is the level as a
-    :class:`~repro.hierarchy.delta.LazyClusters`, whose cluster-ID -> row
+    :class:`LazyClusters`, whose cluster-ID -> row
     index every stage through it shares, or as a bare CSR tuple ``(heads,
     starts, members)``, indexed here.
 
@@ -441,10 +498,9 @@ class _DescentCells:
 
 
 PATCH_MIN_NODES = 2000
-"""Below this many nodes the patch's fixed cost (the step's
-:func:`~repro.hierarchy.delta.compute_delta` and per-depth bookkeeping)
-outweighs the hashing it saves (docs/PERFORMANCE.md, "Patch or full,
-per step")."""
+"""Below this many nodes the patch's fixed cost (the dirty cells of
+every depth and the per-depth bookkeeping) outweighs the hashing it
+saves (docs/PERFORMANCE.md, "Patch or full, per step")."""
 
 PATCH_MAX_CHURN = 0.3
 """Level-0 link churn above which most descent chains are dirty, and a
@@ -459,33 +515,81 @@ def patch_pays(n: int, churn: float) -> bool:
     ``n`` is the node count and ``churn`` the step's level-0 link churn,
     (ups + downs) / |E_prev|.  Both plans give the same assignment; this
     only picks the cheaper one from what the step has already observed.
+    The handoff engine asks it once per step.
     """
     return n >= PATCH_MIN_NODES and churn < PATCH_MAX_CHURN
 
 
+def _dirty_cells_of(
+    el0: Election, el1: Election
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Sorted cluster IDs whose member list differs between elections,
+    and their arrivals as a CSR ``(starts, members)`` aligned with them
+    (see :func:`patch_assignment`)."""
+    ids0, ids1 = el0.node_ids, el1.node_ids
+    if el0 is el1:
+        return _clean()
+    if np.array_equal(ids0, ids1):
+        moved = el0.member_of != el1.member_of
+        if not moved.any():
+            return _clean()
+        to, who = el1.member_of[moved], ids1[moved]
+        cells = np.unique(np.concatenate([el0.member_of[moved], to]))
+    else:
+        in1 = np.isin(ids0, ids1, assume_unique=True)
+        in0 = np.isin(ids1, ids0, assume_unique=True)
+        common = ids0[in1]
+        mo0 = el0.member_of[in1]
+        mo1 = el1.member_of[np.searchsorted(ids1, common)]
+        moved = mo0 != mo1
+        # Members that moved in, and ids new to the level.
+        to = np.concatenate([mo1[moved], el1.member_of[~in0]])
+        who = np.concatenate([common[moved], ids1[~in0]])
+        cells = np.unique(np.concatenate([
+            mo0[moved], to,
+            el0.member_of[~in1],  # departed ids: old cluster shrank
+        ]))
+        order = np.argsort(who)
+        to, who = to[order], who[order]
+    # `who` is ascending: a stable sort by cell keeps it so per cell.
+    order = np.argsort(to, kind="stable")
+    starts = np.append(np.searchsorted(to[order], cells), to.size)
+    return cells, (starts, who[order])
+
+
+def _clean() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """No dirty cell and no arrival."""
+    empty = np.empty(0, dtype=np.int32)
+    return empty, (np.zeros(1, dtype=np.int64), empty)
+
+
 def patch_assignment(
     prev: ServerAssignment,
+    h0: ClusteredHierarchy,
     h: ClusteredHierarchy,
-    delta: HierarchyDelta,
+    diff: HierarchyDiff,
 ) -> tuple[ServerAssignment, dict[int, np.ndarray]]:
-    """Patch the rendezvous assignment of ``delta.h0`` onto the next
-    hierarchy snapshot ``h``.
+    """Patch the rendezvous assignment of ``h0`` onto the next hierarchy
+    snapshot ``h``, of the same depth.
 
-    ``prev`` must be ``full_assignment(delta.h0)`` (or a patch equal to
-    it): every descent stage's input and winner (the *holder*) is read
-    back from its tables (:class:`_DescentCells`), so each stage is
-    patched on its own, and a row keeps its holder unless the stage's
-    candidate set changed under it:
+    ``prev`` must be ``full_assignment(h0)`` (or a patch equal to it) and
+    ``diff`` must be ``diff_hierarchies(h0, h)``: its migration rows at
+    level ``k`` are exactly the subjects whose level-``k`` cluster
+    changed.  Every descent stage's input and winner (the *holder*) is
+    read back from ``prev``'s tables (:class:`_DescentCells`), so each
+    stage is patched on its own, and a row keeps its holder unless the
+    stage's candidate set changed under it:
 
     * the cluster it consults at depth ``d`` differs from the recorded
       one (its entry point moved, or the stage above picked a different
       winner): the row is re-hashed over the whole cluster;
-    * it consults the same cluster, which is in ``delta.dirty_cells[d]``
-      (changed member list).  Rendezvous hashing disrupts minimally: if
-      the holder left the cluster the row is re-hashed in full;
-      otherwise the new winner is the (weight, ID)-largest of the holder
-      and the cluster's ``delta.arrivals[d]`` — one hash per arrival,
-      none when the cluster only shrank.
+    * it consults the same cluster, which is *dirty*: its member list of
+      level-(d-1) IDs differs between ``h0`` and ``h``.  Rendezvous
+      hashing disrupts minimally: if the holder left the cluster the row
+      is re-hashed in full; otherwise the new winner is the (weight,
+      ID)-largest of the holder and the cluster's *arrivals*, the
+      members it gained — one hash per arrival, none when the cluster
+      only shrank.  What a cell lost is read off the new election.
 
     A row whose winner comes out unchanged consults the recorded cluster
     again one depth down, so it stays out of the deeper stages unless a
@@ -497,11 +601,11 @@ def patch_assignment(
     Returns the new assignment plus the *dirty rows* — per level, the
     ascending subject positions whose server differs from ``prev``
     (exactly those; levels with none are absent).  Columns nothing moved
-    in are shared with ``prev``.  ``delta`` must not be ``full``.
+    in are shared with ``prev``.
     """
-    if delta.full:
-        raise ValueError("cannot patch across a full delta")
-    h0, num_levels = delta.h0, h.num_levels
+    num_levels = h.num_levels
+    if h0.num_levels != num_levels:
+        raise ValueError("cannot patch across a depth change")
     subjects = prev.subjects
     cells = _DescentCells(h0, prev.tables)
     tables = dict(prev.tables)
@@ -513,19 +617,24 @@ def patch_assignment(
     def entered(column: np.ndarray, rows: np.ndarray):
         return (rows, column[rows]) if rows.size else None
 
+    # The diff's migration rows come level by level, each level's in
+    # ascending subject order.
+    mig_rows = np.searchsorted(subjects, diff.mig_node)
+    mig_cut = np.searchsorted(diff.mig_level, np.arange(num_levels + 2))
     if num_levels:
         top = num_levels + 1
         moved[top] = None
-        if delta.top_changed:
+        if not np.array_equal(h0.levels[-1].node_ids, h.levels[-1].node_ids):
             won = _global_stage(h, subjects, top, _vectorized_rendezvous_stage)
             moved[top] = entered(
                 won, (won != cells(top, num_levels)).nonzero()[0])
     for depth in range(num_levels, 0, -1):
         if depth >= 2:
-            moved[depth] = entered(h.ancestry(depth),
-                                   delta.level_changed[depth].nonzero()[0])
-        dirty = delta.dirty_cells[depth]
+            moved[depth] = entered(
+                h.ancestry(depth), mig_rows[mig_cut[depth]:mig_cut[depth + 1]])
         election = h.levels[depth - 1].election
+        dirty, arrivals = _dirty_cells_of(h0.levels[depth - 1].election,
+                                          election)
         if dirty.size:
             # Per base node of h0, as the server a descent ended on: the
             # position in `dirty` of the cell that descent entered here
@@ -539,7 +648,7 @@ def patch_assignment(
                                ).rows(entered_cell)
             at = IdIndex(election.node_ids).rows(h0.ancestry(depth - 1))
             kept = (election.member_of[at] == entered_cell) & (at >= 0)
-            starts, _ = delta.arrivals[depth]
+            starts, _ = arrivals
             gained = starts[1:] > starts[:-1]
         # Per level: rows re-hashed over the cluster they consult, and
         # rows whose holder meets its cell's arrivals.
@@ -613,7 +722,7 @@ def patch_assignment(
                 _subject_keys(*who(challenge)),
                 held,
                 np.concatenate([cell for _, cell in challenge.values()]),
-                delta.arrivals[depth],
+                arrivals,
             ), held)
         for level, parts in won.items():
             sub = np.concatenate([sub for sub, _ in parts])

@@ -1,11 +1,6 @@
 """Clustered hierarchy substrate: recursive levels, addresses, statistics."""
 
 from repro.hierarchy.cluster_graph import canonical_edges, contract_edges
-from repro.hierarchy.delta import (
-    HierarchyDelta,
-    LazyClusters,
-    compute_delta,
-)
 from repro.hierarchy.levels import (
     ClusteredHierarchy,
     LevelTopology,
@@ -24,9 +19,6 @@ from repro.hierarchy.stats import (
 __all__ = [
     "canonical_edges",
     "contract_edges",
-    "HierarchyDelta",
-    "LazyClusters",
-    "compute_delta",
     "ClusteredHierarchy",
     "LevelTopology",
     "build_hierarchy",

@@ -32,7 +32,6 @@ PHASES = (
     "mobility",
     "rebuild",
     "hierarchy",
-    "delta",
     "handoff",
     "diff",
     "sampling",
@@ -41,10 +40,8 @@ PHASES = (
 
 ``setup`` covers warmup stepping plus the unmetered baseline snapshot;
 the rest are the per-step phases of :meth:`repro.sim.engine.Simulator.run`.
-``delta`` distills the step's
-:class:`~repro.hierarchy.delta.HierarchyDelta` for a patched CHLM
-assignment; it is metered on every profiled run and reads ~zero on the
-steps :func:`~repro.core.servers.patch_pays` sends to a full one.
+``handoff`` covers the step's hierarchy diff and its CHLM assignment,
+patched or recomputed, with the handoff metering.
 """
 
 

@@ -8,9 +8,9 @@ One step of the pipeline (Section 1.2's model, end to end):
    the previous step's (:func:`repro.radio.linkevents.link_diff`),
 3. the ALCA hierarchy is re-elected recursively (by the run's one
    hierarchy maintainer, :mod:`repro.hierarchy.maintain`),
-4. the CHLM handoff engine patches or recomputes the server assignment
-   (:func:`~repro.core.servers.patch_pays` picks), diffs it and meters
-   packets,
+4. the CHLM handoff engine diffs the two hierarchies, patches or
+   recomputes the server assignment (it picks, from the step's level-0
+   link churn) and meters packets,
 5. the step's outputs are frozen into a
    :class:`~repro.sim.snapshot.StepSnapshot` and dispatched to the
    registered collectors (:mod:`repro.sim.collectors`), which record
@@ -39,9 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.handoff import HandoffEngine
-from repro.core.servers import patch_pays
 from repro.graphs import CompactGraph
-from repro.hierarchy.delta import compute_delta
 from repro.hierarchy.maintain import HierarchyMaintainer
 from repro.mobility import make_model
 from repro.radio.linkevents import link_diff
@@ -109,8 +107,8 @@ class Simulator:
     ``finalize()`` (unknown keys land in ``SimResult.extras``).
 
     One stepping path: a fresh unit-disk graph, and a CHLM assignment
-    each step patches or recomputes as :func:`~repro.core.servers.patch_pays`
-    picks — a choice of plan, never of result.
+    the handoff engine patches or recomputes each step from the step's
+    level-0 link diff — a choice of plan, never of result.
 
     Every setting of the run lives on the scenario (the hop-sampling
     cadence included); ``profile=True`` meters phase wall-clock times,
@@ -237,17 +235,6 @@ class Simulator:
             edges = self._chaos.filter_edges(edges, positions)
         return edges
 
-    def _delta(self, hierarchy, diff):
-        """The step's :class:`~repro.hierarchy.delta.HierarchyDelta` when
-        :func:`~repro.core.servers.patch_pays` says patching the CHLM
-        assignment pays at this size and level-0 link churn; ``None``
-        (reassign every server) otherwise."""
-        prev = self._prev_hierarchy
-        churn = diff.n_events / max(len(prev.levels[0].edges), 1)
-        if not patch_pays(self.sc.n, churn):
-            return None
-        return compute_delta(prev, hierarchy)
-
     def _hop_fn(self, positions: np.ndarray, edges: np.ndarray):
         if self.sc.resolved_hop_mode == "bfs":
             return BfsHops(CompactGraph(
@@ -304,16 +291,11 @@ class Simulator:
         hierarchy = self._maintainer.update(edges, positions)
         if mark is not None:
             mark("hierarchy")
-        # Metered on every step (near zero on full-reassignment steps)
-        # so profiled runs always report the full canonical phase set.
-        delta = self._delta(hierarchy, diff)
-        if mark is not None:
-            mark("delta")
         hop_fn = self._hop_fn(positions, edges)
         report = self._engine.observe(
             hierarchy, hop_fn,
             delivery=self._delivery, now=(step + 1) * sc.dt,
-            delta=delta,
+            links=diff,
         )
         snap = StepSnapshot(
             t=(step + 1) * sc.dt, step=step, positions=positions,
@@ -321,7 +303,7 @@ class Simulator:
             prev_hierarchy=self._prev_hierarchy, report=report,
             hop_fn=hop_fn, scenario=sc, assignment=self._engine.assignment,
             down=None if self._chaos is None else self._chaos.down_mask(),
-            delta=delta, link_diff=diff,
+            link_diff=diff,
         )
         if mark is not None:
             mark("handoff")

@@ -70,19 +70,14 @@ class StepSnapshot:
         when the run injects no faults — the mask then would be
         all-False).  Crashed nodes keep their identity but hold no
         links in ``edges``.
-    delta:
-        The step's :class:`~repro.hierarchy.delta.HierarchyDelta` when
-        the step patched its CHLM assignment; ``None`` on steps
-        :func:`~repro.core.servers.patch_pays` sent to a full
-        reassignment, and on the baseline snapshot.  Collectors may use
-        its dirty sets to scope their own diffs.
     link_diff:
         The step's level-0 :class:`~repro.radio.linkevents.LinkDiff`
         from the previous step's ``edges`` to this one's (``None`` on the
         baseline snapshot).  It is computed once per step
-        (:func:`~repro.radio.linkevents.link_diff`), and its churn feeds
-        the patch-or-full choice.  The levels above
-        have their diff in ``report.diff``.
+        (:func:`~repro.radio.linkevents.link_diff`), and the handoff
+        engine reads its churn to choose between patching and
+        recomputing the CHLM assignment.  The levels above have their
+        diff in ``report.diff``.
     """
 
     t: float
@@ -96,7 +91,6 @@ class StepSnapshot:
     scenario: Scenario
     assignment: Any
     down: np.ndarray | None = None
-    delta: Any = None
     link_diff: Any = None
 
 

@@ -23,12 +23,12 @@ import numpy as np
 
 from repro.core import QueryResult, ServerAssignment, hashing, lm_levels
 from repro.core.servers import (
+    LazyClusters,
     _global_stage,
     _stage_salt,
     _stage_salts,
     _vectorized_rendezvous_stage,
 )
-from repro.hierarchy.delta import LazyClusters
 from repro.hierarchy.levels import ClusteredHierarchy
 
 

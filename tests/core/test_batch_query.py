@@ -18,7 +18,7 @@ from repro.core import (
 from repro.core.batch_query import batch_hops
 from repro.geometry import disc_for_density
 from repro.graphs import CompactGraph
-from repro.hierarchy import build_hierarchy, compute_delta
+from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.sim.hops import BfsHops, EuclideanHops
 
@@ -111,7 +111,7 @@ class TestLosslessEquivalence:
     def test_chain_rehash_assignment(self):
         """The incremental plane's patched assignment (dirty-chain
         re-hash) resolves identically to the scalar oracle."""
-        from repro.core import patch_assignment
+        from repro.core import diff_hierarchies, patch_assignment
 
         rng = np.random.default_rng(6)
         n = 120
@@ -125,8 +125,8 @@ class TestLosslessEquivalence:
             h_next = build_hierarchy(np.arange(n), unit_disk_edges(pts, R_TX),
                                      max_levels=3, level_mode="radio",
                                      positions=pts, r0=R_TX)
-            delta = compute_delta(h, h_next)
-            chained, _ = patch_assignment(chained, h_next, delta)
+            chained, _ = patch_assignment(chained, h, h_next,
+                                          diff_hierarchies(h, h_next))
             h = h_next
             src, dst = random_pairs(n, 150, 21)
             assert_batch_matches_scalar(

@@ -90,60 +90,56 @@ class TestHandoffEngine:
             assert rep.total_handoff_packets == rep.phi_packets + rep.gamma_packets
 
 
-class TestPatchPrecondition:
-    """The engine patches its assignment only from a delta whose ``h0``
-    is the snapshot it observed last: the patch reads the previous
-    descents back from that snapshot."""
+class TestPatchOrFull:
+    """The engine decides per step whether to patch its assignment: only
+    with the step's level-0 link diff in hand, only when the depth held,
+    and only where ``patch_pays`` says so.  Either way the report and
+    the assignment are those of an engine that never patches."""
 
-    @staticmethod
-    def _metered(report):
-        return report.counts.tolist(), report.flat.tolist()
-
-    def test_delta_from_another_hierarchy_takes_the_full_path(
-            self, monkeypatch):
-        """An equal copy of the previous snapshot, and another snapshot
-        of the run, as the delta's ``h0``: no patch, and the report and
-        assignment of an engine given no delta."""
-        import pickle
-
+    def test_engine_decides_patch_or_full(self, monkeypatch):
         from repro.core import handoff
-        from repro.hierarchy import compute_delta
+        from repro.radio.linkevents import link_diff
+        from tests.sim.stepping_oracle import force_patch
 
         n, density = 150, 0.02
         r = radius_for_degree(9.0, density)
         rng = np.random.default_rng(4)
         pts = disc_for_density(n, density).sample(n, rng)
-        snaps = []
-        for _ in range(3):
-            snaps.append(build_hierarchy(np.arange(n), unit_disk_edges(pts, r),
-                                         max_levels=3))
+        steps = []
+        for max_levels in (3, 3, 3, 2, 2):
+            edges = unit_disk_edges(pts, r)
+            steps.append((build_hierarchy(np.arange(n), edges,
+                                          max_levels=max_levels), edges))
             pts = pts + rng.normal(scale=1.0, size=pts.shape)
-        h0, h1, other = snaps
-        ref = HandoffEngine()
-        ref.observe(h0, unit_hops)
-        expect = ref.observe(h1, unit_hops)
-        assert expect.total_handoff_packets > 0
-        patched = HandoffEngine()
-        patched.observe(h0, unit_hops)
-        delta = compute_delta(h0, h1)
-        assert not delta.full
-        assert self._metered(patched.observe(h1, unit_hops, delta=delta)) \
-            == self._metered(expect)
+        assert [h.num_levels for h, _ in steps] == [3, 3, 3, 2, 2]
+        patched = []
+        real = handoff.patch_assignment
+        monkeypatch.setattr(handoff, "patch_assignment",
+                            lambda *a: patched.append(True) or real(*a))
 
-        def refuse(*args):
-            raise AssertionError("patched from a foreign delta")
+        def run(give_links):
+            ref, eng = HandoffEngine(), HandoffEngine()
+            prev_edges = None
+            out = []
+            for h, edges in steps:
+                links = (link_diff(prev_edges, edges, n)
+                         if give_links and prev_edges is not None else None)
+                want = ref.observe(h, unit_hops)
+                patched.clear()
+                got = eng.observe(h, unit_hops, links=links)
+                out.append(bool(patched))
+                assert got.counts.tolist() == want.counts.tolist()
+                assert got.flat.tolist() == want.flat.tolist()
+                assert server_map(eng.assignment) == server_map(ref.assignment)
+                prev_edges = edges
+            return out
 
-        for foreign in (pickle.loads(pickle.dumps(h0)), other):
-            delta = compute_delta(foreign, h1)
-            assert not delta.full
-            eng = HandoffEngine()
-            eng.observe(h0, unit_hops)
-            monkeypatch.setattr(handoff, "patch_assignment", refuse)
-            got = eng.observe(h1, unit_hops, delta=delta)
-            monkeypatch.undo()
-            assert self._metered(got) == self._metered(expect)
-            for level, table in ref.assignment.tables.items():
-                assert np.array_equal(eng.assignment.tables[level], table)
+        # n = 150 sits below PATCH_MIN_NODES: links or not, full plan.
+        assert run(True) == [False] * 5
+        force_patch(monkeypatch)
+        assert run(False) == [False] * 5
+        # The first step has no intent and the fourth changed depth.
+        assert run(True) == [False, True, True, False, True]
 
 
 class TestStationaryControl:

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import ServerAssignment, full_assignment, lm_levels
-from repro.core.servers import _DescentCells
+from repro.core import (
+    ServerAssignment,
+    diff_hierarchies,
+    full_assignment,
+    lm_levels,
+    patch_assignment,
+)
+from repro.core.servers import _DescentCells, _dirty_cells_of
 from repro.geometry import disc_for_density
 from repro.hierarchy import build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
@@ -16,6 +22,23 @@ from .descent_oracle import (
     select_server,
     server_map,
 )
+
+
+def patch(prev, h0, h):
+    """``patch_assignment`` of ``prev`` (``full_assignment(h0)``) onto
+    ``h``, from the step's one hierarchy diff."""
+    return patch_assignment(prev, h0, h, diff_hierarchies(h0, h))
+
+
+def dirty_cells(h0, h, depth):
+    """The level-``depth`` cells whose member list changed from ``h0`` to
+    ``h``, and their arrivals, as the patch computes them."""
+    return _dirty_cells_of(h0.levels[depth - 1].election,
+                           h.levels[depth - 1].election)
+
+
+def top_changed(h0, h):
+    return not np.array_equal(h0.levels[-1].node_ids, h.levels[-1].node_ids)
 
 
 def make_hierarchy(n, seed=0, density=0.02, degree=9.0):
@@ -205,17 +228,13 @@ class TestChainedAssignment:
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_patching_matches_full_assignment_over_churn(self, seed):
-        from repro.core import patch_assignment
-        from repro.hierarchy import compute_delta
-
         snaps = self._snapshots(seed=seed)
         prev_h = snaps[0]
         chained = full_assignment(prev_h)
         for h in snaps[1:]:
-            delta = compute_delta(prev_h, h)
-            assert not delta.full
+            assert h.num_levels == prev_h.num_levels
             prev_tables = chained.tables
-            chained, dirty_rows = patch_assignment(chained, h, delta)
+            chained, dirty_rows = patch(chained, prev_h, h)
             ref = full_assignment(h, "rendezvous")
             assert server_map(chained) == server_map(ref)
             assert_cells_are_recorded(h, chained)
@@ -227,13 +246,13 @@ class TestChainedAssignment:
             prev_h = h
 
     def test_patch_rejects_full_delta(self):
-        from repro.core import patch_assignment
-        from repro.hierarchy import compute_delta
-
-        h = self._snapshots(seed=2, steps=1)[0]
-        chained = full_assignment(h)
-        with pytest.raises(ValueError):
-            patch_assignment(chained, h, compute_delta(None, h))
+        """A depth change is the one step no patch can cross."""
+        h0, h1 = self._snapshots(seed=2, steps=2)
+        shallow = build_hierarchy(np.arange(h1.n), h1.levels[0].edges,
+                                  max_levels=2)
+        assert shallow.num_levels < h0.num_levels
+        with pytest.raises(ValueError, match="depth change"):
+            patch(full_assignment(h0), h0, shallow)
 
 
 class TestDescentCells:
@@ -290,17 +309,15 @@ class TestDescentCells:
         assert_cells_are_recorded(h, full_assignment(h))
 
 
-def assert_patch_equals_rebuild(prev, h, delta):
-    """Patch ``prev`` onto ``h`` and require the result to be
+def assert_patch_equals_rebuild(prev, h0, h):
+    """Patch ``prev`` (over ``h0``) onto ``h`` and require the result to be
     ``full_assignment(h)`` — every table, and so every cell its descents
     consulted, read back (``_DescentCells``) equal to the recording
     descent's — with the dirty rows exactly the rows whose server
     differs, the columns of the other levels shared with ``prev``, and
     nothing of ``prev`` written in place."""
-    from repro.core import patch_assignment
-
     before_tables = {lvl: t.copy() for lvl, t in prev.tables.items()}
-    patched, dirty_rows = patch_assignment(prev, h, delta)
+    patched, dirty_rows = patch(prev, h0, h)
     ref = full_assignment(h)
     assert sorted(patched.tables) == sorted(ref.tables)
     for level, table in ref.tables.items():
@@ -374,28 +391,25 @@ class TestStagewisePatch:
         return rows
 
     def test_fuzz_over_consecutive_deltas(self):
-        from repro.hierarchy import compute_delta
-
         n, density = 150, 0.02
         r_tx = radius_for_degree(9.0, density)
         rng = np.random.default_rng(3)
         pts = disc_for_density(n, density).sample(n, rng)
         prev_h = chained = None
-        patched = top_changed = 0
+        patched = tops = 0
         for _ in range(70):
             h = build_hierarchy(np.arange(n), unit_disk_edges(pts, r_tx),
                                 max_levels=3, level_mode="radio",
                                 positions=pts, r0=r_tx)
-            delta = compute_delta(prev_h, h)
-            if delta.full:
+            if prev_h is None or prev_h.num_levels != h.num_levels:
                 chained = full_assignment(h)
             else:
-                chained, _ = assert_patch_equals_rebuild(chained, h, delta)
+                chained, _ = assert_patch_equals_rebuild(chained, prev_h, h)
                 patched += 1
-                top_changed += delta.top_changed
+                tops += top_changed(prev_h, h)
             prev_h = h
             pts = pts + rng.normal(scale=0.6, size=pts.shape)
-        assert patched >= 50 and 3 <= top_changed < patched
+        assert patched >= 50 and 3 <= tops < patched
 
     def test_churn_fuzz_on_four_levels(self):
         """The depth-outer patch over mixed churn at n = 300 on four
@@ -403,27 +417,27 @@ class TestStagewisePatch:
         the top level — returns the tables, chains and dirty rows of a
         rebuild; a sample of entries is also checked against the scalar
         descent, so patch and rebuild cannot be wrong together."""
-        from repro.hierarchy import compute_delta
 
         n, density = 300, 0.02
         r_tx = radius_for_degree(9.0, density)
         rng = np.random.default_rng(12)
         pts = disc_for_density(n, density).sample(n, rng)
         prev_h = chained = None
-        patched = top_changed = no_dirty_cell = rows_moved = 0
+        patched = tops = no_dirty_cell = rows_moved = 0
         for step in range(64):
             h = build_hierarchy(np.arange(n), unit_disk_edges(pts, r_tx),
                                 max_levels=4, level_mode="radio",
                                 positions=pts, r0=r_tx)
-            delta = compute_delta(prev_h, h)
-            if delta.full:
+            if prev_h is None or prev_h.num_levels != h.num_levels:
                 chained = full_assignment(h)
             else:
                 chained, dirty_rows = assert_patch_equals_rebuild(
-                    chained, h, delta)
+                    chained, prev_h, h)
                 patched += 1
-                top_changed += delta.top_changed
-                no_dirty_cell += not any(c.size for c in delta.dirty_cells)
+                tops += top_changed(prev_h, h)
+                no_dirty_cell += not any(
+                    dirty_cells(prev_h, h, d)[0].size
+                    for d in range(1, h.num_levels + 1))
                 rows_moved += sum(r.size for r in dirty_rows.values())
                 for subject in rng.choice(n, size=4, replace=False).tolist():
                     for level in range(2, lm_levels(h) + 1):
@@ -433,11 +447,11 @@ class TestStagewisePatch:
             scale = (0.0, 1e-9, 0.2, 0.8, 2.5)[step % 5]
             pts = pts + rng.normal(scale=scale, size=pts.shape)
         assert patched >= 50 and rows_moved > 0
-        assert top_changed >= 1 and no_dirty_cell >= 1
+        assert tops >= 1 and no_dirty_cell >= 1
 
     def test_persistent_cluster_ids_take_the_sorted_index(self):
         """Minted cluster IDs >= 10^7 are too sparse for a lookup table."""
-        from repro.hierarchy import LazyClusters, compute_delta
+        from repro.core.servers import LazyClusters
         from repro.hierarchy import HierarchyMaintainer
 
         n, density = 120, 0.02
@@ -450,11 +464,10 @@ class TestStagewisePatch:
         patched = 0
         for _ in range(16):
             h = maintainer.update(unit_disk_edges(pts, r_tx), positions=pts)
-            delta = compute_delta(prev_h, h)
-            if delta.full:
+            if prev_h is None or prev_h.num_levels != h.num_levels:
                 chained = full_assignment(h)
             else:
-                chained, _ = assert_patch_equals_rebuild(chained, h, delta)
+                chained, _ = assert_patch_equals_rebuild(chained, prev_h, h)
                 patched += 1
             prev_h = h
             pts = pts + rng.normal(scale=0.7, size=pts.shape)
@@ -466,22 +479,20 @@ class TestStagewisePatch:
         """A head change that keeps the member set: every row re-hashes
         at the renamed depth, every winner comes out unchanged, and no
         row reaches the stage below."""
-        from repro.core import patch_assignment
-        from repro.hierarchy import compute_delta
 
         cid = 10**7
         affiliation = [cid + 1] * 3 + [cid + 2] * 3
         h0 = cid_hierarchy(affiliation, [2 * cid, 2 * cid])
         h1 = cid_hierarchy(affiliation, [2 * cid + 5, 2 * cid + 5])
-        delta = compute_delta(h0, h1)
-        assert delta.top_changed and delta.level_changed[2].all()
+        assert top_changed(h0, h1)
+        assert (diff_hierarchies(h0, h1).mig_level == 2).sum() == 6
         prev = full_assignment(h0)
         rows = self._count_stage_rows(monkeypatch, h1)
-        patch_assignment(prev, h1, delta)
+        patch(prev, h0, h1)
         monkeypatch.undo()
         # (3, 3) is the global stage over the renamed top-level node.
         assert rows == {(2, 2): 6, (3, 3): 6, (3, 2): 6}
-        patched, dirty_rows = assert_patch_equals_rebuild(prev, h1, delta)
+        patched, dirty_rows = assert_patch_equals_rebuild(prev, h0, h1)
         assert dirty_rows == {}
         assert patched.tables[2] is prev.tables[2]
         assert _DescentCells(h1, patched.tables)(2, 2).tolist() == [2 * cid + 5] * 6
@@ -500,17 +511,15 @@ class TestStagewisePatch:
         1, which stayed, and c1 gained nobody: no hash.  The six c2 rows
         keep holders 3 and 4 against the one arrival, node 2: one
         challenge call of six rows, no kernel row."""
-        from repro.core import patch_assignment
-        from repro.hierarchy import compute_delta
 
         cid = 10**7
         h0 = cid_hierarchy([cid + 1] * 3 + [cid + 2] * 3, [2 * cid, 2 * cid])
         h1 = cid_hierarchy([cid + 1] * 2 + [cid + 2] * 4, [2 * cid, 2 * cid])
-        delta = compute_delta(h0, h1)
-        assert [c.size for c in delta.dirty_cells] == [0, 2, 0]
-        assert delta.arrivals[1][0].tolist() == [0, 0, 1]
-        assert delta.arrivals[1][1].tolist() == [2]
-        assert not delta.top_changed and not delta.level_changed[2].any()
+        cells, (starts, arrived) = dirty_cells(h0, h1, 1)
+        assert cells.size == 2 and dirty_cells(h0, h1, 2)[0].size == 0
+        assert starts.tolist() == [0, 0, 1] and arrived.tolist() == [2]
+        assert not top_changed(h0, h1)
+        assert not (diff_hierarchies(h0, h1).mig_level == 2).any()
         prev = full_assignment(h0)
         cells = _DescentCells(h0, prev.tables)
         assert (cells(2, 1) - cid).tolist() == [2, 2, 1, 1, 1, 1]
@@ -519,11 +528,11 @@ class TestStagewisePatch:
         assert prev.tables[3].tolist() == [2, 4, 4, 3, 2, 3]
         rows = self._count_stage_rows(monkeypatch, h1)
         challenged = self._count_challenge_rows(monkeypatch)
-        patch_assignment(prev, h1, delta)
+        patch(prev, h0, h1)
         monkeypatch.undo()
         assert rows == {(2, 1): 1, (3, 1): 2}
         assert challenged == [(6, 1)]
-        assert_patch_equals_rebuild(prev, h1, delta)
+        assert_patch_equals_rebuild(prev, h0, h1)
 
     @staticmethod
     def _count_challenge_rows(monkeypatch):
@@ -567,25 +576,22 @@ class TestStagewisePatch:
         """A holder that leaves its depth-1 cell re-hashes exactly the rows
         it held there; the rows of the cell it joins only meet it as an
         arrival, and the other holders of its old cell are not hashed."""
-        from repro.core import patch_assignment
-        from repro.hierarchy import compute_delta
 
         h0 = self._two_cells(cid)
         prev = full_assignment(h0)
         in_c1 = self._consulting(h0, prev, cid + 1)
         holder = int(prev.tables[2][in_c1[2][0]])
         h1 = self._two_cells(cid, {holder: cid + 2})
-        delta = compute_delta(h0, h1)
         held = {lvl: rows[prev.tables[lvl][rows] == holder]
                 for lvl, rows in in_c1.items()}
         joined = sum(r.size for r in self._consulting(h0, prev, cid + 2).values())
         rows = self._count_stage_rows(monkeypatch, h1)
         challenged = self._count_challenge_rows(monkeypatch)
-        patch_assignment(prev, h1, delta)
+        patch(prev, h0, h1)
         monkeypatch.undo()
         assert rows == {(lvl, 1): r.size for lvl, r in held.items() if r.size}
         assert challenged == [(joined, 1)]
-        patched, dirty_rows = assert_patch_equals_rebuild(prev, h1, delta)
+        patched, dirty_rows = assert_patch_equals_rebuild(prev, h0, h1)
         for lvl, r in held.items():
             assert np.isin(r, dirty_rows.get(lvl, [])).all()
             assert not (patched.tables[lvl][r] == holder).any()
@@ -595,8 +601,6 @@ class TestStagewisePatch:
         """A member that served no row leaves c1: every row consulting c1
         keeps its holder without a hash — no kernel row at any stage — and
         c2's rows meet it as their one arrival."""
-        from repro.core import patch_assignment
-        from repro.hierarchy import compute_delta
 
         h0 = self._two_cells(cid)
         prev = full_assignment(h0)
@@ -605,15 +609,14 @@ class TestStagewisePatch:
         idle = [v for v in range(5) if v not in served]
         assert idle
         h1 = self._two_cells(cid, {idle[0]: cid + 2})
-        delta = compute_delta(h0, h1)
         joined = sum(r.size for r in self._consulting(h0, prev, cid + 2).values())
         rows = self._count_stage_rows(monkeypatch, h1)
         challenged = self._count_challenge_rows(monkeypatch)
-        patch_assignment(prev, h1, delta)
+        patch(prev, h0, h1)
         monkeypatch.undo()
         assert rows == {}
         assert challenged == [(joined, 1)]
-        patched, _ = assert_patch_equals_rebuild(prev, h1, delta)
+        patched, _ = assert_patch_equals_rebuild(prev, h0, h1)
         for lvl, r in self._consulting(h0, prev, cid + 1).items():
             assert np.array_equal(patched.tables[lvl][r], prev.tables[lvl][r])
 
@@ -624,7 +627,6 @@ class TestStagewisePatch:
         row's holder; across the three moves the arrival both beats a
         holder and loses to one."""
         from repro.core.servers import _stage_salt
-        from repro.hierarchy import compute_delta
 
         h0 = self._two_cells(cid)
         prev = full_assignment(h0)
@@ -632,7 +634,7 @@ class TestStagewisePatch:
         for arrival in (5, 6, 7):
             h1 = self._two_cells(cid, {arrival: cid + 1})
             patched, _ = assert_patch_equals_rebuild(
-                prev, h1, compute_delta(h0, h1))
+                prev, h0, h1)
             for lvl, rows in self._consulting(h0, prev, cid + 1).items():
                 for r in rows.tolist():
                     holder = int(prev.tables[lvl][r])
@@ -646,18 +648,16 @@ class TestStagewisePatch:
     def test_several_arrivals(self, monkeypatch, cid):
         """Nodes 5 and 6 join c1 together: each c1 row meets both in two
         challenge rounds, and the result is the rebuild's."""
-        from repro.hierarchy import compute_delta
 
         h0 = self._two_cells(cid)
         prev = full_assignment(h0)
         h1 = self._two_cells(cid, {5: cid + 1, 6: cid + 1})
-        delta = compute_delta(h0, h1)
-        assert delta.dirty_cells[1].tolist() == [cid + 1, cid + 2]
-        assert delta.arrivals[1][0].tolist() == [0, 2, 2]
-        assert delta.arrivals[1][1].tolist() == [5, 6]
+        cells, (starts, arrived) = dirty_cells(h0, h1, 1)
+        assert cells.tolist() == [cid + 1, cid + 2]
+        assert starts.tolist() == [0, 2, 2] and arrived.tolist() == [5, 6]
         stayed = sum(r.size for r in self._consulting(h0, prev, cid + 1).values())
         challenged = self._count_challenge_rows(monkeypatch)
-        assert_patch_equals_rebuild(prev, h1, delta)
+        assert_patch_equals_rebuild(prev, h0, h1)
         assert challenged == [(stayed, 2)]
 
     @pytest.mark.parametrize("arrival,wins", [(7, True), (0, False)])
@@ -667,7 +667,6 @@ class TestStagewisePatch:
         candidate: every descent enters c2 = {3, 4, 5} and is served by 5.
         An arrival tying with holder 5 takes over if its ID is larger (7)
         and not if smaller (0) — as in the rebuild."""
-        from repro.hierarchy import compute_delta
 
         monkeypatch.setattr(
             "repro.core.hashing.mix64",
@@ -681,7 +680,7 @@ class TestStagewisePatch:
         h1 = cid_hierarchy(affiliation, [2 * cid] * 2)
         challenged = self._count_challenge_rows(monkeypatch)
         patched, _ = assert_patch_equals_rebuild(
-            prev, h1, compute_delta(h0, h1))
+            prev, h0, h1)
         assert challenged == [(16, 1)]
         server = arrival if wins else 5
         assert all((t == server).all() for t in patched.tables.values())
@@ -693,22 +692,19 @@ class TestStagewisePatch:
         keeps its holder (c1 or c2, both stayed) against that arrival;
         where c3 wins the row re-hashes over c3 at depth 1, and rows still
         in c2 re-hash there only if 6 or 7 served them."""
-        from repro.core import patch_assignment
-        from repro.hierarchy import compute_delta
 
         h0 = self._two_cells(cid)
         h1 = cid_hierarchy([cid + 1] * 5 + [cid + 2] + [cid + 3] * 2,
                            [2 * cid] * 3)
-        delta = compute_delta(h0, h1)
-        assert delta.dirty_cells[2].tolist() == [2 * cid]
-        assert delta.arrivals[2][1].tolist() == [cid + 3]
+        cells, (_, arrived) = dirty_cells(h0, h1, 2)
+        assert cells.tolist() == [2 * cid] and arrived.tolist() == [cid + 3]
         prev = full_assignment(h0)
         rows = self._count_stage_rows(monkeypatch, h1)
         challenged = self._count_challenge_rows(monkeypatch)
-        patch_assignment(prev, h1, delta)
+        patch(prev, h0, h1)
         monkeypatch.undo()
         assert challenged[0] == (16, 1)  # depth 2: 8 subjects x levels 2, 3
-        patched, _ = assert_patch_equals_rebuild(prev, h1, delta)
+        patched, _ = assert_patch_equals_rebuild(prev, h0, h1)
         expect = {}
         cells = _DescentCells(h1, patched.tables)
         for lvl in prev.tables:
@@ -725,46 +721,44 @@ class TestStagewisePatch:
         The depth-2 rows it held find no such node in the new election
         and re-hash in full; the others keep their holders, since the top
         cell only shrank."""
-        from repro.core import patch_assignment
-        from repro.hierarchy import compute_delta
 
         h0 = cid_hierarchy([cid + 1] * 5 + [cid + 2] + [cid + 3] * 2,
                            [2 * cid] * 3)
         h1 = self._two_cells(cid)
-        delta = compute_delta(h0, h1)
-        assert delta.dirty_cells[2].tolist() == [2 * cid]
-        assert delta.arrivals[2][1].size == 0
+        cells, (_, arrived) = dirty_cells(h0, h1, 2)
+        assert cells.tolist() == [2 * cid] and arrived.size == 0
         prev = full_assignment(h0)
         held = {lvl: r.size for lvl, r in self._consulting(h0, prev, cid + 3).items()}
         assert any(held.values())
         rows = self._count_stage_rows(monkeypatch, h1)
-        patch_assignment(prev, h1, delta)
+        patch(prev, h0, h1)
         monkeypatch.undo()
         assert {key: k for key, k in rows.items() if key[1] == 2} == {
             (lvl, 2): k for lvl, k in held.items() if k}
-        assert_patch_equals_rebuild(prev, h1, delta)
+        assert_patch_equals_rebuild(prev, h0, h1)
 
-    def test_unknown_cluster_still_raises(self):
+    def test_unknown_cluster_still_raises(self, monkeypatch):
         """A recorded cell the partition lacks is caught on the rows that
-        get hashed: a forged delta claims ``h`` follows a hierarchy whose
-        cell c9 = cid + 9 (nodes 0..2) only went dirty, where ``h`` has
-        no such cluster, so the holders in c9 "left" it and re-hash
+        get hashed: forged dirty cells claim ``h`` follows a hierarchy
+        whose cell c9 = cid + 9 (nodes 0..2) only went dirty, where ``h``
+        has no such cluster, so the holders in c9 "left" it and re-hash
         there."""
-        import dataclasses
-
-        from repro.core import patch_assignment
-        from repro.hierarchy import compute_delta
+        from repro.core import servers
 
         cid = 10**7
         h = cid_hierarchy([cid + 1] * 3 + [cid + 2] * 3, [2 * cid, 2 * cid])
         forged = cid_hierarchy([cid + 9] * 3 + [cid + 2] * 3, [2 * cid, 2 * cid])
         prev = full_assignment(forged)
-        delta = dataclasses.replace(compute_delta(h, h), h0=forged)
-        delta.dirty_cells[1] = np.array([cid + 9])
-        delta.arrivals[1] = (np.array([0, 0]), np.empty(0, dtype=np.int64))
+        clean = servers._dirty_cells_of(h.levels[0].election,
+                                        h.levels[0].election)
+        monkeypatch.setattr(
+            servers, "_dirty_cells_of",
+            lambda el0, el1: (np.array([cid + 9]), (
+                np.array([0, 0]), np.empty(0, dtype=np.int64)))
+            if el1 is h.levels[0].election else clean)
         assert (_DescentCells(forged, prev.tables)(2, 1) == cid + 9).any()
         with pytest.raises(KeyError, match="cluster the partition lacks"):
-            patch_assignment(prev, h, delta)
+            patch_assignment(prev, forged, h, diff_hierarchies(h, h))
 
 
 class TestRendezvousKernel:

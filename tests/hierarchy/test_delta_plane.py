@@ -2,29 +2,27 @@
 
 Both control planes elect every hierarchy through the run's one
 :class:`HierarchyMaintainer`; the event plane feeds it fresh unit-disk
-edges, diffs them against the previous hierarchy's level-0 edges
-(:func:`link_diff`) and adds :func:`compute_delta`.  The bit-identity
-tests drive that hierarchy source against a from-scratch
-:func:`build_hierarchy` under drift, crash and partition bursts, and
-check each step's diff against a set diff of the reference edges.  The
-delta tests pin :class:`HierarchyDelta`'s exactness claims (dirty
-cells = exactly the clusters whose member lists changed, arrivals =
-exactly the members they gained) on :func:`build_hierarchy` snapshots;
-the :class:`LazyClusters` tests pin the CSR partition the dense
-rendezvous kernel reads.
+edges and diffs them against the previous hierarchy's level-0 edges
+(:func:`link_diff`).  The bit-identity tests drive that hierarchy
+source against a from-scratch :func:`build_hierarchy` under drift,
+crash and partition bursts, and check each step's diff against a set
+diff of the reference edges.  The delta tests pin the exactness of what
+a CHLM patch reads of two consecutive snapshots (the hierarchy diff's
+migration rows = exactly the changed ancestries; dirty cells = exactly
+the clusters whose member lists changed, arrivals = exactly the members
+they gained) on :func:`build_hierarchy` snapshots; the
+:class:`LazyClusters` tests pin the CSR partition the dense rendezvous
+kernel reads.
 """
 
 import numpy as np
 import pytest
 
 from repro.clustering import elect
+from repro.core import diff_hierarchies
+from repro.core.servers import LazyClusters, _dirty_cells_of
 from repro.geometry import disc_for_density
-from repro.hierarchy import (
-    HierarchyMaintainer,
-    LazyClusters,
-    build_hierarchy,
-    compute_delta,
-)
+from repro.hierarchy import HierarchyMaintainer, build_hierarchy
 from repro.radio import radius_for_degree, unit_disk_edges
 from repro.radio.linkevents import link_diff
 
@@ -149,6 +147,13 @@ class TestBuildModeBitIdentity:
             pts = pts + rng.normal(scale=0.4, size=pts.shape)
 
 
+def dirty_cells(h0, h1, depth):
+    """The level-``depth`` dirty cells and their arrivals, as a CHLM
+    patch from ``h0`` to ``h1`` computes them."""
+    return _dirty_cells_of(h0.levels[depth - 1].election,
+                           h1.levels[depth - 1].election)
+
+
 class TestHierarchyDelta:
     def _two_snapshots(self, seed=1, drift=0.5, n=120):
         rng = np.random.default_rng(seed)
@@ -159,27 +164,24 @@ class TestHierarchyDelta:
             level_mode="radio", positions=p, r0=R_TX)
         return mk(pts0), mk(pts1)
 
-    def test_full_flag_cases(self):
-        h0, h1 = self._two_snapshots()
-        assert compute_delta(None, h1).full
-        assert compute_delta(h0, None).full
-        assert not compute_delta(h0, h1).full
-
     def test_level_changed_masks_are_exact(self):
+        """The diff's level-k migration rows, which a patch reads as the
+        subjects whose level-k cluster moved, are exactly the nodes whose
+        level-k ancestor changed, ascending."""
         h0, h1 = self._two_snapshots(seed=2)
-        d = compute_delta(h0, h1)
-        assert not d.level_changed[0].any()
+        diff = diff_hierarchies(h0, h1)
         for k in range(1, h1.num_levels + 1):
-            assert np.array_equal(d.level_changed[k],
-                                  h0.ancestry(k) != h1.ancestry(k))
-        assert any(mask.any() for mask in d.level_changed[1:])
+            rows = np.searchsorted(h1.levels[0].node_ids,
+                                   diff.mig_node[diff.mig_level == k])
+            assert np.array_equal(
+                rows, np.flatnonzero(h0.ancestry(k) != h1.ancestry(k)))
+        assert diff.mig_node.size
 
     def test_dirty_cells_are_exactly_changed_member_lists(self):
         """A level-d cell is dirty iff its member list (as a set of
         level-(d-1) IDs) differs between the snapshots — no more, no
         less.  This is the exactness the chain patcher relies on."""
         h0, h1 = self._two_snapshots(seed=5, drift=1.0)
-        d = compute_delta(h0, h1)
         for lvl in range(1, h1.num_levels + 1):
             c0 = h0.levels[lvl - 1].election.clusters()
             c1 = h1.levels[lvl - 1].election.clusters()
@@ -188,23 +190,21 @@ class TestHierarchyDelta:
                 if not np.array_equal(c0.get(cid, np.empty(0)),
                                       c1.get(cid, np.empty(0)))
             )
-            assert d.dirty_cells[lvl].tolist() == expect
+            assert dirty_cells(h0, h1, lvl)[0].tolist() == expect
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_arrivals_are_exactly_the_members_gained(self, seed):
-        """``arrivals[d]`` lists, per dirty cell and ascending, the
+        """The arrivals CSR lists, per dirty cell and ascending, the
         level-(d-1) IDs its member list gained — moved in or new to the
         level (the level node sets differ at some level here)."""
         h0, h1 = self._two_snapshots(seed=seed, drift=1.5)
-        d = compute_delta(h0, h1)
-        assert d.arrivals[0][0].tolist() == [0] and d.arrivals[0][1].size == 0
         new_ids = 0
         for lvl in range(1, h1.num_levels + 1):
             c0 = h0.levels[lvl - 1].election.clusters()
             c1 = h1.levels[lvl - 1].election.clusters()
-            starts, members = d.arrivals[lvl]
-            assert starts.size == d.dirty_cells[lvl].size + 1
-            for i, cid in enumerate(d.dirty_cells[lvl].tolist()):
+            cells, (starts, members) = dirty_cells(h0, h1, lvl)
+            assert starts.size == cells.size + 1
+            for i, cid in enumerate(cells.tolist()):
                 gained = np.setdiff1d(c1.get(cid, []), c0.get(cid, []))
                 assert members[starts[i]:starts[i + 1]].tolist() == gained.tolist()
             new_ids += np.setdiff1d(h1.levels[lvl - 1].node_ids,
@@ -212,12 +212,17 @@ class TestHierarchyDelta:
         assert new_ids
 
     def test_identical_snapshots_have_empty_delta(self):
+        """The same snapshot twice, or an equal copy of it: no migration
+        row, no dirty cell, no arrival."""
+        import pickle
+
         h0, _ = self._two_snapshots(seed=3)
-        d = compute_delta(h0, h0)
-        assert not d.full and not d.top_changed
-        assert not any(mask.any() for mask in d.level_changed)
-        for cells in d.dirty_cells:
-            assert cells.size == 0
+        for h1 in (h0, pickle.loads(pickle.dumps(h0))):
+            assert diff_hierarchies(h0, h1).mig_node.size == 0
+            for lvl in range(1, h0.num_levels + 1):
+                cells, (starts, members) = dirty_cells(h0, h1, lvl)
+                assert cells.size == 0 and members.size == 0
+                assert starts.tolist() == [0]
 
 
 class TestLazyClusters:

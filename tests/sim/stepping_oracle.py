@@ -1,36 +1,37 @@
 """The reference stepping path the simulator must reproduce.
 
-:class:`OracleSimulator` takes every step's edges from a fresh plain
-build (:func:`~repro.radio.unit_disk.unit_disk_edges`), as the
-production :class:`~repro.sim.engine.Simulator` does, but never builds a
-:class:`~repro.hierarchy.delta.HierarchyDelta`, so the handoff engine
-reassigns every CHLM server from scratch each step.  The production
-simulator patches the assignment on the steps
+:class:`OracleSimulator` steps exactly as the production
+:class:`~repro.sim.engine.Simulator` does, but with the patch-or-full
+rule's module constants set so that
+:func:`~repro.core.servers.patch_pays` never picks the patch: the
+handoff engine reassigns every CHLM server from scratch each step.  The
+production simulator patches the assignment on the steps
 :func:`~repro.core.servers.patch_pays` picks; :func:`force_patch` makes
-it patch on every step, the path an equivalence test wants exercised.
+it patch on every step it can (same depth as the step before), the path
+an equivalence test wants exercised.  :class:`PatchProbe` records which
+steps did.
 """
 
 import math
 
-from repro.core import servers
-from repro.radio.unit_disk import unit_disk_edges
+from repro.core import handoff, servers
 from repro.sim.collectors import Collector
 from repro.sim.engine import Simulator
 
-__all__ = ["DeltaProbe", "OracleSimulator", "force_patch", "run_oracle"]
+__all__ = ["OracleSimulator", "PatchProbe", "force_patch", "run_oracle"]
 
 
 class OracleSimulator(Simulator):
-    """Plain unit-disk edges and a full CHLM reassignment on every step."""
+    """The production stepping path with a full CHLM reassignment on
+    every step."""
 
-    def _edges(self, positions):
-        edges = unit_disk_edges(positions, self.sc.r_tx)
-        if self._chaos is not None:
-            edges = self._chaos.filter_edges(edges, positions)
-        return edges
-
-    def _delta(self, hierarchy, diff):
-        return None
+    def _run_step(self, step, mark=None):
+        saved = servers.PATCH_MIN_NODES
+        servers.PATCH_MIN_NODES = math.inf
+        try:
+            super()._run_step(step, mark)
+        finally:
+            servers.PATCH_MIN_NODES = saved
 
 
 def run_oracle(scenario):
@@ -44,18 +45,28 @@ def force_patch(monkeypatch):
     monkeypatch.setattr(servers, "PATCH_MAX_CHURN", math.inf)
 
 
-class DeltaProbe(Collector):
-    """Records, per metered step, whether its snapshot carried a delta
-    and whether that delta was a full one."""
+class PatchProbe(Collector):
+    """Records, per metered step, whether the handoff engine patched its
+    CHLM assignment: a spy on the engine's
+    :func:`~repro.core.servers.patch_assignment`, installed through
+    ``monkeypatch`` for the test's duration."""
 
-    name = "delta_probe"
+    name = "patch_probe"
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.steps = []
+        self._patched = False
+        real = handoff.patch_assignment
+
+        def spy(*args):
+            self._patched = True
+            return real(*args)
+
+        monkeypatch.setattr(handoff, "patch_assignment", spy)
 
     def on_step(self, snap):
-        delta = snap.delta
-        self.steps.append(None if delta is None else bool(delta.full))
+        self.steps.append(self._patched)
+        self._patched = False
 
     def finalize(self, elapsed):
         return {self.name: list(self.steps)}

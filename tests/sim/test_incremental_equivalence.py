@@ -23,25 +23,25 @@ from repro.sim import Scenario
 from repro.sim.engine import Simulator
 from tests.fingerprint import fingerprint
 from tests.sim.stepping_oracle import (
-    DeltaProbe,
     OracleSimulator,
+    PatchProbe,
     force_patch,
     run_oracle,
 )
 
 
-def _patched(sc):
-    """The production run with a delta on every metered step."""
-    res = Simulator(sc, collectors=[DeltaProbe()]).run()
-    assert None not in res.extras[DeltaProbe.name]
-    return res
-
-
 @pytest.fixture
 def pair(monkeypatch):
-    """Run a scenario on the oracle and, patching forced, in production."""
+    """Run a scenario on the oracle and, patching forced, in production,
+    where every metered step must have patched."""
     force_patch(monkeypatch)
-    return lambda sc: (run_oracle(sc), _patched(sc))
+
+    def run(sc):
+        res = Simulator(sc, collectors=[PatchProbe(monkeypatch)]).run()
+        assert all(res.extras[PatchProbe.name])
+        return run_oracle(sc), res
+
+    return run
 
 
 class TestRegimeMatrix:
@@ -137,26 +137,26 @@ class TestPatchRule:
     def test_crossover_table(self, n, churn, patch):
         assert patch_pays(n, churn) is patch
 
-    def test_small_fast_run_never_patches(self):
+    def test_small_fast_run_never_patches(self, monkeypatch):
         """n = 10^3 at the stock 5 m/s sits on the full side: no metered
-        snapshot carries a delta."""
+        step patches."""
         res = Simulator(Scenario(n=1000, steps=3),
-                        collectors=[DeltaProbe()]).run()
-        assert res.extras[DeltaProbe.name] == [None] * 3
+                        collectors=[PatchProbe(monkeypatch)]).run()
+        assert res.extras[PatchProbe.name] == [False] * 3
 
-    def test_large_slow_run_patches_every_step(self):
+    def test_large_slow_run_patches_every_step(self, monkeypatch):
         """n = 3000 at 1 m/s sits on the patch side from the first
         metered step on, and equals the oracle."""
         sc = Scenario(n=3000, speed=1.0, steps=3, warmup=2,
                       hop_mode="euclidean")
-        res = Simulator(sc, collectors=[DeltaProbe()]).run()
-        assert res.extras[DeltaProbe.name] == [False] * 3
+        res = Simulator(sc, collectors=[PatchProbe(monkeypatch)]).run()
+        assert res.extras[PatchProbe.name] == [True] * 3
         assert fingerprint(res) == fingerprint(run_oracle(sc))
 
     def test_chaos_run_decides_from_the_merged_diff(self, monkeypatch):
         """A chaos run measures its churn on the diff of its filtered
-        edges, one ``link_diff`` per step — and still patches at a size
-        and churn past the threshold."""
+        edges, one ``link_diff`` per step — and still patches every step
+        at a size and churn past the threshold."""
         merged = []
 
         def spy(before, after, n):
@@ -167,9 +167,9 @@ class TestPatchRule:
         sc = Scenario(n=3000, speed=1.0, steps=3, warmup=2,
                       hop_mode="euclidean",
                       chaos=("partition:start=1,duration=1",))
-        res = Simulator(sc, collectors=[DeltaProbe()]).run()
+        res = Simulator(sc, collectors=[PatchProbe(monkeypatch)]).run()
         assert merged == [sc.n] * sc.steps
-        assert None not in res.extras[DeltaProbe.name]
+        assert res.extras[PatchProbe.name] == [True] * sc.steps
         assert fingerprint(res) == fingerprint(
             OracleSimulator(sc).run())
 

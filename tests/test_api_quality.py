@@ -198,6 +198,21 @@ class TestExports:
         for name in ("hierarchy_stepper", "PersistentHierarchyMaintainer"):
             assert not hasattr(repro.hierarchy, name), name
 
+    def test_one_step_change_record(self):
+        """What changed between two consecutive hierarchies is computed
+        once per step, by ``diff_hierarchies``: the second change record
+        the CHLM patch used to read, and its module, are gone, and the
+        handoff engine is handed the step's level-0 link diff instead."""
+        from repro.core import HandoffEngine
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.hierarchy.delta")
+        for mod in iter_modules():
+            listed = set(getattr(mod, "__all__", []))
+            assert not {"HierarchyDelta", "compute_delta"} & listed, mod
+        params = inspect.signature(HandoffEngine.observe).parameters
+        assert "links" in params and "delta" not in params
+
     def test_one_run_path_hash(self):
         """The handoff meter and the query resolvers hash with rendezvous
         only; the naive hash is reached through ``full_assignment``."""

@@ -73,7 +73,7 @@ class TestPaperMap:
 class TestObservability:
     def test_phase_table_lists_exactly_the_timer_phases(self):
         """The documented phase table is `repro.obs.timers.PHASES`, in
-        pipeline order (it once silently omitted `delta`)."""
+        pipeline order (it once silently omitted a phase)."""
         from repro.obs.timers import PHASES
 
         text = (DOCS / "OBSERVABILITY.md").read_text()
