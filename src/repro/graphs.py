@@ -12,9 +12,9 @@ distance queries three ways:
   visit order and BFS-tree predecessors decoded into hop counts by
   pointer jumping (:func:`hop_rows`, :func:`bfs_distances`,
   :func:`_bfs_depths`);
-* whole rows from a machine word of sources or more, on graphs up to
-  :data:`ROW_SWEEP_NODES`: a bit-parallel level sweep, one bit per
-  source (:func:`_bitset_bfs`, which :func:`hop_rows` picks by itself);
+* whole rows from a machine word of sources or more: a bit-parallel
+  level sweep, one bit per source (:func:`_bitset_bfs`, which
+  :func:`hop_rows` picks by itself);
 * a whole hop sample (a few whole rows plus a few cluster-scoped rows
   per level, reduced to sums): :func:`hop_sums`, which below
   :data:`SWEEP_NODES` runs every source in one bit-parallel sweep and
@@ -329,18 +329,6 @@ level (3.5 vs 10.4 ms at n = 1000 with 80 sources).  One word breaks
 even at n ~ 3000 and two at ~3500; above that the floods, which stop at
 each source's own cluster, win."""
 
-ROW_SWEEP_NODES = 8_000
-"""Largest ``n x 64 ceil(S / 64) / S`` (the node count over the share of
-the swept bits that carry one of the S sources) at which :func:`hop_rows`
-serves S >= 64 distinct sources with :func:`_bitset_bfs` rather than one
-scipy BFS per source.  A sweep costs n x words x levels and the BFS rows
-n x S, and the level count grows with n: on unit-disk graphs at mean
-degree 9 the sweep is 2-4x ahead at n = 1000, level with scipy at
-n ~ 10^4 for full words, and behind from there (1.1-1.4x at 2 x 10^4
-with full words, 1.5-1.7x with 80 sources, which fill 2 words to 63 %;
-docs/PERFORMANCE.md, "Exact hop meter").  Every all-pairs call of
-:class:`~repro.sim.hops.BfsHops` (n <= 512) stays on the sweep."""
-
 _WORD_BITS = 64
 
 
@@ -361,16 +349,16 @@ def hop_rows(g: CompactGraph, sources_idx: np.ndarray,
     C-level BFS per source (:func:`_bfs_depths`; ~2x scipy's unweighted
     Dijkstra at n = 1e5, decode included).  A full word or more run as
     :func:`_bitset_bfs`, whose sweep costs the same for 1 source as for
-    64, while the graph is small enough for that to pay
-    (:data:`ROW_SWEEP_NODES`), and as scipy rows above it
-    (:func:`hop_sums` decides for a whole hop sample on its own).  Both
-    are exact; unreachable pairs read -1.
+    64: with full words it is ahead from 64 sources up to n ~ 10^4 and
+    behind at 2 x 10^4 (measured to there; partly filled words lose
+    earlier), and below a word it is behind from n ~ 2000.  A word of
+    sources comes only from :class:`~repro.sim.hops.BfsHops`: all pairs
+    at n <= 512, and above that only a batch naming that many new
+    sources (a hop sample goes through :func:`hop_sums`, which decides
+    on its own).  Both are exact; unreachable pairs read -1.
     """
     dtype = hop_dtype(g.n) if dtype is None else np.dtype(dtype)
-    size = sources_idx.size
-    if (size >= _WORD_BITS
-            and g.n * _WORD_BITS * -(-size // _WORD_BITS)
-            <= ROW_SWEEP_NODES * size
+    if (sources_idx.size >= _WORD_BITS
             and np.unique(sources_idx).size >= _WORD_BITS):
         return _bitset_bfs(g, sources_idx, dtype)
     out = np.full((sources_idx.size, g.n), -1, dtype=dtype)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import repro.graphs
 from repro.geometry import DiscRegion
 from repro.graphs import (
-    ROW_SWEEP_NODES,
     SOURCE_BLOCK,
     SWEEP_NODES,
     CompactGraph,
@@ -670,37 +669,6 @@ class TestBitsetBFS:
         with pytest.raises(AssertionError, match="dense sweep"):
             _rows(g, np.arange(64))
         assert sample_hop_counts(g, rng, n_sources=64)[0] > 1
-
-    @pytest.mark.parametrize("n,n_sources,swept", [
-        (ROW_SWEEP_NODES, 64, True),
-        (ROW_SWEEP_NODES + 1, 64, False),
-        # 80 sources fill two words to 80 / 128: the bound shrinks so.
-        (ROW_SWEEP_NODES * 80 // 128, 80, True),
-        (ROW_SWEEP_NODES * 80 // 128 + 1, 80, False),
-    ])
-    def test_many_sources_on_a_large_graph_skip_the_dense_sweep(
-            self, monkeypatch, n, n_sources, swept):
-        """Regime pin, either side of ``ROW_SWEEP_NODES``: a word or more
-        of distinct sources runs the dense sweep only while n over the
-        share of swept bits that carry a source is within the bound.
-        Above it each row is one scipy BFS (the sweep would cost ~4 s for
-        80 sources at n = 1e5), and the rows are Dijkstra's either way."""
-        def boom(*args):
-            raise AssertionError("dense sweep entered")
-
-        rng = np.random.default_rng(n)
-        pts = rng.uniform(0, np.sqrt(n), size=(n, 2))
-        g = CompactGraph(np.arange(n), unit_disk_edges(pts, 1.5))
-        sources = rng.choice(n, size=n_sources, replace=False)
-        oracle = _dijkstra_rows(g, sources)
-        if swept:
-            assert np.array_equal(_rows(g, sources), oracle)
-        monkeypatch.setattr(repro.graphs, "_bitset_bfs", boom)
-        if swept:
-            with pytest.raises(AssertionError, match="dense sweep"):
-                _rows(g, sources)
-        else:
-            assert np.array_equal(_rows(g, sources), oracle)
 
     @pytest.mark.parametrize("n", [400, SWEEP_NODES])
     def test_small_hop_sample_takes_one_sweep(self, n, monkeypatch):
