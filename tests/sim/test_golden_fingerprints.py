@@ -84,6 +84,14 @@ GOLDEN = {
              chaos=("crash:start=2,duration=4,rate=0.04,repair=3",
                     "partition:start=7,duration=3")),
         "33d3aa05b07d5e02767cd7abd6d6cbfcaaec3d850079d07cd9fce3177e5a4c42"),
+    # The lossy channel at a natural size and depth: 11 894 abandoned
+    # transfers, 6 093 recovered, up to 3 113 stale keys at once, and
+    # the patch carrying them as candidates on the ``-event`` plane.
+    "lossy-burst-large": (
+        dict(n=2000, steps=12, warmup=2, speed=1.0, seed=1, max_levels=None,
+             loss_rate=0.05, retry_attempts=3,
+             chaos=("burst:start=3,duration=4,rate=0.2",)),
+        "79a61cd3b7885a1ede4ed5bd7cbb7cd83d99da548fa086e3a6290474be1e61cf"),
 }
 
 
