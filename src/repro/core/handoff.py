@@ -30,16 +30,12 @@ Registration traffic (the subject refreshing its *address* at servers
 whose identity did not change) is metered separately — the paper cites
 [17] for its Theta(log|V|) bound, and EXP-T10 compares the two.
 
-Lossy control plane (EXP-A10): pass a
-:class:`~repro.faults.delivery.DeliveryEngine` to :meth:`observe` and
-every transfer/registration is routed through it.  An *abandoned*
-transfer leaves the entry on its outgoing server — the engine tracks
-the key as **stale** (the hash points at a server that never received
-the entry, so queries miss) and the normal diff machinery retries the
-transfer on subsequent steps until it lands, at which point the
-staleness-recovery time is recorded.  With ``delivery=None`` (or a
-zero-loss engine) the metering is bit-identical to the lossless rule
-``charge = hops``.
+The meter assumes the paper's lossless control plane: every charge is
+its hop count.  Each report carries the step's charge rows
+(:attr:`HandoffReport.moved`, :attr:`HandoffReport.registered`), and a
+lossy channel (EXP-A10/A11) is one pass over them,
+:meth:`~repro.faults.DeliveryEngine.handoff`, which hands the
+entries it left behind back to :meth:`HandoffEngine.hold`.
 """
 
 from __future__ import annotations
@@ -70,10 +66,10 @@ def _moved_entries(rows: dict, old_tables: dict, new_tables: dict,
                    absent: np.ndarray):
     """The candidate ``rows`` (per level; ``None``: every row) whose
     server moved to a holder, concatenated in ascending level order:
-    ``(levels, sizes, idx, old, new)`` — row, outgoing and incoming
-    server — or ``None`` when none moved.  The per-level pieces die
-    here, before the caller charges the transfers."""
-    chunks = []
+    ``(level, idx, old, new)`` — level, row, outgoing and incoming
+    server.  The per-level pieces die here, before the caller charges
+    the transfers."""
+    chunks = [(absent[:0],) * 4]
     for level in sorted(rows):
         idx = rows[level]
         old = old_tables.get(level, absent)
@@ -83,12 +79,9 @@ def _moved_entries(rows: dict, old_tables: dict, new_tables: dict,
         else:
             idx = idx[(old[idx] != new[idx]) & (new[idx] >= 0)]
         if idx.size:
-            chunks.append((level, idx, old[idx], new[idx]))
-    if not chunks:
-        return None
-    levels, idx, old, new = zip(*chunks)
-    return (levels, [i.size for i in idx],
-            *map(np.concatenate, (idx, old, new)))
+            chunks.append((np.full(idx.size, level, dtype=np.int32), idx,
+                           old[idx], new[idx]))
+    return map(np.concatenate, zip(*chunks))
 
 
 # Columns of a step's count table, ``HandoffReport.counts[column, level]``
@@ -103,6 +96,22 @@ COLUMNS = EVENTS + len(EventKind)
 REG_EVENTS, RETRANSMITTED, ABANDONED, ABANDONED_REGS, RECOVERED, STALE = range(6)
 
 
+def fold_charges(counts: np.ndarray, moved: tuple,
+                 registered: tuple) -> np.ndarray:
+    """``counts`` with its columns ``MIG_PACKETS`` .. ``REG_PACKETS``
+    summed per level from a step's charge rows (see
+    :class:`HandoffReport`).  The weighted sums are float64 sums of
+    integers, exact below 2**53."""
+    level, _, _, hops, migration = moved
+    w = counts.shape[1]
+    counts[MIG_PACKETS] = np.bincount(level, np.where(migration, hops, 0), w)
+    counts[MIG_ENTRIES] = np.bincount(level, migration, w)
+    counts[REORG_PACKETS] = np.bincount(level, hops, w) - counts[MIG_PACKETS]
+    counts[REORG_ENTRIES] = np.bincount(level, None, w) - counts[MIG_ENTRIES]
+    counts[REG_PACKETS] = np.bincount(*registered, w)
+    return counts
+
+
 @dataclass(frozen=True, eq=False)
 class HandoffReport:
     """Packet accounting for one step.
@@ -113,6 +122,14 @@ class HandoffReport:
     charge), abandoned entry transfers (each leaves a stale server) and
     registrations, previously-stale entries whose transfer landed this
     step, and the stale (subject, level) keys outstanding after it.
+
+    ``moved`` and ``registered`` are the step's charge rows, which
+    :func:`fold_charges` sums into ``counts``: per moved entry, in
+    ascending level order, ``(level, row, holder, hops, migration)`` —
+    its level, subject row, outgoing holder (-1: a fresh placement), hop
+    charge and pure-migration flag; per registration, in ascending level
+    order, ``(level, hops)``.  They are the meter's own arrays, valid
+    for the step that made them.
     """
 
     counts: np.ndarray
@@ -120,6 +137,8 @@ class HandoffReport:
     diff: HierarchyDiff
     recovery_time_total: float = 0.0
     """Summed abandon-to-recovery durations of this step's recoveries."""
+    moved: tuple = ()
+    registered: tuple = ()
 
     @property
     def phi_packets(self) -> int:
@@ -145,9 +164,7 @@ class HandoffEngine:
     step's one :func:`~repro.core.events.diff_hierarchies` (which the
     level-series collector reads too, off the report), one hop batch for
     every level's transfers and one for every level's registrations,
-    whose subjects are the diff's migration rows.  Only a lossy channel
-    walks individual (changed or stale) entries, because its RNG draw
-    order is per entry.
+    whose subjects are the diff's migration rows.
 
     Servers are placed with the rendezvous hash
     (:func:`~repro.core.servers.full_assignment`).  When the caller
@@ -159,54 +176,63 @@ class HandoffEngine:
     hierarchy diff instead of recomputed: the previous intent's descents
     are read back from its server tables and the previous snapshot, only
     descent stages whose input or consulted member list changed are
-    re-hashed, and only the rows whose server moved (plus outstanding
-    stale keys) enter the handoff diff.  The metering is bit-identical
-    to the full path: the diff's migration rows and the dirty cells are
-    exact, so every row outside the candidate set provably kept its
-    server.
+    re-hashed, and only the rows whose server moved (plus the rows
+    :meth:`hold` kept on another holder) enter the handoff diff.  The
+    metering is bit-identical to the full path: the diff's migration
+    rows and the dirty cells are exact, so every row outside the
+    candidate set provably kept its server.
     """
 
     def __init__(self):
         self._prev_h: ClusteredHierarchy | None = None
         self._prev_a: ServerAssignment | None = None
         # The previous *intent*: the hash output over _prev_h.  Distinct
-        # from _prev_a, which under loss reflects the effective holders;
+        # from _prev_a, the holders, once hold() kept entries behind;
         # patch cleanliness is an intent-to-intent claim.
         self._intent: ServerAssignment | None = None
-        # Abandoned-transfer bookkeeping: (subject, level) -> abandon time.
-        self._stale: dict[tuple[int, int], float] = {}
 
     @property
     def assignment(self) -> ServerAssignment | None:
         """Most recent *effective* assignment (None before first observe).
 
-        Under a lossy channel this reflects reality, not the hash: an
-        abandoned transfer leaves the entry keyed to its old holder (or
-        absent for a failed fresh placement), which is exactly what
-        queries should see.
+        After :meth:`observe` this is the step's intent, the hash
+        output.  :meth:`hold` then keeps abandoned transfers on their
+        outgoing holders (or absent, for a failed fresh placement), which
+        is exactly what queries should see, and what the next step
+        diffs and charges from.
         """
         return self._prev_a
+
+    def hold(self, stayed: tuple) -> None:
+        """Keep the entries of ``stayed`` — ``(level, row, holder)``
+        columns, the transfers a lossy channel abandoned this step — on
+        their holders, copy-on-write.  The next step retries each one
+        through the ordinary diff, charged from its actual holder."""
+        level, row, holder = stayed
+        if not row.size:
+            return
+        tables = dict(self._prev_a.tables)
+        for lvl in np.unique(level).tolist():
+            at = level == lvl
+            tables[lvl] = tables[lvl].copy()
+            tables[lvl][row[at]] = holder[at]
+        self._prev_a = ServerAssignment(subjects=self._prev_a.subjects,
+                                        tables=tables)
 
     def observe(
         self,
         h: ClusteredHierarchy,
         hop_fn: HopFn,
-        delivery=None,
-        now: float = 0.0,
         links: LinkDiff | None = None,
     ) -> HandoffReport:
         """Meter one step against the previous snapshot.
 
         The first call establishes the baseline and reports zero cost.
-        ``delivery`` (a :class:`~repro.faults.delivery.DeliveryEngine`)
-        routes every charge through the lossy channel; ``now`` is the
-        simulation clock used to timestamp abandonments and measure
-        staleness recovery.  ``links``, the level-0 link changes from
-        the previous ``h``'s edges to this one's, lets the step patch
-        its assignment (see the class docstring); without it every
-        server is reassigned.
+        ``links``, the level-0 link changes from the previous ``h``'s
+        edges to this one's, lets the step patch its assignment (see the
+        class docstring); without it every server is reassigned.
         """
-        h0, a0 = self._prev_h, self._prev_a
+        h0, a0, intent0 = self._prev_h, self._prev_a, self._intent
         if h0 is None or a0 is None:
             self._prev_h = h
             self._prev_a = self._intent = full_assignment(h)
@@ -219,7 +245,7 @@ class HandoffEngine:
         if (links is not None and h.num_levels == h0.num_levels
                 and patch_pays(h.n, links.n_events
                                / max(len(h0.levels[0].edges), 1))):
-            assignment, dirty = patch_assignment(self._intent, h0, h, diff)
+            assignment, dirty = patch_assignment(intent0, h0, h, diff)
         else:
             assignment = full_assignment(h)
         self._intent = assignment
@@ -240,107 +266,35 @@ class HandoffEngine:
         absent = np.full(base.size, -1, dtype=np.int32)
 
         # Candidate rows per level.  Full path: every row of every level
-        # either side knows.  Patched path: the patch's dirty rows
-        # (the entries whose intent moved) plus outstanding stale keys
-        # (whose effective holder differs from an unchanged intent, or
-        # which await the old==new staleness-recovery rule).
+        # either side knows.  Patched path: the patch's dirty rows (the
+        # entries whose intent moved) plus the rows held away from the
+        # previous intent (whose holder differs from an unchanged
+        # intent, or which the hash swung back to).
         if dirty is None:
             rows = dict.fromkeys(a0.tables.keys() | assignment.tables.keys())
         else:
             rows = dict(dirty)
-            for level in {lvl for _, lvl in self._stale}:
-                held = [subj for subj, lvl in self._stale if lvl == level]
-                rows[level] = np.union1d(
-                    rows.get(level, absent[:0]), row_of(held)
-                )
+            if a0 is not intent0:
+                for level, held in a0.tables.items():
+                    away = (held != intent0.tables[level]).nonzero()[0]
+                    if away.size:
+                        rows[level] = np.union1d(
+                            rows.get(level, absent[:0]), away)
 
         # All levels at once: the clamped hop count of each transfer (from
         # the subject for a fresh placement on a level the hierarchy just
-        # grew) and its cause.  ``moves`` views each level's slice.
-        moves: dict[int, tuple] = {}
-        moved = _moved_entries(rows, a0.tables, assignment.tables, absent)
-        if moved is not None:
-            levels, sizes, idx, old, new = moved
-            fresh = old < 0
-            sender = np.where(fresh, base[idx], old)
-            hops = batch_hops(hop_fn, sender, new)
-            np.maximum(hops, 0, out=hops)
-            subject_level = lcl[idx]
-            by_subject = (subject_level > 0) & (
-                subject_level <= np.repeat(levels, sizes))
-            migration = ~fresh & np.where(
-                by_subject, pure[idx], pure[row_of(sender)]
-            )
-            ends = np.cumsum(sizes).tolist()
-            for level, a, b in zip(levels, [0, *ends], ends):
-                moves[level] = (idx[a:b], old[a:b], hops[a:b], migration[a:b])
-
-        retransmitted = 0
-        abandoned = 0
-        recovered = 0
-        recovery_time = 0.0
-        # Effective post-step columns: the hash's intent, copied and
-        # corrected wherever the channel abandons a transfer.
-        eff = dict(assignment.tables)
-
-        if delivery is not None or self._stale:
-            # The channel draws per entry, so walk the moved and stale
-            # keys in ascending (subject, level) order — the order that
-            # fixes the RNG stream on both paths: clean non-candidate
-            # keys never touch it.
-            slot = {
-                (subj, level): i
-                for level, (idx, _, _, _) in moves.items()
-                for i, subj in enumerate(base[idx].tolist())
-            }
-            for key in sorted(slot.keys() | self._stale.keys()):
-                subject, level = key
-                i = slot.get(key)
-                if i is None:
-                    if assignment.server_of(subject, level) is None:
-                        # Hierarchy got shallower; entry expires.
-                        if a0.server_of(subject, level) is not None:
-                            del self._stale[key]
-                    else:
-                        # The hash swung back to the actual holder: the
-                        # entry is authoritative again without a transfer.
-                        recovered += 1
-                        recovery_time += now - self._stale.pop(key)
-                    continue
-                if delivery is None:
-                    continue
-                moved_rows, moved_from, charge, _ = moves[level]
-                out = delivery.send(int(charge[i]))
-                retransmitted += out.retransmitted
-                charge[i] = out.packets  # what the channel actually cost
-                if out.delivered:
-                    if key in self._stale:
-                        recovered += 1
-                        recovery_time += now - self._stale.pop(key)
-                    continue
-                abandoned += 1
-                if eff[level] is assignment.tables[level]:
-                    eff[level] = eff[level].copy()
-                # The entry stays on the outgoing server (-1: a fresh
-                # placement failed, no holder).
-                eff[level][moved_rows[i]] = moved_from[i]
-                self._stale.setdefault(key, now)
-            if delivery is not None and self._stale:
-                # Keys whose level vanished entirely can never recover.
-                self._stale = {
-                    k: t for k, t in self._stale.items()
-                    if assignment.server_of(*k) is not None
-                }
-
-        if moves:
-            # Per level: migration packets and entries, reorg packets and
-            # entries (hops now hold what the channel charged).  One
-            # reduction per column, not a stack of four entry-sized copies.
-            charged, counted, total = (
-                np.add.reduceat(col, [0, *ends[:-1]], dtype=np.int64)
-                for col in (np.where(migration, hops, 0), migration, hops))
-            counts[:REG_PACKETS, levels] = (
-                charged, counted, total - charged, sizes - counted)
+        # grew) and its cause.
+        level, idx, old, new = _moved_entries(rows, a0.tables,
+                                              assignment.tables, absent)
+        fresh = old < 0
+        sender = np.where(fresh, base[idx], old)
+        hops = batch_hops(hop_fn, sender, new)
+        np.maximum(hops, 0, out=hops)
+        subject_level = lcl[idx]
+        by_subject = (subject_level > 0) & (subject_level <= level)
+        migration = ~fresh & np.where(
+            by_subject, pure[idx], pure[row_of(sender)]
+        )
 
         # Registration: the level-k server stores the subject's
         # level-(k-1) cluster (the granularity a recursive query needs),
@@ -352,38 +306,25 @@ class HandoffEngine:
         # component is the subject's top-level cluster); the subjects of
         # level k are the diff's level-(k-1) migration rows.
         min_l = min(h0.num_levels, h.num_levels)
-        idx = row_of(diff.mig_node)
+        subjects = row_of(diff.mig_node)
         cut = diff.mig_level.searchsorted(np.arange(1, min_l + 2)).tolist()
         srv, held = (
             np.concatenate([absent[:0], *(
-                a.tables.get(level, absent)[idx[lo:hi]]
-                for level, lo, hi in zip(range(2, min_l + 2), cut, cut[1:])
+                a.tables.get(lvl, absent)[subjects[lo:hi]]
+                for lvl, lo, hi in zip(range(2, min_l + 2), cut, cut[1:])
             )])
             for a in (assignment, a0)
         )
         # Moved entries carry the fresh address.
         keep = ((srv >= 0) & (held == srv)).nonzero()[0]
-        hops = np.maximum(batch_hops(hop_fn, base[idx[keep]], srv[keep]), 0)
-        abandoned_regs = 0
-        if hops.size:
-            if delivery is not None:
-                for i, hop_count in enumerate(hops.tolist()):
-                    out = delivery.send(hop_count)
-                    retransmitted += out.retransmitted
-                    abandoned_regs += not out.delivered
-                    hops[i] = out.packets
-            reg_levels, first = np.unique(diff.mig_level[keep] + 1,
-                                          return_index=True)
-            counts[REG_PACKETS, reg_levels] = np.add.reduceat(hops, first)
+        reg_hops = np.maximum(
+            batch_hops(hop_fn, base[subjects[keep]], srv[keep]), 0)
 
-        report = HandoffReport(
-            counts=counts,
-            flat=np.array([hops.size, retransmitted, abandoned, abandoned_regs,
-                           recovered, len(self._stale)], dtype=np.int64),
-            diff=diff,
-            recovery_time_total=recovery_time,
-        )
-        if abandoned:
-            assignment = ServerAssignment(subjects=base, tables=eff)
+        moved = (level, idx, old, hops, migration)
+        registered = (diff.mig_level[keep] + 1, reg_hops)
+        flat = np.zeros(STALE + 1, dtype=np.int64)
+        flat[REG_EVENTS] = reg_hops.size
         self._prev_h, self._prev_a = h, assignment
-        return report
+        return HandoffReport(counts=fold_charges(counts, moved, registered),
+                             flat=flat, diff=diff, moved=moved,
+                             registered=registered)

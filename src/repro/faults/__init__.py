@@ -8,8 +8,8 @@ packet is delivered.  This package drops that assumption:
 * :class:`RetryPolicy` — bounded retransmission on a fixed
   exponential-backoff schedule with jitter, and a per-message timeout,
 * :class:`DeliveryEngine` — attempt-level accounting (delivered /
-  retransmitted / abandoned packets) replacing the lossless
-  ``charge = hops`` rule,
+  retransmitted / abandoned packets), and the one pass that runs the
+  handoff meter's lossless charge rows through it (``handoff``),
 * :func:`expanding_ring_cost` / :class:`QueryLedger` — the metered
   fallback path for queries that hit stale or abandoned state.
 
@@ -38,7 +38,7 @@ from repro.faults.chaos import (
     PartitionEpisode,
     parse_episode,
 )
-from repro.faults.delivery import Delivery, DeliveryEngine, FaultStats
+from repro.faults.delivery import Delivery, DeliveryEngine
 from repro.faults.fallback import QueryLedger, expanding_ring_cost
 from repro.faults.invariants import (
     InvariantReport,
@@ -53,7 +53,6 @@ __all__ = [
     "CrashEpisode",
     "Delivery",
     "DeliveryEngine",
-    "FaultStats",
     "InvariantReport",
     "InvariantViolationError",
     "LossBurstEpisode",

@@ -292,11 +292,11 @@ class Simulator:
         if mark is not None:
             mark("hierarchy")
         hop_fn = self._hop_fn(positions, edges)
-        report = self._engine.observe(
-            hierarchy, hop_fn,
-            delivery=self._delivery, now=(step + 1) * sc.dt,
-            links=diff,
-        )
+        report = self._engine.observe(hierarchy, hop_fn, links=diff)
+        if sc.faults_enabled:
+            report, stayed = self._delivery.handoff(
+                report, self._engine.assignment, (step + 1) * sc.dt)
+            self._engine.hold(stayed)
         snap = StepSnapshot(
             t=(step + 1) * sc.dt, step=step, positions=positions,
             edges=edges, hierarchy=hierarchy,

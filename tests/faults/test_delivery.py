@@ -97,16 +97,6 @@ class TestDeliveryEngine:
                 return
         pytest.fail("no multi-attempt delivery observed")
 
-    def test_stats_accumulate(self):
-        eng = _engine(0.5, seed=7, max_attempts=2)
-        for _ in range(40):
-            eng.send(5)
-        s = eng.stats
-        assert s.messages == 40
-        assert s.delivered + s.abandoned == 40
-        assert 0 < s.delivered < s.messages
-        assert s.packets >= s.retransmitted_packets
-
     def test_seed_deterministic(self):
         a = [_engine(0.3, seed=5, max_attempts=4).send(7) for _ in range(1)]
         b = [_engine(0.3, seed=5, max_attempts=4).send(7) for _ in range(1)]

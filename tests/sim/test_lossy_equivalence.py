@@ -3,7 +3,7 @@
 The acceptance bar for the fault subsystem is exactness at zero: with
 ``loss_rate=0`` every metered series must be bit-identical to the
 pre-fault engine.  The tests here enforce that at two layers (the
-handoff engine against an explicit zero-loss DeliveryEngine, and the
+handoff engine's report against a zero-rate channel pass, and the
 full simulator against inert fault knobs), then pin down the lossy
 regime: determinism, retransmission accounting, stale-server recovery,
 and query degradation.
@@ -50,10 +50,10 @@ def unit_hops(u, v):
 
 class TestZeroLossExactness:
     def test_engine_with_zero_loss_delivery_matches_none(self):
-        """A zero-rate DeliveryEngine must be an exact pass-through for
-        the handoff engine: same packets, same assignment, no RNG use."""
-        snaps = _snapshots()
-        plain = HandoffEngine()
+        """A zero-rate channel pass must return the lossless report
+        unchanged: same counts and charge rows, nothing left behind or
+        stale, and no RNG use."""
+        eng = HandoffEngine()
         rng = np.random.default_rng(99)
         state_before = rng.bit_generator.state
         lossless = DeliveryEngine(
@@ -61,13 +61,20 @@ class TestZeroLossExactness:
             retry=RetryPolicy(max_attempts=8),
             rng=rng,
         )
-        faulted = HandoffEngine()
-        for t, h in enumerate(snaps):
-            a = plain.observe(h, unit_hops)
-            b = faulted.observe(h, unit_hops, delivery=lossless, now=float(t))
+        moved = 0
+        for t, h in enumerate(_snapshots()):
+            a = eng.observe(h, unit_hops)
+            if not t:
+                continue  # the baseline: nothing to send
+            b, stayed = lossless.handoff(a, eng.assignment, float(t))
             assert np.array_equal(a.counts, b.counts)
-            assert not b.flat[[RETRANSMITTED, ABANDONED, STALE]].any()
-        assert server_map(plain.assignment) == server_map(faulted.assignment)
+            assert np.array_equal(a.flat, b.flat)
+            assert all(map(np.array_equal, a.moved + a.registered,
+                           b.moved + b.registered))
+            assert b.recovery_time_total == 0 and not lossless.stale
+            assert not any(col.size for col in stayed)
+            moved += a.moved[0].size
+        assert moved > 0
         assert rng.bit_generator.state == state_before
 
     def test_simulation_bit_identical_with_inert_fault_knobs(self):

@@ -213,6 +213,20 @@ class TestExports:
         params = inspect.signature(HandoffEngine.observe).parameters
         assert "links" in params and "delta" not in params
 
+    def test_lossless_meter(self):
+        """The handoff meter charges lossless hops only; the lossy channel
+        is one pass in ``repro.faults`` over the report's charge rows, and
+        the per-engine send totals no code read are gone."""
+        import repro.faults
+        from repro.core import HandoffEngine
+        from repro.faults import DeliveryEngine
+
+        params = inspect.signature(HandoffEngine.observe).parameters
+        assert list(params) == ["self", "h", "hop_fn", "links"]
+        assert callable(DeliveryEngine.handoff)
+        assert not hasattr(repro.faults, "FaultStats")
+        assert "stats" not in inspect.signature(DeliveryEngine).parameters
+
     def test_one_run_path_hash(self):
         """The handoff meter and the query resolvers hash with rendezvous
         only; the naive hash is reached through ``full_assignment``."""
